@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -53,7 +54,6 @@ size_t DataTypeFixedWidth(DataType t) {
 Value Value::Null(DataType type) {
   Value v;
   v.type_ = type;
-  v.null_ = true;
   return v;
 }
 Value Value::Bool(bool b) {
@@ -91,19 +91,11 @@ Value Value::Double(double d) {
   v.double_ = d;
   return v;
 }
-Value Value::Varchar(std::string s) {
-  Value v;
-  v.type_ = DataType::kVarchar;
-  v.null_ = false;
-  v.str_ = std::move(s);
-  return v;
+Value Value::Varchar(std::string_view s) {
+  return Bytes(DataType::kVarchar, s.data(), s.size());
 }
-Value Value::Varbinary(std::vector<uint8_t> b) {
-  Value v;
-  v.type_ = DataType::kVarbinary;
-  v.null_ = false;
-  v.str_.assign(reinterpret_cast<const char*>(b.data()), b.size());
-  return v;
+Value Value::Varbinary(const std::vector<uint8_t>& b) {
+  return Bytes(DataType::kVarbinary, b.data(), b.size());
 }
 Value Value::Timestamp(int64_t micros) {
   Value v;
@@ -113,13 +105,67 @@ Value Value::Timestamp(int64_t micros) {
   return v;
 }
 
-namespace {
-bool IsIntegralType(DataType t) {
-  return t == DataType::kBool || t == DataType::kSmallInt ||
-         t == DataType::kInt || t == DataType::kBigInt ||
-         t == DataType::kTimestamp;
+Value Value::Bytes(DataType type, const void* data, size_t n) {
+  // The 4-byte length field caps a string at 4 GiB - 1 bytes.
+  if (n > std::numeric_limits<uint32_t>::max()) std::abort();
+  Value v;
+  v.type_ = type;
+  v.null_ = false;
+  if (n != 0) {
+    v.str_ = new char[n];
+    std::memcpy(v.str_, data, n);
+    v.len_ = static_cast<uint32_t>(n);
+  }
+  return v;
 }
-}  // namespace
+
+Value& Value::operator=(const Value& other) {
+  if (this != &other) {
+    Release();
+    CopyFrom(other);
+  }
+  return *this;
+}
+
+Value& Value::operator=(Value&& other) noexcept {
+  if (this != &other) {
+    Release();
+    StealFrom(&other);
+  }
+  return *this;
+}
+
+void Value::CopyFrom(const Value& other) {
+  type_ = other.type_;
+  null_ = other.null_;
+  if (other.OwnsBytes()) {
+    str_ = new char[other.len_];
+    std::memcpy(str_, other.str_, other.len_);
+    len_ = other.len_;
+  } else {
+    int_ = other.int_;
+  }
+}
+
+void Value::StealFrom(Value* other) {
+  type_ = other->type_;
+  null_ = other->null_;
+  len_ = other->len_;
+  if (other->OwnsBytes()) {
+    str_ = other->str_;
+  } else {
+    int_ = other->int_;
+  }
+  other->null_ = true;
+  other->len_ = 0;
+  other->int_ = 0;
+}
+
+void Value::Release() {
+  if (OwnsBytes()) delete[] str_;
+  len_ = 0;
+  int_ = 0;
+}
 
 int Value::Compare(const Value& other) const {
   // NULLs sort first; two NULLs are equal regardless of type.
@@ -127,7 +173,7 @@ int Value::Compare(const Value& other) const {
   if (null_) return -1;
   if (other.null_) return 1;
 
-  bool a_int = IsIntegralType(type_), b_int = IsIntegralType(other.type_);
+  bool a_int = IsIntegral(), b_int = other.IsIntegral();
   if (a_int && b_int) {
     if (int_ < other.int_) return -1;
     if (int_ > other.int_) return 1;
@@ -143,7 +189,7 @@ int Value::Compare(const Value& other) const {
       return 0;
     case DataType::kVarchar:
     case DataType::kVarbinary: {
-      int r = str_.compare(other.str_);
+      int r = string_value().compare(other.string_value());
       return r < 0 ? -1 : (r > 0 ? 1 : 0);
     }
     default:
@@ -167,11 +213,11 @@ std::string Value::ToString() const {
       return buf;
     }
     case DataType::kVarchar:
-      return "'" + str_ + "'";
+      return "'" + std::string(string_value()) + "'";
     case DataType::kVarbinary: {
       std::string out = "0x";
       static const char kDigits[] = "0123456789abcdef";
-      for (unsigned char c : str_) {
+      for (unsigned char c : string_value()) {
         out.push_back(kDigits[c >> 4]);
         out.push_back(kDigits[c & 0xF]);
       }
@@ -185,7 +231,7 @@ Result<Value> Value::CastTo(DataType target) const {
   if (null_) return Value::Null(target);
   if (type_ == target) return *this;
 
-  if (IsIntegralType(type_)) {
+  if (IsIntegral()) {
     int64_t v = int_;
     switch (target) {
       case DataType::kBool:
@@ -229,12 +275,9 @@ Result<Value> Value::CastTo(DataType target) const {
         break;
     }
   }
-  if (type_ == DataType::kVarchar && target == DataType::kVarbinary) {
-    return Value::Varbinary(
-        std::vector<uint8_t>(str_.begin(), str_.end()));
-  }
-  if (type_ == DataType::kVarbinary && target == DataType::kVarchar) {
-    return Value::Varchar(str_);
+  if ((type_ == DataType::kVarchar && target == DataType::kVarbinary) ||
+      (type_ == DataType::kVarbinary && target == DataType::kVarchar)) {
+    return Bytes(target, str_, len_);
   }
   return Status::NotSupported(std::string("cannot cast ") +
                               DataTypeName(type_) + " to " +
@@ -261,7 +304,7 @@ void Value::EncodeTo(std::vector<uint8_t>* dst) const {
     }
     case DataType::kVarchar:
     case DataType::kVarbinary:
-      PutLengthPrefixed(dst, Slice(str_));
+      PutLengthPrefixed(dst, binary_value());
       break;
   }
 }
@@ -303,11 +346,7 @@ Result<Value> Value::DecodeFrom(Decoder* dec) {
     case DataType::kVarbinary: {
       auto s = dec->GetLengthPrefixed();
       if (!s.ok()) return s.status();
-      Value out;
-      out.type_ = type;
-      out.null_ = false;
-      out.str_ = s->ToString();
-      return out;
+      return Bytes(type, s->data(), s->size());
     }
   }
   return Status::Corruption("unreachable value decode");

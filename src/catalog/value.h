@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -32,6 +33,13 @@ const char* DataTypeName(DataType t);
 size_t DataTypeFixedWidth(DataType t);
 
 /// A single typed, nullable SQL value.
+///
+/// Every value is 16 bytes: a type tag, a null flag, a byte length and an
+/// 8-byte payload that is either the integral/double content or an owned
+/// pointer to one heap block holding a VARCHAR/VARBINARY value's bytes
+/// (empty and NULL strings own no block). The layout is in-memory only;
+/// EncodeTo and the canonical ledger serialization are defined per type.
+/// A moved-from value is a NULL of its original type.
 class Value {
  public:
   /// NULL of the given type.
@@ -41,24 +49,38 @@ class Value {
   static Value Int(int32_t v);
   static Value BigInt(int64_t v);
   static Value Double(double v);
-  static Value Varchar(std::string v);
-  static Value Varbinary(std::vector<uint8_t> v);
+  static Value Varchar(std::string_view v);
+  static Value Varbinary(const std::vector<uint8_t>& v);
   static Value Timestamp(int64_t micros);
 
-  Value() : type_(DataType::kInt), null_(true) {}
+  Value() = default;
+  Value(const Value& other) { CopyFrom(other); }
+  Value(Value&& other) noexcept { StealFrom(&other); }
+  Value& operator=(const Value& other);
+  Value& operator=(Value&& other) noexcept;
+  ~Value() { Release(); }
 
   DataType type() const { return type_; }
   bool is_null() const { return null_; }
 
-  bool bool_value() const { return int_ != 0; }
-  int16_t smallint_value() const { return static_cast<int16_t>(int_); }
-  int32_t int_value() const { return static_cast<int32_t>(int_); }
-  int64_t bigint_value() const { return int_; }
-  /// Integral content regardless of width (bool/smallint/int/bigint/ts).
-  int64_t AsInt64() const { return int_; }
-  double double_value() const { return double_; }
-  const std::string& string_value() const { return str_; }
-  Slice binary_value() const { return Slice(str_); }
+  bool bool_value() const { return AsInt64() != 0; }
+  int16_t smallint_value() const { return static_cast<int16_t>(AsInt64()); }
+  int32_t int_value() const { return static_cast<int32_t>(AsInt64()); }
+  int64_t bigint_value() const { return AsInt64(); }
+  /// Integral content regardless of width (bool/smallint/int/bigint/ts);
+  /// 0 for other types.
+  int64_t AsInt64() const { return IsIntegral() ? int_ : 0; }
+  double double_value() const {
+    return type_ == DataType::kDouble ? double_ : 0;
+  }
+  /// VARCHAR/VARBINARY bytes, empty for other types. Valid while this value
+  /// is alive and unmodified.
+  std::string_view string_value() const {
+    return len_ == 0 ? std::string_view() : std::string_view(str_, len_);
+  }
+  Slice binary_value() const {
+    return len_ == 0 ? Slice() : Slice(str_, len_);
+  }
 
   /// Total ordering used by index keys: NULL < everything; values of
   /// integral types compare numerically across widths; cross-kind
@@ -80,12 +102,32 @@ class Value {
   static Result<Value> DecodeFrom(class Decoder* dec);
 
  private:
-  DataType type_;
-  bool null_;
-  int64_t int_ = 0;
-  double double_ = 0;
-  std::string str_;  // varchar bytes or varbinary bytes
+  /// A non-NULL VARCHAR/VARBINARY holding a copy of `n` bytes at `data`.
+  static Value Bytes(DataType type, const void* data, size_t n);
+
+  /// BOOL, SMALLINT, INT, BIGINT or TIMESTAMP: the payload is int_.
+  bool IsIntegral() const {
+    return type_ == DataType::kBool || type_ == DataType::kSmallInt ||
+           type_ == DataType::kInt || type_ == DataType::kBigInt ||
+           type_ == DataType::kTimestamp;
+  }
+  // Only a VARCHAR/VARBINARY with len_ > 0 owns a heap block.
+  bool OwnsBytes() const { return len_ != 0; }
+  void CopyFrom(const Value& other);
+  void StealFrom(Value* other);
+  void Release();
+
+  DataType type_ = DataType::kInt;
+  bool null_ = true;
+  uint32_t len_ = 0;  // byte length of str_; 0 for every other type
+  union {
+    int64_t int_ = 0;
+    double double_;
+    char* str_;
+  };
 };
+
+static_assert(sizeof(Value) == 16, "Value must stay a 16-byte cell");
 
 /// A row is a vector of values, positionally matching its table's schema.
 using Row = std::vector<Value>;

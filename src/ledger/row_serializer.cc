@@ -44,7 +44,7 @@ void SerializeValue(const Value& v, std::vector<uint8_t>* out) {
     }
     case DataType::kVarchar:
     case DataType::kVarbinary: {
-      const std::string& s = v.string_value();
+      std::string_view s = v.string_value();
       PutVarint32(out, static_cast<uint32_t>(s.size()));
       out->insert(out->end(), s.begin(), s.end());
       break;

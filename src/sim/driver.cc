@@ -1161,7 +1161,7 @@ void SimDriver::DoTamper(size_t i, const SimOp& op) {
       now = old.type() == DataType::kVarchar ? Value::Varchar("tampered")
                                              : Value::Int(424242);
     } else if (old.type() == DataType::kVarchar) {
-      std::string s = old.string_value();
+      std::string s(old.string_value());
       if (s.empty()) s = "x";
       else s[0] = static_cast<char>(s[0] ^ 0x1);
       now = Value::Varchar(std::move(s));

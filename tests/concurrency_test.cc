@@ -110,7 +110,7 @@ TEST_F(ConcurrencyTest, ContendedTableSerializesCorrectly) {
             aborted++;
             continue;
           }
-          int64_t v = std::stoll((*row)[1].string_value());
+          int64_t v = std::stoll(std::string((*row)[1].string_value()));
           Status st =
               db_->Update(*txn, "shared", {VB(1), VS(std::to_string(v + 1))});
           if (st.ok() && db_->Commit(*txn).ok()) break;

@@ -138,8 +138,9 @@ class IncrementalVerifierTest : public TempDirTest {
     EXPECT_TRUE(inc->ok()) << inc->Summary();
     auto state = db->GetVerificationState();
     EXPECT_TRUE(state.has_value());
-    if (state.has_value())
+    if (state.has_value()) {
       EXPECT_EQ(state->last_verified_block, digest->block_id);
+    }
     return *digest;
   }
 
@@ -711,7 +712,9 @@ TEST_F(IncrementalVerifierTest, CrashAtEverySyncPointDuringStateSave) {
       if (env.crashed()) {
         // The save is best-effort: a crash inside it must not fail the
         // verification that just succeeded.
-        if (inc.ok()) EXPECT_TRUE(inc->ok()) << inc->Summary();
+        if (inc.ok()) {
+          EXPECT_TRUE(inc->ok()) << inc->Summary();
+        }
       } else {
         completed_without_crash = true;
         ASSERT_TRUE(inc.ok()) << inc.status().ToString();

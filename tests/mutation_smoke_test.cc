@@ -14,9 +14,6 @@
 namespace sqlledger {
 namespace {
 
-Value VB(int64_t v) { return Value::BigInt(v); }
-Value VS(const std::string& s) { return Value::Varchar(s); }
-
 // One flipped byte in a committed block's recorded transactions root must
 // be pinned to invariant 3 *and* to that exact block, and reverting the
 // byte must restore a clean report (the mutation, not some side effect, was
@@ -42,7 +39,7 @@ TEST(MutationSmoke, BlockByteFlipPinpointsInvariantAndBlock) {
   }
   ASSERT_NE(row, nullptr);
 
-  std::string roots = (*row)[2].string_value();  // transactions_root
+  std::string roots((*row)[2].string_value());  // transactions_root
   ASSERT_FALSE(roots.empty());
   std::vector<uint8_t> bytes(roots.begin(), roots.end());
   bytes[7] ^= 0x01;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "ledger/row_serializer.h"
+#include "util/hex.h"
 
 namespace sqlledger {
 namespace {
@@ -15,6 +16,48 @@ Schema TwoIntSchema(DataType t1, DataType t2) {
   s.AddColumn("Column2", t2, true);
   s.SetPrimaryKey({0});
   return s;
+}
+
+// Every row hash, block root and digest commits to these exact bytes, so
+// they must never drift: one value of each type, a NULL (skipped) and a
+// hidden column (carried by the header, not serialized).
+TEST(RowSerializerTest, GoldenBytesAndLeafHash) {
+  Schema s;
+  s.AddColumn("id", DataType::kBigInt, false);
+  s.AddColumn("flag", DataType::kBool, true);
+  s.AddColumn("qty", DataType::kSmallInt, true);
+  s.AddColumn("n", DataType::kInt, true);
+  s.AddColumn("price", DataType::kDouble, true);
+  s.AddColumn("name", DataType::kVarchar, true, 32);
+  s.AddColumn("blob", DataType::kVarbinary, true);
+  s.AddColumn("ts", DataType::kTimestamp, true);
+  s.AddColumn("note", DataType::kVarchar, true, 32);
+  s.AddColumn("sys_txn", DataType::kBigInt, true, 0, /*hidden=*/true);
+  s.SetPrimaryKey({0});
+  Row row{Value::BigInt(42),
+          Value::Bool(true),
+          Value::SmallInt(-2),
+          Value::Int(0x12345678),
+          Value::Double(1.5),
+          Value::Varchar("ledger"),
+          Value::Varbinary({0xDE, 0xAD, 0xBE, 0xEF}),
+          Value::Timestamp(1600000000000000),
+          Value::Null(DataType::kVarchar),
+          Value::BigInt(7)};
+
+  auto bytes = SerializeRowVersion(s, row, RowOp::kInsert, 100, 7, 3);
+  EXPECT_EQ(HexEncode(Slice(bytes)),
+            "0101640000000700000000000000030000000000000008"  // header, count
+            "0104082a00000000000000"                          // id
+            "02010101"                                        // flag
+            "030202feff"                                      // qty
+            "04030478563412"                                  // n
+            "050508000000000000f83f"                          // price
+            "0606066c6564676572"                              // name
+            "070704deadbeef"                                  // blob
+            "0808080000a40731af0500");                        // ts
+  EXPECT_EQ(RowVersionLeafHash(s, row, RowOp::kInsert, 100, 7, 3).ToHex(),
+            "18461517b3f425de040d5cc6e1f869f7b3af5a62a64fed9661569d50a55e2539");
 }
 
 TEST(RowSerializerTest, Deterministic) {

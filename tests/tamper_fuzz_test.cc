@@ -139,7 +139,7 @@ TEST_P(TamperFuzz, EveryRandomMutationIsDetected) {
           db_->database_ledger()->transactions_table_for_testing();
       ASSERT_TRUE(PickRandomRow(&rng, txns, &key));
       Row* row = txns->mutable_clustered()->MutableGet(key);
-      std::string roots = (*row)[5].string_value();
+      std::string roots((*row)[5].string_value());
       if (roots.size() > 6) {
         std::vector<uint8_t> bytes(roots.begin(), roots.end());
         bytes[rng.Uniform(bytes.size() - 1) + 1] ^= 0x40;
