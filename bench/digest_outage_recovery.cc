@@ -124,9 +124,9 @@ int main(int argc, char** argv) {
     if (!p->GenerateAndSubmit().ok()) std::exit(1);
     if (p->DrainFully().ok() == false) std::exit(1);
   }
-  DigestProtectionStatus healthy = p->status();
-  if (!healthy.fully_protected()) std::exit(1);
-  uint64_t healthy_uploads = healthy.uploads_ok;
+  if (!p->status().fully_protected()) std::exit(1);
+  uint64_t healthy_uploads =
+      db->MetricsSnapshot().counters["digest.uploads_total"];
   std::printf("  healthy warm-up        : %llu digests uploaded\n",
               static_cast<unsigned long long>(healthy_uploads));
 
@@ -180,13 +180,16 @@ int main(int argc, char** argv) {
                  p->status().ToString().c_str());
     std::exit(1);
   }
-  DigestProtectionStatus final_status = p->status();
+  // Counters come from the registry (digest.*; DESIGN.md §13).
+  MetricsSnapshot snap = db->MetricsSnapshot();
+  uint64_t uploads = snap.counters["digest.uploads_total"];
+  uint64_t retries = snap.counters["digest.retries_total"];
+  uint64_t transient_errors = snap.counters["digest.transient_errors_total"];
   std::printf("  catch-up               : %.3f s  (%llu uploads, %llu "
               "retries, %llu transient errors)\n",
-              catchup_seconds,
-              static_cast<unsigned long long>(final_status.uploads_ok),
-              static_cast<unsigned long long>(final_status.retries),
-              static_cast<unsigned long long>(final_status.transient_errors));
+              catchup_seconds, static_cast<unsigned long long>(uploads),
+              static_cast<unsigned long long>(retries),
+              static_cast<unsigned long long>(transient_errors));
 
   // End-to-end cross-check: the blob store's digests verify the ledger.
   auto report = VerifyLedgerAgainstStore(db.get(), **blob_store);
@@ -212,18 +215,12 @@ int main(int argc, char** argv) {
           JsonValue::Int(static_cast<int64_t>(peak_pending)));
   doc.Set("breaker_opened", JsonValue::Bool(breaker_opened));
   doc.Set("catchup_seconds", JsonValue::Double(catchup_seconds));
-  doc.Set("uploads_ok",
-          JsonValue::Int(static_cast<int64_t>(final_status.uploads_ok)));
-  doc.Set("retries", JsonValue::Int(static_cast<int64_t>(
-                         final_status.retries)));
+  doc.Set("uploads_ok", JsonValue::Int(static_cast<int64_t>(uploads)));
+  doc.Set("retries", JsonValue::Int(static_cast<int64_t>(retries)));
   doc.Set("transient_errors",
-          JsonValue::Int(static_cast<int64_t>(final_status.transient_errors)));
+          JsonValue::Int(static_cast<int64_t>(transient_errors)));
   doc.Set("blocks_verified",
           JsonValue::Int(static_cast<int64_t>(report->blocks_checked)));
-  // Registry-sourced extras (DESIGN.md §13): status() above reads the same
-  // digest.* registry storage, so these agree with the counters by
-  // construction.
-  MetricsSnapshot snap = db->MetricsSnapshot();
   doc.Set("breaker_transitions",
           JsonValue::Int(static_cast<int64_t>(
               snap.counters["digest.breaker_transitions_total"])));

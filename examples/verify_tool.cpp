@@ -71,10 +71,8 @@ int main(int argc, char** argv) {
   verify_options.parallelism = 4;
   for (; arg < argc; arg++) verify_options.tables.push_back(argv[arg]);
 
-  DatabaseStats stats = (*db)->GetStats();
-  std::printf("database: %s (incarnation %s)\n", database_id.c_str(),
+  std::printf("database: %s (incarnation %s)\n\n", database_id.c_str(),
               (*db)->create_time().c_str());
-  std::printf("state: %s\n\n", stats.ToString().c_str());
 
   auto report = VerifyLedgerAgainstStore(db->get(), **store, verify_options,
                                          incremental);

@@ -39,10 +39,7 @@ std::string DigestProtectionStatus::ToString() const {
   os << "breaker=" << DigestBreakerStateName(breaker)
      << " blocks_behind=" << blocks_behind
      << " stale_s=" << seconds_since_last_durable
-     << " pending=" << outbox_pending << " ok=" << uploads_ok
-     << " attempts=" << attempts << " retries=" << retries
-     << " transient=" << transient_errors
-     << " rejected=" << submissions_rejected;
+     << " pending=" << outbox_pending;
   if (!fatal.ok()) os << " FATAL=" << fatal.ToString();
   return os.str();
 }
@@ -161,8 +158,7 @@ void DigestUploadPipeline::SetBreakerLocked(DigestBreakerState next) {
                          DigestBreakerStateName(next));
 }
 
-void DigestUploadPipeline::OnRetryableFailureLocked(int64_t now,
-                                                    const Status& st) {
+void DigestUploadPipeline::OnRetryableFailureLocked(int64_t now) {
   m_transient_errors_->Add();
   consecutive_failures_++;
   if (consecutive_failures_ >= options_.open_after_failures)
@@ -182,7 +178,6 @@ void DigestUploadPipeline::OnRetryableFailureLocked(int64_t now,
   next_attempt_micros_ = now + static_cast<int64_t>(backoff * factor);
   if (breaker_ == DigestBreakerState::kOpen)
     next_probe_micros_ = now + options_.probe_interval_micros;
-  (void)st;  // classification already consumed; kept for future logging
 }
 
 size_t DigestUploadPipeline::PumpLocked(int64_t now) {
@@ -244,7 +239,7 @@ size_t DigestUploadPipeline::PumpLocked(int64_t now) {
       fatal_ = st;  // latch: fork/corruption must alert, never be retried
       break;
     }
-    OnRetryableFailureLocked(now, st);
+    OnRetryableFailureLocked(now);
     break;
   }
   return uploaded;
@@ -295,8 +290,8 @@ void DigestUploadPipeline::Stop() {
 void DigestUploadPipeline::Loop(std::chrono::milliseconds interval) {
   mu_.Lock();
   while (!stop_) {
-    // Sleep out the interval, waking early only for Stop (same discipline
-    // as the WAL/uploader loops: timeout with stop_ false = time to work).
+    // Sleep out the interval, waking early only for Stop: a timeout with
+    // stop_ still false means the interval elapsed and it is time to work.
     auto deadline = std::chrono::steady_clock::now() + interval;
     while (!stop_) {
       if (!cv_.WaitUntil(&mu_, deadline)) break;
@@ -308,10 +303,10 @@ void DigestUploadPipeline::Loop(std::chrono::milliseconds interval) {
       mu_.Lock();
       break;  // latched: alert-and-stop, mirroring the paper's behaviour
     }
-    // Transient submit failures (outbox full, disk hiccup) are reflected
-    // in the status counters; the cadence itself keeps going.
-    (void)GenerateAndSubmit();  // status() carries the error taxonomy
-    (void)Pump();               // progress is observable via uploads_ok
+    // Transient submit failures (outbox full, disk hiccup) are counted in
+    // the registry (digest.*); the cadence itself keeps going.
+    (void)GenerateAndSubmit();  // fatal errors latch into status().fatal
+    (void)Pump();               // progress: digest.uploads_total
     mu_.Lock();
   }
   mu_.Unlock();
@@ -323,14 +318,6 @@ DigestProtectionStatus DigestUploadPipeline::status() const {
   s.breaker = breaker_;
   s.fatal = fatal_;
   s.outbox_pending = outbox_->pending_count();
-  // Counters are registry-backed (DESIGN.md §13): this status struct is a
-  // stable facade over the same storage MetricsSnapshot() reports.
-  s.uploads_ok = m_uploads_ok_->value();
-  s.attempts = m_attempts_->value();
-  s.retries = m_retries_->value();
-  s.transient_errors = m_transient_errors_->value();
-  s.recovered_after_retry = m_recoveries_->value();
-  s.submissions_rejected = m_rejected_->value();
   s.consecutive_failures = consecutive_failures_;
 
   DatabaseLedger* ledger = db_->database_ledger();

@@ -25,7 +25,7 @@
 //
 // The synchronous core (SubmitDigest / GenerateAndSubmit / Pump) is what
 // the deterministic simulator and tests drive; Start() wraps it in the
-// background cadence thread that replaces PeriodicDigestUploader's loop.
+// background cadence thread, the only periodic digest uploader.
 // All time comes from the database's injectable clock, so backoff and
 // breaker transitions replay deterministically under the simulator.
 
@@ -89,7 +89,8 @@ struct DigestPipelineOptions {
 
 /// Graceful-degradation surface: how far behind trusted storage the ledger
 /// currently is. Callers assert protection staleness instead of discovering
-/// a gap at verification time.
+/// a gap at verification time. State only: the pipeline's counters
+/// (uploads, attempts, retries, ...) live in the registry as digest.*.
 struct DigestProtectionStatus {
   DigestBreakerState breaker = DigestBreakerState::kHealthy;
   /// Closed blocks not yet covered by a digest the store acknowledged.
@@ -97,14 +98,6 @@ struct DigestProtectionStatus {
   /// Database-clock seconds since the last durable digest; -1 = never.
   double seconds_since_last_durable = -1;
   uint64_t outbox_pending = 0;
-
-  // Counters.
-  uint64_t uploads_ok = 0;
-  uint64_t attempts = 0;
-  uint64_t retries = 0;             // attempts beyond the first per digest
-  uint64_t transient_errors = 0;
-  uint64_t recovered_after_retry = 0;  // incl. idempotent ack-loss recovery
-  uint64_t submissions_rejected = 0;   // outbox full
   int consecutive_failures = 0;
 
   /// Latched fatal error (fork / corruption); OK while the pipeline lives.
@@ -144,7 +137,7 @@ class DigestUploadPipeline {
   /// benches with real or fast-ticking clocks.
   Status DrainFully();
 
-  // ---- Background cadence (replaces PeriodicDigestUploader's loop) ----
+  // ---- Background cadence ----
 
   /// Starts the background thread: every `interval`, GenerateAndSubmit +
   /// Pump. No-op if already started.
@@ -163,7 +156,7 @@ class DigestUploadPipeline {
 
   void Loop(std::chrono::milliseconds interval);
   size_t PumpLocked(int64_t now) REQUIRES(mu_);
-  void OnRetryableFailureLocked(int64_t now, const Status& st) REQUIRES(mu_);
+  void OnRetryableFailureLocked(int64_t now) REQUIRES(mu_);
   /// Moves the circuit breaker, counting the transition and emitting a
   /// trace instant when the state actually changes.
   void SetBreakerLocked(DigestBreakerState next) REQUIRES(mu_);
@@ -192,11 +185,10 @@ class DigestUploadPipeline {
   uint64_t head_attempts_ GUARDED_BY(mu_) = 0;
 
   // Counters, gauges and latencies live in the database's metric registry
-  // (digest.*; DESIGN.md §13) — status() reads the same storage, so there
-  // is exactly one accounting of truth. Pointers are resolved once in Open;
-  // recording is lock-free and adds no lock-order edge under mu_. Trace
-  // instants under mu_ use the Tracer's leaf mutex (edge declared in
-  // scripts/lock_hierarchy.txt).
+  // (digest.*; DESIGN.md §13), read through MetricsSnapshot(). Pointers are
+  // resolved once in Open; recording is lock-free and adds no lock-order
+  // edge under mu_. Trace instants under mu_ use the Tracer's leaf mutex
+  // (edge declared in scripts/lock_hierarchy.txt).
   Counter* m_uploads_ok_ = nullptr;        // digest.uploads_total
   Counter* m_attempts_ = nullptr;          // digest.attempts_total
   Counter* m_retries_ = nullptr;           // digest.retries_total

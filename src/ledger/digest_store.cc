@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "ledger/digest_pipeline.h"
 #include "util/coding.h"
 #include "util/hex.h"
 #include "util/json.h"
@@ -292,59 +291,6 @@ bool VerifySignedDigest(const SignedDigest& signed_digest,
   return signer.Verify(
       Sha256::Digest(Slice(signed_digest.digest.ToJson())),
       Slice(signed_digest.signature));
-}
-
-PeriodicDigestUploader::PeriodicDigestUploader(
-    LedgerDatabase* db, DigestStore* store, std::chrono::milliseconds interval)
-    : db_(db), store_(store), interval_(interval) {
-  thread_ = std::thread([this] { Loop(); });
-}
-
-PeriodicDigestUploader::~PeriodicDigestUploader() { Stop(); }
-
-void PeriodicDigestUploader::Stop() {
-  {
-    MutexLock lock(&mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.SignalAll();
-  if (thread_.joinable()) thread_.join();
-}
-
-Status PeriodicDigestUploader::last_error() const {
-  MutexLock lock(&mu_);
-  return error_;
-}
-
-void PeriodicDigestUploader::Loop() {
-  mu_.Lock();
-  while (!stop_) {
-    // Sleep out the interval, waking early only for Stop. A timeout with
-    // stop_ still false means the interval elapsed: time to upload.
-    auto deadline = std::chrono::steady_clock::now() + interval_;
-    while (!stop_) {
-      if (!cv_.WaitUntil(&mu_, deadline)) break;
-    }
-    if (stop_) break;
-    mu_.Unlock();
-    auto uploaded = GenerateAndUploadDigest(db_, store_);
-    mu_.Lock();
-    if (!uploaded.ok()) {
-      error_ = uploaded.status();
-      // Only fatal errors (fork detected, corruption) latch and stop the
-      // cadence — the paper's alert-and-stop behaviour. A transient store
-      // failure (timeout, outage) must NOT end digest protection: record
-      // it and keep trying on the next tick.
-      if (ClassifyDigestUploadError(uploaded.status()) ==
-          DigestErrorClass::kFatal)
-        break;
-      continue;
-    }
-    error_ = Status::OK();
-    uploads_++;
-  }
-  mu_.Unlock();
 }
 
 Result<DatabaseDigest> GenerateAndUploadDigest(LedgerDatabase* db,

@@ -12,12 +12,9 @@
 #ifndef SQLLEDGER_LEDGER_DIGEST_STORE_H_
 #define SQLLEDGER_LEDGER_DIGEST_STORE_H_
 
-#include <atomic>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "crypto/hmac.h"
@@ -57,8 +54,8 @@ class DigestStore {
       const std::string& create_time = "") const = 0;
 };
 
-/// In-process store for tests and examples. Thread-safe: a background
-/// uploader and concurrent verifiers may share one instance.
+/// In-process store for tests and examples. Thread-safe: the digest
+/// pipeline's cadence thread and concurrent verifiers may share one instance.
 class InMemoryDigestStore : public DigestStore {
  public:
   Status Upload(const DatabaseDigest& digest) override;
@@ -138,43 +135,6 @@ SignedDigest SignDigest(const DatabaseDigest& digest, const Signer& signer);
 /// Offline authenticity check for a shared digest document.
 bool VerifySignedDigest(const SignedDigest& signed_digest,
                         const Signer& signer);
-
-/// Automates the paper's "every few seconds" digest cadence (§2.4): a
-/// background thread that calls GenerateAndUploadDigest on an interval.
-/// Stops on destruction. Only FATAL errors (fork detected, corruption —
-/// see ClassifyDigestUploadError) latch and stop the uploader; transient
-/// store errors (timeouts, outages) are recorded in last_error() and the
-/// cadence keeps retrying, so a network blip never silently ends digest
-/// protection. For retry backoff, a durable outbox and a health surface,
-/// use DigestUploadPipeline (digest_pipeline.h) instead.
-class PeriodicDigestUploader {
- public:
-  PeriodicDigestUploader(LedgerDatabase* db, DigestStore* store,
-                         std::chrono::milliseconds interval);
-  ~PeriodicDigestUploader();
-
-  PeriodicDigestUploader(const PeriodicDigestUploader&) = delete;
-  PeriodicDigestUploader& operator=(const PeriodicDigestUploader&) = delete;
-
-  void Stop();
-  uint64_t uploads() const { return uploads_.load(); }
-  /// Most recent upload error: cleared by the next success, permanent once
-  /// a fatal error latches. OK while healthy.
-  Status last_error() const;
-
- private:
-  void Loop();
-
-  LedgerDatabase* db_;
-  DigestStore* store_;
-  std::chrono::milliseconds interval_;
-  std::atomic<uint64_t> uploads_{0};
-  mutable Mutex mu_;
-  Status error_ GUARDED_BY(mu_);
-  CondVar cv_;
-  bool stop_ GUARDED_BY(mu_) = false;
-  std::thread thread_;
-};
 
 }  // namespace sqlledger
 

@@ -1091,65 +1091,8 @@ Result<std::vector<TableOperationRow>> LedgerDatabase::GetTableOperationsView() 
   return out;
 }
 
-std::string DatabaseStats::ToString() const {
-  return "txns=" + std::to_string(committed_transactions) +
-         " aborts=" + std::to_string(aborted_transactions) +
-         " commit_groups=" + std::to_string(commit_groups) + " (" +
-         std::to_string(group_commit_txns) + " txns, largest " +
-         std::to_string(largest_commit_group) + ", " +
-         std::to_string(wal_syncs) + " wal syncs)" +
-         " blocks=" + std::to_string(closed_blocks) +
-         " open_block_entries=" + std::to_string(open_block_entries) +
-         " queue=" + std::to_string(ledger_queue_depth) +
-         " ledger_entries=" + std::to_string(total_ledger_entries) +
-         " tables=" + std::to_string(table_count) + " (" +
-         std::to_string(ledger_table_count) + " ledger)" +
-         " live_rows=" + std::to_string(live_rows) +
-         " history_rows=" + std::to_string(history_rows) +
-         " incr_verifies=" + std::to_string(incremental_verifications) + " (" +
-         std::to_string(verification_fallbacks) + " fallbacks, " +
-         std::to_string(blocks_reverified) + " blocks reverified, " +
-         std::to_string(blocks_skipped) + " skipped, " +
-         std::to_string(row_versions_skipped) + " row versions skipped)";
-}
-
 uint64_t LedgerDatabase::committed_txn_count() const {
   return m_commit_txns_->value();
-}
-
-DatabaseStats LedgerDatabase::GetStats() {
-  // Counter fields come from the metric registry — the single accounting of
-  // truth (DESIGN.md §13); this struct is a stable facade over it.
-  DatabaseStats stats;
-  stats.committed_transactions = m_commit_txns_->value();
-  stats.aborted_transactions = m_commit_aborts_->value();
-  stats.commit_groups = m_commit_groups_->value();
-  stats.group_commit_txns = m_commit_group_txns_->value();
-  stats.largest_commit_group = m_commit_group_size_->Snapshot().max;
-  {
-    MutexLock lock(&commit_mu_);
-    if (wal_ != nullptr) stats.wal_syncs = wal_->sync_count();
-  }
-  if (ledger_ != nullptr) {
-    stats.closed_blocks = ledger_->closed_block_count();
-    stats.open_block_entries = ledger_->open_block_entry_count();
-    stats.ledger_queue_depth = ledger_->queue_depth();
-    stats.total_ledger_entries = ledger_->total_entries();
-  }
-  for (CatalogEntry* entry : AllTables()) {
-    if (entry->is_system) continue;
-    stats.table_count++;
-    if (entry->kind != TableKind::kRegular) stats.ledger_table_count++;
-    stats.live_rows += entry->main->row_count();
-    if (entry->history != nullptr)
-      stats.history_rows += entry->history->row_count();
-  }
-  stats.incremental_verifications = m_verify_incremental_runs_->value();
-  stats.verification_fallbacks = m_verify_fallbacks_->value();
-  stats.blocks_reverified = m_blocks_reverified_->value();
-  stats.blocks_skipped = m_blocks_skipped_->value();
-  stats.row_versions_skipped = m_row_versions_skipped_->value();
-  return stats;
 }
 
 // ---- Incremental verification state (DESIGN.md §11) ----

@@ -121,38 +121,6 @@ struct TableOperationRow {
   uint64_t transaction_id = 0;
 };
 
-/// Point-in-time operational statistics (monitoring surface).
-struct DatabaseStats {
-  uint64_t committed_transactions = 0;
-  uint64_t aborted_transactions = 0;
-  // Group-commit counters (DESIGN.md §10): groups formed, transactions
-  // that committed through a group, the largest group seen, and the
-  // fsyncs actually issued against the WAL. syncs saved by batching =
-  // group_commit_txns - commit_groups.
-  uint64_t commit_groups = 0;
-  uint64_t group_commit_txns = 0;
-  uint64_t largest_commit_group = 0;
-  uint64_t wal_syncs = 0;
-  uint64_t closed_blocks = 0;
-  uint64_t open_block_entries = 0;
-  uint64_t ledger_queue_depth = 0;
-  uint64_t total_ledger_entries = 0;
-  uint64_t table_count = 0;         // excluding system tables
-  uint64_t ledger_table_count = 0;  // append-only + updateable user tables
-  uint64_t live_rows = 0;
-  uint64_t history_rows = 0;
-  // Incremental verification counters (DESIGN.md §11): runs of
-  // VerifyLedgerIncremental, how many of them fell back to a full pass,
-  // and the cumulative block / row-version hashing work done vs skipped.
-  uint64_t incremental_verifications = 0;
-  uint64_t verification_fallbacks = 0;
-  uint64_t blocks_reverified = 0;
-  uint64_t blocks_skipped = 0;
-  uint64_t row_versions_skipped = 0;
-
-  std::string ToString() const;
-};
-
 /// A recorded ledger truncation (paper §5.2), used by the verifier to
 /// distinguish truncated references from tampering.
 struct TruncationRecord {
@@ -283,14 +251,12 @@ class LedgerDatabase {
   const std::string& create_time() const { return create_time_; }
   int64_t NowMicros() const { return options_.clock(); }
   uint64_t committed_txn_count() const;
-  /// Snapshot of operational counters.
-  DatabaseStats GetStats();
 
   // ---- Observability (DESIGN.md §13) ----
 
-  /// The database-wide metric registry. All Stats counters are registry-
-  /// backed; subsystems (WAL, lock manager, digest pipeline, verifier)
-  /// record through pointers resolved from it at construction time.
+  /// The database-wide metric registry, the one stats surface: subsystems
+  /// (WAL, lock manager, digest pipeline, verifier) record through
+  /// pointers resolved from it at construction time.
   MetricRegistry* metrics() const { return metrics_.get(); }
   /// The bounded in-memory trace ring (Chrome trace-event export).
   Tracer* tracer() const { return tracer_.get(); }
@@ -323,7 +289,7 @@ class LedgerDatabase {
   void NoteDurableDigest(const DatabaseDigest& digest);
   /// Latest digest known durable in the external store, if any.
   std::optional<DatabaseDigest> latest_durable_digest() const;
-  /// Accumulates one VerifyLedgerIncremental run into GetStats counters.
+  /// Accumulates one VerifyLedgerIncremental run into the verify.* counters.
   void RecordIncrementalVerification(bool fell_back, uint64_t blocks_reverified,
                                      uint64_t blocks_skipped,
                                      uint64_t row_versions_skipped);

@@ -1663,14 +1663,14 @@ void SimDriver::FullAudit(size_t i) {
   // with a zero linger, so every group must be a singleton. A larger group
   // here would mean group boundaries depend on scheduling — the exact
   // nondeterminism the simulator exists to rule out.
-  DatabaseStats stats = db_->GetStats();
-  if (stats.commit_groups != stats.group_commit_txns ||
-      stats.largest_commit_group > 1) {
-    Fail(i, "audit group-commit mismatch: " +
-                std::to_string(stats.commit_groups) + " groups for " +
-                std::to_string(stats.group_commit_txns) +
-                " grouped txns (largest " +
-                std::to_string(stats.largest_commit_group) + ")");
+  MetricsSnapshot metrics = db_->MetricsSnapshot();
+  uint64_t groups = metrics.counters["commit.groups_total"];
+  uint64_t grouped = metrics.counters["commit.group_txns_total"];
+  uint64_t largest = metrics.histograms["commit.group_size"].max;
+  if (groups != grouped || largest > 1) {
+    Fail(i, "audit group-commit mismatch: " + std::to_string(groups) +
+                " groups for " + std::to_string(grouped) +
+                " grouped txns (largest " + std::to_string(largest) + ")");
     return;
   }
   // Incremental-verification watermark vs the model's full recomputation:

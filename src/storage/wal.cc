@@ -191,7 +191,6 @@ Status Wal::AppendBatch(const std::vector<Slice>& payloads) {
   if (m_append_micros_ != nullptr)
     m_append_micros_->Record(static_cast<uint64_t>(std::max<int64_t>(0, t1 - t0)));
   if (options_.sync) {
-    syncs_issued_++;
     if (m_syncs_total_ != nullptr) m_syncs_total_->Add();
     st = file_->Sync();
     if (!st.ok()) return Poison(st);
@@ -242,7 +241,6 @@ Status Wal::Reset() {
 Status Wal::Sync() {
   if (!sticky_error_.ok()) return sticky_error_;
   SL_RETURN_IF_ERROR(file_->Flush());
-  syncs_issued_++;
   if (m_syncs_total_ != nullptr) m_syncs_total_->Add();
   const int64_t t0 = metrics_ != nullptr ? metrics_->NowMicros() : 0;
   Status st = file_->Sync();

@@ -121,10 +121,6 @@ class Wal {
 
   Status Sync();
   uint64_t bytes_written() const { return bytes_written_; }
-  /// Number of fsyncs actually issued against the log file (per-append
-  /// syncs, batched group syncs and explicit Sync() calls). The commit
-  /// bench derives fsyncs/txn from this.
-  uint64_t sync_count() const { return syncs_issued_; }
   const std::string& path() const { return path_; }
   /// Non-OK once a write/sync has failed; all appends return this.
   const Status& sticky_error() const { return sticky_error_; }
@@ -147,11 +143,10 @@ class Wal {
   WalOptions options_;
   Env* env_;
   uint64_t bytes_written_ = 0;
-  uint64_t syncs_issued_ = 0;
   Status sticky_error_;
-  // Optional instrumentation (SetMetrics). Null when detached. syncs_issued_
-  // stays authoritative for sync_count(); the registry counter mirrors it so
-  // the stats surface has one namespace.
+  // Optional instrumentation (SetMetrics). Null when detached. Every fsync
+  // issued against the log file (per-append, batched group and explicit
+  // Sync() calls) counts in wal.syncs_total.
   MetricRegistry* metrics_ = nullptr;
   Histogram* m_append_micros_ = nullptr;  // wal.append_micros
   Histogram* m_sync_micros_ = nullptr;    // wal.sync_micros

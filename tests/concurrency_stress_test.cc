@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "ledger/digest_pipeline.h"
 #include "ledger/digest_store.h"
 #include "ledger/verifier.h"
 #include "test_util.h"
@@ -294,9 +297,10 @@ TEST(ConcurrencyStressTest, ParallelForConcurrentPhases) {
     EXPECT_EQ(sums[static_cast<size_t>(c)].load(), want) << "caller " << c;
 }
 
-// Regression: PeriodicDigestUploader's stop flag and error slot raced its
-// background loop; Stop must also be idempotent and safe right after start.
-TEST(ConcurrencyStressTest, PeriodicUploaderStartStopChurn) {
+// Start/stop churn of the digest pipeline's cadence thread: Stop must be
+// safe right after Start and idempotent, and the thread must never latch an
+// error on a healthy store. Keeps TSan watching the thread's lifecycle.
+TEST(ConcurrencyStressTest, DigestProtectionStartStopChurn) {
   LedgerDatabaseOptions options;
   options.enable_ledger = true;
   options.block_size = 4;
@@ -306,20 +310,28 @@ TEST(ConcurrencyStressTest, PeriodicUploaderStartStopChurn) {
   std::unique_ptr<LedgerDatabase> db = std::move(*opened);
   ASSERT_TRUE(
       db->CreateTable("t", SimpleUserSchema(), TableKind::kAppendOnly).ok());
+  const std::filesystem::path outbox =
+      std::filesystem::temp_directory_path() /
+      ("sqlledger_churn_outbox_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(outbox);
   InMemoryDigestStore store;
+  DigestPipelineOptions popts;
+  popts.outbox_dir = outbox.string();
   for (int round = 0; round < 5; round++) {
-    PeriodicDigestUploader uploader(db.get(), &store,
-                                    std::chrono::milliseconds(1));
+    ASSERT_TRUE(db->StartDigestProtection(&store, popts,
+                                          std::chrono::milliseconds(1))
+                    .ok());
     auto txn = db->Begin("w");
     ASSERT_TRUE(txn.ok());
     ASSERT_TRUE(db->Insert(*txn, "t", {VB(round), VS("x")}).ok());
     ASSERT_TRUE(db->Commit(*txn).ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    uploader.Stop();
-    uploader.Stop();  // idempotent
-    EXPECT_TRUE(uploader.last_error().ok())
-        << uploader.last_error().ToString();
+    DigestProtectionStatus status = db->GetDigestProtectionStatus();
+    EXPECT_TRUE(status.fatal.ok()) << status.ToString();
+    db->StopDigestProtection();
+    db->StopDigestProtection();  // idempotent
   }
+  std::filesystem::remove_all(outbox);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <thread>
 
 #include "ledger/digest_pipeline.h"
 #include "ledger/digest_store.h"
@@ -184,7 +186,7 @@ TEST_F(DigestPipelineTest, HealthyPathUploadsAndReportsProtected) {
   DigestProtectionStatus s = p->status();
   EXPECT_TRUE(s.fully_protected()) << s.ToString();
   EXPECT_EQ(s.blocks_behind, 0u);
-  EXPECT_EQ(s.uploads_ok, 1u);
+  EXPECT_EQ(CounterValue(db_.get(), "digest.uploads_total"), 1u);
   EXPECT_EQ(s.outbox_pending, 0u);
   EXPECT_GE(s.seconds_since_last_durable, 0.0);
   EXPECT_EQ(remote_.ListAll()->size(), 1u);
@@ -211,7 +213,7 @@ TEST_F(DigestPipelineTest, OutageQueuesThenCatchesUpToZeroStaleness) {
   EXPECT_EQ(during.outbox_pending, 3u);
   EXPECT_GT(during.blocks_behind, 0u);
   EXPECT_FALSE(during.fully_protected());
-  EXPECT_GT(during.transient_errors, 0u);
+  EXPECT_GT(CounterValue(db_.get(), "digest.transient_errors_total"), 0u);
   EXPECT_EQ(remote_.ListAll()->size(), 0u);
 
   flaky.SetOutage(false);
@@ -255,8 +257,8 @@ TEST_F(DigestPipelineTest, BreakerDegradesOpensAndRecoversViaProbe) {
   DigestProtectionStatus s = p->status();
   EXPECT_EQ(s.breaker, DigestBreakerState::kHealthy);
   EXPECT_EQ(s.consecutive_failures, 0);
-  EXPECT_GT(s.retries, 0u);
-  EXPECT_GT(s.recovered_after_retry, 0u);
+  EXPECT_GT(CounterValue(db_.get(), "digest.retries_total"), 0u);
+  EXPECT_GT(CounterValue(db_.get(), "digest.recoveries_total"), 0u);
 }
 
 TEST_F(DigestPipelineTest, BackoffBlocksAttemptsUntilDeadline) {
@@ -273,10 +275,10 @@ TEST_F(DigestPipelineTest, BackoffBlocksAttemptsUntilDeadline) {
   flaky.SetOutage(true);
   ASSERT_TRUE(p->GenerateAndSubmit().ok());
   EXPECT_EQ(p->Pump(), 0u);
-  EXPECT_EQ(p->status().attempts, 1u);
+  EXPECT_EQ(CounterValue(db_.get(), "digest.attempts_total"), 1u);
   flaky.SetOutage(false);
   EXPECT_EQ(p->Pump(), 0u);  // backoff gates the retry even though healthy
-  EXPECT_EQ(p->status().attempts, 1u);
+  EXPECT_EQ(CounterValue(db_.get(), "digest.attempts_total"), 1u);
   EXPECT_EQ(p->DrainFully().code(), StatusCode::kBusy);
 }
 
@@ -295,7 +297,7 @@ TEST_F(DigestPipelineTest, OutboxFullRejectsSubmissionWithBusy) {
   ASSERT_TRUE(p->GenerateAndSubmit().ok());
   Fill(2);
   EXPECT_EQ(p->GenerateAndSubmit().code(), StatusCode::kBusy);
-  EXPECT_EQ(p->status().submissions_rejected, 1u);
+  EXPECT_EQ(CounterValue(db_.get(), "digest.rejected_total"), 1u);
 
   // Recovery still drains the queued tail and the next digest covers the
   // whole chain, so protection returns to zero staleness.
@@ -326,7 +328,7 @@ TEST_F(DigestPipelineTest, AmbiguousAckRecoversIdempotently) {
   EXPECT_EQ(p->Pump(), 1u);
   DigestProtectionStatus s = p->status();
   EXPECT_TRUE(s.fully_protected()) << s.ToString();
-  EXPECT_EQ(s.recovered_after_retry, 1u);
+  EXPECT_EQ(CounterValue(db_.get(), "digest.recoveries_total"), 1u);
   EXPECT_EQ(remote_.ListAll()->size(), 1u);
 }
 
@@ -612,13 +614,22 @@ TEST_F(DigestProtectionWiringTest, BackgroundCadenceUploadsDigests) {
     ASSERT_TRUE(InsertOne(db.get(), "t", i, "x").ok());
   // The cadence thread should generate + upload without any manual pumping.
   for (int spin = 0; spin < 2000; spin++) {
-    if (db->GetDigestProtectionStatus().uploads_ok >= 1) break;
+    if (CounterValue(db.get(), "digest.uploads_total") >= 1) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE(db->GetDigestProtectionStatus().uploads_ok, 1u)
+  EXPECT_GE(CounterValue(db.get(), "digest.uploads_total"), 1u)
       << db->GetDigestProtectionStatus().ToString();
   db->StopDigestProtection();
-  EXPECT_GE(store.ListAll()->size(), 1u);
+  // Digests chain correctly end to end.
+  auto digests = store.ListAll();
+  ASSERT_TRUE(digests.ok());
+  ASSERT_GE(digests->size(), 1u);
+  for (size_t i = 1; i < digests->size(); i++) {
+    auto derivable = db->database_ledger()->VerifyDigestChain(
+        (*digests)[i - 1], (*digests)[i]);
+    ASSERT_TRUE(derivable.ok());
+    EXPECT_TRUE(*derivable) << "digest " << i << " does not chain";
+  }
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <fstream>
 
 #include "ledger/digest_store.h"
-#include "ledger/faulty_digest_store.h"
 #include "test_util.h"
 
 namespace sqlledger {
@@ -293,94 +292,8 @@ TEST_F(UploadFlowTest, StatsReflectActivity) {
       db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
   for (int i = 1; i <= 5; i++)
     ASSERT_TRUE(InsertOne(db.get(), "t", i, "x").ok());
-  DatabaseStats stats = db->GetStats();
-  EXPECT_GE(stats.committed_transactions, 5u);
-  EXPECT_EQ(stats.table_count, 1u);
-  EXPECT_EQ(stats.ledger_table_count, 1u);
-  EXPECT_EQ(stats.live_rows, 5u);
-  EXPECT_EQ(stats.history_rows, 0u);
-  EXPECT_GE(stats.closed_blocks, 1u);
-  EXPECT_NE(stats.ToString().find("live_rows=5"), std::string::npos);
-}
-
-TEST_F(UploadFlowTest, PeriodicUploaderUploadsOnCadence) {
-  auto db = OpenTestDb(/*block_size=*/4);
-  ASSERT_TRUE(
-      db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
-  InMemoryDigestStore store;
-  {
-    PeriodicDigestUploader uploader(db.get(), &store,
-                                    std::chrono::milliseconds(5));
-    for (int i = 0; i < 20; i++) {
-      ASSERT_TRUE(InsertOne(db.get(), "t", i, "x").ok());
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    // Wait until at least two digests are out.
-    for (int spin = 0; spin < 500 && uploader.uploads() < 2; spin++)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    EXPECT_GE(uploader.uploads(), 2u);
-    EXPECT_TRUE(uploader.last_error().ok());
-  }
-  // Digests chain correctly end to end.
-  auto digests = store.ListAll();
-  ASSERT_TRUE(digests.ok());
-  ASSERT_GE(digests->size(), 2u);
-  for (size_t i = 1; i < digests->size(); i++) {
-    auto derivable = db->database_ledger()->VerifyDigestChain(
-        (*digests)[i - 1], (*digests)[i]);
-    ASSERT_TRUE(derivable.ok());
-    EXPECT_TRUE(*derivable);
-  }
-}
-
-TEST_F(UploadFlowTest, PeriodicUploaderRecoversFromTransientStoreError) {
-  // Regression: the uploader used to latch-and-stop on ANY upload error, so
-  // one network blip silently ended digest protection forever. Transient
-  // errors must keep the cadence alive.
-  auto db = OpenTestDb(/*block_size=*/4);
-  ASSERT_TRUE(
-      db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
-  InMemoryDigestStore store;
-  FaultyDigestStore flaky(&store, /*seed=*/TestSeed());
-  flaky.FailUploads(1);  // the first attempt times out, then the store heals
-
-  ASSERT_TRUE(InsertOne(db.get(), "t", 1, "x").ok());
-  PeriodicDigestUploader uploader(db.get(), &flaky,
-                                  std::chrono::milliseconds(2));
-  for (int spin = 0; spin < 500 && uploader.uploads() < 1; spin++)
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_GE(uploader.uploads(), 1u);           // cadence survived the blip
-  EXPECT_TRUE(uploader.last_error().ok());     // cleared by the success
-  EXPECT_GE(flaky.injected_failures(), 1u);    // the blip actually fired
-  EXPECT_GE(store.ListAll()->size(), 1u);
-}
-
-TEST_F(UploadFlowTest, PeriodicUploaderLatchesForkError) {
-  auto db = OpenTestDb(/*block_size=*/4);
-  ASSERT_TRUE(
-      db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
-  InMemoryDigestStore store;
-  ASSERT_TRUE(InsertOne(db.get(), "t", 1, "x").ok());
-  auto first = GenerateAndUploadDigest(db.get(), &store);
-  ASSERT_TRUE(first.ok());
-
-  // Fork the chain before starting the uploader.
-  auto block = db->database_ledger()->FindBlock(first->block_id);
-  ASSERT_TRUE(block.ok());
-  BlockRecord forged = *block;
-  forged.transactions_root.bytes[1] ^= 1;
-  ASSERT_TRUE(db->database_ledger()
-                  ->blocks_table_for_testing()
-                  ->Update(BlockRecordToRow(forged))
-                  .ok());
-  ASSERT_TRUE(InsertOne(db.get(), "t", 2, "y").ok());
-
-  PeriodicDigestUploader uploader(db.get(), &store,
-                                  std::chrono::milliseconds(2));
-  for (int spin = 0; spin < 500 && uploader.last_error().ok(); spin++)
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_TRUE(uploader.last_error().IsIntegrityViolation());
-  EXPECT_EQ(store.ListAll()->size(), 1u);  // nothing after the fork
+  EXPECT_GE(CounterValue(db.get(), "commit.txns_total"), 5u);
+  EXPECT_GE(db->database_ledger()->closed_block_count(), 1u);
 }
 
 }  // namespace

@@ -101,11 +101,10 @@ TEST_F(GroupCommitTest, MultiThreadedCommitsYieldDenseOrdinals) {
             static_cast<size_t>(kThreads * kTxnsPerThread + 2));
   ExpectDenseOrdinals(entries, (*db)->options().block_size);
 
-  DatabaseStats stats = (*db)->GetStats();
-  EXPECT_EQ(stats.group_commit_txns,
-            static_cast<uint64_t>(kThreads * kTxnsPerThread + 2));
-  EXPECT_GE(stats.group_commit_txns, stats.commit_groups);
-  EXPECT_GE(stats.largest_commit_group, 1u);
+  uint64_t group_txns = CounterValue(db->get(), "commit.group_txns_total");
+  EXPECT_EQ(group_txns, static_cast<uint64_t>(kThreads * kTxnsPerThread + 2));
+  EXPECT_GE(group_txns, CounterValue(db->get(), "commit.groups_total"));
+  EXPECT_GE((*db)->MetricsSnapshot().histograms["commit.group_size"].max, 1u);
 
   // All rows visible.
   auto txn = (*db)->Begin("check");
@@ -215,7 +214,7 @@ TEST_F(GroupCommitTest, FailedGroupSyncFailsEveryMemberAndLatches) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE(
       (*db)->CreateTable("t", SimpleUserSchema(), TableKind::kAppendOnly).ok());
-  uint64_t committed_before = (*db)->GetStats().committed_transactions;
+  uint64_t committed_before = CounterValue(db->get(), "commit.txns_total");
 
   // The next WAL fsync fails — whichever group issues it. Later groups hit
   // the sticky error, so every concurrent member must come back non-OK.
@@ -237,7 +236,7 @@ TEST_F(GroupCommitTest, FailedGroupSyncFailsEveryMemberAndLatches) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(commit_errors.load(), kThreads);
-  EXPECT_EQ((*db)->GetStats().committed_transactions, committed_before);
+  EXPECT_EQ(CounterValue(db->get(), "commit.txns_total"), committed_before);
 
   // Sticky: the env is healthy again but the WAL stays poisoned. A failed
   // commit leaves the transaction active; abort it explicitly so the
@@ -267,7 +266,7 @@ TEST_F(GroupCommitTest, AbortedTransactionsAreCounted) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE(
       (*db)->CreateTable("t", SimpleUserSchema(), TableKind::kAppendOnly).ok());
-  uint64_t aborted_before = (*db)->GetStats().aborted_transactions;
+  uint64_t aborted_before = CounterValue(db->get(), "commit.aborts_total");
 
   for (int i = 0; i < 3; i++) {
     auto txn = (*db)->Begin("aborter");
@@ -275,8 +274,7 @@ TEST_F(GroupCommitTest, AbortedTransactionsAreCounted) {
     ASSERT_TRUE((*db)->Insert(*txn, "t", {VB(i), VS("gone")}).ok());
     (*db)->Abort(*txn);
   }
-  DatabaseStats stats = (*db)->GetStats();
-  EXPECT_EQ(stats.aborted_transactions, aborted_before + 3);
+  EXPECT_EQ(CounterValue(db->get(), "commit.aborts_total"), aborted_before + 3);
 
   auto txn = (*db)->Begin("check");
   auto rows = (*db)->Scan(*txn, "t");
@@ -300,7 +298,7 @@ TEST_F(GroupCommitTest, GroupOfTwoSharesOneFsync) {
   ASSERT_TRUE(
       (*db)->CreateTable("t", SimpleUserSchema(), TableKind::kAppendOnly).ok());
 
-  DatabaseStats before = (*db)->GetStats();
+  MetricsSnapshot before = (*db)->MetricsSnapshot();
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; t++) {
     threads.emplace_back([&, t] {
@@ -309,12 +307,18 @@ TEST_F(GroupCommitTest, GroupOfTwoSharesOneFsync) {
   }
   for (auto& th : threads) th.join();
 
-  DatabaseStats after = (*db)->GetStats();
-  EXPECT_EQ(after.group_commit_txns - before.group_commit_txns, 2u);
-  EXPECT_EQ(after.commit_groups - before.commit_groups, 1u);
-  EXPECT_EQ(after.largest_commit_group, 2u);
+  MetricsSnapshot after = (*db)->MetricsSnapshot();
+  EXPECT_EQ(after.counters["commit.group_txns_total"] -
+                before.counters["commit.group_txns_total"],
+            2u);
+  EXPECT_EQ(after.counters["commit.groups_total"] -
+                before.counters["commit.groups_total"],
+            1u);
+  EXPECT_EQ(after.histograms["commit.group_size"].max, 2u);
   // One batched fsync for the pair — the whole point of group commit.
-  EXPECT_EQ(after.wal_syncs - before.wal_syncs, 1u);
+  EXPECT_EQ(after.counters["wal.syncs_total"] -
+                before.counters["wal.syncs_total"],
+            1u);
 }
 
 }  // namespace

@@ -304,12 +304,13 @@ TEST_F(IncrementalVerifierTest, SeedsWatermarkAndSkipsVerifiedPrefix) {
   state = db->GetVerificationState();
   ASSERT_TRUE(state.has_value());
   EXPECT_EQ(state->last_verified_block, d2->block_id);
-  DatabaseStats stats = db->GetStats();
-  EXPECT_EQ(stats.incremental_verifications, 2u);
-  EXPECT_EQ(stats.verification_fallbacks, 0u);
-  EXPECT_EQ(stats.blocks_skipped, inc2->blocks_skipped);
-  EXPECT_EQ(stats.row_versions_skipped, inc2->row_versions_skipped);
-  EXPECT_EQ(stats.blocks_reverified,
+  EXPECT_EQ(CounterValue(db.get(), "verify.incremental_total"), 2u);
+  EXPECT_EQ(CounterValue(db.get(), "verify.fallbacks_total"), 0u);
+  EXPECT_EQ(CounterValue(db.get(), "verify.blocks_skipped_total"),
+            inc2->blocks_skipped);
+  EXPECT_EQ(CounterValue(db.get(), "verify.row_versions_skipped_total"),
+            inc2->row_versions_skipped);
+  EXPECT_EQ(CounterValue(db.get(), "verify.blocks_reverified_total"),
             inc1->blocks_reverified + inc2->blocks_reverified);
 }
 
@@ -366,8 +367,7 @@ TEST_F(IncrementalVerifierTest, StructuralTamperBeforeWatermarkFallsBack) {
       << inc->fallback_reason;
   ExpectEquivalent(*full, *inc, "deleted prefix row");
 
-  DatabaseStats stats = db->GetStats();
-  EXPECT_EQ(stats.verification_fallbacks, 1u);
+  EXPECT_EQ(CounterValue(db.get(), "verify.fallbacks_total"), 1u);
 }
 
 TEST_F(IncrementalVerifierTest, EntryTamperBeforeWatermarkFallsBack) {

@@ -51,6 +51,34 @@ TEST_F(SimSmokeTest, SameSeedReproducesByteForByte) {
   EXPECT_EQ(first.metrics_fingerprint, second.metrics_fingerprint);
 }
 
+// Pinned per-seed fingerprints: `sim_harness --seed=N --ops=500` must keep
+// printing exactly these `fp=` (outcome log) and `mfp=` (metrics snapshot +
+// trace export) values. A refactor that is meant to preserve behaviour must
+// leave them alone; one that changes behaviour on purpose updates them here
+// and says why. Raw seeds, not TestCaseSeed: the values are absolute.
+TEST_F(SimSmokeTest, GoldenFingerprints) {
+  struct Golden {
+    uint64_t seed;
+    const char* fp;
+    const char* mfp;
+  };
+  const Golden kGolden[] = {
+      {1, "6ecb2e69a395f9357265874628eb998d4a2f79860ba7a0e62b98615a90a3fd25",
+       "e76a96442575469497951ef8c55e475adb5c7ba01f061dceaab174f4deb6f34e"},
+      {2, "056ff6b98fe26e119d86fc83cc3d846042f3a389dd1651379c676303d531b354",
+       "9c066ade09ee4ae2af3c16c9c848e2f24e926e31222fada5a588a6d1a64a662a"},
+      {3, "cba718f6b9021d33d2f5e7fb2c6ab21be2f9bdbce6db42f717dcb2913588d621",
+       "3cb5b45d9b14481567228c808d4283bb076fd903612618837118ecacbd23dad1"},
+  };
+  for (const Golden& g : kGolden) {
+    SimResult result = RunSim(MakeConfig(g.seed, 500));
+    ASSERT_TRUE(result.ok) << "seed " << g.seed << " diverged @"
+                           << result.divergent_op << ": " << result.message;
+    EXPECT_EQ(result.outcome_fingerprint, g.fp) << "seed " << g.seed;
+    EXPECT_EQ(result.metrics_fingerprint, g.mfp) << "seed " << g.seed;
+  }
+}
+
 TEST_F(SimSmokeTest, StoreOutageWindowsCatchUpAndAgree) {
   // Outage-heavy mix: the driver asserts after every recovery and outage
   // end that the remote store's digests are an order-preserving match for

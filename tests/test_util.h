@@ -107,6 +107,15 @@ inline std::unique_ptr<LedgerDatabase> OpenTestDb(uint64_t block_size = 4,
   return std::move(*db);
 }
 
+/// Current value of the registry counter `name` (DESIGN.md §13). 0 when no
+/// subsystem registered it, e.g. wal.syncs_total on an ephemeral database.
+inline uint64_t CounterValue(const LedgerDatabase* db,
+                             const std::string& name) {
+  MetricsSnapshot snapshot = db->MetricsSnapshot();
+  auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
 /// Runs one committed transaction inserting (id, payload) into `table`.
 inline Status InsertOne(LedgerDatabase* db, const std::string& table,
                         int64_t id, const std::string& payload,
