@@ -1,8 +1,8 @@
 // §3.2.1 microbenchmark: the streaming Merkle-root algorithm. Confirms
 // O(N) time (ns/leaf flat as N grows) and O(log N) space, plus the cost of
-// proof generation/verification on the materialized tree, and the batched
-// leaf-hash path against the one-at-a-time path. Run with
-// SQLLEDGER_FORCE_SCALAR_SHA=1 to compare against the scalar kernel.
+// proof generation/verification on the materialized tree, and leaf-hash
+// throughput (one MerkleLeafHash call per leaf, as every caller does). Run
+// with SQLLEDGER_FORCE_SCALAR_SHA=1 to compare against the scalar kernel.
 
 #include <benchmark/benchmark.h>
 
@@ -82,8 +82,8 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 
-void BM_LeafHashOneAtATime(benchmark::State& state) {
-  // The pre-batching hot path: one MerkleLeafHash call per 260-byte leaf.
+void BM_LeafHash(benchmark::State& state) {
+  // One MerkleLeafHash call per 260-byte leaf, the fig9 row width.
   const size_t n = static_cast<size_t>(state.range(0));
   std::string data(260, 'x');
   std::vector<Hash256> out(n);
@@ -94,26 +94,12 @@ void BM_LeafHashOneAtATime(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_LeafHashBatched(benchmark::State& state) {
-  // Same work through MerkleLeafHashMany (what commit/verify now use).
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::string data(260, 'x');
-  std::vector<Slice> inputs(n, Slice(data));
-  std::vector<Hash256> out(n);
-  for (auto _ : state) {
-    MerkleLeafHashMany(inputs.data(), n, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
 BENCHMARK(BM_StreamingRoot)->Range(256, 262144);
 BENCHMARK(BM_MaterializedRoot)->Range(256, 65536);
 BENCHMARK(BM_SavepointSnapshot)->Range(256, 262144);
 BENCHMARK(BM_ProveAndVerify)->Range(256, 65536);
 BENCHMARK(BM_Sha256)->Range(64, 65536);
-BENCHMARK(BM_LeafHashOneAtATime)->Range(1024, 65536);
-BENCHMARK(BM_LeafHashBatched)->Range(1024, 65536);
+BENCHMARK(BM_LeafHash)->Range(1024, 65536);
 
 }  // namespace
 

@@ -24,10 +24,6 @@ Hash256 MerkleNodeHash(const Hash256& left, const Hash256& right) {
                                 Slice(buf, 64));
 }
 
-void MerkleLeafHashMany(const Slice* inputs, size_t n, Hash256* out) {
-  HashManyWithPrefix(kLeafPrefix, inputs, n, out);
-}
-
 void MerkleBuilder::AddLeafHash(const Hash256& leaf_hash) {
   state_.leaf_count++;
   Hash256 carry = leaf_hash;
@@ -70,20 +66,14 @@ Hash256 MerkleBuilder::Root() const {
 
 MerkleTree::MerkleTree(std::vector<Hash256> leaf_hashes)
     : leaf_count_(leaf_hashes.size()) {
-  static_assert(sizeof(Hash256) == 32, "adjacent hashes must be contiguous");
   levels_.push_back(std::move(leaf_hashes));
-  std::vector<Slice> pair_inputs;
   while (levels_.back().size() > 1) {
     const std::vector<Hash256>& cur = levels_.back();
-    // Each parent's preimage (left || right) is 64 contiguous bytes inside
-    // the level vector, so the whole level batches with zero copies.
-    size_t pairs = cur.size() / 2;
-    pair_inputs.resize(pairs);
-    for (size_t i = 0; i < pairs; i++)
-      pair_inputs[i] = Slice(cur[2 * i].bytes.data(), 64);
-    std::vector<Hash256> next((cur.size() + 1) / 2);
-    HashManyWithPrefix(kNodePrefix, pair_inputs.data(), pairs, next.data());
-    if (cur.size() % 2 != 0) next.back() = cur.back();  // promote lone tail
+    std::vector<Hash256> next;
+    next.reserve((cur.size() + 1) / 2);
+    for (size_t i = 0; i + 1 < cur.size(); i += 2)
+      next.push_back(MerkleNodeHash(cur[i], cur[i + 1]));
+    if (cur.size() % 2 != 0) next.push_back(cur.back());  // promote lone tail
     levels_.push_back(std::move(next));
   }
 }

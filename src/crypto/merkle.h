@@ -6,10 +6,14 @@
 // state is copyable, which is exactly what enables savepoints / partial
 // rollback: a savepoint snapshots the state and a rollback restores it.
 //
-// MerkleTree is the materialized variant used by the Database Ledger to
-// produce Merkle *proofs* of transaction inclusion (paper §3.3.1 req. 4,
-// §5.1 receipts). Its root always matches MerkleBuilder over the same
+// MerkleTree is the materialized variant, kept only where a Merkle *proof*
+// of transaction inclusion is taken (paper §3.3.1 req. 4, §5.1 receipts);
+// callers that need just a root (block close, verification) stream leaves
+// into a MerkleBuilder. Its root always matches MerkleBuilder over the same
 // leaves.
+//
+// Every leaf and node is one SHA-256 call: hash each input where it is
+// produced with MerkleLeafHash / MerkleNodeHash.
 //
 // Domain separation follows RFC 6962: leaf = H(0x00 || data),
 // node = H(0x01 || left || right). A lone node at the end of a level is
@@ -31,11 +35,6 @@ namespace sqlledger {
 Hash256 MerkleLeafHash(Slice data);
 /// Combine two child hashes with node domain separation.
 Hash256 MerkleNodeHash(const Hash256& left, const Hash256& right);
-
-/// Batched leaf hashing: out[i] = MerkleLeafHash(inputs[i]) through the
-/// dispatched SHA-256 kernel. The entry point for hot callers that hash
-/// many independent leaves (commit-path block closes, verification).
-void MerkleLeafHashMany(const Slice* inputs, size_t n, Hash256* out);
 
 /// Snapshot of a MerkleBuilder: O(log N) pending nodes plus the leaf count.
 /// Stored in savepoint records so a partial rollback can restore the tree.
@@ -88,8 +87,7 @@ struct MerkleProof {
 };
 
 /// Materialized Merkle tree over a list of leaf hashes; supports root and
-/// proof extraction. Used when closing a ledger block and when issuing
-/// transaction receipts.
+/// proof extraction. Used when issuing transaction receipts.
 class MerkleTree {
  public:
   /// `leaf_hashes` are the domain-separated leaf hashes (MerkleLeafHash).

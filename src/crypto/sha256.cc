@@ -84,36 +84,6 @@ Hash256 Sha256::Digest(Slice data) {
   return Sha256DigestWithKernel(ActiveSha256Kernel(), Slice(), data);
 }
 
-Hash256 Sha256::Digest2(Slice a, Slice b) {
-  Sha256 ctx;
-  ctx.Update(a);
-  ctx.Update(b);
-  return ctx.Finish();
-}
-
 const char* Sha256::KernelName() { return ActiveSha256Kernel().name; }
-
-void HashMany(const Slice* inputs, size_t n, Hash256* out) {
-  const Sha256Kernel& kernel = ActiveSha256Kernel();
-  for (size_t i = 0; i < n; i++)
-    out[i] = Sha256DigestWithKernel(kernel, Slice(), inputs[i]);
-}
-
-void HashManyWithPrefix(uint8_t prefix_byte, const Slice* inputs, size_t n,
-                        Hash256* out) {
-  const Sha256Kernel& kernel = ActiveSha256Kernel();
-  Slice prefix(&prefix_byte, 1);
-  for (size_t i = 0; i < n; i++)
-    out[i] = Sha256DigestWithKernel(kernel, prefix, inputs[i]);
-}
-
-void Sha256Batch::Run() {
-  const Sha256Kernel& kernel = ActiveSha256Kernel();
-  for (const Job& job : jobs_) {
-    Slice prefix = job.has_prefix ? Slice(&job.prefix, 1) : Slice();
-    *job.out = Sha256DigestWithKernel(kernel, prefix, job.data);
-  }
-  jobs_.clear();
-}
 
 }  // namespace sqlledger

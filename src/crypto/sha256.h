@@ -2,10 +2,10 @@
 // transaction entry and block in the ledger is hashed with this primitive
 // (paper §2.1), so it sits on the hot path of all DML. The compression
 // function is runtime-dispatched to a hardware kernel (x86 SHA-NI or ARMv8
-// crypto extensions) when available — see crypto/sha256_kernel.h. The
-// batched HashMany/Sha256Batch interface below is the preferred entry point
-// for hot callers with many independent inputs: it skips the incremental
-// context's buffering and resolves the kernel once per call.
+// crypto extensions) when available — see crypto/sha256_kernel.h. Callers
+// hash each input where it is produced, one call per input: Digest (or
+// MerkleLeafHash / MerkleNodeHash in crypto/merkle.h) pads on the stack and
+// skips the incremental context's buffering.
 
 #ifndef SQLLEDGER_CRYPTO_SHA256_H_
 #define SQLLEDGER_CRYPTO_SHA256_H_
@@ -13,7 +13,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "util/constant_time.h"
 #include "util/slice.h"
@@ -73,8 +72,6 @@ class Sha256 {
   /// One-shot convenience. Pads on the stack instead of buffering, so it is
   /// also the fastest single-input path.
   static Hash256 Digest(Slice data);
-  /// Hash the concatenation of two inputs (Merkle node combine).
-  static Hash256 Digest2(Slice a, Slice b);
 
   /// Name of the compression kernel in use: "scalar", "sha-ni", "armv8-ce".
   static const char* KernelName();
@@ -84,48 +81,6 @@ class Sha256 {
   uint64_t total_len_;
   uint8_t buffer_[64];
   size_t buffer_len_;
-};
-
-/// Hashes `n` independent inputs: out[i] = SHA256(inputs[i]). One kernel
-/// resolution and zero context buffering per call — the batched interface
-/// the Merkle/commit/verification hot paths feed (paper §4: hashing
-/// dominates ledger overhead).
-void HashMany(const Slice* inputs, size_t n, Hash256* out);
-
-/// As HashMany, but each digest is SHA256(prefix_byte || inputs[i]) —
-/// matches the RFC 6962 domain-separated Merkle leaf/node hashes without
-/// materializing the concatenation.
-void HashManyWithPrefix(uint8_t prefix_byte, const Slice* inputs, size_t n,
-                        Hash256* out);
-
-/// Accumulates (input, output-slot) pairs and hashes them in one Run().
-/// Inputs are borrowed: the referenced bytes must stay alive until Run()
-/// returns. Reusable after Run() (the pending list is cleared).
-class Sha256Batch {
- public:
-  /// Queue `data` to be hashed into `*out` (with an optional leading
-  /// domain-separation byte folded in front of the payload).
-  void Add(Slice data, Hash256* out) { Add(0, false, data, out); }
-  void AddWithPrefix(uint8_t prefix_byte, Slice data, Hash256* out) {
-    Add(prefix_byte, true, data, out);
-  }
-
-  size_t pending() const { return jobs_.size(); }
-
-  /// Hashes every queued input through the dispatched kernel.
-  void Run();
-
- private:
-  struct Job {
-    uint8_t prefix = 0;
-    bool has_prefix = false;
-    Slice data;
-    Hash256* out = nullptr;
-  };
-  void Add(uint8_t prefix, bool has_prefix, Slice data, Hash256* out) {
-    jobs_.push_back(Job{prefix, has_prefix, data, out});
-  }
-  std::vector<Job> jobs_;
 };
 
 }  // namespace sqlledger

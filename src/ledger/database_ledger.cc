@@ -168,10 +168,6 @@ uint64_t DatabaseLedger::total_entries() const {
   return total_entries_;
 }
 
-std::pair<uint64_t, uint64_t> DatabaseLedger::AssignSlot() {
-  return AssignSlots(1)[0];
-}
-
 std::vector<std::pair<uint64_t, uint64_t>> DatabaseLedger::AssignSlots(
     size_t n) {
   MutexLock lock(&mu_);
@@ -213,9 +209,11 @@ Status DatabaseLedger::Append(TransactionEntry entry) {
 }
 
 Status DatabaseLedger::CloseOpenBlockLocked() {
-  // Merkle tree over the entries in ordinal order; AssignSlot/Append keep
+  // Merkle root over the entries in ordinal order; AssignSlots/Append keep
   // open_entries_ ordinal-ordered by construction.
-  MerkleTree tree(TransactionLeafHashes(open_entries_));
+  MerkleBuilder tree;
+  for (const TransactionEntry& e : open_entries_)
+    tree.AddLeafHash(e.LeafHash());
 
   BlockRecord block;
   block.block_id = open_block_id_;
@@ -586,8 +584,11 @@ Result<MerkleProof> DatabaseLedger::ProveTransaction(uint64_t txn_id) const {
             [](const TransactionEntry& a, const TransactionEntry& b) {
               return a.block_ordinal < b.block_ordinal;
             });
-  MerkleTree tree(TransactionLeafHashes(block_entries));
-  return tree.Prove(entry->block_ordinal);
+  std::vector<Hash256> leaves;
+  leaves.reserve(block_entries.size());
+  for (const TransactionEntry& e : block_entries)
+    leaves.push_back(e.LeafHash());
+  return MerkleTree(std::move(leaves)).Prove(entry->block_ordinal);
 }
 
 }  // namespace sqlledger

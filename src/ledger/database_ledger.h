@@ -49,16 +49,13 @@ class DatabaseLedger {
 
   // ---- Commit path (paper §3.3.2). ----
 
-  /// Assigns the next (block id, ordinal) slot. Called while forming the
-  /// WAL commit record.
-  std::pair<uint64_t, uint64_t> AssignSlot();
-
-  /// Assigns `n` contiguous slots for a commit group in one critical
-  /// section. Slots roll over block boundaries (block_size ordinals per
-  /// block), so a single group may span blocks; the subsequent Append calls
-  /// close each block as its last ordinal arrives. Assignment is tracked
-  /// separately from the append position, so slots handed out here stay
-  /// reserved while the leader does WAL I/O.
+  /// Assigns `n` contiguous (block id, ordinal) slots for a commit group in
+  /// one critical section, while the WAL commit record is formed. Slots
+  /// roll over block boundaries (block_size ordinals per block), so a single
+  /// group may span blocks; the subsequent Append calls close each block as
+  /// its last ordinal arrives. Assignment is tracked separately from the
+  /// append position, so slots handed out here stay reserved while the
+  /// leader does WAL I/O.
   std::vector<std::pair<uint64_t, uint64_t>> AssignSlots(size_t n);
 
   /// Rolls back the last `n` slots handed out by AssignSlots. Only valid
@@ -69,7 +66,7 @@ class DatabaseLedger {
 
   /// Appends a committed transaction's entry to the open block and the
   /// in-memory durability queue, then closes the block if it is full.
-  /// The entry's (block_id, block_ordinal) must come from AssignSlot.
+  /// The entry's (block_id, block_ordinal) must come from AssignSlots.
   Status Append(TransactionEntry entry);
 
   // ---- Digest generation (paper §2.2). ----
@@ -205,7 +202,7 @@ class DatabaseLedger {
 
   mutable Mutex mu_;
   uint64_t open_block_id_ GUARDED_BY(mu_) = 0;
-  // Next slot to hand out (AssignSlot/AssignSlots). Runs ahead of the
+  // Next slot to hand out (AssignSlots). Runs ahead of the
   // append position while a commit group is in flight: a batch may reserve
   // slots spanning into blocks that are not open yet. Invariant when no
   // group is in flight: (assign_block_id_, assign_ordinal_) ==

@@ -14,6 +14,10 @@ namespace {
 constexpr uint8_t kWalKindCommit = 1;
 constexpr uint8_t kWalKindBlockClose = 2;
 
+// Events kept by the database's trace ring before the oldest is overwritten
+// (DESIGN.md §13).
+constexpr size_t kTraceCapacity = 4096;
+
 int64_t SystemClockMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::system_clock::now().time_since_epoch())
@@ -62,7 +66,7 @@ LedgerDatabase::LedgerDatabase(LedgerDatabaseOptions options)
   // subsystems with their own instrumentation (WAL, lock manager, digest
   // pipeline, verifier) resolve theirs from metrics() at their own setup.
   metrics_ = std::make_unique<MetricRegistry>(options_.metrics_clock);
-  tracer_ = std::make_unique<Tracer>(metrics_.get(), options_.trace_capacity);
+  tracer_ = std::make_unique<Tracer>(metrics_.get(), kTraceCapacity);
   m_commit_txns_ = metrics_->GetCounter("commit.txns_total");
   m_commit_aborts_ = metrics_->GetCounter("commit.aborts_total");
   m_commit_groups_ = metrics_->GetCounter("commit.groups_total");

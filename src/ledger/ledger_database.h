@@ -87,8 +87,6 @@ struct LedgerDatabaseOptions {
   /// shift (the simulator pins both clocks, separately; DESIGN.md §13).
   /// Defaults to steady-clock microseconds.
   MetricsClock metrics_clock;
-  /// Capacity of the in-memory trace-event ring buffer (DESIGN.md §13).
-  size_t trace_capacity = 4096;
   /// Key for the receipt/digest HMAC signer (see DESIGN.md §1.3).
   std::vector<uint8_t> signing_key = {'d', 'e', 'v', '-', 'k', 'e', 'y'};
   std::string signing_key_id = "dev-key-1";

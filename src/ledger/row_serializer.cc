@@ -51,8 +51,9 @@ void SerializeValue(const Value& v, std::vector<uint8_t>* out) {
     }
   }
 }
-}  // namespace
 
+/// As SerializeRowVersion, but appends to `out` so RowVersionLeafHashMany
+/// can reuse one scratch buffer across rows.
 void AppendRowVersion(const Schema& schema, const Row& row, RowOp op,
                       uint32_t table_id, uint64_t txn_id, uint64_t sequence,
                       std::vector<uint8_t>* out) {
@@ -81,6 +82,7 @@ void AppendRowVersion(const Schema& schema, const Row& row, RowOp op,
     SerializeValue(v, out);                           // length + raw bytes
   }
 }
+}  // namespace
 
 std::vector<uint8_t> SerializeRowVersion(const Schema& schema, const Row& row,
                                          RowOp op, uint32_t table_id,
@@ -99,21 +101,14 @@ Hash256 RowVersionLeafHash(const Schema& schema, const Row& row, RowOp op,
 
 void RowVersionLeafHashMany(const RowVersionHashJob* jobs, size_t n,
                             Hash256* out) {
-  std::vector<uint8_t> arena;
-  std::vector<size_t> offsets;
-  offsets.reserve(n + 1);
+  std::vector<uint8_t> scratch;
   for (size_t i = 0; i < n; i++) {
-    offsets.push_back(arena.size());
     const RowVersionHashJob& j = jobs[i];
+    scratch.clear();
     AppendRowVersion(*j.schema, *j.row, j.op, j.table_id, j.txn_id,
-                     j.sequence, &arena);
+                     j.sequence, &scratch);
+    out[i] = MerkleLeafHash(Slice(scratch));
   }
-  offsets.push_back(arena.size());
-
-  std::vector<Slice> inputs(n);
-  for (size_t i = 0; i < n; i++)
-    inputs[i] = Slice(arena.data() + offsets[i], offsets[i + 1] - offsets[i]);
-  MerkleLeafHashMany(inputs.data(), n, out);
 }
 
 }  // namespace sqlledger

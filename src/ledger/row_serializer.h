@@ -42,12 +42,6 @@ std::vector<uint8_t> SerializeRowVersion(const Schema& schema, const Row& row,
                                          RowOp op, uint32_t table_id,
                                          uint64_t txn_id, uint64_t sequence);
 
-/// As SerializeRowVersion, but appends to `out` (batch serialization into a
-/// shared arena without per-row allocations).
-void AppendRowVersion(const Schema& schema, const Row& row, RowOp op,
-                      uint32_t table_id, uint64_t txn_id, uint64_t sequence,
-                      std::vector<uint8_t>* out);
-
 /// Merkle leaf hash of the serialized version — what DML appends to the
 /// transaction's per-table streaming Merkle tree and what verification
 /// recomputes.
@@ -55,8 +49,8 @@ Hash256 RowVersionLeafHash(const Schema& schema, const Row& row, RowOp op,
                            uint32_t table_id, uint64_t txn_id,
                            uint64_t sequence);
 
-/// One row version in a batched leaf-hash request. The referenced schema
-/// and row must stay alive until the call returns.
+/// One row version in a RowVersionLeafHashMany request. The referenced
+/// schema and row must stay alive until the call returns.
 struct RowVersionHashJob {
   const Schema* schema = nullptr;
   const Row* row = nullptr;
@@ -66,11 +60,10 @@ struct RowVersionHashJob {
   uint64_t sequence = 0;
 };
 
-/// Batched version of RowVersionLeafHash: serializes every job into one
-/// arena and hashes through the batched SHA-256 interface. out[i] matches
-/// RowVersionLeafHash(jobs[i]...) bit for bit. The verifier's leaf
-/// recomputation — the dominant verification cost (paper §4.2) — runs
-/// through this.
+/// out[i] = RowVersionLeafHash(jobs[i]...), bit for bit: each job is
+/// serialized into one reused scratch buffer and leaf-hashed before the
+/// next. The verifier's leaf recomputation — the dominant verification cost
+/// (paper §4.2) — runs through this, one chunk of jobs per worker.
 void RowVersionLeafHashMany(const RowVersionHashJob* jobs, size_t n,
                             Hash256* out);
 

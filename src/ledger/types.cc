@@ -38,26 +38,6 @@ Hash256 TransactionEntry::LeafHash() const {
   return MerkleLeafHash(Slice(CanonicalBytes()));
 }
 
-std::vector<Hash256> TransactionLeafHashes(
-    const std::vector<TransactionEntry>& entries) {
-  std::vector<uint8_t> arena;
-  std::vector<size_t> offsets;
-  offsets.reserve(entries.size() + 1);
-  for (const TransactionEntry& e : entries) {
-    offsets.push_back(arena.size());
-    std::vector<uint8_t> bytes = e.CanonicalBytes();
-    arena.insert(arena.end(), bytes.begin(), bytes.end());
-  }
-  offsets.push_back(arena.size());
-
-  std::vector<Slice> inputs(entries.size());
-  for (size_t i = 0; i < entries.size(); i++)
-    inputs[i] = Slice(arena.data() + offsets[i], offsets[i + 1] - offsets[i]);
-  std::vector<Hash256> out(entries.size());
-  MerkleLeafHashMany(inputs.data(), inputs.size(), out.data());
-  return out;
-}
-
 Result<TransactionEntry> TransactionEntry::FromCanonicalBytes(Slice bytes) {
   Decoder dec(bytes);
   TransactionEntry entry;
@@ -92,19 +72,15 @@ Result<TransactionEntry> TransactionEntry::FromCanonicalBytes(Slice bytes) {
   return entry;
 }
 
-void BlockRecord::AppendCanonicalBytes(std::vector<uint8_t>* out) const {
-  PutFixed64(out, block_id);
-  out->insert(out->end(), previous_block_hash.bytes.begin(),
-              previous_block_hash.bytes.end());
-  out->insert(out->end(), transactions_root.bytes.begin(),
-              transactions_root.bytes.end());
-  PutFixed64(out, transaction_count);
-  PutFixed64(out, static_cast<uint64_t>(closed_ts_micros));
-}
-
 Hash256 BlockRecord::ComputeHash() const {
   std::vector<uint8_t> buf;
-  AppendCanonicalBytes(&buf);
+  PutFixed64(&buf, block_id);
+  buf.insert(buf.end(), previous_block_hash.bytes.begin(),
+             previous_block_hash.bytes.end());
+  buf.insert(buf.end(), transactions_root.bytes.begin(),
+             transactions_root.bytes.end());
+  PutFixed64(&buf, transaction_count);
+  PutFixed64(&buf, static_cast<uint64_t>(closed_ts_micros));
   return Sha256::Digest(Slice(buf));
 }
 

@@ -60,12 +60,6 @@ struct TransactionEntry {
   static Result<TransactionEntry> FromCanonicalBytes(Slice bytes);
 };
 
-/// Batched leaf hashes: out[i] = entries[i].LeafHash(), serialized into one
-/// arena and hashed through the batched SHA-256 interface. Used by block
-/// closes and verification, where whole blocks of entries hash at once.
-std::vector<Hash256> TransactionLeafHashes(
-    const std::vector<TransactionEntry>& entries);
-
 /// One closed block of the Database Ledger blockchain (paper §3.3.1,
 /// Figure 5). The block's own hash is never stored — verification always
 /// recomputes it from current state.
@@ -75,10 +69,6 @@ struct BlockRecord {
   Hash256 transactions_root;    // Merkle root over the block's entries
   uint64_t transaction_count = 0;
   int64_t closed_ts_micros = 0;
-
-  /// Canonical block serialization — the preimage of ComputeHash. Appended
-  /// to `out` so many blocks can share one arena for batched hashing.
-  void AppendCanonicalBytes(std::vector<uint8_t>* out) const;
 
   /// SHA-256 over the canonical block serialization.
   Hash256 ComputeHash() const;

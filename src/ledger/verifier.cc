@@ -25,7 +25,7 @@ struct VersionLeaf {
 /// One row version discovered by the collection scans. Rows are borrowed
 /// from the B-trees — stable for the whole verification because the
 /// database is quiesced — so the scan itself stays cheap and the expensive
-/// leaf hashing is deferred to the parallel batched phase.
+/// leaf hashing is deferred to the parallel hashing phase.
 struct VersionItem {
   const Row* row = nullptr;
   RowOp op = RowOp::kInsert;
@@ -82,22 +82,17 @@ bool InTruncatedRange(const std::vector<TruncationRecord>& truncations,
   return false;
 }
 
-/// Merkle root over pre-encoded tuples packed in `arena` at `offsets`
-/// boundaries (invariant 5). Leaf hashes run through the batched interface.
-Hash256 RootOfEncodedTuples(const std::vector<uint8_t>& arena,
-                            const std::vector<size_t>& offsets) {
-  size_t n = offsets.size() - 1;
-  std::vector<Slice> inputs(n);
-  for (size_t i = 0; i < n; i++)
-    inputs[i] = Slice(arena.data() + offsets[i], offsets[i + 1] - offsets[i]);
-  std::vector<Hash256> leaves(n);
-  MerkleLeafHashMany(inputs.data(), n, leaves.data());
-  MerkleBuilder builder;
-  for (const Hash256& leaf : leaves) builder.AddLeafHash(leaf);
-  return builder.Root();
+/// Streams the Merkle leaf of one encoded key tuple into `tree` (invariant
+/// 5), reusing `scratch` for the encoding.
+void AddTupleLeaf(const KeyTuple& tuple, std::vector<uint8_t>* scratch,
+                  MerkleBuilder* tree) {
+  scratch->clear();
+  EncodeRow(tuple, scratch);
+  tree->AddLeaf(Slice(*scratch));
 }
 
 void CheckIndexes(const TableStore& store, VerificationReport* report) {
+  std::vector<uint8_t> scratch;
   for (const auto& idx : store.indexes()) {
     // Base side: project (index columns + primary key) from each base row,
     // order by the projected tuple.
@@ -113,28 +108,16 @@ void CheckIndexes(const TableStore& store, VerificationReport* report) {
               [](const KeyTuple& a, const KeyTuple& b) {
                 return CompareKeys(a, b) < 0;
               });
-    std::vector<uint8_t> base_arena;
-    std::vector<size_t> base_offsets;
-    base_offsets.reserve(base_tuples.size() + 1);
-    for (const KeyTuple& t : base_tuples) {
-      base_offsets.push_back(base_arena.size());
-      EncodeRow(t, &base_arena);
-    }
-    base_offsets.push_back(base_arena.size());
+    MerkleBuilder base_tree;
+    for (const KeyTuple& t : base_tuples) AddTupleLeaf(t, &scratch, &base_tree);
 
     // Index side: the stored keys, already in order.
-    std::vector<uint8_t> index_arena;
-    std::vector<size_t> index_offsets;
-    for (BTree::Iterator it = idx->tree.Begin(); it.Valid(); it.Next()) {
-      index_offsets.push_back(index_arena.size());
-      EncodeRow(it.key(), &index_arena);
-    }
-    index_offsets.push_back(index_arena.size());
-    size_t index_count = index_offsets.size() - 1;
+    MerkleBuilder index_tree;
+    for (BTree::Iterator it = idx->tree.Begin(); it.Valid(); it.Next())
+      AddTupleLeaf(it.key(), &scratch, &index_tree);
 
-    if (index_count != base_tuples.size() ||
-        RootOfEncodedTuples(base_arena, base_offsets) !=
-            RootOfEncodedTuples(index_arena, index_offsets)) {
+    if (index_tree.leaf_count() != base_tree.leaf_count() ||
+        base_tree.Root() != index_tree.Root()) {
       report->violations.push_back(
           {5, "non-clustered index '" + idx->name + "' on table '" +
                   store.name() + "' is not equivalent to the base table"});
@@ -226,26 +209,13 @@ Result<VerificationReport> VerifyLedgerCore(
   // keeps closing blocks while verification runs, and a close sliding
   // between separate blocks/entries scans would make the freshest
   // transactions reference a block the blocks scan never saw.
-  // Each block's hash is computed exactly once here, batched, and shared
-  // by invariants 1 and 2.
+  // Each block's hash is computed exactly once here and shared by
+  // invariants 1 and 2.
   DatabaseLedger::LedgerSnapshot snapshot = ledger->Snapshot();
   std::vector<BlockRecord> blocks = std::move(snapshot.blocks);
-  std::vector<Hash256> block_hashes(blocks.size());
-  {
-    std::vector<uint8_t> arena;
-    std::vector<size_t> offsets;
-    offsets.reserve(blocks.size() + 1);
-    for (const BlockRecord& b : blocks) {
-      offsets.push_back(arena.size());
-      b.AppendCanonicalBytes(&arena);
-    }
-    offsets.push_back(arena.size());
-    std::vector<Slice> inputs(blocks.size());
-    for (size_t i = 0; i < blocks.size(); i++)
-      inputs[i] =
-          Slice(arena.data() + offsets[i], offsets[i + 1] - offsets[i]);
-    HashMany(inputs.data(), inputs.size(), block_hashes.data());
-  }
+  std::vector<Hash256> block_hashes;
+  block_hashes.reserve(blocks.size());
+  for (const BlockRecord& b : blocks) block_hashes.push_back(b.ComputeHash());
   auto find_block = [&](uint64_t id) -> size_t {
     auto it = std::lower_bound(
         blocks.begin(), blocks.end(), id,
@@ -419,21 +389,8 @@ Result<VerificationReport> VerifyLedgerCore(
   ParallelFor(
       pool, flat_entries.size(),
       [&](size_t begin, size_t end) {
-        std::vector<uint8_t> arena;
-        std::vector<size_t> offsets;
-        offsets.reserve(end - begin + 1);
-        for (size_t i = begin; i < end; i++) {
-          offsets.push_back(arena.size());
-          std::vector<uint8_t> bytes = flat_entries[i]->CanonicalBytes();
-          arena.insert(arena.end(), bytes.begin(), bytes.end());
-        }
-        offsets.push_back(arena.size());
-        std::vector<Slice> inputs(end - begin);
-        for (size_t i = 0; i < end - begin; i++)
-          inputs[i] =
-              Slice(arena.data() + offsets[i], offsets[i + 1] - offsets[i]);
-        MerkleLeafHashMany(inputs.data(), inputs.size(),
-                           flat_entry_leaves.data() + begin);
+        for (size_t i = begin; i < end; i++)
+          flat_entry_leaves[i] = flat_entries[i]->LeafHash();
       },
       /*min_chunk=*/128);
   std::unordered_map<uint64_t, const Hash256*> entry_leaf_by_txn;
@@ -462,11 +419,9 @@ Result<VerificationReport> VerifyLedgerCore(
       for (size_t i = 0; ordinals_ok && i < block_entries.size(); i++) {
         if (block_entries[i]->block_ordinal != i) ordinals_ok = false;
       }
-      std::vector<Hash256> leaves;
-      leaves.reserve(block_entries.size());
+      MerkleBuilder tree;
       for (const TransactionEntry* e : block_entries)
-        leaves.push_back(*entry_leaf_by_txn.at(e->txn_id));
-      MerkleTree tree(std::move(leaves));
+        tree.AddLeafHash(*entry_leaf_by_txn.at(e->txn_id));
       if (!ordinals_ok ||
           !ConstantTimeEqual(tree.Root(), block.transactions_root)) {
         block_root_violations[bi] =
@@ -547,7 +502,7 @@ Result<VerificationReport> VerifyLedgerCore(
     }
   });
 
-  // Phase 2: leaf-hash the discovered row versions in parallel batches.
+  // Phase 2: leaf-hash the discovered row versions in parallel chunks.
   // In an incremental run, versions belonging to trusted transactions
   // (their entry's block <= watermark) skip the hashing entirely and
   // instead feed the per-table structural accumulators, which are checked
@@ -734,40 +689,36 @@ Result<VerificationReport> VerifyLedgerCore(
         }
       }
 
-      if (options.check_indexes) {
-        CheckIndexes(*entry->main, &out);
-        if (entry->history != nullptr) CheckIndexes(*entry->history, &out);
-      }
+      CheckIndexes(*entry->main, &out);
+      if (entry->history != nullptr) CheckIndexes(*entry->history, &out);
 
-      if (options.check_views) {
-        // Ledger view definition check (§3.4.2): the generated view must
-        // expose exactly one INSERT per version plus one DELETE per retired
-        // version.
-        uint64_t expected = entry->main->row_count();
-        if (entry->history != nullptr)
-          expected += 2 * entry->history->row_count();
-        if (trusted_active) {
-          // Count without materializing: BuildLedgerView emits one view row
-          // per non-null start/end transaction stamp — exactly the predicate
-          // CollectStoreVersions used in phase 1 — so the view's size equals
-          // the number of versions collected for the table (trusted or not).
-          uint64_t view_rows = trusted_acc[i].count + versions_per_table[i];
-          if (view_rows != expected) {
-            out.violations.push_back(
-                {6, "ledger view for '" + entry->name +
-                        "' does not reflect the underlying row versions"});
-          }
-        } else {
-          auto view = BuildLedgerView(entry->ref);
-          if (!view.ok()) {
-            out.violations.push_back(
-                {6, "ledger view for '" + entry->name +
-                        "' failed to build: " + view.status().ToString()});
-          } else if (view->size() != expected) {
-            out.violations.push_back(
-                {6, "ledger view for '" + entry->name +
-                        "' does not reflect the underlying row versions"});
-          }
+      // Ledger view definition check (§3.4.2): the generated view must
+      // expose exactly one INSERT per version plus one DELETE per retired
+      // version.
+      uint64_t expected = entry->main->row_count();
+      if (entry->history != nullptr)
+        expected += 2 * entry->history->row_count();
+      if (trusted_active) {
+        // Count without materializing: BuildLedgerView emits one view row
+        // per non-null start/end transaction stamp — exactly the predicate
+        // CollectStoreVersions used in phase 1 — so the view's size equals
+        // the number of versions collected for the table (trusted or not).
+        uint64_t view_rows = trusted_acc[i].count + versions_per_table[i];
+        if (view_rows != expected) {
+          out.violations.push_back(
+              {6, "ledger view for '" + entry->name +
+                      "' does not reflect the underlying row versions"});
+        }
+      } else {
+        auto view = BuildLedgerView(entry->ref);
+        if (!view.ok()) {
+          out.violations.push_back(
+              {6, "ledger view for '" + entry->name +
+                      "' failed to build: " + view.status().ToString()});
+        } else if (view->size() != expected) {
+          out.violations.push_back(
+              {6, "ledger view for '" + entry->name +
+                      "' does not reflect the underlying row versions"});
         }
       }
     }

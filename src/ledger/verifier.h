@@ -38,10 +38,6 @@ struct VerificationOptions {
   /// ledger tables, including logically dropped and system tables
   /// (the paper's subset-verification option, §2.3).
   std::vector<std::string> tables;
-  /// Verify non-clustered indexes against base tables (invariant 5).
-  bool check_indexes = true;
-  /// Run the ledger-view definition check.
-  bool check_views = true;
   /// Worker threads for hash recomputation. 1 = inline. Parallelism applies
   /// *within* a table, not just across tables: store scans, row-version leaf
   /// hashing, per-transaction Merkle roots and per-block transaction roots

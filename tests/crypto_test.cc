@@ -61,12 +61,6 @@ TEST(Sha256Test, ExactBlockBoundaries) {
   }
 }
 
-TEST(Sha256Test, Digest2MatchesConcatenation) {
-  std::string a = "first", b = "second";
-  EXPECT_EQ(Sha256::Digest2(Slice(a), Slice(b)),
-            Sha256::Digest(Slice(a + b)));
-}
-
 TEST(Hash256Test, HexRoundTrip) {
   Hash256 h = Sha256::Digest(Slice(std::string("x")));
   Hash256 parsed;

@@ -25,7 +25,7 @@ class DatabaseLedgerTest : public ::testing::Test {
   }
 
   TransactionEntry MakeEntry(DatabaseLedger* ledger, uint64_t txn_id) {
-    auto [block, ordinal] = ledger->AssignSlot();
+    auto [block, ordinal] = ledger->AssignSlots(1)[0];
     TransactionEntry entry;
     entry.txn_id = txn_id;
     entry.block_id = block;
@@ -59,7 +59,7 @@ TEST_F(DatabaseLedgerTest, SlotsAreSequential) {
   auto ledger_ptr = MakeLedger(100);
   DatabaseLedger& ledger = *ledger_ptr;
   for (uint64_t i = 0; i < 5; i++) {
-    auto [block, ordinal] = ledger.AssignSlot();
+    auto [block, ordinal] = ledger.AssignSlots(1)[0];
     EXPECT_EQ(block, 0u);
     EXPECT_EQ(ordinal, i);
   }

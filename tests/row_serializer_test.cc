@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ledger/row_serializer.h"
 #include "util/hex.h"
 
@@ -184,6 +187,56 @@ TEST(RowSerializerTest, AllValueTypesSerialize) {
   Row row2 = row;
   row2[5] = Value::Varbinary({'s', 'i', 'x'});
   EXPECT_NE(bytes, SerializeRowVersion(s2, row2, RowOp::kInsert, 1, 2, 3));
+}
+
+// RowVersionLeafHashMany (the verifier's and ledger_bench's path) reuses one
+// scratch buffer across jobs; every output must still equal the per-row
+// RowVersionLeafHash, including a short row hashed after a long one.
+TEST(RowSerializerTest, LeafHashManyMatchesLeafHash) {
+  Schema s;
+  s.AddColumn("b", DataType::kBool, true);
+  s.AddColumn("si", DataType::kSmallInt, true);
+  s.AddColumn("i", DataType::kInt, true);
+  s.AddColumn("bi", DataType::kBigInt, true);
+  s.AddColumn("d", DataType::kDouble, true);
+  s.AddColumn("v", DataType::kVarchar, true);
+  s.AddColumn("vb", DataType::kVarbinary, true);
+  s.AddColumn("ts", DataType::kTimestamp, true);
+  s.SetPrimaryKey({2});
+  std::vector<Row> rows = {
+      {Value::Bool(false), Value::SmallInt(9), Value::Int(1),
+       Value::BigInt(1), Value::Double(-0.25),
+       Value::Varchar(std::string(300, 'w')),
+       Value::Varbinary(std::vector<uint8_t>(200, 0xAB)),
+       Value::Timestamp(99)},
+      {Value::Null(DataType::kBool), Value::Null(DataType::kSmallInt),
+       Value::Int(2), Value::Null(DataType::kBigInt),
+       Value::Null(DataType::kDouble), Value::Varchar("x"),
+       Value::Null(DataType::kVarbinary), Value::Null(DataType::kTimestamp)},
+      {Value::Bool(true), Value::SmallInt(-2), Value::Int(3),
+       Value::BigInt(-4), Value::Double(5.5), Value::Varchar(""),
+       Value::Varbinary({7}), Value::Timestamp(8)},
+  };
+  std::vector<RowVersionHashJob> jobs;
+  for (uint32_t r = 0; r < rows.size(); r++) {
+    for (RowOp op : {RowOp::kInsert, RowOp::kDelete}) {
+      jobs.push_back(
+          RowVersionHashJob{&s, &rows[r], op, 100 + r, 7u + r, jobs.size()});
+    }
+  }
+  std::vector<Hash256> out(jobs.size());
+  RowVersionLeafHashMany(jobs.data(), jobs.size(), out.data());
+  for (size_t i = 0; i < jobs.size(); i++) {
+    const RowVersionHashJob& j = jobs[i];
+    EXPECT_EQ(out[i], RowVersionLeafHash(*j.schema, *j.row, j.op, j.table_id,
+                                         j.txn_id, j.sequence))
+        << "job " << i;
+  }
+  EXPECT_NE(out[0], out[1]);  // INSERT and DELETE leaves differ
+
+  Hash256 untouched = out[0];
+  RowVersionLeafHashMany(jobs.data(), 0, &untouched);
+  EXPECT_EQ(untouched, out[0]);
 }
 
 }  // namespace

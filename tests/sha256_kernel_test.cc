@@ -2,8 +2,9 @@
 // every kernel available on this machine (scalar always; sha-ni / armv8-ce
 // when present) must produce bit-identical digests — NIST FIPS 180-4
 // vectors, padding-boundary straddles, and randomized messages up to 4 KiB.
-// The batched interfaces (HashMany / Sha256Batch) must match the
-// single-shot path exactly.
+// A folded domain-separation prefix (how MerkleLeafHash / MerkleNodeHash
+// call the kernel) must match hashing the concatenation, and the incremental
+// context split at a random offset must match the one-shot path.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "crypto/merkle.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_kernel.h"
 
@@ -131,55 +131,6 @@ TEST(Sha256KernelTest, RandomizedEquivalenceFuzz) {
     ctx.Update(Slice(data.data() + split, n - split));
     ASSERT_EQ(ctx.Finish(), reference) << "length " << n << " split " << split;
   }
-}
-
-TEST(Sha256KernelTest, HashManyMatchesSingleShot) {
-  std::mt19937 rng(7);
-  std::vector<std::string> messages;
-  for (int i = 0; i < 100; i++) {
-    size_t n = rng() % 513;
-    std::string m(n, '\0');
-    for (char& c : m) c = static_cast<char>(rng());
-    messages.push_back(std::move(m));
-  }
-  std::vector<Slice> inputs;
-  for (const std::string& m : messages) inputs.push_back(Slice(m));
-  std::vector<Hash256> batched(messages.size());
-  HashMany(inputs.data(), inputs.size(), batched.data());
-  for (size_t i = 0; i < messages.size(); i++) {
-    EXPECT_EQ(batched[i], Sha256::Digest(Slice(messages[i]))) << "index " << i;
-  }
-}
-
-TEST(Sha256KernelTest, HashManyWithPrefixMatchesMerkleLeaf) {
-  std::vector<std::string> messages = {"", "a", "leaf-data",
-                                       std::string(300, 'q')};
-  std::vector<Slice> inputs;
-  for (const std::string& m : messages) inputs.push_back(Slice(m));
-  std::vector<Hash256> batched(messages.size());
-  MerkleLeafHashMany(inputs.data(), inputs.size(), batched.data());
-  for (size_t i = 0; i < messages.size(); i++) {
-    EXPECT_EQ(batched[i], MerkleLeafHash(Slice(messages[i]))) << "index " << i;
-  }
-}
-
-TEST(Sha256KernelTest, Sha256BatchMatchesSingleShot) {
-  std::string a = "first";
-  std::string b(4096, 'z');
-  std::string c = "";
-  Hash256 ha, hb, hc, hd;
-  Sha256Batch batch;
-  batch.Add(Slice(a), &ha);
-  batch.Add(Slice(b), &hb);
-  batch.Add(Slice(c), &hc);
-  batch.AddWithPrefix(0x01, Slice(a), &hd);
-  EXPECT_EQ(batch.pending(), 4u);
-  batch.Run();
-  EXPECT_EQ(batch.pending(), 0u);
-  EXPECT_EQ(ha, Sha256::Digest(Slice(a)));
-  EXPECT_EQ(hb, Sha256::Digest(Slice(b)));
-  EXPECT_EQ(hc, Sha256::Digest(Slice(c)));
-  EXPECT_EQ(hd, Sha256::Digest2(Slice("\x01", 1), Slice(a)));
 }
 
 }  // namespace

@@ -199,16 +199,5 @@ TEST_F(VerifierTest, ParallelVerificationMatchesSerial) {
             serial_report->violations.size());
 }
 
-TEST_F(VerifierTest, ViewCheckCanBeDisabled) {
-  RunTraffic(2);
-  auto digest = db_->GenerateDigest();
-  VerificationOptions options;
-  options.check_views = false;
-  options.check_indexes = false;
-  auto report = VerifyLedger(db_.get(), {*digest}, options);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->ok());
-}
-
 }  // namespace
 }  // namespace sqlledger
