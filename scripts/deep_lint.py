@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """deep_lint.py -- semantic analyzer for the sqlledger tree.
 
-Three checker families run over a shared intermediate representation
-(functions, call sites, lock acquisitions):
+A token-level parser tuned to this repo's idiom builds an intermediate
+representation (classes and their member types, functions, call sites,
+lock acquisitions); three checker families run over it:
 
   env-bypass      raw POSIX/stdio/std::filesystem I/O reached from src/
                   outside the Env abstraction (src/storage/env.{cc,h}),
@@ -13,12 +14,8 @@ Three checker families run over a shared intermediate representation
   digest-hygiene  memcmp/std::equal/raw-array == on digest/MAC byte buffers
                   that dodge util/constant_time.h::ConstantTimeEqual
 
-Two interchangeable frontends produce the IR:
-
-  clang     libclang (python3 clang.cindex) driven by compile_commands.json;
-            used in CI where python3-clang is installed
-  fallback  built-in token-level parser tuned to this repo's idiom; used
-            where libclang is unavailable (prints a loud note)
+A call whose receiver type the parser cannot resolve reaches no callee,
+so it adds no lock-graph edge: the analysis does not guess.
 
 Escape hatch: `// lint: allow(<rule>): <justification>` on the offending
 line or the line above.  The justification after the colon is mandatory;
@@ -28,7 +25,6 @@ Exit codes: 0 clean, 1 findings, 2 infrastructure error.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -45,6 +41,9 @@ GUARD_TYPES = {"MutexLock", "ReaderMutexLock", "WriterMutexLock"}
 LOCK_METHODS = {"Lock", "LockShared", "TryLock"}
 UNLOCK_METHODS = {"Unlock", "UnlockShared"}
 MUTEX_TYPES = {"Mutex", "SharedMutex"}
+# Thread-safety annotations that may trail a data member's name.
+MEMBER_ANNOTATIONS = {"GUARDED_BY", "PT_GUARDED_BY", "ACQUIRED_BEFORE",
+                      "ACQUIRED_AFTER"}
 
 # Free-function POSIX / stdio calls that must only appear inside the Env
 # implementation.  Matched only as free calls (no '.'/'->' receiver), so
@@ -129,7 +128,7 @@ class ClassInfo:
 
 
 class Model:
-    """Shared IR produced by either frontend."""
+    """The IR the parser builds and every checker reads."""
 
     def __init__(self):
         self.functions = {}   # key -> Func (overloads merged: over-approx)
@@ -137,7 +136,6 @@ class Model:
         self.subclasses = {}  # base -> set of derived
         self.allow = {}       # file -> {line: (set(rules), has_justification)}
         self.token_hits = {}  # file -> [(line, token)] banned token usage
-        self.frontend = "?"
 
     def get_func(self, key, cls, name, file, line):
         if key not in self.functions:
@@ -170,7 +168,7 @@ class Model:
         return out
 
 
-def scan_allow_comments(path, text):
+def scan_allow_comments(text):
     """Map line -> (rules, has_justification) for lint: allow comments."""
     out = {}
     for i, line in enumerate(text.splitlines(), start=1):
@@ -249,7 +247,7 @@ def tokenize(code):
 
 
 # ---------------------------------------------------------------------------
-# Fallback frontend: token-level parser tuned to this repo's idiom.
+# Token-level parser tuned to this repo's idiom.
 # ---------------------------------------------------------------------------
 
 def match_paren(toks, i):
@@ -389,17 +387,14 @@ def unwrap_type(tokens, fallback):
     return fallback.split("::")[-1] if fallback else fallback
 
 
-DECL_STOP = {";", "{", "}"}
-
-
-def parse_fallback_file(model, root, rel):
+def parse_file(model, root, rel):
     path = os.path.join(root, rel)
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as f:
             text = f.read()
     except OSError as e:
         raise RuntimeError("cannot read %s: %s" % (path, e))
-    model.allow[rel] = scan_allow_comments(path, text)
+    model.allow[rel] = scan_allow_comments(text)
     code = strip_code(text)
     toks = tokenize(code)
 
@@ -475,8 +470,23 @@ def parse_fallback_file(model, root, rel):
         extract_ops(model, fn, toks, bs, be)
 
 
+def strip_annotations(stmt):
+    """Drops `GUARDED_BY(mu_)`-style annotations and their arguments, so
+    `Store* store_ PT_GUARDED_BY(mu_)` reads as a plain member."""
+    out = []
+    k = 0
+    while k < len(stmt):
+        if stmt[k][0] in MEMBER_ANNOTATIONS and k + 1 < len(stmt) and \
+                stmt[k + 1][0] == "(":
+            k = match_paren(stmt, k + 1) + 1
+            continue
+        out.append(stmt[k])
+        k += 1
+    return out
+
+
 def record_member(model, cls, stmt):
-    texts = [t for t, _ in stmt]
+    texts = [t for t, _ in strip_annotations(stmt)]
     while len(texts) >= 2 and texts[0] in ("public", "private",
                                            "protected") and texts[1] == ":":
         texts = texts[2:]
@@ -485,11 +495,13 @@ def record_member(model, cls, stmt):
     idents = []
     depth = 0
     for k, t in enumerate(texts):
-        if t in "(<":
+        if t in ("(", "<"):
             depth += 1
-        elif t in ")>":
+        elif t in (")", ">"):
             depth -= 1
-        if t in ("=",):
+        elif t == ">>":  # closes two template argument lists
+            depth -= 2
+        if t == "=":
             break
         if depth == 0 and re.fullmatch(r"[A-Za-z_]\w*", t):
             nxt = texts[k + 1] if k + 1 < len(texts) else ""
@@ -503,12 +515,7 @@ def record_member(model, cls, stmt):
     name, nxt = idents[-1]
     if nxt == "(":  # method declaration, not a data member
         return
-    # Drop trailing annotation macros: `Mutex mu_ GUARDED_BY(x)` leaves
-    # GUARDED_BY as the last ident with nxt == "(" (handled above); a plain
-    # macro without parens is unlikely.
     ty = idents[-2][0]
-    if ty == "GUARDED_BY" or name == "GUARDED_BY":
-        return
     model.classes.setdefault(cls, ClassInfo(cls)).members[name] = \
         unwrap_type(texts, ty)
 
@@ -540,8 +547,7 @@ def canon_lock(model, fn, expr):
     ['mu_'] in a LedgerDatabase method -> 'LedgerDatabase::mu_' (or the
     base class that declares it); ['db', '->', 'verify_mu_'] resolves the
     receiver via param/local/member type maps.  Unresolvable expressions
-    return None so no speculative graph edges appear (the libclang
-    frontend resolves these exactly).
+    return None so no speculative graph edges appear.
     """
     expr = [t for t in expr if t not in ("(", ")")]
     if not expr:
@@ -693,7 +699,6 @@ def extract_ops(model, fn, toks, bs, be):
                 elif t in BANNED_POSIX:
                     fn.raw_calls.append((t, ln))  # ::open(...) global call
             else:
-                nxt2 = toks[k + 2][0] if k + 2 < be else ""
                 if t in BANNED_POSIX:
                     fn.raw_calls.append((t, ln))
                 else:
@@ -708,8 +713,7 @@ def skip_lambda(toks, k, be):
     """toks[k] == '['.  If this starts a lambda with a braced body, return
     the index just past the body's closing '}'; else None.  Deferred
     lambda bodies must not inherit the enclosing function's held locks
-    (thread bodies, pool submissions); they are simply not analyzed by
-    the fallback frontend."""
+    (thread bodies, pool submissions); they are simply not analyzed."""
     j = k
     depth = 0
     while j < be:
@@ -767,7 +771,7 @@ def collect_receiver(toks, k, lo):
 
 
 # ---------------------------------------------------------------------------
-# Checkers (frontend-independent; operate on the Model IR).
+# Checkers (operate on the Model IR).
 # ---------------------------------------------------------------------------
 
 def resolve_call(model, fn, callee, recv_type):
@@ -865,12 +869,10 @@ def compute_lock_edges(model):
             elif kind == "call" and held:
                 for t in resolve_call(model, fn, op[1], op[2]):
                     for lk in acq_star.get(t, ()):
-                        add_needed = True
                         for h in held:
-                            if add_needed:
-                                add(h, lk, fn.file, op[3],
-                                    "%s -> %s() may acquire %s while %s "
-                                    "holds %s" % (fn.key, t, lk, fn.key, h))
+                            add(h, lk, fn.file, op[3],
+                                "%s -> %s() may acquire %s while %s "
+                                "holds %s" % (fn.key, t, lk, fn.key, h))
         # unbalanced manual locks simply leave `held` non-empty; harmless.
     return edges
 
@@ -1171,35 +1173,19 @@ def discover_files(root):
     return sorted(out)
 
 
-def build_model_fallback(root, files):
+def build_model(root, files):
     model = Model()
-    model.frontend = "fallback"
     # Headers first so class members/bases are known when bodies parse;
     # order is otherwise irrelevant (resolution happens after the full
     # model is built).
     for rel in sorted(files, key=lambda r: (not r.endswith(".h"), r)):
-        parse_fallback_file(model, root, rel)
+        parse_file(model, root, rel)
     return model
 
 
-def analyze(root, hierarchy_path, frontend="auto", compdb=None,
-            dot_path=None, list_edges=False):
+def analyze(root, hierarchy_path, dot_path=None, list_edges=False):
     files = discover_files(root)
-    model = None
-    if frontend in ("auto", "clang"):
-        model = build_model_clang(root, files, compdb)
-        if model is None:
-            if frontend == "clang":
-                raise RuntimeError(
-                    "libclang frontend requested but unavailable "
-                    "(python3 clang.cindex + libclang.so required)")
-            print("deep_lint: NOTE: libclang (python3 clang.cindex) not "
-                  "available -- falling back to the built-in token-level "
-                  "frontend. Install python3-clang + libclang for full "
-                  "semantic analysis.", file=sys.stderr)
-    if model is None:
-        model = build_model_fallback(root, files)
-
+    model = build_model(root, files)
     findings = []
     findings += check_env_bypass(model)
     findings += check_lock_order(model, hierarchy_path, dot_path, list_edges)
@@ -1210,319 +1196,83 @@ def analyze(root, hierarchy_path, frontend="auto", compdb=None,
 
 
 # ---------------------------------------------------------------------------
-# libclang frontend (used in CI; requires python3-clang + libclang.so).
-# ---------------------------------------------------------------------------
-
-def build_model_clang(root, files, compdb_dir):
-    try:
-        from clang import cindex
-    except ImportError:
-        return None
-    try:
-        try:
-            index = cindex.Index.create()
-        except cindex.LibclangError:
-            for cand in ("libclang-14.so.1", "libclang.so.1", "libclang.so"):
-                try:
-                    cindex.Config.loaded = False
-                    cindex.Config.set_library_file(cand)
-                    index = cindex.Index.create()
-                    break
-                except Exception:
-                    continue
-            else:
-                return None
-    except Exception:
-        return None
-
-    args_by_file = {}
-    if compdb_dir:
-        cc_json = os.path.join(compdb_dir, "compile_commands.json")
-        if os.path.exists(cc_json):
-            with open(cc_json, "r", encoding="utf-8") as f:
-                for ent in json.load(f):
-                    path = os.path.normpath(
-                        os.path.join(ent.get("directory", "."), ent["file"]))
-                    argv = ent.get("arguments")
-                    if argv is None:
-                        argv = ent.get("command", "").split()
-                    # strip compiler, -c/-o pairs and the source file itself
-                    clean = []
-                    skip = False
-                    for a in argv[1:]:
-                        if skip:
-                            skip = False
-                            continue
-                        if a in ("-c", "-o"):
-                            skip = (a == "-o")
-                            continue
-                        if a.endswith((".cc", ".cpp", ".o")):
-                            continue
-                        clean.append(a)
-                    args_by_file[path] = clean
-
-    default_args = ["-std=c++17", "-I", os.path.join(root, "src"),
-                    "-xc++"]
-    model = Model()
-    model.frontend = "clang"
-    CK = cindex.CursorKind
-
-    for rel in files:
-        with open(os.path.join(root, rel), "r", encoding="utf-8",
-                  errors="replace") as f:
-            text = f.read()
-        model.allow[rel] = scan_allow_comments(rel, text)
-        code = strip_code(text)
-        hits = []
-        for m in re.finditer(r"\bstd\s*::\s*filesystem\b", code):
-            hits.append((code.count("\n", 0, m.start()) + 1, "filesystem"))
-        for m in re.finditer(r"\b([io]?fstream)\b", code):
-            hits.append((code.count("\n", 0, m.start()) + 1, m.group(1)))
-        if hits:
-            model.token_hits[rel] = sorted(hits)
-
-    def relpath_of(cursor):
-        try:
-            f = cursor.location.file
-            if f is None:
-                return None
-            p = os.path.normpath(os.path.abspath(f.name))
-            r = os.path.normpath(os.path.abspath(root))
-            if not p.startswith(r + os.sep):
-                return None
-            return os.path.relpath(p, r).replace(os.sep, "/")
-        except Exception:
-            return None
-
-    def base_type_name(t):
-        s = t.spelling
-        s = re.sub(r"\b(const|volatile|mutable)\b", "", s)
-        s = s.replace("*", "").replace("&", "").strip()
-        m = re.search(r"(?:unique_ptr|shared_ptr)<([\w:\s]+)", s)
-        if m:
-            s = m.group(1).strip()
-        return s.split("::")[-1].split("<")[0].strip()
-
-    def field_lock_name(c):
-        """MEMBER_REF/DECL_REF cursor referencing a mutex -> canonical."""
-        ref = c.referenced
-        if ref is None:
-            return None
-        if base_type_name(ref.type) not in MUTEX_TYPES:
-            return None
-        parent = ref.semantic_parent
-        owner = parent.spelling if parent and parent.spelling else "?"
-        return "%s::%s" % (owner, ref.spelling)
-
-    def find_lock_ref(c):
-        if c.kind in (CK.MEMBER_REF_EXPR, CK.DECL_REF_EXPR):
-            name = field_lock_name(c)
-            if name:
-                return name
-        for ch in c.get_children():
-            r = find_lock_ref(ch)
-            if r:
-                return r
-        return None
-
-    def visit_body(c, fn):
-        for ch in c.get_children():
-            k = ch.kind
-            if k == CK.LAMBDA_EXPR:
-                # Deferred bodies do not run under the caller's locks.
-                continue
-            if k == CK.COMPOUND_STMT:
-                start = len(fn.ops)
-                pre_guards = list(visit_body.guards)
-                visit_body(ch, fn)
-                endln = ch.extent.end.line
-                while len(visit_body.guards) > len(pre_guards):
-                    lk = visit_body.guards.pop()
-                    fn.ops.append(("rel", lk, endln))
-                continue
-            if k == CK.VAR_DECL and base_type_name(ch.type) in GUARD_TYPES:
-                lk = find_lock_ref(ch)
-                if lk:
-                    fn.ops.append(("acq", lk, ch.location.line))
-                    visit_body.guards.append(lk)
-                continue
-            if k == CK.CALL_EXPR:
-                callee = ch.referenced
-                ln = ch.location.line
-                if callee is not None:
-                    name = callee.spelling
-                    sp = callee.semantic_parent
-                    cls = sp.spelling if sp is not None and sp.kind in (
-                        CK.CLASS_DECL, CK.STRUCT_DECL) else None
-                    if cls in MUTEX_TYPES and (
-                            name in LOCK_METHODS or name in UNLOCK_METHODS):
-                        lk = find_lock_ref(ch)
-                        if lk:
-                            fn.ops.append((
-                                "acq" if name in LOCK_METHODS else "rel",
-                                lk, ln))
-                    elif relpath_of(callee) is None and name in BANNED_POSIX \
-                            and cls is None:
-                        fn.raw_calls.append((name, ln))
-                    else:
-                        fn.ops.append(("call", name, cls, ln))
-                visit_body(ch, fn)
-                continue
-            visit_body(ch, fn)
-
-    def walk_tu(cursor):
-        for c in cursor.walk_preorder():
-            rel = relpath_of(c)
-            if rel is None or not rel.startswith("src/"):
-                continue
-            if c.kind in (CK.CLASS_DECL, CK.STRUCT_DECL) and \
-                    c.is_definition():
-                name = c.spelling
-                if not name:
-                    continue
-                ci = model.classes.setdefault(name, ClassInfo(name))
-                for ch in c.get_children():
-                    if ch.kind == CK.CXX_BASE_SPECIFIER:
-                        b = base_type_name(ch.type)
-                        if b and b not in ci.bases:
-                            ci.bases.append(b)
-                            model.subclasses.setdefault(b, set()).add(name)
-                    elif ch.kind == CK.FIELD_DECL:
-                        ci.members[ch.spelling] = base_type_name(ch.type)
-            elif c.kind in (CK.FUNCTION_DECL, CK.CXX_METHOD,
-                            CK.CONSTRUCTOR, CK.DESTRUCTOR) and \
-                    c.is_definition():
-                sp = c.semantic_parent
-                cls = sp.spelling if sp is not None and sp.kind in (
-                    CK.CLASS_DECL, CK.STRUCT_DECL) else None
-                key = "%s::%s" % (cls, c.spelling) if cls else c.spelling
-                fn = model.get_func(key, cls, c.spelling, rel,
-                                    c.location.line)
-                visit_body.guards = []
-                visit_body(c, fn)
-                endln = c.extent.end.line
-                while visit_body.guards:
-                    fn.ops.append(("rel", visit_body.guards.pop(), endln))
-
-    try:
-        parsed_any = False
-        for rel in files:
-            if not rel.endswith(".cc"):
-                continue
-            path = os.path.abspath(os.path.join(root, rel))
-            args = args_by_file.get(os.path.normpath(path), default_args)
-            tu = index.parse(path, args=args)
-            fatal = [d for d in tu.diagnostics if d.severity >= 4]
-            if fatal:
-                print("deep_lint: clang frontend: fatal diagnostics in %s: %s"
-                      % (rel, "; ".join(d.spelling for d in fatal[:3])),
-                      file=sys.stderr)
-                return None
-            walk_tu(tu.cursor)
-            parsed_any = True
-        if not parsed_any:
-            return None
-    except Exception as e:
-        print("deep_lint: clang frontend failed (%s: %s); falling back"
-              % (type(e).__name__, e), file=sys.stderr)
-        return None
-    return model
-
-
-# ---------------------------------------------------------------------------
 # Self-test: seeded violations under scripts/deep_lint_fixtures/.
 # ---------------------------------------------------------------------------
 
-def run_self_test(script_dir, frontend):
+def run_self_test(script_dir):
     fixroot = os.path.join(script_dir, "deep_lint_fixtures")
     hierarchy = os.path.join(fixroot, "lock_hierarchy.txt")
     if not os.path.isdir(fixroot):
         print("deep_lint: self-test fixtures missing: %s" % fixroot,
               file=sys.stderr)
         return 2
+    try:
+        findings, _ = analyze(fixroot, hierarchy)
+    except RuntimeError as e:
+        print("deep_lint: self-test: analyze failed: %s" % e, file=sys.stderr)
+        return 2
 
-    frontends = []
-    if frontend == "auto":
-        frontends = ["fallback"]
-        try:
-            import clang.cindex  # noqa: F401
-            frontends.append("clang")
-        except ImportError:
-            pass
-    else:
-        frontends = [frontend]
+    def fired(rule, file_sub, msg_sub=None):
+        for f in findings:
+            if f.rule == rule and file_sub in f.file:
+                if msg_sub is None or msg_sub in f.render():
+                    return True
+        return False
 
     failures = []
-    for fe in frontends:
-        try:
-            findings, model = analyze(fixroot, hierarchy, frontend=fe)
-        except RuntimeError as e:
-            failures.append("[%s] analyze failed: %s" % (fe, e))
-            continue
-        if model.frontend != fe:
-            # clang requested but import-only check passed and the library
-            # itself is missing: treat as skipped, not failed.
-            print("deep_lint: self-test: frontend %r unavailable, ran %r"
-                  % (fe, model.frontend))
-        rendered = [f.render() for f in findings]
 
-        def fired(rule, file_sub, msg_sub=None):
-            for f in findings:
-                if f.rule == rule and file_sub in f.file:
-                    text = f.render()
-                    if msg_sub is None or msg_sub in text:
-                        return True
-            return False
+    def expect(cond, what):
+        if not cond:
+            failures.append(what)
 
-        def expect(cond, what):
-            if not cond:
-                failures.append("[%s] %s" % (fe, what))
-
-        expect(fired("env-bypass", "env_bypass_direct.cc", "fopen"),
-               "env-bypass must fire on direct fopen()")
-        expect(fired("env-bypass", "env_bypass_transitive.cc", "open"),
-               "env-bypass must fire on transitive raw open()")
-        expect(fired("env-bypass", "env_bypass_transitive.cc",
-                     "TransEntry"),
-               "transitive env-bypass must report the caller chain")
-        expect(fired("env-bypass", "env_bypass_stream.cc"),
-               "env-bypass must fire on std::ofstream usage")
-        expect(not fired("env-bypass", "src/storage/env.cc"),
-               "sanctioned src/storage/env.cc must NOT fire env-bypass")
-        expect(fired("lock-order", "lock_inversion.cc"),
-               "lock-order must fire on the error-path lock inversion")
-        expect(fired("lock-order", "lock_undeclared.cc", "undeclared"),
-               "lock-order must fire on an undeclared edge")
-        expect(any(f.rule == "lock-order" and "cycle" in f.msg
-                   for f in findings),
-               "lock-order must report the observed cycle")
-        expect(not fired("lock-order", "lock_clean.cc"),
-               "declared-order locking must NOT fire lock-order")
-        expect(fired("digest-hygiene", "digest_memcmp.cc", "memcmp"),
-               "digest-hygiene must fire on memcmp of hashes")
-        expect(fired("digest-hygiene", "digest_memcmp.cc", ".bytes"),
-               "digest-hygiene must fire on raw .bytes comparison")
-        expect(not fired("digest-hygiene", "digest_magic_ok.cc"),
-               "magic-number memcmp must NOT fire digest-hygiene")
-        expect(not fired("env-bypass", "allow_cases.cc", "justified_fopen"),
-               "a justified allow() must suppress the finding")
-        expect(fired("allow-without-justification", "allow_cases.cc",
-                     "no justification"),
-               "allow() without justification must be flagged")
-        expect(fired("allow-without-justification", "allow_cases.cc",
-                     "unknown rule"),
-               "allow() naming an unknown rule must be flagged")
-        print("deep_lint: self-test[%s]: %d findings over fixtures"
-              % (fe, len(findings)))
-        if os.environ.get("DEEP_LINT_SELF_TEST_VERBOSE"):
-            print("\n".join(rendered))
-
+    expect(fired("env-bypass", "env_bypass_direct.cc", "fopen"),
+           "env-bypass must fire on direct fopen()")
+    expect(fired("env-bypass", "env_bypass_transitive.cc", "open"),
+           "env-bypass must fire on transitive raw open()")
+    expect(fired("env-bypass", "env_bypass_transitive.cc", "TransEntry"),
+           "transitive env-bypass must report the caller chain")
+    expect(fired("env-bypass", "env_bypass_stream.cc"),
+           "env-bypass must fire on std::ofstream usage")
+    expect(not fired("env-bypass", "src/storage/env.cc"),
+           "sanctioned src/storage/env.cc must NOT fire env-bypass")
+    expect(fired("lock-order", "lock_inversion.cc"),
+           "lock-order must fire on the error-path lock inversion")
+    expect(fired("lock-order", "lock_undeclared.cc", "undeclared"),
+           "lock-order must fire on an undeclared edge")
+    expect(any(f.rule == "lock-order" and "cycle" in f.msg
+               for f in findings),
+           "lock-order must report the observed cycle")
+    expect(fired("lock-order", "lock_annotated.cc",
+                 "Ann::mu_ -> Store::latch_"),
+           "lock-order must see an edge through a PT_GUARDED_BY member")
+    expect(fired("lock-order", "lock_annotated.cc",
+                 "Ann::mu_ -> Sink::mu_"),
+           "lock-order must see an edge through a member typed `...>>`")
+    expect(not fired("lock-order", "lock_clean.cc"),
+           "declared-order locking must NOT fire lock-order")
+    expect(fired("digest-hygiene", "digest_memcmp.cc", "memcmp"),
+           "digest-hygiene must fire on memcmp of hashes")
+    expect(fired("digest-hygiene", "digest_memcmp.cc", ".bytes"),
+           "digest-hygiene must fire on raw .bytes comparison")
+    expect(not fired("digest-hygiene", "digest_magic_ok.cc"),
+           "magic-number memcmp must NOT fire digest-hygiene")
+    expect(not fired("env-bypass", "allow_cases.cc", "justified_fopen"),
+           "a justified allow() must suppress the finding")
+    expect(fired("allow-without-justification", "allow_cases.cc",
+                 "no justification"),
+           "allow() without justification must be flagged")
+    expect(fired("allow-without-justification", "allow_cases.cc",
+                 "unknown rule"),
+           "allow() naming an unknown rule must be flagged")
+    print("deep_lint: self-test: %d findings over fixtures" % len(findings))
+    if os.environ.get("DEEP_LINT_SELF_TEST_VERBOSE"):
+        print("\n".join(f.render() for f in findings))
     if failures:
         print("deep_lint: SELF-TEST FAILED:", file=sys.stderr)
         for f in failures:
             print("  " + f, file=sys.stderr)
         return 1
-    print("deep_lint: self-test OK (%s)" % ", ".join(frontends))
+    print("deep_lint: self-test OK")
     return 0
 
 
@@ -1533,11 +1283,6 @@ def main(argv=None):
         description="semantic lints: env-bypass, lock-order, digest-hygiene")
     p.add_argument("--root", default=default_root,
                    help="repo root (default: parent of scripts/)")
-    p.add_argument("--compdb", default=None,
-                   help="build dir containing compile_commands.json "
-                        "(enables exact clang args)")
-    p.add_argument("--frontend", choices=["auto", "clang", "fallback"],
-                   default="auto")
     p.add_argument("--hierarchy", default=None,
                    help="declared lock hierarchy file "
                         "(default: ROOT/scripts/lock_hierarchy.txt)")
@@ -1550,23 +1295,21 @@ def main(argv=None):
     args = p.parse_args(argv)
 
     if args.self_test:
-        return run_self_test(script_dir, args.frontend)
+        return run_self_test(script_dir)
 
     hierarchy = args.hierarchy or os.path.join(
         args.root, "scripts", "lock_hierarchy.txt")
     try:
-        findings, model = analyze(
-            args.root, hierarchy, frontend=args.frontend,
-            compdb=args.compdb, dot_path=args.dot,
-            list_edges=args.list_edges)
+        findings, model = analyze(args.root, hierarchy, dot_path=args.dot,
+                                  list_edges=args.list_edges)
     except RuntimeError as e:
         print("deep_lint: error: %s" % e, file=sys.stderr)
         return 2
     for f in findings:
         print(f.render())
     n = len(findings)
-    print("deep_lint[%s]: %d finding%s across %d function%s"
-          % (model.frontend, n, "" if n == 1 else "s",
+    print("deep_lint: %d finding%s across %d function%s"
+          % (n, "" if n == 1 else "s",
              len(model.functions),
              "" if len(model.functions) == 1 else "s"))
     return 1 if findings else 0

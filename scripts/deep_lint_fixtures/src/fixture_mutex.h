@@ -1,7 +1,9 @@
-// Minimal stand-ins for util/thread_annotations.h so fixtures parse (and
-// compile under libclang) without pulling in the real repo headers.
+// Minimal stand-ins for util/thread_annotations.h so fixtures read as
+// ordinary C++ without pulling in the real repo headers.
 #ifndef FIXTURE_MUTEX_H_
 #define FIXTURE_MUTEX_H_
+
+#define PT_GUARDED_BY(x)
 
 struct Mutex {
   void Lock() {}

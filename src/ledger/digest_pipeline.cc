@@ -9,6 +9,16 @@
 
 namespace sqlledger {
 
+namespace {
+
+// Circuit breaker thresholds (consecutive retryable failures) and the
+// growth factor of the retry backoff.
+constexpr int kDegradedAfterFailures = 1;
+constexpr int kOpenAfterFailures = 4;
+constexpr double kBackoffMultiplier = 2.0;
+
+}  // namespace
+
 DigestErrorClass ClassifyDigestUploadError(const Status& status) {
   switch (status.code()) {
     // The ledger or the stored digests are wrong — retrying would paper
@@ -161,9 +171,9 @@ void DigestUploadPipeline::SetBreakerLocked(DigestBreakerState next) {
 void DigestUploadPipeline::OnRetryableFailureLocked(int64_t now) {
   m_transient_errors_->Add();
   consecutive_failures_++;
-  if (consecutive_failures_ >= options_.open_after_failures)
+  if (consecutive_failures_ >= kOpenAfterFailures)
     SetBreakerLocked(DigestBreakerState::kOpen);
-  else if (consecutive_failures_ >= options_.degraded_after_failures)
+  else if (consecutive_failures_ >= kDegradedAfterFailures)
     SetBreakerLocked(DigestBreakerState::kDegraded);
 
   // Exponential backoff with seeded jitter. The exponent saturates at the
@@ -172,7 +182,7 @@ void DigestUploadPipeline::OnRetryableFailureLocked(int64_t now) {
   for (int i = 1; i < consecutive_failures_ &&
                   backoff < static_cast<double>(options_.max_backoff_micros);
        i++)
-    backoff *= options_.backoff_multiplier;
+    backoff *= kBackoffMultiplier;
   backoff = std::min(backoff, static_cast<double>(options_.max_backoff_micros));
   double factor = 1.0 + options_.jitter * (2.0 * rng_.NextDouble() - 1.0);
   next_attempt_micros_ = now + static_cast<int64_t>(backoff * factor);

@@ -69,18 +69,17 @@ struct DigestPipelineOptions {
   /// covers the whole chain anyway, so cadence resumes at recovery.
   size_t outbox_capacity = 64;
 
-  // Exponential backoff between retry rounds (micros of database time).
+  // Exponential backoff between retry rounds (micros of database time):
+  // the initial backoff doubles per consecutive failure, up to the cap.
   int64_t initial_backoff_micros = 200 * 1000;
   int64_t max_backoff_micros = 5 * 1000 * 1000;
-  double backoff_multiplier = 2.0;
   /// Jitter fraction: each backoff is scaled by a seeded uniform draw from
   /// [1 - jitter, 1 + jitter] to avoid retry convoys.
   double jitter = 0.2;
 
-  // Circuit breaker thresholds (consecutive retryable failures).
-  int degraded_after_failures = 1;
-  int open_after_failures = 4;
-  /// While open, one probe upload is allowed per interval.
+  /// The circuit breaker degrades on the first consecutive retryable
+  /// failure and opens on the fourth. While open, one probe upload is
+  /// allowed per interval.
   int64_t probe_interval_micros = 1 * 1000 * 1000;
 
   /// Seed for the jitter PRNG (deterministic under the simulator).

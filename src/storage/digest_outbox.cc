@@ -100,11 +100,9 @@ Status DigestOutbox::Replay() {
 
 Status DigestOutbox::Append(const std::string& payload) {
   MutexLock lock(&mu_);
-  if (pending_.size() >= opts_.capacity) {
-    rejected_++;
+  if (pending_.size() >= opts_.capacity)
     return Status::Busy("digest outbox full (" +
                         std::to_string(opts_.capacity) + " pending)");
-  }
   std::vector<uint8_t> rec = EncodeRecord(payload);
   auto file = env_->NewWritableFile(LogPath(), WritableFileOptions{});
   if (!file.ok())
@@ -121,7 +119,6 @@ Status DigestOutbox::Append(const std::string& payload) {
   if (!st.ok())
     return Status::IOError("outbox append failed: " + st.message());
   pending_.push_back(payload);
-  appended_++;
   return Status::OK();
 }
 
@@ -134,7 +131,6 @@ Status DigestOutbox::Ack(size_t count) {
                                    " pending");
   SL_RETURN_IF_ERROR(PersistCursorLocked(log_acked_ + count));
   log_acked_ += count;
-  acked_total_ += count;
   pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(count));
   if (pending_.empty() && log_acked_ > 0) SL_RETURN_IF_ERROR(CompactLocked());
   return Status::OK();
@@ -185,21 +181,6 @@ std::vector<std::string> DigestOutbox::Pending() const {
 size_t DigestOutbox::pending_count() const {
   MutexLock lock(&mu_);
   return pending_.size();
-}
-
-uint64_t DigestOutbox::appended() const {
-  MutexLock lock(&mu_);
-  return appended_;
-}
-
-uint64_t DigestOutbox::acked() const {
-  MutexLock lock(&mu_);
-  return acked_total_;
-}
-
-uint64_t DigestOutbox::rejected() const {
-  MutexLock lock(&mu_);
-  return rejected_;
 }
 
 }  // namespace sqlledger

@@ -44,7 +44,8 @@ struct DigestOutboxOptions {
   /// Maximum unacknowledged records; Append fails with Busy beyond it. The
   /// bound keeps a long outage from growing the log without limit — the
   /// newest digest always subsumes older ones for protection purposes, so
-  /// rejecting new appends (and counting them) is safe.
+  /// rejecting new appends is safe. The upload pipeline counts each
+  /// rejection in `digest.rejected_total`.
   size_t capacity = 64;
 };
 
@@ -69,11 +70,6 @@ class DigestOutbox {
   std::vector<std::string> Pending() const;
   size_t pending_count() const;
 
-  // Lifetime counters (monotonic, not persisted).
-  uint64_t appended() const;
-  uint64_t acked() const;
-  uint64_t rejected() const;  // appends refused because the outbox was full
-
  private:
   explicit DigestOutbox(DigestOutboxOptions opts);
 
@@ -91,9 +87,6 @@ class DigestOutbox {
   std::deque<std::string> pending_ GUARDED_BY(mu_);
   /// Records in outbox.log that are already acknowledged (the cursor).
   uint64_t log_acked_ GUARDED_BY(mu_) = 0;
-  uint64_t appended_ GUARDED_BY(mu_) = 0;
-  uint64_t acked_total_ GUARDED_BY(mu_) = 0;
-  uint64_t rejected_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace sqlledger

