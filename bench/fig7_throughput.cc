@@ -7,21 +7,12 @@
 // TPC-E, because the overhead is tied to row modifications (history insert
 // + SHA-256 per version).
 
-// A second mode, --commit-bench, measures the group-commit pipeline
-// (DESIGN.md §10): multi-session committed-txns/sec and fsyncs/txn for the
-// serial pre-group-commit path (max_group_size=1, one fsync per commit)
-// vs. the batched pipeline, across a sessions sweep. Writes BENCH_commit.json.
-
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <thread>
-#include <vector>
 
 #include "ledger/ledger_database.h"
-#include "util/json.h"
 #include "util/random.h"
 #include "workload/tpcc.h"
 #include "workload/tpce.h"
@@ -76,166 +67,9 @@ double RunTps(bool ledger, Config config, int txns) {
   return static_cast<double>(txns) / elapsed;
 }
 
-// ---- Group-commit bench (--commit-bench) ----
-
-struct CommitBenchResult {
-  double tps = 0;
-  double fsyncs_per_txn = 0;
-  uint64_t commit_groups = 0;
-  uint64_t largest_group = 0;
-  double sync_p50_micros = 0;
-  double sync_p99_micros = 0;
-};
-
-Schema CommitBenchSchema() {
-  Schema s;
-  s.AddColumn("id", DataType::kBigInt, false);
-  s.AddColumn("payload", DataType::kVarchar, false, 64);
-  s.SetPrimaryKey({0});
-  return s;
-}
-
-CommitBenchResult RunCommitConfig(int sessions, int txns_per_session,
-                                  CommitOptions commit) {
-  LedgerDatabaseOptions options;
-  options.enable_ledger = true;
-  options.block_size = 100000;
-  options.database_id = "commit-bench";
-  options.sync_wal = true;  // durability on: the fsync is what we batch
-  options.commit = commit;
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "sl_commit_bench").string();
-  std::filesystem::remove_all(dir);
-  options.data_dir = dir;
-  auto opened = LedgerDatabase::Open(std::move(options));
-  if (!opened.ok()) std::exit(1);
-  auto db = std::move(*opened);
-  if (!db->CreateTable("t", CommitBenchSchema(), TableKind::kAppendOnly).ok())
-    std::exit(1);
-
-  // The numbers come from the metrics registry (DESIGN.md §13) — the same
-  // accounting the stats surface reports, so the bench can't drift from it.
-  MetricsSnapshot before = db->MetricsSnapshot();
-  const std::string payload(64, 'x');
-  auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (int s = 0; s < sessions; s++) {
-    threads.emplace_back([&, s] {
-      for (int i = 0; i < txns_per_session; i++) {
-        int64_t id = static_cast<int64_t>(s) * txns_per_session + i;
-        auto txn = db->Begin("bench");
-        if (!txn.ok()) std::exit(1);
-        Status st = db->Insert(*txn, "t",
-                               {Value::BigInt(id), Value::Varchar(payload)});
-        if (st.ok()) st = db->Commit(*txn);
-        if (!st.ok()) {
-          std::printf("bench commit failed: %s\n", st.ToString().c_str());
-          std::exit(1);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  double elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  MetricsSnapshot after = db->MetricsSnapshot();
-
-  uint64_t txns = static_cast<uint64_t>(sessions) * txns_per_session;
-  CommitBenchResult result;
-  result.tps = txns / elapsed;
-  result.fsyncs_per_txn =
-      static_cast<double>(after.counters["wal.syncs_total"] -
-                          before.counters["wal.syncs_total"]) /
-      txns;
-  result.commit_groups = after.counters["commit.groups_total"] -
-                         before.counters["commit.groups_total"];
-  const HistogramSnapshot& group_size = after.histograms["commit.group_size"];
-  result.largest_group = group_size.max;
-  const HistogramSnapshot& sync = after.histograms["wal.sync_micros"];
-  result.sync_p50_micros = sync.Percentile(50);
-  result.sync_p99_micros = sync.Percentile(99);
-  db.reset();
-  std::filesystem::remove_all(dir);
-  return result;
-}
-
-int RunCommitBench(int txns_per_session, const std::string& out_path) {
-  std::printf("=== Group-commit bench: sessions sweep, seed (serial, one "
-              "fsync/txn) vs after (batched) ===\n\n");
-  std::printf("%9s %14s %14s %9s %11s %11s %8s\n", "sessions", "seed (tps)",
-              "after (tps)", "speedup", "seed fs/txn", "after fs/txn",
-              "largest");
-
-  // "Seed" reproduces the pre-group-commit serial path: every commit is
-  // its own group, so it pays slot assignment + WAL append + fsync alone.
-  CommitOptions seed_opts;
-  seed_opts.max_group_size = 1;
-  seed_opts.max_group_wait_micros = 0;
-  CommitOptions after_opts;  // the defaults are the shipped configuration
-
-  JsonValue sweep = JsonValue::Array();
-  double best_speedup = 0;
-  double fsyncs_at_8 = 1.0;
-  double speedup_at_8 = 0;
-  for (int sessions : {1, 2, 4, 8}) {
-    CommitBenchResult seed =
-        RunCommitConfig(sessions, txns_per_session, seed_opts);
-    CommitBenchResult after =
-        RunCommitConfig(sessions, txns_per_session, after_opts);
-    double speedup = after.tps / seed.tps;
-    std::printf("%9d %14.0f %14.0f %8.2fx %11.3f %11.3f %8llu\n", sessions,
-                seed.tps, after.tps, speedup, seed.fsyncs_per_txn,
-                after.fsyncs_per_txn,
-                static_cast<unsigned long long>(after.largest_group));
-    JsonValue row = JsonValue::Object();
-    row.Set("sessions", JsonValue::Int(sessions));
-    row.Set("seed_tps", JsonValue::Double(seed.tps));
-    row.Set("after_tps", JsonValue::Double(after.tps));
-    row.Set("speedup", JsonValue::Double(speedup));
-    row.Set("seed_fsyncs_per_txn", JsonValue::Double(seed.fsyncs_per_txn));
-    row.Set("after_fsyncs_per_txn", JsonValue::Double(after.fsyncs_per_txn));
-    row.Set("after_commit_groups",
-            JsonValue::Int(static_cast<int64_t>(after.commit_groups)));
-    row.Set("after_largest_group",
-            JsonValue::Int(static_cast<int64_t>(after.largest_group)));
-    row.Set("after_sync_p50_micros", JsonValue::Double(after.sync_p50_micros));
-    row.Set("after_sync_p99_micros", JsonValue::Double(after.sync_p99_micros));
-    sweep.Append(std::move(row));
-    if (speedup > best_speedup) best_speedup = speedup;
-    if (sessions == 8) {
-      fsyncs_at_8 = after.fsyncs_per_txn;
-      speedup_at_8 = speedup;
-    }
-  }
-
-  JsonValue doc = JsonValue::Object();
-  doc.Set("bench", JsonValue::Str("group_commit"));
-  doc.Set("txns_per_session", JsonValue::Int(txns_per_session));
-  doc.Set("sweep", std::move(sweep));
-  doc.Set("speedup_at_8_sessions", JsonValue::Double(speedup_at_8));
-  doc.Set("fsyncs_per_txn_at_8_sessions", JsonValue::Double(fsyncs_at_8));
-  std::ofstream out(out_path);
-  out << doc.DumpPretty() << "\n";
-  std::printf("\nwrote %s (speedup at 8 sessions: %.2fx, fsyncs/txn %.3f)\n",
-              out_path.c_str(), speedup_at_8, fsyncs_at_8);
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool commit_bench = false;
-  int commit_txns = 400;
-  std::string out_path = "BENCH_commit.json";
-  for (int i = 1; i < argc; i++) {
-    if (std::strcmp(argv[i], "--commit-bench") == 0) commit_bench = true;
-    if (std::strncmp(argv[i], "--txns=", 7) == 0)
-      commit_txns = std::atoi(argv[i] + 7);
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-  }
-  if (commit_bench) return RunCommitBench(commit_txns, out_path);
-
+int main() {
   const int kTxns = 4000;
 
   std::printf("=== Figure 7: throughput of SQL Ledger vs traditional engine "

@@ -7,25 +7,14 @@
 // scaling; absolute times differ (testbed vs container). Verification hash
 // recomputation partitions *within* the single table, so the sweep also
 // reports the parallel (4-thread) wall time next to the serial one.
-//
-// `--incremental` switches to the DESIGN.md §11 experiment instead: build a
-// ledger, verify it (seeding the watermark), append a small delta, then
-// re-verify incrementally vs from scratch. Emits BENCH_verification.json
-// (path overridable with --out=) with the measured speedup — the O(delta)
-// claim CI checks against.
-//
-// SQLLEDGER_BENCH_SMOKE=1 shrinks the sweep/ledger for CI.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "crypto/sha256.h"
 #include "ledger/verifier.h"
-#include "util/json.h"
 
 using namespace sqlledger;
 
@@ -88,163 +77,9 @@ Timings VerificationSeconds(int txns) {
   return t;
 }
 
-/// Loads `txns` five-row transactions into `db`.
-void LoadTransactions(LedgerDatabase* db, int txns, int64_t* next_id) {
-  const std::string payload(244, 'x');
-  for (int i = 0; i < txns; i++) {
-    auto txn = db->Begin("load");
-    for (int r = 0; r < 5; r++) {
-      Status st = db->Insert(*txn, "t",
-                             {Value::BigInt((*next_id)++), Value::BigInt(r),
-                              Value::Varchar(payload)});
-      if (!st.ok()) std::exit(1);
-    }
-    if (!db->Commit(*txn).ok()) std::exit(1);
-  }
-}
-
-/// The incremental-verification experiment: verify a base ledger once (the
-/// watermark seed), append a delta, then time the incremental re-verify
-/// against a from-scratch run over the same digests.
-int RunIncremental(int base_txns, int append_txns,
-                   const std::string& out_path) {
-  std::printf("=== Incremental verification: re-verify cost after a small "
-              "append ===\n");
-  std::printf("(base %d txns, append %d txns, five 260-byte rows each; "
-              "sha256 kernel: %s)\n\n",
-              base_txns, append_txns, Sha256::KernelName());
-
-  LedgerDatabaseOptions options;
-  options.block_size = 1000;
-  options.database_id = "fig9";
-  auto opened = LedgerDatabase::Open(std::move(options));
-  if (!opened.ok()) std::exit(1);
-  auto db = std::move(*opened);
-  if (!db->CreateTable("t", WideSchema(), TableKind::kUpdateable).ok())
-    std::exit(1);
-
-  int64_t next_id = 1;
-  LoadTransactions(db.get(), base_txns, &next_id);
-  auto d1 = db->GenerateDigest();
-  if (!d1.ok()) std::exit(1);
-
-  // Timings come from the database's metrics registry (the verify.*_micros
-  // histograms of DESIGN.md §13) — the same accounting verify_tool --stats
-  // reports — instead of a bench-private wall-clock read.
-  auto hist_sum = [&](const char* name) {
-    MetricsSnapshot s = db->MetricsSnapshot();
-    auto it = s.histograms.find(name);
-    return it == s.histograms.end() ? uint64_t{0} : it->second.sum;
-  };
-  auto timed = [&](const char* hist, auto fn) {
-    uint64_t before = hist_sum(hist);
-    fn();
-    return static_cast<double>(hist_sum(hist) - before) / 1e6;
-  };
-
-  // Seed the watermark: the first incremental run has nothing to skip and
-  // costs the same as a full verification.
-  double seed_s = timed("verify.incremental_micros", [&] {
-    auto report = VerifyLedgerIncremental(db.get(), {*d1});
-    if (!report.ok() || !report->ok()) std::exit(1);
-  });
-  std::printf("  initial verification (watermark seed): %8.3f s\n", seed_s);
-
-  LoadTransactions(db.get(), append_txns, &next_id);
-  auto d2 = db->GenerateDigest();
-  if (!d2.ok()) std::exit(1);
-  std::vector<DatabaseDigest> digests = {*d1, *d2};
-
-  VerificationReport inc;
-  double incremental_s = timed("verify.incremental_micros", [&] {
-    auto r = VerifyLedgerIncremental(db.get(), digests);
-    if (!r.ok() || !r->ok() || r->fell_back_to_full) {
-      std::printf("unexpected incremental verification failure\n");
-      std::exit(1);
-    }
-    inc = std::move(*r);
-  });
-  std::printf("  incremental re-verify: watermark=%llu, %llu blocks "
-              "skipped, %llu row versions skipped, %llu hashed\n",
-              static_cast<unsigned long long>(inc.watermark_block),
-              static_cast<unsigned long long>(inc.blocks_skipped),
-              static_cast<unsigned long long>(inc.row_versions_skipped),
-              static_cast<unsigned long long>(inc.row_versions_checked));
-  const uint64_t full_rows =
-      inc.row_versions_checked + inc.row_versions_skipped;
-
-  double full_s = timed("verify.full_micros", [&] {
-    auto report = VerifyLedger(db.get(), digests);
-    if (!report.ok() || !report->ok()) {
-      std::printf("unexpected full verification failure\n");
-      std::exit(1);
-    }
-    if (report->row_versions_checked != full_rows) {
-      std::printf("row-version accounting mismatch\n");
-      std::exit(1);
-    }
-  });
-
-  double speedup = full_s / incremental_s;
-  std::printf("\n  full re-verify        : %8.3f s\n", full_s);
-  std::printf("  incremental re-verify : %8.3f s\n", incremental_s);
-  std::printf("  speedup               : %8.1fx\n", speedup);
-  std::printf("\npaper/DESIGN.md section 11: incremental cost is O(delta), "
-              "not O(ledger)\n");
-
-  JsonValue doc = JsonValue::Object();
-  doc.Set("mode", JsonValue::Str("incremental"));
-  doc.Set("sha256_kernel", JsonValue::Str(Sha256::KernelName()));
-  doc.Set("base_transactions", JsonValue::Int(base_txns));
-  doc.Set("appended_transactions", JsonValue::Int(append_txns));
-  doc.Set("total_row_versions",
-          JsonValue::Int(static_cast<int64_t>(full_rows)));
-  doc.Set("watermark_block",
-          JsonValue::Int(static_cast<int64_t>(inc.watermark_block)));
-  doc.Set("blocks_skipped",
-          JsonValue::Int(static_cast<int64_t>(inc.blocks_skipped)));
-  doc.Set("row_versions_skipped",
-          JsonValue::Int(static_cast<int64_t>(inc.row_versions_skipped)));
-  doc.Set("seed_seconds", JsonValue::Double(seed_s));
-  doc.Set("full_seconds", JsonValue::Double(full_s));
-  doc.Set("incremental_seconds", JsonValue::Double(incremental_s));
-  doc.Set("speedup", JsonValue::Double(speedup));
-  // Phase accounting across all runs, straight from the registry.
-  JsonValue phases = JsonValue::Object();
-  phases.Set("reanchor_micros",
-             JsonValue::Int(static_cast<int64_t>(
-                 hist_sum("verify.reanchor_micros"))));
-  phases.Set("tree_hash_micros",
-             JsonValue::Int(static_cast<int64_t>(
-                 hist_sum("verify.tree_hash_micros"))));
-  phases.Set("view_check_micros",
-             JsonValue::Int(static_cast<int64_t>(
-                 hist_sum("verify.view_check_micros"))));
-  doc.Set("phase_micros", std::move(phases));
-  std::ofstream out(out_path);
-  out << doc.DumpPretty() << "\n";
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool incremental = false;
-  std::string out_path = "BENCH_verification.json";
-  const bool smoke = std::getenv("SQLLEDGER_BENCH_SMOKE") != nullptr;
-  int base_txns = smoke ? 2000 : 10000;
-  int append_txns = 100;
-  for (int i = 1; i < argc; i++) {
-    if (std::strcmp(argv[i], "--incremental") == 0) incremental = true;
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
-    if (std::strncmp(argv[i], "--txns=", 7) == 0)
-      base_txns = std::atoi(argv[i] + 7);
-    if (std::strncmp(argv[i], "--append=", 9) == 0)
-      append_txns = std::atoi(argv[i] + 9);
-  }
-  if (incremental) return RunIncremental(base_txns, append_txns, out_path);
-
+int main() {
   std::printf("=== Figure 9: ledger verification time vs transaction count "
               "===\n");
   std::printf("(each transaction updates five 260-byte rows; sha256 kernel: "
@@ -252,13 +87,7 @@ int main(int argc, char** argv) {
   std::printf("%14s %14s %14s %18s\n", "Transactions", "Serial (s)",
               "4 threads (s)", "us per txn (p=1)");
 
-  const int kFull[] = {500, 1000, 2000, 4000, 8000, 16000};
-  const int kSmoke[] = {500, 2000};
-  const int* counts = smoke ? kSmoke : kFull;
-  const int n_counts = smoke ? 2 : 6;
-
-  for (int i = 0; i < n_counts; i++) {
-    int txns = counts[i];
+  for (int txns : {500, 1000, 2000, 4000, 8000, 16000}) {
     Timings t = VerificationSeconds(txns);
     std::printf("%14d %14.3f %14.3f %18.1f\n", txns, t.serial_s,
                 t.parallel_s, t.serial_s / txns * 1e6);

@@ -151,12 +151,11 @@ RAW_SHA_RE = re.compile(
 
 def check_raw_sha(path, lines, findings):
     rel = os.path.relpath(path, REPO_ROOT)
-    # The crypto subsystem owns the primitives; its tests/benches may
+    # The crypto subsystem owns the primitives; its kernel tests may
     # exercise individual kernels directly.
     if rel.startswith(os.path.join("src", "crypto")):
         return
-    if os.path.basename(path) in ("sha256_kernel_test.cc", "crypto_test.cc",
-                                  "bench_hashing_smoke.cc"):
+    if os.path.basename(path) in ("sha256_kernel_test.cc", "crypto_test.cc"):
         return
     for i, raw in enumerate(lines, 1):
         line = strip_noise(raw)

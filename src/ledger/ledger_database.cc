@@ -728,8 +728,6 @@ Status LedgerDatabase::CommitThroughGroup(CommitRequest* req) {
   const int64_t wait_start = metrics_->NowMicros();
   group_mu_.Lock();
   commit_queue_.push_back(req);
-  // Wake a lingering leader so it can re-check its group size.
-  group_cv_.SignalAll();
 
   // Follower until proven leader: the oldest undrained request whose
   // thread finds no active leader takes leadership of the queue. Everyone
@@ -748,23 +746,12 @@ Status LedgerDatabase::CommitThroughGroup(CommitRequest* req) {
     return result;
   }
 
-  // Leader. Optionally linger so a group can form, then seal it.
+  // Leader: seal everything queued so far as one group. Each committer has
+  // one request outstanding, so a group never exceeds the session count.
   commit_leader_active_ = true;
-  size_t max_group = std::max<size_t>(1, options_.commit.max_group_size);
-  if (options_.commit.max_group_wait_micros > 0) {
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(
-                        options_.commit.max_group_wait_micros);
-    while (commit_queue_.size() < max_group &&
-           group_cv_.WaitUntil(&group_mu_, deadline)) {
-    }
-  }
-  std::vector<CommitRequest*> group;
-  group.reserve(std::min(commit_queue_.size(), max_group));
-  while (!commit_queue_.empty() && group.size() < max_group) {
-    group.push_back(commit_queue_.front());
-    commit_queue_.pop_front();
-  }
+  std::vector<CommitRequest*> group(commit_queue_.begin(),
+                                    commit_queue_.end());
+  commit_queue_.clear();
   group_mu_.Unlock();
 
   // I/O outside group_mu_: later committers keep enqueuing (and will form

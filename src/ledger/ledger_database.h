@@ -43,24 +43,6 @@
 
 namespace sqlledger {
 
-/// Group-commit tuning (DESIGN.md §10). Commits from concurrent sessions
-/// are batched: one leader drains the queue of encoded commit records,
-/// appends them to the WAL as a single write with a single fsync, and
-/// wakes the followers. These knobs bound the batch.
-struct CommitOptions {
-  /// Maximum transactions the leader drains into one group (one WAL batch
-  /// + one fsync).
-  size_t max_group_size = 64;
-  /// How long a newly elected leader lingers for company before sealing
-  /// the group. 0 = never wait: the leader takes whatever has already
-  /// accumulated (groups still form under contention, because committers
-  /// queue up while the previous leader's fsync is in flight). Nonzero
-  /// trades commit latency for larger groups. Must stay 0 under the
-  /// deterministic simulator: a timed wait would make group boundaries
-  /// depend on wall-clock scheduling.
-  uint64_t max_group_wait_micros = 0;
-};
-
 struct LedgerDatabaseOptions {
   /// Directory for the WAL and checkpoints; empty = ephemeral (no
   /// durability, used by short-lived tests and benchmarks).
@@ -75,8 +57,6 @@ struct LedgerDatabaseOptions {
   uint64_t block_size = 100000;
   /// fsync the WAL on every commit group.
   bool sync_wal = false;
-  /// Group-commit batching knobs.
-  CommitOptions commit;
   /// Lock wait budget before a transaction is aborted (deadlock handling).
   std::chrono::milliseconds lock_timeout{1000};
   /// Injectable clock, microseconds since epoch. Defaults to system clock.

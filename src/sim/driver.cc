@@ -150,11 +150,10 @@ Status SimDriver::OpenDb() {
   // timestamps replay byte-for-byte, and instrumentation never perturbs the
   // commit-timestamp clock above.
   opts.metrics_clock = [this] { return ++metrics_clock_; };
-  // Determinism contract (DESIGN.md §10): no timed group formation. The
-  // driver is single-threaded, so with a zero linger every commit group is
-  // a singleton and traces stay byte-identical across reruns; FullAudit
-  // checks the invariant.
-  opts.commit.max_group_wait_micros = 0;
+  // Determinism contract (DESIGN.md §10): a leader seals only what is
+  // already queued, and the driver is single-threaded, so every commit
+  // group is a singleton and traces stay byte-identical across reruns;
+  // FullAudit checks the invariant.
   auto db = LedgerDatabase::Open(opts);
   if (!db.ok()) return db.status();
   db_ = std::move(*db);
@@ -1660,9 +1659,9 @@ void SimDriver::FullAudit(size_t i) {
     return;
   }
   // Group-commit determinism: the driver commits one transaction at a time
-  // with a zero linger, so every group must be a singleton. A larger group
-  // here would mean group boundaries depend on scheduling — the exact
-  // nondeterminism the simulator exists to rule out.
+  // and a leader never waits for company, so every group must be a
+  // singleton. A larger group here would mean group boundaries depend on
+  // scheduling — the exact nondeterminism the simulator exists to rule out.
   MetricsSnapshot metrics = db_->MetricsSnapshot();
   uint64_t groups = metrics.counters["commit.groups_total"];
   uint64_t grouped = metrics.counters["commit.group_txns_total"];

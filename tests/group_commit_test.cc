@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <set>
@@ -22,19 +24,105 @@ namespace {
 Value VB(int64_t v) { return Value::BigInt(v); }
 Value VS(const std::string& s) { return Value::Varchar(s); }
 
+// A FaultInjectionEnv that can hold one WAL fsync open: after Hold(), the
+// next WAL Sync() completes but does not return until Release(), so its
+// group's leader stays busy while later committers queue up behind it.
+class HoldSyncEnv : public FaultInjectionEnv {
+ public:
+  void Hold() { Set(kArmed); }
+  void Release() { Set(kIdle); }
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(hold_mu_);
+    hold_cv_.wait(lock, [this] { return state_ == kHolding; });
+  }
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, const WritableFileOptions& opts) override {
+    auto file = FaultInjectionEnv::NewWritableFile(path, opts);
+    if (!file.ok() || path.find("wal.log") == std::string::npos) return file;
+    return std::unique_ptr<WritableFile>(
+        std::make_unique<HeldSyncFile>(this, std::move(*file)));
+  }
+
+ private:
+  enum State { kIdle, kArmed, kHolding };
+  class HeldSyncFile : public WritableFile {
+   public:
+    HeldSyncFile(HoldSyncEnv* env, std::unique_ptr<WritableFile> target)
+        : env_(env), target_(std::move(target)) {}
+    Status Append(Slice data) override { return target_->Append(data); }
+    Status Flush() override { return target_->Flush(); }
+    Status Close() override { return target_->Close(); }
+    Status Sync() override {
+      Status st = target_->Sync();
+      std::unique_lock<std::mutex> lock(env_->hold_mu_);
+      if (env_->state_ == kArmed) {
+        env_->state_ = kHolding;
+        env_->hold_cv_.notify_all();
+        env_->hold_cv_.wait(lock, [&] { return env_->state_ != kHolding; });
+      }
+      return st;
+    }
+    HoldSyncEnv* env_;
+    std::unique_ptr<WritableFile> target_;
+  };
+
+  void Set(State state) {
+    std::lock_guard<std::mutex> lock(hold_mu_);
+    state_ = state;
+    hold_cv_.notify_all();
+  }
+
+  std::mutex hold_mu_;
+  std::condition_variable hold_cv_;
+  State state_ = kIdle;
+};
+
+// Inserts row `id` in its own transaction, aborting it if the commit fails
+// (a failed commit leaves it active, which would block a later checkpoint).
+Status CommitRow(LedgerDatabase* db, int64_t id) {
+  auto txn = db->Begin("member");
+  if (!txn.ok()) return txn.status();
+  Status st = db->Insert(*txn, "t", {VB(id), VS("x")});
+  if (st.ok()) st = db->Commit(*txn);
+  if (!st.ok()) db->Abort(*txn);
+  return st;
+}
+
 class GroupCommitTest : public TempDirTest {
  protected:
-  LedgerDatabaseOptions MakeOptions(const std::string& subdir, Env* env,
-                                    CommitOptions commit = {}) {
+  LedgerDatabaseOptions MakeOptions(const std::string& subdir, Env* env) {
     LedgerDatabaseOptions options;
     options.data_dir = Path(subdir);
     options.database_id = "groupdb";
     options.block_size = 5;  // small blocks so groups span block boundaries
     options.sync_wal = true;
     options.env = env;
-    options.commit = commit;
     options.clock = [this] { return ++clock_; };
     return options;
+  }
+
+  // Commits row 0 as a leader whose WAL sync `env` holds, and rows
+  // 1..followers from threads that queue up behind it. Once they have, the
+  // sync is released and the next leader drains them as one group. Returns
+  // each commit's status, leader first.
+  std::vector<Status> CommitBehindHeldLeader(LedgerDatabase* db,
+                                             HoldSyncEnv* env, int followers) {
+    std::vector<Status> results(followers + 1);
+    env->Hold();
+    std::vector<std::thread> threads;
+    threads.emplace_back([&] { results[0] = CommitRow(db, 0); });
+    env->WaitUntilHeld();
+    const int64_t stamped = clock_.load();
+    for (int i = 1; i <= followers; i++)
+      threads.emplace_back([&, i] { results[i] = CommitRow(db, i); });
+    // A committer reads the commit clock just before it joins the queue;
+    // the sleep covers the few instructions between the two.
+    while (clock_.load() < stamped + followers) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    env->Release();
+    for (auto& th : threads) th.join();
+    return results;
   }
 
   // Atomic: called from concurrent committers.
@@ -68,9 +156,7 @@ void ExpectDenseOrdinals(const std::vector<TransactionEntry>& entries,
 TEST_F(GroupCommitTest, MultiThreadedCommitsYieldDenseOrdinals) {
   constexpr int kThreads = 8;
   constexpr int kTxnsPerThread = 40;
-  CommitOptions commit;
-  commit.max_group_size = 16;
-  auto db = LedgerDatabase::Open(MakeOptions("db", nullptr, commit));
+  auto db = LedgerDatabase::Open(MakeOptions("db", nullptr));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE(
       (*db)->CreateTable("t", SimpleUserSchema(), TableKind::kAppendOnly).ok());
@@ -129,9 +215,7 @@ TEST_F(GroupCommitTest, CrashAtEverySyncPointLeavesWholeTxnPrefix) {
     std::vector<int64_t> ok_ids;
     std::mutex ok_mu;
     {
-      CommitOptions commit;
-      commit.max_group_size = 8;
-      auto db = LedgerDatabase::Open(MakeOptions(subdir, &env, commit));
+      auto db = LedgerDatabase::Open(MakeOptions(subdir, &env));
       ASSERT_TRUE(db.ok()) << db.status().ToString();
       ASSERT_TRUE((*db)
                       ->CreateTable("t", SimpleUserSchema(),
@@ -205,38 +289,24 @@ TEST_F(GroupCommitTest, CrashAtEverySyncPointLeavesWholeTxnPrefix) {
 // ---- (c) failed group sync fails every member + sticky latch ----
 
 TEST_F(GroupCommitTest, FailedGroupSyncFailsEveryMemberAndLatches) {
-  constexpr int kThreads = 4;
-  FaultInjectionEnv env;
-  CommitOptions commit;
-  commit.max_group_size = kThreads;
-  commit.max_group_wait_micros = 200000;  // let the group form
-  auto db = LedgerDatabase::Open(MakeOptions("db", &env, commit));
+  constexpr int kFollowers = 3;
+  HoldSyncEnv env;
+  auto db = LedgerDatabase::Open(MakeOptions("db", &env));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE(
       (*db)->CreateTable("t", SimpleUserSchema(), TableKind::kAppendOnly).ok());
   uint64_t committed_before = CounterValue(db->get(), "commit.txns_total");
 
-  // The next WAL fsync fails — whichever group issues it. Later groups hit
-  // the sticky error, so every concurrent member must come back non-OK.
-  env.FailNthSync(1);
-
-  std::atomic<int> commit_errors{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&, t] {
-      auto txn = (*db)->Begin("member");
-      ASSERT_TRUE(txn.ok());
-      Status st = (*db)->Insert(*txn, "t", {VB(t), VS("x")});
-      if (st.ok()) st = (*db)->Commit(*txn);
-      if (!st.ok()) {
-        commit_errors++;
-        (*db)->Abort(*txn);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(commit_errors.load(), kThreads);
-  EXPECT_EQ(CounterValue(db->get(), "commit.txns_total"), committed_before);
+  // The held leader's fsync is the first and succeeds; the followers'
+  // group issues the second, which fails. Every member of that group must
+  // come back non-OK, as must any follower that hit the sticky error.
+  env.FailNthSync(2);
+  std::vector<Status> results =
+      CommitBehindHeldLeader(db->get(), &env, kFollowers);
+  EXPECT_TRUE(results[0].ok()) << results[0].ToString();
+  for (int i = 1; i <= kFollowers; i++) EXPECT_FALSE(results[i].ok()) << i;
+  EXPECT_EQ(CounterValue(db->get(), "commit.txns_total"), committed_before + 1);
+  EXPECT_GE((*db)->MetricsSnapshot().histograms["commit.group_size"].max, 2u);
 
   // Sticky: the env is healthy again but the WAL stays poisoned. A failed
   // commit leaves the transaction active; abort it explicitly so the
@@ -286,39 +356,29 @@ TEST_F(GroupCommitTest, AbortedTransactionsAreCounted) {
 // ---- group counters + one fsync per group ----
 
 TEST_F(GroupCommitTest, GroupOfTwoSharesOneFsync) {
-  FaultInjectionEnv env;
-  CommitOptions commit;
-  commit.max_group_size = 2;
-  // Generous linger: the leader seals as soon as the second member
-  // arrives, so the full wait is only ever paid on a pathological
-  // scheduling stall.
-  commit.max_group_wait_micros = 2000000;
-  auto db = LedgerDatabase::Open(MakeOptions("db", &env, commit));
+  HoldSyncEnv env;
+  auto db = LedgerDatabase::Open(MakeOptions("db", &env));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE(
       (*db)->CreateTable("t", SimpleUserSchema(), TableKind::kAppendOnly).ok());
 
   MetricsSnapshot before = (*db)->MetricsSnapshot();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 2; t++) {
-    threads.emplace_back([&, t] {
-      EXPECT_TRUE(InsertOne(db->get(), "t", t, "pair").ok());
-    });
-  }
-  for (auto& th : threads) th.join();
+  for (const Status& st : CommitBehindHeldLeader(db->get(), &env, 2))
+    EXPECT_TRUE(st.ok()) << st.ToString();
 
   MetricsSnapshot after = (*db)->MetricsSnapshot();
+  // The held leader's group of one, then the pair as one group.
   EXPECT_EQ(after.counters["commit.group_txns_total"] -
                 before.counters["commit.group_txns_total"],
-            2u);
+            3u);
   EXPECT_EQ(after.counters["commit.groups_total"] -
                 before.counters["commit.groups_total"],
-            1u);
+            2u);
   EXPECT_EQ(after.histograms["commit.group_size"].max, 2u);
   // One batched fsync for the pair — the whole point of group commit.
   EXPECT_EQ(after.counters["wal.syncs_total"] -
                 before.counters["wal.syncs_total"],
-            1u);
+            2u);
 }
 
 }  // namespace
