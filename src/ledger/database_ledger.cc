@@ -163,6 +163,11 @@ uint64_t DatabaseLedger::queue_depth() const {
   return queue_.size();
 }
 
+int64_t DatabaseLedger::last_commit_ts() const {
+  MutexLock lock(&mu_);
+  return last_commit_ts_;
+}
+
 uint64_t DatabaseLedger::total_entries() const {
   MutexLock lock(&mu_);
   return total_entries_;
@@ -392,21 +397,6 @@ Status DatabaseLedger::LoadFromTables() {
   return Status::OK();
 }
 
-std::vector<TransactionEntry> DatabaseLedger::PendingEntries() const {
-  MutexLock lock(&mu_);
-  std::vector<TransactionEntry> out = open_entries_;
-  for (const TransactionEntry& e : queue_) {
-    bool seen = false;
-    for (const TransactionEntry& o : out) {
-      if (o.txn_id == e.txn_id) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) out.push_back(e);
-  }
-  return out;
-}
 
 std::vector<TransactionEntry> DatabaseLedger::AllEntriesLocked() const {
   std::vector<TransactionEntry> out;

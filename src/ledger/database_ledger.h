@@ -115,9 +115,8 @@ class DatabaseLedger {
   uint64_t total_entries() const;
   uint64_t block_size() const { return options_.block_size; }
 
-  /// Entries of the still-open block plus undrained queue entries, used by
-  /// the verifier so verification covers the most recent transactions.
-  std::vector<TransactionEntry> PendingEntries() const;
+  /// Commit timestamp of the newest appended transaction (0 if none).
+  int64_t last_commit_ts() const;
 
   /// Every entry persisted in the transactions system table. Call
   /// DrainQueue first for a complete picture.

@@ -9,13 +9,10 @@ Result<GeoGatedDigest> GenerateGeoGatedDigest(
   if (ledger == nullptr)
     return Status::NotSupported("ledger is disabled for this database");
 
-  // Compare the newest pending commit timestamp against the replica's
-  // high-water mark. Everything already inside closed blocks was committed
-  // earlier, so the pending tail bounds the exposure.
-  int64_t last_commit = 0;
-  for (const TransactionEntry& e : ledger->PendingEntries()) {
-    if (e.commit_ts_micros > last_commit) last_commit = e.commit_ts_micros;
-  }
+  // Compare the newest commit timestamp against the replica's high-water
+  // mark. The digest covers every commit so far, including those in blocks
+  // already closed and drained, so the newest one bounds the exposure.
+  const int64_t last_commit = ledger->last_commit_ts();
 
   int64_t lag = last_commit - replica.replicated_through();
   if (lag < 0) lag = 0;

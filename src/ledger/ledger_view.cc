@@ -4,40 +4,25 @@
 
 namespace sqlledger {
 
-namespace {
-Row VisibleValues(const Schema& schema, const Row& row) {
-  Row out;
-  for (size_t ord : schema.VisibleOrdinals()) out.push_back(row[ord]);
-  return out;
-}
-
-void AppendVersionOps(const LedgerTableRef& t, const Schema& schema,
-                      const Row& row, bool include_delete,
-                      std::vector<LedgerViewRow>* out) {
-  const Value& start_txn = row[t.start_txn_ord];
-  if (!start_txn.is_null()) {
-    LedgerViewRow v;
-    v.values = VisibleValues(schema, row);
-    v.operation = "INSERT";
-    v.transaction_id = static_cast<uint64_t>(start_txn.AsInt64());
-    v.sequence_number =
-        static_cast<uint64_t>(row[t.start_seq_ord].AsInt64());
-    out->push_back(std::move(v));
-  }
-  if (include_delete && t.end_txn_ord >= 0) {
-    const Value& end_txn = row[t.end_txn_ord];
+void ForEachRowVersion(
+    const LedgerTableRef& table, bool history,
+    const std::function<void(const Row&, RowOp, uint64_t, uint64_t)>& fn) {
+  const TableStore* store = history ? table.history : table.main;
+  for (BTree::Iterator it = store->Scan(); it.Valid(); it.Next()) {
+    const Row& row = it.value();
+    const Value& start_txn = row[table.start_txn_ord];
+    if (!start_txn.is_null()) {
+      fn(row, RowOp::kInsert, static_cast<uint64_t>(start_txn.AsInt64()),
+         static_cast<uint64_t>(row[table.start_seq_ord].AsInt64()));
+    }
+    if (!history) continue;
+    const Value& end_txn = row[table.end_txn_ord];
     if (!end_txn.is_null()) {
-      LedgerViewRow v;
-      v.values = VisibleValues(schema, row);
-      v.operation = "DELETE";
-      v.transaction_id = static_cast<uint64_t>(end_txn.AsInt64());
-      v.sequence_number =
-          static_cast<uint64_t>(row[t.end_seq_ord].AsInt64());
-      out->push_back(std::move(v));
+      fn(row, RowOp::kDelete, static_cast<uint64_t>(end_txn.AsInt64()),
+         static_cast<uint64_t>(row[table.end_seq_ord].AsInt64()));
     }
   }
 }
-}  // namespace
 
 Result<std::vector<LedgerViewRow>> BuildLedgerView(
     const LedgerTableRef& table) {
@@ -46,17 +31,16 @@ Result<std::vector<LedgerViewRow>> BuildLedgerView(
 
   std::vector<LedgerViewRow> out;
   const Schema& schema = table.main->schema();
-  for (BTree::Iterator it = table.main->Scan(); it.Valid(); it.Next()) {
-    // Live versions are never retired, so no DELETE op can exist for them.
-    AppendVersionOps(table, schema, it.value(), /*include_delete=*/false,
-                     &out);
-  }
-  if (table.history != nullptr) {
-    for (BTree::Iterator it = table.history->Scan(); it.Valid(); it.Next()) {
-      AppendVersionOps(table, schema, it.value(), /*include_delete=*/true,
-                       &out);
-    }
-  }
+  auto add = [&](const Row& row, RowOp op, uint64_t txn, uint64_t seq) {
+    LedgerViewRow v;
+    for (size_t ord : schema.VisibleOrdinals()) v.values.push_back(row[ord]);
+    v.operation = op == RowOp::kInsert ? "INSERT" : "DELETE";
+    v.transaction_id = txn;
+    v.sequence_number = seq;
+    out.push_back(std::move(v));
+  };
+  ForEachRowVersion(table, /*history=*/false, add);
+  if (table.history != nullptr) ForEachRowVersion(table, /*history=*/true, add);
   std::sort(out.begin(), out.end(),
             [](const LedgerViewRow& a, const LedgerViewRow& b) {
               if (a.transaction_id != b.transaction_id)

@@ -4,8 +4,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
-
 
 #include "catalog/row.h"
 #include "crypto/merkle.h"
@@ -33,37 +31,6 @@ struct VersionItem {
   uint64_t seq = 0;
 };
 
-/// Collects the row versions contributed by one physical store of a ledger
-/// table: the main store yields one INSERT version per row; the history
-/// store yields the original INSERT plus the retiring DELETE per row — the
-/// equivalent of the paper's LEDGERHASH + MERKLETREEAGG GROUP BY
-/// Transaction ID query (§3.4.2), split per store so scans partition
-/// across the thread pool.
-void CollectStoreVersions(const LedgerTableRef& table, bool from_history,
-                          std::vector<VersionItem>* out) {
-  out->reserve(out->size() + (from_history ? 2 * table.history->row_count()
-                                           : table.main->row_count()));
-  auto add = [&](const Row& row, bool as_delete) {
-    int txn_ord = as_delete ? table.end_txn_ord : table.start_txn_ord;
-    int seq_ord = as_delete ? table.end_seq_ord : table.start_seq_ord;
-    const Value& txn_val = row[txn_ord];
-    if (txn_val.is_null()) return;
-    out->push_back(VersionItem{
-        &row, as_delete ? RowOp::kDelete : RowOp::kInsert,
-        static_cast<uint64_t>(txn_val.AsInt64()),
-        static_cast<uint64_t>(row[seq_ord].AsInt64())});
-  };
-  if (from_history) {
-    for (BTree::Iterator it = table.history->Scan(); it.Valid(); it.Next()) {
-      add(it.value(), /*as_delete=*/false);
-      add(it.value(), /*as_delete=*/true);
-    }
-  } else {
-    for (BTree::Iterator it = table.main->Scan(); it.Valid(); it.Next())
-      add(it.value(), /*as_delete=*/false);
-  }
-}
-
 Hash256 RootOfLeaves(std::vector<VersionLeaf>* leaves) {
   std::sort(leaves->begin(), leaves->end(),
             [](const VersionLeaf& a, const VersionLeaf& b) {
@@ -73,6 +40,16 @@ Hash256 RootOfLeaves(std::vector<VersionLeaf>* leaves) {
   for (const VersionLeaf& l : *leaves) builder.AddLeafHash(l.leaf);
   return builder.Root();
 }
+
+/// Heterogeneous (entry, block id) ordering for searching `by_block`.
+struct BlockIdLess {
+  bool operator()(const TransactionEntry* e, uint64_t id) const {
+    return e->block_id < id;
+  }
+  bool operator()(uint64_t id, const TransactionEntry* e) const {
+    return id < e->block_id;
+  }
+};
 
 bool InTruncatedRange(const std::vector<TruncationRecord>& truncations,
                       uint64_t txn_id) {
@@ -254,14 +231,19 @@ Result<VerificationReport> VerifyLedgerCore(
 
   // Index the snapshot's transaction entries without copying them. The
   // by-block index keeps every physical row (a tampered duplicate txn id
-  // must still distort its block's recomputed root); the by-txn index
-  // dedupes, keeping the last occurrence — the overwrite semantics the
-  // previous std::map<txn_id, entry> index had. The snapshot scan is keyed
-  // by txn id, so the sort below is a no-op on untampered data.
+  // must still distort its block's recomputed root), ordered by (block id,
+  // ordinal) so each block's entries are one run in leaf order; the by-txn
+  // index dedupes, keeping the last occurrence. The snapshot scan is keyed
+  // by txn id, so the txn sort below is a no-op on untampered data.
   const std::vector<TransactionEntry> entries = std::move(snapshot.entries);
-  std::map<uint64_t, std::vector<const TransactionEntry*>> entries_by_block;
-  for (const TransactionEntry& e : entries)
-    entries_by_block[e.block_id].push_back(&e);
+  std::vector<const TransactionEntry*> by_block;
+  by_block.reserve(entries.size());
+  for (const TransactionEntry& e : entries) by_block.push_back(&e);
+  std::sort(by_block.begin(), by_block.end(),
+            [](const TransactionEntry* a, const TransactionEntry* b) {
+              if (a->block_id != b->block_id) return a->block_id < b->block_id;
+              return a->block_ordinal < b->block_ordinal;
+            });
   std::vector<const TransactionEntry*> txn_index;
   txn_index.reserve(entries.size());
   for (const TransactionEntry& e : entries) txn_index.push_back(&e);
@@ -350,6 +332,8 @@ Result<VerificationReport> VerifyLedgerCore(
   // fallback. Fresh blocks hash exactly as in a full run.
   const uint64_t new_watermark =
       report.has_digest_coverage ? report.highest_digest_block : 0;
+  const bool refresh_watermark =
+      out_state != nullptr && report.has_digest_coverage;
   uint64_t trusted_entry_count = 0, trusted_entry_fp = 0;
   uint64_t refreshed_entry_count = 0, refreshed_entry_fp = 0;
   // Duplicate txn ids (impossible without tampering — the system table is
@@ -357,27 +341,23 @@ Result<VerificationReport> VerifyLedgerCore(
   // then cannot match a state recorded over unique entries, so the run
   // falls back and the full pass attributes the damage.
   const bool entries_unique = entries.size() == txn_index.size();
-  std::vector<const TransactionEntry*> flat_entries;
-  flat_entries.reserve(txn_index.size());
+  auto trusted_block = [&](uint64_t block_id) {
+    return trusted_active && entries_unique && block_id <= watermark;
+  };
   for (const TransactionEntry* e : txn_index) {
-    const bool trusted_entry =
-        trusted_active && entries_unique && e->block_id <= watermark;
-    const bool refresh_entry = out_state != nullptr &&
-                               report.has_digest_coverage &&
-                               e->block_id <= new_watermark;
-    if (trusted_entry || refresh_entry) {
-      uint64_t fp = MixEntryFingerprint(*e);
-      if (refresh_entry) {
-        refreshed_entry_count++;
-        refreshed_entry_fp ^= fp;
-      }
-      if (trusted_entry) {
-        trusted_entry_count++;
-        trusted_entry_fp ^= fp;
-        continue;  // no leaf hash needed: its block's root check is skipped
-      }
+    const bool trusted_entry = trusted_block(e->block_id);
+    const bool refresh_entry =
+        refresh_watermark && e->block_id <= new_watermark;
+    if (!trusted_entry && !refresh_entry) continue;
+    const uint64_t fp = MixEntryFingerprint(*e);
+    if (refresh_entry) {
+      refreshed_entry_count++;
+      refreshed_entry_fp ^= fp;
     }
-    flat_entries.push_back(e);
+    if (trusted_entry) {
+      trusted_entry_count++;
+      trusted_entry_fp ^= fp;
+    }
   }
   if (trusted_active && (trusted_entry_count != state->entry_count ||
                          trusted_entry_fp != state->entry_fingerprint)) {
@@ -385,18 +365,18 @@ Result<VerificationReport> VerifyLedgerCore(
         "transaction-entry accumulator mismatch for the verified prefix";
     return report;
   }
-  std::vector<Hash256> flat_entry_leaves(flat_entries.size());
+  // Each physical entry's leaf, indexed like `entries`. Trusted-prefix
+  // entries need none: their blocks' root check is skipped below.
+  std::vector<Hash256> entry_leaves(entries.size());
   ParallelFor(
-      pool, flat_entries.size(),
+      pool, entries.size(),
       [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; i++)
-          flat_entry_leaves[i] = flat_entries[i]->LeafHash();
+        for (size_t i = begin; i < end; i++) {
+          if (!trusted_block(entries[i].block_id))
+            entry_leaves[i] = entries[i].LeafHash();
+        }
       },
       /*min_chunk=*/128);
-  std::unordered_map<uint64_t, const Hash256*> entry_leaf_by_txn;
-  entry_leaf_by_txn.reserve(flat_entries.size());
-  for (size_t i = 0; i < flat_entries.size(); i++)
-    entry_leaf_by_txn[flat_entries[i]->txn_id] = &flat_entry_leaves[i];
 
   std::vector<std::optional<Violation>> block_root_violations(blocks.size());
   ParallelFor(pool, blocks.size(), [&](size_t begin, size_t end) {
@@ -404,24 +384,17 @@ Result<VerificationReport> VerifyLedgerCore(
       const BlockRecord& block = blocks[bi];
       // Trusted prefix: covered by the re-anchor + entry accumulator above
       // (whose skip is disabled alongside this one when txn ids collide).
-      if (trusted_active && entries_unique && block.block_id <= watermark)
-        continue;
-      auto it = entries_by_block.find(block.block_id);
-      std::vector<const TransactionEntry*> block_entries =
-          it == entries_by_block.end()
-              ? std::vector<const TransactionEntry*>{}
-              : it->second;
-      std::sort(block_entries.begin(), block_entries.end(),
-                [](const TransactionEntry* a, const TransactionEntry* b) {
-                  return a->block_ordinal < b->block_ordinal;
-                });
-      bool ordinals_ok = block_entries.size() == block.transaction_count;
-      for (size_t i = 0; ordinals_ok && i < block_entries.size(); i++) {
-        if (block_entries[i]->block_ordinal != i) ordinals_ok = false;
+      if (trusted_block(block.block_id)) continue;
+      auto [first, last] = std::equal_range(by_block.begin(), by_block.end(),
+                                            block.block_id, BlockIdLess{});
+      const size_t n = static_cast<size_t>(last - first);
+      bool ordinals_ok = n == block.transaction_count;
+      for (size_t i = 0; ordinals_ok && i < n; i++) {
+        if (first[i]->block_ordinal != i) ordinals_ok = false;
       }
       MerkleBuilder tree;
-      for (const TransactionEntry* e : block_entries)
-        tree.AddLeafHash(*entry_leaf_by_txn.at(e->txn_id));
+      for (auto it = first; it != last; ++it)
+        tree.AddLeafHash(entry_leaves[*it - entries.data()]);
       if (!ordinals_ok ||
           !ConstantTimeEqual(tree.Root(), block.transactions_root)) {
         block_root_violations[bi] =
@@ -435,12 +408,17 @@ Result<VerificationReport> VerifyLedgerCore(
   // Entries must belong to a block that exists (pending blocks excluded).
   // Compare against the snapshot's open-block id, not the live one: blocks
   // closed after the snapshot must not un-exempt entries it captured.
-  for (const auto& [block_id, block_entries] : entries_by_block) {
+  for (auto run = by_block.begin(); run != by_block.end();) {
+    const uint64_t block_id = (*run)->block_id;
+    auto run_end = std::upper_bound(run, by_block.end(), block_id,
+                                    BlockIdLess{});
+    const size_t n = static_cast<size_t>(run_end - run);
+    run = run_end;
     if (block_id >= snapshot.open_block_id) continue;  // not yet closed
     if (find_block(block_id) != blocks.size()) continue;
     report.violations.push_back(
-        {3, std::to_string(block_entries.size()) +
-                " transaction(s) reference block " + std::to_string(block_id) +
+        {3, std::to_string(n) + " transaction(s) reference block " +
+                std::to_string(block_id) +
                 " which is not present in the ledger"});
   }
 
@@ -494,11 +472,21 @@ Result<VerificationReport> VerifyLedgerCore(
     if (tables_to_check[i]->ref.history != nullptr)
       scan_tasks.push_back({i, true});
   }
+  // Each scan is the paper's LEDGERHASH + MERKLETREEAGG GROUP BY
+  // Transaction ID query (§3.4.2) over one store, over exactly the version
+  // set the ledger view exposes.
   std::vector<std::vector<VersionItem>> scan_results(scan_tasks.size());
   ParallelFor(pool, scan_tasks.size(), [&](size_t begin, size_t end) {
     for (size_t t = begin; t < end; t++) {
-      CollectStoreVersions(tables_to_check[scan_tasks[t].table_idx]->ref,
-                           scan_tasks[t].history, &scan_results[t]);
+      const LedgerTableRef& ref = tables_to_check[scan_tasks[t].table_idx]->ref;
+      std::vector<VersionItem>& out = scan_results[t];
+      out.reserve(scan_tasks[t].history ? 2 * ref.history->row_count()
+                                        : ref.main->row_count());
+      ForEachRowVersion(ref, scan_tasks[t].history,
+                        [&](const Row& row, RowOp op, uint64_t txn,
+                            uint64_t seq) {
+                          out.push_back(VersionItem{&row, op, txn, seq});
+                        });
     }
   });
 
@@ -517,12 +505,6 @@ Result<VerificationReport> VerifyLedgerCore(
     uint64_t count = 0;
     uint64_t fingerprint = 0;
   };
-  std::unordered_map<uint64_t, uint64_t> entry_block_by_txn;
-  if (trusted_active || out_state != nullptr) {
-    entry_block_by_txn.reserve(txn_index.size());
-    for (const TransactionEntry* e : txn_index)
-      entry_block_by_txn[e->txn_id] = e->block_id;
-  }
   std::vector<RowVersionHashJob> jobs;
   std::vector<ItemRef> refs;
   std::vector<uint64_t> versions_per_table(tables_to_check.size(), 0);
@@ -533,13 +515,14 @@ Result<VerificationReport> VerifyLedgerCore(
     const LedgerTableRef& ref = tables_to_check[table_idx]->ref;
     const Schema* schema = &ref.main->schema();
     for (const VersionItem& item : scan_results[t]) {
+      // Only a watermark check or refresh needs the version's entry block;
+      // a plain full run skips the lookup.
       uint64_t entry_block = UINT64_MAX;  // no recorded transaction entry
-      if (trusted_active || out_state != nullptr) {
-        auto it = entry_block_by_txn.find(item.txn);
-        if (it != entry_block_by_txn.end()) entry_block = it->second;
+      if (trusted_active || refresh_watermark) {
+        const TransactionEntry* e = find_entry(item.txn);
+        if (e != nullptr) entry_block = e->block_id;
       }
-      if (out_state != nullptr && report.has_digest_coverage &&
-          entry_block <= new_watermark) {
+      if (refresh_watermark && entry_block <= new_watermark) {
         TableAccValue& acc = refreshed_acc[table_idx];
         acc.count++;
         acc.fingerprint ^= MixVersionFingerprint(item.txn, item.seq,
@@ -694,32 +677,16 @@ Result<VerificationReport> VerifyLedgerCore(
 
       // Ledger view definition check (§3.4.2): the generated view must
       // expose exactly one INSERT per version plus one DELETE per retired
-      // version.
+      // version. The view is built from the same ForEachRowVersion scans
+      // phase 1 ran, so its size is the number of versions collected for
+      // the table, trusted or hashed; no need to materialize it.
       uint64_t expected = entry->main->row_count();
       if (entry->history != nullptr)
         expected += 2 * entry->history->row_count();
-      if (trusted_active) {
-        // Count without materializing: BuildLedgerView emits one view row
-        // per non-null start/end transaction stamp — exactly the predicate
-        // CollectStoreVersions used in phase 1 — so the view's size equals
-        // the number of versions collected for the table (trusted or not).
-        uint64_t view_rows = trusted_acc[i].count + versions_per_table[i];
-        if (view_rows != expected) {
-          out.violations.push_back(
-              {6, "ledger view for '" + entry->name +
-                      "' does not reflect the underlying row versions"});
-        }
-      } else {
-        auto view = BuildLedgerView(entry->ref);
-        if (!view.ok()) {
-          out.violations.push_back(
-              {6, "ledger view for '" + entry->name +
-                      "' failed to build: " + view.status().ToString()});
-        } else if (view->size() != expected) {
-          out.violations.push_back(
-              {6, "ledger view for '" + entry->name +
-                      "' does not reflect the underlying row versions"});
-        }
+      if (trusted_acc[i].count + versions_per_table[i] != expected) {
+        out.violations.push_back(
+            {6, "ledger view for '" + entry->name +
+                    "' does not reflect the underlying row versions"});
       }
     }
   });

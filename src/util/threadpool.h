@@ -1,6 +1,6 @@
-// Minimal fixed-size thread pool used to parallelize ledger verification
-// across tables (the paper leans on SQL Server's parallel query execution
-// for the same purpose, §3.4.2).
+// Minimal fixed-size thread pool used to parallelize ledger verification,
+// splitting the work within tables as well as across them (the paper leans
+// on SQL Server's parallel query execution for the same purpose, §3.4.2).
 
 #ifndef SQLLEDGER_UTIL_THREADPOOL_H_
 #define SQLLEDGER_UTIL_THREADPOOL_H_
@@ -46,12 +46,6 @@ class ThreadPool {
     cv_.Signal();
   }
 
-  /// Blocks until every submitted task has finished.
-  void Wait() {
-    MutexLock lock(&mu_);
-    while (!queue_.empty() || running_ != 0) idle_cv_.Wait(&mu_);
-  }
-
   size_t worker_count() const { return workers_.size(); }
 
  private:
@@ -64,32 +58,24 @@ class ThreadPool {
         if (stop_ && queue_.empty()) return;
         task = std::move(queue_.front());
         queue_.pop_front();
-        running_++;
       }
       task();
-      {
-        MutexLock lock(&mu_);
-        running_--;
-        if (queue_.empty() && running_ == 0) idle_cv_.SignalAll();
-      }
     }
   }
 
   Mutex mu_;
   CondVar cv_;
-  CondVar idle_cv_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
-  size_t running_ GUARDED_BY(mu_) = 0;
   bool stop_ GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;  // written only in the constructor
 };
 
 /// Runs fn(begin, end) over contiguous chunks of [0, n), distributed across
-/// the pool, and blocks until every chunk has finished. Uses its own
-/// completion latch rather than ThreadPool::Wait so several ParallelFor
-/// phases can share one pool. `pool == nullptr` — or a range too small to be
-/// worth splitting (< 2 * min_chunk) — runs inline on the caller. Must be
-/// called from outside the pool's workers (the caller blocks).
+/// the pool, and blocks until every chunk has finished, counting them down
+/// on its own latch so several ParallelFor phases can share one pool.
+/// `pool == nullptr` — or a range too small to be worth splitting
+/// (< 2 * min_chunk) — runs inline on the caller. Must be called from
+/// outside the pool's workers (the caller blocks).
 inline void ParallelFor(ThreadPool* pool, size_t n,
                         const std::function<void(size_t, size_t)>& fn,
                         size_t min_chunk = 1) {

@@ -57,6 +57,21 @@ TEST_F(GeoReplicationTest, LaggingReplicaDefersDigest) {
   ASSERT_TRUE(gated.ok()) << gated.status().ToString();
 }
 
+TEST_F(GeoReplicationTest, ClosedAndDrainedBlockStillGated) {
+  // Fill block 0 exactly so it closes on its own, then drain the queue
+  // (verification does): no commit is pending any more, yet none of them
+  // is replicated, so the digest must still be deferred.
+  int64_t id = 0;
+  while (db_->database_ledger()->open_block_id() == 0) CommitOne(id++);
+  ASSERT_EQ(db_->database_ledger()->open_block_entry_count(), 0u);
+  ASSERT_TRUE(VerifyLedger(db_.get(), {}).ok());
+  ASSERT_EQ(db_->database_ledger()->queue_depth(), 0u);
+  GeoDigestOptions options;
+  options.max_lag_micros = 10;
+  auto gated = GenerateGeoGatedDigest(db_.get(), replica_, options);
+  EXPECT_EQ(gated.status().code(), StatusCode::kBusy);
+}
+
 TEST_F(GeoReplicationTest, ModerateLagIssuesDigestWithAlert) {
   int64_t ts = CommitOne(1);
   replica_.AdvanceTo(ts - 700);  // 700us behind

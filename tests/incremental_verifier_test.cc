@@ -495,6 +495,33 @@ TEST_F(IncrementalVerifierTest, TamperAfterWatermarkCaughtWithoutFallback) {
   ExpectEquivalent(*full, *inc, "tamper past watermark");
 }
 
+TEST_F(IncrementalVerifierTest, NulledStartStampMatchesFullRun) {
+  // The view-definition check (invariant 6) counts versions. Past the
+  // watermark the incremental pass counts them itself; inside the verified
+  // prefix the accumulator mismatch forces the full pass. Both must agree
+  // with a full run.
+  auto db = OpenWithAccounts("null_stamp", 8);
+  ASSERT_NE(db, nullptr);
+  std::vector<DatabaseDigest> trusted;
+  SeedWatermark(db.get(), &trusted);
+  InsertAccounts(db.get(), 4);
+  auto ref = db->GetTableRef("accounts");
+  for (const char* key : {"acct10", "acct2"}) {
+    SCOPED_TRACE(key);
+    Row* row = ref->main->mutable_clustered()->MutableGet({VS(key)});
+    ASSERT_NE(row, nullptr);
+    (*row)[ref->start_txn_ord] = Value::Null(DataType::kBigInt);
+    auto full = VerifyLedger(db.get(), WithAnchors(db.get(), trusted));
+    ASSERT_TRUE(full.ok());
+    ASSERT_FALSE(full->violations.empty());
+    EXPECT_EQ(full->violations.back().invariant, 6);
+    auto inc = VerifyLedgerIncremental(db.get(), trusted);
+    ASSERT_TRUE(inc.ok());
+    EXPECT_EQ(inc->fell_back_to_full, std::string(key) == "acct2");
+    ExpectEquivalent(*full, *inc, key);
+  }
+}
+
 TEST_F(IncrementalVerifierTest, ContentFlipInPrefixIsTheDocumentedBlindSpot) {
   // DESIGN.md §11: the accumulator fingerprints version *structure*
   // (txn, sequence, operation), not cell contents. A content-only flip on

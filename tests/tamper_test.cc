@@ -271,5 +271,18 @@ TEST_F(TamperTest, LedgerViewCountMismatchDetected) {
   EXPECT_FALSE(violations.empty());
 }
 
+TEST_F(TamperTest, NulledStartStampBreaksViewDefinition) {
+  // Erase acct5's inserting transaction from the row: the view loses its
+  // INSERT (invariant 6) and that transaction's recorded root finds no
+  // row versions (invariant 4).
+  auto ref = db_->GetTableRef("accounts");
+  Row* row = ref->main->mutable_clustered()->MutableGet({VS("acct5")});
+  ASSERT_NE(row, nullptr);
+  (*row)[ref->start_txn_ord] = Value::Null(DataType::kBigInt);
+  auto violations = Verify();
+  EXPECT_TRUE(HasInvariant(violations, 6));
+  EXPECT_TRUE(HasInvariant(violations, 4));
+}
+
 }  // namespace
 }  // namespace sqlledger
