@@ -1,5 +1,6 @@
 #include "ledger/database_ledger.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -150,17 +151,12 @@ uint64_t DatabaseLedger::open_block_id() const {
 
 uint64_t DatabaseLedger::open_block_entry_count() const {
   MutexLock lock(&mu_);
-  return open_entries_.size();
+  return open_tree_.leaf_count();
 }
 
 uint64_t DatabaseLedger::closed_block_count() const {
   MutexLock lock(&mu_);
   return blocks_table_->row_count();
-}
-
-uint64_t DatabaseLedger::queue_depth() const {
-  MutexLock lock(&mu_);
-  return queue_.size();
 }
 
 int64_t DatabaseLedger::last_commit_ts() const {
@@ -170,7 +166,7 @@ int64_t DatabaseLedger::last_commit_ts() const {
 
 uint64_t DatabaseLedger::total_entries() const {
   MutexLock lock(&mu_);
-  return total_entries_;
+  return transactions_table_->row_count();
 }
 
 std::vector<std::pair<uint64_t, uint64_t>> DatabaseLedger::AssignSlots(
@@ -203,38 +199,39 @@ Status DatabaseLedger::Append(TransactionEntry entry) {
   MutexLock lock(&mu_);
   if (entry.block_id != open_block_id_)
     return Status::Internal("entry assigned to non-open block");
-  last_commit_ts_ = entry.commit_ts_micros;
-  if (append_log_enabled_) append_log_.push_back(entry);
-  open_entries_.push_back(entry);
-  queue_.push_back(std::move(entry));
-  total_entries_++;
-  if (open_entries_.size() >= options_.block_size)
+  return AppendLocked(std::move(entry));
+}
+
+Status DatabaseLedger::AppendLocked(TransactionEntry entry) {
+  SL_RETURN_IF_ERROR(transactions_table_->Insert(TransactionEntryToRow(entry)));
+  // The leaf is hashed from the entry as committed, never re-read from the
+  // table, so a row edited while its block is open cannot move the root.
+  // Entries arrive in ordinal order (AssignSlots, ordered WAL replay).
+  open_tree_.AddLeafHash(entry.LeafHash());
+  open_close_ts_ = entry.commit_ts_micros;
+  last_commit_ts_ = std::max(last_commit_ts_, entry.commit_ts_micros);
+  if (append_log_enabled_) append_log_.push_back(std::move(entry));
+  if (open_tree_.leaf_count() >= options_.block_size)
     return CloseOpenBlockLocked();
   return Status::OK();
 }
 
 Status DatabaseLedger::CloseOpenBlockLocked() {
-  // Merkle root over the entries in ordinal order; AssignSlots/Append keep
-  // open_entries_ ordinal-ordered by construction.
-  MerkleBuilder tree;
-  for (const TransactionEntry& e : open_entries_)
-    tree.AddLeafHash(e.LeafHash());
-
   BlockRecord block;
   block.block_id = open_block_id_;
   block.previous_block_hash = last_block_hash_;
-  block.transactions_root = tree.Root();
-  block.transaction_count = open_entries_.size();
-  // Deterministic close timestamp (last entry's commit time, 0 for an
-  // empty block) so a crash-recovery replay reproduces the identical block
-  // hash that escaped in digests.
-  block.closed_ts_micros =
-      open_entries_.empty() ? 0 : open_entries_.back().commit_ts_micros;
+  block.transactions_root = open_tree_.Root();
+  block.transaction_count = open_tree_.leaf_count();
+  // Deterministic close timestamp (highest-ordinal entry's commit time, 0
+  // for an empty block) so a crash-recovery replay reproduces the
+  // identical block hash that escaped in digests.
+  block.closed_ts_micros = open_close_ts_;
 
   SL_RETURN_IF_ERROR(blocks_table_->Insert(BlockRecordToRow(block)));
   last_block_hash_ = block.ComputeHash();
   open_block_id_++;
-  open_entries_.clear();
+  open_tree_.Reset();
+  open_close_ts_ = 0;
   // A digest-driven close of a partially filled block abandons the rest of
   // the block's ordinals: pull the assign position forward to the new open
   // block. A close driven by appends catching up with a batch assignment
@@ -252,7 +249,7 @@ Result<DatabaseDigest> DatabaseLedger::GenerateDigest(
   MutexLock lock(&mu_);
   // Close the open block so the digest covers the most recent transactions;
   // a pristine database materializes an initial empty block.
-  if (!open_entries_.empty() || blocks_table_->row_count() == 0) {
+  if (!open_tree_.empty() || blocks_table_->row_count() == 0) {
     SL_RETURN_IF_ERROR(CloseOpenBlockLocked());
   }
   DatabaseDigest digest;
@@ -293,29 +290,11 @@ Result<bool> DatabaseLedger::VerifyDigestChain(
   return false;  // ran off the end before reaching `newer`
 }
 
-Status DatabaseLedger::DrainQueue() {
-  MutexLock lock(&mu_);
-  while (!queue_.empty()) {
-    const TransactionEntry& entry = queue_.front();
-    Status st = transactions_table_->Insert(TransactionEntryToRow(entry));
-    if (!st.ok() && st.code() != StatusCode::kAlreadyExists) return st;
-    queue_.pop_front();
-  }
-  return Status::OK();
-}
-
 Status DatabaseLedger::RecoverEntry(const TransactionEntry& entry) {
   MutexLock lock(&mu_);
   KeyTuple key{Value::BigInt(static_cast<int64_t>(entry.txn_id))};
-  bool persisted = transactions_table_->Get(key) != nullptr;
-  bool in_open_block = false;
-  for (const TransactionEntry& e : open_entries_) {
-    if (e.txn_id == entry.txn_id) {
-      in_open_block = true;
-      break;
-    }
-  }
-  if (persisted || in_open_block) return Status::OK();  // idempotent replay
+  if (transactions_table_->Get(key) != nullptr)
+    return Status::OK();  // idempotent replay
 
   // An entry addressed past the open block means the open block was closed
   // (by reaching block_size or by digest generation) before this commit;
@@ -329,19 +308,12 @@ Status DatabaseLedger::RecoverEntry(const TransactionEntry& entry) {
     // the append position exactly; advance both in lockstep.
     if (entry.block_ordinal != assign_ordinal_)
       return Status::Corruption("WAL replay: ordinal gap in open block");
-    last_commit_ts_ = entry.commit_ts_micros;
-    if (append_log_enabled_) append_log_.push_back(entry);
-    open_entries_.push_back(entry);
-    queue_.push_back(entry);
-    total_entries_++;
     assign_ordinal_++;
     if (assign_ordinal_ >= options_.block_size) {
       assign_block_id_++;
       assign_ordinal_ = 0;
     }
-    if (open_entries_.size() >= options_.block_size)
-      return CloseOpenBlockLocked();
-    return Status::OK();
+    return AppendLocked(entry);
   }
   return Status::Corruption("WAL replay: entry for unexpected block " +
                             std::to_string(entry.block_id));
@@ -374,14 +346,11 @@ Status DatabaseLedger::LoadFromTables() {
   last_block_hash_ = any_block ? last_block.ComputeHash() : Hash256{};
 
   // Entries already persisted that belong to the open block.
-  open_entries_.clear();
-  total_entries_ = 0;
   std::vector<TransactionEntry> open;
   for (BTree::Iterator it = transactions_table_->Scan(); it.Valid();
        it.Next()) {
     auto entry = RowToTransactionEntry(it.value());
     if (!entry.ok()) return entry.status();
-    total_entries_++;
     if (entry->commit_ts_micros > last_commit_ts_)
       last_commit_ts_ = entry->commit_ts_micros;
     if (entry->block_id == open_block_id_) open.push_back(std::move(*entry));
@@ -390,35 +359,30 @@ Status DatabaseLedger::LoadFromTables() {
             [](const TransactionEntry& a, const TransactionEntry& b) {
               return a.block_ordinal < b.block_ordinal;
             });
-  open_entries_ = std::move(open);
+  open_tree_.Reset();
+  for (const TransactionEntry& e : open) open_tree_.AddLeafHash(e.LeafHash());
+  open_close_ts_ = open.empty() ? 0 : open.back().commit_ts_micros;
   assign_block_id_ = open_block_id_;
-  assign_ordinal_ = open_entries_.size();
-  queue_.clear();
+  assign_ordinal_ = open.size();
   return Status::OK();
-}
-
-
-std::vector<TransactionEntry> DatabaseLedger::AllEntriesLocked() const {
-  std::vector<TransactionEntry> out;
-  out.reserve(transactions_table_->row_count());
-  for (BTree::Iterator it = transactions_table_->Scan(); it.Valid();
-       it.Next()) {
-    auto entry = RowToTransactionEntry(it.value());
-    if (entry.ok()) out.push_back(std::move(*entry));
-  }
-  return out;
-}
-
-std::vector<TransactionEntry> DatabaseLedger::AllEntries() const {
-  MutexLock lock(&mu_);
-  return AllEntriesLocked();
 }
 
 DatabaseLedger::LedgerSnapshot DatabaseLedger::Snapshot() const {
   MutexLock lock(&mu_);
   LedgerSnapshot snap;
-  snap.entries = AllEntriesLocked();
-  snap.blocks = AllBlocksLocked();
+  snap.entries.reserve(transactions_table_->row_count());
+  for (BTree::Iterator it = transactions_table_->Scan(); it.Valid();
+       it.Next()) {
+    auto entry = RowToTransactionEntry(it.value());
+    if (entry.ok()) snap.entries.push_back(std::move(*entry));
+  }
+  snap.blocks.reserve(blocks_table_->row_count());
+  for (BTree::Iterator it = blocks_table_->Scan(); it.Valid(); it.Next()) {
+    auto block = RowToBlockRecord(it.value());
+    // Unparsable rows are omitted, like a missing row; the verifier reports
+    // the resulting chain gap via invariants 2/3.
+    if (block.ok()) snap.blocks.push_back(std::move(*block));
+  }
   snap.open_block_id = open_block_id_;
   return snap;
 }
@@ -471,12 +435,6 @@ Status DatabaseLedger::TruncateBelow(uint64_t below_block) {
 
 Result<TransactionEntry> DatabaseLedger::FindEntryLocked(
     uint64_t txn_id) const {
-  for (const TransactionEntry& e : open_entries_) {
-    if (e.txn_id == txn_id) return e;
-  }
-  for (const TransactionEntry& e : queue_) {
-    if (e.txn_id == txn_id) return e;
-  }
   KeyTuple key{Value::BigInt(static_cast<int64_t>(txn_id))};
   const Row* row = transactions_table_->Get(key);
   if (row == nullptr)
@@ -488,23 +446,6 @@ Result<TransactionEntry> DatabaseLedger::FindEntryLocked(
 Result<TransactionEntry> DatabaseLedger::FindEntry(uint64_t txn_id) const {
   MutexLock lock(&mu_);
   return FindEntryLocked(txn_id);
-}
-
-std::vector<BlockRecord> DatabaseLedger::AllBlocksLocked() const {
-  std::vector<BlockRecord> out;
-  out.reserve(blocks_table_->row_count());
-  for (BTree::Iterator it = blocks_table_->Scan(); it.Valid(); it.Next()) {
-    auto block = RowToBlockRecord(it.value());
-    // Unparsable rows are omitted, like a missing row; the verifier reports
-    // the resulting chain gap via invariants 2/3.
-    if (block.ok()) out.push_back(std::move(*block));
-  }
-  return out;
-}
-
-std::vector<BlockRecord> DatabaseLedger::AllBlocks() const {
-  MutexLock lock(&mu_);
-  return AllBlocksLocked();
 }
 
 Result<BlockRecord> DatabaseLedger::FindBlock(uint64_t block_id) const {
@@ -541,34 +482,21 @@ Hash256 DatabaseLedger::last_block_hash() const {
 }
 
 Result<MerkleProof> DatabaseLedger::ProveTransaction(uint64_t txn_id) const {
-  // One critical section for the whole proof: the lookup, the system-table
-  // scan, and the queue sweep must all see the same chain state (a block
-  // close between them would split the entry set across blocks).
+  // One critical section for the whole proof: the lookup and the
+  // system-table scan must see the same chain state.
   MutexLock lock(&mu_);
   auto entry = FindEntryLocked(txn_id);
   if (!entry.ok()) return entry.status();
   if (entry->block_id >= open_block_id_)
     return Status::Busy("transaction's block is not closed yet; generate a "
                         "digest to close it");
-  // Gather the block's entries in ordinal order. They may live in the
-  // system table and/or the undrained queue.
+  // Gather the block's entries in ordinal order.
   std::vector<TransactionEntry> block_entries;
   for (BTree::Iterator it = transactions_table_->Scan(); it.Valid();
        it.Next()) {
     auto e = RowToTransactionEntry(it.value());
     if (!e.ok()) return e.status();
     if (e->block_id == entry->block_id) block_entries.push_back(std::move(*e));
-  }
-  for (const TransactionEntry& e : queue_) {
-    if (e.block_id != entry->block_id) continue;
-    bool seen = false;
-    for (const TransactionEntry& b : block_entries) {
-      if (b.txn_id == e.txn_id) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) block_entries.push_back(e);
   }
   std::sort(block_entries.begin(), block_entries.end(),
             [](const TransactionEntry& a, const TransactionEntry& b) {

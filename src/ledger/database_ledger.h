@@ -1,15 +1,17 @@
 // The Database Ledger (paper §2.2, §3.3): a blockchain of blocks, each
 // holding the Merkle root over up to block_size transaction entries.
 // Transactions and blocks are physically stored as rows in two system
-// tables ("database_ledger_transactions", "database_ledger_blocks"); the
-// commit path only touches in-memory state (slot assignment + queue
-// append), and the queue is drained into the transactions system table at
-// checkpoint time (paper §3.3.2).
+// tables ("database_ledger_transactions", "database_ledger_blocks"), which
+// are in-memory B-trees that reach disk at checkpoint. Append inserts the
+// entry's row directly, so the transactions table is the entry's only
+// in-memory home; the WAL commit record is its durable copy until the next
+// checkpoint. The paper (§3.3.2) instead queues entries in memory and
+// persists them to its system table off the commit path (DESIGN.md
+// decision 1 says why this engine does not need the queue).
 
 #ifndef SQLLEDGER_LEDGER_DATABASE_LEDGER_H_
 #define SQLLEDGER_LEDGER_DATABASE_LEDGER_H_
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -64,9 +66,10 @@ class DatabaseLedger {
   /// the ledger) — otherwise recovery would see an ordinal gap.
   void ReleaseSlots(size_t n);
 
-  /// Appends a committed transaction's entry to the open block and the
-  /// in-memory durability queue, then closes the block if it is full.
-  /// The entry's (block_id, block_ordinal) must come from AssignSlots.
+  /// Inserts a committed transaction's entry into the transactions table,
+  /// streams its leaf hash into the open block's Merkle tree, then closes
+  /// the block if it is full. The entry's (block_id, block_ordinal) must
+  /// come from AssignSlots.
   Status Append(TransactionEntry entry);
 
   // ---- Digest generation (paper §2.2). ----
@@ -87,16 +90,12 @@ class DatabaseLedger {
 
   // ---- Durability integration. ----
 
-  /// Drains the in-memory queue into the transactions system table
-  /// (checkpoint time, paper §3.3.2). Idempotent.
-  Status DrainQueue();
-
   /// Re-appends an entry recovered from a WAL commit record. Skips entries
   /// already present (replay after a crash between checkpoint and WAL
   /// reset). Entries must be replayed in commit order; an entry addressed
   /// past the open block implies the open block was closed before the
   /// crash, so it is re-closed first (block closes are deterministic: the
-  /// close timestamp is the last entry's commit timestamp).
+  /// close timestamp is the highest-ordinal entry's commit timestamp).
   Status RecoverEntry(const TransactionEntry& entry);
 
   /// Replays a digest-generation block close from its WAL marker.
@@ -111,16 +110,12 @@ class DatabaseLedger {
   uint64_t open_block_id() const;
   uint64_t open_block_entry_count() const;
   uint64_t closed_block_count() const;
-  uint64_t queue_depth() const;
   uint64_t total_entries() const;
   uint64_t block_size() const { return options_.block_size; }
 
-  /// Commit timestamp of the newest appended transaction (0 if none).
+  /// Newest commit timestamp in the ledger (0 if none) — the maximum, as
+  /// committers read the clock before the leader orders them.
   int64_t last_commit_ts() const;
-
-  /// Every entry persisted in the transactions system table. Call
-  /// DrainQueue first for a complete picture.
-  std::vector<TransactionEntry> AllEntries() const;
 
   /// Ledger truncation support (paper §5.2): transaction ids recorded in
   /// blocks below `below_block`, with their min/max.
@@ -135,24 +130,19 @@ class DatabaseLedger {
   /// Callers must have re-homed any live data first (TruncateLedger does).
   Status TruncateBelow(uint64_t below_block);
 
-  /// Looks up an entry by transaction id across the system table and the
-  /// open block.
+  /// Looks up an entry by transaction id in the transactions table.
   Result<TransactionEntry> FindEntry(uint64_t txn_id) const;
 
   /// Looks up a closed block.
   Result<BlockRecord> FindBlock(uint64_t block_id) const;
 
-  /// Every closed block in id (clustered) order — one ordered scan of the
-  /// blocks system table. Rows that fail to parse are omitted; the verifier
-  /// reports the resulting gaps. Preferred over FindBlock loops.
-  std::vector<BlockRecord> AllBlocks() const;
-
   /// Consistent snapshot of both system tables plus the open-block id,
-  /// taken in ONE critical section. The verifier needs this atomicity: a
-  /// concurrent block close (digest generation is not stopped by the
-  /// verification quiesce) sliding between separate AllBlocks/AllEntries
-  /// calls would make freshly closed transactions reference a block the
-  /// earlier blocks scan never saw.
+  /// taken in ONE critical section; blocks come in id (clustered) order and
+  /// rows that fail to parse are omitted (the verifier reports the gaps).
+  /// The verifier needs this atomicity: a concurrent block close (digest
+  /// generation is not stopped by the verification quiesce) sliding between
+  /// separate scans would make freshly closed transactions reference a
+  /// block the earlier blocks scan never saw.
   struct LedgerSnapshot {
     std::vector<TransactionEntry> entries;
     std::vector<BlockRecord> blocks;
@@ -185,15 +175,14 @@ class DatabaseLedger {
   Hash256 last_block_hash() const;
 
  private:
+  Status AppendLocked(TransactionEntry entry) REQUIRES(mu_);
   Status CloseOpenBlockLocked() REQUIRES(mu_);
   Result<TransactionEntry> FindEntryLocked(uint64_t txn_id) const
       REQUIRES(mu_);
-  std::vector<TransactionEntry> AllEntriesLocked() const REQUIRES(mu_);
-  std::vector<BlockRecord> AllBlocksLocked() const REQUIRES(mu_);
   int64_t Now() const { return options_.clock(); }
 
-  // The system tables are mutated only with mu_ held (Append block closes,
-  // DrainQueue, recovery, TruncateBelow); readers that scan them directly
+  // The system tables are mutated only with mu_ held (Append, block
+  // closes, recovery, TruncateBelow); readers that scan them directly
   // also take mu_ so scans never race a block close.
   TableStore* const transactions_table_ PT_GUARDED_BY(mu_);
   TableStore* const blocks_table_ PT_GUARDED_BY(mu_);
@@ -205,16 +194,17 @@ class DatabaseLedger {
   // append position while a commit group is in flight: a batch may reserve
   // slots spanning into blocks that are not open yet. Invariant when no
   // group is in flight: (assign_block_id_, assign_ordinal_) ==
-  // (open_block_id_, open_entries_.size()).
+  // (open_block_id_, open_tree_.leaf_count()).
   uint64_t assign_block_id_ GUARDED_BY(mu_) = 0;
   uint64_t assign_ordinal_ GUARDED_BY(mu_) = 0;
-  std::vector<TransactionEntry> open_entries_ GUARDED_BY(mu_);
+  // The open block's transactions tree, streamed one leaf per Append in
+  // ordinal order (paper §3.2.1), and its close timestamp: the commit ts
+  // of its highest-ordinal entry, 0 while empty.
+  MerkleBuilder open_tree_ GUARDED_BY(mu_);
+  int64_t open_close_ts_ GUARDED_BY(mu_) = 0;
   // Hash of the newest closed block (zero if none).
   Hash256 last_block_hash_ GUARDED_BY(mu_);
   int64_t last_commit_ts_ GUARDED_BY(mu_) = 0;
-  // Entries not yet drained into the system table.
-  std::deque<TransactionEntry> queue_ GUARDED_BY(mu_);
-  uint64_t total_entries_ GUARDED_BY(mu_) = 0;
 
   bool append_log_enabled_ GUARDED_BY(mu_) = false;
   std::vector<TransactionEntry> append_log_ GUARDED_BY(mu_);

@@ -11,7 +11,7 @@ Result<GeoGatedDigest> GenerateGeoGatedDigest(
 
   // Compare the newest commit timestamp against the replica's high-water
   // mark. The digest covers every commit so far, including those in blocks
-  // already closed and drained, so the newest one bounds the exposure.
+  // already closed, so the newest one bounds the exposure.
   const int64_t last_commit = ledger->last_commit_ts();
 
   int64_t lag = last_commit - replica.replicated_through();

@@ -386,9 +386,9 @@ Status LedgerDatabase::Recover() {
                                                std::move(lopts));
     SL_RETURN_IF_ERROR(ledger_->LoadFromTables());
   }
-  // Replay the WAL tail: redo row operations idempotently and rebuild the
-  // Database Ledger's in-memory queue from the commit records (the Analysis
-  // phase of paper §3.3.2).
+  // Replay the WAL tail: redo row operations idempotently and re-append the
+  // Database Ledger's transaction entries from the commit records (the
+  // Analysis phase of paper §3.3.2).
   if (used_fallback) {
     auto prev = Wal::Replay(
         wal_path_ + ".prev",
@@ -1200,11 +1200,9 @@ Status LedgerDatabase::CheckpointImpl() {
   QuiesceGuard guard(this);
   // Quiescing only drains user transactions; digest generation still runs
   // concurrently and appends block-close records under commit_mu_. Hold
-  // commit_mu_ across the drain/snapshot/WAL-reset so the checkpoint and
-  // the WAL cannot disagree about which blocks closed.
+  // commit_mu_ across the snapshot/WAL-reset so the checkpoint and the WAL
+  // cannot disagree about which blocks closed.
   MutexLock commit_lock(&commit_mu_);
-
-  if (ledger_ != nullptr) SL_RETURN_IF_ERROR(ledger_->DrainQueue());
 
   std::vector<const TableStore*> stores;
   stores.push_back(ledger_txns_store_.get());

@@ -111,8 +111,8 @@ class LedgerDatabase {
  public:
   /// Opens (or creates) a database. Runs recovery if `data_dir` holds a
   /// checkpoint and/or WAL: checkpoint load, then idempotent WAL replay
-  /// that also reconstructs the Database Ledger's in-memory queue from the
-  /// commit records (paper §3.3.2).
+  /// that also re-appends the Database Ledger's transaction entries from
+  /// the commit records (paper §3.3.2).
   static Result<std::unique_ptr<LedgerDatabase>> Open(
       LedgerDatabaseOptions options);
 
@@ -213,8 +213,8 @@ class LedgerDatabase {
 
   // ---- Durability ----
 
-  /// Quiesces, drains the ledger queue into its system table, snapshots
-  /// all tables + catalog, and resets the WAL (paper §3.3.2).
+  /// Quiesces, snapshots all tables (the ledger system tables included) +
+  /// catalog, and resets the WAL (paper §3.3.2).
   Status Checkpoint();
 
   // ---- Introspection (used by the verifier, receipts, truncation, tests

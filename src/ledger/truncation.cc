@@ -27,7 +27,6 @@ Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
     return Status::IntegrityViolation(
         "pre-truncation verification failed: " + report->Summary());
 
-  SL_RETURN_IF_ERROR(ledger->DrainQueue());
   auto range = ledger->CollectTxnsBelow(below_block);
   if (!range.ok()) return range.status();
   if (range->txn_ids.empty()) return Status::OK();  // nothing to truncate
@@ -81,7 +80,6 @@ Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
   // 3. Close the block holding the dummy updates so the re-homed data is
   // immediately digest-coverable.
   SL_RETURN_IF_ERROR(db->GenerateDigest().status());
-  SL_RETURN_IF_ERROR(ledger->DrainQueue());
 
   // 4. Delete history rows retired by truncated transactions (historical
   // data "is easy to truncate because no other data elements reference

@@ -128,9 +128,9 @@ std::string VerificationReport::Summary() const {
 
 namespace {
 
-/// The verification body. Runs under the caller's QuiesceGuard with the
-/// ledger queue already drained (QuiesceGuard is not re-entrant, and the
-/// incremental path may need two passes under ONE quiesce).
+/// The verification body. Runs under the caller's QuiesceGuard
+/// (QuiesceGuard is not re-entrant, and the incremental path may need two
+/// passes under ONE quiesce).
 ///
 /// `state` != nullptr requests an incremental run: transaction entries and
 /// row versions belonging to blocks <= state->last_verified_block are not
@@ -749,16 +749,12 @@ Result<VerificationReport> VerifyLedgerCore(
 Result<VerificationReport> VerifyLedger(
     LedgerDatabase* db, const std::vector<DatabaseDigest>& digests,
     const VerificationOptions& options) {
-  DatabaseLedger* ledger = db->database_ledger();
-  if (ledger == nullptr)
+  if (db->database_ledger() == nullptr)
     return Status::NotSupported("ledger is disabled for this database");
 
   const int64_t start = db->metrics()->NowMicros();
   Result<VerificationReport> report = [&]() -> Result<VerificationReport> {
     LedgerDatabase::QuiesceGuard guard(db);
-    // Persist pending entries so the system table holds every transaction
-    // (the checkpoint-time drain of §3.3.2, run eagerly for verification).
-    SL_RETURN_IF_ERROR(ledger->DrainQueue());
     return VerifyLedgerCore(db, digests, options, /*state=*/nullptr,
                             /*out_state=*/nullptr);
   }();
@@ -782,7 +778,6 @@ Result<VerificationReport> VerifyLedgerIncremental(
   // the full fallback pass — QuiesceGuard is not re-entrant and the two
   // passes must see identical data for the fallback report to be exact.
   LedgerDatabase::QuiesceGuard guard(db);
-  SL_RETURN_IF_ERROR(ledger->DrainQueue());
 
   // Union in the anchors this database already trusts: the digest the
   // watermark was anchored to, and the latest digest known durable in the

@@ -292,22 +292,14 @@ void SimDriver::ProbeTxnCounter(size_t i) {
 // ---- Chain adoption ----
 
 bool SimDriver::RebuildChain(size_t i, bool check_prefix) {
-  Status drain = ledger()->DrainQueue();
-  if (!drain.ok()) {
-    Fail(i, "rebuild: DrainQueue: " + drain.message());
-    return false;
-  }
-  std::vector<TransactionEntry> entries = ledger()->AllEntries();
+  DatabaseLedger::LedgerSnapshot snap = ledger()->Snapshot();
+  std::vector<TransactionEntry>& entries = snap.entries;
   std::sort(entries.begin(), entries.end(),
             [](const TransactionEntry& a, const TransactionEntry& b) {
               if (a.block_id != b.block_id) return a.block_id < b.block_id;
               return a.block_ordinal < b.block_ordinal;
             });
-  std::vector<BlockRecord> blocks = ledger()->AllBlocks();
-  std::sort(blocks.begin(), blocks.end(),
-            [](const BlockRecord& a, const BlockRecord& b) {
-              return a.block_id < b.block_id;
-            });
+  const std::vector<BlockRecord>& blocks = snap.blocks;  // id-ordered
 
   ReferenceModel::ChainState st;
   st.entries = entries;
@@ -1117,14 +1109,6 @@ void SimDriver::DoTamper(size_t i, const SimOp& op) {
   uint64_t kind = op.arg % 6;
   uint64_t sel = static_cast<uint64_t>(op.key);
 
-  // Closed-chain state must be durably in the tables before entry/block
-  // mutations can target it.
-  Status drain = ledger()->DrainQueue();
-  if (!drain.ok()) {
-    Fail(i, "tamper drain: " + drain.message());
-    return;
-  }
-
   // The mutation, selected deterministically from model state, plus its
   // exact inverse for the revert pass.
   std::function<bool()> mutate, revert;
@@ -1448,7 +1432,7 @@ void SimDriver::DoTruncate(size_t i, const SimOp& op) {
 
   auto first_block = [this]() -> uint64_t {
     uint64_t first = UINT64_MAX;  // UINT64_MAX = no closed blocks
-    for (const BlockRecord& b : ledger()->AllBlocks())
+    for (const BlockRecord& b : ledger()->Snapshot().blocks)
       if (b.block_id < first) first = b.block_id;
     return first;
   };

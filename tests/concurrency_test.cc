@@ -74,8 +74,7 @@ TEST_F(ConcurrencyTest, ParallelCommittersOnDisjointTables) {
   EXPECT_EQ(failures.load(), 0);
 
   // Every transaction must have a distinct, gap-free slot in the ledger.
-  ASSERT_TRUE(db_->database_ledger()->DrainQueue().ok());
-  auto entries = db_->database_ledger()->AllEntries();
+  auto entries = db_->database_ledger()->Snapshot().entries;
   std::set<std::pair<uint64_t, uint64_t>> slots;
   for (const TransactionEntry& e : entries)
     slots.insert({e.block_id, e.block_ordinal});

@@ -1,5 +1,6 @@
 // Database Ledger tests: slot assignment, block closing, digest generation,
-// chain verification (fork detection), queue draining, proofs.
+// chain verification (fork detection), entry persistence, recovery,
+// truncation, proofs.
 
 #include <gtest/gtest.h>
 
@@ -16,12 +17,15 @@ class DatabaseLedgerTest : public ::testing::Test {
         blocks_(kLedgerBlocksTableId, "database_ledger_blocks",
                 MakeLedgerBlocksSchema()) {}
 
-  std::unique_ptr<DatabaseLedger> MakeLedger(uint64_t block_size) {
+  /// A ledger over the fixture's system tables, or over `txns`/`blocks`.
+  std::unique_ptr<DatabaseLedger> MakeLedger(uint64_t block_size,
+                                             TableStore* txns = nullptr,
+                                             TableStore* blocks = nullptr) {
     DatabaseLedgerOptions options;
     options.block_size = block_size;
     options.clock = [this] { return ++clock_; };
-    return std::make_unique<DatabaseLedger>(&txns_, &blocks_,
-                                            std::move(options));
+    return std::make_unique<DatabaseLedger>(
+        txns ? txns : &txns_, blocks ? blocks : &blocks_, std::move(options));
   }
 
   TransactionEntry MakeEntry(DatabaseLedger* ledger, uint64_t txn_id) {
@@ -173,33 +177,16 @@ TEST_F(DatabaseLedgerTest, ForkDetectedByChainVerification) {
   EXPECT_FALSE(*derivable);
 }
 
-TEST_F(DatabaseLedgerTest, DrainQueuePersistsEntries) {
+TEST_F(DatabaseLedgerTest, AppendWritesTransactionsTable) {
   auto ledger_ptr = MakeLedger(100);
   DatabaseLedger& ledger = *ledger_ptr;
   for (uint64_t i = 1; i <= 4; i++)
     ASSERT_TRUE(ledger.Append(MakeEntry(&ledger, i)).ok());
-  EXPECT_EQ(ledger.queue_depth(), 4u);
-  EXPECT_EQ(txns_.row_count(), 0u);
-
-  ASSERT_TRUE(ledger.DrainQueue().ok());
-  EXPECT_EQ(ledger.queue_depth(), 0u);
-  EXPECT_EQ(txns_.row_count(), 4u);
-  // Idempotent.
-  ASSERT_TRUE(ledger.DrainQueue().ok());
-  EXPECT_EQ(txns_.row_count(), 4u);
+  EXPECT_EQ(txns_.row_count(), 4u);  // open-block entries included
 
   auto found = ledger.FindEntry(3);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(found->user_name, "u3");
-}
-
-TEST_F(DatabaseLedgerTest, FindEntryBeforeDrainSeesQueue) {
-  auto ledger_ptr = MakeLedger(100);
-  DatabaseLedger& ledger = *ledger_ptr;
-  ASSERT_TRUE(ledger.Append(MakeEntry(&ledger, 9)).ok());
-  auto found = ledger.FindEntry(9);
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found->txn_id, 9u);
   EXPECT_TRUE(ledger.FindEntry(10).status().IsNotFound());
 }
 
@@ -236,10 +223,9 @@ TEST_F(DatabaseLedgerTest, LoadFromTablesRestoresState) {
   Hash256 expected_digest_hash;
   {
     auto ledger_ptr = MakeLedger(3);
-  DatabaseLedger& ledger = *ledger_ptr;
+    DatabaseLedger& ledger = *ledger_ptr;
     for (uint64_t i = 1; i <= 5; i++)
       ASSERT_TRUE(ledger.Append(MakeEntry(&ledger, i)).ok());
-    ASSERT_TRUE(ledger.DrainQueue().ok());
     open_entries = ledger.open_block_entry_count();
     auto block = ledger.FindBlock(0);
     expected_digest_hash = block->ComputeHash();
@@ -263,10 +249,35 @@ TEST_F(DatabaseLedgerTest, RecoverEntryIsIdempotent) {
   DatabaseLedger& ledger = *ledger_ptr;
   TransactionEntry entry = MakeEntry(&ledger, 1);
   ASSERT_TRUE(ledger.Append(entry).ok());
-  ASSERT_TRUE(ledger.DrainQueue().ok());
   // Replaying the same entry (crash between checkpoint and WAL reset).
   ASSERT_TRUE(ledger.RecoverEntry(entry).ok());
   EXPECT_EQ(ledger.total_entries(), 1u);
+}
+
+TEST_F(DatabaseLedgerTest, ReloadedOpenBlockClosesLikeLive) {
+  // Committers read the clock before the leader orders them, so the
+  // highest ordinal can carry an older commit timestamp.
+  auto live = MakeLedger(10);
+  for (int64_t ts : {50, 40}) {
+    TransactionEntry e = MakeEntry(live.get(), static_cast<uint64_t>(ts));
+    e.commit_ts_micros = ts;
+    ASSERT_TRUE(live->Append(e).ok());
+  }
+  TableStore txns2(kLedgerTransactionsTableId, "t",
+                   MakeLedgerTransactionsSchema());
+  TableStore blocks2(kLedgerBlocksTableId, "b", MakeLedgerBlocksSchema());
+  for (BTree::Iterator it = txns_.Scan(); it.Valid(); it.Next())
+    ASSERT_TRUE(txns2.Insert(it.value()).ok());
+  auto reloaded = MakeLedger(10, &txns2, &blocks2);
+  ASSERT_TRUE(reloaded->LoadFromTables().ok());
+
+  auto live_digest = live->GenerateDigest("db", "t0");
+  auto reloaded_digest = reloaded->GenerateDigest("db", "t0");
+  ASSERT_TRUE(live_digest.ok());
+  ASSERT_TRUE(reloaded_digest.ok());
+  EXPECT_EQ(live_digest->block_hash, reloaded_digest->block_hash);
+  EXPECT_EQ(live_digest->last_commit_ts_micros, 50);
+  EXPECT_EQ(reloaded_digest->last_commit_ts_micros, 50);
 }
 
 TEST_F(DatabaseLedgerTest, RecoverEntryReclosesPriorBlocks) {
@@ -279,17 +290,15 @@ TEST_F(DatabaseLedgerTest, RecoverEntryReclosesPriorBlocks) {
   ASSERT_TRUE(digest.ok());
   TransactionEntry e2 = MakeEntry(&ledger, 2);
   ASSERT_TRUE(ledger.Append(e2).ok());
-  ASSERT_TRUE(ledger.DrainQueue().ok());
 
-  // Simulate crash recovery on fresh system-table copies: block rows were
-  // persisted only via DrainQueue/checkpoint in the real engine; here we
-  // rebuild from an empty blocks table and replay both entries.
-  TableStore txns2(kLedgerTransactionsTableId, "t", MakeLedgerTransactionsSchema());
+  // Simulate crash recovery on fresh system-table copies (a crash before
+  // the first checkpoint): rebuild from empty tables and replay both
+  // entries from their WAL commit records.
+  TableStore txns2(kLedgerTransactionsTableId, "t",
+                   MakeLedgerTransactionsSchema());
   TableStore blocks2(kLedgerBlocksTableId, "b", MakeLedgerBlocksSchema());
-  DatabaseLedgerOptions options;
-  options.block_size = 10;
-  options.clock = [this] { return ++clock_; };
-  DatabaseLedger recovered(&txns2, &blocks2, std::move(options));
+  auto recovered_ptr = MakeLedger(10, &txns2, &blocks2);
+  DatabaseLedger& recovered = *recovered_ptr;
   ASSERT_TRUE(recovered.RecoverEntry(e1).ok());
   ASSERT_TRUE(recovered.RecoverEntry(e2).ok());  // block 1 -> recloses block 0
   EXPECT_EQ(recovered.closed_block_count(), 1u);
@@ -306,7 +315,6 @@ TEST_F(DatabaseLedgerTest, TruncateBelowRemovesOldData) {
   DatabaseLedger& ledger = *ledger_ptr;
   for (uint64_t i = 1; i <= 6; i++)
     ASSERT_TRUE(ledger.Append(MakeEntry(&ledger, i)).ok());
-  ASSERT_TRUE(ledger.DrainQueue().ok());
   ASSERT_EQ(ledger.closed_block_count(), 3u);
 
   auto range = ledger.CollectTxnsBelow(2);
@@ -321,6 +329,12 @@ TEST_F(DatabaseLedgerTest, TruncateBelowRemovesOldData) {
   EXPECT_TRUE(ledger.FindBlock(2).ok());
   EXPECT_TRUE(ledger.FindEntry(1).status().IsNotFound());
   EXPECT_TRUE(ledger.FindEntry(5).ok());
+  // The live entry count agrees with the table and with a reload.
+  EXPECT_EQ(ledger.total_entries(), 2u);
+  EXPECT_EQ(ledger.total_entries(), txns_.row_count());
+  auto reloaded = MakeLedger(2);
+  ASSERT_TRUE(reloaded->LoadFromTables().ok());
+  EXPECT_EQ(reloaded->total_entries(), ledger.total_entries());
 
   EXPECT_FALSE(ledger.TruncateBelow(99).ok());  // beyond the open block
 }

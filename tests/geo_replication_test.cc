@@ -57,15 +57,14 @@ TEST_F(GeoReplicationTest, LaggingReplicaDefersDigest) {
   ASSERT_TRUE(gated.ok()) << gated.status().ToString();
 }
 
-TEST_F(GeoReplicationTest, ClosedAndDrainedBlockStillGated) {
-  // Fill block 0 exactly so it closes on its own, then drain the queue
-  // (verification does): no commit is pending any more, yet none of them
-  // is replicated, so the digest must still be deferred.
+TEST_F(GeoReplicationTest, ClosedAndVerifiedBlockStillGated) {
+  // Fill block 0 exactly so it closes on its own, then verify: no commit
+  // is pending any more, yet none of them is replicated, so the digest
+  // must still be deferred.
   int64_t id = 0;
   while (db_->database_ledger()->open_block_id() == 0) CommitOne(id++);
   ASSERT_EQ(db_->database_ledger()->open_block_entry_count(), 0u);
   ASSERT_TRUE(VerifyLedger(db_.get(), {}).ok());
-  ASSERT_EQ(db_->database_ledger()->queue_depth(), 0u);
   GeoDigestOptions options;
   options.max_lag_micros = 10;
   auto gated = GenerateGeoGatedDigest(db_.get(), replica_, options);

@@ -175,12 +175,11 @@ TEST_F(GroupCommitTest, MultiThreadedCommitsYieldDenseOrdinals) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Close the open block and persist the queue so AllEntries sees all.
+  // Close the open block.
   ASSERT_TRUE((*db)->GenerateDigest().ok());
-  ASSERT_TRUE((*db)->Checkpoint().ok());
 
   std::vector<TransactionEntry> entries =
-      (*db)->database_ledger()->AllEntries();
+      (*db)->database_ledger()->Snapshot().entries;
   // kThreads*kTxnsPerThread user txns + the bootstrap system-catalog txn
   // from Open + the CreateTable DDL txn.
   EXPECT_EQ(entries.size(),
@@ -279,7 +278,7 @@ TEST_F(GroupCommitTest, CrashAtEverySyncPointLeavesWholeTxnPrefix) {
     }
     ASSERT_TRUE((*db)->GenerateDigest().ok());
     ASSERT_TRUE((*db)->Checkpoint().ok());
-    ExpectDenseOrdinals((*db)->database_ledger()->AllEntries(),
+    ExpectDenseOrdinals((*db)->database_ledger()->Snapshot().entries,
                         (*db)->options().block_size);
   }
   EXPECT_TRUE(completed_without_crash)
@@ -325,7 +324,7 @@ TEST_F(GroupCommitTest, FailedGroupSyncFailsEveryMemberAndLatches) {
   EXPECT_TRUE(InsertOne(db->get(), "t", 101, "after-reset").ok());
   ASSERT_TRUE((*db)->GenerateDigest().ok());
   ASSERT_TRUE((*db)->Checkpoint().ok());
-  ExpectDenseOrdinals((*db)->database_ledger()->AllEntries(),
+  ExpectDenseOrdinals((*db)->database_ledger()->Snapshot().entries,
                       (*db)->options().block_size);
 }
 

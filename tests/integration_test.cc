@@ -181,8 +181,7 @@ TEST_F(IntegrationTest, FullLifecycleSoak) {
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->Summary();
 
-  ASSERT_TRUE(db->database_ledger()->DrainQueue().ok());
-  auto entries = db->database_ledger()->AllEntries();
+  auto entries = db->database_ledger()->Snapshot().entries;
   uint64_t receipt_txn = 0;
   for (const TransactionEntry& e : entries) {
     if (!e.table_roots.empty() && e.block_id < 1) receipt_txn = e.txn_id;

@@ -26,7 +26,6 @@ TEST(MutationSmoke, BlockByteFlipPinpointsInvariantAndBlock) {
     ASSERT_TRUE(InsertOne(db.get(), "t", i, "v" + std::to_string(i)).ok());
   auto digest = db->GenerateDigest();
   ASSERT_TRUE(digest.ok());
-  ASSERT_TRUE(db->database_ledger()->DrainQueue().ok());
 
   const uint64_t victim_block = 1;
   TableStore* blocks = db->database_ledger()->blocks_table_for_testing();

@@ -126,8 +126,7 @@ TEST_F(TamperTest, TransactionEntryEditDetected) {
   // A sophisticated attacker edits a row AND re-records a matching Merkle
   // root in the transaction entry. The forged entry's leaf hash changes,
   // so the block's transactions root no longer matches (invariant 3).
-  ASSERT_TRUE(db_->database_ledger()->DrainQueue().ok());
-  auto entries = db_->database_ledger()->AllEntries();
+  auto entries = db_->database_ledger()->Snapshot().entries;
   TransactionEntry victim;
   bool found = false;
   for (const TransactionEntry& e : entries) {
@@ -148,8 +147,7 @@ TEST_F(TamperTest, TransactionEntryEditDetected) {
 }
 
 TEST_F(TamperTest, TransactionEntryDeletionDetected) {
-  ASSERT_TRUE(db_->database_ledger()->DrainQueue().ok());
-  auto entries = db_->database_ledger()->AllEntries();
+  auto entries = db_->database_ledger()->Snapshot().entries;
   TransactionEntry victim;
   for (const TransactionEntry& e : entries) {
     if (!e.table_roots.empty()) {
@@ -164,6 +162,28 @@ TEST_F(TamperTest, TransactionEntryDeletionDetected) {
   auto violations = Verify();
   EXPECT_TRUE(HasInvariant(violations, 3));  // block root mismatch
   EXPECT_TRUE(HasInvariant(violations, 4));  // rows reference unknown txn
+}
+
+TEST_F(TamperTest, OpenBlockEntryEditSurvivesBlockClose) {
+  // The attacker edits an entry's row while its block is still open. The
+  // block root is streamed from the entries as committed, so the close
+  // does not launder the edit into the chain.
+  auto txn = db_->Begin("app");
+  ASSERT_TRUE(txn.ok());
+  const uint64_t txn_id = (*txn)->id();
+  ASSERT_TRUE(db_->Update(*txn, "accounts", {VS("acct7"), VB(1)}).ok());
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+  auto victim = db_->database_ledger()->FindEntry(txn_id);
+  ASSERT_TRUE(victim.ok());
+  ASSERT_EQ(victim->block_id, db_->database_ledger()->open_block_id());
+  victim->user_name = "mallory";
+  TableStore* txns =
+      db_->database_ledger()->transactions_table_for_testing();
+  ASSERT_TRUE(txns->Update(TransactionEntryToRow(*victim)).ok());
+  auto digest = db_->GenerateDigest();
+  ASSERT_TRUE(digest.ok());
+  digest_ = *digest;
+  EXPECT_TRUE(HasInvariant(Verify(), 3));
 }
 
 TEST_F(TamperTest, BlockEditDetected) {
