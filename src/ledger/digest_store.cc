@@ -154,25 +154,15 @@ Status ImmutableBlobDigestStore::Upload(const DatabaseDigest& digest) {
     char name[32];
     std::snprintf(name, sizeof(name), "digest-%08zu.json", seq);
     std::string path = dir + "/" + name;
-    auto file = env_->NewWritableFile(
-        path, WritableFileOptions{.truncate = false, .exclusive = true});
-    if (!file.ok()) {
-      if (file.status().code() == StatusCode::kAlreadyExists) continue;
-      return Status::IOError("cannot create digest blob " + path + ": " +
-                             file.status().message());
-    }
-    st = (*file)->Append(Slice(blob));
     // Digests are the trusted side of verification; an upload must not be
     // reported successful until the blob (and its directory entry) would
     // survive a crash of the storage host.
-    if (st.ok()) st = (*file)->Sync();
-    Status close_st = (*file)->Close();
-    if (st.ok()) st = close_st;
-    if (!st.ok()) {
-      (void)env_->RemoveFile(path);  // best-effort cleanup
+    st = WriteFileSynced(env_, path, {Slice(blob)},
+                         WritableFileOptions{.exclusive = true});
+    if (st.code() == StatusCode::kAlreadyExists) continue;
+    if (!st.ok())
       return Status::IOError("failed writing digest blob " + path + ": " +
                              st.message());
-    }
     SL_RETURN_IF_ERROR(env_->SyncDir(dir));
     // Emulate the storage service's immutability policy: strip write
     // permission from the stored blob. Advisory — the digest is durable

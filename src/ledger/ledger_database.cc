@@ -389,28 +389,18 @@ Status LedgerDatabase::Recover() {
   // Replay the WAL tail: redo row operations idempotently and re-append the
   // Database Ledger's transaction entries from the commit records (the
   // Analysis phase of paper §3.3.2).
+  auto replay = [this](Slice payload) { return ReplayWalRecord(payload); };
   if (used_fallback) {
-    auto prev = Wal::Replay(
-        wal_path_ + ".prev",
-        [this](Slice payload) { return ReplayWalRecord(payload); }, env_);
+    auto prev = ReadFrameLog(env_, wal_path_ + ".prev", replay);
     if (!prev.ok()) return prev.status();
   }
-  uint64_t valid_bytes = 0;
-  auto replayed = Wal::Replay(
-      wal_path_,
-      [this, &valid_bytes](Slice payload) {
-        SL_RETURN_IF_ERROR(ReplayWalRecord(payload));
-        valid_bytes += 8 + payload.size();  // frame header + payload
-        return Status::OK();
-      },
-      env_);
-  if (!replayed.ok()) return replayed.status();
+  auto scan = ReadFrameLog(env_, wal_path_, replay);
+  if (!scan.ok()) return scan.status();
   // Chop off any torn tail NOW: the WAL is reopened for append, and a
   // record written after un-replayable garbage would be unreachable to
   // every future replay (it sits past the point where replay stops).
-  auto wal_size = env_->GetFileSize(wal_path_);
-  if (wal_size.ok() && *wal_size > valid_bytes)
-    SL_RETURN_IF_ERROR(env_->TruncateFile(wal_path_, valid_bytes));
+  if (scan->has_tail)
+    SL_RETURN_IF_ERROR(env_->TruncateFile(wal_path_, scan->intact_bytes));
   if (options_.enable_ledger) ReconcileDdlCounters();
   return Status::OK();
 }

@@ -13,13 +13,6 @@ namespace {
 constexpr uint8_t kMagic[8] = {'S', 'L', 'V', 'S', '0', '0', '0', '2'};
 constexpr size_t kMagicLen = sizeof(kMagic);
 
-std::string ParentDir(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
 void PutString(std::vector<uint8_t>* dst, const std::string& s) {
   PutLengthPrefixed(dst, Slice(s));
 }
@@ -218,30 +211,13 @@ Result<VerificationState> VerificationState::Decode(const std::string& data) {
 Status VerificationState::Save(Env* env, const std::string& path) const {
   if (env == nullptr) env = Env::Default();
   std::string encoded = Encode();
-  std::string tmp = path + ".tmp";
-  {
-    auto file = env->NewWritableFile(tmp, WritableFileOptions{.truncate = true});
-    if (!file.ok())
-      return Status::IOError("cannot create verification state temp file " +
-                             tmp + ": " + file.status().message());
-    Status st = (*file)->Append(Slice(encoded));
-    if (st.ok()) st = (*file)->Flush();
-    // Sync BEFORE rename, exactly like checkpoints: otherwise the rename can
-    // become durable ahead of the data and a crash installs a torn file
-    // under the trusted name.
-    if (st.ok()) st = (*file)->Sync();
-    Status close_st = (*file)->Close();
-    if (st.ok()) st = close_st;
-    if (!st.ok()) {
-      (void)env->RemoveFile(tmp);  // best-effort cleanup of the temp file
-      return Status::IOError("verification state write failed: " +
-                             st.message());
-    }
-  }
   // No .prev retention: losing the watermark only costs a full re-verify,
   // so replacing in one rename keeps recovery logic trivial.
-  SL_RETURN_IF_ERROR(env->RenameFile(tmp, path));
-  SL_RETURN_IF_ERROR(env->SyncDir(ParentDir(path)));
+  Status st = ReplaceFileDurably(env, path, {Slice(encoded)},
+                                 /*keep_previous=*/false);
+  if (!st.ok())
+    return Status::IOError("verification state write failed: " +
+                           st.message());
   return Status::OK();
 }
 

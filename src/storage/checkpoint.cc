@@ -10,11 +10,6 @@ namespace sqlledger {
 namespace {
 constexpr char kMagic[] = "SLCKPT01";
 constexpr size_t kMagicLen = 8;
-
-std::string ParentDir(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-}
 }  // namespace
 
 void EncodeSchema(const Schema& schema, std::vector<uint8_t>* dst) {
@@ -107,33 +102,13 @@ Status WriteCheckpoint(const std::string& path, Slice meta,
   PutFixed64(&header, payload.size());
   PutFixed32(&header, Crc32c(Slice(payload)));
 
-  std::string tmp = path + ".tmp";
-  {
-    auto file = env->NewWritableFile(tmp, WritableFileOptions{.truncate = true});
-    if (!file.ok())
-      return Status::IOError("cannot create checkpoint temp file " + tmp +
-                             ": " + file.status().message());
-    Status st = (*file)->Append(Slice(header));
-    if (st.ok()) st = (*file)->Append(Slice(payload));
-    if (st.ok()) st = (*file)->Flush();
-    // fsync BEFORE rename: without this, the rename can become durable
-    // ahead of the data and a crash leaves an empty/torn file under the
-    // checkpoint's name — which recovery would trust.
-    if (st.ok()) st = (*file)->Sync();
-    Status close_st = (*file)->Close();
-    if (st.ok()) st = close_st;
-    if (!st.ok()) {
-      (void)env->RemoveFile(tmp);  // best-effort cleanup of the temp file
-      return Status::IOError("checkpoint write failed: " + st.message());
-    }
-  }
-  // Retain the checkpoint being replaced: recovery falls back to it (plus
-  // the rotated WAL) if the new one is ever found torn or corrupt.
-  if (env->FileExists(path))
-    SL_RETURN_IF_ERROR(env->RenameFile(path, path + ".prev"));
-  SL_RETURN_IF_ERROR(env->RenameFile(tmp, path));
-  // fsync the parent directory so the renames themselves survive a crash.
-  SL_RETURN_IF_ERROR(env->SyncDir(ParentDir(path)));
+  // Two appends: joining header and payload would copy the whole payload.
+  // Recovery falls back to the `.prev` generation (plus the rotated WAL) if
+  // the new checkpoint is ever found torn or corrupt.
+  Status st = ReplaceFileDurably(env, path, {Slice(header), Slice(payload)},
+                                 /*keep_previous=*/true);
+  if (!st.ok())
+    return Status::IOError("checkpoint write failed: " + st.message());
   return Status::OK();
 }
 

@@ -3,12 +3,9 @@
 // above). After a successful checkpoint the WAL is reset; recovery loads
 // the latest checkpoint and replays the WAL tail (paper §3.3.2).
 //
-// Durability protocol (see DESIGN.md "Failure model"): the snapshot is
-// written to `path + ".tmp"` and fsynced BEFORE any rename, the previous
-// checkpoint is retained as `path + ".prev"`, the temp file is renamed into
-// place, and the parent directory is fsynced so the renames survive a
-// crash. A crash at any point leaves either the new checkpoint or the
-// previous one loadable.
+// Durability protocol (DESIGN.md §4): ReplaceFileDurably with the previous
+// checkpoint retained as `path + ".prev"`, so a crash at any point leaves
+// either the new checkpoint or the previous one loadable.
 
 #ifndef SQLLEDGER_STORAGE_CHECKPOINT_H_
 #define SQLLEDGER_STORAGE_CHECKPOINT_H_
@@ -30,9 +27,8 @@ struct CheckpointData {
   std::vector<std::unique_ptr<TableStore>> tables;
 };
 
-/// Serializes `meta` and `tables` to `path` via write-temp-fsync-rename
-/// (file and parent directory both synced), keeping the checkpoint being
-/// replaced as `path + ".prev"`. The entire payload is CRC-protected.
+/// Serializes `meta` and `tables` to `path` via ReplaceFileDurably, keeping
+/// the replaced checkpoint as `path + ".prev"`. The payload is CRC-protected.
 /// `env` = nullptr uses Env::Default().
 Status WriteCheckpoint(const std::string& path, Slice meta,
                        const std::vector<const TableStore*>& tables,

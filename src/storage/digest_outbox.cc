@@ -1,21 +1,9 @@
 #include "storage/digest_outbox.h"
 
+#include "storage/wal.h"
 #include "util/coding.h"
 
 namespace sqlledger {
-
-namespace {
-
-std::vector<uint8_t> EncodeRecord(const std::string& payload) {
-  std::vector<uint8_t> rec;
-  rec.reserve(payload.size() + 8);
-  PutFixed32(&rec, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&rec, Crc32c(Slice(payload)));
-  rec.insert(rec.end(), payload.begin(), payload.end());
-  return rec;
-}
-
-}  // namespace
 
 DigestOutbox::DigestOutbox(DigestOutboxOptions opts)
     : opts_(std::move(opts)),
@@ -49,46 +37,29 @@ Status DigestOutbox::Replay() {
   }
 
   std::vector<std::string> records;
-  auto bytes = env_->ReadFile(LogPath());
-  if (!bytes.ok() && !bytes.status().IsNotFound())
+  auto scan = ReadFrameLog(env_, LogPath(), [&records](Slice payload) {
+    records.emplace_back(reinterpret_cast<const char*>(payload.data()),
+                         payload.size());
+    return Status::OK();
+  });
+  if (!scan.ok())
     return Status::IOError("cannot read outbox log: " +
-                           bytes.status().message());
-  if (bytes.ok()) {
-    const size_t total = bytes->size();
-    size_t valid_bytes = 0;  // log prefix covered by intact records
-    Decoder dec(Slice(bytes->data(), total));
-    while (!dec.done()) {
-      // A record that cannot be fully decoded is a torn tail — the append
-      // never returned success, so the digest was never considered queued —
-      // unless complete bytes FOLLOW it, which means mid-log damage.
-      if (dec.remaining() < 8) break;
-      auto len = dec.GetFixed32();
-      auto crc = dec.GetFixed32();
-      if (!len.ok() || !crc.ok()) break;
-      if (dec.remaining() < *len) break;  // torn payload: tail by definition
-      auto payload = dec.GetBytes(*len);
-      if (!payload.ok()) break;
-      if (*crc != Crc32c(*payload)) {
-        if (dec.remaining() >= 8)
-          return Status::Corruption("outbox record " +
-                                    std::to_string(records.size()) +
-                                    " fails its CRC mid-log");
-        break;  // corrupt final record: treat as torn tail
-      }
-      records.emplace_back(reinterpret_cast<const char*>(payload->data()),
-                           payload->size());
-      valid_bytes = total - dec.remaining();
-    }
-    // Truncate the torn tail away (the WAL-recovery discipline): appends go
-    // to the end of the file, so garbage left in place would sit BETWEEN
-    // intact records and the next append and read as mid-log corruption on
-    // the replay after that.
-    if (valid_bytes < total) {
-      Status st = env_->TruncateFile(LogPath(), valid_bytes);
-      if (!st.ok())
-        return Status::IOError("cannot truncate torn outbox tail: " +
-                               st.message());
-    }
+                           scan.status().message());
+  // A frame that fails its CRC is a torn tail — the append never returned
+  // success, so the digest was never considered queued — unless a complete
+  // frame header FOLLOWS it, which means mid-log damage.
+  if (scan->corrupt_mid_log)
+    return Status::Corruption("outbox record " +
+                              std::to_string(scan->records) +
+                              " fails its CRC mid-log");
+  // Truncate the tail away (the WAL-recovery discipline): garbage left in
+  // place would sit BETWEEN intact records and the next append and read as
+  // mid-log corruption on the replay after that.
+  if (scan->has_tail) {
+    Status st = env_->TruncateFile(LogPath(), scan->intact_bytes);
+    if (!st.ok())
+      return Status::IOError("cannot truncate torn outbox tail: " +
+                             st.message());
   }
 
   MutexLock lock(&mu_);
@@ -103,18 +74,13 @@ Status DigestOutbox::Append(const std::string& payload) {
   if (pending_.size() >= opts_.capacity)
     return Status::Busy("digest outbox full (" +
                         std::to_string(opts_.capacity) + " pending)");
-  std::vector<uint8_t> rec = EncodeRecord(payload);
-  auto file = env_->NewWritableFile(LogPath(), WritableFileOptions{});
-  if (!file.ok())
-    return Status::IOError("cannot open outbox log: " +
-                           file.status().message());
-  Status st = (*file)->Append(Slice(rec.data(), rec.size()));
+  std::vector<uint8_t> frame;
+  AppendFrame(Slice(payload), &frame);
   // The append is only reported OK once the record — and, for the first
   // record, the log's directory entry — would survive a crash; the caller
   // counts the digest as queued on that basis.
-  if (st.ok()) st = (*file)->Sync();
-  Status close_st = (*file)->Close();
-  if (st.ok()) st = close_st;
+  Status st = WriteFileSynced(env_, LogPath(), {Slice(frame)},
+                              WritableFileOptions{});
   if (st.ok()) st = env_->SyncDir(opts_.dir);
   if (!st.ok())
     return Status::IOError("outbox append failed: " + st.message());
@@ -140,15 +106,8 @@ Status DigestOutbox::PersistCursorLocked(uint64_t value) {
   std::vector<uint8_t> doc;
   PutFixed64(&doc, value);
   PutFixed32(&doc, Crc32c(doc.data(), doc.size()));
-  std::string tmp = CursorPath() + ".tmp";
-  auto file = env_->NewWritableFile(tmp, WritableFileOptions{.truncate = true});
-  if (!file.ok()) return file.status();
-  Status st = (*file)->Append(Slice(doc.data(), doc.size()));
-  if (st.ok()) st = (*file)->Sync();
-  Status close_st = (*file)->Close();
-  if (st.ok()) st = close_st;
-  if (st.ok()) st = env_->RenameFile(tmp, CursorPath());
-  if (st.ok()) st = env_->SyncDir(opts_.dir);
+  Status st = ReplaceFileDurably(env_, CursorPath(), {Slice(doc)},
+                                 /*keep_previous=*/false);
   if (!st.ok())
     return Status::IOError("outbox cursor update failed: " + st.message());
   return Status::OK();
@@ -159,14 +118,7 @@ Status DigestOutbox::CompactLocked() {
   // already-acknowledged records (safe — uploads are idempotent) instead of
   // silently dropping pending ones.
   SL_RETURN_IF_ERROR(PersistCursorLocked(0));
-  std::string tmp = LogPath() + ".tmp";
-  auto file = env_->NewWritableFile(tmp, WritableFileOptions{.truncate = true});
-  if (!file.ok()) return file.status();
-  Status st = (*file)->Sync();
-  Status close_st = (*file)->Close();
-  if (st.ok()) st = close_st;
-  if (st.ok()) st = env_->RenameFile(tmp, LogPath());
-  if (st.ok()) st = env_->SyncDir(opts_.dir);
+  Status st = ReplaceFileDurably(env_, LogPath(), {}, /*keep_previous=*/false);
   if (!st.ok())
     return Status::IOError("outbox compaction failed: " + st.message());
   log_acked_ = 0;

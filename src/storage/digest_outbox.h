@@ -6,16 +6,17 @@
 // machinery that exercises the WAL exercises the outbox.
 //
 // On-disk layout (inside `dir`):
-//   outbox.log   append-only record log: [fixed32 len][fixed32 crc32c][bytes]
+//   outbox.log   the WAL's frame log (AppendFrame/ReadFrameLog in wal.h).
 //                Records are write-once — appended, fsynced, never modified.
 //   cursor       count of acknowledged records ([fixed64 count][fixed32 crc]),
-//                replaced atomically (temp + rename + dir sync).
+//                replaced with ReplaceFileDurably.
 //
 // Crash semantics:
 //   - An append is only reported OK after the record is fsynced, so a torn
-//     tail can only be a record whose Append never returned success; replay
-//     drops it AND truncates it off the file (the WAL-recovery discipline),
-//     so a later append is never written after un-replayable garbage.
+//     or zero-filled tail can only be a record whose Append never returned
+//     success; replay truncates it off the file so a later append never
+//     lands after un-replayable garbage. A complete record that fails its
+//     CRC with a frame header after it is mid-log damage: Open fails.
 //   - The cursor may lag the truth after a crash (a rename that was never
 //     made durable rolls back). Replaying an already-uploaded digest is
 //     safe because digest-store uploads are idempotent for byte-identical

@@ -121,15 +121,50 @@ Status CopyDirRecursive(Env* env, const std::string& from,
     }
     auto data = env->ReadFile(src);
     if (!data.ok()) return data.status();
-    WritableFileOptions opts;
-    opts.truncate = true;
-    auto file = env->NewWritableFile(dst, opts);
-    if (!file.ok()) return file.status();
-    SL_RETURN_IF_ERROR((*file)->Append(Slice(data->data(), data->size())));
-    SL_RETURN_IF_ERROR((*file)->Sync());
-    SL_RETURN_IF_ERROR((*file)->Close());
+    SL_RETURN_IF_ERROR(WriteFileSynced(env, dst,
+                                       {Slice(data->data(), data->size())},
+                                       WritableFileOptions{.truncate = true}));
   }
   return env->SyncDir(to);
+}
+
+std::string DirName(const std::string& path) {
+  size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  if (slash == 0) return "/";
+  return path.substr(0, slash);
+}
+
+Status WriteFileSynced(Env* env, const std::string& path,
+                       const std::vector<Slice>& parts,
+                       const WritableFileOptions& opts) {
+  auto file = env->NewWritableFile(path, opts);
+  if (!file.ok()) return file.status();
+  Status st;
+  for (const Slice& part : parts)
+    if (st.ok()) st = (*file)->Append(part);
+  if (st.ok()) st = (*file)->Sync();
+  Status close_st = (*file)->Close();
+  if (st.ok()) st = close_st;
+  if (!st.ok() && opts.exclusive)
+    (void)env->RemoveFile(path);  // best-effort cleanup of our partial file
+  return st;
+}
+
+Status ReplaceFileDurably(Env* env, const std::string& path,
+                          const std::vector<Slice>& parts,
+                          bool keep_previous) {
+  const std::string tmp = path + ".tmp";
+  Status st =
+      WriteFileSynced(env, tmp, parts, WritableFileOptions{.truncate = true});
+  if (!st.ok()) {
+    (void)env->RemoveFile(tmp);  // best-effort cleanup of the temp file
+    return st;
+  }
+  if (keep_previous && env->FileExists(path))
+    SL_RETURN_IF_ERROR(env->RenameFile(path, path + ".prev"));
+  SL_RETURN_IF_ERROR(env->RenameFile(tmp, path));
+  return env->SyncDir(DirName(path));
 }
 
 Result<std::vector<uint8_t>> Env::ReadFile(const std::string& path) {
@@ -436,11 +471,6 @@ Status FaultInjectionEnv::CrashLocked() {
   return Status::IOError("injected crash: un-synced data dropped");
 }
 
-std::string FaultInjectionEnv::DirOf(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-}
-
 Result<std::unique_ptr<WritableFile>> FaultInjectionEnv::NewWritableFile(
     const std::string& path, const WritableFileOptions& opts) {
   MutexLock lock(&mu_);
@@ -519,7 +549,7 @@ Status FaultInjectionEnv::RenameFile(const std::string& from,
   if (fail_rename_countdown_ > 0 && --fail_rename_countdown_ == 0)
     return Status::IOError("injected rename failure");
   SL_RETURN_IF_ERROR(target_->RenameFile(from, to));
-  pending_renames_.push_back({DirOf(to), from, to});
+  pending_renames_.push_back({DirName(to), from, to});
   // The rename carries the file's identity with it; its synced state moves
   // to the new name.
   auto it = files_.find(from);

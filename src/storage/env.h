@@ -1,12 +1,12 @@
-// Pluggable storage environment. Every file touched by the durability
-// machinery — the WAL, checkpoints and the file-backed digest store — goes
+// Pluggable storage environment. Every durable file — WAL, checkpoints,
+// digest outbox, verification watermark, file-backed digest store — goes
 // through this interface instead of calling fopen/fstream directly. That
-// gives production code one place to get durability right (fsync of files
-// AND parent directories) and gives tests a seam to inject faults: the
-// FaultInjectionEnv wrapper can fail the Nth write/fsync/rename, simulate a
-// crash that drops all un-synced data (torn tails included), and flip bits
-// on read, so the crash-recovery paths of paper §3.3.2 are actually
-// exercised rather than assumed.
+// gives production code one place to get durability right (WriteFileSynced
+// and ReplaceFileDurably below are the one synced write and the one atomic
+// replace) and gives tests a seam to inject faults: the FaultInjectionEnv
+// wrapper can fail the Nth write/fsync/rename, simulate a crash that drops
+// all un-synced data (torn tails included), and flip bits on read, so the
+// crash-recovery paths of paper §3.3.2 are exercised rather than assumed.
 
 #ifndef SQLLEDGER_STORAGE_ENV_H_
 #define SQLLEDGER_STORAGE_ENV_H_
@@ -103,6 +103,25 @@ Status RemoveDirRecursive(Env* env, const std::string& dir);
 Status CopyDirRecursive(Env* env, const std::string& from,
                         const std::string& to);
 
+/// Parent directory of `path`. FaultInjectionEnv matches pending renames to
+/// SyncDir arguments by string, so writers and the fault model share it.
+std::string DirName(const std::string& path);
+
+/// Opens `path` with `opts`, appends each part, syncs and closes; the caller
+/// syncs the directory. On failure the file is removed only if this call
+/// created it (`opts.exclusive`).
+Status WriteFileSynced(Env* env, const std::string& path,
+                       const std::vector<Slice>& parts,
+                       const WritableFileOptions& opts);
+
+/// Atomically replaces `path` with `parts`: writes and syncs `path.tmp`
+/// (removed if that fails), renames an existing `path` to `path.prev` when
+/// `keep_previous`, renames the temp file into place and syncs the parent
+/// directory. Syncing before the rename keeps a crash from installing a torn
+/// file under the trusted name.
+Status ReplaceFileDurably(Env* env, const std::string& path,
+                          const std::vector<Slice>& parts, bool keep_previous);
+
 /// Direct POSIX implementation. Stateless; safe to share across threads.
 class PosixEnv : public Env {
  public:
@@ -196,7 +215,6 @@ class FaultInjectionEnv : public Env {
   Status CheckSyncLocked() REQUIRES(mu_);
   /// Drops un-synced state; returns the crash error.
   Status CrashLocked() REQUIRES(mu_);
-  static std::string DirOf(const std::string& path);
 
   Env* const target_;
   mutable Mutex mu_;

@@ -9,11 +9,52 @@
 namespace sqlledger {
 
 namespace {
-std::string ParentDir(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-}
+constexpr size_t kFrameHeaderSize = 8;  // fixed32 length + fixed32 crc32c
 }  // namespace
+
+void AppendFrame(Slice payload, std::vector<uint8_t>* dst) {
+  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
+  PutFixed32(dst, Crc32c(payload));
+  dst->insert(dst->end(), payload.data(), payload.data() + payload.size());
+}
+
+Result<FrameLogScan> ReadFrameLog(
+    Env* env, const std::string& path,
+    const std::function<Status(Slice payload)>& fn) {
+  FrameLogScan scan;
+  auto file = env->NewSequentialFile(path);
+  if (!file.ok()) {
+    if (file.status().IsNotFound()) return scan;
+    return file.status();
+  }
+  auto size = env->GetFileSize(path);
+  if (!size.ok()) return size.status();
+  std::vector<uint8_t> buf;
+  while (*size - scan.intact_bytes >= kFrameHeaderSize) {
+    uint8_t header[kFrameHeaderSize];
+    auto n = (*file)->Read(kFrameHeaderSize, header);
+    if (!n.ok()) return n.status();
+    if (*n < kFrameHeaderSize) break;
+    Decoder dec(Slice(header, kFrameHeaderSize));
+    const uint32_t len = *dec.GetFixed32();
+    const uint32_t crc = *dec.GetFixed32();
+    const uint64_t frame_end = scan.intact_bytes + kFrameHeaderSize + len;
+    if (len == 0 || frame_end > *size) break;  // zero-filled or torn tail
+    buf.resize(len);
+    auto got = (*file)->Read(len, buf.data());
+    if (!got.ok()) return got.status();
+    if (*got < len) break;
+    if (Crc32c(buf.data(), len) != crc) {
+      scan.corrupt_mid_log = *size - frame_end >= kFrameHeaderSize;
+      break;
+    }
+    SL_RETURN_IF_ERROR(fn(Slice(buf)));
+    scan.records++;
+    scan.intact_bytes = frame_end;
+  }
+  scan.has_tail = scan.intact_bytes < *size;
+  return scan;
+}
 
 size_t WalCommitRecord::EncodeTo(std::vector<uint8_t>* dst) const {
   PutVarint64(dst, txn_id);
@@ -168,14 +209,10 @@ Status Wal::AppendBatch(const std::vector<Slice>& payloads) {
   // makes the whole group durable — this is where group commit amortizes
   // the sync cost across members.
   size_t total = 0;
-  for (const Slice& p : payloads) total += 8 + p.size();
+  for (const Slice& p : payloads) total += kFrameHeaderSize + p.size();
   std::vector<uint8_t> frames;
   frames.reserve(total);
-  for (const Slice& p : payloads) {
-    PutFixed32(&frames, static_cast<uint32_t>(p.size()));
-    PutFixed32(&frames, Crc32c(p));
-    frames.insert(frames.end(), p.data(), p.data() + p.size());
-  }
+  for (const Slice& p : payloads) AppendFrame(p, &frames);
   // Two latency sections when instrumented: the buffered write+flush
   // (wal.append_micros) and the trailing fsync (wal.sync_micros) — the
   // split Figure 7 cares about, since group commit amortizes only the
@@ -185,7 +222,6 @@ Status Wal::AppendBatch(const std::vector<Slice>& payloads) {
   if (!st.ok()) return Poison(st);
   st = file_->Flush();
   if (!st.ok()) return Poison(st);
-  bytes_written_ += frames.size();
   if (m_bytes_total_ != nullptr) m_bytes_total_->Add(frames.size());
   const int64_t t1 = metrics_ != nullptr ? metrics_->NowMicros() : 0;
   if (m_append_micros_ != nullptr)
@@ -222,7 +258,7 @@ Status Wal::Reset() {
         env_->NewWritableFile(path_, WritableFileOptions{.truncate = true});
     if (file.ok()) {
       file_ = std::move(*file);
-      st = env_->SyncDir(ParentDir(path_));
+      st = env_->SyncDir(DirName(path_));
     } else {
       st = file.status();
     }
@@ -233,7 +269,6 @@ Status Wal::Reset() {
         Status::IOError("WAL unavailable after failed reset: " + st.ToString());
     return st;
   }
-  bytes_written_ = 0;
   sticky_error_ = Status::OK();  // fresh log, no hole to append past
   return Status::OK();
 }
@@ -250,39 +285,6 @@ Status Wal::Sync() {
         std::max<int64_t>(0, metrics_->NowMicros() - t0)));
   }
   return Status::OK();
-}
-
-Result<uint64_t> Wal::Replay(
-    const std::string& path,
-    const std::function<Status(Slice payload)>& fn, Env* env) {
-  if (env == nullptr) env = Env::Default();
-  auto file = env->NewSequentialFile(path);
-  if (!file.ok()) {
-    if (file.status().IsNotFound()) return static_cast<uint64_t>(0);
-    return file.status();
-  }
-
-  uint64_t records = 0;
-  std::vector<uint8_t> buf;
-  while (true) {
-    uint8_t header[8];
-    auto n = (*file)->Read(8, header);
-    if (!n.ok()) return n.status();
-    if (*n < 8) break;  // clean EOF or torn header: stop
-    uint32_t len = 0, crc = 0;
-    for (int i = 0; i < 4; i++) len |= static_cast<uint32_t>(header[i]) << (8 * i);
-    for (int i = 0; i < 4; i++)
-      crc |= static_cast<uint32_t>(header[4 + i]) << (8 * i);
-    if (len > (1u << 30)) break;  // implausible length: treat as torn tail
-    buf.resize(len);
-    auto got = (*file)->Read(len, buf.data());
-    if (!got.ok()) return got.status();
-    if (*got != len) break;                    // torn payload
-    if (Crc32c(buf.data(), len) != crc) break;  // corrupt record
-    SL_RETURN_IF_ERROR(fn(Slice(buf)));
-    records++;
-  }
-  return records;
 }
 
 }  // namespace sqlledger

@@ -5,8 +5,10 @@
 // (paper §3.3.2: "the COMMIT log record tracks the block ID and ordinal of
 // the transaction within the block to make this information recoverable").
 //
-// Records are framed as [fixed32 length][fixed32 crc32c][payload]; replay
-// stops at the first torn or corrupt record, which is then truncated away.
+// Records are framed as [fixed32 length][fixed32 crc32c][payload], the frame
+// log shared with the digest outbox. Recovery replays up to the first frame
+// that is torn, zero-length or fails its CRC and truncates the log there: a
+// corrupt frame mid-log is dropped with every record after it, not reported.
 //
 // All file I/O flows through the Env abstraction, so fault-injection tests
 // can fail writes/fsyncs and simulate crashes. A failed write or sync
@@ -72,6 +74,27 @@ struct WalCommitRecord {
   static Result<WalCommitRecord> Decode(Slice payload);
 };
 
+/// Appends one frame holding `payload`, which must not be empty.
+void AppendFrame(Slice payload, std::vector<uint8_t>* dst);
+
+/// What ReadFrameLog found.
+struct FrameLogScan {
+  uint64_t records = 0;          // intact frames handed to the callback
+  uint64_t intact_bytes = 0;     // length of the prefix they cover
+  bool has_tail = false;         // bytes follow that prefix
+  bool corrupt_mid_log = false;  // the frame that ended the log is complete
+                                 // but fails its CRC, and a header follows
+};
+
+/// Streams `path` (missing = empty), calling `fn` per intact payload, and
+/// stops at the first frame that is torn, fails its CRC or is zero-length:
+/// an all-zero header, left when a crash persisted a file's length before
+/// its data, passes the CRC of zero bytes. The caller decides whether
+/// `corrupt_mid_log` is an error and truncates the tail.
+Result<FrameLogScan> ReadFrameLog(
+    Env* env, const std::string& path,
+    const std::function<Status(Slice payload)>& fn);
+
 /// Durability knobs.
 struct WalOptions {
   /// fsync after every AppendRecord.
@@ -120,18 +143,8 @@ class Wal {
   Status Reset();
 
   Status Sync();
-  uint64_t bytes_written() const { return bytes_written_; }
-  const std::string& path() const { return path_; }
   /// Non-OK once a write/sync has failed; all appends return this.
   const Status& sticky_error() const { return sticky_error_; }
-
-  /// Replays every intact record in `path`, invoking `fn` per record.
-  /// A torn/corrupt tail is tolerated (replay stops); genuine mid-log
-  /// corruption also stops replay but is reported via the returned count
-  /// vs. expectations of the caller. Returns the number of records read.
-  static Result<uint64_t> Replay(
-      const std::string& path,
-      const std::function<Status(Slice payload)>& fn, Env* env = nullptr);
 
  private:
   Wal(std::string path, std::unique_ptr<WritableFile> file, WalOptions options);
@@ -142,7 +155,6 @@ class Wal {
   std::unique_ptr<WritableFile> file_;
   WalOptions options_;
   Env* env_;
-  uint64_t bytes_written_ = 0;
   Status sticky_error_;
   // Optional instrumentation (SetMetrics). Null when detached. Every fsync
   // issued against the log file (per-append, batched group and explicit

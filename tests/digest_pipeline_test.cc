@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "ledger/digest_pipeline.h"
@@ -143,6 +144,47 @@ TEST_F(DigestOutboxTest, AppendAfterTornTailSurvivesSecondReplay) {
   ASSERT_EQ(pending.size(), 2u);
   EXPECT_EQ(pending[0], "first");
   EXPECT_EQ(pending[1], "third");
+}
+
+// An all-zero frame header passes the CRC of zero bytes. A zero-filled tail
+// (a crash persisted the log's length before its data) must end replay like
+// a torn tail — not queue empty "digests" that use up capacity.
+TEST_F(DigestOutboxTest, ZeroFilledTailIsTruncatedOnReplay) {
+  DigestOutboxOptions opts;
+  opts.dir = Path("outbox");
+  {
+    auto box = DigestOutbox::Open(opts);
+    ASSERT_TRUE(box.ok());
+    ASSERT_TRUE((*box)->Append("first").ok());
+  }
+  const std::string log = Path("outbox/outbox.log");
+  const uint64_t intact = std::filesystem::file_size(log);
+  std::ofstream(log, std::ios::binary | std::ios::app)
+      << std::string(64, '\0');
+  auto box = DigestOutbox::Open(opts);
+  ASSERT_TRUE(box.ok()) << box.status().ToString();
+  EXPECT_EQ((*box)->Pending(), std::vector<std::string>{"first"});
+  EXPECT_EQ(std::filesystem::file_size(log), intact);
+}
+
+// A complete record that fails its CRC with more records after it is
+// mid-log damage, not a torn tail: replay refuses to silently drop it.
+TEST_F(DigestOutboxTest, CorruptRecordMidLogIsAnError) {
+  DigestOutboxOptions opts;
+  opts.dir = Path("outbox");
+  {
+    auto box = DigestOutbox::Open(opts);
+    ASSERT_TRUE(box.ok());
+    for (const char* p : {"alpha", "beta", "gamma"})
+      ASSERT_TRUE((*box)->Append(p).ok());
+  }
+  std::fstream f(Path("outbox/outbox.log"),
+                 std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(8);  // first byte of the first record's payload
+  f.put('A');
+  f.close();
+  auto box = DigestOutbox::Open(opts);
+  EXPECT_EQ(box.status().code(), StatusCode::kCorruption);
 }
 
 // ---- Pipeline fixture ----

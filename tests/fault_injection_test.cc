@@ -241,11 +241,12 @@ void RunTortureWorkload(LedgerDatabase* db,
 }
 
 TEST_F(FaultInjectionTest, CrashAtEverySyncPointRecoversVerifiably) {
+  SCOPED_TRACE("SQLLEDGER_TEST_SEED=" + std::to_string(TestSeed()));
   bool completed_without_crash = false;
   int crash_point = 1;
   for (; crash_point < 300 && !completed_without_crash; crash_point++) {
     std::string subdir = "crash" + std::to_string(crash_point);
-    FaultInjectionEnv env(nullptr, /*seed=*/1000 + crash_point);
+    FaultInjectionEnv env(nullptr, /*seed=*/1000 * TestSeed() + crash_point);
     env.CrashAtSync(crash_point);
 
     std::vector<DatabaseDigest> digests;

@@ -713,9 +713,10 @@ TEST_F(IncrementalVerifierTest, CrashAtEverySyncPointDuringStateSave) {
   bool completed_without_crash = false;
   int crash_point = 1;
   for (; crash_point <= 10 && !completed_without_crash; crash_point++) {
-    SCOPED_TRACE("crash point " + std::to_string(crash_point));
+    SCOPED_TRACE("crash point " + std::to_string(crash_point) +
+                 " (SQLLEDGER_TEST_SEED=" + std::to_string(TestSeed()) + ")");
     std::string subdir = "crash" + std::to_string(crash_point);
-    FaultInjectionEnv env(nullptr, /*seed=*/7000 + crash_point);
+    FaultInjectionEnv env(nullptr, /*seed=*/7000 * TestSeed() + crash_point);
     std::vector<DatabaseDigest> trusted;
     next_acct_ = 0;
     {

@@ -154,6 +154,35 @@ TEST_F(RecoveryTest, RecoveryAfterCheckpointPlusMoreTraffic) {
   EXPECT_TRUE(*derivable);
 }
 
+// A crash can leave a file's new length on disk before its data, so the
+// WAL ends in zeros. An all-zero header passes the CRC of zero bytes; it
+// must end replay like a torn tail, not fail Open, and be truncated away.
+TEST_F(RecoveryTest, ZeroFilledWalTailIsTruncated) {
+  LedgerDatabaseOptions options = MakeOptions();
+  options.sync_wal = true;
+  {
+    auto db = LedgerDatabase::Open(options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->CreateTable("t", SimpleUserSchema(),
+                                   TableKind::kUpdateable)
+                    .ok());
+    for (int i = 0; i < 3; i++)
+      ASSERT_TRUE(InsertOne(db->get(), "t", i, "pre").ok());
+  }
+  const std::string wal = Path("db/wal.log");
+  const uint64_t intact = std::filesystem::file_size(wal);
+  std::ofstream(wal, std::ios::binary | std::ios::app)
+      << std::string(4096, '\0');
+  auto db = LedgerDatabase::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(std::filesystem::file_size(wal), intact);
+  auto txn = (*db)->Begin("app");
+  auto rows = (*db)->Scan(*txn, "t");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 3u);
+  ASSERT_TRUE((*db)->Commit(*txn).ok());
+}
+
 TEST_F(RecoveryTest, TransactionIdsResumeAfterRecovery) {
   uint64_t last_txn_id;
   {

@@ -92,22 +92,23 @@ TEST_F(WalTest, AppendAndReplay) {
   (*wal).reset();
 
   uint64_t seen = 0;
-  auto count = Wal::Replay(Path("wal.log"), [&](Slice payload) {
-    auto rec = WalCommitRecord::Decode(payload);
-    EXPECT_TRUE(rec.ok());
-    EXPECT_EQ(rec->txn_id, seen);
-    seen++;
-    return Status::OK();
-  });
+  auto count =
+      ReadFrameLog(Env::Default(), Path("wal.log"), [&](Slice payload) {
+        auto rec = WalCommitRecord::Decode(payload);
+        EXPECT_TRUE(rec.ok());
+        EXPECT_EQ(rec->txn_id, seen);
+        seen++;
+        return Status::OK();
+      });
   ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 20u);
+  EXPECT_EQ(count->records, 20u);
 }
 
 TEST_F(WalTest, ReplayOfMissingFileIsEmpty) {
-  auto count = Wal::Replay(Path("nonexistent.log"),
-                           [](Slice) { return Status::OK(); });
+  auto count = ReadFrameLog(Env::Default(), Path("nonexistent.log"),
+                            [](Slice) { return Status::OK(); });
   ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 0u);
+  EXPECT_EQ(count->records, 0u);
 }
 
 TEST_F(WalTest, TornTailIsTolerated) {
@@ -122,12 +123,12 @@ TEST_F(WalTest, TornTailIsTolerated) {
   std::filesystem::resize_file(Path("wal.log"), size - 3);
 
   uint64_t seen = 0;
-  auto count = Wal::Replay(Path("wal.log"), [&](Slice) {
+  auto count = ReadFrameLog(Env::Default(), Path("wal.log"), [&](Slice) {
     seen++;
     return Status::OK();
   });
   ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 4u);  // last record torn away
+  EXPECT_EQ(count->records, 4u);  // last record torn away
 }
 
 TEST_F(WalTest, TornTailToleratedAtEveryByteOffset) {
@@ -154,13 +155,14 @@ TEST_F(WalTest, TornTailToleratedAtEveryByteOffset) {
         std::filesystem::copy_options::overwrite_existing);
     std::filesystem::resize_file(Path("torn.log"), cut);
     uint64_t seen = 0;
-    auto count = Wal::Replay(Path("torn.log"), [&](Slice) {
+    auto count = ReadFrameLog(Env::Default(), Path("torn.log"), [&](Slice) {
       seen++;
       return Status::OK();
     });
     ASSERT_TRUE(count.ok()) << "cut at byte " << cut << ": "
                             << count.status().ToString();
-    EXPECT_EQ(*count, cut == full_size ? 5u : 4u) << "cut at byte " << cut;
+    EXPECT_EQ(count->records, cut == full_size ? 5u : 4u)
+        << "cut at byte " << cut;
   }
 }
 
@@ -183,12 +185,12 @@ TEST_F(WalTest, CorruptRecordStopsReplay) {
   f.close();
 
   uint64_t seen = 0;
-  auto count = Wal::Replay(Path("wal.log"), [&](Slice) {
+  auto count = ReadFrameLog(Env::Default(), Path("wal.log"), [&](Slice) {
     seen++;
     return Status::OK();
   });
   ASSERT_TRUE(count.ok());
-  EXPECT_LT(*count, 5u);  // replay stopped at the corrupt record
+  EXPECT_LT(count->records, 5u);  // replay stopped at the corrupt record
 }
 
 TEST_F(WalTest, ResetTruncates) {
@@ -200,11 +202,12 @@ TEST_F(WalTest, ResetTruncates) {
   (*wal).reset();
 
   std::vector<uint64_t> ids;
-  ASSERT_TRUE(Wal::Replay(Path("wal.log"), [&](Slice payload) {
-                auto rec = WalCommitRecord::Decode(payload);
-                ids.push_back(rec->txn_id);
-                return Status::OK();
-              }).ok());
+  ASSERT_TRUE(
+      ReadFrameLog(Env::Default(), Path("wal.log"), [&](Slice payload) {
+        auto rec = WalCommitRecord::Decode(payload);
+        ids.push_back(rec->txn_id);
+        return Status::OK();
+      }).ok());
   EXPECT_EQ(ids, (std::vector<uint64_t>{2}));
 }
 
