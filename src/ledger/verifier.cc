@@ -88,10 +88,10 @@ void CheckIndexes(const TableStore& store, VerificationReport* report) {
     MerkleBuilder base_tree;
     for (const KeyTuple& t : base_tuples) AddTupleLeaf(t, &scratch, &base_tree);
 
-    // Index side: the stored keys, already in order.
+    // Index side: the stored tuples, already in order.
     MerkleBuilder index_tree;
     for (BTree::Iterator it = idx->tree.Begin(); it.Valid(); it.Next())
-      AddTupleLeaf(it.key(), &scratch, &index_tree);
+      AddTupleLeaf(it.value(), &scratch, &index_tree);
 
     if (index_tree.leaf_count() != base_tree.leaf_count() ||
         base_tree.Root() != index_tree.Root()) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+
+#include "catalog/schema.h"
 
 namespace sqlledger {
 
@@ -11,52 +14,33 @@ struct BTree::Node {
 };
 
 struct BTree::LeafNode : BTree::Node {
-  LeafNode() : Node(true) {}
-  std::vector<KeyTuple> keys;
-  std::vector<Row> values;
+  explicit LeafNode(size_t capacity) : Node(true) { rows.reserve(capacity); }
+  std::vector<Row> rows;
+  // Slot of the leaf's most recent insert (SIZE_MAX before the first).
+  size_t last_insert = SIZE_MAX;
   LeafNode* prev = nullptr;
   LeafNode* next = nullptr;
 };
 
 struct BTree::InternalNode : BTree::Node {
   InternalNode() : Node(false) {}
-  // children.size() == keys.size() + 1. keys[i] separates children[i]
-  // (strictly less) from children[i+1] (greater or equal).
-  std::vector<KeyTuple> keys;
+  // children.size() == separators.size() + 1. separators[i] separates
+  // children[i] (strictly less) from children[i+1] (greater or equal).
+  std::vector<KeyTuple> separators;
   std::vector<Node*> children;
 };
 
 namespace {
-/// Index of the first element in `keys` >= `key`.
-size_t LowerBound(const std::vector<KeyTuple>& keys, const KeyTuple& key) {
-  size_t lo = 0, hi = keys.size();
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (CompareKeys(keys[mid], key) < 0)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  return lo;
-}
-
-/// Index of the first element in `keys` > `key` (child index for descent).
-size_t UpperBound(const std::vector<KeyTuple>& keys, const KeyTuple& key) {
-  size_t lo = 0, hi = keys.size();
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (CompareKeys(keys[mid], key) <= 0)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  return lo;
+/// Index of the first separator > `key` (child index for descent).
+size_t UpperBound(const std::vector<KeyTuple>& seps, const KeyTuple& key) {
+  return std::upper_bound(seps.begin(), seps.end(), key, KeyTupleLess()) -
+         seps.begin();
 }
 }  // namespace
 
-BTree::BTree(size_t fanout)
-    : fanout_(fanout < 4 ? 4 : fanout), root_(new LeafNode()), size_(0),
-      height_(1) {}
+BTree::BTree(std::vector<size_t> key_ordinals, size_t fanout)
+    : key_ordinals_(std::move(key_ordinals)), fanout_(fanout < 4 ? 4 : fanout),
+      root_(new LeafNode(fanout_ + 1)), size_(0), height_(1) {}
 
 BTree::~BTree() { FreeNode(root_); }
 
@@ -73,9 +57,35 @@ void BTree::FreeNode(Node* node) {
 
 void BTree::Clear() {
   FreeNode(root_);
-  root_ = new LeafNode();
+  root_ = new LeafNode(fanout_ + 1);
   size_ = 0;
   height_ = 1;
+}
+
+KeyTuple BTree::KeyOf(const Row& row) const {
+  return key_ordinals_.empty() ? row
+                               : Schema::ExtractColumns(row, key_ordinals_);
+}
+
+int BTree::CompareRow(const Row& row, const KeyTuple& key) const {
+  bool whole = key_ordinals_.empty();
+  size_t len = whole ? row.size() : key_ordinals_.size();
+  size_t n = std::min(len, key.size());
+  for (size_t i = 0; i < n; i++) {
+    int r = row[whole ? i : key_ordinals_[i]].Compare(key[i]);
+    if (r != 0) return r;
+  }
+  if (len < key.size()) return -1;
+  return len > key.size() ? 1 : 0;
+}
+
+/// Index of the first entry in `leaf` whose key is >= `key`.
+size_t BTree::LowerBound(const LeafNode& leaf, const KeyTuple& key) const {
+  return std::lower_bound(leaf.rows.begin(), leaf.rows.end(), key,
+                          [this](const Row& row, const KeyTuple& k) {
+                            return CompareRow(row, k) < 0;
+                          }) -
+         leaf.rows.begin();
 }
 
 BTree::LeafNode* BTree::DescendWithPath(
@@ -84,86 +94,73 @@ BTree::LeafNode* BTree::DescendWithPath(
   while (!node->is_leaf) {
     auto* in = static_cast<InternalNode*>(node);
     if (path) path->push_back(in);
-    node = in->children[UpperBound(in->keys, key)];
+    node = in->children[UpperBound(in->separators, key)];
   }
   return static_cast<LeafNode*>(node);
 }
 
-BTree::LeafNode* BTree::FindLeaf(const KeyTuple& key) const {
-  return DescendWithPath(key, nullptr);
-}
-
-const Row* BTree::Get(const KeyTuple& key) const {
-  LeafNode* leaf = FindLeaf(key);
-  size_t pos = LowerBound(leaf->keys, key);
-  if (pos < leaf->keys.size() && CompareKeys(leaf->keys[pos], key) == 0)
-    return &leaf->values[pos];
+Row* BTree::Find(const KeyTuple& key) const {
+  LeafNode* leaf = DescendWithPath(key, nullptr);
+  size_t pos = LowerBound(*leaf, key);
+  if (pos < leaf->rows.size() && CompareRow(leaf->rows[pos], key) == 0)
+    return &leaf->rows[pos];
   return nullptr;
 }
 
-Row* BTree::MutableGet(const KeyTuple& key) {
-  LeafNode* leaf = FindLeaf(key);
-  size_t pos = LowerBound(leaf->keys, key);
-  if (pos < leaf->keys.size() && CompareKeys(leaf->keys[pos], key) == 0)
-    return &leaf->values[pos];
-  return nullptr;
-}
-
-Status BTree::Insert(const KeyTuple& key, Row value) {
+bool BTree::Put(Row row, bool overwrite) {
+  KeyTuple key = KeyOf(row);
   std::vector<InternalNode*> path;
   LeafNode* leaf = DescendWithPath(key, &path);
-  size_t pos = LowerBound(leaf->keys, key);
-  if (pos < leaf->keys.size() && CompareKeys(leaf->keys[pos], key) == 0)
-    return Status::AlreadyExists("duplicate key");
-  leaf->keys.insert(leaf->keys.begin() + pos, key);
-  leaf->values.insert(leaf->values.begin() + pos, std::move(value));
-  size_++;
-  if (leaf->keys.size() > fanout_) SplitLeaf(leaf, &path);
-  return Status::OK();
-}
-
-void BTree::Upsert(const KeyTuple& key, Row value) {
-  std::vector<InternalNode*> path;
-  LeafNode* leaf = DescendWithPath(key, &path);
-  size_t pos = LowerBound(leaf->keys, key);
-  if (pos < leaf->keys.size() && CompareKeys(leaf->keys[pos], key) == 0) {
-    leaf->values[pos] = std::move(value);
-    return;
+  size_t pos = LowerBound(*leaf, key);
+  if (pos < leaf->rows.size() && CompareRow(leaf->rows[pos], key) == 0) {
+    if (overwrite) leaf->rows[pos] = std::move(row);
+    return false;
   }
-  leaf->keys.insert(leaf->keys.begin() + pos, key);
-  leaf->values.insert(leaf->values.begin() + pos, std::move(value));
+  bool sequential = pos == leaf->last_insert + 1;
+  leaf->rows.insert(leaf->rows.begin() + pos, std::move(row));
+  leaf->last_insert = pos;
   size_++;
-  if (leaf->keys.size() > fanout_) SplitLeaf(leaf, &path);
+  if (leaf->rows.size() > fanout_) SplitLeaf(leaf, sequential, &path);
+  return true;
 }
 
-Status BTree::Update(const KeyTuple& key, Row value) {
-  LeafNode* leaf = FindLeaf(key);
-  size_t pos = LowerBound(leaf->keys, key);
-  if (pos >= leaf->keys.size() || CompareKeys(leaf->keys[pos], key) != 0)
-    return Status::NotFound("key not found");
-  leaf->values[pos] = std::move(value);
+Status BTree::Insert(Row row) {
+  if (!Put(std::move(row), /*overwrite=*/false))
+    return Status::AlreadyExists("duplicate key");
   return Status::OK();
 }
 
-void BTree::SplitLeaf(LeafNode* leaf, std::vector<InternalNode*>* path) {
-  auto* right = new LeafNode();
-  size_t mid = leaf->keys.size() / 2;
-  right->keys.assign(std::make_move_iterator(leaf->keys.begin() + mid),
-                     std::make_move_iterator(leaf->keys.end()));
-  right->values.assign(std::make_move_iterator(leaf->values.begin() + mid),
-                       std::make_move_iterator(leaf->values.end()));
-  leaf->keys.resize(mid);
-  leaf->values.resize(mid);
+void BTree::Upsert(Row row) { Put(std::move(row), /*overwrite=*/true); }
+
+Status BTree::Update(Row row) {
+  Row* entry = Find(KeyOf(row));
+  if (entry == nullptr) return Status::NotFound("key not found");
+  *entry = std::move(row);
+  return Status::OK();
+}
+
+void BTree::SplitLeaf(LeafNode* leaf, bool sequential,
+                      std::vector<InternalNode*>* path) {
+  // A sequential overflow in the upper half keeps the left leaf full: cut
+  // just right of the new entry, or before it when it took the last slot.
+  size_t n = leaf->rows.size(), pos = leaf->last_insert;
+  size_t cut = n / 2;
+  if (sequential && pos >= n / 2) cut = pos + 1 == n ? pos : pos + 1;
+  auto* right = new LeafNode(fanout_ + 1);
+  right->rows.assign(std::make_move_iterator(leaf->rows.begin() + cut),
+                     std::make_move_iterator(leaf->rows.end()));
+  leaf->rows.resize(cut);
+  if (pos >= cut) right->last_insert = pos - cut;
 
   right->next = leaf->next;
   right->prev = leaf;
   if (leaf->next) leaf->next->prev = right;
   leaf->next = right;
 
-  KeyTuple separator = right->keys.front();
+  KeyTuple separator = KeyOf(right->rows.front());
   if (path->empty()) {
     auto* new_root = new InternalNode();
-    new_root->keys.push_back(std::move(separator));
+    new_root->separators.push_back(std::move(separator));
     new_root->children.push_back(leaf);
     new_root->children.push_back(right);
     root_ = new_root;
@@ -172,28 +169,30 @@ void BTree::SplitLeaf(LeafNode* leaf, std::vector<InternalNode*>* path) {
   }
   InternalNode* parent = path->back();
   path->pop_back();
-  size_t pos = UpperBound(parent->keys, separator);
-  parent->keys.insert(parent->keys.begin() + pos, std::move(separator));
-  parent->children.insert(parent->children.begin() + pos + 1, right);
-  if (parent->keys.size() > fanout_) SplitInternal(parent, path);
+  size_t at = UpperBound(parent->separators, separator);
+  parent->separators.insert(parent->separators.begin() + at,
+                            std::move(separator));
+  parent->children.insert(parent->children.begin() + at + 1, right);
+  if (parent->separators.size() > fanout_) SplitInternal(parent, path);
 }
 
 void BTree::SplitInternal(InternalNode* node,
                           std::vector<InternalNode*>* path) {
   auto* right = new InternalNode();
-  size_t mid = node->keys.size() / 2;
-  KeyTuple separator = node->keys[mid];  // moves up, not into right
+  size_t mid = node->separators.size() / 2;
+  KeyTuple separator = node->separators[mid];  // moves up, not into right
 
-  right->keys.assign(std::make_move_iterator(node->keys.begin() + mid + 1),
-                     std::make_move_iterator(node->keys.end()));
+  right->separators.assign(
+      std::make_move_iterator(node->separators.begin() + mid + 1),
+      std::make_move_iterator(node->separators.end()));
   right->children.assign(node->children.begin() + mid + 1,
                          node->children.end());
-  node->keys.resize(mid);
+  node->separators.resize(mid);
   node->children.resize(mid + 1);
 
   if (path->empty()) {
     auto* new_root = new InternalNode();
-    new_root->keys.push_back(std::move(separator));
+    new_root->separators.push_back(std::move(separator));
     new_root->children.push_back(node);
     new_root->children.push_back(right);
     root_ = new_root;
@@ -202,22 +201,22 @@ void BTree::SplitInternal(InternalNode* node,
   }
   InternalNode* parent = path->back();
   path->pop_back();
-  size_t pos = UpperBound(parent->keys, separator);
-  parent->keys.insert(parent->keys.begin() + pos, std::move(separator));
+  size_t pos = UpperBound(parent->separators, separator);
+  parent->separators.insert(parent->separators.begin() + pos,
+                            std::move(separator));
   parent->children.insert(parent->children.begin() + pos + 1, right);
-  if (parent->keys.size() > fanout_) SplitInternal(parent, path);
+  if (parent->separators.size() > fanout_) SplitInternal(parent, path);
 }
 
 Status BTree::Delete(const KeyTuple& key) {
   std::vector<InternalNode*> path;
   LeafNode* leaf = DescendWithPath(key, &path);
-  size_t pos = LowerBound(leaf->keys, key);
-  if (pos >= leaf->keys.size() || CompareKeys(leaf->keys[pos], key) != 0)
+  size_t pos = LowerBound(*leaf, key);
+  if (pos >= leaf->rows.size() || CompareRow(leaf->rows[pos], key) != 0)
     return Status::NotFound("key not found");
-  leaf->keys.erase(leaf->keys.begin() + pos);
-  leaf->values.erase(leaf->values.begin() + pos);
+  leaf->rows.erase(leaf->rows.begin() + pos);
   size_--;
-  if (leaf->keys.empty() && leaf != root_) RemoveEmptyLeaf(leaf, &path);
+  if (leaf->rows.empty() && leaf != root_) RemoveEmptyLeaf(leaf, &path);
   return Status::OK();
 }
 
@@ -236,26 +235,16 @@ void BTree::RemoveEmptyLeaf(LeafNode* leaf, std::vector<InternalNode*>* path) {
     while (ci < parent->children.size() && parent->children[ci] != child) ci++;
     assert(ci < parent->children.size());
     parent->children.erase(parent->children.begin() + ci);
-    if (!parent->keys.empty())
-      parent->keys.erase(parent->keys.begin() + (ci == 0 ? 0 : ci - 1));
+    if (!parent->separators.empty())
+      parent->separators.erase(parent->separators.begin() +
+                               (ci == 0 ? 0 : ci - 1));
     if (child->is_leaf)
       delete static_cast<LeafNode*>(child);
     else
       delete static_cast<InternalNode*>(child);
     if (!parent->children.empty()) {
-      // If the (non-root) parent is left with a single child, collapse it
-      // into the grandparent to keep the tree slim.
-      if (parent->children.size() == 1 && parent != root_) {
-        InternalNode* grand = path->back();
-        size_t gi = 0;
-        while (gi < grand->children.size() && grand->children[gi] != parent)
-          gi++;
-        assert(gi < grand->children.size());
-        grand->children[gi] = parent->children[0];
-        parent->children.clear();
-        delete parent;
-        return;
-      }
+      // A root left with one child hands over to it. A non-root node keeps
+      // a single child: lifting it would leave its leaves above height_.
       if (parent == root_ && parent->children.size() == 1) {
         root_ = parent->children[0];
         height_--;
@@ -267,70 +256,115 @@ void BTree::RemoveEmptyLeaf(LeafNode* leaf, std::vector<InternalNode*>* path) {
     child = parent;  // parent became empty; remove it from its own parent
   }
   // The whole tree emptied out: reset to a single empty leaf root.
-  root_ = new LeafNode();
+  root_ = new LeafNode(fanout_ + 1);
   height_ = 1;
 }
 
 bool BTree::Iterator::Valid() const {
-  return ref_.leaf != nullptr &&
-         ref_.pos < static_cast<const LeafNode*>(ref_.leaf)->keys.size();
+  return leaf_ != nullptr &&
+         pos_ < static_cast<const LeafNode*>(leaf_)->rows.size();
 }
 
 void BTree::Iterator::Next() {
-  const auto* leaf = static_cast<const LeafNode*>(ref_.leaf);
-  ref_.pos++;
-  while (leaf != nullptr && ref_.pos >= leaf->keys.size()) {
+  const auto* leaf = static_cast<const LeafNode*>(leaf_);
+  pos_++;
+  while (leaf != nullptr && pos_ >= leaf->rows.size()) {
     leaf = leaf->next;
-    ref_.pos = 0;
+    pos_ = 0;
   }
-  ref_.leaf = leaf;
+  leaf_ = leaf;
 }
 
-const KeyTuple& BTree::Iterator::key() const {
-  return static_cast<const LeafNode*>(ref_.leaf)->keys[ref_.pos];
-}
+KeyTuple BTree::Iterator::key() const { return tree_->KeyOf(value()); }
 
 const Row& BTree::Iterator::value() const {
-  return static_cast<const LeafNode*>(ref_.leaf)->values[ref_.pos];
+  return static_cast<const LeafNode*>(leaf_)->rows[pos_];
+}
+
+BTree::LeafNode* BTree::LeftmostLeaf() const {
+  Node* node = root_;
+  while (!node->is_leaf)
+    node = static_cast<InternalNode*>(node)->children.front();
+  return static_cast<LeafNode*>(node);
 }
 
 BTree::Iterator BTree::Begin() const {
-  const Node* node = root_;
-  while (!node->is_leaf)
-    node = static_cast<const InternalNode*>(node)->children.front();
   Iterator it;
-  it.ref_.leaf = node;
-  it.ref_.pos = 0;
+  it.tree_ = this;
+  const LeafNode* leaf = LeftmostLeaf();
   // Skip an empty root leaf.
-  if (static_cast<const LeafNode*>(node)->keys.empty()) it.ref_.leaf = nullptr;
+  if (!leaf->rows.empty()) it.leaf_ = leaf;
   return it;
 }
 
 BTree::Iterator BTree::Seek(const KeyTuple& key) const {
-  LeafNode* leaf = FindLeaf(key);
-  size_t pos = LowerBound(leaf->keys, key);
+  const LeafNode* leaf = DescendWithPath(key, nullptr);
   Iterator it;
-  it.ref_.leaf = leaf;
-  it.ref_.pos = pos;
-  const LeafNode* l = leaf;
-  while (l != nullptr && it.ref_.pos >= l->keys.size()) {
-    l = l->next;
-    it.ref_.pos = 0;
+  it.tree_ = this;
+  it.pos_ = LowerBound(*leaf, key);
+  while (leaf != nullptr && it.pos_ >= leaf->rows.size()) {
+    leaf = leaf->next;
+    it.pos_ = 0;
   }
-  it.ref_.leaf = l;
+  it.leaf_ = leaf;
   return it;
 }
 
-Status BTree::CheckInvariants() const {
-  // Walk the leaf chain: keys strictly increasing, count matches size_.
+void BTree::ForEach(const std::function<void(Row*)>& fn) {
+  for (LeafNode* leaf = LeftmostLeaf(); leaf != nullptr; leaf = leaf->next)
+    for (Row& row : leaf->rows) fn(&row);
+}
+
+size_t BTree::LeafCount() const {
   size_t count = 0;
-  const KeyTuple* prev = nullptr;
-  for (Iterator it = Begin(); it.Valid(); it.Next()) {
-    if (prev != nullptr && CompareKeys(*prev, it.key()) >= 0)
-      return Status::Corruption("keys out of order in leaf chain");
-    prev = &it.key();
-    count++;
+  for (const LeafNode* l = LeftmostLeaf(); l != nullptr; l = l->next) count++;
+  return count;
+}
+
+/// Checks the subtree at `node`, whose keys must lie in [*lo, *hi) (a null
+/// bound is open). Leaves are visited in tree order: `*last` is the leaf
+/// before this subtree and `*count` the entries so far.
+Status BTree::CheckNode(const Node* node, size_t depth, const KeyTuple* lo,
+                        const KeyTuple* hi, const LeafNode** last,
+                        size_t* count) const {
+  if (!node->is_leaf) {
+    const auto* in = static_cast<const InternalNode*>(node);
+    const std::vector<KeyTuple>& seps = in->separators;
+    for (size_t i = 0; i < in->children.size(); i++) {
+      SL_RETURN_IF_ERROR(CheckNode(in->children[i], depth + 1,
+                                   i == 0 ? lo : &seps[i - 1],
+                                   i == seps.size() ? hi : &seps[i], last,
+                                   count));
+    }
+    return Status::OK();
   }
+  const auto* leaf = static_cast<const LeafNode*>(node);
+  if (depth != height_)
+    return Status::Corruption("leaf at depth " + std::to_string(depth) +
+                              ", height is " + std::to_string(height_));
+  if (leaf->prev != *last || (*last != nullptr && (*last)->next != leaf))
+    return Status::Corruption("leaf prev/next links do not mirror");
+  for (size_t i = 0; i < leaf->rows.size(); i++) {
+    const Row& row = leaf->rows[i];
+    if ((lo != nullptr && CompareRow(row, *lo) < 0) ||
+        (hi != nullptr && CompareRow(row, *hi) >= 0))
+      return Status::Corruption("leaf key outside its separators");
+    if (i > 0 && CompareRow(row, KeyOf(leaf->rows[i - 1])) <= 0)
+      return Status::Corruption("keys out of order in leaf");
+  }
+  *last = leaf;
+  *count += leaf->rows.size();
+  return Status::OK();
+}
+
+Status BTree::CheckInvariants() const {
+  // Separator bounds plus in-leaf order make keys strictly increasing in
+  // tree order; the mirrored links make the chain follow tree order.
+  const LeafNode* last = nullptr;
+  size_t count = 0;
+  SL_RETURN_IF_ERROR(CheckNode(root_, 1, nullptr, nullptr, &last, &count));
+  if (last->next != nullptr)
+    return Status::Corruption("leaf chain runs past the last leaf");
   if (count != size_)
     return Status::Corruption("size mismatch: counted " +
                               std::to_string(count) + ", recorded " +

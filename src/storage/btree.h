@@ -1,8 +1,16 @@
-// In-memory B+-tree keyed by value tuples. Backs both clustered indexes
-// (primary key -> full row) and non-clustered indexes (index key -> primary
-// key, stored as a Row). Leaves are chained for ordered scans, which the
-// ledger verifier relies on (it recomputes Merkle roots over rows in
-// clustered-key order, paper §3.4.2 invariant 5).
+// In-memory B+-tree of rows. An entry is only its row: the key is read in
+// place from the row's `key_ordinals` columns (or, with no ordinals, is the
+// whole entry), so leaves hold no second copy of it. Backs both clustered
+// indexes (entries are full rows keyed by the primary-key columns) and
+// non-clustered indexes (entries are (index columns + primary key) tuples,
+// keyed whole). Leaves are chained for ordered scans, which the ledger
+// verifier relies on (it recomputes Merkle roots over rows in clustered-key
+// order, paper §3.4.2 invariant 5).
+//
+// A leaf overflowing on a sequential insert (one landing right after the
+// leaf's previous insert, in its upper half) splits just right of the new
+// entry, so ascending and grouped-ascending appends fill leaves densely;
+// every other overflow splits at the midpoint.
 //
 // Deletion removes entries in place and unlinks pages only when they become
 // empty (the PostgreSQL approach) rather than eagerly rebalancing; ordered
@@ -14,7 +22,7 @@
 #ifndef SQLLEDGER_STORAGE_BTREE_H_
 #define SQLLEDGER_STORAGE_BTREE_H_
 
-#include <memory>
+#include <functional>
 #include <vector>
 
 #include "catalog/value.h"
@@ -25,48 +33,56 @@ namespace sqlledger {
 
 class BTree {
  public:
-  /// `fanout` is the max number of keys per node before a split.
-  explicit BTree(size_t fanout = 64);
+  /// An entry's key is its `key_ordinals` columns, in that order; an empty
+  /// list makes the whole entry the key. `fanout` is the max number of
+  /// entries per node before a split.
+  explicit BTree(std::vector<size_t> key_ordinals, size_t fanout = 64);
   ~BTree();
 
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
 
-  /// Inserts; fails with AlreadyExists if the key is present.
-  Status Insert(const KeyTuple& key, Row value);
-  /// Inserts or overwrites.
-  void Upsert(const KeyTuple& key, Row value);
-  /// Replaces the value of an existing key; NotFound otherwise.
-  Status Update(const KeyTuple& key, Row value);
+  /// Inserts; fails with AlreadyExists if the row's key is present.
+  Status Insert(Row row);
+  /// Inserts or overwrites the entry with the row's key.
+  void Upsert(Row row);
+  /// Replaces the entry with the row's key; NotFound otherwise.
+  Status Update(Row row);
   /// Removes; NotFound if absent.
   Status Delete(const KeyTuple& key);
 
   /// Point lookup. The returned pointer is valid until the next mutation.
-  const Row* Get(const KeyTuple& key) const;
-  /// Mutable point lookup for in-place value edits that do not change the
-  /// key (schema evolution appends NULL cells to every row).
-  Row* MutableGet(const KeyTuple& key);
+  const Row* Get(const KeyTuple& key) const { return Find(key); }
+  /// Mutable point lookup for in-place edits. The key is read from the row,
+  /// so an edit of a key column moves the entry's key without moving the
+  /// entry: the tree is out of order until the edit is undone. Only
+  /// tamper simulations do that; schema evolution appends trailing cells.
+  Row* MutableGet(const KeyTuple& key) { return Find(key); }
   bool Contains(const KeyTuple& key) const { return Get(key) != nullptr; }
+  /// Calls `fn` on every entry in key order, under MutableGet's contract.
+  void ForEach(const std::function<void(Row*)>& fn);
+
+  /// The key of `row`: its key columns, or all of it.
+  KeyTuple KeyOf(const Row& row) const;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   void Clear();
 
-  /// Forward iterator over (key, value) pairs in key order. Invalidated by
-  /// any mutation.
+  /// Forward iterator over entries in key order. Invalidated by any
+  /// mutation.
   class Iterator {
    public:
     bool Valid() const;
     void Next();
-    const KeyTuple& key() const;
+    KeyTuple key() const;
     const Row& value() const;
 
    private:
     friend class BTree;
-    struct LeafRef {
-      const void* leaf = nullptr;
-      size_t pos = 0;
-    } ref_;
+    const BTree* tree_ = nullptr;
+    const void* leaf_ = nullptr;
+    size_t pos_ = 0;
   };
 
   /// Iterator positioned at the smallest key.
@@ -74,23 +90,39 @@ class BTree {
   /// Iterator positioned at the first key >= `key`.
   Iterator Seek(const KeyTuple& key) const;
 
-  /// Structural self-check used by property tests: key ordering within and
-  /// across leaves, child separator consistency, size bookkeeping.
+  /// Structural self-check used by property tests: key order, every key
+  /// under children[i] < separators[i] <= every key under children[i+1],
+  /// all leaves at depth height_, mirrored prev/next links, size.
   Status CheckInvariants() const;
+  /// Number of leaves in the chain (fill tests).
+  size_t LeafCount() const;
 
  private:
   struct Node;
   struct LeafNode;
   struct InternalNode;
 
-  LeafNode* FindLeaf(const KeyTuple& key) const;
-  void SplitLeaf(LeafNode* leaf, std::vector<InternalNode*>* path);
+  /// Compares `row`'s key with `key` under CompareKeys' prefix and length
+  /// rules.
+  int CompareRow(const Row& row, const KeyTuple& key) const;
+  size_t LowerBound(const LeafNode& leaf, const KeyTuple& key) const;
+  Row* Find(const KeyTuple& key) const;
+  /// Inserts `row`, or overwrites its entry when `overwrite`; returns false
+  /// if the key was already present.
+  bool Put(Row row, bool overwrite);
+  LeafNode* LeftmostLeaf() const;
+  Status CheckNode(const Node* node, size_t depth, const KeyTuple* lo,
+                   const KeyTuple* hi, const LeafNode** last,
+                   size_t* count) const;
+  void SplitLeaf(LeafNode* leaf, bool sequential,
+                 std::vector<InternalNode*>* path);
   void SplitInternal(InternalNode* node, std::vector<InternalNode*>* path);
   LeafNode* DescendWithPath(const KeyTuple& key,
                             std::vector<InternalNode*>* path) const;
   void RemoveEmptyLeaf(LeafNode* leaf, std::vector<InternalNode*>* path);
   void FreeNode(Node* node);
 
+  std::vector<size_t> key_ordinals_;
   size_t fanout_;
   Node* root_;
   size_t size_;

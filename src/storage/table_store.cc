@@ -1,10 +1,20 @@
 #include "storage/table_store.h"
 
+#include <algorithm>
+
 namespace sqlledger {
+
+namespace {
+/// True if `tuple`'s leading values equal `prefix`.
+bool StartsWith(const KeyTuple& tuple, const KeyTuple& prefix) {
+  return tuple.size() >= prefix.size() &&
+         std::equal(prefix.begin(), prefix.end(), tuple.begin());
+}
+}  // namespace
 
 TableStore::TableStore(uint32_t table_id, std::string name, Schema schema)
     : table_id_(table_id), name_(std::move(name)), schema_(std::move(schema)),
-      clustered_(64) {}
+      clustered_(schema_.key_ordinals()) {}
 
 KeyTuple TableStore::IndexKeyOf(const SecondaryIndex& idx,
                                 const Row& row) const {
@@ -27,26 +37,18 @@ Status TableStore::Insert(const Row& row) {
     if (!idx->unique) continue;
     KeyTuple prefix = Schema::ExtractColumns(row, idx->ordinals);
     BTree::Iterator it = idx->tree.Seek(prefix);
-    if (it.Valid()) {
-      KeyTuple existing_prefix(it.key().begin(),
-                               it.key().begin() + idx->ordinals.size());
-      if (CompareKeys(existing_prefix, prefix) == 0)
-        return Status::AlreadyExists("unique index violation on '" +
-                                     idx->name + "'");
-    }
+    if (it.Valid() && StartsWith(it.value(), prefix))
+      return Status::AlreadyExists("unique index violation on '" + idx->name +
+                                   "'");
   }
-  for (const auto& idx : indexes_) {
-    Row pk_row(pk.begin(), pk.end());
-    idx->tree.Upsert(IndexKeyOf(*idx, row), std::move(pk_row));
-  }
-  return clustered_.Insert(pk, row);
+  for (const auto& idx : indexes_) idx->tree.Upsert(IndexKeyOf(*idx, row));
+  return clustered_.Insert(row);
 }
 
 Status TableStore::Update(const Row& row) {
   WriterMutexLock latch(&latch_);
   SL_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  KeyTuple pk = schema_.ExtractKey(row);
-  const Row* old_row = clustered_.Get(pk);
+  Row* old_row = clustered_.MutableGet(schema_.ExtractKey(row));
   if (old_row == nullptr)
     return Status::NotFound("row not found in table '" + name_ + "'");
   for (const auto& idx : indexes_) {
@@ -55,11 +57,11 @@ Status TableStore::Update(const Row& row) {
     if (CompareKeys(old_key, new_key) != 0) {
       // The clustered row was just read, so its index entry exists.
       (void)idx->tree.Delete(old_key);
-      Row pk_row(pk.begin(), pk.end());
-      idx->tree.Upsert(std::move(new_key), std::move(pk_row));
+      idx->tree.Upsert(std::move(new_key));
     }
   }
-  return clustered_.Update(pk, row);
+  *old_row = row;
+  return Status::OK();
 }
 
 Status TableStore::Delete(const KeyTuple& key) {
@@ -88,23 +90,14 @@ std::optional<Row> TableStore::GetCopy(const KeyTuple& key) const {
 std::optional<Row> TableStore::SeekFirstCopy(const KeyTuple& prefix) const {
   ReaderMutexLock latch(&latch_);
   BTree::Iterator it = clustered_.Seek(prefix);
-  if (!it.Valid() || it.key().size() < prefix.size()) return std::nullopt;
-  for (size_t i = 0; i < prefix.size(); i++) {
-    if (it.key()[i].Compare(prefix[i]) != 0) return std::nullopt;
-  }
+  if (!it.Valid() || !StartsWith(it.key(), prefix)) return std::nullopt;
   return it.value();
 }
 
 void TableStore::ExtendRows(const Value& value) {
   WriterMutexLock latch(&latch_);
-  std::vector<KeyTuple> keys;
-  keys.reserve(clustered_.size());
-  for (BTree::Iterator it = clustered_.Begin(); it.Valid(); it.Next())
-    keys.push_back(it.key());
-  for (const KeyTuple& key : keys) {
-    Row* row = clustered_.MutableGet(key);
-    if (row != nullptr) row->push_back(value);
-  }
+  // The new cell is trailing, never a key column, so no entry moves.
+  clustered_.ForEach([&value](Row* row) { row->push_back(value); });
 }
 
 Status TableStore::CreateIndex(const std::string& index_name,
@@ -122,23 +115,19 @@ Status TableStore::CreateIndex(const std::string& index_name,
   idx->ordinals = ordinals;
   idx->unique = unique;
   // Build from existing rows.
-  for (BTree::Iterator it = clustered_.Begin(); it.Valid(); it.Next()) {
-    Row pk_row(it.key().begin(), it.key().end());
-    idx->tree.Upsert(IndexKeyOf(*idx, it.value()), std::move(pk_row));
-  }
+  for (BTree::Iterator it = clustered_.Begin(); it.Valid(); it.Next())
+    idx->tree.Upsert(IndexKeyOf(*idx, it.value()));
   if (unique) {
-    // Stored keys carry the primary key as a suffix, so duplicates of the
+    // Stored tuples carry the primary key as a suffix, so duplicates of the
     // indexed columns appear as adjacent entries sharing the prefix.
-    const KeyTuple* prev = nullptr;
+    const Row* prev = nullptr;
     for (BTree::Iterator it = idx->tree.Begin(); it.Valid(); it.Next()) {
-      if (prev != nullptr) {
-        KeyTuple a(prev->begin(), prev->begin() + ordinals.size());
-        KeyTuple b(it.key().begin(), it.key().begin() + ordinals.size());
-        if (CompareKeys(a, b) == 0)
-          return Status::InvalidArgument(
-              "cannot create unique index: duplicate values present");
-      }
-      prev = &it.key();
+      if (prev != nullptr && std::equal(prev->begin(),
+                                        prev->begin() + ordinals.size(),
+                                        it.value().begin()))
+        return Status::InvalidArgument(
+            "cannot create unique index: duplicate values present");
+      prev = &it.value();
     }
   }
   indexes_.push_back(std::move(idx));

@@ -1,6 +1,7 @@
 // TableStore: the physical representation of one table — a clustered
-// B+-tree (primary key -> full row) plus any non-clustered indexes
-// (index key + primary key -> primary key). Non-clustered indexes duplicate
+// B+-tree whose entries are the full rows, keyed by the primary-key
+// columns, plus any non-clustered indexes whose entries are (index columns
+// + primary key) tuples, keyed whole. Non-clustered indexes duplicate
 // base-table data and can be tampered with independently, which is why the
 // ledger verifier checks them against the base table (paper §3.4.1
 // invariant 5).
@@ -28,17 +29,15 @@
 
 namespace sqlledger {
 
-/// A non-clustered index over a subset of columns. The stored key is the
-/// index columns followed by the primary-key columns, which both makes
-/// non-unique indexes representable and gives deterministic iteration
-/// order for verification.
+/// A non-clustered index over a subset of columns. Each entry is the index
+/// columns followed by the primary-key columns, and is its own key, which
+/// both makes non-unique indexes representable and gives deterministic
+/// iteration order for verification.
 struct SecondaryIndex {
   std::string name;
   std::vector<size_t> ordinals;  // indexed column ordinals
   bool unique = false;
-  BTree tree;
-
-  SecondaryIndex() : tree(64) {}
+  BTree tree{std::vector<size_t>{}};
 };
 
 class TableStore {
@@ -115,7 +114,9 @@ class TableStore {
   /// Used only by tamper-simulation tests and benches: mutate index/base
   /// rows directly, bypassing all maintenance (the storage-level attacker
   /// of the paper's threat model §2.5.2). Unlatched by design — the
-  /// attacker does not honor latches.
+  /// attacker does not honor latches. Under BTree::MutableGet's contract,
+  /// editing a row's primary-key cells moves its key in place: lookups by
+  /// the old key miss it, and verification reports the edit (invariant 4).
   BTree* mutable_clustered() NO_THREAD_SAFETY_ANALYSIS { return &clustered_; }
 
   KeyTuple KeyOf(const Row& row) const { return schema_.ExtractKey(row); }

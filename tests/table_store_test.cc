@@ -1,10 +1,15 @@
 // TableStore unit tests: secondary index maintenance across DML, unique
-// constraints, index builds on populated tables, and ExtendRows.
+// constraints, index builds on populated tables, and ExtendRows, plus a
+// seeded model test over a table keyed by trailing columns.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "storage/table_store.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace sqlledger {
 namespace {
@@ -150,6 +155,72 @@ TEST(TableStoreTest, ScanAndSeek) {
   size_t count = 0;
   for (BTree::Iterator scan = t.Scan(); scan.Valid(); scan.Next()) count++;
   EXPECT_EQ(count, 10u);
+}
+
+// Random DML on a table whose primary key is its trailing (grp, seq)
+// columns, as in a history table, with a non-unique index on score. After
+// every batch the store must match a std::map model, both trees must pass
+// CheckInvariants, and the index must hold exactly the (score, grp, seq)
+// tuples of the base rows. SQLLEDGER_TEST_SEED picks the op stream.
+TEST(TableStoreTest, RandomDmlMatchesModelWithTrailingKey) {
+  uint64_t seed = TestCaseSeed(4242);
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  Random rng(seed);
+  Schema schema;
+  schema.AddColumn("name", DataType::kVarchar, true, 32);
+  schema.AddColumn("score", DataType::kBigInt, true);
+  schema.AddColumn("grp", DataType::kBigInt, false);
+  schema.AddColumn("seq", DataType::kBigInt, false);
+  schema.SetPrimaryKey({2, 3});
+  TableStore t(100, "t", schema);
+  ASSERT_TRUE(t.CreateIndex("by_score", {1}, false).ok());
+  const SecondaryIndex* idx = t.FindIndex("by_score");
+
+  std::map<std::pair<int64_t, int64_t>, int64_t> model;  // key -> score
+  int64_t next_seq[8] = {};
+  for (int op = 0; op < 3000; op++) {
+    int64_t grp = static_cast<int64_t>(rng.Uniform(8));
+    int64_t score = rng.UniformRange(0, 50);
+    uint64_t action = rng.Uniform(10);
+    if (action < 5) {  // append to a group
+      int64_t seq = next_seq[grp]++;
+      ASSERT_TRUE(t.Insert({VS("n"), VB(score), VB(grp), VB(seq)}).ok());
+      model[{grp, seq}] = score;
+    } else {
+      int64_t seq = rng.UniformRange(0, next_seq[grp]);
+      bool present = model.count({grp, seq}) > 0;
+      Status st = action < 8
+                      ? t.Update({VS("u"), VB(score), VB(grp), VB(seq)})
+                      : t.Delete({VB(grp), VB(seq)});
+      EXPECT_EQ(st.ok(), present) << st.ToString();
+      if (present && action < 8) model[{grp, seq}] = score;
+      if (present && action >= 8) model.erase({grp, seq});
+    }
+    if (op % 100 != 99) continue;
+    ASSERT_TRUE(t.mutable_clustered()->CheckInvariants().ok());
+    ASSERT_TRUE(idx->tree.CheckInvariants().ok());
+    ASSERT_EQ(t.row_count(), model.size());
+    std::vector<KeyTuple> expected_index;
+    auto mit = model.begin();
+    for (BTree::Iterator it = t.Scan(); it.Valid(); it.Next(), ++mit) {
+      ASSERT_EQ(it.key(), (KeyTuple{VB(mit->first.first),
+                                    VB(mit->first.second)}));
+      ASSERT_EQ(it.value()[1].AsInt64(), mit->second);
+      expected_index.push_back({VB(mit->second), VB(mit->first.first),
+                                VB(mit->first.second)});
+    }
+    std::sort(expected_index.begin(), expected_index.end(), KeyTupleLess());
+    std::vector<KeyTuple> index;
+    for (BTree::Iterator it = idx->tree.Begin(); it.Valid(); it.Next())
+      index.push_back(it.value());
+    ASSERT_EQ(index, expected_index);
+    // A prefix seek lands on the group's first live row.
+    auto first = model.lower_bound({grp, INT64_MIN});
+    std::optional<Row> row = t.SeekFirstCopy({VB(grp)});
+    bool group_live = first != model.end() && first->first.first == grp;
+    ASSERT_EQ(row.has_value(), group_live);
+    if (row) EXPECT_EQ((*row)[3].AsInt64(), first->first.second);
+  }
 }
 
 }  // namespace

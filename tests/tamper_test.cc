@@ -228,12 +228,10 @@ TEST_F(TamperTest, IndexTamperDetected) {
   ASSERT_NE(index, nullptr);
   BTree::Iterator it = index->tree.Begin();
   ASSERT_TRUE(it.Valid());
-  KeyTuple old_key = it.key();
-  Row value = it.value();
-  ASSERT_TRUE(index->tree.Delete(old_key).ok());
-  KeyTuple forged_key = old_key;
-  forged_key[0] = VB(123456789);
-  index->tree.Upsert(forged_key, value);
+  KeyTuple forged_tuple = it.value();  // (balance, name): its own key
+  ASSERT_TRUE(index->tree.Delete(forged_tuple).ok());
+  forged_tuple[0] = VB(123456789);
+  index->tree.Upsert(forged_tuple);
   EXPECT_TRUE(HasInvariant(Verify(), 5));
 }
 
@@ -241,8 +239,20 @@ TEST_F(TamperTest, IndexEntryDeletionDetected) {
   TableStore* store = db_->GetStoreForTesting("accounts");
   SecondaryIndex* index = store->FindIndex("by_balance");
   BTree::Iterator it = index->tree.Begin();
-  ASSERT_TRUE(index->tree.Delete(it.key()).ok());
+  ASSERT_TRUE(it.Valid());
+  ASSERT_TRUE(index->tree.Delete(it.value()).ok());
   EXPECT_TRUE(HasInvariant(Verify(), 5));
+}
+
+TEST_F(TamperTest, InPlacePrimaryKeyEditDetected) {
+  // The key is read from the row, so rewriting the key cell in place
+  // renames acct5 without moving its entry. The row's hash changes with it.
+  TableStore* store = db_->GetStoreForTesting("accounts");
+  Row* row = store->mutable_clustered()->MutableGet({VS("acct5")});
+  ASSERT_NE(row, nullptr);
+  (*row)[0] = VS("acct5b");
+  EXPECT_EQ(store->Get({VS("acct5")}), nullptr);
+  EXPECT_TRUE(HasInvariant(Verify(), 4));
 }
 
 TEST_F(TamperTest, ColumnTypeSwapDetected) {
