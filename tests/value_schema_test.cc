@@ -9,6 +9,7 @@
 #include "catalog/row.h"
 #include "catalog/schema.h"
 #include "catalog/value.h"
+#include "storage/table_store.h"
 #include "util/coding.h"
 #include "util/hex.h"
 
@@ -375,6 +376,55 @@ TEST(RowCodecTest, RoundTrip) {
   ASSERT_EQ(decoded->size(), 3u);
   EXPECT_EQ((*decoded)[0].AsInt64(), 7);
   EXPECT_TRUE((*decoded)[2].is_null());
+}
+
+// EncodeRow's bytes feed the WAL and checkpoints, so they are pinned: one
+// cell of every type, a NULL of every type, an empty and a non-empty string,
+// and a trailing cell appended by ExtendRows (ADD COLUMN).
+TEST(RowCodecTest, EncodeRowGoldenBytes) {
+  const DataType kTypes[] = {DataType::kBool,      DataType::kSmallInt,
+                             DataType::kInt,       DataType::kBigInt,
+                             DataType::kDouble,    DataType::kVarchar,
+                             DataType::kVarbinary, DataType::kTimestamp};
+  std::vector<Value> values = {Value::Bool(true),
+                               Value::SmallInt(-2),
+                               Value::Int(0x12345678),
+                               Value::BigInt(-5),
+                               Value::Double(1.5),
+                               Value::Varchar("ledger"),
+                               Value::Varbinary({0xDE, 0xAD}),
+                               Value::Timestamp(1600000000000000),
+                               Value::Varchar(""),
+                               Value::Varbinary({})};
+  for (DataType t : kTypes) values.push_back(Value::Null(t));
+  Schema schema;
+  schema.AddColumn("id", DataType::kBigInt, false);
+  for (size_t i = 1; i <= values.size(); i++)
+    schema.AddColumn("c" + std::to_string(i), values[i - 1].type(), true);
+  schema.SetPrimaryKey({0});
+  values.insert(values.begin(), Value::BigInt(1));
+  TableStore store(1, "golden", schema);
+  ASSERT_TRUE(store.Insert(Row(values)).ok());
+  store.mutable_schema()->AddColumn("added", DataType::kInt, true);
+  store.ExtendRows(Value::Int(-1));
+
+  std::vector<uint8_t> buf;
+  EncodeRow(*store.Get({Value::BigInt(1)}), &buf);
+  EXPECT_EQ(HexEncode(Slice(buf)),
+            "14"
+            "04000100000000000000"  // id BIGINT 1
+            "01000100000000000000"  // BOOL true
+            "0200feffffffffffffff"  // SMALLINT -2
+            "03007856341200000000"  // INT 0x12345678
+            "0400fbffffffffffffff"  // BIGINT -5
+            "0500000000000000f83f"  // DOUBLE 1.5
+            "0600066c6564676572"    // VARCHAR 'ledger'
+            "070002dead"            // VARBINARY 0xdead
+            "08000000a40731af0500"  // TIMESTAMP
+            "060000"                // VARCHAR ''
+            "070000"                // VARBINARY empty
+            "0101020103010401050106010701080103"
+            "00ffffffffffffffff");  // NULL of every type, then INT -1
 }
 
 TEST(RowCodecTest, PayloadBytes) {

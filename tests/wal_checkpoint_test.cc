@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "crypto/sha256.h"
 #include "storage/checkpoint.h"
 #include "storage/wal.h"
 #include "util/coding.h"
@@ -247,6 +248,40 @@ TEST_F(CheckpointTest, RoundTripTablesAndMeta) {
   const Row* row = loaded->tables[0]->Get({Value::BigInt(7)});
   ASSERT_NE(row, nullptr);
   EXPECT_EQ((*row)[1].string_value(), "row7");
+}
+
+// The checkpoint file's bytes are pinned: a fixed two-table store, one
+// table with a secondary index and a mix of NULL, empty and non-empty
+// cells. Any change to the row, schema or index encoding moves the hash.
+TEST_F(CheckpointTest, GoldenFileSha256) {
+  Schema s;
+  s.AddColumn("id", DataType::kBigInt, false);
+  s.AddColumn("name", DataType::kVarchar, true, 16);
+  s.AddColumn("score", DataType::kDouble, true);
+  s.AddColumn("sys", DataType::kBigInt, true, 0, /*hidden=*/true);
+  s.SetPrimaryKey({0});
+  TableStore t1(7, "people", s);
+  for (int64_t i = 0; i < 6; i++) {
+    ASSERT_TRUE(t1.Insert({Value::BigInt(i),
+                           i % 3 == 0 ? Value::Null(DataType::kVarchar)
+                                      : Value::Varchar(std::string(i, 'n')),
+                           Value::Double(0.5 * static_cast<double>(i)),
+                           Value::BigInt(100 + i)})
+                    .ok());
+  }
+  ASSERT_TRUE(t1.CreateIndex("by_name", {1}, false).ok());
+  TableStore t2(8, "flags", TwoColSchema());
+  ASSERT_TRUE(t2.Insert({Value::BigInt(-1), Value::Varchar("")}).ok());
+  ASSERT_TRUE(t2.Insert({Value::BigInt(2), Value::Varchar("on")}).ok());
+
+  ASSERT_TRUE(WriteCheckpoint(Path("ckpt"), Slice(std::string("meta")),
+                              {&t1, &t2})
+                  .ok());
+  std::ifstream in(Path("ckpt"), std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  EXPECT_EQ(Sha256::Digest(Slice(bytes)).ToHex(),
+            "3a1a60e403a932fac63985108ae33b2ea9b0dbe6d9671f3f38165a2b4bc0f5e8");
 }
 
 TEST_F(CheckpointTest, MissingFileIsNotFound) {
