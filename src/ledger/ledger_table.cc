@@ -128,21 +128,23 @@ Status LedgerUpdate(Transaction* txn, const LedgerTableRef& t,
   }
 
   Row old_row = std::move(*current);
-  // Retire the old version into the history table (delete half of the
-  // update, paper §3.2)...
+  // The update retires the old version into the history table (the delete
+  // half, paper §3.2) and installs the new one. The install runs first: it
+  // makes every check that can fail (types, lengths, NULLs, unique
+  // indexes), so a rejected update writes nothing. The history key
+  // (end_txn, end_seq) is fresh, so the retire cannot collide.
   uint64_t seq_del = txn->NextSequence();
+  uint64_t seq_ins = txn->NextSequence();
+  full[t.start_txn_ord] = Value::BigInt(static_cast<int64_t>(txn->id()));
+  full[t.start_seq_ord] = Value::BigInt(static_cast<int64_t>(seq_ins));
+  SL_RETURN_IF_ERROR(t.main->Update(full));
+
   Row retired = old_row;
   retired[t.end_txn_ord] = Value::BigInt(static_cast<int64_t>(txn->id()));
   retired[t.end_seq_ord] = Value::BigInt(static_cast<int64_t>(seq_del));
   KeyTuple history_key = t.history->KeyOf(retired);
   SL_RETURN_IF_ERROR(t.history->Insert(retired));
   txn->RecordInsert(t.history, history_key, retired);
-
-  // ...then install the new version in the ledger table.
-  uint64_t seq_ins = txn->NextSequence();
-  full[t.start_txn_ord] = Value::BigInt(static_cast<int64_t>(txn->id()));
-  full[t.start_seq_ord] = Value::BigInt(static_cast<int64_t>(seq_ins));
-  SL_RETURN_IF_ERROR(t.main->Update(full));
   txn->RecordUpdate(t.main, key, old_row, full);
 
   MerkleBuilder* merkle = txn->MerkleForTable(t.table_id);

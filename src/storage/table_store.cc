@@ -10,6 +10,16 @@ bool StartsWith(const KeyTuple& tuple, const KeyTuple& prefix) {
   return tuple.size() >= prefix.size() &&
          std::equal(prefix.begin(), prefix.end(), tuple.begin());
 }
+
+/// AlreadyExists if the unique index `idx` holds an entry whose indexed
+/// columns equal `prefix`.
+Status CheckUnique(const SecondaryIndex& idx, const KeyTuple& prefix) {
+  BTree::Iterator it = idx.tree.Seek(prefix);
+  if (it.Valid() && StartsWith(it.value(), prefix))
+    return Status::AlreadyExists("unique index violation on '" + idx.name +
+                                 "'");
+  return Status::OK();
+}
 }  // namespace
 
 TableStore::TableStore(uint32_t table_id, std::string name, Schema schema)
@@ -34,12 +44,9 @@ Status TableStore::Insert(const Row& row) {
                                  "'");
   // Check unique indexes before mutating anything.
   for (const auto& idx : indexes_) {
-    if (!idx->unique) continue;
-    KeyTuple prefix = Schema::ExtractColumns(row, idx->ordinals);
-    BTree::Iterator it = idx->tree.Seek(prefix);
-    if (it.Valid() && StartsWith(it.value(), prefix))
-      return Status::AlreadyExists("unique index violation on '" + idx->name +
-                                   "'");
+    if (idx->unique)
+      SL_RETURN_IF_ERROR(
+          CheckUnique(*idx, Schema::ExtractColumns(row, idx->ordinals)));
   }
   for (const auto& idx : indexes_) idx->tree.Upsert(IndexKeyOf(*idx, row));
   return clustered_.Insert(row);
@@ -51,6 +58,15 @@ Status TableStore::Update(const Row& row) {
   Row* old_row = clustered_.MutableGet(schema_.ExtractKey(row));
   if (old_row == nullptr)
     return Status::NotFound("row not found in table '" + name_ + "'");
+  // Check unique indexes before mutating anything: a changed prefix that is
+  // already present belongs to another row.
+  for (const auto& idx : indexes_) {
+    if (!idx->unique) continue;
+    KeyTuple prefix = Schema::ExtractColumns(row, idx->ordinals);
+    if (CompareKeys(prefix, Schema::ExtractColumns(*old_row, idx->ordinals)) !=
+        0)
+      SL_RETURN_IF_ERROR(CheckUnique(*idx, prefix));
+  }
   for (const auto& idx : indexes_) {
     KeyTuple old_key = IndexKeyOf(*idx, *old_row);
     KeyTuple new_key = IndexKeyOf(*idx, row);

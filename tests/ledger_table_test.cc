@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "ledger/row_serializer.h"
+#include "ledger/verifier.h"
 #include "test_util.h"
 
 namespace sqlledger {
@@ -193,6 +194,53 @@ TEST_F(LedgerTableTest, SavepointRollbackRestoresRoot) {
   EXPECT_EQ(roots_before[0].second, roots_after[0].second);
   auto ref = db_->GetTableRef("accounts");
   EXPECT_EQ(ref->main->row_count(), 1u);
+}
+
+// A rejected UPDATE writes nothing: committing its transaction adds no
+// history version and leaves the ledger verifiable.
+void ExpectRejectedUpdateLeavesNoTrace(LedgerDatabase* db,
+                                       const std::string& table,
+                                       const Row& good, const Row& bad) {
+  auto ref = db->GetTableRef(table);
+  ASSERT_TRUE(ref.ok());
+  auto txn = db->Begin("alice");
+  ASSERT_TRUE(db->Insert(*txn, table, good).ok());
+  ASSERT_TRUE(db->Commit(*txn).ok());
+  size_t history_before = ref->history->row_count();
+
+  auto txn2 = db->Begin("bob");
+  EXPECT_EQ(db->Update(*txn2, table, bad).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(db->Commit(*txn2).ok());
+  EXPECT_EQ(ref->history->row_count(), history_before);
+
+  auto digest = db->GenerateDigest();
+  ASSERT_TRUE(digest.ok());
+  auto report = VerifyLedger(db, {*digest});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+TEST_F(LedgerTableTest, RejectedUpdateTypeMismatchLeavesNoTrace) {
+  ExpectRejectedUpdateLeavesNoTrace(db_.get(), "accounts",
+                                    {VS("Nick"), VB(50)},
+                                    {VS("Nick"), VS("not-a-bigint")});
+}
+
+TEST_F(LedgerTableTest, RejectedUpdateNullInNotNullLeavesNoTrace) {
+  ExpectRejectedUpdateLeavesNoTrace(db_.get(), "accounts",
+                                    {VS("Nick"), VB(50)},
+                                    {VS("Nick"), Value::Null(DataType::kBigInt)});
+}
+
+TEST_F(LedgerTableTest, RejectedUpdateTooLongVarcharLeavesNoTrace) {
+  Schema s;
+  s.AddColumn("id", DataType::kBigInt, false);
+  s.AddColumn("note", DataType::kVarchar, true, /*max_length=*/4);
+  s.SetPrimaryKey({0});
+  ASSERT_TRUE(db_->CreateTable("notes", s, TableKind::kUpdateable).ok());
+  ExpectRejectedUpdateLeavesNoTrace(db_.get(), "notes", {VB(1), VS("ok")},
+                                    {VB(1), VS("far too long")});
 }
 
 TEST_F(LedgerTableTest, DuplicateKeyRejected) {

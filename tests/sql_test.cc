@@ -268,6 +268,30 @@ TEST_F(SqlSessionTest, CreateIndexAndDropTable) {
   EXPECT_FALSE(session_->Execute("SELECT * FROM accounts").ok());
 }
 
+// An UPDATE onto another row's UNIQUE value fails without effect, on a
+// regular and on an updateable ledger table; the enclosing transaction still
+// commits and verifies.
+TEST_F(SqlSessionTest, UpdateRespectsUniqueIndex) {
+  Must("CREATE TABLE people (id BIGINT NOT NULL, name VARCHAR(16), "
+       "PRIMARY KEY (id))");
+  Must("CREATE UNIQUE INDEX uniq_name ON people (name)");
+  Must("CREATE UNIQUE INDEX uniq_balance ON accounts (balance)");
+  Must("INSERT INTO people VALUES (1, 'a'), (2, 'b')");
+  Must("INSERT INTO accounts VALUES ('a', 1), ('b', 2)");
+  Must("BEGIN");
+  for (const char* sql : {"UPDATE people SET name = 'a' WHERE id = 2",
+                          "UPDATE accounts SET balance = 1 WHERE name = 'b'"}) {
+    EXPECT_EQ(session_->Execute(sql).status().code(),
+              StatusCode::kAlreadyExists)
+        << sql;
+  }
+  Must("COMMIT");
+  EXPECT_EQ(Must("SELECT * FROM people WHERE name = 'a'").rows.size(), 1u);
+  EXPECT_EQ(Must("SELECT * FROM accounts WHERE balance = 1").rows.size(), 1u);
+  SqlResultSet verify = Must("VERIFY LEDGER");
+  EXPECT_NE(verify.message.find("VERIFICATION PASSED"), std::string::npos);
+}
+
 TEST_F(SqlSessionTest, TypeCoercionAndErrors) {
   // BIGINT literal into BIGINT column, string into VARCHAR: fine. Overflow
   // and type mismatches report cleanly.

@@ -94,6 +94,27 @@ TEST(TableStoreTest, UniqueIndexEnforced) {
   ASSERT_TRUE(t.Insert({VB(2), VS("bob"), VB(20)}).ok());
 }
 
+// An update that moves a row onto another row's unique value fails before
+// any mutation: the row and every index entry stay as they were.
+TEST(TableStoreTest, UpdateEnforcesUniqueIndex) {
+  TableStore t(100, "t", ThreeColSchema());
+  ASSERT_TRUE(t.CreateIndex("uniq_name", {1}, true).ok());
+  ASSERT_TRUE(t.Insert({VB(1), VS("a"), VB(10)}).ok());
+  ASSERT_TRUE(t.Insert({VB(2), VS("b"), VB(20)}).ok());
+  EXPECT_EQ(t.Update({VB(2), VS("a"), VB(20)}).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ((*t.Get({VB(2)}))[1].string_value(), "b");
+  const BTree& tree = t.FindIndex("uniq_name")->tree;
+  ASSERT_EQ(tree.size(), 2u);
+  EXPECT_TRUE(tree.Contains({VS("a"), VB(1)}));
+  EXPECT_TRUE(tree.Contains({VS("b"), VB(2)}));
+  // Keeping its own value, or taking a free one, is fine.
+  ASSERT_TRUE(t.Update({VB(2), VS("b"), VB(30)}).ok());
+  ASSERT_TRUE(t.Update({VB(2), VS("c"), VB(30)}).ok());
+  EXPECT_TRUE(tree.Contains({VS("c"), VB(2)}));
+  EXPECT_FALSE(tree.Contains({VS("b"), VB(2)}));
+}
+
 TEST(TableStoreTest, UniqueIndexBuildFailsOnDuplicates) {
   TableStore t(100, "t", ThreeColSchema());
   ASSERT_TRUE(t.Insert({VB(1), VS("dup"), VB(10)}).ok());
