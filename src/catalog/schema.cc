@@ -1,5 +1,7 @@
 #include "catalog/schema.h"
 
+#include <cstdint>
+
 namespace sqlledger {
 
 size_t Schema::AddColumn(const std::string& name, DataType type, bool nullable,
@@ -42,7 +44,7 @@ Status Schema::ValidateRow(const Row& row) const {
         std::to_string(columns_.size()) + " columns");
   for (size_t i = 0; i < columns_.size(); i++) {
     const ColumnDef& col = columns_[i];
-    const Value& v = row[i];
+    Cell v = row[i];
     if (v.is_null()) {
       if (!col.nullable && !col.dropped)
         return Status::InvalidArgument("NULL in non-nullable column '" +
@@ -63,21 +65,23 @@ Status Schema::ValidateRow(const Row& row) const {
 }
 
 Result<Row> Schema::PadRow(const Row& user_row) const {
-  Row full;
-  full.reserve(columns_.size());
+  // Map each column to its user cell, or to kHidden for a NULL.
+  constexpr size_t kHidden = SIZE_MAX;
+  std::vector<size_t> source(columns_.size(), kHidden);
   size_t next_user = 0;
-  for (const ColumnDef& col : columns_) {
-    if (col.hidden || col.dropped) {
-      full.push_back(Value::Null(col.type));
-    } else {
-      if (next_user >= user_row.size())
-        return Status::InvalidArgument("too few values for visible columns");
-      full.push_back(user_row[next_user++]);
-    }
+  for (size_t i = 0; i < columns_.size(); i++) {
+    if (columns_[i].hidden || columns_[i].dropped) continue;
+    if (next_user >= user_row.size())
+      return Status::InvalidArgument("too few values for visible columns");
+    source[i] = next_user++;
   }
   if (next_user != user_row.size())
     return Status::InvalidArgument("too many values for visible columns");
-  return full;
+  // A NULL owns no bytes, so its Cell view outlives the temporary Value.
+  return Row::Pack(columns_.size(), [&](size_t i) {
+    return source[i] == kHidden ? Cell(Value::Null(columns_[i].type))
+                                : user_row[source[i]];
+  });
 }
 
 std::vector<size_t> Schema::VisibleOrdinals() const {

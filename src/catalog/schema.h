@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog/row.h"
 #include "catalog/value.h"
 #include "util/result.h"
 #include "util/status.h"

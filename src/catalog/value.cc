@@ -112,8 +112,9 @@ Value Value::Bytes(DataType type, const void* data, size_t n) {
   v.type_ = type;
   v.null_ = false;
   if (n != 0) {
-    v.str_ = new char[n];
-    std::memcpy(v.str_, data, n);
+    char* bytes = new char[n];
+    std::memcpy(bytes, data, n);
+    v.str_ = bytes;
     v.len_ = static_cast<uint32_t>(n);
   }
   return v;
@@ -135,12 +136,13 @@ Value& Value::operator=(Value&& other) noexcept {
   return *this;
 }
 
-void Value::CopyFrom(const Value& other) {
+void Value::CopyFrom(const Cell& other) {
   type_ = other.type_;
   null_ = other.null_;
-  if (other.OwnsBytes()) {
-    str_ = new char[other.len_];
-    std::memcpy(str_, other.str_, other.len_);
+  if (other.len_ != 0) {
+    char* bytes = new char[other.len_];
+    std::memcpy(bytes, other.str_, other.len_);
+    str_ = bytes;
     len_ = other.len_;
   } else {
     int_ = other.int_;
@@ -167,7 +169,7 @@ void Value::Release() {
   int_ = 0;
 }
 
-int Value::Compare(const Value& other) const {
+int Cell::Compare(const Cell& other) const {
   // NULLs sort first; two NULLs are equal regardless of type.
   if (null_ && other.null_) return 0;
   if (null_) return -1;
@@ -197,7 +199,7 @@ int Value::Compare(const Value& other) const {
   }
 }
 
-std::string Value::ToString() const {
+std::string Cell::ToString() const {
   if (null_) return "NULL";
   switch (type_) {
     case DataType::kBool:
@@ -284,7 +286,7 @@ Result<Value> Value::CastTo(DataType target) const {
                               DataTypeName(target));
 }
 
-void Value::EncodeTo(std::vector<uint8_t>* dst) const {
+void Cell::EncodeTo(std::vector<uint8_t>* dst) const {
   dst->push_back(static_cast<uint8_t>(type_));
   dst->push_back(null_ ? 1 : 0);
   if (null_) return;

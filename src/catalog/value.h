@@ -32,33 +32,15 @@ const char* DataTypeName(DataType t);
 /// Fixed width in bytes, or 0 for variable-length types.
 size_t DataTypeFixedWidth(DataType t);
 
-/// A single typed, nullable SQL value.
-///
-/// Every value is 16 bytes: a type tag, a null flag, a byte length and an
-/// 8-byte payload that is either the integral/double content or an owned
-/// pointer to one heap block holding a VARCHAR/VARBINARY value's bytes
-/// (empty and NULL strings own no block). The layout is in-memory only;
-/// EncodeTo and the canonical ledger serialization are defined per type.
-/// A moved-from value is a NULL of its original type.
-class Value {
+/// A read-only view of one typed, nullable SQL value: a type tag, a null
+/// flag, a byte length and an 8-byte payload that is either the
+/// integral/double content or a pointer to a VARCHAR/VARBINARY value's bytes.
+/// A Cell returned by a Row points into the row's block and is valid while
+/// that row is alive and unmodified; a Value is a Cell that owns its bytes.
+class Cell {
  public:
-  /// NULL of the given type.
-  static Value Null(DataType type);
-  static Value Bool(bool v);
-  static Value SmallInt(int16_t v);
-  static Value Int(int32_t v);
-  static Value BigInt(int64_t v);
-  static Value Double(double v);
-  static Value Varchar(std::string_view v);
-  static Value Varbinary(const std::vector<uint8_t>& v);
-  static Value Timestamp(int64_t micros);
-
-  Value() = default;
-  Value(const Value& other) { CopyFrom(other); }
-  Value(Value&& other) noexcept { StealFrom(&other); }
-  Value& operator=(const Value& other);
-  Value& operator=(Value&& other) noexcept;
-  ~Value() { Release(); }
+  /// NULL INT.
+  Cell() = default;
 
   DataType type() const { return type_; }
   bool is_null() const { return null_; }
@@ -73,8 +55,8 @@ class Value {
   double double_value() const {
     return type_ == DataType::kDouble ? double_ : 0;
   }
-  /// VARCHAR/VARBINARY bytes, empty for other types. Valid while this value
-  /// is alive and unmodified.
+  /// VARCHAR/VARBINARY bytes, empty for other types. Valid while the cell's
+  /// owner is alive and unmodified.
   std::string_view string_value() const {
     return len_ == 0 ? std::string_view() : std::string_view(str_, len_);
   }
@@ -85,25 +67,21 @@ class Value {
   /// Total ordering used by index keys: NULL < everything; values of
   /// integral types compare numerically across widths; cross-kind
   /// comparisons order by type id (never expected in well-typed keys).
-  int Compare(const Value& other) const;
-  bool operator==(const Value& other) const { return Compare(other) == 0; }
-  bool operator!=(const Value& other) const { return Compare(other) != 0; }
-  bool operator<(const Value& other) const { return Compare(other) < 0; }
+  int Compare(const Cell& other) const;
+  bool operator==(const Cell& other) const { return Compare(other) == 0; }
+  bool operator!=(const Cell& other) const { return Compare(other) != 0; }
+  bool operator<(const Cell& other) const { return Compare(other) < 0; }
 
   /// Human-readable form for views and examples, e.g. 42, 'abc', NULL.
   std::string ToString() const;
 
-  /// Checked cast to a different type (used by ALTER COLUMN, §3.5.3).
-  Result<Value> CastTo(DataType target) const;
-
   /// Compact binary encoding used by WAL records and checkpoints (NOT the
   /// canonical ledger hash format — see ledger/row_serializer.h for that).
   void EncodeTo(std::vector<uint8_t>* dst) const;
-  static Result<Value> DecodeFrom(class Decoder* dec);
 
- private:
-  /// A non-NULL VARCHAR/VARBINARY holding a copy of `n` bytes at `data`.
-  static Value Bytes(DataType type, const void* data, size_t n);
+ protected:
+  friend class Row;
+  friend class Value;
 
   /// BOOL, SMALLINT, INT, BIGINT or TIMESTAMP: the payload is int_.
   bool IsIntegral() const {
@@ -111,11 +89,6 @@ class Value {
            type_ == DataType::kInt || type_ == DataType::kBigInt ||
            type_ == DataType::kTimestamp;
   }
-  // Only a VARCHAR/VARBINARY with len_ > 0 owns a heap block.
-  bool OwnsBytes() const { return len_ != 0; }
-  void CopyFrom(const Value& other);
-  void StealFrom(Value* other);
-  void Release();
 
   DataType type_ = DataType::kInt;
   bool null_ = true;
@@ -123,14 +96,55 @@ class Value {
   union {
     int64_t int_ = 0;
     double double_;
-    char* str_;
+    const char* str_;
   };
 };
 
-static_assert(sizeof(Value) == 16, "Value must stay a 16-byte cell");
+/// A single typed, nullable SQL value: a Cell that owns one heap block
+/// holding a VARCHAR/VARBINARY value's bytes (empty and NULL strings own no
+/// block), so every value is 16 bytes. The layout is in-memory only;
+/// EncodeTo and the canonical ledger serialization are defined per type.
+/// A moved-from value is a NULL of its original type.
+class Value : public Cell {
+ public:
+  /// NULL of the given type.
+  static Value Null(DataType type);
+  static Value Bool(bool v);
+  static Value SmallInt(int16_t v);
+  static Value Int(int32_t v);
+  static Value BigInt(int64_t v);
+  static Value Double(double v);
+  static Value Varchar(std::string_view v);
+  static Value Varbinary(const std::vector<uint8_t>& v);
+  static Value Timestamp(int64_t micros);
 
-/// A row is a vector of values, positionally matching its table's schema.
-using Row = std::vector<Value>;
+  Value() = default;
+  /// An owning copy of `cell` (implicit, so a row's cells read as values).
+  Value(const Cell& cell) { CopyFrom(cell); }  // NOLINT(runtime/explicit)
+  Value(const Value& other) : Cell() { CopyFrom(other); }
+  Value(Value&& other) noexcept { StealFrom(&other); }
+  Value& operator=(const Value& other);
+  Value& operator=(Value&& other) noexcept;
+  ~Value() { Release(); }
+
+  /// Checked cast to a different type (used by ALTER COLUMN, §3.5.3).
+  Result<Value> CastTo(DataType target) const;
+
+  static Result<Value> DecodeFrom(class Decoder* dec);
+
+ private:
+  /// A non-NULL VARCHAR/VARBINARY holding a copy of `n` bytes at `data`.
+  static Value Bytes(DataType type, const void* data, size_t n);
+
+  // Only a VARCHAR/VARBINARY with len_ > 0 owns a heap block.
+  bool OwnsBytes() const { return len_ != 0; }
+  void CopyFrom(const Cell& other);
+  void StealFrom(Value* other);
+  void Release();
+};
+
+static_assert(sizeof(Value) == 16, "Value must stay a 16-byte cell");
+static_assert(sizeof(Cell) == sizeof(Value), "a Cell is a Value's layout");
 
 /// Index/primary keys are value tuples with lexicographic ordering.
 using KeyTuple = std::vector<Value>;

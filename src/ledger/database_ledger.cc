@@ -67,7 +67,7 @@ Value HashValue(const Hash256& h) {
   return Value::Varbinary(std::vector<uint8_t>(h.bytes.begin(), h.bytes.end()));
 }
 
-Result<Hash256> ValueToHash(const Value& v) {
+Result<Hash256> ValueToHash(const Cell& v) {
   if (v.is_null() || v.type() != DataType::kVarbinary ||
       v.string_value().size() != 32)
     return Status::Corruption("malformed hash value in system table");
@@ -78,14 +78,12 @@ Result<Hash256> ValueToHash(const Value& v) {
 }  // namespace
 
 Row TransactionEntryToRow(const TransactionEntry& entry) {
-  Row row;
-  row.push_back(Value::BigInt(static_cast<int64_t>(entry.txn_id)));
-  row.push_back(Value::BigInt(static_cast<int64_t>(entry.block_id)));
-  row.push_back(Value::BigInt(static_cast<int64_t>(entry.block_ordinal)));
-  row.push_back(Value::Timestamp(entry.commit_ts_micros));
-  row.push_back(Value::Varchar(entry.user_name));
-  row.push_back(Value::Varbinary(EncodeTableRoots(entry.table_roots)));
-  return row;
+  return {Value::BigInt(static_cast<int64_t>(entry.txn_id)),
+          Value::BigInt(static_cast<int64_t>(entry.block_id)),
+          Value::BigInt(static_cast<int64_t>(entry.block_ordinal)),
+          Value::Timestamp(entry.commit_ts_micros),
+          Value::Varchar(entry.user_name),
+          Value::Varbinary(EncodeTableRoots(entry.table_roots))};
 }
 
 Result<TransactionEntry> RowToTransactionEntry(const Row& row) {
@@ -104,13 +102,11 @@ Result<TransactionEntry> RowToTransactionEntry(const Row& row) {
 }
 
 Row BlockRecordToRow(const BlockRecord& block) {
-  Row row;
-  row.push_back(Value::BigInt(static_cast<int64_t>(block.block_id)));
-  row.push_back(HashValue(block.previous_block_hash));
-  row.push_back(HashValue(block.transactions_root));
-  row.push_back(Value::BigInt(static_cast<int64_t>(block.transaction_count)));
-  row.push_back(Value::Timestamp(block.closed_ts_micros));
-  return row;
+  return {Value::BigInt(static_cast<int64_t>(block.block_id)),
+          HashValue(block.previous_block_hash),
+          HashValue(block.transactions_root),
+          Value::BigInt(static_cast<int64_t>(block.transaction_count)),
+          Value::Timestamp(block.closed_ts_micros)};
 }
 
 Result<BlockRecord> RowToBlockRecord(const Row& row) {

@@ -938,10 +938,7 @@ Result<Row> LedgerDatabase::Get(Transaction* txn, const std::string& table,
   SL_RETURN_IF_ERROR(AcquireRowLock(txn, *entry, key, LockMode::kShared));
   auto row = entry->main->GetCopy(key);
   if (!row.has_value()) return Status::NotFound("row not found");
-  Row out;
-  for (size_t ord : entry->main->schema().VisibleOrdinals())
-    out.push_back((*row)[ord]);
-  return out;
+  return row->Project(entry->main->schema().VisibleOrdinals());
 }
 
 Result<std::vector<Row>> LedgerDatabase::Scan(Transaction* txn,
@@ -951,11 +948,8 @@ Result<std::vector<Row>> LedgerDatabase::Scan(Transaction* txn,
   SL_RETURN_IF_ERROR(AcquireTableLock(txn, *entry, LockMode::kShared));
   std::vector<Row> out;
   std::vector<size_t> visible = entry->main->schema().VisibleOrdinals();
-  for (BTree::Iterator it = entry->main->Scan(); it.Valid(); it.Next()) {
-    Row row;
-    for (size_t ord : visible) row.push_back(it.value()[ord]);
-    out.push_back(std::move(row));
-  }
+  for (BTree::Iterator it = entry->main->Scan(); it.Valid(); it.Next())
+    out.push_back(it.value().Project(visible));
   return out;
 }
 
@@ -968,10 +962,7 @@ Result<Row> LedgerDatabase::SeekFirst(Transaction* txn,
   auto row = entry->main->SeekFirstCopy(prefix);
   if (!row.has_value())
     return Status::NotFound("no row with the given key prefix");
-  Row out;
-  for (size_t ord : entry->main->schema().VisibleOrdinals())
-    out.push_back((*row)[ord]);
-  return out;
+  return row->Project(entry->main->schema().VisibleOrdinals());
 }
 
 // ---- Ledger features ----

@@ -10,13 +10,13 @@ void ForEachRowVersion(
   const TableStore* store = history ? table.history : table.main;
   for (BTree::Iterator it = store->Scan(); it.Valid(); it.Next()) {
     const Row& row = it.value();
-    const Value& start_txn = row[table.start_txn_ord];
+    Cell start_txn = row[table.start_txn_ord];
     if (!start_txn.is_null()) {
       fn(row, RowOp::kInsert, static_cast<uint64_t>(start_txn.AsInt64()),
          static_cast<uint64_t>(row[table.start_seq_ord].AsInt64()));
     }
     if (!history) continue;
-    const Value& end_txn = row[table.end_txn_ord];
+    Cell end_txn = row[table.end_txn_ord];
     if (!end_txn.is_null()) {
       fn(row, RowOp::kDelete, static_cast<uint64_t>(end_txn.AsInt64()),
          static_cast<uint64_t>(row[table.end_seq_ord].AsInt64()));
@@ -30,10 +30,10 @@ Result<std::vector<LedgerViewRow>> BuildLedgerView(
     return Status::InvalidArgument("table is not a ledger table");
 
   std::vector<LedgerViewRow> out;
-  const Schema& schema = table.main->schema();
+  std::vector<size_t> visible = table.main->schema().VisibleOrdinals();
   auto add = [&](const Row& row, RowOp op, uint64_t txn, uint64_t seq) {
     LedgerViewRow v;
-    for (size_t ord : schema.VisibleOrdinals()) v.values.push_back(row[ord]);
+    v.values = row.Project(visible);
     v.operation = op == RowOp::kInsert ? "INSERT" : "DELETE";
     v.transaction_id = txn;
     v.sequence_number = seq;
@@ -59,7 +59,7 @@ std::string FormatLedgerView(const Schema& schema,
   }
   out += "Operation\tTransaction ID\n";
   for (const LedgerViewRow& row : rows) {
-    for (const Value& v : row.values) {
+    for (Cell v : row.values) {
       out += v.ToString();
       out += "\t";
     }

@@ -10,7 +10,7 @@ namespace sqlledger {
 namespace {
 constexpr uint8_t kFormatVersion = 0x01;
 
-void SerializeValue(const Value& v, std::vector<uint8_t>* out) {
+void SerializeValue(const Cell& v, std::vector<uint8_t>* out) {
   switch (v.type()) {
     case DataType::kBool: {
       PutVarint32(out, 1);
@@ -75,7 +75,7 @@ void AppendRowVersion(const Schema& schema, const Row& row, RowOp op,
   for (size_t i = 0; i < schema.num_columns(); i++) {
     const ColumnDef& col = schema.column(i);
     if (col.hidden) continue;
-    const Value& v = row[i];
+    Cell v = row[i];
     if (v.is_null()) continue;  // NULLs skipped (paper §3.5.1)
     PutVarint32(out, col.column_id);                  // stable column id
     out->push_back(static_cast<uint8_t>(col.type));   // declared type

@@ -226,15 +226,13 @@ Status LedgerDatabase::AlterColumnType(const std::string& table,
   if (!txn.ok()) return txn.status();
   std::vector<size_t> visible = schema.VisibleOrdinals();
   for (const Row& old_physical : current_rows) {
-    Row user_row;
-    user_row.reserve(visible.size());
-    for (size_t ord : visible) user_row.push_back(old_physical[ord]);
-    auto converted = old_physical[old_ord].CastTo(new_type);
+    auto converted = Value(old_physical[old_ord]).CastTo(new_type);
     if (!converted.ok()) {
       Abort(*txn);
       return converted.status();
     }
-    user_row.back() = std::move(*converted);  // new column is last visible
+    Row user_row = old_physical.Project(visible);
+    user_row[visible.size() - 1] = *converted;  // new column is last visible
     Status st = Update(*txn, table, user_row);
     if (!st.ok()) {
       Abort(*txn);

@@ -41,7 +41,7 @@ Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
 
     std::vector<Row> anchored;
     for (BTree::Iterator it = entry->main->Scan(); it.Valid(); it.Next()) {
-      const Value& start_txn = it.value()[entry->ref.start_txn_ord];
+      Cell start_txn = it.value()[entry->ref.start_txn_ord];
       if (start_txn.is_null()) continue;
       if (truncated.count(static_cast<uint64_t>(start_txn.AsInt64())))
         anchored.push_back(it.value());
@@ -65,10 +65,7 @@ Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
     Status st = db->AcquireTableLock(*txn, *entry, LockMode::kExclusive);
     for (const Row& physical : anchored) {
       if (!st.ok()) break;
-      Row user_row;
-      user_row.reserve(visible.size());
-      for (size_t ord : visible) user_row.push_back(physical[ord]);
-      st = LedgerUpdate(*txn, entry->ref, user_row);
+      st = LedgerUpdate(*txn, entry->ref, physical.Project(visible));
     }
     if (!st.ok()) {
       db->Abort(*txn);
@@ -92,7 +89,7 @@ Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
       std::vector<KeyTuple> doomed;
       for (BTree::Iterator it = entry->history->Scan(); it.Valid();
            it.Next()) {
-        const Value& end_txn = it.value()[entry->ref.end_txn_ord];
+        Cell end_txn = it.value()[entry->ref.end_txn_ord];
         if (end_txn.is_null()) continue;
         if (truncated.count(static_cast<uint64_t>(end_txn.AsInt64())))
           doomed.push_back(it.key());

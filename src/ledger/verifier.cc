@@ -59,9 +59,11 @@ bool InTruncatedRange(const std::vector<TruncationRecord>& truncations,
   return false;
 }
 
-/// Streams the Merkle leaf of one encoded key tuple into `tree` (invariant
-/// 5), reusing `scratch` for the encoding.
-void AddTupleLeaf(const KeyTuple& tuple, std::vector<uint8_t>* scratch,
+/// Streams the Merkle leaf of one encoded key tuple (a KeyTuple or a stored
+/// index entry, which encode alike) into `tree` (invariant 5), reusing
+/// `scratch` for the encoding.
+template <typename Tuple>
+void AddTupleLeaf(const Tuple& tuple, std::vector<uint8_t>* scratch,
                   MerkleBuilder* tree) {
   scratch->clear();
   EncodeRow(tuple, scratch);

@@ -102,7 +102,7 @@ uint32_t SimDriver::SystemTableId(const std::string& name) {
 
 Row SimDriver::BuildUserRow(const ReferenceModel::Table& t,
                             const SimOp& op) const {
-  Row row;
+  std::vector<Value> row;
   size_t vis = 0;
   for (const ColumnDef& c : t.schema.columns()) {
     if (c.hidden || c.dropped) continue;
@@ -1409,7 +1409,7 @@ void SimDriver::DoTruncate(size_t i, const SimOp& op) {
     for (CatalogEntry* e : db_->AllTables()) {
       if (e->is_system || e->kind != TableKind::kAppendOnly) continue;
       for (BTree::Iterator it = e->main->Scan(); it.Valid(); it.Next()) {
-        const Value& start_txn = it.value()[e->ref.start_txn_ord];
+        Cell start_txn = it.value()[e->ref.start_txn_ord];
         if (start_txn.is_null()) continue;
         auto entry =
             ledger()->FindEntry(static_cast<uint64_t>(start_txn.AsInt64()));

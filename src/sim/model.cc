@@ -67,10 +67,11 @@ Status ReferenceModel::AddColumn(const std::string& name,
   if (t->schema.FindColumn(column) >= 0)
     return Status::AlreadyExists("column '" + column + "' already exists");
   t->schema.AddColumn(column, type, /*nullable=*/true, max_length);
-  for (auto& [key, row] : t->rows) row.push_back(Value::Null(type));
+  for (auto& [key, row] : t->rows) row = row.Extended(Value::Null(type));
   if (t->history_table_id != 0) {
     t->history_schema.AddColumn(column, type, true, max_length);
-    for (auto& [key, row] : t->history) row.push_back(Value::Null(type));
+    for (auto& [key, row] : t->history)
+      row = row.Extended(Value::Null(type));
   }
   return Status::OK();
 }
@@ -259,9 +260,7 @@ Status ReferenceModel::Delete(const std::string& table, const KeyTuple& key) {
 }
 
 Row ReferenceModel::VisibleProjection(const Table& t, const Row& full) const {
-  Row out;
-  for (size_t ord : t.schema.VisibleOrdinals()) out.push_back(full[ord]);
-  return out;
+  return full.Project(t.schema.VisibleOrdinals());
 }
 
 Result<Row> ReferenceModel::Get(const std::string& table,

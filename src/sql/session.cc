@@ -66,7 +66,7 @@ Result<bool> EvalPredicates(const std::vector<SqlPredicate>& predicates,
     }
     auto literal = CoerceLiteral(pred.literal, *columns[idx]);
     if (!literal.ok()) return literal.status();
-    const Value& cell = row[static_cast<size_t>(idx)];
+    Cell cell = row[static_cast<size_t>(idx)];
     // SQL three-valued logic, simplified: comparisons with NULL are false.
     if (cell.is_null() || literal->is_null()) {
       if (pred.op == SqlPredicate::Op::kEq && cell.is_null() &&
@@ -255,7 +255,7 @@ Result<SqlResultSet> SqlSession::ExecInsert(const InsertStmt& stmt) {
       if (literals.size() != targets.size())
         return Status::InvalidArgument(
             "VALUES arity does not match the column list");
-      Row row;
+      std::vector<Value> row;
       for (const auto* col : visible->columns)
         row.push_back(Value::Null(col->type));
       for (size_t i = 0; i < targets.size(); i++) {
@@ -313,16 +313,16 @@ Result<Value> EvalAggregate(const SqlAggregate& agg,
     return Value::BigInt(count);
   }
   if (agg.fn == SqlAggregate::Fn::kMin || agg.fn == SqlAggregate::Fn::kMax) {
-    const Value* best = nullptr;
+    const Row* best = nullptr;
     for (const Row& row : rows) {
       if (row[i].is_null()) continue;
       if (best == nullptr ||
-          (agg.fn == SqlAggregate::Fn::kMin ? row[i].Compare(*best) < 0
-                                            : row[i].Compare(*best) > 0))
-        best = &row[i];
+          (agg.fn == SqlAggregate::Fn::kMin ? row[i].Compare((*best)[i]) < 0
+                                            : row[i].Compare((*best)[i]) > 0))
+        best = &row;
     }
     if (best == nullptr) return Value::Null(columns[i]->type);
-    return *best;
+    return Value((*best)[i]);
   }
   // SUM / AVG: numeric columns only.
   DataType type = columns[i]->type;
@@ -382,10 +382,10 @@ Result<SqlResultSet> SqlSession::ExecSelect(const SelectStmt& stmt) {
     source_columns.push_back(&kOpCol);
     source_columns.push_back(&kTxnCol);
     for (const LedgerViewRow& row : *view) {
-      Row r = row.values;
+      std::vector<Value> r = row.values.Values();
       r.push_back(Value::Varchar(row.operation));
       r.push_back(Value::BigInt(static_cast<int64_t>(row.transaction_id)));
-      source_rows.push_back(std::move(r));
+      source_rows.emplace_back(r);
     }
   } else {
     // Point-lookup fast path: equality predicates covering the whole
@@ -479,14 +479,14 @@ Result<SqlResultSet> SqlSession::ExecSelect(const SelectStmt& stmt) {
       result.column_names.push_back(agg.DisplayName());
 
     for (auto& [group_value, rows] : groups) {
-      Row out_row;
+      std::vector<Value> out_row;
       if (group_value != nullptr) out_row.push_back(*group_value);
       for (const SqlAggregate& agg : stmt.aggregates) {
         auto value = EvalAggregate(agg, source_names, source_columns, *rows);
         if (!value.ok()) return value.status();
         out_row.push_back(std::move(*value));
       }
-      result.rows.push_back(std::move(out_row));
+      result.rows.emplace_back(out_row);
     }
     result.affected_rows = static_cast<int64_t>(result.rows.size());
     return result;
@@ -497,24 +497,19 @@ Result<SqlResultSet> SqlSession::ExecSelect(const SelectStmt& stmt) {
     filtered.resize(static_cast<size_t>(*stmt.limit));
 
   // Project.
-  std::vector<int> projection;
+  std::vector<size_t> projection;
   if (stmt.columns.size() == 1 && stmt.columns[0] == "*") {
-    for (size_t i = 0; i < source_names.size(); i++)
-      projection.push_back(static_cast<int>(i));
+    for (size_t i = 0; i < source_names.size(); i++) projection.push_back(i);
   } else {
     for (const std::string& name : stmt.columns) {
       int idx = FindName(source_names, name);
       if (idx < 0) return Status::NotFound("unknown column '" + name + "'");
-      projection.push_back(idx);
+      projection.push_back(static_cast<size_t>(idx));
     }
   }
-  for (int idx : projection)
-    result.column_names.push_back(source_names[static_cast<size_t>(idx)]);
-  for (const Row& row : filtered) {
-    Row projected;
-    for (int idx : projection) projected.push_back(row[static_cast<size_t>(idx)]);
-    result.rows.push_back(std::move(projected));
-  }
+  for (size_t idx : projection)
+    result.column_names.push_back(source_names[idx]);
+  for (const Row& row : filtered) result.rows.push_back(row.Project(projection));
   result.affected_rows = static_cast<int64_t>(result.rows.size());
   return result;
 }

@@ -63,20 +63,27 @@ void BTree::Clear() {
 }
 
 KeyTuple BTree::KeyOf(const Row& row) const {
-  return key_ordinals_.empty() ? row
+  return key_ordinals_.empty() ? row.Values()
                                : Schema::ExtractColumns(row, key_ordinals_);
 }
 
 int BTree::CompareRow(const Row& row, const KeyTuple& key) const {
-  bool whole = key_ordinals_.empty();
-  size_t len = whole ? row.size() : key_ordinals_.size();
+  size_t len = KeyLength(row);
   size_t n = std::min(len, key.size());
   for (size_t i = 0; i < n; i++) {
-    int r = row[whole ? i : key_ordinals_[i]].Compare(key[i]);
+    int r = row[KeyColumn(i)].Compare(key[i]);
     if (r != 0) return r;
   }
   if (len < key.size()) return -1;
   return len > key.size() ? 1 : 0;
+}
+
+bool BTree::KeyStartsWith(const Row& row, const KeyTuple& prefix) const {
+  if (KeyLength(row) < prefix.size()) return false;
+  for (size_t i = 0; i < prefix.size(); i++) {
+    if (row[KeyColumn(i)].Compare(prefix[i]) != 0) return false;
+  }
+  return true;
 }
 
 /// Index of the first entry in `leaf` whose key is >= `key`.

@@ -25,6 +25,7 @@
 #include <functional>
 #include <vector>
 
+#include "catalog/row.h"
 #include "catalog/value.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -64,6 +65,8 @@ class BTree {
 
   /// The key of `row`: its key columns, or all of it.
   KeyTuple KeyOf(const Row& row) const;
+  /// True if the key of `row` starts with the values of `prefix`.
+  bool KeyStartsWith(const Row& row, const KeyTuple& prefix) const;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -102,8 +105,16 @@ class BTree {
   struct LeafNode;
   struct InternalNode;
 
+  /// Number of key columns of `row`.
+  size_t KeyLength(const Row& row) const {
+    return key_ordinals_.empty() ? row.size() : key_ordinals_.size();
+  }
+  /// Row ordinal of key column `i`.
+  size_t KeyColumn(size_t i) const {
+    return key_ordinals_.empty() ? i : key_ordinals_[i];
+  }
   /// Compares `row`'s key with `key` under CompareKeys' prefix and length
-  /// rules.
+  /// rules, reading the key cells in place.
   int CompareRow(const Row& row, const KeyTuple& key) const;
   size_t LowerBound(const LeafNode& leaf, const KeyTuple& key) const;
   Row* Find(const KeyTuple& key) const;

@@ -1,21 +1,13 @@
 #include "storage/table_store.h"
 
-#include <algorithm>
-
 namespace sqlledger {
 
 namespace {
-/// True if `tuple`'s leading values equal `prefix`.
-bool StartsWith(const KeyTuple& tuple, const KeyTuple& prefix) {
-  return tuple.size() >= prefix.size() &&
-         std::equal(prefix.begin(), prefix.end(), tuple.begin());
-}
-
 /// AlreadyExists if the unique index `idx` holds an entry whose indexed
 /// columns equal `prefix`.
 Status CheckUnique(const SecondaryIndex& idx, const KeyTuple& prefix) {
   BTree::Iterator it = idx.tree.Seek(prefix);
-  if (it.Valid() && StartsWith(it.value(), prefix))
+  if (it.Valid() && idx.tree.KeyStartsWith(it.value(), prefix))
     return Status::AlreadyExists("unique index violation on '" + idx.name +
                                  "'");
   return Status::OK();
@@ -106,14 +98,15 @@ std::optional<Row> TableStore::GetCopy(const KeyTuple& key) const {
 std::optional<Row> TableStore::SeekFirstCopy(const KeyTuple& prefix) const {
   ReaderMutexLock latch(&latch_);
   BTree::Iterator it = clustered_.Seek(prefix);
-  if (!it.Valid() || !StartsWith(it.key(), prefix)) return std::nullopt;
+  if (!it.Valid() || !clustered_.KeyStartsWith(it.value(), prefix))
+    return std::nullopt;
   return it.value();
 }
 
 void TableStore::ExtendRows(const Value& value) {
   WriterMutexLock latch(&latch_);
   // The new cell is trailing, never a key column, so no entry moves.
-  clustered_.ForEach([&value](Row* row) { row->push_back(value); });
+  clustered_.ForEach([&value](Row* row) { *row = row->Extended(value); });
 }
 
 Status TableStore::CreateIndex(const std::string& index_name,
@@ -138,12 +131,14 @@ Status TableStore::CreateIndex(const std::string& index_name,
     // indexed columns appear as adjacent entries sharing the prefix.
     const Row* prev = nullptr;
     for (BTree::Iterator it = idx->tree.Begin(); it.Valid(); it.Next()) {
-      if (prev != nullptr && std::equal(prev->begin(),
-                                        prev->begin() + ordinals.size(),
-                                        it.value().begin()))
+      const Row& entry = it.value();
+      bool duplicate = prev != nullptr;
+      for (size_t i = 0; duplicate && i < ordinals.size(); i++)
+        duplicate = (*prev)[i] == entry[i];
+      if (duplicate)
         return Status::InvalidArgument(
             "cannot create unique index: duplicate values present");
-      prev = &it.value();
+      prev = &entry;
     }
   }
   indexes_.push_back(std::move(idx));

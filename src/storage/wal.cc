@@ -139,7 +139,7 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
     auto table_id = dec.GetVarint32();
     if (!table_id.ok()) return table_id.status();
     op.table_id = *table_id;
-    auto key = DecodeRow(&dec);
+    auto key = DecodeValues(&dec);
     if (!key.ok()) return key.status();
     op.key = std::move(*key);
     auto new_row = DecodeRow(&dec);

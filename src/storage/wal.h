@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "catalog/value.h"
+#include "catalog/row.h"
 #include "crypto/sha256.h"
 #include "storage/env.h"
 #include "util/metrics.h"

@@ -99,7 +99,7 @@ TEST(BTreeTest, MutableGetEditsInPlace) {
   tree.Upsert(R(1, 10));
   Row* row = tree.MutableGet(K(1));
   ASSERT_NE(row, nullptr);
-  row->push_back(Value::Int(7));
+  *row = row->Extended(Value::Int(7));
   EXPECT_EQ(tree.Get(K(1))->size(), 4u);
   EXPECT_EQ(tree.MutableGet(K(99)), nullptr);
 }
@@ -124,7 +124,7 @@ TEST(BTreeTest, ForEachVisitsEveryEntryInOrder) {
   int64_t expected = 0;
   tree.ForEach([&](Row* row) {
     EXPECT_EQ((*row)[0].AsInt64(), expected++);
-    row->push_back(Value::Int(1));
+    *row = row->Extended(Value::Int(1));
   });
   EXPECT_EQ(expected, 100);
   EXPECT_EQ(tree.Get(K(42))->size(), 4u);

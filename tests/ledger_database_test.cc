@@ -152,13 +152,13 @@ TEST_P(WorkloadRoundTrip, RecoversAndVerifies) {
     std::set<int64_t> live;
     bool has_tag = false;
     auto make_row = [&](const std::string& name, int64_t balance) {
-      Row row{VS(name), VB(balance)};
+      std::vector<Value> row{VS(name), VB(balance)};
       if (has_tag) {
         row.push_back(rng.Bernoulli(0.5)
                           ? Value::Int(static_cast<int32_t>(balance % 7))
                           : Value::Null(DataType::kInt));
       }
-      return row;
+      return Row(row);
     };
     for (int op = 0; op < 60; op++) {
       auto txn = db->Begin("fuzz");

@@ -233,7 +233,7 @@ TEST(TableStoreTest, RandomDmlMatchesModelWithTrailingKey) {
     std::sort(expected_index.begin(), expected_index.end(), KeyTupleLess());
     std::vector<KeyTuple> index;
     for (BTree::Iterator it = idx->tree.Begin(); it.Valid(); it.Next())
-      index.push_back(it.value());
+      index.push_back(it.value().Values());
     ASSERT_EQ(index, expected_index);
     // A prefix seek lands on the group's first live row.
     auto first = model.lower_bound({grp, INT64_MIN});

@@ -90,7 +90,7 @@ TEST_P(TamperFuzz, EveryRandomMutationIsDetected) {
     case 0: {  // edit a live user cell
       ASSERT_TRUE(PickRandomRow(&rng, ref->main, &key));
       Row* row = ref->main->mutable_clustered()->MutableGet(key);
-      (*row)[1] = VB(row->at(1).AsInt64() ^ (1 << rng.Uniform(20)));
+      (*row)[1] = VB((*row)[1].AsInt64() ^ (1 << rng.Uniform(20)));
       break;
     }
     case 1: {  // edit a history cell
@@ -101,7 +101,7 @@ TEST_P(TamperFuzz, EveryRandomMutationIsDetected) {
       } else {
         ASSERT_TRUE(PickRandomRow(&rng, ref->history, &key));
         Row* row = ref->history->mutable_clustered()->MutableGet(key);
-        (*row)[1] = VB(row->at(1).AsInt64() + 1);
+        (*row)[1] = VB((*row)[1].AsInt64() + 1);
       }
       break;
     }
@@ -130,7 +130,7 @@ TEST_P(TamperFuzz, EveryRandomMutationIsDetected) {
       ASSERT_TRUE(PickRandomRow(&rng, ref->main, &key));
       Row* row = ref->main->mutable_clustered()->MutableGet(key);
       (*row)[ref->start_txn_ord] =
-          VB(row->at(ref->start_txn_ord).AsInt64() + 1);
+          VB((*row)[ref->start_txn_ord].AsInt64() + 1);
       break;
     }
     case 6: {  // tamper with a transaction entry's recorded root

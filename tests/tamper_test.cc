@@ -118,7 +118,9 @@ TEST_F(TamperTest, SystemColumnRetargetingDetected) {
   Row* b = ref->main->mutable_clustered()->MutableGet({VS("acct7")});
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
-  std::swap((*a)[ref->start_txn_ord], (*b)[ref->start_txn_ord]);
+  Value a_txn = (*a)[ref->start_txn_ord];
+  (*a)[ref->start_txn_ord] = (*b)[ref->start_txn_ord];
+  (*b)[ref->start_txn_ord] = a_txn;
   EXPECT_TRUE(HasInvariant(Verify(), 4));
 }
 
@@ -228,7 +230,8 @@ TEST_F(TamperTest, IndexTamperDetected) {
   ASSERT_NE(index, nullptr);
   BTree::Iterator it = index->tree.Begin();
   ASSERT_TRUE(it.Valid());
-  KeyTuple forged_tuple = it.value();  // (balance, name): its own key
+  // (balance, name): the entry is its own key.
+  KeyTuple forged_tuple = it.value().Values();
   ASSERT_TRUE(index->tree.Delete(forged_tuple).ok());
   forged_tuple[0] = VB(123456789);
   index->tree.Upsert(forged_tuple);
@@ -240,7 +243,7 @@ TEST_F(TamperTest, IndexEntryDeletionDetected) {
   SecondaryIndex* index = store->FindIndex("by_balance");
   BTree::Iterator it = index->tree.Begin();
   ASSERT_TRUE(it.Valid());
-  ASSERT_TRUE(index->tree.Delete(it.value()).ok());
+  ASSERT_TRUE(index->tree.Delete(it.value().Values()).ok());
   EXPECT_TRUE(HasInvariant(Verify(), 5));
 }
 
