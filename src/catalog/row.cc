@@ -52,9 +52,7 @@ Row& Row::operator=(Row&& other) noexcept {
 Row::~Row() { std::free(block_); }
 
 uint8_t* Row::Allocate(size_t n, size_t var_bytes) {
-  // The header's u16 count and u32 string-area size bound a row.
-  if (n > std::numeric_limits<uint16_t>::max() ||
-      var_bytes > std::numeric_limits<uint32_t>::max())
+  if (n > kMaxColumns || var_bytes > std::numeric_limits<uint32_t>::max())
     std::abort();
   size_t bytes = BlockBytes(n, var_bytes);
   uint8_t* block = AllocateBytes(bytes);
@@ -146,6 +144,11 @@ Result<KeyTuple> DecodeValues(Decoder* dec) {
 Result<Row> DecodeRow(Decoder* dec) {
   auto values = DecodeValues(dec);
   if (!values.ok()) return values.status();
+  size_t var_bytes = 0;
+  for (const Value& v : *values) var_bytes += v.string_value().size();
+  if (values->size() > Row::kMaxColumns ||
+      var_bytes > std::numeric_limits<uint32_t>::max())
+    return Status::Corruption("encoded row is too large for a row block");
   return Row(*values);
 }
 

@@ -55,6 +55,9 @@ class CellRef : public Cell {
 /// is in-memory only: EncodeRow writes the WAL/checkpoint bytes.
 class Row {
  public:
+  /// The header's u16 column count bounds a row's width.
+  static constexpr size_t kMaxColumns = 0xFFFF;
+
   /// The empty row.
   Row() = default;
   Row(std::initializer_list<Value> values)
@@ -72,7 +75,8 @@ class Row {
   ~Row();
 
   /// Packs the cells `cell_at(0)`, ..., `cell_at(n - 1)`, each a Cell or a
-  /// Value (read twice: once to size the block, once to fill it).
+  /// Value (read twice: once to size the block, once to fill it). Aborts
+  /// past kMaxColumns cells or 4 GiB of string bytes.
   template <typename CellAt>
   static Row Pack(size_t n, CellAt&& cell_at);
 

@@ -65,6 +65,8 @@ Status Schema::ValidateRow(const Row& row) const {
 }
 
 Result<Row> Schema::PadRow(const Row& user_row) const {
+  if (columns_.size() > Row::kMaxColumns)
+    return Status::InvalidArgument("table has too many columns for a row");
   // Map each column to its user cell, or to kHidden for a NULL.
   constexpr size_t kHidden = SIZE_MAX;
   std::vector<size_t> source(columns_.size(), kHidden);

@@ -427,6 +427,21 @@ TEST(RowCodecTest, EncodeRowGoldenBytes) {
             "00ffffffffffffffff");  // NULL of every type, then INT -1
 }
 
+TEST(RowCodecTest, DecodeRejectsRowsWiderThanABlock) {
+  for (size_t n : {Row::kMaxColumns, Row::kMaxColumns + 1}) {
+    std::vector<uint8_t> buf;
+    EncodeRow(KeyTuple(n, Value::Null(DataType::kInt)), &buf);
+    Decoder dec{Slice(buf)};
+    auto row = DecodeRow(&dec);
+    if (n == Row::kMaxColumns) {
+      ASSERT_TRUE(row.ok());
+      EXPECT_EQ(row->size(), n);
+    } else {
+      EXPECT_TRUE(row.status().IsCorruption());
+    }
+  }
+}
+
 TEST(RowCodecTest, PayloadBytes) {
   Row row{Value::Int(1), Value::Varchar("abcde"), Value::Null(DataType::kInt),
           Value::Double(1.0)};
