@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
-#include <iterator>
 #include <vector>
 
 #include "catalog/value.h"
@@ -87,33 +86,21 @@ class Row {
   Cell operator[](size_t i) const;
   CellRef operator[](size_t i) { return CellRef(this, i); }
 
-  /// Forward iteration over the cells, as views.
+  /// Iteration over the cells, as views (range-for).
   class Iterator {
    public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = Cell;
-    using difference_type = std::ptrdiff_t;
-    using pointer = void;
-    using reference = Cell;
-
-    Iterator() = default;
     Cell operator*() const { return (*row_)[i_]; }
     Iterator& operator++() {
       i_++;
       return *this;
-    }
-    Iterator operator++(int) {
-      Iterator old = *this;
-      i_++;
-      return old;
     }
     bool operator==(const Iterator& other) const { return i_ == other.i_; }
 
    private:
     friend class Row;
     Iterator(const Row* row, size_t i) : row_(row), i_(i) {}
-    const Row* row_ = nullptr;
-    size_t i_ = 0;
+    const Row* row_;
+    size_t i_;
   };
   Iterator begin() const { return Iterator(this, 0); }
   Iterator end() const { return Iterator(this, size()); }
