@@ -69,13 +69,16 @@ Result<uint32_t> Decoder::GetVarint32() {
 
 Result<uint64_t> Decoder::GetVarint64() {
   uint64_t v = 0;
-  for (int shift = 0; shift <= 63; shift += 7) {
+  for (int shift = 0;; shift += 7) {
     if (done()) return Status::Corruption("truncated varint");
     uint8_t byte = input_[pos_++];
+    // The 10th byte carries only bit 63: anything above 0x01 overflows
+    // 64 bits (or continues past them).
+    if (shift == 63 && byte > 0x01)
+      return Status::Corruption("varint overflows 64 bits");
     v |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return v;
   }
-  return Status::Corruption("varint too long");
 }
 
 Result<Slice> Decoder::GetLengthPrefixed() {

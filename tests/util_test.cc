@@ -101,6 +101,25 @@ TEST(CodingTest, TruncatedVarintIsCorruption) {
   EXPECT_EQ(dec.GetVarint64().status().code(), StatusCode::kCorruption);
 }
 
+// A 10th varint byte may carry only bit 63. Anything above 0x01 used to
+// decode as OK with its high bits dropped.
+TEST(CodingTest, OverflowingVarintIsCorruption) {
+  std::vector<uint8_t> max(9, 0xFF);
+  max.push_back(0x01);  // UINT64_MAX exactly
+  Decoder ok_dec{Slice(max)};
+  auto got = ok_dec.GetVarint64();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, UINT64_MAX);
+  for (uint8_t last : {0x02, 0x7F, 0x81}) {
+    std::vector<uint8_t> buf(9, 0xFF);
+    buf.push_back(last);
+    buf.push_back(0x00);  // terminates the 0x81 continuation
+    Decoder dec{Slice(buf)};
+    EXPECT_EQ(dec.GetVarint64().status().code(), StatusCode::kCorruption)
+        << "10th byte " << static_cast<int>(last);
+  }
+}
+
 TEST(CodingTest, LengthPrefixedRoundTrip) {
   std::vector<uint8_t> buf;
   PutLengthPrefixed(&buf, Slice(std::string("hello world")));
