@@ -131,6 +131,9 @@ void EncodeRow(const KeyTuple& values, std::vector<uint8_t>* dst) {
 Result<KeyTuple> DecodeValues(Decoder* dec) {
   auto count = dec->GetVarint32();
   if (!count.ok()) return count.status();
+  // Every encoded cell takes at least its tag byte.
+  if (*count > dec->remaining())
+    return Status::Corruption("encoded tuple count exceeds its bytes");
   KeyTuple values;
   values.reserve(*count);
   for (uint32_t i = 0; i < *count; i++) {

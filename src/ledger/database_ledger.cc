@@ -48,6 +48,10 @@ Result<std::vector<std::pair<uint32_t, Hash256>>> DecodeTableRoots(
   Decoder dec(bytes);
   auto count = dec.GetVarint32();
   if (!count.ok()) return count.status();
+  // Each root is 36 bytes (fixed32 table id + hash); a tampered count must
+  // not drive the reservation.
+  if (*count > dec.remaining() / 36)
+    return Status::Corruption("table root count exceeds its bytes");
   std::vector<std::pair<uint32_t, Hash256>> roots;
   roots.reserve(*count);
   for (uint32_t i = 0; i < *count; i++) {

@@ -113,8 +113,13 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
   if (!ordinal.ok()) return ordinal.status();
   rec.block_ordinal = *ordinal;
 
+  // Counts are bounded by the bytes left before anything is reserved: a
+  // root takes at least 33 bytes (table id varint + hash), an op at least
+  // 3 (type, table id varint, row count varint).
   auto num_roots = dec.GetVarint32();
   if (!num_roots.ok()) return num_roots.status();
+  if (*num_roots > dec.remaining() / 33)
+    return Status::Corruption("WAL root count exceeds the record");
   rec.table_roots.reserve(*num_roots);
   for (uint32_t i = 0; i < *num_roots; i++) {
     auto table_id = dec.GetVarint32();
@@ -128,6 +133,8 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
 
   auto num_ops = dec.GetVarint32();
   if (!num_ops.ok()) return num_ops.status();
+  if (*num_ops > dec.remaining() / 3)
+    return Status::Corruption("WAL op count exceeds the record");
   rec.ops.reserve(*num_ops);
   for (uint32_t i = 0; i < *num_ops; i++) {
     auto type_byte = dec.GetBytes(1);

@@ -166,6 +166,25 @@ TEST_F(TamperTest, TransactionEntryDeletionDetected) {
   EXPECT_TRUE(HasInvariant(violations, 4));  // rows reference unknown txn
 }
 
+TEST_F(TamperTest, TableRootsCountTamperReportedNotCrash) {
+  // A five-byte table_roots cell announcing 0xffffffff roots used to abort
+  // verification with bad_alloc. The entry must be dropped as unparsable
+  // and its absence reported.
+  auto entries = db_->database_ledger()->Snapshot().entries;
+  ASSERT_FALSE(entries.empty());
+  const uint64_t victim = entries.front().txn_id;
+  TableStore* txns =
+      db_->database_ledger()->transactions_table_for_testing();
+  Row* row = txns->mutable_clustered()->MutableGet(
+      {VB(static_cast<int64_t>(victim))});
+  ASSERT_NE(row, nullptr);
+  (*row)[5] = Value::Varbinary({0xFF, 0xFF, 0xFF, 0xFF, 0x0F});
+  EXPECT_EQ(db_->database_ledger()->Snapshot().entries.size(),
+            entries.size() - 1);
+  auto violations = Verify();
+  EXPECT_TRUE(HasInvariant(violations, 3));  // block root mismatch
+}
+
 TEST_F(TamperTest, OpenBlockEntryEditSurvivesBlockClose) {
   // The attacker edits an entry's row while its block is still open. The
   // block root is streamed from the entries as committed, so the close

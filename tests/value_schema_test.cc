@@ -442,6 +442,24 @@ TEST(RowCodecTest, DecodeRejectsRowsWiderThanABlock) {
   }
 }
 
+// A count of 0xffffffff in five bytes must be rejected before it sizes an
+// allocation (both decoders used to abort with bad_alloc).
+TEST(RowCodecTest, DecodeRowRejectsHugeCountBeforeAllocating) {
+  const std::vector<uint8_t> buf = {0xFF, 0xFF, 0xFF, 0xFF, 0x0F};
+  Decoder dec{Slice(buf)};
+  EXPECT_TRUE(DecodeRow(&dec).status().IsCorruption());
+}
+
+TEST(RowCodecTest, DecodeValuesRejectsCountBeyondItsBytes) {
+  const std::vector<uint8_t> buf = {0xFF, 0xFF, 0xFF, 0xFF, 0x0F};
+  Decoder dec{Slice(buf)};
+  EXPECT_TRUE(DecodeValues(&dec).status().IsCorruption());
+  // Two cells announced, one present.
+  const std::vector<uint8_t> short_buf = {0x02, 0x86};
+  Decoder short_dec{Slice(short_buf)};
+  EXPECT_TRUE(DecodeValues(&short_dec).status().IsCorruption());
+}
+
 TEST(RowCodecTest, PayloadBytes) {
   Row row{Value::Int(1), Value::Varchar("abcde"), Value::Null(DataType::kInt),
           Value::Double(1.0)};

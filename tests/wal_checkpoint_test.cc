@@ -84,6 +84,27 @@ TEST(WalRecordTest, DecodeRejectsTruncation) {
   }
 }
 
+// A root or op count larger than the record's remaining bytes could hold is
+// rejected before anything is reserved (it used to abort with bad_alloc).
+TEST(WalRecordTest, DecodeRejectsRootCountBeyondRecord) {
+  WalCommitRecord rec = MakeRecord(7);
+  std::vector<uint8_t> buf;
+  size_t slot = rec.EncodeTo(&buf);
+  buf.resize(slot + 16);  // keep the header through the slot
+  for (uint8_t b : {0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) buf.push_back(b);
+  EXPECT_TRUE(WalCommitRecord::Decode(Slice(buf)).status().IsCorruption());
+}
+
+TEST(WalRecordTest, DecodeRejectsOpCountBeyondRecord) {
+  WalCommitRecord rec = MakeRecord(7);
+  rec.ops.clear();
+  std::vector<uint8_t> buf;
+  rec.EncodeTo(&buf);
+  buf.pop_back();  // the zero op count
+  for (uint8_t b : {0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) buf.push_back(b);
+  EXPECT_TRUE(WalCommitRecord::Decode(Slice(buf)).status().IsCorruption());
+}
+
 TEST_F(WalTest, AppendAndReplay) {
   auto wal = Wal::Open(Path("wal.log"), WalOptions{});
   ASSERT_TRUE(wal.ok());
