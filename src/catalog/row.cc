@@ -68,8 +68,7 @@ uint8_t* Row::Allocate(size_t n, size_t var_bytes) {
 
 void Row::Put(uint8_t* block, size_t i, const Cell& c, uint32_t* var_pos) {
   size_t n = Load16(block);
-  block[kHeaderBytes + i] =
-      static_cast<uint8_t>(c.type_) | (c.null_ ? kNullTag : 0);
+  block[kHeaderBytes + i] = c.tag();
   uint8_t* cell = block + kHeaderBytes + TagBytes(n) + 8 * i;
   if (c.len_ != 0) {
     std::memcpy(block + kHeaderBytes + TagBytes(n) + 8 * n + *var_pos, c.str_,
@@ -145,14 +144,29 @@ Result<KeyTuple> DecodeValues(Decoder* dec) {
 }
 
 Result<Row> DecodeRow(Decoder* dec) {
-  auto values = DecodeValues(dec);
-  if (!values.ok()) return values.status();
+  auto count = dec->GetVarint32();
+  if (!count.ok()) return count.status();
+  const size_t n = *count;
+  if (n > Row::kMaxColumns)
+    return Status::Corruption("encoded row is too wide for a row block");
+  // Pass 1 validates every cell and sizes the string area on a copy of the
+  // decoder; pass 2 re-reads the same bytes into the block.
+  Decoder sizing = *dec;
   size_t var_bytes = 0;
-  for (const Value& v : *values) var_bytes += v.string_value().size();
-  if (values->size() > Row::kMaxColumns ||
-      var_bytes > std::numeric_limits<uint32_t>::max())
+  for (size_t i = 0; i < n; i++) {
+    auto c = Cell::DecodeView(&sizing);
+    if (!c.ok()) return c.status();
+    var_bytes += c->string_value().size();
+  }
+  if (var_bytes > std::numeric_limits<uint32_t>::max())
     return Status::Corruption("encoded row is too large for a row block");
-  return Row(*values);
+  Row row;
+  if (n == 0) return row;
+  row.block_ = Row::Allocate(n, var_bytes);
+  uint32_t var_pos = 0;
+  for (size_t i = 0; i < n; i++)
+    Row::Put(row.block_, i, *Cell::DecodeView(dec), &var_pos);
+  return row;
 }
 
 size_t RowPayloadBytes(const Row& row) {

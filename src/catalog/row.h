@@ -130,8 +130,9 @@ class Row {
  private:
   friend class CellRef;
 
+  friend Result<Row> DecodeRow(Decoder* dec);
+
   static constexpr size_t kHeaderBytes = 8;
-  static constexpr uint8_t kNullTag = 0x80;
 
   static uint16_t Load16(const uint8_t* p) {
     uint16_t v;
@@ -180,8 +181,8 @@ inline Cell Row::operator[](size_t i) const {
   uint8_t tag = block_[kHeaderBytes + i];
   const uint8_t* cell = block_ + kHeaderBytes + TagBytes(n) + 8 * i;
   Cell c;
-  c.type_ = static_cast<DataType>(tag & ~kNullTag);
-  c.null_ = (tag & kNullTag) != 0;
+  c.type_ = static_cast<DataType>(tag & ~Cell::kNullTag);
+  c.null_ = (tag & Cell::kNullTag) != 0;
   if (c.null_) return c;
   if (c.type_ == DataType::kVarchar || c.type_ == DataType::kVarbinary) {
     uint32_t len = Load32(cell + 4);
@@ -197,13 +198,18 @@ inline Cell Row::operator[](size_t i) const {
   return c;
 }
 
-/// Appends `row` to `dst`: varint count followed by encoded values.
+/// Appends `row` to `dst`: varint count followed by encoded cells
+/// (Cell::EncodeTo).
 void EncodeRow(const Row& row, std::vector<uint8_t>* dst);
-/// The same encoding of a value tuple (a WAL op's key, an index entry).
+/// The same encoding of a value tuple (a WAL delete's key, an index entry).
 void EncodeRow(const KeyTuple& values, std::vector<uint8_t>* dst);
 
-/// Decodes one encoded row from `dec`, as values or as a packed row.
+/// Decodes one encoded row from `dec` as a value tuple. Corruption on a
+/// count larger than the bytes left, before anything is allocated.
 Result<KeyTuple> DecodeValues(Decoder* dec);
+/// Decodes one encoded row straight into a packed block: one pass sizes
+/// it, a second fills it. Corruption past kMaxColumns cells or 4 GiB of
+/// string bytes, checked before anything is allocated.
 Result<Row> DecodeRow(Decoder* dec);
 
 /// Total payload bytes of a row's variable- and fixed-width values (used by

@@ -287,8 +287,7 @@ Result<Value> Value::CastTo(DataType target) const {
 }
 
 void Cell::EncodeTo(std::vector<uint8_t>* dst) const {
-  dst->push_back(static_cast<uint8_t>(type_));
-  dst->push_back(null_ ? 1 : 0);
+  dst->push_back(tag());
   if (null_) return;
   switch (type_) {
     case DataType::kBool:
@@ -296,7 +295,7 @@ void Cell::EncodeTo(std::vector<uint8_t>* dst) const {
     case DataType::kInt:
     case DataType::kBigInt:
     case DataType::kTimestamp:
-      PutFixed64(dst, static_cast<uint64_t>(int_));
+      PutVarint64(dst, ZigZagEncode64(int_));
       break;
     case DataType::kDouble: {
       uint64_t bits;
@@ -311,47 +310,56 @@ void Cell::EncodeTo(std::vector<uint8_t>* dst) const {
   }
 }
 
-Result<Value> Value::DecodeFrom(Decoder* dec) {
-  auto type_byte = dec->GetBytes(1);
-  if (!type_byte.ok()) return type_byte.status();
-  auto null_byte = dec->GetBytes(1);
-  if (!null_byte.ok()) return null_byte.status();
-  DataType type = static_cast<DataType>((*type_byte)[0]);
-  if ((*type_byte)[0] < 1 || (*type_byte)[0] > 8)
+Result<Cell> Cell::DecodeView(Decoder* dec) {
+  auto tag_byte = dec->GetBytes(1);
+  if (!tag_byte.ok()) return tag_byte.status();
+  const uint8_t tag = (*tag_byte)[0];
+  const uint8_t type_id = tag & ~kNullTag;
+  if (type_id < 1 || type_id > 8)
     return Status::Corruption("invalid data type id in encoded value");
-  bool is_null = (*null_byte)[0] != 0;
-  if (is_null) return Value::Null(type);
-
-  switch (type) {
+  Cell c;
+  c.type_ = static_cast<DataType>(type_id);
+  c.null_ = (tag & kNullTag) != 0;
+  if (c.null_) return c;
+  switch (c.type_) {
     case DataType::kBool:
     case DataType::kSmallInt:
     case DataType::kInt:
     case DataType::kBigInt:
     case DataType::kTimestamp: {
-      auto v = dec->GetFixed64();
+      auto v = dec->GetVarint64();
       if (!v.ok()) return v.status();
-      Value out;
-      out.type_ = type;
-      out.null_ = false;
-      out.int_ = static_cast<int64_t>(*v);
-      return out;
+      c.int_ = ZigZagDecode64(*v);
+      return c;
     }
     case DataType::kDouble: {
       auto v = dec->GetFixed64();
       if (!v.ok()) return v.status();
-      double d;
       uint64_t bits = *v;
-      std::memcpy(&d, &bits, 8);
-      return Value::Double(d);
+      std::memcpy(&c.double_, &bits, 8);
+      return c;
     }
     case DataType::kVarchar:
     case DataType::kVarbinary: {
       auto s = dec->GetLengthPrefixed();
       if (!s.ok()) return s.status();
-      return Bytes(type, s->data(), s->size());
+      // A cell's 4-byte length field caps a string at 4 GiB - 1 bytes.
+      if (s->size() > std::numeric_limits<uint32_t>::max())
+        return Status::Corruption("encoded string too long for a cell");
+      if (!s->empty()) {
+        c.len_ = static_cast<uint32_t>(s->size());
+        c.str_ = reinterpret_cast<const char*>(s->data());
+      }
+      return c;
     }
   }
   return Status::Corruption("unreachable value decode");
+}
+
+Result<Value> Value::DecodeFrom(Decoder* dec) {
+  auto cell = DecodeView(dec);
+  if (!cell.ok()) return cell.status();
+  return Value(*cell);
 }
 
 int CompareKeys(const KeyTuple& a, const KeyTuple& b) {

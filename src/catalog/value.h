@@ -15,6 +15,8 @@
 
 namespace sqlledger {
 
+class Decoder;
+
 /// SQL data types supported by the engine. The numeric values are part of
 /// the canonical row serialization format and must never be renumbered.
 enum class DataType : uint8_t {
@@ -75,9 +77,23 @@ class Cell {
   /// Human-readable form for views and examples, e.g. 42, 'abc', NULL.
   std::string ToString() const;
 
+  /// The NULL bit of a tag byte.
+  static constexpr uint8_t kNullTag = 0x80;
+  /// The cell's tag byte: the DataType id, plus kNullTag for NULL. A cell
+  /// of the packed Row block and of the EncodeTo bytes both carry it.
+  uint8_t tag() const {
+    return static_cast<uint8_t>(type_) | (null_ ? kNullTag : 0);
+  }
+
   /// Compact binary encoding used by WAL records and checkpoints (NOT the
-  /// canonical ledger hash format — see ledger/row_serializer.h for that).
+  /// canonical ledger hash format — see ledger/row_serializer.h for that):
+  /// the tag byte, then no payload for a NULL, a zigzag varint for
+  /// BOOL/SMALLINT/INT/BIGINT/TIMESTAMP, 8 little-endian bytes for DOUBLE,
+  /// or a varint length and the bytes for VARCHAR/VARBINARY.
   void EncodeTo(std::vector<uint8_t>* dst) const;
+  /// Decodes one EncodeTo cell as a view: a string's bytes point into the
+  /// decoder's input. Corruption on a bad tag or truncated payload.
+  static Result<Cell> DecodeView(Decoder* dec);
 
  protected:
   friend class Row;
@@ -130,7 +146,7 @@ class Value : public Cell {
   /// Checked cast to a different type (used by ALTER COLUMN, §3.5.3).
   Result<Value> CastTo(DataType target) const;
 
-  static Result<Value> DecodeFrom(class Decoder* dec);
+  static Result<Value> DecodeFrom(Decoder* dec);
 
  private:
   /// A non-NULL VARCHAR/VARBINARY holding a copy of `n` bytes at `data`.

@@ -358,13 +358,17 @@ Status LedgerDatabase::Recover() {
   // WriteCheckpoint), fall back to the retained previous generation. The
   // fallback additionally replays the rotated WAL ("wal.log.prev", which
   // spans previous-checkpoint -> newest-checkpoint), so either path
-  // reconstructs the same state — replay is idempotent.
+  // reconstructs the same state — replay is idempotent. A checkpoint of a
+  // retired format (NotSupported) is not torn: it is refused, with no
+  // fallback, because the WAL beside it is in that format too.
   bool used_fallback = false;
   auto checkpoint = ReadCheckpoint(checkpoint_path_, env_);
   if (!checkpoint.ok()) {
     if (checkpoint.status().IsNotFound() ||
         checkpoint.status().code() == StatusCode::kCorruption) {
       checkpoint = ReadCheckpoint(checkpoint_path_ + ".prev", env_);
+      if (checkpoint.status().code() == StatusCode::kNotSupported)
+        return checkpoint.status();
       if (!checkpoint.ok())
         return Status::Corruption(
             "cannot load checkpoint (newest is missing/torn and no usable "
@@ -479,14 +483,22 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload) {
     if (store == nullptr)
       return Status::Corruption("WAL references unknown table id " +
                                 std::to_string(op.table_id));
+    // An insert or update logs only the row; its key columns give the key.
+    if (op.type != WalOpType::kDelete) {
+      for (size_t ord : store->schema().key_ordinals()) {
+        if (ord >= op.new_row.size())
+          return Status::Corruption("WAL row too short for the key of table " +
+                                    std::to_string(op.table_id));
+      }
+    }
     switch (op.type) {
       case WalOpType::kInsert: {
-        if (store->Get(op.key) == nullptr)
+        if (store->Get(store->KeyOf(op.new_row)) == nullptr)
           SL_RETURN_IF_ERROR(store->Insert(op.new_row));
         break;
       }
       case WalOpType::kUpdate: {
-        if (store->Get(op.key) == nullptr) {
+        if (store->Get(store->KeyOf(op.new_row)) == nullptr) {
           SL_RETURN_IF_ERROR(store->Insert(op.new_row));
         } else {
           SL_RETURN_IF_ERROR(store->Update(op.new_row));

@@ -61,7 +61,10 @@ bool InTruncatedRange(const std::vector<TruncationRecord>& truncations,
 
 /// Streams the Merkle leaf of one encoded key tuple (a KeyTuple or a stored
 /// index entry, which encode alike) into `tree` (invariant 5), reusing
-/// `scratch` for the encoding.
+/// `scratch` for the encoding. EncodeRow is injective and prefix-free (a
+/// count, then per cell a tag and a self-delimiting payload: zigzag varint,
+/// 8 fixed bytes or a length-prefixed string), so equal leaves mean equal
+/// tuples within one run; the bytes are never compared across runs.
 template <typename Tuple>
 void AddTupleLeaf(const Tuple& tuple, std::vector<uint8_t>* scratch,
                   MerkleBuilder* tree) {

@@ -8,7 +8,10 @@
 namespace sqlledger {
 
 namespace {
-constexpr char kMagic[] = "SLCKPT01";
+// 02: compact cells (tag byte, zigzag varint integers). No reader for the
+// fixed-width 01 cells is kept; a 01 file is refused as NotSupported.
+constexpr char kMagic[] = "SLCKPT02";
+constexpr char kMagicV1[] = "SLCKPT01";
 constexpr size_t kMagicLen = 8;
 }  // namespace
 
@@ -126,6 +129,11 @@ Result<CheckpointData> ReadCheckpoint(const std::string& path, Env* env) {
   if (!header_n.ok()) return header_n.status();
   if (*header_n != sizeof(header))
     return Status::Corruption("checkpoint header truncated");
+  if (std::memcmp(header, kMagicV1, kMagicLen) == 0)
+    return Status::NotSupported(
+        "checkpoint " + path +
+        " has format SLCKPT01 (fixed-width cells), which this build no "
+        "longer reads; it reads only SLCKPT02");
   if (std::memcmp(header, kMagic, kMagicLen) != 0)
     return Status::Corruption("bad checkpoint magic");
   uint64_t len = 0;

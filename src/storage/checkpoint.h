@@ -34,8 +34,9 @@ Status WriteCheckpoint(const std::string& path, Slice meta,
                        const std::vector<const TableStore*>& tables,
                        Env* env = nullptr);
 
-/// Loads a checkpoint. NotFound if the file does not exist; Corruption on
-/// CRC or format errors. `env` = nullptr uses Env::Default().
+/// Loads a checkpoint. NotFound if the file does not exist; NotSupported
+/// for a file of the retired SLCKPT01 format; Corruption on CRC or format
+/// errors. `env` = nullptr uses Env::Default().
 Result<CheckpointData> ReadCheckpoint(const std::string& path,
                                       Env* env = nullptr);
 

@@ -74,8 +74,11 @@ size_t WalCommitRecord::EncodeTo(std::vector<uint8_t>* dst) const {
   for (const WalOp& op : ops) {
     dst->push_back(static_cast<uint8_t>(op.type));
     PutVarint32(dst, op.table_id);
-    EncodeRow(op.key, dst);
-    EncodeRow(op.new_row, dst);
+    if (op.type == WalOpType::kDelete) {
+      EncodeRow(op.key, dst);
+    } else {
+      EncodeRow(op.new_row, dst);
+    }
   }
   return slot_offset;
 }
@@ -146,12 +149,15 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
     auto table_id = dec.GetVarint32();
     if (!table_id.ok()) return table_id.status();
     op.table_id = *table_id;
-    auto key = DecodeValues(&dec);
-    if (!key.ok()) return key.status();
-    op.key = std::move(*key);
-    auto new_row = DecodeRow(&dec);
-    if (!new_row.ok()) return new_row.status();
-    op.new_row = std::move(*new_row);
+    if (op.type == WalOpType::kDelete) {
+      auto key = DecodeValues(&dec);
+      if (!key.ok()) return key.status();
+      op.key = std::move(*key);
+    } else {
+      auto new_row = DecodeRow(&dec);
+      if (!new_row.ok()) return new_row.status();
+      op.new_row = std::move(*new_row);
+    }
     rec.ops.push_back(std::move(op));
   }
   if (!dec.done()) return Status::Corruption("trailing bytes in WAL record");

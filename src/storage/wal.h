@@ -36,16 +36,18 @@ namespace sqlledger {
 /// Kind of a logged row operation.
 enum class WalOpType : uint8_t {
   kInsert = 1,  // new_row inserted into table_id
-  kUpdate = 2,  // key identified row replaced by new_row (old_row logged for
-                // completeness/audit; redo uses new_row)
+  kUpdate = 2,  // the row with new_row's clustered key replaced by new_row
   kDelete = 3,  // row with key removed
 };
 
-/// One redo operation within a committed transaction.
+/// One redo operation within a committed transaction. An insert or update
+/// is logged as [type][table_id][new_row] and a delete as
+/// [type][table_id][key]: new_row already holds its clustered key, which
+/// replay derives with TableStore::KeyOf.
 struct WalOp {
   WalOpType type = WalOpType::kInsert;
   uint32_t table_id = 0;
-  KeyTuple key;  // clustered key of the affected row
+  KeyTuple key;  // clustered key of the deleted row; unused otherwise
   Row new_row;   // full physical row for insert/update; empty for delete
 };
 

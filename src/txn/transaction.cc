@@ -1,14 +1,17 @@
 #include "txn/transaction.h"
 
+#include <cassert>
+
 namespace sqlledger {
 
 void Transaction::RecordInsert(TableStore* table, const KeyTuple& key,
                                const Row& row) {
+  // The redo op carries only the row; replay derives the key from it.
+  assert(table->KeyOf(row) == key);
   roots_finalized_ = false;
   WalOp op;
   op.type = WalOpType::kInsert;
   op.table_id = table->table_id();
-  op.key = key;
   op.new_row = row;
   ops_.push_back(std::move(op));
 
@@ -21,11 +24,11 @@ void Transaction::RecordInsert(TableStore* table, const KeyTuple& key,
 
 void Transaction::RecordUpdate(TableStore* table, const KeyTuple& key,
                                const Row& old_row, const Row& new_row) {
+  assert(table->KeyOf(new_row) == key);
   roots_finalized_ = false;
   WalOp op;
   op.type = WalOpType::kUpdate;
   op.table_id = table->table_id();
-  op.key = key;
   op.new_row = new_row;
   ops_.push_back(std::move(op));
 

@@ -44,7 +44,9 @@ class Transaction {
 
   // ---- Change tracking (called by the DML layer) ----
 
-  /// Records a redo op for the WAL and the matching undo entry.
+  /// Records a redo op for the WAL and the matching undo entry. `key` is
+  /// the row's clustered key (`table->KeyOf(row)` for an insert or
+  /// update); only the undo entry and a delete's redo op keep it.
   void RecordInsert(TableStore* table, const KeyTuple& key, const Row& row);
   void RecordUpdate(TableStore* table, const KeyTuple& key, const Row& old_row,
                     const Row& new_row);

@@ -1,6 +1,7 @@
-// Binary encoding primitives: fixed-width little-endian integers and LEB128
-// varints, plus length-prefixed byte strings. Used by the WAL, the canonical
-// row serialization format, and checkpoint files.
+// Binary encoding primitives: fixed-width little-endian integers, LEB128
+// varints and zigzag-mapped signed varints, plus length-prefixed byte
+// strings. Used by the WAL, the canonical row serialization format, and
+// checkpoint files.
 
 #ifndef SQLLEDGER_UTIL_CODING_H_
 #define SQLLEDGER_UTIL_CODING_H_
@@ -24,6 +25,17 @@ void PutVarint32(std::vector<uint8_t>* dst, uint32_t v);
 void PutVarint64(std::vector<uint8_t>* dst, uint64_t v);
 /// Varint length prefix followed by the raw bytes.
 void PutLengthPrefixed(std::vector<uint8_t>* dst, Slice value);
+
+/// Zigzag mapping of a signed integer onto an unsigned one, so that values
+/// near zero of either sign get short varints: 0, -1, 1, -2, ... map to
+/// 0, 1, 2, 3, ... Unsigned shifts keep both directions free of UB.
+inline uint64_t ZigZagEncode64(int64_t v) {
+  uint64_t u = static_cast<uint64_t>(v);
+  return (u << 1) ^ (0 - (u >> 63));
+}
+inline int64_t ZigZagDecode64(uint64_t u) {
+  return static_cast<int64_t>((u >> 1) ^ (0 - (u & 1)));
+}
 
 // ---- Decoders ----
 // A Decoder consumes from a Slice front-to-back and fails with Corruption on
