@@ -64,11 +64,11 @@ TEST_F(SimSmokeTest, GoldenFingerprints) {
   };
   const Golden kGolden[] = {
       {1, "6ecb2e69a395f9357265874628eb998d4a2f79860ba7a0e62b98615a90a3fd25",
-       "e76a96442575469497951ef8c55e475adb5c7ba01f061dceaab174f4deb6f34e"},
+       "d8c36d8723077693264aff0591b26e1df06ce32ffe0be4085c98eafe15c50b35"},
       {2, "056ff6b98fe26e119d86fc83cc3d846042f3a389dd1651379c676303d531b354",
-       "9c066ade09ee4ae2af3c16c9c848e2f24e926e31222fada5a588a6d1a64a662a"},
+       "d4b2d0c8cba7faa5efa55e8a621ca8bda9665d9d091e173806c59ee3decc084b"},
       {3, "cba718f6b9021d33d2f5e7fb2c6ab21be2f9bdbce6db42f717dcb2913588d621",
-       "3cb5b45d9b14481567228c808d4283bb076fd903612618837118ecacbd23dad1"},
+       "e95a7b29331d740c0f960bd479459c4236d0754276eef904a8c4d15bc32fc64d"},
   };
   for (const Golden& g : kGolden) {
     SimResult result = RunSim(MakeConfig(g.seed, 500));

@@ -126,20 +126,32 @@ std::vector<uint8_t> Encoded(const Value& v) {
   return buf;
 }
 
-// WAL records and checkpoints persist values in this encoding: type id,
-// null flag, then a fixed 8-byte little-endian payload or a varint length
-// and the bytes. Pinned so an in-memory layout change cannot drift it.
+// WAL records and checkpoints persist values in this encoding: a tag byte
+// (type id, plus 0x80 for NULL), then a zigzag varint for the integral
+// types, 8 little-endian bytes for DOUBLE or a varint length and the bytes,
+// and no payload for a NULL. Pinned so an in-memory layout change cannot
+// drift it.
 TEST(ValueTest, EncodingGoldenBytes) {
   const std::pair<Value, const char*> cases[] = {
-      {Value::Bool(true), "01000100000000000000"},
-      {Value::SmallInt(-2), "0200feffffffffffffff"},
-      {Value::Int(0x12345678), "03007856341200000000"},
-      {Value::BigInt(-5), "0400fbffffffffffffff"},
-      {Value::Double(1.5), "0500000000000000f83f"},
-      {Value::Varchar("ledger"), "0600066c6564676572"},
-      {Value::Varbinary({0xDE, 0xAD, 0xBE, 0xEF}), "070004deadbeef"},
-      {Value::Timestamp(1600000000000000), "08000000a40731af0500"},
-      {Value::Null(DataType::kVarchar), "0601"},
+      // BOOL, zigzag(1) = 2
+      {Value::Bool(true), "0102"},
+      // SMALLINT, zigzag(-2) = 3
+      {Value::SmallInt(-2), "0203"},
+      // INT, zigzag(0x12345678) = 0x2468acf0 in five 7-bit groups
+      {Value::Int(0x12345678), "03f0d9a2a302"},
+      // BIGINT, zigzag(-5) = 9
+      {Value::BigInt(-5), "0409"},
+      // DOUBLE, 1.5 = 0x3ff8000000000000 little-endian
+      {Value::Double(1.5), "05000000000000f83f"},
+      // VARCHAR, length 6, 'ledger'
+      {Value::Varchar("ledger"), "06066c6564676572"},
+      // VARBINARY, length 4, the bytes
+      {Value::Varbinary({0xDE, 0xAD, 0xBE, 0xEF}), "0704deadbeef"},
+      // TIMESTAMP, zigzag(1600000000000000) = 3200000000000000
+      // = 0xb5e620f480000 in eight 7-bit groups
+      {Value::Timestamp(1600000000000000), "088080a0faa0ccd705"},
+      // NULL VARCHAR: 0x06 | 0x80, no payload
+      {Value::Null(DataType::kVarchar), "86"},
   };
   for (const auto& [value, hex] : cases) {
     EXPECT_EQ(HexEncode(Slice(Encoded(value))), hex) << value.ToString();
@@ -212,7 +224,7 @@ TEST(ValueOwnershipTest, MovedFromValueIsUsable) {
   EXPECT_EQ(source.AsInt64(), 0);
   EXPECT_EQ(source.ToString(), "NULL");
   EXPECT_EQ(source.Compare(Value::Null(DataType::kInt)), 0);
-  EXPECT_EQ(HexEncode(Slice(Encoded(source))), "0601");
+  EXPECT_EQ(HexEncode(Slice(Encoded(source))), "86");
   Value copy(source);
   EXPECT_TRUE(copy.is_null());
   source = Value::Varbinary({1, 2});
@@ -411,20 +423,20 @@ TEST(RowCodecTest, EncodeRowGoldenBytes) {
   std::vector<uint8_t> buf;
   EncodeRow(*store.Get({Value::BigInt(1)}), &buf);
   EXPECT_EQ(HexEncode(Slice(buf)),
-            "14"
-            "04000100000000000000"  // id BIGINT 1
-            "01000100000000000000"  // BOOL true
-            "0200feffffffffffffff"  // SMALLINT -2
-            "03007856341200000000"  // INT 0x12345678
-            "0400fbffffffffffffff"  // BIGINT -5
-            "0500000000000000f83f"  // DOUBLE 1.5
-            "0600066c6564676572"    // VARCHAR 'ledger'
-            "070002dead"            // VARBINARY 0xdead
-            "08000000a40731af0500"  // TIMESTAMP
-            "060000"                // VARCHAR ''
-            "070000"                // VARBINARY empty
-            "0101020103010401050106010701080103"
-            "00ffffffffffffffff");  // NULL of every type, then INT -1
+            "14"                  // 20 cells
+            "0402"                // id BIGINT 1, zigzag 2
+            "0102"                // BOOL true, zigzag 2
+            "0203"                // SMALLINT -2, zigzag 3
+            "03f0d9a2a302"        // INT 0x12345678, zigzag 0x2468acf0
+            "0409"                // BIGINT -5, zigzag 9
+            "05000000000000f83f"  // DOUBLE 1.5
+            "06066c6564676572"    // VARCHAR 'ledger'
+            "0702dead"            // VARBINARY 0xdead
+            "088080a0faa0ccd705"  // TIMESTAMP, zigzag 3200000000000000
+            "0600"                // VARCHAR ''
+            "0700"                // VARBINARY empty
+            "8182838485868788"    // NULL of every type: tag | 0x80
+            "0301");              // INT -1, zigzag 1
 }
 
 TEST(RowCodecTest, DecodeRejectsRowsWiderThanABlock) {

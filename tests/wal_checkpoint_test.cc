@@ -302,7 +302,7 @@ TEST_F(CheckpointTest, GoldenFileSha256) {
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   EXPECT_EQ(Sha256::Digest(Slice(bytes)).ToHex(),
-            "3a1a60e403a932fac63985108ae33b2ea9b0dbe6d9671f3f38165a2b4bc0f5e8");
+            "ed571251c39276f2b52d02c4c4ed5e36e916d44540889858ef3501b087ad318a");
 }
 
 TEST_F(CheckpointTest, MissingFileIsNotFound) {
