@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 
 #include "ledger/digest_store.h"
 #include "ledger/verifier.h"
@@ -383,6 +384,57 @@ TEST_F(RecoveryTest, MissingNewestCheckpointFallsBackToPreviousGeneration) {
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 4u);
   ASSERT_TRUE(db->Commit(*txn).ok());
+}
+
+// A checkpoint of the retired SLCKPT01 format (fixed-width cells) is not
+// torn: it is refused as NotSupported, naming the format, and recovery
+// neither falls back to a readable ".prev" beside it nor replays or
+// truncates the WAL. Covered: the newest generation retired with a good
+// ".prev", the newest retired alone, and only a retired ".prev".
+TEST_F(RecoveryTest, RetiredCheckpointFormatIsRefusedWithoutFallback) {
+  const std::string ckpt = Path("db") + "/checkpoint.sldb";
+  auto stamp_v1 = [](const std::string& path) {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(0);
+    f.write("SLCKPT01", 8);
+  };
+  auto read_dir = [this] {
+    std::map<std::string, std::string> files;
+    for (const auto& e : std::filesystem::directory_iterator(Path("db"))) {
+      std::ifstream in(e.path(), std::ios::binary);
+      files[e.path().filename().string()] =
+          std::string((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    }
+    return files;
+  };
+  auto expect_refused = [&](const char* layout) {
+    SCOPED_TRACE(layout);
+    const auto before = read_dir();
+    auto db = LedgerDatabase::Open(MakeOptions());
+    ASSERT_FALSE(db.ok());
+    EXPECT_EQ(db.status().code(), StatusCode::kNotSupported)
+        << db.status().ToString();
+    EXPECT_NE(db.status().message().find("SLCKPT01"), std::string::npos);
+    EXPECT_EQ(read_dir(), before);
+  };
+  {
+    auto db = Open();
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    for (int i = 0; i < 3; i++)
+      ASSERT_TRUE(InsertOne(db.get(), "t", i, "gen1").ok());
+    ASSERT_TRUE(db->Checkpoint().ok());  // superseded -> checkpoint.sldb.prev
+    for (int i = 3; i < 6; i++)
+      ASSERT_TRUE(InsertOne(db.get(), "t", i, "tail").ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  stamp_v1(ckpt);
+  expect_refused("retired newest, readable .prev");
+  std::filesystem::remove(ckpt + ".prev");
+  expect_refused("retired newest alone");
+  std::filesystem::rename(ckpt, ckpt + ".prev");
+  expect_refused("retired .prev alone");
 }
 
 TEST_F(RecoveryTest, DroppedTableSurvivesRecovery) {

@@ -12,6 +12,7 @@
 #include "storage/checkpoint.h"
 #include "storage/wal.h"
 #include "util/coding.h"
+#include "util/hex.h"
 
 namespace sqlledger {
 namespace {
@@ -82,6 +83,53 @@ TEST(WalRecordTest, DecodeRejectsTruncation) {
     auto decoded = WalCommitRecord::Decode(Slice(buf.data(), cut));
     EXPECT_FALSE(decoded.ok()) << "cut at " << cut;
   }
+}
+
+// A commit record's bytes are pinned: one insert, one update and one
+// delete. An insert or update logs only its row (the update's key is not
+// written: the row holds it); a delete logs only its key.
+TEST(WalRecordTest, GoldenBytes) {
+  WalCommitRecord rec;
+  rec.txn_id = 5;
+  rec.commit_ts_micros = 1600000000000000;
+  rec.user_name = "app";
+  rec.block_id = 2;
+  rec.block_ordinal = 1;
+  Hash256 root;
+  for (size_t i = 0; i < root.bytes.size(); i++)
+    root.bytes[i] = static_cast<uint8_t>(i);
+  rec.table_roots.emplace_back(100, root);
+  rec.ops.push_back(WalOp{WalOpType::kInsert, 100, {},
+                          {Value::BigInt(1), Value::Varchar("a")}});
+  rec.ops.push_back(WalOp{WalOpType::kUpdate, 100, {Value::BigInt(1)},
+                          {Value::BigInt(1), Value::Varchar("b")}});
+  rec.ops.push_back(WalOp{WalOpType::kDelete, 101, {Value::BigInt(-1)}, {}});
+  std::vector<uint8_t> buf;
+  EXPECT_EQ(rec.EncodeTo(&buf), 13u);  // the slot follows ts and user
+  EXPECT_EQ(HexEncode(Slice(buf)),
+            "05"                  // txn id varint
+            "0000a40731af0500"    // commit ts fixed64 0x5af3107a40000
+            "03617070"            // user 'app', length-prefixed
+            "0200000000000000"    // block id fixed64 (patchable slot)
+            "0100000000000000"    // block ordinal fixed64
+            "01"                  // one table root
+            "64"                  // table id 100 varint
+            "000102030405060708090a0b0c0d0e0f"
+            "101112131415161718191a1b1c1d1e1f"  // the root's 32 bytes
+            "03"                  // three ops
+            "01" "64"             // INSERT into table 100
+            "02" "0402" "060161"  //   row: BIGINT 1, VARCHAR 'a'
+            "02" "64"             // UPDATE in table 100
+            "02" "0402" "060162"  //   row: BIGINT 1, VARCHAR 'b'
+            "03" "65"             // DELETE from table 101
+            "01" "0401");         //   key: BIGINT -1
+  auto decoded = WalCommitRecord::Decode(Slice(buf));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->ops.size(), 3u);
+  EXPECT_TRUE(decoded->ops[1].key.empty());
+  EXPECT_EQ(decoded->ops[1].new_row[1].string_value(), "b");
+  EXPECT_EQ(decoded->ops[2].key, KeyTuple{Value::BigInt(-1)});
+  EXPECT_TRUE(decoded->ops[2].new_row.empty());
 }
 
 // A root or op count larger than the record's remaining bytes could hold is
