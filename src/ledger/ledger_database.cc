@@ -381,6 +381,17 @@ Status LedgerDatabase::Recover() {
   }
   SL_RETURN_IF_ERROR(DecodeCatalogMeta(Slice(checkpoint->meta),
                                        std::move(checkpoint->tables)));
+  // A checkpoint quiesces, so every transaction whose id is below its
+  // next_txn_id had finished and is already in it. Commit records of those
+  // transactions are skipped: a crash between the checkpoint's rename and
+  // the WAL rotation's directory sync leaves the new checkpoint beside the
+  // log it superseded, and re-applying those records would replay row
+  // images of an older shape and count the transactions twice.
+  uint64_t checkpoint_next_txn_id;
+  {
+    MutexLock txn_lock(&txn_mu_);
+    checkpoint_next_txn_id = next_txn_id_;
+  }
   if (options_.enable_ledger) {
     DatabaseLedgerOptions lopts;
     lopts.block_size = options_.block_size;
@@ -393,7 +404,9 @@ Status LedgerDatabase::Recover() {
   // Replay the WAL tail: redo row operations idempotently and re-append the
   // Database Ledger's transaction entries from the commit records (the
   // Analysis phase of paper §3.3.2).
-  auto replay = [this](Slice payload) { return ReplayWalRecord(payload); };
+  auto replay = [this, checkpoint_next_txn_id](Slice payload) {
+    return ReplayWalRecord(payload, checkpoint_next_txn_id);
+  };
   if (used_fallback) {
     auto prev = ReadFrameLog(env_, wal_path_ + ".prev", replay);
     if (!prev.ok()) return prev.status();
@@ -448,7 +461,8 @@ void LedgerDatabase::ReconcileDdlCounters() {
   }
 }
 
-Status LedgerDatabase::ReplayWalRecord(Slice payload) {
+Status LedgerDatabase::ReplayWalRecord(Slice payload,
+                                       uint64_t checkpoint_next_txn_id) {
   if (payload.empty()) return Status::Corruption("empty WAL record");
   uint8_t kind = payload[0];
   Slice body(payload.data() + 1, payload.size() - 1);
@@ -465,6 +479,7 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload) {
 
   auto record = WalCommitRecord::Decode(body);
   if (!record.ok()) return record.status();
+  if (record->txn_id < checkpoint_next_txn_id) return Status::OK();
 
   // Redo row operations, idempotently.
   ReaderMutexLock catalog_lock(&catalog_mu_);

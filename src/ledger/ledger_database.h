@@ -318,7 +318,10 @@ class LedgerDatabase {
   /// Checkpoint body; Checkpoint() wraps it with duration metrics/trace so
   /// recording happens after every lock scope has exited.
   Status CheckpointImpl();
-  Status ReplayWalRecord(Slice payload);
+  /// Redoes one WAL record. Commit records of transactions below
+  /// `checkpoint_next_txn_id` are already in the loaded checkpoint and are
+  /// skipped.
+  Status ReplayWalRecord(Slice payload, uint64_t checkpoint_next_txn_id);
   void ReconcileDdlCounters();
   std::vector<uint8_t> EncodeCatalogMeta() const;
   Status DecodeCatalogMeta(Slice meta,

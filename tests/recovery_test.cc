@@ -488,6 +488,83 @@ TEST_F(RecoveryTest, DoubleCrashRecovery) {
   EXPECT_TRUE(report->ok()) << report->Summary();
 }
 
+// A crash after a checkpoint's rename is durable but before the WAL
+// rotation's directory sync leaves the new checkpoint beside the log it
+// superseded. Rolls that rotation back by hand, like the `.prev` tests.
+void RollBackWalRotation(const std::string& dir) {
+  std::filesystem::rename(dir + "/wal.log.prev", dir + "/wal.log");
+}
+
+TEST_F(RecoveryTest, SupersededWalBesideNewCheckpointIsNotReapplied) {
+  for (bool ledger : {true, false}) {
+    SCOPED_TRACE(ledger ? "ledger" : "non-ledger");
+    const std::string subdir = ledger ? "ledger" : "plain";
+    auto options = [&] {
+      LedgerDatabaseOptions o = MakeOptions(subdir);
+      o.enable_ledger = ledger;
+      return o;
+    };
+    {
+      auto db = LedgerDatabase::Open(options());
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      ASSERT_TRUE((*db)->CreateTable("t", SimpleUserSchema(),
+                                     TableKind::kUpdateable)
+                      .ok());
+      ASSERT_TRUE(InsertOne(db->get(), "t", 1, "x").ok());
+      auto txn = (*db)->Begin("app");
+      ASSERT_TRUE((*db)->Update(*txn, "t", {VB(1), VS("y")}).ok());
+      ASSERT_TRUE((*db)->Commit(*txn).ok());
+      ASSERT_TRUE((*db)->AddColumn("t", "extra", DataType::kInt).ok());
+      // The checkpoint holds the wider rows; the log it superseded holds
+      // the narrower row images of the insert and the update.
+      ASSERT_TRUE((*db)->Checkpoint().ok());
+    }
+    RollBackWalRotation(Path(subdir));
+    auto db = LedgerDatabase::Open(options());
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto txn = (*db)->Begin("app");
+    auto row = (*db)->Get(*txn, "t", {VB(1)});
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    ASSERT_EQ(row->size(), 3u);
+    EXPECT_EQ((*row)[1].string_value(), "y");
+    EXPECT_TRUE((*row)[2].is_null());
+    ASSERT_TRUE((*db)->Commit(*txn).ok());
+    if (ledger) {
+      auto digest = (*db)->GenerateDigest();
+      ASSERT_TRUE(digest.ok());
+      auto report = VerifyLedger(db->get(), {*digest});
+      ASSERT_TRUE(report.ok());
+      EXPECT_TRUE(report->ok()) << report->Summary();
+    }
+  }
+}
+
+TEST_F(RecoveryTest, SupersededWalBesideNewCheckpointKeepsCommitCount) {
+  uint64_t committed;
+  {
+    auto db = Open();
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    for (int i = 0; i < 4; i++)
+      ASSERT_TRUE(InsertOne(db.get(), "t", i, "x").ok());
+    committed = db->committed_txn_count();
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  RollBackWalRotation(Path("db"));
+  auto db = Open();
+  EXPECT_EQ(db->committed_txn_count(), committed);
+  auto txn = db->Begin("app");
+  auto rows = db->Scan(*txn, "t");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 4u);
+  ASSERT_TRUE(db->Commit(*txn).ok());
+  auto digest = db->GenerateDigest();
+  ASSERT_TRUE(digest.ok());
+  auto report = VerifyLedger(db.get(), {*digest});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
 TEST_F(RecoveryTest, SchemaChangesSurviveRecovery) {
   {
     auto db = Open();
