@@ -54,6 +54,14 @@ Schema MakeSysTruncationsSchema() {
 }
 }  // namespace
 
+void CatalogEntry::LinkRef() {
+  ref.table_id = table_id;
+  ref.kind = kind;
+  ref.main = main.get();
+  ref.history = history.get();
+  ref.RefreshOrdinals();
+}
+
 LedgerDatabase::LedgerDatabase(LedgerDatabaseOptions options)
     : options_(std::move(options)),
       locks_(options_.lock_timeout),
@@ -202,11 +210,7 @@ Status LedgerDatabase::InitFresh() {
       entry->history = std::make_unique<TableStore>(
           history_id, name + "_history", MakeHistorySchema(full));
     }
-    entry->ref.table_id = id;
-    entry->ref.kind = kind;
-    entry->ref.main = entry->main.get();
-    entry->ref.history = entry->history ? entry->history.get() : nullptr;
-    entry->ref.RefreshOrdinals();
+    entry->LinkRef();
     // The lock lives inside the lambda (not around the call) because the
     // analysis treats lambda bodies as independent functions.
     WriterMutexLock lock(&catalog_mu_);
@@ -341,11 +345,7 @@ Status LedgerDatabase::DecodeCatalogMeta(
         return Status::Corruption("checkpoint missing history store for '" +
                                   entry->name + "'");
     }
-    entry->ref.table_id = entry->table_id;
-    entry->ref.kind = entry->kind;
-    entry->ref.main = entry->main.get();
-    entry->ref.history = entry->history ? entry->history.get() : nullptr;
-    entry->ref.RefreshOrdinals();
+    entry->LinkRef();
     if (!entry->dropped) name_index_[entry->name] = entry->table_id;
     catalog_[entry->table_id] = std::move(entry);
   }
@@ -387,10 +387,18 @@ Status LedgerDatabase::Recover() {
   // the WAL rotation's directory sync leaves the new checkpoint beside the
   // log it superseded, and re-applying those records would replay row
   // images of an older shape and count the transactions twice.
-  uint64_t checkpoint_next_txn_id;
+  ReplayContext ctx;
   {
     MutexLock txn_lock(&txn_mu_);
-    checkpoint_next_txn_id = next_txn_id_;
+    ctx.checkpoint_next_txn_id = next_txn_id_;
+  }
+  {
+    ReaderMutexLock catalog_lock(&catalog_mu_);
+    for (const auto& [id, entry] : catalog_) {
+      ctx.stores[id] = entry->main.get();
+      if (entry->history != nullptr)
+        ctx.stores[entry->history->table_id()] = entry->history.get();
+    }
   }
   if (options_.enable_ledger) {
     DatabaseLedgerOptions lopts;
@@ -404,8 +412,8 @@ Status LedgerDatabase::Recover() {
   // Replay the WAL tail: redo row operations idempotently and re-append the
   // Database Ledger's transaction entries from the commit records (the
   // Analysis phase of paper §3.3.2).
-  auto replay = [this, checkpoint_next_txn_id](Slice payload) {
-    return ReplayWalRecord(payload, checkpoint_next_txn_id);
+  auto replay = [this, &ctx](Slice payload) {
+    return ReplayWalRecord(payload, &ctx);
   };
   if (used_fallback) {
     auto prev = ReadFrameLog(env_, wal_path_ + ".prev", replay);
@@ -418,51 +426,10 @@ Status LedgerDatabase::Recover() {
   // every future replay (it sits past the point where replay stops).
   if (scan->has_tail)
     SL_RETURN_IF_ERROR(env_->TruncateFile(wal_path_, scan->intact_bytes));
-  if (options_.enable_ledger) ReconcileDdlCounters();
   return Status::OK();
 }
 
-// A DDL's metadata transaction is WAL-durable at commit, but the structural
-// change it describes only becomes durable with the trailing checkpoint. A
-// crash during that checkpoint therefore recovers the old catalog (and old
-// id allocators) while WAL replay re-applies the sys_ledger_* rows — leaving
-// orphaned metadata rows whose ids the rolled-back allocators would hand out
-// again, colliding on the metadata tables' primary keys. Floor the
-// allocators above every id the metadata history mentions so an orphaned
-// row can never cause id reuse.
-void LedgerDatabase::ReconcileDdlCounters() {
-  WriterMutexLock lock(&catalog_mu_);
-  CatalogEntry* sys_tables = FindTableByIdLocked(kSysTablesTableId);
-  if (sys_tables != nullptr) {
-    for (BTree::Iterator it = sys_tables->main->Scan(); it.Valid(); it.Next()) {
-      const Row& row = it.value();
-      uint32_t id = static_cast<uint32_t>(row[1].AsInt64());
-      // An updateable table consumed a second id for its history store.
-      uint32_t consumed =
-          row[2].string_value() == TableKindName(TableKind::kUpdateable) ? 2
-                                                                         : 1;
-      if (id + consumed > next_table_id_) next_table_id_ = id + consumed;
-    }
-  }
-  CatalogEntry* sys_cols = FindTableByIdLocked(kSysColumnsTableId);
-  if (sys_cols != nullptr) {
-    for (BTree::Iterator it = sys_cols->main->Scan(); it.Valid(); it.Next()) {
-      const Row& row = it.value();
-      CatalogEntry* entry =
-          FindTableByIdLocked(static_cast<uint32_t>(row[0].AsInt64()));
-      if (entry == nullptr) continue;
-      uint32_t floor = static_cast<uint32_t>(row[1].AsInt64()) + 1;
-      if (entry->main->schema().next_column_id() < floor)
-        entry->main->mutable_schema()->set_next_column_id(floor);
-      if (entry->history != nullptr &&
-          entry->history->schema().next_column_id() < floor)
-        entry->history->mutable_schema()->set_next_column_id(floor);
-    }
-  }
-}
-
-Status LedgerDatabase::ReplayWalRecord(Slice payload,
-                                       uint64_t checkpoint_next_txn_id) {
+Status LedgerDatabase::ReplayWalRecord(Slice payload, ReplayContext* ctx) {
   if (payload.empty()) return Status::Corruption("empty WAL record");
   uint8_t kind = payload[0];
   Slice body(payload.data() + 1, payload.size() - 1);
@@ -479,25 +446,21 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload,
 
   auto record = WalCommitRecord::Decode(body);
   if (!record.ok()) return record.status();
-  if (record->txn_id < checkpoint_next_txn_id) return Status::OK();
+  if (record->txn_id < ctx->checkpoint_next_txn_id) return Status::OK();
 
-  // Redo row operations, idempotently.
-  ReaderMutexLock catalog_lock(&catalog_mu_);
+  // Redo operations, idempotently, in log order: a definition precedes the
+  // row ops that depend on it.
+  WriterMutexLock catalog_lock(&catalog_mu_);
   for (const WalOp& op : record->ops) {
-    TableStore* store = nullptr;
-    for (const auto& [id, entry] : catalog_) {
-      if (entry->main->table_id() == op.table_id) {
-        store = entry->main.get();
-        break;
-      }
-      if (entry->history && entry->history->table_id() == op.table_id) {
-        store = entry->history.get();
-        break;
-      }
+    if (op.type == WalOpType::kDefineTable) {
+      SL_RETURN_IF_ERROR(ApplyTableDefinition(op.table_id, *op.definition, ctx));
+      continue;
     }
-    if (store == nullptr)
+    auto found = ctx->stores.find(op.table_id);
+    if (found == ctx->stores.end())
       return Status::Corruption("WAL references unknown table id " +
                                 std::to_string(op.table_id));
+    TableStore* store = found->second;
     // An insert or update logs only the row; its key columns give the key.
     if (op.type != WalOpType::kDelete) {
       for (size_t ord : store->schema().key_ordinals()) {
@@ -525,6 +488,8 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload,
           SL_RETURN_IF_ERROR(store->Delete(op.key));
         break;
       }
+      case WalOpType::kDefineTable:  // applied above
+        break;
     }
   }
 
@@ -541,6 +506,90 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload,
   m_commit_txns_->Add();
   MutexLock txn_lock(&txn_mu_);
   if (record->txn_id >= next_txn_id_) next_txn_id_ = record->txn_id + 1;
+  return Status::OK();
+}
+
+namespace {
+// Makes `store` match a logged schema and index set. Rows gain a NULL cell
+// for each column the definition appends; a definition never removes or
+// retypes a physical column, nor changes the clustered key.
+Status MatchStore(TableStore* store, const Schema& schema,
+                  const std::vector<IndexDef>& indexes) {
+  const Schema& have = store->schema();
+  const size_t old_columns = have.num_columns();
+  bool compatible = schema.num_columns() >= old_columns &&
+                    schema.key_ordinals() == have.key_ordinals();
+  for (size_t i = 0; compatible && i < old_columns; i++) {
+    compatible = schema.column(i).column_id == have.column(i).column_id &&
+                 schema.column(i).type == have.column(i).type;
+  }
+  if (!compatible)
+    return Status::Corruption("table definition does not extend the schema of "
+                              "table id " + std::to_string(store->table_id()));
+  const uint32_t next_column_id =
+      std::max(have.next_column_id(), schema.next_column_id());
+  *store->mutable_schema() = schema;
+  store->mutable_schema()->set_next_column_id(next_column_id);
+  for (size_t i = old_columns; i < schema.num_columns(); i++)
+    store->ExtendRows(Value::Null(schema.column(i).type));
+
+  for (const IndexDef& idx : store->IndexDefs()) {
+    if (std::find(indexes.begin(), indexes.end(), idx) == indexes.end())
+      SL_RETURN_IF_ERROR(store->DropIndex(idx.name));
+  }
+  for (const IndexDef& idx : indexes) {
+    if (store->FindIndex(idx.name) == nullptr)
+      SL_RETURN_IF_ERROR(store->CreateIndex(idx.name, idx.ordinals, idx.unique));
+  }
+  return Status::OK();
+}
+}  // namespace
+
+Status LedgerDatabase::ApplyTableDefinition(uint32_t table_id,
+                                            const TableDefinition& def,
+                                            ReplayContext* ctx) {
+  if (def.kind > static_cast<uint8_t>(TableKind::kUpdateable))
+    return Status::Corruption("bad table kind in table definition");
+  CatalogEntry* entry = FindTableByIdLocked(table_id);
+  if (entry == nullptr) {
+    if (ctx->stores.count(table_id) != 0 ||
+        (def.history_table_id != 0 &&
+         ctx->stores.count(def.history_table_id) != 0))
+      return Status::Corruption("table definition reuses a store id");
+    auto created = std::make_unique<CatalogEntry>();
+    created->table_id = table_id;
+    created->name = def.name;
+    created->kind = static_cast<TableKind>(def.kind);
+    created->main = std::make_unique<TableStore>(table_id, def.name, def.schema);
+    ctx->stores[table_id] = created->main.get();
+    if (def.history_table_id != 0) {
+      created->history = std::make_unique<TableStore>(
+          def.history_table_id, def.history_name, def.history_schema);
+      ctx->stores[def.history_table_id] = created->history.get();
+    }
+    entry = created.get();
+    catalog_[table_id] = std::move(created);
+  } else if (static_cast<uint8_t>(entry->kind) != def.kind ||
+             (entry->history ? entry->history->table_id() : 0) !=
+                 def.history_table_id) {
+    return Status::Corruption("table definition does not match table id " +
+                              std::to_string(table_id));
+  }
+  SL_RETURN_IF_ERROR(MatchStore(entry->main.get(), def.schema, def.indexes));
+  if (entry->history != nullptr) {
+    SL_RETURN_IF_ERROR(MatchStore(entry->history.get(), def.history_schema,
+                                  def.history_indexes));
+  }
+  auto named = name_index_.find(entry->name);
+  if (named != name_index_.end() && named->second == table_id)
+    name_index_.erase(named);
+  entry->name = def.name;
+  entry->main->set_name(def.name);
+  entry->dropped = def.dropped;
+  if (!entry->dropped) name_index_[entry->name] = table_id;
+  entry->LinkRef();
+  next_table_id_ =
+      std::max({next_table_id_, table_id + 1, def.history_table_id + 1});
   return Status::OK();
 }
 
@@ -587,6 +636,40 @@ TableStore* LedgerDatabase::GetStoreForTesting(const std::string& table,
 
 // ---- DDL ----
 
+Result<Transaction*> LedgerDatabase::BeginDdl(const CatalogEntry& entry) {
+  auto txn = Begin("system:ddl");
+  if (!txn.ok()) return txn.status();
+  Status st = AcquireTableLock(*txn, entry, LockMode::kExclusive);
+  if (!st.ok()) {
+    Abort(*txn);
+    return st;
+  }
+  return *txn;
+}
+
+void LedgerDatabase::LogTableDefinition(Transaction* txn,
+                                        const CatalogEntry& entry) {
+  auto def = std::make_shared<TableDefinition>();
+  def->name = entry.name;
+  def->kind = static_cast<uint8_t>(entry.kind);
+  def->dropped = entry.dropped;
+  def->schema = entry.main->schema();
+  def->indexes = entry.main->IndexDefs();
+  if (entry.history != nullptr) {
+    def->history_table_id = entry.history->table_id();
+    def->history_name = entry.history->name();
+    def->history_schema = entry.history->schema();
+    def->history_indexes = entry.history->IndexDefs();
+  }
+  txn->RecordDefinition(entry.table_id, std::move(def));
+}
+
+Status LedgerDatabase::FinishDdl(Transaction* txn, Status st) {
+  if (st.ok()) st = Commit(txn);
+  if (!st.ok()) Abort(txn);
+  return st;
+}
+
 Status LedgerDatabase::CreateTable(const std::string& name,
                                    const Schema& user_schema, TableKind kind) {
   if (name.empty()) return Status::InvalidArgument("empty table name");
@@ -599,49 +682,39 @@ Status LedgerDatabase::CreateTable(const std::string& name,
   auto entry = std::make_unique<CatalogEntry>();
   entry->name = name;
   entry->kind = kind;
-  Schema full = MakeLedgerSchema(user_schema, kind);
-
-  CatalogEntry* raw = entry.get();
   {
-    // Allocate table ids inside the same critical section that publishes
-    // the entry, so two concurrent CreateTable calls cannot race the
-    // next_table_id_ counter.
+    // Allocate table ids under the writer lock, so two concurrent
+    // CreateTable calls cannot race the next_table_id_ counter.
     WriterMutexLock lock(&catalog_mu_);
     entry->table_id = next_table_id_++;
-    entry->main = std::make_unique<TableStore>(entry->table_id, name, full);
-    if (kind == TableKind::kUpdateable) {
-      uint32_t history_id = next_table_id_++;
-      entry->history = std::make_unique<TableStore>(
-          history_id, name + "_history", MakeHistorySchema(full));
-    }
-    entry->ref.table_id = entry->table_id;
-    entry->ref.kind = kind;
-    entry->ref.main = entry->main.get();
-    entry->ref.history = entry->history ? entry->history.get() : nullptr;
-    entry->ref.RefreshOrdinals();
-    name_index_[name] = entry->table_id;
-    catalog_[entry->table_id] = std::move(entry);
+    if (kind == TableKind::kUpdateable) next_table_id_++;
   }
+  Schema full = MakeLedgerSchema(user_schema, kind);
+  entry->main = std::make_unique<TableStore>(entry->table_id, name, full);
+  if (kind == TableKind::kUpdateable) {
+    entry->history = std::make_unique<TableStore>(
+        entry->table_id + 1, name + "_history", MakeHistorySchema(full));
+  }
+  entry->LinkRef();
 
-  if (options_.enable_ledger) {
-    auto txn = Begin("system:ddl");
-    if (!txn.ok()) return txn.status();
-    Status st = RecordTableMetadata(*txn, *raw);
-    if (st.ok()) {
-      for (const ColumnDef& col : raw->main->schema().columns()) {
-        if (col.hidden) continue;
-        st = RecordColumnMetadata(*txn, raw->table_id, col);
-        if (!st.ok()) break;
-      }
-    }
-    if (!st.ok()) {
-      Abort(*txn);
-      return st;
-    }
-    SL_RETURN_IF_ERROR(Commit(*txn));
+  // The new id is locked before the name is published, so no DML on the
+  // table can reach the log ahead of its definition. Nobody else knows the
+  // id yet: the lock is granted at once.
+  auto txn = BeginDdl(*entry);
+  if (!txn.ok()) return txn.status();
+  CatalogEntry* raw = entry.get();
+  {
+    WriterMutexLock lock(&catalog_mu_);
+    name_index_[name] = raw->table_id;
+    catalog_[raw->table_id] = std::move(entry);
   }
-  if (!options_.data_dir.empty()) return Checkpoint();
-  return Status::OK();
+  LogTableDefinition(*txn, *raw);
+  Status st = RecordTableMetadata(*txn, *raw);
+  for (const ColumnDef& col : raw->main->schema().columns()) {
+    if (!st.ok()) break;
+    if (!col.hidden) st = RecordColumnMetadata(*txn, raw->table_id, col);
+  }
+  return FinishDdl(*txn, st);
 }
 
 Status LedgerDatabase::CreateIndex(const std::string& table,
@@ -658,31 +731,33 @@ Status LedgerDatabase::CreateIndex(const std::string& table,
                               "'");
     ordinals.push_back(static_cast<size_t>(ord));
   }
-  SL_RETURN_IF_ERROR(entry->main->CreateIndex(index_name, ordinals, unique));
-  if (entry->history != nullptr) {
+  auto txn = BeginDdl(*entry);
+  if (!txn.ok()) return txn.status();
+  Status st = entry->main->CreateIndex(index_name, ordinals, unique);
+  if (st.ok() && entry->history != nullptr) {
     // Mirror the index on the history table so historical queries are
     // equally served; invariant 5 verifies both.
-    Status st = entry->history->CreateIndex(index_name, ordinals,
-                                            /*unique=*/false);
-    if (!st.ok()) {
-      // Best-effort rollback of the main-table index just created.
-      (void)entry->main->DropIndex(index_name);
-      return st;
-    }
+    st = entry->history->CreateIndex(index_name, ordinals, /*unique=*/false);
+    // Best-effort rollback of the main-table index just created.
+    if (!st.ok()) (void)entry->main->DropIndex(index_name);
   }
-  if (!options_.data_dir.empty()) return Checkpoint();
-  return Status::OK();
+  if (st.ok()) LogTableDefinition(*txn, *entry);
+  return FinishDdl(*txn, st);
 }
 
 Status LedgerDatabase::DropIndex(const std::string& table,
                                  const std::string& index_name) {
   CatalogEntry* entry = FindTable(table);
   if (entry == nullptr) return Status::NotFound("table '" + table + "' not found");
-  SL_RETURN_IF_ERROR(entry->main->DropIndex(index_name));
-  // History mirror may lack the index (pre-mirror checkpoints); tolerated.
-  if (entry->history != nullptr) (void)entry->history->DropIndex(index_name);
-  if (!options_.data_dir.empty()) return Checkpoint();
-  return Status::OK();
+  auto txn = BeginDdl(*entry);
+  if (!txn.ok()) return txn.status();
+  Status st = entry->main->DropIndex(index_name);
+  if (st.ok()) {
+    // History mirror may lack the index (pre-mirror checkpoints); tolerated.
+    if (entry->history != nullptr) (void)entry->history->DropIndex(index_name);
+    LogTableDefinition(*txn, *entry);
+  }
+  return FinishDdl(*txn, st);
 }
 
 // ---- Transactions ----
@@ -819,6 +894,13 @@ void LedgerDatabase::ProcessGroup(const std::vector<CommitRequest*>& group) {
     // ordinals — and fail every member: the WAL is poisoned, so none of
     // them is durable.
     Status st = wal_->AppendBatch(payloads);
+    // A schema change is durable when it returns (DESIGN.md §4), even when
+    // ordinary commits are not synced.
+    if (st.ok() && !options_.sync_wal &&
+        std::any_of(group.begin(), group.end(), [](const CommitRequest* r) {
+          return r->txn->defines_tables();
+        }))
+      st = wal_->Sync();
     if (!st.ok()) {
       if (ledger_ != nullptr) ledger_->ReleaseSlots(group.size());
       for (CommitRequest* r : group) r->result = st;
@@ -907,19 +989,6 @@ Result<KeyTuple> LedgerDatabase::UserKeyOf(const CatalogEntry& entry,
       return Status::Internal("primary-key column is not visible");
   }
   return key;
-}
-
-Status LedgerDatabase::WithTableExclusive(
-    CatalogEntry* entry, const std::function<Status()>& body) {
-  auto txn = Begin("system:ddl-lock");
-  if (!txn.ok()) return txn.status();
-  Status st = AcquireTableLock(*txn, *entry, LockMode::kExclusive);
-  if (st.ok()) st = body();
-  if (!st.ok()) {
-    Abort(*txn);
-    return st;
-  }
-  return Commit(*txn);
 }
 
 Status LedgerDatabase::Insert(Transaction* txn, const std::string& table,

@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "crypto/hmac.h"
@@ -89,6 +90,9 @@ struct CatalogEntry {
   std::unique_ptr<TableStore> main;
   std::unique_ptr<TableStore> history;  // updateable ledger tables only
   LedgerTableRef ref;                   // cached physical reference
+
+  /// Points `ref` at the stores and refreshes its cached ordinals.
+  void LinkRef();
 };
 
 /// Row of the table-operations system view (paper Figure 6).
@@ -318,11 +322,21 @@ class LedgerDatabase {
   /// Checkpoint body; Checkpoint() wraps it with duration metrics/trace so
   /// recording happens after every lock scope has exited.
   Status CheckpointImpl();
-  /// Redoes one WAL record. Commit records of transactions below
-  /// `checkpoint_next_txn_id` are already in the loaded checkpoint and are
-  /// skipped.
-  Status ReplayWalRecord(Slice payload, uint64_t checkpoint_next_txn_id);
-  void ReconcileDdlCounters();
+  /// Recovery-scoped state threaded through WAL replay.
+  struct ReplayContext {
+    /// Commit records of transactions below this id are already in the
+    /// loaded checkpoint and are skipped.
+    uint64_t checkpoint_next_txn_id = 0;
+    /// Every store (main and history) by table id.
+    std::unordered_map<uint32_t, TableStore*> stores;
+  };
+  Status ReplayWalRecord(Slice payload, ReplayContext* ctx);
+  /// Makes the catalog entry `table_id` match `def` (WalOpType::
+  /// kDefineTable): creates it if missing, extends rows with NULLs for new
+  /// columns, sets names and dropped flags, creates or drops indexes and
+  /// raises the id allocators to at least the definition's ids.
+  Status ApplyTableDefinition(uint32_t table_id, const TableDefinition& def,
+                              ReplayContext* ctx) REQUIRES(catalog_mu_);
   std::vector<uint8_t> EncodeCatalogMeta() const;
   Status DecodeCatalogMeta(Slice meta,
                            std::vector<std::unique_ptr<TableStore>> stores);
@@ -337,10 +351,15 @@ class LedgerDatabase {
                         const KeyTuple& key, LockMode mode);
   /// Clustered key of `user_row` (visible-column order), for row locking.
   Result<KeyTuple> UserKeyOf(const CatalogEntry& entry, const Row& user_row);
-  /// Runs a short internal transaction holding the table X lock around a
-  /// schema mutation, excluding all concurrent users of the table.
-  Status WithTableExclusive(CatalogEntry* entry,
-                            const std::function<Status()>& body);
+  // Every DDL is one transaction (DESIGN.md §4): BeginDdl takes the
+  // table's X lock, the caller applies the in-memory change and logs the
+  // resulting definition with LogTableDefinition, writes its sys_ledger_*
+  // rows, and FinishDdl commits (or aborts on error). The X lock is held
+  // until the commit record is durable, so no DML of the new shape reaches
+  // the log ahead of it.
+  Result<Transaction*> BeginDdl(const CatalogEntry& entry);
+  void LogTableDefinition(Transaction* txn, const CatalogEntry& entry);
+  Status FinishDdl(Transaction* txn, Status st);
   /// Records a CREATE/DROP/column metadata operation through the ledger
   /// metadata tables inside `txn` (implemented in schema_changes.cc).
   Status RecordTableMetadata(Transaction* txn, const CatalogEntry& entry);

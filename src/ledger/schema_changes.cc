@@ -54,33 +54,26 @@ Status LedgerDatabase::AddColumn(const std::string& table,
   // Only nullable columns can be added: NULLs are skipped by the canonical
   // row format, so existing hashes stay valid. The table X lock excludes
   // all concurrent readers/writers for the duration of the change.
-  SL_RETURN_IF_ERROR(WithTableExclusive(entry, [&]() -> Status {
-    entry->main->mutable_schema()->AddColumn(column, type, /*nullable=*/true,
-                                             max_length);
-    entry->main->ExtendRows(Value::Null(type));
-    if (entry->history != nullptr) {
-      entry->history->mutable_schema()->AddColumn(column, type, true,
-                                                  max_length);
-      entry->history->ExtendRows(Value::Null(type));
-    }
-    entry->ref.RefreshOrdinals();
-    return Status::OK();
-  }));
-
-  if (options_.enable_ledger && !entry->is_system) {
-    const Schema& schema = entry->main->schema();
-    const ColumnDef& col = schema.column(schema.num_columns() - 1);
-    auto txn = Begin("system:ddl");
-    if (!txn.ok()) return txn.status();
-    Status st = RecordColumnMetadata(*txn, entry->table_id, col);
-    if (!st.ok()) {
-      Abort(*txn);
-      return st;
-    }
-    SL_RETURN_IF_ERROR(Commit(*txn));
+  auto txn = BeginDdl(*entry);
+  if (!txn.ok()) return txn.status();
+  entry->main->mutable_schema()->AddColumn(column, type, /*nullable=*/true,
+                                           max_length);
+  entry->main->ExtendRows(Value::Null(type));
+  if (entry->history != nullptr) {
+    entry->history->mutable_schema()->AddColumn(column, type, true,
+                                                max_length);
+    entry->history->ExtendRows(Value::Null(type));
   }
-  if (!options_.data_dir.empty()) return Checkpoint();
-  return Status::OK();
+  entry->ref.RefreshOrdinals();
+  LogTableDefinition(*txn, *entry);
+
+  Status st;
+  if (!entry->is_system) {
+    const Schema& schema = entry->main->schema();
+    st = RecordColumnMetadata(*txn, entry->table_id,
+                              schema.column(schema.num_columns() - 1));
+  }
+  return FinishDdl(*txn, st);
 }
 
 // ---- DropColumn (paper §3.5.2) ----
@@ -99,38 +92,31 @@ Status LedgerDatabase::DropColumn(const std::string& table,
     if (static_cast<int>(key_ord) == ord)
       return Status::InvalidArgument("cannot drop a primary-key column");
   }
-  uint32_t column_id = col.column_id;
-  std::string dropped_name =
-      "DroppedColumn_" + column + "_" + std::to_string(column_id);
+  const uint32_t column_id = col.column_id;
+  const DataType type = col.type;
 
   // Logical drop: data stays, the column disappears from the user schema
   // but keeps participating in hashes of historical versions.
-  SL_RETURN_IF_ERROR(WithTableExclusive(entry, [&]() -> Status {
-    entry->main->mutable_schema()->mutable_column(ord)->dropped = true;
-    if (entry->history != nullptr) {
-      int history_ord = entry->history->schema().FindColumn(column);
-      if (history_ord >= 0)
-        entry->history->mutable_schema()
-            ->mutable_column(history_ord)
-            ->dropped = true;
-    }
-    entry->ref.RefreshOrdinals();
-    return Status::OK();
-  }));
-
-  if (options_.enable_ledger && !entry->is_system) {
-    auto txn = Begin("system:ddl");
-    if (!txn.ok()) return txn.status();
-    Status st = UpdateColumnMetadata(this, *txn, entry->table_id, column_id,
-                                     dropped_name, DataTypeName(col.type));
-    if (!st.ok()) {
-      Abort(*txn);
-      return st;
-    }
-    SL_RETURN_IF_ERROR(Commit(*txn));
+  auto txn = BeginDdl(*entry);
+  if (!txn.ok()) return txn.status();
+  entry->main->mutable_schema()->mutable_column(ord)->dropped = true;
+  if (entry->history != nullptr) {
+    int history_ord = entry->history->schema().FindColumn(column);
+    if (history_ord >= 0)
+      entry->history->mutable_schema()->mutable_column(history_ord)->dropped =
+          true;
   }
-  if (!options_.data_dir.empty()) return Checkpoint();
-  return Status::OK();
+  entry->ref.RefreshOrdinals();
+  LogTableDefinition(*txn, *entry);
+
+  Status st;
+  if (options_.enable_ledger && !entry->is_system) {
+    st = UpdateColumnMetadata(
+        this, *txn, entry->table_id, column_id,
+        "DroppedColumn_" + column + "_" + std::to_string(column_id),
+        DataTypeName(type));
+  }
+  return FinishDdl(*txn, st);
 }
 
 // ---- DropTable (paper §3.5.2, Figure 6) ----
@@ -145,20 +131,8 @@ Status LedgerDatabase::DropTable(const std::string& table) {
   std::string dropped_name =
       "DroppedTable_" + table + "_" + std::to_string(entry->table_id);
 
-  if (options_.enable_ledger) {
-    auto txn = Begin("system:ddl");
-    if (!txn.ok()) return txn.status();
-    Row row{Value::Varchar(dropped_name),
-            Value::BigInt(static_cast<int64_t>(entry->table_id)),
-            Value::Varchar(TableKindName(entry->kind))};
-    Status st = Update(*txn, "sys_ledger_tables", row);
-    if (!st.ok()) {
-      Abort(*txn);
-      return st;
-    }
-    SL_RETURN_IF_ERROR(Commit(*txn));
-  }
-
+  auto txn = BeginDdl(*entry);
+  if (!txn.ok()) return txn.status();
   {
     WriterMutexLock lock(&catalog_mu_);
     name_index_.erase(table);
@@ -166,9 +140,16 @@ Status LedgerDatabase::DropTable(const std::string& table) {
     entry->main->set_name(dropped_name);
     entry->dropped = true;
   }
+  LogTableDefinition(*txn, *entry);
 
-  if (!options_.data_dir.empty()) return Checkpoint();
-  return Status::OK();
+  Status st;
+  if (options_.enable_ledger) {
+    Row row{Value::Varchar(dropped_name),
+            Value::BigInt(static_cast<int64_t>(entry->table_id)),
+            Value::Varchar(TableKindName(entry->kind))};
+    st = Update(*txn, "sys_ledger_tables", row);
+  }
+  return FinishDdl(*txn, st);
 }
 
 // ---- AlterColumnType (paper §3.5.3) ----
@@ -193,69 +174,63 @@ Status LedgerDatabase::AlterColumnType(const std::string& table,
           "cannot alter the type of a primary-key column");
   }
 
-  // Drop the old column and add the replacement under the original name,
-  // excluding concurrent users of the table for the structural phase.
-  SL_RETURN_IF_ERROR(WithTableExclusive(entry, [&]() -> Status {
-    entry->main->mutable_schema()->mutable_column(old_ord)->dropped = true;
-    entry->main->mutable_schema()->AddColumn(column, new_type,
-                                             /*nullable=*/true, 0);
-    entry->main->ExtendRows(Value::Null(new_type));
-    if (entry->history != nullptr) {
-      int history_old_ord = entry->history->schema().FindColumn(column);
-      entry->history->mutable_schema()
-          ->mutable_column(history_old_ord)
-          ->dropped = true;
-      entry->history->mutable_schema()->AddColumn(column, new_type, true, 0);
-      entry->history->ExtendRows(Value::Null(new_type));
-    }
-    entry->ref.RefreshOrdinals();
-    return Status::OK();
-  }));
+  auto txn = BeginDdl(*entry);
+  if (!txn.ok()) return txn.status();
+  // Convert every value before the schema changes, so a failed cast
+  // leaves the table as it was.
+  std::vector<Value> converted;
+  for (BTree::Iterator it = entry->main->Scan(); it.Valid(); it.Next()) {
+    auto value = Value(it.value()[old_ord]).CastTo(new_type);
+    if (!value.ok()) return FinishDdl(*txn, value.status());
+    converted.push_back(std::move(*value));
+  }
 
-  const Schema& schema = entry->main->schema();
+  // Drop the old column and add the replacement under the original name.
+  entry->main->mutable_schema()->mutable_column(old_ord)->dropped = true;
+  entry->main->mutable_schema()->AddColumn(column, new_type,
+                                           /*nullable=*/true, 0);
+  entry->main->ExtendRows(Value::Null(new_type));
+  if (entry->history != nullptr) {
+    int history_old_ord = entry->history->schema().FindColumn(column);
+    entry->history->mutable_schema()
+        ->mutable_column(history_old_ord)
+        ->dropped = true;
+    entry->history->mutable_schema()->AddColumn(column, new_type, true, 0);
+    entry->history->ExtendRows(Value::Null(new_type));
+  }
+  entry->ref.RefreshOrdinals();
+  // The definition precedes the updates that depend on it.
+  LogTableDefinition(*txn, *entry);
 
   // Capture the physical rows (already extended with the NULL cell for the
   // new column) before repopulation churns the table.
-  std::vector<Row> current_rows;
-  for (BTree::Iterator it = entry->main->Scan(); it.Valid(); it.Next())
-    current_rows.push_back(it.value());
+  const Schema& schema = entry->main->schema();
+  std::vector<size_t> visible = schema.VisibleOrdinals();
+  std::vector<Row> user_rows;
+  for (BTree::Iterator it = entry->main->Scan(); it.Valid(); it.Next()) {
+    user_rows.push_back(it.value().Project(visible));
+    // The new column is the last visible one.
+    user_rows.back()[visible.size() - 1] = converted[user_rows.size() - 1];
+  }
 
   // Repopulate through regular ledger DML so every converted version is
   // hashed into the ledger (§3.5.3).
-  auto txn = Begin("system:ddl");
-  if (!txn.ok()) return txn.status();
-  std::vector<size_t> visible = schema.VisibleOrdinals();
-  for (const Row& old_physical : current_rows) {
-    auto converted = Value(old_physical[old_ord]).CastTo(new_type);
-    if (!converted.ok()) {
-      Abort(*txn);
-      return converted.status();
-    }
-    Row user_row = old_physical.Project(visible);
-    user_row[visible.size() - 1] = *converted;  // new column is last visible
-    Status st = Update(*txn, table, user_row);
-    if (!st.ok()) {
-      Abort(*txn);
-      return st;
-    }
+  Status st;
+  for (const Row& user_row : user_rows) {
+    st = Update(*txn, table, user_row);
+    if (!st.ok()) break;
   }
-  if (options_.enable_ledger && !entry->is_system) {
-    Status st = UpdateColumnMetadata(
+  if (st.ok() && options_.enable_ledger && !entry->is_system) {
+    st = UpdateColumnMetadata(
         this, *txn, entry->table_id, old_col.column_id,
         "DroppedColumn_" + column + "_" + std::to_string(old_col.column_id),
         DataTypeName(old_col.type));
     if (st.ok()) {
-      ColumnDef new_col = schema.column(schema.num_columns() - 1);
-      st = RecordColumnMetadata(*txn, entry->table_id, new_col);
-    }
-    if (!st.ok()) {
-      Abort(*txn);
-      return st;
+      st = RecordColumnMetadata(*txn, entry->table_id,
+                                schema.column(schema.num_columns() - 1));
     }
   }
-  SL_RETURN_IF_ERROR(Commit(*txn));
-  if (!options_.data_dir.empty()) return Checkpoint();
-  return Status::OK();
+  return FinishDdl(*txn, st);
 }
 
 }  // namespace sqlledger

@@ -442,26 +442,8 @@ bool SimDriver::HandleIfCrashed(size_t i, const std::function<void()>& resolve,
   resolve();
   if (diverged_) return true;
   if (model_->InTxn()) model_->AbortTxn();
-  // Catalog-level state (indexes live only in checkpoints) may have rolled
-  // back to the previous checkpoint; resync from the recovered catalog.
-  indexes_.clear();
-  for (CatalogEntry* e : db_->AllTables()) {
-    for (const auto& idx : e->main->indexes())
-      indexes_.insert({e->name, idx->name});
-  }
-  // Recovery floors the system's column-id allocators above any orphaned
-  // sys_ledger_columns rows (a DDL whose checkpoint tore); column ids are
-  // hashed into row versions, so mirror the recovered allocators exactly.
-  for (const std::string& name : registry_) {
-    ReferenceModel::Table* mt = model_->FindTable(name);
-    TableStore* store = db_->GetStoreForTesting(name);
-    if (mt == nullptr || store == nullptr) continue;
-    uint32_t next = store->schema().next_column_id();
-    if (mt->schema.next_column_id() < next)
-      mt->schema.set_next_column_id(next);
-    if (mt->history_table_id != 0 && mt->history_schema.next_column_id() < next)
-      mt->history_schema.set_next_column_id(next);
-  }
+  CheckRecoveredCatalog(i);
+  if (diverged_) return true;
   SyncNextTableId();
   ProbeTxnCounter(i);
   if (diverged_) return true;
@@ -475,6 +457,40 @@ bool SimDriver::HandleIfCrashed(size_t i, const std::function<void()>& resolve,
     AuditDigestStore(i);
   }
   return true;
+}
+
+// A DDL is durable when it returns (DESIGN.md §4) and `resolve` settled
+// the one in flight, so the recovered catalog must match the model: the
+// index set and the column-id allocators, which are hashed into row
+// versions.
+void SimDriver::CheckRecoveredCatalog(size_t i) {
+  std::set<std::pair<std::string, std::string>> recovered;
+  for (CatalogEntry* e : db_->AllTables()) {
+    for (const IndexDef& idx : e->main->IndexDefs())
+      recovered.insert({e->name, idx.name});
+  }
+  if (recovered != indexes_) {
+    Fail(i, "recovered index set has " + std::to_string(recovered.size()) +
+                " indexes, model has " + std::to_string(indexes_.size()));
+    return;
+  }
+  for (const std::string& name : registry_) {
+    ReferenceModel::Table* mt = model_->FindTable(name);
+    TableStore* store = db_->GetStoreForTesting(name);
+    TableStore* history = db_->GetStoreForTesting(name, /*history=*/true);
+    if (mt == nullptr || store == nullptr) continue;
+    bool match =
+        store->schema().next_column_id() == mt->schema.next_column_id() &&
+        (history == nullptr || history->schema().next_column_id() ==
+                                   mt->history_schema.next_column_id());
+    if (!match) {
+      Fail(i, "recovered column-id allocator of '" + name + "' is " +
+                  std::to_string(store->schema().next_column_id()) +
+                  ", model has " +
+                  std::to_string(mt->schema.next_column_id()));
+      return;
+    }
+  }
 }
 
 // ---- Commit plumbing ----
@@ -738,7 +754,7 @@ void SimDriver::DoCreateTable(size_t i, const SimOp& op) {
   bool existed = model_->FindTable(op.str) != nullptr;
   Status st = db_->CreateTable(op.str, GenUserSchema(), kind);
   if (HandleIfCrashed(i, [&] {
-        // Whether the create survived depends on whether its checkpoint
+        // Whether the create survived depends on whether its commit record
         // landed; adopt the recovered catalog's verdict.
         if (SystemTableId(op.str) != 0 && model_->FindTable(op.str) == nullptr)
           AdoptCreatedTable(i, op.str, kind);
@@ -834,13 +850,20 @@ void SimDriver::DoCreateIndex(size_t i, const SimOp& op) {
   StatusCode want =
       indexes_.count(ix) ? StatusCode::kAlreadyExists : StatusCode::kOk;
   Status st = db_->CreateIndex(*name, op.str, {"val"}, /*unique=*/false);
-  if (HandleIfCrashed(i, [] {})) return;  // index set resynced from catalog
+  if (HandleIfCrashed(i, [&] {
+        // Adopt the recovered catalog's verdict on the in-doubt create.
+        TableStore* store = db_->GetStoreForTesting(*name);
+        if (store != nullptr && store->FindIndex(op.str) != nullptr)
+          indexes_.insert(ix);
+      }))
+    return;
   if (st.code() != want) {
     Fail(i, "CreateIndex('" + *name + "', '" + op.str + "'): system " +
                 CodeName(st.code()) + " vs predicted " + CodeName(want));
     return;
   }
   if (st.ok()) indexes_.insert(ix);
+  if (!IngestNewEntries(i)) return;
   ProbeTxnCounter(i);
   Note(std::to_string(i) + " create_index " + *name + "." + op.str + " " +
        CodeName(st.code()));

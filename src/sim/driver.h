@@ -130,14 +130,16 @@ class SimDriver {
   bool EntriesMatch(const TransactionEntry& a, const TransactionEntry& b,
                     bool check_ts) const;
   /// Crash aftermath: destroy the db, reopen on a fresh env, run `resolve`
-  /// (intent-specific model fix-up), resync counters, rebuild the model
-  /// chain from the recovered system and deep-audit. Returns true when a
-  /// crash was actually pending (the caller's op is finished either way).
+  /// (intent-specific model fix-up), check the recovered catalog against
+  /// the model, resync counters, rebuild the model chain from the recovered
+  /// system and deep-audit. Returns true when a crash was actually pending
+  /// (the caller's op is finished either way).
   bool HandleIfCrashed(size_t i, const std::function<void()>& resolve,
                        bool check_prefix = true);
   bool Reopen(size_t i);
   bool RebuildChain(size_t i, bool check_prefix);
   void ProbeTxnCounter(size_t i);
+  void CheckRecoveredCatalog(size_t i);
   void SyncNextTableId();
   void AdoptCreatedTable(size_t i, const std::string& name, TableKind kind);
   /// Replaces model ledger-table contents with the system's physical rows

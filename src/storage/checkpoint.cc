@@ -15,66 +15,6 @@ constexpr char kMagicV1[] = "SLCKPT01";
 constexpr size_t kMagicLen = 8;
 }  // namespace
 
-void EncodeSchema(const Schema& schema, std::vector<uint8_t>* dst) {
-  PutVarint32(dst, static_cast<uint32_t>(schema.num_columns()));
-  for (const ColumnDef& col : schema.columns()) {
-    PutVarint32(dst, col.column_id);
-    PutLengthPrefixed(dst, Slice(col.name));
-    dst->push_back(static_cast<uint8_t>(col.type));
-    dst->push_back(col.nullable ? 1 : 0);
-    PutVarint32(dst, col.max_length);
-    dst->push_back(col.hidden ? 1 : 0);
-    dst->push_back(col.dropped ? 1 : 0);
-  }
-  PutVarint32(dst, static_cast<uint32_t>(schema.key_ordinals().size()));
-  for (size_t ord : schema.key_ordinals())
-    PutVarint32(dst, static_cast<uint32_t>(ord));
-  PutVarint32(dst, schema.next_column_id());
-}
-
-Result<Schema> DecodeSchema(Decoder* dec) {
-  Schema schema;
-  auto num_cols = dec->GetVarint32();
-  if (!num_cols.ok()) return num_cols.status();
-  for (uint32_t i = 0; i < *num_cols; i++) {
-    auto id = dec->GetVarint32();
-    if (!id.ok()) return id.status();
-    auto name = dec->GetLengthPrefixed();
-    if (!name.ok()) return name.status();
-    auto type_b = dec->GetBytes(1);
-    if (!type_b.ok()) return type_b.status();
-    auto nullable_b = dec->GetBytes(1);
-    if (!nullable_b.ok()) return nullable_b.status();
-    auto max_len = dec->GetVarint32();
-    if (!max_len.ok()) return max_len.status();
-    auto hidden_b = dec->GetBytes(1);
-    if (!hidden_b.ok()) return hidden_b.status();
-    auto dropped_b = dec->GetBytes(1);
-    if (!dropped_b.ok()) return dropped_b.status();
-
-    size_t ord = schema.AddColumn(name->ToString(),
-                                  static_cast<DataType>((*type_b)[0]),
-                                  (*nullable_b)[0] != 0, *max_len,
-                                  (*hidden_b)[0] != 0);
-    ColumnDef* col = schema.mutable_column(ord);
-    col->column_id = *id;
-    col->dropped = (*dropped_b)[0] != 0;
-  }
-  auto num_key = dec->GetVarint32();
-  if (!num_key.ok()) return num_key.status();
-  std::vector<size_t> key_ordinals;
-  for (uint32_t i = 0; i < *num_key; i++) {
-    auto ord = dec->GetVarint32();
-    if (!ord.ok()) return ord.status();
-    key_ordinals.push_back(*ord);
-  }
-  schema.SetPrimaryKey(std::move(key_ordinals));
-  auto next_id = dec->GetVarint32();
-  if (!next_id.ok()) return next_id.status();
-  schema.set_next_column_id(*next_id);
-  return schema;
-}
-
 Status WriteCheckpoint(const std::string& path, Slice meta,
                        const std::vector<const TableStore*>& tables,
                        Env* env) {
@@ -86,14 +26,7 @@ Status WriteCheckpoint(const std::string& path, Slice meta,
     PutVarint32(&payload, table->table_id());
     PutLengthPrefixed(&payload, Slice(table->name()));
     EncodeSchema(table->schema(), &payload);
-    PutVarint32(&payload, static_cast<uint32_t>(table->indexes().size()));
-    for (const auto& idx : table->indexes()) {
-      PutLengthPrefixed(&payload, Slice(idx->name));
-      PutVarint32(&payload, static_cast<uint32_t>(idx->ordinals.size()));
-      for (size_t ord : idx->ordinals)
-        PutVarint32(&payload, static_cast<uint32_t>(ord));
-      payload.push_back(idx->unique ? 1 : 0);
-    }
+    EncodeIndexDefs(table->IndexDefs(), &payload);
     PutVarint64(&payload, table->row_count());
     for (BTree::Iterator it = table->Scan(); it.Valid(); it.Next()) {
       EncodeRow(it.value(), &payload);
@@ -175,31 +108,8 @@ Result<CheckpointData> ReadCheckpoint(const std::string& path, Env* env) {
     auto table = std::make_unique<TableStore>(*table_id, name->ToString(),
                                               std::move(*schema));
 
-    auto num_indexes = dec.GetVarint32();
-    if (!num_indexes.ok()) return num_indexes.status();
-    struct IndexDef {
-      std::string name;
-      std::vector<size_t> ordinals;
-      bool unique = false;
-    };
-    std::vector<IndexDef> index_defs;
-    for (uint32_t i = 0; i < *num_indexes; i++) {
-      auto idx_name = dec.GetLengthPrefixed();
-      if (!idx_name.ok()) return idx_name.status();
-      auto num_ords = dec.GetVarint32();
-      if (!num_ords.ok()) return num_ords.status();
-      IndexDef def;
-      def.name = idx_name->ToString();
-      for (uint32_t k = 0; k < *num_ords; k++) {
-        auto ord = dec.GetVarint32();
-        if (!ord.ok()) return ord.status();
-        def.ordinals.push_back(*ord);
-      }
-      auto unique_b = dec.GetBytes(1);
-      if (!unique_b.ok()) return unique_b.status();
-      def.unique = (*unique_b)[0] != 0;
-      index_defs.push_back(std::move(def));
-    }
+    auto index_defs = DecodeIndexDefs(&dec);
+    if (!index_defs.ok()) return index_defs.status();
 
     auto row_count = dec.GetVarint64();
     if (!row_count.ok()) return row_count.status();
@@ -210,7 +120,7 @@ Result<CheckpointData> ReadCheckpoint(const std::string& path, Env* env) {
     }
     // Rebuild secondary indexes after rows are loaded so unique checks see
     // the final data.
-    for (const IndexDef& def : index_defs) {
+    for (const IndexDef& def : *index_defs) {
       SL_RETURN_IF_ERROR(table->CreateIndex(def.name, def.ordinals, def.unique));
     }
     out.tables.push_back(std::move(table));

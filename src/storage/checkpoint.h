@@ -40,10 +40,6 @@ Status WriteCheckpoint(const std::string& path, Slice meta,
 Result<CheckpointData> ReadCheckpoint(const std::string& path,
                                       Env* env = nullptr);
 
-/// Schema wire helpers (shared with tests).
-void EncodeSchema(const Schema& schema, std::vector<uint8_t>* dst);
-Result<Schema> DecodeSchema(class Decoder* dec);
-
 }  // namespace sqlledger
 
 #endif  // SQLLEDGER_STORAGE_CHECKPOINT_H_

@@ -1,5 +1,7 @@
 #include "storage/table_store.h"
 
+#include "util/coding.h"
+
 namespace sqlledger {
 
 namespace {
@@ -161,11 +163,137 @@ SecondaryIndex* TableStore::FindIndex(const std::string& index_name) {
   return FindIndexLocked(index_name);
 }
 
+std::vector<IndexDef> TableStore::IndexDefs() const {
+  ReaderMutexLock latch(&latch_);
+  std::vector<IndexDef> out;
+  out.reserve(indexes_.size());
+  for (const auto& idx : indexes_)
+    out.push_back(IndexDef{idx->name, idx->ordinals, idx->unique});
+  return out;
+}
+
 SecondaryIndex* TableStore::FindIndexLocked(const std::string& index_name) {
   for (const auto& idx : indexes_) {
     if (idx->name == index_name) return idx.get();
   }
   return nullptr;
+}
+
+// ---- Definition codec ----
+
+void EncodeSchema(const Schema& schema, std::vector<uint8_t>* dst) {
+  PutVarint32(dst, static_cast<uint32_t>(schema.num_columns()));
+  for (const ColumnDef& col : schema.columns()) {
+    PutVarint32(dst, col.column_id);
+    PutLengthPrefixed(dst, Slice(col.name));
+    dst->push_back(static_cast<uint8_t>(col.type));
+    dst->push_back(col.nullable ? 1 : 0);
+    PutVarint32(dst, col.max_length);
+    dst->push_back(col.hidden ? 1 : 0);
+    dst->push_back(col.dropped ? 1 : 0);
+  }
+  PutVarint32(dst, static_cast<uint32_t>(schema.key_ordinals().size()));
+  for (size_t ord : schema.key_ordinals())
+    PutVarint32(dst, static_cast<uint32_t>(ord));
+  PutVarint32(dst, schema.next_column_id());
+}
+
+Result<Schema> DecodeSchema(Decoder* dec) {
+  Schema schema;
+  // A column takes at least 7 bytes: id, name length, type, nullable,
+  // max length, hidden, dropped.
+  auto num_cols = dec->GetVarint32();
+  if (!num_cols.ok()) return num_cols.status();
+  if (*num_cols > dec->remaining() / 7)
+    return Status::Corruption("schema column count exceeds the input");
+  for (uint32_t i = 0; i < *num_cols; i++) {
+    auto id = dec->GetVarint32();
+    if (!id.ok()) return id.status();
+    auto name = dec->GetLengthPrefixed();
+    if (!name.ok()) return name.status();
+    auto type_b = dec->GetBytes(1);
+    if (!type_b.ok()) return type_b.status();
+    const uint8_t type = (*type_b)[0];
+    if (type < static_cast<uint8_t>(DataType::kBool) ||
+        type > static_cast<uint8_t>(DataType::kTimestamp))
+      return Status::Corruption("bad column type in schema");
+    auto nullable_b = dec->GetBytes(1);
+    if (!nullable_b.ok()) return nullable_b.status();
+    auto max_len = dec->GetVarint32();
+    if (!max_len.ok()) return max_len.status();
+    auto hidden_b = dec->GetBytes(1);
+    if (!hidden_b.ok()) return hidden_b.status();
+    auto dropped_b = dec->GetBytes(1);
+    if (!dropped_b.ok()) return dropped_b.status();
+
+    size_t ord = schema.AddColumn(name->ToString(),
+                                  static_cast<DataType>(type),
+                                  (*nullable_b)[0] != 0, *max_len,
+                                  (*hidden_b)[0] != 0);
+    ColumnDef* col = schema.mutable_column(ord);
+    col->column_id = *id;
+    col->dropped = (*dropped_b)[0] != 0;
+  }
+  auto num_key = dec->GetVarint32();
+  if (!num_key.ok()) return num_key.status();
+  if (*num_key > dec->remaining())
+    return Status::Corruption("schema key count exceeds the input");
+  std::vector<size_t> key_ordinals;
+  key_ordinals.reserve(*num_key);
+  for (uint32_t i = 0; i < *num_key; i++) {
+    auto ord = dec->GetVarint32();
+    if (!ord.ok()) return ord.status();
+    if (*ord >= schema.num_columns())
+      return Status::Corruption("schema key ordinal out of range");
+    key_ordinals.push_back(*ord);
+  }
+  schema.SetPrimaryKey(std::move(key_ordinals));
+  auto next_id = dec->GetVarint32();
+  if (!next_id.ok()) return next_id.status();
+  schema.set_next_column_id(*next_id);
+  return schema;
+}
+
+void EncodeIndexDefs(const std::vector<IndexDef>& indexes,
+                     std::vector<uint8_t>* dst) {
+  PutVarint32(dst, static_cast<uint32_t>(indexes.size()));
+  for (const IndexDef& idx : indexes) {
+    PutLengthPrefixed(dst, Slice(idx.name));
+    PutVarint32(dst, static_cast<uint32_t>(idx.ordinals.size()));
+    for (size_t ord : idx.ordinals) PutVarint32(dst, static_cast<uint32_t>(ord));
+    dst->push_back(idx.unique ? 1 : 0);
+  }
+}
+
+Result<std::vector<IndexDef>> DecodeIndexDefs(Decoder* dec) {
+  // An index takes at least 3 bytes: name length, ordinal count, unique.
+  auto num_indexes = dec->GetVarint32();
+  if (!num_indexes.ok()) return num_indexes.status();
+  if (*num_indexes > dec->remaining() / 3)
+    return Status::Corruption("index count exceeds the input");
+  std::vector<IndexDef> out;
+  out.reserve(*num_indexes);
+  for (uint32_t i = 0; i < *num_indexes; i++) {
+    IndexDef def;
+    auto name = dec->GetLengthPrefixed();
+    if (!name.ok()) return name.status();
+    def.name = name->ToString();
+    auto num_ords = dec->GetVarint32();
+    if (!num_ords.ok()) return num_ords.status();
+    if (*num_ords > dec->remaining())
+      return Status::Corruption("index column count exceeds the input");
+    def.ordinals.reserve(*num_ords);
+    for (uint32_t k = 0; k < *num_ords; k++) {
+      auto ord = dec->GetVarint32();
+      if (!ord.ok()) return ord.status();
+      def.ordinals.push_back(*ord);
+    }
+    auto unique_b = dec->GetBytes(1);
+    if (!unique_b.ok()) return unique_b.status();
+    def.unique = (*unique_b)[0] != 0;
+    out.push_back(std::move(def));
+  }
+  return out;
 }
 
 }  // namespace sqlledger

@@ -29,6 +29,18 @@
 
 namespace sqlledger {
 
+class Decoder;
+
+/// The definition of one secondary index: what a checkpoint and a WAL
+/// definition op record of it.
+struct IndexDef {
+  std::string name;
+  std::vector<size_t> ordinals;  // indexed column ordinals
+  bool unique = false;
+
+  bool operator==(const IndexDef&) const = default;
+};
+
 /// A non-clustered index over a subset of columns. Each entry is the index
 /// columns followed by the primary-key columns, and is its own key, which
 /// both makes non-unique indexes representable and gives deterministic
@@ -105,6 +117,8 @@ class TableStore {
     return indexes_;
   }
   SecondaryIndex* FindIndex(const std::string& index_name);
+  /// The definitions of indexes(), in creation order.
+  std::vector<IndexDef> IndexDefs() const;
 
   /// Appends `value` as a new trailing cell of every physical row. Used by
   /// ADD COLUMN (paper §3.5.1): the schema must already list the new
@@ -136,6 +150,16 @@ class TableStore {
   BTree clustered_ GUARDED_BY(latch_);
   std::vector<std::unique_ptr<SecondaryIndex>> indexes_ GUARDED_BY(latch_);
 };
+
+// ---- Definition codec: the one encoding of a store's schema and index
+// set, shared by checkpoints (SLCKPT02) and the WAL's definition op. Every
+// decoded count is bounded by the bytes left before anything is built. ----
+
+void EncodeSchema(const Schema& schema, std::vector<uint8_t>* dst);
+Result<Schema> DecodeSchema(Decoder* dec);
+void EncodeIndexDefs(const std::vector<IndexDef>& indexes,
+                     std::vector<uint8_t>* dst);
+Result<std::vector<IndexDef>> DecodeIndexDefs(Decoder* dec);
 
 }  // namespace sqlledger
 

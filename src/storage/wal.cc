@@ -56,6 +56,50 @@ Result<FrameLogScan> ReadFrameLog(
   return scan;
 }
 
+void TableDefinition::EncodeTo(std::vector<uint8_t>* dst) const {
+  PutLengthPrefixed(dst, Slice(name));
+  dst->push_back(kind);
+  dst->push_back(dropped ? 1 : 0);
+  EncodeSchema(schema, dst);
+  EncodeIndexDefs(indexes, dst);
+  PutVarint32(dst, history_table_id);
+  if (history_table_id == 0) return;
+  PutLengthPrefixed(dst, Slice(history_name));
+  EncodeSchema(history_schema, dst);
+  EncodeIndexDefs(history_indexes, dst);
+}
+
+Result<TableDefinition> TableDefinition::Decode(Decoder* dec) {
+  TableDefinition def;
+  auto name = dec->GetLengthPrefixed();
+  if (!name.ok()) return name.status();
+  def.name = name->ToString();
+  auto flags = dec->GetBytes(2);
+  if (!flags.ok()) return flags.status();
+  def.kind = (*flags)[0];
+  def.dropped = (*flags)[1] != 0;
+  auto schema = DecodeSchema(dec);
+  if (!schema.ok()) return schema.status();
+  def.schema = std::move(*schema);
+  auto indexes = DecodeIndexDefs(dec);
+  if (!indexes.ok()) return indexes.status();
+  def.indexes = std::move(*indexes);
+  auto history_id = dec->GetVarint32();
+  if (!history_id.ok()) return history_id.status();
+  def.history_table_id = *history_id;
+  if (def.history_table_id == 0) return def;
+  auto history_name = dec->GetLengthPrefixed();
+  if (!history_name.ok()) return history_name.status();
+  def.history_name = history_name->ToString();
+  auto history_schema = DecodeSchema(dec);
+  if (!history_schema.ok()) return history_schema.status();
+  def.history_schema = std::move(*history_schema);
+  auto history_indexes = DecodeIndexDefs(dec);
+  if (!history_indexes.ok()) return history_indexes.status();
+  def.history_indexes = std::move(*history_indexes);
+  return def;
+}
+
 size_t WalCommitRecord::EncodeTo(std::vector<uint8_t>* dst) const {
   PutVarint64(dst, txn_id);
   PutFixed64(dst, static_cast<uint64_t>(commit_ts_micros));
@@ -74,7 +118,9 @@ size_t WalCommitRecord::EncodeTo(std::vector<uint8_t>* dst) const {
   for (const WalOp& op : ops) {
     dst->push_back(static_cast<uint8_t>(op.type));
     PutVarint32(dst, op.table_id);
-    if (op.type == WalOpType::kDelete) {
+    if (op.type == WalOpType::kDefineTable) {
+      op.definition->EncodeTo(dst);
+    } else if (op.type == WalOpType::kDelete) {
       EncodeRow(op.key, dst);
     } else {
       EncodeRow(op.new_row, dst);
@@ -144,12 +190,16 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
     if (!type_byte.ok()) return type_byte.status();
     WalOp op;
     uint8_t t = (*type_byte)[0];
-    if (t < 1 || t > 3) return Status::Corruption("bad WAL op type");
+    if (t < 1 || t > 4) return Status::Corruption("bad WAL op type");
     op.type = static_cast<WalOpType>(t);
     auto table_id = dec.GetVarint32();
     if (!table_id.ok()) return table_id.status();
     op.table_id = *table_id;
-    if (op.type == WalOpType::kDelete) {
+    if (op.type == WalOpType::kDefineTable) {
+      auto def = TableDefinition::Decode(&dec);
+      if (!def.ok()) return def.status();
+      op.definition = std::make_shared<const TableDefinition>(std::move(*def));
+    } else if (op.type == WalOpType::kDelete) {
       auto key = DecodeValues(&dec);
       if (!key.ok()) return key.status();
       op.key = std::move(*key);

@@ -27,28 +27,51 @@
 #include "catalog/row.h"
 #include "crypto/sha256.h"
 #include "storage/env.h"
+#include "storage/table_store.h"
 #include "util/metrics.h"
 #include "util/result.h"
 #include "util/status.h"
 
 namespace sqlledger {
 
-/// Kind of a logged row operation.
+/// Kind of a logged redo operation.
 enum class WalOpType : uint8_t {
-  kInsert = 1,  // new_row inserted into table_id
-  kUpdate = 2,  // the row with new_row's clustered key replaced by new_row
-  kDelete = 3,  // row with key removed
+  kInsert = 1,       // new_row inserted into table_id
+  kUpdate = 2,       // the row with new_row's clustered key replaced by new_row
+  kDelete = 3,       // row with key removed
+  kDefineTable = 4,  // table_id's catalog entry now matches definition
+};
+
+/// A table's whole definition after a schema change. The WAL logs the
+/// resulting state rather than the operation, so replaying it twice is
+/// harmless. The main store's id is the op's table_id and its name is the
+/// table's name.
+struct TableDefinition {
+  std::string name;
+  uint8_t kind = 0;  // TableKind
+  bool dropped = false;
+  Schema schema;
+  std::vector<IndexDef> indexes;
+  uint32_t history_table_id = 0;  // 0 = no history store
+  std::string history_name;
+  Schema history_schema;
+  std::vector<IndexDef> history_indexes;
+
+  void EncodeTo(std::vector<uint8_t>* dst) const;
+  static Result<TableDefinition> Decode(Decoder* dec);
 };
 
 /// One redo operation within a committed transaction. An insert or update
-/// is logged as [type][table_id][new_row] and a delete as
-/// [type][table_id][key]: new_row already holds its clustered key, which
-/// replay derives with TableStore::KeyOf.
+/// is logged as [type][table_id][new_row], a delete as
+/// [type][table_id][key] and a definition as [type][table_id][definition]:
+/// new_row already holds its clustered key, which replay derives with
+/// TableStore::KeyOf.
 struct WalOp {
   WalOpType type = WalOpType::kInsert;
   uint32_t table_id = 0;
   KeyTuple key;  // clustered key of the deleted row; unused otherwise
-  Row new_row;   // full physical row for insert/update; empty for delete
+  Row new_row;   // full physical row for insert/update; empty otherwise
+  std::shared_ptr<const TableDefinition> definition = nullptr;  // kDefineTable
 };
 
 /// A committed transaction's WAL record.

@@ -57,6 +57,16 @@ void Transaction::RecordDelete(TableStore* table, const KeyTuple& key,
   undo_.push_back(std::move(undo));
 }
 
+void Transaction::RecordDefinition(
+    uint32_t table_id, std::shared_ptr<const TableDefinition> definition) {
+  WalOp op;
+  op.type = WalOpType::kDefineTable;
+  op.table_id = table_id;
+  op.definition = std::move(definition);
+  ops_.push_back(std::move(op));
+  defines_tables_ = true;
+}
+
 MerkleBuilder* Transaction::MerkleForTable(uint32_t table_id) {
   return &merkle_[table_id];
 }
@@ -138,6 +148,8 @@ void Transaction::UndoRange(size_t from) {
         break;
       case WalOpType::kDelete:
         (void)e.table->Insert(e.old_row);  // cannot fail; see above
+        break;
+      case WalOpType::kDefineTable:  // has no undo entry
         break;
     }
     undo_.pop_back();

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,14 @@ class Transaction {
   void RecordUpdate(TableStore* table, const KeyTuple& key, const Row& old_row,
                     const Row& new_row);
   void RecordDelete(TableStore* table, const KeyTuple& key, const Row& old_row);
+  /// Records a table's definition after a schema change, ahead of any row
+  /// op that depends on it. It has no undo entry: an aborted schema change
+  /// keeps its in-memory effect.
+  void RecordDefinition(uint32_t table_id,
+                        std::shared_ptr<const TableDefinition> definition);
+  /// Whether the transaction logs a schema change, which is synced at
+  /// commit even when ordinary commits are not.
+  bool defines_tables() const { return defines_tables_; }
 
   /// Streaming Merkle tree for the given ledger table; created on first use.
   MerkleBuilder* MerkleForTable(uint32_t table_id);
@@ -110,6 +119,7 @@ class Transaction {
   std::map<uint32_t, MerkleBuilder> merkle_;
   std::vector<SavepointRecord> savepoints_;
   // FinalizeForCommit cache; invalidated by DML and partial rollback.
+  bool defines_tables_ = false;
   bool roots_finalized_ = false;
   std::vector<std::pair<uint32_t, Hash256>> finalized_roots_;
 };
