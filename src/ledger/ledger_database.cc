@@ -893,14 +893,13 @@ void LedgerDatabase::ProcessGroup(const std::vector<CommitRequest*>& group) {
     // so a post-checkpoint WAL (sticky error cleared) resumes with dense
     // ordinals — and fail every member: the WAL is poisoned, so none of
     // them is durable.
-    Status st = wal_->AppendBatch(payloads);
     // A schema change is durable when it returns (DESIGN.md §4), even when
     // ordinary commits are not synced.
-    if (st.ok() && !options_.sync_wal &&
+    const bool defines_tables =
         std::any_of(group.begin(), group.end(), [](const CommitRequest* r) {
           return r->txn->defines_tables();
-        }))
-      st = wal_->Sync();
+        });
+    Status st = wal_->AppendBatch(payloads, defines_tables);
     if (!st.ok()) {
       if (ledger_ != nullptr) ledger_->ReleaseSlots(group.size());
       for (CommitRequest* r : group) r->result = st;

@@ -263,7 +263,8 @@ void Wal::SetMetrics(MetricRegistry* registry) {
   m_bytes_total_ = registry->GetCounter("wal.bytes_total");
 }
 
-Status Wal::AppendBatch(const std::vector<Slice>& payloads) {
+Status Wal::AppendBatch(const std::vector<Slice>& payloads,
+                        bool force_sync) {
   if (payloads.empty()) return Status::OK();
   if (!sticky_error_.ok()) return sticky_error_;
   // All frames go out as one write so a torn append tears a suffix of
@@ -289,7 +290,7 @@ Status Wal::AppendBatch(const std::vector<Slice>& payloads) {
   const int64_t t1 = metrics_ != nullptr ? metrics_->NowMicros() : 0;
   if (m_append_micros_ != nullptr)
     m_append_micros_->Record(static_cast<uint64_t>(std::max<int64_t>(0, t1 - t0)));
-  if (options_.sync) {
+  if (options_.sync || force_sync) {
     if (m_syncs_total_ != nullptr) m_syncs_total_->Add();
     st = file_->Sync();
     if (!st.ok()) return Poison(st);

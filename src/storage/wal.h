@@ -146,11 +146,13 @@ class Wal {
   Status AppendCommit(const WalCommitRecord& record);
 
   /// Appends many framed records as ONE buffered write with ONE trailing
-  /// fsync (when options.sync) — the group commit fast path. All-or-nothing
-  /// durability for the group: a failed write or sync poisons the WAL and
-  /// the error is returned for every record in the batch (none of them may
-  /// be treated as committed). An empty batch is a no-op.
-  Status AppendBatch(const std::vector<Slice>& payloads);
+  /// fsync (when options.sync or `force_sync`) — the group commit fast
+  /// path. All-or-nothing durability for the group: a failed write or sync
+  /// poisons the WAL and the error is returned for every record in the
+  /// batch (none of them may be treated as committed). An empty batch is a
+  /// no-op.
+  Status AppendBatch(const std::vector<Slice>& payloads,
+                     bool force_sync = false);
 
   /// Attaches latency instrumentation (DESIGN.md §13): wal.append_micros
   /// (buffered write+flush), wal.sync_micros (the trailing fsync) and
