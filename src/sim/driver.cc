@@ -225,11 +225,10 @@ Status SimDriver::Setup() {
   }
 
   // Adopt everything the bootstrap produced (system-catalog entry + one DDL
-  // entry per base table) into the model wholesale, then sync counters and
-  // mirror the base tables.
+  // entry per base table) into the model wholesale, then sync the txn
+  // counter and mirror the base tables.
   if (!RebuildChain(0, /*check_prefix=*/false))
     return Status::Internal("setup: " + result_.message);
-  SyncNextTableId();
   ProbeTxnCounter(0);
   for (uint32_t t = 0; t < config_.gen.base_tables; t++)
     AdoptCreatedTable(0, "t" + std::to_string(t), kinds[t]);
@@ -266,16 +265,6 @@ void SimDriver::AdoptCreatedTable(size_t i, const std::string& name,
     return;
   }
   registry_.push_back(name);
-}
-
-void SimDriver::SyncNextTableId() {
-  uint32_t next = kFirstUserTableId;
-  for (CatalogEntry* e : db_->AllTables()) {
-    next = std::max(next, e->table_id + 1);
-    if (e->history != nullptr)
-      next = std::max(next, e->history->table_id() + 1);
-  }
-  model_->set_next_table_id(next);
 }
 
 void SimDriver::ProbeTxnCounter(size_t i) {
@@ -444,7 +433,6 @@ bool SimDriver::HandleIfCrashed(size_t i, const std::function<void()>& resolve,
   if (model_->InTxn()) model_->AbortTxn();
   CheckRecoveredCatalog(i);
   if (diverged_) return true;
-  SyncNextTableId();
   ProbeTxnCounter(i);
   if (diverged_) return true;
   if (!RebuildChain(i, check_prefix)) return true;
@@ -461,13 +449,22 @@ bool SimDriver::HandleIfCrashed(size_t i, const std::function<void()>& resolve,
 
 // A DDL is durable when it returns (DESIGN.md §4) and `resolve` settled
 // the one in flight, so the recovered catalog must match the model: the
-// index set and the column-id allocators, which are hashed into row
-// versions.
+// table-id allocator, the index set and the column-id allocators, which
+// are hashed into row versions.
 void SimDriver::CheckRecoveredCatalog(size_t i) {
+  uint32_t next_table_id = kFirstUserTableId;
   std::set<std::pair<std::string, std::string>> recovered;
   for (CatalogEntry* e : db_->AllTables()) {
+    next_table_id = std::max(next_table_id, e->table_id + 1);
+    if (e->history != nullptr)
+      next_table_id = std::max(next_table_id, e->history->table_id() + 1);
     for (const IndexDef& idx : e->main->IndexDefs())
       recovered.insert({e->name, idx.name});
+  }
+  if (next_table_id != model_->next_table_id()) {
+    Fail(i, "recovered next table id " + std::to_string(next_table_id) +
+                ", model has " + std::to_string(model_->next_table_id()));
+    return;
   }
   if (recovered != indexes_) {
     Fail(i, "recovered index set has " + std::to_string(recovered.size()) +

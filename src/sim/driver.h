@@ -140,7 +140,6 @@ class SimDriver {
   bool RebuildChain(size_t i, bool check_prefix);
   void ProbeTxnCounter(size_t i);
   void CheckRecoveredCatalog(size_t i);
-  void SyncNextTableId();
   void AdoptCreatedTable(size_t i, const std::string& name, TableKind kind);
   /// Replaces model ledger-table contents with the system's physical rows
   /// after asserting user-visible content still matches `pre` (used after
