@@ -1,5 +1,6 @@
 // Seeded fuzzing of the WAL/checkpoint codec (Cell::EncodeTo, EncodeRow,
-// DecodeRow, DecodeValues, WalCommitRecord): random rows of every type,
+// DecodeRow, DecodeValues, WalCommitRecord with row and table-definition
+// ops): random rows of every type,
 // NULLs, empty and 64 KiB strings round-trip exactly; the zigzag edges keep
 // their value and their varint length; every strict prefix of an encoded
 // row or commit record is Corruption; and every single-byte flip decodes to
@@ -88,6 +89,48 @@ void ExpectSameCell(const Cell& got, const Cell& want, size_t i) {
   EXPECT_EQ(got.string_value(), want.string_value()) << "cell " << i;
 }
 
+Schema RandomSchema(Random* rng) {
+  Schema schema;
+  for (uint64_t i = 1 + rng->Uniform(8); i > 0; i--) {
+    size_t ord = schema.AddColumn(
+        rng->AlphaString(1 + rng->Uniform(10)),
+        static_cast<DataType>(rng->UniformRange(1, 8)), rng->Bernoulli(0.5),
+        static_cast<uint32_t>(rng->Uniform(64)), rng->Bernoulli(0.3));
+    schema.mutable_column(ord)->dropped = rng->Bernoulli(0.2);
+  }
+  schema.SetPrimaryKey({0});
+  schema.set_next_column_id(schema.next_column_id() +
+                            static_cast<uint32_t>(rng->Uniform(4)));
+  return schema;
+}
+
+std::vector<IndexDef> RandomIndexes(Random* rng, const Schema& schema) {
+  std::vector<IndexDef> indexes(rng->Uniform(3));
+  for (IndexDef& idx : indexes) {
+    idx.name = rng->AlphaString(1 + rng->Uniform(10));
+    for (uint64_t k = 1 + rng->Uniform(2); k > 0; k--)
+      idx.ordinals.push_back(rng->Uniform(schema.num_columns()));
+    idx.unique = rng->Bernoulli(0.5);
+  }
+  return indexes;
+}
+
+std::shared_ptr<const TableDefinition> RandomDefinition(Random* rng) {
+  auto def = std::make_shared<TableDefinition>();
+  def->name = rng->AlphaString(1 + rng->Uniform(12));
+  def->kind = static_cast<uint8_t>(rng->Uniform(3));
+  def->dropped = rng->Bernoulli(0.3);
+  def->schema = RandomSchema(rng);
+  def->indexes = RandomIndexes(rng, def->schema);
+  if (rng->Bernoulli(0.5)) {
+    def->history_table_id = static_cast<uint32_t>(1 + rng->Uniform(300));
+    def->history_name = def->name + "_history";
+    def->history_schema = RandomSchema(rng);
+    def->history_indexes = RandomIndexes(rng, def->history_schema);
+  }
+  return def;
+}
+
 WalCommitRecord RandomRecord(Random* rng) {
   WalCommitRecord rec;
   rec.txn_id = rng->Next() >> rng->Uniform(64);
@@ -103,9 +146,11 @@ WalCommitRecord RandomRecord(Random* rng) {
   }
   for (uint64_t i = 1 + rng->Uniform(8); i > 0; i--) {
     WalOp op;
-    op.type = static_cast<WalOpType>(rng->UniformRange(1, 3));
+    op.type = static_cast<WalOpType>(rng->UniformRange(1, 4));
     op.table_id = static_cast<uint32_t>(rng->Uniform(300));
-    if (op.type == WalOpType::kDelete) {
+    if (op.type == WalOpType::kDefineTable) {
+      op.definition = RandomDefinition(rng);
+    } else if (op.type == WalOpType::kDelete) {
       op.key = RandomValues(rng, 3, 0);
     } else {
       op.new_row = Row(RandomValues(rng, 12, 0));
@@ -147,6 +192,34 @@ TEST(CodecFuzzTest, RandomRowsRoundTrip) {
   }
   EXPECT_TRUE(rows_dec.done());
   EXPECT_TRUE(values_dec.done());
+}
+
+// Commit records holding table definitions (a schema change) decode to
+// records that encode to the same bytes.
+TEST(CodecFuzzTest, CommitRecordsWithDefinitionsRoundTrip) {
+  SCOPED_TRACE("SQLLEDGER_TEST_SEED=" + std::to_string(TestSeed()));
+  Random rng(TestCaseSeed(4));
+  int definitions = 0;
+  for (int r = 0; r < 100; r++) {
+    WalCommitRecord rec = RandomRecord(&rng);
+    for (const WalOp& op : rec.ops)
+      definitions += op.type == WalOpType::kDefineTable;
+    std::vector<uint8_t> buf;
+    rec.EncodeTo(&buf);
+    auto decoded = WalCommitRecord::Decode(Slice(buf));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_EQ(decoded->ops.size(), rec.ops.size());
+    for (size_t i = 0; i < rec.ops.size(); i++) {
+      ASSERT_EQ(decoded->ops[i].type, rec.ops[i].type) << i;
+      ASSERT_EQ(decoded->ops[i].definition != nullptr,
+                rec.ops[i].definition != nullptr)
+          << i;
+    }
+    std::vector<uint8_t> again;
+    decoded->EncodeTo(&again);
+    EXPECT_EQ(again, buf);
+  }
+  EXPECT_GT(definitions, 20);
 }
 
 TEST(CodecFuzzTest, ZigZagEdgesRoundTrip) {

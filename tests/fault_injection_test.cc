@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "ledger/digest_store.h"
 #include "ledger/verifier.h"
 #include "storage/checkpoint.h"
@@ -206,6 +208,28 @@ TEST_F(FaultInjectionTest, DigestBlobsAreWriteOnce) {
   EXPECT_EQ((*all)[1].block_id, second->block_id);
 }
 
+// A schema change is durable when it returns even when ordinary commits
+// are not synced: its commit record carries the fsync.
+TEST_F(FaultInjectionTest, SchemaChangeIsDurableWithoutSyncWal) {
+  FaultInjectionEnv env;
+  {
+    LedgerDatabaseOptions options = MakeOptions("db", &env);
+    options.sync_wal = false;
+    auto db = LedgerDatabase::Open(std::move(options));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->CreateTable("t", SimpleUserSchema(),
+                                   TableKind::kUpdateable)
+                    .ok());
+    ASSERT_TRUE((*db)->AddColumn("t", "extra", DataType::kInt).ok());
+    env.SimulateCrash();
+  }
+  auto db = LedgerDatabase::Open(MakeOptions("db", nullptr));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  auto ref = (*db)->GetTableRef("t");
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_GE(ref->main->schema().FindColumn("extra"), 0);
+}
+
 // ---- The torture loop: crash at every sync point ----
 
 // Runs a mixed workload (inserts, updates, deletes, digests, checkpoints)
@@ -299,6 +323,143 @@ TEST_F(FaultInjectionTest, CrashAtEverySyncPointRecoversVerifiably) {
   EXPECT_TRUE(completed_without_crash);
   // Sanity: the workload has a meaningful number of sync points.
   EXPECT_GT(crash_point, 10);
+}
+
+// ---- The torture loop over schema changes ----
+
+// Where a DDL torture run stopped: the schema changes that returned OK, and
+// whether one was in flight when the injected fault hit.
+struct DdlProgress {
+  size_t ddls_done = 0;
+  bool ddl_in_flight = false;
+};
+
+// Interleaves DML with every kind of schema change, a digest and a
+// checkpoint, until an injected fault stops it. `after_ddl` runs after
+// each schema change that returned OK.
+void RunDdlTortureWorkload(LedgerDatabase* db,
+                           std::vector<DatabaseDigest>* durable_digests,
+                           DdlProgress* progress,
+                           const std::function<void()>& after_ddl) {
+  auto ddl = [&](const std::function<Status()>& change) {
+    progress->ddl_in_flight = true;
+    if (!change().ok()) return false;
+    progress->ddl_in_flight = false;
+    progress->ddls_done++;
+    after_ddl();
+    return true;
+  };
+  auto dml = [&](const std::function<Status(Transaction*)>& body) {
+    auto txn = db->Begin("torture");
+    if (!txn.ok()) return false;
+    Status st = body(*txn);
+    if (!st.ok()) {
+      db->Abort(*txn);
+      return false;
+    }
+    return db->Commit(*txn).ok();
+  };
+  auto insert = [&](int64_t id, std::vector<Value> tail) {
+    return dml([&](Transaction* txn) {
+      Row row{VB(id), VS("v" + std::to_string(id))};
+      for (Value& v : tail) row = row.Extended(v);
+      return db->Insert(txn, "t", row);
+    });
+  };
+  auto digest = [&] {
+    auto d = db->GenerateDigest();
+    if (d.ok()) durable_digests->push_back(*d);
+    return d.ok();
+  };
+  const Value no_qty = Value::Null(DataType::kInt);
+  bool ok =
+      ddl([&] {
+        return db->CreateTable("t", DdlUserSchema(), TableKind::kUpdateable);
+      }) &&
+      insert(0, {Value::Int(10)}) && insert(1, {Value::Int(11)}) &&
+      ddl([&] { return db->AddColumn("t", "extra", DataType::kVarchar); }) &&
+      insert(2, {Value::Int(12), VS("e2")}) &&
+      dml([&](Transaction* txn) {
+        return db->Update(txn, "t", {VB(0), VS("u0"), Value::Int(20), VS("e0")});
+      }) &&
+      digest() &&
+      ddl([&] { return db->CreateIndex("t", "by_payload", {"payload"}, false); }) &&
+      insert(3, {no_qty, VS("e3")}) &&
+      dml([&](Transaction* txn) { return db->Delete(txn, "t", {VB(1)}); }) &&
+      ddl([&] { return db->DropColumn("t", "extra"); }) &&
+      insert(4, {Value::Int(14)}) && db->Checkpoint().ok() &&
+      ddl([&] { return db->AlterColumnType("t", "qty", DataType::kBigInt); }) &&
+      insert(5, {VB(15)}) && digest() &&
+      ddl([&] { return db->DropIndex("t", "by_payload"); }) &&
+      insert(6, {VB(16)}) && ddl([&] { return db->DropTable("t"); });
+  if (ok) digest();
+}
+
+// A schema change is durable when it returns and atomic with its metadata:
+// after a crash at any sync point, the reopened catalog (schema, index set
+// and sys_ledger_* rows) is the one from before the DDL in flight or the
+// one from after it, never a mix, and verification stays clean. The name
+// matches the nightly job's *CrashAtEverySyncPoint* filter, which sweeps
+// it over seeds.
+TEST_F(FaultInjectionTest, CrashAtEverySyncPointDuringDdl) {
+  SCOPED_TRACE("SQLLEDGER_TEST_SEED=" + std::to_string(TestSeed()));
+  // The catalog after Open and after each schema change, from a run
+  // without faults.
+  std::vector<std::string> catalogs;
+  {
+    std::vector<DatabaseDigest> digests;
+    DdlProgress progress;
+    auto db = LedgerDatabase::Open(MakeOptions("reference", nullptr));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    catalogs.push_back(CatalogSnapshot(db->get()));
+    RunDdlTortureWorkload(db->get(), &digests, &progress,
+                          [&] { catalogs.push_back(CatalogSnapshot(db->get())); });
+    ASSERT_EQ(progress.ddls_done, 7u);
+    ASSERT_EQ(digests.size(), 3u);
+  }
+
+  bool completed_without_crash = false;
+  int crash_point = 1;
+  for (; crash_point < 300 && !completed_without_crash; crash_point++) {
+    std::string subdir = "ddl_crash" + std::to_string(crash_point);
+    FaultInjectionEnv env(nullptr, /*seed=*/1000 * TestSeed() + crash_point);
+    env.CrashAtSync(crash_point);
+
+    std::vector<DatabaseDigest> digests;
+    DdlProgress progress;
+    {
+      auto db = LedgerDatabase::Open(MakeOptions(subdir, &env));
+      if (db.ok()) RunDdlTortureWorkload(db->get(), &digests, &progress, [] {});
+    }
+    completed_without_crash = !env.crashed();
+
+    auto db = LedgerDatabase::Open(MakeOptions(subdir, nullptr));
+    ASSERT_TRUE(db.ok()) << "crash point " << crash_point
+                         << ": recovery failed: " << db.status().ToString();
+    const std::string catalog = CatalogSnapshot(db->get());
+    const bool before = catalog == catalogs[progress.ddls_done];
+    const bool after = progress.ddl_in_flight &&
+                       catalog == catalogs[progress.ddls_done + 1];
+    EXPECT_TRUE(before || after)
+        << "crash point " << crash_point << " after " << progress.ddls_done
+        << " schema changes" << (progress.ddl_in_flight ? " (one in flight)" : "")
+        << ": recovered catalog\n" << catalog;
+    auto report = VerifyLedger(db->get(), digests);
+    ASSERT_TRUE(report.ok()) << "crash point " << crash_point << ": "
+                             << report.status().ToString();
+    EXPECT_TRUE(report->ok())
+        << "crash point " << crash_point << ": " << report->Summary();
+
+    // The recovered catalog is itself durable.
+    db->reset();
+    auto db2 = LedgerDatabase::Open(MakeOptions(subdir, nullptr));
+    ASSERT_TRUE(db2.ok()) << "crash point " << crash_point << ": "
+                          << db2.status().ToString();
+    EXPECT_EQ(CatalogSnapshot(db2->get()), catalog)
+        << "crash point " << crash_point;
+  }
+  EXPECT_TRUE(completed_without_crash);
+  EXPECT_GT(crash_point, 20);
 }
 
 }  // namespace

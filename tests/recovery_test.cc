@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <map>
 
 #include "ledger/digest_store.h"
@@ -78,7 +79,8 @@ TEST_F(RecoveryTest, CrashRecoveryReplaysWalTail) {
     ASSERT_TRUE(db->CreateTable("accounts", AccountSchema(),
                                 TableKind::kUpdateable)
                     .ok());
-    // CreateTable checkpoints; everything after lives only in the WAL.
+    // Open checkpoints; everything after, the CreateTable included, lives
+    // only in the WAL.
     for (int i = 0; i < 9; i++) {
       auto txn = db->Begin("app");
       ASSERT_TRUE(db->Insert(*txn, "accounts",
@@ -94,7 +96,7 @@ TEST_F(RecoveryTest, CrashRecoveryReplaysWalTail) {
     digest = *d;
     committed = db->committed_txn_count();
     // NO checkpoint, no clean shutdown: destructor simulates the crash
-    // (state is only in checkpoint-at-DDL + WAL).
+    // (state is only in Open's checkpoint + WAL).
   }
 
   auto db = Open();
@@ -558,6 +560,132 @@ TEST_F(RecoveryTest, SupersededWalBesideNewCheckpointKeepsCommitCount) {
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 4u);
   ASSERT_TRUE(db->Commit(*txn).ok());
+  auto digest = db->GenerateDigest();
+  ASSERT_TRUE(digest.ok());
+  auto report = VerifyLedger(db.get(), {*digest});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// ---- Schema changes are durable through the WAL (DESIGN.md §4) ----
+
+// Creates "t" (DdlUserSchema) with three rows and the index "by_payload".
+void SetUpDdlTable(LedgerDatabase* db) {
+  ASSERT_TRUE(
+      db->CreateTable("t", DdlUserSchema(), TableKind::kUpdateable).ok());
+  for (int i = 0; i < 3; i++) {
+    auto txn = db->Begin("app");
+    ASSERT_TRUE(db->Insert(*txn, "t",
+                           {VB(i), VS("p" + std::to_string(i)),
+                            Value::Int(i)})
+                    .ok());
+    ASSERT_TRUE(db->Commit(*txn).ok());
+  }
+  ASSERT_TRUE(db->CreateIndex("t", "by_payload", {"payload"}, false).ok());
+}
+
+struct DdlCase {
+  const char* name;
+  std::function<Status(LedgerDatabase*)> run;
+};
+
+// The seven schema changes. Each applies to a table set up by
+// SetUpDdlTable, and they also apply one after another in this order.
+std::vector<DdlCase> SevenDdls() {
+  return {
+      {"CreateTable",
+       [](LedgerDatabase* db) {
+         return db->CreateTable("u", DdlUserSchema(), TableKind::kUpdateable);
+       }},
+      {"AddColumn",
+       [](LedgerDatabase* db) {
+         return db->AddColumn("t", "extra", DataType::kVarchar);
+       }},
+      {"CreateIndex",
+       [](LedgerDatabase* db) {
+         return db->CreateIndex("t", "by_qty", {"qty"}, false);
+       }},
+      {"DropIndex",
+       [](LedgerDatabase* db) { return db->DropIndex("t", "by_payload"); }},
+      {"AlterColumnType",
+       [](LedgerDatabase* db) {
+         return db->AlterColumnType("t", "qty", DataType::kBigInt);
+       }},
+      {"DropColumn",
+       [](LedgerDatabase* db) { return db->DropColumn("t", "qty"); }},
+      {"DropTable", [](LedgerDatabase* db) { return db->DropTable("t"); }},
+  };
+}
+
+TEST_F(RecoveryTest, NoSchemaChangeRunsACheckpoint) {
+  auto db = Open();
+  EXPECT_EQ(CounterValue(db.get(), "checkpoint.runs_total"), 1u);  // Open's
+  SetUpDdlTable(db.get());
+  for (const DdlCase& ddl : SevenDdls()) {
+    SCOPED_TRACE(ddl.name);
+    ASSERT_TRUE(ddl.run(db.get()).ok());
+    EXPECT_EQ(CounterValue(db.get(), "checkpoint.runs_total"), 1u);
+  }
+}
+
+TEST_F(RecoveryTest, EachSchemaChangeSurvivesReopenFromWalAlone) {
+  for (bool ledger : {true, false}) {
+    for (const DdlCase& ddl : SevenDdls()) {
+      SCOPED_TRACE(std::string(ddl.name) + (ledger ? "" : " (non-ledger)"));
+      const std::string subdir = std::string(ddl.name) + (ledger ? "" : "_plain");
+      auto options = [&] {
+        LedgerDatabaseOptions o = MakeOptions(subdir);
+        o.enable_ledger = ledger;
+        return o;
+      };
+      std::string want;
+      {
+        auto db = LedgerDatabase::Open(options());
+        ASSERT_TRUE(db.ok()) << db.status().ToString();
+        SetUpDdlTable(db->get());
+        ASSERT_TRUE((*db)->Checkpoint().ok());
+        ASSERT_TRUE(ddl.run(db->get()).ok());
+        want = CatalogSnapshot(db->get());
+        // No checkpoint: the schema change's only durable copy is its WAL
+        // record.
+      }
+      auto db = LedgerDatabase::Open(options());
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      EXPECT_EQ(CatalogSnapshot(db->get()), want);
+      if (ledger) {
+        auto digest = (*db)->GenerateDigest();
+        ASSERT_TRUE(digest.ok());
+        auto report = VerifyLedger(db->get(), {*digest});
+        ASSERT_TRUE(report.ok());
+        EXPECT_TRUE(report->ok()) << report->Summary();
+      }
+    }
+  }
+}
+
+TEST_F(RecoveryTest, SchemaChangesSurviveFallbackToPreviousGeneration) {
+  std::string want;
+  {
+    auto db = Open();
+    SetUpDdlTable(db.get());
+    ASSERT_TRUE(db->Checkpoint().ok());  // superseded -> checkpoint.sldb.prev
+    for (const DdlCase& ddl : SevenDdls()) ASSERT_TRUE(ddl.run(db.get()).ok());
+    want = CatalogSnapshot(db.get());
+    // The schema changes now live only in the rotated wal.log.prev.
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  // Storage rot tears the newest checkpoint.
+  {
+    std::fstream f(Path("db") + "/checkpoint.sldb",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    char byte = 0;
+    f.seekg(30);
+    f.get(byte);
+    f.seekp(30);
+    f.put(static_cast<char>(byte ^ 0xFF));
+  }
+  auto db = Open();
+  EXPECT_EQ(CatalogSnapshot(db.get()), want);
   auto digest = db->GenerateDigest();
   ASSERT_TRUE(digest.ok());
   auto report = VerifyLedger(db.get(), {*digest});

@@ -90,6 +90,14 @@ inline Schema AccountSchema() {
   return s;
 }
 
+/// (id BIGINT PK, payload VARCHAR, qty INT): a column to index, one to
+/// drop and one to retype.
+inline Schema DdlUserSchema() {
+  Schema s = SimpleUserSchema();
+  s.AddColumn("qty", DataType::kInt, true);
+  return s;
+}
+
 /// Opens an ephemeral (in-memory) database with a deterministic clock and a
 /// small block size suited to tests.
 inline std::unique_ptr<LedgerDatabase> OpenTestDb(uint64_t block_size = 4,
@@ -130,6 +138,42 @@ inline Status InsertOne(LedgerDatabase* db, const std::string& table,
     return st;
   }
   return db->Commit(*txn);
+}
+
+/// Everything a schema change touches, as text: each catalog entry's name
+/// and dropped flag, its stores' columns (id, name, type, flags), column-id
+/// allocators and index sets, then the visible rows of the sys_ledger_*
+/// metadata tables. Reads the stores directly, so it consumes no
+/// transaction id.
+inline std::string CatalogSnapshot(LedgerDatabase* db) {
+  std::string out;
+  for (CatalogEntry* e : db->AllTables()) {
+    out += e->name + (e->dropped ? " dropped\n" : "\n");
+    for (const TableStore* store : {e->main.get(), e->history.get()}) {
+      if (store == nullptr) continue;
+      out += "  store " + std::to_string(store->table_id()) +
+             " next_column_id " +
+             std::to_string(store->schema().next_column_id()) + "\n";
+      for (const ColumnDef& c : store->schema().columns()) {
+        out += "    column " + std::to_string(c.column_id) + " " + c.name +
+               " " + DataTypeName(c.type) + (c.hidden ? " hidden" : "") +
+               (c.dropped ? " dropped\n" : "\n");
+      }
+      for (const IndexDef& idx : store->IndexDefs())
+        out += "    index " + idx.name + "\n";
+    }
+  }
+  for (const char* sys : {"sys_ledger_tables", "sys_ledger_columns"}) {
+    TableStore* store = db->GetStoreForTesting(sys);
+    if (store == nullptr) continue;
+    const std::vector<size_t> visible = store->schema().VisibleOrdinals();
+    for (BTree::Iterator it = store->Scan(); it.Valid(); it.Next()) {
+      out += sys;
+      for (size_t ord : visible) out += " " + it.value()[ord].ToString();
+      out += "\n";
+    }
+  }
+  return out;
 }
 
 }  // namespace sqlledger
