@@ -63,12 +63,12 @@ TEST_F(SimSmokeTest, GoldenFingerprints) {
     const char* mfp;
   };
   const Golden kGolden[] = {
-      {1, "6ecb2e69a395f9357265874628eb998d4a2f79860ba7a0e62b98615a90a3fd25",
-       "d8c36d8723077693264aff0591b26e1df06ce32ffe0be4085c98eafe15c50b35"},
-      {2, "056ff6b98fe26e119d86fc83cc3d846042f3a389dd1651379c676303d531b354",
-       "d4b2d0c8cba7faa5efa55e8a621ca8bda9665d9d091e173806c59ee3decc084b"},
-      {3, "cba718f6b9021d33d2f5e7fb2c6ab21be2f9bdbce6db42f717dcb2913588d621",
-       "e95a7b29331d740c0f960bd479459c4236d0754276eef904a8c4d15bc32fc64d"},
+      {1, "e69c12d05bdf4a06eaf884342dee8e344fd7a1d0fea44b90463ae8b4f67f6c8a",
+       "3e03130e28605e0959314fb903184de84dbc840ff07a5b9c954ed1800f71a786"},
+      {2, "8b9ad3534379a133983db9d3c9d112a229d75491bbe5a50f978f41b7ea0cff40",
+       "30aa46de00edc548f195f69aafa6660805818ff50424474189e45679420855be"},
+      {3, "d5f745a6cba5413b8eaeca31f1c6ab4243e23a2d043731651e7ae8ada870f68f",
+       "bbb065451b56d55759c61ca226acb24d4cabc7d3af83632547bafa2d9a5bfe16"},
   };
   for (const Golden& g : kGolden) {
     SimResult result = RunSim(MakeConfig(g.seed, 500));
