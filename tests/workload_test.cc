@@ -97,6 +97,29 @@ TEST(TpceTest, SetupCreates33LedgerTables) {
   EXPECT_EQ(ledger_tables, TpceWorkload::kTableCount);  // all 33 (paper)
 }
 
+class TpceDurableTest : public TempDirTest {};
+
+// Schema changes are durable through the WAL: a fresh database's only
+// checkpoint is Open's, and the 33 tables reopen from the WAL alone.
+TEST_F(TpceDurableTest, SetupTakesNoCheckpoint) {
+  LedgerDatabaseOptions options;
+  options.data_dir = Path("db");
+  options.block_size = 1000;
+  {
+    auto db = LedgerDatabase::Open(options);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    TpceWorkload tpce(db->get(), TpceConfig{});
+    ASSERT_TRUE(tpce.Setup().ok());
+    EXPECT_EQ(CounterValue(db->get(), "checkpoint.runs_total"), 1u);
+  }
+  auto db = LedgerDatabase::Open(options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  int user_tables = 0;
+  for (CatalogEntry* entry : (*db)->AllTables())
+    user_tables += entry->is_system ? 0 : 1;
+  EXPECT_EQ(user_tables, TpceWorkload::kTableCount);
+}
+
 TEST(TpceTest, TransactionsRunAndVerify) {
   auto db = OpenTestDb(/*block_size=*/1000);
   TpceWorkload tpce(db.get(), TpceConfig{});
