@@ -68,7 +68,7 @@ Status LedgerDatabase::AddColumn(const std::string& table,
   LogTableDefinition(*txn, *entry);
 
   Status st;
-  if (!entry->is_system) {
+  if (options_.enable_ledger && !entry->is_system) {
     const Schema& schema = entry->main->schema();
     st = RecordColumnMetadata(*txn, entry->table_id,
                               schema.column(schema.num_columns() - 1));
@@ -92,8 +92,9 @@ Status LedgerDatabase::DropColumn(const std::string& table,
     if (static_cast<int>(key_ord) == ord)
       return Status::InvalidArgument("cannot drop a primary-key column");
   }
-  const uint32_t column_id = col.column_id;
-  const DataType type = col.type;
+  uint32_t column_id = col.column_id;
+  std::string dropped_name =
+      "DroppedColumn_" + column + "_" + std::to_string(column_id);
 
   // Logical drop: data stays, the column disappears from the user schema
   // but keeps participating in hashes of historical versions.
@@ -111,10 +112,8 @@ Status LedgerDatabase::DropColumn(const std::string& table,
 
   Status st;
   if (options_.enable_ledger && !entry->is_system) {
-    st = UpdateColumnMetadata(
-        this, *txn, entry->table_id, column_id,
-        "DroppedColumn_" + column + "_" + std::to_string(column_id),
-        DataTypeName(type));
+    st = UpdateColumnMetadata(this, *txn, entry->table_id, column_id,
+                              dropped_name, DataTypeName(col.type));
   }
   return FinishDdl(*txn, st);
 }
@@ -202,8 +201,7 @@ Status LedgerDatabase::AlterColumnType(const std::string& table,
   // The definition precedes the updates that depend on it.
   LogTableDefinition(*txn, *entry);
 
-  // Capture the physical rows (already extended with the NULL cell for the
-  // new column) before repopulation churns the table.
+  // Build the converted user rows before repopulation churns the table.
   const Schema& schema = entry->main->schema();
   std::vector<size_t> visible = schema.VisibleOrdinals();
   std::vector<Row> user_rows;

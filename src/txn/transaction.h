@@ -118,8 +118,8 @@ class Transaction {
   std::vector<UndoEntry> undo_;
   std::map<uint32_t, MerkleBuilder> merkle_;
   std::vector<SavepointRecord> savepoints_;
-  // FinalizeForCommit cache; invalidated by DML and partial rollback.
   bool defines_tables_ = false;
+  // FinalizeForCommit cache; invalidated by DML and partial rollback.
   bool roots_finalized_ = false;
   std::vector<std::pair<uint32_t, Hash256>> finalized_roots_;
 };

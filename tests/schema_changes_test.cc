@@ -196,6 +196,31 @@ TEST_F(SchemaChangesTest, AlterColumnTypeRestrictions) {
       db_->AlterColumnType("accounts", "nope", DataType::kInt).IsNotFound());
 }
 
+// Every value is cast before the schema changes, so a failed cast leaves
+// the table as it was.
+TEST_F(SchemaChangesTest, AlterColumnTypeFailedCastLeavesTableUnchanged) {
+  ASSERT_TRUE(db_->AddColumn("accounts", "note", DataType::kVarchar).ok());
+  auto txn = db_->Begin("app");
+  ASSERT_TRUE(
+      db_->Update(*txn, "accounts", {VS("acct1"), VB(10), VS("abc")}).ok());
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+  auto ref = db_->GetTableRef("accounts");
+  ASSERT_TRUE(ref.ok());
+  const size_t columns = ref->main->schema().num_columns();
+
+  EXPECT_FALSE(db_->AlterColumnType("accounts", "note", DataType::kInt).ok());
+  EXPECT_EQ(ref->main->schema().num_columns(), columns);
+  int note = ref->main->schema().FindColumn("note");
+  ASSERT_GE(note, 0);
+  EXPECT_EQ(ref->main->schema().column(note).type, DataType::kVarchar);
+  txn = db_->Begin("app");
+  auto row = db_->Get(*txn, "accounts", {VS("acct1")});
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ((*row)[2].string_value(), "abc");
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+  ExpectVerifies();
+}
+
 TEST_F(SchemaChangesTest, IndexLifecycle) {
   ASSERT_TRUE(
       db_->CreateIndex("accounts", "by_balance", {"balance"}, false).ok());
