@@ -513,8 +513,9 @@ namespace {
 // Makes `store` match a logged schema and index set. Rows gain a NULL cell
 // for each column the definition appends; a definition never removes or
 // retypes a physical column, nor changes the clustered key.
-Status MatchStore(TableStore* store, const Schema& schema,
-                  const std::vector<IndexDef>& indexes) {
+Status MatchStore(TableStore* store, const TableDefinition::Store& def) {
+  const Schema& schema = def.schema;
+  const std::vector<IndexDef>& indexes = def.indexes;
   const Schema& have = store->schema();
   const size_t old_columns = have.num_columns();
   bool compatible = schema.num_columns() >= old_columns &&
@@ -558,13 +559,14 @@ Status LedgerDatabase::ApplyTableDefinition(uint32_t table_id,
       return Status::Corruption("table definition reuses a store id");
     auto created = std::make_unique<CatalogEntry>();
     created->table_id = table_id;
-    created->name = def.name;
+    created->name = def.main.name;
     created->kind = static_cast<TableKind>(def.kind);
-    created->main = std::make_unique<TableStore>(table_id, def.name, def.schema);
+    created->main =
+        std::make_unique<TableStore>(table_id, def.main.name, def.main.schema);
     ctx->stores[table_id] = created->main.get();
     if (def.history_table_id != 0) {
       created->history = std::make_unique<TableStore>(
-          def.history_table_id, def.history_name, def.history_schema);
+          def.history_table_id, def.history.name, def.history.schema);
       ctx->stores[def.history_table_id] = created->history.get();
     }
     entry = created.get();
@@ -575,16 +577,14 @@ Status LedgerDatabase::ApplyTableDefinition(uint32_t table_id,
     return Status::Corruption("table definition does not match table id " +
                               std::to_string(table_id));
   }
-  SL_RETURN_IF_ERROR(MatchStore(entry->main.get(), def.schema, def.indexes));
-  if (entry->history != nullptr) {
-    SL_RETURN_IF_ERROR(MatchStore(entry->history.get(), def.history_schema,
-                                  def.history_indexes));
-  }
+  SL_RETURN_IF_ERROR(MatchStore(entry->main.get(), def.main));
+  if (entry->history != nullptr)
+    SL_RETURN_IF_ERROR(MatchStore(entry->history.get(), def.history));
   auto named = name_index_.find(entry->name);
   if (named != name_index_.end() && named->second == table_id)
     name_index_.erase(named);
-  entry->name = def.name;
-  entry->main->set_name(def.name);
+  entry->name = def.main.name;
+  entry->main->set_name(def.main.name);
   entry->dropped = def.dropped;
   if (!entry->dropped) name_index_[entry->name] = table_id;
   entry->LinkRef();
@@ -650,16 +650,12 @@ Result<Transaction*> LedgerDatabase::BeginDdl(const CatalogEntry& entry) {
 void LedgerDatabase::LogTableDefinition(Transaction* txn,
                                         const CatalogEntry& entry) {
   auto def = std::make_shared<TableDefinition>();
-  def->name = entry.name;
   def->kind = static_cast<uint8_t>(entry.kind);
   def->dropped = entry.dropped;
-  def->schema = entry.main->schema();
-  def->indexes = entry.main->IndexDefs();
+  def->main = TableDefinition::Store::Of(*entry.main);
   if (entry.history != nullptr) {
     def->history_table_id = entry.history->table_id();
-    def->history_name = entry.history->name();
-    def->history_schema = entry.history->schema();
-    def->history_indexes = entry.history->IndexDefs();
+    def->history = TableDefinition::Store::Of(*entry.history);
   }
   txn->RecordDefinition(entry.table_id, std::move(def));
 }

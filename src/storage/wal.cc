@@ -56,47 +56,52 @@ Result<FrameLogScan> ReadFrameLog(
   return scan;
 }
 
+namespace {
+void EncodeStore(const TableDefinition::Store& store,
+                 std::vector<uint8_t>* dst) {
+  PutLengthPrefixed(dst, Slice(store.name));
+  EncodeSchema(store.schema, dst);
+  EncodeIndexDefs(store.indexes, dst);
+}
+
+Status DecodeStore(Decoder* dec, TableDefinition::Store* store) {
+  auto name = dec->GetLengthPrefixed();
+  if (!name.ok()) return name.status();
+  store->name = name->ToString();
+  auto schema = DecodeSchema(dec);
+  if (!schema.ok()) return schema.status();
+  store->schema = std::move(*schema);
+  auto indexes = DecodeIndexDefs(dec);
+  if (!indexes.ok()) return indexes.status();
+  store->indexes = std::move(*indexes);
+  return Status::OK();
+}
+}  // namespace
+
+TableDefinition::Store TableDefinition::Store::Of(const TableStore& store) {
+  return Store{store.name(), store.schema(), store.IndexDefs()};
+}
+
 void TableDefinition::EncodeTo(std::vector<uint8_t>* dst) const {
-  PutLengthPrefixed(dst, Slice(name));
   dst->push_back(kind);
   dst->push_back(dropped ? 1 : 0);
-  EncodeSchema(schema, dst);
-  EncodeIndexDefs(indexes, dst);
+  EncodeStore(main, dst);
   PutVarint32(dst, history_table_id);
-  if (history_table_id == 0) return;
-  PutLengthPrefixed(dst, Slice(history_name));
-  EncodeSchema(history_schema, dst);
-  EncodeIndexDefs(history_indexes, dst);
+  if (history_table_id != 0) EncodeStore(history, dst);
 }
 
 Result<TableDefinition> TableDefinition::Decode(Decoder* dec) {
   TableDefinition def;
-  auto name = dec->GetLengthPrefixed();
-  if (!name.ok()) return name.status();
-  def.name = name->ToString();
   auto flags = dec->GetBytes(2);
   if (!flags.ok()) return flags.status();
   def.kind = (*flags)[0];
   def.dropped = (*flags)[1] != 0;
-  auto schema = DecodeSchema(dec);
-  if (!schema.ok()) return schema.status();
-  def.schema = std::move(*schema);
-  auto indexes = DecodeIndexDefs(dec);
-  if (!indexes.ok()) return indexes.status();
-  def.indexes = std::move(*indexes);
+  SL_RETURN_IF_ERROR(DecodeStore(dec, &def.main));
   auto history_id = dec->GetVarint32();
   if (!history_id.ok()) return history_id.status();
   def.history_table_id = *history_id;
-  if (def.history_table_id == 0) return def;
-  auto history_name = dec->GetLengthPrefixed();
-  if (!history_name.ok()) return history_name.status();
-  def.history_name = history_name->ToString();
-  auto history_schema = DecodeSchema(dec);
-  if (!history_schema.ok()) return history_schema.status();
-  def.history_schema = std::move(*history_schema);
-  auto history_indexes = DecodeIndexDefs(dec);
-  if (!history_indexes.ok()) return history_indexes.status();
-  def.history_indexes = std::move(*history_indexes);
+  if (def.history_table_id != 0)
+    SL_RETURN_IF_ERROR(DecodeStore(dec, &def.history));
   return def;
 }
 

@@ -44,18 +44,22 @@ enum class WalOpType : uint8_t {
 
 /// A table's whole definition after a schema change. The WAL logs the
 /// resulting state rather than the operation, so replaying it twice is
-/// harmless. The main store's id is the op's table_id and its name is the
-/// table's name.
+/// harmless. The main store's id is the op's table_id.
 struct TableDefinition {
-  std::string name;
+  /// One store's name, schema and index set.
+  struct Store {
+    std::string name;
+    Schema schema;
+    std::vector<IndexDef> indexes;
+
+    static Store Of(const TableStore& store);
+  };
+
   uint8_t kind = 0;  // TableKind
   bool dropped = false;
-  Schema schema;
-  std::vector<IndexDef> indexes;
+  Store main;  // its name is the table's name
   uint32_t history_table_id = 0;  // 0 = no history store
-  std::string history_name;
-  Schema history_schema;
-  std::vector<IndexDef> history_indexes;
+  Store history;
 
   void EncodeTo(std::vector<uint8_t>* dst) const;
   static Result<TableDefinition> Decode(Decoder* dec);

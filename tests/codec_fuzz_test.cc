@@ -115,18 +115,22 @@ std::vector<IndexDef> RandomIndexes(Random* rng, const Schema& schema) {
   return indexes;
 }
 
+TableDefinition::Store RandomStore(Random* rng) {
+  TableDefinition::Store store;
+  store.name = rng->AlphaString(1 + rng->Uniform(12));
+  store.schema = RandomSchema(rng);
+  store.indexes = RandomIndexes(rng, store.schema);
+  return store;
+}
+
 std::shared_ptr<const TableDefinition> RandomDefinition(Random* rng) {
   auto def = std::make_shared<TableDefinition>();
-  def->name = rng->AlphaString(1 + rng->Uniform(12));
   def->kind = static_cast<uint8_t>(rng->Uniform(3));
   def->dropped = rng->Bernoulli(0.3);
-  def->schema = RandomSchema(rng);
-  def->indexes = RandomIndexes(rng, def->schema);
+  def->main = RandomStore(rng);
   if (rng->Bernoulli(0.5)) {
     def->history_table_id = static_cast<uint32_t>(1 + rng->Uniform(300));
-    def->history_name = def->name + "_history";
-    def->history_schema = RandomSchema(rng);
-    def->history_indexes = RandomIndexes(rng, def->history_schema);
+    def->history = RandomStore(rng);
   }
   return def;
 }
