@@ -1,5 +1,7 @@
 #include "util/coding.h"
 
+#include "util/crc32c_kernel.h"
+
 namespace sqlledger {
 
 void PutFixed16(std::vector<uint8_t>* dst, uint16_t v) {
@@ -94,30 +96,12 @@ Result<Slice> Decoder::GetBytes(size_t n) {
   return out;
 }
 
-namespace {
-// Table-driven CRC-32C, generated at first use.
-struct Crc32cTable {
-  uint32_t table[256];
-  Crc32cTable() {
-    const uint32_t poly = 0x82F63B78u;  // reflected Castagnoli polynomial
-    for (uint32_t i = 0; i < 256; i++) {
-      uint32_t crc = i;
-      for (int j = 0; j < 8; j++) {
-        crc = (crc >> 1) ^ ((crc & 1) ? poly : 0);
-      }
-      table[i] = crc;
-    }
-  }
-};
-}  // namespace
-
 uint32_t Crc32c(const uint8_t* data, size_t n) {
-  static const Crc32cTable t;
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; i++) {
-    crc = t.table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return ActiveCrc32cKernel().extend(0, data, n);
+}
+
+uint32_t Crc32cExtend(uint32_t crc, const uint8_t* data, size_t n) {
+  return ActiveCrc32cKernel().extend(crc, data, n);
 }
 
 }  // namespace sqlledger

@@ -63,11 +63,20 @@ class Decoder {
   size_t pos_;
 };
 
-// ---- CRC32C (software implementation) ----
+// ---- CRC-32C ----
 
-/// CRC-32C (Castagnoli). Guards every WAL record against torn writes.
+/// CRC-32C (Castagnoli) through the kernel chosen once at startup (SSE4.2
+/// where the CPU has it, else a table loop; util/crc32c_kernel.h). Guards
+/// every durable file against torn writes and storage rot: WAL frames,
+/// checkpoints, the digest outbox, digest blobs and the verification
+/// watermark.
 uint32_t Crc32c(const uint8_t* data, size_t n);
 inline uint32_t Crc32c(Slice s) { return Crc32c(s.data(), s.size()); }
+
+/// Extends `crc`, the Crc32c of some prefix, with `n` more bytes: the CRC of
+/// a buffer checksummed in pieces equals its one-shot Crc32c.
+/// Crc32cExtend(0, data, n) == Crc32c(data, n).
+uint32_t Crc32cExtend(uint32_t crc, const uint8_t* data, size_t n);
 
 }  // namespace sqlledger
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/coding.h"
+#include "util/crc32c_kernel.h"
 #include "util/hex.h"
 #include "util/json.h"
 #include "util/random.h"
@@ -143,6 +144,110 @@ TEST(Crc32cTest, DetectsBitFlip) {
   uint32_t before = Crc32c(Slice(data));
   data[3] ^= 0x01;
   EXPECT_NE(before, Crc32c(Slice(data)));
+}
+
+// ---- Kernel equivalence: every kernel this CPU can run must compute the
+// same CRC as the table-driven reference. ----
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Random rng(seed);
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng.Next());
+  return out;
+}
+
+uint32_t KernelCrc(const Crc32cKernel& kernel, const std::vector<uint8_t>& v) {
+  return kernel.extend(0, v.data(), v.size());
+}
+
+TEST(Crc32cTest, ActiveKernelIsAvailable) {
+  const std::vector<Crc32cKernel> kernels = AvailableCrc32cKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels[0].name, "table");
+  bool found = false;
+  for (const Crc32cKernel& k : kernels)
+    found |= std::string(k.name) == ActiveCrc32cKernel().name;
+  EXPECT_TRUE(found) << ActiveCrc32cKernel().name;
+#if defined(SQLLEDGER_HAVE_SSE42_CRC)
+  // The hardware kernel wins whenever the CPU has it.
+  if (__builtin_cpu_supports("sse4.2")) {
+    EXPECT_STREQ(ActiveCrc32cKernel().name, "sse4.2");
+  }
+#endif
+}
+
+TEST(Crc32cTest, EveryKernelMatchesRfc3720Vectors) {
+  // RFC 3720 §B.4, plus the customary check value of "123456789".
+  std::vector<uint8_t> ascending(32), descending(32);
+  for (int i = 0; i < 32; i++) {
+    ascending[i] = static_cast<uint8_t>(i);
+    descending[i] = static_cast<uint8_t>(31 - i);
+  }
+  const std::string check = "123456789";
+  const std::vector<uint8_t> check_bytes(check.begin(), check.end());
+  for (const Crc32cKernel& k : AvailableCrc32cKernels()) {
+    SCOPED_TRACE(k.name);
+    EXPECT_EQ(KernelCrc(k, std::vector<uint8_t>(32, 0x00)), 0x8A9136AAu);
+    EXPECT_EQ(KernelCrc(k, std::vector<uint8_t>(32, 0xFF)), 0x62A8AB43u);
+    EXPECT_EQ(KernelCrc(k, ascending), 0x46DD794Eu);
+    EXPECT_EQ(KernelCrc(k, descending), 0x113FDB5Cu);
+    EXPECT_EQ(KernelCrc(k, check_bytes), 0xE3069283u);
+  }
+}
+
+TEST(Crc32cTest, EveryKernelMatchesTableAtEveryLengthAndOffset) {
+  // Lengths 0..256 at start offsets 0..7 walk every alignment and every
+  // tail length of the wide-step kernels.
+  const std::vector<uint8_t> buf = RandomBytes(256 + 8, 11);
+  const std::vector<Crc32cKernel> kernels = AvailableCrc32cKernels();
+  for (size_t offset = 0; offset < 8; offset++) {
+    for (size_t len = 0; len <= 256; len++) {
+      const uint8_t* p = buf.data() + offset;
+      const uint32_t want = Crc32cExtendTable(0, p, len);
+      for (const Crc32cKernel& k : kernels) {
+        ASSERT_EQ(k.extend(0, p, len), want)
+            << k.name << " offset=" << offset << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, EveryKernelMatchesTableOnOneMebibyte) {
+  const std::vector<uint8_t> buf = RandomBytes(size_t{1} << 20, 12);
+  const uint32_t want = Crc32cExtendTable(0, buf.data(), buf.size());
+  for (const Crc32cKernel& k : AvailableCrc32cKernels())
+    EXPECT_EQ(KernelCrc(k, buf), want) << k.name;
+  EXPECT_EQ(Crc32c(buf.data(), buf.size()), want);
+}
+
+TEST(Crc32cTest, ExtendAtEverySplitEqualsOneShot) {
+  const std::vector<uint8_t> buf = RandomBytes(1024, 13);
+  const uint32_t whole = Crc32c(buf.data(), buf.size());
+  EXPECT_EQ(Crc32cExtend(0, buf.data(), buf.size()), whole);
+  for (size_t split = 0; split <= buf.size(); split++) {
+    const uint32_t head = Crc32c(buf.data(), split);
+    ASSERT_EQ(Crc32cExtend(head, buf.data() + split, buf.size() - split),
+              whole)
+        << "split=" << split;
+    for (const Crc32cKernel& k : AvailableCrc32cKernels()) {
+      ASSERT_EQ(k.extend(k.extend(0, buf.data(), split), buf.data() + split,
+                         buf.size() - split),
+                whole)
+          << k.name << " split=" << split;
+    }
+  }
+}
+
+TEST(Crc32cTest, EveryKernelDetectsEverySingleBitFlip) {
+  std::vector<uint8_t> buf = RandomBytes(64, 14);
+  for (const Crc32cKernel& k : AvailableCrc32cKernels()) {
+    const uint32_t before = KernelCrc(k, buf);
+    for (size_t bit = 0; bit < buf.size() * 8; bit++) {
+      buf[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      EXPECT_NE(KernelCrc(k, buf), before) << k.name << " bit=" << bit;
+      buf[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+  }
 }
 
 TEST(HexTest, RoundTrip) {
