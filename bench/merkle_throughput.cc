@@ -3,14 +3,19 @@
 // proof generation/verification on the materialized tree, and leaf-hash
 // throughput (one MerkleLeafHash call per leaf, as every caller does). Run
 // with SQLLEDGER_FORCE_SCALAR_SHA=1 to compare against the scalar kernel.
+// BM_Crc32c/<kernel> puts every CRC-32C kernel this CPU can run beside
+// SHA-256, since every durable file is checksummed with it.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_kernel.h"
+#include "util/crc32c_kernel.h"
 
 using namespace sqlledger;
 
@@ -82,6 +87,14 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 
+void BM_Crc32c(benchmark::State& state, Crc32cKernel kernel) {
+  std::vector<uint8_t> data(static_cast<size_t>(state.range(0)), 'x');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel.extend(0, data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
 void BM_LeafHash(benchmark::State& state) {
   // One MerkleLeafHash call per 260-byte leaf, the fig9 row width.
   const size_t n = static_cast<size_t>(state.range(0));
@@ -104,7 +117,15 @@ BENCHMARK(BM_LeafHash)->Range(1024, 65536);
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::printf("sha256 kernel: %s\n", sqlledger::Sha256::KernelName());
+  std::printf("sha256 kernel: %s  crc32c kernel: %s\n",
+              sqlledger::Sha256::KernelName(),
+              sqlledger::ActiveCrc32cKernel().name);
+  for (const sqlledger::Crc32cKernel& kernel :
+       sqlledger::AvailableCrc32cKernels()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Crc32c/") + kernel.name).c_str(), BM_Crc32c, kernel)
+        ->Range(64, 1 << 20);
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -18,6 +18,13 @@ to the offending line — use sparingly and say why on an adjacent comment):
                   Sha256Kernel construction) referenced outside src/crypto/.
                   All hashing goes through crypto/sha256.h so kernel dispatch
                   and the hashing pipeline stay in one place.
+  raw-crc         CRC-32C instructions (_mm_crc32_*, __builtin_ia32_crc32*)
+                  or individual CRC-32C kernels (Crc32cExtendTable/Sse42,
+                  Crc32cExtendFn, the Crc32cKernel definition) referenced
+                  outside the kernel files (src/util/crc32c_*) and their
+                  test (tests/util_test.cc). Every checksum goes through
+                  Crc32c/Crc32cExtend in util/coding.h, so one dispatch
+                  picks the kernel.
   raw-sync        std::mutex / std::shared_mutex / std::condition_variable /
                   std::lock_guard / std::unique_lock / std::scoped_lock /
                   std::shared_lock in src/ outside util/thread_annotations.h.
@@ -166,6 +173,35 @@ def check_raw_sha(path, lines, findings):
                 "raw-sha", path, i,
                 "raw SHA-256 primitive outside src/crypto/; "
                 "use crypto/sha256.h (Sha256::Digest / hashing pipeline)"))
+
+
+# ---------------------------------------------------------------------------
+# Rule: raw-crc
+# ---------------------------------------------------------------------------
+
+RAW_CRC_RE = re.compile(
+    r"\b_mm_crc32_\w+|\b__builtin_ia32_crc32\w*"
+    r"|\bCrc32cExtend(?:Table|Sse42|Fn)\b|struct\s+Crc32cKernel\b"
+)
+
+
+def check_raw_crc(path, lines, findings):
+    rel = os.path.relpath(path, REPO_ROOT)
+    # The kernel files own the primitives; the kernel-equivalence test may
+    # exercise individual kernels directly.
+    if rel.startswith(os.path.join("src", "util", "crc32c_")):
+        return
+    if rel == os.path.join("tests", "util_test.cc"):
+        return
+    for i, raw in enumerate(lines, 1):
+        line = strip_noise(raw)
+        if RAW_CRC_RE.search(line):
+            if allowed(raw, "raw-crc"):
+                continue
+            findings.append(Finding(
+                "raw-crc", path, i,
+                "raw CRC-32C primitive outside the kernel files; "
+                "use Crc32c/Crc32cExtend from util/coding.h"))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +447,7 @@ def check_digest_decorator_coverage(findings, root=None):
 CHECKS = [
     ("determinism", ALL_CODE_DIRS, check_determinism),
     ("raw-sha", ALL_CODE_DIRS, check_raw_sha),
+    ("raw-crc", ALL_CODE_DIRS, check_raw_crc),
     ("raw-sync", SRC_DIRS, check_raw_sync),
     ("tsa-escape", SRC_DIRS, check_tsa_escape),
     ("void-discard", SRC_DIRS, check_void_discard),
@@ -468,6 +505,12 @@ SELF_TEST_CASES = [
     ("raw-sha", "src/ledger/x_selftest.cc",
      "Sha256CompressScalar(state, data, 1);",
      "Hash256 h = Sha256::Digest(data);"),
+    ("raw-crc", "src/storage/x_selftest.cc",
+     "crc = _mm_crc32_u64(crc, word);",
+     "crc = Crc32cExtend(crc, data, n);"),
+    ("raw-crc", "src/storage/x_selftest.cc",
+     "uint32_t c = Crc32cExtendTable(0, data, n);",
+     "uint32_t c = Crc32c(data, n);"),
     ("raw-sync", "src/ledger/x_selftest.cc",
      "std::mutex mu;",
      "Mutex mu;"),
