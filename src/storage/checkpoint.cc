@@ -1,6 +1,8 @@
 #include "storage/checkpoint.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "catalog/row.h"
 #include "util/coding.h"
@@ -13,36 +15,100 @@ namespace {
 constexpr char kMagic[] = "SLCKPT02";
 constexpr char kMagicV1[] = "SLCKPT01";
 constexpr size_t kMagicLen = 8;
+// Room past a chunk's end, so the item that crosses the boundary is
+// encoded without the chunk reallocating. Larger items still fit: the chunk
+// grows once and Seal() splits the excess into further chunks.
+constexpr size_t kChunkHeadroom = size_t{64} << 10;
+
+// The checkpoint payload as a list of kCheckpointChunkBytes chunks. One
+// growing vector would copy a multi-megabyte payload on every doubling.
+// Each chunk is checksummed when it is sealed, while still in cache.
+class ChunkedPayload {
+ public:
+  ChunkedPayload() { AddChunk(); }
+
+  /// Where the next item is encoded. Call Seal() after each item.
+  std::vector<uint8_t>* tail() { return &chunks_.back(); }
+
+  /// Cuts the tail at every chunk boundary it has crossed, moving the
+  /// excess into new chunks, and checksums the full ones.
+  void Seal() {
+    const size_t grown = chunks_.size() - 1;
+    const size_t size = chunks_[grown].size();
+    if (size < kCheckpointChunkBytes) return;
+    for (size_t off = kCheckpointChunkBytes; off <= size;
+         off += kCheckpointChunkBytes) {
+      AddChunk();
+      const uint8_t* from = chunks_[grown].data() + off;
+      chunks_.back().assign(
+          from, from + std::min(kCheckpointChunkBytes, size - off));
+    }
+    chunks_[grown].resize(kCheckpointChunkBytes);
+    for (size_t i = grown; i + 1 < chunks_.size(); i++) Checksum(chunks_[i]);
+  }
+
+  /// Checksums the tail and returns the whole payload's size and CRC.
+  /// Nothing may be encoded afterwards.
+  std::pair<uint64_t, uint32_t> Finish() {
+    Checksum(chunks_.back());
+    return {size_, crc_};
+  }
+
+  /// Appends one Slice per chunk to `parts`.
+  void AppendParts(std::vector<Slice>* parts) const {
+    for (const std::vector<uint8_t>& chunk : chunks_)
+      parts->push_back(Slice(chunk));
+  }
+
+ private:
+  void AddChunk() {
+    chunks_.emplace_back();
+    chunks_.back().reserve(kCheckpointChunkBytes + kChunkHeadroom);
+  }
+  void Checksum(const std::vector<uint8_t>& chunk) {
+    crc_ = Crc32cExtend(crc_, chunk.data(), chunk.size());
+    size_ += chunk.size();
+  }
+
+  std::vector<std::vector<uint8_t>> chunks_;
+  uint64_t size_ = 0;
+  uint32_t crc_ = 0;
+};
 }  // namespace
 
 Status WriteCheckpoint(const std::string& path, Slice meta,
                        const std::vector<const TableStore*>& tables,
                        Env* env) {
   if (env == nullptr) env = Env::Default();
-  std::vector<uint8_t> payload;
-  PutLengthPrefixed(&payload, meta);
-  PutVarint32(&payload, static_cast<uint32_t>(tables.size()));
+  ChunkedPayload payload;
+  PutLengthPrefixed(payload.tail(), meta);
+  PutVarint32(payload.tail(), static_cast<uint32_t>(tables.size()));
+  payload.Seal();
   for (const TableStore* table : tables) {
-    PutVarint32(&payload, table->table_id());
-    PutLengthPrefixed(&payload, Slice(table->name()));
-    EncodeSchema(table->schema(), &payload);
-    EncodeIndexDefs(table->IndexDefs(), &payload);
-    PutVarint64(&payload, table->row_count());
+    PutVarint32(payload.tail(), table->table_id());
+    PutLengthPrefixed(payload.tail(), Slice(table->name()));
+    EncodeSchema(table->schema(), payload.tail());
+    EncodeIndexDefs(table->IndexDefs(), payload.tail());
+    PutVarint64(payload.tail(), table->row_count());
+    payload.Seal();
     for (BTree::Iterator it = table->Scan(); it.Valid(); it.Next()) {
-      EncodeRow(it.value(), &payload);
+      EncodeRow(it.value(), payload.tail());
+      payload.Seal();
     }
   }
+  const auto [payload_size, payload_crc] = payload.Finish();
 
-  std::vector<uint8_t> header;
-  header.insert(header.end(), kMagic, kMagic + kMagicLen);
-  PutFixed64(&header, payload.size());
-  PutFixed32(&header, Crc32c(Slice(payload)));
+  std::vector<uint8_t> header(kMagic, kMagic + kMagicLen);
+  PutFixed64(&header, payload_size);
+  PutFixed32(&header, payload_crc);
 
-  // Two appends: joining header and payload would copy the whole payload.
-  // Recovery falls back to the `.prev` generation (plus the rotated WAL) if
-  // the new checkpoint is ever found torn or corrupt.
-  Status st = ReplaceFileDurably(env, path, {Slice(header), Slice(payload)},
-                                 /*keep_previous=*/true);
+  // The header and the chunks go out as separate appends, so the payload is
+  // never joined into one buffer. Recovery falls back to the `.prev`
+  // generation (plus the rotated WAL) if the new checkpoint is ever found
+  // torn or corrupt.
+  std::vector<Slice> parts = {Slice(header)};
+  payload.AppendParts(&parts);
+  Status st = ReplaceFileDurably(env, path, parts, /*keep_previous=*/true);
   if (!st.ok())
     return Status::IOError("checkpoint write failed: " + st.message());
   return Status::OK();

@@ -27,6 +27,12 @@ struct CheckpointData {
   std::vector<std::unique_ptr<TableStore>> tables;
 };
 
+/// WriteCheckpoint encodes the payload into chunks of this many bytes (the
+/// last one shorter) rather than one growing buffer; the file bytes are the
+/// same either way. In a file, chunk k ends at header size + (k+1) times
+/// this.
+constexpr size_t kCheckpointChunkBytes = size_t{1} << 20;
+
 /// Serializes `meta` and `tables` to `path` via ReplaceFileDurably, keeping
 /// the replaced checkpoint as `path + ".prev"`. The payload is CRC-protected.
 /// `env` = nullptr uses Env::Default().

@@ -1,5 +1,5 @@
 // WAL framing/replay (including torn and corrupt tails) and checkpoint
-// round-trips.
+// round-trips, including payloads that span several encoding chunks.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -9,6 +9,8 @@
 #include <fstream>
 
 #include "crypto/sha256.h"
+#include "ledger/ledger_database.h"
+#include "ledger/verifier.h"
 #include "storage/checkpoint.h"
 #include "storage/wal.h"
 #include "util/coding.h"
@@ -368,6 +370,169 @@ TEST_F(CheckpointTest, CorruptionDetected) {
   f.close();
 
   EXPECT_TRUE(ReadCheckpoint(Path("ckpt")).status().IsCorruption());
+}
+
+// Magic, fixed64 payload length, fixed32 payload CRC.
+constexpr uint64_t kCheckpointHeaderBytes = 8 + 8 + 4;
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Each chunk boundary strictly inside a file of `file_size` bytes, and one
+// byte either side of it.
+std::vector<uint64_t> CutsAroundChunkBoundaries(uint64_t file_size) {
+  std::vector<uint64_t> cuts;
+  for (uint64_t b = kCheckpointHeaderBytes + kCheckpointChunkBytes;
+       b < file_size; b += kCheckpointChunkBytes) {
+    for (uint64_t cut : {b - 1, b, b + 1})
+      if (cut < file_size) cuts.push_back(cut);
+  }
+  return cuts;
+}
+
+// About 3.4 MiB of 64 KiB rows plus one row of 1.5 chunks: the payload spans
+// at least four chunks, one of which lies wholly inside the big row.
+std::string ChunkTestPayload(int64_t id) {
+  const size_t len = id == 0 ? kCheckpointChunkBytes * 3 / 2 : size_t{64} << 10;
+  return std::string(len, static_cast<char>('a' + id % 26));
+}
+constexpr int64_t kChunkTestRows = 30;
+
+TEST_F(CheckpointTest, PayloadSpanningChunksRoundTrips) {
+  TableStore t1(100, "wide", TwoColSchema());
+  for (int64_t i = 0; i < kChunkTestRows; i++)
+    ASSERT_TRUE(
+        t1.Insert({Value::BigInt(i), Value::Varchar(ChunkTestPayload(i))})
+            .ok());
+  ASSERT_TRUE(t1.CreateIndex("by_payload", {1}, false).ok());
+  TableStore t2(101, "after", TwoColSchema());
+  ASSERT_TRUE(t2.Insert({Value::BigInt(7), Value::Varchar("tail")}).ok());
+
+  const std::string meta = "meta";
+  ASSERT_TRUE(WriteCheckpoint(Path("ckpt"), Slice(meta), {&t1, &t2}).ok());
+  const std::string bytes = FileBytes(Path("ckpt"));
+  ASSERT_GT(bytes.size(), kCheckpointHeaderBytes + 3 * kCheckpointChunkBytes);
+
+  // The header's CRC covers the payload as one buffer.
+  const auto* data = reinterpret_cast<const uint8_t*>(bytes.data());
+  Decoder dec(Slice(data + 8, 12));
+  EXPECT_EQ(*dec.GetFixed64(), bytes.size() - kCheckpointHeaderBytes);
+  EXPECT_EQ(*dec.GetFixed32(),
+            Crc32c(data + kCheckpointHeaderBytes,
+                   bytes.size() - kCheckpointHeaderBytes));
+
+  auto loaded = ReadCheckpoint(Path("ckpt"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(std::string(loaded->meta.begin(), loaded->meta.end()), meta);
+  ASSERT_EQ(loaded->tables.size(), 2u);
+  ASSERT_EQ(loaded->tables[0]->row_count(),
+            static_cast<uint64_t>(kChunkTestRows));
+  EXPECT_EQ(loaded->tables[0]->indexes().size(), 1u);
+  for (int64_t i = 0; i < kChunkTestRows; i++) {
+    const Row* row = loaded->tables[0]->Get({Value::BigInt(i)});
+    ASSERT_NE(row, nullptr) << i;
+    EXPECT_EQ((*row)[1].string_value(), ChunkTestPayload(i)) << i;
+  }
+  const Row* tail = loaded->tables[1]->Get({Value::BigInt(7)});
+  ASSERT_NE(tail, nullptr);
+  EXPECT_EQ((*tail)[1].string_value(), "tail");
+}
+
+TEST_F(CheckpointTest, TruncationAtChunkBoundariesIsCorruption) {
+  TableStore t1(100, "wide", TwoColSchema());
+  for (int64_t i = 0; i < kChunkTestRows; i++)
+    ASSERT_TRUE(
+        t1.Insert({Value::BigInt(i), Value::Varchar(ChunkTestPayload(i))})
+            .ok());
+  ASSERT_TRUE(WriteCheckpoint(Path("ckpt"), Slice(std::string("m")), {&t1})
+                  .ok());
+  const std::string bytes = FileBytes(Path("ckpt"));
+  const std::vector<uint64_t> cuts = CutsAroundChunkBoundaries(bytes.size());
+  ASSERT_GE(cuts.size(), 9u);
+  for (uint64_t cut : cuts) {
+    WriteBytes(Path("torn"), bytes.substr(0, cut));
+    EXPECT_TRUE(ReadCheckpoint(Path("torn")).status().IsCorruption())
+        << "cut at " << cut;
+  }
+}
+
+// A database whose newest checkpoint spans several chunks, torn at each
+// chunk boundary (and a byte either side), reopens from the `.prev`
+// generation plus wal.log.prev and the live WAL, with every row intact and
+// the ledger verifying.
+TEST_F(CheckpointTest, TornChunkedCheckpointFallsBackToPreviousGeneration) {
+  auto options_for = [](const std::string& dir) {
+    LedgerDatabaseOptions options;
+    options.data_dir = dir;
+    options.database_id = "chunkdb";
+    options.block_size = 4;
+    auto clock = std::make_shared<int64_t>(1000000);
+    options.clock = [clock] { return ++*clock; };
+    return options;
+  };
+  auto insert = [](LedgerDatabase* db, int64_t id) {
+    auto txn = db->Begin("app");
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(db->Insert(*txn, "t",
+                           {Value::BigInt(id),
+                            Value::Varchar(ChunkTestPayload(id))})
+                    .ok());
+    ASSERT_TRUE(db->Commit(*txn).ok());
+  };
+  const std::string pristine = Path("pristine");
+  {
+    auto db = LedgerDatabase::Open(options_for(pristine));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    Schema s = TwoColSchema();
+    ASSERT_TRUE(
+        (*db)->CreateTable("t", s, TableKind::kUpdateable).ok());
+    for (int64_t i = 0; i < 4; i++) insert(db->get(), i);
+    ASSERT_TRUE((*db)->Checkpoint().ok());  // superseded -> .prev
+    for (int64_t i = 4; i < kChunkTestRows; i++) insert(db->get(), i);
+    ASSERT_TRUE((*db)->Checkpoint().ok());  // the generation we tear
+    insert(db->get(), kChunkTestRows);
+    // crash
+  }
+  const std::string ckpt = pristine + "/checkpoint.sldb";
+  const std::string bytes = FileBytes(ckpt);
+  ASSERT_GT(bytes.size(), kCheckpointHeaderBytes + 3 * kCheckpointChunkBytes);
+  const std::vector<uint64_t> cuts = CutsAroundChunkBoundaries(bytes.size());
+  ASSERT_GE(cuts.size(), 9u);
+  for (uint64_t cut : cuts) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    const std::string dir = Path("torn");
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(pristine, dir,
+                          std::filesystem::copy_options::recursive);
+    WriteBytes(dir + "/checkpoint.sldb", bytes.substr(0, cut));
+    ASSERT_TRUE(
+        ReadCheckpoint(dir + "/checkpoint.sldb").status().IsCorruption());
+
+    auto db = LedgerDatabase::Open(options_for(dir));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto txn = (*db)->Begin("app");
+    ASSERT_TRUE(txn.ok());
+    auto rows = (*db)->Scan(*txn, "t");
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(rows->size(), static_cast<size_t>(kChunkTestRows + 1));
+    auto big = (*db)->Get(*txn, "t", {Value::BigInt(0)});
+    ASSERT_TRUE(big.ok());
+    EXPECT_EQ((*big)[1].string_value(), ChunkTestPayload(0));
+    ASSERT_TRUE((*db)->Commit(*txn).ok());
+    auto digest = (*db)->GenerateDigest();
+    ASSERT_TRUE(digest.ok());
+    auto report = VerifyLedger(db->get(), {*digest});
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->ok()) << report->Summary();
+  }
 }
 
 TEST_F(CheckpointTest, SchemaRoundTripPreservesFlags) {
