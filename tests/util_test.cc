@@ -131,23 +131,9 @@ TEST(CodingTest, LengthPrefixedRoundTrip) {
   EXPECT_TRUE(dec.done());
 }
 
-TEST(Crc32cTest, KnownVectors) {
-  // RFC 3720 test vector: 32 bytes of zeros.
-  std::vector<uint8_t> zeros(32, 0);
-  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
-  std::vector<uint8_t> ones(32, 0xFF);
-  EXPECT_EQ(Crc32c(ones.data(), ones.size()), 0x62A8AB43u);
-}
-
-TEST(Crc32cTest, DetectsBitFlip) {
-  std::string data = "The quick brown fox";
-  uint32_t before = Crc32c(Slice(data));
-  data[3] ^= 0x01;
-  EXPECT_NE(before, Crc32c(Slice(data)));
-}
-
-// ---- Kernel equivalence: every kernel this CPU can run must compute the
-// same CRC as the table-driven reference. ----
+// Every CRC-32C kernel this CPU can run is checked, the table-driven
+// reference included, alongside the Crc32c entry point that dispatches to
+// the active one.
 
 std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
   Random rng(seed);
@@ -176,7 +162,7 @@ TEST(Crc32cTest, ActiveKernelIsAvailable) {
 #endif
 }
 
-TEST(Crc32cTest, EveryKernelMatchesRfc3720Vectors) {
+TEST(Crc32cTest, KnownVectors) {
   // RFC 3720 §B.4, plus the customary check value of "123456789".
   std::vector<uint8_t> ascending(32), descending(32);
   for (int i = 0; i < 32; i++) {
@@ -184,14 +170,17 @@ TEST(Crc32cTest, EveryKernelMatchesRfc3720Vectors) {
     descending[i] = static_cast<uint8_t>(31 - i);
   }
   const std::string check = "123456789";
-  const std::vector<uint8_t> check_bytes(check.begin(), check.end());
-  for (const Crc32cKernel& k : AvailableCrc32cKernels()) {
-    SCOPED_TRACE(k.name);
-    EXPECT_EQ(KernelCrc(k, std::vector<uint8_t>(32, 0x00)), 0x8A9136AAu);
-    EXPECT_EQ(KernelCrc(k, std::vector<uint8_t>(32, 0xFF)), 0x62A8AB43u);
-    EXPECT_EQ(KernelCrc(k, ascending), 0x46DD794Eu);
-    EXPECT_EQ(KernelCrc(k, descending), 0x113FDB5Cu);
-    EXPECT_EQ(KernelCrc(k, check_bytes), 0xE3069283u);
+  const std::vector<std::pair<std::vector<uint8_t>, uint32_t>> vectors = {
+      {std::vector<uint8_t>(32, 0x00), 0x8A9136AAu},
+      {std::vector<uint8_t>(32, 0xFF), 0x62A8AB43u},
+      {ascending, 0x46DD794Eu},
+      {descending, 0x113FDB5Cu},
+      {std::vector<uint8_t>(check.begin(), check.end()), 0xE3069283u},
+  };
+  for (const auto& [bytes, want] : vectors) {
+    EXPECT_EQ(Crc32c(bytes.data(), bytes.size()), want);
+    for (const Crc32cKernel& k : AvailableCrc32cKernels())
+      EXPECT_EQ(KernelCrc(k, bytes), want) << k.name;
   }
 }
 
@@ -223,7 +212,6 @@ TEST(Crc32cTest, EveryKernelMatchesTableOnOneMebibyte) {
 TEST(Crc32cTest, ExtendAtEverySplitEqualsOneShot) {
   const std::vector<uint8_t> buf = RandomBytes(1024, 13);
   const uint32_t whole = Crc32c(buf.data(), buf.size());
-  EXPECT_EQ(Crc32cExtend(0, buf.data(), buf.size()), whole);
   for (size_t split = 0; split <= buf.size(); split++) {
     const uint32_t head = Crc32c(buf.data(), split);
     ASSERT_EQ(Crc32cExtend(head, buf.data() + split, buf.size() - split),
@@ -238,7 +226,7 @@ TEST(Crc32cTest, ExtendAtEverySplitEqualsOneShot) {
   }
 }
 
-TEST(Crc32cTest, EveryKernelDetectsEverySingleBitFlip) {
+TEST(Crc32cTest, DetectsBitFlip) {
   std::vector<uint8_t> buf = RandomBytes(64, 14);
   for (const Crc32cKernel& k : AvailableCrc32cKernels()) {
     const uint32_t before = KernelCrc(k, buf);
