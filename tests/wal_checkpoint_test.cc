@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 #include "crypto/sha256.h"
 #include "ledger/ledger_database.h"
@@ -398,26 +399,33 @@ std::vector<uint64_t> CutsAroundChunkBoundaries(uint64_t file_size) {
   return cuts;
 }
 
-// About 3.4 MiB of 64 KiB rows plus one row of 1.5 chunks: the payload spans
-// at least four chunks, one of which lies wholly inside the big row.
+// 29 rows of 64 KiB and one of 1.5 chunks, about 3.3 MiB: the payload spans
+// four chunks and one row is larger than a chunk.
 std::string ChunkTestPayload(int64_t id) {
   const size_t len = id == 0 ? kCheckpointChunkBytes * 3 / 2 : size_t{64} << 10;
   return std::string(len, static_cast<char>('a' + id % 26));
 }
 constexpr int64_t kChunkTestRows = 30;
 
-TEST_F(CheckpointTest, PayloadSpanningChunksRoundTrips) {
-  TableStore t1(100, "wide", TwoColSchema());
-  for (int64_t i = 0; i < kChunkTestRows; i++)
-    ASSERT_TRUE(
-        t1.Insert({Value::BigInt(i), Value::Varchar(ChunkTestPayload(i))})
+std::unique_ptr<TableStore> MakeWideTable() {
+  auto table = std::make_unique<TableStore>(100, "wide", TwoColSchema());
+  for (int64_t i = 0; i < kChunkTestRows; i++) {
+    EXPECT_TRUE(
+        table->Insert({Value::BigInt(i), Value::Varchar(ChunkTestPayload(i))})
             .ok());
-  ASSERT_TRUE(t1.CreateIndex("by_payload", {1}, false).ok());
+  }
+  return table;
+}
+
+TEST_F(CheckpointTest, PayloadSpanningChunksRoundTrips) {
+  std::unique_ptr<TableStore> t1 = MakeWideTable();
+  ASSERT_TRUE(t1->CreateIndex("by_payload", {1}, false).ok());
   TableStore t2(101, "after", TwoColSchema());
   ASSERT_TRUE(t2.Insert({Value::BigInt(7), Value::Varchar("tail")}).ok());
 
   const std::string meta = "meta";
-  ASSERT_TRUE(WriteCheckpoint(Path("ckpt"), Slice(meta), {&t1, &t2}).ok());
+  ASSERT_TRUE(
+      WriteCheckpoint(Path("ckpt"), Slice(meta), {t1.get(), &t2}).ok());
   const std::string bytes = FileBytes(Path("ckpt"));
   ASSERT_GT(bytes.size(), kCheckpointHeaderBytes + 3 * kCheckpointChunkBytes);
 
@@ -447,13 +455,10 @@ TEST_F(CheckpointTest, PayloadSpanningChunksRoundTrips) {
 }
 
 TEST_F(CheckpointTest, TruncationAtChunkBoundariesIsCorruption) {
-  TableStore t1(100, "wide", TwoColSchema());
-  for (int64_t i = 0; i < kChunkTestRows; i++)
-    ASSERT_TRUE(
-        t1.Insert({Value::BigInt(i), Value::Varchar(ChunkTestPayload(i))})
-            .ok());
-  ASSERT_TRUE(WriteCheckpoint(Path("ckpt"), Slice(std::string("m")), {&t1})
-                  .ok());
+  std::unique_ptr<TableStore> t1 = MakeWideTable();
+  ASSERT_TRUE(
+      WriteCheckpoint(Path("ckpt"), Slice(std::string("m")), {t1.get()})
+          .ok());
   const std::string bytes = FileBytes(Path("ckpt"));
   const std::vector<uint64_t> cuts = CutsAroundChunkBoundaries(bytes.size());
   ASSERT_GE(cuts.size(), 9u);
@@ -491,9 +496,8 @@ TEST_F(CheckpointTest, TornChunkedCheckpointFallsBackToPreviousGeneration) {
   {
     auto db = LedgerDatabase::Open(options_for(pristine));
     ASSERT_TRUE(db.ok()) << db.status().ToString();
-    Schema s = TwoColSchema();
     ASSERT_TRUE(
-        (*db)->CreateTable("t", s, TableKind::kUpdateable).ok());
+        (*db)->CreateTable("t", TwoColSchema(), TableKind::kUpdateable).ok());
     for (int64_t i = 0; i < 4; i++) insert(db->get(), i);
     ASSERT_TRUE((*db)->Checkpoint().ok());  // superseded -> .prev
     for (int64_t i = 4; i < kChunkTestRows; i++) insert(db->get(), i);
