@@ -4,15 +4,18 @@
 #include <chrono>
 
 #include "catalog/row.h"
+#include "ledger/row_serializer.h"
 #include "storage/checkpoint.h"
 #include "util/coding.h"
 
 namespace sqlledger {
 
 namespace {
-// WAL record kinds (first payload byte).
-constexpr uint8_t kWalKindCommit = 1;
+// WAL record kinds (first payload byte). Kind 1 was the commit record that
+// logged history rows and whole table roots; a log holding one is refused.
+constexpr uint8_t kWalKindRetiredCommit = 1;
 constexpr uint8_t kWalKindBlockClose = 2;
+constexpr uint8_t kWalKindCommit = 3;
 
 // Events kept by the database's trace ring before the oldest is overwritten
 // (DESIGN.md §13).
@@ -416,9 +419,11 @@ Status LedgerDatabase::Recover() {
     return ReplayWalRecord(payload, &ctx);
   };
   if (used_fallback) {
-    auto prev = ReadFrameLog(env_, wal_path_ + ".prev", replay);
+    ctx.wal_path = wal_path_ + ".prev";
+    auto prev = ReadFrameLog(env_, ctx.wal_path, replay);
     if (!prev.ok()) return prev.status();
   }
+  ctx.wal_path = wal_path_;
   auto scan = ReadFrameLog(env_, wal_path_, replay);
   if (!scan.ok()) return scan.status();
   // Chop off any torn tail NOW: the WAL is reopened for append, and a
@@ -428,6 +433,67 @@ Status LedgerDatabase::Recover() {
     SL_RETURN_IF_ERROR(env_->TruncateFile(wal_path_, scan->intact_bytes));
   return Status::OK();
 }
+
+namespace {
+// Redoes one op on a ledger table and appends the leaf hash of each row
+// version it touches to the table's Merkle tree in the order the DML did:
+// a retired version, then the installed one. The history row of a retired
+// version is its pre-image, which must be present, stamped with the
+// retiring (transaction id, sequence number).
+Status ReplayLedgerOp(const LedgerTableRef& t, const WalOp& op,
+                      uint64_t txn_id, MerkleBuilder* merkle) {
+  auto corruption = [&t](const std::string& what) {
+    return Status::Corruption("WAL " + what + " (ledger table id " +
+                              std::to_string(t.table_id) + ")");
+  };
+  auto add_leaf = [&](const Row& row, RowOp kind, uint64_t seq) {
+    merkle->AddLeafHash(RowVersionLeafHash(t.main->schema(), row, kind,
+                                           t.table_id, txn_id, seq));
+  };
+  auto retire = [&](const KeyTuple& key, uint64_t seq) -> Status {
+    if (t.history == nullptr)
+      return corruption("retires a row of an append-only table");
+    auto row = t.main->GetCopy(key);
+    if (!row.has_value()) return corruption("retires a missing row");
+    (*row)[t.end_txn_ord] = Value::BigInt(static_cast<int64_t>(txn_id));
+    (*row)[t.end_seq_ord] = Value::BigInt(static_cast<int64_t>(seq));
+    SL_RETURN_IF_ERROR(t.history->Insert(*row));
+    add_leaf(*row, RowOp::kDelete, seq);
+    return Status::OK();
+  };
+
+  switch (op.type) {
+    case WalOpType::kInsert:
+    case WalOpType::kUpdate: {
+      if (op.new_row.size() != t.main->schema().num_columns())
+        return corruption("row does not fit the schema");
+      // The installed version names itself in its start cells.
+      const Cell start_txn = op.new_row[t.start_txn_ord];
+      const Cell start_seq = op.new_row[t.start_seq_ord];
+      const bool update = op.type == WalOpType::kUpdate;
+      if (start_txn.is_null() || start_seq.is_null() ||
+          start_txn.AsInt64() != static_cast<int64_t>(txn_id) ||
+          start_seq.AsInt64() < (update ? 1 : 0))
+        return corruption("row is not stamped by its transaction");
+      const uint64_t seq = static_cast<uint64_t>(start_seq.AsInt64());
+      if (update) {
+        // LedgerUpdate takes the retiring sequence number just before seq.
+        SL_RETURN_IF_ERROR(retire(t.main->KeyOf(op.new_row), seq - 1));
+        SL_RETURN_IF_ERROR(t.main->Update(op.new_row));
+      } else {
+        SL_RETURN_IF_ERROR(t.main->Insert(op.new_row));
+      }
+      add_leaf(op.new_row, RowOp::kInsert, seq);
+      return Status::OK();
+    }
+    case WalOpType::kLedgerDelete:
+      SL_RETURN_IF_ERROR(retire(op.key, op.end_seq));
+      return t.main->Delete(op.key);
+    default:
+      return corruption("logs a plain delete");
+  }
+}
+}  // namespace
 
 Status LedgerDatabase::ReplayWalRecord(Slice payload, ReplayContext* ctx) {
   if (payload.empty()) return Status::Corruption("empty WAL record");
@@ -441,6 +507,13 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload, ReplayContext* ctx) {
     if (ledger_ != nullptr) return ledger_->RecoverBlockClose(*block_id);
     return Status::OK();
   }
+  // Refused like a retired checkpoint format: the error reaches Open before
+  // the log is truncated, so no file changes.
+  if (kind == kWalKindRetiredCommit)
+    return Status::NotSupported(
+        "WAL " + ctx->wal_path +
+        " has commit records of kind 1 (history rows and table roots logged "
+        "whole), which this build no longer reads; it reads only kind 3");
   if (kind != kWalKindCommit)
     return Status::Corruption("unknown WAL record kind");
 
@@ -448,19 +521,27 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload, ReplayContext* ctx) {
   if (!record.ok()) return record.status();
   if (record->txn_id < ctx->checkpoint_next_txn_id) return Status::OK();
 
-  // Redo operations, idempotently, in log order: a definition precedes the
-  // row ops that depend on it.
+  // Redo operations in log order: a definition precedes the row ops that
+  // depend on it. Ledger ops also rebuild the history rows and the per-table
+  // Merkle roots the record does not log.
   WriterMutexLock catalog_lock(&catalog_mu_);
+  std::map<uint32_t, MerkleBuilder> merkle;  // ledger table id -> versions
   for (const WalOp& op : record->ops) {
     if (op.type == WalOpType::kDefineTable) {
       SL_RETURN_IF_ERROR(ApplyTableDefinition(op.table_id, *op.definition, ctx));
       continue;
     }
-    auto found = ctx->stores.find(op.table_id);
-    if (found == ctx->stores.end())
+    // No op names a history store: replay derives history rows.
+    CatalogEntry* entry = FindTableByIdLocked(op.table_id);
+    if (entry == nullptr)
       return Status::Corruption("WAL references unknown table id " +
                                 std::to_string(op.table_id));
-    TableStore* store = found->second;
+    if (entry->kind != TableKind::kRegular) {
+      SL_RETURN_IF_ERROR(ReplayLedgerOp(entry->ref, op, record->txn_id,
+                                        &merkle[op.table_id]));
+      continue;
+    }
+    TableStore* store = entry->main.get();
     // An insert or update logs only the row; its key columns give the key.
     if (op.type != WalOpType::kDelete) {
       for (size_t ord : store->schema().key_ordinals()) {
@@ -488,11 +569,26 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload, ReplayContext* ctx) {
           SL_RETURN_IF_ERROR(store->Delete(op.key));
         break;
       }
+      case WalOpType::kLedgerDelete:
+        return Status::Corruption("WAL ledger delete on regular table id " +
+                                  std::to_string(op.table_id));
       case WalOpType::kDefineTable:  // applied above
         break;
     }
   }
 
+  // The rebuilt roots must be the ones the commit computed: a mismatch is a
+  // replay bug or a row image altered on disk.
+  std::vector<std::pair<uint32_t, Hash256>> roots;
+  roots.reserve(merkle.size());
+  for (const auto& [table_id, builder] : merkle)
+    roots.emplace_back(table_id, builder.Root());
+  if (roots.size() != record->ledger_tables ||
+      (!roots.empty() &&
+       WalCommitRecord::RootsCheck(roots) != record->roots_check))
+    return Status::Corruption("WAL replay: the table roots rebuilt for txn " +
+                              std::to_string(record->txn_id) +
+                              " do not match its commit record");
   if (ledger_ != nullptr) {
     TransactionEntry entry;
     entry.txn_id = record->txn_id;
@@ -500,7 +596,7 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload, ReplayContext* ctx) {
     entry.block_ordinal = record->block_ordinal;
     entry.commit_ts_micros = record->commit_ts_micros;
     entry.user_name = record->user_name;
-    entry.table_roots = record->table_roots;
+    entry.table_roots = std::move(roots);
     SL_RETURN_IF_ERROR(ledger_->RecoverEntry(entry));
   }
   m_commit_txns_->Add();
@@ -791,7 +887,7 @@ Status LedgerDatabase::Commit(Transaction* txn) {
       // req.slot_offset once AssignSlots has run.
       record.block_id = 0;
       record.block_ordinal = 0;
-      record.table_roots = txn->TableRoots();
+      record.SetTableRoots(txn->TableRoots());
       record.ops = txn->ops();
       req.payload.push_back(kWalKindCommit);
       req.slot_offset = record.EncodeTo(&req.payload);

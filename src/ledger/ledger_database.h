@@ -329,6 +329,8 @@ class LedgerDatabase {
     uint64_t checkpoint_next_txn_id = 0;
     /// Every store (main and history) by table id.
     std::unordered_map<uint32_t, TableStore*> stores;
+    /// The log being replayed, for error messages.
+    std::string wal_path;
   };
   Status ReplayWalRecord(Slice payload, ReplayContext* ctx);
   /// Makes the catalog entry `table_id` match `def` (WalOpType::

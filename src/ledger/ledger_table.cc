@@ -95,11 +95,11 @@ Status LedgerDelete(Transaction* txn, const LedgerTableRef& t,
   retired[t.end_seq_ord] = Value::BigInt(static_cast<int64_t>(seq));
 
   SL_RETURN_IF_ERROR(t.main->Delete(key));
-  txn->RecordDelete(t.main, key, old_row);
+  txn->RecordLedgerDelete(t.main, key, old_row, seq);
 
   KeyTuple history_key = t.history->KeyOf(retired);
   SL_RETURN_IF_ERROR(t.history->Insert(retired));
-  txn->RecordInsert(t.history, history_key, retired);
+  txn->RecordRetire(t.history, history_key);
 
   txn->MerkleForTable(t.table_id)
       ->AddLeafHash(VersionLeaf(t, retired, RowOp::kDelete, txn->id(), seq));
@@ -132,7 +132,8 @@ Status LedgerUpdate(Transaction* txn, const LedgerTableRef& t,
   // half, paper §3.2) and installs the new one. The install runs first: it
   // makes every check that can fail (types, lengths, NULLs, unique
   // indexes), so a rejected update writes nothing. The history key
-  // (end_txn, end_seq) is fresh, so the retire cannot collide.
+  // (end_txn, end_seq) is fresh, so the retire cannot collide. The redo op
+  // logs only the new row: replay retires the pre-image at seq_ins - 1.
   uint64_t seq_del = txn->NextSequence();
   uint64_t seq_ins = txn->NextSequence();
   full[t.start_txn_ord] = Value::BigInt(static_cast<int64_t>(txn->id()));
@@ -144,7 +145,7 @@ Status LedgerUpdate(Transaction* txn, const LedgerTableRef& t,
   retired[t.end_seq_ord] = Value::BigInt(static_cast<int64_t>(seq_del));
   KeyTuple history_key = t.history->KeyOf(retired);
   SL_RETURN_IF_ERROR(t.history->Insert(retired));
-  txn->RecordInsert(t.history, history_key, retired);
+  txn->RecordRetire(t.history, history_key);
   txn->RecordUpdate(t.main, key, old_row, full);
 
   MerkleBuilder* merkle = txn->MerkleForTable(t.table_id);

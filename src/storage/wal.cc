@@ -114,11 +114,8 @@ size_t WalCommitRecord::EncodeTo(std::vector<uint8_t>* dst) const {
   size_t slot_offset = dst->size();
   PutFixed64(dst, block_id);
   PutFixed64(dst, block_ordinal);
-  PutVarint32(dst, static_cast<uint32_t>(table_roots.size()));
-  for (const auto& [table_id, root] : table_roots) {
-    PutVarint32(dst, table_id);
-    dst->insert(dst->end(), root.bytes.begin(), root.bytes.end());
-  }
+  PutVarint32(dst, ledger_tables);
+  if (ledger_tables > 0) PutFixed64(dst, roots_check);
   PutVarint32(dst, static_cast<uint32_t>(ops.size()));
   for (const WalOp& op : ops) {
     dst->push_back(static_cast<uint8_t>(op.type));
@@ -127,11 +124,34 @@ size_t WalCommitRecord::EncodeTo(std::vector<uint8_t>* dst) const {
       op.definition->EncodeTo(dst);
     } else if (op.type == WalOpType::kDelete) {
       EncodeRow(op.key, dst);
+    } else if (op.type == WalOpType::kLedgerDelete) {
+      EncodeRow(op.key, dst);
+      PutVarint64(dst, op.end_seq);
     } else {
       EncodeRow(op.new_row, dst);
     }
   }
   return slot_offset;
+}
+
+void WalCommitRecord::SetTableRoots(
+    const std::vector<std::pair<uint32_t, Hash256>>& roots) {
+  ledger_tables = static_cast<uint32_t>(roots.size());
+  roots_check = roots.empty() ? 0 : RootsCheck(roots);
+}
+
+uint64_t WalCommitRecord::RootsCheck(
+    const std::vector<std::pair<uint32_t, Hash256>>& roots) {
+  std::vector<uint8_t> list;
+  list.reserve(roots.size() * 37);
+  for (const auto& [table_id, root] : roots) {
+    PutVarint32(&list, table_id);
+    list.insert(list.end(), root.bytes.begin(), root.bytes.end());
+  }
+  // Read as a fixed64, so that PutFixed64 logs the digest's first 8 bytes.
+  const Hash256 digest = Sha256::Digest(Slice(list));
+  Decoder prefix(Slice(digest.bytes.data(), 8));
+  return *prefix.GetFixed64();
 }
 
 void WalCommitRecord::PatchSlot(std::vector<uint8_t>* buf, size_t slot_offset,
@@ -167,24 +187,17 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
   if (!ordinal.ok()) return ordinal.status();
   rec.block_ordinal = *ordinal;
 
-  // Counts are bounded by the bytes left before anything is reserved: a
-  // root takes at least 33 bytes (table id varint + hash), an op at least
-  // 3 (type, table id varint, row count varint).
-  auto num_roots = dec.GetVarint32();
-  if (!num_roots.ok()) return num_roots.status();
-  if (*num_roots > dec.remaining() / 33)
-    return Status::Corruption("WAL root count exceeds the record");
-  rec.table_roots.reserve(*num_roots);
-  for (uint32_t i = 0; i < *num_roots; i++) {
-    auto table_id = dec.GetVarint32();
-    if (!table_id.ok()) return table_id.status();
-    auto hash_bytes = dec.GetBytes(32);
-    if (!hash_bytes.ok()) return hash_bytes.status();
-    Hash256 root;
-    std::memcpy(root.bytes.data(), hash_bytes->data(), 32);
-    rec.table_roots.emplace_back(*table_id, root);
+  auto ledger_tables = dec.GetVarint32();
+  if (!ledger_tables.ok()) return ledger_tables.status();
+  rec.ledger_tables = *ledger_tables;
+  if (rec.ledger_tables > 0) {
+    auto check = dec.GetFixed64();
+    if (!check.ok()) return check.status();
+    rec.roots_check = *check;
   }
 
+  // The op count is bounded by the bytes left before anything is reserved:
+  // an op takes at least 3 (type, table id varint, row count varint).
   auto num_ops = dec.GetVarint32();
   if (!num_ops.ok()) return num_ops.status();
   if (*num_ops > dec.remaining() / 3)
@@ -195,7 +208,7 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
     if (!type_byte.ok()) return type_byte.status();
     WalOp op;
     uint8_t t = (*type_byte)[0];
-    if (t < 1 || t > 4) return Status::Corruption("bad WAL op type");
+    if (t < 1 || t > 5) return Status::Corruption("bad WAL op type");
     op.type = static_cast<WalOpType>(t);
     auto table_id = dec.GetVarint32();
     if (!table_id.ok()) return table_id.status();
@@ -204,10 +217,16 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
       auto def = TableDefinition::Decode(&dec);
       if (!def.ok()) return def.status();
       op.definition = std::make_shared<const TableDefinition>(std::move(*def));
-    } else if (op.type == WalOpType::kDelete) {
+    } else if (op.type == WalOpType::kDelete ||
+               op.type == WalOpType::kLedgerDelete) {
       auto key = DecodeValues(&dec);
       if (!key.ok()) return key.status();
       op.key = std::move(*key);
+      if (op.type == WalOpType::kLedgerDelete) {
+        auto end_seq = dec.GetVarint64();
+        if (!end_seq.ok()) return end_seq.status();
+        op.end_seq = *end_seq;
+      }
     } else {
       auto new_row = DecodeRow(&dec);
       if (!new_row.ok()) return new_row.status();

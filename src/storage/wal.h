@@ -1,9 +1,15 @@
 // Write-ahead log. The engine logs at commit time: a committing transaction
 // appends one record holding its redo operations plus the ledger commit
-// metadata — transaction id, commit timestamp, user, the (block id, ordinal)
-// slot assigned in the Database Ledger, and the per-table Merkle roots
-// (paper §3.3.2: "the COMMIT log record tracks the block ID and ordinal of
-// the transaction within the block to make this information recoverable").
+// metadata — transaction id, commit timestamp, user and the (block id,
+// ordinal) slot assigned in the Database Ledger (paper §3.3.2: "the COMMIT
+// log record tracks the block ID and ordinal of the transaction within the
+// block to make this information recoverable").
+//
+// The record logs only what replay cannot derive. A ledger update or delete
+// logs no history row: replay rebuilds it from the row's pre-image and the
+// retiring (transaction id, sequence number). The per-table Merkle roots are
+// not logged either: replay rebuilds them from the row versions it applies
+// and checks them against an 8-byte digest of the roots the commit computed.
 //
 // Records are framed as [fixed32 length][fixed32 crc32c][payload], the frame
 // log shared with the digest outbox. Recovery replays up to the first frame
@@ -36,10 +42,11 @@ namespace sqlledger {
 
 /// Kind of a logged redo operation.
 enum class WalOpType : uint8_t {
-  kInsert = 1,       // new_row inserted into table_id
-  kUpdate = 2,       // the row with new_row's clustered key replaced by new_row
-  kDelete = 3,       // row with key removed
-  kDefineTable = 4,  // table_id's catalog entry now matches definition
+  kInsert = 1,        // new_row inserted into table_id
+  kUpdate = 2,        // the row with new_row's clustered key replaced by new_row
+  kDelete = 3,        // row with key removed
+  kDefineTable = 4,   // table_id's catalog entry now matches definition
+  kLedgerDelete = 5,  // ledger row with key retired at sequence end_seq
 };
 
 /// A table's whole definition after a schema change. The WAL logs the
@@ -67,15 +74,20 @@ struct TableDefinition {
 
 /// One redo operation within a committed transaction. An insert or update
 /// is logged as [type][table_id][new_row], a delete as
-/// [type][table_id][key] and a definition as [type][table_id][definition]:
-/// new_row already holds its clustered key, which replay derives with
-/// TableStore::KeyOf.
+/// [type][table_id][key], a ledger delete as [type][table_id][key][end_seq]
+/// and a definition as [type][table_id][definition]: new_row already holds
+/// its clustered key, which replay derives with TableStore::KeyOf.
+///
+/// A ledger update's retired version needs nothing more: its end sequence
+/// is new_row's start sequence minus one, because LedgerUpdate takes the
+/// two consecutively.
 struct WalOp {
   WalOpType type = WalOpType::kInsert;
   uint32_t table_id = 0;
   KeyTuple key;  // clustered key of the deleted row; unused otherwise
   Row new_row;   // full physical row for insert/update; empty otherwise
   std::shared_ptr<const TableDefinition> definition = nullptr;  // kDefineTable
+  uint64_t end_seq = 0;  // kLedgerDelete: the retired version's sequence
 };
 
 /// A committed transaction's WAL record.
@@ -87,10 +99,21 @@ struct WalCommitRecord {
   /// with ordinal 0 is valid (first transaction of block 0).
   uint64_t block_id = 0;
   uint64_t block_ordinal = 0;
-  /// (ledger table id, Merkle root over row versions updated by this
-  /// transaction in that table), one entry per ledger table touched.
-  std::vector<std::pair<uint32_t, Hash256>> table_roots;
+  /// Number of ledger tables the transaction touched. Replay rebuilds each
+  /// one's Merkle root from the row versions of `ops`.
+  uint32_t ledger_tables = 0;
+  /// RootsCheck of the transaction's (table id, root) list, logged only when
+  /// ledger_tables > 0. Replay compares the roots it rebuilds against it.
+  uint64_t roots_check = 0;
   std::vector<WalOp> ops;
+
+  /// Sets ledger_tables and roots_check from the commit's (table id, root)
+  /// list, id-ordered.
+  void SetTableRoots(const std::vector<std::pair<uint32_t, Hash256>>& roots);
+  /// The first 8 bytes of Sha256 over the encoded list, each entry a varint
+  /// table id and the root's 32 bytes.
+  static uint64_t RootsCheck(
+      const std::vector<std::pair<uint32_t, Hash256>>& roots);
 
   /// Appends the encoded record to `dst` and returns the offset (within
   /// `dst`) of the fixed-width (block id, block ordinal) pair. The group

@@ -4,57 +4,59 @@
 
 namespace sqlledger {
 
+void Transaction::PushUndo(WalOpType type, TableStore* table,
+                           const KeyTuple& key, Row old_row) {
+  roots_finalized_ = false;
+  UndoEntry undo;
+  undo.type = type;
+  undo.table = table;
+  undo.key = key;
+  undo.old_row = std::move(old_row);
+  undo_.push_back(std::move(undo));
+}
+
 void Transaction::RecordInsert(TableStore* table, const KeyTuple& key,
                                const Row& row) {
   // The redo op carries only the row; replay derives the key from it.
   assert(table->KeyOf(row) == key);
-  roots_finalized_ = false;
   WalOp op;
   op.type = WalOpType::kInsert;
   op.table_id = table->table_id();
   op.new_row = row;
   ops_.push_back(std::move(op));
-
-  UndoEntry undo;
-  undo.type = WalOpType::kInsert;
-  undo.table = table;
-  undo.key = key;
-  undo_.push_back(std::move(undo));
+  PushUndo(WalOpType::kInsert, table, key);
 }
 
 void Transaction::RecordUpdate(TableStore* table, const KeyTuple& key,
                                const Row& old_row, const Row& new_row) {
   assert(table->KeyOf(new_row) == key);
-  roots_finalized_ = false;
   WalOp op;
   op.type = WalOpType::kUpdate;
   op.table_id = table->table_id();
   op.new_row = new_row;
   ops_.push_back(std::move(op));
-
-  UndoEntry undo;
-  undo.type = WalOpType::kUpdate;
-  undo.table = table;
-  undo.key = key;
-  undo.old_row = old_row;
-  undo_.push_back(std::move(undo));
+  PushUndo(WalOpType::kUpdate, table, key, old_row);
 }
 
 void Transaction::RecordDelete(TableStore* table, const KeyTuple& key,
                                const Row& old_row) {
-  roots_finalized_ = false;
   WalOp op;
   op.type = WalOpType::kDelete;
   op.table_id = table->table_id();
   op.key = key;
   ops_.push_back(std::move(op));
+  PushUndo(WalOpType::kDelete, table, key, old_row);
+}
 
-  UndoEntry undo;
-  undo.type = WalOpType::kDelete;
-  undo.table = table;
-  undo.key = key;
-  undo.old_row = old_row;
-  undo_.push_back(std::move(undo));
+void Transaction::RecordLedgerDelete(TableStore* table, const KeyTuple& key,
+                                     const Row& old_row, uint64_t end_seq) {
+  RecordDelete(table, key, old_row);
+  ops_.back().type = WalOpType::kLedgerDelete;
+  ops_.back().end_seq = end_seq;
+}
+
+void Transaction::RecordRetire(TableStore* history, const KeyTuple& key) {
+  PushUndo(WalOpType::kInsert, history, key);
 }
 
 void Transaction::RecordDefinition(
@@ -150,6 +152,7 @@ void Transaction::UndoRange(size_t from) {
         (void)e.table->Insert(e.old_row);  // cannot fail; see above
         break;
       case WalOpType::kDefineTable:  // has no undo entry
+      case WalOpType::kLedgerDelete:  // undone as kDelete
         break;
     }
     undo_.pop_back();

@@ -52,6 +52,14 @@ class Transaction {
   void RecordUpdate(TableStore* table, const KeyTuple& key, const Row& old_row,
                     const Row& new_row);
   void RecordDelete(TableStore* table, const KeyTuple& key, const Row& old_row);
+  /// A ledger delete: its redo op also logs the retired version's end
+  /// sequence, from which replay rebuilds the history row.
+  void RecordLedgerDelete(TableStore* table, const KeyTuple& key,
+                          const Row& old_row, uint64_t end_seq);
+  /// Records the insert of a retired version into a history store. It has
+  /// an undo entry but no redo op: replay rebuilds the history row from the
+  /// pre-image of the ledger update or delete that retired it.
+  void RecordRetire(TableStore* history, const KeyTuple& key);
   /// Records a table's definition after a schema change, ahead of any row
   /// op that depends on it. It has no undo entry: an aborted schema change
   /// keeps its in-memory effect.
@@ -108,6 +116,8 @@ class Transaction {
     std::map<uint32_t, MerkleBuilderState> merkle_states;
   };
 
+  void PushUndo(WalOpType type, TableStore* table, const KeyTuple& key,
+                Row old_row = Row());
   void UndoRange(size_t from);
 
   uint64_t id_;

@@ -1,6 +1,6 @@
 // Seeded fuzzing of the WAL/checkpoint codec (Cell::EncodeTo, EncodeRow,
-// DecodeRow, DecodeValues, WalCommitRecord with row and table-definition
-// ops): random rows of every type,
+// DecodeRow, DecodeValues, WalCommitRecord with its roots count and check,
+// row, ledger-delete and table-definition ops): random rows of every type,
 // NULLs, empty and 64 KiB strings round-trip exactly; the zigzag edges keep
 // their value and their varint length; every strict prefix of an encoded
 // row or commit record is Corruption; and every single-byte flip decodes to
@@ -135,6 +135,19 @@ std::shared_ptr<const TableDefinition> RandomDefinition(Random* rng) {
   return def;
 }
 
+/// Counts how many of a test's records exercise the optional parts of the
+/// commit record: the roots check and a ledger delete's end sequence.
+struct RecordCoverage {
+  int checks = 0;
+  int ledger_deletes = 0;
+
+  void Add(const WalCommitRecord& rec) {
+    checks += rec.ledger_tables > 0;
+    for (const WalOp& op : rec.ops)
+      ledger_deletes += op.type == WalOpType::kLedgerDelete;
+  }
+};
+
 WalCommitRecord RandomRecord(Random* rng) {
   WalCommitRecord rec;
   rec.txn_id = rng->Next() >> rng->Uniform(64);
@@ -142,20 +155,21 @@ WalCommitRecord RandomRecord(Random* rng) {
   rec.user_name = rng->AlphaString(rng->Uniform(12));
   rec.block_id = rng->Uniform(1000);
   rec.block_ordinal = rng->Uniform(1000);
-  for (uint64_t i = rng->Uniform(4); i > 0; i--) {
-    Hash256 root;
-    for (uint8_t& b : root.bytes) b = static_cast<uint8_t>(rng->Next());
-    rec.table_roots.emplace_back(static_cast<uint32_t>(rng->Uniform(300)),
-                                 root);
-  }
+  // A varint count of every length; the check only follows a nonzero one.
+  rec.ledger_tables = static_cast<uint32_t>(rng->Next() >> rng->Uniform(64));
+  if (rng->Bernoulli(0.3)) rec.ledger_tables = 0;
+  if (rec.ledger_tables > 0) rec.roots_check = rng->Next();
   for (uint64_t i = 1 + rng->Uniform(8); i > 0; i--) {
     WalOp op;
-    op.type = static_cast<WalOpType>(rng->UniformRange(1, 4));
+    op.type = static_cast<WalOpType>(rng->UniformRange(1, 5));
     op.table_id = static_cast<uint32_t>(rng->Uniform(300));
     if (op.type == WalOpType::kDefineTable) {
       op.definition = RandomDefinition(rng);
-    } else if (op.type == WalOpType::kDelete) {
+    } else if (op.type == WalOpType::kDelete ||
+               op.type == WalOpType::kLedgerDelete) {
       op.key = RandomValues(rng, 3, 0);
+      if (op.type == WalOpType::kLedgerDelete)
+        op.end_seq = rng->Next() >> rng->Uniform(64);
     } else {
       op.new_row = Row(RandomValues(rng, 12, 0));
     }
@@ -198,23 +212,28 @@ TEST(CodecFuzzTest, RandomRowsRoundTrip) {
   EXPECT_TRUE(values_dec.done());
 }
 
-// Commit records holding table definitions (a schema change) decode to
-// records that encode to the same bytes.
+// Commit records holding table definitions (a schema change), ledger
+// deletes and a roots check decode to records that encode to the same
+// bytes.
 TEST(CodecFuzzTest, CommitRecordsWithDefinitionsRoundTrip) {
   SCOPED_TRACE("SQLLEDGER_TEST_SEED=" + std::to_string(TestSeed()));
   Random rng(TestCaseSeed(4));
   int definitions = 0;
+  RecordCoverage coverage;
   for (int r = 0; r < 100; r++) {
     WalCommitRecord rec = RandomRecord(&rng);
-    for (const WalOp& op : rec.ops)
-      definitions += op.type == WalOpType::kDefineTable;
+    coverage.Add(rec);
     std::vector<uint8_t> buf;
     rec.EncodeTo(&buf);
     auto decoded = WalCommitRecord::Decode(Slice(buf));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_EQ(decoded->ledger_tables, rec.ledger_tables);
+    ASSERT_EQ(decoded->roots_check, rec.roots_check);
     ASSERT_EQ(decoded->ops.size(), rec.ops.size());
     for (size_t i = 0; i < rec.ops.size(); i++) {
+      definitions += rec.ops[i].type == WalOpType::kDefineTable;
       ASSERT_EQ(decoded->ops[i].type, rec.ops[i].type) << i;
+      ASSERT_EQ(decoded->ops[i].end_seq, rec.ops[i].end_seq) << i;
       ASSERT_EQ(decoded->ops[i].definition != nullptr,
                 rec.ops[i].definition != nullptr)
           << i;
@@ -224,6 +243,9 @@ TEST(CodecFuzzTest, CommitRecordsWithDefinitionsRoundTrip) {
     EXPECT_EQ(again, buf);
   }
   EXPECT_GT(definitions, 20);
+  EXPECT_GT(coverage.ledger_deletes, 20);
+  EXPECT_GT(coverage.checks, 20);
+  EXPECT_LT(coverage.checks, 100);
 }
 
 TEST(CodecFuzzTest, ZigZagEdgesRoundTrip) {
@@ -273,9 +295,12 @@ TEST(CodecFuzzTest, EveryStrictPrefixIsCorruption) {
       EXPECT_TRUE(DecodeValues(&values_dec).status().IsCorruption()) << cut;
     }
   }
+  RecordCoverage coverage;
   for (int r = 0; r < 40; r++) {
     std::vector<uint8_t> buf;
-    RandomRecord(&rng).EncodeTo(&buf);
+    WalCommitRecord rec = RandomRecord(&rng);
+    coverage.Add(rec);
+    rec.EncodeTo(&buf);
     ASSERT_TRUE(WalCommitRecord::Decode(Slice(buf)).ok());
     for (size_t cut = 0; cut < buf.size(); cut++) {
       EXPECT_TRUE(WalCommitRecord::Decode(Slice(buf.data(), cut))
@@ -284,6 +309,8 @@ TEST(CodecFuzzTest, EveryStrictPrefixIsCorruption) {
           << cut;
     }
   }
+  EXPECT_GT(coverage.checks, 0);
+  EXPECT_GT(coverage.ledger_deletes, 0);
 }
 
 TEST(CodecFuzzTest, SingleByteFlipsNeverCrash) {
@@ -292,11 +319,14 @@ TEST(CodecFuzzTest, SingleByteFlipsNeverCrash) {
   auto ok_or_corruption = [](const Status& st) {
     return st.ok() || st.IsCorruption();
   };
+  RecordCoverage coverage;
   for (int r = 0; r < 30; r++) {
     std::vector<uint8_t> row_bytes;
     EncodeRow(RandomValues(&rng, 16, 0), &row_bytes);
     std::vector<uint8_t> record_bytes;
-    RandomRecord(&rng).EncodeTo(&record_bytes);
+    WalCommitRecord rec = RandomRecord(&rng);
+    coverage.Add(rec);
+    rec.EncodeTo(&record_bytes);
     for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF},
                          static_cast<uint8_t>(1 + rng.Uniform(255))}) {
       for (size_t i = 0; i < row_bytes.size(); i++) {
@@ -317,6 +347,8 @@ TEST(CodecFuzzTest, SingleByteFlipsNeverCrash) {
       }
     }
   }
+  EXPECT_GT(coverage.checks, 0);
+  EXPECT_GT(coverage.ledger_deletes, 0);
 }
 
 }  // namespace

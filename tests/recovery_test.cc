@@ -1,9 +1,12 @@
 // Durability and recovery tests: reopen after clean shutdown, crash
 // recovery from checkpoint + WAL tail (paper §3.3.2), digest stability
-// across recovery, and point-in-time-restore incarnations (paper §3.6).
+// across recovery, point-in-time-restore incarnations (paper §3.6), and
+// replay rebuilding the history rows and table roots that commit records do
+// not log.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -11,6 +14,7 @@
 #include "ledger/digest_store.h"
 #include "ledger/verifier.h"
 #include "test_util.h"
+#include "util/hex.h"
 
 namespace sqlledger {
 namespace {
@@ -33,6 +37,30 @@ class RecoveryTest : public TempDirTest {
     auto db = LedgerDatabase::Open(MakeOptions(subdir));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
     return std::move(*db);
+  }
+
+  /// Every file of the data directory `subdir` by name, with its bytes.
+  std::map<std::string, std::string> ReadDir(const std::string& subdir = "db") {
+    std::map<std::string, std::string> files;
+    for (const auto& e : std::filesystem::directory_iterator(Path(subdir))) {
+      std::ifstream in(e.path(), std::ios::binary);
+      files[e.path().filename().string()] =
+          std::string((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    }
+    return files;
+  }
+
+  /// Flips one byte inside the newest checkpoint, so Open falls back to the
+  /// previous generation.
+  void TearNewestCheckpoint(const std::string& subdir = "db") {
+    std::fstream f(Path(subdir) + "/checkpoint.sldb",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    char byte = 0;
+    f.seekg(30);
+    f.get(byte);
+    f.seekp(30);
+    f.put(static_cast<char>(byte ^ 0xFF));
   }
 
   int64_t clock_ = 1000000;
@@ -345,15 +373,7 @@ TEST_F(RecoveryTest, TornNewestCheckpointFallsBackToPreviousGeneration) {
   // Storage rot tears the newest checkpoint. Recovery must fall back to the
   // previous generation and reach the same state by replaying the rotated
   // WAL plus the live tail.
-  {
-    std::fstream f(Path("db") + "/checkpoint.sldb",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    char byte = 0;
-    f.seekg(30);
-    f.get(byte);
-    f.seekp(30);
-    f.put(static_cast<char>(byte ^ 0xFF));
-  }
+  TearNewestCheckpoint();
   auto db = Open();
   auto txn = db->Begin("app");
   auto rows = db->Scan(*txn, "t");
@@ -400,25 +420,15 @@ TEST_F(RecoveryTest, RetiredCheckpointFormatIsRefusedWithoutFallback) {
     f.seekp(0);
     f.write("SLCKPT01", 8);
   };
-  auto read_dir = [this] {
-    std::map<std::string, std::string> files;
-    for (const auto& e : std::filesystem::directory_iterator(Path("db"))) {
-      std::ifstream in(e.path(), std::ios::binary);
-      files[e.path().filename().string()] =
-          std::string((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    }
-    return files;
-  };
   auto expect_refused = [&](const char* layout) {
     SCOPED_TRACE(layout);
-    const auto before = read_dir();
+    const auto before = ReadDir();
     auto db = LedgerDatabase::Open(MakeOptions());
     ASSERT_FALSE(db.ok());
     EXPECT_EQ(db.status().code(), StatusCode::kNotSupported)
         << db.status().ToString();
     EXPECT_NE(db.status().message().find("SLCKPT01"), std::string::npos);
-    EXPECT_EQ(read_dir(), before);
+    EXPECT_EQ(ReadDir(), before);
   };
   {
     auto db = Open();
@@ -675,15 +685,7 @@ TEST_F(RecoveryTest, SchemaChangesSurviveFallbackToPreviousGeneration) {
     ASSERT_TRUE(db->Checkpoint().ok());
   }
   // Storage rot tears the newest checkpoint.
-  {
-    std::fstream f(Path("db") + "/checkpoint.sldb",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    char byte = 0;
-    f.seekg(30);
-    f.get(byte);
-    f.seekp(30);
-    f.put(static_cast<char>(byte ^ 0xFF));
-  }
+  TearNewestCheckpoint();
   auto db = Open();
   EXPECT_EQ(CatalogSnapshot(db.get()), want);
   auto digest = db->GenerateDigest();
@@ -714,6 +716,281 @@ TEST_F(RecoveryTest, SchemaChangesSurviveRecovery) {
   auto report = VerifyLedger(db.get(), {*digest});
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// ---- Replay rebuilds history rows and table roots (DESIGN.md §4) ----
+
+// Every user and history row, every Database Ledger entry and block, and the
+// catalog, as encoded bytes: what replay must reproduce exactly.
+std::string LedgerStateBytes(LedgerDatabase* db) {
+  std::string out = CatalogSnapshot(db);
+  auto dump = [&out](const std::string& label, const TableStore* store) {
+    for (BTree::Iterator it = store->Scan(); it.Valid(); it.Next()) {
+      std::vector<uint8_t> bytes;
+      EncodeRow(it.value(), &bytes);
+      out += label + " " + HexEncode(Slice(bytes)) + "\n";
+    }
+  };
+  for (CatalogEntry* e : db->AllTables()) {
+    dump(e->name, e->main.get());
+    if (e->history != nullptr) dump(e->name + " history", e->history.get());
+  }
+  dump("transactions", db->database_ledger()->transactions_table_for_testing());
+  dump("blocks", db->database_ledger()->blocks_table_for_testing());
+  return out;
+}
+
+// Inserts, updates and deletes in ledger, append-only and regular tables,
+// one row's whole life in one transaction, a savepoint rollback, a failed
+// statement and the seven schema changes, with a digest after each part.
+// `checkpoint_midway` checkpoints between the parts, so the first part is
+// left in wal.log.prev.
+void RunReplayWorkload(LedgerDatabase* db, bool checkpoint_midway,
+                       std::vector<DatabaseDigest>* digests) {
+  auto row = [](int64_t id, const std::string& payload) {
+    return Row{VB(id), VS(payload)};
+  };
+  auto digest = [&] {
+    auto d = db->GenerateDigest();
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    digests->push_back(*d);
+  };
+  const char* const kTables[] = {"ledger", "log", "plain"};
+  ASSERT_TRUE(db->CreateTable("ledger", SimpleUserSchema(),
+                              TableKind::kUpdateable)
+                  .ok());
+  ASSERT_TRUE(
+      db->CreateTable("log", SimpleUserSchema(), TableKind::kAppendOnly).ok());
+  ASSERT_TRUE(
+      db->CreateTable("plain", SimpleUserSchema(), TableKind::kRegular).ok());
+  {
+    auto txn = db->Begin("loader");
+    for (int64_t id = 1; id <= 4; id++) {
+      for (const char* table : kTables)
+        ASSERT_TRUE(db->Insert(*txn, table, row(id, "v1")).ok());
+    }
+    ASSERT_TRUE(db->Commit(*txn).ok());
+  }
+  {
+    auto txn = db->Begin("clerk");
+    for (const char* table : {"ledger", "plain"}) {
+      ASSERT_TRUE(db->Update(*txn, table, row(1, "v2")).ok());
+      ASSERT_TRUE(db->Delete(*txn, table, {VB(2)}).ok());
+    }
+    ASSERT_TRUE(db->Insert(*txn, "log", row(5, "v1")).ok());
+    ASSERT_TRUE(db->Commit(*txn).ok());
+  }
+  {
+    // One row inserted, updated twice and deleted in the same transaction.
+    auto txn = db->Begin("clerk");
+    ASSERT_TRUE(db->Insert(*txn, "ledger", row(10, "a")).ok());
+    ASSERT_TRUE(db->Update(*txn, "ledger", row(10, "b")).ok());
+    ASSERT_TRUE(db->Update(*txn, "ledger", row(10, "c")).ok());
+    ASSERT_TRUE(db->Delete(*txn, "ledger", {VB(10)}).ok());
+    ASSERT_TRUE(db->Update(*txn, "ledger", row(3, "v2")).ok());
+    ASSERT_TRUE(db->Commit(*txn).ok());
+  }
+  digest();
+  if (checkpoint_midway) {
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  {
+    // The rollback returns the sequence numbers the later ops take again.
+    auto txn = db->Begin("clerk");
+    ASSERT_TRUE(db->Insert(*txn, "ledger", row(20, "a")).ok());
+    ASSERT_TRUE(db->Savepoint(*txn, "sp").ok());
+    ASSERT_TRUE(db->Update(*txn, "ledger", row(3, "undone")).ok());
+    ASSERT_TRUE(db->Delete(*txn, "ledger", {VB(4)}).ok());
+    ASSERT_TRUE(db->Insert(*txn, "ledger", row(21, "undone")).ok());
+    ASSERT_TRUE(db->Insert(*txn, "log", row(21, "undone")).ok());
+    ASSERT_TRUE(db->Update(*txn, "plain", row(3, "undone")).ok());
+    ASSERT_TRUE(db->RollbackToSavepoint(*txn, "sp").ok());
+    ASSERT_TRUE(db->Update(*txn, "ledger", row(4, "v2")).ok());
+    ASSERT_TRUE(db->Commit(*txn).ok());
+  }
+  {
+    // Duplicate keys fail their statements; the transaction goes on.
+    auto txn = db->Begin("clerk");
+    ASSERT_TRUE(db->Insert(*txn, "ledger", row(30, "a")).ok());
+    for (const char* table : kTables)
+      EXPECT_FALSE(db->Insert(*txn, table, row(1, "duplicate")).ok());
+    ASSERT_TRUE(db->Update(*txn, "ledger", row(30, "b")).ok());
+    ASSERT_TRUE(db->Delete(*txn, "ledger", {VB(3)}).ok());
+    ASSERT_TRUE(db->Commit(*txn).ok());
+  }
+  SetUpDdlTable(db);
+  {
+    // History rows of "t" from before ALTER COLUMN TYPE repopulates it.
+    auto txn = db->Begin("clerk");
+    ASSERT_TRUE(
+        db->Update(*txn, "t", {VB(1), VS("p1 again"), Value::Int(7)}).ok());
+    ASSERT_TRUE(db->Commit(*txn).ok());
+  }
+  for (const DdlCase& ddl : SevenDdls()) ASSERT_TRUE(ddl.run(db).ok());
+  {
+    auto txn = db->Begin("clerk");
+    ASSERT_TRUE(db->Insert(*txn, "u", {VB(1), VS("a"), Value::Int(1)}).ok());
+    ASSERT_TRUE(db->Update(*txn, "u", {VB(1), VS("b"), Value::Int(2)}).ok());
+    ASSERT_TRUE(db->Commit(*txn).ok());
+  }
+  digest();
+  // Entries in the open block, after the last digest.
+  ASSERT_TRUE(InsertOne(db, "ledger", 40, "open block").ok());
+}
+
+// Closed without a checkpoint, a database reopens to the same bytes in
+// every table, history table and ledger table, both from the WAL alone and
+// through the previous checkpoint plus wal.log.prev and wal.log.
+TEST_F(RecoveryTest, ReplayRebuildsHistoryRowsAndRootsByteForByte) {
+  for (bool fallback : {false, true}) {
+    SCOPED_TRACE(fallback ? "fallback to the previous generation"
+                          : "WAL alone");
+    const std::string subdir = fallback ? "fallback" : "wal_alone";
+    std::vector<DatabaseDigest> digests;
+    std::string want;
+    {
+      auto db = Open(subdir);
+      RunReplayWorkload(db.get(), fallback, &digests);
+      if (HasFatalFailure()) return;
+      want = LedgerStateBytes(db.get());
+    }
+    if (fallback) TearNewestCheckpoint(subdir);
+    auto db = LedgerDatabase::Open(MakeOptions(subdir));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ(LedgerStateBytes(db->get()), want);
+    auto report = VerifyLedger(db->get(), digests);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->ok()) << report->Summary();
+  }
+}
+
+// Rewrites the frames of the WAL at `path`. `edit` may change a commit
+// record's payload or drop the frame (return false); every kept payload is
+// framed anew, with a fresh CRC, as a writer of those bytes would have.
+void RewriteWal(const std::string& path,
+                const std::function<bool(std::vector<uint8_t>*)>& edit) {
+  std::vector<uint8_t> frames;
+  auto scan = ReadFrameLog(Env::Default(), path, [&](Slice payload) {
+    std::vector<uint8_t> bytes(payload.data(), payload.data() + payload.size());
+    if (edit(&bytes)) AppendFrame(Slice(bytes), &frames);
+    return Status::OK();
+  });
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(frames.data()),
+            static_cast<std::streamsize>(frames.size()));
+}
+
+TEST_F(RecoveryTest, AlteredRowImageFailsTheRootsCheck) {
+  {
+    auto db = Open();
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    ASSERT_TRUE(InsertOne(db.get(), "t", 1, "original").ok());
+  }
+  // The altered row decodes and applies; only the rebuilt root differs.
+  const std::string from = "original", to = "origin@l";
+  int altered = 0;
+  RewriteWal(Path("db") + "/wal.log", [&](std::vector<uint8_t>* payload) {
+    auto at = std::search(payload->begin(), payload->end(), from.begin(),
+                          from.end());
+    if (at != payload->end()) {
+      std::copy(to.begin(), to.end(), at);
+      altered++;
+    }
+    return true;
+  });
+  ASSERT_EQ(altered, 1);
+  auto db = LedgerDatabase::Open(MakeOptions());
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+  EXPECT_NE(db.status().message().find("table roots"), std::string::npos)
+      << db.status().ToString();
+}
+
+TEST_F(RecoveryTest, LedgerUpdateOfMissingPreImageIsCorruption) {
+  uint32_t table_id = 0;
+  {
+    auto db = Open();
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    table_id = db->GetTableRef("t")->table_id;
+    ASSERT_TRUE(InsertOne(db.get(), "t", 1, "v1").ok());
+    auto txn = db->Begin("app");
+    ASSERT_TRUE(db->Update(*txn, "t", {VB(1), VS("v2")}).ok());
+    ASSERT_TRUE(db->Commit(*txn).ok());
+  }
+  // Drop the commit that inserted the row the update retires.
+  int dropped = 0;
+  RewriteWal(Path("db") + "/wal.log", [&](std::vector<uint8_t>* payload) {
+    auto rec = WalCommitRecord::Decode(
+        Slice(payload->data() + 1, payload->size() - 1));
+    if (!rec.ok()) return true;  // a block close
+    const bool inserts_row =
+        std::any_of(rec->ops.begin(), rec->ops.end(), [&](const WalOp& op) {
+          return op.type == WalOpType::kInsert && op.table_id == table_id;
+        });
+    dropped += inserts_row;
+    return !inserts_row;
+  });
+  ASSERT_EQ(dropped, 1);
+  auto db = LedgerDatabase::Open(MakeOptions());
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+  EXPECT_NE(db.status().message().find("missing row"), std::string::npos)
+      << db.status().ToString();
+}
+
+// A commit record of the retired kind 1 (history rows and whole roots
+// logged) is refused like a retired checkpoint format: Open fails with
+// NotSupported before it replays or truncates the log, and no file changes.
+TEST_F(RecoveryTest, RetiredCommitRecordKindIsRefused) {
+  {
+    auto db = Open();
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    ASSERT_TRUE(InsertOne(db.get(), "t", 1, "v1").ok());
+  }
+  const std::string wal = Path("db") + "/wal.log";
+  auto kind1 = HexDecode(
+      "01"                  // record kind 1
+      "63"                  // txn id 99
+      "0100000000000000"    // commit ts
+      "03617070"            // user 'app'
+      "0000000000000000"    // block id
+      "0000000000000000"    // block ordinal
+      "01" "64"             // one root: table 100
+      "000102030405060708090a0b0c0d0e0f"
+      "101112131415161718191a1b1c1d1e1f"
+      "00");                // no ops
+  ASSERT_TRUE(kind1.ok());
+  std::vector<uint8_t> frame;
+  AppendFrame(Slice(*kind1), &frame);
+  auto expect_refused = [&](const char* layout) {
+    SCOPED_TRACE(layout);
+    const auto before = ReadDir();
+    auto db = LedgerDatabase::Open(MakeOptions());
+    ASSERT_FALSE(db.ok());
+    EXPECT_EQ(db.status().code(), StatusCode::kNotSupported)
+        << db.status().ToString();
+    EXPECT_NE(db.status().message().find("kind 1"), std::string::npos)
+        << db.status().ToString();
+    EXPECT_EQ(ReadDir(), before);
+  };
+  {
+    // After current records, with a torn tail Open would otherwise cut.
+    std::ofstream out(wal, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(frame.data()),
+              static_cast<std::streamsize>(frame.size()));
+    out.write("torn", 4);
+  }
+  expect_refused("after kind-3 records");
+  {
+    std::ofstream out(wal, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(frame.data()),
+              static_cast<std::streamsize>(frame.size()));
+  }
+  expect_refused("alone");
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ WalCommitRecord MakeRecord(uint64_t txn_id) {
   rec.block_ordinal = txn_id % 10;
   Hash256 root;
   root.bytes[0] = static_cast<uint8_t>(txn_id);
-  rec.table_roots.emplace_back(100, root);
+  rec.SetTableRoots({{100, root}});
   WalOp op;
   op.type = WalOpType::kInsert;
   op.table_id = 100;
@@ -64,6 +64,9 @@ TEST(WalRecordTest, EncodeDecodeRoundTrip) {
   rec.ops.push_back(WalOp{WalOpType::kUpdate, 102,
                           {Value::BigInt(1)},
                           {Value::BigInt(1), Value::Varchar("new")}});
+  WalOp ledger_delete{WalOpType::kLedgerDelete, 103, {Value::BigInt(4)}, {}};
+  ledger_delete.end_seq = 300;
+  rec.ops.push_back(ledger_delete);
   std::vector<uint8_t> buf;
   rec.EncodeTo(&buf);
   auto decoded = WalCommitRecord::Decode(Slice(buf));
@@ -71,11 +74,14 @@ TEST(WalRecordTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->txn_id, 7u);
   EXPECT_EQ(decoded->user_name, "user7");
   EXPECT_EQ(decoded->block_ordinal, 7u);
-  ASSERT_EQ(decoded->table_roots.size(), 1u);
-  EXPECT_EQ(decoded->table_roots[0].first, 100u);
-  ASSERT_EQ(decoded->ops.size(), 3u);
+  EXPECT_EQ(decoded->ledger_tables, 1u);
+  EXPECT_EQ(decoded->roots_check, rec.roots_check);
+  ASSERT_EQ(decoded->ops.size(), 4u);
   EXPECT_EQ(decoded->ops[1].type, WalOpType::kDelete);
   EXPECT_EQ(decoded->ops[2].new_row[1].string_value(), "new");
+  EXPECT_EQ(decoded->ops[3].type, WalOpType::kLedgerDelete);
+  EXPECT_EQ(decoded->ops[3].key, KeyTuple{Value::BigInt(4)});
+  EXPECT_EQ(decoded->ops[3].end_seq, 300u);
 }
 
 TEST(WalRecordTest, DecodeRejectsTruncation) {
@@ -101,7 +107,7 @@ TEST(WalRecordTest, GoldenBytes) {
   Hash256 root;
   for (size_t i = 0; i < root.bytes.size(); i++)
     root.bytes[i] = static_cast<uint8_t>(i);
-  rec.table_roots.emplace_back(100, root);
+  rec.SetTableRoots({{100, root}});
   rec.ops.push_back(WalOp{WalOpType::kInsert, 100, {},
                           {Value::BigInt(1), Value::Varchar("a")}});
   rec.ops.push_back(WalOp{WalOpType::kUpdate, 100, {Value::BigInt(1)},
@@ -135,17 +141,21 @@ TEST(WalRecordTest, GoldenBytes) {
   EXPECT_TRUE(decoded->ops[2].new_row.empty());
 }
 
-// A root or op count larger than the record's remaining bytes could hold is
-// rejected before anything is reserved (it used to abort with bad_alloc).
-TEST(WalRecordTest, DecodeRejectsRootCountBeyondRecord) {
+// A nonzero ledger table count must be followed by the 8-byte roots check.
+TEST(WalRecordTest, DecodeRejectsMissingRootsCheck) {
   WalCommitRecord rec = MakeRecord(7);
   std::vector<uint8_t> buf;
   size_t slot = rec.EncodeTo(&buf);
   buf.resize(slot + 16);  // keep the header through the slot
-  for (uint8_t b : {0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) buf.push_back(b);
-  EXPECT_TRUE(WalCommitRecord::Decode(Slice(buf)).status().IsCorruption());
+  buf.push_back(1);       // one ledger table
+  for (int i = 0; i < 7; i++) {
+    buf.push_back(0);
+    EXPECT_TRUE(WalCommitRecord::Decode(Slice(buf)).status().IsCorruption());
+  }
 }
 
+// An op count larger than the record's remaining bytes could hold is
+// rejected before anything is reserved (it used to abort with bad_alloc).
 TEST(WalRecordTest, DecodeRejectsOpCountBeyondRecord) {
   WalCommitRecord rec = MakeRecord(7);
   rec.ops.clear();
