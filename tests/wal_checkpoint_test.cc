@@ -94,9 +94,10 @@ TEST(WalRecordTest, DecodeRejectsTruncation) {
   }
 }
 
-// A commit record's bytes are pinned: one insert, one update and one
-// delete. An insert or update logs only its row (the update's key is not
-// written: the row holds it); a delete logs only its key.
+// A commit record's bytes are pinned: one ledger table's roots check, one
+// insert, one update, one delete and one ledger delete. An insert or update
+// logs only its row (the update's key is not written: the row holds it); a
+// delete logs only its key, and a ledger delete adds the end sequence.
 TEST(WalRecordTest, GoldenBytes) {
   WalCommitRecord rec;
   rec.txn_id = 5;
@@ -113,6 +114,9 @@ TEST(WalRecordTest, GoldenBytes) {
   rec.ops.push_back(WalOp{WalOpType::kUpdate, 100, {Value::BigInt(1)},
                           {Value::BigInt(1), Value::Varchar("b")}});
   rec.ops.push_back(WalOp{WalOpType::kDelete, 101, {Value::BigInt(-1)}, {}});
+  WalOp ledger_delete{WalOpType::kLedgerDelete, 100, {Value::BigInt(1)}, {}};
+  ledger_delete.end_seq = 300;
+  rec.ops.push_back(ledger_delete);
   std::vector<uint8_t> buf;
   EXPECT_EQ(rec.EncodeTo(&buf), 13u);  // the slot follows ts and user
   EXPECT_EQ(HexEncode(Slice(buf)),
@@ -121,24 +125,34 @@ TEST(WalRecordTest, GoldenBytes) {
             "03617070"            // user 'app', length-prefixed
             "0200000000000000"    // block id fixed64 (patchable slot)
             "0100000000000000"    // block ordinal fixed64
-            "01"                  // one table root
-            "64"                  // table id 100 varint
-            "000102030405060708090a0b0c0d0e0f"
-            "101112131415161718191a1b1c1d1e1f"  // the root's 32 bytes
-            "03"                  // three ops
+            "01"                  // one ledger table
+            "d78e6347dd22a57a"    // SHA-256(64 00 01 .. 1f)[0..8]
+            "04"                  // four ops
             "01" "64"             // INSERT into table 100
             "02" "0402" "060161"  //   row: BIGINT 1, VARCHAR 'a'
             "02" "64"             // UPDATE in table 100
             "02" "0402" "060162"  //   row: BIGINT 1, VARCHAR 'b'
             "03" "65"             // DELETE from table 101
-            "01" "0401");         //   key: BIGINT -1
+            "01" "0401"           //   key: BIGINT -1
+            "05" "64"             // ledger DELETE from table 100
+            "01" "0402"           //   key: BIGINT 1
+            "ac02");              //   end sequence 300 varint
   auto decoded = WalCommitRecord::Decode(Slice(buf));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->ops.size(), 3u);
+  EXPECT_EQ(decoded->ledger_tables, 1u);
+  EXPECT_EQ(decoded->roots_check, WalCommitRecord::RootsCheck({{100, root}}));
+  ASSERT_EQ(decoded->ops.size(), 4u);
   EXPECT_TRUE(decoded->ops[1].key.empty());
   EXPECT_EQ(decoded->ops[1].new_row[1].string_value(), "b");
   EXPECT_EQ(decoded->ops[2].key, KeyTuple{Value::BigInt(-1)});
   EXPECT_TRUE(decoded->ops[2].new_row.empty());
+  EXPECT_EQ(decoded->ops[3].end_seq, 300u);
+
+  // A record that touches no ledger table logs a zero count and no check.
+  rec.SetTableRoots({});
+  buf.clear();
+  rec.EncodeTo(&buf);
+  EXPECT_EQ(HexEncode(Slice(buf)).substr(2 * 29, 4), "0004");
 }
 
 // A nonzero ledger table count must be followed by the 8-byte roots check.
