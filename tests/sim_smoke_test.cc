@@ -64,11 +64,11 @@ TEST_F(SimSmokeTest, GoldenFingerprints) {
   };
   const Golden kGolden[] = {
       {1, "e69c12d05bdf4a06eaf884342dee8e344fd7a1d0fea44b90463ae8b4f67f6c8a",
-       "3e03130e28605e0959314fb903184de84dbc840ff07a5b9c954ed1800f71a786"},
+       "1b0248fb8ce5a9fce0d21050fb1ee0e4584403df52b6d0f73e21378ff9173eac"},
       {2, "8b9ad3534379a133983db9d3c9d112a229d75491bbe5a50f978f41b7ea0cff40",
-       "30aa46de00edc548f195f69aafa6660805818ff50424474189e45679420855be"},
+       "c1c55d6e6b99bc708ba4b66ef3628da385bd498584f977874ec59a833a27056e"},
       {3, "d5f745a6cba5413b8eaeca31f1c6ab4243e23a2d043731651e7ae8ada870f68f",
-       "bbb065451b56d55759c61ca226acb24d4cabc7d3af83632547bafa2d9a5bfe16"},
+       "36bbd9636e0187e034102160ceaec467873432888cf65bc862e814c9082d32b9"},
   };
   for (const Golden& g : kGolden) {
     SimResult result = RunSim(MakeConfig(g.seed, 500));
