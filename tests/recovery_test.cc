@@ -991,6 +991,32 @@ TEST_F(RecoveryTest, RetiredCommitRecordKindIsRefused) {
               static_cast<std::streamsize>(frame.size()));
   }
   expect_refused("alone");
+
+  // A directory checkpointed before the format change holds kind-1 records
+  // only in wal.log.prev, which is read on fallback alone: it opens, and a
+  // fallback to the previous generation is refused.
+  {
+    auto db = Open("checkpointed");
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    ASSERT_TRUE(InsertOne(db.get(), "t", 1, "v1").ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  {
+    std::ofstream out(Path("checkpointed") + "/wal.log.prev",
+                      std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(frame.data()),
+              static_cast<std::streamsize>(frame.size()));
+  }
+  {
+    auto db = LedgerDatabase::Open(MakeOptions("checkpointed"));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_NE((*db)->GetStoreForTesting("t"), nullptr);
+  }
+  TearNewestCheckpoint("checkpointed");
+  auto db = LedgerDatabase::Open(MakeOptions("checkpointed"));
+  EXPECT_EQ(db.status().code(), StatusCode::kNotSupported)
+      << db.status().ToString();
 }
 
 }  // namespace
