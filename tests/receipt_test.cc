@@ -137,5 +137,46 @@ TEST_F(ReceiptTest, OneSignaturePerBlockAmortization) {
   EXPECT_EQ(r0->signature, r1->signature);
 }
 
+// Pins the exact receipt bytes for a database with its own pinned clock and
+// the default signing key: the entry, its proof path through a seven-leaf
+// block, the signed root and the signature. A change to how receipts are
+// proved or encoded shows here.
+TEST_F(ReceiptTest, GoldenJsonBytes) {
+  LedgerDatabaseOptions options;
+  options.block_size = 8;
+  options.database_id = "goldendb";
+  int64_t clock = 1000000;
+  options.clock = [&clock] { return ++clock; };
+  auto db = LedgerDatabase::Open(std::move(options));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE(
+      (*db)->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+  std::vector<uint64_t> txn_ids(5);
+  for (int i = 0; i < 5; i++)
+    ASSERT_TRUE(InsertOne(db->get(), "t", i, "row" + std::to_string(i),
+                          &txn_ids[i])
+                    .ok());
+  ASSERT_TRUE((*db)->GenerateDigest().ok());
+  auto receipt = MakeTransactionReceipt(db->get(), txn_ids[2]);
+  ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+  EXPECT_EQ(
+      receipt->ToJson(),
+      "{\"transaction_id\":5,\"block_id\":0,\"block_ordinal\":4,"
+      "\"commit_ts\":1000006,\"user_name\":\"tester\",\"table_roots\":["
+      "{\"table_id\":100,\"root\":"
+      "\"a417b126b7250543952d0c83cddb05506fd1e62460157bb4259d81e886a7b31d\"}],"
+      "\"proof\":{\"leaf_index\":4,\"leaf_count\":7,\"steps\":["
+      "{\"sibling\":"
+      "\"2d778e10aa7010227229113978306551ffaf45c4e545823320abfa49da8b1c70\","
+      "\"left\":false},{\"sibling\":"
+      "\"1cf4d0c6d438f09ff3ab2cd2fa191e6ac1c1e11aa5e2608ef5a84819a97b3227\","
+      "\"left\":false},{\"sibling\":"
+      "\"f4877e75ccac5b5935dc472aa4427bc721d099108b98eb0edf09455ffbac6d03\","
+      "\"left\":true}]},\"transactions_root\":"
+      "\"0662afd682273a4f9af2010fdb16f4b4866dfd0085fa96a34cf38f79384fe46b\","
+      "\"key_id\":\"dev-key-1\",\"signature\":"
+      "\"6d8082db474c872beabf0616ca12c98857d054e121705b5a39f57c52a16edecf\"}");
+}
+
 }  // namespace
 }  // namespace sqlledger
