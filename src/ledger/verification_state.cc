@@ -116,8 +116,7 @@ std::string VerificationState::Encode() const {
     PutFixed64(&payload, t.fingerprint);
   }
 
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + kMagicLen);
+  std::vector<uint8_t> out(kMagic, kMagic + kMagicLen);
   PutFixed32(&out, static_cast<uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   PutFixed32(&out, Crc32c(Slice(payload)));

@@ -240,7 +240,9 @@ TEST(TableStoreTest, RandomDmlMatchesModelWithTrailingKey) {
     std::optional<Row> row = t.SeekFirstCopy({VB(grp)});
     bool group_live = first != model.end() && first->first.first == grp;
     ASSERT_EQ(row.has_value(), group_live);
-    if (row) EXPECT_EQ((*row)[3].AsInt64(), first->first.second);
+    if (row) {
+      EXPECT_EQ((*row)[3].AsInt64(), first->first.second);
+    }
   }
 }
 
