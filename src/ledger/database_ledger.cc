@@ -298,10 +298,14 @@ Status DatabaseLedger::RecoverEntry(const TransactionEntry& entry) {
 
   // An entry addressed past the open block means the open block was closed
   // (by reaching block_size or by digest generation) before this commit;
-  // re-close deterministically.
-  while (entry.block_id > open_block_id_) {
+  // re-close deterministically. A digest never closes an empty block after
+  // block 0, so consecutive entries are at most one block apart: re-closing
+  // up to a larger jump would fabricate empty blocks.
+  if (entry.block_id > open_block_id_ + 1)
+    return Status::Corruption("WAL replay: entry skips blocks past block " +
+                              std::to_string(open_block_id_));
+  if (entry.block_id > open_block_id_)
     SL_RETURN_IF_ERROR(CloseOpenBlockLocked());
-  }
 
   if (entry.block_id == open_block_id_) {
     // During recovery no group is in flight, so the assign position tracks

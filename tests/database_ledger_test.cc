@@ -310,6 +310,22 @@ TEST_F(DatabaseLedgerTest, RecoverEntryReclosesPriorBlocks) {
   EXPECT_EQ(block0->ComputeHash(), digest->block_hash);
 }
 
+TEST_F(DatabaseLedgerTest, RecoverEntryRefusesBlockGap) {
+  // The live ledger closes at most one block between two consecutive
+  // entries, so a replayed entry two blocks past the open block is forged;
+  // re-closing up to it would fabricate an empty block.
+  auto ledger_ptr = MakeLedger(10);
+  DatabaseLedger& ledger = *ledger_ptr;
+  TransactionEntry forged = MakeEntry(&ledger, 1);
+  forged.block_id = 2;
+  forged.block_ordinal = 0;
+  Status st = ledger.RecoverEntry(forged);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_EQ(ledger.closed_block_count(), 0u);
+  EXPECT_EQ(ledger.open_block_id(), 0u);
+  EXPECT_EQ(ledger.total_entries(), 0u);
+}
+
 TEST_F(DatabaseLedgerTest, TruncateBelowRemovesOldData) {
   auto ledger_ptr = MakeLedger(2);
   DatabaseLedger& ledger = *ledger_ptr;

@@ -1019,5 +1019,40 @@ TEST_F(RecoveryTest, RetiredCommitRecordKindIsRefused) {
       << db.status().ToString();
 }
 
+// The live ledger closes at most one block between two consecutive
+// entries, so replay refuses a commit record addressed far past the open
+// block instead of re-closing empty blocks up to it (for an id near 2^40,
+// without end). Open fails before it truncates the log: no file changes.
+TEST_F(RecoveryTest, CommitRecordFarPastOpenBlockIsCorruption) {
+  {
+    auto db = Open();
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    ASSERT_TRUE(InsertOne(db.get(), "t", 1, "v1").ok());
+  }
+  WalCommitRecord record;
+  record.txn_id = 1000;
+  record.commit_ts_micros = 1;
+  record.user_name = "app";
+  record.block_id = uint64_t{1} << 40;
+  std::vector<uint8_t> payload = {3};  // record kind 3
+  record.EncodeTo(&payload);
+  std::vector<uint8_t> frame;
+  AppendFrame(Slice(payload), &frame);
+  {
+    std::ofstream out(Path("db") + "/wal.log",
+                      std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(frame.data()),
+              static_cast<std::streamsize>(frame.size()));
+  }
+  const auto before = ReadDir();
+  auto db = LedgerDatabase::Open(MakeOptions());
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+  EXPECT_NE(db.status().message().find("skips blocks"), std::string::npos)
+      << db.status().ToString();
+  EXPECT_EQ(ReadDir(), before);
+}
+
 }  // namespace
 }  // namespace sqlledger
