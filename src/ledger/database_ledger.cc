@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
+#include <tuple>
 
 #include "util/coding.h"
 
@@ -333,41 +335,26 @@ Status DatabaseLedger::RecoverBlockClose(uint64_t block_id) {
 
 Status DatabaseLedger::LoadFromTables() {
   MutexLock lock(&mu_);
-  // The open block is one past the newest closed block.
-  uint64_t max_closed = 0;
-  bool any_block = false;
-  BlockRecord last_block;
+  // The open block is one past the newest closed block, the last in the
+  // table's (block id) order.
+  std::optional<BlockRecord> last_block;
   for (BTree::Iterator it = blocks_table_->Scan(); it.Valid(); it.Next()) {
     auto block = RowToBlockRecord(it.value());
     if (!block.ok()) return block.status();
-    any_block = true;
-    if (block->block_id >= max_closed) {
-      max_closed = block->block_id;
-      last_block = *block;
-    }
+    last_block = std::move(*block);
   }
-  open_block_id_ = any_block ? max_closed + 1 : 0;
-  last_block_hash_ = any_block ? last_block.ComputeHash() : Hash256{};
+  open_block_id_ = last_block ? last_block->block_id + 1 : 0;
+  last_block_hash_ = last_block ? last_block->ComputeHash() : Hash256{};
 
   // Entries already persisted that belong to the open block.
-  std::vector<TransactionEntry> open;
-  for (BTree::Iterator it = transactions_table_->Scan(); it.Valid();
-       it.Next()) {
-    auto entry = RowToTransactionEntry(it.value());
-    if (!entry.ok()) return entry.status();
-    if (entry->commit_ts_micros > last_commit_ts_)
-      last_commit_ts_ = entry->commit_ts_micros;
-    if (entry->block_id == open_block_id_) open.push_back(std::move(*entry));
-  }
-  std::sort(open.begin(), open.end(),
-            [](const TransactionEntry& a, const TransactionEntry& b) {
-              return a.block_ordinal < b.block_ordinal;
-            });
+  auto open = BlockEntriesLocked(open_block_id_, open_block_id_ + 1,
+                                 &last_commit_ts_);
+  if (!open.ok()) return open.status();
   open_tree_.Reset();
-  for (const TransactionEntry& e : open) open_tree_.AddLeafHash(e.LeafHash());
-  open_close_ts_ = open.empty() ? 0 : open.back().commit_ts_micros;
+  for (const TransactionEntry& e : *open) open_tree_.AddLeafHash(e.LeafHash());
+  open_close_ts_ = open->empty() ? 0 : open->back().commit_ts_micros;
   assign_block_id_ = open_block_id_;
-  assign_ordinal_ = open.size();
+  assign_ordinal_ = open->size();
   return Status::OK();
 }
 
@@ -394,20 +381,15 @@ DatabaseLedger::LedgerSnapshot DatabaseLedger::Snapshot() const {
 Result<DatabaseLedger::TxnRange> DatabaseLedger::CollectTxnsBelow(
     uint64_t below_block) const {
   MutexLock lock(&mu_);
+  auto entries = BlockEntriesLocked(0, below_block);
+  if (!entries.ok()) return entries.status();
   TxnRange range;
-  bool first = true;
-  for (BTree::Iterator it = transactions_table_->Scan(); it.Valid();
-       it.Next()) {
-    auto entry = RowToTransactionEntry(it.value());
-    if (!entry.ok()) return entry.status();
-    if (entry->block_id >= below_block) continue;
-    range.txn_ids.push_back(entry->txn_id);
-    if (first || entry->txn_id < range.min_txn_id)
-      range.min_txn_id = entry->txn_id;
-    if (first || entry->txn_id > range.max_txn_id)
-      range.max_txn_id = entry->txn_id;
-    first = false;
-  }
+  for (const TransactionEntry& e : *entries) range.txn_ids.push_back(e.txn_id);
+  if (range.txn_ids.empty()) return range;
+  auto [lo, hi] =
+      std::minmax_element(range.txn_ids.begin(), range.txn_ids.end());
+  range.min_txn_id = *lo;
+  range.max_txn_id = *hi;
   return range;
 }
 
@@ -416,15 +398,11 @@ Status DatabaseLedger::TruncateBelow(uint64_t below_block) {
   if (below_block >= open_block_id_)
     return Status::InvalidArgument(
         "cannot truncate the open block or beyond");
-  std::vector<KeyTuple> txn_keys;
-  for (BTree::Iterator it = transactions_table_->Scan(); it.Valid();
-       it.Next()) {
-    auto entry = RowToTransactionEntry(it.value());
-    if (!entry.ok()) return entry.status();
-    if (entry->block_id < below_block) txn_keys.push_back(it.key());
-  }
-  for (const KeyTuple& key : txn_keys)
-    SL_RETURN_IF_ERROR(transactions_table_->Delete(key));
+  auto entries = BlockEntriesLocked(0, below_block);
+  if (!entries.ok()) return entries.status();
+  for (const TransactionEntry& e : *entries)
+    SL_RETURN_IF_ERROR(transactions_table_->Delete(
+        KeyTuple{Value::BigInt(static_cast<int64_t>(e.txn_id))}));
 
   std::vector<KeyTuple> block_keys;
   for (BTree::Iterator it = blocks_table_->Scan(); it.Valid(); it.Next()) {
@@ -462,6 +440,25 @@ Result<BlockRecord> DatabaseLedger::FindBlock(uint64_t block_id) const {
   return RowToBlockRecord(*row);
 }
 
+Result<std::vector<TransactionEntry>> DatabaseLedger::BlockEntriesLocked(
+    uint64_t first_block, uint64_t end_block, int64_t* max_commit_ts) const {
+  std::vector<TransactionEntry> entries;
+  for (BTree::Iterator it = transactions_table_->Scan(); it.Valid();
+       it.Next()) {
+    auto entry = RowToTransactionEntry(it.value());
+    if (!entry.ok()) return entry.status();
+    if (max_commit_ts != nullptr)
+      *max_commit_ts = std::max(*max_commit_ts, entry->commit_ts_micros);
+    if (entry->block_id >= first_block && entry->block_id < end_block)
+      entries.push_back(std::move(*entry));
+  }
+  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.block_id, a.block_ordinal) <
+           std::tie(b.block_id, b.block_ordinal);
+  });
+  return entries;
+}
+
 void DatabaseLedger::EnableAppendLog() {
   MutexLock lock(&mu_);
   append_log_enabled_ = true;
@@ -494,21 +491,11 @@ Result<MerkleProof> DatabaseLedger::ProveTransaction(uint64_t txn_id) const {
   if (entry->block_id >= open_block_id_)
     return Status::Busy("transaction's block is not closed yet; generate a "
                         "digest to close it");
-  // Gather the block's entries in ordinal order.
-  std::vector<TransactionEntry> block_entries;
-  for (BTree::Iterator it = transactions_table_->Scan(); it.Valid();
-       it.Next()) {
-    auto e = RowToTransactionEntry(it.value());
-    if (!e.ok()) return e.status();
-    if (e->block_id == entry->block_id) block_entries.push_back(std::move(*e));
-  }
-  std::sort(block_entries.begin(), block_entries.end(),
-            [](const TransactionEntry& a, const TransactionEntry& b) {
-              return a.block_ordinal < b.block_ordinal;
-            });
+  auto block_entries = BlockEntriesLocked(entry->block_id, entry->block_id + 1);
+  if (!block_entries.ok()) return block_entries.status();
   std::vector<Hash256> leaves;
-  leaves.reserve(block_entries.size());
-  for (const TransactionEntry& e : block_entries)
+  leaves.reserve(block_entries->size());
+  for (const TransactionEntry& e : *block_entries)
     leaves.push_back(e.LeafHash());
   return MerkleTree(std::move(leaves)).Prove(entry->block_ordinal);
 }

@@ -119,7 +119,7 @@ class DatabaseLedger {
   int64_t last_commit_ts() const;
 
   /// Ledger truncation support (paper §5.2): transaction ids recorded in
-  /// blocks below `below_block`, with their min/max.
+  /// blocks below `below_block` (in slot order), with their min/max.
   struct TxnRange {
     std::vector<uint64_t> txn_ids;
     uint64_t min_txn_id = 0;
@@ -180,6 +180,12 @@ class DatabaseLedger {
   Status CloseOpenBlockLocked() REQUIRES(mu_);
   Result<TransactionEntry> FindEntryLocked(uint64_t txn_id) const
       REQUIRES(mu_);
+  // Entries of blocks [first_block, end_block) in slot order, from a scan
+  // that fails on any unparsable row. `max_commit_ts`, if given, is raised
+  // to the newest commit timestamp in the table.
+  Result<std::vector<TransactionEntry>> BlockEntriesLocked(
+      uint64_t first_block, uint64_t end_block,
+      int64_t* max_commit_ts = nullptr) const REQUIRES(mu_);
   int64_t Now() const { return options_.clock(); }
 
   // The system tables are mutated only with mu_ held (Append, block
