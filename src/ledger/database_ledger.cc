@@ -212,7 +212,6 @@ Status DatabaseLedger::AppendLocked(TransactionEntry entry) {
   open_tree_.AddLeafHash(entry.LeafHash());
   open_close_ts_ = entry.commit_ts_micros;
   last_commit_ts_ = std::max(last_commit_ts_, entry.commit_ts_micros);
-  if (append_log_enabled_) append_log_.push_back(std::move(entry));
   if (open_tree_.leaf_count() >= options_.block_size)
     return CloseOpenBlockLocked();
   return Status::OK();
@@ -459,22 +458,17 @@ Result<std::vector<TransactionEntry>> DatabaseLedger::BlockEntriesLocked(
   return entries;
 }
 
-void DatabaseLedger::EnableAppendLog() {
+std::vector<TransactionEntry> DatabaseLedger::EntriesAfter(
+    uint64_t txn_id) const {
   MutexLock lock(&mu_);
-  append_log_enabled_ = true;
-}
-
-std::vector<TransactionEntry> DatabaseLedger::AppendLogSince(
-    size_t start) const {
-  MutexLock lock(&mu_);
-  if (start >= append_log_.size()) return {};
-  return std::vector<TransactionEntry>(append_log_.begin() + start,
-                                       append_log_.end());
-}
-
-size_t DatabaseLedger::append_log_size() const {
-  MutexLock lock(&mu_);
-  return append_log_.size();
+  std::vector<TransactionEntry> entries;
+  KeyTuple start{Value::BigInt(static_cast<int64_t>(txn_id) + 1)};
+  for (BTree::Iterator it = transactions_table_->Seek(start); it.Valid();
+       it.Next()) {
+    auto entry = RowToTransactionEntry(it.value());
+    if (entry.ok()) entries.push_back(std::move(*entry));
+  }
+  return entries;
 }
 
 Hash256 DatabaseLedger::last_block_hash() const {

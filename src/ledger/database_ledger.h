@@ -138,7 +138,7 @@ class DatabaseLedger {
   Result<BlockRecord> FindBlock(uint64_t block_id) const;
 
   /// Consistent snapshot of both system tables plus the open-block id,
-  /// taken in ONE critical section; blocks come in id (clustered) order and
+  /// taken in ONE critical section; entries and blocks come in key order and
   /// rows that fail to parse are omitted (the verifier reports the gaps).
   /// The verifier needs this atomicity: a concurrent block close (digest
   /// generation is not stopped by the verification quiesce) sliding between
@@ -162,14 +162,10 @@ class DatabaseLedger {
 
   // ---- Oracle support (differential simulator, src/sim/). ----
 
-  /// Starts recording every entry accepted by Append/RecoverEntry in
-  /// arrival order. The log lets an external oracle observe entries created
-  /// by internal transactions (DDL metadata, truncation audit records)
-  /// without re-deriving their contents.
-  void EnableAppendLog();
-  /// Entries appended since index `start` of the log (in arrival order).
-  std::vector<TransactionEntry> AppendLogSince(size_t start) const;
-  size_t append_log_size() const;
+  /// Entries past `txn_id` in txn-id order, from one seek; rows that fail to
+  /// parse are omitted. The simulator reads new entries this way, those of
+  /// internal transactions (DDL metadata, truncation records) included.
+  std::vector<TransactionEntry> EntriesAfter(uint64_t txn_id) const;
 
   /// Hash of the newest closed block (zero if none) — the chain tip an
   /// oracle checks its own recomputation against.
@@ -212,9 +208,6 @@ class DatabaseLedger {
   // Hash of the newest closed block (zero if none).
   Hash256 last_block_hash_ GUARDED_BY(mu_);
   int64_t last_commit_ts_ GUARDED_BY(mu_) = 0;
-
-  bool append_log_enabled_ GUARDED_BY(mu_) = false;
-  std::vector<TransactionEntry> append_log_ GUARDED_BY(mu_);
 };
 
 }  // namespace sqlledger

@@ -157,8 +157,6 @@ Status SimDriver::OpenDb() {
   auto db = LedgerDatabase::Open(opts);
   if (!db.ok()) return db.status();
   db_ = std::move(*db);
-  db_->database_ledger()->EnableAppendLog();
-  applied_ = 0;
   txn_ = nullptr;
 
   // The remote store is external to the database host: created once and
@@ -283,6 +281,7 @@ void SimDriver::ProbeTxnCounter(size_t i) {
 bool SimDriver::RebuildChain(size_t i, bool check_prefix) {
   DatabaseLedger::LedgerSnapshot snap = ledger()->Snapshot();
   std::vector<TransactionEntry>& entries = snap.entries;
+  const uint64_t newest_txn_id = entries.empty() ? 0 : entries.back().txn_id;
   std::sort(entries.begin(), entries.end(),
             [](const TransactionEntry& a, const TransactionEntry& b) {
               if (a.block_id != b.block_id) return a.block_id < b.block_id;
@@ -391,7 +390,7 @@ bool SimDriver::RebuildChain(size_t i, bool check_prefix) {
   }
 
   model_->SetChainState(std::move(st));
-  applied_ = ledger()->append_log_size();
+  ingested_txn_id_ = newest_txn_id;
 
   // Digests referencing truncated blocks would (correctly) fail invariant
   // 1; they are no longer part of the trusted set.
@@ -507,7 +506,10 @@ bool SimDriver::EntriesMatch(const TransactionEntry& a,
 }
 
 bool SimDriver::IngestNewEntries(size_t i) {
-  std::vector<TransactionEntry> fresh = ledger()->AppendLogSince(applied_);
+  return Ingest(i, ledger()->EntriesAfter(ingested_txn_id_));
+}
+
+bool SimDriver::Ingest(size_t i, const std::vector<TransactionEntry>& fresh) {
   for (const TransactionEntry& e : fresh) {
     Status st = model_->OnEntryAppended(e);
     if (!st.ok()) {
@@ -515,7 +517,7 @@ bool SimDriver::IngestNewEntries(size_t i) {
                   st.message());
       return false;
     }
-    applied_++;
+    ingested_txn_id_ = e.txn_id;
   }
   return true;
 }
@@ -567,32 +569,27 @@ bool SimDriver::CommitOpenTxn(size_t i) {
     Fail(i, "commit failed: " + st.message());
     return false;
   }
-  std::vector<TransactionEntry> fresh = ledger()->AppendLogSince(applied_);
+  std::vector<TransactionEntry> fresh =
+      ledger()->EntriesAfter(ingested_txn_id_);
   size_t want = expected.has_entry ? 1 : 0;
   if (fresh.size() != want) {
     Fail(i, "commit appended " + std::to_string(fresh.size()) +
                 " entries, model expected " + std::to_string(want));
     return false;
   }
-  if (expected.has_entry) {
-    if (!EntriesMatch(fresh[0], expected.entry, /*check_ts=*/false)) {
-      Fail(i, "commit entry mismatch for txn " +
-                  std::to_string(expected.entry.txn_id) + ": system block " +
-                  std::to_string(fresh[0].block_id) + "/" +
-                  std::to_string(fresh[0].block_ordinal) + " roots " +
-                  std::to_string(fresh[0].table_roots.size()) +
-                  " vs model block " + std::to_string(expected.entry.block_id) +
-                  "/" + std::to_string(expected.entry.block_ordinal) +
-                  " roots " + std::to_string(expected.entry.table_roots.size()));
-      return false;
-    }
-    Status ms = model_->OnEntryAppended(fresh[0]);
-    if (!ms.ok()) {
-      Fail(i, "model rejected appended entry: " + ms.message());
-      return false;
-    }
-    applied_++;
+  if (expected.has_entry &&
+      !EntriesMatch(fresh[0], expected.entry, /*check_ts=*/false)) {
+    Fail(i, "commit entry mismatch for txn " +
+                std::to_string(expected.entry.txn_id) + ": system block " +
+                std::to_string(fresh[0].block_id) + "/" +
+                std::to_string(fresh[0].block_ordinal) + " roots " +
+                std::to_string(fresh[0].table_roots.size()) +
+                " vs model block " + std::to_string(expected.entry.block_id) +
+                "/" + std::to_string(expected.entry.block_ordinal) +
+                " roots " + std::to_string(expected.entry.table_roots.size()));
+    return false;
   }
+  if (!Ingest(i, fresh)) return false;
   model_->FinalizeCommit();
   if (!(model_->last_block_hash() == ledger()->last_block_hash())) {
     Fail(i, "chain tip mismatch after commit (naive " +

@@ -126,7 +126,9 @@ class SimDriver {
   bool CommitOpenTxn(size_t i);
   void ResolveInDoubtCommit(size_t i,
                             const ReferenceModel::CommitOutcome& expected);
+  /// Feeds the entries past ingested_txn_id_ to the model, in order.
   bool IngestNewEntries(size_t i);
+  bool Ingest(size_t i, const std::vector<TransactionEntry>& fresh);
   bool EntriesMatch(const TransactionEntry& a, const TransactionEntry& b,
                     bool check_ts) const;
   /// Crash aftermath: destroy the db, reopen on a fresh env, run `resolve`
@@ -182,7 +184,9 @@ class SimDriver {
   std::unique_ptr<FaultyDigestStore> faulty_store_;
   std::unique_ptr<LedgerDatabase> db_;
   Transaction* txn_ = nullptr;
-  size_t applied_ = 0;  // append-log entries already ingested by the model
+  // Newest txn id the model has ingested. Ops commit the open transaction
+  // before running internal ones, so entries land in txn-id order.
+  uint64_t ingested_txn_id_ = 0;
   std::vector<std::string> registry_;  // table index -> name, append order
   std::set<std::pair<std::string, std::string>> indexes_;
   std::vector<DatabaseDigest> trusted_;
