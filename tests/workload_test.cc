@@ -1,12 +1,10 @@
 // Workload generator tests: TPC-C-like and TPC-E-like setups run, maintain
-// invariants, and the whole database verifies afterwards; the consensus
-// baseline simulation obeys its configured envelope.
+// invariants, and the whole database verifies afterwards.
 
 #include <gtest/gtest.h>
 
 #include "ledger/verifier.h"
 #include "test_util.h"
-#include "workload/consensus_baseline.h"
 #include "workload/tpcc.h"
 #include "workload/tpce.h"
 
@@ -150,41 +148,6 @@ TEST(TpceTest, TradeLifecycleUpdatesHoldings) {
   auto ref = db->GetTableRef("holding");
   ASSERT_TRUE(ref.ok());
   EXPECT_GT(ref->main->row_count(), 0u);
-}
-
-TEST(ConsensusBaselineTest, LatencyDominatedByBlockInterval) {
-  ConsensusConfig config;
-  config.time_scale = 100;  // run fast, report unscaled numbers
-  config.block_size = 8;
-  SimulatedConsensusLedger ledger(config);
-  uint64_t latency = ledger.Submit(Slice(std::string("txn")));
-  // End-to-end latency must include endorsement + half interval; with the
-  // defaults that is in the 100s of milliseconds (paper §4.1.1).
-  EXPECT_GT(latency, 250000u);  // > 250 ms simulated
-  EXPECT_LT(latency, 2000000u);
-  EXPECT_EQ(ledger.stats().committed, 1u);
-}
-
-TEST(ConsensusBaselineTest, ThroughputCapMatchesParameters) {
-  ConsensusConfig config;
-  EXPECT_DOUBLE_EQ(SimulatedConsensusLedger(config).TheoreticalMaxThroughput(),
-                   1000.0);  // 500 txns / 0.5 s
-}
-
-TEST(ConsensusBaselineTest, FullBlockCutsEarly) {
-  ConsensusConfig config;
-  config.time_scale = 50;
-  config.block_size = 4;
-  SimulatedConsensusLedger ledger(config);
-  std::vector<std::thread> clients;
-  for (int i = 0; i < 8; i++) {
-    clients.emplace_back(
-        [&ledger] { ledger.Submit(Slice(std::string("t"))); });
-  }
-  for (auto& c : clients) c.join();
-  ConsensusStats stats = ledger.stats();
-  EXPECT_EQ(stats.committed, 8u);
-  EXPECT_GE(stats.blocks, 2u);  // 8 txns, blocks of 4
 }
 
 }  // namespace
