@@ -54,6 +54,11 @@ to the offending line — use sparingly and say why on an adjacent comment):
                   source listed in tests/CMakeLists.txt SL_TEST_SOURCES). A
                   decorator nobody tests silently stops injecting the faults
                   the robustness suite depends on.
+  bench-docs      (repo-level) the binaries EXPERIMENTS.md's regeneration
+                  loop (`for b in ...; do`) runs must be exactly the
+                  SL_BENCH_SOURCES of bench/CMakeLists.txt. A deleted bench
+                  left in the loop breaks regeneration; a bench missing from
+                  it backs no documented number.
 
 Runtime budget: the whole pass must stay under 10 seconds (it runs as a CI
 job and as a pre-commit habit); it is pure stdlib + regex over a few hundred
@@ -444,6 +449,56 @@ def check_digest_decorator_coverage(findings, root=None):
                 "its injected faults/contract stay covered"))
 
 
+# ---------------------------------------------------------------------------
+# Rule: bench-docs (repo-level)
+# ---------------------------------------------------------------------------
+
+SL_BENCH_SOURCES_RE = re.compile(r"set\s*\(\s*SL_BENCH_SOURCES(.*?)\)",
+                                 re.DOTALL)
+REGEN_LOOP_RE = re.compile(r"\bfor\s+b\s+in\s+(.*?);\s*do\b", re.DOTALL)
+
+
+def check_bench_docs(findings, root=None):
+    """Repo-level check: the regeneration loop in EXPERIMENTS.md names
+    exactly the binaries bench/CMakeLists.txt builds from SL_BENCH_SOURCES."""
+    root = root or REPO_ROOT
+    cmake_path = os.path.join(root, "bench", "CMakeLists.txt")
+    doc_path = os.path.join(root, "EXPERIMENTS.md")
+    texts = []
+    for path in (cmake_path, doc_path):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                texts.append(fh.read())
+        except OSError:
+            findings.append(Finding("bench-docs", path, 1, "cannot read file"))
+            return
+    cmake, doc = texts
+    sources = SL_BENCH_SOURCES_RE.search(cmake)
+    loop = REGEN_LOOP_RE.search(doc)
+    if not sources:
+        findings.append(Finding("bench-docs", cmake_path, 1,
+                                "no set(SL_BENCH_SOURCES ...) block found"))
+    if not loop:
+        findings.append(Finding("bench-docs", doc_path, 1,
+                                "no `for b in ...; do` regeneration loop"))
+    if not sources or not loop:
+        return
+    built = {t[:-3] for t in sources.group(1).split() if t.endswith(".cc")}
+    listed = set(loop.group(1).replace("\\", " ").split())
+    loop_line = doc.count("\n", 0, loop.start()) + 1
+    sources_line = cmake.count("\n", 0, sources.start()) + 1
+    for name in sorted(listed - built):
+        findings.append(Finding(
+            "bench-docs", doc_path, loop_line,
+            f"regeneration loop runs {name}, which SL_BENCH_SOURCES in "
+            "bench/CMakeLists.txt does not build"))
+    for name in sorted(built - listed):
+        findings.append(Finding(
+            "bench-docs", cmake_path, sources_line,
+            f"SL_BENCH_SOURCES builds {name}, which EXPERIMENTS.md's "
+            "regeneration loop does not run"))
+
+
 CHECKS = [
     ("determinism", ALL_CODE_DIRS, check_determinism),
     ("raw-sha", ALL_CODE_DIRS, check_raw_sha),
@@ -458,6 +513,7 @@ CHECKS = [
 # Checks that look at the whole tree at once rather than one file at a time.
 REPO_CHECKS = [
     ("digest-decorator-coverage", check_digest_decorator_coverage),
+    ("bench-docs", check_bench_docs),
 ]
 
 
@@ -589,11 +645,41 @@ def self_test_digest_decorator_coverage():
     return failures
 
 
+def self_test_bench_docs():
+    """Fire when the loop names a binary the build lacks, and when the build
+    has one the loop lacks; stay quiet when the two lists agree."""
+    failures = 0
+    built = "set(SL_BENCH_SOURCES\n  fig7.cc\n  receipt_bench.cc\n)\n"
+    for variant, loop, expect_fire in (
+            ("bad-doc", "fig7 receipt_bench gone", True),
+            ("bad-build", "fig7", True),
+            ("good", "fig7 \\\n         receipt_bench", False)):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.makedirs(os.path.join(tmp, "bench"))
+            with open(os.path.join(tmp, "bench", "CMakeLists.txt"), "w",
+                      encoding="utf-8") as f:
+                f.write(built)
+            with open(os.path.join(tmp, "EXPERIMENTS.md"), "w",
+                      encoding="utf-8") as f:
+                f.write(f"```sh\nfor b in {loop}; do\n  ./build/bench/$b\n"
+                        "done\n```\n")
+            findings = []
+            check_bench_docs(findings, root=tmp)
+            fired = any(f.rule == "bench-docs" for f in findings)
+            if fired != expect_fire:
+                failures += 1
+                print(f"SELF-TEST FAIL [bench-docs/{variant}]:"
+                      f" {'did not fire' if expect_fire else 'fired'}",
+                      file=sys.stderr)
+    return failures
+
+
 def run_self_test():
     global REPO_ROOT
     real_root = REPO_ROOT
     failures = 0
     failures += self_test_digest_decorator_coverage()
+    failures += self_test_bench_docs()
     for rule, rel, bad, good in SELF_TEST_CASES:
         for variant, text, expect_fire in (("bad", bad, True),
                                            ("good", good, False)):
@@ -620,7 +706,7 @@ def run_self_test():
     if failures:
         print(f"lint.py --self-test: {failures} failure(s).", file=sys.stderr)
         return 1
-    print(f"lint.py --self-test: all {len(SELF_TEST_CASES) + 2} cases pass "
+    print(f"lint.py --self-test: all {len(SELF_TEST_CASES) + 5} cases pass "
           "(each rule fires on its seeded violation, stays quiet on the fix).")
     return 0
 
