@@ -14,13 +14,11 @@
 using namespace sqlledger;
 
 namespace {
-std::unique_ptr<LedgerDatabase> OpenDb(const std::string& dir,
-                                       bool new_incarnation = false) {
+std::unique_ptr<LedgerDatabase> OpenDb(const std::string& dir) {
   LedgerDatabaseOptions options;
   options.data_dir = dir;
   options.database_id = "digest-demo";
   options.block_size = 4;
-  options.force_new_incarnation = new_incarnation;
   auto db = LedgerDatabase::Open(std::move(options));
   if (!db.ok()) {
     std::printf("open failed: %s\n", db.status().ToString().c_str());

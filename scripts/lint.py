@@ -54,6 +54,15 @@ to the offending line — use sparingly and say why on an adjacent comment):
                   source listed in tests/CMakeLists.txt SL_TEST_SOURCES). A
                   decorator nobody tests silently stops injecting the faults
                   the robustness suite depends on.
+  definition-apply
+                  a call that changes a table store's definition —
+                  mutable_schema(), ExtendRows(, set_name(, or CreateIndex(/
+                  DropIndex( on anything but the database facade (db/db_) —
+                  in src/ outside src/storage/ and
+                  src/ledger/table_definition.cc. Every DDL, the bootstrap
+                  and WAL replay change stores through ApplyTableDefinition,
+                  so a statement and its replay cannot drift apart
+                  (DESIGN.md §4).
   bench-docs      (repo-level) the binaries EXPERIMENTS.md's regeneration
                   loop (`for b in ...; do`) runs must be exactly the
                   SL_BENCH_SOURCES of bench/CMakeLists.txt. A deleted bench
@@ -383,6 +392,41 @@ def check_metric_naming(path, lines, findings):
 
 
 # ---------------------------------------------------------------------------
+# Rule: definition-apply
+# ---------------------------------------------------------------------------
+
+DEFINITION_EDIT_RE = re.compile(
+    r"\bmutable_schema\s*\(|\bExtendRows\s*\(|\bset_name\s*\("
+    r"|([\w\)\]]+)\s*(?:->|\.)\s*(?:CreateIndex|DropIndex)\s*\(")
+# Receivers whose CreateIndex/DropIndex is the LedgerDatabase DDL, which
+# itself goes through the apply path.
+DATABASE_RECEIVERS = {"db", "db_"}
+
+
+def check_definition_apply(path, lines, findings):
+    rel = os.path.relpath(path, REPO_ROOT)
+    if not rel.startswith("src" + os.sep):
+        return  # tests and benches may edit stores directly (tampering)
+    if rel.startswith(os.path.join("src", "storage") + os.sep):
+        return  # the stores themselves
+    if rel == os.path.join("src", "ledger", "table_definition.cc"):
+        return  # ApplyTableDefinition / MatchStore: the apply path
+    for i, raw in enumerate(lines, 1):
+        line = strip_noise(raw)
+        for m in DEFINITION_EDIT_RE.finditer(line):
+            if m.group(1) in DATABASE_RECEIVERS:
+                continue
+            if allowed(raw, "definition-apply"):
+                continue
+            findings.append(Finding(
+                "definition-apply", path, i,
+                "store definition changed outside the apply path; build the "
+                "TableDefinition and apply it with ApplyTableDefinition / "
+                "DefineTable (src/ledger/table_definition.cc)"))
+            break
+
+
+# ---------------------------------------------------------------------------
 # Rule: digest-decorator-coverage (repo-level)
 # ---------------------------------------------------------------------------
 
@@ -507,6 +551,7 @@ CHECKS = [
     ("tsa-escape", SRC_DIRS, check_tsa_escape),
     ("void-discard", SRC_DIRS, check_void_discard),
     ("commit-sync", SRC_DIRS, check_commit_sync),
+    ("definition-apply", SRC_DIRS, check_definition_apply),
     ("metric-naming", ALL_CODE_DIRS, check_metric_naming),
 ]
 
@@ -608,6 +653,31 @@ SELF_TEST_CASES = [
     ("metric-naming", "src/ledger/x_selftest.cc",
      'Histogram* h = registry.GetHistogram("wal.sync_seconds");',
      'Histogram* h = registry.GetHistogram("wal.sync_micros");'),
+    ("definition-apply", "src/ledger/x_selftest.cc",
+     "entry->main->mutable_schema()->AddColumn(column, type, true);",
+     "def.main.schema.AddColumn(column, type, true);"),
+    ("definition-apply", "src/ledger/x_selftest.cc",
+     "entry->history->ExtendRows(Value::Null(type));",
+     "Status st = DefineTable(txn, entry->table_id, def);"),
+    ("definition-apply", "src/ledger/x_selftest.cc",
+     "Status st = entry->main->CreateIndex(name, ordinals, unique);",
+     "Status st = db_->CreateIndex(table, name, {\"val\"}, false);"),
+    ("definition-apply", "src/sim/x_selftest.cc",
+     "(*store).DropIndex(name);",
+     "def.main.indexes.push_back({name, ordinals, unique});"),
+    ("definition-apply", "src/ledger/x_selftest.cc",
+     "entry->main->set_name(dropped_name);",
+     "def.main.name = dropped_name;"),
+]
+
+# (path, fires): one store edit, flagged everywhere in src/ but the apply
+# path's file and the storage layer, and never in tests.
+DEFINITION_APPLY_SCOPE = [
+    ("src/ledger/schema_changes.cc", True),
+    ("src/ledger/ledger_database.cc", True),
+    ("src/ledger/table_definition.cc", False),
+    ("src/storage/table_store.cc", False),
+    ("tests/tamper_test.cc", False),
 ]
 
 
@@ -674,12 +744,28 @@ def self_test_bench_docs():
     return failures
 
 
+def self_test_definition_apply_scope():
+    """The same store edit fires or stays quiet by file."""
+    failures = 0
+    text = ["*store->mutable_schema() = schema;\n"]
+    for rel, expect_fire in DEFINITION_APPLY_SCOPE:
+        findings = []
+        check_definition_apply(os.path.join(REPO_ROOT, rel), text, findings)
+        if bool(findings) != expect_fire:
+            failures += 1
+            print(f"SELF-TEST FAIL [definition-apply/{rel}]:"
+                  f" {'did not fire' if expect_fire else 'fired'}",
+                  file=sys.stderr)
+    return failures
+
+
 def run_self_test():
     global REPO_ROOT
     real_root = REPO_ROOT
     failures = 0
     failures += self_test_digest_decorator_coverage()
     failures += self_test_bench_docs()
+    failures += self_test_definition_apply_scope()
     for rule, rel, bad, good in SELF_TEST_CASES:
         for variant, text, expect_fire in (("bad", bad, True),
                                            ("good", good, False)):
@@ -706,7 +792,8 @@ def run_self_test():
     if failures:
         print(f"lint.py --self-test: {failures} failure(s).", file=sys.stderr)
         return 1
-    print(f"lint.py --self-test: all {len(SELF_TEST_CASES) + 5} cases pass "
+    cases = len(SELF_TEST_CASES) + 5 + len(DEFINITION_APPLY_SCOPE)
+    print(f"lint.py --self-test: all {cases} cases pass "
           "(each rule fires on its seeded violation, stays quiet on the fix).")
     return 0
 

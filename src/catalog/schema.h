@@ -31,6 +31,8 @@ struct ColumnDef {
   /// Logically dropped: renamed out of the user schema but physically kept
   /// so historical hashes remain verifiable.
   bool dropped = false;
+
+  bool operator==(const ColumnDef&) const = default;
 };
 
 /// An ordered list of columns plus the primary-key column ordinals.
@@ -78,6 +80,8 @@ class Schema {
 
   uint32_t next_column_id() const { return next_column_id_; }
   void set_next_column_id(uint32_t id) { next_column_id_ = id; }
+
+  bool operator==(const Schema&) const = default;
 
  private:
   std::vector<ColumnDef> columns_;

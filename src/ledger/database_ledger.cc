@@ -295,7 +295,8 @@ Status DatabaseLedger::RecoverEntry(const TransactionEntry& entry) {
   MutexLock lock(&mu_);
   KeyTuple key{Value::BigInt(static_cast<int64_t>(entry.txn_id))};
   if (transactions_table_->Get(key) != nullptr)
-    return Status::OK();  // idempotent replay
+    return Status::Corruption("WAL replay: duplicate entry for txn " +
+                              std::to_string(entry.txn_id));
 
   // An entry addressed past the open block means the open block was closed
   // (by reaching block_size or by digest generation) before this commit;

@@ -90,13 +90,13 @@ class DatabaseLedger {
 
   // ---- Durability integration. ----
 
-  /// Re-appends an entry recovered from a WAL commit record. Skips entries
-  /// already present (replay after a crash between checkpoint and WAL
-  /// reset). Entries must be replayed in commit order; an entry addressed
-  /// past the open block implies the open block was closed before the
-  /// crash, so it is re-closed first (block closes are deterministic: the
-  /// close timestamp is the highest-ordinal entry's commit timestamp). An
-  /// entry more than one block past the open block is Corruption.
+  /// Re-appends an entry recovered from a WAL commit record. An entry
+  /// already present is Corruption: replay applies each record once. Entries
+  /// must be replayed in commit order; an entry addressed past the open
+  /// block implies the open block was closed before the crash, so it is
+  /// re-closed first (block closes are deterministic: the close timestamp
+  /// is the highest-ordinal entry's commit timestamp). An entry more than
+  /// one block past the open block is Corruption.
   Status RecoverEntry(const TransactionEntry& entry);
 
   /// Replays a digest-generation block close from its WAL marker.

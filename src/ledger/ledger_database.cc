@@ -55,14 +55,28 @@ Schema MakeSysTruncationsSchema() {
   s.SetPrimaryKey({0});
   return s;
 }
+
+// The definition of a new table: the user schema with the ledger's hidden
+// columns and, for an updateable ledger table, a history store `history_id`.
+TableDefinition NewTableDefinition(const std::string& name,
+                                   const Schema& user_schema, TableKind kind,
+                                   uint32_t history_id) {
+  TableDefinition def;
+  def.kind = static_cast<uint8_t>(kind);
+  def.main = {name, MakeLedgerSchema(user_schema, kind), {}};
+  if (kind == TableKind::kUpdateable) {
+    def.history_table_id = history_id;
+    def.history = {name + "_history", MakeHistorySchema(def.main.schema), {}};
+  }
+  return def;
+}
 }  // namespace
 
 void CatalogEntry::LinkRef() {
-  ref.table_id = table_id;
-  ref.kind = kind;
-  ref.main = main.get();
-  ref.history = history.get();
-  ref.RefreshOrdinals();
+  const Schema& s = main->schema();
+  ref = {table_id, kind, main.get(), history.get(),
+         s.FindColumn(kColStartTxn), s.FindColumn(kColStartSeq),
+         s.FindColumn(kColEndTxn), s.FindColumn(kColEndSeq)};
 }
 
 LedgerDatabase::LedgerDatabase(LedgerDatabaseOptions options)
@@ -105,6 +119,11 @@ LedgerDatabase::~LedgerDatabase() {
 
 Result<std::unique_ptr<LedgerDatabase>> LedgerDatabase::Open(
     LedgerDatabaseOptions options) {
+  return OpenImpl(std::move(options), /*new_incarnation=*/false);
+}
+
+Result<std::unique_ptr<LedgerDatabase>> LedgerDatabase::OpenImpl(
+    LedgerDatabaseOptions options, bool new_incarnation) {
   std::unique_ptr<LedgerDatabase> db(new LedgerDatabase(std::move(options)));
 
   if (db->options_.data_dir.empty()) {
@@ -129,6 +148,8 @@ Result<std::unique_ptr<LedgerDatabase>> LedgerDatabase::Open(
       env->FileExists(db->checkpoint_path_ + ".prev")) {
     const int64_t recover_start = db->metrics_->NowMicros();
     SL_RETURN_IF_ERROR(db->Recover());
+    if (new_incarnation)
+      db->create_time_ = std::to_string(db->options_.clock());
     db->m_recovery_micros_->Record(static_cast<uint64_t>(
         std::max<int64_t>(0, db->metrics_->NowMicros() - recover_start)));
     db->m_recovery_runs_->Add();
@@ -175,8 +196,7 @@ Result<std::unique_ptr<LedgerDatabase>> LedgerDatabase::Restore(
   SL_RETURN_IF_ERROR(RemoveDirRecursive(env, options.data_dir));
   SL_RETURN_IF_ERROR(env->CreateDirs(options.data_dir));
   SL_RETURN_IF_ERROR(CopyDirRecursive(env, source_dir, options.data_dir));
-  options.force_new_incarnation = true;
-  return Open(std::move(options));
+  return OpenImpl(std::move(options), /*new_incarnation=*/true);
 }
 
 Status LedgerDatabase::InitFresh() {
@@ -198,27 +218,21 @@ Status LedgerDatabase::InitFresh() {
                                              ledger_blocks_store_.get(),
                                              std::move(lopts));
 
-  // Bootstrap the ledger metadata system tables (paper §3.5.2, Figure 6).
+  // Bootstrap the ledger metadata system tables (paper §3.5.2, Figure 6)
+  // through the apply path and record their own metadata through the
+  // ledger, so even the bootstrap is auditable.
+  auto txn = Begin("system");
+  if (!txn.ok()) return txn.status();
+  Status st;
   auto make_sys = [&](uint32_t id, uint32_t history_id,
                       const std::string& name, const Schema& user_schema,
                       TableKind kind) {
-    auto entry = std::make_unique<CatalogEntry>();
-    entry->table_id = id;
-    entry->name = name;
-    entry->kind = kind;
-    entry->is_system = true;
-    Schema full = MakeLedgerSchema(user_schema, kind);
-    entry->main = std::make_unique<TableStore>(id, name, full);
-    if (kind == TableKind::kUpdateable) {
-      entry->history = std::make_unique<TableStore>(
-          history_id, name + "_history", MakeHistorySchema(full));
-    }
-    entry->LinkRef();
-    // The lock lives inside the lambda (not around the call) because the
-    // analysis treats lambda bodies as independent functions.
-    WriterMutexLock lock(&catalog_mu_);
-    name_index_[name] = id;
-    catalog_[id] = std::move(entry);
+    if (st.ok())
+      st = ApplyTableDefinition(
+          id, NewTableDefinition(name, user_schema, kind, history_id));
+    if (!st.ok()) return;
+    FindTableById(id)->is_system = true;
+    st = RecordTableMetadata(*txn, *FindTableById(id));
   };
   make_sys(kSysTablesTableId, kSysTablesHistoryTableId, "sys_ledger_tables",
            MakeSysTablesSchema(), TableKind::kUpdateable);
@@ -227,21 +241,7 @@ Status LedgerDatabase::InitFresh() {
            TableKind::kUpdateable);
   make_sys(kSysTruncationsTableId, 0, "sys_ledger_truncations",
            MakeSysTruncationsSchema(), TableKind::kAppendOnly);
-
-  // Record the system tables' own metadata through the ledger, so even the
-  // bootstrap is auditable.
-  auto txn = Begin("system");
-  if (!txn.ok()) return txn.status();
-  for (uint32_t id :
-       {kSysTablesTableId, kSysColumnsTableId, kSysTruncationsTableId}) {
-    CatalogEntry* entry = FindTableById(id);
-    Status st = RecordTableMetadata(*txn, *entry);
-    if (!st.ok()) {
-      Abort(*txn);
-      return st;
-    }
-  }
-  return Commit(*txn);
+  return FinishDdl(*txn, st);
 }
 
 std::vector<uint8_t> LedgerDatabase::EncodeCatalogMeta() const {
@@ -282,9 +282,7 @@ Status LedgerDatabase::DecodeCatalogMeta(
   Decoder dec(meta);
   auto create_time = dec.GetLengthPrefixed();
   if (!create_time.ok()) return create_time.status();
-  create_time_ = options_.force_new_incarnation
-                     ? std::to_string(options_.clock())
-                     : create_time->ToString();
+  create_time_ = create_time->ToString();
 
   auto next_table = dec.GetVarint32();
   if (!next_table.ok()) return next_table.status();
@@ -361,9 +359,9 @@ Status LedgerDatabase::Recover() {
   // WriteCheckpoint), fall back to the retained previous generation. The
   // fallback additionally replays the rotated WAL ("wal.log.prev", which
   // spans previous-checkpoint -> newest-checkpoint), so either path
-  // reconstructs the same state — replay is idempotent. A checkpoint of a
-  // retired format (NotSupported) is not torn: it is refused, with no
-  // fallback, because the WAL beside it is in that format too.
+  // reconstructs the same state. A checkpoint of a retired format
+  // (NotSupported) is not torn: it is refused, with no fallback, because
+  // the WAL beside it is in that format too.
   bool used_fallback = false;
   auto checkpoint = ReadCheckpoint(checkpoint_path_, env_);
   if (!checkpoint.ok()) {
@@ -390,18 +388,10 @@ Status LedgerDatabase::Recover() {
   // the WAL rotation's directory sync leaves the new checkpoint beside the
   // log it superseded, and re-applying those records would replay row
   // images of an older shape and count the transactions twice.
-  ReplayContext ctx;
+  uint64_t checkpoint_next_txn_id = 0;
   {
     MutexLock txn_lock(&txn_mu_);
-    ctx.checkpoint_next_txn_id = next_txn_id_;
-  }
-  {
-    ReaderMutexLock catalog_lock(&catalog_mu_);
-    for (const auto& [id, entry] : catalog_) {
-      ctx.stores[id] = entry->main.get();
-      if (entry->history != nullptr)
-        ctx.stores[entry->history->table_id()] = entry->history.get();
-    }
+    checkpoint_next_txn_id = next_txn_id_;
   }
   if (options_.enable_ledger) {
     DatabaseLedgerOptions lopts;
@@ -412,19 +402,19 @@ Status LedgerDatabase::Recover() {
                                                std::move(lopts));
     SL_RETURN_IF_ERROR(ledger_->LoadFromTables());
   }
-  // Replay the WAL tail: redo row operations idempotently and re-append the
-  // Database Ledger's transaction entries from the commit records (the
-  // Analysis phase of paper §3.3.2).
-  auto replay = [this, &ctx](Slice payload) {
-    return ReplayWalRecord(payload, &ctx);
+  // Replay the WAL tail: redo each commit record's operations once and
+  // re-append the Database Ledger's transaction entries from the commit
+  // records (the Analysis phase of paper §3.3.2).
+  auto replay = [&](const std::string& path) {
+    return ReadFrameLog(env_, path, [&](Slice payload) {
+      return ReplayWalRecord(payload, checkpoint_next_txn_id, path);
+    });
   };
   if (used_fallback) {
-    ctx.wal_path = wal_path_ + ".prev";
-    auto prev = ReadFrameLog(env_, ctx.wal_path, replay);
+    auto prev = replay(wal_path_ + ".prev");
     if (!prev.ok()) return prev.status();
   }
-  ctx.wal_path = wal_path_;
-  auto scan = ReadFrameLog(env_, wal_path_, replay);
+  auto scan = replay(wal_path_);
   if (!scan.ok()) return scan.status();
   // Chop off any torn tail NOW: the WAL is reopened for append, and a
   // record written after un-replayable garbage would be unreachable to
@@ -435,67 +425,62 @@ Status LedgerDatabase::Recover() {
 }
 
 namespace {
-// Redoes one op on a ledger table and appends the leaf hash of each row
-// version it touches to the table's Merkle tree in the order the DML did:
-// a retired version, then the installed one. The history row of a retired
-// version is its pre-image, which must be present, stamped with the
-// retiring (transaction id, sequence number).
-Status ReplayLedgerOp(const LedgerTableRef& t, const WalOp& op,
-                      uint64_t txn_id, MerkleBuilder* merkle) {
-  auto corruption = [&t](const std::string& what) {
-    return Status::Corruption("WAL " + what + " (ledger table id " +
-                              std::to_string(t.table_id) + ")");
-  };
-  auto add_leaf = [&](const Row& row, RowOp kind, uint64_t seq) {
-    merkle->AddLeafHash(RowVersionLeafHash(t.main->schema(), row, kind,
-                                           t.table_id, txn_id, seq));
-  };
-  auto retire = [&](const KeyTuple& key, uint64_t seq) -> Status {
+// Redoes one row op. On a ledger table it rebuilds what the record does not
+// log as the DML did: an update or delete retires the current version
+// through RetireVersion, and each version's leaf hash reaches `merkle`.
+Status ReplayRowOp(const LedgerTableRef& t, const WalOp& op, uint64_t txn_id,
+                   MerkleBuilder* merkle) {
+  const bool ledger = t.kind != TableKind::kRegular;
+  if (op.type == (ledger ? WalOpType::kDelete : WalOpType::kLedgerDelete))
+    return Status::Corruption(ledger ? "plain delete on a ledger table"
+                                     : "ledger delete on a regular table");
+  uint64_t seq = 0;
+  if (ledger && op.type != WalOpType::kLedgerDelete) {
+    if (op.new_row.size() != t.main->schema().num_columns())
+      return Status::Corruption("row does not fit the schema");
+    // The installed version names itself in its start cells.
+    const Cell start_txn = op.new_row[t.start_txn_ord];
+    const Cell start_seq = op.new_row[t.start_seq_ord];
+    if (start_txn.is_null() || start_seq.is_null() ||
+        start_txn.AsInt64() != static_cast<int64_t>(txn_id) ||
+        start_seq.AsInt64() < (op.type == WalOpType::kUpdate ? 1 : 0))
+      return Status::Corruption("row is not stamped by its transaction");
+    seq = static_cast<uint64_t>(start_seq.AsInt64());
+  }
+  if (ledger && op.type != WalOpType::kInsert) {
     if (t.history == nullptr)
-      return corruption("retires a row of an append-only table");
-    auto row = t.main->GetCopy(key);
-    if (!row.has_value()) return corruption("retires a missing row");
-    (*row)[t.end_txn_ord] = Value::BigInt(static_cast<int64_t>(txn_id));
-    (*row)[t.end_seq_ord] = Value::BigInt(static_cast<int64_t>(seq));
-    SL_RETURN_IF_ERROR(t.history->Insert(*row));
-    add_leaf(*row, RowOp::kDelete, seq);
-    return Status::OK();
-  };
-
+      return Status::Corruption("retires a row of an append-only table");
+    const bool update = op.type == WalOpType::kUpdate;
+    auto current =
+        t.main->GetCopy(update ? t.main->KeyOf(op.new_row) : op.key);
+    if (!current.has_value())
+      return Status::Corruption("retires a missing row");
+    auto retired = RetireVersion(t, std::move(*current), txn_id,
+                                 update ? UpdateRetireSeq(seq) : op.end_seq,
+                                 merkle);
+    if (!retired.ok()) return retired.status();
+  }
   switch (op.type) {
     case WalOpType::kInsert:
-    case WalOpType::kUpdate: {
-      if (op.new_row.size() != t.main->schema().num_columns())
-        return corruption("row does not fit the schema");
-      // The installed version names itself in its start cells.
-      const Cell start_txn = op.new_row[t.start_txn_ord];
-      const Cell start_seq = op.new_row[t.start_seq_ord];
-      const bool update = op.type == WalOpType::kUpdate;
-      if (start_txn.is_null() || start_seq.is_null() ||
-          start_txn.AsInt64() != static_cast<int64_t>(txn_id) ||
-          start_seq.AsInt64() < (update ? 1 : 0))
-        return corruption("row is not stamped by its transaction");
-      const uint64_t seq = static_cast<uint64_t>(start_seq.AsInt64());
-      if (update) {
-        // LedgerUpdate takes the retiring sequence number just before seq.
-        SL_RETURN_IF_ERROR(retire(t.main->KeyOf(op.new_row), seq - 1));
-        SL_RETURN_IF_ERROR(t.main->Update(op.new_row));
-      } else {
-        SL_RETURN_IF_ERROR(t.main->Insert(op.new_row));
-      }
-      add_leaf(op.new_row, RowOp::kInsert, seq);
-      return Status::OK();
-    }
-    case WalOpType::kLedgerDelete:
-      SL_RETURN_IF_ERROR(retire(op.key, op.end_seq));
-      return t.main->Delete(op.key);
+      SL_RETURN_IF_ERROR(t.main->Insert(op.new_row));
+      break;
+    case WalOpType::kUpdate:
+      SL_RETURN_IF_ERROR(t.main->Update(op.new_row));
+      break;
     default:
-      return corruption("logs a plain delete");
+      return t.main->Delete(op.key);
   }
+  if (ledger)
+    merkle->AddLeafHash(RowVersionLeafHash(t.main->schema(), op.new_row,
+                                           RowOp::kInsert, t.table_id, txn_id,
+                                           seq));
+  return Status::OK();
 }
 }  // namespace
 
-Status LedgerDatabase::ReplayWalRecord(Slice payload, ReplayContext* ctx) {
+Status LedgerDatabase::ReplayWalRecord(Slice payload,
+                                       uint64_t checkpoint_next_txn_id,
+                                       const std::string& wal_path) {
   if (payload.empty()) return Status::Corruption("empty WAL record");
   uint8_t kind = payload[0];
   Slice body(payload.data() + 1, payload.size() - 1);
@@ -511,7 +496,7 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload, ReplayContext* ctx) {
   // the log is truncated, so no file changes.
   if (kind == kWalKindRetiredCommit)
     return Status::NotSupported(
-        "WAL " + ctx->wal_path +
+        "WAL " + wal_path +
         " has commit records of kind 1 (history rows and table roots logged "
         "whole), which this build no longer reads; it reads only kind 3");
   if (kind != kWalKindCommit)
@@ -519,62 +504,31 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload, ReplayContext* ctx) {
 
   auto record = WalCommitRecord::Decode(body);
   if (!record.ok()) return record.status();
-  if (record->txn_id < ctx->checkpoint_next_txn_id) return Status::OK();
+  if (record->txn_id < checkpoint_next_txn_id) return Status::OK();
 
-  // Redo operations in log order: a definition precedes the row ops that
-  // depend on it. Ledger ops also rebuild the history rows and the per-table
-  // Merkle roots the record does not log.
-  WriterMutexLock catalog_lock(&catalog_mu_);
+  // Redo operations in log order through the paths the statements ran; a
+  // definition precedes the row ops that depend on it. Each record is
+  // applied once, so an op the store refuses (a duplicate or missing row)
+  // is Corruption.
   std::map<uint32_t, MerkleBuilder> merkle;  // ledger table id -> versions
   for (const WalOp& op : record->ops) {
     if (op.type == WalOpType::kDefineTable) {
-      SL_RETURN_IF_ERROR(ApplyTableDefinition(op.table_id, *op.definition, ctx));
+      SL_RETURN_IF_ERROR(ApplyTableDefinition(op.table_id, *op.definition));
       continue;
     }
     // No op names a history store: replay derives history rows.
-    CatalogEntry* entry = FindTableByIdLocked(op.table_id);
+    CatalogEntry* entry = FindTableById(op.table_id);
     if (entry == nullptr)
       return Status::Corruption("WAL references unknown table id " +
                                 std::to_string(op.table_id));
-    if (entry->kind != TableKind::kRegular) {
-      SL_RETURN_IF_ERROR(ReplayLedgerOp(entry->ref, op, record->txn_id,
-                                        &merkle[op.table_id]));
-      continue;
-    }
-    TableStore* store = entry->main.get();
-    // An insert or update logs only the row; its key columns give the key.
-    if (op.type != WalOpType::kDelete) {
-      for (size_t ord : store->schema().key_ordinals()) {
-        if (ord >= op.new_row.size())
-          return Status::Corruption("WAL row too short for the key of table " +
-                                    std::to_string(op.table_id));
-      }
-    }
-    switch (op.type) {
-      case WalOpType::kInsert: {
-        if (store->Get(store->KeyOf(op.new_row)) == nullptr)
-          SL_RETURN_IF_ERROR(store->Insert(op.new_row));
-        break;
-      }
-      case WalOpType::kUpdate: {
-        if (store->Get(store->KeyOf(op.new_row)) == nullptr) {
-          SL_RETURN_IF_ERROR(store->Insert(op.new_row));
-        } else {
-          SL_RETURN_IF_ERROR(store->Update(op.new_row));
-        }
-        break;
-      }
-      case WalOpType::kDelete: {
-        if (store->Get(op.key) != nullptr)
-          SL_RETURN_IF_ERROR(store->Delete(op.key));
-        break;
-      }
-      case WalOpType::kLedgerDelete:
-        return Status::Corruption("WAL ledger delete on regular table id " +
-                                  std::to_string(op.table_id));
-      case WalOpType::kDefineTable:  // applied above
-        break;
-    }
+    Status st = ReplayRowOp(
+        entry->ref, op, record->txn_id,
+        entry->kind == TableKind::kRegular ? nullptr : &merkle[op.table_id]);
+    if (!st.ok())
+      return Status::Corruption("WAL replay of txn " +
+                                std::to_string(record->txn_id) +
+                                " on table id " + std::to_string(op.table_id) +
+                                ": " + st.message());
   }
 
   // The rebuilt roots must be the ones the commit computed: a mismatch is a
@@ -602,90 +556,6 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload, ReplayContext* ctx) {
   m_commit_txns_->Add();
   MutexLock txn_lock(&txn_mu_);
   if (record->txn_id >= next_txn_id_) next_txn_id_ = record->txn_id + 1;
-  return Status::OK();
-}
-
-namespace {
-// Makes `store` match a logged schema and index set. Rows gain a NULL cell
-// for each column the definition appends; a definition never removes or
-// retypes a physical column, nor changes the clustered key.
-Status MatchStore(TableStore* store, const TableDefinition::Store& def) {
-  const Schema& schema = def.schema;
-  const std::vector<IndexDef>& indexes = def.indexes;
-  const Schema& have = store->schema();
-  const size_t old_columns = have.num_columns();
-  bool compatible = schema.num_columns() >= old_columns &&
-                    schema.key_ordinals() == have.key_ordinals();
-  for (size_t i = 0; compatible && i < old_columns; i++) {
-    compatible = schema.column(i).column_id == have.column(i).column_id &&
-                 schema.column(i).type == have.column(i).type;
-  }
-  if (!compatible)
-    return Status::Corruption("table definition does not extend the schema of "
-                              "table id " + std::to_string(store->table_id()));
-  const uint32_t next_column_id =
-      std::max(have.next_column_id(), schema.next_column_id());
-  *store->mutable_schema() = schema;
-  store->mutable_schema()->set_next_column_id(next_column_id);
-  for (size_t i = old_columns; i < schema.num_columns(); i++)
-    store->ExtendRows(Value::Null(schema.column(i).type));
-
-  for (const IndexDef& idx : store->IndexDefs()) {
-    if (std::find(indexes.begin(), indexes.end(), idx) == indexes.end())
-      SL_RETURN_IF_ERROR(store->DropIndex(idx.name));
-  }
-  for (const IndexDef& idx : indexes) {
-    if (store->FindIndex(idx.name) == nullptr)
-      SL_RETURN_IF_ERROR(store->CreateIndex(idx.name, idx.ordinals, idx.unique));
-  }
-  return Status::OK();
-}
-}  // namespace
-
-Status LedgerDatabase::ApplyTableDefinition(uint32_t table_id,
-                                            const TableDefinition& def,
-                                            ReplayContext* ctx) {
-  if (def.kind > static_cast<uint8_t>(TableKind::kUpdateable))
-    return Status::Corruption("bad table kind in table definition");
-  CatalogEntry* entry = FindTableByIdLocked(table_id);
-  if (entry == nullptr) {
-    if (ctx->stores.count(table_id) != 0 ||
-        (def.history_table_id != 0 &&
-         ctx->stores.count(def.history_table_id) != 0))
-      return Status::Corruption("table definition reuses a store id");
-    auto created = std::make_unique<CatalogEntry>();
-    created->table_id = table_id;
-    created->name = def.main.name;
-    created->kind = static_cast<TableKind>(def.kind);
-    created->main =
-        std::make_unique<TableStore>(table_id, def.main.name, def.main.schema);
-    ctx->stores[table_id] = created->main.get();
-    if (def.history_table_id != 0) {
-      created->history = std::make_unique<TableStore>(
-          def.history_table_id, def.history.name, def.history.schema);
-      ctx->stores[def.history_table_id] = created->history.get();
-    }
-    entry = created.get();
-    catalog_[table_id] = std::move(created);
-  } else if (static_cast<uint8_t>(entry->kind) != def.kind ||
-             (entry->history ? entry->history->table_id() : 0) !=
-                 def.history_table_id) {
-    return Status::Corruption("table definition does not match table id " +
-                              std::to_string(table_id));
-  }
-  SL_RETURN_IF_ERROR(MatchStore(entry->main.get(), def.main));
-  if (entry->history != nullptr)
-    SL_RETURN_IF_ERROR(MatchStore(entry->history.get(), def.history));
-  auto named = name_index_.find(entry->name);
-  if (named != name_index_.end() && named->second == table_id)
-    name_index_.erase(named);
-  entry->name = def.main.name;
-  entry->main->set_name(def.main.name);
-  entry->dropped = def.dropped;
-  if (!entry->dropped) name_index_[entry->name] = table_id;
-  entry->LinkRef();
-  next_table_id_ =
-      std::max({next_table_id_, table_id + 1, def.history_table_id + 1});
   return Status::OK();
 }
 
@@ -743,19 +613,6 @@ Result<Transaction*> LedgerDatabase::BeginDdl(const CatalogEntry& entry) {
   return *txn;
 }
 
-void LedgerDatabase::LogTableDefinition(Transaction* txn,
-                                        const CatalogEntry& entry) {
-  auto def = std::make_shared<TableDefinition>();
-  def->kind = static_cast<uint8_t>(entry.kind);
-  def->dropped = entry.dropped;
-  def->main = TableDefinition::Store::Of(*entry.main);
-  if (entry.history != nullptr) {
-    def->history_table_id = entry.history->table_id();
-    def->history = TableDefinition::Store::Of(*entry.history);
-  }
-  txn->RecordDefinition(entry.table_id, std::move(def));
-}
-
 Status LedgerDatabase::FinishDdl(Transaction* txn, Status st) {
   if (st.ok()) st = Commit(txn);
   if (!st.ok()) Abort(txn);
@@ -771,40 +628,27 @@ Status LedgerDatabase::CreateTable(const std::string& name,
     return Status::InvalidArgument("table requires a primary key");
   if (!options_.enable_ledger) kind = TableKind::kRegular;
 
-  auto entry = std::make_unique<CatalogEntry>();
-  entry->name = name;
-  entry->kind = kind;
+  uint32_t table_id = 0;
   {
     // Allocate table ids under the writer lock, so two concurrent
     // CreateTable calls cannot race the next_table_id_ counter.
     WriterMutexLock lock(&catalog_mu_);
-    entry->table_id = next_table_id_++;
+    table_id = next_table_id_++;
     if (kind == TableKind::kUpdateable) next_table_id_++;
   }
-  Schema full = MakeLedgerSchema(user_schema, kind);
-  entry->main = std::make_unique<TableStore>(entry->table_id, name, full);
-  if (kind == TableKind::kUpdateable) {
-    entry->history = std::make_unique<TableStore>(
-        entry->table_id + 1, name + "_history", MakeHistorySchema(full));
-  }
-  entry->LinkRef();
-
-  // The new id is locked before the name is published, so no DML on the
-  // table can reach the log ahead of its definition. Nobody else knows the
-  // id yet: the lock is granted at once.
-  auto txn = BeginDdl(*entry);
+  // The new id is locked before the apply publishes the name, so no DML on
+  // the table can reach the log ahead of its definition. Nobody else knows
+  // the id yet: the lock is granted at once.
+  auto txn = Begin("system:ddl");
   if (!txn.ok()) return txn.status();
-  CatalogEntry* raw = entry.get();
-  {
-    WriterMutexLock lock(&catalog_mu_);
-    name_index_[name] = raw->table_id;
-    catalog_[raw->table_id] = std::move(entry);
-  }
-  LogTableDefinition(*txn, *raw);
-  Status st = RecordTableMetadata(*txn, *raw);
-  for (const ColumnDef& col : raw->main->schema().columns()) {
+  Status st = locks_.AcquireTable((*txn)->id(), table_id, LockMode::kExclusive);
+  if (st.ok())
+    st = DefineTable(*txn, table_id,
+                     NewTableDefinition(name, user_schema, kind, table_id + 1));
+  if (st.ok()) st = RecordTableMetadata(*txn, *FindTableById(table_id));
+  for (const ColumnDef& col : user_schema.columns()) {
     if (!st.ok()) break;
-    if (!col.hidden) st = RecordColumnMetadata(*txn, raw->table_id, col);
+    if (!col.hidden) st = RecordColumnMetadata(*txn, table_id, col);
   }
   return FinishDdl(*txn, st);
 }
@@ -825,16 +669,16 @@ Status LedgerDatabase::CreateIndex(const std::string& table,
   }
   auto txn = BeginDdl(*entry);
   if (!txn.ok()) return txn.status();
-  Status st = entry->main->CreateIndex(index_name, ordinals, unique);
-  if (st.ok() && entry->history != nullptr) {
-    // Mirror the index on the history table so historical queries are
-    // equally served; invariant 5 verifies both.
-    st = entry->history->CreateIndex(index_name, ordinals, /*unique=*/false);
-    // Best-effort rollback of the main-table index just created.
-    if (!st.ok()) (void)entry->main->DropIndex(index_name);
-  }
-  if (st.ok()) LogTableDefinition(*txn, *entry);
-  return FinishDdl(*txn, st);
+  if (entry->main->FindIndex(index_name) != nullptr)
+    return FinishDdl(*txn, Status::AlreadyExists("index '" + index_name +
+                                                 "' already exists"));
+  TableDefinition def = entry->Definition();
+  def.main.indexes.push_back({index_name, ordinals, unique});
+  // Mirror the index on the history table so historical queries are
+  // equally served; invariant 5 verifies both.
+  if (entry->history != nullptr)
+    def.history.indexes.push_back({index_name, ordinals, /*unique=*/false});
+  return FinishDdl(*txn, DefineTable(*txn, entry->table_id, def));
 }
 
 Status LedgerDatabase::DropIndex(const std::string& table,
@@ -843,13 +687,13 @@ Status LedgerDatabase::DropIndex(const std::string& table,
   if (entry == nullptr) return Status::NotFound("table '" + table + "' not found");
   auto txn = BeginDdl(*entry);
   if (!txn.ok()) return txn.status();
-  Status st = entry->main->DropIndex(index_name);
-  if (st.ok()) {
-    // History mirror may lack the index (pre-mirror checkpoints); tolerated.
-    if (entry->history != nullptr) (void)entry->history->DropIndex(index_name);
-    LogTableDefinition(*txn, *entry);
-  }
-  return FinishDdl(*txn, st);
+  TableDefinition def = entry->Definition();
+  auto named = [&](const IndexDef& idx) { return idx.name == index_name; };
+  if (std::erase_if(def.main.indexes, named) == 0)
+    return FinishDdl(*txn, Status::NotFound("index '" + index_name +
+                                            "' not found"));
+  std::erase_if(def.history.indexes, named);
+  return FinishDdl(*txn, DefineTable(*txn, entry->table_id, def));
 }
 
 // ---- Transactions ----

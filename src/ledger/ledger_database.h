@@ -24,7 +24,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/hmac.h"
@@ -71,9 +70,6 @@ struct LedgerDatabaseOptions {
   /// Key for the receipt/digest HMAC signer (see DESIGN.md §1.3).
   std::vector<uint8_t> signing_key = {'d', 'e', 'v', '-', 'k', 'e', 'y'};
   std::string signing_key_id = "dev-key-1";
-  /// Force a fresh incarnation tag even when reopening existing data —
-  /// set by point-in-time-restore simulation (paper §3.6).
-  bool force_new_incarnation = false;
   /// Storage environment for all file I/O (WAL, checkpoints, recovery).
   /// nullptr = Env::Default(); tests inject a FaultInjectionEnv here.
   /// Not owned; must outlive the database.
@@ -93,6 +89,8 @@ struct CatalogEntry {
 
   /// Points `ref` at the stores and refreshes its cached ordinals.
   void LinkRef();
+  /// The table's current definition, which a schema change starts from.
+  TableDefinition Definition() const;
 };
 
 /// Row of the table-operations system view (paper Figure 6).
@@ -114,8 +112,9 @@ struct TruncationRecord {
 class LedgerDatabase {
  public:
   /// Opens (or creates) a database. Runs recovery if `data_dir` holds a
-  /// checkpoint and/or WAL: checkpoint load, then idempotent WAL replay
-  /// that also re-appends the Database Ledger's transaction entries from
+  /// checkpoint and/or WAL: checkpoint load, then replay of each commit
+  /// record past it, exactly once, through the paths the statements ran;
+  /// replay also re-appends the Database Ledger's transaction entries from
   /// the commit records (paper §3.3.2).
   static Result<std::unique_ptr<LedgerDatabase>> Open(
       LedgerDatabaseOptions options);
@@ -294,6 +293,9 @@ class LedgerDatabase {
 
  private:
   explicit LedgerDatabase(LedgerDatabaseOptions options);
+  /// Open; Restore sets `new_incarnation` for a fresh create-time tag.
+  static Result<std::unique_ptr<LedgerDatabase>> OpenImpl(
+      LedgerDatabaseOptions options, bool new_incarnation);
 
   /// One committer's seat in the group-commit queue (DESIGN.md §10). The
   /// WAL payload is fully encoded (with a placeholder slot) before the
@@ -322,23 +324,17 @@ class LedgerDatabase {
   /// Checkpoint body; Checkpoint() wraps it with duration metrics/trace so
   /// recording happens after every lock scope has exited.
   Status CheckpointImpl();
-  /// Recovery-scoped state threaded through WAL replay.
-  struct ReplayContext {
-    /// Commit records of transactions below this id are already in the
-    /// loaded checkpoint and are skipped.
-    uint64_t checkpoint_next_txn_id = 0;
-    /// Every store (main and history) by table id.
-    std::unordered_map<uint32_t, TableStore*> stores;
-    /// The log being replayed, for error messages.
-    std::string wal_path;
-  };
-  Status ReplayWalRecord(Slice payload, ReplayContext* ctx);
-  /// Makes the catalog entry `table_id` match `def` (WalOpType::
-  /// kDefineTable): creates it if missing, extends rows with NULLs for new
-  /// columns, sets names and dropped flags, creates or drops indexes and
-  /// raises the id allocators to at least the definition's ids.
-  Status ApplyTableDefinition(uint32_t table_id, const TableDefinition& def,
-                              ReplayContext* ctx) REQUIRES(catalog_mu_);
+  /// Replays one record of `wal_path`, skipping commit records below
+  /// `checkpoint_next_txn_id` (already in the loaded checkpoint).
+  Status ReplayWalRecord(Slice payload, uint64_t checkpoint_next_txn_id,
+                         const std::string& wal_path);
+  /// Makes the catalog entry `table_id` match `def`, for every DDL, the
+  /// bootstrap and replay alike (table_definition.cc): creates it if
+  /// missing, extends rows with NULLs for new columns, sets names and
+  /// dropped flags, creates or drops indexes and raises the id allocators.
+  /// The caller holds the table's X lock (or is recovery).
+  Status ApplyTableDefinition(uint32_t table_id, const TableDefinition& def)
+      EXCLUDES(catalog_mu_);
   std::vector<uint8_t> EncodeCatalogMeta() const;
   Status DecodeCatalogMeta(Slice meta,
                            std::vector<std::unique_ptr<TableStore>> stores);
@@ -354,13 +350,15 @@ class LedgerDatabase {
   /// Clustered key of `user_row` (visible-column order), for row locking.
   Result<KeyTuple> UserKeyOf(const CatalogEntry& entry, const Row& user_row);
   // Every DDL is one transaction (DESIGN.md §4): BeginDdl takes the
-  // table's X lock, the caller applies the in-memory change and logs the
-  // resulting definition with LogTableDefinition, writes its sys_ledger_*
+  // table's X lock, the caller builds the definition it means to reach and
+  // DefineTable applies and logs it, the caller writes its sys_ledger_*
   // rows, and FinishDdl commits (or aborts on error). The X lock is held
   // until the commit record is durable, so no DML of the new shape reaches
   // the log ahead of it.
   Result<Transaction*> BeginDdl(const CatalogEntry& entry);
-  void LogTableDefinition(Transaction* txn, const CatalogEntry& entry);
+  /// Applies `def` and logs the entry's resulting definition.
+  Status DefineTable(Transaction* txn, uint32_t table_id,
+                     const TableDefinition& def);
   Status FinishDdl(Transaction* txn, Status st);
   /// Records a CREATE/DROP/column metadata operation through the ledger
   /// metadata tables inside `txn` (implemented in schema_changes.cc).

@@ -4,15 +4,6 @@
 
 namespace sqlledger {
 
-void LedgerTableRef::RefreshOrdinals() {
-  if (main == nullptr) return;
-  const Schema& s = main->schema();
-  start_txn_ord = s.FindColumn(kColStartTxn);
-  start_seq_ord = s.FindColumn(kColStartSeq);
-  end_txn_ord = s.FindColumn(kColEndTxn);
-  end_seq_ord = s.FindColumn(kColEndSeq);
-}
-
 Schema MakeLedgerSchema(const Schema& user_schema, TableKind kind) {
   Schema s = user_schema;
   if (kind == TableKind::kRegular) return s;
@@ -72,6 +63,17 @@ Status LedgerInsert(Transaction* txn, const LedgerTableRef& t,
   return Status::OK();
 }
 
+Result<KeyTuple> RetireVersion(const LedgerTableRef& t, Row version,
+                               uint64_t txn_id, uint64_t seq,
+                               MerkleBuilder* merkle) {
+  version[t.end_txn_ord] = Value::BigInt(static_cast<int64_t>(txn_id));
+  version[t.end_seq_ord] = Value::BigInt(static_cast<int64_t>(seq));
+  KeyTuple key = t.history->KeyOf(version);
+  SL_RETURN_IF_ERROR(t.history->Insert(version));
+  merkle->AddLeafHash(VersionLeaf(t, version, RowOp::kDelete, txn_id, seq));
+  return key;
+}
+
 Status LedgerDelete(Transaction* txn, const LedgerTableRef& t,
                     const KeyTuple& key) {
   if (!txn->active()) return Status::InvalidArgument("transaction not active");
@@ -81,28 +83,18 @@ Status LedgerDelete(Transaction* txn, const LedgerTableRef& t,
 
   auto current = t.main->GetCopy(key);
   if (!current.has_value()) return Status::NotFound("row not found");
-
+  SL_RETURN_IF_ERROR(t.main->Delete(key));
   if (t.kind == TableKind::kRegular) {
-    SL_RETURN_IF_ERROR(t.main->Delete(key));
     txn->RecordDelete(t.main, key, *current);
     return Status::OK();
   }
 
-  Row old_row = std::move(*current);
   uint64_t seq = txn->NextSequence();
-  Row retired = old_row;
-  retired[t.end_txn_ord] = Value::BigInt(static_cast<int64_t>(txn->id()));
-  retired[t.end_seq_ord] = Value::BigInt(static_cast<int64_t>(seq));
-
-  SL_RETURN_IF_ERROR(t.main->Delete(key));
-  txn->RecordLedgerDelete(t.main, key, old_row, seq);
-
-  KeyTuple history_key = t.history->KeyOf(retired);
-  SL_RETURN_IF_ERROR(t.history->Insert(retired));
-  txn->RecordRetire(t.history, history_key);
-
-  txn->MerkleForTable(t.table_id)
-      ->AddLeafHash(VersionLeaf(t, retired, RowOp::kDelete, txn->id(), seq));
+  txn->RecordLedgerDelete(t.main, key, *current, seq);
+  auto history_key = RetireVersion(t, std::move(*current), txn->id(), seq,
+                                   txn->MerkleForTable(t.table_id));
+  if (!history_key.ok()) return history_key.status();
+  txn->RecordRetire(t.history, *history_key);
   return Status::OK();
 }
 
@@ -127,32 +119,24 @@ Status LedgerUpdate(Transaction* txn, const LedgerTableRef& t,
     return Status::OK();
   }
 
-  Row old_row = std::move(*current);
   // The update retires the old version into the history table (the delete
   // half, paper §3.2) and installs the new one. The install runs first: it
   // makes every check that can fail (types, lengths, NULLs, unique
   // indexes), so a rejected update writes nothing. The history key
-  // (end_txn, end_seq) is fresh, so the retire cannot collide. The redo op
-  // logs only the new row: replay retires the pre-image at seq_ins - 1.
-  uint64_t seq_del = txn->NextSequence();
-  uint64_t seq_ins = txn->NextSequence();
+  // (end_txn, end_seq) is fresh, so the retire cannot collide.
+  txn->NextSequence();  // the retire's: UpdateRetireSeq(seq)
+  uint64_t seq = txn->NextSequence();
   full[t.start_txn_ord] = Value::BigInt(static_cast<int64_t>(txn->id()));
-  full[t.start_seq_ord] = Value::BigInt(static_cast<int64_t>(seq_ins));
+  full[t.start_seq_ord] = Value::BigInt(static_cast<int64_t>(seq));
   SL_RETURN_IF_ERROR(t.main->Update(full));
-
-  Row retired = old_row;
-  retired[t.end_txn_ord] = Value::BigInt(static_cast<int64_t>(txn->id()));
-  retired[t.end_seq_ord] = Value::BigInt(static_cast<int64_t>(seq_del));
-  KeyTuple history_key = t.history->KeyOf(retired);
-  SL_RETURN_IF_ERROR(t.history->Insert(retired));
-  txn->RecordRetire(t.history, history_key);
-  txn->RecordUpdate(t.main, key, old_row, full);
+  txn->RecordUpdate(t.main, key, *current, full);
 
   MerkleBuilder* merkle = txn->MerkleForTable(t.table_id);
-  merkle->AddLeafHash(VersionLeaf(t, retired, RowOp::kDelete, txn->id(),
-                                  seq_del));
-  merkle->AddLeafHash(VersionLeaf(t, full, RowOp::kInsert, txn->id(),
-                                  seq_ins));
+  auto history_key = RetireVersion(t, std::move(*current), txn->id(),
+                                   UpdateRetireSeq(seq), merkle);
+  if (!history_key.ok()) return history_key.status();
+  txn->RecordRetire(t.history, *history_key);
+  merkle->AddLeafHash(VersionLeaf(t, full, RowOp::kInsert, txn->id(), seq));
   return Status::OK();
 }
 

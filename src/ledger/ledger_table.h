@@ -3,6 +3,8 @@
 //   2. preserves retired row versions in the history table, and
 //   3. appends the canonical leaf hash of each touched version to the
 //      transaction's per-table streaming Merkle tree.
+// RetireVersion is the one home of steps 2 and 3 for a retired version:
+// LedgerUpdate, LedgerDelete and WAL replay all call it.
 // Regular tables take the plain path — they are the baseline the paper
 // compares against in §4.
 
@@ -13,12 +15,14 @@
 #include "ledger/types.h"
 #include "storage/table_store.h"
 #include "txn/transaction.h"
+#include "util/result.h"
 #include "util/status.h"
 
 namespace sqlledger {
 
 /// A resolved reference to one table's physical stores plus the cached
-/// ordinals of the hidden system columns.
+/// ordinals of the hidden system columns (CatalogEntry::LinkRef sets them
+/// after every definition change).
 struct LedgerTableRef {
   uint32_t table_id = 0;
   TableKind kind = TableKind::kRegular;
@@ -29,10 +33,6 @@ struct LedgerTableRef {
   int start_seq_ord = -1;
   int end_txn_ord = -1;  // -1 for append-only tables
   int end_seq_ord = -1;
-
-  /// Re-derives the hidden-column ordinals from the current schema. Must be
-  /// called after any schema change.
-  void RefreshOrdinals();
 };
 
 /// Builds a ledger table's full schema from the user schema: appends the
@@ -56,6 +56,20 @@ Status LedgerUpdate(Transaction* txn, const LedgerTableRef& table,
 /// Deletes the row with the given primary key (user key columns).
 Status LedgerDelete(Transaction* txn, const LedgerTableRef& table,
                     const KeyTuple& key);
+
+/// An update takes two consecutive sequence numbers and retires its
+/// pre-image at the first; replay derives it from the installed version's.
+inline uint64_t UpdateRetireSeq(uint64_t install_seq) {
+  return install_seq - 1;
+}
+
+/// Retires `version`, the current version of a row of updateable ledger
+/// table `table`: stamps (txn_id, seq) into its end cells, inserts it into
+/// the history store and appends its leaf hash to `merkle`. Returns the
+/// history row's key, for the undo entry.
+Result<KeyTuple> RetireVersion(const LedgerTableRef& table, Row version,
+                               uint64_t txn_id, uint64_t seq,
+                               MerkleBuilder* merkle);
 
 }  // namespace sqlledger
 

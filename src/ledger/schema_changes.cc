@@ -56,19 +56,11 @@ Status LedgerDatabase::AddColumn(const std::string& table,
   // all concurrent readers/writers for the duration of the change.
   auto txn = BeginDdl(*entry);
   if (!txn.ok()) return txn.status();
-  entry->main->mutable_schema()->AddColumn(column, type, /*nullable=*/true,
-                                           max_length);
-  entry->main->ExtendRows(Value::Null(type));
-  if (entry->history != nullptr) {
-    entry->history->mutable_schema()->AddColumn(column, type, true,
-                                                max_length);
-    entry->history->ExtendRows(Value::Null(type));
-  }
-  entry->ref.RefreshOrdinals();
-  LogTableDefinition(*txn, *entry);
-
-  Status st;
-  if (options_.enable_ledger && !entry->is_system) {
+  TableDefinition def = entry->Definition();
+  for (TableDefinition::Store* store : def.stores())
+    store->schema.AddColumn(column, type, /*nullable=*/true, max_length);
+  Status st = DefineTable(*txn, entry->table_id, def);
+  if (st.ok() && options_.enable_ledger && !entry->is_system) {
     const Schema& schema = entry->main->schema();
     st = RecordColumnMetadata(*txn, entry->table_id,
                               schema.column(schema.num_columns() - 1));
@@ -85,7 +77,7 @@ Status LedgerDatabase::DropColumn(const std::string& table,
     return Status::NotFound("table '" + table + "' not found");
   int ord = entry->main->schema().FindColumn(column);
   if (ord < 0) return Status::NotFound("column '" + column + "' not found");
-  const ColumnDef& col = entry->main->schema().column(ord);
+  const ColumnDef col = entry->main->schema().column(ord);
   if (col.hidden)
     return Status::InvalidArgument("cannot drop a system column");
   for (size_t key_ord : entry->main->schema().key_ordinals()) {
@@ -100,18 +92,12 @@ Status LedgerDatabase::DropColumn(const std::string& table,
   // but keeps participating in hashes of historical versions.
   auto txn = BeginDdl(*entry);
   if (!txn.ok()) return txn.status();
-  entry->main->mutable_schema()->mutable_column(ord)->dropped = true;
-  if (entry->history != nullptr) {
-    int history_ord = entry->history->schema().FindColumn(column);
-    if (history_ord >= 0)
-      entry->history->mutable_schema()->mutable_column(history_ord)->dropped =
-          true;
-  }
-  entry->ref.RefreshOrdinals();
-  LogTableDefinition(*txn, *entry);
-
-  Status st;
-  if (options_.enable_ledger && !entry->is_system) {
+  TableDefinition def = entry->Definition();
+  // A history store mirrors its table's columns, ordinal for ordinal.
+  for (TableDefinition::Store* store : def.stores())
+    store->schema.mutable_column(ord)->dropped = true;
+  Status st = DefineTable(*txn, entry->table_id, def);
+  if (st.ok() && options_.enable_ledger && !entry->is_system) {
     st = UpdateColumnMetadata(this, *txn, entry->table_id, column_id,
                               dropped_name, DataTypeName(col.type));
   }
@@ -132,17 +118,11 @@ Status LedgerDatabase::DropTable(const std::string& table) {
 
   auto txn = BeginDdl(*entry);
   if (!txn.ok()) return txn.status();
-  {
-    WriterMutexLock lock(&catalog_mu_);
-    name_index_.erase(table);
-    entry->name = dropped_name;
-    entry->main->set_name(dropped_name);
-    entry->dropped = true;
-  }
-  LogTableDefinition(*txn, *entry);
-
-  Status st;
-  if (options_.enable_ledger) {
+  TableDefinition def = entry->Definition();
+  def.main.name = dropped_name;
+  def.dropped = true;
+  Status st = DefineTable(*txn, entry->table_id, def);
+  if (st.ok() && options_.enable_ledger) {
     Row row{Value::Varchar(dropped_name),
             Value::BigInt(static_cast<int64_t>(entry->table_id)),
             Value::Varchar(TableKindName(entry->kind))};
@@ -185,21 +165,14 @@ Status LedgerDatabase::AlterColumnType(const std::string& table,
   }
 
   // Drop the old column and add the replacement under the original name.
-  entry->main->mutable_schema()->mutable_column(old_ord)->dropped = true;
-  entry->main->mutable_schema()->AddColumn(column, new_type,
-                                           /*nullable=*/true, 0);
-  entry->main->ExtendRows(Value::Null(new_type));
-  if (entry->history != nullptr) {
-    int history_old_ord = entry->history->schema().FindColumn(column);
-    entry->history->mutable_schema()
-        ->mutable_column(history_old_ord)
-        ->dropped = true;
-    entry->history->mutable_schema()->AddColumn(column, new_type, true, 0);
-    entry->history->ExtendRows(Value::Null(new_type));
-  }
-  entry->ref.RefreshOrdinals();
   // The definition precedes the updates that depend on it.
-  LogTableDefinition(*txn, *entry);
+  TableDefinition def = entry->Definition();
+  for (TableDefinition::Store* store : def.stores()) {
+    store->schema.mutable_column(old_ord)->dropped = true;
+    store->schema.AddColumn(column, new_type, /*nullable=*/true, 0);
+  }
+  Status st = DefineTable(*txn, entry->table_id, def);
+  if (!st.ok()) return FinishDdl(*txn, st);
 
   // Build the converted user rows before repopulation churns the table.
   const Schema& schema = entry->main->schema();
@@ -213,7 +186,6 @@ Status LedgerDatabase::AlterColumnType(const std::string& table,
 
   // Repopulate through regular ledger DML so every converted version is
   // hashed into the ledger (§3.5.3).
-  Status st;
   for (const Row& user_row : user_rows) {
     st = Update(*txn, table, user_row);
     if (!st.ok()) break;

@@ -68,6 +68,12 @@ struct TableDefinition {
   uint32_t history_table_id = 0;  // 0 = no history store
   Store history;
 
+  /// The stores a change edits alike: main, then history if there is one.
+  std::vector<Store*> stores() {
+    if (history_table_id == 0) return {&main};
+    return {&main, &history};
+  }
+
   void EncodeTo(std::vector<uint8_t>* dst) const;
   static Result<TableDefinition> Decode(Decoder* dec);
 };

@@ -244,14 +244,28 @@ TEST_F(DatabaseLedgerTest, LoadFromTablesRestoresState) {
   EXPECT_EQ(block1->previous_block_hash, expected_digest_hash);
 }
 
-TEST_F(DatabaseLedgerTest, RecoverEntryIsIdempotent) {
+TEST_F(DatabaseLedgerTest, RecoverEntryRefusesDuplicateEntry) {
+  // Replay applies each commit record past the checkpoint once, so a txn
+  // id already in the ledger means the log is corrupt: refused, whether it
+  // repeats its slot or claims the next free one.
   auto ledger_ptr = MakeLedger(10);
   DatabaseLedger& ledger = *ledger_ptr;
   TransactionEntry entry = MakeEntry(&ledger, 1);
   ASSERT_TRUE(ledger.Append(entry).ok());
-  // Replaying the same entry (crash between checkpoint and WAL reset).
-  ASSERT_TRUE(ledger.RecoverEntry(entry).ok());
-  EXPECT_EQ(ledger.total_entries(), 1u);
+  TransactionEntry next_slot = entry;
+  next_slot.block_ordinal = 1;
+  for (const TransactionEntry& dup : {entry, next_slot}) {
+    Status st = ledger.RecoverEntry(dup);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_EQ(ledger.total_entries(), 1u);
+    EXPECT_EQ(ledger.open_block_entry_count(), 1u);
+  }
+  // Nothing was appended: the next entry takes ordinal 1 as it would have.
+  TransactionEntry second = entry;
+  second.txn_id = 2;
+  second.block_ordinal = 1;
+  ASSERT_TRUE(ledger.RecoverEntry(second).ok());
+  EXPECT_EQ(ledger.total_entries(), 2u);
 }
 
 TEST_F(DatabaseLedgerTest, ReloadedOpenBlockClosesLikeLive) {

@@ -207,5 +207,18 @@ TEST_P(WorkloadRoundTrip, RecoversAndVerifies) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WorkloadRoundTrip, ::testing::Range(1, 9));
 
+// OpenTestDb restarts its clock in each test: a test's first database reads
+// the same timestamps whichever tests ran before it in this binary, and a
+// database opened later in the same test reads later ones.
+TEST(TestClockTest, EachTestRestartsTheClock) {
+  auto first = OpenTestDb();
+  // The first read is the create-time tag, the second the bootstrap commit.
+  EXPECT_EQ(first->create_time(), std::to_string(kTestClockStart + 1));
+  EXPECT_EQ(first->database_ledger()->last_commit_ts(), kTestClockStart + 2);
+  auto second = OpenTestDb();
+  EXPECT_GT(std::stoll(second->create_time()),
+            first->database_ledger()->last_commit_ts());
+}
+
 }  // namespace
 }  // namespace sqlledger

@@ -312,13 +312,8 @@ TEST_F(RecoveryTest, RestoreCreatesNewIncarnation) {
     ASSERT_TRUE(db->Checkpoint().ok());
     original_create_time = db->create_time();
   }
-  // Simulate a point-in-time restore: copy the data directory and open the
-  // copy as a restored database.
-  std::filesystem::copy(Path("db"), Path("restored"),
-                        std::filesystem::copy_options::recursive);
-  LedgerDatabaseOptions options = MakeOptions("restored");
-  options.force_new_incarnation = true;
-  auto restored = LedgerDatabase::Open(std::move(options));
+  // A point-in-time restore opens the copy as a new incarnation.
+  auto restored = LedgerDatabase::Restore(Path("db"), MakeOptions("restored"));
   ASSERT_TRUE(restored.ok());
   EXPECT_NE((*restored)->create_time(), original_create_time);
 
@@ -1052,6 +1047,65 @@ TEST_F(RecoveryTest, CommitRecordFarPastOpenBlockIsCorruption) {
   EXPECT_NE(db.status().message().find("skips blocks"), std::string::npos)
       << db.status().ToString();
   EXPECT_EQ(ReadDir(), before);
+}
+
+TEST_F(RecoveryTest, RegularRowOpThatDoesNotApplyIsCorruption) {
+  // Replay applies each commit record past the checkpoint exactly once, so
+  // a row op the store refuses means the log is corrupt. Each shape is a
+  // hand-built kind-3 record with a txn id past every one in the log and
+  // the next free ledger slot, so nothing but the op stops it.
+  struct Shape {
+    const char* dir;
+    WalOpType type;
+    int64_t id;
+    const char* message;
+  };
+  for (const Shape& shape :
+       {Shape{"reinsert", WalOpType::kInsert, 1, "duplicate primary key"},
+        Shape{"update", WalOpType::kUpdate, 2, "row not found"},
+        Shape{"delete", WalOpType::kDelete, 2, "row not found"}}) {
+    SCOPED_TRACE(shape.dir);
+    WalCommitRecord record;
+    uint32_t table_id = 0;
+    {
+      auto db = Open(shape.dir);
+      ASSERT_TRUE(
+          db->CreateTable("t", SimpleUserSchema(), TableKind::kRegular).ok());
+      ASSERT_TRUE(InsertOne(db.get(), "t", 1, "v1").ok());
+      table_id = db->GetTableRef("t")->table_id;
+      record.block_id = db->database_ledger()->open_block_id();
+      record.block_ordinal = db->database_ledger()->open_block_entry_count();
+    }
+    record.txn_id = 1000;
+    record.commit_ts_micros = clock_ + 1;
+    record.user_name = "app";
+    WalOp op;
+    op.type = shape.type;
+    op.table_id = table_id;
+    if (shape.type == WalOpType::kDelete) {
+      op.key = {VB(shape.id)};
+    } else {
+      op.new_row = {VB(shape.id), VS("v2")};
+    }
+    record.ops.push_back(op);
+    std::vector<uint8_t> payload = {3};  // record kind 3
+    record.EncodeTo(&payload);
+    std::vector<uint8_t> frame;
+    AppendFrame(Slice(payload), &frame);
+    {
+      std::ofstream out(Path(shape.dir) + "/wal.log",
+                        std::ios::binary | std::ios::app);
+      out.write(reinterpret_cast<const char*>(frame.data()),
+                static_cast<std::streamsize>(frame.size()));
+    }
+    const auto before = ReadDir(shape.dir);
+    auto db = LedgerDatabase::Open(MakeOptions(shape.dir));
+    ASSERT_FALSE(db.ok());
+    EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+    EXPECT_NE(db.status().message().find(shape.message), std::string::npos)
+        << db.status().ToString();
+    EXPECT_EQ(ReadDir(shape.dir), before);
+  }
 }
 
 }  // namespace

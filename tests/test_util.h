@@ -98,8 +98,15 @@ inline Schema DdlUserSchema() {
   return s;
 }
 
+/// The value OpenTestDb's clock restarts from in each test; its first read
+/// returns one more.
+constexpr int64_t kTestClockStart = 1000000;
+
 /// Opens an ephemeral (in-memory) database with a deterministic clock and a
-/// small block size suited to tests.
+/// small block size suited to tests. The databases of one test share one
+/// clock, so one opened later reads later values, and the clock restarts at
+/// kTestClockStart in each test, so no test's timestamps depend on which
+/// tests ran before it.
 inline std::unique_ptr<LedgerDatabase> OpenTestDb(uint64_t block_size = 4,
                                                   bool enable_ledger = true) {
   LedgerDatabaseOptions options;
@@ -108,7 +115,11 @@ inline std::unique_ptr<LedgerDatabase> OpenTestDb(uint64_t block_size = 4,
   options.database_id = "testdb";
   // Atomic: the clock is called from committers, digest uploaders and
   // verifier threads concurrently.
-  static std::atomic<int64_t> fake_clock{1000000};
+  static std::atomic<int64_t> fake_clock{kTestClockStart};
+  static std::atomic<const ::testing::TestInfo*> clock_test{nullptr};
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  if (clock_test.exchange(test) != test) fake_clock = kTestClockStart;
   options.clock = [] { return ++fake_clock; };
   auto db = LedgerDatabase::Open(std::move(options));
   EXPECT_TRUE(db.ok()) << db.status().ToString();
