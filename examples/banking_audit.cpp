@@ -6,6 +6,7 @@
 //   ./banking_audit [data_dir]
 
 #include <cstdio>
+#include <filesystem>
 
 #include "ledger/digest_store.h"
 #include "ledger/receipt.h"
@@ -93,7 +94,18 @@ int main(int argc, char** argv) {
     if (!db->Commit(*txn).ok()) return 1;
   }
 
+  // Digest protection through the upload pipeline. A durable database keeps
+  // its outbox under data_dir; an in-memory one needs a scratch directory.
   InMemoryDigestStore trusted_store;
+  DigestPipelineOptions protection;
+  if (argc <= 1) {
+    std::filesystem::path outbox = std::filesystem::temp_directory_path() /
+                                   "sqlledger_banking_audit_outbox";
+    std::filesystem::remove_all(outbox);
+    protection.outbox_dir = outbox.string();
+  }
+  if (!db->StartDigestProtection(&trusted_store, protection).ok()) return 1;
+  DigestUploadPipeline* pipeline = db->digest_pipeline();
   Random rng(2024);
   uint64_t receipt_txn = 0;
   int64_t journal_id = 1;
@@ -107,16 +119,17 @@ int main(int argc, char** argv) {
                            journal_id++, &txn_id);
       if (st.ok()) receipt_txn = txn_id;
     }
-    // Digests every "few seconds" (paper §2.4); the upload performs the
-    // fork check against the previous digest.
-    auto digest = GenerateAndUploadDigest(db.get(), &trusted_store);
-    if (!digest.ok()) {
-      std::printf("digest upload failed: %s\n",
-                  digest.status().ToString().c_str());
+    // Digests every "few seconds" (paper §2.4); the pipeline performs the
+    // fork check against the previous digest before queueing the upload.
+    Status st = pipeline->GenerateAndSubmit();
+    if (st.ok()) st = pipeline->DrainFully();
+    if (!st.ok()) {
+      std::printf("digest upload failed: %s\n", st.ToString().c_str());
       return 1;
     }
     std::printf("uploaded digest for block %llu\n",
-                static_cast<unsigned long long>(digest->block_id));
+                static_cast<unsigned long long>(
+                    db->latest_durable_digest()->block_id));
   }
 
   // A customer asks for a receipt proving their transfer happened.

@@ -37,6 +37,28 @@ void MustInsert(LedgerDatabase* db, int64_t id, const std::string& note) {
     std::exit(1);
   }
 }
+
+// Uploads a fresh digest through the database's digest pipeline, whose
+// chain check refuses a digest not derivable from the newest one the store
+// holds for this incarnation (fork detection, §3.3.1).
+DatabaseDigest MustUploadDigest(LedgerDatabase* db) {
+  DigestUploadPipeline* pipeline = db->digest_pipeline();
+  Status st = pipeline->GenerateAndSubmit();
+  if (st.ok()) st = pipeline->DrainFully();
+  if (!st.ok()) {
+    std::printf("digest upload failed: %s\n", st.ToString().c_str());
+    std::exit(1);
+  }
+  return *db->latest_durable_digest();
+}
+
+void MustStartProtection(LedgerDatabase* db, DigestStore* store) {
+  Status st = db->StartDigestProtection(store);
+  if (!st.ok()) {
+    std::printf("digest protection failed: %s\n", st.ToString().c_str());
+    std::exit(1);
+  }
+}
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -61,30 +83,28 @@ int main(int argc, char** argv) {
     events.SetPrimaryKey({0});
     if (!db->CreateTable("events", events, TableKind::kAppendOnly).ok())
       return 1;
+    MustStartProtection(db.get(), store.get());
     for (int64_t i = 1; i <= 12; i++) {
       MustInsert(db.get(), i, "event " + std::to_string(i));
       if (i % 4 == 0) {
-        auto digest = GenerateAndUploadDigest(db.get(), store.get());
+        DatabaseDigest digest = MustUploadDigest(db.get());
         std::printf("uploaded digest: block=%llu incarnation=%s\n",
-                    static_cast<unsigned long long>(digest->block_id),
-                    digest->database_create_time.c_str());
+                    static_cast<unsigned long long>(digest.block_id),
+                    digest.database_create_time.c_str());
       }
     }
     if (!db->Checkpoint().ok()) return 1;
   }
 
-  // Phase 2: restart and continue — digests keep chaining, no fork.
+  // Phase 2: restart and continue — digests keep chaining from the newest
+  // stored digest, no fork.
   {
     auto db = OpenDb(db_dir);
+    MustStartProtection(db.get(), store.get());
     MustInsert(db.get(), 13, "after restart");
-    auto digest = GenerateAndUploadDigest(db.get(), store.get());
-    if (!digest.ok()) {
-      std::printf("fork check failed after restart: %s\n",
-                  digest.status().ToString().c_str());
-      return 1;
-    }
+    DatabaseDigest digest = MustUploadDigest(db.get());
     std::printf("post-restart digest chains cleanly (block %llu)\n",
-                static_cast<unsigned long long>(digest->block_id));
+                static_cast<unsigned long long>(digest.block_id));
     if (!db->Checkpoint().ok()) return 1;
   }
 
@@ -105,10 +125,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     auto restored = std::move(*restore_result);
+    MustStartProtection(restored.get(), store.get());
     MustInsert(restored.get(), 14, "diverged after restore");
-    auto digest = GenerateAndUploadDigest(restored.get(), store.get());
+    DatabaseDigest digest = MustUploadDigest(restored.get());
     std::printf("restored incarnation digest: incarnation=%s\n",
-                digest->database_create_time.c_str());
+                digest.database_create_time.c_str());
 
     auto all = store->ListAll();
     std::printf("\ndigest store now holds %zu digests:\n", all->size());

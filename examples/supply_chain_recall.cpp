@@ -7,6 +7,7 @@
 //   ./supply_chain_recall
 
 #include <cstdio>
+#include <filesystem>
 
 #include "ledger/digest_store.h"
 #include "ledger/verifier.h"
@@ -29,7 +30,19 @@ int main() {
   parts.SetPrimaryKey({0});
   if (!db->CreateTable("parts", parts, TableKind::kUpdateable).ok()) return 1;
 
+  // Digests reach the partners' store through the upload pipeline; the
+  // in-memory database keeps its outbox in a scratch directory.
   InMemoryDigestStore trusted;
+  DigestPipelineOptions protection;
+  std::filesystem::path outbox = std::filesystem::temp_directory_path() /
+                                 "sqlledger_supply_chain_outbox";
+  std::filesystem::remove_all(outbox);
+  protection.outbox_dir = outbox.string();
+  if (!db->StartDigestProtection(&trusted, protection).ok()) return 1;
+  auto upload_digest = [&db] {
+    Status st = db->digest_pipeline()->GenerateAndSubmit();
+    return st.ok() ? db->digest_pipeline()->DrainFully() : st;
+  };
 
   // === 2018: honest manufacturing ===
   std::printf("2018: manufacturing and installing brake parts...\n");
@@ -42,7 +55,7 @@ int main() {
          Value::Varchar(batch), Value::Null(DataType::kVarchar)});
     if (st.ok()) st = db->Commit(*txn);
     if (!st.ok()) return 1;
-    if (i % 10 == 0) (void)GenerateAndUploadDigest(db.get(), &trusted);
+    if (i % 10 == 0 && !upload_digest().ok()) return 1;
   }
   // Part 12 (batch B7) goes into Bob's car.
   {
@@ -53,7 +66,7 @@ int main() {
                       Value::Varchar("VIN-BOB-001")});
     (void)db->Commit(*txn);
   }
-  (void)GenerateAndUploadDigest(db.get(), &trusted);
+  if (!upload_digest().ok()) return 1;
 
   // === 2019: batch B7 is recalled ===
   std::printf("2019: batch BRK-2018-B7 recalled.\n");

@@ -63,6 +63,13 @@ to the offending line — use sparingly and say why on an adjacent comment):
                   and WAL replay change stores through ApplyTableDefinition,
                   so a statement and its replay cannot drift apart
                   (DESIGN.md §4).
+  one-uploader    a call of Upload( on a receiver (`->Upload(`, `.Upload(`)
+                  in src/ outside src/ledger/digest_pipeline.cc and the
+                  store implementations (src/ledger/digest_store.cc,
+                  src/ledger/faulty_digest_store.cc). DigestUploadPipeline
+                  is the one uploader: its chain check (fork detection,
+                  paper §3.3.1) must see every digest before a store does
+                  (DESIGN.md §9).
   bench-docs      (repo-level) the binaries EXPERIMENTS.md's regeneration
                   loop (`for b in ...; do`) runs must be exactly the
                   SL_BENCH_SOURCES of bench/CMakeLists.txt. A deleted bench
@@ -427,6 +434,35 @@ def check_definition_apply(path, lines, findings):
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-uploader
+# ---------------------------------------------------------------------------
+
+UPLOAD_CALL_RE = re.compile(r"(?:->|\.)\s*Upload\s*\(")
+UPLOADER_FILES = {
+    os.path.join("src", "ledger", name)
+    for name in ("digest_pipeline.cc", "digest_store.cc",
+                 "faulty_digest_store.cc")
+}
+
+
+def check_one_uploader(path, lines, findings):
+    rel = os.path.relpath(path, REPO_ROOT)
+    if not rel.startswith("src" + os.sep):
+        return  # tests and benches may drive a store directly
+    if rel in UPLOADER_FILES:
+        return
+    for i, raw in enumerate(lines, 1):
+        if not UPLOAD_CALL_RE.search(strip_noise(raw)):
+            continue
+        if allowed(raw, "one-uploader"):
+            continue
+        findings.append(Finding(
+            "one-uploader", path, i,
+            "digest uploaded outside DigestUploadPipeline; submit it to the "
+            "pipeline so the chain check sees it (DESIGN.md §9)"))
+
+
+# ---------------------------------------------------------------------------
 # Rule: digest-decorator-coverage (repo-level)
 # ---------------------------------------------------------------------------
 
@@ -552,6 +588,7 @@ CHECKS = [
     ("void-discard", SRC_DIRS, check_void_discard),
     ("commit-sync", SRC_DIRS, check_commit_sync),
     ("definition-apply", SRC_DIRS, check_definition_apply),
+    ("one-uploader", SRC_DIRS, check_one_uploader),
     ("metric-naming", ALL_CODE_DIRS, check_metric_naming),
 ]
 
@@ -668,6 +705,9 @@ SELF_TEST_CASES = [
     ("definition-apply", "src/ledger/x_selftest.cc",
      "entry->main->set_name(dropped_name);",
      "def.main.name = dropped_name;"),
+    ("one-uploader", "src/ledger/x_selftest.cc",
+     "SL_RETURN_IF_ERROR(store->Upload(*digest));",
+     "SL_RETURN_IF_ERROR(pipeline->SubmitDigest(*digest));"),
 ]
 
 # (path, fires): one store edit, flagged everywhere in src/ but the apply
@@ -678,6 +718,18 @@ DEFINITION_APPLY_SCOPE = [
     ("src/ledger/table_definition.cc", False),
     ("src/storage/table_store.cc", False),
     ("tests/tamper_test.cc", False),
+]
+
+# (path, fires): one store upload, flagged everywhere in src/ but the
+# pipeline and the store implementations, and never in tests or benches.
+ONE_UPLOADER_SCOPE = [
+    ("src/ledger/digest_store.cc", False),
+    ("src/ledger/faulty_digest_store.cc", False),
+    ("src/ledger/digest_pipeline.cc", False),
+    ("src/ledger/ledger_database.cc", True),
+    ("src/sim/driver.cc", True),
+    ("tests/fault_injection_test.cc", False),
+    ("bench/ledger_bench/audit.cc", False),
 ]
 
 
@@ -759,6 +811,21 @@ def self_test_definition_apply_scope():
     return failures
 
 
+def self_test_one_uploader_scope():
+    """The same upload fires or stays quiet by file."""
+    failures = 0
+    text = ["Status st = store_.Upload(digest);\n"]
+    for rel, expect_fire in ONE_UPLOADER_SCOPE:
+        findings = []
+        check_one_uploader(os.path.join(REPO_ROOT, rel), text, findings)
+        if bool(findings) != expect_fire:
+            failures += 1
+            print(f"SELF-TEST FAIL [one-uploader/{rel}]:"
+                  f" {'did not fire' if expect_fire else 'fired'}",
+                  file=sys.stderr)
+    return failures
+
+
 def run_self_test():
     global REPO_ROOT
     real_root = REPO_ROOT
@@ -766,6 +833,7 @@ def run_self_test():
     failures += self_test_digest_decorator_coverage()
     failures += self_test_bench_docs()
     failures += self_test_definition_apply_scope()
+    failures += self_test_one_uploader_scope()
     for rule, rel, bad, good in SELF_TEST_CASES:
         for variant, text, expect_fire in (("bad", bad, True),
                                            ("good", good, False)):
@@ -792,7 +860,8 @@ def run_self_test():
     if failures:
         print(f"lint.py --self-test: {failures} failure(s).", file=sys.stderr)
         return 1
-    cases = len(SELF_TEST_CASES) + 5 + len(DEFINITION_APPLY_SCOPE)
+    cases = (len(SELF_TEST_CASES) + 5 + len(DEFINITION_APPLY_SCOPE) +
+             len(ONE_UPLOADER_SCOPE))
     print(f"lint.py --self-test: all {cases} cases pass "
           "(each rule fires on its seeded violation, stays quiet on the fix).")
     return 0

@@ -1,6 +1,7 @@
 #include "ledger/digest_pipeline.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "ledger/digest_store.h"
@@ -97,15 +98,26 @@ Result<std::unique_ptr<DigestUploadPipeline>> DigestUploadPipeline::Open(
   // A previous process may have left digests queued (outage, crash). The
   // newest becomes the chain anchor so this incarnation's next submission
   // chains onto the replayed tail, preserving upload order end to end.
+  // With nothing queued, the anchor is the newest digest the store holds
+  // for this incarnation, so a database rolled back and rewritten after an
+  // upload fails the chain check at its next digest (paper §3.3.1). A store
+  // that cannot answer leaves the pipeline unanchored rather than stopping
+  // protection at start (DESIGN.md §9).
   std::vector<std::string> pending = pipeline->outbox_->Pending();
+  std::optional<DatabaseDigest> anchor;
   if (!pending.empty()) {
     auto tail = DatabaseDigest::FromJson(pending.back());
     if (!tail.ok())
       return Status::Corruption("outbox replay: undecodable digest: " +
                                 tail.status().message());
+    anchor = std::move(*tail);
+  } else if (auto latest = store->Latest(db->create_time()); latest.ok()) {
+    anchor = std::move(*latest);
+  }
+  if (anchor.has_value()) {
     MutexLock lock(&pipeline->mu_);
     pipeline->have_last_submitted_ = true;
-    pipeline->last_submitted_ = *tail;
+    pipeline->last_submitted_ = std::move(*anchor);
   }
   return pipeline;
 }
@@ -129,7 +141,7 @@ Status DigestUploadPipeline::SubmitDigest(const DatabaseDigest& digest) {
     if (!*derivable) {
       fatal_ = Status::IntegrityViolation(
           "fork detected: digest for block " + std::to_string(digest.block_id) +
-          " is not derivable from the previously submitted digest (block " +
+          " is not derivable from the previous digest (block " +
           std::to_string(last_submitted_.block_id) + ")");
       return fatal_;
     }

@@ -110,8 +110,11 @@ struct DigestProtectionStatus {
 class DigestUploadPipeline {
  public:
   /// Opens the durable outbox (replaying any digests a previous process
-  /// left pending, in order) and builds the pipeline. `db` and `store` are
-  /// not owned and must outlive it.
+  /// left pending, in order) and builds the pipeline. The chain check's
+  /// first anchor is the outbox's tail or, with nothing queued, the store's
+  /// newest digest of this incarnation; a failed store read leaves it
+  /// unanchored (DESIGN.md §9). `db` and `store` are not owned and must
+  /// outlive it.
   static Result<std::unique_ptr<DigestUploadPipeline>> Open(
       LedgerDatabase* db, DigestStore* store, DigestPipelineOptions options);
   ~DigestUploadPipeline();
@@ -169,7 +172,8 @@ class DigestUploadPipeline {
   Random rng_ GUARDED_BY(mu_);
   DigestBreakerState breaker_ GUARDED_BY(mu_) = DigestBreakerState::kHealthy;
   Status fatal_ GUARDED_BY(mu_);
-  /// Chain anchor: the digest most recently accepted by SubmitDigest.
+  /// Chain anchor: the digest most recently accepted by SubmitDigest, or
+  /// the one Open found (outbox tail, else the store's newest).
   bool have_last_submitted_ GUARDED_BY(mu_) = false;
   DatabaseDigest last_submitted_ GUARDED_BY(mu_);
   /// The digest most recently acknowledged by the store.

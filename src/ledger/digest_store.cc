@@ -283,27 +283,4 @@ bool VerifySignedDigest(const SignedDigest& signed_digest,
       Slice(signed_digest.signature));
 }
 
-Result<DatabaseDigest> GenerateAndUploadDigest(LedgerDatabase* db,
-                                               DigestStore* store) {
-  auto digest = db->GenerateDigest();
-  if (!digest.ok()) return digest;
-
-  auto previous = store->Latest(db->create_time());
-  if (previous.ok()) {
-    auto derivable =
-        db->database_ledger()->VerifyDigestChain(*previous, *digest);
-    if (!derivable.ok()) return derivable.status();
-    if (!*derivable)
-      return Status::IntegrityViolation(
-          "fork detected: the new digest is not derivable from the "
-          "previously uploaded digest (block " +
-          std::to_string(previous->block_id) + ")");
-  } else if (previous.status().code() != StatusCode::kNotFound) {
-    return previous.status();
-  }
-
-  SL_RETURN_IF_ERROR(store->Upload(*digest));
-  return digest;
-}
-
 }  // namespace sqlledger

@@ -5,9 +5,8 @@
 //   - no modify/delete surface at all,
 //   - digests grouped by database "incarnation" (create time), so
 //     point-in-time restores retain the digests of every incarnation.
-// GenerateAndUploadDigest additionally performs the fork check of §3.3.1
-// (requirement 3): each new digest must be derivable from the previously
-// uploaded one, otherwise the upload is refused and the fork reported.
+// Digests reach a store through DigestUploadPipeline (digest_pipeline.h),
+// which performs the fork check of §3.3.1 (requirement 3) before upload.
 
 #ifndef SQLLEDGER_LEDGER_DIGEST_STORE_H_
 #define SQLLEDGER_LEDGER_DIGEST_STORE_H_
@@ -94,12 +93,6 @@ class ImmutableBlobDigestStore : public DigestStore {
   std::string root_dir_;
   Env* env_;
 };
-
-/// Generates a digest from `db` and uploads it to `store`, first verifying
-/// that the new digest is derivable from the incarnation's previous digest
-/// (fork detection, paper §3.3.1). Returns the uploaded digest.
-Result<DatabaseDigest> GenerateAndUploadDigest(LedgerDatabase* db,
-                                               DigestStore* store);
 
 /// Downloads every digest stored for this database (across incarnations)
 /// and runs full verification against them — the automated flow of paper

@@ -930,10 +930,12 @@ Status LedgerDatabase::Insert(Transaction* txn, const std::string& table,
                               const Row& user_row) {
   CatalogEntry* entry = FindTable(table);
   if (entry == nullptr) return Status::NotFound("table '" + table + "' not found");
-  auto key = UserKeyOf(*entry, user_row);
-  if (!key.ok()) return key.status();
+  // The table lock first: a DDL rewrites the schema the key is read from
+  // under the table's X lock.
   SL_RETURN_IF_ERROR(
       AcquireTableLock(txn, *entry, LockMode::kIntentionExclusive));
+  auto key = UserKeyOf(*entry, user_row);
+  if (!key.ok()) return key.status();
   SL_RETURN_IF_ERROR(AcquireRowLock(txn, *entry, *key, LockMode::kExclusive));
   return LedgerInsert(txn, entry->ref, user_row);
 }
@@ -942,10 +944,10 @@ Status LedgerDatabase::Update(Transaction* txn, const std::string& table,
                               const Row& user_row) {
   CatalogEntry* entry = FindTable(table);
   if (entry == nullptr) return Status::NotFound("table '" + table + "' not found");
-  auto key = UserKeyOf(*entry, user_row);
-  if (!key.ok()) return key.status();
   SL_RETURN_IF_ERROR(
       AcquireTableLock(txn, *entry, LockMode::kIntentionExclusive));
+  auto key = UserKeyOf(*entry, user_row);
+  if (!key.ok()) return key.status();
   SL_RETURN_IF_ERROR(AcquireRowLock(txn, *entry, *key, LockMode::kExclusive));
   return LedgerUpdate(txn, entry->ref, user_row);
 }

@@ -38,6 +38,23 @@ Status UpdateColumnMetadata(LedgerDatabase* db, Transaction* txn,
           Value::Varchar(new_name), Value::Varchar(data_type)};
   return db->Update(txn, "sys_ledger_columns", row);
 }
+
+/// DROP COLUMN and ALTER COLUMN TYPE refuse a column that a UNIQUE index
+/// covers, before any change (as SQL Server does): the index would go on
+/// checking NULL-padded or repopulated cells and reject later updates.
+Status CheckNoUniqueIndexOn(const CatalogEntry& entry, int ord,
+                            const std::string& column) {
+  for (const IndexDef& index : entry.main->IndexDefs()) {
+    if (!index.unique) continue;
+    for (size_t indexed : index.ordinals) {
+      if (static_cast<int>(indexed) == ord)
+        return Status::InvalidArgument("column '" + column +
+                                       "' is covered by unique index '" +
+                                       index.name + "'; drop the index first");
+    }
+  }
+  return Status::OK();
+}
 }  // namespace
 
 // ---- AddColumn (paper §3.5.1) ----
@@ -84,6 +101,7 @@ Status LedgerDatabase::DropColumn(const std::string& table,
     if (static_cast<int>(key_ord) == ord)
       return Status::InvalidArgument("cannot drop a primary-key column");
   }
+  SL_RETURN_IF_ERROR(CheckNoUniqueIndexOn(*entry, ord, column));
   uint32_t column_id = col.column_id;
   std::string dropped_name =
       "DroppedColumn_" + column + "_" + std::to_string(column_id);
@@ -152,6 +170,7 @@ Status LedgerDatabase::AlterColumnType(const std::string& table,
       return Status::InvalidArgument(
           "cannot alter the type of a primary-key column");
   }
+  SL_RETURN_IF_ERROR(CheckNoUniqueIndexOn(*entry, old_ord, column));
 
   auto txn = BeginDdl(*entry);
   if (!txn.ok()) return txn.status();

@@ -326,12 +326,6 @@ Status Wal::AppendBatch(const std::vector<Slice>& payloads,
   return Status::OK();
 }
 
-Status Wal::AppendCommit(const WalCommitRecord& record) {
-  std::vector<uint8_t> payload;
-  record.EncodeTo(&payload);
-  return AppendRecord(Slice(payload));
-}
-
 Status Wal::Reset() {
   // Every durable record was already fsynced by AppendRecord; a failed
   // close of the outgoing generation cannot lose committed data.

@@ -176,7 +176,6 @@ class Wal {
   /// subsequent append fails with the original error (sticky), because a
   /// record appended after a hole would replay without its predecessor.
   Status AppendRecord(Slice payload);
-  Status AppendCommit(const WalCommitRecord& record);
 
   /// Appends many framed records as ONE buffered write with ONE trailing
   /// fsync (when options.sync or `force_sync`) — the group commit fast

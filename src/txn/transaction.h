@@ -84,7 +84,6 @@ class Transaction {
   void FinalizeForCommit();
 
   const std::vector<WalOp>& ops() const { return ops_; }
-  bool HasLedgerUpdates() const { return !merkle_.empty(); }
 
   // ---- Savepoints (paper §3.2.1) ----
 

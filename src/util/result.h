@@ -50,17 +50,6 @@ class [[nodiscard]] Result {
   std::optional<T> value_;
 };
 
-/// Evaluate an expression yielding Result<T>; on error return the Status,
-/// otherwise bind the value to `lhs`.
-#define SL_ASSIGN_OR_RETURN(lhs, expr)              \
-  auto SL_CONCAT_(_res_, __LINE__) = (expr);        \
-  if (!SL_CONCAT_(_res_, __LINE__).ok())            \
-    return SL_CONCAT_(_res_, __LINE__).status();    \
-  lhs = std::move(SL_CONCAT_(_res_, __LINE__)).value()
-
-#define SL_CONCAT_INNER_(a, b) a##b
-#define SL_CONCAT_(a, b) SL_CONCAT_INNER_(a, b)
-
 }  // namespace sqlledger
 
 #endif  // SQLLEDGER_UTIL_RESULT_H_

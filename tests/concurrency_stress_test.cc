@@ -74,7 +74,12 @@ void RunMixedWorkload(const StressConfig& cfg) {
       db->CreateTable("shared", SimpleUserSchema(), TableKind::kUpdateable)
           .ok());
 
+  const std::filesystem::path outbox =
+      std::filesystem::temp_directory_path() /
+      ("sqlledger_stress_outbox_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(outbox);
   InMemoryDigestStore store;
+  ASSERT_TRUE(db->StartDigestProtection(&store, {outbox.string()}).ok());
   std::atomic<bool> stop{false};
   std::atomic<int> committed{0};
   std::atomic<int> verify_failures{0};
@@ -114,12 +119,12 @@ void RunMixedWorkload(const StressConfig& cfg) {
     });
   }
 
-  // Digest generator: uploads as fast as the commit lock allows. The fork
-  // check inside GenerateAndUploadDigest asserts chain consistency on every
-  // upload, so this thread is itself a verifier of sorts.
+  // Digest generator: uploads as fast as the commit lock allows. The
+  // pipeline's fork check asserts chain consistency on every upload, so
+  // this thread is itself a verifier of sorts.
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      auto digest = GenerateAndUploadDigest(db.get(), &store);
+      auto digest = UploadDigest(db.get());
       // Any failure here is a chain fork or storage error — both fatal.
       if (!digest.ok()) {
         record_failure("digest: " + digest.status().ToString());
@@ -173,7 +178,7 @@ void RunMixedWorkload(const StressConfig& cfg) {
 
   // Quiesced end state: one more digest, then a full verification against
   // everything the store accumulated during the run.
-  auto final_digest = GenerateAndUploadDigest(db.get(), &store);
+  auto final_digest = UploadDigest(db.get());
   ASSERT_TRUE(final_digest.ok()) << final_digest.status().ToString();
   VerificationOptions vopts;
   vopts.parallelism = 4;
@@ -193,6 +198,8 @@ void RunMixedWorkload(const StressConfig& cfg) {
   }
   ASSERT_TRUE(db->Commit(*txn).ok());
   EXPECT_GT(rows, 0u);
+  db.reset();
+  std::filesystem::remove_all(outbox);
 }
 
 TEST(ConcurrencyStressTest, MixedWorkloadTier1) {

@@ -227,6 +227,62 @@ TEST_F(ConcurrencyTest, DigestGenerationDuringLoad) {
   EXPECT_TRUE(report->ok()) << report->Summary();
 }
 
+// DML reads the table's schema (to find the row key) only under the table
+// lock, which a schema change holds exclusively while it rewrites that
+// schema. One thread inserts while the main thread adds 20 columns; the
+// writer widens its rows when a new column makes them too short. Every
+// insert commits or aborts cleanly, and exactly the committed ones remain.
+TEST_F(ConcurrencyTest, InsertsDuringAddColumn) {
+  std::atomic<bool> stop{false};
+  std::atomic<int> committed{0};
+  std::atomic<int> unexpected{0};
+  std::thread writer([&] {
+    std::vector<Value> row{VB(0), VS("w")};
+    for (int64_t id = 1; !stop.load(); id++) {
+      auto txn = db_->Begin("writer");
+      if (!txn.ok()) {
+        unexpected++;
+        return;
+      }
+      row[0] = VB(id);
+      Status st = db_->Insert(*txn, "shared", row);
+      if (!st.ok()) {
+        db_->Abort(*txn);
+        if (st.code() == StatusCode::kInvalidArgument)
+          row.push_back(Value::Null(DataType::kInt));  // a column was added
+        else if (st.code() != StatusCode::kAborted)
+          unexpected++;
+        continue;
+      }
+      if (db_->Commit(*txn).ok()) committed++;
+    }
+  });
+  for (int i = 0; i < 20; i++) {
+    // Let the writer commit at the current width before the next change.
+    const int seen = committed.load();
+    for (int spin = 0; committed.load() == seen && spin < 1000000; spin++)
+      std::this_thread::yield();
+    Status st = db_->AddColumn("shared", "c" + std::to_string(i),
+                               DataType::kInt);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  stop = true;
+  writer.join();
+
+  EXPECT_EQ(unexpected.load(), 0);
+  auto txn = db_->Begin("audit");
+  ASSERT_TRUE(txn.ok());
+  auto rows = db_->Scan(*txn, "shared");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_GT(committed.load(), 20);
+  EXPECT_EQ(rows->size(), static_cast<size_t>(committed.load()));
+  for (const Row& r : *rows) EXPECT_EQ(r.size(), 22u);
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+  auto report = VerifyLedger(db_.get(), {});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
 TEST_F(ConcurrencyTest, ReadersShareLocks) {
   {
     auto txn = db_->Begin("init");

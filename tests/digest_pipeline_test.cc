@@ -562,6 +562,167 @@ TEST_F(DigestPipelineTest, TortureSeededOutagesAmbiguousAcksAndCrash) {
   EXPECT_TRUE(report->ok()) << report->Summary();
 }
 
+// ---- Chain anchor from the store ----
+
+// A pipeline opened with an empty outbox chains its first digest onto the
+// newest digest the store holds for the database's incarnation.
+class DigestStoreAnchorTest : public TempDirTest {
+ protected:
+  std::unique_ptr<LedgerDatabase> OpenDb(const std::string& dir) {
+    LedgerDatabaseOptions options;
+    options.data_dir = Path(dir);
+    options.database_id = "anchored";
+    options.block_size = 2;
+    auto db = LedgerDatabase::Open(std::move(options));
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return db.ok() ? std::move(*db) : nullptr;
+  }
+
+  static void InsertRange(LedgerDatabase* db, int64_t first, int64_t last,
+                          const std::string& payload) {
+    for (int64_t id = first; id <= last; id++)
+      ASSERT_TRUE(InsertOne(db, "t", id, payload).ok());
+  }
+
+  InMemoryDigestStore store_;
+};
+
+// Roll the data directory back to an earlier copy of the same incarnation
+// and rewrite history past it: the first new digest is not derivable from
+// the uploaded one, so the pipeline latches the fork and uploads nothing.
+TEST_F(DigestStoreAnchorTest, RollbackThenDivergeLatchesFork) {
+  {
+    auto db = OpenDb("db");
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    InsertRange(db.get(), 1, 3, "honest");
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  std::filesystem::copy(Path("db"), Path("earlier"),
+                        std::filesystem::copy_options::recursive);
+  DatabaseDigest uploaded;
+  {
+    auto db = OpenDb("db");
+    ASSERT_NE(db, nullptr);
+    InsertRange(db.get(), 4, 7, "honest");
+    ASSERT_TRUE(db->StartDigestProtection(&store_).ok());
+    auto digest = UploadDigest(db.get());
+    ASSERT_TRUE(digest.ok()) << digest.status().ToString();
+    uploaded = *digest;
+  }
+
+  std::filesystem::remove_all(Path("db"));
+  std::filesystem::rename(Path("earlier"), Path("db"));
+  auto db = OpenDb("db");
+  ASSERT_NE(db, nullptr);
+  ASSERT_EQ(db->create_time(), uploaded.database_create_time);
+  InsertRange(db.get(), 4, 16, "rewritten");
+  ASSERT_TRUE(db->database_ledger()->FindBlock(uploaded.block_id).ok());
+
+  ASSERT_TRUE(db->StartDigestProtection(&store_).ok());
+  EXPECT_TRUE(UploadDigest(db.get()).status().IsIntegrityViolation());
+  EXPECT_TRUE(db->GetDigestProtectionStatus().fatal.IsIntegrityViolation());
+  auto stored = store_.ListAll();
+  ASSERT_TRUE(stored.ok());
+  ASSERT_EQ(stored->size(), 1u);
+  EXPECT_TRUE((*stored)[0] == uploaded);
+}
+
+TEST_F(DigestStoreAnchorTest, HonestRestartChainsOntoStoredDigests) {
+  {
+    auto db = OpenDb("db");
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    ASSERT_TRUE(db->StartDigestProtection(&store_).ok());
+    InsertRange(db.get(), 1, 3, "x");
+    ASSERT_TRUE(UploadDigest(db.get()).ok());
+    InsertRange(db.get(), 4, 6, "x");
+    ASSERT_TRUE(UploadDigest(db.get()).ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+
+  auto db = OpenDb("db");
+  ASSERT_NE(db, nullptr);
+  ASSERT_TRUE(db->StartDigestProtection(&store_).ok());
+  // A quiet database re-digests the stored block, then moves on.
+  ASSERT_TRUE(UploadDigest(db.get()).ok());
+  InsertRange(db.get(), 7, 9, "x");
+  auto digest = UploadDigest(db.get());
+  ASSERT_TRUE(digest.ok()) << digest.status().ToString();
+  EXPECT_TRUE(db->GetDigestProtectionStatus().fully_protected())
+      << db->GetDigestProtectionStatus().ToString();
+  EXPECT_EQ(store_.ListAll()->size(), 4u);
+  auto report = VerifyLedgerAgainstStore(db.get(), store_);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// A restored database is a new incarnation: the original's digests are no
+// anchor for it, even where its chain diverges from theirs.
+TEST_F(DigestStoreAnchorTest, RestoredIncarnationUploadsCleanly) {
+  std::string original_create_time;
+  {
+    auto db = OpenDb("db");
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    ASSERT_TRUE(db->StartDigestProtection(&store_).ok());
+    InsertRange(db.get(), 1, 7, "x");
+    ASSERT_TRUE(UploadDigest(db.get()).ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    original_create_time = db->create_time();
+  }
+
+  LedgerDatabaseOptions options;
+  options.data_dir = Path("restored");
+  options.database_id = "anchored";
+  options.block_size = 2;
+  auto restored = LedgerDatabase::Restore(Path("db"), options);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  LedgerDatabase* db = restored->get();
+  ASSERT_NE(db->create_time(), original_create_time);
+  InsertRange(db, 100, 112, "diverged");
+  ASSERT_TRUE(db->StartDigestProtection(&store_).ok());
+  auto digest = UploadDigest(db);
+  ASSERT_TRUE(digest.ok()) << digest.status().ToString();
+  EXPECT_EQ(digest->database_create_time, db->create_time());
+  EXPECT_EQ(store_.ListAll()->size(), 2u);
+}
+
+// The anchor is read at start; a store that cannot answer then must not
+// stop protection from starting. The pipeline runs unanchored (DESIGN.md
+// §9) and uploads once the store is back.
+TEST_F(DigestStoreAnchorTest, StoreDownAtStartDoesNotStopProtection) {
+  {
+    auto db = OpenDb("db");
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    ASSERT_TRUE(db->StartDigestProtection(&store_).ok());
+    InsertRange(db.get(), 1, 3, "x");
+    ASSERT_TRUE(UploadDigest(db.get()).ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+
+  FaultyDigestStore flaky(&store_, TestSeed());
+  flaky.SetOutage(true);
+  auto db = OpenDb("db");
+  ASSERT_NE(db, nullptr);
+  DigestPipelineOptions options = FastOptions(Path("db") + "/digest_outbox");
+  ASSERT_TRUE(db->StartDigestProtection(&flaky, options).ok());
+  InsertRange(db.get(), 4, 6, "x");
+  ASSERT_TRUE(db->digest_pipeline()->GenerateAndSubmit().ok());
+  EXPECT_EQ(db->digest_pipeline()->Pump(), 0u);
+
+  flaky.SetOutage(false);
+  ASSERT_TRUE(db->digest_pipeline()->DrainFully().ok());
+  EXPECT_TRUE(db->GetDigestProtectionStatus().fully_protected())
+      << db->GetDigestProtectionStatus().ToString();
+  EXPECT_EQ(store_.ListAll()->size(), 2u);
+}
+
 // ---- LedgerDatabase wiring ----
 
 class DigestProtectionWiringTest : public TempDirTest {};

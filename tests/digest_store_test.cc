@@ -142,19 +142,20 @@ TEST_F(BlobStoreTest, IncarnationsKeptSeparate) {
 
 class UploadFlowTest : public TempDirTest {};
 
-TEST_F(UploadFlowTest, GenerateAndUploadChains) {
+TEST_F(UploadFlowTest, UploadsChain) {
   auto db = OpenTestDb(/*block_size=*/2);
   ASSERT_TRUE(
       db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
   InMemoryDigestStore store;
+  ASSERT_TRUE(db->StartDigestProtection(&store, {Path("outbox")}).ok());
 
   ASSERT_TRUE(InsertOne(db.get(), "t", 1, "a").ok());
-  auto d1 = GenerateAndUploadDigest(db.get(), &store);
+  auto d1 = UploadDigest(db.get());
   ASSERT_TRUE(d1.ok()) << d1.status().ToString();
 
   for (int i = 2; i <= 6; i++)
     ASSERT_TRUE(InsertOne(db.get(), "t", i, "x").ok());
-  auto d2 = GenerateAndUploadDigest(db.get(), &store);
+  auto d2 = UploadDigest(db.get());
   ASSERT_TRUE(d2.ok());
   EXPECT_GT(d2->block_id, d1->block_id);
   EXPECT_EQ(store.ListAll()->size(), 2u);
@@ -165,9 +166,10 @@ TEST_F(UploadFlowTest, ForkRefusedAtUpload) {
   ASSERT_TRUE(
       db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
   InMemoryDigestStore store;
+  ASSERT_TRUE(db->StartDigestProtection(&store, {Path("outbox")}).ok());
 
   ASSERT_TRUE(InsertOne(db.get(), "t", 1, "a").ok());
-  auto d1 = GenerateAndUploadDigest(db.get(), &store);
+  auto d1 = UploadDigest(db.get());
   ASSERT_TRUE(d1.ok());
 
   // Attacker forks the chain: overwrite the block d1 covers.
@@ -181,7 +183,7 @@ TEST_F(UploadFlowTest, ForkRefusedAtUpload) {
                   .ok());
 
   ASSERT_TRUE(InsertOne(db.get(), "t", 2, "b").ok());
-  auto d2 = GenerateAndUploadDigest(db.get(), &store);
+  auto d2 = UploadDigest(db.get());
   EXPECT_TRUE(d2.status().IsIntegrityViolation());
   EXPECT_EQ(store.ListAll()->size(), 1u);  // forged digest never uploaded
 }
@@ -219,9 +221,10 @@ TEST_F(UploadFlowTest, VerifyAgainstStoreDownloadsDigests) {
   ASSERT_TRUE(
       db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
   InMemoryDigestStore store;
+  ASSERT_TRUE(db->StartDigestProtection(&store, {Path("outbox")}).ok());
   for (int i = 1; i <= 4; i++) {
     ASSERT_TRUE(InsertOne(db.get(), "t", i, "x").ok());
-    ASSERT_TRUE(GenerateAndUploadDigest(db.get(), &store).ok());
+    ASSERT_TRUE(UploadDigest(db.get()).ok());
   }
   // Digests of an unrelated database must be ignored, not flagged.
   DatabaseDigest foreign = MakeDigest(99, "other-epoch");
@@ -253,9 +256,10 @@ TEST_F(UploadFlowTest, SiblingIncarnationDigestsToleratedButRollbackCaught) {
   ASSERT_TRUE(
       db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
   InMemoryDigestStore store;
+  ASSERT_TRUE(db->StartDigestProtection(&store).ok());
   for (int i = 1; i <= 4; i++) {
     ASSERT_TRUE(InsertOne(db.get(), "t", i, "x").ok());
-    ASSERT_TRUE(GenerateAndUploadDigest(db.get(), &store).ok());
+    ASSERT_TRUE(UploadDigest(db.get()).ok());
   }
   ASSERT_TRUE(db->Checkpoint().ok());
 
@@ -266,7 +270,8 @@ TEST_F(UploadFlowTest, SiblingIncarnationDigestsToleratedButRollbackCaught) {
   auto restored = LedgerDatabase::Restore(Path("db"), restore_options);
   ASSERT_TRUE(restored.ok());
   ASSERT_TRUE(InsertOne(restored->get(), "t", 100, "diverged").ok());
-  ASSERT_TRUE(GenerateAndUploadDigest(restored->get(), &store).ok());
+  ASSERT_TRUE((*restored)->StartDigestProtection(&store).ok());
+  ASSERT_TRUE(UploadDigest(restored->get()).ok());
 
   auto report = VerifyLedgerAgainstStore(db.get(), store);
   ASSERT_TRUE(report.ok());

@@ -153,8 +153,9 @@ TEST_F(FaultInjectionTest, UploadedDigestBlobSurvivesCrash) {
   FaultInjectionEnv env;
   auto store = ImmutableBlobDigestStore::Open(Path("digests"), &env);
   ASSERT_TRUE(store.ok());
-  auto uploaded = GenerateAndUploadDigest(db.get(), store->get());
+  auto uploaded = db->GenerateDigest();
   ASSERT_TRUE(uploaded.ok()) << uploaded.status().ToString();
+  ASSERT_TRUE((*store)->Upload(*uploaded).ok());
   env.SimulateCrash();
 
   // A reopened store on the real filesystem still holds the digest intact.
@@ -175,8 +176,10 @@ TEST_F(FaultInjectionTest, FailedDigestUploadLeavesNoBlobBehind) {
   FaultInjectionEnv env;
   auto store = ImmutableBlobDigestStore::Open(Path("digests"), &env);
   ASSERT_TRUE(store.ok());
+  auto digest = db->GenerateDigest();
+  ASSERT_TRUE(digest.ok());
   env.FailNthSync(1);
-  EXPECT_FALSE(GenerateAndUploadDigest(db.get(), store->get()).ok());
+  EXPECT_FALSE((*store)->Upload(*digest).ok());
 
   // A half-written blob must not pollute the trusted store.
   auto reopened = ImmutableBlobDigestStore::Open(Path("digests"));
@@ -193,14 +196,17 @@ TEST_F(FaultInjectionTest, DigestBlobsAreWriteOnce) {
   ASSERT_TRUE(InsertOne(db.get(), "t", 1, "x").ok());
   auto store = ImmutableBlobDigestStore::Open(Path("digests"));
   ASSERT_TRUE(store.ok());
-  auto first = GenerateAndUploadDigest(db.get(), store->get());
+  auto first = db->GenerateDigest();
   ASSERT_TRUE(first.ok());
+  ASSERT_TRUE((*store)->Upload(*first).ok());
 
   // Exclusive create refuses the occupied name and allocates the next one,
   // so a second upload can never overwrite the first.
   ASSERT_TRUE(InsertOne(db.get(), "t", 2, "y").ok());
-  auto second = GenerateAndUploadDigest(db.get(), store->get());
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  auto second = db->GenerateDigest();
+  ASSERT_TRUE(second.ok());
+  Status uploaded = (*store)->Upload(*second);
+  ASSERT_TRUE(uploaded.ok()) << uploaded.ToString();
   auto all = (*store)->ListAll();
   ASSERT_TRUE(all.ok());
   ASSERT_EQ(all->size(), 2u);

@@ -40,6 +40,7 @@ TEST_F(IntegrationTest, ContosoForwardIntegrity) {
 
   auto store = ImmutableBlobDigestStore::Open(Path("trusted_digests"));
   ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(db->StartDigestProtection(store->get()).ok());
 
   // 2018: honest operation — parts manufactured and installed.
   for (int i = 0; i < 20; i++) {
@@ -52,10 +53,10 @@ TEST_F(IntegrationTest, ContosoForwardIntegrity) {
     ASSERT_TRUE(db->Commit(*txn).ok());
     // Digests uploaded every few transactions (paper: every few seconds).
     if (i % 5 == 4) {
-      ASSERT_TRUE(GenerateAndUploadDigest(db.get(), store->get()).ok());
+      ASSERT_TRUE(UploadDigest(db.get()).ok());
     }
   }
-  ASSERT_TRUE(GenerateAndUploadDigest(db.get(), store->get()).ok());
+  ASSERT_TRUE(UploadDigest(db.get()).ok());
 
   // 2020: the lawsuit — Bob's car used part 15 (BATCH-RECALLED). An insider
   // edits the row at the storage layer to claim it was a good batch.
@@ -100,7 +101,8 @@ TEST_F(IntegrationTest, RecoverFromTamperingViaBackup) {
                     .ok());
     ASSERT_TRUE(db->Commit(*txn).ok());
   }
-  ASSERT_TRUE(GenerateAndUploadDigest(db.get(), &store).ok());
+  ASSERT_TRUE(db->StartDigestProtection(&store).ok());
+  ASSERT_TRUE(UploadDigest(db.get()).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
 
   // "Backup": copy the data directory while it verifies.
@@ -141,7 +143,8 @@ TEST_F(IntegrationTest, RecoverFromTamperingViaBackup) {
   ASSERT_TRUE(
       (*restored)->Update(*txn, "accounts", {VS("acct2"), VB(200)}).ok());
   ASSERT_TRUE((*restored)->Commit(*txn).ok());
-  ASSERT_TRUE(GenerateAndUploadDigest(restored->get(), &store).ok());
+  ASSERT_TRUE((*restored)->StartDigestProtection(&store).ok());
+  ASSERT_TRUE(UploadDigest(restored->get()).ok());
   report = VerifyLedger(restored->get(), *store.ListAll());
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->Summary();
@@ -165,12 +168,13 @@ TEST_F(IntegrationTest, FullLifecycleSoak) {
   ASSERT_TRUE(tpcc.Setup().ok());
 
   InMemoryDigestStore store;
+  ASSERT_TRUE(db->StartDigestProtection(&store).ok());
   Random rng(99);
   TpccStats stats;
   for (int round = 0; round < 4; round++) {
     for (int i = 0; i < 50; i++)
       ASSERT_TRUE(tpcc.RunTransaction(&rng, &stats).ok());
-    ASSERT_TRUE(GenerateAndUploadDigest(db.get(), &store).ok());
+    ASSERT_TRUE(UploadDigest(db.get()).ok());
   }
   EXPECT_GT(stats.committed, 150u);
 
@@ -200,7 +204,7 @@ TEST_F(IntegrationTest, FullLifecycleSoak) {
   }
   for (int i = 0; i < 50; i++)
     ASSERT_TRUE(tpcc.RunTransaction(&rng, &stats).ok());
-  ASSERT_TRUE(GenerateAndUploadDigest(db.get(), &store).ok());
+  ASSERT_TRUE(UploadDigest(db.get()).ok());
 
   // Crash + recover, then verify with the newest digest.
   ASSERT_TRUE(db->Checkpoint().ok());

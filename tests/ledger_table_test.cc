@@ -127,7 +127,7 @@ TEST_F(LedgerTableTest, AppendOnlyRejectsUpdateAndDelete) {
 TEST_F(LedgerTableTest, RegularTableHasNoLedgerEntry) {
   auto txn = db_->Begin("alice");
   ASSERT_TRUE(db_->Insert(*txn, "plain", {VB(1), VS("x")}).ok());
-  EXPECT_FALSE((*txn)->HasLedgerUpdates());
+  EXPECT_TRUE((*txn)->TableRoots().empty());
   ASSERT_TRUE(db_->Commit(*txn).ok());
 }
 

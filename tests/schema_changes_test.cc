@@ -221,6 +221,37 @@ TEST_F(SchemaChangesTest, AlterColumnTypeFailedCastLeavesTableUnchanged) {
   ExpectVerifies();
 }
 
+// A UNIQUE index over a column refuses DROP COLUMN and ALTER COLUMN TYPE
+// before any change; once the index is dropped, both go through.
+TEST_F(SchemaChangesTest, UniqueIndexBlocksDropAndAlterColumn) {
+  ASSERT_TRUE(
+      db_->CreateTable("items", SimpleUserSchema(), TableKind::kUpdateable)
+          .ok());
+  for (int i = 1; i <= 3; i++)
+    ASSERT_TRUE(InsertOne(db_.get(), "items", i, std::to_string(i * 10)).ok());
+  ASSERT_TRUE(db_->CreateIndex("items", "u", {"payload"}, true).ok());
+  const std::string before = CatalogSnapshot(db_.get());
+
+  Status st = db_->DropColumn("items", "payload");
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("'u'"), std::string::npos) << st.ToString();
+  st = db_->AlterColumnType("items", "payload", DataType::kBigInt);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("'u'"), std::string::npos) << st.ToString();
+  EXPECT_EQ(CatalogSnapshot(db_.get()), before);
+
+  ASSERT_TRUE(db_->DropIndex("items", "u").ok());
+  ASSERT_TRUE(db_->DropColumn("items", "payload").ok());
+  for (int i = 1; i <= 3; i++) {
+    auto txn = db_->Begin("app");
+    ASSERT_TRUE(txn.ok());
+    st = db_->Update(*txn, "items", {VB(i)});
+    ASSERT_TRUE(st.ok()) << "row " << i << ": " << st.ToString();
+    ASSERT_TRUE(db_->Commit(*txn).ok());
+  }
+  ExpectVerifies();
+}
+
 TEST_F(SchemaChangesTest, IndexLifecycle) {
   ASSERT_TRUE(
       db_->CreateIndex("accounts", "by_balance", {"balance"}, false).ok());

@@ -188,9 +188,12 @@ class DigestBlobTamperFuzz : public ::testing::TestWithParam<int> {
     ASSERT_TRUE(db_->CreateTable("accounts", AccountSchema(),
                                  TableKind::kUpdateable)
                     .ok());
-    auto store = ImmutableBlobDigestStore::Open(root_.string());
+    auto store = ImmutableBlobDigestStore::Open((root_ / "digests").string());
     ASSERT_TRUE(store.ok());
     store_ = std::move(*store);
+    ASSERT_TRUE(db_->StartDigestProtection(store_.get(),
+                                           {(root_ / "outbox").string()})
+                    .ok());
     for (int i = 0; i < 9; i++) {
       auto txn = db_->Begin("app");
       ASSERT_TRUE(txn.ok());
@@ -199,7 +202,7 @@ class DigestBlobTamperFuzz : public ::testing::TestWithParam<int> {
                       .ok());
       ASSERT_TRUE(db_->Commit(*txn).ok());
       if (i % 3 == 2) {
-        ASSERT_TRUE(GenerateAndUploadDigest(db_.get(), store_.get()).ok());
+        ASSERT_TRUE(UploadDigest(db_.get()).ok());
       }
     }
   }
@@ -220,7 +223,7 @@ class DigestBlobTamperFuzz : public ::testing::TestWithParam<int> {
   std::vector<std::filesystem::path> BlobFiles() {
     std::vector<std::filesystem::path> out;
     for (const auto& entry :
-         std::filesystem::recursive_directory_iterator(root_)) {
+         std::filesystem::recursive_directory_iterator(root_ / "digests")) {
       if (entry.is_regular_file()) out.push_back(entry.path());
     }
     std::sort(out.begin(), out.end());

@@ -151,6 +151,20 @@ inline Status InsertOne(LedgerDatabase* db, const std::string& table,
   return db->Commit(*txn);
 }
 
+/// Uploads a fresh digest of `db` through its digest pipeline, the one
+/// uploader (DESIGN.md §9): GenerateAndSubmit, then DrainFully. Start
+/// protection first with StartDigestProtection. Returns the digest the
+/// store acknowledged.
+inline Result<DatabaseDigest> UploadDigest(LedgerDatabase* db) {
+  DigestUploadPipeline* pipeline = db->digest_pipeline();
+  if (pipeline == nullptr)
+    return Status::InvalidArgument("digest protection is not started");
+  Status st = pipeline->GenerateAndSubmit();
+  if (st.ok()) st = pipeline->DrainFully();
+  if (!st.ok()) return st;
+  return *db->latest_durable_digest();
+}
+
 /// Everything a schema change touches, as text: each catalog entry's name
 /// and dropped flag, its stores' columns (id, name, type, flags), column-id
 /// allocators and index sets, then the visible rows of the sys_ledger_*
