@@ -70,6 +70,14 @@ to the offending line — use sparingly and say why on an adjacent comment):
                   is the one uploader: its chain check (fork detection,
                   paper §3.3.1) must see every digest before a store does
                   (DESIGN.md §9).
+  stamp-once      a CellRef assignment to a ledger version's stamp cell
+                  (`row[t.start_txn_ord] = ...`, likewise start_seq_ord,
+                  end_txn_ord, end_seq_ord) in src/ outside src/sim/. A
+                  stamp changes its cell's width, so a write through CellRef
+                  repacks the row: a malloc and a copy per version. Stamps
+                  go in when the version is packed, by Schema::PadRow
+                  (start) and Row::With in RetireVersion (end) (DESIGN.md
+                  §3). The simulator's reference model keeps its own.
   bench-docs      (repo-level) the binaries EXPERIMENTS.md's regeneration
                   loop (`for b in ...; do`) runs must be exactly the
                   SL_BENCH_SOURCES of bench/CMakeLists.txt. A deleted bench
@@ -463,6 +471,33 @@ def check_one_uploader(path, lines, findings):
 
 
 # ---------------------------------------------------------------------------
+# Rule: stamp-once
+# ---------------------------------------------------------------------------
+
+STAMP_WRITE_RE = re.compile(
+    r"\[\s*(?:[\w\]\)]+\s*(?:\.|->)\s*)*"
+    r"(?:start_txn_ord|start_seq_ord|end_txn_ord|end_seq_ord)\s*\]"
+    r"\s*=(?!=)")
+
+
+def check_stamp_once(path, lines, findings):
+    rel = os.path.relpath(path, REPO_ROOT)
+    if not rel.startswith("src" + os.sep):
+        return  # tests and benches may write any cell
+    if rel.startswith(os.path.join("src", "sim") + os.sep):
+        return  # the reference model stamps its own rows
+    for i, raw in enumerate(lines, 1):
+        if not STAMP_WRITE_RE.search(strip_noise(raw)):
+            continue
+        if allowed(raw, "stamp-once"):
+            continue
+        findings.append(Finding(
+            "stamp-once", path, i,
+            "ledger stamp written through CellRef repacks the row; pack it "
+            "in with Schema::PadRow or Row::With (DESIGN.md §3)"))
+
+
+# ---------------------------------------------------------------------------
 # Rule: digest-decorator-coverage (repo-level)
 # ---------------------------------------------------------------------------
 
@@ -589,6 +624,7 @@ CHECKS = [
     ("commit-sync", SRC_DIRS, check_commit_sync),
     ("definition-apply", SRC_DIRS, check_definition_apply),
     ("one-uploader", SRC_DIRS, check_one_uploader),
+    ("stamp-once", SRC_DIRS, check_stamp_once),
     ("metric-naming", ALL_CODE_DIRS, check_metric_naming),
 ]
 
@@ -708,6 +744,12 @@ SELF_TEST_CASES = [
     ("one-uploader", "src/ledger/x_selftest.cc",
      "SL_RETURN_IF_ERROR(store->Upload(*digest));",
      "SL_RETURN_IF_ERROR(pipeline->SubmitDigest(*digest));"),
+    ("stamp-once", "src/ledger/x_selftest.cc",
+     "version[t.end_txn_ord] = Value::BigInt(txn_id);",
+     "Row version = current.With({{t.end_txn_ord, Value::BigInt(txn_id)}});"),
+    ("stamp-once", "src/ledger/x_selftest.cc",
+     "full[ref->start_seq_ord] = Value::BigInt(seq);",
+     "if (full[t.start_seq_ord] == Value::BigInt(seq)) return;"),
 ]
 
 # (path, fires): one store edit, flagged everywhere in src/ but the apply
@@ -730,6 +772,15 @@ ONE_UPLOADER_SCOPE = [
     ("src/sim/driver.cc", True),
     ("tests/fault_injection_test.cc", False),
     ("bench/ledger_bench/audit.cc", False),
+]
+
+# (path, fires): one stamp write, flagged everywhere in src/ but the
+# simulator, and never in tests.
+STAMP_ONCE_SCOPE = [
+    ("src/ledger/ledger_table.cc", True),
+    ("src/ledger/ledger_database.cc", True),
+    ("src/sim/model.cc", False),
+    ("tests/row_test.cc", False),
 ]
 
 
@@ -826,6 +877,21 @@ def self_test_one_uploader_scope():
     return failures
 
 
+def self_test_stamp_once_scope():
+    """The same stamp write fires or stays quiet by file."""
+    failures = 0
+    text = ["full[t.start_txn_ord] = Value::BigInt(txn_id);\n"]
+    for rel, expect_fire in STAMP_ONCE_SCOPE:
+        findings = []
+        check_stamp_once(os.path.join(REPO_ROOT, rel), text, findings)
+        if bool(findings) != expect_fire:
+            failures += 1
+            print(f"SELF-TEST FAIL [stamp-once/{rel}]:"
+                  f" {'did not fire' if expect_fire else 'fired'}",
+                  file=sys.stderr)
+    return failures
+
+
 def run_self_test():
     global REPO_ROOT
     real_root = REPO_ROOT
@@ -834,6 +900,7 @@ def run_self_test():
     failures += self_test_bench_docs()
     failures += self_test_definition_apply_scope()
     failures += self_test_one_uploader_scope()
+    failures += self_test_stamp_once_scope()
     for rule, rel, bad, good in SELF_TEST_CASES:
         for variant, text, expect_fire in (("bad", bad, True),
                                            ("good", good, False)):
@@ -861,7 +928,7 @@ def run_self_test():
         print(f"lint.py --self-test: {failures} failure(s).", file=sys.stderr)
         return 1
     cases = (len(SELF_TEST_CASES) + 5 + len(DEFINITION_APPLY_SCOPE) +
-             len(ONE_UPLOADER_SCOPE))
+             len(ONE_UPLOADER_SCOPE) + len(STAMP_ONCE_SCOPE))
     print(f"lint.py --self-test: all {cases} cases pass "
           "(each rule fires on its seeded violation, stays quiet on the fix).")
     return 0

@@ -51,54 +51,78 @@ Row& Row::operator=(Row&& other) noexcept {
 
 Row::~Row() { std::free(block_); }
 
-uint8_t* Row::Allocate(size_t n, size_t var_bytes) {
-  if (n > kMaxColumns || var_bytes > std::numeric_limits<uint32_t>::max())
+uint8_t* Row::Allocate(size_t n, size_t cell_bytes) {
+  if (n > kMaxColumns || cell_bytes > std::numeric_limits<uint32_t>::max())
     std::abort();
-  size_t bytes = BlockBytes(n, var_bytes);
-  uint8_t* block = AllocateBytes(bytes);
+  uint8_t* block = AllocateBytes(kHeaderBytes + cell_bytes);
   uint16_t count = static_cast<uint16_t>(n);
-  uint32_t var = static_cast<uint32_t>(var_bytes);
+  uint32_t bytes = static_cast<uint32_t>(cell_bytes);
   std::memcpy(block, &count, 2);
   std::memset(block + 2, 0, 2);
-  std::memcpy(block + 4, &var, 4);
-  // Zero the tag padding.
-  std::memset(block + kHeaderBytes + n, 0, TagBytes(n) - n);
+  std::memcpy(block + 4, &bytes, 4);
   return block;
 }
 
-void Row::Put(uint8_t* block, size_t i, const Cell& c, uint32_t* var_pos) {
-  size_t n = Load16(block);
-  block[kHeaderBytes + i] = c.tag();
-  uint8_t* cell = block + kHeaderBytes + TagBytes(n) + 8 * i;
-  if (c.len_ != 0) {
-    std::memcpy(block + kHeaderBytes + TagBytes(n) + 8 * n + *var_pos, c.str_,
-                c.len_);
-    std::memcpy(cell, var_pos, 4);
-    std::memcpy(cell + 4, &c.len_, 4);
-    *var_pos += c.len_;
-  } else {
-    // The payload of a NULL or an empty string is zero.
-    int64_t payload = c.null_ ? 0 : c.int_;
-    std::memcpy(cell, &payload, 8);
-  }
+uint8_t* Row::Put(uint8_t* tag, uint8_t* p, const Cell& c) {
+  uint64_t payload;
+  uint8_t code = WidthCode(c, &payload);
+  size_t width = kWidthBytes[code];
+  // Copy the string bytes first: `c` may view this very cell.
+  if (c.len_ != 0) std::memmove(p + width, c.str_, c.len_);
+  *tag = static_cast<uint8_t>(c.tag() | (code << kWidthShift));
+  std::memcpy(p, &payload, width);  // the low bytes, little-endian
+  return p + width + c.len_;
 }
 
 void Row::Set(size_t i, const Cell& v) {
-  Cell old = static_cast<const Row&>(*this)[i];
-  if (old.len_ == v.len_) {
-    // Same string-area size: rewrite in place. A string keeps its cell and
-    // takes the old bytes' place (memmove: `v` may view this very row).
-    if (v.len_ == 0) {
-      uint32_t var_pos = 0;
-      Put(block_, i, v, &var_pos);
-    } else {
-      block_[kHeaderBytes + i] = static_cast<uint8_t>(v.type_);
-      std::memmove(const_cast<char*>(old.str_), v.str_, v.len_);
-    }
+  Iterator at = StoredCell(i);
+  uint8_t* tag = const_cast<uint8_t*>(at.tag_);
+  uint8_t* payload = const_cast<uint8_t*>(at.payload_);
+  size_t old_bytes = PayloadBytes(*tag, payload);
+  size_t new_bytes = EncodedBytes(v) - 1;
+  if (new_bytes == old_bytes) {
+    Put(tag, payload, v);
     return;
   }
-  const Row& self = *this;
-  *this = Pack(size(), [&](size_t j) { return j == i ? v : self[j]; });
+  // Repack: every tag and the payloads before and after cell i move over
+  // unchanged.
+  const size_t n = size();
+  uint8_t* const payloads = block_ + kHeaderBytes + n;
+  size_t before = static_cast<size_t>(payload - payloads);
+  size_t after = Load32(block_ + 4) - n - before - old_bytes;
+  uint8_t* block = Allocate(n, n + before + new_bytes + after);
+  std::memcpy(block + kHeaderBytes, block_ + kHeaderBytes, n);
+  uint8_t* p = block + kHeaderBytes + n;
+  std::memcpy(p, payloads, before);
+  // Before the old block goes: `v` may view it.
+  p = Put(block + kHeaderBytes + i, p + before, v);
+  std::memcpy(p, payload + old_bytes, after);
+  std::free(block_);
+  block_ = block;
+}
+
+Row Row::Extended(const Cell& cell) const {
+  const size_t n = size();
+  const size_t payload_bytes = n == 0 ? 0 : Load32(block_ + 4) - n;
+  Row row;
+  row.block_ = Allocate(n + 1, n + payload_bytes + EncodedBytes(cell));
+  uint8_t* tags = row.block_ + kHeaderBytes;
+  if (n != 0) {
+    std::memcpy(tags, block_ + kHeaderBytes, n);
+    std::memcpy(tags + n + 1, block_ + kHeaderBytes + n, payload_bytes);
+  }
+  Put(tags + n, tags + n + 1 + payload_bytes, cell);
+  return row;
+}
+
+Row Row::With(std::initializer_list<OrdinalCell> cells) const {
+  Cursor cursor(*this);
+  return Pack(size(), [&](size_t i) {
+    for (const OrdinalCell& c : cells) {
+      if (c.ordinal == i) return c.cell;
+    }
+    return cursor[i];
+  });
 }
 
 std::vector<Value> Row::Values() const {
@@ -109,10 +133,9 @@ std::vector<Value> Row::Values() const {
 }
 
 bool Row::operator==(const Row& other) const {
-  size_t n = size();
-  if (n != other.size()) return false;
-  for (size_t i = 0; i < n; i++) {
-    if ((*this)[i].Compare(other[i]) != 0) return false;
+  if (size() != other.size()) return false;
+  for (Iterator a = begin(), b = other.begin(); a != end(); ++a, ++b) {
+    if ((*a).Compare(*b) != 0) return false;
   }
   return true;
 }
@@ -149,23 +172,24 @@ Result<Row> DecodeRow(Decoder* dec) {
   const size_t n = *count;
   if (n > Row::kMaxColumns)
     return Status::Corruption("encoded row is too wide for a row block");
-  // Pass 1 validates every cell and sizes the string area on a copy of the
+  // Pass 1 validates every cell and sizes the block on a copy of the
   // decoder; pass 2 re-reads the same bytes into the block.
   Decoder sizing = *dec;
-  size_t var_bytes = 0;
+  size_t cell_bytes = 0;
   for (size_t i = 0; i < n; i++) {
     auto c = Cell::DecodeView(&sizing);
     if (!c.ok()) return c.status();
-    var_bytes += c->string_value().size();
+    cell_bytes += Row::EncodedBytes(*c);
   }
-  if (var_bytes > std::numeric_limits<uint32_t>::max())
+  if (cell_bytes > std::numeric_limits<uint32_t>::max())
     return Status::Corruption("encoded row is too large for a row block");
   Row row;
   if (n == 0) return row;
-  row.block_ = Row::Allocate(n, var_bytes);
-  uint32_t var_pos = 0;
+  row.block_ = Row::Allocate(n, cell_bytes);
+  uint8_t* tags = row.block_ + Row::kHeaderBytes;
+  uint8_t* p = tags + n;
   for (size_t i = 0; i < n; i++)
-    Row::Put(row.block_, i, *Cell::DecodeView(dec), &var_pos);
+    p = Row::Put(tags + i, p, *Cell::DecodeView(dec));
   return row;
 }
 

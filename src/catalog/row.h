@@ -6,6 +6,7 @@
 #ifndef SQLLEDGER_CATALOG_ROW_H_
 #define SQLLEDGER_CATALOG_ROW_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -24,8 +25,8 @@ class Row;
 class CellRef : public Cell {
  public:
   CellRef(const CellRef&) = default;
-  /// Writes `v` into the row: in place when the cell keeps its
-  /// variable-length byte count, else by repacking the row.
+  /// Writes `v` into the row: in place when its cell takes the stored
+  /// cell's bytes, else by repacking the row (a malloc and a copy).
   CellRef& operator=(const Cell& v);
   CellRef& operator=(const CellRef& other) {
     return *this = static_cast<const Cell&>(other);
@@ -39,19 +40,30 @@ class CellRef : public Cell {
   size_t i_;
 };
 
+/// A cell for ordinal `ordinal` of a row being built: a hidden column's
+/// stamp for Schema::PadRow, or a replacement for Row::With.
+struct OrdinalCell {
+  size_t ordinal;
+  Cell cell;
+};
+
 /// One row version, positionally matching its table's schema, packed into
 /// one exactly-sized heap block (an empty row owns none):
 ///
-///   [u16 ncols][u16 0][u32 var_bytes]
-///   [ncols tag bytes, zero-padded to a multiple of 8]
-///   [ncols 8-byte cells][var_bytes bytes of string data]
+///   [u16 ncols][u16 0][u32 cell_bytes][ncols tags][ncols payloads]
 ///
-/// A tag is the DataType id, plus 0x80 for NULL. A fixed-width cell holds
-/// the int64 payload (BOOL/SMALLINT/INT/BIGINT/TIMESTAMP) or the DOUBLE's
-/// bit pattern; a VARCHAR/VARBINARY cell is (u32 offset, u32 length) into
-/// the string area; a NULL or empty-string cell is zero. The block is
-/// self-describing, so column access is O(1) without a schema. The layout
-/// is in-memory only: EncodeRow writes the WAL/checkpoint bytes.
+/// A cell is a tag byte and a payload; the tags come first, unpadded, then
+/// the payloads in column order. A tag holds the DataType id in bits 0-3,
+/// a width code in bits 4-6 and 0x80 for NULL; the code names a payload
+/// width of 0, 1, 2, 4 or 8 bytes (codes 0-4). An integer
+/// (BOOL/SMALLINT/INT/BIGINT/TIMESTAMP) is its zigzag value in the fewest
+/// of those bytes, little-endian; a DOUBLE is its 8-byte bit pattern; a
+/// VARCHAR/VARBINARY is its length in 1, 2 or 4 bytes, then the bytes. A
+/// NULL, a zero (or +0.0) and an empty string take no payload. The block
+/// is self-describing: cell `i`'s payload is found by walking the tags of
+/// cells 0..i-1 (and a string's length), so full-row loops use an Iterator
+/// or a Cursor. The layout is in-memory only: EncodeRow writes the
+/// WAL/checkpoint bytes.
 class Row {
  public:
   /// The header's u16 column count bounds a row's width.
@@ -74,8 +86,8 @@ class Row {
   ~Row();
 
   /// Packs the cells `cell_at(0)`, ..., `cell_at(n - 1)`, each a Cell or a
-  /// Value (read twice: once to size the block, once to fill it). Aborts
-  /// past kMaxColumns cells or 4 GiB of string bytes.
+  /// Value, asked for in ascending order twice: once to size the block,
+  /// once to fill it. Aborts past kMaxColumns cells or 4 GiB of cell bytes.
   template <typename CellAt>
   static Row Pack(size_t n, CellAt&& cell_at);
 
@@ -83,40 +95,68 @@ class Row {
   bool empty() const { return size() == 0; }
 
   /// A view of cell `i`, valid while this row is alive and unmodified.
+  /// Walks cells 0..i: a loop over many cells uses an Iterator or Cursor.
   Cell operator[](size_t i) const;
   CellRef operator[](size_t i) { return CellRef(this, i); }
 
-  /// Iteration over the cells, as views (range-for).
+  /// Iteration over the cells, as views (range-for). Each step skips one
+  /// cell, so a full pass is linear in the row's bytes.
   class Iterator {
    public:
-    Cell operator*() const { return (*row_)[i_]; }
+    Cell operator*() const { return Decode(*tag_, payload_); }
     Iterator& operator++() {
-      i_++;
+      payload_ += PayloadBytes(*tag_, payload_);
+      tag_++;
       return *this;
     }
-    bool operator==(const Iterator& other) const { return i_ == other.i_; }
+    bool operator==(const Iterator& other) const { return tag_ == other.tag_; }
 
    private:
     friend class Row;
-    Iterator(const Row* row, size_t i) : row_(row), i_(i) {}
-    const Row* row_;
-    size_t i_;
+    Iterator(const uint8_t* tag, const uint8_t* payload)
+        : tag_(tag), payload_(payload) {}
+    const uint8_t* tag_;
+    const uint8_t* payload_;
   };
-  Iterator begin() const { return Iterator(this, 0); }
-  Iterator end() const { return Iterator(this, size()); }
+  Iterator begin() const {
+    if (block_ == nullptr) return Iterator(nullptr, nullptr);
+    return Iterator(block_ + kHeaderBytes, block_ + kHeaderBytes + size());
+  }
+  Iterator end() const {
+    if (block_ == nullptr) return Iterator(nullptr, nullptr);
+    return Iterator(block_ + kHeaderBytes + size(), nullptr);
+  }
+
+  /// Reads cells by ordinal, walking on from the cell read last (and from
+  /// cell 0 for an earlier one), so ascending ordinals cost one pass.
+  /// Valid while the row is alive and unmodified.
+  class Cursor {
+   public:
+    explicit Cursor(const Row& row) : row_(&row), it_(row.begin()) {}
+    Cell operator[](size_t i) {
+      const uint8_t* tag = row_->block_ + kHeaderBytes + i;
+      if (tag < it_.tag_) it_ = row_->begin();
+      while (it_.tag_ < tag) ++it_;
+      return *it_;
+    }
+
+   private:
+    const Row* row_;
+    Iterator it_;
+  };
 
   /// Owning copies of every cell.
   std::vector<Value> Values() const;
   /// A new row of the cells at `ordinals`, in that order.
   Row Project(const std::vector<size_t>& ordinals) const {
-    return Pack(ordinals.size(),
-                [&](size_t i) { return (*this)[ordinals[i]]; });
+    Cursor cells(*this);
+    return Pack(ordinals.size(), [&](size_t i) { return cells[ordinals[i]]; });
   }
   /// A new row of this row's cells followed by `cell` (ADD COLUMN).
-  Row Extended(const Cell& cell) const {
-    size_t n = size();
-    return Pack(n + 1, [&](size_t i) { return i < n ? (*this)[i] : cell; });
-  }
+  Row Extended(const Cell& cell) const;
+  /// A new row of this row's cells with each of `cells` in place of the
+  /// cell at its ordinal: one pack for any number of replacements.
+  Row With(std::initializer_list<OrdinalCell> cells) const;
 
   /// Cell-wise Compare() equality (so NULLs of different types are equal,
   /// like Value's ==).
@@ -124,7 +164,7 @@ class Row {
 
   /// Bytes of the row's heap block; 0 for the empty row.
   size_t BlockBytes() const {
-    return block_ == nullptr ? 0 : BlockBytes(size(), Load32(block_ + 4));
+    return block_ == nullptr ? 0 : kHeaderBytes + Load32(block_ + 4);
   }
 
  private:
@@ -133,6 +173,10 @@ class Row {
   friend Result<Row> DecodeRow(Decoder* dec);
 
   static constexpr size_t kHeaderBytes = 8;
+  static constexpr uint8_t kWidthShift = 4;
+  static constexpr uint8_t kTypeMask = 0x0F;
+  /// Payload bytes of each width code.
+  static constexpr uint8_t kWidthBytes[8] = {0, 1, 2, 4, 8, 0, 0, 0};
 
   static uint16_t Load16(const uint8_t* p) {
     uint16_t v;
@@ -144,15 +188,78 @@ class Row {
     std::memcpy(&v, p, sizeof(v));
     return v;
   }
-  static size_t TagBytes(size_t n) { return (n + 7) & ~size_t{7}; }
-  static size_t BlockBytes(size_t n, size_t var_bytes) {
-    return kHeaderBytes + TagBytes(n) + 8 * n + var_bytes;
+  /// The `width`-byte little-endian unsigned at `p`.
+  static uint64_t LoadWidth(const uint8_t* p, size_t width) {
+    switch (width) {
+      case 1:
+        return p[0];
+      case 2:
+        return Load16(p);
+      case 4:
+        return Load32(p);
+      case 8: {
+        uint64_t v;
+        std::memcpy(&v, p, sizeof(v));
+        return v;
+      }
+      default:
+        return 0;
+    }
   }
-  /// Allocates a block for `n` cells and `var_bytes` string bytes and
-  /// writes its header.
-  static uint8_t* Allocate(size_t n, size_t var_bytes);
-  /// Writes `c` as cell `i` of `block`, its string bytes at `*var_pos`.
-  static void Put(uint8_t* block, size_t i, const Cell& c, uint32_t* var_pos);
+  static bool IsString(DataType t) {
+    return t == DataType::kVarchar || t == DataType::kVarbinary;
+  }
+  /// The width code of `c`'s payload and, in `*payload`, the unsigned
+  /// number it stores: a zigzag integer, a DOUBLE's bits or a string's
+  /// length.
+  static uint8_t WidthCode(const Cell& c, uint64_t* payload) {
+    uint64_t u = 0;
+    if (c.null_) {
+      // No payload.
+    } else if (IsString(c.type_)) {
+      u = c.len_;
+    } else if (c.type_ == DataType::kDouble) {
+      std::memcpy(&u, &c.double_, sizeof(u));
+    } else {
+      u = ZigZagEncode64(c.int_);
+    }
+    *payload = u;
+    if (u == 0) return 0;
+    if (c.type_ == DataType::kDouble) return 4;  // all 8 bytes
+    if (u <= 0xFF) return 1;
+    if (u <= 0xFFFF) return 2;
+    if (u <= 0xFFFFFFFF) return 3;
+    return 4;
+  }
+  /// Bytes `c` takes as a cell: its tag, payload and string bytes.
+  static size_t EncodedBytes(const Cell& c) {
+    uint64_t payload;
+    return 1 + kWidthBytes[WidthCode(c, &payload)] + c.len_;
+  }
+  /// Bytes of the stored payload at `p` with tag `tag`. Only a string's
+  /// size reads the payload (its length), so a walk over other cells
+  /// reads tags alone.
+  static size_t PayloadBytes(uint8_t tag, const uint8_t* p) {
+    size_t width = kWidthBytes[(tag >> kWidthShift) & 7];
+    if (IsString(static_cast<DataType>(tag & kTypeMask)))
+      width += LoadWidth(p, width);
+    return width;
+  }
+  /// The stored cell with tag `tag` and payload at `p`, as a view.
+  static Cell Decode(uint8_t tag, const uint8_t* p);
+  /// Writes `c` as the cell with tag at `tag` and payload at `p` (string
+  /// bytes by memmove, so `c` may view the destination) and returns the
+  /// end of the payload.
+  static uint8_t* Put(uint8_t* tag, uint8_t* p, const Cell& c);
+  /// Allocates a block for `n` cells of `cell_bytes` bytes and writes its
+  /// header.
+  static uint8_t* Allocate(size_t n, size_t cell_bytes);
+  /// The stored cell `i`.
+  Iterator StoredCell(size_t i) const {
+    Iterator it = begin();
+    for (; i > 0; i--) ++it;
+    return it;
+  }
   /// Replaces cell `i` with `v` (CellRef's assignment).
   void Set(size_t i, const Cell& v);
 
@@ -160,43 +267,41 @@ class Row {
 };
 
 static_assert(sizeof(Row) == 8, "a Row is one pointer to its block");
+static_assert(std::endian::native == std::endian::little,
+              "row cells are stored little-endian by memcpy");
 
 template <typename CellAt>
 Row Row::Pack(size_t n, CellAt&& cell_at) {
   Row row;
   if (n == 0) return row;
-  size_t var_bytes = 0;
-  for (size_t i = 0; i < n; i++) {
-    const Cell& c = cell_at(i);
-    var_bytes += c.len_;
-  }
-  row.block_ = Allocate(n, var_bytes);
-  uint32_t var_pos = 0;
-  for (size_t i = 0; i < n; i++) Put(row.block_, i, cell_at(i), &var_pos);
+  size_t cell_bytes = 0;
+  for (size_t i = 0; i < n; i++) cell_bytes += EncodedBytes(cell_at(i));
+  row.block_ = Allocate(n, cell_bytes);
+  uint8_t* tags = row.block_ + kHeaderBytes;
+  uint8_t* p = tags + n;
+  for (size_t i = 0; i < n; i++) p = Put(tags + i, p, cell_at(i));
   return row;
 }
 
-inline Cell Row::operator[](size_t i) const {
-  size_t n = size();
-  uint8_t tag = block_[kHeaderBytes + i];
-  const uint8_t* cell = block_ + kHeaderBytes + TagBytes(n) + 8 * i;
+inline Cell Row::Decode(uint8_t tag, const uint8_t* p) {
   Cell c;
-  c.type_ = static_cast<DataType>(tag & ~Cell::kNullTag);
+  c.type_ = static_cast<DataType>(tag & kTypeMask);
   c.null_ = (tag & Cell::kNullTag) != 0;
-  if (c.null_) return c;
-  if (c.type_ == DataType::kVarchar || c.type_ == DataType::kVarbinary) {
-    uint32_t len = Load32(cell + 4);
-    if (len != 0) {
-      c.len_ = len;
-      c.str_ = reinterpret_cast<const char*>(block_ + kHeaderBytes +
-                                             TagBytes(n) + 8 * n +
-                                             Load32(cell));
-    }
+  size_t width = kWidthBytes[(tag >> kWidthShift) & 7];
+  if (width == 0) return c;  // NULL, zero or the empty string
+  uint64_t u = LoadWidth(p, width);
+  if (IsString(c.type_)) {
+    c.len_ = static_cast<uint32_t>(u);
+    c.str_ = reinterpret_cast<const char*>(p + width);
+  } else if (c.type_ == DataType::kDouble) {
+    std::memcpy(&c.double_, &u, sizeof(u));
   } else {
-    std::memcpy(&c.int_, cell, 8);
+    c.int_ = ZigZagDecode64(u);
   }
   return c;
 }
+
+inline Cell Row::operator[](size_t i) const { return *StoredCell(i); }
 
 /// Appends `row` to `dst`: varint count followed by encoded cells
 /// (Cell::EncodeTo).

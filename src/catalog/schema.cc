@@ -33,7 +33,8 @@ KeyTuple Schema::ExtractColumns(const Row& row,
                                 const std::vector<size_t>& ordinals) {
   KeyTuple key;
   key.reserve(ordinals.size());
-  for (size_t ord : ordinals) key.push_back(row[ord]);
+  Row::Cursor cells(row);
+  for (size_t ord : ordinals) key.push_back(cells[ord]);
   return key;
 }
 
@@ -42,9 +43,10 @@ Status Schema::ValidateRow(const Row& row) const {
     return Status::InvalidArgument(
         "row has " + std::to_string(row.size()) + " values, schema has " +
         std::to_string(columns_.size()) + " columns");
-  for (size_t i = 0; i < columns_.size(); i++) {
+  Row::Iterator cell = row.begin();
+  for (size_t i = 0; i < columns_.size(); i++, ++cell) {
     const ColumnDef& col = columns_[i];
-    Cell v = row[i];
+    Cell v = *cell;
     if (v.is_null()) {
       if (!col.nullable && !col.dropped)
         return Status::InvalidArgument("NULL in non-nullable column '" +
@@ -64,10 +66,11 @@ Status Schema::ValidateRow(const Row& row) const {
   return Status::OK();
 }
 
-Result<Row> Schema::PadRow(const Row& user_row) const {
+Result<Row> Schema::PadRow(const Row& user_row,
+                           std::initializer_list<OrdinalCell> hidden) const {
   if (columns_.size() > Row::kMaxColumns)
     return Status::InvalidArgument("table has too many columns for a row");
-  // Map each column to its user cell, or to kHidden for a NULL.
+  // Map each column to its user cell, or to kHidden for a stamp or a NULL.
   constexpr size_t kHidden = SIZE_MAX;
   std::vector<size_t> source(columns_.size(), kHidden);
   size_t next_user = 0;
@@ -79,10 +82,14 @@ Result<Row> Schema::PadRow(const Row& user_row) const {
   }
   if (next_user != user_row.size())
     return Status::InvalidArgument("too many values for visible columns");
-  // A NULL owns no bytes, so its Cell view outlives the temporary Value.
-  return Row::Pack(columns_.size(), [&](size_t i) {
-    return source[i] == kHidden ? Cell(Value::Null(columns_[i].type))
-                                : user_row[source[i]];
+  Row::Cursor user_cells(user_row);
+  return Row::Pack(columns_.size(), [&](size_t i) -> Cell {
+    if (source[i] != kHidden) return user_cells[source[i]];
+    for (const OrdinalCell& stamp : hidden) {
+      if (stamp.ordinal == i) return stamp.cell;
+    }
+    // A NULL owns no bytes, so its Cell view outlives the temporary Value.
+    return Value::Null(columns_[i].type);
   });
 }
 

@@ -5,6 +5,7 @@
 #define SQLLEDGER_CATALOG_SCHEMA_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -71,9 +72,12 @@ class Schema {
   Status ValidateRow(const Row& row) const;
 
   /// Extends an application-visible row with NULLs for hidden and dropped
-  /// columns, producing a full physical row. The application row must list
-  /// values for visible columns in ordinal order.
-  Result<Row> PadRow(const Row& user_row) const;
+  /// columns, producing a full physical row packed once. The application
+  /// row must list values for visible columns in ordinal order; `hidden`
+  /// gives hidden columns a value instead of NULL (a ledger version's
+  /// start stamps).
+  Result<Row> PadRow(const Row& user_row,
+                     std::initializer_list<OrdinalCell> hidden = {}) const;
 
   /// Ordinals of columns visible to applications (not hidden, not dropped).
   std::vector<size_t> VisibleOrdinals() const;

@@ -96,12 +96,13 @@ Result<TransactionEntry> RowToTransactionEntry(const Row& row) {
   if (row.size() != 6)
     return Status::Corruption("bad arity in ledger transactions row");
   TransactionEntry entry;
-  entry.txn_id = static_cast<uint64_t>(row[0].AsInt64());
-  entry.block_id = static_cast<uint64_t>(row[1].AsInt64());
-  entry.block_ordinal = static_cast<uint64_t>(row[2].AsInt64());
-  entry.commit_ts_micros = row[3].AsInt64();
-  entry.user_name = row[4].string_value();
-  auto roots = DecodeTableRoots(row[5].binary_value());
+  Row::Cursor cells(row);
+  entry.txn_id = static_cast<uint64_t>(cells[0].AsInt64());
+  entry.block_id = static_cast<uint64_t>(cells[1].AsInt64());
+  entry.block_ordinal = static_cast<uint64_t>(cells[2].AsInt64());
+  entry.commit_ts_micros = cells[3].AsInt64();
+  entry.user_name = cells[4].string_value();
+  auto roots = DecodeTableRoots(cells[5].binary_value());
   if (!roots.ok()) return roots.status();
   entry.table_roots = std::move(*roots);
   return entry;
@@ -119,15 +120,16 @@ Result<BlockRecord> RowToBlockRecord(const Row& row) {
   if (row.size() != 5)
     return Status::Corruption("bad arity in ledger blocks row");
   BlockRecord block;
-  block.block_id = static_cast<uint64_t>(row[0].AsInt64());
-  auto prev = ValueToHash(row[1]);
+  Row::Cursor cells(row);
+  block.block_id = static_cast<uint64_t>(cells[0].AsInt64());
+  auto prev = ValueToHash(cells[1]);
   if (!prev.ok()) return prev.status();
   block.previous_block_hash = *prev;
-  auto root = ValueToHash(row[2]);
+  auto root = ValueToHash(cells[2]);
   if (!root.ok()) return root.status();
   block.transactions_root = *root;
-  block.transaction_count = static_cast<uint64_t>(row[3].AsInt64());
-  block.closed_ts_micros = row[4].AsInt64();
+  block.transaction_count = static_cast<uint64_t>(cells[3].AsInt64());
+  block.closed_ts_micros = cells[4].AsInt64();
   return block;
 }
 

@@ -439,8 +439,9 @@ Status ReplayRowOp(const LedgerTableRef& t, const WalOp& op, uint64_t txn_id,
     if (op.new_row.size() != t.main->schema().num_columns())
       return Status::Corruption("row does not fit the schema");
     // The installed version names itself in its start cells.
-    const Cell start_txn = op.new_row[t.start_txn_ord];
-    const Cell start_seq = op.new_row[t.start_seq_ord];
+    Row::Cursor cells(op.new_row);
+    const Cell start_txn = cells[t.start_txn_ord];
+    const Cell start_seq = cells[t.start_seq_ord];
     if (start_txn.is_null() || start_seq.is_null() ||
         start_txn.AsInt64() != static_cast<int64_t>(txn_id) ||
         start_seq.AsInt64() < (op.type == WalOpType::kUpdate ? 1 : 0))
@@ -455,7 +456,7 @@ Status ReplayRowOp(const LedgerTableRef& t, const WalOp& op, uint64_t txn_id,
         t.main->GetCopy(update ? t.main->KeyOf(op.new_row) : op.key);
     if (!current.has_value())
       return Status::Corruption("retires a missing row");
-    auto retired = RetireVersion(t, std::move(*current), txn_id,
+    auto retired = RetireVersion(t, *current, txn_id,
                                  update ? UpdateRetireSeq(seq) : op.end_seq,
                                  merkle);
     if (!retired.ok()) return retired.status();
@@ -580,7 +581,11 @@ CatalogEntry* LedgerDatabase::FindTableById(uint32_t table_id) {
 }
 
 Result<LedgerTableRef> LedgerDatabase::GetTableRef(const std::string& name) {
-  CatalogEntry* entry = FindTable(name);
+  // A DDL relinks the ref under the writer lock (ApplyTableDefinition).
+  ReaderMutexLock lock(&catalog_mu_);
+  auto it = name_index_.find(name);
+  CatalogEntry* entry =
+      it == name_index_.end() ? nullptr : FindTableByIdLocked(it->second);
   if (entry == nullptr) return Status::NotFound("table '" + name + "' not found");
   return entry->ref;
 }
@@ -621,6 +626,7 @@ Status LedgerDatabase::FinishDdl(Transaction* txn, Status st) {
 
 Status LedgerDatabase::CreateTable(const std::string& name,
                                    const Schema& user_schema, TableKind kind) {
+  MutexLock ddl_lock(&ddl_mu_);
   if (name.empty()) return Status::InvalidArgument("empty table name");
   if (FindTable(name) != nullptr)
     return Status::AlreadyExists("table '" + name + "' already exists");
@@ -657,6 +663,7 @@ Status LedgerDatabase::CreateIndex(const std::string& table,
                                    const std::string& index_name,
                                    const std::vector<std::string>& columns,
                                    bool unique) {
+  MutexLock ddl_lock(&ddl_mu_);
   CatalogEntry* entry = FindTable(table);
   if (entry == nullptr) return Status::NotFound("table '" + table + "' not found");
   std::vector<size_t> ordinals;
@@ -683,6 +690,7 @@ Status LedgerDatabase::CreateIndex(const std::string& table,
 
 Status LedgerDatabase::DropIndex(const std::string& table,
                                  const std::string& index_name) {
+  MutexLock ddl_lock(&ddl_mu_);
   CatalogEntry* entry = FindTable(table);
   if (entry == nullptr) return Status::NotFound("table '" + table + "' not found");
   auto txn = BeginDdl(*entry);

@@ -87,7 +87,9 @@ struct CatalogEntry {
   std::unique_ptr<TableStore> history;  // updateable ledger tables only
   LedgerTableRef ref;                   // cached physical reference
 
-  /// Points `ref` at the stores and refreshes its cached ordinals.
+  /// Points `ref` at the stores and refreshes its cached ordinals. Runs
+  /// with the database's catalog_mu_ held exclusively: GetTableRef copies
+  /// `ref` under the shared lock, DML reads it under the table's lock.
   void LinkRef();
   /// The table's current definition, which a schema change starts from.
   TableDefinition Definition() const;
@@ -139,19 +141,22 @@ class LedgerDatabase {
   /// (paper §3.1) and a history table is created for updateable ledger
   /// tables. The creation is recorded in the ledger metadata tables.
   Status CreateTable(const std::string& name, const Schema& user_schema,
-                     TableKind kind);
+                     TableKind kind) EXCLUDES(ddl_mu_);
   /// Non-clustered index management (physical schema change, §3.5).
   Status CreateIndex(const std::string& table, const std::string& index_name,
-                     const std::vector<std::string>& columns, bool unique);
-  Status DropIndex(const std::string& table, const std::string& index_name);
+                     const std::vector<std::string>& columns, bool unique)
+      EXCLUDES(ddl_mu_);
+  Status DropIndex(const std::string& table, const std::string& index_name)
+      EXCLUDES(ddl_mu_);
 
   // Logical schema changes (§3.5; implemented in schema_changes.cc).
   Status AddColumn(const std::string& table, const std::string& column,
-                   DataType type, uint32_t max_length = 0);
-  Status DropColumn(const std::string& table, const std::string& column);
-  Status DropTable(const std::string& table);
+                   DataType type, uint32_t max_length = 0) EXCLUDES(ddl_mu_);
+  Status DropColumn(const std::string& table, const std::string& column)
+      EXCLUDES(ddl_mu_);
+  Status DropTable(const std::string& table) EXCLUDES(ddl_mu_);
   Status AlterColumnType(const std::string& table, const std::string& column,
-                         DataType new_type);
+                         DataType new_type) EXCLUDES(ddl_mu_);
 
   // ---- Transactions ----
 
@@ -223,7 +228,10 @@ class LedgerDatabase {
   // ---- Introspection (used by the verifier, receipts, truncation, tests
   // and benchmarks) ----
 
-  Result<LedgerTableRef> GetTableRef(const std::string& name);
+  /// A copy of the named table's ref, taken under catalog_mu_, so a
+  /// concurrent DDL's relink cannot tear it.
+  Result<LedgerTableRef> GetTableRef(const std::string& name)
+      EXCLUDES(catalog_mu_);
   /// All catalog entries, id-ordered.
   std::vector<CatalogEntry*> AllTables();
   DatabaseLedger* database_ledger() { return ledger_.get(); }
@@ -349,7 +357,8 @@ class LedgerDatabase {
                         const KeyTuple& key, LockMode mode);
   /// Clustered key of `user_row` (visible-column order), for row locking.
   Result<KeyTuple> UserKeyOf(const CatalogEntry& entry, const Row& user_row);
-  // Every DDL is one transaction (DESIGN.md §4): BeginDdl takes the
+  // Every DDL is one transaction (DESIGN.md §4): it takes ddl_mu_ and
+  // checks its preconditions against the schema, BeginDdl takes the
   // table's X lock, the caller builds the definition it means to reach and
   // DefineTable applies and logs it, the caller writes its sys_ledger_*
   // rows, and FinishDdl commits (or aborts on error). The X lock is held
@@ -399,11 +408,17 @@ class LedgerDatabase {
   // ^ verify.row_versions_skipped_total
 
   // Lock hierarchy (see DESIGN.md §8):
-  //   group_mu_ -> commit_mu_ -> catalog_mu_ -> txn_mu_.
+  //   ddl_mu_ -> group_mu_ -> commit_mu_ -> catalog_mu_ -> txn_mu_.
   // Never acquire a lock to the left while holding one to the right. (The
   // group-commit leader in fact releases group_mu_ before taking
   // commit_mu_, so the two are never held together; the ordering exists so
   // the rule stays checkable.)
+
+  // Serializes DDL statements: each holds it from its prechecks, which
+  // read the table's schema and index definitions, through its commit, so
+  // no other DDL rewrites what it checked (DML reads the schema under
+  // table locks instead). A failed precheck thus needs no transaction.
+  Mutex ddl_mu_;
 
   mutable SharedMutex catalog_mu_;
   std::map<uint32_t, std::unique_ptr<CatalogEntry>> catalog_

@@ -36,14 +36,30 @@ Hash256 VersionLeaf(const LedgerTableRef& t, const Row& row, RowOp op,
   return RowVersionLeafHash(t.main->schema(), row, op, t.table_id, txn_id,
                             seq);
 }
+
+/// `user_row` padded to the table's physical row: a ledger version carries
+/// its start stamps (txn_id, seq) from the one pack that builds it.
+Result<Row> PadVersion(const LedgerTableRef& t, const Row& user_row,
+                       uint64_t txn_id, uint64_t seq) {
+  const Schema& schema = t.main->schema();
+  if (t.kind == TableKind::kRegular) return schema.PadRow(user_row);
+  return schema.PadRow(
+      user_row,
+      {{static_cast<size_t>(t.start_txn_ord),
+        Value::BigInt(static_cast<int64_t>(txn_id))},
+       {static_cast<size_t>(t.start_seq_ord),
+        Value::BigInt(static_cast<int64_t>(seq))}});
+}
 }  // namespace
 
 Status LedgerInsert(Transaction* txn, const LedgerTableRef& t,
                     const Row& user_row) {
   if (!txn->active()) return Status::InvalidArgument("transaction not active");
-  auto padded = t.main->schema().PadRow(user_row);
+  // The version takes the next sequence number once it pads.
+  const uint64_t seq = txn->sequence_count();
+  auto padded = PadVersion(t, user_row, txn->id(), seq);
   if (!padded.ok()) return padded.status();
-  Row full = std::move(*padded);
+  const Row& full = *padded;
 
   if (t.kind == TableKind::kRegular) {
     KeyTuple key = t.main->KeyOf(full);
@@ -52,9 +68,7 @@ Status LedgerInsert(Transaction* txn, const LedgerTableRef& t,
     return Status::OK();
   }
 
-  uint64_t seq = txn->NextSequence();
-  full[t.start_txn_ord] = Value::BigInt(static_cast<int64_t>(txn->id()));
-  full[t.start_seq_ord] = Value::BigInt(static_cast<int64_t>(seq));
+  txn->NextSequence();
   KeyTuple key = t.main->KeyOf(full);
   SL_RETURN_IF_ERROR(t.main->Insert(full));
   txn->RecordInsert(t.main, key, full);
@@ -63,14 +77,18 @@ Status LedgerInsert(Transaction* txn, const LedgerTableRef& t,
   return Status::OK();
 }
 
-Result<KeyTuple> RetireVersion(const LedgerTableRef& t, Row version,
+Result<KeyTuple> RetireVersion(const LedgerTableRef& t, const Row& current,
                                uint64_t txn_id, uint64_t seq,
                                MerkleBuilder* merkle) {
-  version[t.end_txn_ord] = Value::BigInt(static_cast<int64_t>(txn_id));
-  version[t.end_seq_ord] = Value::BigInt(static_cast<int64_t>(seq));
+  Row version = current.With(
+      {{static_cast<size_t>(t.end_txn_ord),
+        Value::BigInt(static_cast<int64_t>(txn_id))},
+       {static_cast<size_t>(t.end_seq_ord),
+        Value::BigInt(static_cast<int64_t>(seq))}});
   KeyTuple key = t.history->KeyOf(version);
-  SL_RETURN_IF_ERROR(t.history->Insert(version));
-  merkle->AddLeafHash(VersionLeaf(t, version, RowOp::kDelete, txn_id, seq));
+  Hash256 leaf = VersionLeaf(t, version, RowOp::kDelete, txn_id, seq);
+  SL_RETURN_IF_ERROR(t.history->Insert(std::move(version)));
+  merkle->AddLeafHash(leaf);
   return key;
 }
 
@@ -91,7 +109,7 @@ Status LedgerDelete(Transaction* txn, const LedgerTableRef& t,
 
   uint64_t seq = txn->NextSequence();
   txn->RecordLedgerDelete(t.main, key, *current, seq);
-  auto history_key = RetireVersion(t, std::move(*current), txn->id(), seq,
+  auto history_key = RetireVersion(t, *current, txn->id(), seq,
                                    txn->MerkleForTable(t.table_id));
   if (!history_key.ok()) return history_key.status();
   txn->RecordRetire(t.history, *history_key);
@@ -105,9 +123,12 @@ Status LedgerUpdate(Transaction* txn, const LedgerTableRef& t,
     return Status::NotSupported(
         "UPDATE is not allowed on append-only ledger tables");
 
-  auto padded = t.main->schema().PadRow(user_row);
+  // An update takes two sequence numbers once its row is found: the
+  // retire's, then the install's (UpdateRetireSeq).
+  const uint64_t seq = txn->sequence_count() + 1;
+  auto padded = PadVersion(t, user_row, txn->id(), seq);
   if (!padded.ok()) return padded.status();
-  Row full = std::move(*padded);
+  const Row& full = *padded;
   KeyTuple key = t.main->KeyOf(full);
 
   auto current = t.main->GetCopy(key);
@@ -125,14 +146,12 @@ Status LedgerUpdate(Transaction* txn, const LedgerTableRef& t,
   // indexes), so a rejected update writes nothing. The history key
   // (end_txn, end_seq) is fresh, so the retire cannot collide.
   txn->NextSequence();  // the retire's: UpdateRetireSeq(seq)
-  uint64_t seq = txn->NextSequence();
-  full[t.start_txn_ord] = Value::BigInt(static_cast<int64_t>(txn->id()));
-  full[t.start_seq_ord] = Value::BigInt(static_cast<int64_t>(seq));
+  txn->NextSequence();
   SL_RETURN_IF_ERROR(t.main->Update(full));
   txn->RecordUpdate(t.main, key, *current, full);
 
   MerkleBuilder* merkle = txn->MerkleForTable(t.table_id);
-  auto history_key = RetireVersion(t, std::move(*current), txn->id(),
+  auto history_key = RetireVersion(t, *current, txn->id(),
                                    UpdateRetireSeq(seq), merkle);
   if (!history_key.ok()) return history_key.status();
   txn->RecordRetire(t.history, *history_key);

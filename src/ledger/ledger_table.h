@@ -63,11 +63,11 @@ inline uint64_t UpdateRetireSeq(uint64_t install_seq) {
   return install_seq - 1;
 }
 
-/// Retires `version`, the current version of a row of updateable ledger
-/// table `table`: stamps (txn_id, seq) into its end cells, inserts it into
-/// the history store and appends its leaf hash to `merkle`. Returns the
-/// history row's key, for the undo entry.
-Result<KeyTuple> RetireVersion(const LedgerTableRef& table, Row version,
+/// Retires `current`, the current version of a row of updateable ledger
+/// table `table`: packs it once with (txn_id, seq) in its end cells,
+/// inserts that into the history store and appends its leaf hash to
+/// `merkle`. Returns the history row's key, for the undo entry.
+Result<KeyTuple> RetireVersion(const LedgerTableRef& table, const Row& current,
                                uint64_t txn_id, uint64_t seq,
                                MerkleBuilder* merkle);
 

@@ -10,16 +10,18 @@ void ForEachRowVersion(
   const TableStore* store = history ? table.history : table.main;
   for (BTree::Iterator it = store->Scan(); it.Valid(); it.Next()) {
     const Row& row = it.value();
-    Cell start_txn = row[table.start_txn_ord];
+    // The stamp columns are in ascending order: one walk reads all four.
+    Row::Cursor cells(row);
+    Cell start_txn = cells[table.start_txn_ord];
     if (!start_txn.is_null()) {
       fn(row, RowOp::kInsert, static_cast<uint64_t>(start_txn.AsInt64()),
-         static_cast<uint64_t>(row[table.start_seq_ord].AsInt64()));
+         static_cast<uint64_t>(cells[table.start_seq_ord].AsInt64()));
     }
     if (!history) continue;
-    Cell end_txn = row[table.end_txn_ord];
+    Cell end_txn = cells[table.end_txn_ord];
     if (!end_txn.is_null()) {
       fn(row, RowOp::kDelete, static_cast<uint64_t>(end_txn.AsInt64()),
-         static_cast<uint64_t>(row[table.end_seq_ord].AsInt64()));
+         static_cast<uint64_t>(cells[table.end_seq_ord].AsInt64()));
     }
   }
 }

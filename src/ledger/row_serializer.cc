@@ -64,18 +64,20 @@ void AppendRowVersion(const Schema& schema, const Row& row, RowOp op,
   PutFixed64(out, sequence);
 
   // Count non-NULL, non-hidden columns first: the column count is part of
-  // the hashed metadata (Figure 4).
+  // the hashed metadata (Figure 4). Both passes walk the cells in order.
+  const size_t n = schema.num_columns();
   uint32_t count = 0;
-  for (size_t i = 0; i < schema.num_columns(); i++) {
-    if (schema.column(i).hidden) continue;
-    if (!row[i].is_null()) count++;
+  Row::Iterator cell = row.begin();
+  for (size_t i = 0; i < n; i++, ++cell) {
+    if (!schema.column(i).hidden && !(*cell).is_null()) count++;
   }
   PutVarint32(out, count);
 
-  for (size_t i = 0; i < schema.num_columns(); i++) {
+  cell = row.begin();
+  for (size_t i = 0; i < n; i++, ++cell) {
     const ColumnDef& col = schema.column(i);
     if (col.hidden) continue;
-    Cell v = row[i];
+    Cell v = *cell;
     if (v.is_null()) continue;  // NULLs skipped (paper §3.5.1)
     PutVarint32(out, col.column_id);                  // stable column id
     out->push_back(static_cast<uint8_t>(col.type));   // declared type

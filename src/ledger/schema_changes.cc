@@ -62,6 +62,7 @@ Status CheckNoUniqueIndexOn(const CatalogEntry& entry, int ord,
 Status LedgerDatabase::AddColumn(const std::string& table,
                                  const std::string& column, DataType type,
                                  uint32_t max_length) {
+  MutexLock ddl_lock(&ddl_mu_);
   CatalogEntry* entry = FindTable(table);
   if (entry == nullptr)
     return Status::NotFound("table '" + table + "' not found");
@@ -89,6 +90,7 @@ Status LedgerDatabase::AddColumn(const std::string& table,
 
 Status LedgerDatabase::DropColumn(const std::string& table,
                                   const std::string& column) {
+  MutexLock ddl_lock(&ddl_mu_);
   CatalogEntry* entry = FindTable(table);
   if (entry == nullptr)
     return Status::NotFound("table '" + table + "' not found");
@@ -125,6 +127,7 @@ Status LedgerDatabase::DropColumn(const std::string& table,
 // ---- DropTable (paper §3.5.2, Figure 6) ----
 
 Status LedgerDatabase::DropTable(const std::string& table) {
+  MutexLock ddl_lock(&ddl_mu_);
   CatalogEntry* entry = FindTable(table);
   if (entry == nullptr)
     return Status::NotFound("table '" + table + "' not found");
@@ -154,6 +157,7 @@ Status LedgerDatabase::DropTable(const std::string& table) {
 Status LedgerDatabase::AlterColumnType(const std::string& table,
                                        const std::string& column,
                                        DataType new_type) {
+  MutexLock ddl_lock(&ddl_mu_);
   CatalogEntry* entry = FindTable(table);
   if (entry == nullptr)
     return Status::NotFound("table '" + table + "' not found");

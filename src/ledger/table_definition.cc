@@ -103,9 +103,9 @@ Status LedgerDatabase::ApplyTableDefinition(uint32_t table_id,
   SL_RETURN_IF_ERROR(MatchStore(entry->main.get(), def.main));
   if (entry->history != nullptr)
     SL_RETURN_IF_ERROR(MatchStore(entry->history.get(), def.history));
-  entry->LinkRef();
-
   WriterMutexLock lock(&catalog_mu_);
+  // GetTableRef copies the ref under the reader lock.
+  entry->LinkRef();
   auto named = name_index_.find(entry->name);
   if (named != name_index_.end() && named->second == table_id)
     name_index_.erase(named);

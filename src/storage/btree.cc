@@ -70,8 +70,9 @@ KeyTuple BTree::KeyOf(const Row& row) const {
 int BTree::CompareRow(const Row& row, const KeyTuple& key) const {
   size_t len = KeyLength(row);
   size_t n = std::min(len, key.size());
+  Row::Cursor cells(row);
   for (size_t i = 0; i < n; i++) {
-    int r = row[KeyColumn(i)].Compare(key[i]);
+    int r = cells[KeyColumn(i)].Compare(key[i]);
     if (r != 0) return r;
   }
   if (len < key.size()) return -1;
@@ -80,8 +81,9 @@ int BTree::CompareRow(const Row& row, const KeyTuple& key) const {
 
 bool BTree::KeyStartsWith(const Row& row, const KeyTuple& prefix) const {
   if (KeyLength(row) < prefix.size()) return false;
+  Row::Cursor cells(row);
   for (size_t i = 0; i < prefix.size(); i++) {
-    if (row[KeyColumn(i)].Compare(prefix[i]) != 0) return false;
+    if (cells[KeyColumn(i)].Compare(prefix[i]) != 0) return false;
   }
   return true;
 }

@@ -1,5 +1,7 @@
 #include "storage/table_store.h"
 
+#include <utility>
+
 #include "util/coding.h"
 
 namespace sqlledger {
@@ -29,7 +31,7 @@ KeyTuple TableStore::IndexKeyOf(const SecondaryIndex& idx,
   return key;
 }
 
-Status TableStore::Insert(const Row& row) {
+Status TableStore::Insert(Row row) {
   WriterMutexLock latch(&latch_);
   SL_RETURN_IF_ERROR(schema_.ValidateRow(row));
   KeyTuple pk = schema_.ExtractKey(row);
@@ -43,7 +45,7 @@ Status TableStore::Insert(const Row& row) {
           CheckUnique(*idx, Schema::ExtractColumns(row, idx->ordinals)));
   }
   for (const auto& idx : indexes_) idx->tree.Upsert(IndexKeyOf(*idx, row));
-  return clustered_.Insert(row);
+  return clustered_.Insert(std::move(row));
 }
 
 Status TableStore::Update(const Row& row) {

@@ -71,8 +71,9 @@ class TableStore {
   // included); all secondary indexes are maintained. ----
 
   /// Fails with AlreadyExists on primary-key duplicates or unique-index
-  /// violations (no partial effects in that case).
-  Status Insert(const Row& row);
+  /// violations (no partial effects in that case). Takes the row by value:
+  /// a caller done with its row moves it in.
+  Status Insert(Row row);
   /// Replaces the row whose primary key matches `row`'s key columns.
   Status Update(const Row& row);
   /// Removes the row with the given primary key; NotFound if absent.

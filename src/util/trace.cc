@@ -32,9 +32,8 @@ void Tracer::Push(TraceEvent ev) {
   next_ = (next_ + 1) % capacity_;
 }
 
-void Tracer::RecordComplete(const std::string& name,
-                            const std::string& category, int64_t start_micros,
-                            int64_t dur_micros) {
+void Tracer::RecordComplete(const char* name, const char* category,
+                            int64_t start_micros, int64_t dur_micros) {
   TraceEvent ev;
   ev.name = name;
   ev.category = category;
@@ -45,10 +44,8 @@ void Tracer::RecordComplete(const std::string& name,
   Push(std::move(ev));
 }
 
-void Tracer::RecordInstant(const std::string& name,
-                           const std::string& category,
-                           const std::string& arg_name,
-                           const std::string& arg_value) {
+void Tracer::RecordInstant(const char* name, const char* category,
+                           const char* arg_name, std::string arg_value) {
   TraceEvent ev;
   ev.name = name;
   ev.category = category;
@@ -56,7 +53,7 @@ void Tracer::RecordInstant(const std::string& name,
   ev.ts_micros = registry_->NowMicros();
   ev.tid = CurrentTid();
   ev.arg_name = arg_name;
-  ev.arg_value = arg_value;
+  ev.arg_value = std::move(arg_value);
   Push(std::move(ev));
 }
 
@@ -99,7 +96,7 @@ JsonValue Tracer::ToChromeJson() const {
     }
     obj.Set("pid", JsonValue::Int(1));
     obj.Set("tid", JsonValue::Int(static_cast<int64_t>(ev.tid)));
-    if (!ev.arg_name.empty()) {
+    if (ev.arg_name[0] != '\0') {
       JsonValue args = JsonValue::Object();
       args.Set(ev.arg_name, JsonValue::Str(ev.arg_value));
       obj.Set("args", std::move(args));
@@ -112,13 +109,6 @@ JsonValue Tracer::ToChromeJson() const {
   other.Set("dropped_events", JsonValue::Int(static_cast<int64_t>(dropped)));
   doc.Set("otherData", std::move(other));
   return doc;
-}
-
-void TraceSpan::Stop() {
-  if (tracer_ == nullptr) return;
-  int64_t end = tracer_->NowMicros();
-  tracer_->RecordComplete(name_, category_, start_, end - start_);
-  tracer_ = nullptr;
 }
 
 }  // namespace sqlledger

@@ -2,10 +2,14 @@
 // Chrome trace-event JSON (load chrome://tracing or https://ui.perfetto.dev).
 //
 // Two event shapes:
-//   - complete spans (ph "X"): name + category + start ts + duration, emitted
-//     by TraceSpan RAII or Tracer::RecordComplete;
+//   - complete spans (ph "X"): name + category + start ts + duration,
+//     emitted by Tracer::RecordComplete;
 //   - instant events (ph "i"): point-in-time markers (breaker transitions,
 //     verification fallbacks) with one optional string argument.
+//
+// Names, categories and argument names are static strings (literals or
+// other strings that live for the whole program): an event keeps only
+// their pointers, and copies only the argument's value.
 //
 // Determinism: timestamps come from the owning MetricRegistry's injectable
 // clock, and thread ids are small logical ids handed out in first-use order
@@ -31,15 +35,18 @@
 namespace sqlledger {
 
 struct TraceEvent {
-  std::string name;
-  std::string category;
-  char phase = 'X';    // 'X' = complete span, 'i' = instant
+  const char* name = "";      // static strings (see the file comment)
+  const char* category = "";
+  const char* arg_name = "";  // optional single argument ("" = none)
   int64_t ts_micros = 0;
   int64_t dur_micros = 0;  // spans only
   uint32_t tid = 0;        // logical thread id, first-use order
-  std::string arg_name;    // optional single argument ("" = none)
+  char phase = 'X';        // 'X' = complete span, 'i' = instant
   std::string arg_value;
 };
+
+static_assert(sizeof(TraceEvent) <= 80,
+              "a database's ring reserves capacity events up front");
 
 /// Fixed-capacity ring of trace events. When full, the oldest event is
 /// overwritten and dropped_count() grows; export order is always
@@ -54,14 +61,16 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   /// Records a completed span [start_micros, start_micros+dur_micros).
-  void RecordComplete(const std::string& name, const std::string& category,
+  /// `name` and `category` are static strings.
+  void RecordComplete(const char* name, const char* category,
                       int64_t start_micros, int64_t dur_micros) EXCLUDES(mu_);
 
   /// Records an instant event stamped with the registry clock's current
-  /// time, with an optional single argument.
-  void RecordInstant(const std::string& name, const std::string& category,
-                     const std::string& arg_name = "",
-                     const std::string& arg_value = "") EXCLUDES(mu_);
+  /// time, with an optional single argument. `name`, `category` and
+  /// `arg_name` are static strings; `arg_value` is copied.
+  void RecordInstant(const char* name, const char* category,
+                     const char* arg_name = "",
+                     std::string arg_value = "") EXCLUDES(mu_);
 
   /// Events currently buffered, oldest first.
   std::vector<TraceEvent> Events() const EXCLUDES(mu_);
@@ -89,29 +98,6 @@ class Tracer {
   uint64_t dropped_ GUARDED_BY(mu_) = 0;
 
   void Push(TraceEvent ev) EXCLUDES(mu_);
-};
-
-/// RAII span: reads the clock at construction and records a complete event
-/// at destruction (or Stop). Null tracer = fully disabled, zero clock reads.
-class TraceSpan {
- public:
-  TraceSpan(Tracer* tracer, std::string name, std::string category)
-      : tracer_(tracer),
-        name_(std::move(name)),
-        category_(std::move(category)),
-        start_(tracer_ != nullptr ? tracer_->NowMicros() : 0) {}
-  ~TraceSpan() { Stop(); }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  void Stop();
-
- private:
-  Tracer* tracer_;
-  std::string name_;
-  std::string category_;
-  int64_t start_;
 };
 
 }  // namespace sqlledger

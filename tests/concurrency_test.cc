@@ -283,6 +283,55 @@ TEST_F(ConcurrencyTest, InsertsDuringAddColumn) {
   EXPECT_TRUE(report->ok()) << report->Summary();
 }
 
+// A schema change reads the schema it checks (does the column exist?)
+// only under the table's X lock, so two threads adding columns to one
+// table serialize instead of racing: all 40 adds succeed.
+TEST_F(ConcurrencyTest, ConcurrentAddColumnsOnOneTable) {
+  const size_t before =
+      db_->GetStoreForTesting("shared")->schema().num_columns();
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (const char* prefix : {"a", "b"}) {
+    threads.emplace_back([&, prefix] {
+      for (int i = 0; i < 20; i++) {
+        Status st = db_->AddColumn("shared", prefix + std::to_string(i),
+                                   DataType::kInt);
+        if (!st.ok()) failures++;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(db_->GetStoreForTesting("shared")->schema().num_columns(),
+            before + 40);
+  auto report = VerifyLedger(db_.get(), {});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// GetTableRef copies a table's ref while schema changes relink it: the
+// copy and the relink share the catalog lock.
+TEST_F(ConcurrencyTest, GetTableRefDuringAddColumn) {
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      auto ref = db_->GetTableRef("shared");
+      if (!ref.ok() || ref->main == nullptr || ref->history == nullptr ||
+          ref->start_txn_ord < 0 || ref->end_seq_ord < 0)
+        bad++;
+    }
+  });
+  for (int i = 0; i < 20; i++) {
+    Status st = db_->AddColumn("shared", "c" + std::to_string(i),
+                               DataType::kInt);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  stop = true;
+  reader.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
 TEST_F(ConcurrencyTest, ReadersShareLocks) {
   {
     auto txn = db_->Begin("init");

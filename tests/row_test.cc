@@ -1,17 +1,25 @@
-// Packed Row: round trips of every type, copy and move semantics, CellRef
-// writes (in place and repacking), and a seeded property test that a Cell
-// read from a row orders exactly like the Value it was packed from.
-// SQLLEDGER_TEST_SEED picks the property test's values.
+// Packed Row: round trips of every type, exact block sizes of the
+// variable-width cell layout, copy and move semantics, CellRef writes (in
+// place and repacking), a tpcc order_line version's size, and two seeded
+// property tests: a Cell read from a row orders exactly like the Value it
+// was packed from, and every type at every width boundary survives
+// packing, reads, writes and the WAL encoding. SQLLEDGER_TEST_SEED picks
+// the property tests' values.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "catalog/row.h"
 #include "test_util.h"
+#include "util/coding.h"
 #include "util/random.h"
+#include "workload/tpcc.h"
 
 namespace sqlledger {
 namespace {
@@ -67,14 +75,68 @@ TEST(RowTest, EmptyRowOwnsNoBlock) {
   EXPECT_EQ(Row(row).BlockBytes(), 0u);
 }
 
+// The bytes a cell takes in a block, written out from the layout (row.h)
+// independently of the code under test: a tag, then a 0/1/2/4/8-byte
+// payload, then a string's bytes.
+size_t ExpectedCellBytes(const Cell& v) {
+  auto width = [](uint64_t u, bool allow8) -> size_t {
+    if (u == 0) return 0;
+    if (u <= 0xFF) return 1;
+    if (u <= 0xFFFF) return 2;
+    if (u <= 0xFFFFFFFF || !allow8) return 4;
+    return 8;
+  };
+  if (v.is_null()) return 1;
+  switch (v.type()) {
+    case DataType::kVarchar:
+    case DataType::kVarbinary: {
+      size_t n = v.string_value().size();
+      return 1 + width(n, false) + n;
+    }
+    case DataType::kDouble: {
+      double d = v.double_value();
+      uint64_t bits;
+      std::memcpy(&bits, &d, 8);
+      return bits == 0 ? 1 : 9;
+    }
+    default:
+      return 1 + width(ZigZagEncode64(v.AsInt64()), true);
+  }
+}
+
+size_t ExpectedBlockBytes(const std::vector<Value>& values) {
+  if (values.empty()) return 0;
+  size_t bytes = 8;  // the header
+  for (const Value& v : values) bytes += ExpectedCellBytes(v);
+  return bytes;
+}
+
 TEST(RowTest, BlockIsExactlySized) {
-  // Header, 3 tags padded to 8, 3 cells and 5 string bytes.
+  // Header; BIGINT 1 (zigzag 2) in one byte; "hello" behind a one-byte
+  // length; a NULL is its tag alone.
   Row row{Value::BigInt(1), Value::Varchar("hello"),
           Value::Null(DataType::kInt)};
-  EXPECT_EQ(row.BlockBytes(), 8u + 8u + 24u + 5u);
-  // Nine tags pad to 16.
-  Row wide(std::vector<Value>(9, Value::BigInt(0)));
-  EXPECT_EQ(wide.BlockBytes(), 8u + 16u + 72u);
+  EXPECT_EQ(row.BlockBytes(), 8u + 2u + 7u + 1u);
+  // Zeros take no payload, of any type.
+  Row zeros{Value::BigInt(0), Value::Bool(false), Value::Double(0.0),
+            Value::Varchar(""), Value::Timestamp(0)};
+  EXPECT_EQ(zeros.BlockBytes(), 8u + 5u);
+  // Each width at its limit: 127 is the last one-byte integer, -32768 the
+  // last two-byte one, INT32_MIN fits four bytes, INT64_MIN needs eight;
+  // a DOUBLE other than +0.0 is always eight.
+  Row wide{Value::BigInt(127),          Value::BigInt(128),
+           Value::SmallInt(-32768),     Value::SmallInt(32767),
+           Value::Int(INT32_MIN),       Value::BigInt(int64_t{1} << 31),
+           Value::BigInt(INT64_MIN),    Value::Double(-0.0),
+           Value::Double(1.0)};
+  EXPECT_EQ(wide.BlockBytes(),
+            8u + 2u + 3u + 3u + 3u + 5u + 9u + 9u + 9u + 9u);
+  // String lengths: one byte up to 255, two up to 65535, then four.
+  Row strings{Value::Varchar(std::string(255, 'a')),
+              Value::Varchar(std::string(256, 'b')),
+              Value::Varbinary(std::vector<uint8_t>(65536, 0xCD))};
+  EXPECT_EQ(strings.BlockBytes(),
+            8u + (2u + 255u) + (3u + 256u) + (5u + 65536u));
 }
 
 TEST(RowTest, CopiesAreDeepAndIndependent) {
@@ -116,41 +178,61 @@ TEST(RowTest, MoveLeavesAnEmptyRow) {
   EXPECT_EQ(c[5].string_value(), "packed");
 }
 
-TEST(RowTest, FixedCellWriteIsInPlace) {
+TEST(RowTest, SameWidthWriteIsInPlace) {
   Row row{Value::BigInt(1), Value::Varchar("keep"),
           Value::Null(DataType::kBigInt)};
   const char* str = row[1].string_value().data();
-  size_t bytes = row.BlockBytes();
-  row[2] = Value::BigInt(42);  // NULL -> value, as the ledger stamps end_txn
-  row[0] = Value::Double(2.5);  // a different fixed type
+  EXPECT_EQ(row.BlockBytes(), 8u + 2u + 6u + 1u);
+  row[0] = Value::BigInt(-1);              // zigzag 1: still one byte
+  row[0] = Value::Int(100);                // another type, the same width
+  row[2] = Value::Null(DataType::kInt);    // NULL to NULL
+  row[1] = Value::Varbinary({1, 2, 3, 4});  // the same length
+  // Every write kept the block, so the string bytes did not move.
   EXPECT_EQ(row[1].string_value().data(), str);
-  EXPECT_EQ(row.BlockBytes(), bytes);
-  EXPECT_EQ(row[2].AsInt64(), 42);
-  EXPECT_FALSE(row[2].is_null());
-  ExpectSame(row[0], Value::Double(2.5));
+  EXPECT_EQ(row.BlockBytes(), 8u + 2u + 6u + 1u);
+  ExpectSame(row[0], Value::Int(100));
+  ExpectSame(row[1], Value::Varbinary({1, 2, 3, 4}));
+  ExpectSame(row[2], Value::Null(DataType::kInt));
+}
+
+TEST(RowTest, WidthChangingWritesRepack) {
+  Row row{Value::BigInt(1), Value::Varchar("keep"),
+          Value::Null(DataType::kBigInt)};
+  const char* str = row[1].string_value().data();
+  row[2] = Value::BigInt(42);  // NULL -> one byte, as a stamp would
+  EXPECT_NE(row[1].string_value().data(), str);
+  EXPECT_EQ(row.BlockBytes(), 8u + 2u + 6u + 2u);
+  row[0] = Value::BigInt(1 << 20);  // zigzag 2^21: four bytes
+  EXPECT_EQ(row.BlockBytes(), 8u + 5u + 6u + 2u);
+  row[0] = Value::Double(2.5);
+  EXPECT_EQ(row.BlockBytes(), 8u + 9u + 6u + 2u);
   row[2] = Value::Null(DataType::kBigInt);
+  EXPECT_EQ(row.BlockBytes(), 8u + 9u + 6u + 1u);
+  ExpectSame(row[0], Value::Double(2.5));
+  EXPECT_EQ(row[1].string_value(), "keep");
   ExpectSame(row[2], Value::Null(DataType::kBigInt));
-  EXPECT_EQ(row[1].string_value().data(), str);
 }
 
 TEST(RowTest, StringWritesRepackOnlyWhenTheLengthChanges) {
   Row row{Value::Varchar("aa"), Value::BigInt(7), Value::Varchar("bbbb")};
+  EXPECT_EQ(row.BlockBytes(), 8u + 4u + 2u + 6u);
   const char* tail = row[2].string_value().data();
   row[0] = Value::Varchar("zz");  // same length: in place
   EXPECT_EQ(row[2].string_value().data(), tail);
   EXPECT_EQ(row[0].string_value(), "zz");
 
   row[0] = Value::Varchar("grown string");
-  EXPECT_EQ(row.BlockBytes(), 8u + 8u + 24u + 12u + 4u);
+  EXPECT_NE(row[2].string_value().data(), tail);
+  EXPECT_EQ(row.BlockBytes(), 8u + 14u + 2u + 6u);
   EXPECT_EQ(row[0].string_value(), "grown string");
   EXPECT_EQ(row[1].AsInt64(), 7);
   EXPECT_EQ(row[2].string_value(), "bbbb");
 
   row[2] = Value::Varchar("");
-  EXPECT_EQ(row.BlockBytes(), 8u + 8u + 24u + 12u);
+  EXPECT_EQ(row.BlockBytes(), 8u + 14u + 2u + 1u);
   ExpectSame(row[2], Value::Varchar(""));
   row[0] = Value::Null(DataType::kVarchar);
-  EXPECT_EQ(row.BlockBytes(), 8u + 8u + 24u);
+  EXPECT_EQ(row.BlockBytes(), 8u + 1u + 2u + 1u);
   ExpectSame(row[0], Value::Null(DataType::kVarchar));
   EXPECT_EQ(row[1].AsInt64(), 7);
 }
@@ -167,7 +249,7 @@ TEST(RowTest, CellRefAssignFromTheSameRow) {
                       Value::Varchar("a much longer right")}));
 }
 
-TEST(RowTest, ProjectAndExtend) {
+TEST(RowTest, ProjectExtendAndWith) {
   Row row{Value::BigInt(1), Value::Varchar("x"), Value::Int(3)};
   Row projected = row.Project({2, 1});
   EXPECT_EQ(projected, (Row{Value::Int(3), Value::Varchar("x")}));
@@ -175,6 +257,16 @@ TEST(RowTest, ProjectAndExtend) {
   ASSERT_EQ(extended.size(), 4u);
   EXPECT_EQ(extended[3].string_value(), "tail");
   EXPECT_EQ(extended[1].string_value(), "x");
+  EXPECT_EQ(extended.BlockBytes(), row.BlockBytes() + 6u);
+  EXPECT_EQ(Row().Extended(Value::Int(7)), (Row{Value::Int(7)}));
+  // With packs replacements at any ordinals, as RetireVersion's stamps.
+  Row stamped = row.With(
+      {{2, Value::BigInt(300)}, {0, Value::Null(DataType::kBigInt)}});
+  ExpectSame(stamped[0], Value::Null(DataType::kBigInt));
+  EXPECT_EQ(stamped[1].string_value(), "x");
+  ExpectSame(stamped[2], Value::BigInt(300));
+  EXPECT_EQ(stamped.BlockBytes(), 8u + 1u + 3u + 3u);
+  EXPECT_EQ(row[2].AsInt64(), 3);  // the source row is unchanged
 }
 
 TEST(RowTest, EqualityComparesCells) {
@@ -229,6 +321,152 @@ TEST(RowTest, CellCompareMatchesValueCompare) {
         ASSERT_EQ(values[i].Compare(row[j]), want);
       }
     }
+  }
+}
+
+// Every type at each boundary of the cell widths: integers around the
+// 0/1/2/4/8-byte zigzag limits, +-0.0 and NaN, strings whose lengths cross
+// the 1/2/4-byte length limits, and NULLs.
+std::vector<Value> BoundaryValues() {
+  std::vector<Value> out;
+  const int64_t ints[] = {0,
+                          1,
+                          -1,
+                          127,
+                          128,
+                          -128,
+                          -129,
+                          255,
+                          256,
+                          32767,
+                          32768,
+                          -32768,
+                          -32769,
+                          (int64_t{1} << 31) - 1,
+                          int64_t{1} << 31,
+                          -(int64_t{1} << 31),
+                          -(int64_t{1} << 31) - 1,
+                          std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max()};
+  for (int64_t v : ints) {
+    out.push_back(Value::BigInt(v));
+    out.push_back(Value::Timestamp(v));
+    if (v == static_cast<int32_t>(v))
+      out.push_back(Value::Int(static_cast<int32_t>(v)));
+    if (v == static_cast<int16_t>(v))
+      out.push_back(Value::SmallInt(static_cast<int16_t>(v)));
+  }
+  out.push_back(Value::Bool(false));
+  out.push_back(Value::Bool(true));
+  for (double d : {0.0, -0.0, std::nan(""), 1.0, -2.5,
+                   std::numeric_limits<double>::denorm_min()})
+    out.push_back(Value::Double(d));
+  for (size_t n : {0, 1, 255, 256, 65535, 65536}) {
+    const char fill = static_cast<char>('a' + n % 26);
+    out.push_back(Value::Varchar(std::string(n, fill)));
+    out.push_back(Value::Varbinary(std::vector<uint8_t>(n, 0xF0)));
+  }
+  for (int t = 1; t <= 8; t++)
+    out.push_back(Value::Null(static_cast<DataType>(t)));
+  return out;
+}
+
+// Checks `row` against `want` cell by cell, by operator[] and by iteration,
+// and its block size against the layout.
+void ExpectRowIs(const Row& row, const std::vector<Value>& want,
+                 const std::string& where) {
+  SCOPED_TRACE(where);
+  ASSERT_EQ(row.size(), want.size());
+  EXPECT_EQ(row.BlockBytes(), ExpectedBlockBytes(want));
+  size_t i = 0;
+  for (Cell c : row) {
+    ExpectSame(c, want[i]);
+    ExpectSame(row[i], want[i]);
+    EXPECT_EQ(c.string_value(), want[i].string_value());
+    i++;
+  }
+  EXPECT_EQ(i, want.size());
+}
+
+TEST(RowTest, WidthBoundariesSurviveEveryPath) {
+  const std::vector<Value> pool = BoundaryValues();
+  Random rng(TestCaseSeed(1));
+  for (int round = 0; round < 300; round++) {
+    const std::string where =
+        "seed " + std::to_string(TestSeed()) + " round " +
+        std::to_string(round);
+    std::vector<Value> want;
+    size_t n = 1 + rng.Uniform(16);
+    for (size_t k = 0; k < n; k++)
+      want.push_back(pool[rng.Uniform(pool.size())]);
+    Row row = Row::Pack(n, [&](size_t k) -> const Cell& { return want[k]; });
+    ExpectRowIs(row, want, where + " pack");
+
+    // A write that keeps the cell's bytes stays in place (a string's bytes
+    // do not move); any other repacks (they do).
+    for (int w = 0; w < 4; w++) {
+      size_t i = rng.Uniform(n);
+      const bool same = w % 2 == 0;
+      std::vector<const Value*> fits;
+      for (const Value& v : pool) {
+        if ((ExpectedCellBytes(v) == ExpectedCellBytes(want[i])) == same)
+          fits.push_back(&v);
+      }
+      const Value& v = *fits[rng.Uniform(fits.size())];
+      const char* marker = nullptr;
+      size_t marked = n;
+      for (size_t j = 0; j < n; j++) {
+        if (j != i && want[j].string_value().size() != 0) {
+          marker = row[j].string_value().data();
+          marked = j;
+          break;
+        }
+      }
+      row[i] = v;
+      want[i] = v;
+      ExpectRowIs(row, want, where + " write " + std::to_string(w));
+      if (marker != nullptr) {
+        if (same)
+          EXPECT_EQ(row[marked].string_value().data(), marker) << where;
+        else
+          EXPECT_NE(row[marked].string_value().data(), marker) << where;
+      }
+    }
+
+    // The WAL bytes are the values' bytes, and decode to the same block.
+    std::vector<uint8_t> bytes, value_bytes;
+    EncodeRow(row, &bytes);
+    EncodeRow(want, &value_bytes);
+    ASSERT_EQ(bytes, value_bytes) << where;
+    Decoder dec{Slice(bytes)};
+    auto decoded = DecodeRow(&dec);
+    ASSERT_TRUE(decoded.ok()) << where;
+    EXPECT_TRUE(dec.done()) << where;
+    ExpectRowIs(*decoded, want, where + " decode");
+  }
+}
+
+// A TPC-C order_line version as the bench's tpcc workload writes it (16
+// warehouses, 100 items): eight user cells of small integers, a DOUBLE and
+// a NULL delivery date, the start stamps and NULL end stamps.
+TEST(RowTest, TpccOrderLineVersionIsSmall) {
+  LedgerDatabaseOptions options;
+  options.enable_ledger = true;
+  auto db = LedgerDatabase::Open(std::move(options));
+  ASSERT_TRUE(db.ok());
+  TpccConfig config;
+  config.warehouses = 16;
+  TpccWorkload tpcc(db->get(), config);
+  ASSERT_TRUE(tpcc.Setup().ok());
+  Random rng(TestCaseSeed(2));
+  for (int i = 0; i < 20; i++) ASSERT_TRUE(tpcc.NewOrder(&rng).ok());
+  TableStore* lines = (*db)->GetStoreForTesting("order_line");
+  ASSERT_NE(lines, nullptr);
+  ASSERT_GT(lines->row_count(), 0u);
+  for (BTree::Iterator it = lines->Scan(); it.Valid(); it.Next()) {
+    const Row& version = it.value();
+    ASSERT_EQ(version.size(), 12u);
+    EXPECT_LE(version.BlockBytes(), 40u);
   }
 }
 
