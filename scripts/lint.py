@@ -78,6 +78,12 @@ to the offending line — use sparingly and say why on an adjacent comment):
                   go in when the version is packed, by Schema::PadRow
                   (start) and Row::With in RetireVersion (end) (DESIGN.md
                   §3). The simulator's reference model keeps its own.
+  one-key-type    a value vector (`std::vector<Value>`) in src/storage/ or
+                  src/txn/. A key there is a Row of its key cells
+                  (KeyTuple, catalog/row.h), with one comparator
+                  (CompareKeys), one codec (EncodeRow/DecodeRow) and one
+                  projection (Row::Project); a second tuple type brings
+                  its own copies of all three back (DESIGN.md §3).
   bench-docs      (repo-level) the binaries EXPERIMENTS.md's regeneration
                   loop (`for b in ...; do`) runs must be exactly the
                   SL_BENCH_SOURCES of bench/CMakeLists.txt. A deleted bench
@@ -498,6 +504,29 @@ def check_stamp_once(path, lines, findings):
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-key-type
+# ---------------------------------------------------------------------------
+
+VALUE_VECTOR_RE = re.compile(r"\b(?:std\s*::\s*)?vector\s*<\s*Value\s*>")
+ONE_KEY_TYPE_DIRS = [os.path.join("src", "storage"), os.path.join("src", "txn")]
+
+
+def check_one_key_type(path, lines, findings):
+    rel = os.path.relpath(path, REPO_ROOT)
+    if not any(rel.startswith(d + os.sep) for d in ONE_KEY_TYPE_DIRS):
+        return  # the SQL layer and tests may hold value vectors
+    for i, raw in enumerate(lines, 1):
+        if not VALUE_VECTOR_RE.search(strip_noise(raw)):
+            continue
+        if allowed(raw, "one-key-type"):
+            continue
+        findings.append(Finding(
+            "one-key-type", path, i,
+            "value vector in the storage or transaction layer; a key is a "
+            "Row of its key cells (KeyTuple, catalog/row.h)"))
+
+
+# ---------------------------------------------------------------------------
 # Rule: digest-decorator-coverage (repo-level)
 # ---------------------------------------------------------------------------
 
@@ -625,6 +654,7 @@ CHECKS = [
     ("definition-apply", SRC_DIRS, check_definition_apply),
     ("one-uploader", SRC_DIRS, check_one_uploader),
     ("stamp-once", SRC_DIRS, check_stamp_once),
+    ("one-key-type", SRC_DIRS, check_one_key_type),
     ("metric-naming", ALL_CODE_DIRS, check_metric_naming),
 ]
 
@@ -750,6 +780,12 @@ SELF_TEST_CASES = [
     ("stamp-once", "src/ledger/x_selftest.cc",
      "full[ref->start_seq_ord] = Value::BigInt(seq);",
      "if (full[t.start_seq_ord] == Value::BigInt(seq)) return;"),
+    ("one-key-type", "src/storage/x_selftest.h",
+     "std::map<std::vector<Value>, Row, KeyTupleLess> entries;",
+     "std::map<KeyTuple, Row, KeyTupleLess> entries;"),
+    ("one-key-type", "src/txn/x_selftest.cc",
+     "std::vector< Value > key = schema.ExtractKey(row).Values();",
+     "KeyTuple key = schema.ExtractKey(row);"),
 ]
 
 # (path, fires): one store edit, flagged everywhere in src/ but the apply
@@ -780,6 +816,17 @@ STAMP_ONCE_SCOPE = [
     ("src/ledger/ledger_table.cc", True),
     ("src/ledger/ledger_database.cc", True),
     ("src/sim/model.cc", False),
+    ("tests/row_test.cc", False),
+]
+
+
+# (path, fires): one value-vector key, flagged in the storage and
+# transaction layers only.
+ONE_KEY_TYPE_SCOPE = [
+    ("src/storage/btree.cc", True),
+    ("src/txn/lock_manager.h", True),
+    ("src/sql/session.cc", False),
+    ("src/ledger/schema_changes.cc", False),
     ("tests/row_test.cc", False),
 ]
 
@@ -892,6 +939,21 @@ def self_test_stamp_once_scope():
     return failures
 
 
+def self_test_one_key_type_scope():
+    """The same value-vector key fires or stays quiet by file."""
+    failures = 0
+    text = ["std::vector<Value> key;\n"]
+    for rel, expect_fire in ONE_KEY_TYPE_SCOPE:
+        findings = []
+        check_one_key_type(os.path.join(REPO_ROOT, rel), text, findings)
+        if bool(findings) != expect_fire:
+            failures += 1
+            print(f"SELF-TEST FAIL [one-key-type/{rel}]:"
+                  f" {'did not fire' if expect_fire else 'fired'}",
+                  file=sys.stderr)
+    return failures
+
+
 def run_self_test():
     global REPO_ROOT
     real_root = REPO_ROOT
@@ -901,6 +963,7 @@ def run_self_test():
     failures += self_test_definition_apply_scope()
     failures += self_test_one_uploader_scope()
     failures += self_test_stamp_once_scope()
+    failures += self_test_one_key_type_scope()
     for rule, rel, bad, good in SELF_TEST_CASES:
         for variant, text, expect_fire in (("bad", bad, True),
                                            ("good", good, False)):
@@ -928,7 +991,8 @@ def run_self_test():
         print(f"lint.py --self-test: {failures} failure(s).", file=sys.stderr)
         return 1
     cases = (len(SELF_TEST_CASES) + 5 + len(DEFINITION_APPLY_SCOPE) +
-             len(ONE_UPLOADER_SCOPE) + len(STAMP_ONCE_SCOPE))
+             len(ONE_UPLOADER_SCOPE) + len(STAMP_ONCE_SCOPE) +
+             len(ONE_KEY_TYPE_SCOPE))
     print(f"lint.py --self-test: all {cases} cases pass "
           "(each rule fires on its seeded violation, stays quiet on the fix).")
     return 0

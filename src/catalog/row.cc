@@ -1,5 +1,6 @@
 #include "catalog/row.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 
@@ -125,11 +126,45 @@ Row Row::With(std::initializer_list<OrdinalCell> cells) const {
   });
 }
 
+Row Row::Project(const std::vector<size_t>& ordinals) const {
+  const size_t n = ordinals.size();
+  Row row;
+  if (n == 0) return row;
+  Cursor cells(*this);
+  size_t cell_bytes = n;
+  for (size_t ord : ordinals) {
+    const Iterator& c = cells.At(ord);
+    cell_bytes += PayloadBytes(*c.tag_, c.payload_);
+  }
+  row.block_ = Allocate(n, cell_bytes);
+  uint8_t* tags = row.block_ + kHeaderBytes;
+  uint8_t* p = tags + n;
+  for (size_t i = 0; i < n; i++) {
+    const Iterator& c = cells.At(ordinals[i]);
+    const size_t bytes = PayloadBytes(*c.tag_, c.payload_);
+    tags[i] = *c.tag_;
+    std::memcpy(p, c.payload_, bytes);
+    p += bytes;
+  }
+  return row;
+}
+
 std::vector<Value> Row::Values() const {
   std::vector<Value> values;
   values.reserve(size());
   for (Cell c : *this) values.emplace_back(c);
   return values;
+}
+
+int CompareKeys(const KeyTuple& a, const KeyTuple& b) {
+  const size_t na = a.size(), nb = b.size();
+  Row::Iterator x = a.begin(), y = b.begin();
+  for (size_t i = 0, n = std::min(na, nb); i < n; i++, ++x, ++y) {
+    int r = x.Compare(y);
+    if (r != 0) return r;
+  }
+  if (na < nb) return -1;
+  return na > nb ? 1 : 0;
 }
 
 bool Row::operator==(const Row& other) const {
@@ -143,27 +178,6 @@ bool Row::operator==(const Row& other) const {
 void EncodeRow(const Row& row, std::vector<uint8_t>* dst) {
   PutVarint32(dst, static_cast<uint32_t>(row.size()));
   for (Cell c : row) c.EncodeTo(dst);
-}
-
-void EncodeRow(const KeyTuple& values, std::vector<uint8_t>* dst) {
-  PutVarint32(dst, static_cast<uint32_t>(values.size()));
-  for (const Value& v : values) v.EncodeTo(dst);
-}
-
-Result<KeyTuple> DecodeValues(Decoder* dec) {
-  auto count = dec->GetVarint32();
-  if (!count.ok()) return count.status();
-  // Every encoded cell takes at least its tag byte.
-  if (*count > dec->remaining())
-    return Status::Corruption("encoded tuple count exceeds its bytes");
-  KeyTuple values;
-  values.reserve(*count);
-  for (uint32_t i = 0; i < *count; i++) {
-    auto v = Value::DecodeFrom(dec);
-    if (!v.ok()) return v.status();
-    values.push_back(std::move(*v));
-  }
-  return values;
 }
 
 Result<Row> DecodeRow(Decoder* dec) {
@@ -191,16 +205,6 @@ Result<Row> DecodeRow(Decoder* dec) {
   for (size_t i = 0; i < n; i++)
     p = Row::Put(tags + i, p, *Cell::DecodeView(dec));
   return row;
-}
-
-size_t RowPayloadBytes(const Row& row) {
-  size_t total = 0;
-  for (Cell c : row) {
-    if (c.is_null()) continue;
-    size_t w = DataTypeFixedWidth(c.type());
-    total += w > 0 ? w : c.string_value().size();
-  }
-  return total;
 }
 
 }  // namespace sqlledger

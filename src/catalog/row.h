@@ -1,7 +1,7 @@
-// Rows: the engine's in-memory row versions, plus the encode/decode helpers
-// for WAL records and checkpoint files. The wire format here is the
-// engine's internal one — distinct from the canonical ledger hashing format
-// in ledger/row_serializer.h.
+// Rows: the engine's in-memory row versions and keys, plus the
+// encode/decode helpers for WAL records and checkpoint files. The wire
+// format here is the engine's internal one — distinct from the canonical
+// ledger hashing format in ledger/row_serializer.h.
 
 #ifndef SQLLEDGER_CATALOG_ROW_H_
 #define SQLLEDGER_CATALOG_ROW_H_
@@ -104,6 +104,18 @@ class Row {
   class Iterator {
    public:
     Cell operator*() const { return Decode(*tag_, payload_); }
+    /// Compares the cell here with the cell at `other` as Cell::Compare
+    /// does. Two non-NULL integers, the usual key cells, compare by their
+    /// payloads without building Cells.
+    int Compare(const Iterator& other) const {
+      const uint8_t a = *tag_, b = *other.tag_;
+      if (IsInteger(a) && IsInteger(b)) {
+        const int64_t x = ZigZagDecode64(LoadWidth(payload_, Width(a)));
+        const int64_t y = ZigZagDecode64(LoadWidth(other.payload_, Width(b)));
+        return (x > y) - (x < y);
+      }
+      return (**this).Compare(*other);
+    }
     Iterator& operator++() {
       payload_ += PayloadBytes(*tag_, payload_);
       tag_++;
@@ -133,11 +145,13 @@ class Row {
   class Cursor {
    public:
     explicit Cursor(const Row& row) : row_(&row), it_(row.begin()) {}
-    Cell operator[](size_t i) {
+    Cell operator[](size_t i) { return *At(i); }
+    /// The position of cell `i`, valid until the next read.
+    const Iterator& At(size_t i) {
       const uint8_t* tag = row_->block_ + kHeaderBytes + i;
       if (tag < it_.tag_) it_ = row_->begin();
       while (it_.tag_ < tag) ++it_;
-      return *it_;
+      return it_;
     }
 
    private:
@@ -147,11 +161,9 @@ class Row {
 
   /// Owning copies of every cell.
   std::vector<Value> Values() const;
-  /// A new row of the cells at `ordinals`, in that order.
-  Row Project(const std::vector<size_t>& ordinals) const {
-    Cursor cells(*this);
-    return Pack(ordinals.size(), [&](size_t i) { return cells[ordinals[i]]; });
-  }
+  /// A new row of the cells at `ordinals`, in that order. A stored cell's
+  /// bytes do not depend on its position, so each is copied as it is.
+  Row Project(const std::vector<size_t>& ordinals) const;
   /// A new row of this row's cells followed by `cell` (ADD COLUMN).
   Row Extended(const Cell& cell) const;
   /// A new row of this row's cells with each of `cells` in place of the
@@ -177,6 +189,19 @@ class Row {
   static constexpr uint8_t kTypeMask = 0x0F;
   /// Payload bytes of each width code.
   static constexpr uint8_t kWidthBytes[8] = {0, 1, 2, 4, 8, 0, 0, 0};
+  /// Bit `t` is set for each integer DataType id `t`: BOOL, SMALLINT, INT,
+  /// BIGINT and TIMESTAMP.
+  static constexpr uint16_t kIntegerTypes = 0x11E;
+
+  /// The payload width of a cell with tag `tag`, before a string's bytes.
+  static size_t Width(uint8_t tag) {
+    return kWidthBytes[(tag >> kWidthShift) & 7];
+  }
+  /// True if tag `tag` is a non-NULL integer's.
+  static bool IsInteger(uint8_t tag) {
+    return (tag & Cell::kNullTag) == 0 &&
+           ((kIntegerTypes >> (tag & kTypeMask)) & 1) != 0;
+  }
 
   static uint16_t Load16(const uint8_t* p) {
     uint16_t v;
@@ -240,7 +265,7 @@ class Row {
   /// size reads the payload (its length), so a walk over other cells
   /// reads tags alone.
   static size_t PayloadBytes(uint8_t tag, const uint8_t* p) {
-    size_t width = kWidthBytes[(tag >> kWidthShift) & 7];
+    size_t width = Width(tag);
     if (IsString(static_cast<DataType>(tag & kTypeMask)))
       width += LoadWidth(p, width);
     return width;
@@ -287,7 +312,7 @@ inline Cell Row::Decode(uint8_t tag, const uint8_t* p) {
   Cell c;
   c.type_ = static_cast<DataType>(tag & kTypeMask);
   c.null_ = (tag & Cell::kNullTag) != 0;
-  size_t width = kWidthBytes[(tag >> kWidthShift) & 7];
+  size_t width = Width(tag);
   if (width == 0) return c;  // NULL, zero or the empty string
   uint64_t u = LoadWidth(p, width);
   if (IsString(c.type_)) {
@@ -303,23 +328,30 @@ inline Cell Row::Decode(uint8_t tag, const uint8_t* p) {
 
 inline Cell Row::operator[](size_t i) const { return *StoredCell(i); }
 
+/// A key is a Row of its key cells: a clustered key's primary-key columns,
+/// a non-clustered index entry, a row lock's key, a WAL delete's key. The
+/// alias names that role; it is not a second type.
+using KeyTuple = Row;
+
+/// Lexicographic order of keys: cell-wise Cell::Compare, and a shorter
+/// prefix sorts first.
+int CompareKeys(const KeyTuple& a, const KeyTuple& b);
+
+struct KeyTupleLess {
+  bool operator()(const KeyTuple& a, const KeyTuple& b) const {
+    return CompareKeys(a, b) < 0;
+  }
+};
+
 /// Appends `row` to `dst`: varint count followed by encoded cells
 /// (Cell::EncodeTo).
 void EncodeRow(const Row& row, std::vector<uint8_t>* dst);
-/// The same encoding of a value tuple (a WAL delete's key, an index entry).
-void EncodeRow(const KeyTuple& values, std::vector<uint8_t>* dst);
 
-/// Decodes one encoded row from `dec` as a value tuple. Corruption on a
-/// count larger than the bytes left, before anything is allocated.
-Result<KeyTuple> DecodeValues(Decoder* dec);
 /// Decodes one encoded row straight into a packed block: one pass sizes
-/// it, a second fills it. Corruption past kMaxColumns cells or 4 GiB of
-/// string bytes, checked before anything is allocated.
+/// it, a second fills it. Corruption past kMaxColumns cells, on a cell
+/// missing from the input or past 4 GiB of string bytes, checked before
+/// anything is allocated.
 Result<Row> DecodeRow(Decoder* dec);
-
-/// Total payload bytes of a row's variable- and fixed-width values (used by
-/// benchmarks to size rows, e.g. the paper's 260-byte rows in §4.1.2).
-size_t RowPayloadBytes(const Row& row);
 
 }  // namespace sqlledger
 

@@ -25,19 +25,6 @@ int Schema::FindColumn(const std::string& name) const {
   return -1;
 }
 
-KeyTuple Schema::ExtractKey(const Row& row) const {
-  return ExtractColumns(row, key_ordinals_);
-}
-
-KeyTuple Schema::ExtractColumns(const Row& row,
-                                const std::vector<size_t>& ordinals) {
-  KeyTuple key;
-  key.reserve(ordinals.size());
-  Row::Cursor cells(row);
-  for (size_t ord : ordinals) key.push_back(cells[ord]);
-  return key;
-}
-
 Status Schema::ValidateRow(const Row& row) const {
   if (row.size() != columns_.size())
     return Status::InvalidArgument(

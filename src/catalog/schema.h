@@ -60,11 +60,10 @@ class Schema {
   const std::vector<size_t>& key_ordinals() const { return key_ordinals_; }
   bool HasPrimaryKey() const { return !key_ordinals_.empty(); }
 
-  /// Extracts the primary-key tuple from a full row.
-  KeyTuple ExtractKey(const Row& row) const;
-  /// Extracts an arbitrary column subset (for secondary index keys).
-  static KeyTuple ExtractColumns(const Row& row,
-                                 const std::vector<size_t>& ordinals);
+  /// The primary key of a full row: its key columns, in key order.
+  KeyTuple ExtractKey(const Row& row) const {
+    return row.Project(key_ordinals_);
+  }
 
   /// Checks arity, types, nullability and max lengths of a row against the
   /// schema. Hidden/dropped columns are expected to be present (full

@@ -32,25 +32,6 @@ const char* DataTypeName(DataType t) {
   return "UNKNOWN";
 }
 
-size_t DataTypeFixedWidth(DataType t) {
-  switch (t) {
-    case DataType::kBool:
-      return 1;
-    case DataType::kSmallInt:
-      return 2;
-    case DataType::kInt:
-      return 4;
-    case DataType::kBigInt:
-    case DataType::kTimestamp:
-    case DataType::kDouble:
-      return 8;
-    case DataType::kVarchar:
-    case DataType::kVarbinary:
-      return 0;
-  }
-  return 0;
-}
-
 Value Value::Null(DataType type) {
   Value v;
   v.type_ = type;
@@ -360,17 +341,6 @@ Result<Value> Value::DecodeFrom(Decoder* dec) {
   auto cell = DecodeView(dec);
   if (!cell.ok()) return cell.status();
   return Value(*cell);
-}
-
-int CompareKeys(const KeyTuple& a, const KeyTuple& b) {
-  size_t n = std::min(a.size(), b.size());
-  for (size_t i = 0; i < n; i++) {
-    int r = a[i].Compare(b[i]);
-    if (r != 0) return r;
-  }
-  if (a.size() < b.size()) return -1;
-  if (a.size() > b.size()) return 1;
-  return 0;
 }
 
 }  // namespace sqlledger

@@ -31,8 +31,6 @@ enum class DataType : uint8_t {
 };
 
 const char* DataTypeName(DataType t);
-/// Fixed width in bytes, or 0 for variable-length types.
-size_t DataTypeFixedWidth(DataType t);
 
 /// A read-only view of one typed, nullable SQL value: a type tag, a null
 /// flag, a byte length and an 8-byte payload that is either the
@@ -161,18 +159,6 @@ class Value : public Cell {
 
 static_assert(sizeof(Value) == 16, "Value must stay a 16-byte cell");
 static_assert(sizeof(Cell) == sizeof(Value), "a Cell is a Value's layout");
-
-/// Index/primary keys are value tuples with lexicographic ordering.
-using KeyTuple = std::vector<Value>;
-
-/// Lexicographic comparison of two value tuples.
-int CompareKeys(const KeyTuple& a, const KeyTuple& b);
-
-struct KeyTupleLess {
-  bool operator()(const KeyTuple& a, const KeyTuple& b) const {
-    return CompareKeys(a, b) < 0;
-  }
-};
 
 }  // namespace sqlledger
 

@@ -915,23 +915,19 @@ Result<KeyTuple> LedgerDatabase::UserKeyOf(const CatalogEntry& entry,
                                            const Row& user_row) {
   const Schema& schema = entry.main->schema();
   std::vector<size_t> visible = schema.VisibleOrdinals();
-  KeyTuple key;
+  // The key columns' positions in the user row.
+  std::vector<size_t> positions;
+  positions.reserve(schema.key_ordinals().size());
   for (size_t key_ord : schema.key_ordinals()) {
-    bool found = false;
-    for (size_t j = 0; j < visible.size(); j++) {
-      if (visible[j] == key_ord) {
-        if (j >= user_row.size())
-          return Status::InvalidArgument(
-              "row is missing primary-key columns");
-        key.push_back(user_row[j]);
-        found = true;
-        break;
-      }
-    }
-    if (!found)
+    auto at = std::find(visible.begin(), visible.end(), key_ord);
+    if (at == visible.end())
       return Status::Internal("primary-key column is not visible");
+    size_t j = static_cast<size_t>(at - visible.begin());
+    if (j >= user_row.size())
+      return Status::InvalidArgument("row is missing primary-key columns");
+    positions.push_back(j);
   }
-  return key;
+  return user_row.Project(positions);
 }
 
 Status LedgerDatabase::Insert(Transaction* txn, const std::string& table,

@@ -59,44 +59,36 @@ bool InTruncatedRange(const std::vector<TruncationRecord>& truncations,
   return false;
 }
 
-/// Streams the Merkle leaf of one encoded key tuple (a KeyTuple or a stored
-/// index entry, which encode alike) into `tree` (invariant 5), reusing
-/// `scratch` for the encoding. EncodeRow is injective and prefix-free (a
-/// count, then per cell a tag and a self-delimiting payload: zigzag varint,
-/// 8 fixed bytes or a length-prefixed string), so equal leaves mean equal
-/// tuples within one run; the bytes are never compared across runs.
-template <typename Tuple>
-void AddTupleLeaf(const Tuple& tuple, std::vector<uint8_t>* scratch,
+/// Streams the Merkle leaf of one encoded index entry into `tree`
+/// (invariant 5), reusing `scratch` for the encoding. EncodeRow is
+/// injective and prefix-free (a count, then per cell a tag and a
+/// self-delimiting payload: zigzag varint, 8 fixed bytes or a
+/// length-prefixed string), so equal leaves mean equal entries within one
+/// run; the bytes are never compared across runs.
+void AddEntryLeaf(const Row& entry, std::vector<uint8_t>* scratch,
                   MerkleBuilder* tree) {
   scratch->clear();
-  EncodeRow(tuple, scratch);
+  EncodeRow(entry, scratch);
   tree->AddLeaf(Slice(*scratch));
 }
 
 void CheckIndexes(const TableStore& store, VerificationReport* report) {
   std::vector<uint8_t> scratch;
   for (const auto& idx : store.indexes()) {
-    // Base side: project (index columns + primary key) from each base row,
-    // order by the projected tuple.
-    std::vector<KeyTuple> base_tuples;
-    base_tuples.reserve(store.row_count());
-    for (BTree::Iterator it = store.Scan(); it.Valid(); it.Next()) {
-      KeyTuple tuple = Schema::ExtractColumns(it.value(), idx->ordinals);
-      KeyTuple pk = store.schema().ExtractKey(it.value());
-      tuple.insert(tuple.end(), pk.begin(), pk.end());
-      base_tuples.push_back(std::move(tuple));
-    }
-    std::sort(base_tuples.begin(), base_tuples.end(),
-              [](const KeyTuple& a, const KeyTuple& b) {
-                return CompareKeys(a, b) < 0;
-              });
+    // Base side: the entry each base row should have, by the store's one
+    // definition of an entry, in entry order.
+    std::vector<Row> base_entries;
+    base_entries.reserve(store.row_count());
+    for (BTree::Iterator it = store.Scan(); it.Valid(); it.Next())
+      base_entries.push_back(store.IndexEntryOf(*idx, it.value()));
+    std::sort(base_entries.begin(), base_entries.end(), KeyTupleLess());
     MerkleBuilder base_tree;
-    for (const KeyTuple& t : base_tuples) AddTupleLeaf(t, &scratch, &base_tree);
+    for (const Row& e : base_entries) AddEntryLeaf(e, &scratch, &base_tree);
 
-    // Index side: the stored tuples, already in order.
+    // Index side: the stored entries, already in order.
     MerkleBuilder index_tree;
     for (BTree::Iterator it = idx->tree.Begin(); it.Valid(); it.Next())
-      AddTupleLeaf(it.value(), &scratch, &index_tree);
+      AddEntryLeaf(it.value(), &scratch, &index_tree);
 
     if (index_tree.leaf_count() != base_tree.leaf_count() ||
         base_tree.Root() != index_tree.Root()) {

@@ -392,7 +392,7 @@ Result<SqlResultSet> SqlSession::ExecSelect(const SelectStmt& stmt) {
     // primary key use a row-locked Get instead of a table-S scan.
     auto ref = db_->GetTableRef(stmt.table);
     if (!ref.ok()) return ref.status();
-    KeyTuple point_key;
+    std::vector<Value> point_key;
     bool is_point = true;
     for (size_t key_ord : ref->main->schema().key_ordinals()) {
       const std::string& key_name = ref->main->schema().column(key_ord).name;
@@ -576,9 +576,8 @@ Result<SqlResultSet> SqlSession::ExecDelete(const DeleteStmt& stmt) {
           EvalPredicates(stmt.where, visible->names, visible->columns, row);
       if (!match.ok()) return match.status();
       if (!*match) continue;
-      KeyTuple key;
-      for (size_t pos : key_positions) key.push_back(row[pos]);
-      SL_RETURN_IF_ERROR(db_->Delete(txn, stmt.table, key));
+      SL_RETURN_IF_ERROR(
+          db_->Delete(txn, stmt.table, row.Project(key_positions)));
       count++;
     }
     return count;

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstdint>
 
-#include "catalog/schema.h"
-
 namespace sqlledger {
 
 struct BTree::Node {
@@ -62,28 +60,25 @@ void BTree::Clear() {
   height_ = 1;
 }
 
-KeyTuple BTree::KeyOf(const Row& row) const {
-  return key_ordinals_.empty() ? row.Values()
-                               : Schema::ExtractColumns(row, key_ordinals_);
-}
-
 int BTree::CompareRow(const Row& row, const KeyTuple& key) const {
-  size_t len = KeyLength(row);
-  size_t n = std::min(len, key.size());
+  const size_t len = KeyLength(row), key_len = key.size();
   Row::Cursor cells(row);
-  for (size_t i = 0; i < n; i++) {
-    int r = cells[KeyColumn(i)].Compare(key[i]);
+  Row::Iterator k = key.begin();
+  for (size_t i = 0, n = std::min(len, key_len); i < n; i++, ++k) {
+    int r = cells.At(KeyColumn(i)).Compare(k);
     if (r != 0) return r;
   }
-  if (len < key.size()) return -1;
-  return len > key.size() ? 1 : 0;
+  if (len < key_len) return -1;
+  return len > key_len ? 1 : 0;
 }
 
 bool BTree::KeyStartsWith(const Row& row, const KeyTuple& prefix) const {
-  if (KeyLength(row) < prefix.size()) return false;
+  const size_t n = prefix.size();
+  if (KeyLength(row) < n) return false;
   Row::Cursor cells(row);
-  for (size_t i = 0; i < prefix.size(); i++) {
-    if (cells[KeyColumn(i)].Compare(prefix[i]) != 0) return false;
+  Row::Iterator p = prefix.begin();
+  for (size_t i = 0; i < n; i++, ++p) {
+    if (cells.At(KeyColumn(i)).Compare(p) != 0) return false;
   }
   return true;
 }
@@ -116,26 +111,34 @@ Row* BTree::Find(const KeyTuple& key) const {
   return nullptr;
 }
 
-bool BTree::Put(Row row, bool overwrite) {
-  KeyTuple key = KeyOf(row);
+Row* BTree::Put(Row row, bool overwrite) {
+  // A whole-entry key is the row itself.
+  KeyTuple projected = key_ordinals_.empty() ? KeyTuple() : KeyOf(row);
+  const KeyTuple& key = key_ordinals_.empty() ? row : projected;
   std::vector<InternalNode*> path;
   LeafNode* leaf = DescendWithPath(key, &path);
   size_t pos = LowerBound(*leaf, key);
   if (pos < leaf->rows.size() && CompareRow(leaf->rows[pos], key) == 0) {
     if (overwrite) leaf->rows[pos] = std::move(row);
-    return false;
+    return nullptr;
   }
   bool sequential = pos == leaf->last_insert + 1;
   leaf->rows.insert(leaf->rows.begin() + pos, std::move(row));
   leaf->last_insert = pos;
   size_++;
   if (leaf->rows.size() > fanout_) SplitLeaf(leaf, sequential, &path);
-  return true;
+  // A split moves the entries from the cut on into the next leaf.
+  if (pos >= leaf->rows.size()) {
+    pos -= leaf->rows.size();
+    leaf = leaf->next;
+  }
+  return &leaf->rows[pos];
 }
 
-Status BTree::Insert(Row row) {
-  if (!Put(std::move(row), /*overwrite=*/false))
-    return Status::AlreadyExists("duplicate key");
+Status BTree::Insert(Row row, const Row** entry) {
+  Row* stored = Put(std::move(row), /*overwrite=*/false);
+  if (stored == nullptr) return Status::AlreadyExists("duplicate key");
+  if (entry != nullptr) *entry = stored;
   return Status::OK();
 }
 

@@ -1,9 +1,11 @@
 // In-memory B+-tree of rows. An entry is only its row: the key is read in
 // place from the row's `key_ordinals` columns (or, with no ordinals, is the
-// whole entry), so leaves hold no second copy of it. Backs both clustered
-// indexes (entries are full rows keyed by the primary-key columns) and
-// non-clustered indexes (entries are (index columns + primary key) tuples,
-// keyed whole). Leaves are chained for ordered scans, which the ledger
+// whole entry), so leaves hold no second copy of it. A probe key and an
+// internal node's separators are packed Rows of key cells (KeyTuple),
+// compared cell by cell with an entry's key cells in place. Backs both
+// clustered indexes (entries are full rows keyed by the primary-key
+// columns) and non-clustered indexes (entries are (index columns + primary
+// key) rows, keyed whole). Leaves are chained for ordered scans, which the ledger
 // verifier relies on (it recomputes Merkle roots over rows in clustered-key
 // order, paper §3.4.2 invariant 5).
 //
@@ -43,8 +45,10 @@ class BTree {
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
 
-  /// Inserts; fails with AlreadyExists if the row's key is present.
-  Status Insert(Row row);
+  /// Inserts; fails with AlreadyExists, changing nothing, if the row's key
+  /// is present. On success `*entry`, when given, points at the stored row
+  /// until the next mutation.
+  Status Insert(Row row, const Row** entry = nullptr);
   /// Inserts or overwrites the entry with the row's key.
   void Upsert(Row row);
   /// Replaces the entry with the row's key; NotFound otherwise.
@@ -64,8 +68,10 @@ class BTree {
   void ForEach(const std::function<void(Row*)>& fn);
 
   /// The key of `row`: its key columns, or all of it.
-  KeyTuple KeyOf(const Row& row) const;
-  /// True if the key of `row` starts with the values of `prefix`.
+  KeyTuple KeyOf(const Row& row) const {
+    return key_ordinals_.empty() ? row : row.Project(key_ordinals_);
+  }
+  /// True if the key of `row` starts with the cells of `prefix`.
   bool KeyStartsWith(const Row& row, const KeyTuple& prefix) const;
 
   size_t size() const { return size_; }
@@ -114,13 +120,13 @@ class BTree {
     return key_ordinals_.empty() ? i : key_ordinals_[i];
   }
   /// Compares `row`'s key with `key` under CompareKeys' prefix and length
-  /// rules, reading the key cells in place.
+  /// rules, reading the key cells in place beside `key`'s.
   int CompareRow(const Row& row, const KeyTuple& key) const;
   size_t LowerBound(const LeafNode& leaf, const KeyTuple& key) const;
   Row* Find(const KeyTuple& key) const;
-  /// Inserts `row`, or overwrites its entry when `overwrite`; returns false
-  /// if the key was already present.
-  bool Put(Row row, bool overwrite);
+  /// Inserts `row`, or overwrites its entry when `overwrite`; returns the
+  /// inserted entry, or nullptr if the key was already present.
+  Row* Put(Row row, bool overwrite);
   LeafNode* LeftmostLeaf() const;
   Status CheckNode(const Node* node, size_t depth, const KeyTuple* lo,
                    const KeyTuple* hi, const LeafNode** last,

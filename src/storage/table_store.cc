@@ -22,30 +22,38 @@ TableStore::TableStore(uint32_t table_id, std::string name, Schema schema)
     : table_id_(table_id), name_(std::move(name)), schema_(std::move(schema)),
       clustered_(schema_.key_ordinals()) {}
 
-KeyTuple TableStore::IndexKeyOf(const SecondaryIndex& idx,
-                                const Row& row) const {
-  KeyTuple key = Schema::ExtractColumns(row, idx.ordinals);
-  // Append the primary key so non-unique index entries stay distinct.
-  KeyTuple pk = schema_.ExtractKey(row);
-  key.insert(key.end(), pk.begin(), pk.end());
-  return key;
+Row TableStore::IndexEntryOf(const SecondaryIndex& idx, const Row& row) const {
+  // The primary key follows the index columns so that non-unique index
+  // entries stay distinct.
+  const std::vector<size_t>& pk = schema_.key_ordinals();
+  const size_t n = idx.ordinals.size();
+  Row::Cursor cells(row);
+  return Row::Pack(n + pk.size(), [&](size_t i) {
+    return cells[i < n ? idx.ordinals[i] : pk[i - n]];
+  });
 }
 
 Status TableStore::Insert(Row row) {
   WriterMutexLock latch(&latch_);
   SL_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  KeyTuple pk = schema_.ExtractKey(row);
-  if (clustered_.Contains(pk))
+  // The clustered insert is the one primary-key search and changes nothing
+  // on a duplicate, so that error wins over a unique violation; only a
+  // unique violation pays a second search, to take the row back out.
+  const Row* stored = nullptr;
+  if (!clustered_.Insert(std::move(row), &stored).ok())
     return Status::AlreadyExists("duplicate primary key in table '" + name_ +
                                  "'");
-  // Check unique indexes before mutating anything.
   for (const auto& idx : indexes_) {
-    if (idx->unique)
-      SL_RETURN_IF_ERROR(
-          CheckUnique(*idx, Schema::ExtractColumns(row, idx->ordinals)));
+    if (!idx->unique) continue;
+    Status st = CheckUnique(*idx, stored->Project(idx->ordinals));
+    if (!st.ok()) {
+      (void)clustered_.Delete(schema_.ExtractKey(*stored));  // just put in
+      return st;
+    }
   }
-  for (const auto& idx : indexes_) idx->tree.Upsert(IndexKeyOf(*idx, row));
-  return clustered_.Insert(std::move(row));
+  for (const auto& idx : indexes_)
+    idx->tree.Upsert(IndexEntryOf(*idx, *stored));
+  return Status::OK();
 }
 
 Status TableStore::Update(const Row& row) {
@@ -58,18 +66,17 @@ Status TableStore::Update(const Row& row) {
   // already present belongs to another row.
   for (const auto& idx : indexes_) {
     if (!idx->unique) continue;
-    KeyTuple prefix = Schema::ExtractColumns(row, idx->ordinals);
-    if (CompareKeys(prefix, Schema::ExtractColumns(*old_row, idx->ordinals)) !=
-        0)
+    KeyTuple prefix = row.Project(idx->ordinals);
+    if (CompareKeys(prefix, old_row->Project(idx->ordinals)) != 0)
       SL_RETURN_IF_ERROR(CheckUnique(*idx, prefix));
   }
   for (const auto& idx : indexes_) {
-    KeyTuple old_key = IndexKeyOf(*idx, *old_row);
-    KeyTuple new_key = IndexKeyOf(*idx, row);
-    if (CompareKeys(old_key, new_key) != 0) {
+    Row old_entry = IndexEntryOf(*idx, *old_row);
+    Row new_entry = IndexEntryOf(*idx, row);
+    if (CompareKeys(old_entry, new_entry) != 0) {
       // The clustered row was just read, so its index entry exists.
-      (void)idx->tree.Delete(old_key);
-      idx->tree.Upsert(std::move(new_key));
+      (void)idx->tree.Delete(old_entry);
+      idx->tree.Upsert(std::move(new_entry));
     }
   }
   *old_row = row;
@@ -83,7 +90,7 @@ Status TableStore::Delete(const KeyTuple& key) {
     return Status::NotFound("row not found in table '" + name_ + "'");
   for (const auto& idx : indexes_) {
     // The clustered row was just read, so its index entry exists.
-    (void)idx->tree.Delete(IndexKeyOf(*idx, *old_row));
+    (void)idx->tree.Delete(IndexEntryOf(*idx, *old_row));
   }
   return clustered_.Delete(key);
 }
@@ -129,7 +136,7 @@ Status TableStore::CreateIndex(const std::string& index_name,
   idx->unique = unique;
   // Build from existing rows.
   for (BTree::Iterator it = clustered_.Begin(); it.Valid(); it.Next())
-    idx->tree.Upsert(IndexKeyOf(*idx, it.value()));
+    idx->tree.Upsert(IndexEntryOf(*idx, it.value()));
   if (unique) {
     // Stored tuples carry the primary key as a suffix, so duplicates of the
     // indexed columns appear as adjacent entries sharing the prefix.

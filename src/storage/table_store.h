@@ -41,10 +41,11 @@ struct IndexDef {
   bool operator==(const IndexDef&) const = default;
 };
 
-/// A non-clustered index over a subset of columns. Each entry is the index
-/// columns followed by the primary-key columns, and is its own key, which
-/// both makes non-unique indexes representable and gives deterministic
-/// iteration order for verification.
+/// A non-clustered index over a subset of columns. Each entry is a packed
+/// Row of the index columns followed by the primary-key columns
+/// (TableStore::IndexEntryOf), and is its own key, which both makes
+/// non-unique indexes representable and gives deterministic iteration order
+/// for verification.
 struct SecondaryIndex {
   std::string name;
   std::vector<size_t> ordinals;  // indexed column ordinals
@@ -135,9 +136,13 @@ class TableStore {
   BTree* mutable_clustered() NO_THREAD_SAFETY_ANALYSIS { return &clustered_; }
 
   KeyTuple KeyOf(const Row& row) const { return schema_.ExtractKey(row); }
+  /// The entry `idx` holds for `row`: its index columns followed by its
+  /// primary-key columns, packed once. The one definition of an index
+  /// entry; the verifier rebuilds each from the base rows (paper §3.4.1
+  /// invariant 5).
+  Row IndexEntryOf(const SecondaryIndex& idx, const Row& row) const;
 
  private:
-  KeyTuple IndexKeyOf(const SecondaryIndex& idx, const Row& row) const;
   SecondaryIndex* FindIndexLocked(const std::string& index_name)
       REQUIRES_SHARED(latch_);
 

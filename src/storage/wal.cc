@@ -219,7 +219,7 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
       op.definition = std::make_shared<const TableDefinition>(std::move(*def));
     } else if (op.type == WalOpType::kDelete ||
                op.type == WalOpType::kLedgerDelete) {
-      auto key = DecodeValues(&dec);
+      auto key = DecodeRow(&dec);
       if (!key.ok()) return key.status();
       op.key = std::move(*key);
       if (op.type == WalOpType::kLedgerDelete) {

@@ -18,7 +18,7 @@
 #include <map>
 #include <set>
 
-#include "catalog/value.h"
+#include "catalog/row.h"
 #include "util/metrics.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"

@@ -1,10 +1,11 @@
 // Packed Row: round trips of every type, exact block sizes of the
 // variable-width cell layout, copy and move semantics, CellRef writes (in
-// place and repacking), a tpcc order_line version's size, and two seeded
+// place and repacking), a tpcc order_line version's size, and three seeded
 // property tests: a Cell read from a row orders exactly like the Value it
-// was packed from, and every type at every width boundary survives
-// packing, reads, writes and the WAL encoding. SQLLEDGER_TEST_SEED picks
-// the property tests' values.
+// was packed from, every type at every width boundary survives packing,
+// reads, writes and the WAL encoding, and CompareKeys on packed keys
+// orders like a loop of Cell::Compare. SQLLEDGER_TEST_SEED picks the
+// property tests' values.
 
 #include <gtest/gtest.h>
 
@@ -433,10 +434,12 @@ TEST(RowTest, WidthBoundariesSurviveEveryPath) {
       }
     }
 
-    // The WAL bytes are the values' bytes, and decode to the same block.
+    // The WAL bytes are the count, then the values' bytes, and decode to
+    // the same block.
     std::vector<uint8_t> bytes, value_bytes;
     EncodeRow(row, &bytes);
-    EncodeRow(want, &value_bytes);
+    PutVarint32(&value_bytes, static_cast<uint32_t>(want.size()));
+    for (const Value& v : want) v.EncodeTo(&value_bytes);
     ASSERT_EQ(bytes, value_bytes) << where;
     Decoder dec{Slice(bytes)};
     auto decoded = DecodeRow(&dec);
@@ -444,6 +447,94 @@ TEST(RowTest, WidthBoundariesSurviveEveryPath) {
     EXPECT_TRUE(dec.done()) << where;
     ExpectRowIs(*decoded, want, where + " decode");
   }
+}
+
+TEST(KeyCompareTest, Lexicographic) {
+  KeyTuple a{Value::BigInt(1), Value::BigInt(2)};
+  KeyTuple b{Value::BigInt(1), Value::BigInt(3)};
+  KeyTuple prefix{Value::BigInt(1)};
+  EXPECT_LT(CompareKeys(a, b), 0);
+  EXPECT_GT(CompareKeys(b, a), 0);
+  EXPECT_EQ(CompareKeys(a, a), 0);
+  EXPECT_LT(CompareKeys(prefix, a), 0);  // shorter sorts first on tie
+}
+
+int Sign(int r) { return (r > 0) - (r < 0); }
+
+// The reference key order: Cell::Compare cell by cell, then the shorter key
+// first.
+int ReferenceCompare(const std::vector<Value>& a, const std::vector<Value>& b) {
+  for (size_t i = 0; i < a.size() && i < b.size(); i++) {
+    int r = a[i].Compare(b[i]);
+    if (r != 0) return r;
+  }
+  return Sign(static_cast<int>(a.size()) - static_cast<int>(b.size()));
+}
+
+// A key cell: any of the 8 types or a NULL of one, drawn from few values so
+// that ties are common: negatives, +-0.0, empty strings and integers of
+// every payload width (which compare numerically across types) included.
+Value RandomKeyCell(Random* rng) {
+  const int64_t small = rng->UniformRange(-2, 2);
+  switch (rng->Uniform(9)) {
+    case 0:
+      return Value::Null(static_cast<DataType>(1 + rng->Uniform(8)));
+    case 1:
+      return Value::Bool(rng->Uniform(2) == 1);
+    case 2:
+      return Value::SmallInt(static_cast<int16_t>(small));
+    case 3:
+      return Value::Int(static_cast<int32_t>(small * 70000));
+    case 4: {
+      const int64_t edges[] = {std::numeric_limits<int64_t>::min() + 2,
+                               0, std::numeric_limits<int64_t>::max() - 2};
+      return Value::BigInt(rng->Uniform(2) == 0 ? small * 5000000000
+                                                : edges[rng->Uniform(3)] +
+                                                      small);
+    }
+    case 5: {
+      const double doubles[] = {-0.0, 0.0, -1.5, 1.5, -1e300};
+      return Value::Double(doubles[rng->Uniform(5)]);
+    }
+    case 6: {
+      const char* strings[] = {"", "a", "ab", "b"};
+      return Value::Varchar(strings[rng->Uniform(4)]);
+    }
+    case 7:
+      return Value::Varbinary(
+          std::vector<uint8_t>(rng->Uniform(3), static_cast<uint8_t>(small)));
+    default:
+      return Value::Timestamp(small);
+  }
+}
+
+// CompareKeys on packed keys equals the reference loop over their Values()
+// and is antisymmetric. Keys have 0-4 cells; half the pairs share a prefix
+// of random length, so equal prefixes of different lengths are common.
+TEST(KeyCompareTest, PackedKeysOrderLikeCellCompare) {
+  Random rng(TestCaseSeed(3));
+  int less = 0, equal = 0, greater = 0;
+  for (int round = 0; round < 5000; round++) {
+    std::vector<Value> a(rng.Uniform(5)), b;
+    for (Value& v : a) v = RandomKeyCell(&rng);
+    if (rng.Uniform(2) == 0)
+      b.assign(a.begin(), a.begin() + rng.Uniform(a.size() + 1));
+    const size_t b_size = b.size() + rng.Uniform(5 - b.size());
+    while (b.size() < b_size) b.push_back(RandomKeyCell(&rng));
+    const KeyTuple ka = Row(a), kb = Row(b);
+    const int got = Sign(CompareKeys(ka, kb));
+    ASSERT_EQ(got, Sign(ReferenceCompare(ka.Values(), kb.Values())))
+        << "seed " << TestSeed() << " round " << round;
+    ASSERT_EQ(Sign(CompareKeys(kb, ka)), -got)
+        << "seed " << TestSeed() << " round " << round;
+    ASSERT_EQ(CompareKeys(ka, ka), 0);
+    ASSERT_EQ(KeyTupleLess()(ka, kb), got < 0);
+    (got < 0 ? less : got == 0 ? equal : greater)++;
+  }
+  // Every outcome occurs, ties included.
+  EXPECT_GT(less, 0);
+  EXPECT_GT(equal, 0);
+  EXPECT_GT(greater, 0);
 }
 
 // A TPC-C order_line version as the bench's tpcc workload writes it (16

@@ -94,6 +94,49 @@ TEST(TableStoreTest, UniqueIndexEnforced) {
   ASSERT_TRUE(t.Insert({VB(2), VS("bob"), VB(20)}).ok());
 }
 
+// A row that breaks both the primary key and a unique index gets the
+// primary-key error: the clustered insert, which finds the duplicate key,
+// runs before the unique checks.
+TEST(TableStoreTest, IdenticalReinsertGetsPrimaryKeyError) {
+  TableStore t(100, "t", ThreeColSchema());
+  ASSERT_TRUE(t.CreateIndex("uniq_name", {1}, true).ok());
+  ASSERT_TRUE(t.Insert({VB(1), VS("alice"), VB(10)}).ok());
+  Status st = t.Insert({VB(1), VS("alice"), VB(10)});
+  EXPECT_EQ(st.code(), StatusCode::kAlreadyExists);
+  EXPECT_NE(st.message().find("duplicate primary key"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(t.row_count(), 1u);
+  EXPECT_EQ(t.FindIndex("uniq_name")->tree.size(), 1u);
+}
+
+// A unique-only violation takes the just-inserted row back out of the
+// clustered tree, here after its insert split a full leaf: no row, index
+// entry or count survives it.
+TEST(TableStoreTest, UniqueViolationLeavesNoPartialEffects) {
+  TableStore t(100, "t", ThreeColSchema());
+  ASSERT_TRUE(t.CreateIndex("by_score", {2}, false).ok());
+  ASSERT_TRUE(t.CreateIndex("uniq_name", {1}, true).ok());
+  for (int64_t id = 0; id < 128; id += 2)
+    ASSERT_TRUE(t.Insert({VB(id), VS("n" + std::to_string(id)), VB(id)}).ok());
+  const size_t leaves = t.mutable_clustered()->LeafCount();
+  Status st = t.Insert({VB(63), VS("n8"), VB(99)});
+  EXPECT_EQ(st.code(), StatusCode::kAlreadyExists);
+  EXPECT_NE(st.message().find("unique index violation"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(t.row_count(), 64u);
+  EXPECT_EQ(t.Get({VB(63)}), nullptr);
+  ASSERT_NE(t.Get({VB(8)}), nullptr);
+  EXPECT_EQ((*t.Get({VB(8)}))[1].string_value(), "n8");
+  EXPECT_EQ(t.FindIndex("by_score")->tree.size(), 64u);
+  EXPECT_EQ(t.FindIndex("uniq_name")->tree.size(), 64u);
+  // The split is kept; only the row is gone.
+  EXPECT_GT(t.mutable_clustered()->LeafCount(), leaves);
+  EXPECT_TRUE(t.mutable_clustered()->CheckInvariants().ok());
+  // The key is free again.
+  ASSERT_TRUE(t.Insert({VB(63), VS("n63"), VB(63)}).ok());
+  EXPECT_EQ(t.row_count(), 65u);
+}
+
 // An update that moves a row onto another row's unique value fails before
 // any mutation: the row and every index entry stay as they were.
 TEST(TableStoreTest, UpdateEnforcesUniqueIndex) {
@@ -233,7 +276,7 @@ TEST(TableStoreTest, RandomDmlMatchesModelWithTrailingKey) {
     std::sort(expected_index.begin(), expected_index.end(), KeyTupleLess());
     std::vector<KeyTuple> index;
     for (BTree::Iterator it = idx->tree.Begin(); it.Valid(); it.Next())
-      index.push_back(it.value().Values());
+      index.push_back(it.value());
     ASSERT_EQ(index, expected_index);
     // A prefix seek lands on the group's first live row.
     auto first = model.lower_bound({grp, INT64_MIN});

@@ -250,7 +250,7 @@ TEST_F(TamperTest, IndexTamperDetected) {
   BTree::Iterator it = index->tree.Begin();
   ASSERT_TRUE(it.Valid());
   // (balance, name): the entry is its own key.
-  KeyTuple forged_tuple = it.value().Values();
+  KeyTuple forged_tuple = it.value();
   ASSERT_TRUE(index->tree.Delete(forged_tuple).ok());
   forged_tuple[0] = VB(123456789);
   index->tree.Upsert(forged_tuple);
@@ -262,7 +262,8 @@ TEST_F(TamperTest, IndexEntryDeletionDetected) {
   SecondaryIndex* index = store->FindIndex("by_balance");
   BTree::Iterator it = index->tree.Begin();
   ASSERT_TRUE(it.Valid());
-  ASSERT_TRUE(index->tree.Delete(it.value().Values()).ok());
+  const KeyTuple entry = it.value();
+  ASSERT_TRUE(index->tree.Delete(entry).ok());
   EXPECT_TRUE(HasInvariant(Verify(), 5));
 }
 

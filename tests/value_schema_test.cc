@@ -441,8 +441,10 @@ TEST(RowCodecTest, EncodeRowGoldenBytes) {
 
 TEST(RowCodecTest, DecodeRejectsRowsWiderThanABlock) {
   for (size_t n : {Row::kMaxColumns, Row::kMaxColumns + 1}) {
+    // The encoding of `n` NULL INTs: the count, then one tag byte a cell.
     std::vector<uint8_t> buf;
-    EncodeRow(KeyTuple(n, Value::Null(DataType::kInt)), &buf);
+    PutVarint32(&buf, static_cast<uint32_t>(n));
+    buf.insert(buf.end(), n, Value::Null(DataType::kInt).tag());
     Decoder dec{Slice(buf)};
     auto row = DecodeRow(&dec);
     if (n == Row::kMaxColumns) {
@@ -462,30 +464,14 @@ TEST(RowCodecTest, DecodeRowRejectsHugeCountBeforeAllocating) {
   EXPECT_TRUE(DecodeRow(&dec).status().IsCorruption());
 }
 
-TEST(RowCodecTest, DecodeValuesRejectsCountBeyondItsBytes) {
+TEST(RowCodecTest, DecodeRowRejectsCountBeyondItsBytes) {
   const std::vector<uint8_t> buf = {0xFF, 0xFF, 0xFF, 0xFF, 0x0F};
   Decoder dec{Slice(buf)};
-  EXPECT_TRUE(DecodeValues(&dec).status().IsCorruption());
+  EXPECT_TRUE(DecodeRow(&dec).status().IsCorruption());
   // Two cells announced, one present.
   const std::vector<uint8_t> short_buf = {0x02, 0x86};
   Decoder short_dec{Slice(short_buf)};
-  EXPECT_TRUE(DecodeValues(&short_dec).status().IsCorruption());
-}
-
-TEST(RowCodecTest, PayloadBytes) {
-  Row row{Value::Int(1), Value::Varchar("abcde"), Value::Null(DataType::kInt),
-          Value::Double(1.0)};
-  EXPECT_EQ(RowPayloadBytes(row), 4u + 5u + 0u + 8u);
-}
-
-TEST(KeyCompareTest, Lexicographic) {
-  KeyTuple a{Value::BigInt(1), Value::BigInt(2)};
-  KeyTuple b{Value::BigInt(1), Value::BigInt(3)};
-  KeyTuple prefix{Value::BigInt(1)};
-  EXPECT_LT(CompareKeys(a, b), 0);
-  EXPECT_GT(CompareKeys(b, a), 0);
-  EXPECT_EQ(CompareKeys(a, a), 0);
-  EXPECT_LT(CompareKeys(prefix, a), 0);  // shorter sorts first on tie
+  EXPECT_TRUE(DecodeRow(&short_dec).status().IsCorruption());
 }
 
 }  // namespace
