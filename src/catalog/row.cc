@@ -139,13 +139,8 @@ Row Row::Project(const std::vector<size_t>& ordinals) const {
   row.block_ = Allocate(n, cell_bytes);
   uint8_t* tags = row.block_ + kHeaderBytes;
   uint8_t* p = tags + n;
-  for (size_t i = 0; i < n; i++) {
-    const Iterator& c = cells.At(ordinals[i]);
-    const size_t bytes = PayloadBytes(*c.tag_, c.payload_);
-    tags[i] = *c.tag_;
-    std::memcpy(p, c.payload_, bytes);
-    p += bytes;
-  }
+  for (size_t i = 0; i < n; i++)
+    p = CopyCell(cells.At(ordinals[i]), tags + i, p);
   return row;
 }
 
@@ -175,25 +170,57 @@ bool Row::operator==(const Row& other) const {
   return true;
 }
 
-void EncodeRow(const Row& row, std::vector<uint8_t>* dst) {
-  PutVarint32(dst, static_cast<uint32_t>(row.size()));
-  for (Cell c : row) c.EncodeTo(dst);
+void EncodeRow(const Row& row, const Row* prev, std::vector<uint8_t>* dst) {
+  const size_t n = row.size();
+  PutVarint32(dst, static_cast<uint32_t>(n));
+  if (prev == nullptr || prev->size() != n) {
+    for (Cell c : row) c.EncodeTo(dst);
+    return;
+  }
+  const size_t bitmap = dst->size();
+  dst->resize(bitmap + (n + 7) / 8, 0);
+  size_t i = 0;
+  for (Row::Iterator c = row.begin(), p = prev->begin(); c != row.end();
+       ++c, ++p, i++) {
+    if (c.SameBytes(p)) {
+      (*dst)[bitmap + i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+    } else {
+      (*c).EncodeTo(dst);
+    }
+  }
 }
 
-Result<Row> DecodeRow(Decoder* dec) {
+Result<Row> DecodeRow(Decoder* dec, const Row* prev) {
   auto count = dec->GetVarint32();
   if (!count.ok()) return count.status();
   const size_t n = *count;
   if (n > Row::kMaxColumns)
     return Status::Corruption("encoded row is too wide for a row block");
+  const uint8_t* repeats = nullptr;  // the bitmap, if the row has one
+  if (prev != nullptr && prev->size() == n && n != 0) {
+    auto bitmap = dec->GetBytes((n + 7) / 8);
+    if (!bitmap.ok()) return bitmap.status();
+    repeats = bitmap->data();
+    if (n % 8 != 0 && (repeats[n / 8] >> (n % 8)) != 0)
+      return Status::Corruption("unused bits set in a row's repeat bitmap");
+  }
+  auto repeated = [repeats](size_t i) {
+    return repeats != nullptr && ((repeats[i / 8] >> (i % 8)) & 1) != 0;
+  };
   // Pass 1 validates every cell and sizes the block on a copy of the
   // decoder; pass 2 re-reads the same bytes into the block.
   Decoder sizing = *dec;
   size_t cell_bytes = 0;
+  Row::Iterator from = repeats != nullptr ? prev->begin() : Row().begin();
   for (size_t i = 0; i < n; i++) {
-    auto c = Cell::DecodeView(&sizing);
-    if (!c.ok()) return c.status();
-    cell_bytes += Row::EncodedBytes(*c);
+    if (repeated(i)) {
+      cell_bytes += Row::StoredBytes(from);
+    } else {
+      auto c = Cell::DecodeView(&sizing);
+      if (!c.ok()) return c.status();
+      cell_bytes += Row::EncodedBytes(*c);
+    }
+    if (repeats != nullptr) ++from;
   }
   if (cell_bytes > std::numeric_limits<uint32_t>::max())
     return Status::Corruption("encoded row is too large for a row block");
@@ -202,8 +229,12 @@ Result<Row> DecodeRow(Decoder* dec) {
   row.block_ = Row::Allocate(n, cell_bytes);
   uint8_t* tags = row.block_ + Row::kHeaderBytes;
   uint8_t* p = tags + n;
-  for (size_t i = 0; i < n; i++)
-    p = Row::Put(tags + i, p, *Cell::DecodeView(dec));
+  from = repeats != nullptr ? prev->begin() : Row().begin();
+  for (size_t i = 0; i < n; i++) {
+    p = repeated(i) ? Row::CopyCell(from, tags + i, p)
+                    : Row::Put(tags + i, p, *Cell::DecodeView(dec));
+    if (repeats != nullptr) ++from;
+  }
   return row;
 }
 

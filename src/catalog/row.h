@@ -122,6 +122,15 @@ class Row {
       return *this;
     }
     bool operator==(const Iterator& other) const { return tag_ == other.tag_; }
+    /// True if the cells here and at `other` are stored as the same bytes:
+    /// the same type, NULL flag and value bits (so +0.0 and -0.0 differ,
+    /// and a NaN matches only its own bit pattern).
+    bool SameBytes(const Iterator& other) const {
+      if (*tag_ != *other.tag_) return false;
+      const size_t n = PayloadBytes(*tag_, payload_);
+      return n == PayloadBytes(*other.tag_, other.payload_) &&
+             std::memcmp(payload_, other.payload_, n) == 0;
+    }
 
    private:
     friend class Row;
@@ -182,7 +191,7 @@ class Row {
  private:
   friend class CellRef;
 
-  friend Result<Row> DecodeRow(Decoder* dec);
+  friend Result<Row> DecodeRow(Decoder* dec, const Row* prev);
 
   static constexpr size_t kHeaderBytes = 8;
   static constexpr uint8_t kWidthShift = 4;
@@ -276,6 +285,19 @@ class Row {
   /// bytes by memmove, so `c` may view the destination) and returns the
   /// end of the payload.
   static uint8_t* Put(uint8_t* tag, uint8_t* p, const Cell& c);
+  /// Bytes the stored cell at `c` takes: its tag and payload.
+  static size_t StoredBytes(const Iterator& c) {
+    return 1 + PayloadBytes(*c.tag_, c.payload_);
+  }
+  /// Copies the stored cell at `c` to the tag at `tag` and the payload at
+  /// `p` (a cell's bytes do not depend on its position) and returns the end
+  /// of the payload.
+  static uint8_t* CopyCell(const Iterator& c, uint8_t* tag, uint8_t* p) {
+    const size_t bytes = PayloadBytes(*c.tag_, c.payload_);
+    *tag = *c.tag_;
+    std::memcpy(p, c.payload_, bytes);
+    return p + bytes;
+  }
   /// Allocates a block for `n` cells of `cell_bytes` bytes and writes its
   /// header.
   static uint8_t* Allocate(size_t n, size_t cell_bytes);
@@ -343,15 +365,26 @@ struct KeyTupleLess {
   }
 };
 
-/// Appends `row` to `dst`: varint count followed by encoded cells
-/// (Cell::EncodeTo).
-void EncodeRow(const Row& row, std::vector<uint8_t>* dst);
+/// Appends `row` to `dst` encoded against its predecessor `prev`, the
+/// tuple written before it (a WAL record's or checkpoint store's): the
+/// varint cell count, then, when `prev` has the same count n, a repeat
+/// bitmap of ceil(n/8) bytes whose bit i (byte i/8, bit i%8) is set when
+/// cell i is stored as the same bytes as `prev`'s (Row::Iterator::SameBytes)
+/// and whose unused high bits are zero; then each cell whose bit is clear
+/// (or each cell, with no bitmap) as Cell::EncodeTo writes it. With `prev`
+/// null or of another width there is no bitmap.
+void EncodeRow(const Row& row, const Row* prev, std::vector<uint8_t>* dst);
+/// A row with no predecessor: its count, then every cell.
+inline void EncodeRow(const Row& row, std::vector<uint8_t>* dst) {
+  EncodeRow(row, nullptr, dst);
+}
 
-/// Decodes one encoded row straight into a packed block: one pass sizes
-/// it, a second fills it. Corruption past kMaxColumns cells, on a cell
-/// missing from the input or past 4 GiB of string bytes, checked before
-/// anything is allocated.
-Result<Row> DecodeRow(Decoder* dec);
+/// Decodes one row encoded against `prev` (EncodeRow) straight into a
+/// packed block: one pass sizes it, a second fills it, copying a repeated
+/// cell's bytes from `prev`. Corruption past kMaxColumns cells, on a cell
+/// missing from the input, on a set unused bitmap bit or past 4 GiB of
+/// string bytes, checked before anything is allocated.
+Result<Row> DecodeRow(Decoder* dec, const Row* prev = nullptr);
 
 }  // namespace sqlledger
 

@@ -11,11 +11,13 @@
 namespace sqlledger {
 
 namespace {
-// WAL record kinds (first payload byte). Kind 1 was the commit record that
-// logged history rows and whole table roots; a log holding one is refused.
+// WAL record kinds (first payload byte). Retired commit records, refused
+// in a log: kind 1 logged history rows and whole table roots, kind 3
+// stamped row images encoded without predecessors.
 constexpr uint8_t kWalKindRetiredCommit = 1;
 constexpr uint8_t kWalKindBlockClose = 2;
-constexpr uint8_t kWalKindCommit = 3;
+constexpr uint8_t kWalKindRetiredStampedCommit = 3;
+constexpr uint8_t kWalKindCommit = 4;
 
 // Events kept by the database's trace ring before the oldest is overwritten
 // (DESIGN.md §13).
@@ -74,9 +76,23 @@ TableDefinition NewTableDefinition(const std::string& name,
 
 void CatalogEntry::LinkRef() {
   const Schema& s = main->schema();
-  ref = {table_id, kind, main.get(), history.get(),
-         s.FindColumn(kColStartTxn), s.FindColumn(kColStartSeq),
-         s.FindColumn(kColEndTxn), s.FindColumn(kColEndSeq)};
+  std::vector<size_t> visible = s.VisibleOrdinals();
+  std::vector<size_t> key_positions;
+  for (size_t key_ord : s.key_ordinals()) {
+    auto at = std::find(visible.begin(), visible.end(), key_ord);
+    if (at == visible.end()) break;
+    key_positions.push_back(static_cast<size_t>(at - visible.begin()));
+  }
+  ref = {table_id,
+         kind,
+         main.get(),
+         history.get(),
+         s.FindColumn(kColStartTxn),
+         s.FindColumn(kColStartSeq),
+         s.FindColumn(kColEndTxn),
+         s.FindColumn(kColEndSeq),
+         std::move(visible),
+         std::move(key_positions)};
 }
 
 LedgerDatabase::LedgerDatabase(LedgerDatabaseOptions options)
@@ -425,56 +441,59 @@ Status LedgerDatabase::Recover() {
 }
 
 namespace {
-// Redoes one row op. On a ledger table it rebuilds what the record does not
-// log as the DML did: an update or delete retires the current version
-// through RetireVersion, and each version's leaf hash reaches `merkle`.
+// Redoes one row op as its statement did: an insert or update pads the
+// logged user row with PadVersion, stamping a ledger version with
+// (txn_id, its sequence), and on a ledger table an update or delete
+// retires the current version through RetireVersion; each version's leaf
+// hash reaches `merkle`. `next_seq` is the record's running sequence
+// counter (WalOp), which a ledger op advances past the numbers it takes.
 Status ReplayRowOp(const LedgerTableRef& t, const WalOp& op, uint64_t txn_id,
-                   MerkleBuilder* merkle) {
+                   uint64_t* next_seq, MerkleBuilder* merkle) {
   const bool ledger = t.kind != TableKind::kRegular;
   if (op.type == (ledger ? WalOpType::kDelete : WalOpType::kLedgerDelete))
     return Status::Corruption(ledger ? "plain delete on a ledger table"
                                      : "ledger delete on a regular table");
-  uint64_t seq = 0;
-  if (ledger && op.type != WalOpType::kLedgerDelete) {
-    if (op.new_row.size() != t.main->schema().num_columns())
-      return Status::Corruption("row does not fit the schema");
-    // The installed version names itself in its start cells.
-    Row::Cursor cells(op.new_row);
-    const Cell start_txn = cells[t.start_txn_ord];
-    const Cell start_seq = cells[t.start_seq_ord];
-    if (start_txn.is_null() || start_seq.is_null() ||
-        start_txn.AsInt64() != static_cast<int64_t>(txn_id) ||
-        start_seq.AsInt64() < (op.type == WalOpType::kUpdate ? 1 : 0))
-      return Status::Corruption("row is not stamped by its transaction");
-    seq = static_cast<uint64_t>(start_seq.AsInt64());
+  if (!ledger && op.seq_gap != 0)
+    return Status::Corruption("sequence gap on a regular table");
+  const bool update = op.type == WalOpType::kUpdate;
+  // The statement's first sequence number; an update takes two.
+  const uint64_t first = *next_seq + op.seq_gap;
+  if (ledger) *next_seq = first + (update ? 2 : 1);
+  if (ledger && op.type != WalOpType::kInsert && t.history == nullptr)
+    return Status::Corruption("retires a row of an append-only table");
+
+  if (op.type == WalOpType::kDelete || op.type == WalOpType::kLedgerDelete) {
+    if (ledger) {
+      auto current = t.main->GetCopy(op.key);
+      if (!current.has_value())
+        return Status::Corruption("retires a missing row");
+      auto retired = RetireVersion(t, *current, txn_id, first, merkle);
+      if (!retired.ok()) return retired.status();
+    }
+    return t.main->Delete(op.key);
   }
-  if (ledger && op.type != WalOpType::kInsert) {
-    if (t.history == nullptr)
-      return Status::Corruption("retires a row of an append-only table");
-    const bool update = op.type == WalOpType::kUpdate;
-    auto current =
-        t.main->GetCopy(update ? t.main->KeyOf(op.new_row) : op.key);
+
+  const uint64_t seq = update ? first + 1 : first;
+  auto full = PadVersion(t, op.new_row, txn_id, seq);
+  if (!full.ok()) return full.status();
+  if (ledger && update) {
+    auto current = t.main->GetCopy(t.main->KeyOf(*full));
     if (!current.has_value())
       return Status::Corruption("retires a missing row");
-    auto retired = RetireVersion(t, *current, txn_id,
-                                 update ? UpdateRetireSeq(seq) : op.end_seq,
-                                 merkle);
+    auto retired =
+        RetireVersion(t, *current, txn_id, UpdateRetireSeq(seq), merkle);
     if (!retired.ok()) return retired.status();
   }
-  switch (op.type) {
-    case WalOpType::kInsert:
-      SL_RETURN_IF_ERROR(t.main->Insert(op.new_row));
-      break;
-    case WalOpType::kUpdate:
-      SL_RETURN_IF_ERROR(t.main->Update(op.new_row));
-      break;
-    default:
-      return t.main->Delete(op.key);
-  }
+  Hash256 leaf;
   if (ledger)
-    merkle->AddLeafHash(RowVersionLeafHash(t.main->schema(), op.new_row,
-                                           RowOp::kInsert, t.table_id, txn_id,
-                                           seq));
+    leaf = RowVersionLeafHash(t.main->schema(), *full, RowOp::kInsert,
+                              t.table_id, txn_id, seq);
+  if (update) {
+    SL_RETURN_IF_ERROR(t.main->Update(*full));
+  } else {
+    SL_RETURN_IF_ERROR(t.main->Insert(std::move(*full)));
+  }
+  if (ledger) merkle->AddLeafHash(leaf);
   return Status::OK();
 }
 }  // namespace
@@ -495,11 +514,14 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload,
   }
   // Refused like a retired checkpoint format: the error reaches Open before
   // the log is truncated, so no file changes.
-  if (kind == kWalKindRetiredCommit)
+  if (kind == kWalKindRetiredCommit || kind == kWalKindRetiredStampedCommit)
     return Status::NotSupported(
-        "WAL " + wal_path +
-        " has commit records of kind 1 (history rows and table roots logged "
-        "whole), which this build no longer reads; it reads only kind 3");
+        "WAL " + wal_path + " has commit records of kind " +
+        std::to_string(kind) +
+        (kind == kWalKindRetiredCommit
+             ? " (history rows and table roots logged whole)"
+             : " (stamped row images without predecessors)") +
+        ", which this build no longer reads; it reads only kind 4");
   if (kind != kWalKindCommit)
     return Status::Corruption("unknown WAL record kind");
 
@@ -512,6 +534,7 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload,
   // applied once, so an op the store refuses (a duplicate or missing row)
   // is Corruption.
   std::map<uint32_t, MerkleBuilder> merkle;  // ledger table id -> versions
+  uint64_t next_seq = 0;
   for (const WalOp& op : record->ops) {
     if (op.type == WalOpType::kDefineTable) {
       SL_RETURN_IF_ERROR(ApplyTableDefinition(op.table_id, *op.definition));
@@ -523,7 +546,7 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload,
       return Status::Corruption("WAL references unknown table id " +
                                 std::to_string(op.table_id));
     Status st = ReplayRowOp(
-        entry->ref, op, record->txn_id,
+        entry->ref, op, record->txn_id, &next_seq,
         entry->kind == TableKind::kRegular ? nullptr : &merkle[op.table_id]);
     if (!st.ok())
       return Status::Corruption("WAL replay of txn " +
@@ -723,9 +746,9 @@ Status LedgerDatabase::Commit(Transaction* txn) {
   if (!txn->ops().empty()) {
     // All per-transaction CPU work runs before joining the commit group,
     // outside every lock: the SHA-heavy Merkle root computation and the
-    // WAL record encoding (including the ops copy). Concurrent committers
-    // do this in parallel; the group leader's critical section is left
-    // with ordering + one batched append.
+    // WAL record encoding, straight from the transaction's ops. Concurrent
+    // committers do this in parallel; the group leader's critical section
+    // is left with ordering + one batched append.
     txn->FinalizeForCommit();
     CommitRequest req;
     req.txn = txn;
@@ -740,9 +763,8 @@ Status LedgerDatabase::Commit(Transaction* txn) {
       record.block_id = 0;
       record.block_ordinal = 0;
       record.SetTableRoots(txn->TableRoots());
-      record.ops = txn->ops();
       req.payload.push_back(kWalKindCommit);
-      req.slot_offset = record.EncodeTo(&req.payload);
+      req.slot_offset = record.EncodeTo(txn->ops(), &req.payload);
     }
     SL_RETURN_IF_ERROR(CommitThroughGroup(&req));
   }
@@ -913,19 +935,12 @@ Status LedgerDatabase::AcquireRowLock(Transaction* txn,
 
 Result<KeyTuple> LedgerDatabase::UserKeyOf(const CatalogEntry& entry,
                                            const Row& user_row) {
-  const Schema& schema = entry.main->schema();
-  std::vector<size_t> visible = schema.VisibleOrdinals();
-  // The key columns' positions in the user row.
-  std::vector<size_t> positions;
-  positions.reserve(schema.key_ordinals().size());
-  for (size_t key_ord : schema.key_ordinals()) {
-    auto at = std::find(visible.begin(), visible.end(), key_ord);
-    if (at == visible.end())
-      return Status::Internal("primary-key column is not visible");
-    size_t j = static_cast<size_t>(at - visible.begin());
+  const std::vector<size_t>& positions = entry.ref.user_key_positions;
+  if (positions.size() != entry.main->schema().key_ordinals().size())
+    return Status::Internal("primary-key column is not visible");
+  for (size_t j : positions) {
     if (j >= user_row.size())
       return Status::InvalidArgument("row is missing primary-key columns");
-    positions.push_back(j);
   }
   return user_row.Project(positions);
 }
@@ -973,9 +988,9 @@ Result<Row> LedgerDatabase::Get(Transaction* txn, const std::string& table,
   SL_RETURN_IF_ERROR(
       AcquireTableLock(txn, *entry, LockMode::kIntentionShared));
   SL_RETURN_IF_ERROR(AcquireRowLock(txn, *entry, key, LockMode::kShared));
-  auto row = entry->main->GetCopy(key);
+  auto row = entry->main->GetCopy(key, &entry->ref.visible_ords);
   if (!row.has_value()) return Status::NotFound("row not found");
-  return row->Project(entry->main->schema().VisibleOrdinals());
+  return std::move(*row);
 }
 
 Result<std::vector<Row>> LedgerDatabase::Scan(Transaction* txn,
@@ -984,9 +999,8 @@ Result<std::vector<Row>> LedgerDatabase::Scan(Transaction* txn,
   if (entry == nullptr) return Status::NotFound("table '" + table + "' not found");
   SL_RETURN_IF_ERROR(AcquireTableLock(txn, *entry, LockMode::kShared));
   std::vector<Row> out;
-  std::vector<size_t> visible = entry->main->schema().VisibleOrdinals();
   for (BTree::Iterator it = entry->main->Scan(); it.Valid(); it.Next())
-    out.push_back(it.value().Project(visible));
+    out.push_back(it.value().Project(entry->ref.visible_ords));
   return out;
 }
 
@@ -996,10 +1010,10 @@ Result<Row> LedgerDatabase::SeekFirst(Transaction* txn,
   CatalogEntry* entry = FindTable(table);
   if (entry == nullptr) return Status::NotFound("table '" + table + "' not found");
   SL_RETURN_IF_ERROR(AcquireTableLock(txn, *entry, LockMode::kShared));
-  auto row = entry->main->SeekFirstCopy(prefix);
+  auto row = entry->main->SeekFirstCopy(prefix, &entry->ref.visible_ords);
   if (!row.has_value())
     return Status::NotFound("no row with the given key prefix");
-  return row->Project(entry->main->schema().VisibleOrdinals());
+  return std::move(*row);
 }
 
 // ---- Ledger features ----

@@ -36,9 +36,8 @@ Hash256 VersionLeaf(const LedgerTableRef& t, const Row& row, RowOp op,
   return RowVersionLeafHash(t.main->schema(), row, op, t.table_id, txn_id,
                             seq);
 }
+}  // namespace
 
-/// `user_row` padded to the table's physical row: a ledger version carries
-/// its start stamps (txn_id, seq) from the one pack that builds it.
 Result<Row> PadVersion(const LedgerTableRef& t, const Row& user_row,
                        uint64_t txn_id, uint64_t seq) {
   const Schema& schema = t.main->schema();
@@ -50,30 +49,29 @@ Result<Row> PadVersion(const LedgerTableRef& t, const Row& user_row,
        {static_cast<size_t>(t.start_seq_ord),
         Value::BigInt(static_cast<int64_t>(seq))}});
 }
-}  // namespace
 
 Status LedgerInsert(Transaction* txn, const LedgerTableRef& t,
                     const Row& user_row) {
   if (!txn->active()) return Status::InvalidArgument("transaction not active");
   // The version takes the next sequence number once it pads.
   const uint64_t seq = txn->sequence_count();
-  auto padded = PadVersion(t, user_row, txn->id(), seq);
-  if (!padded.ok()) return padded.status();
-  const Row& full = *padded;
+  auto full = PadVersion(t, user_row, txn->id(), seq);
+  if (!full.ok()) return full.status();
+  KeyTuple key = t.main->KeyOf(*full);
 
   if (t.kind == TableKind::kRegular) {
-    KeyTuple key = t.main->KeyOf(full);
-    SL_RETURN_IF_ERROR(t.main->Insert(full));
-    txn->RecordInsert(t.main, key, full);
+    SL_RETURN_IF_ERROR(t.main->Insert(std::move(*full)));
+    txn->RecordInsert(t.main, key, user_row);
     return Status::OK();
   }
 
+  // The leaf is hashed before the version moves into the store; it joins
+  // the tree only if the insert succeeds.
   txn->NextSequence();
-  KeyTuple key = t.main->KeyOf(full);
-  SL_RETURN_IF_ERROR(t.main->Insert(full));
-  txn->RecordInsert(t.main, key, full);
-  txn->MerkleForTable(t.table_id)
-      ->AddLeafHash(VersionLeaf(t, full, RowOp::kInsert, txn->id(), seq));
+  const Hash256 leaf = VersionLeaf(t, *full, RowOp::kInsert, txn->id(), seq);
+  SL_RETURN_IF_ERROR(t.main->Insert(std::move(*full)));
+  txn->RecordInsert(t.main, key, user_row, seq);
+  txn->MerkleForTable(t.table_id)->AddLeafHash(leaf);
   return Status::OK();
 }
 
@@ -136,7 +134,7 @@ Status LedgerUpdate(Transaction* txn, const LedgerTableRef& t,
 
   if (t.kind == TableKind::kRegular) {
     SL_RETURN_IF_ERROR(t.main->Update(full));
-    txn->RecordUpdate(t.main, key, *current, full);
+    txn->RecordUpdate(t.main, key, *current, user_row);
     return Status::OK();
   }
 
@@ -148,7 +146,7 @@ Status LedgerUpdate(Transaction* txn, const LedgerTableRef& t,
   txn->NextSequence();  // the retire's: UpdateRetireSeq(seq)
   txn->NextSequence();
   SL_RETURN_IF_ERROR(t.main->Update(full));
-  txn->RecordUpdate(t.main, key, *current, full);
+  txn->RecordUpdate(t.main, key, *current, user_row, UpdateRetireSeq(seq));
 
   MerkleBuilder* merkle = txn->MerkleForTable(t.table_id);
   auto history_key = RetireVersion(t, *current, txn->id(),

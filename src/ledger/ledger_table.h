@@ -11,6 +11,8 @@
 #ifndef SQLLEDGER_LEDGER_LEDGER_TABLE_H_
 #define SQLLEDGER_LEDGER_LEDGER_TABLE_H_
 
+#include <vector>
+
 #include "catalog/schema.h"
 #include "ledger/types.h"
 #include "storage/table_store.h"
@@ -33,6 +35,14 @@ struct LedgerTableRef {
   int start_seq_ord = -1;
   int end_txn_ord = -1;  // -1 for append-only tables
   int end_seq_ord = -1;
+
+  /// Ordinals of the visible columns (Schema::VisibleOrdinals): a user
+  /// row's cells, in order.
+  std::vector<size_t> visible_ords;
+  /// Where a user row holds its primary key: the key columns' positions
+  /// among visible_ords, in key order. Shorter than the key when a key
+  /// column is not visible.
+  std::vector<size_t> user_key_positions;
 };
 
 /// Builds a ledger table's full schema from the user schema: appends the
@@ -43,6 +53,13 @@ Schema MakeLedgerSchema(const Schema& user_schema, TableKind kind);
 /// The mirrored history-table schema: same columns and column ids, keyed by
 /// (end transaction id, end sequence number) — unique per retired version.
 Schema MakeHistorySchema(const Schema& ledger_schema);
+
+/// `user_row` padded to the table's physical row, packed once: NULLs in
+/// the hidden and dropped columns, and on a ledger table the version's
+/// start stamps (txn_id, seq). The DML and WAL replay build every version
+/// they install with it.
+Result<Row> PadVersion(const LedgerTableRef& table, const Row& user_row,
+                       uint64_t txn_id, uint64_t seq);
 
 /// Inserts `user_row` (visible columns only, ordinal order).
 Status LedgerInsert(Transaction* txn, const LedgerTableRef& table,

@@ -10,10 +10,13 @@
 namespace sqlledger {
 
 namespace {
-// 02: compact cells (tag byte, zigzag varint integers). No reader for the
-// fixed-width 01 cells is kept; a 01 file is refused as NotSupported.
-constexpr char kMagic[] = "SLCKPT02";
+// 03: each store's rows encoded against the row before them (EncodeRow's
+// repeat bitmap). No reader is kept for the retired formats, which are
+// refused as NotSupported: 01 had fixed-width cells, 02 compact cells
+// without predecessors.
+constexpr char kMagic[] = "SLCKPT03";
 constexpr char kMagicV1[] = "SLCKPT01";
+constexpr char kMagicV2[] = "SLCKPT02";
 constexpr size_t kMagicLen = 8;
 // Room past a chunk's end, so the item that crosses the boundary is
 // encoded without the chunk reallocating. Larger items still fit: the chunk
@@ -91,9 +94,11 @@ Status WriteCheckpoint(const std::string& path, Slice meta,
     EncodeIndexDefs(table->IndexDefs(), payload.tail());
     PutVarint64(payload.tail(), table->row_count());
     payload.Seal();
+    const Row* prev = nullptr;
     for (BTree::Iterator it = table->Scan(); it.Valid(); it.Next()) {
-      EncodeRow(it.value(), payload.tail());
+      EncodeRow(it.value(), prev, payload.tail());
       payload.Seal();
+      prev = &it.value();
     }
   }
   const auto [payload_size, payload_crc] = payload.Finish();
@@ -128,11 +133,15 @@ Result<CheckpointData> ReadCheckpoint(const std::string& path, Env* env) {
   if (!header_n.ok()) return header_n.status();
   if (*header_n != sizeof(header))
     return Status::Corruption("checkpoint header truncated");
-  if (std::memcmp(header, kMagicV1, kMagicLen) == 0)
-    return Status::NotSupported(
-        "checkpoint " + path +
-        " has format SLCKPT01 (fixed-width cells), which this build no "
-        "longer reads; it reads only SLCKPT02");
+  for (const char* retired : {kMagicV1, kMagicV2}) {
+    if (std::memcmp(header, retired, kMagicLen) == 0)
+      return Status::NotSupported(
+          "checkpoint " + path + " has format " +
+          std::string(retired, kMagicLen) +
+          (retired == kMagicV1 ? " (fixed-width cells)"
+                               : " (rows without predecessors)") +
+          ", which this build no longer reads; it reads only SLCKPT03");
+  }
   if (std::memcmp(header, kMagic, kMagicLen) != 0)
     return Status::Corruption("bad checkpoint magic");
   uint64_t len = 0;
@@ -179,10 +188,13 @@ Result<CheckpointData> ReadCheckpoint(const std::string& path, Env* env) {
 
     auto row_count = dec.GetVarint64();
     if (!row_count.ok()) return row_count.status();
+    // The predecessor is the row just loaded, which stays put until the
+    // next insert: after the next row has been decoded against it.
+    const Row* prev = nullptr;
     for (uint64_t r = 0; r < *row_count; r++) {
-      auto row = DecodeRow(&dec);
+      auto row = DecodeRow(&dec, prev);
       if (!row.ok()) return row.status();
-      SL_RETURN_IF_ERROR(table->Insert(*row));
+      SL_RETURN_IF_ERROR(table->Insert(std::move(*row), &prev));
     }
     // Rebuild secondary indexes after rows are loaded so unique checks see
     // the final data.

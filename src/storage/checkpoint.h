@@ -41,8 +41,8 @@ Status WriteCheckpoint(const std::string& path, Slice meta,
                        Env* env = nullptr);
 
 /// Loads a checkpoint. NotFound if the file does not exist; NotSupported
-/// for a file of the retired SLCKPT01 format; Corruption on CRC or format
-/// errors. `env` = nullptr uses Env::Default().
+/// for a file of a retired format (SLCKPT01, SLCKPT02); Corruption on CRC
+/// or format errors. `env` = nullptr uses Env::Default().
 Result<CheckpointData> ReadCheckpoint(const std::string& path,
                                       Env* env = nullptr);
 

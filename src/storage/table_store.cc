@@ -16,6 +16,11 @@ Status CheckUnique(const SecondaryIndex& idx, const KeyTuple& prefix) {
                                  "'");
   return Status::OK();
 }
+
+/// A copy of `row`, or of its cells at `ordinals` when given.
+Row CopyOf(const Row& row, const std::vector<size_t>* ordinals) {
+  return ordinals == nullptr ? row : row.Project(*ordinals);
+}
 }  // namespace
 
 TableStore::TableStore(uint32_t table_id, std::string name, Schema schema)
@@ -33,7 +38,7 @@ Row TableStore::IndexEntryOf(const SecondaryIndex& idx, const Row& row) const {
   });
 }
 
-Status TableStore::Insert(Row row) {
+Status TableStore::Insert(Row row, const Row** stored_out) {
   WriterMutexLock latch(&latch_);
   SL_RETURN_IF_ERROR(schema_.ValidateRow(row));
   // The clustered insert is the one primary-key search and changes nothing
@@ -53,6 +58,7 @@ Status TableStore::Insert(Row row) {
   }
   for (const auto& idx : indexes_)
     idx->tree.Upsert(IndexEntryOf(*idx, *stored));
+  if (stored_out != nullptr) *stored_out = stored;
   return Status::OK();
 }
 
@@ -99,19 +105,21 @@ const Row* TableStore::Get(const KeyTuple& key) const {
   return clustered_.Get(key);
 }
 
-std::optional<Row> TableStore::GetCopy(const KeyTuple& key) const {
+std::optional<Row> TableStore::GetCopy(
+    const KeyTuple& key, const std::vector<size_t>* ordinals) const {
   ReaderMutexLock latch(&latch_);
   const Row* row = clustered_.Get(key);
   if (row == nullptr) return std::nullopt;
-  return *row;
+  return CopyOf(*row, ordinals);
 }
 
-std::optional<Row> TableStore::SeekFirstCopy(const KeyTuple& prefix) const {
+std::optional<Row> TableStore::SeekFirstCopy(
+    const KeyTuple& prefix, const std::vector<size_t>* ordinals) const {
   ReaderMutexLock latch(&latch_);
   BTree::Iterator it = clustered_.Seek(prefix);
   if (!it.Valid() || !clustered_.KeyStartsWith(it.value(), prefix))
     return std::nullopt;
-  return it.value();
+  return CopyOf(it.value(), ordinals);
 }
 
 void TableStore::ExtendRows(const Value& value) {

@@ -73,8 +73,9 @@ class TableStore {
 
   /// Fails with AlreadyExists on primary-key duplicates or unique-index
   /// violations (no partial effects in that case). Takes the row by value:
-  /// a caller done with its row moves it in.
-  Status Insert(Row row);
+  /// a caller done with its row moves it in. On success `*stored`, if
+  /// given, is the stored row, valid until the next mutation.
+  Status Insert(Row row, const Row** stored = nullptr);
   /// Replaces the row whose primary key matches `row`'s key columns.
   Status Update(const Row& row);
   /// Removes the row with the given primary key; NotFound if absent.
@@ -86,13 +87,18 @@ class TableStore {
   /// analysis cannot see — hence the annotation escape.
   const Row* Get(const KeyTuple& key) const NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Latched point lookup returning a copy; safe under concurrent writers
-  /// of other rows.
-  std::optional<Row> GetCopy(const KeyTuple& key) const;
+  /// Latched point lookup returning a copy of the row, or of its cells at
+  /// `ordinals` (Row::Project) when given: one copy either way. Safe under
+  /// concurrent writers of other rows.
+  std::optional<Row> GetCopy(
+      const KeyTuple& key,
+      const std::vector<size_t>* ordinals = nullptr) const;
 
   /// Latched prefix seek returning a copy of the first row whose clustered
-  /// key starts with `prefix`.
-  std::optional<Row> SeekFirstCopy(const KeyTuple& prefix) const;
+  /// key starts with `prefix`, projected as GetCopy does.
+  std::optional<Row> SeekFirstCopy(
+      const KeyTuple& prefix,
+      const std::vector<size_t>* ordinals = nullptr) const;
 
   /// Ordered scan over the clustered index. Unlatched BY CONTRACT (class
   /// comment): the returned iterator outlives any latch we could take here,
@@ -158,7 +164,7 @@ class TableStore {
 };
 
 // ---- Definition codec: the one encoding of a store's schema and index
-// set, shared by checkpoints (SLCKPT02) and the WAL's definition op. Every
+// set, shared by checkpoints (SLCKPT03) and the WAL's definition op. Every
 // decoded count is bounded by the bytes left before anything is built. ----
 
 void EncodeSchema(const Schema& schema, std::vector<uint8_t>* dst);

@@ -105,7 +105,33 @@ Result<TableDefinition> TableDefinition::Decode(Decoder* dec) {
   return def;
 }
 
-size_t WalCommitRecord::EncodeTo(std::vector<uint8_t>* dst) const {
+namespace {
+// The last tuple of each (table, cell count) a record has logged so far:
+// the predecessor of the next such tuple.
+class TuplePredecessors {
+ public:
+  /// The predecessor slot of a tuple of `width` cells of table `table_id`,
+  /// null until a tuple is noted in it. Valid until the next call.
+  const Row*& Slot(uint32_t table_id, size_t width) {
+    for (Entry& e : last_) {
+      if (e.table_id == table_id && e.width == width) return e.row;
+    }
+    last_.push_back({table_id, width, nullptr});
+    return last_.back().row;
+  }
+
+ private:
+  struct Entry {
+    uint32_t table_id;
+    size_t width;
+    const Row* row;
+  };
+  std::vector<Entry> last_;
+};
+}  // namespace
+
+size_t WalCommitRecord::EncodeTo(const std::vector<WalOp>& ops,
+                                 std::vector<uint8_t>* dst) const {
   PutVarint64(dst, txn_id);
   PutFixed64(dst, static_cast<uint64_t>(commit_ts_micros));
   PutLengthPrefixed(dst, Slice(user_name));
@@ -117,19 +143,22 @@ size_t WalCommitRecord::EncodeTo(std::vector<uint8_t>* dst) const {
   PutVarint32(dst, ledger_tables);
   if (ledger_tables > 0) PutFixed64(dst, roots_check);
   PutVarint32(dst, static_cast<uint32_t>(ops.size()));
+  TuplePredecessors predecessors;
   for (const WalOp& op : ops) {
-    dst->push_back(static_cast<uint8_t>(op.type));
+    const uint8_t type = static_cast<uint8_t>(op.type);
+    dst->push_back(op.seq_gap != 0 ? type | kWalSeqGapFlag : type);
     PutVarint32(dst, op.table_id);
     if (op.type == WalOpType::kDefineTable) {
       op.definition->EncodeTo(dst);
-    } else if (op.type == WalOpType::kDelete) {
-      EncodeRow(op.key, dst);
-    } else if (op.type == WalOpType::kLedgerDelete) {
-      EncodeRow(op.key, dst);
-      PutVarint64(dst, op.end_seq);
-    } else {
-      EncodeRow(op.new_row, dst);
+      continue;
     }
+    if (op.seq_gap != 0) PutVarint64(dst, op.seq_gap);
+    const bool deletes = op.type == WalOpType::kDelete ||
+                         op.type == WalOpType::kLedgerDelete;
+    const Row& tuple = deletes ? op.key : op.new_row;
+    const Row*& prev = predecessors.Slot(op.table_id, tuple.size());
+    EncodeRow(tuple, prev, dst);
+    prev = &tuple;
   }
   return slot_offset;
 }
@@ -202,37 +231,45 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
   if (!num_ops.ok()) return num_ops.status();
   if (*num_ops > dec.remaining() / 3)
     return Status::Corruption("WAL op count exceeds the record");
+  // Reserved, so a decoded tuple stays put while it is a predecessor.
   rec.ops.reserve(*num_ops);
+  TuplePredecessors predecessors;
   for (uint32_t i = 0; i < *num_ops; i++) {
     auto type_byte = dec.GetBytes(1);
     if (!type_byte.ok()) return type_byte.status();
-    WalOp op;
-    uint8_t t = (*type_byte)[0];
+    WalOp& op = rec.ops.emplace_back();
+    const uint8_t t = (*type_byte)[0] & ~kWalSeqGapFlag;
+    const bool has_gap = ((*type_byte)[0] & kWalSeqGapFlag) != 0;
     if (t < 1 || t > 5) return Status::Corruption("bad WAL op type");
     op.type = static_cast<WalOpType>(t);
     auto table_id = dec.GetVarint32();
     if (!table_id.ok()) return table_id.status();
     op.table_id = *table_id;
     if (op.type == WalOpType::kDefineTable) {
+      if (has_gap) return Status::Corruption("sequence gap on a definition");
       auto def = TableDefinition::Decode(&dec);
       if (!def.ok()) return def.status();
       op.definition = std::make_shared<const TableDefinition>(std::move(*def));
-    } else if (op.type == WalOpType::kDelete ||
-               op.type == WalOpType::kLedgerDelete) {
-      auto key = DecodeRow(&dec);
-      if (!key.ok()) return key.status();
-      op.key = std::move(*key);
-      if (op.type == WalOpType::kLedgerDelete) {
-        auto end_seq = dec.GetVarint64();
-        if (!end_seq.ok()) return end_seq.status();
-        op.end_seq = *end_seq;
-      }
-    } else {
-      auto new_row = DecodeRow(&dec);
-      if (!new_row.ok()) return new_row.status();
-      op.new_row = std::move(*new_row);
+      continue;
     }
-    rec.ops.push_back(std::move(op));
+    if (has_gap) {
+      auto gap = dec.GetVarint64();
+      if (!gap.ok()) return gap.status();
+      if (*gap == 0) return Status::Corruption("zero sequence gap logged");
+      op.seq_gap = *gap;
+    }
+    // The tuple's width picks its predecessor: peek at its cell count.
+    Decoder peek = dec;
+    auto width = peek.GetVarint32();
+    if (!width.ok()) return width.status();
+    const Row*& prev = predecessors.Slot(op.table_id, *width);
+    const bool deletes = op.type == WalOpType::kDelete ||
+                         op.type == WalOpType::kLedgerDelete;
+    Row& tuple = deletes ? op.key : op.new_row;
+    auto row = DecodeRow(&dec, prev);
+    if (!row.ok()) return row.status();
+    tuple = std::move(*row);
+    prev = &tuple;
   }
   if (!dec.done()) return Status::Corruption("trailing bytes in WAL record");
   return rec;

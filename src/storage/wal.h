@@ -5,11 +5,16 @@
 // log record tracks the block ID and ordinal of the transaction within the
 // block to make this information recoverable").
 //
-// The record logs only what replay cannot derive. A ledger update or delete
-// logs no history row: replay rebuilds it from the row's pre-image and the
-// retiring (transaction id, sequence number). The per-table Merkle roots are
-// not logged either: replay rebuilds them from the row versions it applies
-// and checks them against an 8-byte digest of the roots the commit computed.
+// The record logs only what replay cannot derive. An insert or update logs
+// the user row the statement passed, not the stamped version: replay pads
+// it as the DML did, with the record's transaction id and a sequence number
+// it counts itself. A ledger update or delete logs no history row: replay
+// rebuilds it from the row's pre-image and the retiring (transaction id,
+// sequence number). The per-table Merkle roots are not logged either:
+// replay rebuilds them from the row versions it applies and checks them
+// against an 8-byte digest of the roots the commit computed. Each logged
+// tuple is encoded against a predecessor (EncodeRow), so a cell that
+// repeats the one before it costs one bit.
 //
 // Records are framed as [fixed32 length][fixed32 crc32c][payload], the frame
 // log shared with the digest outbox. Recovery replays up to the first frame
@@ -46,8 +51,11 @@ enum class WalOpType : uint8_t {
   kUpdate = 2,        // the row with new_row's clustered key replaced by new_row
   kDelete = 3,        // row with key removed
   kDefineTable = 4,   // table_id's catalog entry now matches definition
-  kLedgerDelete = 5,  // ledger row with key retired at sequence end_seq
+  kLedgerDelete = 5,  // ledger row with key retired
 };
+
+/// Set in a logged op's type byte when a sequence gap follows its table id.
+inline constexpr uint8_t kWalSeqGapFlag = 0x80;
 
 /// A table's whole definition after a schema change. The WAL logs the
 /// resulting state rather than the operation, so replaying it twice is
@@ -78,22 +86,28 @@ struct TableDefinition {
   static Result<TableDefinition> Decode(Decoder* dec);
 };
 
-/// One redo operation within a committed transaction. An insert or update
-/// is logged as [type][table_id][new_row], a delete as
-/// [type][table_id][key], a ledger delete as [type][table_id][key][end_seq]
-/// and a definition as [type][table_id][definition]: new_row already holds
-/// its clustered key, which replay derives with TableStore::KeyOf.
+/// One redo operation within a committed transaction, logged as
+/// [type][table_id][seq_gap][tuple] or [type][table_id][definition]. The
+/// tuple of an insert or update is the user row the statement passed (its
+/// visible columns, in ordinal order), which replay pads again; that of a
+/// delete or ledger delete is the row's clustered key. Each tuple is
+/// encoded (EncodeRow) against the last tuple before it in the record of
+/// the same table and cell count, or against none.
 ///
-/// A ledger update's retired version needs nothing more: its end sequence
-/// is new_row's start sequence minus one, because LedgerUpdate takes the
-/// two consecutively.
+/// A ledger op's sequence numbers are not logged. Replay numbers a
+/// record's ledger ops from 0 in log order: an insert takes one, a ledger
+/// delete one (its retired version's end sequence) and an update two (it
+/// retires its pre-image at the first, UpdateRetireSeq, and installs at the
+/// second). A failed statement may have consumed numbers that no logged op
+/// took: the next op's `seq_gap` counts them, and a nonzero gap sets
+/// kWalSeqGapFlag in its type byte and is logged as a varint.
 struct WalOp {
   WalOpType type = WalOpType::kInsert;
   uint32_t table_id = 0;
   KeyTuple key;  // clustered key of the deleted row; unused otherwise
-  Row new_row;   // full physical row for insert/update; empty otherwise
+  Row new_row;   // the user row of an insert or update; empty otherwise
   std::shared_ptr<const TableDefinition> definition = nullptr;  // kDefineTable
-  uint64_t end_seq = 0;  // kLedgerDelete: the retired version's sequence
+  uint64_t seq_gap = 0;  // ledger ops: numbers skipped before this op
 };
 
 /// A committed transaction's WAL record.
@@ -121,11 +135,18 @@ struct WalCommitRecord {
   static uint64_t RootsCheck(
       const std::vector<std::pair<uint32_t, Hash256>>& roots);
 
-  /// Appends the encoded record to `dst` and returns the offset (within
-  /// `dst`) of the fixed-width (block id, block ordinal) pair. The group
-  /// commit pipeline encodes records before the ledger slot is known and
-  /// the leader patches the slot in with PatchSlot.
-  size_t EncodeTo(std::vector<uint8_t>* dst) const;
+  /// Appends the encoded record, with `ops` as its operations, to `dst`
+  /// and returns the offset (within `dst`) of the fixed-width (block id,
+  /// block ordinal) pair. The commit passes its transaction's ops, which
+  /// are not copied into the record. The group commit pipeline encodes
+  /// records before the ledger slot is known and the leader patches the
+  /// slot in with PatchSlot.
+  size_t EncodeTo(const std::vector<WalOp>& ops,
+                  std::vector<uint8_t>* dst) const;
+  /// Encodes the record with its own `ops`.
+  size_t EncodeTo(std::vector<uint8_t>* dst) const {
+    return EncodeTo(ops, dst);
+  }
   /// Overwrites the slot pair previously encoded at `slot_offset`.
   static void PatchSlot(std::vector<uint8_t>* buf, size_t slot_offset,
                         uint64_t block_id, uint64_t block_ordinal);

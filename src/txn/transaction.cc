@@ -1,7 +1,5 @@
 #include "txn/transaction.h"
 
-#include <cassert>
-
 namespace sqlledger {
 
 void Transaction::PushUndo(WalOpType type, TableStore* table,
@@ -15,26 +13,34 @@ void Transaction::PushUndo(WalOpType type, TableStore* table,
   undo_.push_back(std::move(undo));
 }
 
+void Transaction::PushRedo(WalOp op, std::optional<uint64_t> first_seq,
+                           uint64_t count) {
+  if (first_seq.has_value()) {
+    op.seq_gap = *first_seq - logged_sequence_;
+    logged_sequence_ = *first_seq + count;
+  }
+  ops_.push_back(std::move(op));
+}
+
 void Transaction::RecordInsert(TableStore* table, const KeyTuple& key,
-                               const Row& row) {
-  // The redo op carries only the row; replay derives the key from it.
-  assert(table->KeyOf(row) == key);
+                               const Row& user_row,
+                               std::optional<uint64_t> first_seq) {
   WalOp op;
   op.type = WalOpType::kInsert;
   op.table_id = table->table_id();
-  op.new_row = row;
-  ops_.push_back(std::move(op));
+  op.new_row = user_row;
+  PushRedo(std::move(op), first_seq, 1);
   PushUndo(WalOpType::kInsert, table, key);
 }
 
 void Transaction::RecordUpdate(TableStore* table, const KeyTuple& key,
-                               const Row& old_row, const Row& new_row) {
-  assert(table->KeyOf(new_row) == key);
+                               const Row& old_row, const Row& user_row,
+                               std::optional<uint64_t> first_seq) {
   WalOp op;
   op.type = WalOpType::kUpdate;
   op.table_id = table->table_id();
-  op.new_row = new_row;
-  ops_.push_back(std::move(op));
+  op.new_row = user_row;
+  PushRedo(std::move(op), first_seq, 2);
   PushUndo(WalOpType::kUpdate, table, key, old_row);
 }
 
@@ -44,15 +50,18 @@ void Transaction::RecordDelete(TableStore* table, const KeyTuple& key,
   op.type = WalOpType::kDelete;
   op.table_id = table->table_id();
   op.key = key;
-  ops_.push_back(std::move(op));
+  PushRedo(std::move(op), std::nullopt, 0);
   PushUndo(WalOpType::kDelete, table, key, old_row);
 }
 
 void Transaction::RecordLedgerDelete(TableStore* table, const KeyTuple& key,
                                      const Row& old_row, uint64_t end_seq) {
-  RecordDelete(table, key, old_row);
-  ops_.back().type = WalOpType::kLedgerDelete;
-  ops_.back().end_seq = end_seq;
+  WalOp op;
+  op.type = WalOpType::kLedgerDelete;
+  op.table_id = table->table_id();
+  op.key = key;
+  PushRedo(std::move(op), end_seq, 1);
+  PushUndo(WalOpType::kDelete, table, key, old_row);
 }
 
 void Transaction::RecordRetire(TableStore* history, const KeyTuple& key) {
@@ -97,6 +106,7 @@ Status Transaction::CreateSavepoint(const std::string& name) {
   sp.undo_size = undo_.size();
   sp.ops_size = ops_.size();
   sp.next_sequence = next_sequence_;
+  sp.logged_sequence = logged_sequence_;
   for (const auto& [table_id, builder] : merkle_)
     sp.merkle_states[table_id] = builder.GetState();
   savepoints_.push_back(std::move(sp));
@@ -119,6 +129,7 @@ Status Transaction::RollbackToSavepoint(const std::string& name) {
   ops_.resize(sp.ops_size);
   roots_finalized_ = false;
   next_sequence_ = sp.next_sequence;
+  logged_sequence_ = sp.logged_sequence;
 
   // Restore Merkle builders: tables captured in the savepoint get their
   // snapshot back; tables first touched after the savepoint are discarded.

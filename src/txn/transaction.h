@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,15 +46,22 @@ class Transaction {
 
   // ---- Change tracking (called by the DML layer) ----
 
-  /// Records a redo op for the WAL and the matching undo entry. `key` is
-  /// the row's clustered key (`table->KeyOf(row)` for an insert or
-  /// update); only the undo entry and a delete's redo op keep it.
-  void RecordInsert(TableStore* table, const KeyTuple& key, const Row& row);
+  /// Records a redo op for the WAL and the matching undo entry. An insert
+  /// or update logs `user_row`, the row the statement passed, which replay
+  /// pads again; `key` is the row's clustered key, which only the undo
+  /// entry and a delete's redo op keep. On a ledger table `first_seq` is
+  /// the first sequence number the statement took: an insert's version's,
+  /// an update's retired version's (it installs at the next). The redo op
+  /// logs only its gap from the numbers the ops before it took (WalOp).
+  void RecordInsert(TableStore* table, const KeyTuple& key,
+                    const Row& user_row,
+                    std::optional<uint64_t> first_seq = std::nullopt);
   void RecordUpdate(TableStore* table, const KeyTuple& key, const Row& old_row,
-                    const Row& new_row);
+                    const Row& user_row,
+                    std::optional<uint64_t> first_seq = std::nullopt);
   void RecordDelete(TableStore* table, const KeyTuple& key, const Row& old_row);
-  /// A ledger delete: its redo op also logs the retired version's end
-  /// sequence, from which replay rebuilds the history row.
+  /// A ledger delete, which retires its version at sequence `end_seq`:
+  /// replay rebuilds the history row from the row and that number.
   void RecordLedgerDelete(TableStore* table, const KeyTuple& key,
                           const Row& old_row, uint64_t end_seq);
   /// Records the insert of a retired version into a history store. It has
@@ -112,17 +120,24 @@ class Transaction {
     size_t undo_size;
     size_t ops_size;
     uint64_t next_sequence;
+    uint64_t logged_sequence;
     std::map<uint32_t, MerkleBuilderState> merkle_states;
   };
 
   void PushUndo(WalOpType type, TableStore* table, const KeyTuple& key,
                 Row old_row = Row());
   void UndoRange(size_t from);
+  /// Appends a redo op and, when the op takes `count` sequence numbers
+  /// from `first_seq`, sets its gap and advances logged_sequence_.
+  void PushRedo(WalOp op, std::optional<uint64_t> first_seq, uint64_t count);
 
   uint64_t id_;
   std::string user_name_;
   State state_ = State::kActive;
   uint64_t next_sequence_ = 0;
+  // Where replay's sequence counter stands after the logged ops: the
+  // number after the last one a logged op took.
+  uint64_t logged_sequence_ = 0;
   std::vector<WalOp> ops_;
   std::vector<UndoEntry> undo_;
   std::map<uint32_t, MerkleBuilder> merkle_;

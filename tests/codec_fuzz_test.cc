@@ -1,14 +1,16 @@
 // Seeded fuzzing of the WAL/checkpoint codec (Cell::EncodeTo, EncodeRow,
-// DecodeRow, WalCommitRecord with its roots count and check,
-// row, ledger-delete and table-definition ops): random rows of every type,
-// NULLs, empty and 64 KiB strings round-trip exactly; the zigzag edges keep
-// their value and their varint length; every strict prefix of an encoded
-// row or commit record is Corruption; and every single-byte flip decodes to
-// OK or Corruption without crashing (the sanitizer builds check the reads).
-// SQLLEDGER_TEST_SEED picks the values.
+// DecodeRow with and without a predecessor, WalCommitRecord with its roots
+// count and check, sequence gaps, row, ledger-delete and table-definition
+// ops): random rows of every type, NULLs, empty and 64 KiB strings, ±0.0
+// and NaN round-trip exactly; the zigzag edges keep their value and their
+// varint length; every strict prefix of an encoded row or commit record is
+// Corruption, and so is a set unused bit of a repeat bitmap; and every
+// single-byte flip decodes to OK or Corruption without crashing (the
+// sanitizer builds check the reads). SQLLEDGER_TEST_SEED picks the values.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -135,16 +137,54 @@ std::shared_ptr<const TableDefinition> RandomDefinition(Random* rng) {
   return def;
 }
 
+/// A value that tends to sit at a byte-identity edge: +0.0 and -0.0 (equal
+/// by Compare, different bytes), NaN, a NULL of any type, or any value.
+Value EdgeValue(Random* rng) {
+  switch (rng->Uniform(6)) {
+    case 0:
+      return Value::Double(0.0);
+    case 1:
+      return Value::Double(-0.0);
+    case 2:
+      return Value::Double(std::numeric_limits<double>::quiet_NaN());
+    case 3:
+      return Value::Null(static_cast<DataType>(rng->UniformRange(1, 8)));
+    default:
+      return RandomValue(rng, 0);
+  }
+}
+
+/// `width` cells, each a copy of `prev`'s cell at its position (when it
+/// has one) half the time, else an EdgeValue.
+std::vector<Value> RelatedValues(Random* rng, const std::vector<Value>& prev,
+                                 size_t width) {
+  std::vector<Value> values(width);
+  for (size_t i = 0; i < width; i++)
+    values[i] = i < prev.size() && rng->Bernoulli(0.5) ? prev[i]
+                                                        : EdgeValue(rng);
+  return values;
+}
+
+/// The bytes Cell::EncodeTo writes for `v`.
+std::vector<uint8_t> CellBytes(const Cell& v) {
+  std::vector<uint8_t> bytes;
+  v.EncodeTo(&bytes);
+  return bytes;
+}
+
 /// Counts how many of a test's records exercise the optional parts of the
-/// commit record: the roots check and a ledger delete's end sequence.
+/// commit record: the roots check, ledger deletes and sequence gaps.
 struct RecordCoverage {
   int checks = 0;
   int ledger_deletes = 0;
+  int gaps = 0;
 
   void Add(const WalCommitRecord& rec) {
     checks += rec.ledger_tables > 0;
-    for (const WalOp& op : rec.ops)
+    for (const WalOp& op : rec.ops) {
       ledger_deletes += op.type == WalOpType::kLedgerDelete;
+      gaps += op.seq_gap != 0;
+    }
   }
 };
 
@@ -159,20 +199,32 @@ WalCommitRecord RandomRecord(Random* rng) {
   rec.ledger_tables = static_cast<uint32_t>(rng->Next() >> rng->Uniform(64));
   if (rng->Bernoulli(0.3)) rec.ledger_tables = 0;
   if (rec.ledger_tables > 0) rec.roots_check = rng->Next();
+  // A few table ids, and tuples often like the one before, so that tuples
+  // find predecessors and repeat some of their cells.
+  std::vector<Value> last;
   for (uint64_t i = 1 + rng->Uniform(8); i > 0; i--) {
     WalOp op;
     op.type = static_cast<WalOpType>(rng->UniformRange(1, 5));
-    op.table_id = static_cast<uint32_t>(rng->Uniform(300));
+    op.table_id = static_cast<uint32_t>(
+        rng->Bernoulli(0.7) ? rng->Uniform(3) : rng->Uniform(300));
     if (op.type == WalOpType::kDefineTable) {
       op.definition = RandomDefinition(rng);
-    } else if (op.type == WalOpType::kDelete ||
-               op.type == WalOpType::kLedgerDelete) {
-      op.key = RandomValues(rng, 3, 0);
-      if (op.type == WalOpType::kLedgerDelete)
-        op.end_seq = rng->Next() >> rng->Uniform(64);
-    } else {
-      op.new_row = Row(RandomValues(rng, 12, 0));
+      rec.ops.push_back(std::move(op));
+      continue;
     }
+    if (rng->Bernoulli(0.3))
+      op.seq_gap = std::max<uint64_t>(1, rng->Next() >> rng->Uniform(64));
+    const bool deletes = op.type == WalOpType::kDelete ||
+                         op.type == WalOpType::kLedgerDelete;
+    const size_t max_cells = deletes ? 3 : 12;
+    std::vector<Value> values =
+        !last.empty() && rng->Bernoulli(0.6)
+            ? RelatedValues(rng, last,
+                            rng->Bernoulli(0.7) ? last.size()
+                                                : rng->Uniform(max_cells + 1))
+            : RandomValues(rng, max_cells, 0);
+    (deletes ? op.key : op.new_row) = Row(values);
+    last = std::move(values);
     rec.ops.push_back(std::move(op));
   }
   return rec;
@@ -228,7 +280,9 @@ TEST(CodecFuzzTest, CommitRecordsWithDefinitionsRoundTrip) {
     for (size_t i = 0; i < rec.ops.size(); i++) {
       definitions += rec.ops[i].type == WalOpType::kDefineTable;
       ASSERT_EQ(decoded->ops[i].type, rec.ops[i].type) << i;
-      ASSERT_EQ(decoded->ops[i].end_seq, rec.ops[i].end_seq) << i;
+      ASSERT_EQ(decoded->ops[i].seq_gap, rec.ops[i].seq_gap) << i;
+      EXPECT_TRUE(decoded->ops[i].key == rec.ops[i].key) << i;
+      EXPECT_TRUE(decoded->ops[i].new_row == rec.ops[i].new_row) << i;
       ASSERT_EQ(decoded->ops[i].definition != nullptr,
                 rec.ops[i].definition != nullptr)
           << i;
@@ -239,8 +293,90 @@ TEST(CodecFuzzTest, CommitRecordsWithDefinitionsRoundTrip) {
   }
   EXPECT_GT(definitions, 20);
   EXPECT_GT(coverage.ledger_deletes, 20);
+  EXPECT_GT(coverage.gaps, 20);
   EXPECT_GT(coverage.checks, 20);
   EXPECT_LT(coverage.checks, 100);
+}
+
+// Rows encoded against random predecessors, of the same width or another,
+// decode to the same cells; a cell is left out (its bit set) exactly when
+// its bytes equal the predecessor's, so +0.0 never stands for -0.0. Every
+// strict prefix, and every set unused bit of the repeat bitmap, is
+// Corruption; every single-byte flip decodes to OK or Corruption.
+TEST(CodecFuzzTest, RowsRoundTripAgainstPredecessors) {
+  SCOPED_TRACE("SQLLEDGER_TEST_SEED=" + std::to_string(TestSeed()));
+  Random rng(TestCaseSeed(5));
+  int bitmaps = 0, repeats = 0, signed_zero_pairs = 0;
+  auto ok_or_corruption = [](const Status& st) {
+    return st.ok() || st.IsCorruption();
+  };
+  for (int r = 0; r < 400; r++) {
+    std::vector<Value> prev_values = RelatedValues(&rng, {}, rng.Uniform(21));
+    const size_t width =
+        rng.Bernoulli(0.75) ? prev_values.size() : rng.Uniform(21);
+    std::vector<Value> values = RelatedValues(&rng, prev_values, width);
+    const Row prev(prev_values), row(values);
+    std::vector<uint8_t> buf;
+    EncodeRow(row, &prev, &buf);
+    std::vector<uint8_t> plain;
+    EncodeRow(row, &plain);
+
+    Decoder dec{Slice(buf)};
+    auto got = DecodeRow(&dec, &prev);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(dec.done());
+    ASSERT_EQ(got->size(), width);
+    Row::Iterator cell = got->begin();
+    for (size_t i = 0; i < width; i++, ++cell)
+      ExpectSameCell(*cell, values[i], i);
+
+    if (width != prev_values.size()) {
+      EXPECT_EQ(buf, plain);  // no bitmap against another width
+      continue;
+    }
+    // The count (one byte here), the bitmap, then the cells not repeated.
+    bitmaps++;
+    const size_t bitmap_bytes = (width + 7) / 8;
+    std::vector<uint8_t> want(plain.begin(), plain.begin() + 1);
+    want.resize(1 + bitmap_bytes, 0);
+    for (size_t i = 0; i < width; i++) {
+      std::vector<uint8_t> bytes = CellBytes(values[i]);
+      signed_zero_pairs += values[i].type() == DataType::kDouble &&
+                           prev_values[i].type() == DataType::kDouble &&
+                           !values[i].is_null() && !prev_values[i].is_null() &&
+                           values[i].double_value() == 0 &&
+                           prev_values[i].double_value() == 0 &&
+                           bytes != CellBytes(prev_values[i]);
+      if (bytes == CellBytes(prev_values[i])) {
+        want[1 + i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+        repeats++;
+      } else {
+        want.insert(want.end(), bytes.begin(), bytes.end());
+      }
+    }
+    ASSERT_EQ(buf, want);
+
+    for (size_t cut = 0; cut < buf.size(); cut++) {
+      Decoder prefix{Slice(buf.data(), cut)};
+      EXPECT_TRUE(DecodeRow(&prefix, &prev).status().IsCorruption()) << cut;
+    }
+    for (size_t bit = width; bit < 8 * bitmap_bytes; bit++) {
+      std::vector<uint8_t> bad = buf;
+      bad[1 + bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
+      Decoder bad_dec{Slice(bad)};
+      EXPECT_TRUE(DecodeRow(&bad_dec, &prev).status().IsCorruption()) << bit;
+    }
+    for (size_t i = 0; i < buf.size(); i++) {
+      std::vector<uint8_t> flipped = buf;
+      flipped[i] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
+      Decoder flip_dec{Slice(flipped)};
+      EXPECT_TRUE(ok_or_corruption(DecodeRow(&flip_dec, &prev).status()))
+          << i;
+    }
+  }
+  EXPECT_GT(bitmaps, 200);
+  EXPECT_GT(repeats, 500);
+  EXPECT_GT(signed_zero_pairs, 0);
 }
 
 TEST(CodecFuzzTest, ZigZagEdgesRoundTrip) {
@@ -304,6 +440,7 @@ TEST(CodecFuzzTest, EveryStrictPrefixIsCorruption) {
   }
   EXPECT_GT(coverage.checks, 0);
   EXPECT_GT(coverage.ledger_deletes, 0);
+  EXPECT_GT(coverage.gaps, 0);
 }
 
 TEST(CodecFuzzTest, SingleByteFlipsNeverCrash) {

@@ -403,45 +403,51 @@ TEST_F(RecoveryTest, MissingNewestCheckpointFallsBackToPreviousGeneration) {
   ASSERT_TRUE(db->Commit(*txn).ok());
 }
 
-// A checkpoint of the retired SLCKPT01 format (fixed-width cells) is not
-// torn: it is refused as NotSupported, naming the format, and recovery
-// neither falls back to a readable ".prev" beside it nor replays or
-// truncates the WAL. Covered: the newest generation retired with a good
-// ".prev", the newest retired alone, and only a retired ".prev".
+// A checkpoint of a retired format, SLCKPT01 (fixed-width cells) or
+// SLCKPT02 (rows without predecessors), is not torn: it is refused as
+// NotSupported, naming the format, and recovery neither falls back to a
+// readable ".prev" beside it nor replays or truncates the WAL. Covered: the
+// newest generation retired with a good ".prev", the newest retired alone,
+// and only a retired ".prev".
 TEST_F(RecoveryTest, RetiredCheckpointFormatIsRefusedWithoutFallback) {
-  const std::string ckpt = Path("db") + "/checkpoint.sldb";
-  auto stamp_v1 = [](const std::string& path) {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(0);
-    f.write("SLCKPT01", 8);
-  };
-  auto expect_refused = [&](const char* layout) {
-    SCOPED_TRACE(layout);
-    const auto before = ReadDir();
-    auto db = LedgerDatabase::Open(MakeOptions());
-    ASSERT_FALSE(db.ok());
-    EXPECT_EQ(db.status().code(), StatusCode::kNotSupported)
-        << db.status().ToString();
-    EXPECT_NE(db.status().message().find("SLCKPT01"), std::string::npos);
-    EXPECT_EQ(ReadDir(), before);
-  };
-  {
-    auto db = Open();
-    ASSERT_TRUE(
-        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
-    for (int i = 0; i < 3; i++)
-      ASSERT_TRUE(InsertOne(db.get(), "t", i, "gen1").ok());
-    ASSERT_TRUE(db->Checkpoint().ok());  // superseded -> checkpoint.sldb.prev
-    for (int i = 3; i < 6; i++)
-      ASSERT_TRUE(InsertOne(db.get(), "t", i, "tail").ok());
-    ASSERT_TRUE(db->Checkpoint().ok());
+  for (const char* magic : {"SLCKPT01", "SLCKPT02"}) {
+    SCOPED_TRACE(magic);
+    const std::string dir = magic;
+    const std::string ckpt = Path(dir) + "/checkpoint.sldb";
+    auto stamp_retired = [magic](const std::string& path) {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(0);
+      f.write(magic, 8);
+    };
+    auto expect_refused = [&](const char* layout) {
+      SCOPED_TRACE(layout);
+      const auto before = ReadDir(dir);
+      auto db = LedgerDatabase::Open(MakeOptions(dir));
+      ASSERT_FALSE(db.ok());
+      EXPECT_EQ(db.status().code(), StatusCode::kNotSupported)
+          << db.status().ToString();
+      EXPECT_NE(db.status().message().find(magic), std::string::npos);
+      EXPECT_EQ(ReadDir(dir), before);
+    };
+    {
+      auto db = Open(dir);
+      ASSERT_TRUE(
+          db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable)
+              .ok());
+      for (int i = 0; i < 3; i++)
+        ASSERT_TRUE(InsertOne(db.get(), "t", i, "gen1").ok());
+      ASSERT_TRUE(db->Checkpoint().ok());  // superseded -> .prev
+      for (int i = 3; i < 6; i++)
+        ASSERT_TRUE(InsertOne(db.get(), "t", i, "tail").ok());
+      ASSERT_TRUE(db->Checkpoint().ok());
+    }
+    stamp_retired(ckpt);
+    expect_refused("retired newest, readable .prev");
+    std::filesystem::remove(ckpt + ".prev");
+    expect_refused("retired newest alone");
+    std::filesystem::rename(ckpt, ckpt + ".prev");
+    expect_refused("retired .prev alone");
   }
-  stamp_v1(ckpt);
-  expect_refused("retired newest, readable .prev");
-  std::filesystem::remove(ckpt + ".prev");
-  expect_refused("retired newest alone");
-  std::filesystem::rename(ckpt, ckpt + ".prev");
-  expect_refused("retired .prev alone");
 }
 
 TEST_F(RecoveryTest, DroppedTableSurvivesRecovery) {
@@ -804,11 +810,15 @@ void RunReplayWorkload(LedgerDatabase* db, bool checkpoint_midway,
     ASSERT_TRUE(db->Commit(*txn).ok());
   }
   {
-    // Duplicate keys fail their statements; the transaction goes on.
+    // Duplicate keys fail their statements, and so does an update whose
+    // row fails its type check; the transaction goes on. The failed ledger
+    // statements took sequence numbers that no logged op takes: the update
+    // after them logs the gap.
     auto txn = db->Begin("clerk");
     ASSERT_TRUE(db->Insert(*txn, "ledger", row(30, "a")).ok());
     for (const char* table : kTables)
       EXPECT_FALSE(db->Insert(*txn, table, row(1, "duplicate")).ok());
+    EXPECT_FALSE(db->Update(*txn, "ledger", {VB(30), Value::Int(5)}).ok());
     ASSERT_TRUE(db->Update(*txn, "ledger", row(30, "b")).ok());
     ASSERT_TRUE(db->Delete(*txn, "ledger", {VB(3)}).ok());
     ASSERT_TRUE(db->Commit(*txn).ok());
@@ -903,6 +913,50 @@ TEST_F(RecoveryTest, AlteredRowImageFailsTheRootsCheck) {
       << db.status().ToString();
 }
 
+// A sequence gap altered on disk, raised or removed, moves the sequence
+// numbers replay stamps: the versions it rebuilds are not the ones the
+// commit hashed, and the roots check refuses the record.
+TEST_F(RecoveryTest, AlteredSequenceGapFailsTheRootsCheck) {
+  for (const bool remove : {false, true}) {
+    const std::string dir = remove ? "removed" : "raised";
+    SCOPED_TRACE(dir);
+    {
+      auto db = Open(dir);
+      ASSERT_TRUE(
+          db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable)
+              .ok());
+      auto txn = db->Begin("app");
+      ASSERT_TRUE(db->Insert(*txn, "t", {VB(1), VS("a")}).ok());
+      EXPECT_FALSE(db->Insert(*txn, "t", {VB(1), VS("duplicate")}).ok());
+      ASSERT_TRUE(db->Update(*txn, "t", {VB(1), VS("b")}).ok());
+      ASSERT_TRUE(db->Commit(*txn).ok());
+    }
+    int altered = 0;
+    RewriteWal(Path(dir) + "/wal.log", [&](std::vector<uint8_t>* payload) {
+      auto rec = WalCommitRecord::Decode(
+          Slice(payload->data() + 1, payload->size() - 1));
+      if (!rec.ok()) return true;  // a block close
+      for (WalOp& op : rec->ops) {
+        if (op.seq_gap == 0) continue;
+        EXPECT_EQ(op.seq_gap, 1u);
+        op.seq_gap = remove ? 0 : op.seq_gap + 1;
+        altered++;
+      }
+      payload->resize(1);  // the record kind
+      rec->EncodeTo(payload);
+      return true;
+    });
+    ASSERT_EQ(altered, 1);
+    const auto before = ReadDir(dir);
+    auto db = LedgerDatabase::Open(MakeOptions(dir));
+    ASSERT_FALSE(db.ok());
+    EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+    EXPECT_NE(db.status().message().find("table roots"), std::string::npos)
+        << db.status().ToString();
+    EXPECT_EQ(ReadDir(dir), before);
+  }
+}
+
 TEST_F(RecoveryTest, LedgerUpdateOfMissingPreImageIsCorruption) {
   uint32_t table_id = 0;
   {
@@ -936,82 +990,90 @@ TEST_F(RecoveryTest, LedgerUpdateOfMissingPreImageIsCorruption) {
       << db.status().ToString();
 }
 
-// A commit record of the retired kind 1 (history rows and whole roots
-// logged) is refused like a retired checkpoint format: Open fails with
-// NotSupported before it replays or truncates the log, and no file changes.
+// Commit records of the retired kinds, 1 (history rows and whole roots
+// logged) and 3 (stamped row images without predecessors), are refused like
+// a retired checkpoint format: Open fails with NotSupported before it
+// replays or truncates the log, and no file changes.
 TEST_F(RecoveryTest, RetiredCommitRecordKindIsRefused) {
-  {
-    auto db = Open();
-    ASSERT_TRUE(
-        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
-    ASSERT_TRUE(InsertOne(db.get(), "t", 1, "v1").ok());
-  }
-  const std::string wal = Path("db") + "/wal.log";
-  auto kind1 = HexDecode(
-      "01"                  // record kind 1
-      "63"                  // txn id 99
-      "0100000000000000"    // commit ts
-      "03617070"            // user 'app'
-      "0000000000000000"    // block id
-      "0000000000000000"    // block ordinal
-      "01" "64"             // one root: table 100
-      "000102030405060708090a0b0c0d0e0f"
-      "101112131415161718191a1b1c1d1e1f"
-      "00");                // no ops
-  ASSERT_TRUE(kind1.ok());
-  std::vector<uint8_t> frame;
-  AppendFrame(Slice(*kind1), &frame);
-  auto expect_refused = [&](const char* layout) {
-    SCOPED_TRACE(layout);
-    const auto before = ReadDir();
-    auto db = LedgerDatabase::Open(MakeOptions());
-    ASSERT_FALSE(db.ok());
-    EXPECT_EQ(db.status().code(), StatusCode::kNotSupported)
-        << db.status().ToString();
-    EXPECT_NE(db.status().message().find("kind 1"), std::string::npos)
-        << db.status().ToString();
-    EXPECT_EQ(ReadDir(), before);
-  };
-  {
-    // After current records, with a torn tail Open would otherwise cut.
-    std::ofstream out(wal, std::ios::binary | std::ios::app);
-    out.write(reinterpret_cast<const char*>(frame.data()),
-              static_cast<std::streamsize>(frame.size()));
-    out.write("torn", 4);
-  }
-  expect_refused("after kind-3 records");
-  {
-    std::ofstream out(wal, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(frame.data()),
-              static_cast<std::streamsize>(frame.size()));
-  }
-  expect_refused("alone");
+  for (const uint8_t kind : {uint8_t{1}, uint8_t{3}}) {
+    const std::string name = "kind " + std::to_string(kind);
+    SCOPED_TRACE(name);
+    const std::string dir = "kind" + std::to_string(kind);
+    {
+      auto db = Open(dir);
+      ASSERT_TRUE(
+          db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable)
+              .ok());
+      ASSERT_TRUE(InsertOne(db.get(), "t", 1, "v1").ok());
+    }
+    const std::string wal = Path(dir) + "/wal.log";
+    // The kind byte is checked before the body is read.
+    auto retired = HexDecode(
+        "63"                  // txn id 99
+        "0100000000000000"    // commit ts
+        "03617070"            // user 'app'
+        "0000000000000000"    // block id
+        "0000000000000000"    // block ordinal
+        "01" "64"             // one root: table 100
+        "000102030405060708090a0b0c0d0e0f"
+        "101112131415161718191a1b1c1d1e1f"
+        "00");                // no ops
+    ASSERT_TRUE(retired.ok());
+    retired->insert(retired->begin(), kind);
+    std::vector<uint8_t> frame;
+    AppendFrame(Slice(*retired), &frame);
+    auto expect_refused = [&](const std::string& subdir, const char* layout) {
+      SCOPED_TRACE(layout);
+      const auto before = ReadDir(subdir);
+      auto db = LedgerDatabase::Open(MakeOptions(subdir));
+      ASSERT_FALSE(db.ok());
+      EXPECT_EQ(db.status().code(), StatusCode::kNotSupported)
+          << db.status().ToString();
+      EXPECT_NE(db.status().message().find(name), std::string::npos)
+          << db.status().ToString();
+      EXPECT_EQ(ReadDir(subdir), before);
+    };
+    {
+      // After current records, with a torn tail Open would otherwise cut.
+      std::ofstream out(wal, std::ios::binary | std::ios::app);
+      out.write(reinterpret_cast<const char*>(frame.data()),
+                static_cast<std::streamsize>(frame.size()));
+      out.write("torn", 4);
+    }
+    expect_refused(dir, "after kind-4 records");
+    {
+      std::ofstream out(wal, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(frame.data()),
+                static_cast<std::streamsize>(frame.size()));
+    }
+    expect_refused(dir, "alone");
 
-  // A directory checkpointed before the format change holds kind-1 records
-  // only in wal.log.prev, which is read on fallback alone: it opens, and a
-  // fallback to the previous generation is refused.
-  {
-    auto db = Open("checkpointed");
-    ASSERT_TRUE(
-        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
-    ASSERT_TRUE(InsertOne(db.get(), "t", 1, "v1").ok());
-    ASSERT_TRUE(db->Checkpoint().ok());
+    // A directory checkpointed before the format change holds retired
+    // records only in wal.log.prev, which is read on fallback alone: it
+    // opens, and a fallback to the previous generation is refused.
+    const std::string checkpointed = dir + "_checkpointed";
+    {
+      auto db = Open(checkpointed);
+      ASSERT_TRUE(
+          db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable)
+              .ok());
+      ASSERT_TRUE(InsertOne(db.get(), "t", 1, "v1").ok());
+      ASSERT_TRUE(db->Checkpoint().ok());
+    }
+    {
+      std::ofstream out(Path(checkpointed) + "/wal.log.prev",
+                        std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(frame.data()),
+                static_cast<std::streamsize>(frame.size()));
+    }
+    {
+      auto db = LedgerDatabase::Open(MakeOptions(checkpointed));
+      ASSERT_TRUE(db.ok()) << db.status().ToString();
+      EXPECT_NE((*db)->GetStoreForTesting("t"), nullptr);
+    }
+    TearNewestCheckpoint(checkpointed);
+    expect_refused(checkpointed, "only in wal.log.prev, on fallback");
   }
-  {
-    std::ofstream out(Path("checkpointed") + "/wal.log.prev",
-                      std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(frame.data()),
-              static_cast<std::streamsize>(frame.size()));
-  }
-  {
-    auto db = LedgerDatabase::Open(MakeOptions("checkpointed"));
-    ASSERT_TRUE(db.ok()) << db.status().ToString();
-    EXPECT_NE((*db)->GetStoreForTesting("t"), nullptr);
-  }
-  TearNewestCheckpoint("checkpointed");
-  auto db = LedgerDatabase::Open(MakeOptions("checkpointed"));
-  EXPECT_EQ(db.status().code(), StatusCode::kNotSupported)
-      << db.status().ToString();
 }
 
 // The live ledger closes at most one block between two consecutive
@@ -1030,7 +1092,7 @@ TEST_F(RecoveryTest, CommitRecordFarPastOpenBlockIsCorruption) {
   record.commit_ts_micros = 1;
   record.user_name = "app";
   record.block_id = uint64_t{1} << 40;
-  std::vector<uint8_t> payload = {3};  // record kind 3
+  std::vector<uint8_t> payload = {4};  // record kind 4
   record.EncodeTo(&payload);
   std::vector<uint8_t> frame;
   AppendFrame(Slice(payload), &frame);
@@ -1052,7 +1114,7 @@ TEST_F(RecoveryTest, CommitRecordFarPastOpenBlockIsCorruption) {
 TEST_F(RecoveryTest, RegularRowOpThatDoesNotApplyIsCorruption) {
   // Replay applies each commit record past the checkpoint exactly once, so
   // a row op the store refuses means the log is corrupt. Each shape is a
-  // hand-built kind-3 record with a txn id past every one in the log and
+  // hand-built kind-4 record with a txn id past every one in the log and
   // the next free ledger slot, so nothing but the op stops it.
   struct Shape {
     const char* dir;
@@ -1088,7 +1150,7 @@ TEST_F(RecoveryTest, RegularRowOpThatDoesNotApplyIsCorruption) {
       op.new_row = {VB(shape.id), VS("v2")};
     }
     record.ops.push_back(op);
-    std::vector<uint8_t> payload = {3};  // record kind 3
+    std::vector<uint8_t> payload = {4};  // record kind 4
     record.EncodeTo(&payload);
     std::vector<uint8_t> frame;
     AppendFrame(Slice(payload), &frame);

@@ -73,7 +73,7 @@ TEST(WalRecordTest, EncodeDecodeRoundTrip) {
                           {Value::BigInt(1)},
                           {Value::BigInt(1), Value::Varchar("new")}});
   WalOp ledger_delete{WalOpType::kLedgerDelete, 103, {Value::BigInt(4)}, {}};
-  ledger_delete.end_seq = 300;
+  ledger_delete.seq_gap = 300;
   rec.ops.push_back(ledger_delete);
   std::vector<uint8_t> buf;
   rec.EncodeTo(&buf);
@@ -89,7 +89,7 @@ TEST(WalRecordTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->ops[2].new_row[1].string_value(), "new");
   EXPECT_EQ(decoded->ops[3].type, WalOpType::kLedgerDelete);
   EXPECT_EQ(decoded->ops[3].key, KeyTuple{Value::BigInt(4)});
-  EXPECT_EQ(decoded->ops[3].end_seq, 300u);
+  EXPECT_EQ(decoded->ops[3].seq_gap, 300u);
 }
 
 TEST(WalRecordTest, DecodeRejectsTruncation) {
@@ -123,7 +123,7 @@ TEST(WalRecordTest, GoldenBytes) {
                           {Value::BigInt(1), Value::Varchar("b")}});
   rec.ops.push_back(WalOp{WalOpType::kDelete, 101, {Value::BigInt(-1)}, {}});
   WalOp ledger_delete{WalOpType::kLedgerDelete, 100, {Value::BigInt(1)}, {}};
-  ledger_delete.end_seq = 300;
+  ledger_delete.seq_gap = 300;
   rec.ops.push_back(ledger_delete);
   std::vector<uint8_t> buf;
   EXPECT_EQ(rec.EncodeTo(&buf), 13u);  // the slot follows ts and user
@@ -154,7 +154,7 @@ TEST(WalRecordTest, GoldenBytes) {
   EXPECT_EQ(decoded->ops[1].new_row[1].string_value(), "b");
   EXPECT_EQ(decoded->ops[2].key, KeyTuple{Value::BigInt(-1)});
   EXPECT_TRUE(decoded->ops[2].new_row.empty());
-  EXPECT_EQ(decoded->ops[3].end_seq, 300u);
+  EXPECT_EQ(decoded->ops[3].seq_gap, 300u);
 
   // A record that touches no ledger table logs a zero count and no check.
   rec.SetTableRoots({});
