@@ -103,9 +103,13 @@ TEST(WalRecordTest, DecodeRejectsTruncation) {
 }
 
 // A commit record's bytes are pinned: one ledger table's roots check, one
-// insert, one update, one delete and one ledger delete. An insert or update
-// logs only its row (the update's key is not written: the row holds it); a
-// delete logs only its key, and a ledger delete adds the end sequence.
+// insert, one update, one delete and two ledger deletes. An insert or
+// update logs only the user row (the update's key is not written: the row
+// holds it); a delete logs only its key. Each tuple is encoded against the
+// last tuple of its table and width before it: the update's row repeats
+// the insert's id, and the second ledger delete's key has the first's as
+// its predecessor but repeats no cell. The first ledger delete follows
+// three sequence numbers a failed statement took.
 TEST(WalRecordTest, GoldenBytes) {
   WalCommitRecord rec;
   rec.txn_id = 5;
@@ -119,12 +123,14 @@ TEST(WalRecordTest, GoldenBytes) {
   rec.SetTableRoots({{100, root}});
   rec.ops.push_back(WalOp{WalOpType::kInsert, 100, {},
                           {Value::BigInt(1), Value::Varchar("a")}});
-  rec.ops.push_back(WalOp{WalOpType::kUpdate, 100, {Value::BigInt(1)},
+  rec.ops.push_back(WalOp{WalOpType::kUpdate, 100, {},
                           {Value::BigInt(1), Value::Varchar("b")}});
   rec.ops.push_back(WalOp{WalOpType::kDelete, 101, {Value::BigInt(-1)}, {}});
   WalOp ledger_delete{WalOpType::kLedgerDelete, 100, {Value::BigInt(1)}, {}};
-  ledger_delete.seq_gap = 300;
+  ledger_delete.seq_gap = 3;
   rec.ops.push_back(ledger_delete);
+  rec.ops.push_back(
+      WalOp{WalOpType::kLedgerDelete, 100, {Value::BigInt(2)}, {}});
   std::vector<uint8_t> buf;
   EXPECT_EQ(rec.EncodeTo(&buf), 13u);  // the slot follows ts and user
   EXPECT_EQ(HexEncode(Slice(buf)),
@@ -135,32 +141,36 @@ TEST(WalRecordTest, GoldenBytes) {
             "0100000000000000"    // block ordinal fixed64
             "01"                  // one ledger table
             "d78e6347dd22a57a"    // SHA-256(64 00 01 .. 1f)[0..8]
-            "04"                  // four ops
+            "05"                  // five ops
             "01" "64"             // INSERT into table 100
             "02" "0402" "060161"  //   row: BIGINT 1, VARCHAR 'a'
             "02" "64"             // UPDATE in table 100
-            "02" "0402" "060162"  //   row: BIGINT 1, VARCHAR 'b'
+            "02" "01" "060162"    //   row: cell 0 repeated, VARCHAR 'b'
             "03" "65"             // DELETE from table 101
             "01" "0401"           //   key: BIGINT -1
+            "85" "64" "03"        // ledger DELETE from table 100, gap 3
+            "01" "0402"           //   key: BIGINT 1 (no 1-cell predecessor)
             "05" "64"             // ledger DELETE from table 100
-            "01" "0402"           //   key: BIGINT 1
-            "ac02");              //   end sequence 300 varint
+            "01" "00" "0404");    //   key: nothing repeated, BIGINT 2
   auto decoded = WalCommitRecord::Decode(Slice(buf));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->ledger_tables, 1u);
   EXPECT_EQ(decoded->roots_check, WalCommitRecord::RootsCheck({{100, root}}));
-  ASSERT_EQ(decoded->ops.size(), 4u);
+  ASSERT_EQ(decoded->ops.size(), 5u);
   EXPECT_TRUE(decoded->ops[1].key.empty());
-  EXPECT_EQ(decoded->ops[1].new_row[1].string_value(), "b");
+  EXPECT_EQ(decoded->ops[1].new_row,
+            (Row{Value::BigInt(1), Value::Varchar("b")}));
   EXPECT_EQ(decoded->ops[2].key, KeyTuple{Value::BigInt(-1)});
   EXPECT_TRUE(decoded->ops[2].new_row.empty());
-  EXPECT_EQ(decoded->ops[3].seq_gap, 300u);
+  EXPECT_EQ(decoded->ops[3].seq_gap, 3u);
+  EXPECT_EQ(decoded->ops[4].seq_gap, 0u);
+  EXPECT_EQ(decoded->ops[4].key, KeyTuple{Value::BigInt(2)});
 
   // A record that touches no ledger table logs a zero count and no check.
   rec.SetTableRoots({});
   buf.clear();
   rec.EncodeTo(&buf);
-  EXPECT_EQ(HexEncode(Slice(buf)).substr(2 * 29, 4), "0004");
+  EXPECT_EQ(HexEncode(Slice(buf)).substr(2 * 29, 4), "0005");
 }
 
 // A nonzero ledger table count must be followed by the 8-byte roots check.
@@ -356,7 +366,9 @@ TEST_F(CheckpointTest, RoundTripTablesAndMeta) {
 
 // The checkpoint file's bytes are pinned: a fixed two-table store, one
 // table with a secondary index and a mix of NULL, empty and non-empty
-// cells. Any change to the row, schema or index encoding moves the hash.
+// cells, and a hidden cell that repeats its predecessor's in every other
+// row (a set repeat-bitmap bit). Any change to the row, schema or index
+// encoding moves the hash.
 TEST_F(CheckpointTest, GoldenFileSha256) {
   Schema s;
   s.AddColumn("id", DataType::kBigInt, false);
@@ -370,7 +382,7 @@ TEST_F(CheckpointTest, GoldenFileSha256) {
                            i % 3 == 0 ? Value::Null(DataType::kVarchar)
                                       : Value::Varchar(std::string(i, 'n')),
                            Value::Double(0.5 * static_cast<double>(i)),
-                           Value::BigInt(100 + i)})
+                           Value::BigInt(100 + i / 2)})
                     .ok());
   }
   ASSERT_TRUE(t1.CreateIndex("by_name", {1}, false).ok());
@@ -385,7 +397,7 @@ TEST_F(CheckpointTest, GoldenFileSha256) {
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   EXPECT_EQ(Sha256::Digest(Slice(bytes)).ToHex(),
-            "ed571251c39276f2b52d02c4c4ed5e36e916d44540889858ef3501b087ad318a");
+            "1855c039e0b69bd149ab4738526e671dd5e658fbba3f2a46a823762ced8ea4d4");
 }
 
 TEST_F(CheckpointTest, MissingFileIsNotFound) {
