@@ -64,11 +64,11 @@ TEST_F(SimSmokeTest, GoldenFingerprints) {
   };
   const Golden kGolden[] = {
       {1, "e69c12d05bdf4a06eaf884342dee8e344fd7a1d0fea44b90463ae8b4f67f6c8a",
-       "1b0248fb8ce5a9fce0d21050fb1ee0e4584403df52b6d0f73e21378ff9173eac"},
+       "e5e75fe9dfe9b1aeddd1046164bef3c6a0bcfc1c1220431352df6384270c3a65"},
       {2, "8b9ad3534379a133983db9d3c9d112a229d75491bbe5a50f978f41b7ea0cff40",
-       "c1c55d6e6b99bc708ba4b66ef3628da385bd498584f977874ec59a833a27056e"},
+       "4fa6f7a743512cd3c3e8ebb83379e438beeec84be0c6ec98da08bf2866f797a6"},
       {3, "d5f745a6cba5413b8eaeca31f1c6ab4243e23a2d043731651e7ae8ada870f68f",
-       "36bbd9636e0187e034102160ceaec467873432888cf65bc862e814c9082d32b9"},
+       "fecfc31fd7971a9b8b67bd11d390111bfadeef98e7dd2d66498e91843f85a69d"},
   };
   for (const Golden& g : kGolden) {
     SimResult result = RunSim(MakeConfig(g.seed, 500));
