@@ -21,7 +21,7 @@ Result<VisibleSchema> GetVisibleSchema(LedgerDatabase* db,
   if (!ref.ok()) return ref.status();
   VisibleSchema out;
   const Schema& schema = ref->main->schema();
-  for (size_t ord : schema.VisibleOrdinals()) {
+  for (size_t ord : ref->visible_ords) {
     out.names.push_back(schema.column(ord).name);
     out.columns.push_back(&schema.column(ord));
   }
@@ -555,17 +555,8 @@ Result<SqlResultSet> SqlSession::ExecDelete(const DeleteStmt& stmt) {
   auto visible = GetVisibleSchema(db_, stmt.table);
   if (!visible.ok()) return visible.status();
 
-  // Key ordinals relative to the visible row (keys are always visible).
-  std::vector<size_t> key_positions;
-  {
-    const Schema& schema = ref->main->schema();
-    std::vector<size_t> visible_ordinals = schema.VisibleOrdinals();
-    for (size_t key_ord : schema.key_ordinals()) {
-      for (size_t i = 0; i < visible_ordinals.size(); i++) {
-        if (visible_ordinals[i] == key_ord) key_positions.push_back(i);
-      }
-    }
-  }
+  // Key positions in the visible row (keys are always visible).
+  const std::vector<size_t>& key_positions = ref->user_key_positions;
 
   auto deleted = WithTransaction([&](Transaction* txn) -> Result<int64_t> {
     auto rows = db_->Scan(txn, stmt.table);

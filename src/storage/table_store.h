@@ -73,9 +73,9 @@ class TableStore {
 
   /// Fails with AlreadyExists on primary-key duplicates or unique-index
   /// violations (no partial effects in that case). Takes the row by value:
-  /// a caller done with its row moves it in. On success `*stored`, if
+  /// a caller done with its row moves it in. On success `*stored_out`, if
   /// given, is the stored row, valid until the next mutation.
-  Status Insert(Row row, const Row** stored = nullptr);
+  Status Insert(Row row, const Row** stored_out = nullptr);
   /// Replaces the row whose primary key matches `row`'s key columns.
   Status Update(const Row& row);
   /// Removes the row with the given primary key; NotFound if absent.
