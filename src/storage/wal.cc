@@ -10,6 +10,8 @@ namespace sqlledger {
 
 namespace {
 constexpr size_t kFrameHeaderSize = 8;  // fixed32 length + fixed32 crc32c
+// Set in a logged op's type byte when a sequence gap follows its table id.
+constexpr uint8_t kSeqGapFlag = 0x80;
 }  // namespace
 
 void AppendFrame(Slice payload, std::vector<uint8_t>* dst) {
@@ -146,7 +148,7 @@ size_t WalCommitRecord::EncodeTo(const std::vector<WalOp>& ops,
   TuplePredecessors predecessors;
   for (const WalOp& op : ops) {
     const uint8_t type = static_cast<uint8_t>(op.type);
-    dst->push_back(op.seq_gap != 0 ? type | kWalSeqGapFlag : type);
+    dst->push_back(op.seq_gap != 0 ? type | kSeqGapFlag : type);
     PutVarint32(dst, op.table_id);
     if (op.type == WalOpType::kDefineTable) {
       op.definition->EncodeTo(dst);
@@ -238,8 +240,8 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
     auto type_byte = dec.GetBytes(1);
     if (!type_byte.ok()) return type_byte.status();
     WalOp& op = rec.ops.emplace_back();
-    const uint8_t t = (*type_byte)[0] & ~kWalSeqGapFlag;
-    const bool has_gap = ((*type_byte)[0] & kWalSeqGapFlag) != 0;
+    const uint8_t t = (*type_byte)[0] & ~kSeqGapFlag;
+    const bool has_gap = ((*type_byte)[0] & kSeqGapFlag) != 0;
     if (t < 1 || t > 5) return Status::Corruption("bad WAL op type");
     op.type = static_cast<WalOpType>(t);
     auto table_id = dec.GetVarint32();

@@ -54,9 +54,6 @@ enum class WalOpType : uint8_t {
   kLedgerDelete = 5,  // ledger row with key retired
 };
 
-/// Set in a logged op's type byte when a sequence gap follows its table id.
-inline constexpr uint8_t kWalSeqGapFlag = 0x80;
-
 /// A table's whole definition after a schema change. The WAL logs the
 /// resulting state rather than the operation, so replaying it twice is
 /// harmless. The main store's id is the op's table_id.
@@ -99,8 +96,8 @@ struct TableDefinition {
 /// delete one (its retired version's end sequence) and an update two (it
 /// retires its pre-image at the first, UpdateRetireSeq, and installs at the
 /// second). A failed statement may have consumed numbers that no logged op
-/// took: the next op's `seq_gap` counts them, and a nonzero gap sets
-/// kWalSeqGapFlag in its type byte and is logged as a varint.
+/// took: the next op's `seq_gap` counts them, and a nonzero gap sets bit
+/// 0x80 of its type byte and follows the table id as a varint.
 struct WalOp {
   WalOpType type = WalOpType::kInsert;
   uint32_t table_id = 0;
