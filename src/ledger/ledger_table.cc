@@ -106,7 +106,7 @@ Status LedgerDelete(Transaction* txn, const LedgerTableRef& t,
   }
 
   uint64_t seq = txn->NextSequence();
-  txn->RecordLedgerDelete(t.main, key, *current, seq);
+  txn->RecordDelete(t.main, key, *current, seq);
   auto history_key = RetireVersion(t, *current, txn->id(), seq,
                                    txn->MerkleForTable(t.table_id));
   if (!history_key.ok()) return history_key.status();

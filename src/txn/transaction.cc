@@ -45,22 +45,14 @@ void Transaction::RecordUpdate(TableStore* table, const KeyTuple& key,
 }
 
 void Transaction::RecordDelete(TableStore* table, const KeyTuple& key,
-                               const Row& old_row) {
+                               const Row& old_row,
+                               std::optional<uint64_t> first_seq) {
   WalOp op;
-  op.type = WalOpType::kDelete;
+  op.type = first_seq.has_value() ? WalOpType::kLedgerDelete
+                                  : WalOpType::kDelete;
   op.table_id = table->table_id();
   op.key = key;
-  PushRedo(std::move(op), std::nullopt, 0);
-  PushUndo(WalOpType::kDelete, table, key, old_row);
-}
-
-void Transaction::RecordLedgerDelete(TableStore* table, const KeyTuple& key,
-                                     const Row& old_row, uint64_t end_seq) {
-  WalOp op;
-  op.type = WalOpType::kLedgerDelete;
-  op.table_id = table->table_id();
-  op.key = key;
-  PushRedo(std::move(op), end_seq, 1);
+  PushRedo(std::move(op), first_seq, 1);
   PushUndo(WalOpType::kDelete, table, key, old_row);
 }
 

@@ -51,19 +51,18 @@ class Transaction {
   /// pads again; `key` is the row's clustered key, which only the undo
   /// entry and a delete's redo op keep. On a ledger table `first_seq` is
   /// the first sequence number the statement took: an insert's version's,
-  /// an update's retired version's (it installs at the next). The redo op
-  /// logs only its gap from the numbers the ops before it took (WalOp).
+  /// an update's retired version's (it installs at the next), a delete's
+  /// retired version's (a ledger delete, from which replay rebuilds the
+  /// history row). The redo op logs only its gap from the numbers the ops
+  /// before it took (WalOp).
   void RecordInsert(TableStore* table, const KeyTuple& key,
                     const Row& user_row,
                     std::optional<uint64_t> first_seq = std::nullopt);
   void RecordUpdate(TableStore* table, const KeyTuple& key, const Row& old_row,
                     const Row& user_row,
                     std::optional<uint64_t> first_seq = std::nullopt);
-  void RecordDelete(TableStore* table, const KeyTuple& key, const Row& old_row);
-  /// A ledger delete, which retires its version at sequence `end_seq`:
-  /// replay rebuilds the history row from the row and that number.
-  void RecordLedgerDelete(TableStore* table, const KeyTuple& key,
-                          const Row& old_row, uint64_t end_seq);
+  void RecordDelete(TableStore* table, const KeyTuple& key, const Row& old_row,
+                    std::optional<uint64_t> first_seq = std::nullopt);
   /// Records the insert of a retired version into a history store. It has
   /// an undo entry but no redo op: replay rebuilds the history row from the
   /// pre-image of the ledger update or delete that retired it.
