@@ -763,6 +763,7 @@ Status LedgerDatabase::Commit(Transaction* txn) {
       record.block_id = 0;
       record.block_ordinal = 0;
       record.SetTableRoots(txn->TableRoots());
+      req.payload.reserve(1 + record.EncodedBytesBound(txn->ops()));
       req.payload.push_back(kWalKindCommit);
       req.slot_offset = record.EncodeTo(txn->ops(), &req.payload);
     }

@@ -165,6 +165,20 @@ size_t WalCommitRecord::EncodeTo(const std::vector<WalOp>& ops,
   return slot_offset;
 }
 
+size_t WalCommitRecord::EncodedBytesBound(
+    const std::vector<WalOp>& ops) const {
+  // Varints at their widest: the txn id, the user name's length, the
+  // ledger table count and the op count; then the fixed-width fields.
+  size_t bytes = 10 + 5 + user_name.size() + 5 + 5 + 8 + 16 + 8;
+  for (const WalOp& op : ops) {
+    // The type byte, the table id and the sequence gap, then the tuple:
+    // the key or the row, whichever the op logs (the other is empty).
+    bytes += 1 + 5 + 10 + EncodedRowBound(op.key) +
+             EncodedRowBound(op.new_row);
+  }
+  return bytes;
+}
+
 void WalCommitRecord::SetTableRoots(
     const std::vector<std::pair<uint32_t, Hash256>>& roots) {
   ledger_tables = static_cast<uint32_t>(roots.size());

@@ -144,6 +144,10 @@ struct WalCommitRecord {
   size_t EncodeTo(std::vector<uint8_t>* dst) const {
     return EncodeTo(ops, dst);
   }
+  /// An upper bound on the bytes EncodeTo appends with `ops`, to reserve
+  /// before encoding. A table definition's bytes are not counted: a DDL's
+  /// record may outgrow it.
+  size_t EncodedBytesBound(const std::vector<WalOp>& ops) const;
   /// Overwrites the slot pair previously encoded at `slot_offset`.
   static void PatchSlot(std::vector<uint8_t>* buf, size_t slot_offset,
                         uint64_t block_id, uint64_t block_ordinal);

@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -560,6 +564,223 @@ TEST(RowTest, TpccOrderLineVersionIsSmall) {
     EXPECT_LE(version.BlockBytes(), 40u);
   }
 }
+
+// EncodedRowBound holds at each cell's widest encoding against its block
+// bytes: a +0.0 DOUBLE (a tag alone in the block, 9 bytes encoded), an
+// 8-byte integer (a 10-byte varint), an empty string and a NULL.
+TEST(RowTest, EncodedRowBoundCoversTheEncoding) {
+  std::vector<Row> rows = {
+      Row{},
+      Row{Value::Double(0.0)},
+      Row(std::vector<Value>(300, Value::Double(0.0))),
+      Row{Value::BigInt(INT64_MIN), Value::Varchar(""),
+          Value::Null(DataType::kInt), Value::Double(1.5)},
+      Row(EveryType())};
+  for (const Row& row : rows) {
+    for (const Row* prev : {static_cast<const Row*>(nullptr), &row}) {
+      std::vector<uint8_t> bytes;
+      EncodeRow(row, prev, &bytes);
+      EXPECT_LE(bytes.size(), EncodedRowBound(row)) << row.size();
+    }
+  }
+}
+
+// A row of exactly `bytes` (>= 9) block bytes: a VARBINARY of `fill`
+// bytes, then NULLs (at 9 and 10 bytes, NULLs alone).
+std::vector<Value> CellsOfBlockBytes(size_t bytes, uint8_t fill) {
+  if (bytes < 11)
+    return std::vector<Value>(bytes - 8, Value::Null(DataType::kInt));
+  const size_t len = std::min<size_t>(bytes - 10, 255);
+  std::vector<Value> cells = {
+      Value::Varbinary(std::vector<uint8_t>(len, fill))};
+  cells.resize(1 + (bytes - 10 - len), Value::Null(DataType::kInt));
+  return cells;
+}
+
+class RowPoolTest : public TempDirTest {};
+
+// Every pooled class a row can take, 16 through 512 bytes (a block holds
+// at least a header and one tag, 9 bytes, so the 8-byte class stays
+// empty), and a malloc block above 512, through pack, copy, CellRef
+// repack, copy-assignment and destruction. Each row's bytes carry their
+// own fill, so two live blocks that overlapped would show.
+TEST_F(RowPoolTest, EveryClassRoundTrips) {
+  const int64_t live = Row::LiveBlocks();
+  {
+    std::vector<std::vector<Value>> want;
+    std::vector<Row> rows;
+    for (size_t bytes = 9; bytes <= 520; bytes++) {
+      want.push_back(CellsOfBlockBytes(bytes, static_cast<uint8_t>(bytes)));
+      rows.emplace_back(want.back());
+      ASSERT_EQ(rows.back().BlockBytes(), bytes);
+    }
+    EXPECT_EQ(Row::LiveBlocks(), live + static_cast<int64_t>(rows.size()));
+    std::vector<Row> copies = rows;
+    for (size_t i = 0; i < copies.size(); i++) {
+      if (want[i][0].is_null()) continue;
+      // A string one byte shorter repacks the row into a new block (of the
+      // class below when the size was one past a multiple of 8), and back.
+      const std::string_view bin = want[i][0].string_value();
+      copies[i][0] = Value::Varbinary(
+          std::vector<uint8_t>(bin.begin(), bin.end() - 1));
+      ASSERT_LT(copies[i].BlockBytes(), rows[i].BlockBytes());
+      copies[i][0] = want[i][0];
+    }
+    for (size_t i = 0; i < rows.size(); i++) {
+      EXPECT_TRUE(rows[i] == Row(want[i])) << rows[i].BlockBytes();
+      EXPECT_TRUE(copies[i] == rows[i]) << rows[i].BlockBytes();
+      if (want[i][0].is_null()) continue;
+      const std::string_view bytes = rows[i][0].string_value();
+      EXPECT_EQ(std::count(bytes.begin(), bytes.end(),
+                           static_cast<char>(rows[i].BlockBytes())),
+                static_cast<std::ptrdiff_t>(bytes.size()));
+    }
+    // Copy-assignment across classes and sizes, both ways.
+    for (size_t i = 0; i < copies.size(); i++)
+      copies[i] = rows[rows.size() - 1 - i];
+    for (size_t i = 0; i < copies.size(); i++)
+      EXPECT_TRUE(copies[i] == Row(want[rows.size() - 1 - i]));
+    EXPECT_EQ(Row::LiveBlocks(),
+              live + 2 * static_cast<int64_t>(rows.size()));
+  }
+  EXPECT_EQ(Row::LiveBlocks(), live);
+}
+
+TEST_F(RowPoolTest, CopyAssignReusesABlockOfTheSameClass) {
+  // 17 and 23 bytes: both in the 24-byte class.
+  Row a{Value::Varchar("abcdefg")};
+  Row b{Value::Varchar("abcdefghijklm")};
+  ASSERT_EQ(a.BlockBytes(), 17u);
+  ASSERT_EQ(b.BlockBytes(), 23u);
+  const char* before = a[0].string_value().data();
+  a = b;
+  EXPECT_EQ(a[0].string_value().data(), before);
+  EXPECT_EQ(a[0].string_value(), "abcdefghijklm");
+  Row c{Value::Varchar("abcdefghij")};  // 20 bytes
+  a = c;
+  EXPECT_EQ(a[0].string_value().data(), before);
+  EXPECT_EQ(a, c);
+}
+
+// Rows packed on one thread and destroyed on another: the blocks return
+// to the pool and a third thread packs into them. Caches trade blocks 16 at
+// a time, so with a multiple of 16 rows no block is left over from the
+// first thread's refills to come between them.
+TEST_F(RowPoolTest, RowsFreedOnAnotherThreadAreReused) {
+  constexpr int kRows = 1024;
+  const int64_t live = Row::LiveBlocks();
+  // 113 bytes each, in the 120-byte class; the string starts 13 bytes in.
+  auto make = [](int i) {
+    return Row{Value::BigInt(1000 + i), Value::Varchar(std::string(100, 'p'))};
+  };
+  std::vector<Row> rows;
+  std::thread([&] {
+    for (int i = 0; i < kRows; i++) rows.push_back(make(i));
+  }).join();
+  std::set<const char*> blocks;
+  for (const Row& r : rows) {
+    ASSERT_EQ(r.BlockBytes(), 113u);
+    blocks.insert(r[1].string_value().data());
+  }
+  EXPECT_EQ(Row::LiveBlocks(), live + kRows);
+  std::thread([&] { rows.clear(); }).join();
+  EXPECT_EQ(Row::LiveBlocks(), live);
+  std::thread([&] {
+    for (int i = 0; i < kRows; i++) rows.push_back(make(i));
+  }).join();
+  size_t reused = 0;
+  for (const Row& r : rows) reused += blocks.count(r[1].string_value().data());
+  EXPECT_EQ(reused, size_t{kRows});
+  rows.clear();
+  EXPECT_EQ(Row::LiveBlocks(), live);
+}
+
+// Threads that pack and free rows of every class and exit give their
+// cached blocks and their counts back; rows they hand over stay counted
+// until freed.
+TEST_F(RowPoolTest, ExitedThreadsLeaveTheLiveCountWhereItWas) {
+  constexpr size_t kThreads = 4, kKept = 100;
+  const int64_t live = Row::LiveBlocks();
+  std::vector<Row> kept(kThreads * kKept);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; t++) {
+    threads.emplace_back([&kept, t] {
+      std::vector<Row> mine;
+      for (size_t i = 0; i < 600; i++)
+        mine.emplace_back(CellsOfBlockBytes(9 + (i * 7 + t) % 600, 0x5A));
+      for (size_t i = 1; i < mine.size(); i += 2) mine[i] = Row();
+      for (size_t k = 0; k < kKept; k++)
+        kept[t * kKept + k] = std::move(mine[2 * k]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(Row::LiveBlocks(), live + static_cast<int64_t>(kept.size()));
+  kept.clear();
+  EXPECT_EQ(Row::LiveBlocks(), live);
+}
+
+// The leak check LeakSanitizer no longer gives for row blocks: a ledger
+// database that ran 200 transactions and a checkpoint frees every row
+// block it allocated when it closes.
+TEST_F(RowPoolTest, ClosedDatabaseLeavesNoLiveBlocks) {
+  const int64_t live = Row::LiveBlocks();
+  {
+    LedgerDatabaseOptions options;
+    options.data_dir = Path("db");
+    options.database_id = "pooldb";
+    options.block_size = 4;
+    auto db = LedgerDatabase::Open(std::move(options));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->CreateTable("t", SimpleUserSchema(),
+                                   TableKind::kUpdateable)
+                    .ok());
+    for (int64_t i = 0; i < 200; i++) {
+      auto txn = (*db)->Begin("pool");
+      ASSERT_TRUE(txn.ok());
+      ASSERT_TRUE((*db)->Insert(*txn, "t",
+                                {Value::BigInt(i),
+                                 Value::Varchar(std::string(i % 300, 'r'))})
+                      .ok());
+      if (i % 2 == 1) {
+        ASSERT_TRUE((*db)->Update(*txn, "t",
+                                  {Value::BigInt(i - 1), Value::Varchar("u")})
+                        .ok());
+      }
+      if (i % 5 == 4) {
+        ASSERT_TRUE((*db)->Delete(*txn, "t", {Value::BigInt(i - 2)}).ok());
+      }
+      ASSERT_TRUE((*db)->Commit(*txn).ok());
+    }
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    EXPECT_GT(Row::LiveBlocks(), live);
+  }
+  EXPECT_EQ(Row::LiveBlocks(), live);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// A freed block is poisoned, and a live one is addressable for exactly its
+// row's bytes, so AddressSanitizer reports both reads as reads of memory
+// the pool poisoned.
+TEST(RowPoolDeathTest, ReadingAFreedOrOverrunBlockIsReported) {
+  EXPECT_DEATH(
+      {
+        const char* freed;
+        {
+          Row row{Value::Varchar("freed")};
+          freed = row[0].string_value().data();
+        }
+        EXPECT_EQ(*static_cast<const volatile char*>(freed), 'f');
+      },
+      "AddressSanitizer: use-after-poison");
+  EXPECT_DEATH(
+      {
+        Row row{Value::Varchar("abcdefg")};  // 17 bytes of a 24-byte block
+        const char* end = row[0].string_value().data() + 7;
+        EXPECT_EQ(*static_cast<const volatile char*>(end), 0);
+      },
+      "AddressSanitizer: use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace sqlledger

@@ -173,6 +173,24 @@ TEST(WalRecordTest, GoldenBytes) {
   EXPECT_EQ(HexEncode(Slice(buf)).substr(2 * 29, 4), "0005");
 }
 
+// The commit reserves EncodedBytesBound before encoding; the bound holds for
+// widest-case cells (+0.0 DOUBLEs, 8-byte integers), a sequence gap and
+// varints at their widest.
+TEST(WalRecordTest, EncodedBytesBoundCoversTheRecord) {
+  WalCommitRecord rec = MakeRecord(~uint64_t{0});
+  rec.user_name = std::string(300, 'u');
+  WalOp wide{WalOpType::kInsert, ~uint32_t{0}, {},
+             Row(std::vector<Value>(40, Value::Double(0.0)))};
+  wide.seq_gap = ~uint64_t{0};
+  rec.ops.push_back(wide);
+  rec.ops.push_back(WalOp{WalOpType::kUpdate, 7, {},
+                          {Value::BigInt(INT64_MIN), Value::Varchar("")}});
+  rec.ops.push_back(WalOp{WalOpType::kDelete, 7, {Value::BigInt(1)}, {}});
+  std::vector<uint8_t> buf;
+  rec.EncodeTo(&buf);
+  EXPECT_LE(buf.size(), rec.EncodedBytesBound(rec.ops));
+}
+
 // A nonzero ledger table count must be followed by the 8-byte roots check.
 TEST(WalRecordTest, DecodeRejectsMissingRootsCheck) {
   WalCommitRecord rec = MakeRecord(7);
