@@ -90,6 +90,7 @@ std::vector<uint8_t> SerializeRowVersion(const Schema& schema, const Row& row,
                                          RowOp op, uint32_t table_id,
                                          uint64_t txn_id, uint64_t sequence) {
   std::vector<uint8_t> out;
+  out.reserve(RowVersionBytesBound(row));
   AppendRowVersion(schema, row, op, table_id, txn_id, sequence, &out);
   return out;
 }

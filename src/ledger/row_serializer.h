@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "catalog/row.h"
 #include "catalog/schema.h"
 #include "catalog/value.h"
 #include "crypto/sha256.h"
@@ -41,6 +42,13 @@ enum class RowOp : uint8_t {
 std::vector<uint8_t> SerializeRowVersion(const Schema& schema, const Row& row,
                                          RowOp op, uint32_t table_id,
                                          uint64_t txn_id, uint64_t sequence);
+
+/// Bounds SerializeRowVersion's bytes for `row`: 27 of header and count,
+/// and a cell at most 18 more than in its block (a column id and a length of
+/// 5 bytes each, a type byte, a +0.0 DOUBLE's 8 value bytes for a 1-byte tag).
+inline size_t RowVersionBytesBound(const Row& row) {
+  return row.BlockBytes() + 18 * row.size() + 27;
+}
 
 /// Merkle leaf hash of the serialized version — what DML appends to the
 /// transaction's per-table streaming Merkle tree and what verification

@@ -189,6 +189,49 @@ TEST(RowSerializerTest, AllValueTypesSerialize) {
   EXPECT_NE(bytes, SerializeRowVersion(s2, row2, RowOp::kInsert, 1, 2, 3));
 }
 
+// RowVersionBytesBound covers the serialization at its widest: column ids
+// of 5 varint bytes, +0.0 DOUBLEs (a 1-byte tag in the block, 8 value
+// bytes here), a string whose length takes 3 varint bytes, every type at
+// its extremes, NULL and hidden cells, and no cells at all.
+TEST(RowSerializerTest, RowVersionBytesBoundCoversTheSerialization) {
+  std::vector<std::pair<Schema, Row>> cases;
+  cases.push_back({Schema(), Row{}});
+  {
+    Schema s;
+    s.set_next_column_id(uint32_t{1} << 31);
+    for (int i = 0; i < 300; i++)
+      s.AddColumn("d" + std::to_string(i), DataType::kDouble, true);
+    cases.push_back({s, Row(std::vector<Value>(300, Value::Double(0.0)))});
+  }
+  {
+    Schema s;
+    s.set_next_column_id(uint32_t{1} << 31);
+    s.AddColumn("b", DataType::kBool, true);
+    s.AddColumn("si", DataType::kSmallInt, true);
+    s.AddColumn("i", DataType::kInt, true);
+    s.AddColumn("bi", DataType::kBigInt, true);
+    s.AddColumn("d", DataType::kDouble, true);
+    s.AddColumn("v", DataType::kVarchar, true);
+    s.AddColumn("vb", DataType::kVarbinary, true);
+    s.AddColumn("ts", DataType::kTimestamp, true);
+    s.AddColumn("e", DataType::kVarchar, true);
+    s.AddColumn("n", DataType::kInt, true);
+    s.AddColumn("h", DataType::kBigInt, true, 0, /*hidden=*/true);
+    cases.push_back(
+        {s, Row{Value::Bool(false), Value::SmallInt(INT16_MIN),
+                Value::Int(INT32_MIN), Value::BigInt(INT64_MIN),
+                Value::Double(-0.0), Value::Varchar(std::string(20000, 'v')),
+                Value::Varbinary(std::vector<uint8_t>(130, 0xAB)),
+                Value::Timestamp(INT64_MAX), Value::Varchar(""),
+                Value::Null(DataType::kInt), Value::BigInt(INT64_MIN)}});
+  }
+  for (const auto& [schema, row] : cases) {
+    const auto bytes = SerializeRowVersion(schema, row, RowOp::kDelete,
+                                           UINT32_MAX, UINT64_MAX, UINT64_MAX);
+    EXPECT_LE(bytes.size(), RowVersionBytesBound(row)) << row.size();
+  }
+}
+
 // RowVersionLeafHashMany (the verifier's and ledger_bench's path) reuses one
 // scratch buffer across jobs; every output must still equal the per-row
 // RowVersionLeafHash, including a short row hashed after a long one.
