@@ -58,10 +58,14 @@ to the offending line — use sparingly and say why on an adjacent comment):
                   a call that changes a table store's definition —
                   mutable_schema(), ExtendRows(, set_name(, or CreateIndex(/
                   DropIndex( on anything but the database facade (db/db_) —
-                  in src/ outside src/storage/ and
-                  src/ledger/table_definition.cc. Every DDL, the bootstrap
-                  and WAL replay change stores through ApplyTableDefinition,
-                  so a statement and its replay cannot drift apart
+                  or the making of a CatalogEntry or TableStore (make_unique/
+                  make_shared, new, or a named object), in src/ outside the
+                  store itself (src/storage/table_store.{h,cc}) and
+                  src/ledger/table_definition.cc. Every DDL, the bootstrap,
+                  checkpoint load and WAL replay make and change stores
+                  through ApplyTableDefinition (the Database Ledger's two
+                  through BuildSystemStores, in the same file), so a
+                  statement, its replay and a reload cannot drift apart
                   (DESIGN.md §4).
   one-uploader    a call of Upload( on a receiver (`->Upload(`, `.Upload(`)
                   in src/ outside src/ledger/digest_pipeline.cc and the
@@ -422,29 +426,44 @@ DEFINITION_EDIT_RE = re.compile(
 # Receivers whose CreateIndex/DropIndex is the LedgerDatabase DDL, which
 # itself goes through the apply path.
 DATABASE_RECEIVERS = {"db", "db_"}
+# A catalog entry or table store made: by make_unique/make_shared, by new,
+# or as a named object (`TableStore t(...)`, `CatalogEntry e;`).
+STORE_MAKE_RE = re.compile(
+    r"\bmake_(?:unique|shared)\s*<\s*(?:TableStore|CatalogEntry)\s*>"
+    r"|\bnew\s+(?:TableStore|CatalogEntry)\b"
+    r"|\b(?:TableStore|CatalogEntry)\s+\w+\s*[({;=]")
+# The apply path and the store itself.
+DEFINITION_APPLY_FILES = {
+    os.path.join("src", "ledger", "table_definition.cc"),
+    os.path.join("src", "storage", "table_store.h"),
+    os.path.join("src", "storage", "table_store.cc"),
+}
 
 
 def check_definition_apply(path, lines, findings):
     rel = os.path.relpath(path, REPO_ROOT)
     if not rel.startswith("src" + os.sep):
         return  # tests and benches may edit stores directly (tampering)
-    if rel.startswith(os.path.join("src", "storage") + os.sep):
-        return  # the stores themselves
-    if rel == os.path.join("src", "ledger", "table_definition.cc"):
-        return  # ApplyTableDefinition / MatchStore: the apply path
+    if rel in DEFINITION_APPLY_FILES:
+        return
     for i, raw in enumerate(lines, 1):
         line = strip_noise(raw)
-        for m in DEFINITION_EDIT_RE.finditer(line):
-            if m.group(1) in DATABASE_RECEIVERS:
-                continue
-            if allowed(raw, "definition-apply"):
-                continue
+        if allowed(raw, "definition-apply"):
+            continue
+        if STORE_MAKE_RE.search(line):
+            findings.append(Finding(
+                "definition-apply", path, i,
+                "catalog entry or table store made outside the apply path; "
+                "apply a TableDefinition with ApplyTableDefinition "
+                "(src/ledger/table_definition.cc)"))
+            continue
+        if any(m.group(1) not in DATABASE_RECEIVERS
+               for m in DEFINITION_EDIT_RE.finditer(line)):
             findings.append(Finding(
                 "definition-apply", path, i,
                 "store definition changed outside the apply path; build the "
                 "TableDefinition and apply it with ApplyTableDefinition / "
                 "DefineTable (src/ledger/table_definition.cc)"))
-            break
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +790,21 @@ SELF_TEST_CASES = [
     ("definition-apply", "src/ledger/x_selftest.cc",
      "entry->main->set_name(dropped_name);",
      "def.main.name = dropped_name;"),
+    ("definition-apply", "src/ledger/x_selftest.cc",
+     "auto entry = std::make_unique<CatalogEntry>();",
+     "CatalogEntry* entry = FindTableById(table_id);"),
+    ("definition-apply", "src/storage/x_selftest.cc",
+     "auto table = std::make_unique<TableStore>(*table_id, name, schema);",
+     "TableStore* table = store->second;"),
+    ("definition-apply", "src/storage/x_selftest.cc",
+     "SL_RETURN_IF_ERROR(table->CreateIndex(def.name, def.ordinals, false));",
+     "SL_RETURN_IF_ERROR(table->Insert(std::move(*row), &prev));"),
+    ("definition-apply", "src/sim/x_selftest.cc",
+     "TableStore scratch(id, \"scratch\", schema);",
+     "const TableStore& scratch = *entry->main;"),
+    ("definition-apply", "src/ledger/x_selftest.cc",
+     "std::unique_ptr<TableStore> store(new TableStore(id, name, schema));",
+     "std::unique_ptr<TableStore> store;"),
     ("one-uploader", "src/ledger/x_selftest.cc",
      "SL_RETURN_IF_ERROR(store->Upload(*digest));",
      "SL_RETURN_IF_ERROR(pipeline->SubmitDigest(*digest));"),
@@ -788,14 +822,21 @@ SELF_TEST_CASES = [
      "KeyTuple key = schema.ExtractKey(row);"),
 ]
 
-# (path, fires): one store edit, flagged everywhere in src/ but the apply
-# path's file and the storage layer, and never in tests.
+# (path, fires): one store edit and one store made, each flagged
+# everywhere in src/ but the apply path's file and the store itself, and
+# never in tests.
 DEFINITION_APPLY_SCOPE = [
     ("src/ledger/schema_changes.cc", True),
     ("src/ledger/ledger_database.cc", True),
+    ("src/storage/checkpoint.cc", True),
     ("src/ledger/table_definition.cc", False),
     ("src/storage/table_store.cc", False),
+    ("src/storage/table_store.h", False),
     ("tests/tamper_test.cc", False),
+]
+DEFINITION_APPLY_SCOPE_TEXTS = [
+    "*store->mutable_schema() = schema;\n",
+    "auto store = std::make_unique<TableStore>(id, name, schema);\n",
 ]
 
 # (path, fires): one store upload, flagged everywhere in src/ but the
@@ -895,17 +936,19 @@ def self_test_bench_docs():
 
 
 def self_test_definition_apply_scope():
-    """The same store edit fires or stays quiet by file."""
+    """The same store edit, and the same store made, fire or stay quiet by
+    file."""
     failures = 0
-    text = ["*store->mutable_schema() = schema;\n"]
-    for rel, expect_fire in DEFINITION_APPLY_SCOPE:
-        findings = []
-        check_definition_apply(os.path.join(REPO_ROOT, rel), text, findings)
-        if bool(findings) != expect_fire:
-            failures += 1
-            print(f"SELF-TEST FAIL [definition-apply/{rel}]:"
-                  f" {'did not fire' if expect_fire else 'fired'}",
-                  file=sys.stderr)
+    for text in DEFINITION_APPLY_SCOPE_TEXTS:
+        for rel, expect_fire in DEFINITION_APPLY_SCOPE:
+            findings = []
+            check_definition_apply(os.path.join(REPO_ROOT, rel), [text],
+                                   findings)
+            if bool(findings) != expect_fire:
+                failures += 1
+                print(f"SELF-TEST FAIL [definition-apply/{rel}]:"
+                      f" {'did not fire' if expect_fire else 'fired'}"
+                      f" on {text.strip()!r}", file=sys.stderr)
     return failures
 
 
@@ -990,7 +1033,8 @@ def run_self_test():
     if failures:
         print(f"lint.py --self-test: {failures} failure(s).", file=sys.stderr)
         return 1
-    cases = (len(SELF_TEST_CASES) + 5 + len(DEFINITION_APPLY_SCOPE) +
+    cases = (len(SELF_TEST_CASES) + 5 +
+             len(DEFINITION_APPLY_SCOPE) * len(DEFINITION_APPLY_SCOPE_TEXTS) +
              len(ONE_UPLOADER_SCOPE) + len(STAMP_ONCE_SCOPE) +
              len(ONE_KEY_TYPE_SCOPE))
     print(f"lint.py --self-test: all {cases} cases pass "

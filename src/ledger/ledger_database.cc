@@ -125,6 +125,11 @@ LedgerDatabase::LedgerDatabase(LedgerDatabaseOptions options)
   m_row_versions_skipped_ =
       metrics_->GetCounter("verify.row_versions_skipped_total");
   locks_.SetMetrics(metrics_.get());
+  if (!options_.data_dir.empty()) {
+    checkpoint_path_ = options_.data_dir + "/checkpoint.sldb";
+    wal_path_ = options_.data_dir + "/wal.log";
+  }
+  BuildSystemStores();
 }
 
 LedgerDatabase::~LedgerDatabase() {
@@ -151,39 +156,48 @@ Result<std::unique_ptr<LedgerDatabase>> LedgerDatabase::OpenImpl(
   Status mkdir_st = env->CreateDirs(db->options_.data_dir);
   if (!mkdir_st.ok())
     return Status::IOError("cannot create data dir: " + mkdir_st.message());
-  db->checkpoint_path_ = db->options_.data_dir + "/checkpoint.sldb";
-  db->wal_path_ = db->options_.data_dir + "/wal.log";
-
-  WalOptions wal_options;
-  wal_options.sync = db->options_.sync_wal;
-  wal_options.env = env;
 
   // A crash between the two checkpoint renames can leave only the ".prev"
   // generation on disk — that is still an existing database, not a fresh one.
-  if (env->FileExists(db->checkpoint_path_) ||
-      env->FileExists(db->checkpoint_path_ + ".prev")) {
+  const bool existing = env->FileExists(db->checkpoint_path_) ||
+                        env->FileExists(db->checkpoint_path_ + ".prev");
+  if (existing) {
     const int64_t recover_start = db->metrics_->NowMicros();
-    SL_RETURN_IF_ERROR(db->Recover());
+    // If the newest checkpoint is missing, torn or fails to load, a fresh
+    // database object, holding nothing of that load, loads the previous
+    // generation. A retired format (NotSupported) is not torn: it is
+    // refused, because the WAL beside it is in that format too.
+    Status st = db->LoadCheckpoint(db->checkpoint_path_);
+    const bool used_fallback = st.IsNotFound() || st.IsCorruption();
+    if (used_fallback) {
+      db.reset(new LedgerDatabase(db->options_));
+      st = db->LoadCheckpoint(db->checkpoint_path_ + ".prev");
+      if (st.IsNotFound() || st.IsCorruption())
+        return Status::Corruption(
+            "cannot load checkpoint (newest is missing/torn and no usable "
+            "previous generation): " +
+            st.message());
+    }
+    SL_RETURN_IF_ERROR(st);
+    SL_RETURN_IF_ERROR(db->ReplayWal(used_fallback));
     if (new_incarnation)
       db->create_time_ = std::to_string(db->options_.clock());
     db->m_recovery_micros_->Record(static_cast<uint64_t>(
         std::max<int64_t>(0, db->metrics_->NowMicros() - recover_start)));
     db->m_recovery_runs_->Add();
-    auto wal = Wal::Open(db->wal_path_, wal_options);
-    if (!wal.ok()) return wal.status();
-    db->wal_ = std::move(*wal);
-    db->wal_->SetMetrics(db->metrics_.get());
-    db->wal_enabled_ = true;
   } else {
     SL_RETURN_IF_ERROR(db->InitFresh());
-    auto wal = Wal::Open(db->wal_path_, wal_options);
-    if (!wal.ok()) return wal.status();
-    db->wal_ = std::move(*wal);
-    db->wal_->SetMetrics(db->metrics_.get());
-    db->wal_enabled_ = true;
-    // First checkpoint, so recovery never sees a WAL without a catalog.
-    SL_RETURN_IF_ERROR(db->Checkpoint());
   }
+  WalOptions wal_options;
+  wal_options.sync = db->options_.sync_wal;
+  wal_options.env = env;
+  auto wal = Wal::Open(db->wal_path_, wal_options);
+  if (!wal.ok()) return wal.status();
+  db->wal_ = std::move(*wal);
+  db->wal_->SetMetrics(db->metrics_.get());
+  db->wal_enabled_ = true;
+  // First checkpoint, so recovery never sees a WAL without a catalog.
+  if (!existing) SL_RETURN_IF_ERROR(db->Checkpoint());
 
   // Load the verifier watermark if a trustworthy one exists. Missing, torn
   // or stale (other database / other incarnation) state is not an error —
@@ -217,22 +231,7 @@ Result<std::unique_ptr<LedgerDatabase>> LedgerDatabase::Restore(
 
 Status LedgerDatabase::InitFresh() {
   create_time_ = std::to_string(options_.clock());
-
-  ledger_txns_store_ = std::make_unique<TableStore>(
-      kLedgerTransactionsTableId, "database_ledger_transactions",
-      MakeLedgerTransactionsSchema());
-  ledger_blocks_store_ = std::make_unique<TableStore>(
-      kLedgerBlocksTableId, "database_ledger_blocks",
-      MakeLedgerBlocksSchema());
-
   if (!options_.enable_ledger) return Status::OK();
-
-  DatabaseLedgerOptions lopts;
-  lopts.block_size = options_.block_size;
-  lopts.clock = options_.clock;
-  ledger_ = std::make_unique<DatabaseLedger>(ledger_txns_store_.get(),
-                                             ledger_blocks_store_.get(),
-                                             std::move(lopts));
 
   // Bootstrap the ledger metadata system tables (paper §3.5.2, Figure 6)
   // through the apply path and record their own metadata through the
@@ -246,9 +245,7 @@ Status LedgerDatabase::InitFresh() {
     if (st.ok())
       st = ApplyTableDefinition(
           id, NewTableDefinition(name, user_schema, kind, history_id));
-    if (!st.ok()) return;
-    FindTableById(id)->is_system = true;
-    st = RecordTableMetadata(*txn, *FindTableById(id));
+    if (st.ok()) st = RecordTableMetadata(*txn, *FindTableById(id));
   };
   make_sys(kSysTablesTableId, kSysTablesHistoryTableId, "sys_ledger_tables",
            MakeSysTablesSchema(), TableKind::kUpdateable);
@@ -273,131 +270,65 @@ std::vector<uint8_t> LedgerDatabase::EncodeCatalogMeta() const {
   out.push_back(options_.enable_ledger ? 1 : 0);
   PutVarint32(&out, static_cast<uint32_t>(catalog_.size()));
   for (const auto& [id, entry] : catalog_) {
-    PutVarint32(&out, entry->table_id);
-    PutLengthPrefixed(&out, Slice(entry->name));
-    out.push_back(static_cast<uint8_t>(entry->kind));
-    out.push_back(entry->dropped ? 1 : 0);
-    out.push_back(entry->is_system ? 1 : 0);
-    PutVarint32(&out, entry->history ? entry->history->table_id() : 0);
+    PutVarint32(&out, id);
+    entry->Definition().EncodeTo(&out);
   }
   return out;
 }
 
-Status LedgerDatabase::DecodeCatalogMeta(
-    Slice meta, std::vector<std::unique_ptr<TableStore>> stores) {
-  // Recovery is single-threaded; the locks satisfy the guarded-member
-  // contracts rather than excluding real contention.
-  WriterMutexLock catalog_lock(&catalog_mu_);
-  MutexLock txn_lock(&txn_mu_);
-  std::map<uint32_t, std::unique_ptr<TableStore>> by_id;
-  for (auto& store : stores) {
-    uint32_t id = store->table_id();
-    by_id[id] = std::move(store);
-  }
-
-  Decoder dec(meta);
+Status LedgerDatabase::LoadCheckpoint(const std::string& path) {
+  auto checkpoint = ReadCheckpoint(path, env_);
+  if (!checkpoint.ok()) return checkpoint.status();
+  Decoder dec{Slice(checkpoint->meta)};
   auto create_time = dec.GetLengthPrefixed();
   if (!create_time.ok()) return create_time.status();
   create_time_ = create_time->ToString();
-
   auto next_table = dec.GetVarint32();
   if (!next_table.ok()) return next_table.status();
-  next_table_id_ = *next_table;
   auto next_txn = dec.GetVarint64();
   if (!next_txn.ok()) return next_txn.status();
-  next_txn_id_ = *next_txn;
   auto committed = dec.GetVarint64();
   if (!committed.ok()) return committed.status();
-  // Seed the registry counter with the checkpointed lifetime count.
-  // Recovery is single-threaded and the counter starts at zero.
-  m_commit_txns_->Add(*committed);
   auto ledger_enabled = dec.GetBytes(1);
   if (!ledger_enabled.ok()) return ledger_enabled.status();
   if (((*ledger_enabled)[0] != 0) != options_.enable_ledger)
     return Status::InvalidArgument(
         "enable_ledger option does not match on-disk database");
-
-  auto take_store = [&by_id](uint32_t id) -> std::unique_ptr<TableStore> {
-    auto it = by_id.find(id);
-    if (it == by_id.end()) return nullptr;
-    auto store = std::move(it->second);
-    by_id.erase(it);
-    return store;
-  };
-
-  ledger_txns_store_ = take_store(kLedgerTransactionsTableId);
-  ledger_blocks_store_ = take_store(kLedgerBlocksTableId);
-  if (ledger_txns_store_ == nullptr || ledger_blocks_store_ == nullptr)
-    return Status::Corruption("checkpoint missing ledger system tables");
-
+  // Recovery is single-threaded: the locks satisfy the guarded-member
+  // contracts, and the registry's commit counter, still zero, is seeded
+  // with the checkpointed lifetime count.
+  {
+    WriterMutexLock catalog_lock(&catalog_mu_);
+    next_table_id_ = *next_table;
+  }
+  {
+    MutexLock txn_lock(&txn_mu_);
+    next_txn_id_ = *next_txn;
+  }
+  m_commit_txns_->Add(*committed);
   auto num_entries = dec.GetVarint32();
   if (!num_entries.ok()) return num_entries.status();
   for (uint32_t i = 0; i < *num_entries; i++) {
     auto table_id = dec.GetVarint32();
     if (!table_id.ok()) return table_id.status();
-    auto name = dec.GetLengthPrefixed();
-    if (!name.ok()) return name.status();
-    auto kind_b = dec.GetBytes(1);
-    if (!kind_b.ok()) return kind_b.status();
-    auto dropped_b = dec.GetBytes(1);
-    if (!dropped_b.ok()) return dropped_b.status();
-    auto system_b = dec.GetBytes(1);
-    if (!system_b.ok()) return system_b.status();
-    auto history_id = dec.GetVarint32();
-    if (!history_id.ok()) return history_id.status();
-
-    auto entry = std::make_unique<CatalogEntry>();
-    entry->table_id = *table_id;
-    entry->name = name->ToString();
-    entry->kind = static_cast<TableKind>((*kind_b)[0]);
-    entry->dropped = (*dropped_b)[0] != 0;
-    entry->is_system = (*system_b)[0] != 0;
-    entry->main = take_store(*table_id);
-    if (entry->main == nullptr)
-      return Status::Corruption("checkpoint missing store for table '" +
-                                entry->name + "'");
-    if (*history_id != 0) {
-      entry->history = take_store(*history_id);
-      if (entry->history == nullptr)
-        return Status::Corruption("checkpoint missing history store for '" +
-                                  entry->name + "'");
-    }
-    entry->LinkRef();
-    if (!entry->dropped) name_index_[entry->name] = entry->table_id;
-    catalog_[entry->table_id] = std::move(entry);
+    auto def = TableDefinition::Decode(&dec);
+    if (!def.ok()) return def.status();
+    SL_RETURN_IF_ERROR(ApplyTableDefinition(*table_id, *def));
   }
   if (!dec.done()) return Status::Corruption("trailing bytes in catalog meta");
-  return Status::OK();
+  // Rows load into the system stores and into those the definitions made.
+  std::map<uint32_t, TableStore*> stores = {
+      {kLedgerTransactionsTableId, ledger_txns_store_.get()},
+      {kLedgerBlocksTableId, ledger_blocks_store_.get()}};
+  for (CatalogEntry* entry : AllTables()) {
+    for (TableStore* store : {entry->main.get(), entry->history.get()})
+      if (store != nullptr) stores[store->table_id()] = store;
+  }
+  SL_RETURN_IF_ERROR(LoadCheckpointStores(*checkpoint, stores));
+  return ledger_ != nullptr ? ledger_->LoadFromTables() : Status::OK();
 }
 
-Status LedgerDatabase::Recover() {
-  // Load the newest checkpoint; if it is missing or torn (a crash during
-  // WriteCheckpoint), fall back to the retained previous generation. The
-  // fallback additionally replays the rotated WAL ("wal.log.prev", which
-  // spans previous-checkpoint -> newest-checkpoint), so either path
-  // reconstructs the same state. A checkpoint of a retired format
-  // (NotSupported) is not torn: it is refused, with no fallback, because
-  // the WAL beside it is in that format too.
-  bool used_fallback = false;
-  auto checkpoint = ReadCheckpoint(checkpoint_path_, env_);
-  if (!checkpoint.ok()) {
-    if (checkpoint.status().IsNotFound() ||
-        checkpoint.status().code() == StatusCode::kCorruption) {
-      checkpoint = ReadCheckpoint(checkpoint_path_ + ".prev", env_);
-      if (checkpoint.status().code() == StatusCode::kNotSupported)
-        return checkpoint.status();
-      if (!checkpoint.ok())
-        return Status::Corruption(
-            "cannot load checkpoint (newest is missing/torn and no usable "
-            "previous generation): " +
-            checkpoint.status().message());
-      used_fallback = true;
-    } else {
-      return checkpoint.status();
-    }
-  }
-  SL_RETURN_IF_ERROR(DecodeCatalogMeta(Slice(checkpoint->meta),
-                                       std::move(checkpoint->tables)));
+Status LedgerDatabase::ReplayWal(bool used_fallback) {
   // A checkpoint quiesces, so every transaction whose id is below its
   // next_txn_id had finished and is already in it. Commit records of those
   // transactions are skipped: a crash between the checkpoint's rename and
@@ -409,18 +340,12 @@ Status LedgerDatabase::Recover() {
     MutexLock txn_lock(&txn_mu_);
     checkpoint_next_txn_id = next_txn_id_;
   }
-  if (options_.enable_ledger) {
-    DatabaseLedgerOptions lopts;
-    lopts.block_size = options_.block_size;
-    lopts.clock = options_.clock;
-    ledger_ = std::make_unique<DatabaseLedger>(ledger_txns_store_.get(),
-                                               ledger_blocks_store_.get(),
-                                               std::move(lopts));
-    SL_RETURN_IF_ERROR(ledger_->LoadFromTables());
-  }
   // Replay the WAL tail: redo each commit record's operations once and
   // re-append the Database Ledger's transaction entries from the commit
-  // records (the Analysis phase of paper §3.3.2).
+  // records (the Analysis phase of paper §3.3.2). The fallback to the
+  // previous generation first replays the rotated WAL ("wal.log.prev",
+  // which spans previous-checkpoint -> newest-checkpoint), so either path
+  // reconstructs the same state.
   auto replay = [&](const std::string& path) {
     return ReadFrameLog(env_, path, [&](Slice payload) {
       return ReplayWalRecord(payload, checkpoint_next_txn_id, path);

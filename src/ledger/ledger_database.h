@@ -82,7 +82,6 @@ struct CatalogEntry {
   std::string name;
   TableKind kind = TableKind::kRegular;
   bool dropped = false;
-  bool is_system = false;
   std::unique_ptr<TableStore> main;
   std::unique_ptr<TableStore> history;  // updateable ledger tables only
   LedgerTableRef ref;                   // cached physical reference
@@ -93,6 +92,8 @@ struct CatalogEntry {
   void LinkRef();
   /// The table's current definition, which a schema change starts from.
   TableDefinition Definition() const;
+  /// A sys_ledger_* metadata table, made by the bootstrap.
+  bool is_system() const { return table_id < kFirstUserTableId; }
 };
 
 /// Row of the table-operations system view (paper Figure 6).
@@ -327,8 +328,16 @@ class LedgerDatabase {
   void ProcessGroup(const std::vector<CommitRequest*>& group)
       EXCLUDES(group_mu_);
 
+  /// Makes the Database Ledger's two stores and, with the ledger enabled,
+  /// the DatabaseLedger over them; run once, by the constructor.
+  void BuildSystemStores();
   Status InitFresh();
-  Status Recover();
+  /// Rebuilds the catalog, every store's rows and the Database Ledger's
+  /// state from the checkpoint at `path`, in a database not yet loaded.
+  Status LoadCheckpoint(const std::string& path);
+  /// Replays the WAL tail past the loaded checkpoint, after the rotated
+  /// log when the checkpoint is the previous generation.
+  Status ReplayWal(bool used_fallback);
   /// Checkpoint body; Checkpoint() wraps it with duration metrics/trace so
   /// recording happens after every lock scope has exited.
   Status CheckpointImpl();
@@ -337,15 +346,15 @@ class LedgerDatabase {
   Status ReplayWalRecord(Slice payload, uint64_t checkpoint_next_txn_id,
                          const std::string& wal_path);
   /// Makes the catalog entry `table_id` match `def`, for every DDL, the
-  /// bootstrap and replay alike (table_definition.cc): creates it if
-  /// missing, extends rows with NULLs for new columns, sets names and
-  /// dropped flags, creates or drops indexes and raises the id allocators.
-  /// The caller holds the table's X lock (or is recovery).
+  /// bootstrap, checkpoint load and replay alike, and the only code that
+  /// makes an entry (table_definition.cc): creates it if missing, extends
+  /// rows with NULLs for new columns, sets names and dropped flags, creates
+  /// or drops indexes and raises the id allocators. Corruption for a
+  /// definition no DDL makes. The caller holds the table's X lock (or is
+  /// recovery).
   Status ApplyTableDefinition(uint32_t table_id, const TableDefinition& def)
       EXCLUDES(catalog_mu_);
   std::vector<uint8_t> EncodeCatalogMeta() const;
-  Status DecodeCatalogMeta(Slice meta,
-                           std::vector<std::unique_ptr<TableStore>> stores);
 
   CatalogEntry* FindTable(const std::string& name);
   CatalogEntry* FindTableById(uint32_t table_id);
@@ -426,8 +435,8 @@ class LedgerDatabase {
   std::map<std::string, uint32_t> name_index_ GUARDED_BY(catalog_mu_);
   uint32_t next_table_id_ GUARDED_BY(catalog_mu_) = kFirstUserTableId;
 
-  // Database-ledger system stores (not in catalog_; internal). Set once
-  // during single-threaded InitFresh/Recover, immutable afterwards.
+  // Database-ledger system stores (not in catalog_; internal). Set by the
+  // constructor, never replaced.
   std::unique_ptr<TableStore> ledger_txns_store_;
   std::unique_ptr<TableStore> ledger_blocks_store_;
   std::unique_ptr<DatabaseLedger> ledger_;

@@ -78,7 +78,7 @@ Status LedgerDatabase::AddColumn(const std::string& table,
   for (TableDefinition::Store* store : def.stores())
     store->schema.AddColumn(column, type, /*nullable=*/true, max_length);
   Status st = DefineTable(*txn, entry->table_id, def);
-  if (st.ok() && options_.enable_ledger && !entry->is_system) {
+  if (st.ok() && options_.enable_ledger && !entry->is_system()) {
     const Schema& schema = entry->main->schema();
     st = RecordColumnMetadata(*txn, entry->table_id,
                               schema.column(schema.num_columns() - 1));
@@ -117,7 +117,7 @@ Status LedgerDatabase::DropColumn(const std::string& table,
   for (TableDefinition::Store* store : def.stores())
     store->schema.mutable_column(ord)->dropped = true;
   Status st = DefineTable(*txn, entry->table_id, def);
-  if (st.ok() && options_.enable_ledger && !entry->is_system) {
+  if (st.ok() && options_.enable_ledger && !entry->is_system()) {
     st = UpdateColumnMetadata(this, *txn, entry->table_id, column_id,
                               dropped_name, DataTypeName(col.type));
   }
@@ -131,7 +131,7 @@ Status LedgerDatabase::DropTable(const std::string& table) {
   CatalogEntry* entry = FindTable(table);
   if (entry == nullptr)
     return Status::NotFound("table '" + table + "' not found");
-  if (entry->is_system)
+  if (entry->is_system())
     return Status::InvalidArgument("cannot drop a system table");
 
   std::string dropped_name =
@@ -168,6 +168,8 @@ Status LedgerDatabase::AlterColumnType(const std::string& table,
   int old_ord = entry->main->schema().FindColumn(column);
   if (old_ord < 0) return Status::NotFound("column '" + column + "' not found");
   const ColumnDef old_col = entry->main->schema().column(old_ord);
+  if (old_col.hidden)
+    return Status::InvalidArgument("cannot alter a system column");
   if (old_col.type == new_type) return Status::OK();
   for (size_t key_ord : entry->main->schema().key_ordinals()) {
     if (static_cast<int>(key_ord) == old_ord)
@@ -213,7 +215,7 @@ Status LedgerDatabase::AlterColumnType(const std::string& table,
     st = Update(*txn, table, user_row);
     if (!st.ok()) break;
   }
-  if (st.ok() && options_.enable_ledger && !entry->is_system) {
+  if (st.ok() && options_.enable_ledger && !entry->is_system()) {
     st = UpdateColumnMetadata(
         this, *txn, entry->table_id, old_col.column_id,
         "DroppedColumn_" + column + "_" + std::to_string(old_col.column_id),

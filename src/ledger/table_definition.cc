@@ -1,7 +1,9 @@
-// The apply path (DESIGN.md §4): every DDL, the bootstrap and WAL replay
-// change a table's stores only through ApplyTableDefinition, so a statement
-// and its replay run the same code. Lint rule `definition-apply` keeps
-// store-definition edits in this file and in src/storage/.
+// The apply path (DESIGN.md §4): every DDL, the bootstrap, checkpoint load
+// and WAL replay create and change a table's stores only through
+// ApplyTableDefinition, so a statement, its replay and a reload run the
+// same code. Lint rule `definition-apply` keeps the making of catalog
+// entries and stores (BuildSystemStores makes the ledger's two) in this
+// file, and store-definition edits here and in the store itself.
 
 #include <algorithm>
 
@@ -21,7 +23,54 @@ TableDefinition CatalogEntry::Definition() const {
   return def;
 }
 
+void LedgerDatabase::BuildSystemStores() {
+  ledger_txns_store_ = std::make_unique<TableStore>(
+      kLedgerTransactionsTableId, "database_ledger_transactions",
+      MakeLedgerTransactionsSchema());
+  ledger_blocks_store_ = std::make_unique<TableStore>(
+      kLedgerBlocksTableId, "database_ledger_blocks",
+      MakeLedgerBlocksSchema());
+  if (!options_.enable_ledger) return;
+  DatabaseLedgerOptions lopts;
+  lopts.block_size = options_.block_size;
+  lopts.clock = options_.clock;
+  ledger_ = std::make_unique<DatabaseLedger>(ledger_txns_store_.get(),
+                                             ledger_blocks_store_.get(),
+                                             std::move(lopts));
+}
+
 namespace {
+// Corruption unless `def` has what DML relies on: a known kind, store ids
+// of its own and not the Database Ledger's, a history store just when
+// updateable, and a ledger table's stamp columns as live hidden BIGINTs.
+Status CheckDefinition(uint32_t table_id, const TableDefinition& def) {
+  if (def.kind > static_cast<uint8_t>(TableKind::kUpdateable))
+    return Status::Corruption("bad table kind in table definition");
+  const auto kind = static_cast<TableKind>(def.kind);
+  const uint32_t history_id = def.history_table_id;  // 0 = none
+  if (table_id < kSysTablesTableId ||
+      (history_id != 0 && history_id < kSysTablesTableId) ||
+      history_id == table_id)
+    return Status::Corruption("table definition of table id " +
+                              std::to_string(table_id) +
+                              " names a reserved store id");
+  if ((history_id != 0) != (kind == TableKind::kUpdateable))
+    return Status::Corruption(
+        "table definition's history store does not match its kind");
+  if (kind == TableKind::kRegular) return Status::OK();
+  const char* const stamps[] = {kColStartTxn, kColStartSeq, kColEndTxn,
+                                kColEndSeq};
+  const Schema& schema = def.main.schema;
+  for (size_t i = 0; i < (kind == TableKind::kUpdateable ? 4 : 2); i++) {
+    const int ord = schema.FindColumn(stamps[i]);
+    if (ord < 0 || !schema.column(ord).hidden ||
+        schema.column(ord).type != DataType::kBigInt)
+      return Status::Corruption(std::string("ledger table definition lacks ") +
+                                "the hidden BIGINT column " + stamps[i]);
+  }
+  return Status::OK();
+}
+
 // Makes `store` match a definition's name, schema and index set. Rows gain
 // a NULL cell for each column the definition appends; a definition never
 // removes or retypes a physical column, nor changes the clustered key.
@@ -64,8 +113,7 @@ Status MatchStore(TableStore* store, const TableDefinition::Store& def) {
 
 Status LedgerDatabase::ApplyTableDefinition(uint32_t table_id,
                                             const TableDefinition& def) {
-  if (def.kind > static_cast<uint8_t>(TableKind::kUpdateable))
-    return Status::Corruption("bad table kind in table definition");
+  SL_RETURN_IF_ERROR(CheckDefinition(table_id, def));
   CatalogEntry* entry = nullptr;
   {
     WriterMutexLock lock(&catalog_mu_);

@@ -49,7 +49,7 @@ Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
     if (anchored.empty()) continue;
 
     if (entry->kind == TableKind::kAppendOnly) {
-      if (entry->is_system) {
+      if (entry->is_system()) {
         // Prior truncation-audit records cannot be re-homed (append-only);
         // the verifier accepts their dangling references because they fall
         // inside recorded truncation ranges.

@@ -1424,7 +1424,7 @@ void SimDriver::DoTruncate(size_t i, const SimOp& op) {
   if ((op.arg >> 32) & 1) {
     uint64_t safe = open_id;
     for (CatalogEntry* e : db_->AllTables()) {
-      if (e->is_system || e->kind != TableKind::kAppendOnly) continue;
+      if (e->is_system() || e->kind != TableKind::kAppendOnly) continue;
       for (BTree::Iterator it = e->main->Scan(); it.Valid(); it.Next()) {
         Cell start_txn = it.value()[e->ref.start_txn_ord];
         if (start_txn.is_null()) continue;

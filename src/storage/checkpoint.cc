@@ -10,13 +10,15 @@
 namespace sqlledger {
 
 namespace {
-// 03: each store's rows encoded against the row before them (EncodeRow's
-// repeat bitmap). No reader is kept for the retired formats, which are
-// refused as NotSupported: 01 had fixed-width cells, 02 compact cells
-// without predecessors.
-constexpr char kMagic[] = "SLCKPT03";
-constexpr char kMagicV1[] = "SLCKPT01";
-constexpr char kMagicV2[] = "SLCKPT02";
+// 04: a store's section holds its id, row count and rows, each encoded
+// against the row before it (EncodeRow's repeat bitmap); the caller's meta
+// holds the definitions. No reader is kept for the retired formats, which
+// are refused as NotSupported.
+constexpr char kMagic[] = "SLCKPT04";
+constexpr const char* kRetired[][2] = {
+    {"SLCKPT01", "fixed-width cells"},
+    {"SLCKPT02", "rows without predecessors"},
+    {"SLCKPT03", "store definitions beside their rows"}};
 constexpr size_t kMagicLen = 8;
 // Room past a chunk's end, so the item that crosses the boundary is
 // encoded without the chunk reallocating. Larger items still fit: the chunk
@@ -89,9 +91,6 @@ Status WriteCheckpoint(const std::string& path, Slice meta,
   payload.Seal();
   for (const TableStore* table : tables) {
     PutVarint32(payload.tail(), table->table_id());
-    PutLengthPrefixed(payload.tail(), Slice(table->name()));
-    EncodeSchema(table->schema(), payload.tail());
-    EncodeIndexDefs(table->IndexDefs(), payload.tail());
     PutVarint64(payload.tail(), table->row_count());
     payload.Seal();
     const Row* prev = nullptr;
@@ -133,23 +132,18 @@ Result<CheckpointData> ReadCheckpoint(const std::string& path, Env* env) {
   if (!header_n.ok()) return header_n.status();
   if (*header_n != sizeof(header))
     return Status::Corruption("checkpoint header truncated");
-  for (const char* retired : {kMagicV1, kMagicV2}) {
+  for (const auto& [retired, layout] : kRetired) {
     if (std::memcmp(header, retired, kMagicLen) == 0)
-      return Status::NotSupported(
-          "checkpoint " + path + " has format " +
-          std::string(retired, kMagicLen) +
-          (retired == kMagicV1 ? " (fixed-width cells)"
-                               : " (rows without predecessors)") +
-          ", which this build no longer reads; it reads only SLCKPT03");
+      return Status::NotSupported("checkpoint " + path + " has format " +
+                                  retired + " (" + layout +
+                                  "), which this build no longer reads; it "
+                                  "reads only " + kMagic);
   }
   if (std::memcmp(header, kMagic, kMagicLen) != 0)
     return Status::Corruption("bad checkpoint magic");
-  uint64_t len = 0;
-  for (int i = 0; i < 8; i++)
-    len |= static_cast<uint64_t>(header[kMagicLen + i]) << (8 * i);
-  uint32_t crc = 0;
-  for (int i = 0; i < 4; i++)
-    crc |= static_cast<uint32_t>(header[kMagicLen + 8 + i]) << (8 * i);
+  Decoder fields{Slice(header + kMagicLen, 12)};
+  const uint64_t len = *fields.GetFixed64();
+  const uint32_t crc = *fields.GetFixed32();
   // A corrupted length field must not drive a giant allocation: the payload
   // can never exceed what is actually in the file.
   auto file_size = env->GetFileSize(path);
@@ -165,27 +159,27 @@ Result<CheckpointData> ReadCheckpoint(const std::string& path, Env* env) {
     return Status::Corruption("checkpoint CRC mismatch");
 
   Decoder dec{Slice(payload)};
-  CheckpointData out;
   auto meta = dec.GetLengthPrefixed();
   if (!meta.ok()) return meta.status();
-  out.meta = meta->ToVector();
+  const size_t stores_offset = payload.size() - dec.remaining();
+  return CheckpointData{meta->ToVector(), std::move(payload), stores_offset};
+}
 
+Status LoadCheckpointStores(const CheckpointData& checkpoint,
+                            const std::map<uint32_t, TableStore*>& stores) {
+  const Slice payload(checkpoint.payload);
+  Decoder dec{Slice(payload.data() + checkpoint.stores_offset,
+                    payload.size() - checkpoint.stores_offset)};
   auto num_tables = dec.GetVarint32();
   if (!num_tables.ok()) return num_tables.status();
   for (uint32_t t = 0; t < *num_tables; t++) {
     auto table_id = dec.GetVarint32();
     if (!table_id.ok()) return table_id.status();
-    auto name = dec.GetLengthPrefixed();
-    if (!name.ok()) return name.status();
-    auto schema = DecodeSchema(&dec);
-    if (!schema.ok()) return schema.status();
-
-    auto table = std::make_unique<TableStore>(*table_id, name->ToString(),
-                                              std::move(*schema));
-
-    auto index_defs = DecodeIndexDefs(&dec);
-    if (!index_defs.ok()) return index_defs.status();
-
+    auto store = stores.find(*table_id);
+    if (store == stores.end())
+      return Status::Corruption("checkpoint holds rows of store id " +
+                                std::to_string(*table_id) +
+                                ", which no table defines");
     auto row_count = dec.GetVarint64();
     if (!row_count.ok()) return row_count.status();
     // The predecessor is the row just loaded, which stays put until the
@@ -194,17 +188,15 @@ Result<CheckpointData> ReadCheckpoint(const std::string& path, Env* env) {
     for (uint64_t r = 0; r < *row_count; r++) {
       auto row = DecodeRow(&dec, prev);
       if (!row.ok()) return row.status();
-      SL_RETURN_IF_ERROR(table->Insert(std::move(*row), &prev));
+      Status st = store->second->Insert(std::move(*row), &prev);
+      if (!st.ok())
+        return Status::Corruption("checkpoint row of store id " +
+                                  std::to_string(*table_id) +
+                                  " does not load: " + st.message());
     }
-    // Rebuild secondary indexes after rows are loaded so unique checks see
-    // the final data.
-    for (const IndexDef& def : *index_defs) {
-      SL_RETURN_IF_ERROR(table->CreateIndex(def.name, def.ordinals, def.unique));
-    }
-    out.tables.push_back(std::move(table));
   }
   if (!dec.done()) return Status::Corruption("trailing bytes in checkpoint");
-  return out;
+  return Status::OK();
 }
 
 }  // namespace sqlledger

@@ -92,6 +92,14 @@ TEST_F(FaultInjectionTest, WalStaysPoisonedWhenResetFails) {
 
 // ---- Checkpoint durability protocol ----
 
+// The rows a checkpoint of one store, table id 100, loads into a fresh one.
+size_t LoadedRows(const CheckpointData& checkpoint) {
+  TableStore t(100, "t", SimpleUserSchema());
+  Status st = LoadCheckpointStores(checkpoint, {{100, &t}});
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return t.row_count();
+}
+
 TEST_F(FaultInjectionTest, CheckpointSurvivesCrashImmediatelyAfterWrite) {
   TableStore t(100, "t", SimpleUserSchema());
   ASSERT_TRUE(t.Insert({VB(1), VS("x")}).ok());
@@ -106,7 +114,7 @@ TEST_F(FaultInjectionTest, CheckpointSurvivesCrashImmediatelyAfterWrite) {
 
   auto loaded = ReadCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->tables[0]->row_count(), 1u);
+  EXPECT_EQ(LoadedRows(*loaded), 1u);
 }
 
 TEST_F(FaultInjectionTest, CrashDuringCheckpointKeepsPreviousGeneration) {
@@ -127,7 +135,7 @@ TEST_F(FaultInjectionTest, CrashDuringCheckpointKeepsPreviousGeneration) {
   auto loaded = ReadCheckpoint(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(std::string(loaded->meta.begin(), loaded->meta.end()), "gen1");
-  EXPECT_EQ(loaded->tables[0]->row_count(), 1u);
+  EXPECT_EQ(LoadedRows(*loaded), 1u);
 }
 
 TEST_F(FaultInjectionTest, CrashDuringCheckpointTempWriteLeavesNoCheckpoint) {

@@ -13,7 +13,9 @@
 
 #include "ledger/digest_store.h"
 #include "ledger/verifier.h"
+#include "storage/checkpoint.h"
 #include "test_util.h"
+#include "util/coding.h"
 #include "util/hex.h"
 
 namespace sqlledger {
@@ -403,14 +405,15 @@ TEST_F(RecoveryTest, MissingNewestCheckpointFallsBackToPreviousGeneration) {
   ASSERT_TRUE(db->Commit(*txn).ok());
 }
 
-// A checkpoint of a retired format, SLCKPT01 (fixed-width cells) or
-// SLCKPT02 (rows without predecessors), is not torn: it is refused as
+// A checkpoint of a retired format, SLCKPT01 (fixed-width cells), SLCKPT02
+// (rows without predecessors) or SLCKPT03 (store definitions beside their
+// rows), is not torn: it is refused as
 // NotSupported, naming the format, and recovery neither falls back to a
 // readable ".prev" beside it nor replays or truncates the WAL. Covered: the
 // newest generation retired with a good ".prev", the newest retired alone,
 // and only a retired ".prev".
 TEST_F(RecoveryTest, RetiredCheckpointFormatIsRefusedWithoutFallback) {
-  for (const char* magic : {"SLCKPT01", "SLCKPT02"}) {
+  for (const char* magic : {"SLCKPT01", "SLCKPT02", "SLCKPT03"}) {
     SCOPED_TRACE(magic);
     const std::string dir = magic;
     const std::string ckpt = Path(dir) + "/checkpoint.sldb";
@@ -1167,6 +1170,289 @@ TEST_F(RecoveryTest, RegularRowOpThatDoesNotApplyIsCorruption) {
     EXPECT_NE(db.status().message().find(shape.message), std::string::npos)
         << db.status().ToString();
     EXPECT_EQ(ReadDir(shape.dir), before);
+  }
+}
+
+}  // namespace
+}  // namespace sqlledger
+
+namespace sqlledger {
+namespace {
+
+// Rewrites the checkpoint at `path` with a valid CRC after `edit` has
+// changed its meta blob and its store sections (their count, then each
+// section), as an insider with write access to the data directory could.
+void RewriteCheckpoint(
+    const std::string& path,
+    const std::function<void(std::vector<uint8_t>* meta,
+                             std::vector<uint8_t>* stores)>& edit) {
+  auto checkpoint = ReadCheckpoint(path);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  std::vector<uint8_t> meta = checkpoint->meta;
+  std::vector<uint8_t> stores(
+      checkpoint->payload.begin() +
+          static_cast<std::ptrdiff_t>(checkpoint->stores_offset),
+      checkpoint->payload.end());
+  edit(&meta, &stores);
+  std::vector<uint8_t> payload;
+  PutLengthPrefixed(&payload, Slice(meta));
+  payload.insert(payload.end(), stores.begin(), stores.end());
+  std::vector<uint8_t> file = {'S', 'L', 'C', 'K', 'P', 'T', '0', '4'};
+  PutFixed64(&file, payload.size());
+  PutFixed32(&file, Crc32c(Slice(payload)));
+  file.insert(file.end(), payload.begin(), payload.end());
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(file.data()),
+            static_cast<std::streamsize>(file.size()));
+}
+
+// `bytes` with its leading varint count raised by one and `extra` appended:
+// one more catalog entry or store section.
+void AppendCounted(std::vector<uint8_t>* bytes, size_t count_offset,
+                   const std::vector<uint8_t>& extra) {
+  Decoder dec(Slice(bytes->data() + count_offset,
+                    bytes->size() - count_offset));
+  const uint32_t count = *dec.GetVarint32();
+  std::vector<uint8_t> out(bytes->begin(),
+                           bytes->begin() + static_cast<std::ptrdiff_t>(
+                                                count_offset));
+  PutVarint32(&out, count + 1);
+  out.insert(out.end(), bytes->end() - static_cast<std::ptrdiff_t>(
+                                           dec.remaining()),
+             bytes->end());
+  out.insert(out.end(), extra.begin(), extra.end());
+  *bytes = std::move(out);
+}
+
+// Where the catalog meta's entry count starts: after the create time, the
+// table and transaction id allocators, the commit count and the ledger flag.
+size_t CatalogEntryCountOffset(const std::vector<uint8_t>& meta) {
+  Decoder dec{Slice(meta)};
+  EXPECT_TRUE(dec.GetLengthPrefixed().ok());
+  EXPECT_TRUE(dec.GetVarint32().ok());
+  EXPECT_TRUE(dec.GetVarint64().ok());
+  EXPECT_TRUE(dec.GetVarint64().ok());
+  EXPECT_TRUE(dec.GetBytes(1).ok());
+  return meta.size() - dec.remaining();
+}
+
+// The store sections' first section, whole: its id, row count and rows.
+std::vector<uint8_t> FirstSection(const std::vector<uint8_t>& stores) {
+  Decoder dec{Slice(stores)};
+  EXPECT_TRUE(dec.GetVarint32().ok());  // the section count
+  const size_t start = stores.size() - dec.remaining();
+  EXPECT_TRUE(dec.GetVarint32().ok());
+  const uint64_t rows = *dec.GetVarint64();
+  EXPECT_GT(rows, 0u);
+  std::optional<Row> prev;
+  for (uint64_t r = 0; r < rows; r++) {
+    auto row = DecodeRow(&dec, prev ? &*prev : nullptr);
+    EXPECT_TRUE(row.ok());
+    prev = std::move(*row);
+  }
+  return std::vector<uint8_t>(
+      stores.begin() + static_cast<std::ptrdiff_t>(start),
+      stores.end() - static_cast<std::ptrdiff_t>(dec.remaining()));
+}
+
+// A table definition of `kind` over SimpleUserSchema with the ledger's
+// columns, and a history store `history_id` when that is not 0.
+TableDefinition ForgedDefinition(TableKind kind, uint32_t history_id) {
+  TableDefinition def;
+  def.kind = static_cast<uint8_t>(kind);
+  def.main = {"forged", MakeLedgerSchema(SimpleUserSchema(), kind), {}};
+  def.history_table_id = history_id;
+  if (history_id != 0) {
+    def.history = {"forged_history",
+                   MakeHistorySchema(MakeLedgerSchema(
+                       SimpleUserSchema(), TableKind::kUpdateable)),
+                   {}};
+  }
+  return def;
+}
+
+struct ForgedShape {
+  const char* name;
+  uint32_t table_id;
+  TableDefinition def;
+  const char* message;
+};
+
+// Definitions no DDL makes, each of which the first DML, or the first
+// update, would crash on.
+std::vector<ForgedShape> ForgedShapes() {
+  std::vector<ForgedShape> shapes = {
+      {"updateable without history", 500,
+       ForgedDefinition(TableKind::kUpdateable, 0), "history store"},
+      {"append-only with history", 500,
+       ForgedDefinition(TableKind::kAppendOnly, 501), "history store"},
+      {"history is itself", 500,
+       ForgedDefinition(TableKind::kUpdateable, 500), "reserved store id"},
+      {"ledger transactions store", 1,
+       ForgedDefinition(TableKind::kRegular, 0), "reserved store id"},
+      {"ledger blocks as history", 500,
+       ForgedDefinition(TableKind::kUpdateable, 2), "reserved store id"},
+      {"no stamp columns", 500, ForgedDefinition(TableKind::kRegular, 0),
+       "ledger_start_transaction_id"},
+      {"stamp column not hidden", 500,
+       ForgedDefinition(TableKind::kUpdateable, 501),
+       "ledger_end_sequence_number"},
+      {"stamp column dropped", 500,
+       ForgedDefinition(TableKind::kAppendOnly, 0),
+       "ledger_start_sequence_number"}};
+  shapes[5].def.kind = static_cast<uint8_t>(TableKind::kAppendOnly);
+  Schema* schema = &shapes[6].def.main.schema;
+  schema->mutable_column(schema->FindColumn(kColEndSeq))->hidden = false;
+  schema = &shapes[7].def.main.schema;
+  schema->mutable_column(schema->FindColumn(kColStartSeq))->dropped = true;
+  return shapes;
+}
+
+// A commit record whose only op defines a table no DDL could have made
+// (first seen as an updateable table without a history store: Open
+// succeeded and the first update crashed). Replay refuses it as
+// Corruption before the log is truncated: no file changes.
+TEST_F(RecoveryTest, InconsistentTableDefinitionInWalIsCorruption) {
+  for (const ForgedShape& shape : ForgedShapes()) {
+    SCOPED_TRACE(shape.name);
+    const std::string dir = "wal";
+    std::filesystem::remove_all(Path(dir));
+    WalCommitRecord record;
+    {
+      auto db = Open(dir);
+      ASSERT_TRUE(
+          db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable)
+              .ok());
+      ASSERT_TRUE(InsertOne(db.get(), "t", 1, "v1").ok());
+      record.block_id = db->database_ledger()->open_block_id();
+      record.block_ordinal = db->database_ledger()->open_block_entry_count();
+    }
+    record.txn_id = 1000;
+    record.commit_ts_micros = clock_ + 1;
+    record.user_name = "app";
+    WalOp op;
+    op.type = WalOpType::kDefineTable;
+    op.table_id = shape.table_id;
+    op.definition = std::make_shared<TableDefinition>(shape.def);
+    record.ops.push_back(op);
+    std::vector<uint8_t> payload = {4};  // record kind 4
+    record.EncodeTo(&payload);
+    std::vector<uint8_t> frame;
+    AppendFrame(Slice(payload), &frame);
+    {
+      std::ofstream out(Path(dir) + "/wal.log",
+                        std::ios::binary | std::ios::app);
+      out.write(reinterpret_cast<const char*>(frame.data()),
+                static_cast<std::streamsize>(frame.size()));
+    }
+    const auto before = ReadDir(dir);
+    auto db = LedgerDatabase::Open(MakeOptions(dir));
+    ASSERT_FALSE(db.ok());
+    EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+    EXPECT_NE(db.status().message().find(shape.message), std::string::npos)
+        << db.status().ToString();
+    EXPECT_EQ(ReadDir(dir), before);
+  }
+}
+
+// The same definitions as checkpoint catalog entries, in both generations:
+// the load is refused as Corruption, naming the reason, and no file
+// changes.
+TEST_F(RecoveryTest, InconsistentTableDefinitionInCheckpointIsCorruption) {
+  for (const ForgedShape& shape : ForgedShapes()) {
+    SCOPED_TRACE(shape.name);
+    const std::string dir = "checkpoint";
+    std::filesystem::remove_all(Path(dir));
+    {
+      auto db = Open(dir);
+      ASSERT_TRUE(
+          db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable)
+              .ok());
+      ASSERT_TRUE(InsertOne(db.get(), "t", 1, "v1").ok());
+      ASSERT_TRUE(db->Checkpoint().ok());
+    }
+    std::vector<uint8_t> entry;
+    PutVarint32(&entry, shape.table_id);
+    shape.def.EncodeTo(&entry);
+    for (const char* generation : {"", ".prev"}) {
+      RewriteCheckpoint(
+          Path(dir) + "/checkpoint.sldb" + generation,
+          [&](std::vector<uint8_t>* meta, std::vector<uint8_t>*) {
+            AppendCounted(meta, CatalogEntryCountOffset(*meta), entry);
+          });
+    }
+    const auto before = ReadDir(dir);
+    auto db = LedgerDatabase::Open(MakeOptions(dir));
+    ASSERT_FALSE(db.ok());
+    EXPECT_TRUE(db.status().IsCorruption()) << db.status().ToString();
+    EXPECT_NE(db.status().message().find(shape.message), std::string::npos)
+        << db.status().ToString();
+    EXPECT_EQ(ReadDir(dir), before);
+  }
+}
+
+// A newest checkpoint whose CRC holds but whose content fails to load is
+// corrupt like a torn one: Open recovers the previous generation plus
+// wal.log.prev and wal.log, to the same bytes in every table, and nothing
+// of the newest is applied. The newest holds a table the previous one
+// lacks, so a load that kept its catalog would collide with the replay.
+TEST_F(RecoveryTest, NewestCheckpointThatFailsToLoadFallsBack) {
+  struct Shape {
+    const char* dir;
+    std::function<void(std::vector<uint8_t>* stores)> edit;
+  };
+  for (const Shape& shape : {
+           Shape{"undefined_store",
+                 [](std::vector<uint8_t>* stores) {
+                   // One row for store id 999, which no definition makes.
+                   std::vector<uint8_t> section;
+                   PutVarint32(&section, 999);
+                   PutVarint64(&section, 1);
+                   EncodeRow(Row{VB(1), VS("x")}, nullptr, &section);
+                   AppendCounted(stores, 0, section);
+                 }},
+           Shape{"duplicate_key",
+                 [](std::vector<uint8_t>* stores) {
+                   // The first store's rows again: each key twice.
+                   AppendCounted(stores, 0, FirstSection(*stores));
+                 }}}) {
+    SCOPED_TRACE(shape.dir);
+    std::vector<DatabaseDigest> digests;
+    std::string want;
+    {
+      auto db = Open(shape.dir);
+      ASSERT_TRUE(
+          db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable)
+              .ok());
+      for (int i = 0; i < 3; i++)
+        ASSERT_TRUE(InsertOne(db.get(), "t", i, "gen1").ok());
+      ASSERT_TRUE(db->Checkpoint().ok());  // superseded -> .prev
+      ASSERT_TRUE(
+          db->CreateTable("u", SimpleUserSchema(), TableKind::kAppendOnly)
+              .ok());
+      for (int i = 3; i < 6; i++) {
+        ASSERT_TRUE(InsertOne(db.get(), "t", i, "gen2").ok());
+        ASSERT_TRUE(InsertOne(db.get(), "u", i, "gen2").ok());
+      }
+      auto digest = db->GenerateDigest();
+      ASSERT_TRUE(digest.ok());
+      digests.push_back(*digest);
+      ASSERT_TRUE(db->Checkpoint().ok());  // the generation we rewrite
+      ASSERT_TRUE(InsertOne(db.get(), "t", 6, "tail").ok());
+      want = LedgerStateBytes(db.get());
+    }
+    RewriteCheckpoint(Path(shape.dir) + "/checkpoint.sldb",
+                      [&](std::vector<uint8_t>*,
+                          std::vector<uint8_t>* stores) { shape.edit(stores); });
+    auto db = Open(shape.dir);
+    ASSERT_NE(db, nullptr);
+    EXPECT_EQ(LedgerStateBytes(db.get()), want);
+    auto digest = db->GenerateDigest();
+    ASSERT_TRUE(digest.ok());
+    digests.push_back(*digest);
+    auto report = VerifyLedger(db.get(), digests);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->ok()) << report->Summary();
   }
 }
 

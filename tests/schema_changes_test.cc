@@ -194,6 +194,14 @@ TEST_F(SchemaChangesTest, AlterColumnTypeRestrictions) {
             StatusCode::kInvalidArgument);  // primary key
   EXPECT_TRUE(
       db_->AlterColumnType("accounts", "nope", DataType::kInt).IsNotFound());
+  // A stamp column: altering it would leave the table no DML could use.
+  EXPECT_EQ(
+      db_->AlterColumnType("accounts", kColStartSeq, DataType::kInt).code(),
+      StatusCode::kInvalidArgument);
+  auto txn = db_->Begin("app");
+  ASSERT_TRUE(db_->Update(*txn, "accounts", {VS("acct1"), VB(11)}).ok());
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+  ExpectVerifies();
 }
 
 // Every value is cast before the schema changes, so a failed cast leaves

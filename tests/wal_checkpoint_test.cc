@@ -369,15 +369,15 @@ TEST_F(CheckpointTest, RoundTripTablesAndMeta) {
   auto loaded = ReadCheckpoint(Path("ckpt"));
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(std::string(loaded->meta.begin(), loaded->meta.end()), meta);
-  ASSERT_EQ(loaded->tables.size(), 2u);
-  EXPECT_EQ(loaded->tables[0]->table_id(), 100u);
-  EXPECT_EQ(loaded->tables[0]->name(), "accounts");
-  EXPECT_EQ(loaded->tables[0]->row_count(), 50u);
-  ASSERT_EQ(loaded->tables[0]->indexes().size(), 1u);
-  EXPECT_EQ(loaded->tables[0]->indexes()[0]->tree.size(), 50u);
-  EXPECT_EQ(loaded->tables[1]->row_count(), 0u);
+  TableStore l1(100, "accounts", TwoColSchema());
+  ASSERT_TRUE(l1.CreateIndex("by_payload", {1}, false).ok());
+  TableStore l2(101, "empty", TwoColSchema());
+  ASSERT_TRUE(LoadCheckpointStores(*loaded, {{100, &l1}, {101, &l2}}).ok());
+  EXPECT_EQ(l1.row_count(), 50u);
+  EXPECT_EQ(l1.indexes()[0]->tree.size(), 50u);
+  EXPECT_EQ(l2.row_count(), 0u);
 
-  const Row* row = loaded->tables[0]->Get({Value::BigInt(7)});
+  const Row* row = l1.Get({Value::BigInt(7)});
   ASSERT_NE(row, nullptr);
   EXPECT_EQ((*row)[1].string_value(), "row7");
 }
@@ -416,6 +416,35 @@ TEST_F(CheckpointTest, GoldenFileSha256) {
                     std::istreambuf_iterator<char>());
   EXPECT_EQ(Sha256::Digest(Slice(bytes)).ToHex(),
             "1855c039e0b69bd149ab4738526e671dd5e658fbba3f2a46a823762ced8ea4d4");
+}
+
+// A section whose rows no store takes, or does not take, fails the load as
+// Corruption: rows of an id the caller defined no store for, a second
+// section of one store (a duplicate key), a row the store's schema
+// refuses.
+TEST_F(CheckpointTest, SectionThatDoesNotLoadIsCorruption) {
+  TableStore t1(100, "t", TwoColSchema());
+  ASSERT_TRUE(t1.Insert({Value::BigInt(1), Value::Varchar("x")}).ok());
+  Schema one_col;
+  one_col.AddColumn("id", DataType::kBigInt, false);
+  one_col.SetPrimaryKey({0});
+  TableStore narrow(100, "t", one_col);
+  ASSERT_TRUE(WriteCheckpoint(Path("twice"), Slice(std::string("m")),
+                              {&t1, &t1})
+                  .ok());
+  ASSERT_TRUE(
+      WriteCheckpoint(Path("ckpt"), Slice(std::string("m")), {&t1}).ok());
+  auto twice = ReadCheckpoint(Path("twice"));
+  auto once = ReadCheckpoint(Path("ckpt"));
+  ASSERT_TRUE(twice.ok() && once.ok());
+
+  TableStore other(101, "u", TwoColSchema());
+  EXPECT_TRUE(LoadCheckpointStores(*once, {{101, &other}}).IsCorruption());
+  TableStore target(100, "t", TwoColSchema());
+  Status st = LoadCheckpointStores(*twice, {{100, &target}});
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.message().find("duplicate primary key"), std::string::npos);
+  EXPECT_TRUE(LoadCheckpointStores(*once, {{100, &narrow}}).IsCorruption());
 }
 
 TEST_F(CheckpointTest, MissingFileIsNotFound) {
@@ -502,16 +531,16 @@ TEST_F(CheckpointTest, PayloadSpanningChunksRoundTrips) {
   auto loaded = ReadCheckpoint(Path("ckpt"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(std::string(loaded->meta.begin(), loaded->meta.end()), meta);
-  ASSERT_EQ(loaded->tables.size(), 2u);
-  ASSERT_EQ(loaded->tables[0]->row_count(),
-            static_cast<uint64_t>(kChunkTestRows));
-  EXPECT_EQ(loaded->tables[0]->indexes().size(), 1u);
+  TableStore l1(100, "wide", TwoColSchema());
+  TableStore l2(101, "after", TwoColSchema());
+  ASSERT_TRUE(LoadCheckpointStores(*loaded, {{100, &l1}, {101, &l2}}).ok());
+  ASSERT_EQ(l1.row_count(), static_cast<uint64_t>(kChunkTestRows));
   for (int64_t i = 0; i < kChunkTestRows; i++) {
-    const Row* row = loaded->tables[0]->Get({Value::BigInt(i)});
+    const Row* row = l1.Get({Value::BigInt(i)});
     ASSERT_NE(row, nullptr) << i;
     EXPECT_EQ((*row)[1].string_value(), ChunkTestPayload(i)) << i;
   }
-  const Row* tail = loaded->tables[1]->Get({Value::BigInt(7)});
+  const Row* tail = l2.Get({Value::BigInt(7)});
   ASSERT_NE(tail, nullptr);
   EXPECT_EQ((*tail)[1].string_value(), "tail");
 }

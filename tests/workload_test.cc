@@ -20,7 +20,7 @@ TEST(TpccTest, SetupCreatesNineTables) {
 
   int user_tables = 0, ledger_tables = 0;
   for (CatalogEntry* entry : db->AllTables()) {
-    if (entry->is_system) continue;
+    if (entry->is_system()) continue;
     user_tables++;
     if (entry->kind != TableKind::kRegular) ledger_tables++;
   }
@@ -87,7 +87,7 @@ TEST(TpceTest, SetupCreates33LedgerTables) {
 
   int user_tables = 0, ledger_tables = 0;
   for (CatalogEntry* entry : db->AllTables()) {
-    if (entry->is_system) continue;
+    if (entry->is_system()) continue;
     user_tables++;
     if (entry->kind == TableKind::kUpdateable) ledger_tables++;
   }
@@ -114,7 +114,7 @@ TEST_F(TpceDurableTest, SetupTakesNoCheckpoint) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   int user_tables = 0;
   for (CatalogEntry* entry : (*db)->AllTables())
-    user_tables += entry->is_system ? 0 : 1;
+    user_tables += entry->is_system() ? 0 : 1;
   EXPECT_EQ(user_tables, TpceWorkload::kTableCount);
 }
 
