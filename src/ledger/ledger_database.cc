@@ -188,10 +188,8 @@ Result<std::unique_ptr<LedgerDatabase>> LedgerDatabase::OpenImpl(
   } else {
     SL_RETURN_IF_ERROR(db->InitFresh());
   }
-  WalOptions wal_options;
-  wal_options.sync = db->options_.sync_wal;
-  wal_options.env = env;
-  auto wal = Wal::Open(db->wal_path_, wal_options);
+  auto wal =
+      Wal::Open(db->wal_path_, {.sync = db->options_.sync_wal, .env = env});
   if (!wal.ok()) return wal.status();
   db->wal_ = std::move(*wal);
   db->wal_->SetMetrics(db->metrics_.get());
@@ -581,6 +579,9 @@ Status LedgerDatabase::CreateTable(const std::string& name,
   if (!user_schema.HasPrimaryKey())
     return Status::InvalidArgument("table requires a primary key");
   if (!options_.enable_ledger) kind = TableKind::kRegular;
+  for (const char* stamp : {kColStartTxn, kColStartSeq, kColEndTxn, kColEndSeq})
+    if (kind != TableKind::kRegular && user_schema.FindColumn(stamp) >= 0)
+      return Status::InvalidArgument(std::string(stamp) + " is a ledger column");
 
   uint32_t table_id = 0;
   {

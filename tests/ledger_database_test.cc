@@ -29,6 +29,12 @@ TEST(LedgerDatabaseTest, CreateTableValidation) {
   EXPECT_EQ(
       db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).code(),
       StatusCode::kAlreadyExists);
+  // A ledger table's stamp column names are the ledger's.
+  Schema stamp_named = SimpleUserSchema();
+  stamp_named.AddColumn(kColEndSeq, DataType::kBigInt, true);
+  EXPECT_EQ(db->CreateTable("u", stamp_named, TableKind::kUpdateable).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(db->CreateTable("u", stamp_named, TableKind::kRegular).ok());
 }
 
 TEST(LedgerDatabaseTest, CommitOfInactiveTransactionRejected) {

@@ -1281,31 +1281,29 @@ struct ForgedShape {
 // Definitions no DDL makes, each of which the first DML, or the first
 // update, would crash on.
 std::vector<ForgedShape> ForgedShapes() {
-  std::vector<ForgedShape> shapes = {
-      {"updateable without history", 500,
-       ForgedDefinition(TableKind::kUpdateable, 0), "history store"},
-      {"append-only with history", 500,
-       ForgedDefinition(TableKind::kAppendOnly, 501), "history store"},
-      {"history is itself", 500,
-       ForgedDefinition(TableKind::kUpdateable, 500), "reserved store id"},
-      {"ledger transactions store", 1,
-       ForgedDefinition(TableKind::kRegular, 0), "reserved store id"},
-      {"ledger blocks as history", 500,
-       ForgedDefinition(TableKind::kUpdateable, 2), "reserved store id"},
-      {"no stamp columns", 500, ForgedDefinition(TableKind::kRegular, 0),
-       "ledger_start_transaction_id"},
-      {"stamp column not hidden", 500,
-       ForgedDefinition(TableKind::kUpdateable, 501),
-       "ledger_end_sequence_number"},
-      {"stamp column dropped", 500,
-       ForgedDefinition(TableKind::kAppendOnly, 0),
-       "ledger_start_sequence_number"}};
-  shapes[5].def.kind = static_cast<uint8_t>(TableKind::kAppendOnly);
-  Schema* schema = &shapes[6].def.main.schema;
+  TableDefinition no_stamps = ForgedDefinition(TableKind::kRegular, 0);
+  no_stamps.kind = static_cast<uint8_t>(TableKind::kAppendOnly);
+  TableDefinition visible = ForgedDefinition(TableKind::kUpdateable, 501);
+  Schema* schema = &visible.main.schema;
   schema->mutable_column(schema->FindColumn(kColEndSeq))->hidden = false;
-  schema = &shapes[7].def.main.schema;
+  TableDefinition dropped = ForgedDefinition(TableKind::kAppendOnly, 0);
+  schema = &dropped.main.schema;
   schema->mutable_column(schema->FindColumn(kColStartSeq))->dropped = true;
-  return shapes;
+  return {{"updateable without history", 500,
+           ForgedDefinition(TableKind::kUpdateable, 0), "history store"},
+          {"append-only with history", 500,
+           ForgedDefinition(TableKind::kAppendOnly, 501), "history store"},
+          {"history is itself", 500,
+           ForgedDefinition(TableKind::kUpdateable, 500), "reserved store id"},
+          {"ledger transactions store", 1,
+           ForgedDefinition(TableKind::kRegular, 0), "reserved store id"},
+          {"ledger blocks as history", 500,
+           ForgedDefinition(TableKind::kUpdateable, 2), "reserved store id"},
+          {"no stamp columns", 500, no_stamps, "ledger_start_transaction_id"},
+          {"stamp column not hidden", 500, visible,
+           "ledger_end_sequence_number"},
+          {"stamp column dropped", 500, dropped,
+           "ledger_start_sequence_number"}};
 }
 
 // A commit record whose only op defines a table no DDL could have made
@@ -1441,9 +1439,11 @@ TEST_F(RecoveryTest, NewestCheckpointThatFailsToLoadFallsBack) {
       ASSERT_TRUE(InsertOne(db.get(), "t", 6, "tail").ok());
       want = LedgerStateBytes(db.get());
     }
-    RewriteCheckpoint(Path(shape.dir) + "/checkpoint.sldb",
-                      [&](std::vector<uint8_t>*,
-                          std::vector<uint8_t>* stores) { shape.edit(stores); });
+    RewriteCheckpoint(
+        Path(shape.dir) + "/checkpoint.sldb",
+        [&](std::vector<uint8_t>*, std::vector<uint8_t>* stores) {
+          shape.edit(stores);
+        });
     auto db = Open(shape.dir);
     ASSERT_NE(db, nullptr);
     EXPECT_EQ(LedgerStateBytes(db.get()), want);

@@ -426,10 +426,6 @@ TEST_F(CheckpointTest, GoldenFileSha256) {
 TEST_F(CheckpointTest, SectionThatDoesNotLoadIsCorruption) {
   TableStore t1(100, "t", TwoColSchema());
   ASSERT_TRUE(t1.Insert({Value::BigInt(1), Value::Varchar("x")}).ok());
-  Schema one_col;
-  one_col.AddColumn("id", DataType::kBigInt, false);
-  one_col.SetPrimaryKey({0});
-  TableStore narrow(100, "t", one_col);
   ASSERT_TRUE(WriteCheckpoint(Path("twice"), Slice(std::string("m")),
                               {&t1, &t1})
                   .ok());
@@ -445,6 +441,10 @@ TEST_F(CheckpointTest, SectionThatDoesNotLoadIsCorruption) {
   Status st = LoadCheckpointStores(*twice, {{100, &target}});
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_NE(st.message().find("duplicate primary key"), std::string::npos);
+  Schema one_col;
+  one_col.AddColumn("id", DataType::kBigInt, false);
+  one_col.SetPrimaryKey({0});
+  TableStore narrow(100, "t", one_col);
   EXPECT_TRUE(LoadCheckpointStores(*once, {{100, &narrow}}).IsCorruption());
 }
 
