@@ -1189,10 +1189,9 @@ void RewriteCheckpoint(
   auto checkpoint = ReadCheckpoint(path);
   ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
   std::vector<uint8_t> meta = checkpoint->meta;
-  std::vector<uint8_t> stores(
-      checkpoint->payload.begin() +
-          static_cast<std::ptrdiff_t>(checkpoint->stores_offset),
-      checkpoint->payload.end());
+  const std::vector<uint8_t>& old = checkpoint->payload;
+  std::vector<uint8_t> stores(old.data() + checkpoint->stores_offset,
+                              old.data() + old.size());
   edit(&meta, &stores);
   std::vector<uint8_t> payload;
   PutLengthPrefixed(&payload, Slice(meta));
@@ -1210,16 +1209,13 @@ void RewriteCheckpoint(
 // one more catalog entry or store section.
 void AppendCounted(std::vector<uint8_t>* bytes, size_t count_offset,
                    const std::vector<uint8_t>& extra) {
-  Decoder dec(Slice(bytes->data() + count_offset,
-                    bytes->size() - count_offset));
+  const uint8_t* data = bytes->data();
+  const uint8_t* end = data + bytes->size();
+  Decoder dec(Slice(data + count_offset, bytes->size() - count_offset));
   const uint32_t count = *dec.GetVarint32();
-  std::vector<uint8_t> out(bytes->begin(),
-                           bytes->begin() + static_cast<std::ptrdiff_t>(
-                                                count_offset));
+  std::vector<uint8_t> out(data, data + count_offset);
   PutVarint32(&out, count + 1);
-  out.insert(out.end(), bytes->end() - static_cast<std::ptrdiff_t>(
-                                           dec.remaining()),
-             bytes->end());
+  out.insert(out.end(), end - dec.remaining(), end);
   out.insert(out.end(), extra.begin(), extra.end());
   *bytes = std::move(out);
 }
@@ -1250,9 +1246,8 @@ std::vector<uint8_t> FirstSection(const std::vector<uint8_t>& stores) {
     EXPECT_TRUE(row.ok());
     prev = std::move(*row);
   }
-  return std::vector<uint8_t>(
-      stores.begin() + static_cast<std::ptrdiff_t>(start),
-      stores.end() - static_cast<std::ptrdiff_t>(dec.remaining()));
+  return std::vector<uint8_t>(stores.data() + start,
+                              stores.data() + stores.size() - dec.remaining());
 }
 
 // A table definition of `kind` over SimpleUserSchema with the ledger's
