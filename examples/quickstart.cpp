@@ -67,7 +67,7 @@ int main() {
   auto view = db->GetLedgerView("accounts");
   auto ref = db->GetTableRef("accounts");
   std::printf("\nledger view:\n%s\n",
-              FormatLedgerView(ref->main->schema(), *view).c_str());
+              FormatLedgerView(*ref->plan, *view).c_str());
 
   // 6. Verification passes on the untampered database...
   auto report = VerifyLedger(db.get(), {*digest});

@@ -88,6 +88,15 @@ to the offending line — use sparingly and say why on an adjacent comment):
                   (CompareKeys), one codec (EncodeRow/DecodeRow) and one
                   projection (Row::Project); a second tuple type brings
                   its own copies of all three back (DESIGN.md §3).
+  pinned-plan     a read of a table's layout outside its compiled plan
+                  (TablePlan, DESIGN.md §3): a call of schema() on a store
+                  in src/sql/, or a VisibleOrdinals( call in src/ outside
+                  the plan builder (src/ledger/table_definition.cc) and
+                  the simulator's reference model (src/sim/model.cc). The
+                  SQL session reads the plan it pinned for its statement,
+                  and DML, replay, views and truncation read the entry's
+                  plan under a table lock, so no reader sees a schema that
+                  a DDL rewrites under it (DESIGN.md §8).
   bench-docs      (repo-level) the binaries EXPERIMENTS.md's regeneration
                   loop (`for b in ...; do`) runs must be exactly the
                   SL_BENCH_SOURCES of bench/CMakeLists.txt. A deleted bench
@@ -546,6 +555,40 @@ def check_one_key_type(path, lines, findings):
 
 
 # ---------------------------------------------------------------------------
+# Rule: pinned-plan
+# ---------------------------------------------------------------------------
+
+STORE_SCHEMA_CALL_RE = re.compile(r"(?:->|\.)\s*schema\s*\(\s*\)")
+VISIBLE_ORDINALS_CALL_RE = re.compile(r"(?:->|\.)\s*VisibleOrdinals\s*\(")
+PLAN_BUILDER_FILES = {
+    os.path.join("src", "ledger", "table_definition.cc"),
+    os.path.join("src", "sim", "model.cc"),
+}
+
+
+def check_pinned_plan(path, lines, findings):
+    rel = os.path.relpath(path, REPO_ROOT)
+    if not rel.startswith("src" + os.sep):
+        return  # tests and benches are oracles of the layout
+    in_sql = rel.startswith(os.path.join("src", "sql") + os.sep)
+    for i, raw in enumerate(lines, 1):
+        line = strip_noise(raw)
+        if allowed(raw, "pinned-plan"):
+            continue
+        if in_sql and STORE_SCHEMA_CALL_RE.search(line):
+            findings.append(Finding(
+                "pinned-plan", path, i,
+                "the SQL session reads a store's live schema; read the "
+                "TablePlan the statement pinned (DESIGN.md §8)"))
+        elif (rel not in PLAN_BUILDER_FILES and
+              VISIBLE_ORDINALS_CALL_RE.search(line)):
+            findings.append(Finding(
+                "pinned-plan", path, i,
+                "visible ordinals recomputed outside the plan builder; read "
+                "TablePlan::visible_ords (DESIGN.md §3)"))
+
+
+# ---------------------------------------------------------------------------
 # Rule: digest-decorator-coverage (repo-level)
 # ---------------------------------------------------------------------------
 
@@ -674,6 +717,7 @@ CHECKS = [
     ("one-uploader", SRC_DIRS, check_one_uploader),
     ("stamp-once", SRC_DIRS, check_stamp_once),
     ("one-key-type", SRC_DIRS, check_one_key_type),
+    ("pinned-plan", SRC_DIRS, check_pinned_plan),
     ("metric-naming", ALL_CODE_DIRS, check_metric_naming),
 ]
 
@@ -820,6 +864,12 @@ SELF_TEST_CASES = [
     ("one-key-type", "src/txn/x_selftest.cc",
      "std::vector< Value > key = schema.ExtractKey(row).Values();",
      "KeyTuple key = schema.ExtractKey(row);"),
+    ("pinned-plan", "src/sql/x_selftest.cc",
+     "const Schema& schema = ref->main->schema();",
+     "const std::vector<ColumnDef>& columns = plan->visible_columns;"),
+    ("pinned-plan", "src/ledger/x_selftest.cc",
+     "std::vector<size_t> visible = schema.VisibleOrdinals();",
+     "const std::vector<size_t>& visible = t.plan->visible_ords;"),
 ]
 
 # (path, fires): one store edit and one store made, each flagged
@@ -869,6 +919,24 @@ ONE_KEY_TYPE_SCOPE = [
     ("src/sql/session.cc", False),
     ("src/ledger/schema_changes.cc", False),
     ("tests/row_test.cc", False),
+]
+
+# (path, text, fires): a store's schema read fires only in the SQL layer;
+# a visible-ordinals call fires everywhere in src/ but the plan builder
+# and the reference model, and never in tests.
+PINNED_PLAN_SCOPE = [
+    ("src/sql/session.cc", "auto n = store->schema().num_columns();", True),
+    ("src/ledger/schema_changes.cc",
+     "int ord = entry->main->schema().FindColumn(column);", False),
+    ("src/ledger/truncation.cc", "auto v = schema.VisibleOrdinals();", True),
+    ("src/sql/session.cc", "auto v = s.VisibleOrdinals();", True),
+    ("src/ledger/table_definition.cc",
+     "plan->visible_ords = s.VisibleOrdinals();", False),
+    ("src/sim/model.cc", "full.Project(t.schema.VisibleOrdinals());", False),
+    ("tests/test_util.h", "auto v = store->schema().VisibleOrdinals();",
+     False),
+    ("src/catalog/schema.cc",
+     "std::vector<size_t> Schema::VisibleOrdinals() const {", False),
 ]
 
 
@@ -997,6 +1065,21 @@ def self_test_one_key_type_scope():
     return failures
 
 
+def self_test_pinned_plan_scope():
+    """The same layout read fires or stays quiet by file."""
+    failures = 0
+    for rel, text, expect_fire in PINNED_PLAN_SCOPE:
+        findings = []
+        check_pinned_plan(os.path.join(REPO_ROOT, rel), [text + "\n"],
+                          findings)
+        if bool(findings) != expect_fire:
+            failures += 1
+            print(f"SELF-TEST FAIL [pinned-plan/{rel}]:"
+                  f" {'did not fire' if expect_fire else 'fired'}"
+                  f" on {text!r}", file=sys.stderr)
+    return failures
+
+
 def run_self_test():
     global REPO_ROOT
     real_root = REPO_ROOT
@@ -1007,6 +1090,7 @@ def run_self_test():
     failures += self_test_one_uploader_scope()
     failures += self_test_stamp_once_scope()
     failures += self_test_one_key_type_scope()
+    failures += self_test_pinned_plan_scope()
     for rule, rel, bad, good in SELF_TEST_CASES:
         for variant, text, expect_fire in (("bad", bad, True),
                                            ("good", good, False)):
@@ -1036,7 +1120,7 @@ def run_self_test():
     cases = (len(SELF_TEST_CASES) + 5 +
              len(DEFINITION_APPLY_SCOPE) * len(DEFINITION_APPLY_SCOPE_TEXTS) +
              len(ONE_UPLOADER_SCOPE) + len(STAMP_ONCE_SCOPE) +
-             len(ONE_KEY_TYPE_SCOPE))
+             len(ONE_KEY_TYPE_SCOPE) + len(PINNED_PLAN_SCOPE))
     print(f"lint.py --self-test: all {cases} cases pass "
           "(each rule fires on its seeded violation, stays quiet on the fix).")
     return 0

@@ -74,27 +74,6 @@ TableDefinition NewTableDefinition(const std::string& name,
 }
 }  // namespace
 
-void CatalogEntry::LinkRef() {
-  const Schema& s = main->schema();
-  std::vector<size_t> visible = s.VisibleOrdinals();
-  std::vector<size_t> key_positions;
-  for (size_t key_ord : s.key_ordinals()) {
-    auto at = std::find(visible.begin(), visible.end(), key_ord);
-    if (at == visible.end()) break;
-    key_positions.push_back(static_cast<size_t>(at - visible.begin()));
-  }
-  ref = {table_id,
-         kind,
-         main.get(),
-         history.get(),
-         s.FindColumn(kColStartTxn),
-         s.FindColumn(kColStartSeq),
-         s.FindColumn(kColEndTxn),
-         s.FindColumn(kColEndSeq),
-         std::move(visible),
-         std::move(key_positions)};
-}
-
 LedgerDatabase::LedgerDatabase(LedgerDatabaseOptions options)
     : options_(std::move(options)),
       locks_(options_.lock_timeout),
@@ -862,8 +841,8 @@ Status LedgerDatabase::AcquireRowLock(Transaction* txn,
 
 Result<KeyTuple> LedgerDatabase::UserKeyOf(const CatalogEntry& entry,
                                            const Row& user_row) {
-  const std::vector<size_t>& positions = entry.ref.user_key_positions;
-  if (positions.size() != entry.main->schema().key_ordinals().size())
+  const std::vector<size_t>& positions = entry.ref.plan->user_key_positions;
+  if (positions.empty())
     return Status::Internal("primary-key column is not visible");
   for (size_t j : positions) {
     if (j >= user_row.size())
@@ -915,7 +894,7 @@ Result<Row> LedgerDatabase::Get(Transaction* txn, const std::string& table,
   SL_RETURN_IF_ERROR(
       AcquireTableLock(txn, *entry, LockMode::kIntentionShared));
   SL_RETURN_IF_ERROR(AcquireRowLock(txn, *entry, key, LockMode::kShared));
-  auto row = entry->main->GetCopy(key, &entry->ref.visible_ords);
+  auto row = entry->main->GetCopy(key, &entry->ref.plan->visible_ords);
   if (!row.has_value()) return Status::NotFound("row not found");
   return std::move(*row);
 }
@@ -927,7 +906,7 @@ Result<std::vector<Row>> LedgerDatabase::Scan(Transaction* txn,
   SL_RETURN_IF_ERROR(AcquireTableLock(txn, *entry, LockMode::kShared));
   std::vector<Row> out;
   for (BTree::Iterator it = entry->main->Scan(); it.Valid(); it.Next())
-    out.push_back(it.value().Project(entry->ref.visible_ords));
+    out.push_back(it.value().Project(entry->ref.plan->visible_ords));
   return out;
 }
 
@@ -937,7 +916,8 @@ Result<Row> LedgerDatabase::SeekFirst(Transaction* txn,
   CatalogEntry* entry = FindTable(table);
   if (entry == nullptr) return Status::NotFound("table '" + table + "' not found");
   SL_RETURN_IF_ERROR(AcquireTableLock(txn, *entry, LockMode::kShared));
-  auto row = entry->main->SeekFirstCopy(prefix, &entry->ref.visible_ords);
+  auto row =
+      entry->main->SeekFirstCopy(prefix, &entry->ref.plan->visible_ords);
   if (!row.has_value())
     return Status::NotFound("no row with the given key prefix");
   return std::move(*row);

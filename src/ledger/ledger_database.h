@@ -84,11 +84,12 @@ struct CatalogEntry {
   bool dropped = false;
   std::unique_ptr<TableStore> main;
   std::unique_ptr<TableStore> history;  // updateable ledger tables only
-  LedgerTableRef ref;                   // cached physical reference
+  LedgerTableRef ref;                   // stores + current plan
 
-  /// Points `ref` at the stores and refreshes its cached ordinals. Runs
-  /// with the database's catalog_mu_ held exclusively: GetTableRef copies
-  /// `ref` under the shared lock, DML reads it under the table's lock.
+  /// Points `ref` at the stores and publishes a new plan of the current
+  /// definition (table_definition.cc). Runs with the database's
+  /// catalog_mu_ held exclusively: GetTableRef copies `ref` under the
+  /// shared lock, DML reads it under the table's lock.
   void LinkRef();
   /// The table's current definition, which a schema change starts from.
   TableDefinition Definition() const;

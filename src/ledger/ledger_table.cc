@@ -44,9 +44,9 @@ Result<Row> PadVersion(const LedgerTableRef& t, const Row& user_row,
   if (t.kind == TableKind::kRegular) return schema.PadRow(user_row);
   return schema.PadRow(
       user_row,
-      {{static_cast<size_t>(t.start_txn_ord),
+      {{static_cast<size_t>(t.plan->start_txn_ord),
         Value::BigInt(static_cast<int64_t>(txn_id))},
-       {static_cast<size_t>(t.start_seq_ord),
+       {static_cast<size_t>(t.plan->start_seq_ord),
         Value::BigInt(static_cast<int64_t>(seq))}});
 }
 
@@ -79,9 +79,9 @@ Result<KeyTuple> RetireVersion(const LedgerTableRef& t, const Row& current,
                                uint64_t txn_id, uint64_t seq,
                                MerkleBuilder* merkle) {
   Row version = current.With(
-      {{static_cast<size_t>(t.end_txn_ord),
+      {{static_cast<size_t>(t.plan->end_txn_ord),
         Value::BigInt(static_cast<int64_t>(txn_id))},
-       {static_cast<size_t>(t.end_seq_ord),
+       {static_cast<size_t>(t.plan->end_seq_ord),
         Value::BigInt(static_cast<int64_t>(seq))}});
   KeyTuple key = t.history->KeyOf(version);
   Hash256 leaf = VersionLeaf(t, version, RowOp::kDelete, txn_id, seq);

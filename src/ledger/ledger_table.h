@@ -11,6 +11,7 @@
 #ifndef SQLLEDGER_LEDGER_LEDGER_TABLE_H_
 #define SQLLEDGER_LEDGER_LEDGER_TABLE_H_
 
+#include <memory>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -22,27 +23,35 @@
 
 namespace sqlledger {
 
-/// A resolved reference to one table's physical stores plus the cached
-/// ordinals of the hidden system columns (CatalogEntry::LinkRef sets them
-/// after every definition change).
+/// The compiled layout of one table definition (DESIGN.md §3 "Table
+/// plans"). CatalogEntry::LinkRef builds one per definition and never
+/// changes it: whoever pinned a plan keeps reading the layout it pinned.
+struct TablePlan {
+  /// Ordinals of the visible columns (Schema::VisibleOrdinals): a user
+  /// row's cells, in order.
+  std::vector<size_t> visible_ords;
+  /// Copies of the visible columns' definitions, in the same order.
+  std::vector<ColumnDef> visible_columns;
+  /// Where a user row holds its primary key: the key columns' positions
+  /// among visible_ords, in key order. Empty when a key column is not
+  /// visible: such a table takes no user-row DML.
+  std::vector<size_t> user_key_positions;
+  /// Ordinals of the hidden stamp columns; -1 on a regular table, and for
+  /// the end pair of an append-only one.
+  int start_txn_ord = -1;
+  int start_seq_ord = -1;
+  int end_txn_ord = -1;
+  int end_seq_ord = -1;
+};
+
+/// One table's physical stores and the plan of its current definition
+/// (CatalogEntry::LinkRef sets both after every definition change).
 struct LedgerTableRef {
   uint32_t table_id = 0;
   TableKind kind = TableKind::kRegular;
   TableStore* main = nullptr;
   TableStore* history = nullptr;  // updateable ledger tables only
-
-  int start_txn_ord = -1;
-  int start_seq_ord = -1;
-  int end_txn_ord = -1;  // -1 for append-only tables
-  int end_seq_ord = -1;
-
-  /// Ordinals of the visible columns (Schema::VisibleOrdinals): a user
-  /// row's cells, in order.
-  std::vector<size_t> visible_ords;
-  /// Where a user row holds its primary key: the key columns' positions
-  /// among visible_ords, in key order. Shorter than the key when a key
-  /// column is not visible.
-  std::vector<size_t> user_key_positions;
+  std::shared_ptr<const TablePlan> plan;
 };
 
 /// Builds a ledger table's full schema from the user schema: appends the

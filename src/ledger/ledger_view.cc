@@ -8,20 +8,21 @@ void ForEachRowVersion(
     const LedgerTableRef& table, bool history,
     const std::function<void(const Row&, RowOp, uint64_t, uint64_t)>& fn) {
   const TableStore* store = history ? table.history : table.main;
+  const TablePlan& plan = *table.plan;
   for (BTree::Iterator it = store->Scan(); it.Valid(); it.Next()) {
     const Row& row = it.value();
     // The stamp columns are in ascending order: one walk reads all four.
     Row::Cursor cells(row);
-    Cell start_txn = cells[table.start_txn_ord];
+    Cell start_txn = cells[plan.start_txn_ord];
     if (!start_txn.is_null()) {
       fn(row, RowOp::kInsert, static_cast<uint64_t>(start_txn.AsInt64()),
-         static_cast<uint64_t>(cells[table.start_seq_ord].AsInt64()));
+         static_cast<uint64_t>(cells[plan.start_seq_ord].AsInt64()));
     }
     if (!history) continue;
-    Cell end_txn = cells[table.end_txn_ord];
+    Cell end_txn = cells[plan.end_txn_ord];
     if (!end_txn.is_null()) {
       fn(row, RowOp::kDelete, static_cast<uint64_t>(end_txn.AsInt64()),
-         static_cast<uint64_t>(cells[table.end_seq_ord].AsInt64()));
+         static_cast<uint64_t>(cells[plan.end_seq_ord].AsInt64()));
     }
   }
 }
@@ -32,7 +33,7 @@ Result<std::vector<LedgerViewRow>> BuildLedgerView(
     return Status::InvalidArgument("table is not a ledger table");
 
   std::vector<LedgerViewRow> out;
-  std::vector<size_t> visible = table.main->schema().VisibleOrdinals();
+  const std::vector<size_t>& visible = table.plan->visible_ords;
   auto add = [&](const Row& row, RowOp op, uint64_t txn, uint64_t seq) {
     LedgerViewRow v;
     v.values = row.Project(visible);
@@ -52,11 +53,11 @@ Result<std::vector<LedgerViewRow>> BuildLedgerView(
   return out;
 }
 
-std::string FormatLedgerView(const Schema& schema,
+std::string FormatLedgerView(const TablePlan& plan,
                              const std::vector<LedgerViewRow>& rows) {
   std::string out;
-  for (size_t ord : schema.VisibleOrdinals()) {
-    out += schema.column(ord).name;
+  for (const ColumnDef& column : plan.visible_columns) {
+    out += column.name;
     out += "\t";
   }
   out += "Operation\tTransaction ID\n";

@@ -45,8 +45,9 @@ void ForEachRowVersion(
 /// (transaction id, sequence number). Fails on regular tables.
 Result<std::vector<LedgerViewRow>> BuildLedgerView(const LedgerTableRef& table);
 
-/// Renders view rows as a fixed-width text table (examples and debugging).
-std::string FormatLedgerView(const Schema& schema,
+/// Renders view rows, built with `plan`, as a fixed-width text table
+/// (examples and debugging).
+std::string FormatLedgerView(const TablePlan& plan,
                              const std::vector<LedgerViewRow>& rows);
 
 }  // namespace sqlledger

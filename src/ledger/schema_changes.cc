@@ -78,11 +78,10 @@ Status LedgerDatabase::AddColumn(const std::string& table,
   for (TableDefinition::Store* store : def.stores())
     store->schema.AddColumn(column, type, /*nullable=*/true, max_length);
   Status st = DefineTable(*txn, entry->table_id, def);
-  if (st.ok() && options_.enable_ledger && !entry->is_system()) {
-    const Schema& schema = entry->main->schema();
+  // The new column is the last visible one.
+  if (st.ok() && options_.enable_ledger && !entry->is_system())
     st = RecordColumnMetadata(*txn, entry->table_id,
-                              schema.column(schema.num_columns() - 1));
-  }
+                              entry->ref.plan->visible_columns.back());
   return FinishDdl(*txn, st);
 }
 
@@ -200,13 +199,13 @@ Status LedgerDatabase::AlterColumnType(const std::string& table,
   if (!st.ok()) return FinishDdl(*txn, st);
 
   // Build the converted user rows before repopulation churns the table.
-  const Schema& schema = entry->main->schema();
-  std::vector<size_t> visible = schema.VisibleOrdinals();
+  // The new column is the last visible one.
+  const TablePlan& plan = *entry->ref.plan;
   std::vector<Row> user_rows;
   for (BTree::Iterator it = entry->main->Scan(); it.Valid(); it.Next()) {
-    user_rows.push_back(it.value().Project(visible));
-    // The new column is the last visible one.
-    user_rows.back()[visible.size() - 1] = converted[user_rows.size() - 1];
+    user_rows.push_back(it.value().Project(plan.visible_ords));
+    user_rows.back()[plan.visible_ords.size() - 1] =
+        converted[user_rows.size() - 1];
   }
 
   // Repopulate through regular ledger DML so every converted version is
@@ -220,10 +219,9 @@ Status LedgerDatabase::AlterColumnType(const std::string& table,
         this, *txn, entry->table_id, old_col.column_id,
         "DroppedColumn_" + column + "_" + std::to_string(old_col.column_id),
         DataTypeName(old_col.type));
-    if (st.ok()) {
+    if (st.ok())
       st = RecordColumnMetadata(*txn, entry->table_id,
-                                schema.column(schema.num_columns() - 1));
-    }
+                                plan.visible_columns.back());
   }
   return FinishDdl(*txn, st);
 }

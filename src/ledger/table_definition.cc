@@ -23,6 +23,28 @@ TableDefinition CatalogEntry::Definition() const {
   return def;
 }
 
+void CatalogEntry::LinkRef() {
+  const Schema& s = main->schema();
+  TablePlan plan;
+  plan.visible_ords = s.VisibleOrdinals();
+  plan.start_txn_ord = s.FindColumn(kColStartTxn);
+  plan.start_seq_ord = s.FindColumn(kColStartSeq);
+  plan.end_txn_ord = s.FindColumn(kColEndTxn);
+  plan.end_seq_ord = s.FindColumn(kColEndSeq);
+  const std::vector<size_t>& visible = plan.visible_ords;
+  std::vector<size_t>& key_positions = plan.user_key_positions;
+  for (size_t ord : visible) plan.visible_columns.push_back(s.column(ord));
+  for (size_t key_ord : s.key_ordinals())
+    key_positions.push_back(static_cast<size_t>(
+        std::find(visible.begin(), visible.end(), key_ord) - visible.begin()));
+  // A key column that is not visible finds no position (visible.size()),
+  // and such a table takes no user-row DML.
+  if (std::count(key_positions.begin(), key_positions.end(), visible.size()))
+    key_positions.clear();
+  ref = {table_id, kind, main.get(), history.get(),
+         std::make_shared<const TablePlan>(std::move(plan))};
+}
+
 void LedgerDatabase::BuildSystemStores() {
   ledger_txns_store_ = std::make_unique<TableStore>(
       kLedgerTransactionsTableId, "database_ledger_transactions",

@@ -6,6 +6,24 @@
 
 namespace sqlledger {
 
+namespace {
+// The user rows of `t`'s main store whose current version a truncated
+// transaction wrote. The caller excludes writers: a quiesce or the
+// table's X lock, which also keeps `t`'s plan current.
+std::vector<Row> AnchoredRows(const LedgerTableRef& t,
+                              const std::set<uint64_t>& truncated) {
+  const TablePlan& plan = *t.plan;
+  std::vector<Row> out;
+  for (BTree::Iterator it = t.main->Scan(); it.Valid(); it.Next()) {
+    Cell start_txn = it.value()[plan.start_txn_ord];
+    if (!start_txn.is_null() &&
+        truncated.count(static_cast<uint64_t>(start_txn.AsInt64())))
+      out.push_back(it.value().Project(plan.visible_ords));
+  }
+  return out;
+}
+}  // namespace
+
 Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
                       const std::vector<DatabaseDigest>& digests) {
   DatabaseLedger* ledger = db->database_ledger();
@@ -33,39 +51,43 @@ Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
   std::set<uint64_t> truncated(range->txn_ids.begin(), range->txn_ids.end());
 
   // 2. Dummy-update live rows still anchored in blocks being truncated so
-  // their digests move into fresh transactions.
-  for (CatalogEntry* entry : db->AllTables()) {
-    if (entry->kind == TableKind::kRegular) continue;
-    const Schema& schema = entry->main->schema();
-    std::vector<size_t> visible = schema.VisibleOrdinals();
-
-    std::vector<Row> anchored;
-    for (BTree::Iterator it = entry->main->Scan(); it.Valid(); it.Next()) {
-      Cell start_txn = it.value()[entry->ref.start_txn_ord];
-      if (start_txn.is_null()) continue;
-      if (truncated.count(static_cast<uint64_t>(start_txn.AsInt64())))
-        anchored.push_back(it.value());
-    }
-    if (anchored.empty()) continue;
-
-    if (entry->kind == TableKind::kAppendOnly) {
-      if (entry->is_system()) {
-        // Prior truncation-audit records cannot be re-homed (append-only);
-        // the verifier accepts their dangling references because they fall
-        // inside recorded truncation ranges.
+  // their digests move into fresh transactions. A quiesced pass finds the
+  // tables that hold such rows; each is then scanned again under its X
+  // lock, and the dummy updates start from that scan. Rows found before
+  // the lock would be stale: an update committed in between would be
+  // overwritten by the pre-image (DESIGN.md §8).
+  // An append-only user table with such rows refuses the truncation; the
+  // tables ahead of it in id order are still re-homed, which is harmless.
+  std::vector<CatalogEntry*> anchored_tables;
+  Status refused;
+  {
+    LedgerDatabase::QuiesceGuard guard(db);
+    for (CatalogEntry* entry : db->AllTables()) {
+      if (entry->kind == TableKind::kRegular ||
+          AnchoredRows(entry->ref, truncated).empty())
         continue;
+      if (entry->kind == TableKind::kUpdateable) {
+        anchored_tables.push_back(entry);
+      } else if (!entry->is_system()) {
+        refused = Status::NotSupported(
+            "append-only table '" + entry->name + "' still holds rows in "
+            "the truncated range; they cannot be dummy-updated");
+        break;
       }
-      return Status::NotSupported(
-          "append-only table '" + entry->name + "' still holds rows in the "
-          "truncated range; they cannot be dummy-updated");
+      // Prior truncation-audit records cannot be re-homed (append-only);
+      // the verifier accepts their dangling references because they fall
+      // inside recorded truncation ranges.
     }
-
+  }
+  for (CatalogEntry* entry : anchored_tables) {
     auto txn = db->Begin("system:truncation");
     if (!txn.ok()) return txn.status();
     Status st = db->AcquireTableLock(*txn, *entry, LockMode::kExclusive);
-    for (const Row& physical : anchored) {
-      if (!st.ok()) break;
-      st = LedgerUpdate(*txn, entry->ref, physical.Project(visible));
+    if (st.ok()) {
+      for (const Row& user_row : AnchoredRows(entry->ref, truncated)) {
+        st = LedgerUpdate(*txn, entry->ref, user_row);
+        if (!st.ok()) break;
+      }
     }
     if (!st.ok()) {
       db->Abort(*txn);
@@ -73,6 +95,7 @@ Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
     }
     SL_RETURN_IF_ERROR(db->Commit(*txn));
   }
+  SL_RETURN_IF_ERROR(refused);
 
   // 3. Close the block holding the dummy updates so the re-homed data is
   // immediately digest-coverable.
@@ -89,7 +112,7 @@ Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
       std::vector<KeyTuple> doomed;
       for (BTree::Iterator it = entry->history->Scan(); it.Valid();
            it.Next()) {
-        Cell end_txn = it.value()[entry->ref.end_txn_ord];
+        Cell end_txn = it.value()[entry->ref.plan->end_txn_ord];
         if (end_txn.is_null()) continue;
         if (truncated.count(static_cast<uint64_t>(end_txn.AsInt64())))
           doomed.push_back(it.key());

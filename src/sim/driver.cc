@@ -487,6 +487,40 @@ void SimDriver::CheckRecoveredCatalog(size_t i) {
       return;
     }
   }
+  CheckPlans(i);
+}
+
+void SimDriver::CheckPlans(size_t i) {
+  for (const std::string& name : registry_) {
+    ReferenceModel::Table* mt = model_->FindTable(name);
+    auto ref = db_->GetTableRef(name);
+    if (mt == nullptr || !ref.ok()) continue;
+    // Derived from the model's schema, not by the plan builder: a user row
+    // holds the columns neither hidden nor dropped, and a key column's
+    // position in it counts the visible columns before it.
+    const Schema& s = mt->schema;
+    std::vector<size_t> visible, key_positions;
+    std::vector<ColumnDef> columns;
+    for (size_t c = 0; c < s.num_columns(); c++) {
+      if (s.column(c).hidden || s.column(c).dropped) continue;
+      visible.push_back(c);
+      columns.push_back(s.column(c));
+    }
+    for (size_t k : s.key_ordinals())
+      key_positions.push_back(static_cast<size_t>(
+          std::lower_bound(visible.begin(), visible.end(), k) -
+          visible.begin()));
+    const TablePlan& plan = *ref->plan;
+    if (plan.visible_ords != visible || plan.visible_columns != columns ||
+        plan.user_key_positions != key_positions ||
+        plan.start_txn_ord != s.FindColumn(kColStartTxn) ||
+        plan.start_seq_ord != s.FindColumn(kColStartSeq) ||
+        plan.end_txn_ord != s.FindColumn(kColEndTxn) ||
+        plan.end_seq_ord != s.FindColumn(kColEndSeq)) {
+      Fail(i, "plan of '" + name + "' does not match the model's schema");
+      return;
+    }
+  }
 }
 
 // ---- Commit plumbing ----
@@ -764,6 +798,7 @@ void SimDriver::DoCreateTable(size_t i, const SimOp& op) {
   if (diverged_) return;
   if (!IngestNewEntries(i)) return;
   ProbeTxnCounter(i);
+  CheckPlans(i);
   Note(std::to_string(i) + " create_table " + op.str + " " +
        CodeName(st.code()));
 }
@@ -798,6 +833,7 @@ void SimDriver::DoAddColumn(size_t i, const SimOp& op) {
   }
   if (!IngestNewEntries(i)) return;
   ProbeTxnCounter(i);
+  CheckPlans(i);
   Note(std::to_string(i) + " add_column " + *name + "." + op.str + " " +
        CodeName(st.code()));
 }
@@ -829,6 +865,7 @@ void SimDriver::DoDropColumn(size_t i, const SimOp& op) {
   }
   if (!IngestNewEntries(i)) return;
   ProbeTxnCounter(i);
+  CheckPlans(i);
   Note(std::to_string(i) + " drop_column " + *name + "." + op.str + " " +
        CodeName(st.code()));
 }
@@ -859,6 +896,7 @@ void SimDriver::DoCreateIndex(size_t i, const SimOp& op) {
   if (st.ok()) indexes_.insert(ix);
   if (!IngestNewEntries(i)) return;
   ProbeTxnCounter(i);
+  CheckPlans(i);
   Note(std::to_string(i) + " create_index " + *name + "." + op.str + " " +
        CodeName(st.code()));
 }
@@ -1426,7 +1464,7 @@ void SimDriver::DoTruncate(size_t i, const SimOp& op) {
     for (CatalogEntry* e : db_->AllTables()) {
       if (e->is_system() || e->kind != TableKind::kAppendOnly) continue;
       for (BTree::Iterator it = e->main->Scan(); it.Valid(); it.Next()) {
-        Cell start_txn = it.value()[e->ref.start_txn_ord];
+        Cell start_txn = it.value()[e->ref.plan->start_txn_ord];
         if (start_txn.is_null()) continue;
         auto entry =
             ledger()->FindEntry(static_cast<uint64_t>(start_txn.AsInt64()));

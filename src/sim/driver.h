@@ -142,6 +142,10 @@ class SimDriver {
   bool RebuildChain(size_t i, bool check_prefix);
   void ProbeTxnCounter(size_t i);
   void CheckRecoveredCatalog(size_t i);
+  /// Each table's plan must be the layout the model derives from its own
+  /// schema: visible ordinals and columns, user-key positions and stamp
+  /// ordinals. Run after every DDL op and every reopen.
+  void CheckPlans(size_t i);
   void AdoptCreatedTable(size_t i, const std::string& name, TableKind kind);
   /// Replaces model ledger-table contents with the system's physical rows
   /// after asserting user-visible content still matches `pre` (used after

@@ -107,13 +107,6 @@ ReferenceModel::Table* ReferenceModel::FindTableById(uint32_t table_id) {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-void ReferenceModel::RemoveTable(const std::string& name) {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) return;
-  tables_.erase(it->second);
-  by_name_.erase(it);
-}
-
 // ---- Transactions ----
 
 uint64_t ReferenceModel::BeginTxn(const std::string& user) {
@@ -434,27 +427,8 @@ DatabaseDigest ReferenceModel::ExpectedDigest(const std::string& database_id,
   return digest;
 }
 
-ReferenceModel::ChainState ReferenceModel::GetChainState() const {
-  return chain_;
-}
-
 void ReferenceModel::SetChainState(ChainState state) {
   chain_ = std::move(state);
-}
-
-void ReferenceModel::TruncateChainBelow(uint64_t below_block) {
-  auto& entries = chain_.entries;
-  entries.erase(std::remove_if(entries.begin(), entries.end(),
-                               [&](const TransactionEntry& e) {
-                                 return e.block_id < below_block;
-                               }),
-                entries.end());
-  auto& blocks = chain_.blocks;
-  blocks.erase(std::remove_if(blocks.begin(), blocks.end(),
-                              [&](const BlockRecord& b) {
-                                return b.block_id < below_block;
-                              }),
-               blocks.end());
 }
 
 void ReferenceModel::ReplaceTableContents(

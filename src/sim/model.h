@@ -90,7 +90,6 @@ class ReferenceModel {
   Status DropColumn(const std::string& name, const std::string& column);
   Table* FindTable(const std::string& name);
   Table* FindTableById(uint32_t table_id);
-  void RemoveTable(const std::string& name);  // in-doubt DDL resolution
   const std::map<uint32_t, std::unique_ptr<Table>>& tables() const {
     return tables_;
   }
@@ -138,7 +137,6 @@ class ReferenceModel {
   DatabaseDigest ExpectedDigest(const std::string& database_id,
                                 const std::string& create_time);
 
-  ChainState GetChainState() const;
   void SetChainState(ChainState state);
 
   const std::vector<BlockRecord>& blocks() const { return chain_.blocks; }
@@ -151,9 +149,6 @@ class ReferenceModel {
   uint64_t open_block_id() const { return chain_.open_block_id; }
   uint64_t next_ordinal() const { return chain_.next_ordinal; }
   Hash256 last_block_hash() const { return chain_.last_block_hash; }
-
-  /// Drops entries/blocks below the cutoff (mirrors TruncateBelow).
-  void TruncateChainBelow(uint64_t below_block);
 
   /// Replaces one table's physical contents from a system scan (used by the
   /// post-truncation resync, where internal dummy updates re-stamped rows).

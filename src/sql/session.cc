@@ -9,28 +9,23 @@ namespace sqlledger {
 
 namespace {
 
-/// Visible-column metadata for a table: names and defs in visible order.
-struct VisibleSchema {
-  std::vector<std::string> names;
-  std::vector<const ColumnDef*> columns;
-};
-
-Result<VisibleSchema> GetVisibleSchema(LedgerDatabase* db,
-                                       const std::string& table) {
-  auto ref = db->GetTableRef(table);
-  if (!ref.ok()) return ref.status();
-  VisibleSchema out;
-  const Schema& schema = ref->main->schema();
-  for (size_t ord : ref->visible_ords) {
-    out.names.push_back(schema.column(ord).name);
-    out.columns.push_back(&schema.column(ord));
-  }
-  return out;
+/// A statement pins its table's plan by holding a copy of the table's ref
+/// (DESIGN.md §8). Rows have the layout of the plan current when they were
+/// read: Aborted unless that is still `pinned`, whose address no other
+/// plan takes while it is held.
+Status CheckPinned(LedgerDatabase* db, const std::string& table,
+                   const TablePlan& pinned) {
+  auto now = db->GetTableRef(table);
+  if (!now.ok()) return now.status();
+  if (now->plan.get() != &pinned)
+    return Status::Aborted("table '" + table +
+                           "' changed during the statement");
+  return Status::OK();
 }
 
-int FindName(const std::vector<std::string>& names, const std::string& name) {
-  for (size_t i = 0; i < names.size(); i++) {
-    if (names[i] == name) return static_cast<int>(i);
+int FindName(const std::vector<ColumnDef>& columns, const std::string& name) {
+  for (size_t i = 0; i < columns.size(); i++) {
+    if (columns[i].name == name) return static_cast<int>(i);
   }
   return -1;
 }
@@ -49,11 +44,10 @@ Result<Value> CoerceLiteral(const Value& literal, const ColumnDef& column) {
 }
 
 Result<bool> EvalPredicates(const std::vector<SqlPredicate>& predicates,
-                            const std::vector<std::string>& column_names,
-                            const std::vector<const ColumnDef*>& columns,
+                            const std::vector<ColumnDef>& columns,
                             const Row& row) {
   for (const SqlPredicate& pred : predicates) {
-    int idx = FindName(column_names, pred.column);
+    int idx = FindName(columns, pred.column);
     if (idx < 0)
       return Status::NotFound("unknown column '" + pred.column +
                               "' in WHERE clause");
@@ -64,7 +58,7 @@ Result<bool> EvalPredicates(const std::vector<SqlPredicate>& predicates,
         return false;
       continue;
     }
-    auto literal = CoerceLiteral(pred.literal, *columns[idx]);
+    auto literal = CoerceLiteral(pred.literal, columns[idx]);
     if (!literal.ok()) return literal.status();
     Cell cell = row[static_cast<size_t>(idx)];
     // SQL three-valued logic, simplified: comparisons with NULL are false.
@@ -233,17 +227,20 @@ Result<SqlResultSet> SqlSession::Dispatch(const SqlStatement& stmt) {
 }
 
 Result<SqlResultSet> SqlSession::ExecInsert(const InsertStmt& stmt) {
-  auto visible = GetVisibleSchema(db_, stmt.table);
-  if (!visible.ok()) return visible.status();
+  // A row built against a plan a DDL has since replaced has the wrong
+  // width or types, and the insert refuses it (InvalidArgument).
+  auto ref = db_->GetTableRef(stmt.table);
+  if (!ref.ok()) return ref.status();
+  const std::vector<ColumnDef>& columns = ref->plan->visible_columns;
 
   // Map the statement's column list onto visible ordinals.
   std::vector<int> targets;
   if (stmt.columns.empty()) {
-    for (size_t i = 0; i < visible->names.size(); i++)
+    for (size_t i = 0; i < columns.size(); i++)
       targets.push_back(static_cast<int>(i));
   } else {
     for (const std::string& name : stmt.columns) {
-      int idx = FindName(visible->names, name);
+      int idx = FindName(columns, name);
       if (idx < 0) return Status::NotFound("unknown column '" + name + "'");
       targets.push_back(idx);
     }
@@ -256,11 +253,10 @@ Result<SqlResultSet> SqlSession::ExecInsert(const InsertStmt& stmt) {
         return Status::InvalidArgument(
             "VALUES arity does not match the column list");
       std::vector<Value> row;
-      for (const auto* col : visible->columns)
-        row.push_back(Value::Null(col->type));
+      for (const ColumnDef& col : columns)
+        row.push_back(Value::Null(col.type));
       for (size_t i = 0; i < targets.size(); i++) {
-        auto coerced =
-            CoerceLiteral(literals[i], *visible->columns[targets[i]]);
+        auto coerced = CoerceLiteral(literals[i], columns[targets[i]]);
         if (!coerced.ok()) return coerced.status();
         row[static_cast<size_t>(targets[i])] = std::move(*coerced);
       }
@@ -295,12 +291,11 @@ const char* AggregateFnName(SqlAggregate::Fn fn) {
 }
 
 Result<Value> EvalAggregate(const SqlAggregate& agg,
-                            const std::vector<std::string>& names,
-                            const std::vector<const ColumnDef*>& columns,
+                            const std::vector<ColumnDef>& columns,
                             const std::vector<Row>& rows) {
   if (agg.fn == SqlAggregate::Fn::kCount && agg.column.empty())
     return Value::BigInt(static_cast<int64_t>(rows.size()));
-  int idx = FindName(names, agg.column);
+  int idx = FindName(columns, agg.column);
   if (idx < 0)
     return Status::NotFound("unknown column '" + agg.column +
                             "' in aggregate");
@@ -321,11 +316,11 @@ Result<Value> EvalAggregate(const SqlAggregate& agg,
                                             : row[i].Compare((*best)[i]) > 0))
         best = &row;
     }
-    if (best == nullptr) return Value::Null(columns[i]->type);
+    if (best == nullptr) return Value::Null(columns[i].type);
     return Value((*best)[i]);
   }
   // SUM / AVG: numeric columns only.
-  DataType type = columns[i]->type;
+  DataType type = columns[i].type;
   bool is_double = type == DataType::kDouble;
   bool is_integral = type == DataType::kSmallInt || type == DataType::kInt ||
                      type == DataType::kBigInt;
@@ -359,28 +354,21 @@ std::string SqlAggregate::DisplayName() const {
 
 Result<SqlResultSet> SqlSession::ExecSelect(const SelectStmt& stmt) {
   SqlResultSet result;
-  std::vector<std::string> source_names;
-  std::vector<const ColumnDef*> source_columns;
+  auto ref = db_->GetTableRef(stmt.table);
+  if (!ref.ok()) return ref.status();
+  const TablePlan& plan = *ref->plan;
+  std::vector<ColumnDef> columns = plan.visible_columns;
   std::vector<Row> source_rows;
-
-  auto visible = GetVisibleSchema(db_, stmt.table);
-  if (!visible.ok()) return visible.status();
-  source_names = visible->names;
-  source_columns = visible->columns;
-
-  // Extra columns appended by LEDGER_VIEW.
-  static const ColumnDef kOpCol{0, "operation", DataType::kVarchar, false,
-                                0,  false, false};
-  static const ColumnDef kTxnCol{0, "transaction_id", DataType::kBigInt,
-                                 false, 0, false, false};
 
   if (stmt.from_ledger_view) {
     auto view = db_->GetLedgerView(stmt.table);
     if (!view.ok()) return view.status();
-    source_names.push_back("operation");
-    source_names.push_back("transaction_id");
-    source_columns.push_back(&kOpCol);
-    source_columns.push_back(&kTxnCol);
+    SL_RETURN_IF_ERROR(CheckPinned(db_, stmt.table, plan));
+    // Extra columns appended by LEDGER_VIEW.
+    columns.push_back({0, "operation", DataType::kVarchar, false, 0, false,
+                       false});
+    columns.push_back({0, "transaction_id", DataType::kBigInt, false, 0,
+                       false, false});
     for (const LedgerViewRow& row : *view) {
       std::vector<Value> r = row.values.Values();
       r.push_back(Value::Varchar(row.operation));
@@ -390,18 +378,15 @@ Result<SqlResultSet> SqlSession::ExecSelect(const SelectStmt& stmt) {
   } else {
     // Point-lookup fast path: equality predicates covering the whole
     // primary key use a row-locked Get instead of a table-S scan.
-    auto ref = db_->GetTableRef(stmt.table);
-    if (!ref.ok()) return ref.status();
+    const std::vector<size_t>& key_positions = plan.user_key_positions;
     std::vector<Value> point_key;
-    bool is_point = true;
-    for (size_t key_ord : ref->main->schema().key_ordinals()) {
-      const std::string& key_name = ref->main->schema().column(key_ord).name;
+    bool is_point = !key_positions.empty();
+    for (size_t pos : key_positions) {
+      const ColumnDef& key_col = columns[pos];
       bool found = false;
       for (const SqlPredicate& pred : stmt.where) {
-        if (pred.op == SqlPredicate::Op::kEq && pred.column == key_name) {
-          int idx = FindName(source_names, key_name);
-          auto coerced = CoerceLiteral(
-              pred.literal, *source_columns[static_cast<size_t>(idx)]);
+        if (pred.op == SqlPredicate::Op::kEq && pred.column == key_col.name) {
+          auto coerced = CoerceLiteral(pred.literal, key_col);
           if (!coerced.ok()) return coerced.status();
           point_key.push_back(std::move(*coerced));
           found = true;
@@ -421,11 +406,12 @@ Result<SqlResultSet> SqlSession::ExecSelect(const SelectStmt& stmt) {
         } else if (!row.status().IsNotFound()) {
           return row.status();
         }
-        return static_cast<int64_t>(source_rows.size());
+      } else {
+        auto rows = db_->Scan(txn, stmt.table);
+        if (!rows.ok()) return rows.status();
+        source_rows = std::move(*rows);
       }
-      auto rows = db_->Scan(txn, stmt.table);
-      if (!rows.ok()) return rows.status();
-      source_rows = std::move(*rows);
+      SL_RETURN_IF_ERROR(CheckPinned(db_, stmt.table, plan));
       return static_cast<int64_t>(source_rows.size());
     });
     if (!scanned.ok()) return scanned.status();
@@ -434,14 +420,14 @@ Result<SqlResultSet> SqlSession::ExecSelect(const SelectStmt& stmt) {
   // Filter.
   std::vector<Row> filtered;
   for (Row& row : source_rows) {
-    auto keep = EvalPredicates(stmt.where, source_names, source_columns, row);
+    auto keep = EvalPredicates(stmt.where, columns, row);
     if (!keep.ok()) return keep.status();
     if (*keep) filtered.push_back(std::move(row));
   }
 
   // Order.
   if (stmt.order_by) {
-    int idx = FindName(source_names, *stmt.order_by);
+    int idx = FindName(columns, *stmt.order_by);
     if (idx < 0)
       return Status::NotFound("unknown ORDER BY column '" + *stmt.order_by +
                               "'");
@@ -462,7 +448,7 @@ Result<SqlResultSet> SqlSession::ExecSelect(const SelectStmt& stmt) {
     std::vector<Row> all;
     int group_idx = -1;
     if (stmt.group_by) {
-      group_idx = FindName(source_names, *stmt.group_by);
+      group_idx = FindName(columns, *stmt.group_by);
       if (group_idx < 0)
         return Status::NotFound("unknown GROUP BY column '" + *stmt.group_by +
                                 "'");
@@ -482,7 +468,7 @@ Result<SqlResultSet> SqlSession::ExecSelect(const SelectStmt& stmt) {
       std::vector<Value> out_row;
       if (group_value != nullptr) out_row.push_back(*group_value);
       for (const SqlAggregate& agg : stmt.aggregates) {
-        auto value = EvalAggregate(agg, source_names, source_columns, *rows);
+        auto value = EvalAggregate(agg, columns, *rows);
         if (!value.ok()) return value.status();
         out_row.push_back(std::move(*value));
       }
@@ -499,40 +485,40 @@ Result<SqlResultSet> SqlSession::ExecSelect(const SelectStmt& stmt) {
   // Project.
   std::vector<size_t> projection;
   if (stmt.columns.size() == 1 && stmt.columns[0] == "*") {
-    for (size_t i = 0; i < source_names.size(); i++) projection.push_back(i);
+    for (size_t i = 0; i < columns.size(); i++) projection.push_back(i);
   } else {
     for (const std::string& name : stmt.columns) {
-      int idx = FindName(source_names, name);
+      int idx = FindName(columns, name);
       if (idx < 0) return Status::NotFound("unknown column '" + name + "'");
       projection.push_back(static_cast<size_t>(idx));
     }
   }
   for (size_t idx : projection)
-    result.column_names.push_back(source_names[idx]);
+    result.column_names.push_back(columns[idx].name);
   for (const Row& row : filtered) result.rows.push_back(row.Project(projection));
   result.affected_rows = static_cast<int64_t>(result.rows.size());
   return result;
 }
 
 Result<SqlResultSet> SqlSession::ExecUpdate(const UpdateStmt& stmt) {
-  auto visible = GetVisibleSchema(db_, stmt.table);
-  if (!visible.ok()) return visible.status();
+  auto ref = db_->GetTableRef(stmt.table);
+  if (!ref.ok()) return ref.status();
+  const std::vector<ColumnDef>& columns = ref->plan->visible_columns;
 
   auto updated = WithTransaction([&](Transaction* txn) -> Result<int64_t> {
     auto rows = db_->Scan(txn, stmt.table);
     if (!rows.ok()) return rows.status();
+    SL_RETURN_IF_ERROR(CheckPinned(db_, stmt.table, *ref->plan));
     int64_t count = 0;
     for (Row& row : *rows) {
-      auto match =
-          EvalPredicates(stmt.where, visible->names, visible->columns, row);
+      auto match = EvalPredicates(stmt.where, columns, row);
       if (!match.ok()) return match.status();
       if (!*match) continue;
       Row new_row = row;
       for (const auto& [name, literal] : stmt.assignments) {
-        int idx = FindName(visible->names, name);
+        int idx = FindName(columns, name);
         if (idx < 0) return Status::NotFound("unknown column '" + name + "'");
-        auto coerced =
-            CoerceLiteral(literal, *visible->columns[static_cast<size_t>(idx)]);
+        auto coerced = CoerceLiteral(literal, columns[idx]);
         if (!coerced.ok()) return coerced.status();
         new_row[static_cast<size_t>(idx)] = std::move(*coerced);
       }
@@ -552,23 +538,19 @@ Result<SqlResultSet> SqlSession::ExecUpdate(const UpdateStmt& stmt) {
 Result<SqlResultSet> SqlSession::ExecDelete(const DeleteStmt& stmt) {
   auto ref = db_->GetTableRef(stmt.table);
   if (!ref.ok()) return ref.status();
-  auto visible = GetVisibleSchema(db_, stmt.table);
-  if (!visible.ok()) return visible.status();
-
-  // Key positions in the visible row (keys are always visible).
-  const std::vector<size_t>& key_positions = ref->user_key_positions;
+  const TablePlan& plan = *ref->plan;
 
   auto deleted = WithTransaction([&](Transaction* txn) -> Result<int64_t> {
     auto rows = db_->Scan(txn, stmt.table);
     if (!rows.ok()) return rows.status();
+    SL_RETURN_IF_ERROR(CheckPinned(db_, stmt.table, plan));
     int64_t count = 0;
     for (const Row& row : *rows) {
-      auto match =
-          EvalPredicates(stmt.where, visible->names, visible->columns, row);
+      auto match = EvalPredicates(stmt.where, plan.visible_columns, row);
       if (!match.ok()) return match.status();
       if (!*match) continue;
       SL_RETURN_IF_ERROR(
-          db_->Delete(txn, stmt.table, row.Project(key_positions)));
+          db_->Delete(txn, stmt.table, row.Project(plan.user_key_positions)));
       count++;
     }
     return count;

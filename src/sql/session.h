@@ -67,8 +67,7 @@ Result<Value> CoerceLiteral(const Value& literal, const ColumnDef& column);
 
 /// Evaluates a WHERE conjunction against a visible row.
 Result<bool> EvalPredicates(const std::vector<SqlPredicate>& predicates,
-                            const std::vector<std::string>& column_names,
-                            const std::vector<const ColumnDef*>& columns,
+                            const std::vector<ColumnDef>& columns,
                             const Row& row);
 
 }  // namespace sqlledger

@@ -319,7 +319,6 @@ class FaultInjectionWritableFile : public WritableFile {
   Status Append(Slice data) override {
     MutexLock lock(&env_->mu_);
     if (env_->crashed_) return Status::IOError(kCrashedMessage);
-    env_->writes_++;
     SL_RETURN_IF_ERROR(env_->CheckWriteLocked());
     SL_RETURN_IF_ERROR(target_->Append(data));
     env_->files_[path_].written_size += data.size();
@@ -335,7 +334,6 @@ class FaultInjectionWritableFile : public WritableFile {
   Status Sync() override {
     MutexLock lock(&env_->mu_);
     if (env_->crashed_) return Status::IOError(kCrashedMessage);
-    env_->syncs_++;
     SL_RETURN_IF_ERROR(env_->CheckSyncLocked());
     SL_RETURN_IF_ERROR(target_->Sync());
     FaultInjectionEnv::FileState& state = env_->files_[path_];
@@ -413,21 +411,6 @@ void FaultInjectionEnv::CorruptReadsMatching(const std::string& substring) {
 bool FaultInjectionEnv::crashed() const {
   MutexLock lock(&mu_);
   return crashed_;
-}
-
-uint64_t FaultInjectionEnv::sync_count() const {
-  MutexLock lock(&mu_);
-  return syncs_;
-}
-
-uint64_t FaultInjectionEnv::write_count() const {
-  MutexLock lock(&mu_);
-  return writes_;
-}
-
-uint64_t FaultInjectionEnv::rename_count() const {
-  MutexLock lock(&mu_);
-  return renames_;
 }
 
 Status FaultInjectionEnv::CheckWriteLocked() {
@@ -545,7 +528,6 @@ Status FaultInjectionEnv::RenameFile(const std::string& from,
                                      const std::string& to) {
   MutexLock lock(&mu_);
   if (crashed_) return Status::IOError(kCrashedMessage);
-  renames_++;
   if (fail_rename_countdown_ > 0 && --fail_rename_countdown_ == 0)
     return Status::IOError("injected rename failure");
   SL_RETURN_IF_ERROR(target_->RenameFile(from, to));
@@ -576,7 +558,6 @@ Status FaultInjectionEnv::TruncateFile(const std::string& path,
 Status FaultInjectionEnv::SyncDir(const std::string& dir) {
   MutexLock lock(&mu_);
   if (crashed_) return Status::IOError(kCrashedMessage);
-  syncs_++;
   SL_RETURN_IF_ERROR(CheckSyncLocked());
   SL_RETURN_IF_ERROR(target_->SyncDir(dir));
   // Renames inside this directory are now durable.

@@ -173,11 +173,6 @@ class FaultInjectionEnv : public Env {
   void CorruptReadsMatching(const std::string& substring);
   bool crashed() const;
 
-  // ---- Counters (for sizing crash schedules in tests) ----
-  uint64_t sync_count() const;
-  uint64_t write_count() const;
-  uint64_t rename_count() const;
-
   // ---- Env interface ----
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path, const WritableFileOptions& opts) override;
@@ -225,9 +220,6 @@ class FaultInjectionEnv : public Env {
   int fail_rename_countdown_ GUARDED_BY(mu_) = -1;
   int crash_sync_countdown_ GUARDED_BY(mu_) = -1;
   std::string corrupt_read_substring_ GUARDED_BY(mu_);
-  uint64_t writes_ GUARDED_BY(mu_) = 0;
-  uint64_t syncs_ GUARDED_BY(mu_) = 0;
-  uint64_t renames_ GUARDED_BY(mu_) = 0;
   std::map<std::string, FileState> files_ GUARDED_BY(mu_);
   std::vector<PendingRename> pending_renames_ GUARDED_BY(mu_);
 };

@@ -107,7 +107,6 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
   /// Analysis-only assertion that the current thread holds this mutex; used
   /// in helpers reached only from locked regions the analysis cannot see.
   void AssertHeld() ASSERT_CAPABILITY(this) {}
@@ -202,16 +201,6 @@ class CondVar {
       REQUIRES(mu) {
     std::unique_lock<std::mutex> inner(mu->mu_, std::adopt_lock);
     bool notified = cv_.wait_until(inner, deadline) == std::cv_status::no_timeout;
-    inner.release();
-    return notified;
-  }
-
-  /// As Wait, but returns false when `rel_time` elapses without a notify.
-  template <typename Rep, typename Period>
-  bool WaitFor(Mutex* mu, const std::chrono::duration<Rep, Period>& rel_time)
-      REQUIRES(mu) {
-    std::unique_lock<std::mutex> inner(mu->mu_, std::adopt_lock);
-    bool notified = cv_.wait_for(inner, rel_time) == std::cv_status::no_timeout;
     inner.release();
     return notified;
   }

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "ledger/verifier.h"
+#include "sql/session.h"
 #include "test_util.h"
 
 namespace sqlledger {
@@ -310,16 +311,27 @@ TEST_F(ConcurrencyTest, ConcurrentAddColumnsOnOneTable) {
 }
 
 // GetTableRef copies a table's ref while schema changes relink it: the
-// copy and the relink share the catalog lock.
+// copy and the relink share the catalog lock, and the copied plan stays
+// whole while later changes publish new ones.
 TEST_F(ConcurrencyTest, GetTableRefDuringAddColumn) {
   std::atomic<bool> stop{false};
   std::atomic<int> bad{0};
   std::thread reader([&] {
+    size_t width = 0;
     while (!stop.load()) {
       auto ref = db_->GetTableRef("shared");
       if (!ref.ok() || ref->main == nullptr || ref->history == nullptr ||
-          ref->start_txn_ord < 0 || ref->end_seq_ord < 0)
+          ref->plan == nullptr) {
         bad++;
+        continue;
+      }
+      const TablePlan& plan = *ref->plan;
+      if (plan.start_txn_ord < 0 || plan.end_seq_ord < 0 ||
+          plan.visible_columns.size() != plan.visible_ords.size() ||
+          plan.visible_ords.size() < width ||
+          plan.visible_columns[0].name != "id")
+        bad++;
+      width = plan.visible_ords.size();
     }
   });
   for (int i = 0; i < 20; i++) {
@@ -330,6 +342,68 @@ TEST_F(ConcurrencyTest, GetTableRefDuringAddColumn) {
   stop = true;
   reader.join();
   EXPECT_EQ(bad.load(), 0);
+}
+
+// The SQL session pins one plan per statement and reads no live schema,
+// so statements beside schema changes read only what their plan holds.
+// One session thread runs a SELECT and an UPDATE in a loop while the main
+// thread adds 40 columns and drops every other one it added; each
+// statement succeeds, or fails cleanly with InvalidArgument or Aborted
+// when a change lands between its plan and its rows.
+TEST_F(ConcurrencyTest, SqlSessionDuringColumnChanges) {
+  {
+    auto txn = db_->Begin("init");
+    ASSERT_TRUE(db_->Insert(*txn, "shared", {VB(3), VS("y")}).ok());
+    ASSERT_TRUE(db_->Commit(*txn).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> done{0};
+  std::atomic<int> ok{0};
+  std::atomic<int> unexpected{0};
+  std::thread session_thread([&] {
+    SqlSession session(db_.get());
+    while (!stop.load()) {
+      for (const char* sql :
+           {"SELECT * FROM shared WHERE payload = 'x'",
+            "UPDATE shared SET payload = 'x' WHERE id = 3"}) {
+        auto result = session.Execute(sql);
+        if (result.ok()) {
+          ok++;
+        } else if (result.status().code() != StatusCode::kInvalidArgument &&
+                   !result.status().IsAborted()) {
+          ADD_FAILURE() << sql << ": " << result.status().ToString();
+          unexpected++;
+        }
+        done++;
+      }
+    }
+  });
+  for (int i = 0; i < 40; i++) {
+    // Let the session finish a statement before the next change.
+    const int seen = done.load();
+    for (int spin = 0; done.load() == seen && spin < 1000000; spin++)
+      std::this_thread::yield();
+    Status st = db_->AddColumn("shared", "c" + std::to_string(i),
+                               DataType::kInt);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    if (i % 2 == 1) {
+      st = db_->DropColumn("shared", "c" + std::to_string(i - 1));
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+  }
+  stop = true;
+  session_thread.join();
+  EXPECT_EQ(unexpected.load(), 0);
+  EXPECT_GT(ok.load(), 0);
+  SqlSession session(db_.get());
+  auto rows = session.Execute("SELECT * FROM shared WHERE id = 3");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->column_names.size(), 22u);  // id, payload, c1 ... c39
+  EXPECT_EQ(rows->rows[0].size(), 22u);
+  auto report = VerifyLedger(db_.get(), {});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
 }
 
 TEST_F(ConcurrencyTest, ReadersShareLocks) {

@@ -510,7 +510,7 @@ TEST_F(IncrementalVerifierTest, NulledStartStampMatchesFullRun) {
     SCOPED_TRACE(key);
     Row* row = ref->main->mutable_clustered()->MutableGet({VS(key)});
     ASSERT_NE(row, nullptr);
-    (*row)[ref->start_txn_ord] = Value::Null(DataType::kBigInt);
+    (*row)[ref->plan->start_txn_ord] = Value::Null(DataType::kBigInt);
     auto full = VerifyLedger(db.get(), WithAnchors(db.get(), trusted));
     ASSERT_TRUE(full.ok());
     ASSERT_FALSE(full->violations.empty());

@@ -38,13 +38,13 @@ TEST_F(LedgerTableTest, SchemaGetsHiddenColumns) {
   const Schema& schema = ref->main->schema();
   EXPECT_EQ(schema.num_columns(), 6u);  // 2 user + 4 hidden
   EXPECT_EQ(schema.VisibleOrdinals().size(), 2u);
-  EXPECT_GE(ref->start_txn_ord, 0);
-  EXPECT_GE(ref->end_seq_ord, 0);
+  EXPECT_GE(ref->plan->start_txn_ord, 0);
+  EXPECT_GE(ref->plan->end_seq_ord, 0);
 
   auto audit_ref = db_->GetTableRef("audit");
   ASSERT_TRUE(audit_ref.ok());
   EXPECT_EQ(audit_ref->main->schema().num_columns(), 4u);  // 2 user + 2 hidden
-  EXPECT_EQ(audit_ref->end_txn_ord, -1);
+  EXPECT_EQ(audit_ref->plan->end_txn_ord, -1);
   EXPECT_EQ(audit_ref->history, nullptr);
 
   auto plain_ref = db_->GetTableRef("plain");
@@ -63,10 +63,10 @@ TEST_F(LedgerTableTest, InsertStampsSystemColumns) {
   auto ref = db_->GetTableRef("accounts");
   const Row* row = ref->main->Get({VS("Nick")});
   ASSERT_NE(row, nullptr);
-  EXPECT_EQ((*row)[ref->start_txn_ord].AsInt64(),
+  EXPECT_EQ((*row)[ref->plan->start_txn_ord].AsInt64(),
             static_cast<int64_t>(txn_id));
-  EXPECT_EQ((*row)[ref->start_seq_ord].AsInt64(), 0);
-  EXPECT_TRUE((*row)[ref->end_txn_ord].is_null());
+  EXPECT_EQ((*row)[ref->plan->start_seq_ord].AsInt64(), 0);
+  EXPECT_TRUE((*row)[ref->plan->end_txn_ord].is_null());
 }
 
 TEST_F(LedgerTableTest, UpdateMovesOldVersionToHistory) {
@@ -87,7 +87,7 @@ TEST_F(LedgerTableTest, UpdateMovesOldVersionToHistory) {
   const Row* live = ref->main->Get({VS("Nick")});
   ASSERT_NE(live, nullptr);
   EXPECT_EQ((*live)[1].AsInt64(), 100);
-  EXPECT_EQ((*live)[ref->start_txn_ord].AsInt64(),
+  EXPECT_EQ((*live)[ref->plan->start_txn_ord].AsInt64(),
             static_cast<int64_t>(update_txn));
 
   // The retired version holds the old balance and its end-stamp.
@@ -95,9 +95,9 @@ TEST_F(LedgerTableTest, UpdateMovesOldVersionToHistory) {
   ASSERT_TRUE(it.Valid());
   const Row& retired = it.value();
   EXPECT_EQ(retired[1].AsInt64(), 50);
-  EXPECT_EQ(retired[ref->end_txn_ord].AsInt64(),
+  EXPECT_EQ(retired[ref->plan->end_txn_ord].AsInt64(),
             static_cast<int64_t>(update_txn));
-  EXPECT_FALSE(retired[ref->start_txn_ord].is_null());
+  EXPECT_FALSE(retired[ref->plan->start_txn_ord].is_null());
 }
 
 TEST_F(LedgerTableTest, DeleteRetiresVersion) {

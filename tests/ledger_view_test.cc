@@ -136,7 +136,7 @@ TEST_F(LedgerViewTest, FormatProducesHeaderAndRows) {
   auto ref = db_->GetTableRef("accounts");
   auto view = db_->GetLedgerView("accounts");
   ASSERT_TRUE(view.ok());
-  std::string text = FormatLedgerView(ref->main->schema(), *view);
+  std::string text = FormatLedgerView(*ref->plan, *view);
   EXPECT_NE(text.find("name"), std::string::npos);
   EXPECT_NE(text.find("Operation"), std::string::npos);
   EXPECT_NE(text.find("'Nick'"), std::string::npos);

@@ -105,6 +105,45 @@ TEST_F(SchemaChangesTest, DropColumnRestrictions) {
   EXPECT_TRUE(db_->DropColumn("accounts", "nope").IsNotFound());
 }
 
+// Every definition change publishes a new plan and leaves the old one as
+// it was: a plan pinned before AddColumn, DropColumn or AlterColumnType
+// still reads the old layout, and the relinked ref reads the new one.
+TEST_F(SchemaChangesTest, PinnedPlanKeepsItsLayout) {
+  auto names = [](const TablePlan& plan) {
+    std::vector<std::string> out;
+    for (const ColumnDef& col : plan.visible_columns) out.push_back(col.name);
+    return out;
+  };
+  using Names = std::vector<std::string>;
+  auto pin = [&] { return db_->GetTableRef("accounts")->plan; };
+
+  std::shared_ptr<const TablePlan> before_add = pin();
+  ASSERT_TRUE(db_->AddColumn("accounts", "note", DataType::kVarchar).ok());
+  std::shared_ptr<const TablePlan> before_drop = pin();
+  ASSERT_TRUE(db_->DropColumn("accounts", "balance").ok());
+  std::shared_ptr<const TablePlan> before_alter = pin();
+  ASSERT_TRUE(db_->AlterColumnType("accounts", "note", DataType::kInt).ok());
+  std::shared_ptr<const TablePlan> after = pin();
+
+  EXPECT_EQ(names(*before_add), (Names{"name", "balance"}));
+  EXPECT_EQ(before_add->visible_ords, (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(names(*before_drop), (Names{"name", "balance", "note"}));
+  EXPECT_EQ(names(*before_alter), (Names{"name", "note"}));
+  EXPECT_EQ(before_alter->visible_columns[1].type, DataType::kVarchar);
+  EXPECT_EQ(names(*after), (Names{"name", "note"}));
+  EXPECT_EQ(after->visible_columns[1].type, DataType::kInt);
+  // The retyped column is a new physical column, appended last.
+  EXPECT_EQ(after->visible_ords.back(),
+            db_->GetStoreForTesting("accounts")->schema().num_columns() - 1);
+  for (const auto* plan : {before_add.get(), before_drop.get(),
+                           before_alter.get(), after.get()}) {
+    EXPECT_EQ(plan->user_key_positions, (std::vector<size_t>{0}));
+    EXPECT_EQ(plan->start_txn_ord, before_add->start_txn_ord);
+    EXPECT_EQ(plan->end_seq_ord, before_add->end_seq_ord);
+  }
+  ExpectVerifies();
+}
+
 TEST_F(SchemaChangesTest, ReAddColumnAfterDropGetsFreshColumnId) {
   ASSERT_TRUE(db_->AddColumn("accounts", "tag", DataType::kInt).ok());
   ASSERT_TRUE(db_->DropColumn("accounts", "tag").ok());

@@ -121,16 +121,16 @@ TEST_P(TamperFuzz, EveryRandomMutationIsDetected) {
       ASSERT_TRUE(PickRandomRow(&rng, ref->main, &key));
       Row forged = *ref->main->Get(key);
       forged[0] = VS("forged" + std::to_string(rng.Next() % 100000));
-      forged[ref->start_txn_ord] = VB(rng.UniformRange(1, 60));
-      forged[ref->start_seq_ord] = VB(rng.UniformRange(0, 5));
+      forged[ref->plan->start_txn_ord] = VB(rng.UniformRange(1, 60));
+      forged[ref->plan->start_seq_ord] = VB(rng.UniformRange(0, 5));
       ASSERT_TRUE(ref->main->Insert(forged).ok());
       break;
     }
     case 5: {  // re-stamp a row's transaction attribution
       ASSERT_TRUE(PickRandomRow(&rng, ref->main, &key));
       Row* row = ref->main->mutable_clustered()->MutableGet(key);
-      (*row)[ref->start_txn_ord] =
-          VB((*row)[ref->start_txn_ord].AsInt64() + 1);
+      (*row)[ref->plan->start_txn_ord] =
+          VB((*row)[ref->plan->start_txn_ord].AsInt64() + 1);
       break;
     }
     case 6: {  // tamper with a transaction entry's recorded root

@@ -106,7 +106,7 @@ TEST_F(TamperTest, ForeignRowInsertionDetected) {
   auto ref = db_->GetTableRef("accounts");
   Row forged = *ref->main->Get({VS("acct1")});
   forged[0] = VS("ghost");
-  forged[ref->start_txn_ord] = VB(424242);  // no such transaction
+  forged[ref->plan->start_txn_ord] = VB(424242);  // no such transaction
   ASSERT_TRUE(ref->main->Insert(forged).ok());
   EXPECT_TRUE(HasInvariant(Verify(), 4));
 }
@@ -118,9 +118,9 @@ TEST_F(TamperTest, SystemColumnRetargetingDetected) {
   Row* b = ref->main->mutable_clustered()->MutableGet({VS("acct7")});
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
-  Value a_txn = (*a)[ref->start_txn_ord];
-  (*a)[ref->start_txn_ord] = (*b)[ref->start_txn_ord];
-  (*b)[ref->start_txn_ord] = a_txn;
+  Value a_txn = (*a)[ref->plan->start_txn_ord];
+  (*a)[ref->plan->start_txn_ord] = (*b)[ref->plan->start_txn_ord];
+  (*b)[ref->plan->start_txn_ord] = a_txn;
   EXPECT_TRUE(HasInvariant(Verify(), 4));
 }
 
@@ -316,9 +316,9 @@ TEST_F(TamperTest, LedgerViewCountMismatchDetected) {
   auto ref = db_->GetTableRef("accounts");
   BTree::Iterator it = ref->history->Scan();
   Row forged = it.value();
-  forged[ref->start_txn_ord] = Value::Null(DataType::kBigInt);
-  forged[ref->end_txn_ord] = VB(77);
-  forged[ref->end_seq_ord] = VB(12345);
+  forged[ref->plan->start_txn_ord] = Value::Null(DataType::kBigInt);
+  forged[ref->plan->end_txn_ord] = VB(77);
+  forged[ref->plan->end_seq_ord] = VB(12345);
   ASSERT_TRUE(ref->history->Insert(forged).ok());
   auto violations = Verify();
   EXPECT_FALSE(violations.empty());
@@ -331,7 +331,7 @@ TEST_F(TamperTest, NulledStartStampBreaksViewDefinition) {
   auto ref = db_->GetTableRef("accounts");
   Row* row = ref->main->mutable_clustered()->MutableGet({VS("acct5")});
   ASSERT_NE(row, nullptr);
-  (*row)[ref->start_txn_ord] = Value::Null(DataType::kBigInt);
+  (*row)[ref->plan->start_txn_ord] = Value::Null(DataType::kBigInt);
   auto violations = Verify();
   EXPECT_TRUE(HasInvariant(violations, 6));
   EXPECT_TRUE(HasInvariant(violations, 4));

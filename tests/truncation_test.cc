@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "ledger/truncation.h"
 #include "ledger/verifier.h"
 #include "test_util.h"
@@ -186,6 +189,90 @@ TEST_F(TruncationTest, VerifyHandlesLedgerTruncatedToTheTail) {
 }
 
 // ---- Interaction with the incremental-verification watermark ----
+
+// Truncation dummy-updates the rows anchored in the blocks it removes
+// under the table's X lock, starting from the rows it reads under that
+// lock, so an update committed beside it is never reverted to its
+// pre-image. A writer updates every row in turn while truncations run;
+// every row ends at the value the writer last committed, and the ledger
+// verifies.
+TEST(TruncationConcurrencyTest, UpdatesBesideTruncationSurvive) {
+  constexpr int kRows = 2000;
+  auto db = OpenTestDb(/*block_size=*/4);
+  ASSERT_TRUE(
+      db->CreateTable("accounts", AccountSchema(), TableKind::kUpdateable)
+          .ok());
+  std::vector<int64_t> committed(kRows);
+  auto name = [](int i) { return VS("a" + std::to_string(i)); };
+  for (int i = 0; i < kRows; i++) {
+    auto txn = db->Begin("app");
+    ASSERT_TRUE(db->Insert(*txn, "accounts", {name(i), VB(i)}).ok());
+    ASSERT_TRUE(db->Commit(*txn).ok());
+    committed[i] = i;
+  }
+  ASSERT_TRUE(db->GenerateDigest().ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> commits{0};
+  std::atomic<int> unexpected{0};
+  std::thread writer([&] {
+    for (int64_t round = 1; !stop.load(); round++) {
+      for (int i = 0; i < kRows && !stop.load(); i++) {
+        const int64_t value = round * 1000000 + i;
+        auto txn = db->Begin("writer");
+        if (!txn.ok()) {
+          unexpected++;
+          return;
+        }
+        Status st = db->Update(*txn, "accounts", {name(i), VB(value)});
+        if (st.ok()) {
+          st = db->Commit(*txn);
+        } else {
+          db->Abort(*txn);
+        }
+        if (st.ok()) {
+          committed[i] = value;
+          commits++;
+        } else if (!st.IsAborted()) {  // a lock timeout aborts
+          unexpected++;
+        }
+      }
+    }
+  });
+  for (int round = 0; round < 10; round++) {
+    // Let the writer get going, so it runs beside the truncation.
+    const int seen = commits.load();
+    for (int spin = 0; commits.load() < seen + kRows / 4 && spin < 1000000;
+         spin++)
+      std::this_thread::yield();
+    auto digest = db->GenerateDigest();
+    ASSERT_TRUE(digest.ok());
+    const uint64_t below = db->database_ledger()->open_block_id() - 1;
+    Status st = TruncateLedger(db.get(), below, {*digest});
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  stop = true;
+  writer.join();
+  EXPECT_EQ(unexpected.load(), 0);
+
+  auto txn = db->Begin("audit");
+  ASSERT_TRUE(txn.ok());
+  auto rows = db->Scan(*txn, "accounts");
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), static_cast<size_t>(kRows));
+  int reverted = 0;
+  for (const Row& row : *rows) {
+    const int i = std::stoi(std::string(row[0].string_value().substr(1)));
+    if (row[1].AsInt64() != committed[i]) reverted++;
+  }
+  EXPECT_EQ(reverted, 0);
+  ASSERT_TRUE(db->Commit(*txn).ok());
+  auto digest = db->GenerateDigest();
+  ASSERT_TRUE(digest.ok());
+  auto report = VerifyLedger(db.get(), {*digest});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
 
 class TruncationWatermarkTest : public TempDirTest {
  protected:
