@@ -97,6 +97,14 @@ to the offending line — use sparingly and say why on an adjacent comment):
                   and DML, replay, views and truncation read the entry's
                   plan under a table lock, so no reader sees a schema that
                   a DDL rewrites under it (DESIGN.md §8).
+  abort-after-commit
+                  an Abort(x) after a Commit(x) of the same transaction in
+                  src/, tests/, bench/ or examples/: within the next 3 lines,
+                  or inside the if/else that tests the commit's outcome
+                  (its condition, or a status variable the commit set),
+                  without leaving the enclosing block. Commit ends the
+                  transaction whatever the outcome and aborts it itself on
+                  failure, so a second Abort frees it twice.
   bench-docs      (repo-level) the binaries EXPERIMENTS.md's regeneration
                   loop (`for b in ...; do`) runs must be exactly the
                   SL_BENCH_SOURCES of bench/CMakeLists.txt. A deleted bench
@@ -589,6 +597,94 @@ def check_pinned_plan(path, lines, findings):
 
 
 # ---------------------------------------------------------------------------
+# Rule: abort-after-commit
+# ---------------------------------------------------------------------------
+
+COMMIT_CALL_RE = re.compile(r"(?<![\w:])Commit\s*\(")
+CONDITION_RE = re.compile(r"\b(?:if|while)\s*\(")
+STATUS_ASSIGN_RE = re.compile(r"(\w+)\s*=[^=;]*$")
+PARAM_DECL_RE = re.compile(r"^[\w:<>]+\s*[*&]*\s+[*&]*\w+$")
+RETURN_RE = re.compile(r"\breturn\b")
+ABORT_WINDOW = 3
+
+
+def close_paren(line, open_col):
+    """Column of the parenthesis closing the one at `open_col`, or the
+    line's length if it stays open."""
+    depth = 0
+    for k in range(open_col, len(line)):
+        depth += {"(": 1, ")": -1}.get(line[k], 0)
+        if depth == 0:
+            return k
+    return len(line)
+
+
+def if_statement_end(lines, start, col):
+    """Index of the last line of the if statement (its else branches
+    included) whose keyword sits at lines[start][col]."""
+    depth = 0
+    for j in range(start, min(len(lines), start + 30)):
+        text = (lines[j][col:] if j == start else lines[j]).strip()
+        depth += text.count("{") - text.count("}")
+        if depth > 0 or not text.endswith((";", "}")):
+            continue
+        rest = [l.strip() for l in lines[j + 1:j + 3] if l.strip()]
+        if not (rest and rest[0].startswith(("else", "} else"))):
+            return j
+    return start
+
+
+def check_abort_after_commit(path, lines, findings):
+    code = [strip_noise(l) for l in lines]
+    for c, line in enumerate(code):
+        for m in COMMIT_CALL_RE.finditer(line):
+            arg_end = close_paren(line, m.end() - 1)
+            arg = line[m.end():arg_end].strip()
+            if (not arg or PARAM_DECL_RE.match(arg) or
+                    RETURN_RE.search(line[:m.start()])):
+                continue  # a declaration, or a commit that returns
+            abort_re = re.compile(
+                r"(?<![\w:])Abort\s*\(\s*" + re.escape(arg) + r"\s*\)")
+            # The if statement testing the commit's outcome, if any: the
+            # commit in its condition, or a status the commit set tested on
+            # one of the next lines.
+            end = c + ABORT_WINDOW
+            for cond in CONDITION_RE.finditer(line):
+                if cond.end() <= m.start() <= close_paren(line, cond.end() - 1):
+                    end = max(end, if_statement_end(code, c, cond.start()))
+            assign = STATUS_ASSIGN_RE.search(line[:m.start()])
+            if assign:
+                ok_re = re.compile(r"\b" + re.escape(assign.group(1)) +
+                                   r"\s*\.\s*ok\s*\(")
+                for t in range(c + 1, min(len(code), c + 1 + ABORT_WINDOW)):
+                    cond = CONDITION_RE.search(code[t])
+                    if cond and ok_re.search(code[t]):
+                        end = max(end, if_statement_end(code, t, cond.start()))
+                        break
+            depth = 0
+            for j in range(c, min(len(code), end + 1)):
+                text = line[arg_end:] if j == c else code[j]
+                if j > c and "Begin(" in text:
+                    break  # the name now holds another transaction
+                stop = len(text)
+                for k, ch in enumerate(text):
+                    depth += {"{": 1, "}": -1}.get(ch, 0)
+                    if depth < 0:
+                        stop = k  # left the block holding the commit
+                        break
+                hit = abort_re.search(text[:stop])
+                if hit and not allowed(lines[j], "abort-after-commit"):
+                    findings.append(Finding(
+                        "abort-after-commit", path, j + 1,
+                        f"Abort({arg}) after Commit({arg}) on line {c + 1}; "
+                        "Commit ends the transaction whatever the outcome "
+                        "(it aborts a failed one itself), so this frees it "
+                        "twice"))
+                if stop < len(text):
+                    break
+
+
+# ---------------------------------------------------------------------------
 # Rule: digest-decorator-coverage (repo-level)
 # ---------------------------------------------------------------------------
 
@@ -719,6 +815,7 @@ CHECKS = [
     ("one-key-type", SRC_DIRS, check_one_key_type),
     ("pinned-plan", SRC_DIRS, check_pinned_plan),
     ("metric-naming", ALL_CODE_DIRS, check_metric_naming),
+    ("abort-after-commit", ALL_CODE_DIRS, check_abort_after_commit),
 ]
 
 # Checks that look at the whole tree at once rather than one file at a time.
@@ -870,6 +967,73 @@ SELF_TEST_CASES = [
     ("pinned-plan", "src/ledger/x_selftest.cc",
      "std::vector<size_t> visible = schema.VisibleOrdinals();",
      "const std::vector<size_t>& visible = t.plan->visible_ords;"),
+    # A status the commit set, tested on the next line.
+    ("abort-after-commit", "tests/x_selftest.cc",
+     "if (st.ok()) st = db->Commit(*txn);\n"
+     "if (!st.ok()) db->Abort(*txn);\n"
+     "return st;",
+     "if (!st.ok()) {\n"
+     "  db->Abort(*txn);\n"
+     "  return st;\n"
+     "}\n"
+     "return db->Commit(*txn);"),
+    # The commit in the condition; the Abort after the if.
+    ("abort-after-commit", "tests/x_selftest.cc",
+     "while (true) {\n"
+     "  if (st.ok() && db_->Commit(*txn).ok()) break;\n"
+     "  db_->Abort(*txn);\n"
+     "}",
+     "while (true) {\n"
+     "  if (!st.ok()) {\n"
+     "    db_->Abort(*txn);\n"
+     "  } else if (db_->Commit(*txn).ok()) {\n"
+     "    break;\n"
+     "  }\n"
+     "}"),
+    # The commit in the condition; the Abort in its else branch, past the
+    # three-line window.
+    ("abort-after-commit", "src/ledger/x_selftest.cc",
+     "if (Commit(txn).ok()) {\n"
+     "  committed++;\n"
+     "  Note(txn);\n"
+     "  Note(txn);\n"
+     "} else {\n"
+     "  Abort(txn);\n"
+     "}",
+     "if (ready) {\n"
+     "  Status st = Commit(txn);\n"
+     "  Note(st);\n"
+     "} else {\n"
+     "  Abort(txn);\n"
+     "}"),
+    # A status tested on the next line, whose else branch aborts.
+    ("abort-after-commit", "tests/x_selftest.cc",
+     "if (st.ok()) st = (*db)->Commit(*txn);\n"
+     "if (st.ok()) {\n"
+     "  std::lock_guard<std::mutex> guard(ok_mu);\n"
+     "  ok_ids.push_back(id);\n"
+     "} else {\n"
+     "  (*db)->Abort(*txn);\n"
+     "}",
+     "if (st.ok()) st = (*db)->Commit(*txn);\n"
+     "if (st.ok()) {\n"
+     "  ok_ids.push_back(id);\n"
+     "} else {\n"
+     "  (*db)->Abort(*other);\n"
+     "}"),
+    # A commit that returns leaves the Abort to the other path.
+    ("abort-after-commit", "src/ledger/x_selftest.cc",
+     "Status st = Commit(txn);\n"
+     "if (!st.ok()) Abort(txn);",
+     "if (st.ok()) return Commit(txn);\n"
+     "Abort(txn);"),
+    # An asserted failure, then an explicit Abort.
+    ("abort-after-commit", "tests/x_selftest.cc",
+     "EXPECT_FALSE(db->Commit(*txn).ok());\n"
+     "db->Abort(*txn);",
+     "EXPECT_FALSE(db->Commit(*txn).ok());\n"
+     "txn = db->Begin(\"next\");\n"
+     "db->Abort(*txn);"),
 ]
 
 # (path, fires): one store edit and one store made, each flagged

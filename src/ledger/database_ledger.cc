@@ -173,44 +173,53 @@ uint64_t DatabaseLedger::total_entries() const {
   return transactions_table_->row_count();
 }
 
-std::vector<std::pair<uint64_t, uint64_t>> DatabaseLedger::AssignSlots(
-    size_t n) {
+std::vector<std::pair<uint64_t, uint64_t>> DatabaseLedger::NextSlots(
+    size_t n) const {
   MutexLock lock(&mu_);
+  uint64_t block_id = open_block_id_;
+  uint64_t ordinal = open_tree_.leaf_count();
   std::vector<std::pair<uint64_t, uint64_t>> slots;
   slots.reserve(n);
   for (size_t i = 0; i < n; i++) {
-    slots.emplace_back(assign_block_id_, assign_ordinal_++);
-    if (assign_ordinal_ >= options_.block_size) {
-      assign_block_id_++;
-      assign_ordinal_ = 0;
+    slots.emplace_back(block_id, ordinal++);
+    if (ordinal >= options_.block_size) {
+      block_id++;
+      ordinal = 0;
     }
   }
   return slots;
 }
 
-void DatabaseLedger::ReleaseSlots(size_t n) {
-  MutexLock lock(&mu_);
-  for (size_t i = 0; i < n; i++) {
-    if (assign_ordinal_ == 0) {
-      assign_block_id_--;
-      assign_ordinal_ = options_.block_size;
-    }
-    assign_ordinal_--;
-  }
-}
-
 Status DatabaseLedger::Append(TransactionEntry entry) {
   MutexLock lock(&mu_);
-  if (entry.block_id != open_block_id_)
-    return Status::Internal("entry assigned to non-open block");
-  return AppendLocked(std::move(entry));
-}
-
-Status DatabaseLedger::AppendLocked(TransactionEntry entry) {
-  SL_RETURN_IF_ERROR(transactions_table_->Insert(TransactionEntryToRow(entry)));
+  // An entry addressed one block past the open block means digest
+  // generation closed the open block before this commit (a full block
+  // closes when its last entry arrives), so close it first. A digest never
+  // closes an empty block after block 0, so consecutive entries are at most
+  // one block apart: re-closing up to a larger jump would fabricate empty
+  // blocks.
+  const bool closes_open_block = entry.block_id == open_block_id_ + 1;
+  if (entry.block_id != open_block_id_ && !closes_open_block)
+    return Status::Corruption(
+        "ledger entry for block " + std::to_string(entry.block_id) +
+        (entry.block_id > open_block_id_ ? " skips blocks past"
+                                         : " precedes") +
+        " open block " + std::to_string(open_block_id_));
+  const uint64_t next_ordinal =
+      closes_open_block ? 0 : open_tree_.leaf_count();
+  if (entry.block_ordinal != next_ordinal)
+    return Status::Corruption("ledger entry for txn " +
+                              std::to_string(entry.txn_id) +
+                              " leaves an ordinal gap in block " +
+                              std::to_string(entry.block_id));
+  Status st = transactions_table_->Insert(TransactionEntryToRow(entry));
+  if (st.code() == StatusCode::kAlreadyExists)
+    return Status::Corruption("duplicate ledger entry for txn " +
+                              std::to_string(entry.txn_id));
+  SL_RETURN_IF_ERROR(st);
+  if (closes_open_block) SL_RETURN_IF_ERROR(CloseOpenBlockLocked());
   // The leaf is hashed from the entry as committed, never re-read from the
   // table, so a row edited while its block is open cannot move the root.
-  // Entries arrive in ordinal order (AssignSlots, ordered WAL replay).
   open_tree_.AddLeafHash(entry.LeafHash());
   open_close_ts_ = entry.commit_ts_micros;
   last_commit_ts_ = std::max(last_commit_ts_, entry.commit_ts_micros);
@@ -235,15 +244,6 @@ Status DatabaseLedger::CloseOpenBlockLocked() {
   open_block_id_++;
   open_tree_.Reset();
   open_close_ts_ = 0;
-  // A digest-driven close of a partially filled block abandons the rest of
-  // the block's ordinals: pull the assign position forward to the new open
-  // block. A close driven by appends catching up with a batch assignment
-  // leaves the assign position alone — it already points at (or past) the
-  // new block, and rewinding it would double-assign in-flight slots.
-  if (assign_block_id_ < open_block_id_) {
-    assign_block_id_ = open_block_id_;
-    assign_ordinal_ = 0;
-  }
   return Status::OK();
 }
 
@@ -293,40 +293,6 @@ Result<bool> DatabaseLedger::VerifyDigestChain(
   return false;  // ran off the end before reaching `newer`
 }
 
-Status DatabaseLedger::RecoverEntry(const TransactionEntry& entry) {
-  MutexLock lock(&mu_);
-  KeyTuple key{Value::BigInt(static_cast<int64_t>(entry.txn_id))};
-  if (transactions_table_->Get(key) != nullptr)
-    return Status::Corruption("WAL replay: duplicate entry for txn " +
-                              std::to_string(entry.txn_id));
-
-  // An entry addressed past the open block means the open block was closed
-  // (by reaching block_size or by digest generation) before this commit;
-  // re-close deterministically. A digest never closes an empty block after
-  // block 0, so consecutive entries are at most one block apart: re-closing
-  // up to a larger jump would fabricate empty blocks.
-  if (entry.block_id > open_block_id_ + 1)
-    return Status::Corruption("WAL replay: entry skips blocks past block " +
-                              std::to_string(open_block_id_));
-  if (entry.block_id > open_block_id_)
-    SL_RETURN_IF_ERROR(CloseOpenBlockLocked());
-
-  if (entry.block_id == open_block_id_) {
-    // During recovery no group is in flight, so the assign position tracks
-    // the append position exactly; advance both in lockstep.
-    if (entry.block_ordinal != assign_ordinal_)
-      return Status::Corruption("WAL replay: ordinal gap in open block");
-    assign_ordinal_++;
-    if (assign_ordinal_ >= options_.block_size) {
-      assign_block_id_++;
-      assign_ordinal_ = 0;
-    }
-    return AppendLocked(entry);
-  }
-  return Status::Corruption("WAL replay: entry for unexpected block " +
-                            std::to_string(entry.block_id));
-}
-
 Status DatabaseLedger::RecoverBlockClose(uint64_t block_id) {
   MutexLock lock(&mu_);
   if (block_id < open_block_id_) return Status::OK();  // already closed
@@ -355,8 +321,6 @@ Status DatabaseLedger::LoadFromTables() {
   open_tree_.Reset();
   for (const TransactionEntry& e : *open) open_tree_.AddLeafHash(e.LeafHash());
   open_close_ts_ = open->empty() ? 0 : open->back().commit_ts_micros;
-  assign_block_id_ = open_block_id_;
-  assign_ordinal_ = open->size();
   return Status::OK();
 }
 

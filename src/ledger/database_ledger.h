@@ -51,25 +51,27 @@ class DatabaseLedger {
 
   // ---- Commit path (paper §3.3.2). ----
 
-  /// Assigns `n` contiguous (block id, ordinal) slots for a commit group in
-  /// one critical section, while the WAL commit record is formed. Slots
-  /// roll over block boundaries (block_size ordinals per block), so a single
-  /// group may span blocks; the subsequent Append calls close each block as
-  /// its last ordinal arrives. Assignment is tracked separately from the
-  /// append position, so slots handed out here stay reserved while the
-  /// leader does WAL I/O.
-  std::vector<std::pair<uint64_t, uint64_t>> AssignSlots(size_t n);
+  /// The `n` (block id, ordinal) slots that the next `n` Appends take: the
+  /// positions after the open block's last entry, rolling over block
+  /// boundaries (block_size ordinals per block), so one commit group may
+  /// span blocks. The slots are read from the append position and reserve
+  /// nothing: the caller must keep every other append and block close out
+  /// until it has appended them (the commit path holds commit_mu_ from
+  /// here through its Appends).
+  std::vector<std::pair<uint64_t, uint64_t>> NextSlots(size_t n) const;
 
-  /// Rolls back the last `n` slots handed out by AssignSlots. Only valid
-  /// when none of those slots has been appended (the group-commit leader
-  /// calls this after a failed batched WAL append, before anything reached
-  /// the ledger) — otherwise recovery would see an ordinal gap.
-  void ReleaseSlots(size_t n);
-
-  /// Inserts a committed transaction's entry into the transactions table,
+  /// Adds a committed transaction's entry, at commit (its slot from
+  /// NextSlots) and in WAL replay (its slot from the commit record), in
+  /// slot order: inserts the entry's row into the transactions table,
   /// streams its leaf hash into the open block's Merkle tree, then closes
-  /// the block if it is full. The entry's (block_id, block_ordinal) must
-  /// come from AssignSlots.
+  /// the block if it is full. An entry addressed one block past the open
+  /// block means the open block was closed (by digest generation) before
+  /// this commit, so it is closed first; block closes are deterministic
+  /// (the close timestamp is the highest-ordinal entry's commit timestamp).
+  /// Corruption, with nothing added, when the slot is not the next
+  /// position (an ordinal gap, or a block more than one past the open
+  /// block, which would fabricate empty blocks) or the txn id already has
+  /// an entry (replay applies each record once).
   Status Append(TransactionEntry entry);
 
   // ---- Digest generation (paper §2.2). ----
@@ -89,15 +91,6 @@ class DatabaseLedger {
                                  const DatabaseDigest& newer) const;
 
   // ---- Durability integration. ----
-
-  /// Re-appends an entry recovered from a WAL commit record. An entry
-  /// already present is Corruption: replay applies each record once. Entries
-  /// must be replayed in commit order; an entry addressed past the open
-  /// block implies the open block was closed before the crash, so it is
-  /// re-closed first (block closes are deterministic: the close timestamp
-  /// is the highest-ordinal entry's commit timestamp). An entry more than
-  /// one block past the open block is Corruption.
-  Status RecoverEntry(const TransactionEntry& entry);
 
   /// Replays a digest-generation block close from its WAL marker.
   Status RecoverBlockClose(uint64_t block_id);
@@ -172,7 +165,6 @@ class DatabaseLedger {
   Hash256 last_block_hash() const;
 
  private:
-  Status AppendLocked(TransactionEntry entry) REQUIRES(mu_);
   Status CloseOpenBlockLocked() REQUIRES(mu_);
   Result<TransactionEntry> FindEntryLocked(uint64_t txn_id) const
       REQUIRES(mu_);
@@ -193,13 +185,6 @@ class DatabaseLedger {
 
   mutable Mutex mu_;
   uint64_t open_block_id_ GUARDED_BY(mu_) = 0;
-  // Next slot to hand out (AssignSlots). Runs ahead of the
-  // append position while a commit group is in flight: a batch may reserve
-  // slots spanning into blocks that are not open yet. Invariant when no
-  // group is in flight: (assign_block_id_, assign_ordinal_) ==
-  // (open_block_id_, open_tree_.leaf_count()).
-  uint64_t assign_block_id_ GUARDED_BY(mu_) = 0;
-  uint64_t assign_ordinal_ GUARDED_BY(mu_) = 0;
   // The open block's transactions tree, streamed one leaf per Append in
   // ordinal order (paper §3.2.1), and its close timestamp: the commit ts
   // of its highest-ordinal entry, 0 while empty.

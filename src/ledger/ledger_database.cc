@@ -477,7 +477,7 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload,
     entry.commit_ts_micros = record->commit_ts_micros;
     entry.user_name = record->user_name;
     entry.table_roots = std::move(roots);
-    SL_RETURN_IF_ERROR(ledger_->RecoverEntry(entry));
+    SL_RETURN_IF_ERROR(ledger_->Append(std::move(entry)));
   }
   m_commit_txns_->Add();
   MutexLock txn_lock(&txn_mu_);
@@ -544,8 +544,8 @@ Result<Transaction*> LedgerDatabase::BeginDdl(const CatalogEntry& entry) {
 }
 
 Status LedgerDatabase::FinishDdl(Transaction* txn, Status st) {
-  if (st.ok()) st = Commit(txn);
-  if (!st.ok()) Abort(txn);
+  if (st.ok()) return Commit(txn);
+  Abort(txn);
   return st;
 }
 
@@ -664,7 +664,7 @@ Status LedgerDatabase::Commit(Transaction* txn) {
       record.commit_ts_micros = req.commit_ts_micros;
       record.user_name = txn->user_name();
       // Placeholder slot; the leader patches the real one in at
-      // req.slot_offset once AssignSlots has run.
+      // req.slot_offset once it has read the group's slots.
       record.block_id = 0;
       record.block_ordinal = 0;
       record.SetTableRoots(txn->TableRoots());
@@ -672,7 +672,11 @@ Status LedgerDatabase::Commit(Transaction* txn) {
       req.payload.push_back(kWalKindCommit);
       req.slot_offset = record.EncodeTo(txn->ops(), &req.payload);
     }
-    SL_RETURN_IF_ERROR(CommitThroughGroup(&req));
+    Status st = CommitThroughGroup(&req);
+    if (!st.ok()) {
+      Abort(txn);
+      return st;
+    }
   }
 
   txn->MarkCommitted();
@@ -747,8 +751,10 @@ Status LedgerDatabase::CommitThroughGroup(CommitRequest* req) {
 void LedgerDatabase::ProcessGroup(const std::vector<CommitRequest*>& group) {
   MutexLock commit_lock(&commit_mu_);
 
+  // commit_mu_ keeps every other append and block close out until this
+  // group's Appends below, so its slots follow the append position.
   std::vector<std::pair<uint64_t, uint64_t>> slots;
-  if (ledger_ != nullptr) slots = ledger_->AssignSlots(group.size());
+  if (ledger_ != nullptr) slots = ledger_->NextSlots(group.size());
 
   if (wal_ != nullptr) {
     std::vector<Slice> payloads;
@@ -761,10 +767,10 @@ void LedgerDatabase::ProcessGroup(const std::vector<CommitRequest*>& group) {
       payloads.emplace_back(r->payload);
     }
     // WAL first: one buffered append, one fsync for the whole group. On
-    // failure nothing reached the ledger — roll the slot reservation back
-    // so a post-checkpoint WAL (sticky error cleared) resumes with dense
-    // ordinals — and fail every member: the WAL is poisoned, so none of
-    // them is durable.
+    // failure nothing reached the ledger, so the next group reads the same
+    // slots and ordinals stay dense once a checkpoint clears the sticky
+    // error. Every member fails (Commit aborts it): the WAL is poisoned,
+    // so none of them is durable.
     // A schema change is durable when it returns (DESIGN.md §4), even when
     // ordinary commits are not synced.
     const bool defines_tables =
@@ -773,7 +779,6 @@ void LedgerDatabase::ProcessGroup(const std::vector<CommitRequest*>& group) {
         });
     Status st = wal_->AppendBatch(payloads, defines_tables);
     if (!st.ok()) {
-      if (ledger_ != nullptr) ledger_->ReleaseSlots(group.size());
       for (CommitRequest* r : group) r->result = st;
       return;
     }

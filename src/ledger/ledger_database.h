@@ -167,7 +167,10 @@ class LedgerDatabase {
   Result<Transaction*> Begin(const std::string& user = "app");
   /// Commits: forms the ledger transaction entry from the per-table Merkle
   /// roots, assigns its block slot, writes the WAL commit record and
-  /// appends to the Database Ledger (paper §3.3.2).
+  /// appends to the Database Ledger (paper §3.3.2). After Commit returns,
+  /// `txn` is dead whatever the outcome: an active transaction whose commit
+  /// fails is aborted here (writes undone, locks released, counted in
+  /// commit.aborts_total), so the caller must not Abort it again.
   Status Commit(Transaction* txn);
   void Abort(Transaction* txn);
   Status Savepoint(Transaction* txn, const std::string& name);
@@ -322,9 +325,9 @@ class LedgerDatabase {
   /// Enqueues `req` and blocks until a leader (possibly this thread) has
   /// committed or failed it. Returns the request's individual Status.
   Status CommitThroughGroup(CommitRequest* req);
-  /// Leader body: assigns contiguous slots, patches + batch-appends the
-  /// WAL records (one fsync), applies the ledger entries, and fills each
-  /// member's result. Runs under commit_mu_ only — group_mu_ is released
+  /// Leader body: reads the group's contiguous slots from the ledger's
+  /// append position, patches + batch-appends the WAL records (one fsync),
+  /// applies the ledger entries, and fills each member's result. Runs under commit_mu_ only — group_mu_ is released
   /// so new committers keep enqueuing while the fsync is in flight.
   void ProcessGroup(const std::vector<CommitRequest*>& group)
       EXCLUDES(group_mu_);

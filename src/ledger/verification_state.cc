@@ -7,10 +7,11 @@
 namespace sqlledger {
 namespace {
 
-// "SQL Ledger Verification State", format 2 (format 1 lacked the
-// transaction-entry accumulator; old files fail the magic check and are
-// simply ignored, costing one full re-verify).
-constexpr uint8_t kMagic[8] = {'S', 'L', 'V', 'S', '0', '0', '0', '2'};
+// "SQL Ledger Verification State", format 3 (format 1 lacked the
+// transaction-entry accumulator, format 2 carried an anchor durability bit
+// nothing read; old files fail the magic check and are simply ignored,
+// costing one full re-verify).
+constexpr uint8_t kMagic[8] = {'S', 'L', 'V', 'S', '0', '0', '0', '3'};
 constexpr size_t kMagicLen = sizeof(kMagic);
 
 void PutString(std::vector<uint8_t>* dst, const std::string& s) {
@@ -106,7 +107,6 @@ std::string VerificationState::Encode() const {
   PutLengthPrefixed(&payload, anchor.block_hash.AsSlice());
   PutFixed64(&payload, static_cast<uint64_t>(anchor.generated_at_micros));
   PutFixed64(&payload, static_cast<uint64_t>(anchor.last_commit_ts_micros));
-  payload.push_back(anchor_durable ? 1 : 0);
   PutFixed64(&payload, entry_count);
   PutFixed64(&payload, entry_fingerprint);
   PutVarint32(&payload, static_cast<uint32_t>(tables.size()));
@@ -178,9 +178,6 @@ Result<VerificationState> VerificationState::Decode(const std::string& data) {
   auto commit_ts = body.GetFixed64();
   if (!commit_ts.ok()) return commit_ts.status();
   st.anchor.last_commit_ts_micros = static_cast<int64_t>(*commit_ts);
-  auto durable = body.GetBytes(1);
-  if (!durable.ok()) return durable.status();
-  st.anchor_durable = ((*durable)[0] != 0);
   auto entry_count = body.GetFixed64();
   if (!entry_count.ok()) return entry_count.status();
   st.entry_count = *entry_count;

@@ -69,8 +69,6 @@ struct VerificationState {
 
   /// The digest the verification run was anchored to (highest input digest).
   DatabaseDigest anchor;
-  /// True if the anchor is known durable in the external digest store.
-  bool anchor_durable = false;
 
   /// Per-table accumulators over row versions of verified transactions,
   /// sorted by table_id.
@@ -88,8 +86,7 @@ struct VerificationState {
            database_create_time == o.database_create_time &&
            last_verified_block == o.last_verified_block &&
            block_hash == o.block_hash && anchor == o.anchor &&
-           anchor_durable == o.anchor_durable && tables == o.tables &&
-           entry_count == o.entry_count &&
+           tables == o.tables && entry_count == o.entry_count &&
            entry_fingerprint == o.entry_fingerprint;
   }
 

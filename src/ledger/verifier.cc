@@ -831,8 +831,6 @@ Result<VerificationReport> VerifyLedgerIncremental(
   // verification must not fail because a state fsync did.
   if (report->ok() && options.tables.empty() &&
       !refreshed.database_id.empty()) {
-    refreshed.anchor_durable =
-        durable.has_value() && refreshed.anchor == *durable;
     (void)db->StoreVerificationState(refreshed);  // best-effort, see above
   }
   db->RecordIncrementalVerification(report->fell_back_to_full,

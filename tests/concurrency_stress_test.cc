@@ -110,10 +110,10 @@ void RunMixedWorkload(const StressConfig& cfg) {
             up = db->Insert(*txn, "shared", {VB(key), VS("touched")});
           st = up;
         }
-        if (st.ok() && db->Commit(*txn).ok()) {
-          committed++;
-        } else {
+        if (!st.ok()) {
           db->Abort(*txn);
+        } else if (db->Commit(*txn).ok()) {  // a failed commit aborts
+          committed++;
         }
       }
     });

@@ -113,8 +113,11 @@ TEST_F(ConcurrencyTest, ContendedTableSerializesCorrectly) {
           int64_t v = std::stoll(std::string((*row)[1].string_value()));
           Status st =
               db_->Update(*txn, "shared", {VB(1), VS(std::to_string(v + 1))});
-          if (st.ok() && db_->Commit(*txn).ok()) break;
-          db_->Abort(*txn);
+          if (!st.ok()) {
+            db_->Abort(*txn);
+          } else if (db_->Commit(*txn).ok()) {  // a failed commit aborts
+            break;
+          }
           aborted++;
         }
       }

@@ -1,5 +1,6 @@
-// Database Ledger tests: slot assignment, block closing, digest generation,
-// chain verification (fork detection), entry persistence, recovery,
+// Database Ledger tests: slots read from the append position, block
+// closing, digest generation, chain verification (fork detection), entry
+// persistence, the position checks Append makes for commit and replay,
 // truncation, proofs.
 
 #include <gtest/gtest.h>
@@ -29,7 +30,7 @@ class DatabaseLedgerTest : public ::testing::Test {
   }
 
   TransactionEntry MakeEntry(DatabaseLedger* ledger, uint64_t txn_id) {
-    auto [block, ordinal] = ledger->AssignSlots(1)[0];
+    auto [block, ordinal] = ledger->NextSlots(1)[0];
     TransactionEntry entry;
     entry.txn_id = txn_id;
     entry.block_id = block;
@@ -60,13 +61,19 @@ TEST_F(DatabaseLedgerTest, EntryCanonicalBytesRoundTrip) {
 }
 
 TEST_F(DatabaseLedgerTest, SlotsAreSequential) {
-  auto ledger_ptr = MakeLedger(100);
+  // The slots after the open block's last entry, rolling over at
+  // block_size. Reading them reserves nothing: the answer stays the same
+  // until an Append moves the position.
+  auto ledger_ptr = MakeLedger(3);
   DatabaseLedger& ledger = *ledger_ptr;
-  for (uint64_t i = 0; i < 5; i++) {
-    auto [block, ordinal] = ledger.AssignSlots(1)[0];
-    EXPECT_EQ(block, 0u);
-    EXPECT_EQ(ordinal, i);
-  }
+  ASSERT_TRUE(ledger.Append(MakeEntry(&ledger, 1)).ok());
+  const std::vector<std::pair<uint64_t, uint64_t>> expected = {
+      {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}};
+  EXPECT_EQ(ledger.NextSlots(5), expected);
+  EXPECT_EQ(ledger.NextSlots(5), expected);
+  ASSERT_TRUE(ledger.Append(MakeEntry(&ledger, 2)).ok());
+  ASSERT_TRUE(ledger.Append(MakeEntry(&ledger, 3)).ok());  // closes block 0
+  EXPECT_EQ(ledger.NextSlots(1)[0], std::make_pair(uint64_t{1}, uint64_t{0}));
 }
 
 TEST_F(DatabaseLedgerTest, BlockClosesWhenFull) {
@@ -244,7 +251,7 @@ TEST_F(DatabaseLedgerTest, LoadFromTablesRestoresState) {
   EXPECT_EQ(block1->previous_block_hash, expected_digest_hash);
 }
 
-TEST_F(DatabaseLedgerTest, RecoverEntryRefusesDuplicateEntry) {
+TEST_F(DatabaseLedgerTest, AppendRefusesDuplicateEntry) {
   // Replay applies each commit record past the checkpoint once, so a txn
   // id already in the ledger means the log is corrupt: refused, whether it
   // repeats its slot or claims the next free one.
@@ -255,7 +262,7 @@ TEST_F(DatabaseLedgerTest, RecoverEntryRefusesDuplicateEntry) {
   TransactionEntry next_slot = entry;
   next_slot.block_ordinal = 1;
   for (const TransactionEntry& dup : {entry, next_slot}) {
-    Status st = ledger.RecoverEntry(dup);
+    Status st = ledger.Append(dup);
     EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
     EXPECT_EQ(ledger.total_entries(), 1u);
     EXPECT_EQ(ledger.open_block_entry_count(), 1u);
@@ -264,8 +271,31 @@ TEST_F(DatabaseLedgerTest, RecoverEntryRefusesDuplicateEntry) {
   TransactionEntry second = entry;
   second.txn_id = 2;
   second.block_ordinal = 1;
-  ASSERT_TRUE(ledger.RecoverEntry(second).ok());
+  ASSERT_TRUE(ledger.Append(second).ok());
   EXPECT_EQ(ledger.total_entries(), 2u);
+}
+
+TEST_F(DatabaseLedgerTest, AppendRefusesOrdinalGap) {
+  // Commit reads its slots from the append position rather than reserving
+  // them, so an entry that is not the next position is refused, whether it
+  // skips ahead or repeats an ordinal, in the open block or the next one.
+  auto ledger_ptr = MakeLedger(10);
+  DatabaseLedger& ledger = *ledger_ptr;
+  ASSERT_TRUE(ledger.Append(MakeEntry(&ledger, 1)).ok());
+  TransactionEntry entry = MakeEntry(&ledger, 2);  // slot (0, 1)
+  for (auto [block, ordinal] : std::vector<std::pair<uint64_t, uint64_t>>{
+           {0, 2}, {0, 0}, {1, 1}}) {
+    TransactionEntry forged = entry;
+    forged.block_id = block;
+    forged.block_ordinal = ordinal;
+    Status st = ledger.Append(forged);
+    EXPECT_TRUE(st.IsCorruption()) << block << "/" << ordinal << ": "
+                                   << st.ToString();
+    EXPECT_EQ(ledger.total_entries(), 1u);
+    EXPECT_EQ(ledger.closed_block_count(), 0u);
+  }
+  ASSERT_TRUE(ledger.Append(entry).ok());
+  EXPECT_EQ(ledger.open_block_entry_count(), 2u);
 }
 
 TEST_F(DatabaseLedgerTest, ReloadedOpenBlockClosesLikeLive) {
@@ -294,7 +324,7 @@ TEST_F(DatabaseLedgerTest, ReloadedOpenBlockClosesLikeLive) {
   EXPECT_EQ(reloaded_digest->last_commit_ts_micros, 50);
 }
 
-TEST_F(DatabaseLedgerTest, RecoverEntryReclosesPriorBlocks) {
+TEST_F(DatabaseLedgerTest, AppendReclosesPriorBlocks) {
   // Entries addressed past the open block imply a digest-time close.
   auto ledger_ptr = MakeLedger(10);
   DatabaseLedger& ledger = *ledger_ptr;
@@ -313,8 +343,8 @@ TEST_F(DatabaseLedgerTest, RecoverEntryReclosesPriorBlocks) {
   TableStore blocks2(kLedgerBlocksTableId, "b", MakeLedgerBlocksSchema());
   auto recovered_ptr = MakeLedger(10, &txns2, &blocks2);
   DatabaseLedger& recovered = *recovered_ptr;
-  ASSERT_TRUE(recovered.RecoverEntry(e1).ok());
-  ASSERT_TRUE(recovered.RecoverEntry(e2).ok());  // block 1 -> recloses block 0
+  ASSERT_TRUE(recovered.Append(e1).ok());
+  ASSERT_TRUE(recovered.Append(e2).ok());  // block 1 -> recloses block 0
   EXPECT_EQ(recovered.closed_block_count(), 1u);
   EXPECT_EQ(recovered.open_block_id(), 1u);
 
@@ -324,7 +354,7 @@ TEST_F(DatabaseLedgerTest, RecoverEntryReclosesPriorBlocks) {
   EXPECT_EQ(block0->ComputeHash(), digest->block_hash);
 }
 
-TEST_F(DatabaseLedgerTest, RecoverEntryRefusesBlockGap) {
+TEST_F(DatabaseLedgerTest, AppendRefusesBlockGap) {
   // The live ledger closes at most one block between two consecutive
   // entries, so a replayed entry two blocks past the open block is forged;
   // re-closing up to it would fabricate an empty block.
@@ -333,7 +363,7 @@ TEST_F(DatabaseLedgerTest, RecoverEntryRefusesBlockGap) {
   TransactionEntry forged = MakeEntry(&ledger, 1);
   forged.block_id = 2;
   forged.block_ordinal = 0;
-  Status st = ledger.RecoverEntry(forged);
+  Status st = ledger.Append(forged);
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   EXPECT_EQ(ledger.closed_block_count(), 0u);
   EXPECT_EQ(ledger.open_block_id(), 0u);

@@ -1,20 +1,25 @@
 // Group-commit torture tests (DESIGN.md §10): multi-threaded committers
 // must produce dense, ordered block ordinals; a crash at any sync point of
 // a group leaves recovery with a prefix of whole transactions; a failed
-// group sync errors every member and latches the sticky WAL error; and the
-// group counters/batched-fsync accounting hold up.
+// group sync errors every member, aborts it and latches the sticky WAL
+// error; and the group counters/batched-fsync accounting hold up.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <map>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "ledger/verifier.h"
+#include "sql/session.h"
 #include "storage/env.h"
 #include "test_util.h"
 
@@ -78,15 +83,33 @@ class HoldSyncEnv : public FaultInjectionEnv {
   State state_ = kIdle;
 };
 
-// Inserts row `id` in its own transaction, aborting it if the commit fails
-// (a failed commit leaves it active, which would block a later checkpoint).
+// Inserts row `id` in its own transaction. A failed commit aborts the
+// transaction itself, so only a failed insert needs an Abort here.
 Status CommitRow(LedgerDatabase* db, int64_t id) {
   auto txn = db->Begin("member");
   if (!txn.ok()) return txn.status();
   Status st = db->Insert(*txn, "t", {VB(id), VS("x")});
-  if (st.ok()) st = db->Commit(*txn);
-  if (!st.ok()) db->Abort(*txn);
-  return st;
+  if (!st.ok()) {
+    db->Abort(*txn);
+    return st;
+  }
+  return db->Commit(*txn);
+}
+
+// Runs `fn` on its own thread and returns its result if it finishes within
+// a few seconds. A call still blocked then is a hang (a leaked transaction
+// keeps a quiesce waiting forever); the blocked thread can never be joined,
+// so the failure is printed and the process exits rather than hang ctest.
+template <typename Fn>
+auto WithinDeadline(Fn fn) -> decltype(fn()) {
+  constexpr std::chrono::seconds kDeadline{10};
+  auto result = std::async(std::launch::async, std::move(fn));
+  if (result.wait_for(kDeadline) != std::future_status::ready) {
+    ADD_FAILURE() << "still blocked after " << kDeadline.count() << " s";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  return result.get();
 }
 
 class GroupCommitTest : public TempDirTest {
@@ -238,12 +261,11 @@ TEST_F(GroupCommitTest, CrashAtEverySyncPointLeavesWholeTxnPrefix) {
               st = (*db)->Insert(*txn, "t",
                                  {VB(id + kPairOffset),
                                   VS("b" + std::to_string(id))});
-            if (st.ok()) st = (*db)->Commit(*txn);
-            if (st.ok()) {
+            if (!st.ok()) {
+              (*db)->Abort(*txn);
+            } else if ((*db)->Commit(*txn).ok()) {  // a failure aborts
               std::lock_guard<std::mutex> guard(ok_mu);
               ok_ids.push_back(id);
-            } else {
-              (*db)->Abort(*txn);
             }
           }
         });
@@ -307,25 +329,96 @@ TEST_F(GroupCommitTest, FailedGroupSyncFailsEveryMemberAndLatches) {
   EXPECT_EQ(CounterValue(db->get(), "commit.txns_total"), committed_before + 1);
   EXPECT_GE((*db)->MetricsSnapshot().histograms["commit.group_size"].max, 2u);
 
-  // Sticky: the env is healthy again but the WAL stays poisoned. A failed
-  // commit leaves the transaction active; abort it explicitly so the
-  // checkpoint below can quiesce.
+  // Sticky: the env is healthy again but the WAL stays poisoned. The
+  // failed commit aborts its transaction, so the checkpoint below can
+  // quiesce.
   {
     auto txn = (*db)->Begin("poisoned");
     ASSERT_TRUE(txn.ok());
     ASSERT_TRUE((*db)->Insert(*txn, "t", {VB(100), VS("after-poison")}).ok());
     EXPECT_FALSE((*db)->Commit(*txn).ok());
-    (*db)->Abort(*txn);
   }
 
-  // A checkpoint rotates the WAL, clearing the poison; the released slots
-  // are re-assigned so ordinals stay dense.
-  ASSERT_TRUE((*db)->Checkpoint().ok());
+  // A checkpoint rotates the WAL, clearing the poison. The failed groups
+  // appended nothing, so the next group reads the same slots and ordinals
+  // stay dense.
+  ASSERT_TRUE(WithinDeadline([&] { return (*db)->Checkpoint(); }).ok());
   EXPECT_TRUE(InsertOne(db->get(), "t", 101, "after-reset").ok());
   ASSERT_TRUE((*db)->GenerateDigest().ok());
   ASSERT_TRUE((*db)->Checkpoint().ok());
   ExpectDenseOrdinals((*db)->database_ledger()->Snapshot().entries,
                       (*db)->options().block_size);
+}
+
+// ---- a failed commit ends its transaction ----
+
+TEST_F(GroupCommitTest, FailedAutocommitDoesNotBlockCheckpoint) {
+  // An autocommitted SQL statement whose commit fails has no caller left
+  // to abort it: Commit must, or the checkpoint that clears the sticky WAL
+  // error would wait for it forever, and so would every later Begin.
+  FaultInjectionEnv env;
+  auto db = LedgerDatabase::Open(MakeOptions("db", &env));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  SqlSession session(db->get(), "sql");
+  ASSERT_TRUE(session
+                  .Execute("CREATE TABLE accounts (id BIGINT NOT NULL, "
+                           "balance BIGINT NOT NULL, PRIMARY KEY (id)) "
+                           "WITH (LEDGER = ON)")
+                  .ok());
+  ASSERT_TRUE(session.Execute("INSERT INTO accounts VALUES (1, 10)").ok());
+
+  env.FailNthSync(1);
+  auto failed = session.Execute("INSERT INTO accounts VALUES (2, 20)");
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError)
+      << failed.status().ToString();
+  EXPECT_FALSE(session.in_transaction());
+
+  Status checkpoint = WithinDeadline([&] { return (*db)->Checkpoint(); });
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.ToString();
+  ASSERT_TRUE(session.Execute("INSERT INTO accounts VALUES (3, 30)").ok());
+  auto rows = session.Execute("SELECT * FROM accounts");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows.size(), 2u);  // rows 1 and 3; row 2 was undone
+
+  auto digest = (*db)->GenerateDigest();
+  ASSERT_TRUE(digest.ok()) << digest.status().ToString();
+  auto report = VerifyLedger(db->get(), {*digest});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+TEST_F(GroupCommitTest, FailedCommitReleasesLocksAndCountsAbort) {
+  FaultInjectionEnv env;
+  auto db = LedgerDatabase::Open(MakeOptions("db", &env));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE(
+      (*db)->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+  ASSERT_TRUE(InsertOne(db->get(), "t", 1, "before").ok());
+  const uint64_t aborts_before = CounterValue(db->get(), "commit.aborts_total");
+
+  env.FailNthSync(1);
+  auto txn = (*db)->Begin("failing");
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE((*db)->Update(*txn, "t", {VB(1), VS("lost")}).ok());
+  EXPECT_FALSE((*db)->Commit(*txn).ok());
+  EXPECT_EQ(CounterValue(db->get(), "commit.aborts_total"), aborts_before + 1);
+
+  // The failed transaction's row lock is gone: another transaction takes it
+  // with no wait and sees the row as it was before the failed update.
+  const uint64_t waits_before =
+      (*db)->MetricsSnapshot().histograms["lock.wait_micros"].count;
+  auto other = (*db)->Begin("other");
+  ASSERT_TRUE(other.ok());
+  auto row = (*db)->Get(*other, "t", {VB(1)});
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ((*row)[1].string_value(), "before");
+  EXPECT_TRUE((*db)->Update(*other, "t", {VB(1), VS("after")}).ok());
+  EXPECT_EQ((*db)->MetricsSnapshot().histograms["lock.wait_micros"].count,
+            waits_before);
+  (*db)->Abort(*other);  // the WAL is still poisoned; commit after the reset
+
+  ASSERT_TRUE(WithinDeadline([&] { return (*db)->Checkpoint(); }).ok());
+  EXPECT_TRUE(InsertOne(db->get(), "t", 2, "after-reset").ok());
 }
 
 // ---- aborted-transaction counter ----

@@ -680,7 +680,6 @@ TEST_F(IncrementalVerifierTest, EverySingleByteFlipInStateFileIsRejected) {
   state.anchor.block_hash = state.block_hash;
   state.anchor.generated_at_micros = 123456;
   state.anchor.last_commit_ts_micros = 123400;
-  state.anchor_durable = true;
   state.tables.push_back({1, 10, 0xDEADBEEFULL});
   state.tables.push_back({7, 3, 0x1234567890ULL});
 
@@ -688,6 +687,11 @@ TEST_F(IncrementalVerifierTest, EverySingleByteFlipInStateFileIsRejected) {
   auto decoded = VerificationState::Decode(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(*decoded == state);
+  // A format-2 file (it carried an anchor durability bit) is not decoded:
+  // it costs one full re-verify.
+  std::string format2 = encoded;
+  format2[7] = '2';
+  EXPECT_FALSE(VerificationState::Decode(format2).ok());
 
   for (size_t i = 0; i < encoded.size(); i++) {
     std::string flipped = encoded;
