@@ -432,6 +432,35 @@ bool Row::operator==(const Row& other) const {
   return true;
 }
 
+namespace {
+// A cell's state against its predecessor's, two bits per cell (EncodeRow).
+constexpr uint8_t kSameCell = 0;     // the predecessor's bytes: nothing written
+constexpr uint8_t kChangedCell = 1;  // its tag, another value: the change
+constexpr uint8_t kWholeCell = 2;    // anything else: Cell::EncodeTo
+}  // namespace
+
+void Row::PutChange(const Cell& c, const Cell& prev,
+                    std::vector<uint8_t>* dst) {
+  if (!c.IsIntegral()) {
+    c.EncodePayloadTo(dst);
+    return;
+  }
+  // Computed mod 2^64, so every pair has a difference.
+  PutVarint64(dst, ZigZagEncode64(static_cast<int64_t>(
+                       static_cast<uint64_t>(c.int_) -
+                       static_cast<uint64_t>(prev.int_))));
+}
+
+Result<Cell> Row::GetChange(const Cell& prev, Decoder* dec) {
+  if (prev.null_)
+    return Status::Corruption("a changed cell's predecessor is NULL");
+  auto c = Cell::DecodePayloadView(prev.tag(), dec);
+  if (c.ok() && c->IsIntegral())
+    c->int_ = static_cast<int64_t>(static_cast<uint64_t>(c->int_) +
+                                   static_cast<uint64_t>(prev.int_));
+  return c;
+}
+
 void EncodeRow(const Row& row, const Row* prev, std::vector<uint8_t>* dst) {
   const size_t n = row.size();
   PutVarint32(dst, static_cast<uint32_t>(n));
@@ -439,15 +468,20 @@ void EncodeRow(const Row& row, const Row* prev, std::vector<uint8_t>* dst) {
     for (Cell c : row) c.EncodeTo(dst);
     return;
   }
-  const size_t bitmap = dst->size();
-  dst->resize(bitmap + (n + 7) / 8, 0);
+  const size_t states = dst->size();
+  dst->resize(states + (n + 3) / 4, 0);
   size_t i = 0;
   for (Row::Iterator c = row.begin(), p = prev->begin(); c != row.end();
        ++c, ++p, i++) {
-    if (c.SameBytes(p)) {
-      (*dst)[bitmap + i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+    if (c.SameBytes(p)) continue;
+    const Cell cell = *c, before = *p;
+    const bool changed = !cell.is_null() && cell.tag() == before.tag();
+    (*dst)[states + i / 4] |= static_cast<uint8_t>(
+        (changed ? kChangedCell : kWholeCell) << (2 * (i % 4)));
+    if (changed) {
+      Row::PutChange(cell, before, dst);
     } else {
-      (*c).EncodeTo(dst);
+      cell.EncodeTo(dst);
     }
   }
 }
@@ -458,31 +492,40 @@ Result<Row> DecodeRow(Decoder* dec, const Row* prev) {
   const size_t n = *count;
   if (n > Row::kMaxColumns)
     return Status::Corruption("encoded row is too wide for a row block");
-  const uint8_t* repeats = nullptr;  // the bitmap, if the row has one
+  const uint8_t* states = nullptr;  // the cell states, if the row has them
   if (prev != nullptr && prev->size() == n && n != 0) {
-    auto bitmap = dec->GetBytes((n + 7) / 8);
-    if (!bitmap.ok()) return bitmap.status();
-    repeats = bitmap->data();
-    if (n % 8 != 0 && (repeats[n / 8] >> (n % 8)) != 0)
-      return Status::Corruption("unused bits set in a row's repeat bitmap");
+    auto bytes = dec->GetBytes((n + 3) / 4);
+    if (!bytes.ok()) return bytes.status();
+    states = bytes->data();
+    if (n % 4 != 0 && (states[n / 4] >> (2 * (n % 4))) != 0)
+      return Status::Corruption("unused bits set in a row's cell states");
   }
-  auto repeated = [repeats](size_t i) {
-    return repeats != nullptr && ((repeats[i / 8] >> (i % 8)) & 1) != 0;
+  auto state = [states](size_t i) -> uint8_t {
+    if (states == nullptr) return kWholeCell;
+    return (states[i / 4] >> (2 * (i % 4))) & 3;
+  };
+  // A cell that is not its predecessor's bytes, read against `from`.
+  auto cell_at = [](uint8_t s, const Row::Iterator& from,
+                    Decoder* d) -> Result<Cell> {
+    if (s == kWholeCell) return Cell::DecodeView(d);
+    if (s == kChangedCell) return Row::GetChange(*from, d);
+    return Status::Corruption("invalid cell state in an encoded row");
   };
   // Pass 1 validates every cell and sizes the block on a copy of the
   // decoder; pass 2 re-reads the same bytes into the block.
   Decoder sizing = *dec;
   size_t cell_bytes = 0;
-  Row::Iterator from = repeats != nullptr ? prev->begin() : Row().begin();
+  Row::Iterator from = states != nullptr ? prev->begin() : Row().begin();
   for (size_t i = 0; i < n; i++) {
-    if (repeated(i)) {
+    const uint8_t s = state(i);
+    if (s == kSameCell) {
       cell_bytes += Row::StoredBytes(from);
     } else {
-      auto c = Cell::DecodeView(&sizing);
+      auto c = cell_at(s, from, &sizing);
       if (!c.ok()) return c.status();
       cell_bytes += Row::EncodedBytes(*c);
     }
-    if (repeats != nullptr) ++from;
+    if (states != nullptr) ++from;
   }
   if (cell_bytes > std::numeric_limits<uint32_t>::max())
     return Status::Corruption("encoded row is too large for a row block");
@@ -491,11 +534,12 @@ Result<Row> DecodeRow(Decoder* dec, const Row* prev) {
   row.block_ = Row::Allocate(n, cell_bytes);
   uint8_t* tags = row.block_ + Row::kHeaderBytes;
   uint8_t* p = tags + n;
-  from = repeats != nullptr ? prev->begin() : Row().begin();
+  from = states != nullptr ? prev->begin() : Row().begin();
   for (size_t i = 0; i < n; i++) {
-    p = repeated(i) ? Row::CopyCell(from, tags + i, p)
-                    : Row::Put(tags + i, p, *Cell::DecodeView(dec));
-    if (repeats != nullptr) ++from;
+    const uint8_t s = state(i);
+    p = s == kSameCell ? Row::CopyCell(from, tags + i, p)
+                       : Row::Put(tags + i, p, *cell_at(s, from, dec));
+    if (states != nullptr) ++from;
   }
   return row;
 }

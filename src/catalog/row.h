@@ -197,6 +197,8 @@ class Row {
  private:
   friend class CellRef;
 
+  friend void EncodeRow(const Row& row, const Row* prev,
+                        std::vector<uint8_t>* dst);
   friend Result<Row> DecodeRow(Decoder* dec, const Row* prev);
 
   static constexpr size_t kHeaderBytes = 8;
@@ -313,6 +315,14 @@ class Row {
     for (; i > 0; i--) ++it;
     return it;
   }
+  /// Appends `c`, a non-NULL cell with `prev`'s tag, as a change from
+  /// `prev` (EncodeRow's state 1): an integer's zigzag difference from
+  /// `prev`'s value, mod 2^64, else its payload.
+  static void PutChange(const Cell& c, const Cell& prev,
+                        std::vector<uint8_t>* dst);
+  /// Reads a cell PutChange wrote against `prev`, as a view. Corruption
+  /// when `prev` is NULL.
+  static Result<Cell> GetChange(const Cell& prev, Decoder* dec);
   /// Replaces cell `i` with `v` (CellRef's assignment).
   void Set(size_t i, const Cell& v);
 
@@ -373,12 +383,21 @@ struct KeyTupleLess {
 
 /// Appends `row` to `dst` encoded against its predecessor `prev`, the
 /// tuple written before it (a WAL record's or checkpoint store's): the
-/// varint cell count, then, when `prev` has the same count n, a repeat
-/// bitmap of ceil(n/8) bytes whose bit i (byte i/8, bit i%8) is set when
-/// cell i is stored as the same bytes as `prev`'s (Row::Iterator::SameBytes)
-/// and whose unused high bits are zero; then each cell whose bit is clear
-/// (or each cell, with no bitmap) as Cell::EncodeTo writes it. With `prev`
-/// null or of another width there is no bitmap.
+/// varint cell count, then, when `prev` has the same count n, ceil(n/4)
+/// bytes of cell states, two bits per cell (cell i at byte i/4, bits
+/// 2*(i%4)), whose unused high bits are zero, then the cells' bytes by
+/// state:
+///   0  stored as the same bytes as `prev`'s cell (Row::Iterator::SameBytes):
+///      nothing;
+///   1  not NULL, with `prev`'s tag and another value: no tag; an integer
+///      (BOOL/SMALLINT/INT/BIGINT/TIMESTAMP) as the zigzag varint of its
+///      difference from `prev`'s, mod 2^64, any other cell its payload
+///      (Cell::EncodePayloadTo);
+///   2  any other cell, as Cell::EncodeTo writes it;
+///   3  never written.
+/// The first state that applies is taken, so a (row, predecessor) pair
+/// has one encoding. With `prev` null or of another width there are no
+/// states and every cell is as Cell::EncodeTo writes it.
 void EncodeRow(const Row& row, const Row* prev, std::vector<uint8_t>* dst);
 /// A row with no predecessor: its count, then every cell.
 inline void EncodeRow(const Row& row, std::vector<uint8_t>* dst) {
@@ -386,18 +405,22 @@ inline void EncodeRow(const Row& row, std::vector<uint8_t>* dst) {
 }
 
 /// An upper bound on the bytes EncodeRow appends for `row`, against any
-/// predecessor: the count and the bitmap take at most 3 + n bytes, and a
-/// cell at most 8 more than in the block (a +0.0 DOUBLE is a tag alone
-/// there and 9 bytes encoded).
+/// predecessor: the count takes at most 3 bytes and the states ceil(n/4);
+/// a cell takes at most 9 more than its tag and payload in the block (a
+/// zero integer, a lone tag there, changed from INT64_MIN is a 10-byte
+/// difference; a +0.0 DOUBLE, also a lone tag, is 9 bytes in state 2),
+/// and the block's 8-byte header is slack.
 inline size_t EncodedRowBound(const Row& row) {
-  return row.BlockBytes() + 9 * row.size() + 3;
+  return row.BlockBytes() + 9 * row.size() + (row.size() + 3) / 4 + 3;
 }
 
 /// Decodes one row encoded against `prev` (EncodeRow) straight into a
-/// packed block: one pass sizes it, a second fills it, copying a repeated
-/// cell's bytes from `prev`. Corruption past kMaxColumns cells, on a cell
-/// missing from the input, on a set unused bitmap bit or past 4 GiB of
-/// string bytes, checked before anything is allocated.
+/// packed block: one pass sizes it, a second fills it, copying a state-0
+/// cell's bytes from `prev` and rebuilding a state-1 cell from `prev`'s
+/// (an integer's width follows from the rebuilt value). Corruption past
+/// kMaxColumns cells, on a cell missing from the input, on state 3, a set
+/// unused state bit or a state-1 cell whose predecessor is NULL, or past
+/// 4 GiB of string bytes, checked before anything is allocated.
 Result<Row> DecodeRow(Decoder* dec, const Row* prev = nullptr);
 
 }  // namespace sqlledger

@@ -267,8 +267,7 @@ Result<Value> Value::CastTo(DataType target) const {
                               DataTypeName(target));
 }
 
-void Cell::EncodeTo(std::vector<uint8_t>* dst) const {
-  dst->push_back(tag());
+void Cell::EncodePayloadTo(std::vector<uint8_t>* dst) const {
   if (null_) return;
   switch (type_) {
     case DataType::kBool:
@@ -294,7 +293,10 @@ void Cell::EncodeTo(std::vector<uint8_t>* dst) const {
 Result<Cell> Cell::DecodeView(Decoder* dec) {
   auto tag_byte = dec->GetBytes(1);
   if (!tag_byte.ok()) return tag_byte.status();
-  const uint8_t tag = (*tag_byte)[0];
+  return DecodePayloadView((*tag_byte)[0], dec);
+}
+
+Result<Cell> Cell::DecodePayloadView(uint8_t tag, Decoder* dec) {
   const uint8_t type_id = tag & ~kNullTag;
   if (type_id < 1 || type_id > 8)
     return Status::Corruption("invalid data type id in encoded value");

@@ -85,13 +85,21 @@ class Cell {
 
   /// Compact binary encoding used by WAL records and checkpoints (NOT the
   /// canonical ledger hash format — see ledger/row_serializer.h for that):
-  /// the tag byte, then no payload for a NULL, a zigzag varint for
+  /// the tag byte, then the payload (EncodePayloadTo).
+  void EncodeTo(std::vector<uint8_t>* dst) const {
+    dst->push_back(tag());
+    EncodePayloadTo(dst);
+  }
+  /// The payload alone: nothing for a NULL, a zigzag varint for
   /// BOOL/SMALLINT/INT/BIGINT/TIMESTAMP, 8 little-endian bytes for DOUBLE,
   /// or a varint length and the bytes for VARCHAR/VARBINARY.
-  void EncodeTo(std::vector<uint8_t>* dst) const;
+  void EncodePayloadTo(std::vector<uint8_t>* dst) const;
   /// Decodes one EncodeTo cell as a view: a string's bytes point into the
   /// decoder's input. Corruption on a bad tag or truncated payload.
   static Result<Cell> DecodeView(Decoder* dec);
+  /// Decodes the payload of a cell with tag byte `tag` (EncodePayloadTo)
+  /// as a view. The one cell reader: DecodeView reads the tag, then this.
+  static Result<Cell> DecodePayloadView(uint8_t tag, Decoder* dec);
 
  protected:
   friend class Row;

@@ -13,11 +13,13 @@ namespace sqlledger {
 namespace {
 // WAL record kinds (first payload byte). Retired commit records, refused
 // in a log: kind 1 logged history rows and whole table roots, kind 3
-// stamped row images encoded without predecessors.
+// stamped row images encoded without predecessors, kind 4 rows whose
+// changed cells each carried a tag and an integer its whole value.
 constexpr uint8_t kWalKindRetiredCommit = 1;
 constexpr uint8_t kWalKindBlockClose = 2;
 constexpr uint8_t kWalKindRetiredStampedCommit = 3;
-constexpr uint8_t kWalKindCommit = 4;
+constexpr uint8_t kWalKindRetiredBitmapCommit = 4;
+constexpr uint8_t kWalKindCommit = 5;
 
 // Events kept by the database's trace ring before the oldest is overwritten
 // (DESIGN.md §13).
@@ -416,14 +418,19 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload,
   }
   // Refused like a retired checkpoint format: the error reaches Open before
   // the log is truncated, so no file changes.
-  if (kind == kWalKindRetiredCommit || kind == kWalKindRetiredStampedCommit)
+  const char* retired = nullptr;
+  if (kind == kWalKindRetiredCommit)
+    retired = "history rows and table roots logged whole";
+  else if (kind == kWalKindRetiredStampedCommit)
+    retired = "stamped row images without predecessors";
+  else if (kind == kWalKindRetiredBitmapCommit)
+    retired = "repeat bitmaps, changed cells logged whole";
+  if (retired != nullptr)
     return Status::NotSupported(
         "WAL " + wal_path + " has commit records of kind " +
-        std::to_string(kind) +
-        (kind == kWalKindRetiredCommit
-             ? " (history rows and table roots logged whole)"
-             : " (stamped row images without predecessors)") +
-        ", which this build no longer reads; it reads only kind 4");
+        std::to_string(kind) + " (" + retired +
+        "), which this build no longer reads; it reads only kind " +
+        std::to_string(kWalKindCommit));
   if (kind != kWalKindCommit)
     return Status::Corruption("unknown WAL record kind");
 
@@ -1147,7 +1154,6 @@ Status LedgerDatabase::CheckpointImpl() {
   // commit_mu_ across the snapshot/WAL-reset so the checkpoint and the WAL
   // cannot disagree about which blocks closed.
   MutexLock commit_lock(&commit_mu_);
-
   std::vector<const TableStore*> stores;
   stores.push_back(ledger_txns_store_.get());
   stores.push_back(ledger_blocks_store_.get());

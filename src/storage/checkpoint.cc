@@ -10,15 +10,16 @@
 namespace sqlledger {
 
 namespace {
-// 04: a store's section holds its id, row count and rows, each encoded
-// against the row before it (EncodeRow's repeat bitmap); the caller's meta
+// 05: a store's section holds its id, row count and rows, each encoded
+// against the row before it (EncodeRow's cell states); the caller's meta
 // holds the definitions. No reader is kept for the retired formats, which
 // are refused as NotSupported.
-constexpr char kMagic[] = "SLCKPT04";
+constexpr char kMagic[] = "SLCKPT05";
 constexpr const char* kRetired[][2] = {
     {"SLCKPT01", "fixed-width cells"},
     {"SLCKPT02", "rows without predecessors"},
-    {"SLCKPT03", "store definitions beside their rows"}};
+    {"SLCKPT03", "store definitions beside their rows"},
+    {"SLCKPT04", "repeat bitmaps, changed cells written whole"}};
 constexpr size_t kMagicLen = 8;
 // Room past a chunk's end, so the item that crosses the boundary is
 // encoded without the chunk reallocating. Larger items still fit: the chunk

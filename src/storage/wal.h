@@ -14,7 +14,8 @@
 // replay rebuilds them from the row versions it applies and checks them
 // against an 8-byte digest of the roots the commit computed. Each logged
 // tuple is encoded against a predecessor (EncodeRow), so a cell that
-// repeats the one before it costs one bit.
+// repeats the one before it costs two bits, and one that keeps its tag
+// logs no tag (an integer logs its difference).
 //
 // Records are framed as [fixed32 length][fixed32 crc32c][payload], the frame
 // log shared with the digest outbox. Recovery replays up to the first frame

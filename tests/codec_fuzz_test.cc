@@ -2,10 +2,12 @@
 // DecodeRow with and without a predecessor, WalCommitRecord with its roots
 // count and check, sequence gaps, row, ledger-delete and table-definition
 // ops): random rows of every type, NULLs, empty and 64 KiB strings, ±0.0
-// and NaN round-trip exactly; the zigzag edges keep their value and their
-// varint length; every strict prefix of an encoded row or commit record is
-// Corruption, and so is a set unused bit of a repeat bitmap; and every
-// single-byte flip decodes to OK or Corruption without crashing (the
+// and NaN round-trip exactly, alone and against predecessors whose cells
+// repeat, change (integers across the INT64_MIN/INT64_MAX wrap), turn NULL
+// or change type; the zigzag edges keep their value and their varint
+// length; every strict prefix of an encoded row or commit record is
+// Corruption, and so are cell state 3 and a set unused state bit; and
+// every single-byte flip decodes to OK or Corruption without crashing (the
 // sanitizer builds check the reads). SQLLEDGER_TEST_SEED picks the values.
 
 #include <gtest/gtest.h>
@@ -44,8 +46,7 @@ std::string RandomBytes(Random* rng, double big_share) {
   return s;
 }
 
-Value RandomValue(Random* rng, double big_share) {
-  DataType type = static_cast<DataType>(rng->UniformRange(1, 8));
+Value RandomValueOfType(Random* rng, DataType type, double big_share) {
   if (rng->Bernoulli(0.15)) return Value::Null(type);
   switch (type) {
     case DataType::kBool:
@@ -72,6 +73,11 @@ Value RandomValue(Random* rng, double big_share) {
       return Value::Timestamp(RandomInt64(rng));
   }
   return Value();
+}
+
+Value RandomValue(Random* rng, double big_share) {
+  return RandomValueOfType(
+      rng, static_cast<DataType>(rng->UniformRange(1, 8)), big_share);
 }
 
 std::vector<Value> RandomValues(Random* rng, size_t max_cells,
@@ -154,14 +160,58 @@ Value EdgeValue(Random* rng) {
   }
 }
 
-/// `width` cells, each a copy of `prev`'s cell at its position (when it
-/// has one) half the time, else an EdgeValue.
+bool IsIntegral(DataType t) {
+  return t == DataType::kBool || t == DataType::kSmallInt ||
+         t == DataType::kInt || t == DataType::kBigInt ||
+         t == DataType::kTimestamp;
+}
+
+/// A value of `prev`'s type, often at an edge of a change from it: an
+/// integer one step away or at its type's extreme (so a difference wraps
+/// past INT64_MIN/INT64_MAX), ±0.0 or NaN, an empty string, or NULL.
+Value ValueLike(Random* rng, const Value& prev) {
+  const DataType type = prev.type();
+  const uint64_t pick = rng->Uniform(4);
+  if (pick == 0) return Value::Null(type);
+  if (pick == 1) return RandomValueOfType(rng, type, 0);
+  switch (type) {
+    case DataType::kBool:
+      return Value::Bool(!prev.bool_value());
+    case DataType::kSmallInt:
+      return Value::SmallInt(pick == 2 ? INT16_MIN : INT16_MAX);
+    case DataType::kInt:
+      return Value::Int(pick == 2 ? INT32_MIN : INT32_MAX);
+    case DataType::kBigInt:
+      return Value::BigInt(pick == 2 ? INT64_MIN : INT64_MAX);
+    case DataType::kTimestamp:
+      return Value::Timestamp(
+          pick == 2 ? static_cast<int64_t>(
+                          static_cast<uint64_t>(prev.AsInt64()) + 1)
+                    : INT64_MIN);
+    case DataType::kDouble:
+      if (pick == 2)
+        return Value::Double(std::numeric_limits<double>::quiet_NaN());
+      return Value::Double(rng->Bernoulli(0.5) ? 0.0 : -0.0);
+    case DataType::kVarchar:
+      return Value::Varchar("");
+    case DataType::kVarbinary:
+      return Value::Varbinary({});
+  }
+  return Value();
+}
+
+/// `width` cells, each (where `prev` has a cell at its position) a copy of
+/// it 40 % of the time, a ValueLike it 35 %, else an EdgeValue of any type.
 std::vector<Value> RelatedValues(Random* rng, const std::vector<Value>& prev,
                                  size_t width) {
   std::vector<Value> values(width);
-  for (size_t i = 0; i < width; i++)
-    values[i] = i < prev.size() && rng->Bernoulli(0.5) ? prev[i]
-                                                        : EdgeValue(rng);
+  for (size_t i = 0; i < width; i++) {
+    const double p = rng->NextDouble();
+    values[i] = i >= prev.size() ? EdgeValue(rng)
+                : p < 0.40       ? prev[i]
+                : p < 0.75       ? ValueLike(rng, prev[i])
+                                 : EdgeValue(rng);
+  }
   return values;
 }
 
@@ -299,14 +349,19 @@ TEST(CodecFuzzTest, CommitRecordsWithDefinitionsRoundTrip) {
 }
 
 // Rows encoded against random predecessors, of the same width or another,
-// decode to the same cells; a cell is left out (its bit set) exactly when
-// its bytes equal the predecessor's, so +0.0 never stands for -0.0. Every
-// strict prefix, and every set unused bit of the repeat bitmap, is
+// decode to the same cells, and the bytes are exactly EncodeRow's: a cell
+// is in state 0 exactly when its bytes equal the predecessor's (so +0.0
+// never stands for -0.0), else in state 1 exactly when it keeps the
+// predecessor's tag and is not NULL, else in state 2. Every type changes
+// in state 1, integers across the wrap, and NULLs come and go. Every
+// strict prefix, cell state 3 and every set unused state bit are
 // Corruption; every single-byte flip decodes to OK or Corruption.
 TEST(CodecFuzzTest, RowsRoundTripAgainstPredecessors) {
   SCOPED_TRACE("SQLLEDGER_TEST_SEED=" + std::to_string(TestSeed()));
   Random rng(TestCaseSeed(5));
-  int bitmaps = 0, repeats = 0, signed_zero_pairs = 0;
+  int with_states = 0, repeats = 0, signed_zero_pairs = 0, wraps = 0,
+      null_transitions = 0, type_changes = 0;
+  int changed[9] = {};  // state-1 cells by type id
   auto ok_or_corruption = [](const Status& st) {
     return st.ok() || st.IsCorruption();
   };
@@ -331,28 +386,44 @@ TEST(CodecFuzzTest, RowsRoundTripAgainstPredecessors) {
       ExpectSameCell(*cell, values[i], i);
 
     if (width != prev_values.size()) {
-      EXPECT_EQ(buf, plain);  // no bitmap against another width
+      EXPECT_EQ(buf, plain);  // no states against another width
       continue;
     }
-    // The count (one byte here), the bitmap, then the cells not repeated.
-    bitmaps++;
-    const size_t bitmap_bytes = (width + 7) / 8;
+    // The count (one byte here), the states, then the cells not repeated.
+    with_states++;
+    const size_t state_bytes = (width + 3) / 4;
     std::vector<uint8_t> want(plain.begin(), plain.begin() + 1);
-    want.resize(1 + bitmap_bytes, 0);
+    want.resize(1 + state_bytes, 0);
     for (size_t i = 0; i < width; i++) {
-      std::vector<uint8_t> bytes = CellBytes(values[i]);
-      signed_zero_pairs += values[i].type() == DataType::kDouble &&
-                           prev_values[i].type() == DataType::kDouble &&
-                           !values[i].is_null() && !prev_values[i].is_null() &&
-                           values[i].double_value() == 0 &&
-                           prev_values[i].double_value() == 0 &&
-                           bytes != CellBytes(prev_values[i]);
-      if (bytes == CellBytes(prev_values[i])) {
-        want[1 + i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+      const Value& v = values[i];
+      const Value& p = prev_values[i];
+      std::vector<uint8_t> bytes = CellBytes(v);
+      signed_zero_pairs += v.type() == DataType::kDouble &&
+                           p.type() == DataType::kDouble && !v.is_null() &&
+                           !p.is_null() && v.double_value() == 0 &&
+                           p.double_value() == 0 && bytes != CellBytes(p);
+      null_transitions += v.is_null() != p.is_null();
+      type_changes += v.type() != p.type();
+      uint8_t state = 2;
+      if (bytes == CellBytes(p)) {
+        state = 0;
         repeats++;
+      } else if (!v.is_null() && v.tag() == p.tag()) {
+        state = 1;
+        changed[static_cast<int>(v.type())]++;
+        if (IsIntegral(v.type())) {
+          int64_t diff;
+          wraps += __builtin_sub_overflow(v.AsInt64(), p.AsInt64(), &diff);
+          PutVarint64(&want, ZigZagEncode64(static_cast<int64_t>(
+                                 static_cast<uint64_t>(v.AsInt64()) -
+                                 static_cast<uint64_t>(p.AsInt64()))));
+        } else {
+          want.insert(want.end(), bytes.begin() + 1, bytes.end());
+        }
       } else {
         want.insert(want.end(), bytes.begin(), bytes.end());
       }
+      want[1 + i / 4] |= static_cast<uint8_t>(state << (2 * (i % 4)));
     }
     ASSERT_EQ(buf, want);
 
@@ -360,7 +431,14 @@ TEST(CodecFuzzTest, RowsRoundTripAgainstPredecessors) {
       Decoder prefix{Slice(buf.data(), cut)};
       EXPECT_TRUE(DecodeRow(&prefix, &prev).status().IsCorruption()) << cut;
     }
-    for (size_t bit = width; bit < 8 * bitmap_bytes; bit++) {
+    for (size_t i = 0; i < width; i++) {
+      std::vector<uint8_t> bad = buf;
+      bad[1 + i / 4] |= static_cast<uint8_t>(3u << (2 * (i % 4)));
+      Decoder bad_dec{Slice(bad)};
+      EXPECT_TRUE(DecodeRow(&bad_dec, &prev).status().IsCorruption())
+          << "state 3 at cell " << i;
+    }
+    for (size_t bit = 2 * width; bit < 8 * state_bytes; bit++) {
       std::vector<uint8_t> bad = buf;
       bad[1 + bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
       Decoder bad_dec{Slice(bad)};
@@ -374,9 +452,14 @@ TEST(CodecFuzzTest, RowsRoundTripAgainstPredecessors) {
           << i;
     }
   }
-  EXPECT_GT(bitmaps, 200);
+  EXPECT_GT(with_states, 200);
   EXPECT_GT(repeats, 500);
   EXPECT_GT(signed_zero_pairs, 0);
+  EXPECT_GT(wraps, 0);
+  EXPECT_GT(null_transitions, 100);
+  EXPECT_GT(type_changes, 100);
+  for (int t = 1; t <= 8; t++)
+    EXPECT_GT(changed[t], 0) << DataTypeName(static_cast<DataType>(t));
 }
 
 TEST(CodecFuzzTest, ZigZagEdgesRoundTrip) {

@@ -406,14 +406,15 @@ TEST_F(RecoveryTest, MissingNewestCheckpointFallsBackToPreviousGeneration) {
 }
 
 // A checkpoint of a retired format, SLCKPT01 (fixed-width cells), SLCKPT02
-// (rows without predecessors) or SLCKPT03 (store definitions beside their
-// rows), is not torn: it is refused as
-// NotSupported, naming the format, and recovery neither falls back to a
-// readable ".prev" beside it nor replays or truncates the WAL. Covered: the
-// newest generation retired with a good ".prev", the newest retired alone,
-// and only a retired ".prev".
+// (rows without predecessors), SLCKPT03 (store definitions beside their
+// rows) or SLCKPT04 (repeat bitmaps, changed cells written whole), is not
+// torn: it is refused as NotSupported, naming the format, and recovery
+// neither falls back to a readable ".prev" beside it nor replays or
+// truncates the WAL. Covered: the newest generation retired with a good
+// ".prev", the newest retired alone, and only a retired ".prev".
 TEST_F(RecoveryTest, RetiredCheckpointFormatIsRefusedWithoutFallback) {
-  for (const char* magic : {"SLCKPT01", "SLCKPT02", "SLCKPT03"}) {
+  for (const char* magic :
+       {"SLCKPT01", "SLCKPT02", "SLCKPT03", "SLCKPT04"}) {
     SCOPED_TRACE(magic);
     const std::string dir = magic;
     const std::string ckpt = Path(dir) + "/checkpoint.sldb";
@@ -994,11 +995,12 @@ TEST_F(RecoveryTest, LedgerUpdateOfMissingPreImageIsCorruption) {
 }
 
 // Commit records of the retired kinds, 1 (history rows and whole roots
-// logged) and 3 (stamped row images without predecessors), are refused like
-// a retired checkpoint format: Open fails with NotSupported before it
-// replays or truncates the log, and no file changes.
+// logged), 3 (stamped row images without predecessors) and 4 (repeat
+// bitmaps, changed cells logged whole), are refused like a retired
+// checkpoint format: Open fails with NotSupported before it replays or
+// truncates the log, and no file changes.
 TEST_F(RecoveryTest, RetiredCommitRecordKindIsRefused) {
-  for (const uint8_t kind : {uint8_t{1}, uint8_t{3}}) {
+  for (const uint8_t kind : {uint8_t{1}, uint8_t{3}, uint8_t{4}}) {
     const std::string name = "kind " + std::to_string(kind);
     SCOPED_TRACE(name);
     const std::string dir = "kind" + std::to_string(kind);
@@ -1043,7 +1045,7 @@ TEST_F(RecoveryTest, RetiredCommitRecordKindIsRefused) {
                 static_cast<std::streamsize>(frame.size()));
       out.write("torn", 4);
     }
-    expect_refused(dir, "after kind-4 records");
+    expect_refused(dir, "after kind-5 records");
     {
       std::ofstream out(wal, std::ios::binary | std::ios::trunc);
       out.write(reinterpret_cast<const char*>(frame.data()),
@@ -1095,7 +1097,7 @@ TEST_F(RecoveryTest, CommitRecordFarPastOpenBlockIsCorruption) {
   record.commit_ts_micros = 1;
   record.user_name = "app";
   record.block_id = uint64_t{1} << 40;
-  std::vector<uint8_t> payload = {4};  // record kind 4
+  std::vector<uint8_t> payload = {5};  // record kind 5
   record.EncodeTo(&payload);
   std::vector<uint8_t> frame;
   AppendFrame(Slice(payload), &frame);
@@ -1117,7 +1119,7 @@ TEST_F(RecoveryTest, CommitRecordFarPastOpenBlockIsCorruption) {
 TEST_F(RecoveryTest, RegularRowOpThatDoesNotApplyIsCorruption) {
   // Replay applies each commit record past the checkpoint exactly once, so
   // a row op the store refuses means the log is corrupt. Each shape is a
-  // hand-built kind-4 record with a txn id past every one in the log and
+  // hand-built kind-5 record with a txn id past every one in the log and
   // the next free ledger slot, so nothing but the op stops it.
   struct Shape {
     const char* dir;
@@ -1153,7 +1155,7 @@ TEST_F(RecoveryTest, RegularRowOpThatDoesNotApplyIsCorruption) {
       op.new_row = {VB(shape.id), VS("v2")};
     }
     record.ops.push_back(op);
-    std::vector<uint8_t> payload = {4};  // record kind 4
+    std::vector<uint8_t> payload = {5};  // record kind 5
     record.EncodeTo(&payload);
     std::vector<uint8_t> frame;
     AppendFrame(Slice(payload), &frame);
@@ -1196,7 +1198,9 @@ void RewriteCheckpoint(
   std::vector<uint8_t> payload;
   PutLengthPrefixed(&payload, Slice(meta));
   payload.insert(payload.end(), stores.begin(), stores.end());
-  std::vector<uint8_t> file = {'S', 'L', 'C', 'K', 'P', 'T', '0', '4'};
+  std::vector<uint8_t> file(8);  // the file's own magic
+  std::ifstream(path, std::ios::binary)
+      .read(reinterpret_cast<char*>(file.data()), 8);
   PutFixed64(&file, payload.size());
   PutFixed32(&file, Crc32c(Slice(payload)));
   file.insert(file.end(), payload.begin(), payload.end());
@@ -1328,7 +1332,7 @@ TEST_F(RecoveryTest, InconsistentTableDefinitionInWalIsCorruption) {
     op.table_id = shape.table_id;
     op.definition = std::make_shared<TableDefinition>(shape.def);
     record.ops.push_back(op);
-    std::vector<uint8_t> payload = {4};  // record kind 4
+    std::vector<uint8_t> payload = {5};  // record kind 5
     record.EncodeTo(&payload);
     std::vector<uint8_t> frame;
     AppendFrame(Slice(payload), &frame);

@@ -23,6 +23,7 @@
 #include "catalog/row.h"
 #include "test_util.h"
 #include "util/coding.h"
+#include "util/hex.h"
 #include "util/random.h"
 #include "workload/tpcc.h"
 
@@ -566,23 +567,98 @@ TEST(RowTest, TpccOrderLineVersionIsSmall) {
 }
 
 // EncodedRowBound holds at each cell's widest encoding against its block
-// bytes: a +0.0 DOUBLE (a tag alone in the block, 9 bytes encoded), an
-// 8-byte integer (a 10-byte varint), an empty string and a NULL.
+// bytes, with no predecessor, against itself and against adversarial
+// predecessors of the same tags: a +0.0 DOUBLE (a tag alone in the block,
+// 9 bytes whole, 8 changed from a NaN), an 8-byte integer (a 10-byte
+// varint), a zero changed from INT64_MIN (a 10-byte difference), NULL
+// against a value and back, and an empty string against a long one.
 TEST(RowTest, EncodedRowBoundCoversTheEncoding) {
-  std::vector<Row> rows = {
-      Row{},
-      Row{Value::Double(0.0)},
-      Row(std::vector<Value>(300, Value::Double(0.0))),
-      Row{Value::BigInt(INT64_MIN), Value::Varchar(""),
-          Value::Null(DataType::kInt), Value::Double(1.5)},
-      Row(EveryType())};
-  for (const Row& row : rows) {
-    for (const Row* prev : {static_cast<const Row*>(nullptr), &row}) {
+  const std::string long_string(300, 's');
+  const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  // (row, predecessors besides none and the row itself)
+  std::vector<std::pair<Row, std::vector<Row>>> cases = {
+      {Row{}, {}},
+      {Row{Value::Double(0.0)}, {Row{nan}, Row{Value::Null(DataType::kDouble)}}},
+      {Row(std::vector<Value>(300, Value::Double(0.0))),
+       {Row(std::vector<Value>(300, nan))}},
+      {Row{Value::BigInt(0)},
+       {Row{Value::BigInt(INT64_MIN)}, Row{Value::BigInt(INT64_MAX)}}},
+      {Row(std::vector<Value>(300, Value::BigInt(0))),
+       {Row(std::vector<Value>(300, Value::BigInt(INT64_MIN)))}},
+      {Row{Value::BigInt(INT64_MIN), Value::Varchar(""),
+           Value::Null(DataType::kInt), Value::Double(1.5)},
+       {Row{Value::BigInt(INT64_MAX), Value::Varchar(long_string),
+            Value::Int(INT32_MIN), Value::Null(DataType::kDouble)}}},
+      {Row{Value::Varchar(long_string), Value::Null(DataType::kBigInt)},
+       {Row{Value::Varchar(""), Value::BigInt(INT64_MIN)}}},
+      {Row(EveryType()), {}}};
+  for (const auto& [row, adversaries] : cases) {
+    std::vector<const Row*> prevs = {nullptr, &row};
+    for (const Row& prev : adversaries) prevs.push_back(&prev);
+    for (const Row* prev : prevs) {
       std::vector<uint8_t> bytes;
       EncodeRow(row, prev, &bytes);
       EXPECT_LE(bytes.size(), EncodedRowBound(row)) << row.size();
     }
   }
+  // The bound is tight to the cell for 300 zeros changed from INT64_MIN:
+  // a 2-byte count, 75 state bytes and 300 10-byte differences, against
+  // 308 block bytes + 9 * 300 + 75 + 3.
+  const Row& zeros = cases[4].first;
+  std::vector<uint8_t> bytes;
+  EncodeRow(zeros, &cases[4].second[0], &bytes);
+  EXPECT_EQ(bytes.size(), 3077u);
+  EXPECT_EQ(EncodedRowBound(zeros), 3086u);
+}
+
+// EncodeRow's exact bytes against a predecessor of the same width, one
+// cell per state: the count, three bytes of 2-bit cell states (cell i at
+// byte i/4, bits 2*(i%4)), then each cell that is not its predecessor's
+// bytes. State 1 (same tag, not NULL, another value) writes no tag: an
+// integer's zigzag difference, a string's length and bytes, a DOUBLE's
+// 8 bytes. State 2 writes the whole cell: a NULL becoming a value, a value
+// becoming NULL, an INT becoming a BIGINT.
+TEST(RowTest, EncodeRowWritesEachCellState) {
+  const Row prev{Value::BigInt(100), Value::Varchar("abc"),
+                 Value::Double(1.5), Value::Null(DataType::kInt),
+                 Value::Int(7),       Value::Timestamp(1000),
+                 Value::Int(5),       Value::Int(5),
+                 Value::Double(1.5)};
+  const Row row{Value::BigInt(101), Value::Varchar("abd"),
+                Value::Double(1.5), Value::Int(3),
+                Value::Int(7),      Value::Timestamp(990),
+                Value::Null(DataType::kInt), Value::BigInt(5),
+                Value::Double(-0.0)};
+  std::vector<uint8_t> bytes;
+  EncodeRow(row, &prev, &bytes);
+  EXPECT_EQ(HexEncode(Slice(bytes)),
+            "09"                 // nine cells
+            "85" "a4" "01"       // states 1 1 0 2 | 0 1 2 2 | 1
+            "02"                 // BIGINT 101 = 100 + 1
+            "03616264"           // VARCHAR 'abd', no tag
+            "0306"               // INT 3, whole: its predecessor is NULL
+            "13"                 // TIMESTAMP 990 = 1000 - 10
+            "83"                 // NULL INT, whole
+            "040a"               // BIGINT 5, whole: the INT's tag differs
+            "0000000000000080"); // DOUBLE -0.0, no tag
+  Decoder dec{Slice(bytes)};
+  auto decoded = DecodeRow(&dec, &prev);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(dec.done());
+  ExpectRowIs(*decoded, row.Values(), "decode");
+
+  // State 3, a set unused state bit and a state-1 cell whose predecessor is
+  // NULL are Corruption.
+  auto corrupt = [&](size_t byte, uint8_t value) {
+    std::vector<uint8_t> bad = bytes;
+    bad[byte] = value;
+    Decoder bad_dec{Slice(bad)};
+    return DecodeRow(&bad_dec, &prev).status().IsCorruption();
+  };
+  EXPECT_TRUE(corrupt(1, 0xB5));  // cell 2 in state 3
+  EXPECT_TRUE(corrupt(3, 0x05));  // an unused bit past cell 8
+  EXPECT_TRUE(corrupt(3, 0x81));
+  EXPECT_TRUE(corrupt(1, 0x45));  // cell 3 changed from a NULL
 }
 
 // A row of exactly `bytes` (>= 9) block bytes: a VARBINARY of `fill`
