@@ -107,9 +107,10 @@ TEST(WalRecordTest, DecodeRejectsTruncation) {
 // update logs only the user row (the update's key is not written: the row
 // holds it); a delete logs only its key. Each tuple is encoded against the
 // last tuple of its table and width before it: the update's row repeats
-// the insert's id, and the second ledger delete's key has the first's as
-// its predecessor but repeats no cell. The first ledger delete follows
-// three sequence numbers a failed statement took.
+// the insert's id (state 0) and logs its new VARCHAR without a tag (state
+// 1), and the second ledger delete's key logs its id as the difference
+// from the first's (state 1). The first ledger delete follows three
+// sequence numbers a failed statement took.
 TEST(WalRecordTest, GoldenBytes) {
   WalCommitRecord rec;
   rec.txn_id = 5;
@@ -145,13 +146,13 @@ TEST(WalRecordTest, GoldenBytes) {
             "01" "64"             // INSERT into table 100
             "02" "0402" "060161"  //   row: BIGINT 1, VARCHAR 'a'
             "02" "64"             // UPDATE in table 100
-            "02" "01" "060162"    //   row: cell 0 repeated, VARCHAR 'b'
+            "02" "04" "0162"      //   row: states 0 1, 'b' with no tag
             "03" "65"             // DELETE from table 101
             "01" "0401"           //   key: BIGINT -1
             "85" "64" "03"        // ledger DELETE from table 100, gap 3
             "01" "0402"           //   key: BIGINT 1 (no 1-cell predecessor)
             "05" "64"             // ledger DELETE from table 100
-            "01" "00" "0404");    //   key: nothing repeated, BIGINT 2
+            "01" "01" "02");      //   key: state 1, BIGINT 2 = 1 + 1
   auto decoded = WalCommitRecord::Decode(Slice(buf));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->ledger_tables, 1u);
@@ -384,10 +385,12 @@ TEST_F(CheckpointTest, RoundTripTablesAndMeta) {
 
 // The checkpoint file's bytes are pinned: a fixed two-table store, one
 // table with a secondary index and a mix of NULL, empty and non-empty
-// cells, and a hidden cell that repeats its predecessor's in every other
-// row (a set repeat-bitmap bit). Any change to the header, the section or
-// the row encoding moves the hash; a store's schema and indexes are not in
-// its section (SLCKPT04), so they do not.
+// cells, and every cell state: a hidden cell that repeats its
+// predecessor's in every other row (state 0), ids, strings and DOUBLEs
+// that change (state 1) and names that turn NULL and back (state 2). Any
+// change to the header, the section or the row encoding moves the hash; a
+// store's schema and indexes are not in its section (SLCKPT05), so they
+// do not.
 TEST_F(CheckpointTest, GoldenFileSha256) {
   Schema s;
   s.AddColumn("id", DataType::kBigInt, false);
@@ -416,7 +419,7 @@ TEST_F(CheckpointTest, GoldenFileSha256) {
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   EXPECT_EQ(Sha256::Digest(Slice(bytes)).ToHex(),
-            "d12fc62711f1a31b870595a52f35439c9000f552c45b78aa91216ae95a1b42f0");
+            "ab2b4d9e5f51678fc9cf9303fb6e2979e7d2a6aa563df414125da990d204d9fc");
 }
 
 // A section whose rows no store takes, or does not take, fails the load as
