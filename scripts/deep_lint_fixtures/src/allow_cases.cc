@@ -1,5 +1,6 @@
 // Escape-hatch fixtures: a justified allow() suppresses, an unjustified
-// one suppresses but is itself flagged, an unknown rule name is flagged.
+// one suppresses but is itself flagged, an unknown rule name is flagged,
+// and a rule of scripts/lint.py is known.
 #include <cstdio>
 
 namespace fx {
@@ -25,6 +26,11 @@ int unjustified_case(const char* path) {
 int unknown_rule_case() {
   // lint: allow(made-up-rule): names a rule that does not exist
   return 1;
+}
+
+int lint_py_rule_case() {
+  // lint: allow(commit-sync): names a rule of scripts/lint.py
+  return 2;
 }
 
 }  // namespace fx

@@ -1154,6 +1154,18 @@ Status LedgerDatabase::CheckpointImpl() {
   // commit_mu_ across the snapshot/WAL-reset so the checkpoint and the WAL
   // cannot disagree about which blocks closed.
   MutexLock commit_lock(&commit_mu_);
+  // With sync_wal off the log's newest records are not durable yet. Sync
+  // them before the log becomes wal.log.prev, so the fallback generation
+  // holds every commit this checkpoint holds. This is a checkpoint's one
+  // sync of the log, not a commit's. A poisoned log is not synced: after a
+  // failed write or sync its bytes cannot be vouched for (a retried fsync
+  // can report success for pages the failed one dropped), and the rotation
+  // below must still clear it.
+  if (wal_ != nullptr && !options_.sync_wal && wal_->sticky_error().ok()) {
+    Status synced = wal_->Sync();  // lint: allow(commit-sync): checkpoint
+    if (!synced.ok()) return synced;
+  }
+
   std::vector<const TableStore*> stores;
   stores.push_back(ledger_txns_store_.get());
   stores.push_back(ledger_blocks_store_.get());

@@ -380,8 +380,10 @@ Status Wal::AppendBatch(const std::vector<Slice>& payloads,
 }
 
 Status Wal::Reset() {
-  // Every durable record was already fsynced by AppendRecord; a failed
-  // close of the outgoing generation cannot lose committed data.
+  // Every record of a log that is not poisoned was already fsynced: by its
+  // append under `sync`, else by the checkpoint that rotates the log
+  // (LedgerDatabase::CheckpointImpl). A failed close of the outgoing
+  // generation cannot lose committed data.
   (void)file_->Close();
   file_ = nullptr;
   // Keep the outgoing log as the fallback generation: if the checkpoint

@@ -220,8 +220,9 @@ class Wal {
   /// Rotates the log after a successful checkpoint: the current file moves
   /// to `path + ".prev"` (paired with the just-superseded checkpoint, so
   /// recovery can fall back one checkpoint generation) and a fresh empty
-  /// log is created and made durable. Clears any sticky error — every
-  /// record the new log will hold postdates the checkpoint.
+  /// log is created and made durable. Without `sync`, the caller syncs the
+  /// log first, so the fallback generation is complete. Clears any sticky
+  /// error — every record the new log will hold postdates the checkpoint.
   Status Reset();
 
   Status Sync();

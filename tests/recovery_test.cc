@@ -384,6 +384,36 @@ TEST_F(RecoveryTest, TornNewestCheckpointFallsBackToPreviousGeneration) {
   EXPECT_TRUE(report->ok()) << report->Summary();
 }
 
+// With sync_wal off, a commit's record is not fsynced when it returns, but
+// a checkpoint makes it durable: the checkpoint syncs the log before it
+// rotates it to wal.log.prev, so the fallback generation (the previous
+// checkpoint plus wal.log.prev) holds every commit the new checkpoint
+// holds. A power loss right after the checkpoint, then a torn newest
+// checkpoint, loses none of them.
+TEST_F(RecoveryTest, UnsyncedWalFallbackKeepsCheckpointedCommits) {
+  FaultInjectionEnv env;
+  {
+    LedgerDatabaseOptions options = MakeOptions();
+    options.env = &env;
+    auto db = LedgerDatabase::Open(std::move(options));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->CreateTable("t", SimpleUserSchema(),
+                                   TableKind::kUpdateable)
+                    .ok());
+    for (int i = 0; i < 20; i++)
+      ASSERT_TRUE(InsertOne(db->get(), "t", i, "unsynced").ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    env.SimulateCrash();
+  }
+  TearNewestCheckpoint();
+  auto db = Open();
+  auto txn = db->Begin("app");
+  auto rows = db->Scan(*txn, "t");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 20u);
+  ASSERT_TRUE(db->Commit(*txn).ok());
+}
+
 TEST_F(RecoveryTest, MissingNewestCheckpointFallsBackToPreviousGeneration) {
   // The crash window between WriteCheckpoint's two renames leaves only the
   // ".prev" generation on disk. That must still open and recover.
