@@ -64,11 +64,11 @@ TEST_F(SimSmokeTest, GoldenFingerprints) {
   };
   const Golden kGolden[] = {
       {1, "e69c12d05bdf4a06eaf884342dee8e344fd7a1d0fea44b90463ae8b4f67f6c8a",
-       "e5e75fe9dfe9b1aeddd1046164bef3c6a0bcfc1c1220431352df6384270c3a65"},
+       "ec1039d07ac6e89de79e77a62db321e44ec45a8550821d89f4052262cb386807"},
       {2, "8b9ad3534379a133983db9d3c9d112a229d75491bbe5a50f978f41b7ea0cff40",
-       "4fa6f7a743512cd3c3e8ebb83379e438beeec84be0c6ec98da08bf2866f797a6"},
+       "62e6983d2dd091d30bbbc273c75c5a8f15c35998fdc006a6334f90d7d7669f8e"},
       {3, "d5f745a6cba5413b8eaeca31f1c6ab4243e23a2d043731651e7ae8ada870f68f",
-       "fecfc31fd7971a9b8b67bd11d390111bfadeef98e7dd2d66498e91843f85a69d"},
+       "74c3f0cb4df9ced02e4f74bc69c1e705affdd41eeca701dfaf0fc85eca673791"},
   };
   for (const Golden& g : kGolden) {
     SimResult result = RunSim(MakeConfig(g.seed, 500));
