@@ -451,13 +451,18 @@ void Row::PutChange(const Cell& c, const Cell& prev,
                        static_cast<uint64_t>(prev.int_))));
 }
 
-Result<Cell> Row::GetChange(const Cell& prev, Decoder* dec) {
-  if (prev.null_)
+Result<Cell> Row::GetChange(const Iterator& prev, Decoder* dec) {
+  const uint8_t tag = *prev.tag_;
+  if ((tag & Cell::kNullTag) != 0)
     return Status::Corruption("a changed cell's predecessor is NULL");
-  auto c = Cell::DecodePayloadView(prev.tag(), dec);
-  if (c.ok() && c->IsIntegral())
-    c->int_ = static_cast<int64_t>(static_cast<uint64_t>(c->int_) +
-                                   static_cast<uint64_t>(prev.int_));
+  auto c = Cell::DecodePayloadView(tag & kTypeMask, dec);
+  if (c.ok() && IsInteger(tag)) {
+    // The stored predecessor's zigzag value, plus the difference mod 2^64.
+    c->int_ = static_cast<int64_t>(
+        static_cast<uint64_t>(c->int_) +
+        static_cast<uint64_t>(
+            ZigZagDecode64(LoadWidth(prev.payload_, Width(tag)))));
+  }
   return c;
 }
 
@@ -508,7 +513,7 @@ Result<Row> DecodeRow(Decoder* dec, const Row* prev) {
   auto cell_at = [](uint8_t s, const Row::Iterator& from,
                     Decoder* d) -> Result<Cell> {
     if (s == kWholeCell) return Cell::DecodeView(d);
-    if (s == kChangedCell) return Row::GetChange(*from, d);
+    if (s == kChangedCell) return Row::GetChange(from, d);
     return Status::Corruption("invalid cell state in an encoded row");
   };
   // Pass 1 validates every cell and sizes the block on a copy of the

@@ -320,9 +320,9 @@ class Row {
   /// `prev`'s value, mod 2^64, else its payload.
   static void PutChange(const Cell& c, const Cell& prev,
                         std::vector<uint8_t>* dst);
-  /// Reads a cell PutChange wrote against `prev`, as a view. Corruption
-  /// when `prev` is NULL.
-  static Result<Cell> GetChange(const Cell& prev, Decoder* dec);
+  /// Reads a cell PutChange wrote against the stored cell at `prev`, as a
+  /// view. Corruption when that cell is NULL.
+  static Result<Cell> GetChange(const Iterator& prev, Decoder* dec);
   /// Replaces cell `i` with `v` (CellRef's assignment).
   void Set(size_t i, const Cell& v);
 
