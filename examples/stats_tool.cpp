@@ -8,25 +8,40 @@
 // Runs S concurrent sessions committing N total transactions through the
 // durable group-commit pipeline, pushes a digest through the upload
 // pipeline's outbox, runs a full verification (seeding the incremental
-// watermark) followed by an incremental one, then dumps the snapshot.
-// --trace-out additionally writes the Chrome trace-event JSON
+// watermark) followed by an incremental one, takes a checkpoint, then dumps
+// the snapshot. --trace-out additionally writes the Chrome trace-event JSON
 // (chrome://tracing / ui.perfetto.dev).
+//
+// The snapshot gains a "disk" object, read after the database is closed:
+// every file's bytes; for each WAL generation its frame, record-header and
+// tuple bytes, and tuple bytes per (table id, op type); for each checkpoint
+// generation its header, meta and per-store bytes. The files are read only
+// through the engine's readers (ReadFrameLog, WalCommitRecord::Decode,
+// ReadCheckpoint, DecodeRow).
 //
 // The tool self-checks the snapshot: wal.sync_micros p99, the
 // commit.group_size histogram, the digest.outbox_depth gauge and
-// verify.incremental_micros must all be populated, so CI can gate on the
-// exit code. 0 = snapshot complete, 1 = setup/verification failure,
-// 3 = a required metric is missing or zero.
+// verify.incremental_micros must all be populated, and every WAL and
+// checkpoint generation must decode whole, with parts that add up to its
+// file's size, so CI can gate on the exit code. 0 = snapshot complete,
+// 1 = setup/verification failure, 3 = a required metric is missing or
+// zero, or the disk breakdown does not add up.
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "catalog/row.h"
 #include "ledger/digest_store.h"
 #include "ledger/verifier.h"
+#include "storage/checkpoint.h"
+#include "storage/wal.h"
+#include "util/coding.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -40,6 +55,175 @@ Schema PayloadSchema() {
   s.AddColumn("payload", DataType::kVarchar, false, 64);
   s.SetPrimaryKey({0});
   return s;
+}
+
+const char* OpName(WalOpType type) {
+  switch (type) {
+    case WalOpType::kInsert:
+      return "insert";
+    case WalOpType::kUpdate:
+      return "update";
+    case WalOpType::kDelete:
+      return "delete";
+    case WalOpType::kDefineTable:
+      return "define_table";
+    case WalOpType::kLedgerDelete:
+      return "ledger_delete";
+  }
+  return "unknown";
+}
+
+JsonValue Bytes(uint64_t n) { return JsonValue::Int(static_cast<int64_t>(n)); }
+
+/// One WAL generation's bytes by layer: frame_bytes + record_header_bytes
+/// + tuple_bytes = file_bytes. Every frame must be intact and every commit
+/// record must encode back to its own bytes, else `*problem` says why.
+JsonValue WalLayers(const std::string& path, uint64_t file_bytes,
+                    std::string* problem) {
+  uint64_t payload_bytes = 0, tuple_bytes = 0, commits = 0;
+  // (table id, op type) -> (tuples, bytes)
+  std::map<std::pair<uint32_t, WalOpType>, std::pair<uint64_t, uint64_t>>
+      tuples;
+  std::vector<size_t> sizes;
+  auto scan = ReadFrameLog(Env::Default(), path, [&](Slice payload) {
+    payload_bytes += payload.size();
+    if (payload[0] != kWalKindCommit) return Status::OK();
+    const Slice body(payload.data() + 1, payload.size() - 1);
+    auto record = WalCommitRecord::Decode(body, &sizes);
+    if (!record.ok()) return record.status();
+    std::vector<uint8_t> again;
+    record->EncodeTo(&again);
+    if (Slice(again) != body)
+      return Status::Corruption("a commit record does not encode back");
+    commits++;
+    for (size_t i = 0; i < record->ops.size(); i++) {
+      auto& [count, bytes] =
+          tuples[{record->ops[i].table_id, record->ops[i].type}];
+      count++;
+      bytes += sizes[i];
+      tuple_bytes += sizes[i];
+    }
+    return Status::OK();
+  });
+  JsonValue out = JsonValue::Object();
+  if (!scan.ok()) {
+    *problem = path + ": " + scan.status().ToString();
+    return out;
+  }
+  const uint64_t frame_bytes = scan->intact_bytes - payload_bytes;
+  if (scan->has_tail || scan->intact_bytes != file_bytes)
+    *problem = path + ": frames cover " + std::to_string(scan->intact_bytes) +
+               " of " + std::to_string(file_bytes) + " bytes";
+  out.Set("file_bytes", Bytes(file_bytes));
+  out.Set("records", Bytes(scan->records));
+  out.Set("commit_records", Bytes(commits));
+  out.Set("frame_bytes", Bytes(frame_bytes));
+  out.Set("record_header_bytes", Bytes(payload_bytes - tuple_bytes));
+  out.Set("tuple_bytes", Bytes(tuple_bytes));
+  JsonValue by_op = JsonValue::Array();
+  for (const auto& [key, value] : tuples) {
+    JsonValue entry = JsonValue::Object();
+    entry.Set("table_id", Bytes(key.first));
+    entry.Set("op", JsonValue::Str(OpName(key.second)));
+    entry.Set("tuples", Bytes(value.first));
+    entry.Set("bytes", Bytes(value.second));
+    by_op.Append(std::move(entry));
+  }
+  out.Set("tuples", std::move(by_op));
+  return out;
+}
+
+/// One checkpoint generation's bytes: header_bytes + meta_bytes +
+/// sections_bytes = file_bytes, and each store's section, every row decoded
+/// against the row before it, else `*problem` says why.
+JsonValue CheckpointLayers(const std::string& path, uint64_t file_bytes,
+                           std::string* problem) {
+  JsonValue out = JsonValue::Object();
+  auto checkpoint = ReadCheckpoint(path);
+  if (!checkpoint.ok()) {
+    *problem = path + ": " + checkpoint.status().ToString();
+    return out;
+  }
+  const std::vector<uint8_t>& payload = checkpoint->payload;
+  Decoder dec{Slice(payload.data() + checkpoint->stores_offset,
+                    payload.size() - checkpoint->stores_offset)};
+  auto sections = [&]() -> Result<JsonValue> {
+    JsonValue stores = JsonValue::Array();
+    auto count = dec.GetVarint32();
+    if (!count.ok()) return count.status();
+    for (uint32_t s = 0; s < *count; s++) {
+      const size_t start = dec.remaining();
+      auto table_id = dec.GetVarint32();
+      if (!table_id.ok()) return table_id.status();
+      auto rows = dec.GetVarint64();
+      if (!rows.ok()) return rows.status();
+      Row prev;
+      for (uint64_t r = 0; r < *rows; r++) {
+        auto row = DecodeRow(&dec, r == 0 ? nullptr : &prev);
+        if (!row.ok()) return row.status();
+        prev = std::move(*row);
+      }
+      JsonValue store = JsonValue::Object();
+      store.Set("table_id", Bytes(*table_id));
+      store.Set("rows", Bytes(*rows));
+      store.Set("bytes", Bytes(start - dec.remaining()));
+      stores.Append(std::move(store));
+    }
+    if (!dec.done()) return Status::Corruption("trailing bytes");
+    return stores;
+  }();
+  if (!sections.ok()) {
+    *problem = path + ": " + sections.status().ToString();
+    return out;
+  }
+  out.Set("file_bytes", Bytes(file_bytes));
+  out.Set("header_bytes", Bytes(file_bytes - payload.size()));
+  out.Set("meta_bytes", Bytes(checkpoint->stores_offset));
+  // The section count and every store's section.
+  out.Set("sections_bytes",
+          Bytes(payload.size() - checkpoint->stores_offset));
+  out.Set("stores", std::move(*sections));
+  return out;
+}
+
+/// The "disk" object for the closed data directory `dir`: every file's
+/// bytes, and each WAL and checkpoint generation by layer. Appends to
+/// `problems` each generation that does not decode whole.
+JsonValue DiskBreakdown(const std::string& dir,
+                        std::vector<std::string>* problems) {
+  JsonValue files = JsonValue::Object();
+  uint64_t total = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    const uint64_t bytes = entry.file_size();
+    files.Set(std::filesystem::relative(entry.path(), dir).string(),
+              Bytes(bytes));
+    total += bytes;
+  }
+  JsonValue wal = JsonValue::Object();
+  JsonValue checkpoint = JsonValue::Object();
+  for (const char* name : {"wal.log", "wal.log.prev"}) {
+    const std::string path = dir + "/" + name;
+    if (!std::filesystem::exists(path)) continue;
+    std::string problem;
+    wal.Set(name, WalLayers(path, std::filesystem::file_size(path), &problem));
+    if (!problem.empty()) problems->push_back(problem);
+  }
+  for (const char* name : {"checkpoint.sldb", "checkpoint.sldb.prev"}) {
+    const std::string path = dir + "/" + name;
+    if (!std::filesystem::exists(path)) continue;
+    std::string problem;
+    checkpoint.Set(name, CheckpointLayers(
+                             path, std::filesystem::file_size(path), &problem));
+    if (!problem.empty()) problems->push_back(problem);
+  }
+  JsonValue disk = JsonValue::Object();
+  disk.Set("total_bytes", Bytes(total));
+  disk.Set("files", std::move(files));
+  disk.Set("wal", std::move(wal));
+  disk.Set("checkpoint", std::move(checkpoint));
+  return disk;
 }
 
 }  // namespace
@@ -132,10 +316,10 @@ int main(int argc, char** argv) {
     std::printf("incremental verification failed\n");
     return 1;
   }
+  // Both WAL and checkpoint generations then hold the run.
+  if (!db->Checkpoint().ok()) return 1;
 
   MetricsSnapshot snap = db->MetricsSnapshot();
-  std::printf("%s\n", MetricsToJson(snap).DumpPretty().c_str());
-
   if (!trace_out.empty()) {
     std::ofstream out(trace_out);
     out << db->tracer()->ToChromeJson().Dump() << "\n";
@@ -143,6 +327,10 @@ int main(int argc, char** argv) {
   }
 
   db.reset();
+  std::vector<std::string> disk_problems;
+  JsonValue json = MetricsToJson(snap);
+  json.Set("disk", DiskBreakdown(data_dir, &disk_problems));
+  std::printf("%s\n", json.DumpPretty().c_str());
   std::filesystem::remove_all(data_dir);
 
   // Self-check: the acceptance metrics must be populated.
@@ -166,5 +354,9 @@ int main(int argc, char** argv) {
           "digest.outbox_depth gauge");
   require(hist_count("verify.incremental_micros") > 0,
           "nonzero verify.incremental_micros");
+  for (const std::string& problem : disk_problems) {
+    std::fprintf(stderr, "DISK: %s\n", problem.c_str());
+    rc = 3;
+  }
   return rc;
 }

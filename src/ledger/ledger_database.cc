@@ -11,15 +11,13 @@
 namespace sqlledger {
 
 namespace {
-// WAL record kinds (first payload byte). Retired commit records, refused
-// in a log: kind 1 logged history rows and whole table roots, kind 3
-// stamped row images encoded without predecessors, kind 4 rows whose
-// changed cells each carried a tag and an integer its whole value.
+// Retired WAL commit record kinds (wal.h has the live ones), refused in a
+// log: kind 1 logged history rows and whole table roots, kind 3 stamped
+// row images encoded without predecessors, kind 4 rows whose changed
+// cells each carried a tag and an integer its whole value.
 constexpr uint8_t kWalKindRetiredCommit = 1;
-constexpr uint8_t kWalKindBlockClose = 2;
 constexpr uint8_t kWalKindRetiredStampedCommit = 3;
 constexpr uint8_t kWalKindRetiredBitmapCommit = 4;
-constexpr uint8_t kWalKindCommit = 5;
 
 // Events kept by the database's trace ring before the oldest is overwritten
 // (DESIGN.md §13).

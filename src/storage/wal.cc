@@ -208,7 +208,8 @@ void WalCommitRecord::PatchSlot(std::vector<uint8_t>* buf, size_t slot_offset,
   std::memcpy(buf->data() + slot_offset, slot.data(), slot.size());
 }
 
-Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
+Result<WalCommitRecord> WalCommitRecord::Decode(
+    Slice payload, std::vector<size_t>* tuple_bytes) {
   Decoder dec(payload);
   WalCommitRecord rec;
 
@@ -249,6 +250,7 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
     return Status::Corruption("WAL op count exceeds the record");
   // Reserved, so a decoded tuple stays put while it is a predecessor.
   rec.ops.reserve(*num_ops);
+  if (tuple_bytes != nullptr) tuple_bytes->assign(*num_ops, 0);
   TuplePredecessors predecessors;
   for (uint32_t i = 0; i < *num_ops; i++) {
     auto type_byte = dec.GetBytes(1);
@@ -282,10 +284,12 @@ Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload) {
     const bool deletes = op.type == WalOpType::kDelete ||
                          op.type == WalOpType::kLedgerDelete;
     Row& tuple = deletes ? op.key : op.new_row;
+    const size_t before = dec.remaining();
     auto row = DecodeRow(&dec, prev);
     if (!row.ok()) return row.status();
     tuple = std::move(*row);
     prev = &tuple;
+    if (tuple_bytes != nullptr) (*tuple_bytes)[i] = before - dec.remaining();
   }
   if (!dec.done()) return Status::Corruption("trailing bytes in WAL record");
   return rec;

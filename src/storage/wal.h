@@ -46,6 +46,12 @@
 
 namespace sqlledger {
 
+/// The kind of a WAL record: its payload's first byte. A commit record's
+/// body is a WalCommitRecord; a block close's a varint block id. Retired
+/// commit record kinds (1, 3 and 4) are refused at replay.
+constexpr uint8_t kWalKindBlockClose = 2;
+constexpr uint8_t kWalKindCommit = 5;
+
 /// Kind of a logged redo operation.
 enum class WalOpType : uint8_t {
   kInsert = 1,        // new_row inserted into table_id
@@ -152,7 +158,11 @@ struct WalCommitRecord {
   /// Overwrites the slot pair previously encoded at `slot_offset`.
   static void PatchSlot(std::vector<uint8_t>* buf, size_t slot_offset,
                         uint64_t block_id, uint64_t block_ordinal);
-  static Result<WalCommitRecord> Decode(Slice payload);
+  /// Decodes a record (the payload after its kind byte). With
+  /// `tuple_bytes`, also reports the encoded bytes of each op's tuple, in
+  /// op order (0 for a definition op), for a breakdown of what a log holds.
+  static Result<WalCommitRecord> Decode(
+      Slice payload, std::vector<size_t>* tuple_bytes = nullptr);
 };
 
 /// Appends one frame holding `payload`, which must not be empty.
