@@ -97,6 +97,14 @@ to the offending line — use sparingly and say why on an adjacent comment):
                   and DML, replay, views and truncation read the entry's
                   plan under a table lock, so no reader sees a schema that
                   a DDL rewrites under it (DESIGN.md §8).
+  one-row-codec   a call of the cell codec — Cell::EncodeTo on a cell (a
+                  name declared a Cell, CellRef or Value, an indexed row
+                  cell, or a dereferenced Row::Iterator), EncodePayloadTo,
+                  DecodeView, DecodePayloadView or Value::DecodeFrom — in
+                  src/ outside src/catalog/. Persisted rows are encoded and
+                  decoded by EncodeRow/DecodeRow alone, against their
+                  predecessor (DESIGN.md §4); a cell written or read on its
+                  own elsewhere is a second row format.
   abort-after-commit
                   an Abort(x) after a Commit(x) of the same transaction in
                   src/, tests/, bench/ or examples/: within the next 3 lines,
@@ -597,6 +605,46 @@ def check_pinned_plan(path, lines, findings):
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-row-codec
+# ---------------------------------------------------------------------------
+
+CELL_CODEC_CALL_RE = re.compile(
+    r"\b(?:EncodePayloadTo|DecodeView|DecodePayloadView)\s*\("
+    r"|\bValue\s*::\s*DecodeFrom\s*\(")
+CELL_DECL_RE = re.compile(r"\b(?:Cell|CellRef|Value)\s*[&*]*\s+(\w+)")
+ITERATOR_DECL_RE = re.compile(r"\bRow\s*::\s*Iterator\s*[&*]*\s+(\w+)")
+# The receiver of an EncodeTo call: a name, a dereferenced name or an
+# indexed expression.
+ENCODE_TO_RE = re.compile(
+    r"(?:\(\s*\*\s*(\w+)\s*\)|(\w+)|(\]))\s*(?:\.|->)\s*EncodeTo\s*\(")
+CATALOG_DIR = os.path.join("src", "catalog")
+
+
+def check_one_row_codec(path, lines, findings):
+    rel = os.path.relpath(path, REPO_ROOT)
+    if not rel.startswith("src" + os.sep):
+        return  # tests pin cell bytes on purpose
+    if rel.startswith(CATALOG_DIR + os.sep):
+        return  # the codec itself
+    code = [strip_noise(raw) for raw in lines]
+    cells = {m.group(1) for line in code for m in CELL_DECL_RE.finditer(line)}
+    iterators = {m.group(1) for line in code
+                 for m in ITERATOR_DECL_RE.finditer(line)}
+    for i, (raw, line) in enumerate(zip(lines, code), 1):
+        hit = CELL_CODEC_CALL_RE.search(line) is not None
+        for m in ENCODE_TO_RE.finditer(line):
+            deref, name, indexed = m.groups()
+            hit |= (indexed is not None or name in cells or
+                    deref in iterators or deref in cells)
+        if not hit or allowed(raw, "one-row-codec"):
+            continue
+        findings.append(Finding(
+            "one-row-codec", path, i,
+            "cell codec called outside src/catalog/; persist rows with "
+            "EncodeRow/DecodeRow, the one row codec (DESIGN.md §4)"))
+
+
+# ---------------------------------------------------------------------------
 # Rule: abort-after-commit
 # ---------------------------------------------------------------------------
 
@@ -814,6 +862,7 @@ CHECKS = [
     ("stamp-once", SRC_DIRS, check_stamp_once),
     ("one-key-type", SRC_DIRS, check_one_key_type),
     ("pinned-plan", SRC_DIRS, check_pinned_plan),
+    ("one-row-codec", SRC_DIRS, check_one_row_codec),
     ("metric-naming", ALL_CODE_DIRS, check_metric_naming),
     ("abort-after-commit", ALL_CODE_DIRS, check_abort_after_commit),
 ]
@@ -967,6 +1016,30 @@ SELF_TEST_CASES = [
     ("pinned-plan", "src/ledger/x_selftest.cc",
      "std::vector<size_t> visible = schema.VisibleOrdinals();",
      "const std::vector<size_t>& visible = t.plan->visible_ords;"),
+    ("one-row-codec", "src/storage/x_selftest.cc",
+     "for (Cell c : row) c.EncodeTo(dst);",
+     "EncodeRow(row, prev, dst);"),
+    ("one-row-codec", "src/storage/x_selftest.cc",
+     "row[i].EncodeTo(&buf);",
+     "record.EncodeTo(&buf);"),
+    ("one-row-codec", "src/ledger/x_selftest.cc",
+     "for (Row::Iterator it = row.begin(); it != row.end(); ++it)\n"
+     "  (*it).EncodeTo(&out);",
+     "for (const WalOp& op : ops) op.definition->EncodeTo(&out);"),
+    ("one-row-codec", "src/ledger/x_selftest.cc",
+     "const Value& v = values[i];\n"
+     "v.EncodeTo(&out);",
+     "const Value& v = values[i];\n"
+     "entry->Definition().EncodeTo(&out);"),
+    ("one-row-codec", "src/storage/x_selftest.cc",
+     "auto cell = Cell::DecodeView(&dec);",
+     "auto row = DecodeRow(&dec, prev);"),
+    ("one-row-codec", "src/storage/x_selftest.cc",
+     "auto v = Value::DecodeFrom(&dec);",
+     "auto rec = WalCommitRecord::Decode(body);"),
+    ("one-row-codec", "src/sim/x_selftest.cc",
+     "cell.EncodePayloadTo(&out);",
+     "Row::PutChange(cell, before, &out);"),
     # A status the commit set, tested on the next line.
     ("abort-after-commit", "tests/x_selftest.cc",
      "if (st.ok()) st = db->Commit(*txn);\n"
@@ -1083,6 +1156,18 @@ ONE_KEY_TYPE_SCOPE = [
     ("src/sql/session.cc", False),
     ("src/ledger/schema_changes.cc", False),
     ("tests/row_test.cc", False),
+]
+
+# (path, fires): one cell encoded on its own, flagged everywhere in src/
+# but the codec's directory, and never in tests.
+ONE_ROW_CODEC_SCOPE = [
+    ("src/catalog/row.cc", False),
+    ("src/catalog/value.cc", False),
+    ("src/storage/wal.cc", True),
+    ("src/storage/checkpoint.cc", True),
+    ("src/ledger/verifier.cc", True),
+    ("tests/codec_fuzz_test.cc", False),
+    ("examples/stats_tool.cpp", False),
 ]
 
 # (path, text, fires): a store's schema read fires only in the SQL layer;
@@ -1244,6 +1329,21 @@ def self_test_pinned_plan_scope():
     return failures
 
 
+def self_test_one_row_codec_scope():
+    """The same cell encoding fires or stays quiet by file."""
+    failures = 0
+    text = ["for (Cell c : row) c.EncodeTo(dst);\n"]
+    for rel, expect_fire in ONE_ROW_CODEC_SCOPE:
+        findings = []
+        check_one_row_codec(os.path.join(REPO_ROOT, rel), text, findings)
+        if bool(findings) != expect_fire:
+            failures += 1
+            print(f"SELF-TEST FAIL [one-row-codec/{rel}]:"
+                  f" {'did not fire' if expect_fire else 'fired'}",
+                  file=sys.stderr)
+    return failures
+
+
 def run_self_test():
     global REPO_ROOT
     real_root = REPO_ROOT
@@ -1255,6 +1355,7 @@ def run_self_test():
     failures += self_test_stamp_once_scope()
     failures += self_test_one_key_type_scope()
     failures += self_test_pinned_plan_scope()
+    failures += self_test_one_row_codec_scope()
     for rule, rel, bad, good in SELF_TEST_CASES:
         for variant, text, expect_fire in (("bad", bad, True),
                                            ("good", good, False)):
@@ -1284,7 +1385,8 @@ def run_self_test():
     cases = (len(SELF_TEST_CASES) + 5 +
              len(DEFINITION_APPLY_SCOPE) * len(DEFINITION_APPLY_SCOPE_TEXTS) +
              len(ONE_UPLOADER_SCOPE) + len(STAMP_ONCE_SCOPE) +
-             len(ONE_KEY_TYPE_SCOPE) + len(PINNED_PLAN_SCOPE))
+             len(ONE_KEY_TYPE_SCOPE) + len(PINNED_PLAN_SCOPE) +
+             len(ONE_ROW_CODEC_SCOPE))
     print(f"lint.py --self-test: all {cases} cases pass "
           "(each rule fires on its seeded violation, stays quiet on the fix).")
     return 0
