@@ -73,7 +73,7 @@ const char* OpName(WalOpType type) {
   return "unknown";
 }
 
-JsonValue Bytes(uint64_t n) { return JsonValue::Int(static_cast<int64_t>(n)); }
+JsonValue Count(uint64_t n) { return JsonValue::Int(static_cast<int64_t>(n)); }
 
 /// One WAL generation's bytes by layer: frame_bytes + record_header_bytes
 /// + tuple_bytes = file_bytes. Every frame must be intact and every commit
@@ -114,19 +114,19 @@ JsonValue WalLayers(const std::string& path, uint64_t file_bytes,
   if (scan->has_tail || scan->intact_bytes != file_bytes)
     *problem = path + ": frames cover " + std::to_string(scan->intact_bytes) +
                " of " + std::to_string(file_bytes) + " bytes";
-  out.Set("file_bytes", Bytes(file_bytes));
-  out.Set("records", Bytes(scan->records));
-  out.Set("commit_records", Bytes(commits));
-  out.Set("frame_bytes", Bytes(frame_bytes));
-  out.Set("record_header_bytes", Bytes(payload_bytes - tuple_bytes));
-  out.Set("tuple_bytes", Bytes(tuple_bytes));
+  out.Set("file_bytes", Count(file_bytes));
+  out.Set("records", Count(scan->records));
+  out.Set("commit_records", Count(commits));
+  out.Set("frame_bytes", Count(frame_bytes));
+  out.Set("record_header_bytes", Count(payload_bytes - tuple_bytes));
+  out.Set("tuple_bytes", Count(tuple_bytes));
   JsonValue by_op = JsonValue::Array();
   for (const auto& [key, value] : tuples) {
     JsonValue entry = JsonValue::Object();
-    entry.Set("table_id", Bytes(key.first));
+    entry.Set("table_id", Count(key.first));
     entry.Set("op", JsonValue::Str(OpName(key.second)));
-    entry.Set("tuples", Bytes(value.first));
-    entry.Set("bytes", Bytes(value.second));
+    entry.Set("tuples", Count(value.first));
+    entry.Set("bytes", Count(value.second));
     by_op.Append(std::move(entry));
   }
   out.Set("tuples", std::move(by_op));
@@ -164,9 +164,9 @@ JsonValue CheckpointLayers(const std::string& path, uint64_t file_bytes,
         prev = std::move(*row);
       }
       JsonValue store = JsonValue::Object();
-      store.Set("table_id", Bytes(*table_id));
-      store.Set("rows", Bytes(*rows));
-      store.Set("bytes", Bytes(start - dec.remaining()));
+      store.Set("table_id", Count(*table_id));
+      store.Set("rows", Count(*rows));
+      store.Set("bytes", Count(start - dec.remaining()));
       stores.Append(std::move(store));
     }
     if (!dec.done()) return Status::Corruption("trailing bytes");
@@ -176,12 +176,11 @@ JsonValue CheckpointLayers(const std::string& path, uint64_t file_bytes,
     *problem = path + ": " + sections.status().ToString();
     return out;
   }
-  out.Set("file_bytes", Bytes(file_bytes));
-  out.Set("header_bytes", Bytes(file_bytes - payload.size()));
-  out.Set("meta_bytes", Bytes(checkpoint->stores_offset));
+  out.Set("file_bytes", Count(file_bytes));
+  out.Set("header_bytes", Count(file_bytes - payload.size()));
+  out.Set("meta_bytes", Count(checkpoint->stores_offset));
   // The section count and every store's section.
-  out.Set("sections_bytes",
-          Bytes(payload.size() - checkpoint->stores_offset));
+  out.Set("sections_bytes", Count(payload.size() - checkpoint->stores_offset));
   out.Set("stores", std::move(*sections));
   return out;
 }
@@ -198,7 +197,7 @@ JsonValue DiskBreakdown(const std::string& dir,
     if (!entry.is_regular_file()) continue;
     const uint64_t bytes = entry.file_size();
     files.Set(std::filesystem::relative(entry.path(), dir).string(),
-              Bytes(bytes));
+              Count(bytes));
     total += bytes;
   }
   JsonValue wal = JsonValue::Object();
@@ -219,7 +218,7 @@ JsonValue DiskBreakdown(const std::string& dir,
     if (!problem.empty()) problems->push_back(problem);
   }
   JsonValue disk = JsonValue::Object();
-  disk.Set("total_bytes", Bytes(total));
+  disk.Set("total_bytes", Count(total));
   disk.Set("files", std::move(files));
   disk.Set("wal", std::move(wal));
   disk.Set("checkpoint", std::move(checkpoint));

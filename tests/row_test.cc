@@ -578,7 +578,8 @@ TEST(RowTest, EncodedRowBoundCoversTheEncoding) {
   // (row, predecessors besides none and the row itself)
   std::vector<std::pair<Row, std::vector<Row>>> cases = {
       {Row{}, {}},
-      {Row{Value::Double(0.0)}, {Row{nan}, Row{Value::Null(DataType::kDouble)}}},
+      {Row{Value::Double(0.0)},
+       {Row{nan}, Row{Value::Null(DataType::kDouble)}}},
       {Row(std::vector<Value>(300, Value::Double(0.0))),
        {Row(std::vector<Value>(300, nan))}},
       {Row{Value::BigInt(0)},
