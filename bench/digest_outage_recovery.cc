@@ -102,8 +102,9 @@ int main(int argc, char** argv) {
   popts.outbox_dir = (work / "outbox").string();
   popts.outbox_capacity = 256;
   popts.initial_backoff_micros = 50 * 1000;  // 50 ms
-  popts.max_backoff_micros = 500 * 1000;     // cap retries at 2/s
-  popts.probe_interval_micros = 250 * 1000;  // open-breaker probe cadence
+  // The cap is the retry cadence once the breaker is open (from the 4th
+  // consecutive failure): 4 retries/s.
+  popts.max_backoff_micros = 250 * 1000;
   Status started = db->StartDigestProtection(&store, popts);
   if (!started.ok()) {
     std::fprintf(stderr, "StartDigestProtection: %s\n",

@@ -276,7 +276,6 @@ int main(int argc, char** argv) {
   popts.initial_backoff_micros = 0;
   popts.max_backoff_micros = 0;
   popts.jitter = 0;
-  popts.probe_interval_micros = 0;
   if (!db->StartDigestProtection(&store, popts).ok()) return 1;
 
   const int per_session = txns / sessions;

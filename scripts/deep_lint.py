@@ -18,8 +18,9 @@ A call whose receiver type the parser cannot resolve reaches no callee,
 so it adds no lock-graph edge: the analysis does not guess.
 
 Escape hatch: `// lint: allow(<rule>): <justification>` on the offending
-line or the line above.  The justification after the colon is mandatory;
-an allow() without one is itself a finding.
+line or the line above, matched by lint.py's parse_allow/allow_line, so
+both tools read it alike.  The justification after the colon is mandatory
+here; an allow() without one is itself a finding.
 
 Exit codes: 0 clean, 1 findings, 2 infrastructure error.
 """
@@ -28,6 +29,12 @@ import argparse
 import os
 import re
 import sys
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+try:
+    import lint  # the shared allow matcher, and lint.py's rule names
+finally:
+    sys.path.pop(0)
 
 RULES = {
     "env-bypass",
@@ -41,11 +48,6 @@ def lint_py_rules():
     """The rules of scripts/lint.py, which shares the `// lint: allow(...)`
     escape hatch: an allow naming one of them is not an unknown rule here
     (it still needs a justification)."""
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    try:
-        import lint
-    finally:
-        sys.path.pop(0)
     return {rule for rule, *_ in lint.CHECKS + lint.REPO_CHECKS}
 
 # RAII guard types from util/thread_annotations.h.
@@ -84,10 +86,6 @@ EXCLUDED = {"src/util/thread_annotations.h"}
 DIGEST_ARG_RE = re.compile(
     r"(?i)(hash|digest|hmac|\bmac\b|signature|fingerprint|tag\b|\broot\b)")
 DIGEST_EXEMPT_RE = re.compile(r"(?i)(magic|header)")
-
-ALLOW_RE = re.compile(
-    r"//\s*lint:\s*allow\(\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)\s*\)"
-    r"(\s*:\s*(\S.*))?")
 
 CONTROL_KEYWORDS = {
     "if", "for", "while", "switch", "catch", "return", "sizeof",
@@ -184,10 +182,9 @@ def scan_allow_comments(text):
     """Map line -> (rules, has_justification) for lint: allow comments."""
     out = {}
     for i, line in enumerate(text.splitlines(), start=1):
-        m = ALLOW_RE.search(line)
-        if m:
-            rules = {r.strip() for r in m.group(1).split(",")}
-            out[i] = (rules, m.group(3) is not None)
+        entry = lint.parse_allow(line)
+        if entry:
+            out[i] = entry
     return out
 
 
@@ -1144,13 +1141,8 @@ def apply_allows(findings, model):
     out = []
     used = set()
     for f in findings:
-        allows = model.allow.get(f.file, {})
-        hit = None
-        for ln in (f.line, f.line - 1):
-            ent = allows.get(ln)
-            if ent and f.rule in ent[0]:
-                hit = ln
-                break
+        hit = lint.allow_line(model.allow.get(f.file, {}).get, f.line,
+                              f.rule)
         if hit is not None:
             used.add((f.file, hit))
             continue

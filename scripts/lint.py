@@ -7,8 +7,9 @@ enforce for us. Run from anywhere inside the repo:
     python3 scripts/lint.py            # lint the tree, exit non-zero on findings
     python3 scripts/lint.py --self-test  # verify each rule fires on a seeded violation
 
-Rules (each one has a # lint-off escape hatch: append `// lint: allow(<rule>)`
-to the offending line — use sparingly and say why on an adjacent comment):
+Rules (each one has an escape hatch: `// lint: allow(<rule>): <why>` on the
+offending line or the line above it, the grammar deep_lint.py shares through
+parse_allow/allow_line below — use sparingly):
 
   determinism     rand()/srand()/std::random_device/time(NULL) outside
                   src/util/random.*. Everything that needs randomness or a
@@ -73,6 +74,15 @@ to the offending line — use sparingly and say why on an adjacent comment):
                   src/ledger/faulty_digest_store.cc). DigestUploadPipeline
                   is the one uploader: its chain check (fork detection,
                   paper §3.3.1) must see every digest before a store does
+                  (DESIGN.md §9).
+  one-digest-issuer
+                  a call of the ledger-level GenerateDigest( with arguments
+                  on a receiver (`ledger_->GenerateDigest(id, create_time)`)
+                  in src/ outside src/ledger/ledger_database.cc and
+                  src/ledger/database_ledger.cc. LedgerDatabase::
+                  GenerateDigest() is the one digest issuer: the SQL
+                  GENERATE DIGEST, truncation and the upload pipeline all
+                  reach it, so no digest bypasses its §3.6 geo gate
                   (DESIGN.md §9).
   stamp-once      a CellRef assignment to a ledger version's stamp cell
                   (`row[t.start_txn_ord] = ...`, likewise start_seq_ord,
@@ -139,7 +149,11 @@ ALL_CODE_DIRS = ["src", "tests", "bench", "examples"]
 
 CPP_EXT = (".cc", ".h")
 
-ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
+# `// lint: allow(<rule>[, <rule>...]): <justification>`. deep_lint.py
+# requires the justification; both tools match through parse_allow.
+ALLOW_RE = re.compile(
+    r"//\s*lint:\s*allow\(\s*([a-z-]+(?:\s*,\s*[a-z-]+)*)\s*\)"
+    r"(\s*:\s*(\S.*))?")
 LINE_COMMENT_RE = re.compile(r"//.*$")
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 
@@ -173,12 +187,29 @@ def strip_noise(line):
     return LINE_COMMENT_RE.sub("", line)
 
 
-def allowed(line, rule):
+def parse_allow(line):
+    """(rules, has_justification) of the allow comment on `line`, or None."""
     m = ALLOW_RE.search(line)
     if not m:
-        return False
-    rules = [r.strip() for r in m.group(1).split(",")]
-    return rule in rules
+        return None
+    return {r.strip() for r in m.group(1).split(",")}, m.group(3) is not None
+
+
+def allow_line(allow_at, lineno, rule):
+    """The line, `lineno` or the one above it, whose allow comment names
+    `rule`, or None. `allow_at(n)` gives line n's parse_allow result."""
+    for ln in (lineno, lineno - 1):
+        entry = allow_at(ln)
+        if entry and rule in entry[0]:
+            return ln
+    return None
+
+
+def allowed(lines, lineno, rule):
+    """Whether an allow comment covers `rule` at 1-based `lineno`."""
+    return allow_line(
+        lambda n: parse_allow(lines[n - 1]) if 1 <= n <= len(lines) else None,
+        lineno, rule) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +234,7 @@ def check_determinism(path, lines, findings):
     for i, raw in enumerate(lines, 1):
         line = strip_noise(raw)
         if DETERMINISM_RE.search(line):
-            if allowed(raw, "determinism"):
+            if allowed(lines, i, "determinism"):
                 continue
             findings.append(Finding(
                 "determinism", path, i,
@@ -231,7 +262,7 @@ def check_raw_sha(path, lines, findings):
     for i, raw in enumerate(lines, 1):
         line = strip_noise(raw)
         if RAW_SHA_RE.search(line):
-            if allowed(raw, "raw-sha"):
+            if allowed(lines, i, "raw-sha"):
                 continue
             findings.append(Finding(
                 "raw-sha", path, i,
@@ -260,7 +291,7 @@ def check_raw_crc(path, lines, findings):
     for i, raw in enumerate(lines, 1):
         line = strip_noise(raw)
         if RAW_CRC_RE.search(line):
-            if allowed(raw, "raw-crc"):
+            if allowed(lines, i, "raw-crc"):
                 continue
             findings.append(Finding(
                 "raw-crc", path, i,
@@ -289,7 +320,7 @@ def check_raw_sync(path, lines, findings):
         line = strip_noise(raw)
         m = RAW_SYNC_RE.search(line)
         if m:
-            if allowed(raw, "raw-sync"):
+            if allowed(lines, i, "raw-sync"):
                 continue
             findings.append(Finding(
                 "raw-sync", path, i,
@@ -312,7 +343,7 @@ def check_tsa_escape(path, lines, findings):
         line = strip_noise(raw)
         if "NO_THREAD_SAFETY_ANALYSIS" not in line:
             continue
-        if allowed(raw, "tsa-escape"):
+        if allowed(lines, i, "tsa-escape"):
             continue
         # Look for an explanatory comment on this line or within the two
         # lines above (the repo convention is a justification block comment
@@ -342,7 +373,7 @@ def check_void_discard(path, lines, findings):
     for i, raw in enumerate(lines, 1):
         if not VOID_DISCARD_RE.search(raw):
             continue
-        if allowed(raw, "void-discard"):
+        if allowed(lines, i, "void-discard"):
             continue
         # A justification comment may trail the statement (possibly on the
         # line where the statement ends) or sit up to two lines above it —
@@ -390,7 +421,7 @@ def check_commit_sync(path, lines, findings):
         if COMMIT_UNLOCK_RE.search(line):
             manual_locked = False
         if (lock_depths or manual_locked) and SYNC_CALL_RE.search(line):
-            if not allowed(raw, "commit-sync"):
+            if not allowed(lines, i, "commit-sync"):
                 findings.append(Finding(
                     "commit-sync", path, i,
                     "Sync() inside a commit_mu_ critical section; the group "
@@ -432,7 +463,7 @@ def check_metric_naming(path, lines, findings):
             name = m.group(1)
             if is_valid_metric_name(name):
                 continue
-            if allowed(raw, "metric-naming"):
+            if allowed(lines, i, "metric-naming"):
                 continue
             findings.append(Finding(
                 "metric-naming", path, i,
@@ -473,7 +504,7 @@ def check_definition_apply(path, lines, findings):
         return
     for i, raw in enumerate(lines, 1):
         line = strip_noise(raw)
-        if allowed(raw, "definition-apply"):
+        if allowed(lines, i, "definition-apply"):
             continue
         if STORE_MAKE_RE.search(line):
             findings.append(Finding(
@@ -512,12 +543,44 @@ def check_one_uploader(path, lines, findings):
     for i, raw in enumerate(lines, 1):
         if not UPLOAD_CALL_RE.search(strip_noise(raw)):
             continue
-        if allowed(raw, "one-uploader"):
+        if allowed(lines, i, "one-uploader"):
             continue
         findings.append(Finding(
             "one-uploader", path, i,
             "digest uploaded outside DigestUploadPipeline; submit it to the "
             "pipeline so the chain check sees it (DESIGN.md §9)"))
+
+
+# ---------------------------------------------------------------------------
+# Rule: one-digest-issuer
+# ---------------------------------------------------------------------------
+
+# A receiver call whose parentheses do not close at once: the ledger-level
+# GenerateDigest(database_id, create_time), not LedgerDatabase's ().
+LEDGER_DIGEST_CALL_RE = re.compile(
+    r"(?:->|\.)\s*GenerateDigest\s*\((?!\s*\))")
+DIGEST_ISSUER_FILES = {
+    os.path.join("src", "ledger", name)
+    for name in ("ledger_database.cc", "database_ledger.cc")
+}
+
+
+def check_one_digest_issuer(path, lines, findings):
+    rel = os.path.relpath(path, REPO_ROOT)
+    if not rel.startswith("src" + os.sep):
+        return  # tests drive the Database Ledger on its own
+    if rel in DIGEST_ISSUER_FILES:
+        return
+    for i, raw in enumerate(lines, 1):
+        if not LEDGER_DIGEST_CALL_RE.search(strip_noise(raw)):
+            continue
+        if allowed(lines, i, "one-digest-issuer"):
+            continue
+        findings.append(Finding(
+            "one-digest-issuer", path, i,
+            "digest issued from the Database Ledger directly; call "
+            "LedgerDatabase::GenerateDigest(), the one issuer, so the geo "
+            "gate sees it (DESIGN.md §9)"))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +602,7 @@ def check_stamp_once(path, lines, findings):
     for i, raw in enumerate(lines, 1):
         if not STAMP_WRITE_RE.search(strip_noise(raw)):
             continue
-        if allowed(raw, "stamp-once"):
+        if allowed(lines, i, "stamp-once"):
             continue
         findings.append(Finding(
             "stamp-once", path, i,
@@ -562,7 +625,7 @@ def check_one_key_type(path, lines, findings):
     for i, raw in enumerate(lines, 1):
         if not VALUE_VECTOR_RE.search(strip_noise(raw)):
             continue
-        if allowed(raw, "one-key-type"):
+        if allowed(lines, i, "one-key-type"):
             continue
         findings.append(Finding(
             "one-key-type", path, i,
@@ -589,7 +652,7 @@ def check_pinned_plan(path, lines, findings):
     in_sql = rel.startswith(os.path.join("src", "sql") + os.sep)
     for i, raw in enumerate(lines, 1):
         line = strip_noise(raw)
-        if allowed(raw, "pinned-plan"):
+        if allowed(lines, i, "pinned-plan"):
             continue
         if in_sql and STORE_SCHEMA_CALL_RE.search(line):
             findings.append(Finding(
@@ -636,7 +699,7 @@ def check_one_row_codec(path, lines, findings):
             deref, name, indexed = m.groups()
             hit |= (indexed is not None or name in cells or
                     deref in iterators or deref in cells)
-        if not hit or allowed(raw, "one-row-codec"):
+        if not hit or allowed(lines, i, "one-row-codec"):
             continue
         findings.append(Finding(
             "one-row-codec", path, i,
@@ -721,7 +784,7 @@ def check_abort_after_commit(path, lines, findings):
                         stop = k  # left the block holding the commit
                         break
                 hit = abort_re.search(text[:stop])
-                if hit and not allowed(lines[j], "abort-after-commit"):
+                if hit and not allowed(lines, j + 1, "abort-after-commit"):
                     findings.append(Finding(
                         "abort-after-commit", path, j + 1,
                         f"Abort({arg}) after Commit({arg}) on line {c + 1}; "
@@ -759,7 +822,7 @@ def check_digest_decorator_coverage(findings, root=None):
                 continue
             for i, raw in enumerate(lines, 1):
                 m = DIGEST_STORE_CLASS_RE.search(strip_noise(raw))
-                if m and not allowed(raw, "digest-decorator-coverage"):
+                if m and not allowed(lines, i, "digest-decorator-coverage"):
                     classes[m.group(1)] = (path, i)
     if not classes:
         return
@@ -859,6 +922,7 @@ CHECKS = [
     ("commit-sync", SRC_DIRS, check_commit_sync),
     ("definition-apply", SRC_DIRS, check_definition_apply),
     ("one-uploader", SRC_DIRS, check_one_uploader),
+    ("one-digest-issuer", SRC_DIRS, check_one_digest_issuer),
     ("stamp-once", SRC_DIRS, check_stamp_once),
     ("one-key-type", SRC_DIRS, check_one_key_type),
     ("pinned-plan", SRC_DIRS, check_pinned_plan),
@@ -998,6 +1062,29 @@ SELF_TEST_CASES = [
     ("one-uploader", "src/ledger/x_selftest.cc",
      "SL_RETURN_IF_ERROR(store->Upload(*digest));",
      "SL_RETURN_IF_ERROR(pipeline->SubmitDigest(*digest));"),
+    # The escape hatch covers its own line and the line below, no further.
+    ("one-uploader", "src/ledger/x_selftest.cc",
+     "// lint: allow(one-uploader): replays a digest the store lost\n"
+     "\n"
+     "SL_RETURN_IF_ERROR(store->Upload(*digest));",
+     "// lint: allow(one-uploader): replays a digest the store lost\n"
+     "SL_RETURN_IF_ERROR(store->Upload(*digest));"),
+    ("commit-sync", "src/ledger/x_selftest.cc",
+     "MutexLock lock(&commit_mu_);\n"
+     "// lint: allow(commit-sync): the checkpoint owns the log here\n"
+     "\n"
+     "wal_->Sync();",
+     "MutexLock lock(&commit_mu_);\n"
+     "// lint: allow(commit-sync): the checkpoint owns the log here\n"
+     "wal_->Sync();"),
+    ("one-digest-issuer", "src/ledger/x_selftest.cc",
+     "auto d = db->database_ledger()->GenerateDigest(id, db->create_time());",
+     "auto d = db->GenerateDigest();"),
+    ("one-digest-issuer", "src/sql/x_selftest.cc",
+     "auto d = ledger.GenerateDigest(\n"
+     "    options.database_id, create_time);",
+     "Result<DatabaseDigest> GenerateDigest(const std::string& database_id,\n"
+     "                                      const std::string& create_time);"),
     ("stamp-once", "src/ledger/x_selftest.cc",
      "version[t.end_txn_ord] = Value::BigInt(txn_id);",
      "Row version = current.With({{t.end_txn_ord, Value::BigInt(txn_id)}});"),
@@ -1135,6 +1222,19 @@ ONE_UPLOADER_SCOPE = [
     ("src/ledger/ledger_database.cc", True),
     ("src/sim/driver.cc", True),
     ("tests/fault_injection_test.cc", False),
+    ("bench/ledger_bench/audit.cc", False),
+]
+
+# (path, fires): one ledger-level digest, flagged everywhere in src/ but
+# the issuer and the Database Ledger itself, and never in tests or benches.
+ONE_DIGEST_ISSUER_SCOPE = [
+    ("src/ledger/ledger_database.cc", False),
+    ("src/ledger/database_ledger.cc", False),
+    ("src/ledger/digest_pipeline.cc", True),
+    ("src/ledger/truncation.cc", True),
+    ("src/sql/session.cc", True),
+    ("src/sim/driver.cc", True),
+    ("tests/database_ledger_test.cc", False),
     ("bench/ledger_bench/audit.cc", False),
 ]
 
@@ -1284,6 +1384,21 @@ def self_test_one_uploader_scope():
     return failures
 
 
+def self_test_one_digest_issuer_scope():
+    """The same ledger-level digest fires or stays quiet by file."""
+    failures = 0
+    text = ["auto d = ledger_->GenerateDigest(database_id, create_time_);\n"]
+    for rel, expect_fire in ONE_DIGEST_ISSUER_SCOPE:
+        findings = []
+        check_one_digest_issuer(os.path.join(REPO_ROOT, rel), text, findings)
+        if bool(findings) != expect_fire:
+            failures += 1
+            print(f"SELF-TEST FAIL [one-digest-issuer/{rel}]:"
+                  f" {'did not fire' if expect_fire else 'fired'}",
+                  file=sys.stderr)
+    return failures
+
+
 def self_test_stamp_once_scope():
     """The same stamp write fires or stays quiet by file."""
     failures = 0
@@ -1352,6 +1467,7 @@ def run_self_test():
     failures += self_test_bench_docs()
     failures += self_test_definition_apply_scope()
     failures += self_test_one_uploader_scope()
+    failures += self_test_one_digest_issuer_scope()
     failures += self_test_stamp_once_scope()
     failures += self_test_one_key_type_scope()
     failures += self_test_pinned_plan_scope()
@@ -1384,7 +1500,8 @@ def run_self_test():
         return 1
     cases = (len(SELF_TEST_CASES) + 5 +
              len(DEFINITION_APPLY_SCOPE) * len(DEFINITION_APPLY_SCOPE_TEXTS) +
-             len(ONE_UPLOADER_SCOPE) + len(STAMP_ONCE_SCOPE) +
+             len(ONE_UPLOADER_SCOPE) + len(ONE_DIGEST_ISSUER_SCOPE) +
+             len(STAMP_ONCE_SCOPE) +
              len(ONE_KEY_TYPE_SCOPE) + len(PINNED_PLAN_SCOPE) +
              len(ONE_ROW_CODEC_SCOPE))
     print(f"lint.py --self-test: all {cases} cases pass "

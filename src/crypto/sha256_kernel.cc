@@ -1,6 +1,5 @@
 #include "crypto/sha256_kernel.h"
 
-#include <cstdlib>
 #include <cstring>
 
 namespace sqlledger {
@@ -22,26 +21,17 @@ constexpr uint32_t kRoundConstants[64] = {
 
 inline uint32_t RotR(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
-bool ForceScalar() {
-#if defined(SQLLEDGER_FORCE_SCALAR_SHA)
-  return true;
-#else
-  const char* env = std::getenv("SQLLEDGER_FORCE_SCALAR_SHA");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-#endif
-}
-
 Sha256Kernel SelectKernel() {
-  if (!ForceScalar()) {
+#if !defined(SQLLEDGER_FORCE_SCALAR_SHA)
 #if defined(SQLLEDGER_HAVE_SHA_NI)
-    if (__builtin_cpu_supports("sha"))
-      return Sha256Kernel{"sha-ni", &Sha256CompressShaNi};
+  if (__builtin_cpu_supports("sha"))
+    return Sha256Kernel{"sha-ni", &Sha256CompressShaNi};
 #endif
 #if defined(SQLLEDGER_HAVE_ARMV8_SHA)
-    if (Armv8ShaSupported())
-      return Sha256Kernel{"armv8-ce", &Sha256CompressArmv8};
+  if (Armv8ShaSupported())
+    return Sha256Kernel{"armv8-ce", &Sha256CompressArmv8};
 #endif
-  }
+#endif
   return Sha256Kernel{"scalar", &Sha256CompressScalar};
 }
 

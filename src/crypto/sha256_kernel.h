@@ -9,9 +9,8 @@
 // Selection order: SHA-NI > ARMv8-CE > scalar. Hardware kernels are only
 // candidates when (a) the compiler could build them (per-file ISA flags,
 // see src/CMakeLists.txt) and (b) the CPU reports the feature at runtime.
-// The CMake option SQLLEDGER_FORCE_SCALAR_SHA, or the environment variable
-// of the same name, pins the scalar kernel — used by CI to keep both
-// dispatch arms tested.
+// The CMake option SQLLEDGER_FORCE_SCALAR_SHA pins the scalar kernel — used
+// by CI to keep both dispatch arms tested.
 
 #ifndef SQLLEDGER_CRYPTO_SHA256_KERNEL_H_
 #define SQLLEDGER_CRYPTO_SHA256_KERNEL_H_

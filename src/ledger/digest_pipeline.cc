@@ -18,6 +18,14 @@ constexpr int kDegradedAfterFailures = 1;
 constexpr int kOpenAfterFailures = 4;
 constexpr double kBackoffMultiplier = 2.0;
 
+DigestBreakerState BreakerReading(int consecutive_failures) {
+  if (consecutive_failures >= kOpenAfterFailures)
+    return DigestBreakerState::kOpen;
+  if (consecutive_failures >= kDegradedAfterFailures)
+    return DigestBreakerState::kDegraded;
+  return DigestBreakerState::kHealthy;
+}
+
 }  // namespace
 
 DigestErrorClass ClassifyDigestUploadError(const Status& status) {
@@ -170,26 +178,25 @@ Status DigestUploadPipeline::GenerateAndSubmit() {
   return SubmitDigest(*digest);
 }
 
-void DigestUploadPipeline::SetBreakerLocked(DigestBreakerState next) {
-  if (next == breaker_) return;
-  const char* from = DigestBreakerStateName(breaker_);
-  breaker_ = next;
+void DigestUploadPipeline::SetFailuresLocked(int failures) {
+  const DigestBreakerState from = BreakerReading(consecutive_failures_);
+  const DigestBreakerState next = BreakerReading(failures);
+  consecutive_failures_ = failures;
+  if (next == from) return;
   m_breaker_transitions_->Add();
   m_breaker_state_->Set(static_cast<int64_t>(next));
-  tracer_->RecordInstant("digest.breaker", "digest", from,
+  tracer_->RecordInstant("digest.breaker", "digest",
+                         DigestBreakerStateName(from),
                          DigestBreakerStateName(next));
 }
 
 void DigestUploadPipeline::OnRetryableFailureLocked(int64_t now) {
   m_transient_errors_->Add();
-  consecutive_failures_++;
-  if (consecutive_failures_ >= kOpenAfterFailures)
-    SetBreakerLocked(DigestBreakerState::kOpen);
-  else if (consecutive_failures_ >= kDegradedAfterFailures)
-    SetBreakerLocked(DigestBreakerState::kDegraded);
+  SetFailuresLocked(consecutive_failures_ + 1);
 
-  // Exponential backoff with seeded jitter. The exponent saturates at the
-  // cap rather than overflowing for long outages.
+  // Exponential backoff with seeded jitter, the one retry timer: an open
+  // breaker retries at the cap. The exponent saturates at the cap rather
+  // than overflowing for long outages.
   double backoff = static_cast<double>(options_.initial_backoff_micros);
   for (int i = 1; i < consecutive_failures_ &&
                   backoff < static_cast<double>(options_.max_backoff_micros);
@@ -198,17 +205,10 @@ void DigestUploadPipeline::OnRetryableFailureLocked(int64_t now) {
   backoff = std::min(backoff, static_cast<double>(options_.max_backoff_micros));
   double factor = 1.0 + options_.jitter * (2.0 * rng_.NextDouble() - 1.0);
   next_attempt_micros_ = now + static_cast<int64_t>(backoff * factor);
-  if (breaker_ == DigestBreakerState::kOpen)
-    next_probe_micros_ = now + options_.probe_interval_micros;
 }
 
 size_t DigestUploadPipeline::PumpLocked(int64_t now) {
-  if (!fatal_.ok()) return 0;
-  if (breaker_ == DigestBreakerState::kOpen) {
-    if (now < next_probe_micros_) return 0;  // wait for the next probe slot
-  } else if (now < next_attempt_micros_) {
-    return 0;  // backoff in effect
-  }
+  if (!fatal_.ok() || now < next_attempt_micros_) return 0;
 
   size_t uploaded = 0;
   while (true) {
@@ -230,14 +230,13 @@ size_t DigestUploadPipeline::PumpLocked(int64_t now) {
         std::max<int64_t>(0, db_->metrics()->NowMicros() - upload_start)));
     now = db_->NowMicros();
     if (st.ok()) {
-      // An open breaker admits one probe; its success closes the circuit
-      // and the drain continues below.
+      // The first upload that lands closes the circuit, and the drain
+      // continues below.
       m_uploads_ok_->Add();
       uploaded++;
       if (head_attempts_ > 1) m_recoveries_->Add();
       head_attempts_ = 0;
-      consecutive_failures_ = 0;
-      SetBreakerLocked(DigestBreakerState::kHealthy);
+      SetFailuresLocked(0);
       next_attempt_micros_ = 0;
       have_last_durable_ = true;
       last_durable_ = *digest;
@@ -282,7 +281,7 @@ Status DigestUploadPipeline::DrainFully() {
     if (Pump() == 0) {
       MutexLock lock(&mu_);
       if (!fatal_.ok()) return fatal_;
-      return Status::Busy("digest uploads blocked (backoff/breaker); " +
+      return Status::Busy("digest uploads blocked (backoff); " +
                           std::to_string(outbox_->pending_count()) +
                           " pending");
     }
@@ -337,7 +336,7 @@ void DigestUploadPipeline::Loop(std::chrono::milliseconds interval) {
 DigestProtectionStatus DigestUploadPipeline::status() const {
   MutexLock lock(&mu_);
   DigestProtectionStatus s;
-  s.breaker = breaker_;
+  s.breaker = BreakerReading(consecutive_failures_);
   s.fatal = fatal_;
   s.outbox_pending = outbox_->pending_count();
   s.consecutive_failures = consecutive_failures_;

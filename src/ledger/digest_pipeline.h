@@ -14,10 +14,11 @@
 //   - An error classifier splits retryable failures (timeout, unavailable,
 //     throttled) from fatal ones (fork detected, corruption); only fatal
 //     errors latch and stop the pipeline.
-//   - Retries use exponential backoff with seeded jitter, governed by a
-//     circuit breaker: healthy -> degraded (first consecutive failures) ->
-//     open (sustained failure; only periodic probes go out) -> healthy on
-//     the first probe that lands.
+//   - Each retryable failure waits one step of exponential backoff with
+//     seeded jitter, up to a cap: the one retry timer. The circuit
+//     breaker is a reading of the consecutive failures: healthy at 0,
+//     degraded at 1-3, open at 4 or more (retrying at the capped
+//     backoff), healthy again on the first upload that lands.
 //   - Ambiguous outcomes ("stored but the ack was lost") are recovered
 //     idempotently: the retry re-uploads identical bytes and the store
 //     answers OK; mismatched content for an already-stored block raises
@@ -28,6 +29,9 @@
 // background cadence thread, the only periodic digest uploader.
 // All time comes from the database's injectable clock, so backoff and
 // breaker transitions replay deterministically under the simulator.
+// Digests come from LedgerDatabase::GenerateDigest, the one issuer; with a
+// lagging geo replica it refuses with a retryable Busy (paper §3.6), and
+// the cadence simply tries again at its next interval.
 
 #ifndef SQLLEDGER_LEDGER_DIGEST_PIPELINE_H_
 #define SQLLEDGER_LEDGER_DIGEST_PIPELINE_H_
@@ -70,17 +74,13 @@ struct DigestPipelineOptions {
   size_t outbox_capacity = 64;
 
   // Exponential backoff between retry rounds (micros of database time):
-  // the initial backoff doubles per consecutive failure, up to the cap.
+  // the k-th consecutive failure waits min(initial * 2^(k-1), max), so an
+  // open breaker retries at the cap.
   int64_t initial_backoff_micros = 200 * 1000;
-  int64_t max_backoff_micros = 5 * 1000 * 1000;
+  int64_t max_backoff_micros = 1000 * 1000;
   /// Jitter fraction: each backoff is scaled by a seeded uniform draw from
   /// [1 - jitter, 1 + jitter] to avoid retry convoys.
   double jitter = 0.2;
-
-  /// The circuit breaker degrades on the first consecutive retryable
-  /// failure and opens on the fourth. While open, one probe upload is
-  /// allowed per interval.
-  int64_t probe_interval_micros = 1 * 1000 * 1000;
 
   /// Seed for the jitter PRNG (deterministic under the simulator).
   uint64_t seed = 42;
@@ -130,9 +130,9 @@ class DigestUploadPipeline {
   Status SubmitDigest(const DatabaseDigest& digest);
   /// GenerateDigest() + SubmitDigest().
   Status GenerateAndSubmit();
-  /// Attempts pending uploads, oldest first, honoring backoff and breaker
-  /// state against the database clock. Stops at the first failure of the
-  /// round. Returns the number of digests the store acknowledged.
+  /// Attempts pending uploads, oldest first, once the backoff has elapsed
+  /// on the database clock. Stops at the first failure of the round.
+  /// Returns the number of digests the store acknowledged.
   size_t Pump();
   /// Pump until the outbox drains, a fatal error latches, or a round makes
   /// no progress while backoff blocks further attempts. For tests and
@@ -159,9 +159,9 @@ class DigestUploadPipeline {
   void Loop(std::chrono::milliseconds interval);
   size_t PumpLocked(int64_t now) REQUIRES(mu_);
   void OnRetryableFailureLocked(int64_t now) REQUIRES(mu_);
-  /// Moves the circuit breaker, counting the transition and emitting a
-  /// trace instant when the state actually changes.
-  void SetBreakerLocked(DigestBreakerState next) REQUIRES(mu_);
+  /// Sets consecutive_failures_. When that moves the breaker reading,
+  /// counts the transition and emits a trace instant.
+  void SetFailuresLocked(int failures) REQUIRES(mu_);
 
   LedgerDatabase* const db_;
   DigestStore* const store_;
@@ -170,7 +170,6 @@ class DigestUploadPipeline {
 
   mutable Mutex mu_;
   Random rng_ GUARDED_BY(mu_);
-  DigestBreakerState breaker_ GUARDED_BY(mu_) = DigestBreakerState::kHealthy;
   Status fatal_ GUARDED_BY(mu_);
   /// Chain anchor: the digest most recently accepted by SubmitDigest, or
   /// the one Open found (outbox tail, else the store's newest).
@@ -182,7 +181,8 @@ class DigestUploadPipeline {
   int64_t last_durable_at_micros_ GUARDED_BY(mu_) = 0;
   /// Backoff: no upload attempt before this database time.
   int64_t next_attempt_micros_ GUARDED_BY(mu_) = 0;
-  int64_t next_probe_micros_ GUARDED_BY(mu_) = 0;
+  /// Retryable failures since the last upload that landed; the breaker is
+  /// a reading of it.
   int consecutive_failures_ GUARDED_BY(mu_) = 0;
   /// Attempts already spent on the digest at the head of the outbox.
   uint64_t head_attempts_ GUARDED_BY(mu_) = 0;

@@ -1,13 +1,14 @@
-// Geo-replication-aware digest generation (paper §3.6). Replication to
-// geographic secondaries is asynchronous, so a digest must never reference
-// data that could be lost in a failover: SQL Ledger "will only issue
-// Database Digests for data that has been replicated to geographic
-// secondaries", and if replication falls far behind it raises an alert and
-// eventually stops accepting digest requests.
+// A simulated geographic secondary (paper §3.6). Replication to geographic
+// secondaries is asynchronous, so a digest must never reference data that
+// could be lost in a failover: SQL Ledger "will only issue Database Digests
+// for data that has been replicated to geographic secondaries", and if
+// replication falls far behind it raises an alert and eventually stops
+// accepting digest requests.
 //
 // The replica itself is simulated (a commit-timestamp high-water mark that
-// tests/benches advance), but the gating policy — the piece of the paper's
-// design — is real and fully exercised.
+// tests advance); the gate is real. It sits in LedgerDatabase::
+// GenerateDigest, the one digest issuer, when LedgerDatabaseOptions::
+// geo_replica points at a replica (DESIGN.md §9).
 
 #ifndef SQLLEDGER_LEDGER_GEO_REPLICATION_H_
 #define SQLLEDGER_LEDGER_GEO_REPLICATION_H_
@@ -15,14 +16,10 @@
 #include <atomic>
 #include <cstdint>
 
-#include "ledger/digest.h"
-#include "ledger/ledger_database.h"
-#include "util/result.h"
-
 namespace sqlledger {
 
-/// A simulated geographic secondary: tracks the commit timestamp through
-/// which it has applied the primary's log. Thread-safe.
+/// Tracks the commit timestamp through which the secondary has applied the
+/// primary's log. Thread-safe.
 class SimulatedGeoReplica {
  public:
   /// Marks everything committed at or before `commit_ts_micros` replicated.
@@ -39,31 +36,6 @@ class SimulatedGeoReplica {
  private:
   std::atomic<int64_t> replicated_through_{0};
 };
-
-struct GeoDigestOptions {
-  /// Replication lag (primary last-commit vs replica high-water mark) above
-  /// which digest generation is refused with Busy — the paper's "stop
-  /// accepting new requests until the secondaries are caught up". The
-  /// normal geo delay is below one second.
-  int64_t max_lag_micros = 1000000;
-  /// Lag above which the returned digest carries an alert flag (the paper's
-  /// "trigger an alert") while still being issued.
-  int64_t alert_lag_micros = 500000;
-};
-
-struct GeoGatedDigest {
-  DatabaseDigest digest;
-  int64_t lag_micros = 0;
-  bool alert = false;  // lag exceeded alert_lag_micros
-};
-
-/// Generates a digest only if the replica has caught up to within
-/// `options.max_lag_micros` of the primary's last commit. Returns Busy when
-/// the replica is too far behind (the digest would reference data that a
-/// geo-failover could lose).
-Result<GeoGatedDigest> GenerateGeoGatedDigest(LedgerDatabase* db,
-                                              const SimulatedGeoReplica& replica,
-                                              const GeoDigestOptions& options);
 
 }  // namespace sqlledger
 

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "catalog/row.h"
+#include "ledger/geo_replication.h"
 #include "ledger/row_serializer.h"
 #include "storage/checkpoint.h"
 #include "util/coding.h"
@@ -22,6 +23,12 @@ constexpr uint8_t kWalKindRetiredBitmapCommit = 4;
 // Events kept by the database's trace ring before the oldest is overwritten
 // (DESIGN.md §13).
 constexpr size_t kTraceCapacity = 4096;
+
+// The §3.6 geo gate: how far the geographic secondary may lag the newest
+// commit before GenerateDigest refuses (the paper's normal delay is below
+// one second), and before the digest it issues counts an alert.
+constexpr int64_t kGeoDeferLagMicros = 1000 * 1000;
+constexpr int64_t kGeoAlertLagMicros = 500 * 1000;
 
 int64_t SystemClockMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -103,6 +110,11 @@ LedgerDatabase::LedgerDatabase(LedgerDatabaseOptions options)
   m_blocks_skipped_ = metrics_->GetCounter("verify.blocks_skipped_total");
   m_row_versions_skipped_ =
       metrics_->GetCounter("verify.row_versions_skipped_total");
+  if (options_.geo_replica != nullptr) {
+    m_replica_lag_ = metrics_->GetGauge("digest.replica_lag_micros");
+    m_geo_alerts_ = metrics_->GetCounter("digest.geo_alerts_total");
+    m_geo_deferrals_ = metrics_->GetCounter("digest.geo_deferrals_total");
+  }
   locks_.SetMetrics(metrics_.get());
   if (!options_.data_dir.empty()) {
     checkpoint_path_ = options_.data_dir + "/checkpoint.sldb";
@@ -939,6 +951,23 @@ Result<DatabaseDigest> LedgerDatabase::GenerateDigest() {
   if (ledger_ == nullptr)
     return Status::NotSupported("ledger is disabled for this database");
   MutexLock commit_lock(&commit_mu_);
+  if (options_.geo_replica != nullptr) {
+    // The digest covers every commit so far, so the newest one bounds what
+    // a failover could lose. commit_mu_ keeps any commit from landing
+    // between this check and the digest.
+    const int64_t lag = std::max<int64_t>(
+        0, ledger_->last_commit_ts() -
+               options_.geo_replica->replicated_through());
+    m_replica_lag_->Set(lag);
+    if (lag > kGeoDeferLagMicros) {
+      m_geo_deferrals_->Add();
+      return Status::Busy(
+          "geo replication lag " + std::to_string(lag) +
+          "us exceeds the digest gating threshold; digests are deferred "
+          "until the secondary catches up");
+    }
+    if (lag > kGeoAlertLagMicros) m_geo_alerts_->Add();
+  }
   uint64_t closed_before = ledger_->closed_block_count();
   auto digest = ledger_->GenerateDigest(options_.database_id, create_time_);
   if (!digest.ok()) return digest;

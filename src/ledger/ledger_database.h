@@ -43,6 +43,8 @@
 
 namespace sqlledger {
 
+class SimulatedGeoReplica;
+
 struct LedgerDatabaseOptions {
   /// Directory for the WAL and checkpoints; empty = ephemeral (no
   /// durability, used by short-lived tests and benchmarks).
@@ -74,6 +76,11 @@ struct LedgerDatabaseOptions {
   /// nullptr = Env::Default(); tests inject a FaultInjectionEnv here.
   /// Not owned; must outlive the database.
   Env* env = nullptr;
+  /// The geographic secondary that digests wait for (paper §3.6); nullptr
+  /// = none. GenerateDigest refuses with Busy while the replica lags the
+  /// newest commit by more than 1 s (DESIGN.md §9). Not owned; must
+  /// outlive the database.
+  const SimulatedGeoReplica* geo_replica = nullptr;
 };
 
 /// Catalog entry for one table (regular or ledger).
@@ -197,7 +204,10 @@ class LedgerDatabase {
   // ---- Ledger features ----
 
   /// Generates a Database Digest (paper §2.2): closes the open block and
-  /// returns the JSON-serializable digest of the newest block.
+  /// returns the JSON-serializable digest of the newest block. The one
+  /// digest issuer: with a geo_replica configured, it refuses with Busy
+  /// while the replica lags the newest commit by more than 1 s and counts
+  /// an alert above 0.5 s (paper §3.6).
   Result<DatabaseDigest> GenerateDigest();
 
   /// Starts fault-tolerant digest protection (DESIGN.md §9): builds a
@@ -419,6 +429,11 @@ class LedgerDatabase {
   Counter* m_blocks_skipped_ = nullptr;      // verify.blocks_skipped_total
   Counter* m_row_versions_skipped_ = nullptr;
   // ^ verify.row_versions_skipped_total
+  // The geo gate's metrics, resolved only with a geo_replica, so that a
+  // database without one exports none of them.
+  Gauge* m_replica_lag_ = nullptr;         // digest.replica_lag_micros
+  Counter* m_geo_alerts_ = nullptr;        // digest.geo_alerts_total
+  Counter* m_geo_deferrals_ = nullptr;     // digest.geo_deferrals_total
 
   // Lock hierarchy (see DESIGN.md §8):
   //   ddl_mu_ -> group_mu_ -> commit_mu_ -> catalog_mu_ -> txn_mu_.

@@ -1,7 +1,5 @@
 #include "ledger/types.h"
 
-#include <cstring>
-
 #include "crypto/merkle.h"
 #include "util/coding.h"
 
@@ -36,40 +34,6 @@ std::vector<uint8_t> TransactionEntry::CanonicalBytes() const {
 
 Hash256 TransactionEntry::LeafHash() const {
   return MerkleLeafHash(Slice(CanonicalBytes()));
-}
-
-Result<TransactionEntry> TransactionEntry::FromCanonicalBytes(Slice bytes) {
-  Decoder dec(bytes);
-  TransactionEntry entry;
-  auto txn_id = dec.GetFixed64();
-  if (!txn_id.ok()) return txn_id.status();
-  entry.txn_id = *txn_id;
-  auto block_id = dec.GetFixed64();
-  if (!block_id.ok()) return block_id.status();
-  entry.block_id = *block_id;
-  auto ordinal = dec.GetFixed64();
-  if (!ordinal.ok()) return ordinal.status();
-  entry.block_ordinal = *ordinal;
-  auto ts = dec.GetFixed64();
-  if (!ts.ok()) return ts.status();
-  entry.commit_ts_micros = static_cast<int64_t>(*ts);
-  auto user = dec.GetLengthPrefixed();
-  if (!user.ok()) return user.status();
-  entry.user_name = user->ToString();
-  auto num_roots = dec.GetVarint32();
-  if (!num_roots.ok()) return num_roots.status();
-  for (uint32_t i = 0; i < *num_roots; i++) {
-    auto table_id = dec.GetFixed32();
-    if (!table_id.ok()) return table_id.status();
-    auto hash_bytes = dec.GetBytes(32);
-    if (!hash_bytes.ok()) return hash_bytes.status();
-    Hash256 root;
-    std::memcpy(root.bytes.data(), hash_bytes->data(), 32);
-    entry.table_roots.emplace_back(*table_id, root);
-  }
-  if (!dec.done())
-    return Status::Corruption("trailing bytes in transaction entry");
-  return entry;
 }
 
 Hash256 BlockRecord::ComputeHash() const {

@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "crypto/sha256.h"
-#include "util/result.h"
-#include "util/slice.h"
 
 namespace sqlledger {
 
@@ -57,7 +55,6 @@ struct TransactionEntry {
   /// the block's transaction tree.
   std::vector<uint8_t> CanonicalBytes() const;
   Hash256 LeafHash() const;
-  static Result<TransactionEntry> FromCanonicalBytes(Slice bytes);
 };
 
 /// One closed block of the Database Ledger blockchain (paper §3.3.1,

@@ -176,9 +176,10 @@ Status SimDriver::OpenDb() {
   }
 
   // The pipeline dies and is rebuilt with the database (its outbox replays
-  // from disk through the fault env). Zero backoff/probe intervals keep
-  // replay deterministic under the 1µs-per-call driver clock: a Pump always
-  // attempts, and failure counting alone drives the breaker.
+  // from disk through the fault env). A zero backoff, the pipeline's one
+  // retry timer, keeps replay deterministic under the 1µs-per-call driver
+  // clock: a Pump always attempts, and failure counting alone moves the
+  // breaker reading.
   DigestPipelineOptions popts;
   popts.outbox_dir = config_.data_dir + "/digest_outbox";
   popts.env = fenv_.get();
@@ -186,7 +187,6 @@ Status SimDriver::OpenDb() {
   popts.initial_backoff_micros = 0;
   popts.max_backoff_micros = 0;
   popts.jitter = 0;
-  popts.probe_interval_micros = 0;
   popts.seed = config_.seed ^ 0x9D1635ULL;
   return db_->StartDigestProtection(faulty_store_.get(), std::move(popts));
 }

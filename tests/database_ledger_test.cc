@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "ledger/database_ledger.h"
+#include "util/hex.h"
 
 namespace sqlledger {
 namespace {
@@ -48,16 +49,25 @@ class DatabaseLedgerTest : public ::testing::Test {
   int64_t clock_ = 0;
 };
 
-TEST_F(DatabaseLedgerTest, EntryCanonicalBytesRoundTrip) {
+TEST_F(DatabaseLedgerTest, EntryCanonicalBytesGolden) {
+  // The leaf preimage of a transaction entry (paper §3.3.1): txn id, block
+  // id, ordinal and commit time as fixed64, the length-prefixed user name,
+  // then a varint root count and each (fixed32 table id, 32-byte root).
+  // Changing these bytes changes every block's transactions root.
   auto ledger_ptr = MakeLedger(10);
   DatabaseLedger& ledger = *ledger_ptr;
   TransactionEntry entry = MakeEntry(&ledger, 42);
-  auto decoded = TransactionEntry::FromCanonicalBytes(
-      Slice(entry.CanonicalBytes()));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->txn_id, 42u);
-  EXPECT_EQ(decoded->user_name, "u42");
-  EXPECT_EQ(decoded->LeafHash(), entry.LeafHash());
+  EXPECT_EQ(HexEncode(Slice(entry.CanonicalBytes())),
+            "2a00000000000000"
+            "0000000000000000"
+            "0000000000000000"
+            "0100000000000000"
+            "03753432"
+            "01"
+            "64000000"
+            "2a00000000000000000000000000000000000000000000000000000000000000");
+  EXPECT_EQ(entry.LeafHash().ToHex(),
+            "7746cf63aa06f6b4c3d34c8002e0bfdbfeaf5f4b47bea413e6d37ca5173b2df5");
 }
 
 TEST_F(DatabaseLedgerTest, SlotsAreSequential) {

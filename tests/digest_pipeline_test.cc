@@ -15,6 +15,7 @@
 #include "ledger/digest_pipeline.h"
 #include "ledger/digest_store.h"
 #include "ledger/faulty_digest_store.h"
+#include "ledger/geo_replication.h"
 #include "storage/digest_outbox.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -22,9 +23,9 @@
 namespace sqlledger {
 namespace {
 
-// Zero backoff / jitter / probe interval: under the test fake clock (1µs
-// per reading) every Pump() makes an attempt, so tests count attempts
-// deterministically instead of sleeping.
+// Zero backoff and jitter: under the test fake clock (1µs per reading)
+// every Pump() makes an attempt, so tests count attempts deterministically
+// instead of sleeping.
 DigestPipelineOptions FastOptions(const std::string& outbox_dir,
                                   Env* env = nullptr) {
   DigestPipelineOptions o;
@@ -33,7 +34,6 @@ DigestPipelineOptions FastOptions(const std::string& outbox_dir,
   o.initial_backoff_micros = 0;
   o.max_backoff_micros = 0;
   o.jitter = 0;
-  o.probe_interval_micros = 0;
   o.seed = TestSeed();
   return o;
 }
@@ -270,7 +270,7 @@ TEST_F(DigestPipelineTest, OutageQueuesThenCatchesUpToZeroStaleness) {
     EXPECT_GT((*stored)[i].block_id, (*stored)[i - 1].block_id);
 }
 
-TEST_F(DigestPipelineTest, BreakerDegradesOpensAndRecoversViaProbe) {
+TEST_F(DigestPipelineTest, BreakerDegradesOpensAndRecoversOnRetry) {
   FaultyDigestStore flaky(&remote_, TestSeed());
   auto pipeline =
       DigestUploadPipeline::Open(db_.get(), &flaky, FastOptions(Path("ob")));
@@ -290,8 +290,8 @@ TEST_F(DigestPipelineTest, BreakerDegradesOpensAndRecoversViaProbe) {
   EXPECT_EQ(p->status().breaker, DigestBreakerState::kOpen);
   EXPECT_EQ(p->status().consecutive_failures, 4);
 
-  // With the breaker open a probe is still allowed (probe interval 0); the
-  // first one that lands closes the circuit.
+  // An open breaker retries at the capped backoff (0 here); the first
+  // retry that lands closes the circuit.
   flaky.SetOutage(false);
   EXPECT_EQ(p->Pump(), 1u);
   DigestProtectionStatus s = p->status();
@@ -299,6 +299,65 @@ TEST_F(DigestPipelineTest, BreakerDegradesOpensAndRecoversViaProbe) {
   EXPECT_EQ(s.consecutive_failures, 0);
   EXPECT_GT(CounterValue(db_.get(), "digest.retries_total"), 0u);
   EXPECT_GT(CounterValue(db_.get(), "digest.recoveries_total"), 0u);
+}
+
+TEST_F(DigestPipelineTest, OneRetryScheduleCapsBackoffWhileOpen) {
+  // A clock that moves only when the test steps it, so each attempt's
+  // earliest time can be pinned to the microsecond.
+  auto now = std::make_shared<std::atomic<int64_t>>(1000 * 1000);
+  LedgerDatabaseOptions options;
+  options.database_id = "stepped";
+  options.clock = [now] { return now->load(); };
+  auto opened = LedgerDatabase::Open(std::move(options));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto db = std::move(*opened);
+  ASSERT_TRUE(
+      db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+  ASSERT_TRUE(InsertOne(db.get(), "t", 1, "x").ok());
+
+  FaultyDigestStore flaky(&remote_, TestSeed());
+  DigestPipelineOptions opts = FastOptions(Path("ob"));
+  opts.initial_backoff_micros = 100 * 1000;
+  opts.max_backoff_micros = 500 * 1000;
+  auto pipeline = DigestUploadPipeline::Open(db.get(), &flaky, opts);
+  ASSERT_TRUE(pipeline.ok());
+  DigestUploadPipeline* p = pipeline->get();
+  ASSERT_TRUE(p->GenerateAndSubmit().ok());
+  flaky.SetOutage(true);
+
+  // Failure k waits min(100 ms * 2^(k-1), 500 ms): the open breaker (from
+  // the 4th failure) keeps retrying at the cap, on no timer of its own.
+  const int64_t waits[] = {100000, 200000, 400000, 500000, 500000};
+  const DigestBreakerState after[] = {
+      DigestBreakerState::kDegraded, DigestBreakerState::kDegraded,
+      DigestBreakerState::kDegraded, DigestBreakerState::kOpen,
+      DigestBreakerState::kOpen,     DigestBreakerState::kOpen};
+  int64_t earliest = *now;
+  for (int failure = 1; failure <= 6; failure++) {
+    if (failure > 1) {
+      earliest += waits[failure - 2];
+      *now = earliest - 1;
+      EXPECT_EQ(p->Pump(), 0u);
+      EXPECT_EQ(CounterValue(db.get(), "digest.attempts_total"),
+                static_cast<uint64_t>(failure - 1))
+          << "attempt " << failure << " went out before its backoff";
+    }
+    *now = earliest;
+    EXPECT_EQ(p->Pump(), 0u);
+    EXPECT_EQ(CounterValue(db.get(), "digest.attempts_total"),
+              static_cast<uint64_t>(failure))
+        << "attempt " << failure << " did not go out at " << earliest;
+    DigestProtectionStatus s = p->status();
+    EXPECT_EQ(s.consecutive_failures, failure);
+    EXPECT_EQ(s.breaker, after[failure - 1]) << "after failure " << failure;
+  }
+
+  // The 7th attempt, one capped backoff after the 6th, lands.
+  flaky.SetOutage(false);
+  *now = earliest + 500 * 1000;
+  EXPECT_EQ(p->Pump(), 1u);
+  EXPECT_EQ(p->status().breaker, DigestBreakerState::kHealthy);
+  EXPECT_EQ(CounterValue(db.get(), "digest.breaker_transitions_total"), 3u);
 }
 
 TEST_F(DigestPipelineTest, BackoffBlocksAttemptsUntilDeadline) {
@@ -750,7 +809,6 @@ TEST_F(DigestProtectionWiringTest, StartStopAndStatusSurface) {
   opts.initial_backoff_micros = 0;
   opts.max_backoff_micros = 0;
   opts.jitter = 0;
-  opts.probe_interval_micros = 0;
   ASSERT_TRUE(db->StartDigestProtection(&store, opts).ok());
   ASSERT_NE(db->digest_pipeline(), nullptr);
   EXPECT_EQ(db->StartDigestProtection(&store, opts).code(),
@@ -807,7 +865,6 @@ TEST_F(DigestProtectionWiringTest, BackgroundCadenceUploadsDigests) {
   opts.initial_backoff_micros = 0;
   opts.max_backoff_micros = 0;
   opts.jitter = 0;
-  opts.probe_interval_micros = 0;
   ASSERT_TRUE(db->StartDigestProtection(&store, opts,
                                         std::chrono::milliseconds(1))
                   .ok());
@@ -831,6 +888,52 @@ TEST_F(DigestProtectionWiringTest, BackgroundCadenceUploadsDigests) {
     ASSERT_TRUE(derivable.ok());
     EXPECT_TRUE(*derivable) << "digest " << i << " does not chain";
   }
+}
+
+TEST_F(DigestProtectionWiringTest, CadenceWaitsForLaggingGeoReplica) {
+  // GenerateDigest refuses while the replica lags the newest commit by more
+  // than 1 s (paper §3.6); the cadence takes that as a retryable Busy,
+  // queues nothing and latches nothing, and uploads once it catches up.
+  SimulatedGeoReplica replica;
+  auto ticks = std::make_shared<std::atomic<int64_t>>(100 * 1000 * 1000);
+  LedgerDatabaseOptions options;
+  options.block_size = 4;
+  options.database_id = "geo-cadence";
+  options.clock = [ticks] { return ++*ticks; };
+  options.geo_replica = &replica;
+  auto opened = LedgerDatabase::Open(std::move(options));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto db = std::move(*opened);
+  ASSERT_TRUE(
+      db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+  for (int i = 1; i <= 5; i++)
+    ASSERT_TRUE(InsertOne(db.get(), "t", i, "x").ok());
+
+  InMemoryDigestStore store;
+  ASSERT_TRUE(db->StartDigestProtection(&store, FastOptions(Path("ob")),
+                                        std::chrono::milliseconds(1))
+                  .ok());
+  for (int spin = 0; spin < 2000; spin++) {
+    if (CounterValue(db.get(), "digest.geo_deferrals_total") >= 3) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(CounterValue(db.get(), "digest.geo_deferrals_total"), 3u);
+  DigestProtectionStatus lagging = db->GetDigestProtectionStatus();
+  EXPECT_TRUE(lagging.fatal.ok()) << lagging.ToString();
+  EXPECT_EQ(lagging.outbox_pending, 0u);
+  EXPECT_EQ(CounterValue(db.get(), "digest.uploads_total"), 0u);
+  EXPECT_EQ(store.ListAll()->size(), 0u);
+
+  replica.AdvanceTo(db->NowMicros());
+  for (int spin = 0; spin < 2000; spin++) {
+    if (CounterValue(db.get(), "digest.uploads_total") >= 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  db->StopDigestProtection();
+  EXPECT_GE(CounterValue(db.get(), "digest.uploads_total"), 1u);
+  auto report = VerifyLedgerAgainstStore(db.get(), store);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->ok()) << report->Summary();
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
-// Geo-replication digest gating tests (paper §3.6).
+// Geo-replication digest gating tests (paper §3.6): GenerateDigest, the one
+// digest issuer, with LedgerDatabaseOptions::geo_replica set. Lag is driven
+// by moving the replica's high-water mark against commit timestamps; the
+// thresholds are the fixed 1 s (defer) and 0.5 s (alert).
 
 #include <gtest/gtest.h>
+
+#include <atomic>
 
 #include "ledger/geo_replication.h"
 #include "ledger/verifier.h"
@@ -9,13 +14,30 @@
 namespace sqlledger {
 namespace {
 
+// Far above the 1 s gate, so a replica that never advanced lags every
+// commit by more than it.
+constexpr int64_t kClockStart = 100 * 1000 * 1000;
+
 class GeoReplicationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_ = OpenTestDb(/*block_size=*/100);
+    db_ = OpenGated();
     ASSERT_TRUE(
         db_->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable)
             .ok());
+  }
+
+  /// An ephemeral database gated on replica_, on a clock that ticks 1µs
+  /// per reading.
+  std::unique_ptr<LedgerDatabase> OpenGated() {
+    LedgerDatabaseOptions options;
+    options.block_size = 100;
+    options.database_id = "geodb";
+    options.clock = [this] { return ++now_; };
+    options.geo_replica = &replica_;
+    auto db = LedgerDatabase::Open(std::move(options));
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return std::move(*db);
   }
 
   /// Commits one insert and returns its commit timestamp (the clock value
@@ -29,32 +51,37 @@ class GeoReplicationTest : public ::testing::Test {
     return entry->commit_ts_micros;
   }
 
-  std::unique_ptr<LedgerDatabase> db_;
+  int64_t ReplicaLag() const {
+    return db_->MetricsSnapshot().gauges.at("digest.replica_lag_micros");
+  }
+
+  std::atomic<int64_t> now_{kClockStart};
   SimulatedGeoReplica replica_;
+  std::unique_ptr<LedgerDatabase> db_;
 };
 
 TEST_F(GeoReplicationTest, CaughtUpReplicaAllowsDigest) {
-  int64_t ts = CommitOne(1);
-  replica_.AdvanceTo(ts);
-  GeoDigestOptions options;
-  auto gated = GenerateGeoGatedDigest(db_.get(), replica_, options);
-  ASSERT_TRUE(gated.ok()) << gated.status().ToString();
-  EXPECT_FALSE(gated->alert);
-  EXPECT_EQ(gated->lag_micros, 0);
+  replica_.AdvanceTo(CommitOne(1));
+  auto digest = db_->GenerateDigest();
+  ASSERT_TRUE(digest.ok()) << digest.status().ToString();
+  EXPECT_EQ(ReplicaLag(), 0);
+  EXPECT_EQ(CounterValue(db_.get(), "digest.geo_alerts_total"), 0u);
+  EXPECT_EQ(CounterValue(db_.get(), "digest.geo_deferrals_total"), 0u);
 }
 
 TEST_F(GeoReplicationTest, LaggingReplicaDefersDigest) {
-  CommitOne(1);
-  // Replica never advanced: lag = full commit timestamp >> threshold.
-  GeoDigestOptions options;
-  options.max_lag_micros = 10;
-  auto gated = GenerateGeoGatedDigest(db_.get(), replica_, options);
-  EXPECT_EQ(gated.status().code(), StatusCode::kBusy);
+  const int64_t ts = CommitOne(1);
+  replica_.AdvanceTo(ts - 1000 * 1000 - 1);  // 1 s + 1µs behind
+  auto digest = db_->GenerateDigest();
+  EXPECT_EQ(digest.status().code(), StatusCode::kBusy);
+  EXPECT_EQ(ReplicaLag(), 1000 * 1000 + 1);
+  EXPECT_EQ(CounterValue(db_.get(), "digest.geo_deferrals_total"), 1u);
 
   // Once the replica catches up, the digest is issued.
   replica_.AdvanceTo(CommitOne(2));
-  gated = GenerateGeoGatedDigest(db_.get(), replica_, options);
-  ASSERT_TRUE(gated.ok()) << gated.status().ToString();
+  digest = db_->GenerateDigest();
+  ASSERT_TRUE(digest.ok()) << digest.status().ToString();
+  EXPECT_EQ(CounterValue(db_.get(), "digest.geo_deferrals_total"), 1u);
 }
 
 TEST_F(GeoReplicationTest, ClosedAndVerifiedBlockStillGated) {
@@ -65,44 +92,44 @@ TEST_F(GeoReplicationTest, ClosedAndVerifiedBlockStillGated) {
   while (db_->database_ledger()->open_block_id() == 0) CommitOne(id++);
   ASSERT_EQ(db_->database_ledger()->open_block_entry_count(), 0u);
   ASSERT_TRUE(VerifyLedger(db_.get(), {}).ok());
-  GeoDigestOptions options;
-  options.max_lag_micros = 10;
-  auto gated = GenerateGeoGatedDigest(db_.get(), replica_, options);
-  EXPECT_EQ(gated.status().code(), StatusCode::kBusy);
+  EXPECT_EQ(db_->GenerateDigest().status().code(), StatusCode::kBusy);
 }
 
 TEST_F(GeoReplicationTest, ModerateLagIssuesDigestWithAlert) {
-  int64_t ts = CommitOne(1);
-  replica_.AdvanceTo(ts - 700);  // 700us behind
-  GeoDigestOptions options;
-  options.max_lag_micros = 1000;
-  options.alert_lag_micros = 500;
-  auto gated = GenerateGeoGatedDigest(db_.get(), replica_, options);
-  ASSERT_TRUE(gated.ok()) << gated.status().ToString();
-  EXPECT_TRUE(gated->alert);
-  EXPECT_GE(gated->lag_micros, 700);
+  const int64_t ts = CommitOne(1);
+  replica_.AdvanceTo(ts - 700 * 1000);  // 0.7 s behind
+  auto digest = db_->GenerateDigest();
+  ASSERT_TRUE(digest.ok()) << digest.status().ToString();
+  EXPECT_EQ(ReplicaLag(), 700 * 1000);
+  EXPECT_EQ(CounterValue(db_.get(), "digest.geo_alerts_total"), 1u);
+
+  // At exactly the alert threshold the digest carries no alert.
+  replica_.AdvanceTo(CommitOne(2) - 500 * 1000);
+  ASSERT_TRUE(db_->GenerateDigest().ok());
+  EXPECT_EQ(CounterValue(db_.get(), "digest.geo_alerts_total"), 1u);
 }
 
-TEST_F(GeoReplicationTest, PristineDatabaseNeedsNoReplication) {
-  GeoDigestOptions options;
-  options.max_lag_micros = 1;
-  auto gated = GenerateGeoGatedDigest(db_.get(), replica_, options);
-  // Nothing pending: nothing can be lost in a failover. (The system
-  // metadata transactions are in closed blocks or pending; advance the
-  // replica to cover the bootstrap if the gate trips.)
-  if (!gated.ok()) {
-    replica_.AdvanceTo(db_->NowMicros());
-    gated = GenerateGeoGatedDigest(db_.get(), replica_, options);
-    ASSERT_TRUE(gated.ok()) << gated.status().ToString();
-  }
+TEST_F(GeoReplicationTest, PristineDatabaseWaitsOnlyForItsBootstrap) {
+  // A fresh database's only commit is its bootstrap's (the sys_ledger_*
+  // metadata). The digest covers it too, so it waits for the replica to
+  // apply that commit, and for nothing more.
+  db_.reset();
+  db_ = OpenGated();
+  const int64_t bootstrap = db_->database_ledger()->last_commit_ts();
+  ASSERT_GT(bootstrap, 0);
+  EXPECT_EQ(db_->GenerateDigest().status().code(), StatusCode::kBusy);
+  replica_.AdvanceTo(bootstrap);
+  auto digest = db_->GenerateDigest();
+  ASSERT_TRUE(digest.ok()) << digest.status().ToString();
+  EXPECT_EQ(ReplicaLag(), 0);
 }
 
 TEST_F(GeoReplicationTest, GatedDigestVerifies) {
   CommitOne(1);
   replica_.AdvanceTo(db_->NowMicros());
-  auto gated = GenerateGeoGatedDigest(db_.get(), replica_, GeoDigestOptions{});
-  ASSERT_TRUE(gated.ok());
-  auto report = VerifyLedger(db_.get(), {gated->digest});
+  auto digest = db_->GenerateDigest();
+  ASSERT_TRUE(digest.ok()) << digest.status().ToString();
+  auto report = VerifyLedger(db_.get(), {*digest});
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->Summary();
 }
@@ -113,6 +140,19 @@ TEST_F(GeoReplicationTest, ReplicaHighWaterMarkIsMonotonic) {
   EXPECT_EQ(replica_.replicated_through(), 100);
   replica_.AdvanceTo(200);
   EXPECT_EQ(replica_.replicated_through(), 200);
+}
+
+TEST_F(GeoReplicationTest, UngatedDatabaseRegistersNoGeoMetrics) {
+  // A database without a replica exports exactly the metrics it did before
+  // the gate existed.
+  auto plain = OpenTestDb();
+  ASSERT_TRUE(plain->GenerateDigest().ok());
+  MetricsSnapshot snapshot = plain->MetricsSnapshot();
+  EXPECT_EQ(snapshot.gauges.count("digest.replica_lag_micros"), 0u);
+  EXPECT_EQ(snapshot.counters.count("digest.geo_alerts_total"), 0u);
+  EXPECT_EQ(snapshot.counters.count("digest.geo_deferrals_total"), 0u);
+  EXPECT_EQ(db_->MetricsSnapshot().gauges.count("digest.replica_lag_micros"),
+            1u);
 }
 
 }  // namespace
