@@ -8,24 +8,31 @@
 // Runs S concurrent sessions committing N total transactions through the
 // durable group-commit pipeline, pushes a digest through the upload
 // pipeline's outbox, runs a full verification (seeding the incremental
-// watermark) followed by an incremental one, takes a checkpoint, then dumps
-// the snapshot. --trace-out additionally writes the Chrome trace-event JSON
-// (chrome://tracing / ui.perfetto.dev).
+// watermark) followed by an incremental one, reopens the database, takes a
+// checkpoint, then dumps the snapshot. --trace-out additionally writes the
+// Chrome trace-event JSON (chrome://tracing / ui.perfetto.dev).
+//
+// Before the checkpoint the database is closed and reopened, so recovery
+// replays the whole run from the WAL: the snapshot's recovery.* metrics
+// (checkpoint load and WAL replay apart) and checkpoint.* metrics are the
+// reopened database's.
 //
 // The snapshot gains a "disk" object, read after the database is closed:
-// every file's bytes; for each WAL generation its frame, record-header and
-// tuple bytes, and tuple bytes per (table id, op type); for each checkpoint
-// generation its header, meta and per-store bytes. The files are read only
-// through the engine's readers (ReadFrameLog, WalCommitRecord::Decode,
-// ReadCheckpoint, DecodeRow).
+// every file's bytes; for each WAL generation its frame bytes, its commit
+// records' bytes by layer (kind byte, stamp, slot, roots check, run
+// headers, tuples) and its block-close bytes, and tuple bytes per (table
+// id, op type); for each checkpoint generation its header, meta and
+// per-store bytes. The files are read only through the engine's readers
+// (ReadFrameLog, WalCommitRecord::Decode, ReadCheckpoint, DecodeRow).
 //
 // The tool self-checks the snapshot: wal.sync_micros p99, the
-// commit.group_size histogram, the digest.outbox_depth gauge and
-// verify.incremental_micros must all be populated, and every WAL and
-// checkpoint generation must decode whole, with parts that add up to its
-// file's size, so CI can gate on the exit code. 0 = snapshot complete,
-// 1 = setup/verification failure, 3 = a required metric is missing or
-// zero, or the disk breakdown does not add up.
+// commit.group_size histogram, the digest.outbox_depth gauge,
+// verify.incremental_micros and recovery.wal_replay_micros must all be
+// populated, and every WAL and checkpoint generation must decode whole,
+// with parts that add up to its file's size and commit records that
+// encode back to their own bytes, so CI can gate on the exit code.
+// 0 = snapshot complete, 1 = setup/verification failure, 3 = a required
+// metric is missing or zero, or the disk breakdown does not add up.
 
 #include <cstdio>
 #include <cstring>
@@ -75,33 +82,48 @@ const char* OpName(WalOpType type) {
 
 JsonValue Count(uint64_t n) { return JsonValue::Int(static_cast<int64_t>(n)); }
 
-/// One WAL generation's bytes by layer: frame_bytes + record_header_bytes
-/// + tuple_bytes = file_bytes. Every frame must be intact and every commit
-/// record must encode back to its own bytes, else `*problem` says why.
+/// One WAL generation's bytes by layer: frame_bytes + kind_bytes +
+/// stamp_bytes + slot_bytes + roots_check_bytes + run_header_bytes +
+/// tuple_bytes + block_close_bytes = file_bytes. Every frame must be intact
+/// and every commit record, decoded against the file's header chain, must
+/// encode back to its own bytes, else `*problem` says why.
 JsonValue WalLayers(const std::string& path, uint64_t file_bytes,
                     std::string* problem) {
-  uint64_t payload_bytes = 0, tuple_bytes = 0, commits = 0;
+  uint64_t payload_bytes = 0, commits = 0, block_close_bytes = 0;
+  uint64_t stamp = 0, slot = 0, roots_check = 0, run_headers = 0;
+  uint64_t tuple_bytes = 0;
   // (table id, op type) -> (tuples, bytes)
   std::map<std::pair<uint32_t, WalOpType>, std::pair<uint64_t, uint64_t>>
       tuples;
-  std::vector<size_t> sizes;
+  WalHeaderChain read_chain, write_chain;
+  WalRecordLayout layout;
+  std::vector<uint8_t> again;
   auto scan = ReadFrameLog(Env::Default(), path, [&](Slice payload) {
     payload_bytes += payload.size();
-    if (payload[0] != kWalKindCommit) return Status::OK();
     const Slice body(payload.data() + 1, payload.size() - 1);
-    auto record = WalCommitRecord::Decode(body, &sizes);
+    if (payload[0] != kWalKindCommit) {
+      block_close_bytes += body.size();
+      return Status::OK();
+    }
+    auto record = WalCommitRecord::Decode(body, &read_chain, &layout);
     if (!record.ok()) return record.status();
-    std::vector<uint8_t> again;
-    record->EncodeTo(&again);
+    if (layout.chain_start) write_chain = WalHeaderChain{};
+    again.clear();
+    record->EncodeChainedHeader(&write_chain, &again);
+    WalCommitRecord::EncodeOps(record->ops, &again);
     if (Slice(again) != body)
       return Status::Corruption("a commit record does not encode back");
     commits++;
+    stamp += layout.stamp;
+    slot += layout.slot;
+    roots_check += layout.roots_check;
+    run_headers += layout.run_headers;
     for (size_t i = 0; i < record->ops.size(); i++) {
       auto& [count, bytes] =
           tuples[{record->ops[i].table_id, record->ops[i].type}];
       count++;
-      bytes += sizes[i];
-      tuple_bytes += sizes[i];
+      bytes += layout.tuples[i];
+      tuple_bytes += layout.tuples[i];
     }
     return Status::OK();
   });
@@ -111,15 +133,27 @@ JsonValue WalLayers(const std::string& path, uint64_t file_bytes,
     return out;
   }
   const uint64_t frame_bytes = scan->intact_bytes - payload_bytes;
+  const uint64_t kind_bytes = scan->records;
+  const uint64_t layers = frame_bytes + kind_bytes + stamp + slot +
+                          roots_check + run_headers + tuple_bytes +
+                          block_close_bytes;
   if (scan->has_tail || scan->intact_bytes != file_bytes)
     *problem = path + ": frames cover " + std::to_string(scan->intact_bytes) +
+               " of " + std::to_string(file_bytes) + " bytes";
+  else if (layers != file_bytes)
+    *problem = path + ": layers add up to " + std::to_string(layers) +
                " of " + std::to_string(file_bytes) + " bytes";
   out.Set("file_bytes", Count(file_bytes));
   out.Set("records", Count(scan->records));
   out.Set("commit_records", Count(commits));
   out.Set("frame_bytes", Count(frame_bytes));
-  out.Set("record_header_bytes", Count(payload_bytes - tuple_bytes));
+  out.Set("kind_bytes", Count(kind_bytes));
+  out.Set("stamp_bytes", Count(stamp));
+  out.Set("slot_bytes", Count(slot));
+  out.Set("roots_check_bytes", Count(roots_check));
+  out.Set("run_header_bytes", Count(run_headers));
   out.Set("tuple_bytes", Count(tuple_bytes));
+  out.Set("block_close_bytes", Count(block_close_bytes));
   JsonValue by_op = JsonValue::Array();
   for (const auto& [key, value] : tuples) {
     JsonValue entry = JsonValue::Object();
@@ -260,7 +294,7 @@ int main(int argc, char** argv) {
   options.database_id = "stats-tool";
   options.sync_wal = true;  // durability on: wal.sync_micros must populate
   options.data_dir = data_dir;
-  auto opened = LedgerDatabase::Open(std::move(options));
+  auto opened = LedgerDatabase::Open(options);
   if (!opened.ok()) {
     std::printf("open failed: %s\n", opened.status().ToString().c_str());
     return 1;
@@ -314,9 +348,6 @@ int main(int argc, char** argv) {
     std::printf("incremental verification failed\n");
     return 1;
   }
-  // Both WAL and checkpoint generations then hold the run.
-  if (!db->Checkpoint().ok()) return 1;
-
   MetricsSnapshot snap = db->MetricsSnapshot();
   if (!trace_out.empty()) {
     std::ofstream out(trace_out);
@@ -324,6 +355,27 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrote trace: %s\n", trace_out.c_str());
   }
 
+  // Reopen: recovery replays every commit record of the run. Its recovery
+  // and checkpoint metrics take the place of the first database's, which
+  // neither recovered nor checkpointed.
+  db.reset();
+  auto reopened = LedgerDatabase::Open(options);
+  if (!reopened.ok()) {
+    std::printf("reopen failed: %s\n", reopened.status().ToString().c_str());
+    return 1;
+  }
+  db = std::move(*reopened);
+  // Both WAL and checkpoint generations then hold the run.
+  if (!db->Checkpoint().ok()) return 1;
+  const MetricsSnapshot recovered = db->MetricsSnapshot();
+  for (const auto& [name, hist] : recovered.histograms) {
+    if (name.rfind("recovery.", 0) == 0 || name.rfind("checkpoint.", 0) == 0)
+      snap.histograms[name] = hist;
+  }
+  for (const auto& [name, value] : recovered.counters) {
+    if (name.rfind("recovery.", 0) == 0 || name.rfind("checkpoint.", 0) == 0)
+      snap.counters[name] = value;
+  }
   db.reset();
   std::vector<std::string> disk_problems;
   JsonValue json = MetricsToJson(snap);
@@ -352,6 +404,8 @@ int main(int argc, char** argv) {
           "digest.outbox_depth gauge");
   require(hist_count("verify.incremental_micros") > 0,
           "nonzero verify.incremental_micros");
+  require(hist_count("recovery.wal_replay_micros") > 0,
+          "recovery.wal_replay_micros histogram");
   for (const std::string& problem : disk_problems) {
     std::fprintf(stderr, "DISK: %s\n", problem.c_str());
     rc = 3;

@@ -115,6 +115,15 @@ parse_allow/allow_line below — use sparingly):
                   decoded by EncodeRow/DecodeRow alone, against their
                   predecessor (DESIGN.md §4); a cell written or read on its
                   own elsewhere is a second row format.
+  one-record-header
+                  a call of the chained commit-record header encoder
+                  (`.EncodeChainedHeader(`, `->EncodeChainedHeader(`) in
+                  src/ outside the body of LedgerDatabase::ProcessGroup. A
+                  record's header is encoded against the header of the
+                  record before it in the log, so only the group commit
+                  leader, which appends under commit_mu_, may encode one; a
+                  second writer would break the chain and the log would not
+                  replay (DESIGN.md §4, §10).
   abort-after-commit
                   an Abort(x) after a Commit(x) of the same transaction in
                   src/, tests/, bench/ or examples/: within the next 3 lines,
@@ -708,6 +717,44 @@ def check_one_row_codec(path, lines, findings):
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-record-header
+# ---------------------------------------------------------------------------
+
+RECORD_HEADER_CALL_RE = re.compile(r"(?:->|\.)\s*EncodeChainedHeader\s*\(")
+HEADER_WRITER_RE = re.compile(r"\bLedgerDatabase\s*::\s*ProcessGroup\s*\(")
+
+
+def check_one_record_header(path, lines, findings):
+    """Finds LedgerDatabase::ProcessGroup's body by brace depth from its
+    definition and flags every chained header encoder call outside it."""
+    rel = os.path.relpath(path, REPO_ROOT)
+    if not rel.startswith("src" + os.sep):
+        return  # tests and tools encode records of their own
+    depth = 0
+    body = None      # brace depth around ProcessGroup's body, while in it
+    pending = False  # its signature seen, its body not yet opened
+    for i, raw in enumerate(lines, 1):
+        line = strip_noise(raw)
+        if body is None and HEADER_WRITER_RE.search(line):
+            pending = True
+        if pending and "{" in line:
+            body, pending = depth, False
+        elif pending and ";" in line:
+            pending = False  # a call or declaration, not the definition
+        if (body is None and RECORD_HEADER_CALL_RE.search(line) and
+                not allowed(lines, i, "one-record-header")):
+            findings.append(Finding(
+                "one-record-header", path, i,
+                "commit record header encoded outside "
+                "LedgerDatabase::ProcessGroup; headers chain in log order, "
+                "so only the group commit leader encodes them (DESIGN.md "
+                "§10)"))
+        depth += line.count("{") - line.count("}")
+        if body is not None and depth <= body:
+            body = None
+
+
+# ---------------------------------------------------------------------------
 # Rule: abort-after-commit
 # ---------------------------------------------------------------------------
 
@@ -927,6 +974,7 @@ CHECKS = [
     ("one-key-type", SRC_DIRS, check_one_key_type),
     ("pinned-plan", SRC_DIRS, check_pinned_plan),
     ("one-row-codec", SRC_DIRS, check_one_row_codec),
+    ("one-record-header", SRC_DIRS, check_one_record_header),
     ("metric-naming", ALL_CODE_DIRS, check_metric_naming),
     ("abort-after-commit", ALL_CODE_DIRS, check_abort_after_commit),
 ]
@@ -1123,10 +1171,34 @@ SELF_TEST_CASES = [
      "auto row = DecodeRow(&dec, prev);"),
     ("one-row-codec", "src/storage/x_selftest.cc",
      "auto v = Value::DecodeFrom(&dec);",
-     "auto rec = WalCommitRecord::Decode(body);"),
+     "auto rec = WalCommitRecord::Decode(body, &chain);"),
     ("one-row-codec", "src/sim/x_selftest.cc",
      "cell.EncodePayloadTo(&out);",
      "Row::PutChange(cell, before, &out);"),
+    ("one-record-header", "src/ledger/x_selftest.cc",
+     "Status LedgerDatabase::Commit(Transaction* txn) {\n"
+     "  record.EncodeChainedHeader(&chain, &req.payload);\n"
+     "}",
+     "void LedgerDatabase::ProcessGroup(\n"
+     "    const std::vector<CommitRequest*>& group) {\n"
+     "  for (CommitRequest* r : group) {\n"
+     "    r->header.EncodeChainedHeader(&chain, &header);\n"
+     "  }\n"
+     "}"),
+    # A call after ProcessGroup's body has closed.
+    ("one-record-header", "src/ledger/x_selftest.cc",
+     "void LedgerDatabase::ProcessGroup(const Group& group) {\n"
+     "  Append(group);\n"
+     "}\n"
+     "void LedgerDatabase::Rewrite(WalCommitRecord* rec) {\n"
+     "  rec->EncodeChainedHeader(&chain_, &out);\n"
+     "}",
+     "void LedgerDatabase::ProcessGroup(const Group& group) {\n"
+     "  Append(group);\n"
+     "}\n"
+     "void LedgerDatabase::Rewrite(WalCommitRecord* rec) {\n"
+     "  WalCommitRecord::EncodeOps(rec->ops, &out);\n"
+     "}"),
     # A status the commit set, tested on the next line.
     ("abort-after-commit", "tests/x_selftest.cc",
      "if (st.ok()) st = db->Commit(*txn);\n"
@@ -1267,6 +1339,15 @@ ONE_ROW_CODEC_SCOPE = [
     ("src/storage/checkpoint.cc", True),
     ("src/ledger/verifier.cc", True),
     ("tests/codec_fuzz_test.cc", False),
+    ("examples/stats_tool.cpp", False),
+]
+
+# (path, fires): a chained header encoded outside ProcessGroup fires only
+# in src/.
+ONE_RECORD_HEADER_SCOPE = [
+    ("src/storage/wal.cc", True),
+    ("src/sim/driver.cc", True),
+    ("tests/recovery_test.cc", False),
     ("examples/stats_tool.cpp", False),
 ]
 
@@ -1459,6 +1540,21 @@ def self_test_one_row_codec_scope():
     return failures
 
 
+def self_test_one_record_header_scope():
+    """The same header encoding fires or stays quiet by file."""
+    failures = 0
+    text = ["record->EncodeChainedHeader(&chain, &again);\n"]
+    for rel, expect_fire in ONE_RECORD_HEADER_SCOPE:
+        findings = []
+        check_one_record_header(os.path.join(REPO_ROOT, rel), text, findings)
+        if bool(findings) != expect_fire:
+            failures += 1
+            print(f"SELF-TEST FAIL [one-record-header/{rel}]:"
+                  f" {'did not fire' if expect_fire else 'fired'}",
+                  file=sys.stderr)
+    return failures
+
+
 def run_self_test():
     global REPO_ROOT
     real_root = REPO_ROOT
@@ -1472,6 +1568,7 @@ def run_self_test():
     failures += self_test_one_key_type_scope()
     failures += self_test_pinned_plan_scope()
     failures += self_test_one_row_codec_scope()
+    failures += self_test_one_record_header_scope()
     for rule, rel, bad, good in SELF_TEST_CASES:
         for variant, text, expect_fire in (("bad", bad, True),
                                            ("good", good, False)):
@@ -1503,7 +1600,7 @@ def run_self_test():
              len(ONE_UPLOADER_SCOPE) + len(ONE_DIGEST_ISSUER_SCOPE) +
              len(STAMP_ONCE_SCOPE) +
              len(ONE_KEY_TYPE_SCOPE) + len(PINNED_PLAN_SCOPE) +
-             len(ONE_ROW_CODEC_SCOPE))
+             len(ONE_ROW_CODEC_SCOPE) + len(ONE_RECORD_HEADER_SCOPE))
     print(f"lint.py --self-test: all {cases} cases pass "
           "(each rule fires on its seeded violation, stays quiet on the fix).")
     return 0

@@ -467,8 +467,13 @@ Result<Cell> Row::GetChange(const Iterator& prev, Decoder* dec) {
 }
 
 void EncodeRow(const Row& row, const Row* prev, std::vector<uint8_t>* dst) {
+  PutVarint32(dst, static_cast<uint32_t>(row.size()));
+  EncodeRowCells(row, prev, dst);
+}
+
+void EncodeRowCells(const Row& row, const Row* prev,
+                    std::vector<uint8_t>* dst) {
   const size_t n = row.size();
-  PutVarint32(dst, static_cast<uint32_t>(n));
   if (prev == nullptr || prev->size() != n) {
     for (Cell c : row) c.EncodeTo(dst);
     return;
@@ -494,7 +499,10 @@ void EncodeRow(const Row& row, const Row* prev, std::vector<uint8_t>* dst) {
 Result<Row> DecodeRow(Decoder* dec, const Row* prev) {
   auto count = dec->GetVarint32();
   if (!count.ok()) return count.status();
-  const size_t n = *count;
+  return DecodeRowCells(dec, *count, prev);
+}
+
+Result<Row> DecodeRowCells(Decoder* dec, size_t n, const Row* prev) {
   if (n > Row::kMaxColumns)
     return Status::Corruption("encoded row is too wide for a row block");
   const uint8_t* states = nullptr;  // the cell states, if the row has them

@@ -197,9 +197,9 @@ class Row {
  private:
   friend class CellRef;
 
-  friend void EncodeRow(const Row& row, const Row* prev,
-                        std::vector<uint8_t>* dst);
-  friend Result<Row> DecodeRow(Decoder* dec, const Row* prev);
+  friend void EncodeRowCells(const Row& row, const Row* prev,
+                             std::vector<uint8_t>* dst);
+  friend Result<Row> DecodeRowCells(Decoder* dec, size_t n, const Row* prev);
 
   static constexpr size_t kHeaderBytes = 8;
   static constexpr uint8_t kWidthShift = 4;
@@ -403,6 +403,9 @@ void EncodeRow(const Row& row, const Row* prev, std::vector<uint8_t>* dst);
 inline void EncodeRow(const Row& row, std::vector<uint8_t>* dst) {
   EncodeRow(row, nullptr, dst);
 }
+/// EncodeRow without the cell count, for a caller that logs one count for
+/// a run of tuples of that width (a WAL commit record's ops).
+void EncodeRowCells(const Row& row, const Row* prev, std::vector<uint8_t>* dst);
 
 /// An upper bound on the bytes EncodeRow appends for `row`, against any
 /// predecessor: the count takes at most 3 bytes and the states ceil(n/4);
@@ -422,6 +425,9 @@ inline size_t EncodedRowBound(const Row& row) {
 /// unused state bit or a state-1 cell whose predecessor is NULL, or past
 /// 4 GiB of string bytes, checked before anything is allocated.
 Result<Row> DecodeRow(Decoder* dec, const Row* prev = nullptr);
+/// DecodeRow of a row of `n` cells whose count is not in the input
+/// (EncodeRowCells).
+Result<Row> DecodeRowCells(Decoder* dec, size_t n, const Row* prev);
 
 }  // namespace sqlledger
 

@@ -34,12 +34,15 @@ Schema MakeLedgerBlocksSchema() {
 }
 
 namespace {
+// The table_roots cell: a varint count, then each root's varint table id
+// and 32 bytes. The leaf hash covers TransactionEntry::CanonicalBytes, not
+// these bytes.
 std::vector<uint8_t> EncodeTableRoots(
     const std::vector<std::pair<uint32_t, Hash256>>& roots) {
   std::vector<uint8_t> out;
   PutVarint32(&out, static_cast<uint32_t>(roots.size()));
   for (const auto& [table_id, root] : roots) {
-    PutFixed32(&out, table_id);
+    PutVarint32(&out, table_id);
     out.insert(out.end(), root.bytes.begin(), root.bytes.end());
   }
   return out;
@@ -50,14 +53,14 @@ Result<std::vector<std::pair<uint32_t, Hash256>>> DecodeTableRoots(
   Decoder dec(bytes);
   auto count = dec.GetVarint32();
   if (!count.ok()) return count.status();
-  // Each root is 36 bytes (fixed32 table id + hash); a tampered count must
-  // not drive the reservation.
-  if (*count > dec.remaining() / 36)
+  // Each root takes at least 33 bytes (a varint table id and the hash); a
+  // tampered count must not drive the reservation.
+  if (*count > dec.remaining() / 33)
     return Status::Corruption("table root count exceeds its bytes");
   std::vector<std::pair<uint32_t, Hash256>> roots;
   roots.reserve(*count);
   for (uint32_t i = 0; i < *count; i++) {
-    auto table_id = dec.GetFixed32();
+    auto table_id = dec.GetVarint32();
     if (!table_id.ok()) return table_id.status();
     auto hash_bytes = dec.GetBytes(32);
     if (!hash_bytes.ok()) return hash_bytes.status();

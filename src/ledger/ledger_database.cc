@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "catalog/row.h"
 #include "ledger/geo_replication.h"
@@ -13,12 +14,15 @@ namespace sqlledger {
 
 namespace {
 // Retired WAL commit record kinds (wal.h has the live ones), refused in a
-// log: kind 1 logged history rows and whole table roots, kind 3 stamped
-// row images encoded without predecessors, kind 4 rows whose changed
-// cells each carried a tag and an integer its whole value.
-constexpr uint8_t kWalKindRetiredCommit = 1;
-constexpr uint8_t kWalKindRetiredStampedCommit = 3;
-constexpr uint8_t kWalKindRetiredBitmapCommit = 4;
+// log with what each held.
+constexpr const char* kWalRetiredCommitKinds[] = {
+    nullptr,
+    "history rows and table roots logged whole",     // 1
+    nullptr,                                         // 2: a block close
+    "stamped row images without predecessors",       // 3
+    "repeat bitmaps, changed cells logged whole",    // 4
+    "headers logged whole, a type and table per op"  // 5
+};
 
 // Events kept by the database's trace ring before the oldest is overwritten
 // (DESIGN.md §13).
@@ -103,6 +107,10 @@ LedgerDatabase::LedgerDatabase(LedgerDatabaseOptions options)
   m_checkpoint_micros_ = metrics_->GetHistogram("checkpoint.duration_micros");
   m_checkpoint_runs_ = metrics_->GetCounter("checkpoint.runs_total");
   m_recovery_micros_ = metrics_->GetHistogram("recovery.duration_micros");
+  m_recovery_load_micros_ =
+      metrics_->GetHistogram("recovery.checkpoint_load_micros");
+  m_recovery_replay_micros_ =
+      metrics_->GetHistogram("recovery.wal_replay_micros");
   m_recovery_runs_ = metrics_->GetCounter("recovery.runs_total");
   m_verify_incremental_runs_ = metrics_->GetCounter("verify.incremental_total");
   m_verify_fallbacks_ = metrics_->GetCounter("verify.fallbacks_total");
@@ -170,11 +178,17 @@ Result<std::unique_ptr<LedgerDatabase>> LedgerDatabase::OpenImpl(
             st.message());
     }
     SL_RETURN_IF_ERROR(st);
+    const int64_t replay_start = db->metrics_->NowMicros();
     SL_RETURN_IF_ERROR(db->ReplayWal(used_fallback));
     if (new_incarnation)
       db->create_time_ = std::to_string(db->options_.clock());
-    db->m_recovery_micros_->Record(static_cast<uint64_t>(
-        std::max<int64_t>(0, db->metrics_->NowMicros() - recover_start)));
+    const int64_t recover_end = db->metrics_->NowMicros();
+    auto micros = [](int64_t from, int64_t to) {
+      return static_cast<uint64_t>(std::max<int64_t>(0, to - from));
+    };
+    db->m_recovery_load_micros_->Record(micros(recover_start, replay_start));
+    db->m_recovery_replay_micros_->Record(micros(replay_start, recover_end));
+    db->m_recovery_micros_->Record(micros(recover_start, recover_end));
     db->m_recovery_runs_->Add();
   } else {
     SL_RETURN_IF_ERROR(db->InitFresh());
@@ -335,9 +349,11 @@ Status LedgerDatabase::ReplayWal(bool used_fallback) {
   // previous generation first replays the rotated WAL ("wal.log.prev",
   // which spans previous-checkpoint -> newest-checkpoint), so either path
   // reconstructs the same state.
+  // Each file's commit record headers form chains of their own.
   auto replay = [&](const std::string& path) {
+    WalHeaderChain chain;
     return ReadFrameLog(env_, path, [&](Slice payload) {
-      return ReplayWalRecord(payload, checkpoint_next_txn_id, path);
+      return ReplayWalRecord(payload, checkpoint_next_txn_id, path, &chain);
     });
   };
   if (used_fallback) {
@@ -414,7 +430,8 @@ Status ReplayRowOp(const LedgerTableRef& t, const WalOp& op, uint64_t txn_id,
 
 Status LedgerDatabase::ReplayWalRecord(Slice payload,
                                        uint64_t checkpoint_next_txn_id,
-                                       const std::string& wal_path) {
+                                       const std::string& wal_path,
+                                       WalHeaderChain* chain) {
   if (payload.empty()) return Status::Corruption("empty WAL record");
   uint8_t kind = payload[0];
   Slice body(payload.data() + 1, payload.size() - 1);
@@ -428,13 +445,9 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload,
   }
   // Refused like a retired checkpoint format: the error reaches Open before
   // the log is truncated, so no file changes.
-  const char* retired = nullptr;
-  if (kind == kWalKindRetiredCommit)
-    retired = "history rows and table roots logged whole";
-  else if (kind == kWalKindRetiredStampedCommit)
-    retired = "stamped row images without predecessors";
-  else if (kind == kWalKindRetiredBitmapCommit)
-    retired = "repeat bitmaps, changed cells logged whole";
+  const char* retired = kind < std::size(kWalRetiredCommitKinds)
+                            ? kWalRetiredCommitKinds[kind]
+                            : nullptr;
   if (retired != nullptr)
     return Status::NotSupported(
         "WAL " + wal_path + " has commit records of kind " +
@@ -444,7 +457,8 @@ Status LedgerDatabase::ReplayWalRecord(Slice payload,
   if (kind != kWalKindCommit)
     return Status::Corruption("unknown WAL record kind");
 
-  auto record = WalCommitRecord::Decode(body);
+  // Decoded even when skipped: the next record's header chains from it.
+  auto record = WalCommitRecord::Decode(body, chain);
   if (!record.ok()) return record.status();
   if (record->txn_id < checkpoint_next_txn_id) return Status::OK();
 
@@ -676,18 +690,19 @@ Status LedgerDatabase::Commit(Transaction* txn) {
     req.txn = txn;
     req.commit_ts_micros = options_.clock();
     if (wal_enabled_) {
-      WalCommitRecord record;
-      record.txn_id = txn->id();
-      record.commit_ts_micros = req.commit_ts_micros;
-      record.user_name = txn->user_name();
-      // Placeholder slot; the leader patches the real one in at
-      // req.slot_offset once it has read the group's slots.
-      record.block_id = 0;
-      record.block_ordinal = 0;
-      record.SetTableRoots(txn->TableRoots());
-      req.payload.reserve(1 + record.EncodedBytesBound(txn->ops()));
-      req.payload.push_back(kWalKindCommit);
-      req.slot_offset = record.EncodeTo(txn->ops(), &req.payload);
+      // The header is chained to the record before it in the log, so the
+      // leader writes it (ProcessGroup), with the slot, into the headroom
+      // left for it here: the kind byte and the header at their widest.
+      WalCommitRecord& header = req.header;
+      header.txn_id = txn->id();
+      header.commit_ts_micros = req.commit_ts_micros;
+      header.user_name = txn->user_name();
+      header.SetTableRoots(txn->TableRoots());
+      req.header_room = 1 + header.HeaderBytesBound();
+      req.payload.reserve(req.header_room +
+                          WalCommitRecord::EncodedOpsBound(txn->ops()));
+      req.payload.resize(req.header_room);
+      WalCommitRecord::EncodeOps(txn->ops(), &req.payload);
     }
     Status st = CommitThroughGroup(&req);
     if (!st.ok()) {
@@ -774,14 +789,25 @@ void LedgerDatabase::ProcessGroup(const std::vector<CommitRequest*>& group) {
   if (ledger_ != nullptr) slots = ledger_->NextSlots(group.size());
 
   if (wal_ != nullptr) {
+    // Each header is encoded against the one before it in the log. The
+    // chain advances only once the group is appended: after a failed
+    // append the log is poisoned until a reset starts a new chain.
+    WalHeaderChain chain = wal_chain_;
+    std::vector<uint8_t> header;
     std::vector<Slice> payloads;
     payloads.reserve(group.size());
     for (size_t i = 0; i < group.size(); i++) {
       CommitRequest* r = group[i];
-      if (ledger_ != nullptr)
-        WalCommitRecord::PatchSlot(&r->payload, r->slot_offset,
-                                   slots[i].first, slots[i].second);
-      payloads.emplace_back(r->payload);
+      if (ledger_ != nullptr) {
+        r->header.block_id = slots[i].first;
+        r->header.block_ordinal = slots[i].second;
+      }
+      header.assign(1, kWalKindCommit);
+      r->header.EncodeChainedHeader(&chain, &header);
+      const size_t skip = r->header_room - header.size();
+      std::copy(header.begin(), header.end(), r->payload.begin() + skip);
+      payloads.emplace_back(r->payload.data() + skip,
+                            r->payload.size() - skip);
     }
     // WAL first: one buffered append, one fsync for the whole group. On
     // failure nothing reached the ledger, so the next group reads the same
@@ -799,6 +825,7 @@ void LedgerDatabase::ProcessGroup(const std::vector<CommitRequest*>& group) {
       for (CommitRequest* r : group) r->result = st;
       return;
     }
+    wal_chain_ = std::move(chain);
   }
 
   if (ledger_ != nullptr) {
@@ -1206,7 +1233,12 @@ Status LedgerDatabase::CheckpointImpl() {
   std::vector<uint8_t> meta = EncodeCatalogMeta();
   SL_RETURN_IF_ERROR(
       WriteCheckpoint(checkpoint_path_, Slice(meta), stores, env_));
-  if (wal_ != nullptr) SL_RETURN_IF_ERROR(wal_->Reset());
+  if (wal_ != nullptr) {
+    // The next commit record is the first of the new file's chain, whether
+    // or not the reset succeeds: a failed one leaves the log poisoned.
+    wal_chain_ = WalHeaderChain{};
+    SL_RETURN_IF_ERROR(wal_->Reset());
+  }
   return Status::OK();
 }
 

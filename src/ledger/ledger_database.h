@@ -321,13 +321,15 @@ class LedgerDatabase {
       LedgerDatabaseOptions options, bool new_incarnation);
 
   /// One committer's seat in the group-commit queue (DESIGN.md §10). The
-  /// WAL payload is fully encoded (with a placeholder slot) before the
-  /// request is enqueued; the leader patches the slot in once assigned.
+  /// committer encodes its record's ops behind `header_room` bytes of
+  /// headroom before the request is enqueued; the leader writes the kind
+  /// byte and the chained header, right-aligned, into that headroom.
   struct CommitRequest {
     Transaction* txn = nullptr;
     int64_t commit_ts_micros = 0;
-    std::vector<uint8_t> payload;  // kind byte + encoded WalCommitRecord
-    size_t slot_offset = 0;        // offset of the patchable slot pair
+    WalCommitRecord header;        // the record's header fields, no ops
+    std::vector<uint8_t> payload;  // headroom, then the encoded ops
+    size_t header_room = 0;
     bool done = false;
     Status result;
   };
@@ -336,9 +338,11 @@ class LedgerDatabase {
   /// committed or failed it. Returns the request's individual Status.
   Status CommitThroughGroup(CommitRequest* req);
   /// Leader body: reads the group's contiguous slots from the ledger's
-  /// append position, patches + batch-appends the WAL records (one fsync),
-  /// applies the ledger entries, and fills each member's result. Runs under commit_mu_ only — group_mu_ is released
-  /// so new committers keep enqueuing while the fsync is in flight.
+  /// append position, writes each record's header against the WAL's
+  /// header chain, batch-appends the records (one fsync), applies the
+  /// ledger entries, and fills each member's result. Runs under commit_mu_
+  /// only — group_mu_ is released so new committers keep enqueuing while
+  /// the fsync is in flight.
   void ProcessGroup(const std::vector<CommitRequest*>& group)
       EXCLUDES(group_mu_);
 
@@ -355,10 +359,11 @@ class LedgerDatabase {
   /// Checkpoint body; Checkpoint() wraps it with duration metrics/trace so
   /// recording happens after every lock scope has exited.
   Status CheckpointImpl();
-  /// Replays one record of `wal_path`, skipping commit records below
+  /// Replays one record of `wal_path`, decoding a commit record against
+  /// the file's header chain, and skipping commit records below
   /// `checkpoint_next_txn_id` (already in the loaded checkpoint).
   Status ReplayWalRecord(Slice payload, uint64_t checkpoint_next_txn_id,
-                         const std::string& wal_path);
+                         const std::string& wal_path, WalHeaderChain* chain);
   /// Makes the catalog entry `table_id` match `def`, for every DDL, the
   /// bootstrap, checkpoint load and replay alike, and the only code that
   /// makes an entry (table_definition.cc): creates it if missing, extends
@@ -422,6 +427,10 @@ class LedgerDatabase {
   Histogram* m_checkpoint_micros_ = nullptr;  // checkpoint.duration_micros
   Counter* m_checkpoint_runs_ = nullptr;      // checkpoint.runs_total
   Histogram* m_recovery_micros_ = nullptr;    // recovery.duration_micros
+  Histogram* m_recovery_load_micros_ = nullptr;
+  // ^ recovery.checkpoint_load_micros
+  Histogram* m_recovery_replay_micros_ = nullptr;
+  // ^ recovery.wal_replay_micros
   Counter* m_recovery_runs_ = nullptr;        // recovery.runs_total
   Counter* m_verify_incremental_runs_ = nullptr;  // verify.incremental_total
   Counter* m_verify_fallbacks_ = nullptr;         // verify.fallbacks_total
@@ -464,6 +473,9 @@ class LedgerDatabase {
   // append/reset against the paired ledger slot assignment, so digests,
   // commits and WAL resets see one consistent order.
   std::unique_ptr<Wal> wal_ PT_GUARDED_BY(commit_mu_);
+  // The header of the last commit record appended to wal_'s file, which
+  // the next one is encoded against; reset with the file.
+  WalHeaderChain wal_chain_ GUARDED_BY(commit_mu_);
   // Whether wal_ was created at Open. Set once before any concurrency,
   // read without commit_mu_ by committers deciding whether to encode.
   bool wal_enabled_ = false;

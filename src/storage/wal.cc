@@ -1,7 +1,6 @@
 #include "storage/wal.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "catalog/row.h"
 #include "util/coding.h"
@@ -10,7 +9,7 @@ namespace sqlledger {
 
 namespace {
 constexpr size_t kFrameHeaderSize = 8;  // fixed32 length + fixed32 crc32c
-// Set in a logged op's type byte when a sequence gap follows its table id.
+// Set in a run's type byte when a sequence gap follows its count.
 constexpr uint8_t kSeqGapFlag = 0x80;
 }  // namespace
 
@@ -108,6 +107,42 @@ Result<TableDefinition> TableDefinition::Decode(Decoder* dec) {
 }
 
 namespace {
+// The flags byte that starts a commit record's header.
+constexpr uint8_t kChainStart = 0x01;   // encoded against the zero state
+constexpr uint8_t kUserFollows = 0x02;  // the user name is not the chain's
+constexpr uint8_t kSlotFollows = 0x04;  // the slot is not the chain's
+constexpr uint8_t kHeaderFlags = kChainStart | kUserFollows | kSlotFollows;
+
+// The zigzag varint of `value - base`, taken mod 2^64, and its inverse.
+void PutDelta(std::vector<uint8_t>* dst, uint64_t value, uint64_t base) {
+  PutVarint64(dst, ZigZagEncode64(static_cast<int64_t>(value - base)));
+}
+
+Result<uint64_t> GetDelta(Decoder* dec, uint64_t base) {
+  auto delta = dec->GetVarint64();
+  if (!delta.ok()) return delta.status();
+  return base + static_cast<uint64_t>(ZigZagDecode64(*delta));
+}
+
+bool Deletes(const WalOp& op) {
+  return op.type == WalOpType::kDelete || op.type == WalOpType::kLedgerDelete;
+}
+
+// The tuple an op logs: a delete's key, else its row.
+const Row& TupleOf(const WalOp& op) {
+  return Deletes(op) ? op.key : op.new_row;
+}
+
+// Whether `op` continues the run `prev` is in: two row ops of one type,
+// table and nonzero width, and no sequence gap before `op`.
+bool JoinsRun(const WalOp& prev, const WalOp& op) {
+  if (op.type == WalOpType::kDefineTable || op.type != prev.type ||
+      op.table_id != prev.table_id || op.seq_gap != 0)
+    return false;
+  const size_t width = TupleOf(op).size();
+  return width != 0 && width == TupleOf(prev).size();
+}
+
 // The last tuple of each (table, cell count) a record has logged so far:
 // the predecessor of the next such tuple.
 class TuplePredecessors {
@@ -132,48 +167,74 @@ class TuplePredecessors {
 };
 }  // namespace
 
-size_t WalCommitRecord::EncodeTo(const std::vector<WalOp>& ops,
-                                 std::vector<uint8_t>* dst) const {
-  PutVarint64(dst, txn_id);
-  PutFixed64(dst, static_cast<uint64_t>(commit_ts_micros));
-  PutLengthPrefixed(dst, Slice(user_name));
-  // Fixed width so the group-commit leader can patch the slot in after
-  // encoding (the slot is only known once the leader assigns it).
-  size_t slot_offset = dst->size();
-  PutFixed64(dst, block_id);
-  PutFixed64(dst, block_ordinal);
+void WalCommitRecord::EncodeChainedHeader(WalHeaderChain* chain,
+                                          std::vector<uint8_t>* dst) const {
+  if (!chain->started) *chain = WalHeaderChain{};
+  const bool user = user_name != chain->user_name;
+  const bool slot =
+      block_id != chain->block_id || block_ordinal != chain->block_ordinal;
+  dst->push_back((chain->started ? 0 : kChainStart) |
+                 (user ? kUserFollows : 0) | (slot ? kSlotFollows : 0));
+  PutDelta(dst, txn_id, chain->txn_id);
+  PutDelta(dst, static_cast<uint64_t>(commit_ts_micros),
+           static_cast<uint64_t>(chain->commit_ts_micros));
+  if (user) PutLengthPrefixed(dst, Slice(user_name));
+  if (slot) {
+    PutDelta(dst, block_id, chain->block_id);
+    PutDelta(dst, block_ordinal, chain->block_ordinal);
+  }
   PutVarint32(dst, ledger_tables);
   if (ledger_tables > 0) PutFixed64(dst, roots_check);
-  PutVarint32(dst, static_cast<uint32_t>(ops.size()));
-  TuplePredecessors predecessors;
-  for (const WalOp& op : ops) {
-    const uint8_t type = static_cast<uint8_t>(op.type);
-    dst->push_back(op.seq_gap != 0 ? type | kSeqGapFlag : type);
-    PutVarint32(dst, op.table_id);
-    if (op.type == WalOpType::kDefineTable) {
-      op.definition->EncodeTo(dst);
-      continue;
-    }
-    if (op.seq_gap != 0) PutVarint64(dst, op.seq_gap);
-    const bool deletes = op.type == WalOpType::kDelete ||
-                         op.type == WalOpType::kLedgerDelete;
-    const Row& tuple = deletes ? op.key : op.new_row;
-    const Row*& prev = predecessors.Slot(op.table_id, tuple.size());
-    EncodeRow(tuple, prev, dst);
-    prev = &tuple;
-  }
-  return slot_offset;
+
+  chain->started = true;
+  chain->txn_id = txn_id;
+  chain->commit_ts_micros = commit_ts_micros;
+  if (user) chain->user_name = user_name;
+  chain->block_id = block_id;
+  chain->block_ordinal = block_ordinal;
 }
 
-size_t WalCommitRecord::EncodedBytesBound(
-    const std::vector<WalOp>& ops) const {
-  // Varints at their widest: the txn id, the user name's length, the
-  // ledger table count and the op count; then the fixed-width fields.
-  size_t bytes = 10 + 5 + user_name.size() + 5 + 5 + 8 + 16 + 8;
+size_t WalCommitRecord::HeaderBytesBound() const {
+  // The flags, four deltas at their widest (10 bytes each), the user name
+  // and its length, the ledger table count and the roots check.
+  return 1 + 4 * 10 + 5 + user_name.size() + 5 + 8;
+}
+
+void WalCommitRecord::EncodeOps(const std::vector<WalOp>& ops,
+                                std::vector<uint8_t>* dst) {
+  PutVarint32(dst, static_cast<uint32_t>(ops.size()));
+  TuplePredecessors predecessors;
+  for (size_t i = 0; i < ops.size();) {
+    const WalOp& first = ops[i];
+    const uint8_t type = static_cast<uint8_t>(first.type);
+    dst->push_back(first.seq_gap != 0 ? type | kSeqGapFlag : type);
+    PutVarint32(dst, first.table_id);
+    if (first.type == WalOpType::kDefineTable) {
+      first.definition->EncodeTo(dst);
+      i++;
+      continue;
+    }
+    size_t end = i + 1;
+    while (end < ops.size() && JoinsRun(ops[end - 1], ops[end])) end++;
+    PutVarint64(dst, end - i);
+    if (first.seq_gap != 0) PutVarint64(dst, first.seq_gap);
+    const size_t width = TupleOf(first).size();
+    PutVarint32(dst, static_cast<uint32_t>(width));
+    const Row*& prev = predecessors.Slot(first.table_id, width);
+    for (; i < end; i++) {
+      EncodeRowCells(TupleOf(ops[i]), prev, dst);
+      prev = &TupleOf(ops[i]);
+    }
+  }
+}
+
+size_t WalCommitRecord::EncodedOpsBound(const std::vector<WalOp>& ops) {
+  // The op count; per op a run header at its widest (the type byte, the
+  // table id, the count, the gap and the width), then the tuple: the key
+  // or the row, whichever the op logs (the other is empty).
+  size_t bytes = 5;
   for (const WalOp& op : ops) {
-    // The type byte, the table id and the sequence gap, then the tuple:
-    // the key or the row, whichever the op logs (the other is empty).
-    bytes += 1 + 5 + 10 + EncodedRowBound(op.key) +
+    bytes += 1 + 5 + 10 + 10 + 5 + EncodedRowBound(op.key) +
              EncodedRowBound(op.new_row);
   }
   return bytes;
@@ -199,39 +260,62 @@ uint64_t WalCommitRecord::RootsCheck(
   return *prefix.GetFixed64();
 }
 
-void WalCommitRecord::PatchSlot(std::vector<uint8_t>* buf, size_t slot_offset,
-                                uint64_t block_id, uint64_t block_ordinal) {
-  std::vector<uint8_t> slot;
-  slot.reserve(16);
-  PutFixed64(&slot, block_id);
-  PutFixed64(&slot, block_ordinal);
-  std::memcpy(buf->data() + slot_offset, slot.data(), slot.size());
-}
-
-Result<WalCommitRecord> WalCommitRecord::Decode(
-    Slice payload, std::vector<size_t>* tuple_bytes) {
+Result<WalCommitRecord> WalCommitRecord::Decode(Slice payload,
+                                                WalHeaderChain* chain,
+                                                WalRecordLayout* layout) {
   Decoder dec(payload);
   WalCommitRecord rec;
+  WalRecordLayout layers;
+  size_t mark = dec.remaining();
+  // The bytes read since the last call, for the layer breakdown (the
+  // tuples are only counted with `layout`).
+  auto consumed = [&] {
+    const size_t n = mark - dec.remaining();
+    mark = dec.remaining();
+    return n;
+  };
 
-  auto txn_id = dec.GetVarint64();
+  auto flags = dec.GetBytes(1);
+  if (!flags.ok()) return flags.status();
+  const uint8_t f = (*flags)[0];
+  if ((f & ~kHeaderFlags) != 0)
+    return Status::Corruption("unknown flags in a WAL record header");
+  if ((f & kChainStart) == 0 && !chain->started)
+    return Status::Corruption(
+        "WAL record continues a header chain that never started");
+  layers.chain_start = (f & kChainStart) != 0;
+  const WalHeaderChain kZero;
+  const WalHeaderChain& base = layers.chain_start ? kZero : *chain;
+  auto txn_id = GetDelta(&dec, base.txn_id);
   if (!txn_id.ok()) return txn_id.status();
   rec.txn_id = *txn_id;
-
-  auto ts = dec.GetFixed64();
+  auto ts = GetDelta(&dec, static_cast<uint64_t>(base.commit_ts_micros));
   if (!ts.ok()) return ts.status();
   rec.commit_ts_micros = static_cast<int64_t>(*ts);
+  if ((f & kUserFollows) != 0) {
+    auto user = dec.GetLengthPrefixed();
+    if (!user.ok()) return user.status();
+    rec.user_name = user->ToString();
+    if (rec.user_name == base.user_name)
+      return Status::Corruption("WAL record logs its chain's user name");
+  } else {
+    rec.user_name = base.user_name;
+  }
+  layers.stamp = consumed();
 
-  auto user = dec.GetLengthPrefixed();
-  if (!user.ok()) return user.status();
-  rec.user_name = user->ToString();
-
-  auto block_id = dec.GetFixed64();
-  if (!block_id.ok()) return block_id.status();
-  rec.block_id = *block_id;
-
-  auto ordinal = dec.GetFixed64();
-  if (!ordinal.ok()) return ordinal.status();
-  rec.block_ordinal = *ordinal;
+  rec.block_id = base.block_id;
+  rec.block_ordinal = base.block_ordinal;
+  if ((f & kSlotFollows) != 0) {
+    auto block_id = GetDelta(&dec, base.block_id);
+    if (!block_id.ok()) return block_id.status();
+    auto ordinal = GetDelta(&dec, base.block_ordinal);
+    if (!ordinal.ok()) return ordinal.status();
+    if (*block_id == rec.block_id && *ordinal == rec.block_ordinal)
+      return Status::Corruption("WAL record logs its chain's slot");
+    rec.block_id = *block_id;
+    rec.block_ordinal = *ordinal;
+  }
+  layers.slot = consumed();
 
   auto ledger_tables = dec.GetVarint32();
   if (!ledger_tables.ok()) return ledger_tables.status();
@@ -241,57 +325,82 @@ Result<WalCommitRecord> WalCommitRecord::Decode(
     if (!check.ok()) return check.status();
     rec.roots_check = *check;
   }
+  layers.roots_check = consumed();
 
-  // The op count is bounded by the bytes left before anything is reserved:
-  // an op takes at least 3 (type, table id varint, row count varint).
+  // Every op takes at least a byte: a tuple of a nonzero width a byte, an
+  // empty one a run header of its own, a definition its type and table.
+  // So the op count is bounded by the bytes left before it is reserved.
   auto num_ops = dec.GetVarint32();
   if (!num_ops.ok()) return num_ops.status();
-  if (*num_ops > dec.remaining() / 3)
+  if (*num_ops > dec.remaining())
     return Status::Corruption("WAL op count exceeds the record");
-  // Reserved, so a decoded tuple stays put while it is a predecessor.
+  // Reserved, so a tuple stays put while it is a predecessor.
   rec.ops.reserve(*num_ops);
-  if (tuple_bytes != nullptr) tuple_bytes->assign(*num_ops, 0);
   TuplePredecessors predecessors;
-  for (uint32_t i = 0; i < *num_ops; i++) {
+  while (rec.ops.size() < *num_ops) {
     auto type_byte = dec.GetBytes(1);
     if (!type_byte.ok()) return type_byte.status();
-    WalOp& op = rec.ops.emplace_back();
     const uint8_t t = (*type_byte)[0] & ~kSeqGapFlag;
     const bool has_gap = ((*type_byte)[0] & kSeqGapFlag) != 0;
     if (t < 1 || t > 5) return Status::Corruption("bad WAL op type");
-    op.type = static_cast<WalOpType>(t);
     auto table_id = dec.GetVarint32();
     if (!table_id.ok()) return table_id.status();
-    op.table_id = *table_id;
-    if (op.type == WalOpType::kDefineTable) {
+    WalOp first;
+    first.type = static_cast<WalOpType>(t);
+    first.table_id = *table_id;
+    if (first.type == WalOpType::kDefineTable) {
       if (has_gap) return Status::Corruption("sequence gap on a definition");
+      layers.run_headers += consumed();
       auto def = TableDefinition::Decode(&dec);
       if (!def.ok()) return def.status();
-      op.definition = std::make_shared<const TableDefinition>(std::move(*def));
+      first.definition =
+          std::make_shared<const TableDefinition>(std::move(*def));
+      rec.ops.push_back(std::move(first));
+      if (layout != nullptr) layers.tuples.push_back(consumed());
       continue;
     }
+    auto count = dec.GetVarint64();
+    if (!count.ok()) return count.status();
     if (has_gap) {
       auto gap = dec.GetVarint64();
       if (!gap.ok()) return gap.status();
       if (*gap == 0) return Status::Corruption("zero sequence gap logged");
-      op.seq_gap = *gap;
+      first.seq_gap = *gap;
     }
-    // The tuple's width picks its predecessor: peek at its cell count.
-    Decoder peek = dec;
-    auto width = peek.GetVarint32();
+    auto width = dec.GetVarint32();
     if (!width.ok()) return width.status();
-    const Row*& prev = predecessors.Slot(op.table_id, *width);
-    const bool deletes = op.type == WalOpType::kDelete ||
-                         op.type == WalOpType::kLedgerDelete;
-    Row& tuple = deletes ? op.key : op.new_row;
-    const size_t before = dec.remaining();
-    auto row = DecodeRow(&dec, prev);
-    if (!row.ok()) return row.status();
-    tuple = std::move(*row);
-    prev = &tuple;
-    if (tuple_bytes != nullptr) (*tuple_bytes)[i] = before - dec.remaining();
+    if (*count == 0 || *count > *num_ops - rec.ops.size() ||
+        (*width == 0 && *count != 1))
+      return Status::Corruption("WAL run length does not fit the record");
+    layers.run_headers += consumed();
+    const Row*& prev = predecessors.Slot(first.table_id, *width);
+    for (uint64_t k = 0; k < *count; k++) {
+      auto tuple = DecodeRowCells(&dec, *width, prev);
+      if (!tuple.ok()) return tuple.status();
+      WalOp& op = rec.ops.emplace_back();
+      op.type = first.type;
+      op.table_id = first.table_id;
+      if (k == 0) op.seq_gap = first.seq_gap;
+      Row& logged = Deletes(op) ? op.key : op.new_row;
+      logged = std::move(*tuple);
+      prev = &logged;
+      if (layout != nullptr) layers.tuples.push_back(consumed());
+    }
+    // The encoder makes every run as long as it can.
+    const size_t n = rec.ops.size();
+    if (n > *count && JoinsRun(rec.ops[n - *count - 1], rec.ops[n - *count]))
+      return Status::Corruption("WAL run continues the run before it");
   }
   if (!dec.done()) return Status::Corruption("trailing bytes in WAL record");
+
+  // The chain advances only past a whole record.
+  chain->started = true;
+  chain->txn_id = rec.txn_id;
+  chain->commit_ts_micros = rec.commit_ts_micros;
+  if (rec.user_name != chain->user_name) chain->user_name = rec.user_name;
+  chain->block_id = rec.block_id;
+  chain->block_ordinal = rec.block_ordinal;
+  if (layout != nullptr) *layout = std::move(layers);
   return rec;
 }
 

@@ -12,10 +12,14 @@
 // rebuilds it from the row's pre-image and the retiring (transaction id,
 // sequence number). The per-table Merkle roots are not logged either:
 // replay rebuilds them from the row versions it applies and checks them
-// against an 8-byte digest of the roots the commit computed. Each logged
-// tuple is encoded against a predecessor (EncodeRow), so a cell that
-// repeats the one before it costs two bits, and one that keeps its tag
-// logs no tag (an integer logs its difference).
+// against an 8-byte digest of the roots the commit computed. Ops are
+// logged in runs of one type, table and width, each tuple encoded against
+// a predecessor (EncodeRowCells), so a cell that repeats the one before it
+// costs two bits, and one that keeps its tag logs no tag (an integer logs
+// its difference). A record's header is encoded against the header of the
+// record before it in the same file (WalHeaderChain): the transaction id
+// and timestamp as differences, the user and the slot only when they
+// change.
 //
 // Records are framed as [fixed32 length][fixed32 crc32c][payload], the frame
 // log shared with the digest outbox. Recovery replays up to the first frame
@@ -48,9 +52,9 @@ namespace sqlledger {
 
 /// The kind of a WAL record: its payload's first byte. A commit record's
 /// body is a WalCommitRecord; a block close's a varint block id. Retired
-/// commit record kinds (1, 3 and 4) are refused at replay.
+/// commit record kinds (1, 3, 4 and 5) are refused at replay.
 constexpr uint8_t kWalKindBlockClose = 2;
-constexpr uint8_t kWalKindCommit = 5;
+constexpr uint8_t kWalKindCommit = 6;
 
 /// Kind of a logged redo operation.
 enum class WalOpType : uint8_t {
@@ -90,21 +94,26 @@ struct TableDefinition {
   static Result<TableDefinition> Decode(Decoder* dec);
 };
 
-/// One redo operation within a committed transaction, logged as
-/// [type][table_id][seq_gap][tuple] or [type][table_id][definition]. The
-/// tuple of an insert or update is the user row the statement passed (its
-/// visible columns, in ordinal order), which replay pads again; that of a
-/// delete or ledger delete is the row's clustered key. Each tuple is
-/// encoded (EncodeRow) against the last tuple before it in the record of
-/// the same table and cell count, or against none.
+/// One redo operation within a committed transaction. The tuple of an
+/// insert or update is the user row the statement passed (its visible
+/// columns, in ordinal order), which replay pads again; that of a delete or
+/// ledger delete is the row's clustered key.
+///
+/// A record logs its op count, then its ops in runs: consecutive row ops
+/// of one type, table and tuple width form a run, logged as
+/// [type][table_id][count][gap][width] and then each tuple's cells without
+/// a count (EncodeRowCells), encoded against the last tuple before it in
+/// the record of the same table and width, or against none. A definition
+/// op is [4][table_id][definition], a run of its own. An empty tuple is a
+/// run of its own too, so every op takes at least one byte.
 ///
 /// A ledger op's sequence numbers are not logged. Replay numbers a
 /// record's ledger ops from 0 in log order: an insert takes one, a ledger
 /// delete one (its retired version's end sequence) and an update two (it
 /// retires its pre-image at the first, UpdateRetireSeq, and installs at the
 /// second). A failed statement may have consumed numbers that no logged op
-/// took: the next op's `seq_gap` counts them, and a nonzero gap sets bit
-/// 0x80 of its type byte and follows the table id as a varint.
+/// took: the next op's `seq_gap` counts them. A nonzero gap starts a run,
+/// sets bit 0x80 of its type byte and follows the count as a varint.
 struct WalOp {
   WalOpType type = WalOpType::kInsert;
   uint32_t table_id = 0;
@@ -114,7 +123,42 @@ struct WalOp {
   uint64_t seq_gap = 0;  // ledger ops: numbers skipped before this op
 };
 
-/// A committed transaction's WAL record.
+/// What a commit record's header is encoded against: the header of the
+/// commit record before it in the same file. A default chain is the zero
+/// state a chain starts from. A writer's first record after Open or a WAL
+/// reset sets the chain-start bit and is encoded against the zero state,
+/// so each file decodes on its own, and so does the part of a file that a
+/// reopened writer appended.
+struct WalHeaderChain {
+  bool started = false;
+  uint64_t txn_id = 0;
+  int64_t commit_ts_micros = 0;
+  std::string user_name;
+  uint64_t block_id = 0;
+  uint64_t block_ordinal = 0;
+};
+
+/// How a decoded commit record was laid out: whether it starts a header
+/// chain, and its bytes by layer, which with the kind byte add up to its
+/// payload.
+struct WalRecordLayout {
+  bool chain_start = false;
+  size_t stamp = 0;        // header flags, txn id, commit ts and user name
+  size_t slot = 0;         // the block id and ordinal differences
+  size_t roots_check = 0;  // the ledger table count and the roots check
+  size_t run_headers = 0;  // the op count and every run's header
+  std::vector<size_t> tuples;  // per op, its tuple's or definition's bytes
+};
+
+/// A committed transaction's WAL record: a header, then the ops. The
+/// header is [flags][txn id][commit ts][user][slot][ledger tables][roots
+/// check], encoded against a WalHeaderChain: the txn id and the timestamp
+/// as zigzag varints of their differences from the chain's, the user
+/// (length-prefixed, flag 0x02) only when it is not the chain's, and the
+/// slot as zigzag varints of the block id's and ordinal's differences
+/// (flag 0x04) only when it is not the chain's: in a database without a
+/// ledger every slot is (0, 0), and none is logged. Flag 0x01 marks a
+/// chain start.
 struct WalCommitRecord {
   uint64_t txn_id = 0;
   int64_t commit_ts_micros = 0;
@@ -139,30 +183,28 @@ struct WalCommitRecord {
   static uint64_t RootsCheck(
       const std::vector<std::pair<uint32_t, Hash256>>& roots);
 
-  /// Appends the encoded record, with `ops` as its operations, to `dst`
-  /// and returns the offset (within `dst`) of the fixed-width (block id,
-  /// block ordinal) pair. The commit passes its transaction's ops, which
-  /// are not copied into the record. The group commit pipeline encodes
-  /// records before the ledger slot is known and the leader patches the
-  /// slot in with PatchSlot.
-  size_t EncodeTo(const std::vector<WalOp>& ops,
-                  std::vector<uint8_t>* dst) const;
-  /// Encodes the record with its own `ops`.
-  size_t EncodeTo(std::vector<uint8_t>* dst) const {
-    return EncodeTo(ops, dst);
-  }
-  /// An upper bound on the bytes EncodeTo appends with `ops`, to reserve
-  /// before encoding. A table definition's bytes are not counted: a DDL's
-  /// record may outgrow it.
-  size_t EncodedBytesBound(const std::vector<WalOp>& ops) const;
-  /// Overwrites the slot pair previously encoded at `slot_offset`.
-  static void PatchSlot(std::vector<uint8_t>* buf, size_t slot_offset,
-                        uint64_t block_id, uint64_t block_ordinal);
-  /// Decodes a record (the payload after its kind byte). With
-  /// `tuple_bytes`, also reports the encoded bytes of each op's tuple, in
-  /// op order (0 for a definition op), for a breakdown of what a log holds.
-  static Result<WalCommitRecord> Decode(
-      Slice payload, std::vector<size_t>* tuple_bytes = nullptr);
+  /// Appends the record's header, encoded against `*chain`, and advances
+  /// the chain to this record. Headers chain in log order, so the group
+  /// commit leader alone calls it, as it appends (lint rule
+  /// `one-record-header`).
+  void EncodeChainedHeader(WalHeaderChain* chain,
+                           std::vector<uint8_t>* dst) const;
+  /// An upper bound on the bytes EncodeChainedHeader appends, against any
+  /// chain.
+  size_t HeaderBytesBound() const;
+  /// Appends `ops` in runs: the part of a record that depends on no other
+  /// record, which each committer encodes for itself.
+  static void EncodeOps(const std::vector<WalOp>& ops,
+                        std::vector<uint8_t>* dst);
+  /// An upper bound on the bytes EncodeOps appends, to reserve before
+  /// encoding. A table definition's bytes are not counted: a DDL's record
+  /// may outgrow it.
+  static size_t EncodedOpsBound(const std::vector<WalOp>& ops);
+  /// Decodes a record (the payload after its kind byte) against `*chain`,
+  /// which it advances. With `layout`, also reports how the record was
+  /// laid out.
+  static Result<WalCommitRecord> Decode(Slice payload, WalHeaderChain* chain,
+                                        WalRecordLayout* layout = nullptr);
 };
 
 /// Appends one frame holding `payload`, which must not be empty.

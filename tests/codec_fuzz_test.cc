@@ -1,11 +1,12 @@
 // Seeded fuzzing of the WAL/checkpoint codec (Cell::EncodeTo, EncodeRow,
-// DecodeRow with and without a predecessor, WalCommitRecord with its roots
-// count and check, sequence gaps, row, ledger-delete and table-definition
-// ops): random rows of every type, NULLs, empty and 64 KiB strings, ±0.0
-// and NaN round-trip exactly, alone and against predecessors whose cells
-// repeat, change (integers across the INT64_MIN/INT64_MAX wrap), turn NULL
-// or change type; the zigzag edges keep their value and their varint
-// length; every strict prefix of an encoded row or commit record is
+// DecodeRow with and without a predecessor, WalCommitRecord with its
+// chained header, roots count and check, runs, sequence gaps, row,
+// ledger-delete and table-definition ops): random rows of every type,
+// NULLs, empty and 64 KiB strings, ±0.0 and NaN round-trip exactly, alone
+// and against predecessors whose cells repeat, change (integers across the
+// INT64_MIN/INT64_MAX wrap), turn NULL or change type; the zigzag edges
+// keep their value and their varint length; every strict prefix of an
+// encoded row or commit record (decoded against its header chain) is
 // Corruption, and so are cell state 3 and a set unused state bit; and
 // every single-byte flip decodes to OK or Corruption without crashing (the
 // sanitizer builds check the reads). SQLLEDGER_TEST_SEED picks the values.
@@ -310,26 +311,37 @@ TEST(CodecFuzzTest, RandomRowsRoundTrip) {
 }
 
 // Commit records holding table definitions (a schema change), ledger
-// deletes and a roots check decode to records that encode to the same
-// bytes.
+// deletes and a roots check, their headers chained (and a chain restarted
+// every 16 records, as a reopened writer does), decode to records that
+// encode to the same bytes.
 TEST(CodecFuzzTest, CommitRecordsWithDefinitionsRoundTrip) {
   SCOPED_TRACE("SQLLEDGER_TEST_SEED=" + std::to_string(TestSeed()));
   Random rng(TestCaseSeed(4));
-  int definitions = 0;
+  int definitions = 0, chain_starts = 0;
   RecordCoverage coverage;
+  WalHeaderChain writer, reader, again_writer;
   for (int r = 0; r < 100; r++) {
     WalCommitRecord rec = RandomRecord(&rng);
     coverage.Add(rec);
+    if (r % 16 == 15) writer = WalHeaderChain{};
     std::vector<uint8_t> buf;
-    rec.EncodeTo(&buf);
-    auto decoded = WalCommitRecord::Decode(Slice(buf));
+    EncodeCommitRecord(rec, &writer, &buf);
+    WalRecordLayout layout;
+    auto decoded = WalCommitRecord::Decode(Slice(buf), &reader, &layout);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    chain_starts += layout.chain_start;
+    ASSERT_EQ(decoded->txn_id, rec.txn_id);
+    ASSERT_EQ(decoded->commit_ts_micros, rec.commit_ts_micros);
+    ASSERT_EQ(decoded->user_name, rec.user_name);
+    ASSERT_EQ(decoded->block_id, rec.block_id);
+    ASSERT_EQ(decoded->block_ordinal, rec.block_ordinal);
     ASSERT_EQ(decoded->ledger_tables, rec.ledger_tables);
     ASSERT_EQ(decoded->roots_check, rec.roots_check);
     ASSERT_EQ(decoded->ops.size(), rec.ops.size());
     for (size_t i = 0; i < rec.ops.size(); i++) {
       definitions += rec.ops[i].type == WalOpType::kDefineTable;
       ASSERT_EQ(decoded->ops[i].type, rec.ops[i].type) << i;
+      ASSERT_EQ(decoded->ops[i].table_id, rec.ops[i].table_id) << i;
       ASSERT_EQ(decoded->ops[i].seq_gap, rec.ops[i].seq_gap) << i;
       EXPECT_TRUE(decoded->ops[i].key == rec.ops[i].key) << i;
       EXPECT_TRUE(decoded->ops[i].new_row == rec.ops[i].new_row) << i;
@@ -337,10 +349,12 @@ TEST(CodecFuzzTest, CommitRecordsWithDefinitionsRoundTrip) {
                 rec.ops[i].definition != nullptr)
           << i;
     }
+    if (layout.chain_start) again_writer = WalHeaderChain{};
     std::vector<uint8_t> again;
-    decoded->EncodeTo(&again);
+    EncodeCommitRecord(*decoded, &again_writer, &again);
     EXPECT_EQ(again, buf);
   }
+  EXPECT_EQ(chain_starts, 7);
   EXPECT_GT(definitions, 20);
   EXPECT_GT(coverage.ledger_deletes, 20);
   EXPECT_GT(coverage.gaps, 20);
@@ -507,19 +521,23 @@ TEST(CodecFuzzTest, EveryStrictPrefixIsCorruption) {
       EXPECT_TRUE(DecodeRow(&row_dec).status().IsCorruption()) << cut;
     }
   }
+  // Records in one header chain: each strict prefix of a record is
+  // Corruption against the chain its whole decodes against.
   RecordCoverage coverage;
+  WalHeaderChain writer, reader;
   for (int r = 0; r < 40; r++) {
     std::vector<uint8_t> buf;
     WalCommitRecord rec = RandomRecord(&rng);
     coverage.Add(rec);
-    rec.EncodeTo(&buf);
-    ASSERT_TRUE(WalCommitRecord::Decode(Slice(buf)).ok());
+    EncodeCommitRecord(rec, &writer, &buf);
     for (size_t cut = 0; cut < buf.size(); cut++) {
-      EXPECT_TRUE(WalCommitRecord::Decode(Slice(buf.data(), cut))
+      WalHeaderChain chain = reader;
+      EXPECT_TRUE(WalCommitRecord::Decode(Slice(buf.data(), cut), &chain)
                       .status()
                       .IsCorruption())
           << cut;
     }
+    ASSERT_TRUE(WalCommitRecord::Decode(Slice(buf), &reader).ok());
   }
   EXPECT_GT(coverage.checks, 0);
   EXPECT_GT(coverage.ledger_deletes, 0);
@@ -532,14 +550,17 @@ TEST(CodecFuzzTest, SingleByteFlipsNeverCrash) {
   auto ok_or_corruption = [](const Status& st) {
     return st.ok() || st.IsCorruption();
   };
+  // Records in one header chain, each flipped record decoded against the
+  // chain its original decodes against.
   RecordCoverage coverage;
+  WalHeaderChain writer, reader;
   for (int r = 0; r < 30; r++) {
     std::vector<uint8_t> row_bytes;
     EncodeRow(RandomValues(&rng, 16, 0), &row_bytes);
     std::vector<uint8_t> record_bytes;
     WalCommitRecord rec = RandomRecord(&rng);
     coverage.Add(rec);
-    rec.EncodeTo(&record_bytes);
+    EncodeCommitRecord(rec, &writer, &record_bytes);
     for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF},
                          static_cast<uint8_t>(1 + rng.Uniform(255))}) {
       for (size_t i = 0; i < row_bytes.size(); i++) {
@@ -551,11 +572,13 @@ TEST(CodecFuzzTest, SingleByteFlipsNeverCrash) {
       for (size_t i = 0; i < record_bytes.size(); i++) {
         std::vector<uint8_t> flipped = record_bytes;
         flipped[i] ^= mask;
+        WalHeaderChain chain = reader;
         EXPECT_TRUE(ok_or_corruption(
-            WalCommitRecord::Decode(Slice(flipped)).status()))
+            WalCommitRecord::Decode(Slice(flipped), &chain).status()))
             << i;
       }
     }
+    ASSERT_TRUE(WalCommitRecord::Decode(Slice(record_bytes), &reader).ok());
   }
   EXPECT_GT(coverage.checks, 0);
   EXPECT_GT(coverage.ledger_deletes, 0);

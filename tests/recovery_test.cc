@@ -152,6 +152,65 @@ TEST_F(RecoveryTest, CrashRecoveryReplaysWalTail) {
   EXPECT_TRUE(report->ok()) << report->Summary();
 }
 
+// A reopened database appends to the log it replayed. Its first commit
+// record starts a header chain of its own, so the log, written by two
+// writers, replays whole: after a second reopen every row of both is
+// present and the ledger verifies.
+TEST_F(RecoveryTest, ReopenedWriterStartsAHeaderChain) {
+  {
+    auto db = Open();
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    for (int i = 0; i < 5; i++)
+      ASSERT_TRUE(InsertOne(db.get(), "t", i, "first").ok());
+  }
+  // The indexes of the log's commit records that start a header chain;
+  // `records` counts them all.
+  auto chain_starts = [&](size_t* records) {
+    std::vector<size_t> starts;
+    WalHeaderChain chain;
+    WalRecordLayout layout;
+    *records = 0;
+    auto scan = ReadFrameLog(Env::Default(), Path("db") + "/wal.log",
+                             [&](Slice payload) {
+      EXPECT_EQ(payload[0], kWalKindCommit);
+      auto rec = WalCommitRecord::Decode(
+          Slice(payload.data() + 1, payload.size() - 1), &chain, &layout);
+      if (!rec.ok()) return rec.status();
+      if (layout.chain_start) starts.push_back(*records);
+      ++*records;
+      return Status::OK();
+    });
+    EXPECT_TRUE(scan.ok()) << scan.status().ToString();
+    return starts;
+  };
+  size_t first_writer_records = 0, records = 0;
+  EXPECT_EQ(chain_starts(&first_writer_records), std::vector<size_t>{0});
+  ASSERT_GT(first_writer_records, 5u);
+  {
+    auto db = Open();
+    for (int i = 5; i < 8; i++)
+      ASSERT_TRUE(InsertOne(db.get(), "t", i, "second").ok());
+  }
+  EXPECT_EQ(chain_starts(&records),
+            (std::vector<size_t>{0, first_writer_records}));
+  EXPECT_EQ(records, first_writer_records + 3);
+
+  auto db = Open();
+  auto txn = db->Begin("app");
+  auto rows = db->Scan(*txn, "t");
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 8u);
+  for (int i = 0; i < 8; i++)
+    EXPECT_EQ((*rows)[i][1].string_value(), i < 5 ? "first" : "second") << i;
+  ASSERT_TRUE(db->Commit(*txn).ok());
+  auto digest = db->GenerateDigest();
+  ASSERT_TRUE(digest.ok());
+  auto report = VerifyLedger(db.get(), {*digest});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
 TEST_F(RecoveryTest, RecoveryAfterCheckpointPlusMoreTraffic) {
   DatabaseDigest d1;
   {
@@ -437,14 +496,14 @@ TEST_F(RecoveryTest, MissingNewestCheckpointFallsBackToPreviousGeneration) {
 
 // A checkpoint of a retired format, SLCKPT01 (fixed-width cells), SLCKPT02
 // (rows without predecessors), SLCKPT03 (store definitions beside their
-// rows) or SLCKPT04 (repeat bitmaps, changed cells written whole), is not
-// torn: it is refused as NotSupported, naming the format, and recovery
-// neither falls back to a readable ".prev" beside it nor replays or
-// truncates the WAL. Covered: the newest generation retired with a good
+// rows), SLCKPT04 (repeat bitmaps, changed cells written whole) or
+// SLCKPT05 (fixed32 table ids in table roots), is not torn: it is refused
+// as NotSupported, naming the format, and recovery neither falls back to a
+// readable ".prev" beside it nor replays or truncates the WAL. Covered: the newest generation retired with a good
 // ".prev", the newest retired alone, and only a retired ".prev".
 TEST_F(RecoveryTest, RetiredCheckpointFormatIsRefusedWithoutFallback) {
   for (const char* magic :
-       {"SLCKPT01", "SLCKPT02", "SLCKPT03", "SLCKPT04"}) {
+       {"SLCKPT01", "SLCKPT02", "SLCKPT03", "SLCKPT04", "SLCKPT05"}) {
     SCOPED_TRACE(magic);
     const std::string dir = magic;
     const std::string ckpt = Path(dir) + "/checkpoint.sldb";
@@ -920,6 +979,25 @@ void RewriteWal(const std::string& path,
             static_cast<std::streamsize>(frames.size()));
 }
 
+// Rewrites the WAL at `path` record by record: `edit` sees each commit
+// record, decoded against the file's header chain, and may change it or
+// drop it (false). The kept records are encoded again, in one chain, and
+// block closes are kept as they are.
+void RewriteWalRecords(const std::string& path,
+                       const std::function<bool(WalCommitRecord*)>& edit) {
+  WalHeaderChain reader, writer;
+  RewriteWal(path, [&](std::vector<uint8_t>* payload) {
+    if ((*payload)[0] != kWalKindCommit) return true;
+    auto rec = WalCommitRecord::Decode(
+        Slice(payload->data() + 1, payload->size() - 1), &reader);
+    EXPECT_TRUE(rec.ok()) << rec.status().ToString();
+    if (!rec.ok() || !edit(&*rec)) return false;
+    payload->resize(1);  // the record kind
+    EncodeCommitRecord(*rec, &writer, payload);
+    return true;
+  });
+}
+
 TEST_F(RecoveryTest, AlteredRowImageFailsTheRootsCheck) {
   {
     auto db = Open();
@@ -966,18 +1044,13 @@ TEST_F(RecoveryTest, AlteredSequenceGapFailsTheRootsCheck) {
       ASSERT_TRUE(db->Commit(*txn).ok());
     }
     int altered = 0;
-    RewriteWal(Path(dir) + "/wal.log", [&](std::vector<uint8_t>* payload) {
-      auto rec = WalCommitRecord::Decode(
-          Slice(payload->data() + 1, payload->size() - 1));
-      if (!rec.ok()) return true;  // a block close
+    RewriteWalRecords(Path(dir) + "/wal.log", [&](WalCommitRecord* rec) {
       for (WalOp& op : rec->ops) {
         if (op.seq_gap == 0) continue;
         EXPECT_EQ(op.seq_gap, 1u);
         op.seq_gap = remove ? 0 : op.seq_gap + 1;
         altered++;
       }
-      payload->resize(1);  // the record kind
-      rec->EncodeTo(payload);
       return true;
     });
     ASSERT_EQ(altered, 1);
@@ -1005,10 +1078,7 @@ TEST_F(RecoveryTest, LedgerUpdateOfMissingPreImageIsCorruption) {
   }
   // Drop the commit that inserted the row the update retires.
   int dropped = 0;
-  RewriteWal(Path("db") + "/wal.log", [&](std::vector<uint8_t>* payload) {
-    auto rec = WalCommitRecord::Decode(
-        Slice(payload->data() + 1, payload->size() - 1));
-    if (!rec.ok()) return true;  // a block close
+  RewriteWalRecords(Path("db") + "/wal.log", [&](WalCommitRecord* rec) {
     const bool inserts_row =
         std::any_of(rec->ops.begin(), rec->ops.end(), [&](const WalOp& op) {
           return op.type == WalOpType::kInsert && op.table_id == table_id;
@@ -1025,12 +1095,14 @@ TEST_F(RecoveryTest, LedgerUpdateOfMissingPreImageIsCorruption) {
 }
 
 // Commit records of the retired kinds, 1 (history rows and whole roots
-// logged), 3 (stamped row images without predecessors) and 4 (repeat
-// bitmaps, changed cells logged whole), are refused like a retired
-// checkpoint format: Open fails with NotSupported before it replays or
-// truncates the log, and no file changes.
+// logged), 3 (stamped row images without predecessors), 4 (repeat
+// bitmaps, changed cells logged whole) and 5 (headers logged whole, a type
+// and table per op), are refused like a retired checkpoint format: Open
+// fails with NotSupported before it replays or truncates the log, and no
+// file changes.
 TEST_F(RecoveryTest, RetiredCommitRecordKindIsRefused) {
-  for (const uint8_t kind : {uint8_t{1}, uint8_t{3}, uint8_t{4}}) {
+  for (const uint8_t kind :
+       {uint8_t{1}, uint8_t{3}, uint8_t{4}, uint8_t{5}}) {
     const std::string name = "kind " + std::to_string(kind);
     SCOPED_TRACE(name);
     const std::string dir = "kind" + std::to_string(kind);
@@ -1075,7 +1147,7 @@ TEST_F(RecoveryTest, RetiredCommitRecordKindIsRefused) {
                 static_cast<std::streamsize>(frame.size()));
       out.write("torn", 4);
     }
-    expect_refused(dir, "after kind-5 records");
+    expect_refused(dir, "after current records");
     {
       std::ofstream out(wal, std::ios::binary | std::ios::trunc);
       out.write(reinterpret_cast<const char*>(frame.data()),
@@ -1127,8 +1199,7 @@ TEST_F(RecoveryTest, CommitRecordFarPastOpenBlockIsCorruption) {
   record.commit_ts_micros = 1;
   record.user_name = "app";
   record.block_id = uint64_t{1} << 40;
-  std::vector<uint8_t> payload = {5};  // record kind 5
-  record.EncodeTo(&payload);
+  const std::vector<uint8_t> payload = ChainStartPayload(record);
   std::vector<uint8_t> frame;
   AppendFrame(Slice(payload), &frame);
   {
@@ -1149,7 +1220,7 @@ TEST_F(RecoveryTest, CommitRecordFarPastOpenBlockIsCorruption) {
 TEST_F(RecoveryTest, RegularRowOpThatDoesNotApplyIsCorruption) {
   // Replay applies each commit record past the checkpoint exactly once, so
   // a row op the store refuses means the log is corrupt. Each shape is a
-  // hand-built kind-5 record with a txn id past every one in the log and
+  // hand-built record with a txn id past every one in the log and
   // the next free ledger slot, so nothing but the op stops it.
   struct Shape {
     const char* dir;
@@ -1185,8 +1256,7 @@ TEST_F(RecoveryTest, RegularRowOpThatDoesNotApplyIsCorruption) {
       op.new_row = {VB(shape.id), VS("v2")};
     }
     record.ops.push_back(op);
-    std::vector<uint8_t> payload = {5};  // record kind 5
-    record.EncodeTo(&payload);
+    const std::vector<uint8_t> payload = ChainStartPayload(record);
     std::vector<uint8_t> frame;
     AppendFrame(Slice(payload), &frame);
     {
@@ -1362,8 +1432,7 @@ TEST_F(RecoveryTest, InconsistentTableDefinitionInWalIsCorruption) {
     op.table_id = shape.table_id;
     op.definition = std::make_shared<TableDefinition>(shape.def);
     record.ops.push_back(op);
-    std::vector<uint8_t> payload = {5};  // record kind 5
-    record.EncodeTo(&payload);
+    const std::vector<uint8_t> payload = ChainStartPayload(record);
     std::vector<uint8_t> frame;
     AppendFrame(Slice(payload), &frame);
     {

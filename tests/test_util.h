@@ -151,6 +151,25 @@ inline Status InsertOne(LedgerDatabase* db, const std::string& table,
   return db->Commit(*txn);
 }
 
+/// Appends `record`, its header encoded against `*chain` (which it
+/// advances) and then its ops: what a committer and the group commit
+/// leader write together.
+inline void EncodeCommitRecord(const WalCommitRecord& record,
+                               WalHeaderChain* chain,
+                               std::vector<uint8_t>* dst) {
+  record.EncodeChainedHeader(chain, dst);
+  WalCommitRecord::EncodeOps(record.ops, dst);
+}
+
+/// A WAL frame payload holding `record` as the start of a header chain,
+/// as a reopened writer's first record is: the kind byte, then the record.
+inline std::vector<uint8_t> ChainStartPayload(const WalCommitRecord& record) {
+  std::vector<uint8_t> payload = {kWalKindCommit};
+  WalHeaderChain chain;
+  EncodeCommitRecord(record, &chain, &payload);
+  return payload;
+}
+
 /// Uploads a fresh digest of `db` through its digest pipeline, the one
 /// uploader (DESIGN.md §9): GenerateAndSubmit, then DrainFully. Start
 /// protection first with StartDigestProtection. Returns the digest the

@@ -14,6 +14,7 @@
 #include "ledger/verifier.h"
 #include "storage/checkpoint.h"
 #include "storage/wal.h"
+#include "test_util.h"
 #include "util/coding.h"
 #include "util/hex.h"
 
@@ -56,12 +57,26 @@ WalCommitRecord MakeRecord(uint64_t txn_id) {
   return rec;
 }
 
-// Appends one commit record to `wal` as a frame, the way the commit path
-// does.
-Status AppendCommit(Wal* wal, const WalCommitRecord& record) {
+// Appends one commit record to `wal` as a frame, its header encoded
+// against `*chain`.
+Status AppendCommit(Wal* wal, WalHeaderChain* chain,
+                    const WalCommitRecord& record) {
   std::vector<uint8_t> payload;
-  record.EncodeTo(&payload);
+  EncodeCommitRecord(record, chain, &payload);
   return wal->AppendRecord(Slice(payload));
+}
+
+// `record` encoded as the start of a header chain.
+std::vector<uint8_t> EncodeAlone(const WalCommitRecord& record) {
+  WalHeaderChain chain;
+  std::vector<uint8_t> buf;
+  EncodeCommitRecord(record, &chain, &buf);
+  return buf;
+}
+
+Result<WalCommitRecord> DecodeAlone(Slice body) {
+  WalHeaderChain chain;
+  return WalCommitRecord::Decode(body, &chain);
 }
 
 TEST(WalRecordTest, EncodeDecodeRoundTrip) {
@@ -75,12 +90,12 @@ TEST(WalRecordTest, EncodeDecodeRoundTrip) {
   WalOp ledger_delete{WalOpType::kLedgerDelete, 103, {Value::BigInt(4)}, {}};
   ledger_delete.seq_gap = 300;
   rec.ops.push_back(ledger_delete);
-  std::vector<uint8_t> buf;
-  rec.EncodeTo(&buf);
-  auto decoded = WalCommitRecord::Decode(Slice(buf));
-  ASSERT_TRUE(decoded.ok());
+  auto decoded = DecodeAlone(Slice(EncodeAlone(rec)));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->txn_id, 7u);
+  EXPECT_EQ(decoded->commit_ts_micros, 1007);
   EXPECT_EQ(decoded->user_name, "user7");
+  EXPECT_EQ(decoded->block_id, 0u);
   EXPECT_EQ(decoded->block_ordinal, 7u);
   EXPECT_EQ(decoded->ledger_tables, 1u);
   EXPECT_EQ(decoded->roots_check, rec.roots_check);
@@ -93,24 +108,23 @@ TEST(WalRecordTest, EncodeDecodeRoundTrip) {
 }
 
 TEST(WalRecordTest, DecodeRejectsTruncation) {
-  WalCommitRecord rec = MakeRecord(7);
-  std::vector<uint8_t> buf;
-  rec.EncodeTo(&buf);
+  const std::vector<uint8_t> buf = EncodeAlone(MakeRecord(7));
   for (size_t cut : {size_t{1}, size_t{8}, buf.size() / 2, buf.size() - 1}) {
-    auto decoded = WalCommitRecord::Decode(Slice(buf.data(), cut));
+    auto decoded = DecodeAlone(Slice(buf.data(), cut));
     EXPECT_FALSE(decoded.ok()) << "cut at " << cut;
   }
 }
 
-// A commit record's bytes are pinned: one ledger table's roots check, one
-// insert, one update, one delete and two ledger deletes. An insert or
-// update logs only the user row (the update's key is not written: the row
-// holds it); a delete logs only its key. Each tuple is encoded against the
-// last tuple of its table and width before it: the update's row repeats
-// the insert's id (state 0) and logs its new VARCHAR without a tag (state
-// 1), and the second ledger delete's key logs its id as the difference
-// from the first's (state 1). The first ledger delete follows three
-// sequence numbers a failed statement took.
+// A commit record's bytes are pinned: the start of a header chain, one
+// ledger table's roots check, and ops in four runs. An insert or update
+// logs only the user row (the update's key is not written: the row holds
+// it); a delete logs only its key. Each run is [type][table][count][gap]
+// [width], and each tuple is its cells, encoded against the last tuple of
+// its table and width before it: the update's row repeats the insert's id
+// (state 0) and logs its new VARCHAR without a tag (state 1), and the
+// second ledger delete's key logs its id as the difference from the
+// first's (state 1). The first ledger delete follows three sequence
+// numbers a failed statement took, which starts a run.
 TEST(WalRecordTest, GoldenBytes) {
   WalCommitRecord rec;
   rec.txn_id = 5;
@@ -132,8 +146,7 @@ TEST(WalRecordTest, GoldenBytes) {
   rec.ops.push_back(ledger_delete);
   rec.ops.push_back(
       WalOp{WalOpType::kLedgerDelete, 100, {Value::BigInt(2)}, {}});
-  std::vector<uint8_t> buf;
-  EXPECT_EQ(rec.EncodeTo(&buf), 13u);  // the slot follows ts and user
+  const std::vector<uint8_t> buf = EncodeAlone(rec);
   EXPECT_EQ(HexEncode(Slice(buf)),
             "05"                  // txn id varint
             "0000a40731af0500"    // commit ts fixed64 0x5af3107a40000
@@ -153,10 +166,12 @@ TEST(WalRecordTest, GoldenBytes) {
             "01" "0402"           //   key: BIGINT 1 (no 1-cell predecessor)
             "05" "64"             // ledger DELETE from table 100
             "01" "01" "02");      //   key: state 1, BIGINT 2 = 1 + 1
-  auto decoded = WalCommitRecord::Decode(Slice(buf));
+  auto decoded = DecodeAlone(Slice(buf));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->ledger_tables, 1u);
   EXPECT_EQ(decoded->roots_check, WalCommitRecord::RootsCheck({{100, root}}));
+  EXPECT_EQ(decoded->block_id, 2u);
+  EXPECT_EQ(decoded->block_ordinal, 1u);
   ASSERT_EQ(decoded->ops.size(), 5u);
   EXPECT_TRUE(decoded->ops[1].key.empty());
   EXPECT_EQ(decoded->ops[1].new_row,
@@ -169,17 +184,99 @@ TEST(WalRecordTest, GoldenBytes) {
 
   // A record that touches no ledger table logs a zero count and no check.
   rec.SetTableRoots({});
-  buf.clear();
-  rec.EncodeTo(&buf);
-  EXPECT_EQ(HexEncode(Slice(buf)).substr(2 * 29, 4), "0005");
+  EXPECT_EQ(HexEncode(Slice(EncodeAlone(rec))).substr(2 * 29, 4), "0005");
 }
 
-// The commit reserves EncodedBytesBound before encoding; the bound holds for
-// widest-case cells (+0.0 DOUBLEs, 8-byte integers), a sequence gap and
-// varints at their widest.
+// Three records of one chain, each header against the one before: the
+// second commits 5 us before the first (a negative timestamp difference)
+// at the next ordinal, and the third changes the user and keeps the slot.
+// The ops of the first split into runs at a sequence gap, at a change of
+// width and around a definition op; the run after the definition finds
+// its predecessor in the run before it.
+TEST(WalRecordTest, ChainedHeadersAndRuns) {
+  auto row = [](int64_t id) {
+    return Row{Value::BigInt(id), Value::Varchar("v")};
+  };
+  WalCommitRecord first;
+  first.txn_id = 10;
+  first.commit_ts_micros = 1000;
+  first.user_name = "app";
+  for (int64_t id = 1; id <= 3; id++)
+    first.ops.push_back(WalOp{WalOpType::kInsert, 100, {}, row(id)});
+  WalOp gap{WalOpType::kInsert, 100, {}, row(4)};
+  gap.seq_gap = 2;
+  first.ops.push_back(gap);                                    // run 2
+  first.ops.push_back(WalOp{WalOpType::kInsert, 100, {}, row(5)});
+  first.ops.push_back(WalOp{WalOpType::kInsert, 100, {},       // run 3
+                            {Value::BigInt(6), Value::Varchar("v"),
+                             Value::BigInt(0)}});
+  WalOp define{WalOpType::kDefineTable, 100, {}, {}};          // run 4
+  define.definition = std::make_shared<TableDefinition>();
+  first.ops.push_back(define);
+  first.ops.push_back(WalOp{WalOpType::kInsert, 100, {}, row(7)});  // run 5
+  WalCommitRecord second;
+  second.txn_id = 12;
+  second.commit_ts_micros = 995;
+  second.user_name = "app";
+  second.block_ordinal = 1;
+  second.ops.push_back(WalOp{WalOpType::kDelete, 100, {Value::BigInt(1)}, {}});
+  WalCommitRecord third = second;
+  third.txn_id = 11;
+  third.user_name = "bob";
+
+  WalHeaderChain writer;
+  std::vector<std::vector<uint8_t>> bodies(3);
+  EncodeCommitRecord(first, &writer, &bodies[0]);
+  EncodeCommitRecord(second, &writer, &bodies[1]);
+  EncodeCommitRecord(third, &writer, &bodies[2]);
+  // [flags: the slot follows][txn +2][ts -5][block +0][ordinal +1]
+  // [no ledger tables][one op]
+  EXPECT_EQ(HexEncode(Slice(bodies[1])).substr(0, 14), "04040900020001");
+  // [flags: the user follows][txn -1][ts +0]['bob'][no ledger tables]
+  EXPECT_EQ(HexEncode(Slice(bodies[2])).substr(0, 18), "02010003626f620001");
+
+  WalHeaderChain reader;
+  WalRecordLayout layout;
+  auto got = WalCommitRecord::Decode(Slice(bodies[0]), &reader, &layout);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(layout.chain_start);
+  // The op count follows the header; the eight ops take five run headers.
+  EXPECT_EQ(bodies[0][layout.stamp + layout.slot + layout.roots_check], 8);
+  ASSERT_EQ(got->ops.size(), first.ops.size());
+  for (size_t i = 0; i < first.ops.size(); i++) {
+    EXPECT_EQ(got->ops[i].type, first.ops[i].type) << i;
+    EXPECT_EQ(got->ops[i].new_row, first.ops[i].new_row) << i;
+    EXPECT_EQ(got->ops[i].seq_gap, first.ops[i].seq_gap) << i;
+  }
+  EXPECT_EQ(layout.tuples.size(), first.ops.size());
+  // The last insert's tuple repeats the cell of row(5) and changes the id.
+  EXPECT_EQ(layout.tuples.back(), 2u);
+  for (const WalCommitRecord* want : {&second, &third}) {
+    got = WalCommitRecord::Decode(Slice(want == &second ? bodies[1]
+                                                        : bodies[2]),
+                                  &reader, &layout);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_FALSE(layout.chain_start);
+    EXPECT_EQ(got->txn_id, want->txn_id);
+    EXPECT_EQ(got->commit_ts_micros, want->commit_ts_micros);
+    EXPECT_EQ(got->user_name, want->user_name);
+    EXPECT_EQ(got->block_ordinal, want->block_ordinal);
+  }
+  // Out of its chain, a record that does not start one is refused.
+  WalHeaderChain fresh;
+  EXPECT_TRUE(WalCommitRecord::Decode(Slice(bodies[1]), &fresh)
+                  .status()
+                  .IsCorruption());
+}
+
+// The commit reserves HeaderBytesBound and EncodedOpsBound before
+// encoding; the bounds hold for widest-case cells (+0.0 DOUBLEs, 8-byte
+// integers), a sequence gap and every difference at its widest.
 TEST(WalRecordTest, EncodedBytesBoundCoversTheRecord) {
   WalCommitRecord rec = MakeRecord(~uint64_t{0});
+  rec.commit_ts_micros = INT64_MIN;
   rec.user_name = std::string(300, 'u');
+  rec.block_id = ~uint64_t{0} >> 1;
   WalOp wide{WalOpType::kInsert, ~uint32_t{0}, {},
              Row(std::vector<Value>(40, Value::Double(0.0)))};
   wide.seq_gap = ~uint64_t{0};
@@ -187,48 +284,94 @@ TEST(WalRecordTest, EncodedBytesBoundCoversTheRecord) {
   rec.ops.push_back(WalOp{WalOpType::kUpdate, 7, {},
                           {Value::BigInt(INT64_MIN), Value::Varchar("")}});
   rec.ops.push_back(WalOp{WalOpType::kDelete, 7, {Value::BigInt(1)}, {}});
-  std::vector<uint8_t> buf;
-  rec.EncodeTo(&buf);
-  EXPECT_LE(buf.size(), rec.EncodedBytesBound(rec.ops));
+  WalHeaderChain opposite;
+  opposite.started = true;
+  opposite.txn_id = ~rec.txn_id >> 1;
+  opposite.commit_ts_micros = INT64_MAX;
+  opposite.block_id = ~rec.block_id;
+  for (WalHeaderChain chain : {WalHeaderChain{}, opposite}) {
+    std::vector<uint8_t> header;
+    rec.EncodeChainedHeader(&chain, &header);
+    EXPECT_LE(header.size(), rec.HeaderBytesBound());
+  }
+  std::vector<uint8_t> ops;
+  WalCommitRecord::EncodeOps(rec.ops, &ops);
+  EXPECT_LE(ops.size(), WalCommitRecord::EncodedOpsBound(rec.ops));
 }
 
 // A nonzero ledger table count must be followed by the 8-byte roots check.
 TEST(WalRecordTest, DecodeRejectsMissingRootsCheck) {
   WalCommitRecord rec = MakeRecord(7);
-  std::vector<uint8_t> buf;
-  size_t slot = rec.EncodeTo(&buf);
-  buf.resize(slot + 16);  // keep the header through the slot
-  buf.push_back(1);       // one ledger table
+  WalHeaderChain chain;
+  std::vector<uint8_t> header;
+  rec.EncodeChainedHeader(&chain, &header);
+  header.resize(header.size() - 8);  // keep the header through the count
   for (int i = 0; i < 7; i++) {
-    buf.push_back(0);
-    EXPECT_TRUE(WalCommitRecord::Decode(Slice(buf)).status().IsCorruption());
+    header.push_back(0);
+    EXPECT_TRUE(DecodeAlone(Slice(header)).status().IsCorruption());
   }
 }
 
 // An op count larger than the record's remaining bytes could hold is
-// rejected before anything is reserved (it used to abort with bad_alloc).
+// rejected before anything is reserved, and so is a run of more ops than
+// the op count leaves.
 TEST(WalRecordTest, DecodeRejectsOpCountBeyondRecord) {
   WalCommitRecord rec = MakeRecord(7);
   rec.ops.clear();
-  std::vector<uint8_t> buf;
-  rec.EncodeTo(&buf);
+  std::vector<uint8_t> buf = EncodeAlone(rec);
   buf.pop_back();  // the zero op count
+  const size_t header = buf.size();
   for (uint8_t b : {0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) buf.push_back(b);
-  EXPECT_TRUE(WalCommitRecord::Decode(Slice(buf)).status().IsCorruption());
+  EXPECT_TRUE(DecodeAlone(Slice(buf)).status().IsCorruption());
+  // One op, in a run of inserts into table 100 of 2^32 tuples of one cell.
+  buf.resize(header);
+  for (uint8_t b : {0x01, 0x01, 0x64, 0x80, 0x80, 0x80, 0x80, 0x10, 0x01})
+    buf.push_back(b);
+  EXPECT_TRUE(DecodeAlone(Slice(buf)).status().IsCorruption());
+}
+
+// Each encoding is the only one of its record: a run that could have
+// continued the run before it, an empty run and a user name or slot logged
+// unchanged are Corruption.
+TEST(WalRecordTest, DecodeRejectsNonCanonicalRecords) {
+  WalCommitRecord rec;
+  rec.txn_id = 1;
+  rec.ops.push_back(WalOp{WalOpType::kInsert, 100, {}, {Value::BigInt(1)}});
+  rec.ops.push_back(WalOp{WalOpType::kInsert, 100, {}, {Value::BigInt(2)}});
+  std::vector<uint8_t> buf = EncodeAlone(rec);
+  // [01 chain start][02 txn +1][00 ts][00 tables][02 ops]
+  // [01 insert][64 table][02 count][01 width][0402 BIGINT 1]
+  // [01 state 1][02 +1]
+  ASSERT_EQ(HexEncode(Slice(buf)), "01020000020164020104020102");
+  auto split = HexDecode("0102000002" "016401010402" "016401010102");
+  ASSERT_TRUE(split.ok());
+  EXPECT_TRUE(DecodeAlone(Slice(*split)).status().IsCorruption());
+  auto empty = HexDecode("0102000002" "016400010402" "016401010404");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(DecodeAlone(Slice(*empty)).status().IsCorruption());
+  for (const char* hex : {"0302000000" "00",          // the user '' again
+                          "0502000000" "00" "00"}) {  // the slot (0, 0)
+    auto unchanged = HexDecode(hex);
+    ASSERT_TRUE(unchanged.ok());
+    EXPECT_TRUE(DecodeAlone(Slice(*unchanged)).status().IsCorruption())
+        << hex;
+  }
 }
 
 TEST_F(WalTest, AppendAndReplay) {
   auto wal = Wal::Open(Path("wal.log"), WalOptions{});
   ASSERT_TRUE(wal.ok());
+  WalHeaderChain writer;
   for (uint64_t i = 0; i < 20; i++) {
-    ASSERT_TRUE(AppendCommit(wal->get(), MakeRecord(i)).ok());
+    ASSERT_TRUE(AppendCommit(wal->get(), &writer, MakeRecord(i)).ok());
   }
   (*wal).reset();
 
   uint64_t seen = 0;
+  WalHeaderChain reader;
   auto count =
       ReadFrameLog(Env::Default(), Path("wal.log"), [&](Slice payload) {
-        auto rec = WalCommitRecord::Decode(payload);
+        auto rec = WalCommitRecord::Decode(payload, &reader);
         EXPECT_TRUE(rec.ok());
         EXPECT_EQ(rec->txn_id, seen);
         seen++;
@@ -249,8 +392,9 @@ TEST_F(WalTest, TornTailIsTolerated) {
   {
     auto wal = Wal::Open(Path("wal.log"), WalOptions{});
     ASSERT_TRUE(wal.ok());
+    WalHeaderChain writer;
     for (uint64_t i = 0; i < 5; i++)
-      ASSERT_TRUE(AppendCommit(wal->get(), MakeRecord(i)).ok());
+      ASSERT_TRUE(AppendCommit(wal->get(), &writer, MakeRecord(i)).ok());
   }
   // Chop bytes off the end, simulating a crash mid-write.
   auto size = std::filesystem::file_size(Path("wal.log"));
@@ -273,11 +417,16 @@ TEST_F(WalTest, TornTailToleratedAtEveryByteOffset) {
   {
     auto wal = Wal::Open(Path("wal.log"), WalOptions{});
     ASSERT_TRUE(wal.ok());
+    WalHeaderChain writer;
     for (uint64_t i = 0; i < 5; i++)
-      ASSERT_TRUE(AppendCommit(wal->get(), MakeRecord(i)).ok());
+      ASSERT_TRUE(AppendCommit(wal->get(), &writer, MakeRecord(i)).ok());
   }
   std::vector<uint8_t> last_payload;
-  MakeRecord(4).EncodeTo(&last_payload);
+  WalHeaderChain chain;
+  for (uint64_t i = 0; i < 5; i++) {
+    last_payload.clear();
+    EncodeCommitRecord(MakeRecord(i), &chain, &last_payload);
+  }
   const size_t last_frame = 8 + last_payload.size();
   const size_t full_size = std::filesystem::file_size(Path("wal.log"));
   ASSERT_GT(full_size, last_frame);
@@ -304,8 +453,9 @@ TEST_F(WalTest, CorruptRecordStopsReplay) {
   {
     auto wal = Wal::Open(Path("wal.log"), WalOptions{});
     ASSERT_TRUE(wal.ok());
+    WalHeaderChain writer;
     for (uint64_t i = 0; i < 5; i++)
-      ASSERT_TRUE(AppendCommit(wal->get(), MakeRecord(i)).ok());
+      ASSERT_TRUE(AppendCommit(wal->get(), &writer, MakeRecord(i)).ok());
   }
   // Flip a byte in the middle of the file (inside record payloads).
   std::fstream f(Path("wal.log"),
@@ -330,15 +480,19 @@ TEST_F(WalTest, CorruptRecordStopsReplay) {
 TEST_F(WalTest, ResetTruncates) {
   auto wal = Wal::Open(Path("wal.log"), WalOptions{});
   ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE(AppendCommit(wal->get(), MakeRecord(1)).ok());
+  WalHeaderChain writer;
+  ASSERT_TRUE(AppendCommit(wal->get(), &writer, MakeRecord(1)).ok());
   ASSERT_TRUE((*wal)->Reset().ok());
-  ASSERT_TRUE(AppendCommit(wal->get(), MakeRecord(2)).ok());
+  writer = WalHeaderChain{};  // the new file starts a chain of its own
+  ASSERT_TRUE(AppendCommit(wal->get(), &writer, MakeRecord(2)).ok());
   (*wal).reset();
 
   std::vector<uint64_t> ids;
+  WalHeaderChain reader;
   ASSERT_TRUE(
       ReadFrameLog(Env::Default(), Path("wal.log"), [&](Slice payload) {
-        auto rec = WalCommitRecord::Decode(payload);
+        auto rec = WalCommitRecord::Decode(payload, &reader);
+        EXPECT_TRUE(rec.ok()) << rec.status().ToString();
         ids.push_back(rec->txn_id);
         return Status::OK();
       }).ok());
