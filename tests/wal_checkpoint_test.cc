@@ -148,24 +148,24 @@ TEST(WalRecordTest, GoldenBytes) {
       WalOp{WalOpType::kLedgerDelete, 100, {Value::BigInt(2)}, {}});
   const std::vector<uint8_t> buf = EncodeAlone(rec);
   EXPECT_EQ(HexEncode(Slice(buf)),
-            "05"                  // txn id varint
-            "0000a40731af0500"    // commit ts fixed64 0x5af3107a40000
+            "07"                  // flags: chain start, user, slot follow
+            "0a"                  // txn id 5 - 0, zigzag
+            "8080a0faa0ccd705"    // commit ts 1600000000000000 - 0, zigzag
             "03617070"            // user 'app', length-prefixed
-            "0200000000000000"    // block id fixed64 (patchable slot)
-            "0100000000000000"    // block ordinal fixed64
+            "04" "02"             // block id +2, ordinal +1, zigzag
             "01"                  // one ledger table
             "d78e6347dd22a57a"    // SHA-256(64 00 01 .. 1f)[0..8]
-            "05"                  // five ops
-            "01" "64"             // INSERT into table 100
-            "02" "0402" "060161"  //   row: BIGINT 1, VARCHAR 'a'
-            "02" "64"             // UPDATE in table 100
-            "02" "04" "0162"      //   row: states 0 1, 'b' with no tag
-            "03" "65"             // DELETE from table 101
-            "01" "0401"           //   key: BIGINT -1
-            "85" "64" "03"        // ledger DELETE from table 100, gap 3
-            "01" "0402"           //   key: BIGINT 1 (no 1-cell predecessor)
-            "05" "64"             // ledger DELETE from table 100
-            "01" "01" "02");      //   key: state 1, BIGINT 2 = 1 + 1
+            "05"                  // five ops, in four runs
+            "01" "64" "01" "02"   // INSERT into table 100: 1 tuple, 2 cells
+            "0402" "060161"       //   BIGINT 1, VARCHAR 'a'
+            "02" "64" "01" "02"   // UPDATE in table 100: 1 tuple, 2 cells
+            "04" "0162"           //   states 0 1, 'b' with no tag
+            "03" "65" "01" "01"   // DELETE from table 101: 1 tuple, 1 cell
+            "0401"                //   BIGINT -1
+            "85" "64" "02" "03"   // ledger DELETE from table 100: 2 tuples,
+            "01"                  //   gap 3, 1 cell
+            "0402"                //   BIGINT 1 (no 1-cell predecessor)
+            "01" "02");           //   state 1, BIGINT 2 = 1 + 1
   auto decoded = DecodeAlone(Slice(buf));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->ledger_tables, 1u);
@@ -184,7 +184,7 @@ TEST(WalRecordTest, GoldenBytes) {
 
   // A record that touches no ledger table logs a zero count and no check.
   rec.SetTableRoots({});
-  EXPECT_EQ(HexEncode(Slice(EncodeAlone(rec))).substr(2 * 29, 4), "0005");
+  EXPECT_EQ(HexEncode(Slice(EncodeAlone(rec))).substr(2 * 16, 4), "0005");
 }
 
 // Three records of one chain, each header against the one before: the
