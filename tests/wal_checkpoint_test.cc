@@ -543,7 +543,7 @@ TEST_F(CheckpointTest, RoundTripTablesAndMeta) {
 // predecessor's in every other row (state 0), ids, strings and DOUBLEs
 // that change (state 1) and names that turn NULL and back (state 2). Any
 // change to the header, the section or the row encoding moves the hash; a
-// store's schema and indexes are not in its section (SLCKPT05), so they
+// store's schema and indexes are not in its section (SLCKPT06), so they
 // do not.
 TEST_F(CheckpointTest, GoldenFileSha256) {
   Schema s;
@@ -573,7 +573,7 @@ TEST_F(CheckpointTest, GoldenFileSha256) {
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   EXPECT_EQ(Sha256::Digest(Slice(bytes)).ToHex(),
-            "ab2b4d9e5f51678fc9cf9303fb6e2979e7d2a6aa563df414125da990d204d9fc");
+            "c842c7d87853d03b438b723cec5148852a46420b9d99e3c34f2e3cb6b00fa87a");
 }
 
 // A section whose rows no store takes, or does not take, fails the load as
