@@ -64,11 +64,11 @@ TEST_F(SimSmokeTest, GoldenFingerprints) {
   };
   const Golden kGolden[] = {
       {1, "e69c12d05bdf4a06eaf884342dee8e344fd7a1d0fea44b90463ae8b4f67f6c8a",
-       "ec1039d07ac6e89de79e77a62db321e44ec45a8550821d89f4052262cb386807"},
+       "49e7174009ec2ebc6b323c38fe416a460544395fc3c594d997593e289a474fea"},
       {2, "8b9ad3534379a133983db9d3c9d112a229d75491bbe5a50f978f41b7ea0cff40",
-       "62e6983d2dd091d30bbbc273c75c5a8f15c35998fdc006a6334f90d7d7669f8e"},
+       "4b0aceb1132bdd60239ca046100c3626d931624a20a830fbf350c9cb77cd151a"},
       {3, "d5f745a6cba5413b8eaeca31f1c6ab4243e23a2d043731651e7ae8ada870f68f",
-       "74c3f0cb4df9ced02e4f74bc69c1e705affdd41eeca701dfaf0fc85eca673791"},
+       "59c23e796465a7edaca9b5673cc7d021142b0031957f6b310361f756c5143d46"},
   };
   for (const Golden& g : kGolden) {
     SimResult result = RunSim(MakeConfig(g.seed, 500));
