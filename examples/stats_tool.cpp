@@ -22,8 +22,10 @@
 // records' bytes by layer (kind byte, stamp, slot, roots check, run
 // headers, tuples) and its block-close bytes, and tuple bytes per (table
 // id, op type); for each checkpoint generation its header, meta and
-// per-store bytes. The files are read only through the engine's readers
-// (ReadFrameLog, WalCommitRecord::Decode, ReadCheckpoint, DecodeRow).
+// per-store bytes. Each generation also counts the DOUBLE cells it writes
+// (those not repeated from their predecessor) in the decimal form and raw.
+// The files are read only through the engine's readers (ReadFrameLog,
+// WalCommitRecord::Decode, ReadCheckpoint, DecodeRow).
 //
 // The tool self-checks the snapshot: wal.sync_micros p99, the
 // commit.group_size histogram, the digest.outbox_depth gauge,
@@ -60,9 +62,34 @@ Schema PayloadSchema() {
   Schema s;
   s.AddColumn("id", DataType::kBigInt, false);
   s.AddColumn("payload", DataType::kVarchar, false, 64);
+  s.AddColumn("amount", DataType::kDouble, false);
   s.SetPrimaryKey({0});
   return s;
 }
+
+/// DOUBLE cells written in each form.
+struct DoubleCells {
+  uint64_t decimal = 0;
+  uint64_t raw = 0;
+
+  /// Counts the non-NULL DOUBLE cells of `row` that EncodeRow writes
+  /// against `prev` (null, or a predecessor whose cells of the same bytes
+  /// are not written when it has `row`'s width).
+  void Add(const Row& row, const Row* prev) {
+    const bool states = prev != nullptr && prev->size() == row.size();
+    Row::Iterator p = states ? prev->begin() : row.begin();
+    for (Row::Iterator c = row.begin(); c != row.end(); ++c) {
+      const bool repeat = states && c.SameBytes(p);
+      if (states) ++p;
+      const Cell cell = *c;
+      if (repeat || cell.is_null() || cell.type() != DataType::kDouble)
+        continue;
+      int64_t k;
+      (Cell::DecimalOf(cell.double_value(), &k) ? decimal : raw)++;
+    }
+  }
+  void SetIn(JsonValue* out) const;
+};
 
 const char* OpName(WalOpType type) {
   switch (type) {
@@ -82,6 +109,11 @@ const char* OpName(WalOpType type) {
 
 JsonValue Count(uint64_t n) { return JsonValue::Int(static_cast<int64_t>(n)); }
 
+void DoubleCells::SetIn(JsonValue* out) const {
+  out->Set("decimal_double_cells", Count(decimal));
+  out->Set("raw_double_cells", Count(raw));
+}
+
 /// One WAL generation's bytes by layer: frame_bytes + kind_bytes +
 /// stamp_bytes + slot_bytes + roots_check_bytes + run_header_bytes +
 /// tuple_bytes + block_close_bytes = file_bytes. Every frame must be intact
@@ -98,6 +130,7 @@ JsonValue WalLayers(const std::string& path, uint64_t file_bytes,
   WalHeaderChain read_chain, write_chain;
   WalRecordLayout layout;
   std::vector<uint8_t> again;
+  DoubleCells doubles;
   auto scan = ReadFrameLog(Env::Default(), path, [&](Slice payload) {
     payload_bytes += payload.size();
     const Slice body(payload.data() + 1, payload.size() - 1);
@@ -118,12 +151,21 @@ JsonValue WalLayers(const std::string& path, uint64_t file_bytes,
     slot += layout.slot;
     roots_check += layout.roots_check;
     run_headers += layout.run_headers;
+    // A tuple's predecessor: the record's last tuple of its table and width.
+    std::map<std::pair<uint32_t, size_t>, const Row*> last;
     for (size_t i = 0; i < record->ops.size(); i++) {
-      auto& [count, bytes] =
-          tuples[{record->ops[i].table_id, record->ops[i].type}];
+      const WalOp& op = record->ops[i];
+      auto& [count, bytes] = tuples[{op.table_id, op.type}];
       count++;
       bytes += layout.tuples[i];
       tuple_bytes += layout.tuples[i];
+      if (op.type == WalOpType::kDefineTable) continue;
+      const bool keyed = op.type == WalOpType::kDelete ||
+                         op.type == WalOpType::kLedgerDelete;
+      const Row& tuple = keyed ? op.key : op.new_row;
+      const Row*& prev = last[{op.table_id, tuple.size()}];
+      doubles.Add(tuple, prev);
+      prev = &tuple;
     }
     return Status::OK();
   });
@@ -154,6 +196,7 @@ JsonValue WalLayers(const std::string& path, uint64_t file_bytes,
   out.Set("run_header_bytes", Count(run_headers));
   out.Set("tuple_bytes", Count(tuple_bytes));
   out.Set("block_close_bytes", Count(block_close_bytes));
+  doubles.SetIn(&out);
   JsonValue by_op = JsonValue::Array();
   for (const auto& [key, value] : tuples) {
     JsonValue entry = JsonValue::Object();
@@ -181,6 +224,7 @@ JsonValue CheckpointLayers(const std::string& path, uint64_t file_bytes,
   const std::vector<uint8_t>& payload = checkpoint->payload;
   Decoder dec{Slice(payload.data() + checkpoint->stores_offset,
                     payload.size() - checkpoint->stores_offset)};
+  DoubleCells doubles;
   auto sections = [&]() -> Result<JsonValue> {
     JsonValue stores = JsonValue::Array();
     auto count = dec.GetVarint32();
@@ -195,6 +239,7 @@ JsonValue CheckpointLayers(const std::string& path, uint64_t file_bytes,
       for (uint64_t r = 0; r < *rows; r++) {
         auto row = DecodeRow(&dec, r == 0 ? nullptr : &prev);
         if (!row.ok()) return row.status();
+        doubles.Add(*row, r == 0 ? nullptr : &prev);
         prev = std::move(*row);
       }
       JsonValue store = JsonValue::Object();
@@ -215,6 +260,7 @@ JsonValue CheckpointLayers(const std::string& path, uint64_t file_bytes,
   out.Set("meta_bytes", Count(checkpoint->stores_offset));
   // The section count and every store's section.
   out.Set("sections_bytes", Count(payload.size() - checkpoint->stores_offset));
+  doubles.SetIn(&out);
   out.Set("stores", std::move(*sections));
   return out;
 }
@@ -317,12 +363,19 @@ int main(int argc, char** argv) {
   std::vector<std::thread> threads;
   for (int s = 0; s < sessions; s++) {
     threads.emplace_back([&, s] {
+      // Every other row logs an amount of whole cents, the rest the
+      // session's running sum of them, which drifts off the grid of
+      // hundredths: both DOUBLE forms reach the WAL and the checkpoint.
+      double running = 0;
       for (int i = 0; i < per_session; i++) {
         int64_t id = static_cast<int64_t>(s) * per_session + i;
+        const double amount = static_cast<double>(id * 37 % 10000) / 100.0;
+        running += amount;
         auto txn = db->Begin("stats");
         if (!txn.ok()) std::exit(1);
         Status st = db->Insert(*txn, "t",
-                               {Value::BigInt(id), Value::Varchar(payload)});
+                               {Value::BigInt(id), Value::Varchar(payload),
+                                Value::Double(i % 2 == 0 ? amount : running)});
         if (st.ok()) st = db->Commit(*txn);
         if (!st.ok()) {
           std::printf("commit failed: %s\n", st.ToString().c_str());

@@ -110,8 +110,9 @@ parse_allow/allow_line below — use sparingly):
   one-row-codec   a call of the cell codec — Cell::EncodeTo on a cell (a
                   name declared a Cell, CellRef or Value, an indexed row
                   cell, or a dereferenced Row::Iterator), EncodePayloadTo,
-                  DecodeView, DecodePayloadView or Value::DecodeFrom — in
-                  src/ outside src/catalog/. Persisted rows are encoded and
+                  DecimalOf (a DOUBLE's decimal form), DecodeView,
+                  DecodePayloadView or Value::DecodeFrom — in src/ outside
+                  src/catalog/. Persisted rows are encoded and
                   decoded by EncodeRow/DecodeRow alone, against their
                   predecessor (DESIGN.md §4); a cell written or read on its
                   own elsewhere is a second row format.
@@ -681,7 +682,7 @@ def check_pinned_plan(path, lines, findings):
 # ---------------------------------------------------------------------------
 
 CELL_CODEC_CALL_RE = re.compile(
-    r"\b(?:EncodePayloadTo|DecodeView|DecodePayloadView)\s*\("
+    r"\b(?:EncodePayloadTo|DecimalOf|DecodeView|DecodePayloadView)\s*\("
     r"|\bValue\s*::\s*DecodeFrom\s*\(")
 CELL_DECL_RE = re.compile(r"\b(?:Cell|CellRef|Value)\s*[&*]*\s+(\w+)")
 ITERATOR_DECL_RE = re.compile(r"\bRow\s*::\s*Iterator\s*[&*]*\s+(\w+)")
@@ -1175,6 +1176,9 @@ SELF_TEST_CASES = [
     ("one-row-codec", "src/sim/x_selftest.cc",
      "cell.EncodePayloadTo(&out);",
      "Row::PutChange(cell, before, &out);"),
+    ("one-row-codec", "src/storage/x_selftest.cc",
+     "if (Cell::DecimalOf(amount, &k)) PutVarint64(&out, ZigZagEncode64(k));",
+     "if (IsDecimalOf(amount)) EncodeRowCells(row, prev, &out);"),
     ("one-record-header", "src/ledger/x_selftest.cc",
      "Status LedgerDatabase::Commit(Transaction* txn) {\n"
      "  record.EncodeChainedHeader(&chain, &req.payload);\n"

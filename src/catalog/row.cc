@@ -437,24 +437,33 @@ namespace {
 constexpr uint8_t kSameCell = 0;     // the predecessor's bytes: nothing written
 constexpr uint8_t kChangedCell = 1;  // its tag, another value: the change
 constexpr uint8_t kWholeCell = 2;    // anything else: Cell::EncodeTo
+constexpr uint8_t kDecimalCell = 3;  // a decimal over a DOUBLE: the varint of k
 }  // namespace
 
-void Row::PutChange(const Cell& c, const Cell& prev,
-                    std::vector<uint8_t>* dst) {
+uint8_t Row::PutChange(const Cell& c, const Cell& prev,
+                       std::vector<uint8_t>* dst) {
   if (!c.IsIntegral()) {
-    c.EncodePayloadTo(dst);
-    return;
+    return (c.EncodePayloadTo(dst) & Cell::kDecimalTag) != 0 ? kDecimalCell
+                                                             : kChangedCell;
   }
   // Computed mod 2^64, so every pair has a difference.
   PutVarint64(dst, ZigZagEncode64(static_cast<int64_t>(
                        static_cast<uint64_t>(c.int_) -
                        static_cast<uint64_t>(prev.int_))));
+  return kChangedCell;
 }
 
-Result<Cell> Row::GetChange(const Iterator& prev, Decoder* dec) {
+Result<Cell> Row::GetChange(const Iterator& prev, uint8_t state,
+                            Decoder* dec) {
   const uint8_t tag = *prev.tag_;
   if ((tag & Cell::kNullTag) != 0)
     return Status::Corruption("a changed cell's predecessor is NULL");
+  if (state == kDecimalCell) {
+    if (static_cast<DataType>(tag & kTypeMask) != DataType::kDouble)
+      return Status::Corruption("a decimal cell's predecessor is no DOUBLE");
+    return Cell::DecodePayloadView(
+        static_cast<uint8_t>(DataType::kDouble) | Cell::kDecimalTag, dec);
+  }
   auto c = Cell::DecodePayloadView(tag & kTypeMask, dec);
   if (c.ok() && IsInteger(tag)) {
     // The stored predecessor's zigzag value, plus the difference mod 2^64.
@@ -485,14 +494,13 @@ void EncodeRowCells(const Row& row, const Row* prev,
        ++c, ++p, i++) {
     if (c.SameBytes(p)) continue;
     const Cell cell = *c, before = *p;
-    const bool changed = !cell.is_null() && cell.tag() == before.tag();
-    (*dst)[states + i / 4] |= static_cast<uint8_t>(
-        (changed ? kChangedCell : kWholeCell) << (2 * (i % 4)));
-    if (changed) {
-      Row::PutChange(cell, before, dst);
+    uint8_t state = kWholeCell;
+    if (!cell.is_null() && cell.tag() == before.tag()) {
+      state = Row::PutChange(cell, before, dst);
     } else {
       cell.EncodeTo(dst);
     }
+    (*dst)[states + i / 4] |= static_cast<uint8_t>(state << (2 * (i % 4)));
   }
 }
 
@@ -521,8 +529,7 @@ Result<Row> DecodeRowCells(Decoder* dec, size_t n, const Row* prev) {
   auto cell_at = [](uint8_t s, const Row::Iterator& from,
                     Decoder* d) -> Result<Cell> {
     if (s == kWholeCell) return Cell::DecodeView(d);
-    if (s == kChangedCell) return Row::GetChange(from, d);
-    return Status::Corruption("invalid cell state in an encoded row");
+    return Row::GetChange(from, s, d);
   };
   // Pass 1 validates every cell and sizes the block on a copy of the
   // decoder; pass 2 re-reads the same bytes into the block.

@@ -316,13 +316,16 @@ class Row {
     return it;
   }
   /// Appends `c`, a non-NULL cell with `prev`'s tag, as a change from
-  /// `prev` (EncodeRow's state 1): an integer's zigzag difference from
-  /// `prev`'s value, mod 2^64, else its payload.
-  static void PutChange(const Cell& c, const Cell& prev,
-                        std::vector<uint8_t>* dst);
-  /// Reads a cell PutChange wrote against the stored cell at `prev`, as a
-  /// view. Corruption when that cell is NULL.
-  static Result<Cell> GetChange(const Iterator& prev, Decoder* dec);
+  /// `prev` and returns its EncodeRow state: 3 for a DOUBLE in the decimal
+  /// form, its payload; else 1, an integer's zigzag difference from
+  /// `prev`'s value, mod 2^64, or any other cell's payload.
+  static uint8_t PutChange(const Cell& c, const Cell& prev,
+                           std::vector<uint8_t>* dst);
+  /// Reads a cell PutChange wrote in state `state` against the stored cell
+  /// at `prev`, as a view. Corruption when that cell is NULL, or not a
+  /// DOUBLE in state 3.
+  static Result<Cell> GetChange(const Iterator& prev, uint8_t state,
+                                Decoder* dec);
   /// Replaces cell `i` with `v` (CellRef's assignment).
   void Set(size_t i, const Cell& v);
 
@@ -389,15 +392,16 @@ struct KeyTupleLess {
 /// state:
 ///   0  stored as the same bytes as `prev`'s cell (Row::Iterator::SameBytes):
 ///      nothing;
+///   3  a DOUBLE in the decimal form (Cell::DecimalOf) whose predecessor
+///      is a non-NULL DOUBLE: no tag, the zigzag varint of k;
 ///   1  not NULL, with `prev`'s tag and another value: no tag; an integer
 ///      (BOOL/SMALLINT/INT/BIGINT/TIMESTAMP) as the zigzag varint of its
 ///      difference from `prev`'s, mod 2^64, any other cell its payload
-///      (Cell::EncodePayloadTo);
-///   2  any other cell, as Cell::EncodeTo writes it;
-///   3  never written.
-/// The first state that applies is taken, so a (row, predecessor) pair
-/// has one encoding. With `prev` null or of another width there are no
-/// states and every cell is as Cell::EncodeTo writes it.
+///      (Cell::EncodePayloadTo: a raw DOUBLE's 8 bytes);
+///   2  any other cell, as Cell::EncodeTo writes it.
+/// The first state that applies, in that order, is taken, so a (row,
+/// predecessor) pair has one encoding. With `prev` null or of another
+/// width there are no states and every cell is as Cell::EncodeTo writes it.
 void EncodeRow(const Row& row, const Row* prev, std::vector<uint8_t>* dst);
 /// A row with no predecessor: its count, then every cell.
 inline void EncodeRow(const Row& row, std::vector<uint8_t>* dst) {
@@ -411,8 +415,9 @@ void EncodeRowCells(const Row& row, const Row* prev, std::vector<uint8_t>* dst);
 /// predecessor: the count takes at most 3 bytes and the states ceil(n/4);
 /// a cell takes at most 9 more than its tag and payload in the block (a
 /// zero integer, a lone tag there, changed from INT64_MIN is a 10-byte
-/// difference; a +0.0 DOUBLE, also a lone tag, is 9 bytes in state 2),
-/// and the block's 8-byte header is slack.
+/// difference; a DOUBLE is never longer than its 8 block bytes, and a
+/// +0.0, a lone tag, is a 1-byte decimal), and the block's 8-byte header
+/// is slack.
 inline size_t EncodedRowBound(const Row& row) {
   return row.BlockBytes() + 9 * row.size() + (row.size() + 3) / 4 + 3;
 }
@@ -421,9 +426,11 @@ inline size_t EncodedRowBound(const Row& row) {
 /// packed block: one pass sizes it, a second fills it, copying a state-0
 /// cell's bytes from `prev` and rebuilding a state-1 cell from `prev`'s
 /// (an integer's width follows from the rebuilt value). Corruption past
-/// kMaxColumns cells, on a cell missing from the input, on state 3, a set
-/// unused state bit or a state-1 cell whose predecessor is NULL, or past
-/// 4 GiB of string bytes, checked before anything is allocated.
+/// kMaxColumns cells, on a cell missing from the input, on a set unused
+/// state bit, a state-1 or state-3 cell whose predecessor is NULL, a
+/// state-3 cell whose predecessor is not a DOUBLE, a DOUBLE in a form its
+/// value does not take (Cell::DecodePayloadView), or past 4 GiB of string
+/// bytes, checked before anything is allocated.
 Result<Row> DecodeRow(Decoder* dec, const Row* prev = nullptr);
 /// DecodeRow of a row of `n` cells whose count is not in the input
 /// (EncodeRowCells).

@@ -1,5 +1,6 @@
 #include "catalog/value.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -267,8 +268,8 @@ Result<Value> Value::CastTo(DataType target) const {
                               DataTypeName(target));
 }
 
-void Cell::EncodePayloadTo(std::vector<uint8_t>* dst) const {
-  if (null_) return;
+uint8_t Cell::EncodePayloadTo(std::vector<uint8_t>* dst) const {
+  if (null_) return tag();
   switch (type_) {
     case DataType::kBool:
     case DataType::kSmallInt:
@@ -278,9 +279,12 @@ void Cell::EncodePayloadTo(std::vector<uint8_t>* dst) const {
       PutVarint64(dst, ZigZagEncode64(int_));
       break;
     case DataType::kDouble: {
-      uint64_t bits;
-      std::memcpy(&bits, &double_, 8);
-      PutFixed64(dst, bits);
+      int64_t k;
+      if (DecimalOf(double_, &k)) {
+        PutVarint64(dst, ZigZagEncode64(k));
+        return static_cast<uint8_t>(tag() | kDecimalTag);
+      }
+      PutFixed64(dst, std::bit_cast<uint64_t>(double_));
       break;
     }
     case DataType::kVarchar:
@@ -288,6 +292,25 @@ void Cell::EncodePayloadTo(std::vector<uint8_t>* dst) const {
       PutLengthPrefixed(dst, binary_value());
       break;
   }
+  return tag();
+}
+
+namespace {
+// The largest |k| of the decimal form.
+constexpr int64_t kDecimalLimit = int64_t{1} << 53;
+}  // namespace
+
+bool Cell::DecimalOf(double d, int64_t* k) {
+  const double scaled = d * 100;
+  // Also false for a NaN and the infinities. A double past 2^53 is an
+  // integer, so this bounds llround's k too.
+  if (!(std::fabs(scaled) <= static_cast<double>(kDecimalLimit))) return false;
+  const int64_t r = std::llround(scaled);
+  if (std::bit_cast<uint64_t>(static_cast<double>(r) / 100.0) !=
+      std::bit_cast<uint64_t>(d))
+    return false;
+  *k = r;
+  return true;
 }
 
 Result<Cell> Cell::DecodeView(Decoder* dec) {
@@ -297,7 +320,12 @@ Result<Cell> Cell::DecodeView(Decoder* dec) {
 }
 
 Result<Cell> Cell::DecodePayloadView(uint8_t tag, Decoder* dec) {
-  const uint8_t type_id = tag & ~kNullTag;
+  constexpr uint8_t kDecimalDouble =
+      static_cast<uint8_t>(DataType::kDouble) | kDecimalTag;
+  const bool decimal = (tag & kDecimalTag) != 0;
+  if (decimal && tag != kDecimalDouble)
+    return Status::Corruption("decimal tag on a cell that is not a DOUBLE");
+  const uint8_t type_id = tag & ~(kNullTag | kDecimalTag);
   if (type_id < 1 || type_id > 8)
     return Status::Corruption("invalid data type id in encoded value");
   Cell c;
@@ -316,10 +344,23 @@ Result<Cell> Cell::DecodePayloadView(uint8_t tag, Decoder* dec) {
       return c;
     }
     case DataType::kDouble: {
+      int64_t k;
+      if (decimal) {
+        auto v = dec->GetVarint64();
+        if (!v.ok()) return v.status();
+        const int64_t logged = ZigZagDecode64(*v);
+        if (logged > kDecimalLimit || logged < -kDecimalLimit)
+          return Status::Corruption("decimal DOUBLE past 2^53 hundredths");
+        c.double_ = static_cast<double>(logged) / 100.0;
+        if (!DecimalOf(c.double_, &k) || k != logged)
+          return Status::Corruption("DOUBLE logged as another decimal");
+        return c;
+      }
       auto v = dec->GetFixed64();
       if (!v.ok()) return v.status();
-      uint64_t bits = *v;
-      std::memcpy(&c.double_, &bits, 8);
+      c.double_ = std::bit_cast<double>(*v);
+      if (DecimalOf(c.double_, &k))
+        return Status::Corruption("decimal DOUBLE logged raw");
       return c;
     }
     case DataType::kVarchar:

@@ -77,6 +77,10 @@ class Cell {
 
   /// The NULL bit of a tag byte.
   static constexpr uint8_t kNullTag = 0x80;
+  /// The decimal bit of an encoded tag byte (EncodePayloadTo), never of a
+  /// Row block's tag, whose bits 4-6 are a width code: the cell is a
+  /// non-NULL DOUBLE in the decimal form (DecimalOf).
+  static constexpr uint8_t kDecimalTag = 0x40;
   /// The cell's tag byte: the DataType id, plus kNullTag for NULL. A cell
   /// of the packed Row block and of the EncodeTo bytes both carry it.
   uint8_t tag() const {
@@ -85,20 +89,32 @@ class Cell {
 
   /// Compact binary encoding used by WAL records and checkpoints (NOT the
   /// canonical ledger hash format — see ledger/row_serializer.h for that):
-  /// the tag byte, then the payload (EncodePayloadTo).
+  /// the encoded tag byte, then the payload (EncodePayloadTo).
   void EncodeTo(std::vector<uint8_t>* dst) const {
-    dst->push_back(tag());
-    EncodePayloadTo(dst);
+    const size_t at = dst->size();
+    dst->push_back(0);
+    (*dst)[at] = EncodePayloadTo(dst);
   }
-  /// The payload alone: nothing for a NULL, a zigzag varint for
-  /// BOOL/SMALLINT/INT/BIGINT/TIMESTAMP, 8 little-endian bytes for DOUBLE,
-  /// or a varint length and the bytes for VARCHAR/VARBINARY.
-  void EncodePayloadTo(std::vector<uint8_t>* dst) const;
+  /// Appends the payload alone and returns the encoded tag byte that names
+  /// it: tag(), plus kDecimalTag for a DOUBLE in the decimal form. The
+  /// payload is nothing for a NULL, a zigzag varint for
+  /// BOOL/SMALLINT/INT/BIGINT/TIMESTAMP, for a DOUBLE the zigzag varint of
+  /// k in the decimal form and else its 8 little-endian bytes, or a varint
+  /// length and the bytes for VARCHAR/VARBINARY. A value has one encoding.
+  uint8_t EncodePayloadTo(std::vector<uint8_t>* dst) const;
+  /// True if `d` takes the decimal form, setting `*k`: k = llround(d * 100)
+  /// has |k| <= 2^53 and static_cast<double>(k) / 100.0 has exactly `d`'s
+  /// bits. -0.0, NaNs, infinities and sums that have drifted off the grid
+  /// of hundredths stay raw.
+  static bool DecimalOf(double d, int64_t* k);
   /// Decodes one EncodeTo cell as a view: a string's bytes point into the
   /// decoder's input. Corruption on a bad tag or truncated payload.
   static Result<Cell> DecodeView(Decoder* dec);
-  /// Decodes the payload of a cell with tag byte `tag` (EncodePayloadTo)
-  /// as a view. The one cell reader: DecodeView reads the tag, then this.
+  /// Decodes the payload of a cell with encoded tag byte `tag`
+  /// (EncodePayloadTo) as a view. The one cell reader: DecodeView reads the
+  /// tag, then this. Corruption on a DOUBLE in a form EncodePayloadTo does
+  /// not write for its value: raw when it is decimal, or decimal with a k
+  /// past 2^53 or other than DecimalOf's.
   static Result<Cell> DecodePayloadView(uint8_t tag, Decoder* dec);
 
  protected:

@@ -21,7 +21,8 @@ constexpr const char* kWalRetiredCommitKinds[] = {
     nullptr,                                         // 2: a block close
     "stamped row images without predecessors",       // 3
     "repeat bitmaps, changed cells logged whole",    // 4
-    "headers logged whole, a type and table per op"  // 5
+    "headers logged whole, a type and table per op", // 5
+    "every DOUBLE logged as 8 raw bytes"             // 6
 };
 
 // Events kept by the database's trace ring before the oldest is overwritten

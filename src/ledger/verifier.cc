@@ -61,10 +61,14 @@ bool InTruncatedRange(const std::vector<TruncationRecord>& truncations,
 
 /// Streams the Merkle leaf of one encoded index entry into `tree`
 /// (invariant 5), reusing `scratch` for the encoding. EncodeRow is
-/// injective and prefix-free (a count, then per cell a tag and a
-/// self-delimiting payload: zigzag varint, 8 fixed bytes or a
-/// length-prefixed string), so equal leaves mean equal entries within one
-/// run; the bytes are never compared across runs.
+/// injective and prefix-free: a count, then per cell a tag and a
+/// self-delimiting payload (a zigzag varint; for a DOUBLE under the
+/// decimal tag bit the zigzag varint of k, else 8 fixed bytes; or a
+/// length-prefixed string). A value has exactly one encoding, since a
+/// DOUBLE takes the decimal form exactly when its value does
+/// (Cell::DecimalOf), and each form gives back the DOUBLE's bits, so equal
+/// leaves mean equal entries within one run; the bytes are never compared
+/// across runs.
 void AddEntryLeaf(const Row& entry, std::vector<uint8_t>* scratch,
                   MerkleBuilder* tree) {
   scratch->clear();

@@ -10,18 +10,20 @@
 namespace sqlledger {
 
 namespace {
-// 06: a store's section holds its id, row count and rows, each encoded
-// against the row before it (EncodeRow's cell states); the caller's meta
-// holds the definitions, and a ledger transaction row's table roots carry
-// varint table ids. No reader is kept for the retired formats, which are
-// refused as NotSupported.
-constexpr char kMagic[] = "SLCKPT06";
+// 07: a store's section holds its id, row count and rows, each encoded
+// against the row before it (EncodeRow's cell states, a DOUBLE that is
+// exactly k/100 as the varint of k); the caller's meta holds the
+// definitions, and a ledger transaction row's table roots carry varint
+// table ids. No reader is kept for the retired formats, which are refused
+// as NotSupported.
+constexpr char kMagic[] = "SLCKPT07";
 constexpr const char* kRetired[][2] = {
     {"SLCKPT01", "fixed-width cells"},
     {"SLCKPT02", "rows without predecessors"},
     {"SLCKPT03", "store definitions beside their rows"},
     {"SLCKPT04", "repeat bitmaps, changed cells written whole"},
-    {"SLCKPT05", "fixed32 table ids in table roots"}};
+    {"SLCKPT05", "fixed32 table ids in table roots"},
+    {"SLCKPT06", "every DOUBLE stored as 8 raw bytes"}};
 constexpr size_t kMagicLen = 8;
 // Room past a chunk's end, so the item that crosses the boundary is
 // encoded without the chunk reallocating. Larger items still fit: the chunk

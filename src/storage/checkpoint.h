@@ -46,7 +46,7 @@ Status WriteCheckpoint(const std::string& path, Slice meta,
 
 /// Reads a checkpoint and checks its CRC; decodes nothing past the meta
 /// blob. NotFound if the file does not exist; NotSupported for a file of a
-/// retired format (SLCKPT01-05); Corruption on CRC or format errors.
+/// retired format (SLCKPT01-06); Corruption on CRC or format errors.
 /// `env` = nullptr uses Env::Default().
 Result<CheckpointData> ReadCheckpoint(const std::string& path,
                                       Env* env = nullptr);

@@ -165,7 +165,7 @@ class TableStore {
 
 // ---- Definition codec: the one encoding of a store's schema and index
 // set, written by TableDefinition::EncodeTo for the WAL's definition op
-// and for a checkpoint's catalog (SLCKPT06). Every decoded count is bounded by the bytes left before anything is built. ----
+// and for a checkpoint's catalog (SLCKPT07). Every decoded count is bounded by the bytes left before anything is built. ----
 
 void EncodeSchema(const Schema& schema, std::vector<uint8_t>* dst);
 Result<Schema> DecodeSchema(Decoder* dec);

@@ -52,9 +52,9 @@ namespace sqlledger {
 
 /// The kind of a WAL record: its payload's first byte. A commit record's
 /// body is a WalCommitRecord; a block close's a varint block id. Retired
-/// commit record kinds (1, 3, 4 and 5) are refused at replay.
+/// commit record kinds (1, 3, 4, 5 and 6) are refused at replay.
 constexpr uint8_t kWalKindBlockClose = 2;
-constexpr uint8_t kWalKindCommit = 6;
+constexpr uint8_t kWalKindCommit = 7;
 
 /// Kind of a logged redo operation.
 enum class WalOpType : uint8_t {

@@ -2,12 +2,14 @@
 // DecodeRow with and without a predecessor, WalCommitRecord with its
 // chained header, roots count and check, runs, sequence gaps, row,
 // ledger-delete and table-definition ops): random rows of every type,
-// NULLs, empty and 64 KiB strings, ±0.0 and NaN round-trip exactly, alone
-// and against predecessors whose cells repeat, change (integers across the
-// INT64_MIN/INT64_MAX wrap), turn NULL or change type; the zigzag edges
-// keep their value and their varint length; every strict prefix of an
-// encoded row or commit record (decoded against its header chain) is
-// Corruption, and so are cell state 3 and a set unused state bit; and
+// NULLs, empty and 64 KiB strings, ±0.0, NaN, amounts of whole cents (a
+// DOUBLE's decimal form) and running sums of them (often raw) round-trip
+// exactly, alone and against predecessors whose cells repeat, change
+// (integers across the INT64_MIN/INT64_MAX wrap), turn NULL or change type;
+// the zigzag edges keep their value and their varint length; every strict
+// prefix of an encoded row or commit record (decoded against its header
+// chain) is Corruption, and so are cell state 3 over a predecessor cell
+// that is NULL or no DOUBLE and a set unused state bit; and
 // every single-byte flip decodes to OK or Corruption without crashing (the
 // sanitizer builds check the reads). SQLLEDGER_TEST_SEED picks the values.
 
@@ -144,10 +146,17 @@ std::shared_ptr<const TableDefinition> RandomDefinition(Random* rng) {
   return def;
 }
 
+/// An amount of k whole cents, k of random magnitude up to 2^54 (past the
+/// decimal form's 2^53 too).
+double Amount(Random* rng) {
+  return static_cast<double>(RandomInt64(rng) >> 9) / 100.0;
+}
+
 /// A value that tends to sit at a byte-identity edge: +0.0 and -0.0 (equal
-/// by Compare, different bytes), NaN, a NULL of any type, or any value.
+/// by Compare, different bytes), NaN, an amount, a NULL of any type, or any
+/// value.
 Value EdgeValue(Random* rng) {
-  switch (rng->Uniform(6)) {
+  switch (rng->Uniform(7)) {
     case 0:
       return Value::Double(0.0);
     case 1:
@@ -155,6 +164,8 @@ Value EdgeValue(Random* rng) {
     case 2:
       return Value::Double(std::numeric_limits<double>::quiet_NaN());
     case 3:
+      return Value::Double(Amount(rng));
+    case 4:
       return Value::Null(static_cast<DataType>(rng->UniformRange(1, 8)));
     default:
       return RandomValue(rng, 0);
@@ -169,7 +180,9 @@ bool IsIntegral(DataType t) {
 
 /// A value of `prev`'s type, often at an edge of a change from it: an
 /// integer one step away or at its type's extreme (so a difference wraps
-/// past INT64_MIN/INT64_MAX), ±0.0 or NaN, an empty string, or NULL.
+/// past INT64_MIN/INT64_MAX), ±0.0, NaN, an amount or `prev` plus one (a
+/// running sum, which drifts off the grid of hundredths), an empty
+/// string, or NULL.
 Value ValueLike(Random* rng, const Value& prev) {
   const DataType type = prev.type();
   const uint64_t pick = rng->Uniform(4);
@@ -190,9 +203,17 @@ Value ValueLike(Random* rng, const Value& prev) {
                           static_cast<uint64_t>(prev.AsInt64()) + 1)
                     : INT64_MIN);
     case DataType::kDouble:
-      if (pick == 2)
-        return Value::Double(std::numeric_limits<double>::quiet_NaN());
-      return Value::Double(rng->Bernoulli(0.5) ? 0.0 : -0.0);
+      switch (rng->Uniform(4)) {
+        case 0:
+          return Value::Double(std::numeric_limits<double>::quiet_NaN());
+        case 1:
+          return Value::Double(rng->Bernoulli(0.5) ? 0.0 : -0.0);
+        case 2:
+          return Value::Double(Amount(rng));
+        default:
+          return Value::Double(
+              (prev.is_null() ? 0.0 : prev.double_value()) + Amount(rng));
+      }
     case DataType::kVarchar:
       return Value::Varchar("");
     case DataType::kVarbinary:
@@ -365,17 +386,21 @@ TEST(CodecFuzzTest, CommitRecordsWithDefinitionsRoundTrip) {
 // Rows encoded against random predecessors, of the same width or another,
 // decode to the same cells, and the bytes are exactly EncodeRow's: a cell
 // is in state 0 exactly when its bytes equal the predecessor's (so +0.0
-// never stands for -0.0), else in state 1 exactly when it keeps the
-// predecessor's tag and is not NULL, else in state 2. Every type changes
-// in state 1, integers across the wrap, and NULLs come and go. Every
-// strict prefix, cell state 3 and every set unused state bit are
-// Corruption; every single-byte flip decodes to OK or Corruption.
+// never stands for -0.0), else, when it keeps the predecessor's tag and is
+// not NULL, in state 3 exactly when it is a DOUBLE in the decimal form and
+// in state 1 otherwise, else in state 2. Every type changes in state 1,
+// integers across the wrap, NULLs come and go, and DOUBLEs are written in
+// both forms, whole and changed. Every strict prefix, cell state 3 over a
+// predecessor cell that is NULL or no DOUBLE and every set unused state
+// bit are Corruption; every single-byte flip decodes to OK or Corruption.
 TEST(CodecFuzzTest, RowsRoundTripAgainstPredecessors) {
   SCOPED_TRACE("SQLLEDGER_TEST_SEED=" + std::to_string(TestSeed()));
   Random rng(TestCaseSeed(5));
   int with_states = 0, repeats = 0, signed_zero_pairs = 0, wraps = 0,
       null_transitions = 0, type_changes = 0;
   int changed[9] = {};  // state-1 cells by type id
+  // Written DOUBLE cells by form: [decimal][changed], whole or state 1/3.
+  int doubles[2][2] = {};
   auto ok_or_corruption = [](const Status& st) {
     return st.ok() || st.IsCorruption();
   };
@@ -418,13 +443,14 @@ TEST(CodecFuzzTest, RowsRoundTripAgainstPredecessors) {
                            p.double_value() == 0 && bytes != CellBytes(p);
       null_transitions += v.is_null() != p.is_null();
       type_changes += v.type() != p.type();
+      const bool decimal = (bytes[0] & Cell::kDecimalTag) != 0;
       uint8_t state = 2;
       if (bytes == CellBytes(p)) {
         state = 0;
         repeats++;
       } else if (!v.is_null() && v.tag() == p.tag()) {
-        state = 1;
-        changed[static_cast<int>(v.type())]++;
+        state = decimal ? 3 : 1;
+        if (!decimal) changed[static_cast<int>(v.type())]++;
         if (IsIntegral(v.type())) {
           int64_t diff;
           wraps += __builtin_sub_overflow(v.AsInt64(), p.AsInt64(), &diff);
@@ -437,6 +463,8 @@ TEST(CodecFuzzTest, RowsRoundTripAgainstPredecessors) {
       } else {
         want.insert(want.end(), bytes.begin(), bytes.end());
       }
+      if (state != 0 && !v.is_null() && v.type() == DataType::kDouble)
+        doubles[decimal][state != 2]++;
       want[1 + i / 4] |= static_cast<uint8_t>(state << (2 * (i % 4)));
     }
     ASSERT_EQ(buf, want);
@@ -449,8 +477,13 @@ TEST(CodecFuzzTest, RowsRoundTripAgainstPredecessors) {
       std::vector<uint8_t> bad = buf;
       bad[1 + i / 4] |= static_cast<uint8_t>(3u << (2 * (i % 4)));
       Decoder bad_dec{Slice(bad)};
-      EXPECT_TRUE(DecodeRow(&bad_dec, &prev).status().IsCorruption())
-          << "state 3 at cell " << i;
+      const Status st = DecodeRow(&bad_dec, &prev).status();
+      const Value& p = prev_values[i];
+      if (p.is_null() || p.type() != DataType::kDouble) {
+        EXPECT_TRUE(st.IsCorruption()) << "state 3 at cell " << i;
+      } else {
+        EXPECT_TRUE(ok_or_corruption(st)) << "state 3 at cell " << i;
+      }
     }
     for (size_t bit = 2 * width; bit < 8 * state_bytes; bit++) {
       std::vector<uint8_t> bad = buf;
@@ -474,6 +507,10 @@ TEST(CodecFuzzTest, RowsRoundTripAgainstPredecessors) {
   EXPECT_GT(type_changes, 100);
   for (int t = 1; t <= 8; t++)
     EXPECT_GT(changed[t], 0) << DataTypeName(static_cast<DataType>(t));
+  for (int decimal = 0; decimal < 2; decimal++) {
+    for (int change = 0; change < 2; change++)
+      EXPECT_GT(doubles[decimal][change], 50) << decimal << change;
+  }
 }
 
 TEST(CodecFuzzTest, ZigZagEdgesRoundTrip) {

@@ -496,14 +496,17 @@ TEST_F(RecoveryTest, MissingNewestCheckpointFallsBackToPreviousGeneration) {
 
 // A checkpoint of a retired format, SLCKPT01 (fixed-width cells), SLCKPT02
 // (rows without predecessors), SLCKPT03 (store definitions beside their
-// rows), SLCKPT04 (repeat bitmaps, changed cells written whole) or
-// SLCKPT05 (fixed32 table ids in table roots), is not torn: it is refused
-// as NotSupported, naming the format, and recovery neither falls back to a
-// readable ".prev" beside it nor replays or truncates the WAL. Covered: the newest generation retired with a good
-// ".prev", the newest retired alone, and only a retired ".prev".
+// rows), SLCKPT04 (repeat bitmaps, changed cells written whole), SLCKPT05
+// (fixed32 table ids in table roots) or SLCKPT06 (every DOUBLE stored as 8
+// raw bytes), is not torn: it is refused as NotSupported, naming the
+// format, and recovery neither falls back to a readable ".prev" beside it
+// nor replays or truncates the WAL. Covered: the newest generation retired
+// with a good ".prev", the newest retired alone, and only a retired
+// ".prev".
 TEST_F(RecoveryTest, RetiredCheckpointFormatIsRefusedWithoutFallback) {
   for (const char* magic :
-       {"SLCKPT01", "SLCKPT02", "SLCKPT03", "SLCKPT04", "SLCKPT05"}) {
+       {"SLCKPT01", "SLCKPT02", "SLCKPT03", "SLCKPT04", "SLCKPT05",
+        "SLCKPT06"}) {
     SCOPED_TRACE(magic);
     const std::string dir = magic;
     const std::string ckpt = Path(dir) + "/checkpoint.sldb";
@@ -1096,13 +1099,14 @@ TEST_F(RecoveryTest, LedgerUpdateOfMissingPreImageIsCorruption) {
 
 // Commit records of the retired kinds, 1 (history rows and whole roots
 // logged), 3 (stamped row images without predecessors), 4 (repeat
-// bitmaps, changed cells logged whole) and 5 (headers logged whole, a type
-// and table per op), are refused like a retired checkpoint format: Open
+// bitmaps, changed cells logged whole), 5 (headers logged whole, a type
+// and table per op) and 6 (every DOUBLE logged as 8 raw bytes), are
+// refused like a retired checkpoint format: Open
 // fails with NotSupported before it replays or truncates the log, and no
 // file changes.
 TEST_F(RecoveryTest, RetiredCommitRecordKindIsRefused) {
   for (const uint8_t kind :
-       {uint8_t{1}, uint8_t{3}, uint8_t{4}, uint8_t{5}}) {
+       {uint8_t{1}, uint8_t{3}, uint8_t{4}, uint8_t{5}, uint8_t{6}}) {
     const std::string name = "kind " + std::to_string(kind);
     SCOPED_TRACE(name);
     const std::string dir = "kind" + std::to_string(kind);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -569,18 +570,24 @@ TEST(RowTest, TpccOrderLineVersionIsSmall) {
 // EncodedRowBound holds at each cell's widest encoding against its block
 // bytes, with no predecessor, against itself and against adversarial
 // predecessors of the same tags: a +0.0 DOUBLE (a tag alone in the block,
-// 9 bytes whole, 8 changed from a NaN), an 8-byte integer (a 10-byte
+// a 1-byte decimal), a DOUBLE off the grid of hundredths (8 bytes in the
+// block, 9 whole, 8 changed from a NaN), an 8-byte integer (a 10-byte
 // varint), a zero changed from INT64_MIN (a 10-byte difference), NULL
 // against a value and back, and an empty string against a long one.
 TEST(RowTest, EncodedRowBoundCoversTheEncoding) {
   const std::string long_string(300, 's');
   const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  const Value off_grid = Value::Double(0.1 + 0.2);
   // (row, predecessors besides none and the row itself)
   std::vector<std::pair<Row, std::vector<Row>>> cases = {
       {Row{}, {}},
       {Row{Value::Double(0.0)},
        {Row{nan}, Row{Value::Null(DataType::kDouble)}}},
       {Row(std::vector<Value>(300, Value::Double(0.0))),
+       {Row(std::vector<Value>(300, nan))}},
+      {Row{off_grid},
+       {Row{nan}, Row{Value::Double(1.0)}, Row{Value::Null(DataType::kDouble)}}},
+      {Row(std::vector<Value>(300, off_grid)),
        {Row(std::vector<Value>(300, nan))}},
       {Row{Value::BigInt(0)},
        {Row{Value::BigInt(INT64_MIN)}, Row{Value::BigInt(INT64_MAX)}}},
@@ -605,9 +612,9 @@ TEST(RowTest, EncodedRowBoundCoversTheEncoding) {
   // The bound is tight to the cell for 300 zeros changed from INT64_MIN:
   // a 2-byte count, 75 state bytes and 300 10-byte differences, against
   // 308 block bytes + 9 * 300 + 75 + 3.
-  const Row& zeros = cases[4].first;
+  const Row& zeros = cases[6].first;
   std::vector<uint8_t> bytes;
-  EncodeRow(zeros, &cases[4].second[0], &bytes);
+  EncodeRow(zeros, &cases[6].second[0], &bytes);
   EXPECT_EQ(bytes.size(), 3077u);
   EXPECT_EQ(EncodedRowBound(zeros), 3086u);
 }
@@ -616,50 +623,145 @@ TEST(RowTest, EncodedRowBoundCoversTheEncoding) {
 // cell per state: the count, three bytes of 2-bit cell states (cell i at
 // byte i/4, bits 2*(i%4)), then each cell that is not its predecessor's
 // bytes. State 1 (same tag, not NULL, another value) writes no tag: an
-// integer's zigzag difference, a string's length and bytes, a DOUBLE's
-// 8 bytes. State 2 writes the whole cell: a NULL becoming a value, a value
-// becoming NULL, an INT becoming a BIGINT.
+// integer's zigzag difference, a string's length and bytes, a raw DOUBLE's
+// 8 bytes. State 3 (a DOUBLE that is exactly k/100 over a non-NULL
+// DOUBLE) writes no tag, the zigzag varint of k. State 2 writes the whole
+// cell: a NULL becoming a value, a value becoming NULL, an INT becoming a
+// BIGINT, a decimal DOUBLE over a NULL (its tag with bit 0x40, then k).
 TEST(RowTest, EncodeRowWritesEachCellState) {
   const Row prev{Value::BigInt(100), Value::Varchar("abc"),
                  Value::Double(1.5), Value::Null(DataType::kInt),
                  Value::Int(7),       Value::Timestamp(1000),
                  Value::Int(5),       Value::Int(5),
-                 Value::Double(1.5)};
+                 Value::Double(1.5),  Value::Double(1.5),
+                 Value::Null(DataType::kDouble)};
   const Row row{Value::BigInt(101), Value::Varchar("abd"),
                 Value::Double(1.5), Value::Int(3),
                 Value::Int(7),      Value::Timestamp(990),
                 Value::Null(DataType::kInt), Value::BigInt(5),
-                Value::Double(-0.0)};
+                Value::Double(-0.0), Value::Double(12.34),
+                Value::Double(0.25)};
   std::vector<uint8_t> bytes;
   EncodeRow(row, &prev, &bytes);
   EXPECT_EQ(HexEncode(Slice(bytes)),
-            "09"                 // nine cells
-            "85" "a4" "01"       // states 1 1 0 2 | 0 1 2 2 | 1
+            "0b"                 // eleven cells
+            "85" "a4" "2d"       // states 1 1 0 2 | 0 1 2 2 | 1 3 2
             "02"                 // BIGINT 101 = 100 + 1
             "03616264"           // VARCHAR 'abd', no tag
             "0306"               // INT 3, whole: its predecessor is NULL
             "13"                 // TIMESTAMP 990 = 1000 - 10
             "83"                 // NULL INT, whole
             "040a"               // BIGINT 5, whole: the INT's tag differs
-            "0000000000000080"); // DOUBLE -0.0, no tag
+            "0000000000000080"   // DOUBLE -0.0, raw, no tag
+            "a413"               // DOUBLE 12.34, decimal: zigzag(1234)
+            "4532");             // DOUBLE 0.25, whole: 0x05 | 0x40, zigzag(25)
   Decoder dec{Slice(bytes)};
   auto decoded = DecodeRow(&dec, &prev);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(dec.done());
   ExpectRowIs(*decoded, row.Values(), "decode");
 
-  // State 3, a set unused state bit and a state-1 cell whose predecessor is
-  // NULL are Corruption.
+  // State 3 over a NULL or over a cell that is no DOUBLE, a set unused
+  // state bit and a state-1 cell whose predecessor is NULL are Corruption.
   auto corrupt = [&](size_t byte, uint8_t value) {
     std::vector<uint8_t> bad = bytes;
     bad[byte] = value;
     Decoder bad_dec{Slice(bad)};
     return DecodeRow(&bad_dec, &prev).status().IsCorruption();
   };
-  EXPECT_TRUE(corrupt(1, 0xB5));  // cell 2 in state 3
-  EXPECT_TRUE(corrupt(3, 0x05));  // an unused bit past cell 8
-  EXPECT_TRUE(corrupt(3, 0x81));
+  EXPECT_TRUE(corrupt(1, 0xC5));  // cell 3 in state 3 over a NULL INT
+  EXPECT_TRUE(corrupt(1, 0x87));  // cell 0 in state 3 over a BIGINT
+  EXPECT_TRUE(corrupt(3, 0x6d));  // an unused bit past cell 10
+  EXPECT_TRUE(corrupt(3, 0xad));
   EXPECT_TRUE(corrupt(1, 0x45));  // cell 3 changed from a NULL
+}
+
+// Doubles at every edge of the decimal form round-trip bit for bit, whole
+// and against predecessors that are a NULL DOUBLE, a raw DOUBLE, a decimal
+// DOUBLE and an INT, and take the form their value has: k = llround(d *
+// 100) with |k| <= 2^53 and k / 100.0 exactly d. A decimal whole cell or
+// state-3 cell whose k is past 2^53, or is not the one k of its value, and
+// a raw cell of a decimal value are Corruption.
+TEST(RowTest, AdversarialDoublesRoundTripBitForBit) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double nan_with_payload = std::bit_cast<double>(0x7ff80000deadbeefULL);
+  // 2^53 / 100 and (2^53 + 1) / 100, as the nearest doubles.
+  const double k_max = 90071992547409.92, k_past = 90071992547409.93;
+  const std::pair<double, bool> cases[] = {  // (value, decimal)
+      {0.0, true},
+      {-0.0, false},
+      {nan_with_payload, false},
+      {kInf, false},
+      {-kInf, false},
+      {std::numeric_limits<double>::denorm_min(), false},
+      {std::numeric_limits<double>::max(), false},
+      {0.1, true},
+      {0.1 + 0.2, false},
+      {0.001, false},
+      {k_max, true},
+      {-k_max, true},
+      {k_past, false},
+      {-k_past, false},
+  };
+  const std::vector<Row> prevs = {Row{Value::Null(DataType::kDouble)},
+                                  Row{Value::Double(0.1 + 0.2)},
+                                  Row{Value::Double(1.0)},
+                                  Row{Value::Int(1)}};
+  for (const auto& [d, decimal] : cases) {
+    SCOPED_TRACE(std::bit_cast<uint64_t>(d));
+    int64_t k;
+    EXPECT_EQ(Cell::DecimalOf(d, &k), decimal);
+    const Row row{Value::Double(d)};
+    std::vector<const Row*> against = {nullptr};
+    for (const Row& p : prevs) against.push_back(&p);
+    for (const Row* prev : against) {
+      std::vector<uint8_t> bytes;
+      EncodeRow(row, prev, &bytes);
+      Decoder dec{Slice(bytes)};
+      auto got = DecodeRow(&dec, prev);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(dec.done());
+      EXPECT_EQ(std::bit_cast<uint64_t>((*got)[0].double_value()),
+                std::bit_cast<uint64_t>(d));
+      EXPECT_LE(bytes.size(), EncodedRowBound(row));
+    }
+  }
+
+  // One cell, whole and in state 3 against a raw DOUBLE, logged as decimal
+  // with zigzag payload `z`; and the raw cell of 1.0, which is decimal.
+  auto decode = [](std::vector<uint8_t> bytes, const Row* prev) {
+    Decoder dec{Slice(bytes)};
+    return DecodeRow(&dec, prev).status();
+  };
+  const Row raw_prev{Value::Double(0.1 + 0.2)};
+  auto whole = [&](uint64_t z) {
+    std::vector<uint8_t> bytes = {0x01, 0x45};
+    PutVarint64(&bytes, z);
+    return decode(bytes, nullptr);
+  };
+  auto changed = [&](uint64_t z) {
+    std::vector<uint8_t> bytes = {0x01, 0x03};
+    PutVarint64(&bytes, z);
+    return decode(bytes, &raw_prev);
+  };
+  constexpr int64_t kLimit = int64_t{1} << 53;
+  for (const int64_t k : {kLimit + 1, -kLimit - 1, INT64_MAX, INT64_MIN}) {
+    SCOPED_TRACE(k);
+    EXPECT_TRUE(whole(ZigZagEncode64(k)).IsCorruption());
+    EXPECT_TRUE(changed(ZigZagEncode64(k)).IsCorruption());
+  }
+  // k = 2^53 - 2 has the double of k = 2^53 - 1, its one k.
+  EXPECT_TRUE(whole(ZigZagEncode64(kLimit - 2)).IsCorruption());
+  EXPECT_TRUE(whole(ZigZagEncode64(kLimit - 1)).ok());
+  EXPECT_TRUE(whole(ZigZagEncode64(kLimit)).ok());
+  EXPECT_TRUE(changed(ZigZagEncode64(-kLimit)).ok());
+  EXPECT_TRUE(decode({0x01, 0x05, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, nullptr)
+                  .IsCorruption());
+  EXPECT_TRUE(decode({0x01, 0x01, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, &raw_prev)
+                  .IsCorruption());
+  // A decimal bit on a cell that is no non-NULL DOUBLE.
+  EXPECT_TRUE(decode({0x01, 0x44, 0x02}, nullptr).IsCorruption());
+  EXPECT_TRUE(decode({0x01, 0xc5}, nullptr).IsCorruption());
 }
 
 // A row of exactly `bytes` (>= 9) block bytes: a VARBINARY of `fill`

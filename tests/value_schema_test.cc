@@ -128,9 +128,10 @@ std::vector<uint8_t> Encoded(const Value& v) {
 
 // WAL records and checkpoints persist values in this encoding: a tag byte
 // (type id, plus 0x80 for NULL), then a zigzag varint for the integral
-// types, 8 little-endian bytes for DOUBLE or a varint length and the bytes,
-// and no payload for a NULL. Pinned so an in-memory layout change cannot
-// drift it.
+// types; for a DOUBLE that is exactly k/100 (the decimal form) the tag plus
+// 0x40 and the zigzag varint of k, for any other DOUBLE its 8
+// little-endian bytes; a varint length and the bytes for a string; and no
+// payload for a NULL. Pinned so an in-memory layout change cannot drift it.
 TEST(ValueTest, EncodingGoldenBytes) {
   const std::pair<Value, const char*> cases[] = {
       // BOOL, zigzag(1) = 2
@@ -141,8 +142,16 @@ TEST(ValueTest, EncodingGoldenBytes) {
       {Value::Int(0x12345678), "03f0d9a2a302"},
       // BIGINT, zigzag(-5) = 9
       {Value::BigInt(-5), "0409"},
-      // DOUBLE, 1.5 = 0x3ff8000000000000 little-endian
-      {Value::Double(1.5), "05000000000000f83f"},
+      // DOUBLE 1.5 = 150 hundredths: 0x05 | 0x40, zigzag(150) = 300
+      {Value::Double(1.5), "45ac02"},
+      // DOUBLE 0.0 = 0 hundredths
+      {Value::Double(0.0), "4500"},
+      // DOUBLE -0.1 = -10 hundredths, zigzag 19
+      {Value::Double(-0.1), "4513"},
+      // DOUBLE 0.1 + 0.2 = 0x3fd3333333333334, off the grid: raw
+      {Value::Double(0.1 + 0.2), "05343333333333d33f"},
+      // DOUBLE -0.0 = 0x8000000000000000: raw
+      {Value::Double(-0.0), "050000000000000080"},
       // VARCHAR, length 6, 'ledger'
       {Value::Varchar("ledger"), "06066c6564676572"},
       // VARBINARY, length 4, the bytes
@@ -429,7 +438,7 @@ TEST(RowCodecTest, EncodeRowGoldenBytes) {
             "0203"                // SMALLINT -2, zigzag 3
             "03f0d9a2a302"        // INT 0x12345678, zigzag 0x2468acf0
             "0409"                // BIGINT -5, zigzag 9
-            "05000000000000f83f"  // DOUBLE 1.5
+            "45ac02"              // DOUBLE 1.5: 0x05 | 0x40, zigzag(150)
             "06066c6564676572"    // VARCHAR 'ledger'
             "0702dead"            // VARBINARY 0xdead
             "088080a0faa0ccd705"  // TIMESTAMP, zigzag 3200000000000000
