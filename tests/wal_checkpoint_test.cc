@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -136,10 +137,12 @@ TEST(WalRecordTest, GoldenBytes) {
   for (size_t i = 0; i < root.bytes.size(); i++)
     root.bytes[i] = static_cast<uint8_t>(i);
   rec.SetTableRoots({{100, root}});
-  rec.ops.push_back(WalOp{WalOpType::kInsert, 100, {},
-                          {Value::BigInt(1), Value::Varchar("a")}});
-  rec.ops.push_back(WalOp{WalOpType::kUpdate, 100, {},
-                          {Value::BigInt(1), Value::Varchar("b")}});
+  rec.ops.push_back(
+      WalOp{WalOpType::kInsert, 100, {},
+            {Value::BigInt(1), Value::Varchar("a"), Value::Double(0.1 + 0.2)}});
+  rec.ops.push_back(
+      WalOp{WalOpType::kUpdate, 100, {},
+            {Value::BigInt(1), Value::Varchar("b"), Value::Double(12.34)}});
   rec.ops.push_back(WalOp{WalOpType::kDelete, 101, {Value::BigInt(-1)}, {}});
   WalOp ledger_delete{WalOpType::kLedgerDelete, 100, {Value::BigInt(1)}, {}};
   ledger_delete.seq_gap = 3;
@@ -156,10 +159,12 @@ TEST(WalRecordTest, GoldenBytes) {
             "01"                  // one ledger table
             "d78e6347dd22a57a"    // SHA-256(64 00 01 .. 1f)[0..8]
             "05"                  // five ops, in four runs
-            "01" "64" "01" "02"   // INSERT into table 100: 1 tuple, 2 cells
-            "0402" "060161"       //   BIGINT 1, VARCHAR 'a'
-            "02" "64" "01" "02"   // UPDATE in table 100: 1 tuple, 2 cells
-            "04" "0162"           //   states 0 1, 'b' with no tag
+            "01" "64" "01" "03"   // INSERT into table 100: 1 tuple, 3 cells
+            "0402" "060161"       //   BIGINT 1, VARCHAR 'a',
+            "05343333333333d33f"  //   DOUBLE 0.1 + 0.2, off the grid: raw
+            "02" "64" "01" "03"   // UPDATE in table 100: 1 tuple, 3 cells
+            "34" "0162"           //   states 0 1 3, 'b' with no tag,
+            "a413"                //   DOUBLE 12.34: zigzag(1234), no tag
             "03" "65" "01" "01"   // DELETE from table 101: 1 tuple, 1 cell
             "0401"                //   BIGINT -1
             "85" "64" "02" "03"   // ledger DELETE from table 100: 2 tuples,
@@ -175,7 +180,9 @@ TEST(WalRecordTest, GoldenBytes) {
   ASSERT_EQ(decoded->ops.size(), 5u);
   EXPECT_TRUE(decoded->ops[1].key.empty());
   EXPECT_EQ(decoded->ops[1].new_row,
-            (Row{Value::BigInt(1), Value::Varchar("b")}));
+            (Row{Value::BigInt(1), Value::Varchar("b"), Value::Double(12.34)}));
+  EXPECT_EQ(std::bit_cast<uint64_t>(decoded->ops[0].new_row[2].double_value()),
+            std::bit_cast<uint64_t>(0.1 + 0.2));
   EXPECT_EQ(decoded->ops[2].key, KeyTuple{Value::BigInt(-1)});
   EXPECT_TRUE(decoded->ops[2].new_row.empty());
   EXPECT_EQ(decoded->ops[3].seq_gap, 3u);
