@@ -1,6 +1,7 @@
 #include "sim/driver.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <sstream>
 
@@ -126,6 +127,21 @@ Row SimDriver::BuildUserRow(const ReferenceModel::Table& t,
         case DataType::kBigInt:
           row.push_back(Value::BigInt(static_cast<int64_t>(op.arg)));
           break;
+        case DataType::kDouble: {
+          // An amount of whole cents (the row codec's decimal form), a sum
+          // of two amounts, which now and then drifts off the grid of
+          // hundredths (the raw form), or -0.0 (raw too).
+          const double amount =
+              static_cast<double>(static_cast<int64_t>((op.arg + vis) % 1000) -
+                                  500) /
+              100.0;
+          const uint64_t pick = (op.arg / 5 + vis) % 4;
+          row.push_back(Value::Double(
+              pick == 0   ? -0.0
+              : pick == 1 ? amount + static_cast<double>(op.arg * 7919) / 100.0
+                          : amount));
+          break;
+        }
         default:
           row.push_back(Value::Null(c.type));
           break;
@@ -810,7 +826,9 @@ void SimDriver::DoAddColumn(size_t i, const SimOp& op) {
     return;
   }
   if (!CommitOpenTxn(i)) return;
-  DataType type = op.arg == 1 ? DataType::kVarchar : DataType::kInt;
+  const DataType type = op.arg == 1   ? DataType::kVarchar
+                        : op.arg == 2 ? DataType::kDouble
+                                      : DataType::kInt;
   uint32_t max_length = op.arg == 1 ? 16 : 0;
   Status st = db_->AddColumn(*name, op.str, type, max_length);
   if (HandleIfCrashed(i, [&] {
@@ -1205,6 +1223,10 @@ void SimDriver::DoTamper(size_t i, const SimOp& op) {
       now = Value::Varchar(std::move(s));
     } else if (old.type() == DataType::kInt) {
       now = Value::Int(static_cast<int32_t>(old.AsInt64() ^ 1));
+    } else if (old.type() == DataType::kDouble) {
+      // The lowest mantissa bit: a decimal amount becomes a raw double.
+      now = Value::Double(
+          std::bit_cast<double>(std::bit_cast<uint64_t>(old.double_value()) ^ 1));
     } else {
       now = Value::BigInt(old.AsInt64() ^ 1);
     }

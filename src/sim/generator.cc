@@ -116,7 +116,7 @@ std::vector<SimOp> GenerateTrace(uint64_t seed, const GeneratorOptions& opts) {
         if (added_columns >= opts.max_added_columns) continue;
         op.table = static_cast<uint32_t>(rng.Uniform(num_tables));
         op.str = "extra" + std::to_string(added_columns++);
-        op.arg = rng.Bernoulli(0.5) ? 1 : 0;  // 1 = varchar, 0 = int
+        op.arg = rng.Uniform(3);  // 0 = int, 1 = varchar, 2 = double
         break;
       case SimOpKind::kDropColumn:
         // Targets a previously added column by name; the driver no-ops (and

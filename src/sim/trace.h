@@ -29,7 +29,7 @@ enum class SimOpKind : uint8_t {
   kSavepoint,        // str=name
   kRollbackToSave,   // str=name
   kCreateTable,      // str=name, arg=TableKind
-  kAddColumn,        // table, str=column name
+  kAddColumn,        // table, str=column name, arg=0 INT/1 VARCHAR/2 DOUBLE
   kDropColumn,       // table, str=column name
   kCreateIndex,      // table, str=index name
   kLedgerView,       // table
