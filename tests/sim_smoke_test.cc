@@ -63,12 +63,12 @@ TEST_F(SimSmokeTest, GoldenFingerprints) {
     const char* mfp;
   };
   const Golden kGolden[] = {
-      {1, "e69c12d05bdf4a06eaf884342dee8e344fd7a1d0fea44b90463ae8b4f67f6c8a",
+      {1, "dcfb0f8446a1bbffca01a11d43d477d5104e246e07ff7b1e8063fc38e8a16318",
        "49e7174009ec2ebc6b323c38fe416a460544395fc3c594d997593e289a474fea"},
-      {2, "8b9ad3534379a133983db9d3c9d112a229d75491bbe5a50f978f41b7ea0cff40",
-       "4b0aceb1132bdd60239ca046100c3626d931624a20a830fbf350c9cb77cd151a"},
-      {3, "d5f745a6cba5413b8eaeca31f1c6ab4243e23a2d043731651e7ae8ada870f68f",
-       "59c23e796465a7edaca9b5673cc7d021142b0031957f6b310361f756c5143d46"},
+      {2, "b64cc494f526cf8fa70307f627ad6d2bb9a6b43521d04195f8c0df8f6df19ff2",
+       "deef5cee16aa824e7e0e0dd6627cd8896af11b7e06b4de861d768cee35a8a807"},
+      {3, "e6189c49d1b1a1b9a2ef76c52f241e8eaa72a0c955de838a5f99d9994a0550ec",
+       "2570a3c61443dd04903e9341d35e0974dacd1a60c23065fb698dcc54bb752b07"},
   };
   for (const Golden& g : kGolden) {
     SimResult result = RunSim(MakeConfig(g.seed, 500));
