@@ -1225,8 +1225,8 @@ void SimDriver::DoTamper(size_t i, const SimOp& op) {
       now = Value::Int(static_cast<int32_t>(old.AsInt64() ^ 1));
     } else if (old.type() == DataType::kDouble) {
       // The lowest mantissa bit: a decimal amount becomes a raw double.
-      now = Value::Double(
-          std::bit_cast<double>(std::bit_cast<uint64_t>(old.double_value()) ^ 1));
+      const uint64_t bits = std::bit_cast<uint64_t>(old.double_value());
+      now = Value::Double(std::bit_cast<double>(bits ^ 1));
     } else {
       now = Value::BigInt(old.AsInt64() ^ 1);
     }

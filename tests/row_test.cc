@@ -586,7 +586,8 @@ TEST(RowTest, EncodedRowBoundCoversTheEncoding) {
       {Row(std::vector<Value>(300, Value::Double(0.0))),
        {Row(std::vector<Value>(300, nan))}},
       {Row{off_grid},
-       {Row{nan}, Row{Value::Double(1.0)}, Row{Value::Null(DataType::kDouble)}}},
+       {Row{nan}, Row{Value::Double(1.0)},
+        Row{Value::Null(DataType::kDouble)}}},
       {Row(std::vector<Value>(300, off_grid)),
        {Row(std::vector<Value>(300, nan))}},
       {Row{Value::BigInt(0)},
