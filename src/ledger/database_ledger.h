@@ -121,7 +121,8 @@ class DatabaseLedger {
   Result<TxnRange> CollectTxnsBelow(uint64_t below_block) const;
 
   /// Physically removes blocks and transaction entries below `below_block`.
-  /// Callers must have re-homed any live data first (TruncateLedger does).
+  /// Writes no log record: its one caller, LedgerDatabase::ApplyTruncation,
+  /// runs after the truncation's audit row is logged and again at recovery.
   Status TruncateBelow(uint64_t below_block);
 
   /// Looks up an entry by transaction id in the transactions table.

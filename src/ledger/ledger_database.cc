@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <set>
 
 #include "catalog/row.h"
 #include "ledger/geo_replication.h"
@@ -128,6 +129,7 @@ LedgerDatabase::LedgerDatabase(LedgerDatabaseOptions options)
   if (!options_.data_dir.empty()) {
     checkpoint_path_ = options_.data_dir + "/checkpoint.sldb";
     wal_path_ = options_.data_dir + "/wal.log";
+    verification_state_path_ = options_.data_dir + "/verify_state.sldb";
   }
   BuildSystemStores();
 }
@@ -181,6 +183,13 @@ Result<std::unique_ptr<LedgerDatabase>> LedgerDatabase::OpenImpl(
     SL_RETURN_IF_ERROR(st);
     const int64_t replay_start = db->metrics_->NowMicros();
     SL_RETURN_IF_ERROR(db->ReplayWal(used_fallback));
+    // A truncation is durable through its logged audit row. The newest
+    // (largest cutoff) covers the older ones; it finds nothing to delete
+    // when the checkpoint already holds its deletes.
+    auto truncations = db->GetTruncationRecords();
+    if (!truncations.empty())
+      SL_RETURN_IF_ERROR(
+          db->ApplyTruncation(truncations.back().truncated_below_block));
     if (new_incarnation)
       db->create_time_ = std::to_string(db->options_.clock());
     const int64_t recover_end = db->metrics_->NowMicros();
@@ -206,7 +215,6 @@ Result<std::unique_ptr<LedgerDatabase>> LedgerDatabase::OpenImpl(
   // Load the verifier watermark if a trustworthy one exists. Missing, torn
   // or stale (other database / other incarnation) state is not an error —
   // it only means the next incremental verification starts from scratch.
-  db->verification_state_path_ = db->options_.data_dir + "/verify_state.sldb";
   auto vstate = VerificationState::Load(env, db->verification_state_path_);
   if (vstate.ok() && vstate->database_id == db->options_.database_id &&
       vstate->database_create_time == db->create_time_) {
@@ -1185,6 +1193,32 @@ Status LedgerDatabase::RecordTruncation(const TruncationRecord& record) {
     return st;
   }
   return Commit(*txn);
+}
+
+Status LedgerDatabase::ApplyTruncation(uint64_t below_block) {
+  // The deletes bypass transactional locking, so writers are quiesced.
+  QuiesceGuard guard(this);
+  auto range = ledger_->CollectTxnsBelow(below_block);
+  if (!range.ok()) return range.status();
+  if (range->txn_ids.empty()) return Status::OK();  // already applied
+  std::set<uint64_t> truncated(range->txn_ids.begin(), range->txn_ids.end());
+  // History rows retired by truncated transactions ("easy to truncate
+  // because no other data elements reference it", §5.2).
+  for (CatalogEntry* entry : AllTables()) {
+    if (entry->history == nullptr) continue;
+    std::vector<KeyTuple> doomed;
+    for (BTree::Iterator it = entry->history->Scan(); it.Valid(); it.Next()) {
+      Cell end_txn = it.value()[entry->ref.plan->end_txn_ord];
+      if (!end_txn.is_null() &&
+          truncated.count(static_cast<uint64_t>(end_txn.AsInt64())))
+        doomed.push_back(it.key());
+    }
+    for (const KeyTuple& key : doomed)
+      SL_RETURN_IF_ERROR(entry->history->Delete(key));
+  }
+  SL_RETURN_IF_ERROR(ledger_->TruncateBelow(below_block));
+  ClearVerificationState();
+  return Status::OK();
 }
 
 // ---- Durability ----

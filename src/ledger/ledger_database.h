@@ -284,7 +284,7 @@ class LedgerDatabase {
   /// database and incarnation.
   Status StoreVerificationState(const VerificationState& state);
   /// Drops the cached watermark and removes the on-disk state file.
-  /// Called by TruncateLedger: a truncation changes which transaction
+  /// Called by ApplyTruncation: a truncation changes which transaction
   /// references are exempt, so the old watermark no longer attests what it
   /// claims. Best-effort on the file removal.
   void ClearVerificationState();
@@ -402,6 +402,11 @@ class LedgerDatabase {
   Status RecordTableMetadata(Transaction* txn, const CatalogEntry& entry);
   Status RecordColumnMetadata(Transaction* txn, uint32_t table_id,
                               const ColumnDef& col);
+  /// Under one quiesce, deletes the history rows retired by transactions in
+  /// blocks below `below_block`, then those blocks and entries, and clears
+  /// the watermark; idempotent. Run by TruncateLedger after its audit row
+  /// commits and by recovery for the newest recorded truncation.
+  Status ApplyTruncation(uint64_t below_block);
   friend Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
                                const std::vector<DatabaseDigest>& digests);
 

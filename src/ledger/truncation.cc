@@ -101,45 +101,16 @@ Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
   // immediately digest-coverable.
   SL_RETURN_IF_ERROR(db->GenerateDigest().status());
 
-  // 4. Delete history rows retired by truncated transactions (historical
-  // data "is easy to truncate because no other data elements reference
-  // it"). The physical deletions bypass transactional locking, so the
-  // database is quiesced for steps 4-5.
-  {
-    LedgerDatabase::QuiesceGuard guard(db);
-    for (CatalogEntry* entry : db->AllTables()) {
-      if (entry->history == nullptr) continue;
-      std::vector<KeyTuple> doomed;
-      for (BTree::Iterator it = entry->history->Scan(); it.Valid();
-           it.Next()) {
-        Cell end_txn = it.value()[entry->ref.plan->end_txn_ord];
-        if (end_txn.is_null()) continue;
-        if (truncated.count(static_cast<uint64_t>(end_txn.AsInt64())))
-          doomed.push_back(it.key());
-      }
-      for (const KeyTuple& key : doomed)
-        SL_RETURN_IF_ERROR(entry->history->Delete(key));
-    }
-
-    // 5. Delete the truncated blocks and transaction entries.
-    SL_RETURN_IF_ERROR(ledger->TruncateBelow(below_block));
-  }
-
-  // 6. Audit the truncation through the ledger itself.
+  // 4. Audit the truncation through the ledger itself. The committed row is
+  // the truncation's one durability point: recovery applies the newest one.
   TruncationRecord record;
   record.truncated_below_block = below_block;
   record.min_txn_id = range->min_txn_id;
   record.max_txn_id = range->max_txn_id;
   SL_RETURN_IF_ERROR(db->RecordTruncation(record));
 
-  // 7. Invalidate the incremental-verification watermark: truncation
-  // changed which transaction references are exempt and may have removed
-  // the watermark block itself. (The verifier's re-anchor checks would
-  // also catch a stale watermark; clearing keeps the next incremental run
-  // from paying a guaranteed fallback.)
-  db->ClearVerificationState();
-
-  return db->Checkpoint();
+  // 5. Delete what the row names, through the function recovery runs.
+  return db->ApplyTruncation(below_block);
 }
 
 }  // namespace sqlledger

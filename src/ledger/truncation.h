@@ -6,11 +6,13 @@
 //      a block about to be truncated, moving its protection into fresh
 //      transactions and blocks;
 //   3. generate a digest (closes the block holding the dummy updates);
-//   4. delete history rows retired by truncated transactions;
-//   5. delete the truncated blocks and transaction entries;
-//   6. record the truncation in the append-only sys_ledger_truncations
+//   4. record the truncation in the append-only sys_ledger_truncations
 //      table so the operation is itself audited, and so the verifier can
-//      distinguish truncated references from tampering.
+//      distinguish truncated references from tampering. That logged row is
+//      the truncation's only durability point: no checkpoint is taken;
+//   5. LedgerDatabase::ApplyTruncation, which recovery also runs, deletes
+//      the history rows retired by truncated transactions, then the blocks
+//      and transaction entries, and clears the verifier watermark.
 //
 // Digests older than the truncation point stop being verifiable — callers
 // must keep (at least) digests at or after the cutoff.

@@ -13,6 +13,7 @@
 #include <functional>
 
 #include "ledger/digest_store.h"
+#include "ledger/truncation.h"
 #include "ledger/verifier.h"
 #include "storage/checkpoint.h"
 #include "storage/env.h"
@@ -470,6 +471,161 @@ TEST_F(FaultInjectionTest, CrashAtEverySyncPointDuringDdl) {
     ASSERT_TRUE(db2.ok()) << "crash point " << crash_point << ": "
                           << db2.status().ToString();
     EXPECT_EQ(CatalogSnapshot(db2->get()), catalog)
+        << "crash point " << crash_point;
+  }
+  EXPECT_TRUE(completed_without_crash);
+  EXPECT_GT(crash_point, 20);
+}
+
+// ---- The torture loop over a truncation ----
+
+// Where a truncation torture run stopped.
+struct TruncationProgress {
+  bool started = false;
+  bool done = false;
+};
+
+// History spanning several blocks (inserts, updates, a checkpoint and
+// digests), then TruncateLedger below `below`, then more traffic with a
+// checkpoint and a digest, until an injected fault stops it.
+// `before_truncate` runs just before the truncation starts.
+void RunTruncationTortureWorkload(LedgerDatabase* db, uint64_t below,
+                                  std::vector<DatabaseDigest>* durable_digests,
+                                  TruncationProgress* progress,
+                                  const std::function<void()>& before_truncate) {
+  if (!db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok())
+    return;
+  auto write = [&](int64_t id, bool update) {
+    auto txn = db->Begin("torture");
+    if (!txn.ok()) return false;
+    Row row{VB(id), VS((update ? "u" : "v") + std::to_string(id))};
+    Status st = update ? db->Update(*txn, "t", row) : db->Insert(*txn, "t", row);
+    if (!st.ok()) {
+      db->Abort(*txn);
+      return false;
+    }
+    return db->Commit(*txn).ok();
+  };
+  auto digest = [&] {
+    auto d = db->GenerateDigest();
+    if (d.ok()) durable_digests->push_back(*d);
+    return d.ok();
+  };
+  for (int64_t i = 0; i < 10; i++) {
+    if (!write(i, false) || (i % 2 == 1 && !write(i - 1, true))) return;
+    if (i == 5 && (!digest() || !db->Checkpoint().ok())) return;
+  }
+  if (!digest()) return;
+  before_truncate();
+  progress->started = true;
+  if (!TruncateLedger(db, below, *durable_digests).ok()) return;
+  progress->done = true;
+  if (write(100, false) && db->Checkpoint().ok() && write(100, true))
+    digest();
+}
+
+// What `db` holds of the ledger below `below`: its truncation records, and
+// the blocks, entries and history rows that truncating there deletes (the
+// rows retired by transactions `first_txn` to `last_txn`).
+std::string TruncationState(LedgerDatabase* db, uint64_t below,
+                            uint64_t first_txn, uint64_t last_txn) {
+  DatabaseLedger::LedgerSnapshot snap = db->database_ledger()->Snapshot();
+  size_t blocks = 0, entries = 0, history = 0;
+  for (const BlockRecord& b : snap.blocks) blocks += b.block_id < below;
+  for (const TransactionEntry& e : snap.entries) entries += e.block_id < below;
+  auto t = db->GetTableRef("t");
+  if (t.ok()) {
+    for (BTree::Iterator it = t->history->Scan(); it.Valid(); it.Next()) {
+      Cell end_txn = it.value()[t->plan->end_txn_ord];
+      if (end_txn.is_null()) continue;
+      const auto id = static_cast<uint64_t>(end_txn.AsInt64());
+      history += id >= first_txn && id <= last_txn;
+    }
+  }
+  return "records=" + std::to_string(db->GetTruncationRecords().size()) +
+         " blocks=" + std::to_string(blocks) +
+         " entries=" + std::to_string(entries) +
+         " history=" + std::to_string(history);
+}
+
+// A truncation is durable when it returns and atomic with its audit row:
+// after a crash at any sync point, the reopened ledger holds all of the
+// history below the cutoff (no record) or none of it (one record), never a
+// mix, and verifies against the digests its caller keeps: all of them, or
+// after the truncation those at or after the cutoff. The name matches the
+// nightly job's *CrashAtEverySyncPoint* filter, which sweeps it over seeds.
+TEST_F(FaultInjectionTest, CrashAtEverySyncPointDuringTruncation) {
+  SCOPED_TRACE("SQLLEDGER_TEST_SEED=" + std::to_string(TestSeed()));
+  constexpr uint64_t kBelow = 2;
+  // The state before and after the truncation, from a run without faults.
+  DatabaseLedger::TxnRange range;
+  std::string whole, truncated;
+  {
+    std::vector<DatabaseDigest> digests;
+    TruncationProgress progress;
+    auto db = LedgerDatabase::Open(MakeOptions("reference", nullptr));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    LedgerDatabase* ref = db->get();
+    RunTruncationTortureWorkload(ref, kBelow, &digests, &progress, [&] {
+      range = *ref->database_ledger()->CollectTxnsBelow(kBelow);
+      whole = TruncationState(ref, kBelow, range.min_txn_id, range.max_txn_id);
+    });
+    ASSERT_TRUE(progress.done);
+    truncated = TruncationState(ref, kBelow, range.min_txn_id, range.max_txn_id);
+  }
+  ASSERT_NE(whole.find(" history="), std::string::npos);
+  EXPECT_EQ(whole.rfind("records=0 blocks=2 ", 0), 0u) << whole;
+  EXPECT_EQ(whole.find(" history=0"), std::string::npos) << whole;
+  EXPECT_EQ(truncated, "records=1 blocks=0 entries=0 history=0");
+
+  bool completed_without_crash = false;
+  int crash_point = 1;
+  for (; crash_point < 300 && !completed_without_crash; crash_point++) {
+    std::string subdir = "trunc_crash" + std::to_string(crash_point);
+    FaultInjectionEnv env(nullptr, /*seed=*/1000 * TestSeed() + crash_point);
+    env.CrashAtSync(crash_point);
+
+    std::vector<DatabaseDigest> digests;
+    TruncationProgress progress;
+    {
+      auto db = LedgerDatabase::Open(MakeOptions(subdir, &env));
+      if (db.ok())
+        RunTruncationTortureWorkload(db->get(), kBelow, &digests, &progress,
+                                     [] {});
+    }
+    completed_without_crash = !env.crashed();
+
+    auto db = LedgerDatabase::Open(MakeOptions(subdir, nullptr));
+    ASSERT_TRUE(db.ok()) << "crash point " << crash_point
+                         << ": recovery failed: " << db.status().ToString();
+    const std::string state =
+        TruncationState(db->get(), kBelow, range.min_txn_id, range.max_txn_id);
+    const bool is_truncated = state == truncated;
+    const bool allowed = progress.done      ? is_truncated
+                         : progress.started ? state == whole || is_truncated
+                                            : state.rfind("records=0", 0) == 0;
+    EXPECT_TRUE(allowed) << "crash point " << crash_point
+                         << (progress.done      ? " after the truncation"
+                             : progress.started ? " during the truncation"
+                                                : " before the truncation")
+                         << ": recovered " << state;
+    std::vector<DatabaseDigest> kept;
+    for (const DatabaseDigest& d : digests)
+      if (!is_truncated || d.block_id >= kBelow) kept.push_back(d);
+    auto report = VerifyLedger(db->get(), kept);
+    ASSERT_TRUE(report.ok()) << "crash point " << crash_point << ": "
+                             << report.status().ToString();
+    EXPECT_TRUE(report->ok())
+        << "crash point " << crash_point << ": " << report->Summary();
+
+    // The recovered state is itself durable.
+    db->reset();
+    auto db2 = LedgerDatabase::Open(MakeOptions(subdir, nullptr));
+    ASSERT_TRUE(db2.ok()) << "crash point " << crash_point << ": "
+                          << db2.status().ToString();
+    EXPECT_EQ(TruncationState(db2->get(), kBelow, range.min_txn_id,
+                              range.max_txn_id),
+              state)
         << "crash point " << crash_point;
   }
   EXPECT_TRUE(completed_without_crash);

@@ -14,6 +14,7 @@
 #include <map>
 
 #include "ledger/digest_store.h"
+#include "ledger/truncation.h"
 #include "ledger/verifier.h"
 #include "storage/checkpoint.h"
 #include "test_util.h"
@@ -512,6 +513,66 @@ TEST_F(RecoveryTest, TornNewestCheckpointFallsBackToPreviousGeneration) {
   auto digest = db->GenerateDigest();
   ASSERT_TRUE(digest.ok());
   auto report = VerifyLedger(db.get(), {*digest});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
+}
+
+// A truncation is durable through its logged audit row, not a checkpoint:
+// when the newest checkpoint, taken before the truncation, tears, recovery
+// loads the generation before it, replays the audit row from the log and
+// applies the truncation again.
+TEST_F(RecoveryTest, TruncationHoldsThroughPreviousGenerationFallback) {
+  DatabaseDigest digest;
+  size_t history_rows = 0;  // as the truncation left them
+  {
+    auto db = Open();
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    for (int i = 0; i < 10; i++) {
+      ASSERT_TRUE(InsertOne(db.get(), "t", i, "v").ok());
+      if (i % 2 == 0) continue;
+      auto txn = db->Begin("app");
+      ASSERT_TRUE(db->Update(*txn, "t", {VB(i - 1), VS("u")}).ok());
+      ASSERT_TRUE(db->Commit(*txn).ok());
+    }
+    auto before = db->GenerateDigest();
+    ASSERT_TRUE(before.ok());
+    ASSERT_TRUE(db->Checkpoint().ok());  // the generation we tear
+    Status st = TruncateLedger(db.get(), 2, {*before});
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    history_rows = db->GetStoreForTesting("t", /*history=*/true)->row_count();
+    auto after = db->GenerateDigest();
+    ASSERT_TRUE(after.ok());
+    digest = *after;
+    // crash
+  }
+  TearNewestCheckpoint();
+  auto db = Open();
+  ASSERT_EQ(db->GetTruncationRecords().size(), 1u);
+  const TruncationRecord record = db->GetTruncationRecords()[0];
+  for (uint64_t block = 0; block < 2; block++)
+    EXPECT_TRUE(db->database_ledger()->FindBlock(block).status().IsNotFound())
+        << "block " << block;
+  EXPECT_TRUE(db->database_ledger()
+                  ->FindEntry(record.min_txn_id)
+                  .status()
+                  .IsNotFound());
+  // The history rows that truncated transactions retired are gone again.
+  TableStore* history = db->GetStoreForTesting("t", /*history=*/true);
+  ASSERT_NE(history, nullptr);
+  EXPECT_EQ(history->row_count(), history_rows);
+  const size_t end_txn_ord = (*db->GetTableRef("t")).plan->end_txn_ord;
+  for (BTree::Iterator it = history->Scan(); it.Valid(); it.Next()) {
+    const auto end_txn =
+        static_cast<uint64_t>(it.value()[end_txn_ord].AsInt64());
+    EXPECT_GT(end_txn, record.max_txn_id) << "history row survived";
+  }
+  auto txn = db->Begin("app");
+  auto rows = db->Scan(*txn, "t");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 10u);
+  ASSERT_TRUE(db->Commit(*txn).ok());
+  auto report = VerifyLedger(db.get(), {digest});
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->ok()) << report->Summary();
 }

@@ -79,6 +79,19 @@ TEST_F(SimSmokeTest, GoldenFingerprints) {
   }
 }
 
+// Seeds whose traces crash around a truncation: recovery once restored
+// truncated blocks ("rebuild: recovered entry 0 differs from adopted
+// history") because the deletes were durable only through a closing
+// checkpoint. Raw seeds, not TestCaseSeed: the traces are what matter.
+TEST_F(SimSmokeTest, TruncationCrashSeedsMatchModel) {
+  for (uint64_t seed : {284, 743, 766, 933, 1201, 1279}) {
+    SimResult result = RunSim(MakeConfig(seed, 3000));
+    EXPECT_TRUE(result.ok) << "seed " << seed << " diverged @"
+                           << result.divergent_op << ": " << result.message;
+    EXPECT_GT(result.truncations, 0u) << "seed " << seed;
+  }
+}
+
 TEST_F(SimSmokeTest, StoreOutageWindowsCatchUpAndAgree) {
   // Outage-heavy mix: the driver asserts after every recovery and outage
   // end that the remote store's digests are an order-preserving match for
