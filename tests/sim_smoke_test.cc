@@ -64,11 +64,11 @@ TEST_F(SimSmokeTest, GoldenFingerprints) {
   };
   const Golden kGolden[] = {
       {1, "dcfb0f8446a1bbffca01a11d43d477d5104e246e07ff7b1e8063fc38e8a16318",
-       "49e7174009ec2ebc6b323c38fe416a460544395fc3c594d997593e289a474fea"},
+       "5b0cf8c825aca21cb9615998b559926cd1933414d68d7891dced2b17ccc16dbc"},
       {2, "b64cc494f526cf8fa70307f627ad6d2bb9a6b43521d04195f8c0df8f6df19ff2",
        "deef5cee16aa824e7e0e0dd6627cd8896af11b7e06b4de861d768cee35a8a807"},
       {3, "e6189c49d1b1a1b9a2ef76c52f241e8eaa72a0c955de838a5f99d9994a0550ec",
-       "2570a3c61443dd04903e9341d35e0974dacd1a60c23065fb698dcc54bb752b07"},
+       "27b818c032061edbae8ba9db57f750bd84449c6d79ca84b25cbf796b50cbe89e"},
   };
   for (const Golden& g : kGolden) {
     SimResult result = RunSim(MakeConfig(g.seed, 500));
