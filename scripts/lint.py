@@ -125,6 +125,13 @@ parse_allow/allow_line below — use sparingly):
                   leader, which appends under commit_mu_, may encode one; a
                   second writer would break the chain and the log would not
                   replay (DESIGN.md §4, §10).
+  one-truncation-apply
+                  a call of DatabaseLedger::TruncateBelow( in src/ outside
+                  the body of LedgerDatabase::ApplyTruncation. A truncation
+                  is durable through its logged audit row alone, and
+                  recovery re-derives its deletes through ApplyTruncation;
+                  a delete made anywhere else has no record to replay
+                  (DESIGN.md §4).
   abort-after-commit
                   an Abort(x) after a Commit(x) of the same transaction in
                   src/, tests/, bench/ or examples/: within the next 3 lines,
@@ -725,34 +732,61 @@ RECORD_HEADER_CALL_RE = re.compile(r"(?:->|\.)\s*EncodeChainedHeader\s*\(")
 HEADER_WRITER_RE = re.compile(r"\bLedgerDatabase\s*::\s*ProcessGroup\s*\(")
 
 
-def check_one_record_header(path, lines, findings):
-    """Finds LedgerDatabase::ProcessGroup's body by brace depth from its
-    definition and flags every chained header encoder call outside it."""
+def check_calls_outside_body(path, lines, findings, rule, call_re, owner_re,
+                             message):
+    """Finds the body of the one function whose definition `owner_re`
+    matches by brace depth, and flags every `call_re` call in src/ outside
+    it."""
     rel = os.path.relpath(path, REPO_ROOT)
     if not rel.startswith("src" + os.sep):
-        return  # tests and tools encode records of their own
+        return  # tests and tools may call it directly
     depth = 0
-    body = None      # brace depth around ProcessGroup's body, while in it
+    body = None      # brace depth around the owner's body, while in it
     pending = False  # its signature seen, its body not yet opened
     for i, raw in enumerate(lines, 1):
         line = strip_noise(raw)
-        if body is None and HEADER_WRITER_RE.search(line):
+        if body is None and owner_re.search(line):
             pending = True
         if pending and "{" in line:
             body, pending = depth, False
         elif pending and ";" in line:
             pending = False  # a call or declaration, not the definition
-        if (body is None and RECORD_HEADER_CALL_RE.search(line) and
-                not allowed(lines, i, "one-record-header")):
-            findings.append(Finding(
-                "one-record-header", path, i,
-                "commit record header encoded outside "
-                "LedgerDatabase::ProcessGroup; headers chain in log order, "
-                "so only the group commit leader encodes them (DESIGN.md "
-                "§10)"))
+        if (body is None and call_re.search(line) and
+                not allowed(lines, i, rule)):
+            findings.append(Finding(rule, path, i, message))
         depth += line.count("{") - line.count("}")
         if body is not None and depth <= body:
             body = None
+
+
+def check_one_record_header(path, lines, findings):
+    check_calls_outside_body(
+        path, lines, findings, "one-record-header", RECORD_HEADER_CALL_RE,
+        HEADER_WRITER_RE,
+        "commit record header encoded outside LedgerDatabase::ProcessGroup; "
+        "headers chain in log order, so only the group commit leader "
+        "encodes them (DESIGN.md §10)")
+
+
+# ---------------------------------------------------------------------------
+# Rule: one-truncation-apply
+# ---------------------------------------------------------------------------
+
+# A call, not the declaration (`Status TruncateBelow(`) or the definition
+# (`DatabaseLedger::TruncateBelow(`).
+TRUNCATE_BELOW_CALL_RE = re.compile(
+    r"(?:->|\.|[(=,!]\s*|\breturn\s+|^\s*)TruncateBelow\s*\(")
+TRUNCATION_APPLIER_RE = re.compile(
+    r"\bLedgerDatabase\s*::\s*ApplyTruncation\s*\(")
+
+
+def check_one_truncation_apply(path, lines, findings):
+    check_calls_outside_body(
+        path, lines, findings, "one-truncation-apply", TRUNCATE_BELOW_CALL_RE,
+        TRUNCATION_APPLIER_RE,
+        "ledger truncated outside LedgerDatabase::ApplyTruncation; commit "
+        "the audit row and call ApplyTruncation, which recovery runs too "
+        "(DESIGN.md §4)")
 
 
 # ---------------------------------------------------------------------------
@@ -976,6 +1010,7 @@ CHECKS = [
     ("pinned-plan", SRC_DIRS, check_pinned_plan),
     ("one-row-codec", SRC_DIRS, check_one_row_codec),
     ("one-record-header", SRC_DIRS, check_one_record_header),
+    ("one-truncation-apply", SRC_DIRS, check_one_truncation_apply),
     ("metric-naming", ALL_CODE_DIRS, check_metric_naming),
     ("abort-after-commit", ALL_CODE_DIRS, check_abort_after_commit),
 ]
@@ -1202,6 +1237,19 @@ SELF_TEST_CASES = [
      "}\n"
      "void LedgerDatabase::Rewrite(WalCommitRecord* rec) {\n"
      "  WalCommitRecord::EncodeOps(rec->ops, &out);\n"
+     "}"),
+    ("one-truncation-apply", "src/ledger/x_selftest.cc",
+     "Status TruncateLedger(LedgerDatabase* db, uint64_t below) {\n"
+     "  SL_RETURN_IF_ERROR(db->database_ledger()->TruncateBelow(below));\n"
+     "  return db->RecordTruncation(record);\n"
+     "}",
+     "Status DatabaseLedger::TruncateBelow(uint64_t below_block) {\n"
+     "  MutexLock lock(&mu_);\n"
+     "}\n"
+     "Status LedgerDatabase::ApplyTruncation(uint64_t below_block) {\n"
+     "  QuiesceGuard guard(this);\n"
+     "  SL_RETURN_IF_ERROR(ledger_->TruncateBelow(below_block));\n"
+     "  return Status::OK();\n"
      "}"),
     # A status the commit set, tested on the next line.
     ("abort-after-commit", "tests/x_selftest.cc",
