@@ -577,6 +577,37 @@ TEST_F(RecoveryTest, TruncationHoldsThroughPreviousGenerationFallback) {
   EXPECT_TRUE(report->ok()) << report->Summary();
 }
 
+// A checkpoint taken between a truncation's audit commit and its deletes
+// holds the row, so replay skips the row's record: recovery must apply the
+// newest recorded truncation after replay, not as it replays records.
+TEST_F(RecoveryTest, TruncationRowInCheckpointIsAppliedAtRecovery) {
+  {
+    auto db = Open();
+    ASSERT_TRUE(
+        db->CreateTable("t", SimpleUserSchema(), TableKind::kRegular).ok());
+    for (int i = 0; i < 10; i++)
+      ASSERT_TRUE(InsertOne(db.get(), "t", i, "v").ok());
+    ASSERT_TRUE(db->GenerateDigest().ok());
+    auto range = db->database_ledger()->CollectTxnsBelow(2);
+    ASSERT_TRUE(range.ok());
+    TruncationRecord record;
+    record.truncated_below_block = 2;
+    record.min_txn_id = range->min_txn_id;
+    record.max_txn_id = range->max_txn_id;
+    ASSERT_TRUE(db->RecordTruncation(record).ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    ASSERT_TRUE(db->database_ledger()->FindBlock(0).ok());
+    // crash before the deletes
+  }
+  auto db = Open();
+  ASSERT_EQ(db->GetTruncationRecords().size(), 1u);
+  for (uint64_t block = 0; block < 2; block++)
+    EXPECT_TRUE(db->database_ledger()->FindBlock(block).status().IsNotFound())
+        << "block " << block;
+  EXPECT_TRUE(db->database_ledger()->CollectTxnsBelow(2)->txn_ids.empty());
+  EXPECT_TRUE(db->database_ledger()->FindBlock(2).ok());
+}
+
 // With sync_wal off, a commit's record is not fsynced when it returns, but
 // a checkpoint makes it durable: the checkpoint syncs the log before it
 // rotates it to wal.log.prev, so the fallback generation (the previous
