@@ -823,13 +823,13 @@ void LedgerDatabase::ProcessGroup(const std::vector<CommitRequest*>& group) {
     // slots and ordinals stay dense once a checkpoint clears the sticky
     // error. Every member fails (Commit aborts it): the WAL is poisoned,
     // so none of them is durable.
-    // A schema change is durable when it returns (DESIGN.md §4), even when
-    // ordinary commits are not synced.
-    const bool defines_tables =
+    // A schema change or a truncation is durable when it returns
+    // (DESIGN.md §4), even when ordinary commits are not synced.
+    const bool sync_at_commit =
         std::any_of(group.begin(), group.end(), [](const CommitRequest* r) {
-          return r->txn->defines_tables();
+          return r->txn->sync_at_commit();
         });
-    Status st = wal_->AppendBatch(payloads, defines_tables);
+    Status st = wal_->AppendBatch(payloads, sync_at_commit);
     if (!st.ok()) {
       for (CommitRequest* r : group) r->result = st;
       return;
@@ -1183,6 +1183,7 @@ Status LedgerDatabase::RecordTruncation(const TruncationRecord& record) {
     return Status::NotSupported("ledger is disabled for this database");
   auto txn = Begin("system:truncation");
   if (!txn.ok()) return txn.status();
+  (*txn)->RequireSyncAtCommit();  // the truncation's one durability point
   Row row{Value::BigInt(static_cast<int64_t>(record.truncated_below_block)),
           Value::BigInt(static_cast<int64_t>(record.min_txn_id)),
           Value::BigInt(static_cast<int64_t>(record.max_txn_id)),

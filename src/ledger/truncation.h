@@ -8,8 +8,9 @@
 //   3. generate a digest (closes the block holding the dummy updates);
 //   4. record the truncation in the append-only sys_ledger_truncations
 //      table so the operation is itself audited, and so the verifier can
-//      distinguish truncated references from tampering. That logged row is
-//      the truncation's only durability point: no checkpoint is taken;
+//      distinguish truncated references from tampering. That row, synced
+//      even with sync_wal off, is the only durability point: no checkpoint
+//      is taken, so the space comes back at the next one;
 //   5. LedgerDatabase::ApplyTruncation, which recovery also runs, deletes
 //      the history rows retired by truncated transactions, then the blocks
 //      and transaction entries, and clears the verifier watermark.

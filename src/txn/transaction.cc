@@ -67,7 +67,7 @@ void Transaction::RecordDefinition(
   op.table_id = table_id;
   op.definition = std::move(definition);
   ops_.push_back(std::move(op));
-  defines_tables_ = true;
+  sync_at_commit_ = true;
 }
 
 MerkleBuilder* Transaction::MerkleForTable(uint32_t table_id) {

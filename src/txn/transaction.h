@@ -72,9 +72,9 @@ class Transaction {
   /// keeps its in-memory effect.
   void RecordDefinition(uint32_t table_id,
                         std::shared_ptr<const TableDefinition> definition);
-  /// Whether the transaction logs a schema change, which is synced at
-  /// commit even when ordinary commits are not.
-  bool defines_tables() const { return defines_tables_; }
+  /// Synced at commit even when ordinary commits are not: DDL, truncation.
+  bool sync_at_commit() const { return sync_at_commit_; }
+  void RequireSyncAtCommit() { sync_at_commit_ = true; }
 
   /// Streaming Merkle tree for the given ledger table; created on first use.
   MerkleBuilder* MerkleForTable(uint32_t table_id);
@@ -141,7 +141,7 @@ class Transaction {
   std::vector<UndoEntry> undo_;
   std::map<uint32_t, MerkleBuilder> merkle_;
   std::vector<SavepointRecord> savepoints_;
-  bool defines_tables_ = false;
+  bool sync_at_commit_ = false;
   // FinalizeForCommit cache; invalidated by DML and partial rollback.
   bool roots_finalized_ = false;
   std::vector<std::pair<uint32_t, Hash256>> finalized_roots_;

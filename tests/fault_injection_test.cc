@@ -245,6 +245,50 @@ TEST_F(FaultInjectionTest, SchemaChangeIsDurableWithoutSyncWal) {
   EXPECT_GE(ref->main->schema().FindColumn("extra"), 0);
 }
 
+// So is a truncation: its audit row's commit carries the fsync (and with
+// it every record before it), and recovery derives the deletes from that
+// row, so a power loss right after TruncateLedger returns keeps it.
+TEST_F(FaultInjectionTest, TruncationIsDurableWithoutSyncWal) {
+  FaultInjectionEnv env;
+  {
+    LedgerDatabaseOptions options = MakeOptions("db", &env);
+    options.sync_wal = false;
+    auto db = LedgerDatabase::Open(std::move(options));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    LedgerDatabase* d = db->get();
+    ASSERT_TRUE(
+        d->CreateTable("t", SimpleUserSchema(), TableKind::kUpdateable).ok());
+    for (int i = 0; i < 10; i++) {
+      ASSERT_TRUE(InsertOne(d, "t", i, "v").ok());
+      auto txn = d->Begin("app");
+      ASSERT_TRUE(d->Update(*txn, "t", {VB(i), VS("u")}).ok());
+      ASSERT_TRUE(d->Commit(*txn).ok());
+    }
+    auto digest = d->GenerateDigest();
+    ASSERT_TRUE(digest.ok());
+    Status st = TruncateLedger(d, 2, {*digest});
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    env.SimulateCrash();
+  }
+  auto db = LedgerDatabase::Open(MakeOptions("db", nullptr));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_EQ((*db)->GetTruncationRecords().size(), 1u);
+  const TruncationRecord record = (*db)->GetTruncationRecords()[0];
+  EXPECT_TRUE((*db)->database_ledger()->CollectTxnsBelow(2)->txn_ids.empty());
+  auto t = (*db)->GetTableRef("t");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  for (BTree::Iterator it = t->history->Scan(); it.Valid(); it.Next()) {
+    const auto end_txn =
+        static_cast<uint64_t>(it.value()[t->plan->end_txn_ord].AsInt64());
+    EXPECT_GT(end_txn, record.max_txn_id) << "history row survived";
+  }
+  auto txn = (*db)->Begin("app");
+  auto rows = (*db)->Scan(*txn, "t");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 10u);
+  ASSERT_TRUE((*db)->Commit(*txn).ok());
+}
+
 // ---- The torture loop: crash at every sync point ----
 
 // Runs a mixed workload (inserts, updates, deletes, digests, checkpoints)
