@@ -27,10 +27,16 @@
 // The files are read only through the engine's readers (ReadFrameLog,
 // WalCommitRecord::Decode, ReadCheckpoint, DecodeRow).
 //
+// It also gains a "memory" object, read from the reopened database after
+// its checkpoint: the live row blocks (Row::LiveBlocks), their bytes
+// (Row::LiveBytes) and the bytes of the slabs the row block pool carved
+// them from (Row::PoolSlabBytes), the library's own count beside a
+// malloc-wide heap figure.
+//
 // The tool self-checks the snapshot: wal.sync_micros p99, the
 // commit.group_size histogram, the digest.outbox_depth gauge,
-// verify.incremental_micros and recovery.wal_replay_micros must all be
-// populated, and every WAL and checkpoint generation must decode whole,
+// verify.incremental_micros, recovery.wal_replay_micros and the three
+// memory figures must all be populated, and every WAL and checkpoint generation must decode whole,
 // with parts that add up to its file's size and commit records that
 // encode back to their own bytes, so CI can gate on the exit code.
 // 0 = snapshot complete, 1 = setup/verification failure, 3 = a required
@@ -429,9 +435,17 @@ int main(int argc, char** argv) {
     if (name.rfind("recovery.", 0) == 0 || name.rfind("checkpoint.", 0) == 0)
       snap.counters[name] = value;
   }
+  JsonValue memory = JsonValue::Object();
+  const int64_t row_blocks = Row::LiveBlocks();
+  const int64_t row_block_bytes = Row::LiveBytes();
+  const int64_t row_pool_slab_bytes = Row::PoolSlabBytes();
+  memory.Set("row_blocks", JsonValue::Int(row_blocks));
+  memory.Set("row_block_bytes", JsonValue::Int(row_block_bytes));
+  memory.Set("row_pool_slab_bytes", JsonValue::Int(row_pool_slab_bytes));
   db.reset();
   std::vector<std::string> disk_problems;
   JsonValue json = MetricsToJson(snap);
+  json.Set("memory", std::move(memory));
   json.Set("disk", DiskBreakdown(data_dir, &disk_problems));
   std::printf("%s\n", json.DumpPretty().c_str());
   std::filesystem::remove_all(data_dir);
@@ -459,6 +473,9 @@ int main(int argc, char** argv) {
           "nonzero verify.incremental_micros");
   require(hist_count("recovery.wal_replay_micros") > 0,
           "recovery.wal_replay_micros histogram");
+  require(row_blocks > 0, "nonzero memory.row_blocks");
+  require(row_block_bytes > 0, "nonzero memory.row_block_bytes");
+  require(row_pool_slab_bytes > 0, "nonzero memory.row_pool_slab_bytes");
   for (const std::string& problem : disk_problems) {
     std::fprintf(stderr, "DISK: %s\n", problem.c_str());
     rc = 3;

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
 #include "util/thread_annotations.h"
 
@@ -73,16 +74,19 @@ struct ThreadCache {
   enum State : uint8_t { kNew, kActive, kRetired };
 
   FreeList lists[kClasses];
-  /// Row blocks this thread allocated minus those it freed. Only this
-  /// thread writes it; LiveBlocks reads it from any thread.
+  /// Row blocks this thread allocated minus those it freed, and their
+  /// bytes. Only this thread writes them; the pool reads them from any
+  /// thread.
   std::atomic<int64_t> live{0};
+  std::atomic<int64_t> live_bytes{0};
   State state = kNew;
   ThreadCache* prev = nullptr;  // the pool's registry
   ThreadCache* next = nullptr;
 
-  /// Adds `delta` to the thread's live-block count, registering the cache
-  /// on the thread's first row, or to the pool's once the cache is retired.
-  void Count(int64_t delta);
+  /// Adds `blocks` and `bytes` to the thread's live counts, registering the
+  /// cache on the thread's first row, or to the pool's once the cache is
+  /// retired.
+  void Count(int64_t blocks, int64_t bytes);
 };
 
 constinit thread_local ThreadCache tls_cache;
@@ -111,9 +115,10 @@ class RowBlockPool {
     if (cache != nullptr) cache->MoveTo(&free_[c], kMoveBlocks);
   }
   /// Counts blocks a thread with a retired cache allocated or freed.
-  void CountRetired(int64_t delta) EXCLUDES(mu_) {
+  void CountRetired(int64_t blocks, int64_t bytes) EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    retired_live_ += delta;
+    retired_live_ += blocks;
+    retired_bytes_ += bytes;
   }
 
   void Register(ThreadCache* cache) EXCLUDES(mu_) {
@@ -128,19 +133,28 @@ class RowBlockPool {
     for (size_t c = 0; c < kClasses; c++)
       cache->lists[c].MoveTo(&free_[c], cache->lists[c].count);
     retired_live_ += cache->live.load(std::memory_order_relaxed);
+    retired_bytes_ += cache->live_bytes.load(std::memory_order_relaxed);
     cache->live.store(0, std::memory_order_relaxed);
+    cache->live_bytes.store(0, std::memory_order_relaxed);
     if (cache->prev != nullptr) cache->prev->next = cache->next;
     if (cache->next != nullptr) cache->next->prev = cache->prev;
     if (caches_ == cache) caches_ = cache->next;
     cache->state = ThreadCache::kRetired;
   }
 
-  int64_t LiveBlocks() EXCLUDES(mu_) {
+  /// Live blocks and their bytes, over every thread.
+  std::pair<int64_t, int64_t> Live() EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    int64_t live = retired_live_;
-    for (const ThreadCache* c = caches_; c != nullptr; c = c->next)
-      live += c->live.load(std::memory_order_relaxed);
-    return live;
+    int64_t blocks = retired_live_, bytes = retired_bytes_;
+    for (const ThreadCache* c = caches_; c != nullptr; c = c->next) {
+      blocks += c->live.load(std::memory_order_relaxed);
+      bytes += c->live_bytes.load(std::memory_order_relaxed);
+    }
+    return {blocks, bytes};
+  }
+  int64_t SlabBytes() EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return slab_bytes_;
   }
 
  private:
@@ -157,6 +171,7 @@ class RowBlockPool {
       if (slab == nullptr) std::abort();
       std::memcpy(slab, &slabs_, sizeof(void*));
       slabs_ = slab;
+      slab_bytes_ += kSlabBytes;
       slab_ = slab + sizeof(void*);
       slab_end_ = slab + kSlabBytes;
       ASAN_POISON_MEMORY_REGION(slab_, kSlabBytes - sizeof(void*));
@@ -172,8 +187,10 @@ class RowBlockPool {
   uint8_t* slab_ GUARDED_BY(mu_) = nullptr;  // the uncarved part of it
   uint8_t* slab_end_ GUARDED_BY(mu_) = nullptr;
   ThreadCache* caches_ GUARDED_BY(mu_) = nullptr;  // live threads' caches
-  /// Live blocks counted by exited threads and by retired caches.
+  /// Live blocks and bytes counted by exited threads and by retired caches.
   int64_t retired_live_ GUARDED_BY(mu_) = 0;
+  int64_t retired_bytes_ GUARDED_BY(mu_) = 0;
+  int64_t slab_bytes_ GUARDED_BY(mu_) = 0;
 };
 
 /// The pool, never destroyed: rows in static objects outlive static
@@ -197,7 +214,7 @@ struct CacheReaper {
 
 thread_local CacheReaper reaper;
 
-void ThreadCache::Count(int64_t delta) {
+void ThreadCache::Count(int64_t blocks, int64_t bytes) {
   if (state == kNew) {
     reaper.armed = true;
     RowBlockPool& pool = Pool();
@@ -205,18 +222,20 @@ void ThreadCache::Count(int64_t delta) {
     state = kActive;
   }
   if (state == kActive) {
-    live.store(live.load(std::memory_order_relaxed) + delta,
+    live.store(live.load(std::memory_order_relaxed) + blocks,
                std::memory_order_relaxed);
+    live_bytes.store(live_bytes.load(std::memory_order_relaxed) + bytes,
+                     std::memory_order_relaxed);
   } else {
     RowBlockPool& pool = Pool();
-    pool.CountRetired(delta);
+    pool.CountRetired(blocks, bytes);
   }
 }
 
 /// A block for `bytes` (> 0) bytes of a row, addressable for exactly those.
 uint8_t* AllocateBlock(size_t bytes) {
   ThreadCache& tc = tls_cache;
-  tc.Count(1);
+  tc.Count(1, static_cast<int64_t>(bytes));
   void* block;
   if (bytes > kMaxPooledBytes) {
     block = std::malloc(bytes);
@@ -239,7 +258,7 @@ uint8_t* AllocateBlock(size_t bytes) {
 void FreeBlock(uint8_t* block, size_t bytes) {
   if (block == nullptr) return;
   ThreadCache& tc = tls_cache;
-  tc.Count(-1);
+  tc.Count(-1, -static_cast<int64_t>(bytes));
   if (bytes > kMaxPooledBytes) {
     std::free(block);
     return;
@@ -273,7 +292,17 @@ bool FitsBlock(uint8_t* block, size_t have, size_t want) {
 
 int64_t Row::LiveBlocks() {
   RowBlockPool& pool = Pool();
-  return pool.LiveBlocks();
+  return pool.Live().first;
+}
+
+int64_t Row::LiveBytes() {
+  RowBlockPool& pool = Pool();
+  return pool.Live().second;
+}
+
+int64_t Row::PoolSlabBytes() {
+  RowBlockPool& pool = Pool();
+  return pool.SlabBytes();
 }
 
 CellRef::CellRef(Row* row, size_t i)
@@ -287,64 +316,81 @@ CellRef& CellRef::operator=(const Cell& v) {
 
 Row::Row(const Row& other) {
   if (other.block_ == nullptr) return;
-  size_t bytes = other.BlockBytes();
-  block_ = AllocateBlock(bytes);
-  std::memcpy(block_, other.block_, bytes);
+  const size_t bytes = other.BlockBytes();
+  const uint8_t* from = other.Allocation();
+  uint8_t* to = AllocateBlock(bytes);
+  std::memcpy(to, from, bytes);
+  block_ = to + (other.block_ - from);
 }
 
 Row& Row::operator=(const Row& other) {
   if (this == &other) return *this;
-  size_t bytes = other.BlockBytes();
-  if (!FitsBlock(block_, BlockBytes(), bytes)) {
-    FreeBlock(block_, BlockBytes());
-    block_ = bytes == 0 ? nullptr : AllocateBlock(bytes);
+  const size_t bytes = other.BlockBytes();
+  uint8_t* to = Allocation();
+  if (!FitsBlock(to, BlockBytes(), bytes)) {
+    FreeBlock(to, BlockBytes());
+    to = bytes == 0 ? nullptr : AllocateBlock(bytes);
   }
-  if (bytes != 0) std::memcpy(block_, other.block_, bytes);
+  block_ = to;
+  if (bytes != 0) {
+    // Blocks of one size or class are both long rows or both not.
+    const uint8_t* from = other.Allocation();
+    std::memcpy(to, from, bytes);
+    block_ = to + (other.block_ - from);
+  }
   return *this;
 }
 
 Row& Row::operator=(Row&& other) noexcept {
   if (this != &other) {
-    FreeBlock(block_, BlockBytes());
+    Release();
     block_ = other.block_;
     other.block_ = nullptr;
   }
   return *this;
 }
 
-Row::~Row() { FreeBlock(block_, BlockBytes()); }
+Row::~Row() { Release(); }
+
+void Row::Release() { FreeBlock(Allocation(), BlockBytes()); }
 
 uint8_t* Row::Allocate(size_t n, size_t cell_bytes) {
   if (n > kMaxColumns || cell_bytes > std::numeric_limits<uint32_t>::max())
     std::abort();
-  uint8_t* block = AllocateBlock(kHeaderBytes + cell_bytes);
-  uint16_t count = static_cast<uint16_t>(n);
-  uint32_t bytes = static_cast<uint32_t>(cell_bytes);
+  const bool long_row = cell_bytes > kMaxShortCellBytes;
+  const size_t front = long_row ? kSizeWordBytes : 0;
+  uint8_t* block = AllocateBlock(front + kHeaderBytes + cell_bytes) + front;
+  const uint16_t count = static_cast<uint16_t>(n);
+  const uint16_t short_bytes =
+      long_row ? 0 : static_cast<uint16_t>(cell_bytes);
   std::memcpy(block, &count, 2);
-  std::memset(block + 2, 0, 2);
-  std::memcpy(block + 4, &bytes, 4);
+  std::memcpy(block + 2, &short_bytes, 2);
+  if (long_row) {
+    const uint32_t bytes = static_cast<uint32_t>(cell_bytes);
+    std::memcpy(block - kSizeWordBytes, &bytes, 4);
+  }
   return block;
 }
 
-uint8_t* Row::Put(uint8_t* tag, uint8_t* p, const Cell& c) {
-  uint64_t payload;
-  uint8_t code = WidthCode(c, &payload);
-  size_t width = kWidthBytes[code];
-  // Copy the string bytes first: `c` may view this very cell.
-  if (c.len_ != 0) std::memmove(p + width, c.str_, c.len_);
-  *tag = static_cast<uint8_t>(c.tag() | (code << kWidthShift));
-  std::memcpy(p, &payload, width);  // the low bytes, little-endian
-  return p + width + c.len_;
+uint8_t* Row::Put(uint8_t* tag, uint8_t* p, const Stored& s) {
+  const size_t width = Width(s.tag);
+  const size_t len = PayloadBytes(s) - width;
+  // Copy the string bytes first: `s` may view this very cell.
+  if (len != 0) std::memmove(p + width, s.str, len);
+  *tag = s.tag;
+  std::memcpy(p, &s.payload, width);  // the low bytes, little-endian
+  return p + width + len;
 }
 
 void Row::Set(size_t i, const Cell& v) {
+  const Stored s = StoredOf(v);
   Iterator at = StoredCell(i);
   uint8_t* tag = const_cast<uint8_t*>(at.tag_);
   uint8_t* payload = const_cast<uint8_t*>(at.payload_);
   size_t old_bytes = PayloadBytes(*tag, payload);
-  size_t new_bytes = EncodedBytes(v) - 1;
+  size_t new_bytes = PayloadBytes(s);
   if (new_bytes == old_bytes) {
-    Put(tag, payload, v);
+    Put(tag, payload, s);
     return;
   }
   // Repack: every tag and the payloads before and after cell i move over
@@ -352,29 +398,30 @@ void Row::Set(size_t i, const Cell& v) {
   const size_t n = size();
   uint8_t* const payloads = block_ + kHeaderBytes + n;
   size_t before = static_cast<size_t>(payload - payloads);
-  size_t after = Load32(block_ + 4) - n - before - old_bytes;
+  size_t after = CellBytes() - n - before - old_bytes;
   uint8_t* block = Allocate(n, n + before + new_bytes + after);
   std::memcpy(block + kHeaderBytes, block_ + kHeaderBytes, n);
   uint8_t* p = block + kHeaderBytes + n;
   std::memcpy(p, payloads, before);
   // Before the old block goes: `v` may view it.
-  p = Put(block + kHeaderBytes + i, p + before, v);
+  p = Put(block + kHeaderBytes + i, p + before, s);
   std::memcpy(p, payload + old_bytes, after);
-  FreeBlock(block_, BlockBytes());
+  Release();
   block_ = block;
 }
 
 Row Row::Extended(const Cell& cell) const {
   const size_t n = size();
-  const size_t payload_bytes = n == 0 ? 0 : Load32(block_ + 4) - n;
+  const size_t payload_bytes = n == 0 ? 0 : CellBytes() - n;
+  const Stored s = StoredOf(cell);
   Row row;
-  row.block_ = Allocate(n + 1, n + payload_bytes + EncodedBytes(cell));
+  row.block_ = Allocate(n + 1, n + payload_bytes + 1 + PayloadBytes(s));
   uint8_t* tags = row.block_ + kHeaderBytes;
   if (n != 0) {
     std::memcpy(tags, block_ + kHeaderBytes, n);
     std::memcpy(tags + n + 1, block_ + kHeaderBytes + n, payload_bytes);
   }
-  Put(tags + n, tags + n + 1 + payload_bytes, cell);
+  Put(tags + n, tags + n + 1 + payload_bytes, s);
   return row;
 }
 
@@ -440,39 +487,82 @@ constexpr uint8_t kWholeCell = 2;    // anything else: Cell::EncodeTo
 constexpr uint8_t kDecimalCell = 3;  // a decimal over a DOUBLE: the varint of k
 }  // namespace
 
-uint8_t Row::PutChange(const Cell& c, const Cell& prev,
+uint8_t Row::PutPayload(const Iterator& c, std::vector<uint8_t>* dst) {
+  const uint8_t tag = *c.tag_;
+  constexpr uint8_t kDouble = static_cast<uint8_t>(DataType::kDouble);
+  if (tag == kRawDoubleTag || (tag & (Cell::kNullTag | kTypeMask)) != kDouble)
+    return (*c).EncodePayloadTo(dst);
+  // A stored k (none for +0.0) is Cell::DecimalOf's k.
+  PutVarint64(dst, LoadWidth(c.payload_, Width(tag)));
+  return kDouble | Cell::kDecimalTag;
+}
+
+void Row::PutWhole(const Iterator& c, std::vector<uint8_t>* dst) {
+  const size_t at = dst->size();
+  dst->push_back(0);
+  (*dst)[at] = PutPayload(c, dst);
+}
+
+uint8_t Row::PutChange(const Iterator& c, const Iterator& prev,
                        std::vector<uint8_t>* dst) {
-  if (!c.IsIntegral()) {
-    return (c.EncodePayloadTo(dst) & Cell::kDecimalTag) != 0 ? kDecimalCell
-                                                             : kChangedCell;
+  const uint8_t tag = *c.tag_;
+  if ((tag & Cell::kNullTag) != 0 ||
+      ((tag ^ *prev.tag_) & (Cell::kNullTag | kTypeMask)) != 0) {
+    PutWhole(c, dst);
+    return kWholeCell;
+  }
+  if (!IsInteger(tag)) {
+    return (PutPayload(c, dst) & Cell::kDecimalTag) != 0 ? kDecimalCell
+                                                         : kChangedCell;
   }
   // Computed mod 2^64, so every pair has a difference.
+  const int64_t x = ZigZagDecode64(LoadWidth(c.payload_, Width(tag)));
+  const int64_t y = ZigZagDecode64(LoadWidth(prev.payload_, Width(*prev.tag_)));
   PutVarint64(dst, ZigZagEncode64(static_cast<int64_t>(
-                       static_cast<uint64_t>(c.int_) -
-                       static_cast<uint64_t>(prev.int_))));
+                       static_cast<uint64_t>(x) - static_cast<uint64_t>(y))));
   return kChangedCell;
 }
 
-Result<Cell> Row::GetChange(const Iterator& prev, uint8_t state,
-                            Decoder* dec) {
-  const uint8_t tag = *prev.tag_;
-  if ((tag & Cell::kNullTag) != 0)
-    return Status::Corruption("a changed cell's predecessor is NULL");
-  if (state == kDecimalCell) {
-    if (static_cast<DataType>(tag & kTypeMask) != DataType::kDouble)
-      return Status::Corruption("a decimal cell's predecessor is no DOUBLE");
-    return Cell::DecodePayloadView(
-        static_cast<uint8_t>(DataType::kDouble) | Cell::kDecimalTag, dec);
+Result<Row::Stored> Row::GetCell(uint8_t state, const Iterator& prev,
+                                 Decoder* dec) {
+  constexpr uint8_t kDecimalDouble =
+      static_cast<uint8_t>(DataType::kDouble) | Cell::kDecimalTag;
+  uint8_t tag;  // the encoded tag byte
+  if (state == kWholeCell) {
+    auto byte = dec->GetBytes(1);
+    if (!byte.ok()) return byte.status();
+    tag = (*byte)[0];
+  } else {
+    if ((*prev.tag_ & Cell::kNullTag) != 0)
+      return Status::Corruption("a changed cell's predecessor is NULL");
+    tag = *prev.tag_ & kTypeMask;
+    if (state == kDecimalCell) {
+      if (static_cast<DataType>(tag) != DataType::kDouble)
+        return Status::Corruption("a decimal cell's predecessor is no DOUBLE");
+      tag = kDecimalDouble;
+    }
   }
-  auto c = Cell::DecodePayloadView(tag & kTypeMask, dec);
-  if (c.ok() && IsInteger(tag)) {
+  if (tag == kDecimalDouble) {
+    auto k = Cell::DecodeDecimal(dec);
+    if (!k.ok()) return k.status();
+    return StoredDecimal(*k);
+  }
+  auto c = Cell::DecodePayloadView(tag, dec);
+  if (!c.ok()) return c.status();
+  if (c->is_null()) return StoredOf(*c);
+  if (c->type() == DataType::kDouble) {
+    // Raw: DecodePayloadView found the value has no decimal form.
+    return Stored{kRawDoubleTag, std::bit_cast<uint64_t>(c->double_),
+                  nullptr};
+  }
+  if (state == kChangedCell && IsInteger(*prev.tag_)) {
     // The stored predecessor's zigzag value, plus the difference mod 2^64.
     c->int_ = static_cast<int64_t>(
         static_cast<uint64_t>(c->int_) +
         static_cast<uint64_t>(
-            ZigZagDecode64(LoadWidth(prev.payload_, Width(tag)))));
+            ZigZagDecode64(LoadWidth(prev.payload_, Width(*prev.tag_)))));
   }
-  return c;
+  return StoredOf(*c);
 }
 
 void EncodeRow(const Row& row, const Row* prev, std::vector<uint8_t>* dst) {
@@ -484,7 +574,8 @@ void EncodeRowCells(const Row& row, const Row* prev,
                     std::vector<uint8_t>* dst) {
   const size_t n = row.size();
   if (prev == nullptr || prev->size() != n) {
-    for (Cell c : row) c.EncodeTo(dst);
+    for (Row::Iterator c = row.begin(); c != row.end(); ++c)
+      Row::PutWhole(c, dst);
     return;
   }
   const size_t states = dst->size();
@@ -493,13 +584,7 @@ void EncodeRowCells(const Row& row, const Row* prev,
   for (Row::Iterator c = row.begin(), p = prev->begin(); c != row.end();
        ++c, ++p, i++) {
     if (c.SameBytes(p)) continue;
-    const Cell cell = *c, before = *p;
-    uint8_t state = kWholeCell;
-    if (!cell.is_null() && cell.tag() == before.tag()) {
-      state = Row::PutChange(cell, before, dst);
-    } else {
-      cell.EncodeTo(dst);
-    }
+    const uint8_t state = Row::PutChange(c, p, dst);
     (*dst)[states + i / 4] |= static_cast<uint8_t>(state << (2 * (i % 4)));
   }
 }
@@ -525,12 +610,6 @@ Result<Row> DecodeRowCells(Decoder* dec, size_t n, const Row* prev) {
     if (states == nullptr) return kWholeCell;
     return (states[i / 4] >> (2 * (i % 4))) & 3;
   };
-  // A cell that is not its predecessor's bytes, read against `from`.
-  auto cell_at = [](uint8_t s, const Row::Iterator& from,
-                    Decoder* d) -> Result<Cell> {
-    if (s == kWholeCell) return Cell::DecodeView(d);
-    return Row::GetChange(from, s, d);
-  };
   // Pass 1 validates every cell and sizes the block on a copy of the
   // decoder; pass 2 re-reads the same bytes into the block.
   Decoder sizing = *dec;
@@ -541,9 +620,9 @@ Result<Row> DecodeRowCells(Decoder* dec, size_t n, const Row* prev) {
     if (s == kSameCell) {
       cell_bytes += Row::StoredBytes(from);
     } else {
-      auto c = cell_at(s, from, &sizing);
+      auto c = Row::GetCell(s, from, &sizing);
       if (!c.ok()) return c.status();
-      cell_bytes += Row::EncodedBytes(*c);
+      cell_bytes += 1 + Row::PayloadBytes(*c);
     }
     if (states != nullptr) ++from;
   }
@@ -558,7 +637,7 @@ Result<Row> DecodeRowCells(Decoder* dec, size_t n, const Row* prev) {
   for (size_t i = 0; i < n; i++) {
     const uint8_t s = state(i);
     p = s == kSameCell ? Row::CopyCell(from, tags + i, p)
-                       : Row::Put(tags + i, p, *cell_at(s, from, dec));
+                       : Row::Put(tags + i, p, *Row::GetCell(s, from, dec));
     if (states != nullptr) ++from;
   }
   return row;

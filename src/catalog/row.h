@@ -51,20 +51,28 @@ struct OrdinalCell {
 /// one exactly-sized block (an empty row owns none), from the row block
 /// pool (row.cc) up to 512 bytes and from malloc above:
 ///
-///   [u16 ncols][u16 0][u32 cell_bytes][ncols tags][ncols payloads]
+///   [u16 ncols][u16 cell_bytes][ncols tags][ncols payloads]
+///
+/// Cells of 64 KiB or more, whose blocks are malloc's, write 0 as the
+/// header's cell_bytes and keep their byte count in a u32 in front of the
+/// header, so the tags still start 4 bytes into the block:
+///
+///   [u32 cell_bytes] [u16 ncols][u16 0][ncols tags][ncols payloads]
 ///
 /// A cell is a tag byte and a payload; the tags come first, unpadded, then
 /// the payloads in column order. A tag holds the DataType id in bits 0-3,
 /// a width code in bits 4-6 and 0x80 for NULL; the code names a payload
 /// width of 0, 1, 2, 4 or 8 bytes (codes 0-4). An integer
 /// (BOOL/SMALLINT/INT/BIGINT/TIMESTAMP) is its zigzag value in the fewest
-/// of those bytes, little-endian; a DOUBLE is its 8-byte bit pattern; a
-/// VARCHAR/VARBINARY is its length in 1, 2 or 4 bytes, then the bytes. A
-/// NULL, a zero (or +0.0) and an empty string take no payload. The block
-/// is self-describing: cell `i`'s payload is found by walking the tags of
-/// cells 0..i-1 (and a string's length), so full-row loops use an Iterator
-/// or a Cursor. The layout is in-memory only: EncodeRow writes the
-/// WAL/checkpoint bytes.
+/// of those bytes, little-endian. A DOUBLE that is exactly k/100
+/// (Cell::DecimalOf) with zigzag(k) in 4 bytes or fewer is zigzag(k) in
+/// the fewest of 1, 2 or 4 bytes; any other DOUBLE is its 8-byte bit
+/// pattern. A VARCHAR/VARBINARY is its length in 1, 2 or 4 bytes, then the
+/// bytes. A NULL, a zero (or +0.0) and an empty string take no payload.
+/// Each value has one cell. The block is self-describing: cell `i`'s
+/// payload is found by walking the tags of cells 0..i-1 (and a string's
+/// length), so full-row loops use an Iterator or a Cursor. The layout is
+/// in-memory only: EncodeRow writes the WAL/checkpoint bytes.
 class Row {
  public:
   /// The header's u16 column count bounds a row's width.
@@ -184,15 +192,25 @@ class Row {
   /// like Value's ==).
   bool operator==(const Row& other) const;
 
-  /// Bytes of the row's block; 0 for the empty row.
+  /// Bytes of the row's block, with a long row's size word; 0 for the
+  /// empty row.
   size_t BlockBytes() const {
-    return block_ == nullptr ? 0 : kHeaderBytes + Load32(block_ + 4);
+    if (block_ == nullptr) return 0;
+    const size_t cells = CellBytes();
+    return (cells > kMaxShortCellBytes ? kSizeWordBytes : 0) + kHeaderBytes +
+           cells;
   }
 
   /// Row blocks allocated and not yet freed, by every thread: the leak
   /// check for rows, since LeakSanitizer cannot see a leaked pooled block.
   /// Exact while no other thread packs or frees rows.
   static int64_t LiveBlocks();
+  /// Their bytes (BlockBytes), exact under the same condition.
+  static int64_t LiveBytes();
+  /// Bytes of the slabs the row block pool has carved its blocks from,
+  /// which it never returns: pooled live blocks rounded up to their
+  /// classes, plus free blocks. Blocks over 512 bytes are malloc's.
+  static int64_t PoolSlabBytes();
 
  private:
   friend class CellRef;
@@ -201,7 +219,11 @@ class Row {
                              std::vector<uint8_t>* dst);
   friend Result<Row> DecodeRowCells(Decoder* dec, size_t n, const Row* prev);
 
-  static constexpr size_t kHeaderBytes = 8;
+  static constexpr size_t kHeaderBytes = 4;
+  /// The largest cell_bytes the header holds; a longer row keeps a
+  /// kSizeWordBytes count in front of its header.
+  static constexpr size_t kMaxShortCellBytes = 0xFFFF;
+  static constexpr size_t kSizeWordBytes = 4;
   static constexpr uint8_t kWidthShift = 4;
   static constexpr uint8_t kTypeMask = 0x0F;
   /// Payload bytes of each width code.
@@ -218,6 +240,19 @@ class Row {
   static bool IsInteger(uint8_t tag) {
     return (tag & Cell::kNullTag) == 0 &&
            ((kIntegerTypes >> (tag & kTypeMask)) & 1) != 0;
+  }
+
+  /// Bytes of a non-empty row's cells, its tags and payloads.
+  size_t CellBytes() const {
+    const uint16_t bytes = Load16(block_ + 2);
+    return bytes != 0 ? bytes : Load32(block_ - kSizeWordBytes);
+  }
+  /// The start of the allocation that holds the block: a long row's size
+  /// word, else the header (null for the empty row).
+  uint8_t* Allocation() const {
+    return block_ != nullptr && Load16(block_ + 2) == 0
+               ? block_ - kSizeWordBytes
+               : block_;
   }
 
   static uint16_t Load16(const uint8_t* p) {
@@ -251,32 +286,59 @@ class Row {
   static bool IsString(DataType t) {
     return t == DataType::kVarchar || t == DataType::kVarbinary;
   }
-  /// The width code of `c`'s payload and, in `*payload`, the unsigned
-  /// number it stores: a zigzag integer, a DOUBLE's bits or a string's
-  /// length.
-  static uint8_t WidthCode(const Cell& c, uint64_t* payload) {
-    uint64_t u = 0;
-    if (c.null_) {
-      // No payload.
-    } else if (IsString(c.type_)) {
-      u = c.len_;
-    } else if (c.type_ == DataType::kDouble) {
-      std::memcpy(&u, &c.double_, sizeof(u));
-    } else {
-      u = ZigZagEncode64(c.int_);
-    }
-    *payload = u;
-    if (u == 0) return 0;
-    if (c.type_ == DataType::kDouble) return 4;  // all 8 bytes
-    if (u <= 0xFF) return 1;
-    if (u <= 0xFFFF) return 2;
-    if (u <= 0xFFFFFFFF) return 3;
-    return 4;
-  }
-  /// Bytes `c` takes as a cell: its tag, payload and string bytes.
-  static size_t EncodedBytes(const Cell& c) {
+  /// A cell as a block stores it: its tag, with the width code; the
+  /// unsigned number its payload holds in that width's low bytes (a zigzag
+  /// integer, a DOUBLE's zigzag k or bits, a string's length); and a
+  /// string's bytes, which follow the payload.
+  struct Stored {
+    uint8_t tag;
     uint64_t payload;
-    return 1 + kWidthBytes[WidthCode(c, &payload)] + c.len_;
+    const char* str;
+  };
+  /// The tag of a DOUBLE stored as its 8-byte bit pattern.
+  static constexpr uint8_t kRawDoubleTag =
+      static_cast<uint8_t>(DataType::kDouble) | (4 << kWidthShift);
+  /// The tag of a non-NULL cell of type `t` whose payload holds `u` in the
+  /// fewest bytes.
+  static uint8_t TagOf(DataType t, uint64_t u) {
+    uint8_t code = 4;
+    if (u == 0) {
+      code = 0;
+    } else if (u <= 0xFF) {
+      code = 1;
+    } else if (u <= 0xFFFF) {
+      code = 2;
+    } else if (u <= 0xFFFFFFFF) {
+      code = 3;
+    }
+    return static_cast<uint8_t>(static_cast<uint8_t>(t) |
+                                (code << kWidthShift));
+  }
+  /// The stored form of the DOUBLE k / 100.0, for DecimalOf's `k`:
+  /// zigzag(k) when it takes 4 bytes or fewer, else the double's bits.
+  static Stored StoredDecimal(int64_t k) {
+    const uint64_t z = ZigZagEncode64(k);
+    if (z <= 0xFFFFFFFF) return {TagOf(DataType::kDouble, z), z, nullptr};
+    const double d = static_cast<double>(k) / 100.0;
+    return {kRawDoubleTag, std::bit_cast<uint64_t>(d), nullptr};
+  }
+  /// The stored form of `c`, which keeps viewing `c`'s string bytes.
+  static Stored StoredOf(const Cell& c) {
+    if (c.null_) return {c.tag(), 0, nullptr};
+    if (IsString(c.type_)) return {TagOf(c.type_, c.len_), c.len_, c.str_};
+    if (c.type_ != DataType::kDouble) {
+      const uint64_t z = ZigZagEncode64(c.int_);
+      return {TagOf(c.type_, z), z, nullptr};
+    }
+    int64_t k;
+    if (Cell::DecimalOf(c.double_, &k)) return StoredDecimal(k);
+    return {kRawDoubleTag, std::bit_cast<uint64_t>(c.double_), nullptr};
+  }
+  /// Bytes of the payload of `s`, with a string's bytes.
+  static size_t PayloadBytes(const Stored& s) {
+    const size_t width = Width(s.tag);
+    return IsString(static_cast<DataType>(s.tag & kTypeMask)) ? width + s.payload
+                                                              : width;
   }
   /// Bytes of the stored payload at `p` with tag `tag`. Only a string's
   /// size reads the payload (its length), so a walk over other cells
@@ -289,10 +351,10 @@ class Row {
   }
   /// The stored cell with tag `tag` and payload at `p`, as a view.
   static Cell Decode(uint8_t tag, const uint8_t* p);
-  /// Writes `c` as the cell with tag at `tag` and payload at `p` (string
-  /// bytes by memmove, so `c` may view the destination) and returns the
-  /// end of the payload.
-  static uint8_t* Put(uint8_t* tag, uint8_t* p, const Cell& c);
+  /// Writes `s` as the cell with tag at `tag` and payload at `p` (string
+  /// bytes by memmove, so `s` may view the destination) and returns the end
+  /// of the payload.
+  static uint8_t* Put(uint8_t* tag, uint8_t* p, const Stored& s);
   /// Bytes the stored cell at `c` takes: its tag and payload.
   static size_t StoredBytes(const Iterator& c) {
     return 1 + PayloadBytes(*c.tag_, c.payload_);
@@ -307,24 +369,36 @@ class Row {
     return p + bytes;
   }
   /// Allocates a block for `n` cells of `cell_bytes` bytes and writes its
-  /// header.
+  /// header (and a long row's size word).
   static uint8_t* Allocate(size_t n, size_t cell_bytes);
+  /// Frees the block, if any.
+  void Release();
   /// The stored cell `i`.
   Iterator StoredCell(size_t i) const {
     Iterator it = begin();
     for (; i > 0; i--) ++it;
     return it;
   }
-  /// Appends `c`, a non-NULL cell with `prev`'s tag, as a change from
-  /// `prev` and returns its EncodeRow state: 3 for a DOUBLE in the decimal
-  /// form, its payload; else 1, an integer's zigzag difference from
-  /// `prev`'s value, mod 2^64, or any other cell's payload.
-  static uint8_t PutChange(const Cell& c, const Cell& prev,
+  /// Appends the payload of the stored cell at `c` as
+  /// Cell::EncodePayloadTo writes it and returns the encoded tag byte. A
+  /// DOUBLE stored as k writes that k, building no double.
+  static uint8_t PutPayload(const Iterator& c, std::vector<uint8_t>* dst);
+  /// Appends the stored cell at `c` whole, as Cell::EncodeTo writes it.
+  static void PutWhole(const Iterator& c, std::vector<uint8_t>* dst);
+  /// Appends the stored cell at `c`, not stored as the same bytes as the
+  /// one at `prev`, against it and returns its EncodeRow state. A non-NULL
+  /// cell with `prev`'s tag is 3 and its payload for a DOUBLE in the
+  /// decimal form, else 1 and an integer's zigzag difference from `prev`'s
+  /// value, mod 2^64, or any other cell's payload; any other cell is 2 and
+  /// the whole cell.
+  static uint8_t PutChange(const Iterator& c, const Iterator& prev,
                            std::vector<uint8_t>* dst);
-  /// Reads a cell PutChange wrote in state `state` against the stored cell
-  /// at `prev`, as a view. Corruption when that cell is NULL, or not a
-  /// DOUBLE in state 3.
-  static Result<Cell> GetChange(const Iterator& prev, uint8_t state,
+  /// Reads a cell EncodeRow wrote in state `state` (1, 2 or 3) against the
+  /// stored cell at `prev` into its stored form, a decimal DOUBLE's k
+  /// straight from its varint. Corruption on a bad cell (Cell::DecodeView),
+  /// a state-1 or state-3 cell over a NULL, or a state-3 cell over a cell
+  /// that is no DOUBLE.
+  static Result<Stored> GetCell(uint8_t state, const Iterator& prev,
                                 Decoder* dec);
   /// Replaces cell `i` with `v` (CellRef's assignment).
   void Set(size_t i, const Cell& v);
@@ -340,12 +414,15 @@ template <typename CellAt>
 Row Row::Pack(size_t n, CellAt&& cell_at) {
   Row row;
   if (n == 0) return row;
-  size_t cell_bytes = 0;
-  for (size_t i = 0; i < n; i++) cell_bytes += EncodedBytes(cell_at(i));
+  size_t cell_bytes = n;
+  for (size_t i = 0; i < n; i++)
+    cell_bytes += PayloadBytes(StoredOf(cell_at(i)));
   row.block_ = Allocate(n, cell_bytes);
   uint8_t* tags = row.block_ + kHeaderBytes;
   uint8_t* p = tags + n;
-  for (size_t i = 0; i < n; i++) p = Put(tags + i, p, cell_at(i));
+  // One expression per cell: a Value that cell_at returns by value lives
+  // while Put copies its string bytes.
+  for (size_t i = 0; i < n; i++) p = Put(tags + i, p, StoredOf(cell_at(i)));
   return row;
 }
 
@@ -360,7 +437,8 @@ inline Cell Row::Decode(uint8_t tag, const uint8_t* p) {
     c.len_ = static_cast<uint32_t>(u);
     c.str_ = reinterpret_cast<const char*>(p + width);
   } else if (c.type_ == DataType::kDouble) {
-    std::memcpy(&c.double_, &u, sizeof(u));
+    c.double_ = width == 8 ? std::bit_cast<double>(u)
+                           : static_cast<double>(ZigZagDecode64(u)) / 100.0;
   } else {
     c.int_ = ZigZagDecode64(u);
   }
@@ -415,17 +493,19 @@ void EncodeRowCells(const Row& row, const Row* prev, std::vector<uint8_t>* dst);
 /// predecessor: the count takes at most 3 bytes and the states ceil(n/4);
 /// a cell takes at most 9 more than its tag and payload in the block (a
 /// zero integer, a lone tag there, changed from INT64_MIN is a 10-byte
-/// difference; a DOUBLE is never longer than its 8 block bytes, and a
-/// +0.0, a lone tag, is a 1-byte decimal), and the block's 8-byte header
-/// is slack.
+/// difference; a DOUBLE takes at most 1 more, as a +0.0, a lone tag, is a
+/// 1-byte decimal behind its tag and a k in 4 block bytes a varint of up
+/// to 5), and the block's 4-byte header (8 with a long row's size word) is
+/// slack.
 inline size_t EncodedRowBound(const Row& row) {
   return row.BlockBytes() + 9 * row.size() + (row.size() + 3) / 4 + 3;
 }
 
 /// Decodes one row encoded against `prev` (EncodeRow) straight into a
 /// packed block: one pass sizes it, a second fills it, copying a state-0
-/// cell's bytes from `prev` and rebuilding a state-1 cell from `prev`'s
-/// (an integer's width follows from the rebuilt value). Corruption past
+/// cell's bytes from `prev`, rebuilding a state-1 cell from `prev`'s (an
+/// integer's width follows from the rebuilt value) and storing a decimal
+/// DOUBLE's k as read. Corruption past
 /// kMaxColumns cells, on a cell missing from the input, on a set unused
 /// state bit, a state-1 or state-3 cell whose predecessor is NULL, a
 /// state-3 cell whose predecessor is not a DOUBLE, a DOUBLE in a form its

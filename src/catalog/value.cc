@@ -313,6 +313,23 @@ bool Cell::DecimalOf(double d, int64_t* k) {
   return true;
 }
 
+Result<int64_t> Cell::DecodeDecimal(Decoder* dec) {
+  auto v = dec->GetVarint64();
+  if (!v.ok()) return v.status();
+  const int64_t k = ZigZagDecode64(*v);
+  // For a zigzag in 4 bytes, |k| <= 2^31: d = k / 100.0 is within
+  // |k| 2^-53 / 100 of k / 100 and d * 100 within |k| 2^-52 <= 2^-21 of k,
+  // so DecimalOf rounds it back to k, whose k / 100.0 is d again. No such
+  // k needs the check below.
+  if (*v <= 0xFFFFFFFF) return k;
+  if (k > kDecimalLimit || k < -kDecimalLimit)
+    return Status::Corruption("decimal DOUBLE past 2^53 hundredths");
+  int64_t back;
+  if (!DecimalOf(static_cast<double>(k) / 100.0, &back) || back != k)
+    return Status::Corruption("DOUBLE logged as another decimal");
+  return k;
+}
+
 Result<Cell> Cell::DecodeView(Decoder* dec) {
   auto tag_byte = dec->GetBytes(1);
   if (!tag_byte.ok()) return tag_byte.status();
@@ -344,18 +361,13 @@ Result<Cell> Cell::DecodePayloadView(uint8_t tag, Decoder* dec) {
       return c;
     }
     case DataType::kDouble: {
-      int64_t k;
       if (decimal) {
-        auto v = dec->GetVarint64();
-        if (!v.ok()) return v.status();
-        const int64_t logged = ZigZagDecode64(*v);
-        if (logged > kDecimalLimit || logged < -kDecimalLimit)
-          return Status::Corruption("decimal DOUBLE past 2^53 hundredths");
-        c.double_ = static_cast<double>(logged) / 100.0;
-        if (!DecimalOf(c.double_, &k) || k != logged)
-          return Status::Corruption("DOUBLE logged as another decimal");
+        auto k = DecodeDecimal(dec);
+        if (!k.ok()) return k.status();
+        c.double_ = static_cast<double>(*k) / 100.0;
         return c;
       }
+      int64_t k;
       auto v = dec->GetFixed64();
       if (!v.ok()) return v.status();
       c.double_ = std::bit_cast<double>(*v);

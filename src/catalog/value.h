@@ -107,6 +107,11 @@ class Cell {
   /// bits. -0.0, NaNs, infinities and sums that have drifted off the grid
   /// of hundredths stay raw.
   static bool DecimalOf(double d, int64_t* k);
+  /// Reads a decimal DOUBLE's payload, the zigzag varint of k, and returns
+  /// k. Corruption when k is past 2^53 or is not DecimalOf's k for the
+  /// double k / 100.0. Every k whose zigzag takes 4 bytes or fewer is
+  /// (value.cc), so only a longer k builds the double and checks it.
+  static Result<int64_t> DecodeDecimal(Decoder* dec);
   /// Decodes one EncodeTo cell as a view: a string's bytes point into the
   /// decoder's input. Corruption on a bad tag or truncated payload.
   static Result<Cell> DecodeView(Decoder* dec);

@@ -1,6 +1,8 @@
 #include "util/trace.h"
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <utility>
 
 namespace sqlledger {
@@ -21,14 +23,18 @@ Tracer::Tracer(const MetricRegistry* registry, size_t capacity)
   ring_.reserve(capacity_);
 }
 
-void Tracer::Push(TraceEvent ev) {
+void Tracer::Push(const TraceEvent& ev, const char* arg_name,
+                  std::string arg_value) {
   MutexLock lock(&mu_);
+  const size_t slot = next_;
   if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(ev));
+    ring_.push_back(ev);
   } else {
-    ring_[next_] = std::move(ev);
+    ring_[slot] = ev;
+    args_.erase(slot);
     ++dropped_;
   }
+  if (arg_name[0] != '\0') args_[slot] = Arg{arg_name, std::move(arg_value)};
   next_ = (next_ + 1) % capacity_;
 }
 
@@ -39,9 +45,10 @@ void Tracer::RecordComplete(const char* name, const char* category,
   ev.category = category;
   ev.phase = 'X';
   ev.ts_micros = start_micros;
-  ev.dur_micros = dur_micros < 0 ? 0 : dur_micros;
-  ev.tid = CurrentTid();
-  Push(std::move(ev));
+  ev.dur_micros = static_cast<uint32_t>(
+      std::clamp<int64_t>(dur_micros, 0, std::numeric_limits<uint32_t>::max()));
+  ev.tid = static_cast<uint16_t>(CurrentTid());
+  Push(ev);
 }
 
 void Tracer::RecordInstant(const char* name, const char* category,
@@ -51,24 +58,24 @@ void Tracer::RecordInstant(const char* name, const char* category,
   ev.category = category;
   ev.phase = 'i';
   ev.ts_micros = registry_->NowMicros();
-  ev.tid = CurrentTid();
-  ev.arg_name = arg_name;
-  ev.arg_value = std::move(arg_value);
-  Push(std::move(ev));
+  ev.tid = static_cast<uint16_t>(CurrentTid());
+  Push(ev, arg_name, std::move(arg_value));
+}
+
+std::vector<size_t> Tracer::SlotsLocked() const {
+  // A full ring's oldest event is at next_.
+  const size_t first = ring_.size() < capacity_ ? 0 : next_;
+  std::vector<size_t> slots(ring_.size());
+  for (size_t i = 0; i < slots.size(); ++i)
+    slots[i] = (first + i) % capacity_;
+  return slots;
 }
 
 std::vector<TraceEvent> Tracer::Events() const {
   MutexLock lock(&mu_);
   std::vector<TraceEvent> out;
   out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    // Full ring: next_ points at the oldest event.
-    for (size_t i = 0; i < capacity_; ++i) {
-      out.push_back(ring_[(next_ + i) % capacity_]);
-    }
-  }
+  for (size_t slot : SlotsLocked()) out.push_back(ring_[slot]);
   return out;
 }
 
@@ -78,11 +85,22 @@ uint64_t Tracer::dropped_count() const {
 }
 
 JsonValue Tracer::ToChromeJson() const {
-  std::vector<TraceEvent> events = Events();
-  uint64_t dropped = dropped_count();
+  std::vector<TraceEvent> events;
+  std::map<size_t, Arg> args;  // by index into `events`
+  uint64_t dropped;
+  {
+    MutexLock lock(&mu_);
+    dropped = dropped_;
+    for (size_t slot : SlotsLocked()) {
+      auto it = args_.find(slot);
+      if (it != args_.end()) args.emplace(events.size(), it->second);
+      events.push_back(ring_[slot]);
+    }
+  }
   JsonValue doc = JsonValue::Object();
   JsonValue arr = JsonValue::Array();
-  for (const TraceEvent& ev : events) {
+  for (size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& ev = events[i];
     JsonValue obj = JsonValue::Object();
     obj.Set("name", JsonValue::Str(ev.name));
     obj.Set("cat", JsonValue::Str(ev.category));
@@ -95,11 +113,12 @@ JsonValue Tracer::ToChromeJson() const {
       obj.Set("s", JsonValue::Str("t"));
     }
     obj.Set("pid", JsonValue::Int(1));
-    obj.Set("tid", JsonValue::Int(static_cast<int64_t>(ev.tid)));
-    if (ev.arg_name[0] != '\0') {
-      JsonValue args = JsonValue::Object();
-      args.Set(ev.arg_name, JsonValue::Str(ev.arg_value));
-      obj.Set("args", std::move(args));
+    obj.Set("tid", JsonValue::Int(ev.tid));
+    auto arg = args.find(i);
+    if (arg != args.end()) {
+      JsonValue value = JsonValue::Object();
+      value.Set(arg->second.name, JsonValue::Str(arg->second.value));
+      obj.Set("args", std::move(value));
     }
     arr.Append(std::move(obj));
   }

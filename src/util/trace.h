@@ -9,7 +9,8 @@
 //
 // Names, categories and argument names are static strings (literals or
 // other strings that live for the whole program): an event keeps only
-// their pointers, and copies only the argument's value.
+// their pointers. An instant event's argument, rare, is kept beside the
+// ring by slot, with a copy of its value, so a slot stays 32 bytes.
 //
 // Determinism: timestamps come from the owning MetricRegistry's injectable
 // clock, and thread ids are small logical ids handed out in first-use order
@@ -25,6 +26,7 @@
 #define SQLLEDGER_UTIL_TRACE_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -34,18 +36,18 @@
 
 namespace sqlledger {
 
+/// One ring slot. An instant event's argument is not in it (Tracer keeps
+/// it beside the ring), so the ring's reserved capacity stays small.
 struct TraceEvent {
-  const char* name = "";      // static strings (see the file comment)
+  const char* name = "";  // static strings (see the file comment)
   const char* category = "";
-  const char* arg_name = "";  // optional single argument ("" = none)
   int64_t ts_micros = 0;
-  int64_t dur_micros = 0;  // spans only
-  uint32_t tid = 0;        // logical thread id, first-use order
-  char phase = 'X';        // 'X' = complete span, 'i' = instant
-  std::string arg_value;
+  uint32_t dur_micros = 0;  // spans only, saturating at 2^32 - 1 (71 min)
+  uint16_t tid = 0;         // logical thread id, first-use order, mod 2^16
+  char phase = 'X';         // 'X' = complete span, 'i' = instant
 };
 
-static_assert(sizeof(TraceEvent) <= 80,
+static_assert(sizeof(TraceEvent) <= 32,
               "a database's ring reserves capacity events up front");
 
 /// Fixed-capacity ring of trace events. When full, the oldest event is
@@ -72,7 +74,8 @@ class Tracer {
                      const char* arg_name = "",
                      std::string arg_value = "") EXCLUDES(mu_);
 
-  /// Events currently buffered, oldest first.
+  /// Events currently buffered, oldest first, without their arguments
+  /// (ToChromeJson has them).
   std::vector<TraceEvent> Events() const EXCLUDES(mu_);
   /// Events evicted to make room since construction.
   uint64_t dropped_count() const EXCLUDES(mu_);
@@ -90,14 +93,25 @@ class Tracer {
   static uint32_t CurrentTid();
 
  private:
+  struct Arg {
+    const char* name;
+    std::string value;
+  };
+
   const MetricRegistry* registry_;
   const size_t capacity_;
   mutable Mutex mu_;
   std::vector<TraceEvent> ring_ GUARDED_BY(mu_);
+  /// The argument of each instant event in the ring that has one, by slot.
+  std::map<size_t, Arg> args_ GUARDED_BY(mu_);
   size_t next_ GUARDED_BY(mu_) = 0;  // ring slot for the next event
   uint64_t dropped_ GUARDED_BY(mu_) = 0;
 
-  void Push(TraceEvent ev) EXCLUDES(mu_);
+  /// Stores `ev` and, unless `arg_name` is "", its argument.
+  void Push(const TraceEvent& ev, const char* arg_name = "",
+            std::string arg_value = "") EXCLUDES(mu_);
+  /// The ring's slots, oldest event first.
+  std::vector<size_t> SlotsLocked() const REQUIRES(mu_);
 };
 
 }  // namespace sqlledger

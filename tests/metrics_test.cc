@@ -230,10 +230,12 @@ TEST(Tracer, RecordsSpansAndInstantsWithPinnedClock) {
   EXPECT_EQ(events[0].dur_micros, 40);
   EXPECT_EQ(events[1].phase, 'i');
   EXPECT_EQ(events[1].ts_micros, 1005);  // stamped from the pinned clock
-  EXPECT_STREQ(events[1].arg_name, "from");
-  EXPECT_EQ(events[1].arg_value, "healthy");
 
+  // The instant event's argument, kept beside the ring, is exported with it.
   std::string json = tracer.ToChromeJson().Dump();
+  EXPECT_NE(json.find("\"args\":{\"from\":\"healthy\"}"), std::string::npos);
+  EXPECT_EQ(json.find("\"args\"", json.find("\"args\"") + 1),
+            std::string::npos);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
@@ -255,6 +257,28 @@ TEST(Tracer, RingWrapsOldestFirstAndCountsDrops) {
     EXPECT_EQ(events[i].ts_micros, static_cast<int64_t>(20 - kCap + i));
   std::string json = tracer.ToChromeJson().Dump();
   EXPECT_NE(json.find("\"dropped_events\":12"), std::string::npos);
+}
+
+// An instant event's argument, kept beside the ring by slot, leaves with
+// its event when the ring overwrites the slot, and a later event in that
+// slot exports its own argument or none.
+TEST(Tracer, InstantArgumentsLeaveWithTheirEvents) {
+  MetricRegistry reg([] { return int64_t{0}; });
+  Tracer tracer(&reg, 4);
+  tracer.RecordInstant("first", "test", "reason", "evicted");
+  tracer.RecordInstant("second", "test", "reason", "replaced");
+  tracer.RecordInstant("third", "test", "reason", "kept");
+  tracer.RecordComplete("span", "test", 0, 1);
+  tracer.RecordComplete("span", "test", 1, 1);         // over "first"
+  tracer.RecordInstant("bare", "test");               // over "second"
+  std::string json = tracer.ToChromeJson().Dump();
+  EXPECT_EQ(json.find("evicted"), std::string::npos);
+  EXPECT_EQ(json.find("replaced"), std::string::npos);
+  const size_t kept = json.find("\"args\":{\"reason\":\"kept\"}");
+  ASSERT_NE(kept, std::string::npos);
+  EXPECT_EQ(json.find("\"args\"", kept + 1), std::string::npos);
+  EXPECT_LT(json.find("\"third\""), kept);
+  EXPECT_LT(kept, json.find("\"bare\""));
 }
 
 TEST(LatencyTimer, DisabledTimerNeverReadsClock) {

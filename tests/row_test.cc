@@ -1,6 +1,7 @@
 // Packed Row: round trips of every type, exact block sizes of the
-// variable-width cell layout, copy and move semantics, CellRef writes (in
-// place and repacking), a tpcc order_line version's size, and three seeded
+// variable-width cell layout, every DOUBLE form and the long-row header
+// through every path, copy and move semantics, CellRef writes (in place
+// and repacking), a tpcc order_line version's size, and three seeded
 // property tests: a Cell read from a row orders exactly like the Value it
 // was packed from, every type at every width boundary survives packing,
 // reads, writes and the WAL encoding, and CompareKeys on packed keys
@@ -84,7 +85,8 @@ TEST(RowTest, EmptyRowOwnsNoBlock) {
 
 // The bytes a cell takes in a block, written out from the layout (row.h)
 // independently of the code under test: a tag, then a 0/1/2/4/8-byte
-// payload, then a string's bytes.
+// payload, then a string's bytes. A DOUBLE that is k/100 (Cell::DecimalOf)
+// with zigzag(k) in 4 bytes or fewer stores zigzag(k), any other its bits.
 size_t ExpectedCellBytes(const Cell& v) {
   auto width = [](uint64_t u, bool allow8) -> size_t {
     if (u == 0) return 0;
@@ -101,10 +103,11 @@ size_t ExpectedCellBytes(const Cell& v) {
       return 1 + width(n, false) + n;
     }
     case DataType::kDouble: {
-      double d = v.double_value();
-      uint64_t bits;
-      std::memcpy(&bits, &d, 8);
-      return bits == 0 ? 1 : 9;
+      int64_t k;
+      if (!Cell::DecimalOf(v.double_value(), &k) ||
+          ZigZagEncode64(k) > 0xFFFFFFFF)
+        return 9;
+      return 1 + width(ZigZagEncode64(k), false);
     }
     default:
       return 1 + width(ZigZagEncode64(v.AsInt64()), true);
@@ -113,9 +116,10 @@ size_t ExpectedCellBytes(const Cell& v) {
 
 size_t ExpectedBlockBytes(const std::vector<Value>& values) {
   if (values.empty()) return 0;
-  size_t bytes = 8;  // the header
-  for (const Value& v : values) bytes += ExpectedCellBytes(v);
-  return bytes;
+  size_t cells = 0;
+  for (const Value& v : values) cells += ExpectedCellBytes(v);
+  // The 4-byte header, and a size word in front of cells of 64 KiB or more.
+  return (cells > 0xFFFF ? 8 : 4) + cells;
 }
 
 TEST(RowTest, BlockIsExactlySized) {
@@ -123,27 +127,41 @@ TEST(RowTest, BlockIsExactlySized) {
   // length; a NULL is its tag alone.
   Row row{Value::BigInt(1), Value::Varchar("hello"),
           Value::Null(DataType::kInt)};
-  EXPECT_EQ(row.BlockBytes(), 8u + 2u + 7u + 1u);
+  EXPECT_EQ(row.BlockBytes(), 4u + 2u + 7u + 1u);
   // Zeros take no payload, of any type.
   Row zeros{Value::BigInt(0), Value::Bool(false), Value::Double(0.0),
             Value::Varchar(""), Value::Timestamp(0)};
-  EXPECT_EQ(zeros.BlockBytes(), 8u + 5u);
+  EXPECT_EQ(zeros.BlockBytes(), 4u + 5u);
   // Each width at its limit: 127 is the last one-byte integer, -32768 the
-  // last two-byte one, INT32_MIN fits four bytes, INT64_MIN needs eight;
-  // a DOUBLE other than +0.0 is always eight.
-  Row wide{Value::BigInt(127),          Value::BigInt(128),
-           Value::SmallInt(-32768),     Value::SmallInt(32767),
-           Value::Int(INT32_MIN),       Value::BigInt(int64_t{1} << 31),
-           Value::BigInt(INT64_MIN),    Value::Double(-0.0),
-           Value::Double(1.0)};
-  EXPECT_EQ(wide.BlockBytes(),
-            8u + 2u + 3u + 3u + 3u + 5u + 9u + 9u + 9u + 9u);
+  // last two-byte one, INT32_MIN fits four bytes, INT64_MIN needs eight.
+  Row wide{Value::BigInt(127),      Value::BigInt(128),
+           Value::SmallInt(-32768), Value::SmallInt(32767),
+           Value::Int(INT32_MIN),   Value::BigInt(int64_t{1} << 31),
+           Value::BigInt(INT64_MIN)};
+  EXPECT_EQ(wide.BlockBytes(), 4u + 2u + 3u + 3u + 3u + 5u + 9u + 9u);
+  // A DOUBLE that is k/100 stores zigzag(k) at the same limits: 1.27 and
+  // 1.28 are k = 127 and 128, -327.68 and 327.68 are k = -32768 and 32768,
+  // -21474836.48 is k = INT32_MIN, 21474836.48 (k = 2^31) and 2^53/100
+  // are 8 raw bytes, as are -0.0 and a sum off the grid of hundredths.
+  Row doubles{Value::Double(1.27),         Value::Double(1.28),
+              Value::Double(-327.68),      Value::Double(327.68),
+              Value::Double(-21474836.48), Value::Double(21474836.48),
+              Value::Double(90071992547409.92), Value::Double(-0.0),
+              Value::Double(0.1 + 0.2)};
+  EXPECT_EQ(doubles.BlockBytes(),
+            4u + 2u + 3u + 3u + 5u + 5u + 9u + 9u + 9u + 9u);
   // String lengths: one byte up to 255, two up to 65535, then four.
   Row strings{Value::Varchar(std::string(255, 'a')),
               Value::Varchar(std::string(256, 'b')),
               Value::Varbinary(std::vector<uint8_t>(65536, 0xCD))};
+  // Cells of 64 KiB or more: the header and a size word in front of it.
   EXPECT_EQ(strings.BlockBytes(),
             8u + (2u + 255u) + (3u + 256u) + (5u + 65536u));
+  // The header holds cell bytes up to 65535.
+  EXPECT_EQ(Row{Value::Varbinary(std::vector<uint8_t>(65532, 1))}.BlockBytes(),
+            4u + 65535u);
+  EXPECT_EQ(Row{Value::Varbinary(std::vector<uint8_t>(65533, 1))}.BlockBytes(),
+            8u + 65536u);
 }
 
 TEST(RowTest, CopiesAreDeepAndIndependent) {
@@ -189,14 +207,14 @@ TEST(RowTest, SameWidthWriteIsInPlace) {
   Row row{Value::BigInt(1), Value::Varchar("keep"),
           Value::Null(DataType::kBigInt)};
   const char* str = row[1].string_value().data();
-  EXPECT_EQ(row.BlockBytes(), 8u + 2u + 6u + 1u);
+  EXPECT_EQ(row.BlockBytes(), 4u + 2u + 6u + 1u);
   row[0] = Value::BigInt(-1);              // zigzag 1: still one byte
   row[0] = Value::Int(100);                // another type, the same width
   row[2] = Value::Null(DataType::kInt);    // NULL to NULL
   row[1] = Value::Varbinary({1, 2, 3, 4});  // the same length
   // Every write kept the block, so the string bytes did not move.
   EXPECT_EQ(row[1].string_value().data(), str);
-  EXPECT_EQ(row.BlockBytes(), 8u + 2u + 6u + 1u);
+  EXPECT_EQ(row.BlockBytes(), 4u + 2u + 6u + 1u);
   ExpectSame(row[0], Value::Int(100));
   ExpectSame(row[1], Value::Varbinary({1, 2, 3, 4}));
   ExpectSame(row[2], Value::Null(DataType::kInt));
@@ -208,21 +226,23 @@ TEST(RowTest, WidthChangingWritesRepack) {
   const char* str = row[1].string_value().data();
   row[2] = Value::BigInt(42);  // NULL -> one byte, as a stamp would
   EXPECT_NE(row[1].string_value().data(), str);
-  EXPECT_EQ(row.BlockBytes(), 8u + 2u + 6u + 2u);
+  EXPECT_EQ(row.BlockBytes(), 4u + 2u + 6u + 2u);
   row[0] = Value::BigInt(1 << 20);  // zigzag 2^21: four bytes
-  EXPECT_EQ(row.BlockBytes(), 8u + 5u + 6u + 2u);
-  row[0] = Value::Double(2.5);
-  EXPECT_EQ(row.BlockBytes(), 8u + 9u + 6u + 2u);
+  EXPECT_EQ(row.BlockBytes(), 4u + 5u + 6u + 2u);
+  row[0] = Value::Double(2.5);  // k = 250, zigzag 500: two bytes
+  EXPECT_EQ(row.BlockBytes(), 4u + 3u + 6u + 2u);
+  row[0] = Value::Double(0.1 + 0.2);  // off the grid: eight raw bytes
+  EXPECT_EQ(row.BlockBytes(), 4u + 9u + 6u + 2u);
   row[2] = Value::Null(DataType::kBigInt);
-  EXPECT_EQ(row.BlockBytes(), 8u + 9u + 6u + 1u);
-  ExpectSame(row[0], Value::Double(2.5));
+  EXPECT_EQ(row.BlockBytes(), 4u + 9u + 6u + 1u);
+  ExpectSame(row[0], Value::Double(0.1 + 0.2));
   EXPECT_EQ(row[1].string_value(), "keep");
   ExpectSame(row[2], Value::Null(DataType::kBigInt));
 }
 
 TEST(RowTest, StringWritesRepackOnlyWhenTheLengthChanges) {
   Row row{Value::Varchar("aa"), Value::BigInt(7), Value::Varchar("bbbb")};
-  EXPECT_EQ(row.BlockBytes(), 8u + 4u + 2u + 6u);
+  EXPECT_EQ(row.BlockBytes(), 4u + 4u + 2u + 6u);
   const char* tail = row[2].string_value().data();
   row[0] = Value::Varchar("zz");  // same length: in place
   EXPECT_EQ(row[2].string_value().data(), tail);
@@ -230,16 +250,16 @@ TEST(RowTest, StringWritesRepackOnlyWhenTheLengthChanges) {
 
   row[0] = Value::Varchar("grown string");
   EXPECT_NE(row[2].string_value().data(), tail);
-  EXPECT_EQ(row.BlockBytes(), 8u + 14u + 2u + 6u);
+  EXPECT_EQ(row.BlockBytes(), 4u + 14u + 2u + 6u);
   EXPECT_EQ(row[0].string_value(), "grown string");
   EXPECT_EQ(row[1].AsInt64(), 7);
   EXPECT_EQ(row[2].string_value(), "bbbb");
 
   row[2] = Value::Varchar("");
-  EXPECT_EQ(row.BlockBytes(), 8u + 14u + 2u + 1u);
+  EXPECT_EQ(row.BlockBytes(), 4u + 14u + 2u + 1u);
   ExpectSame(row[2], Value::Varchar(""));
   row[0] = Value::Null(DataType::kVarchar);
-  EXPECT_EQ(row.BlockBytes(), 8u + 1u + 2u + 1u);
+  EXPECT_EQ(row.BlockBytes(), 4u + 1u + 2u + 1u);
   ExpectSame(row[0], Value::Null(DataType::kVarchar));
   EXPECT_EQ(row[1].AsInt64(), 7);
 }
@@ -272,7 +292,7 @@ TEST(RowTest, ProjectExtendAndWith) {
   ExpectSame(stamped[0], Value::Null(DataType::kBigInt));
   EXPECT_EQ(stamped[1].string_value(), "x");
   ExpectSame(stamped[2], Value::BigInt(300));
-  EXPECT_EQ(stamped.BlockBytes(), 8u + 1u + 3u + 3u);
+  EXPECT_EQ(stamped.BlockBytes(), 4u + 1u + 3u + 3u);
   EXPECT_EQ(row[2].AsInt64(), 3);  // the source row is unchanged
 }
 
@@ -563,21 +583,23 @@ TEST(RowTest, TpccOrderLineVersionIsSmall) {
   for (BTree::Iterator it = lines->Scan(); it.Valid(); it.Next()) {
     const Row& version = it.value();
     ASSERT_EQ(version.size(), 12u);
-    EXPECT_LE(version.BlockBytes(), 40u);
+    EXPECT_LE(version.BlockBytes(), 32u);
   }
 }
 
 // EncodedRowBound holds at each cell's widest encoding against its block
 // bytes, with no predecessor, against itself and against adversarial
 // predecessors of the same tags: a +0.0 DOUBLE (a tag alone in the block,
-// a 1-byte decimal), a DOUBLE off the grid of hundredths (8 bytes in the
-// block, 9 whole, 8 changed from a NaN), an 8-byte integer (a 10-byte
-// varint), a zero changed from INT64_MIN (a 10-byte difference), NULL
-// against a value and back, and an empty string against a long one.
+// a 1-byte decimal), a DOUBLE whose k takes 4 block bytes (a 5-byte
+// varint, behind a tag when whole), a DOUBLE off the grid of hundredths (8
+// bytes in the block, 9 whole, 8 changed from a NaN), an 8-byte integer (a
+// 10-byte varint), a zero changed from INT64_MIN (a 10-byte difference),
+// NULL against a value and back, and an empty string against a long one.
 TEST(RowTest, EncodedRowBoundCoversTheEncoding) {
   const std::string long_string(300, 's');
   const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
   const Value off_grid = Value::Double(0.1 + 0.2);
+  const Value four_byte_k = Value::Double(-21474836.48);  // zigzag 2^32 - 1
   // (row, predecessors besides none and the row itself)
   std::vector<std::pair<Row, std::vector<Row>>> cases = {
       {Row{}, {}},
@@ -590,6 +612,12 @@ TEST(RowTest, EncodedRowBoundCoversTheEncoding) {
         Row{Value::Null(DataType::kDouble)}}},
       {Row(std::vector<Value>(300, off_grid)),
        {Row(std::vector<Value>(300, nan))}},
+      {Row{four_byte_k},
+       {Row{nan}, Row{Value::Double(1.0)},
+        Row{Value::Null(DataType::kDouble)}}},
+      {Row(std::vector<Value>(300, four_byte_k)),
+       {Row(std::vector<Value>(300, nan)),
+        Row(std::vector<Value>(300, Value::Null(DataType::kDouble)))}},
       {Row{Value::BigInt(0)},
        {Row{Value::BigInt(INT64_MIN)}, Row{Value::BigInt(INT64_MAX)}}},
       {Row(std::vector<Value>(300, Value::BigInt(0))),
@@ -612,12 +640,18 @@ TEST(RowTest, EncodedRowBoundCoversTheEncoding) {
   }
   // The bound is tight to the cell for 300 zeros changed from INT64_MIN:
   // a 2-byte count, 75 state bytes and 300 10-byte differences, against
-  // 308 block bytes + 9 * 300 + 75 + 3.
-  const Row& zeros = cases[6].first;
+  // 304 block bytes + 9 * 300 + 75 + 3.
+  const Row& zeros = cases[8].first;
   std::vector<uint8_t> bytes;
-  EncodeRow(zeros, &cases[6].second[0], &bytes);
+  EncodeRow(zeros, &cases[8].second[0], &bytes);
   EXPECT_EQ(bytes.size(), 3077u);
-  EXPECT_EQ(EncodedRowBound(zeros), 3086u);
+  EXPECT_EQ(EncodedRowBound(zeros), 3082u);
+  // 300 whole DOUBLEs whose k takes 4 block bytes: a 2-byte count, 75
+  // state bytes and 300 6-byte cells, against 1504 + 9 * 300 + 75 + 3.
+  bytes.clear();
+  EncodeRow(cases[6].first, &cases[6].second[1], &bytes);
+  EXPECT_EQ(bytes.size(), 1877u);
+  EXPECT_EQ(EncodedRowBound(cases[6].first), 4282u);
 }
 
 // EncodeRow's exact bytes against a predecessor of the same width, one
@@ -765,36 +799,229 @@ TEST(RowTest, AdversarialDoublesRoundTripBitForBit) {
   EXPECT_TRUE(decode({0x01, 0xc5}, nullptr).IsCorruption());
 }
 
-// A row of exactly `bytes` (>= 9) block bytes: a VARBINARY of `fill`
-// bytes, then NULLs (at 9 and 10 bytes, NULLs alone).
+// Every DOUBLE form packs to the cell its rule names (row.h): +0.0 no
+// payload, a k whose zigzag fits 1, 2 or 4 bytes that many, and -0.0, NaN
+// payloads, infinities, k past 4 bytes (up to 2^53) and sums that drifted
+// off the grid of hundredths 8 raw bytes. Each keeps its bits through
+// Pack, Project, With, Extended, CellRef assignment over every other form
+// (in place or repacking) and EncodeRow -> DecodeRow, whole and against
+// every other form, and Compare and SameBytes on the packed cells agree
+// with the values'.
+TEST(RowTest, EveryDoubleFormSurvivesEveryPath) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  double drifted = 0;  // ten dimes, 0.9999999999999999
+  for (int i = 0; i < 10; i++) drifted += 0.1;
+  const std::pair<double, size_t> cases[] = {  // (value, payload bytes)
+      {0.0, 0},
+      {-0.0, 8},
+      {std::bit_cast<double>(0x7ff80000deadbeefULL), 8},
+      {std::bit_cast<double>(0xfff0000000000001ULL), 8},
+      {kInf, 8},
+      {-kInf, 8},
+      {1.27, 1},
+      {-1.28, 1},
+      {1.28, 2},
+      {-1.29, 2},
+      {327.67, 2},
+      {-327.68, 2},
+      {327.68, 4},
+      {-327.69, 4},
+      {21474836.47, 4},
+      {-21474836.48, 4},
+      {21474836.48, 8},
+      {-21474836.49, 8},
+      {90071992547409.92, 8},  // k = 2^53
+      {-90071992547409.92, 8},
+      {drifted, 8},
+      {0.1 + 0.2, 8},
+  };
+  for (const auto& [d, payload] : cases) {
+    SCOPED_TRACE(std::bit_cast<uint64_t>(d));
+    const Value v = Value::Double(d);
+    auto bits_kept = [d = d](const Cell& c) {
+      return c.type() == DataType::kDouble && !c.is_null() &&
+             std::bit_cast<uint64_t>(c.double_value()) ==
+                 std::bit_cast<uint64_t>(d);
+    };
+    const Row single{v};
+    EXPECT_EQ(single.BlockBytes(), 4u + 1u + payload);
+    EXPECT_EQ(single.BlockBytes(), ExpectedBlockBytes({v}));
+    const Row row{Value::Int(7), v, Value::Varchar("tail")};
+    EXPECT_TRUE(bits_kept(row[1]));
+    EXPECT_TRUE(bits_kept(row.Project({1, 0})[0]));
+    EXPECT_TRUE(bits_kept(row.With({{0, Value::Int(8)}})[1]));
+    EXPECT_TRUE(bits_kept(
+        Row{Value::Int(1), Value::Null(DataType::kDouble)}.With({{1, v}})[1]));
+    EXPECT_TRUE(bits_kept(row.Extended(v)[3]));
+    EXPECT_TRUE(bits_kept(single.Extended(Value::Int(1))[0]));
+    EXPECT_EQ(row.Extended(v).BlockBytes(), row.BlockBytes() + 1 + payload);
+
+    std::vector<uint8_t> bytes, value_bytes = {0x01};
+    EncodeRow(single, &bytes);
+    v.EncodeTo(&value_bytes);
+    EXPECT_EQ(bytes, value_bytes);
+    std::vector<const Row*> prevs = {nullptr};
+    std::vector<Row> others;
+    others.reserve(std::size(cases));
+    for (const auto& [other, other_payload] : cases) {
+      const Value o = Value::Double(other);
+      others.push_back(Row{o});
+      prevs.push_back(&others.back());
+      const bool same = std::bit_cast<uint64_t>(other) ==
+                        std::bit_cast<uint64_t>(d);
+      EXPECT_EQ(single.begin().SameBytes(others.back().begin()), same);
+      EXPECT_EQ(single[0].Compare(others.back()[0]), v.Compare(o));
+
+      Row written{o, Value::Varchar("tail")};
+      const char* tail = written[1].string_value().data();
+      written[0] = v;
+      EXPECT_TRUE(bits_kept(written[0]));
+      EXPECT_EQ(written[1].string_value(), "tail");
+      EXPECT_EQ(written.BlockBytes(), 4u + 2u + payload + 5u);
+      EXPECT_EQ(written[1].string_value().data() == tail,
+                payload == other_payload);
+    }
+    for (const Row* prev : prevs) {
+      bytes.clear();
+      EncodeRow(single, prev, &bytes);
+      Decoder dec{Slice(bytes)};
+      auto got = DecodeRow(&dec, prev);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(dec.done());
+      EXPECT_TRUE(bits_kept((*got)[0]));
+      EXPECT_TRUE(got->begin().SameBytes(single.begin()));
+      EXPECT_EQ(got->BlockBytes(), single.BlockBytes());
+    }
+  }
+}
+
+// Cell::DecodeDecimal takes a k whose zigzag fits 4 bytes without building
+// its double (value.cc): each such k is DecimalOf's k for k / 100.0. Every
+// k near 0 and near both 4-byte limits, and random ones between.
+TEST(RowTest, EveryFourByteKIsItsValuesK) {
+  auto holds = [](int64_t k) {
+    int64_t back = 0;
+    return Cell::DecimalOf(static_cast<double>(k) / 100.0, &back) &&
+           back == k;
+  };
+  constexpr int64_t kMin = INT32_MIN, kMax = INT32_MAX, kNear = 1 << 18;
+  for (int64_t k = -kNear; k <= kNear; k++) ASSERT_TRUE(holds(k)) << k;
+  for (int64_t k = kMin; k < kMin + kNear; k++) ASSERT_TRUE(holds(k)) << k;
+  for (int64_t k = kMax - kNear; k <= kMax; k++) ASSERT_TRUE(holds(k)) << k;
+  Random rng(TestCaseSeed(4));
+  for (int i = 0; i < kNear; i++) {
+    const int64_t k = rng.UniformRange(kMin, kMax);
+    ASSERT_TRUE(holds(k)) << k;
+  }
+}
+
+// A row whose cells take 64 KiB or more keeps their byte count in a size
+// word in front of its 4-byte header. Such rows survive copies, copy and
+// move assignment, Project, With, Extended, CellRef writes that cross the
+// 64 KiB line both ways, EncodeRow -> DecodeRow and the comparisons, and
+// LiveBytes counts their blocks with the size word.
+TEST(RowTest, LongRowHeaderSurvivesEveryPath) {
+  const std::string text(65531, 'L');  // a 65534-byte cell
+  const int64_t live_bytes = Row::LiveBytes();
+  {
+    const Row short_row{Value::Varchar(text), Value::Null(DataType::kBigInt)};
+    EXPECT_EQ(short_row.BlockBytes(), 4u + 65535u);
+    Row long_row = short_row;
+    long_row[1] = Value::BigInt(1);  // one more byte: the size word appears
+    EXPECT_EQ(long_row.BlockBytes(), 8u + 65536u);
+    EXPECT_EQ(long_row[0].string_value(), text);
+    ExpectSame(long_row[1], Value::BigInt(1));
+    ExpectSame(short_row[1], Value::Null(DataType::kBigInt));
+    EXPECT_EQ(Row::LiveBytes(), live_bytes + 65539 + 65544);
+
+    Row copy(long_row);
+    EXPECT_TRUE(copy == long_row);
+    EXPECT_EQ(copy.BlockBytes(), long_row.BlockBytes());
+    EXPECT_NE(copy[0].string_value().data(), long_row[0].string_value().data());
+    Row assigned{Value::Int(1)};
+    assigned = long_row;
+    EXPECT_TRUE(assigned == long_row);
+    assigned = short_row;
+    EXPECT_TRUE(assigned == short_row);
+    EXPECT_EQ(assigned.BlockBytes(), short_row.BlockBytes());
+    assigned = copy;
+    Row moved = std::move(copy);
+    EXPECT_TRUE(moved == assigned);
+    EXPECT_LT(CompareKeys(short_row, long_row), 0);
+    Row::Iterator a = long_row.begin(), b = moved.begin();
+    EXPECT_TRUE(a.SameBytes(b));
+    EXPECT_TRUE((++a).SameBytes(++b));
+
+    EXPECT_EQ(long_row.Project({1, 0}).BlockBytes(), long_row.BlockBytes());
+    EXPECT_EQ(long_row.Project({1, 0})[1].string_value(), text);
+    EXPECT_EQ(long_row.Project({1}).BlockBytes(), 4u + 2u);
+    EXPECT_TRUE(short_row.With({{1, Value::BigInt(1)}}) == long_row);
+    EXPECT_EQ(short_row.With({{1, Value::BigInt(1)}}).BlockBytes(),
+              long_row.BlockBytes());
+    EXPECT_EQ(long_row.With({{1, Value::Null(DataType::kBigInt)}}).BlockBytes(),
+              short_row.BlockBytes());
+    const Row extended = short_row.Extended(Value::Int(5));
+    EXPECT_EQ(extended.BlockBytes(), 8u + 65537u);
+    EXPECT_EQ(extended[0].string_value(), text);
+    ExpectSame(extended[2], Value::Int(5));
+
+    long_row[1] = Value::Null(DataType::kBigInt);  // and back under 64 KiB
+    EXPECT_EQ(long_row.BlockBytes(), short_row.BlockBytes());
+    EXPECT_TRUE(long_row == short_row);
+    long_row[1] = Value::BigInt(1);
+
+    for (const Row* prev : {static_cast<const Row*>(nullptr), &short_row}) {
+      std::vector<uint8_t> bytes;
+      EncodeRow(moved, prev, &bytes);
+      EXPECT_LE(bytes.size(), EncodedRowBound(moved));
+      Decoder dec{Slice(bytes)};
+      auto got = DecodeRow(&dec, prev);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(dec.done());
+      EXPECT_EQ(got->BlockBytes(), moved.BlockBytes());
+      EXPECT_TRUE(*got == moved);
+      EXPECT_EQ((*got)[0].string_value(), text);
+    }
+  }
+  EXPECT_EQ(Row::LiveBytes(), live_bytes);
+}
+
+// A row of exactly `bytes` (>= 5) block bytes: a VARBINARY of `fill`
+// bytes, then NULLs (at 5 and 6 bytes, NULLs alone).
 std::vector<Value> CellsOfBlockBytes(size_t bytes, uint8_t fill) {
-  if (bytes < 11)
-    return std::vector<Value>(bytes - 8, Value::Null(DataType::kInt));
-  const size_t len = std::min<size_t>(bytes - 10, 255);
+  if (bytes < 7)
+    return std::vector<Value>(bytes - 4, Value::Null(DataType::kInt));
+  const size_t len = std::min<size_t>(bytes - 6, 255);
   std::vector<Value> cells = {
       Value::Varbinary(std::vector<uint8_t>(len, fill))};
-  cells.resize(1 + (bytes - 10 - len), Value::Null(DataType::kInt));
+  cells.resize(1 + (bytes - 6 - len), Value::Null(DataType::kInt));
   return cells;
 }
 
 class RowPoolTest : public TempDirTest {};
 
-// Every pooled class a row can take, 16 through 512 bytes (a block holds
-// at least a header and one tag, 9 bytes, so the 8-byte class stays
-// empty), and a malloc block above 512, through pack, copy, CellRef
-// repack, copy-assignment and destruction. Each row's bytes carry their
-// own fill, so two live blocks that overlapped would show.
+// Every pooled class a row can take, 8 through 512 bytes (a block holds
+// at least a header and one tag, 5 bytes), and a malloc block above 512,
+// through pack, copy, CellRef repack, copy-assignment and destruction.
+// Each row's bytes carry their own fill, so two live blocks that
+// overlapped would show. LiveBytes counts the rows' exact block bytes.
 TEST_F(RowPoolTest, EveryClassRoundTrips) {
   const int64_t live = Row::LiveBlocks();
+  const int64_t live_bytes = Row::LiveBytes();
   {
     std::vector<std::vector<Value>> want;
     std::vector<Row> rows;
-    for (size_t bytes = 9; bytes <= 520; bytes++) {
+    int64_t row_bytes = 0;
+    for (size_t bytes = 5; bytes <= 520; bytes++) {
       want.push_back(CellsOfBlockBytes(bytes, static_cast<uint8_t>(bytes)));
       rows.emplace_back(want.back());
       ASSERT_EQ(rows.back().BlockBytes(), bytes);
+      row_bytes += static_cast<int64_t>(bytes);
     }
     EXPECT_EQ(Row::LiveBlocks(), live + static_cast<int64_t>(rows.size()));
+    EXPECT_EQ(Row::LiveBytes(), live_bytes + row_bytes);
+    // Every row but the 8 malloc'd ones, 513 to 520 bytes, is in a slab.
+    EXPECT_GE(Row::PoolSlabBytes(), row_bytes - 8 * 520);
     std::vector<Row> copies = rows;
     for (size_t i = 0; i < copies.size(); i++) {
       if (want[i][0].is_null()) continue;
@@ -822,21 +1049,23 @@ TEST_F(RowPoolTest, EveryClassRoundTrips) {
       EXPECT_TRUE(copies[i] == Row(want[rows.size() - 1 - i]));
     EXPECT_EQ(Row::LiveBlocks(),
               live + 2 * static_cast<int64_t>(rows.size()));
+    EXPECT_EQ(Row::LiveBytes(), live_bytes + 2 * row_bytes);
   }
   EXPECT_EQ(Row::LiveBlocks(), live);
+  EXPECT_EQ(Row::LiveBytes(), live_bytes);
 }
 
 TEST_F(RowPoolTest, CopyAssignReusesABlockOfTheSameClass) {
   // 17 and 23 bytes: both in the 24-byte class.
-  Row a{Value::Varchar("abcdefg")};
-  Row b{Value::Varchar("abcdefghijklm")};
+  Row a{Value::Varchar("abcdefghijk")};
+  Row b{Value::Varchar("abcdefghijklmopqr")};
   ASSERT_EQ(a.BlockBytes(), 17u);
   ASSERT_EQ(b.BlockBytes(), 23u);
   const char* before = a[0].string_value().data();
   a = b;
   EXPECT_EQ(a[0].string_value().data(), before);
-  EXPECT_EQ(a[0].string_value(), "abcdefghijklm");
-  Row c{Value::Varchar("abcdefghij")};  // 20 bytes
+  EXPECT_EQ(a[0].string_value(), "abcdefghijklmopqr");
+  Row c{Value::Varchar("abcdefghijklmn")};  // 20 bytes
   a = c;
   EXPECT_EQ(a[0].string_value().data(), before);
   EXPECT_EQ(a, c);
@@ -849,7 +1078,7 @@ TEST_F(RowPoolTest, CopyAssignReusesABlockOfTheSameClass) {
 TEST_F(RowPoolTest, RowsFreedOnAnotherThreadAreReused) {
   constexpr int kRows = 1024;
   const int64_t live = Row::LiveBlocks();
-  // 113 bytes each, in the 120-byte class; the string starts 13 bytes in.
+  // 109 bytes each, in the 112-byte class; the string starts 9 bytes in.
   auto make = [](int i) {
     return Row{Value::BigInt(1000 + i), Value::Varchar(std::string(100, 'p'))};
   };
@@ -859,7 +1088,7 @@ TEST_F(RowPoolTest, RowsFreedOnAnotherThreadAreReused) {
   }).join();
   std::set<const char*> blocks;
   for (const Row& r : rows) {
-    ASSERT_EQ(r.BlockBytes(), 113u);
+    ASSERT_EQ(r.BlockBytes(), 109u);
     blocks.insert(r[1].string_value().data());
   }
   EXPECT_EQ(Row::LiveBlocks(), live + kRows);
@@ -887,7 +1116,7 @@ TEST_F(RowPoolTest, ExitedThreadsLeaveTheLiveCountWhereItWas) {
     threads.emplace_back([&kept, t] {
       std::vector<Row> mine;
       for (size_t i = 0; i < 600; i++)
-        mine.emplace_back(CellsOfBlockBytes(9 + (i * 7 + t) % 600, 0x5A));
+        mine.emplace_back(CellsOfBlockBytes(5 + (i * 7 + t) % 600, 0x5A));
       for (size_t i = 1; i < mine.size(); i += 2) mine[i] = Row();
       for (size_t k = 0; k < kKept; k++)
         kept[t * kKept + k] = std::move(mine[2 * k]);
@@ -954,8 +1183,8 @@ TEST(RowPoolDeathTest, ReadingAFreedOrOverrunBlockIsReported) {
       "AddressSanitizer: use-after-poison");
   EXPECT_DEATH(
       {
-        Row row{Value::Varchar("abcdefg")};  // 17 bytes of a 24-byte block
-        const char* end = row[0].string_value().data() + 7;
+        Row row{Value::Varchar("abcdefghijk")};  // 17 of a 24-byte block
+        const char* end = row[0].string_value().data() + 11;
         EXPECT_EQ(*static_cast<const volatile char*>(end), 0);
       },
       "AddressSanitizer: use-after-poison");
