@@ -110,8 +110,9 @@ parse_allow/allow_line below — use sparingly):
   one-row-codec   a call of the cell codec — Cell::EncodeTo on a cell (a
                   name declared a Cell, CellRef or Value, an indexed row
                   cell, or a dereferenced Row::Iterator), EncodePayloadTo,
-                  DecimalOf (a DOUBLE's decimal form), DecodeView,
-                  DecodePayloadView or Value::DecodeFrom — in src/ outside
+                  DecimalOf (a DOUBLE's decimal form), DecodeDecimal (its
+                  payload), DecodeView, DecodePayloadView or
+                  Value::DecodeFrom — in src/ outside
                   src/catalog/. Persisted rows are encoded and
                   decoded by EncodeRow/DecodeRow alone, against their
                   predecessor (DESIGN.md §4); a cell written or read on its
@@ -689,7 +690,8 @@ def check_pinned_plan(path, lines, findings):
 # ---------------------------------------------------------------------------
 
 CELL_CODEC_CALL_RE = re.compile(
-    r"\b(?:EncodePayloadTo|DecimalOf|DecodeView|DecodePayloadView)\s*\("
+    r"\b(?:EncodePayloadTo|DecimalOf|DecodeDecimal|DecodeView"
+    r"|DecodePayloadView)\s*\("
     r"|\bValue\s*::\s*DecodeFrom\s*\(")
 CELL_DECL_RE = re.compile(r"\b(?:Cell|CellRef|Value)\s*[&*]*\s+(\w+)")
 ITERATOR_DECL_RE = re.compile(r"\bRow\s*::\s*Iterator\s*[&*]*\s+(\w+)")
@@ -1214,6 +1216,9 @@ SELF_TEST_CASES = [
     ("one-row-codec", "src/storage/x_selftest.cc",
      "if (Cell::DecimalOf(amount, &k)) PutVarint64(&out, ZigZagEncode64(k));",
      "if (IsDecimalOf(amount)) EncodeRowCells(row, prev, &out);"),
+    ("one-row-codec", "src/storage/x_selftest.cc",
+     "auto k = Cell::DecodeDecimal(&dec);",
+     "auto row = DecodeRowCells(&dec, n, prev);"),
     ("one-record-header", "src/ledger/x_selftest.cc",
      "Status LedgerDatabase::Commit(Transaction* txn) {\n"
      "  record.EncodeChainedHeader(&chain, &req.payload);\n"
