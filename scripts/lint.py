@@ -133,6 +133,12 @@ parse_allow/allow_line below — use sparingly):
                   recovery re-derives its deletes through ApplyTruncation;
                   a delete made anywhere else has no record to replay
                   (DESIGN.md §4).
+  one-quiesce     a write of quiescing_ (`quiescing_ = ...`) in src/ outside
+                  the bodies of MaintenanceView's constructor and
+                  destructor. A MaintenanceView is the one quiesce:
+                  checkpoint, verification and truncation scan stores
+                  unlatched only through one, so a quiesce made any other
+                  way would let a scan run beside writers (DESIGN.md §8).
   abort-after-commit
                   an Abort(x) after a Commit(x) of the same transaction in
                   src/, tests/, bench/ or examples/: within the next 3 lines,
@@ -792,6 +798,25 @@ def check_one_truncation_apply(path, lines, findings):
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-quiesce
+# ---------------------------------------------------------------------------
+
+QUIESCE_WRITE_RE = re.compile(r"\bquiescing_\s*=(?!=)")
+# The constructor's and the destructor's definitions.
+QUIESCE_OWNER_RE = re.compile(
+    r"\bMaintenanceView\s*::\s*~?MaintenanceView\s*\(")
+
+
+def check_one_quiesce(path, lines, findings):
+    check_calls_outside_body(
+        path, lines, findings, "one-quiesce", QUIESCE_WRITE_RE,
+        QUIESCE_OWNER_RE,
+        "quiescing_ written outside MaintenanceView's constructor and "
+        "destructor; open a view with OpenMaintenanceView, the one quiesce "
+        "(DESIGN.md §8)")
+
+
+# ---------------------------------------------------------------------------
 # Rule: abort-after-commit
 # ---------------------------------------------------------------------------
 
@@ -1013,6 +1038,7 @@ CHECKS = [
     ("one-row-codec", SRC_DIRS, check_one_row_codec),
     ("one-record-header", SRC_DIRS, check_one_record_header),
     ("one-truncation-apply", SRC_DIRS, check_one_truncation_apply),
+    ("one-quiesce", SRC_DIRS, check_one_quiesce),
     ("metric-naming", ALL_CODE_DIRS, check_metric_naming),
     ("abort-after-commit", ALL_CODE_DIRS, check_abort_after_commit),
 ]
@@ -1251,10 +1277,37 @@ SELF_TEST_CASES = [
      "Status DatabaseLedger::TruncateBelow(uint64_t below_block) {\n"
      "  MutexLock lock(&mu_);\n"
      "}\n"
-     "Status LedgerDatabase::ApplyTruncation(uint64_t below_block) {\n"
-     "  QuiesceGuard guard(this);\n"
+     "Status LedgerDatabase::ApplyTruncation(const MaintenanceView& view,\n"
+     "                                       uint64_t below_block) {\n"
      "  SL_RETURN_IF_ERROR(ledger_->TruncateBelow(below_block));\n"
      "  return Status::OK();\n"
+     "}"),
+    # A quiesce taken by hand beside the view's constructor and destructor.
+    ("one-quiesce", "src/ledger/x_selftest.cc",
+     "MaintenanceView::MaintenanceView(LedgerDatabase* db) : db_(db) {\n"
+     "  {\n"
+     "    MutexLock lock(&db_->txn_mu_);\n"
+     "    db_->quiescing_ = true;\n"
+     "  }\n"
+     "}\n"
+     "MaintenanceView::~MaintenanceView() {\n"
+     "  db_->quiescing_ = false;\n"
+     "}\n"
+     "Status LedgerDatabase::CheckpointImpl() {\n"
+     "  quiescing_ = true;\n"
+     "}",
+     "MaintenanceView::MaintenanceView(LedgerDatabase* db) : db_(db) {\n"
+     "  {\n"
+     "    MutexLock lock(&db_->txn_mu_);\n"
+     "    db_->quiescing_ = true;\n"
+     "  }\n"
+     "}\n"
+     "MaintenanceView::~MaintenanceView() {\n"
+     "  db_->quiescing_ = false;\n"
+     "}\n"
+     "Status LedgerDatabase::CheckpointImpl() {\n"
+     "  MaintenanceView view = OpenMaintenanceView();\n"
+     "  if (quiescing_ == false) return Status::OK();\n"
      "}"),
     # A status the commit set, tested on the next line.
     ("abort-after-commit", "tests/x_selftest.cc",

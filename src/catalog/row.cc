@@ -426,13 +426,32 @@ Row Row::Extended(const Cell& cell) const {
 }
 
 Row Row::With(std::initializer_list<OrdinalCell> cells) const {
-  Cursor cursor(*this);
-  return Pack(size(), [&](size_t i) {
-    for (const OrdinalCell& c : cells) {
-      if (c.ordinal == i) return c.cell;
-    }
-    return cursor[i];
-  });
+  // A kept cell's stored bytes are copied as they are (as Project does);
+  // only the replacements are encoded.
+  auto replacement = [&](size_t i) -> const Cell* {
+    for (const OrdinalCell& c : cells)
+      if (c.ordinal == i) return &c.cell;
+    return nullptr;
+  };
+  const size_t n = size();
+  Row row;
+  if (n == 0) return row;
+  size_t cell_bytes = n, i = 0;
+  for (Iterator c = begin(); c != end(); ++c, ++i) {
+    const Cell* r = replacement(i);
+    cell_bytes += r != nullptr ? PayloadBytes(StoredOf(*r))
+                               : PayloadBytes(*c.tag_, c.payload_);
+  }
+  row.block_ = Allocate(n, cell_bytes);
+  uint8_t* tags = row.block_ + kHeaderBytes;
+  uint8_t* p = tags + n;
+  i = 0;
+  for (Iterator c = begin(); c != end(); ++c, ++i) {
+    const Cell* r = replacement(i);
+    p = r != nullptr ? Put(tags + i, p, StoredOf(*r))
+                     : CopyCell(c, tags + i, p);
+  }
+  return row;
 }
 
 Row Row::Project(const std::vector<size_t>& ordinals) const {

@@ -135,7 +135,7 @@ class DatabaseLedger {
   /// taken in ONE critical section; entries and blocks come in key order and
   /// rows that fail to parse are omitted (the verifier reports the gaps).
   /// The verifier needs this atomicity: a concurrent block close (digest
-  /// generation is not stopped by the verification quiesce) sliding between
+  /// generation runs beside the verifier's MaintenanceView) sliding between
   /// separate scans would make freshly closed transactions reference a
   /// block the earlier blocks scan never saw.
   struct LedgerSnapshot {

@@ -114,12 +114,12 @@ LedgerDatabase::LedgerDatabase(LedgerDatabaseOptions options)
   m_recovery_replay_micros_ =
       metrics_->GetHistogram("recovery.wal_replay_micros");
   m_recovery_runs_ = metrics_->GetCounter("recovery.runs_total");
-  m_verify_incremental_runs_ = metrics_->GetCounter("verify.incremental_total");
-  m_verify_fallbacks_ = metrics_->GetCounter("verify.fallbacks_total");
-  m_blocks_reverified_ = metrics_->GetCounter("verify.blocks_reverified_total");
-  m_blocks_skipped_ = metrics_->GetCounter("verify.blocks_skipped_total");
-  m_row_versions_skipped_ =
-      metrics_->GetCounter("verify.row_versions_skipped_total");
+  // The incremental verifier's counters, zero until its first run.
+  for (const char* name :
+       {"verify.incremental_total", "verify.fallbacks_total",
+        "verify.blocks_reverified_total", "verify.blocks_skipped_total",
+        "verify.row_versions_skipped_total"})
+    metrics_->GetCounter(name);
   if (options_.geo_replica != nullptr) {
     m_replica_lag_ = metrics_->GetGauge("digest.replica_lag_micros");
     m_geo_alerts_ = metrics_->GetCounter("digest.geo_alerts_total");
@@ -186,10 +186,11 @@ Result<std::unique_ptr<LedgerDatabase>> LedgerDatabase::OpenImpl(
     // A truncation is durable through its logged audit row. The newest
     // (largest cutoff) covers the older ones; it finds nothing to delete
     // when the checkpoint already holds its deletes.
-    auto truncations = db->GetTruncationRecords();
+    MaintenanceView view = db->OpenMaintenanceView();
+    auto truncations = view.truncations();
     if (!truncations.empty())
-      SL_RETURN_IF_ERROR(
-          db->ApplyTruncation(truncations.back().truncated_below_block));
+      SL_RETURN_IF_ERROR(db->ApplyTruncation(
+          view, truncations.back().truncated_below_block));
     if (new_incarnation)
       db->create_time_ = std::to_string(db->options_.clock());
     const int64_t recover_end = db->metrics_->NowMicros();
@@ -328,21 +329,16 @@ Status LedgerDatabase::LoadCheckpoint(const std::string& path) {
     SL_RETURN_IF_ERROR(ApplyTableDefinition(*table_id, *def));
   }
   if (!dec.done()) return Status::Corruption("trailing bytes in catalog meta");
-  // Rows load into the system stores and into those the definitions made.
-  std::map<uint32_t, TableStore*> stores = {
-      {kLedgerTransactionsTableId, ledger_txns_store_.get()},
-      {kLedgerBlocksTableId, ledger_blocks_store_.get()}};
-  for (CatalogEntry* entry : AllTables()) {
-    for (TableStore* store : {entry->main.get(), entry->history.get()})
-      if (store != nullptr) stores[store->table_id()] = store;
-  }
+  MaintenanceView view = OpenMaintenanceView();
+  std::map<uint32_t, TableStore*> stores;
+  for (TableStore* store : view.stores()) stores[store->table_id()] = store;
   SL_RETURN_IF_ERROR(LoadCheckpointStores(*checkpoint, stores));
   return ledger_ != nullptr ? ledger_->LoadFromTables() : Status::OK();
 }
 
 Status LedgerDatabase::ReplayWal(bool used_fallback) {
-  // A checkpoint quiesces, so every transaction whose id is below its
-  // next_txn_id had finished and is already in it. Commit records of those
+  // A checkpoint reads a MaintenanceView, so every transaction whose id is
+  // below its next_txn_id had finished and is in it. Commit records of those
   // transactions are skipped: a crash between the checkpoint's rename and
   // the WAL rotation's directory sync leaves the new checkpoint beside the
   // log it superseded, and re-applying those records would replay row
@@ -1069,18 +1065,9 @@ Result<std::vector<LedgerViewRow>> LedgerDatabase::GetLedgerView(
 }
 
 Result<std::vector<TableOperationRow>> LedgerDatabase::GetTableOperationsView() {
-  CatalogEntry* sys = FindTableById(kSysTablesTableId);
-  if (sys == nullptr)
+  if (FindTableById(kSysTablesTableId) == nullptr)
     return Status::NotSupported("ledger is disabled for this database");
-  auto txn = Begin("system:view");
-  if (!txn.ok()) return txn.status();
-  Status lock_st = AcquireTableLock(*txn, *sys, LockMode::kShared);
-  if (!lock_st.ok()) {
-    Abort(*txn);
-    return lock_st;
-  }
-  auto view = BuildLedgerView(sys->ref);
-  SL_RETURN_IF_ERROR(Commit(*txn));
+  auto view = GetLedgerView("sys_ledger_tables");
   if (!view.ok()) return view.status();
   std::vector<TableOperationRow> out;
   for (const LedgerViewRow& row : *view) {
@@ -1119,24 +1106,10 @@ Status LedgerDatabase::StoreVerificationState(const VerificationState& state) {
   }
   // Persist outside verify_mu_: the save syncs, and leaf locks are never
   // held across I/O. Concurrent stores are already serialized by the
-  // verifier's quiesce; a racing overwrite would only lose a watermark.
+  // verifier's view; a racing overwrite would only lose a watermark.
   if (!verification_state_path_.empty())
     return state.Save(env_, verification_state_path_);
   return Status::OK();
-}
-
-void LedgerDatabase::ClearVerificationState() {
-  {
-    MutexLock lock(&verify_mu_);
-    verification_state_.reset();
-  }
-  if (!verification_state_path_.empty()) {
-    // Best-effort: a leftover file is stale (wrong watermark for the new
-    // truncation set) but still CRC-valid, so it must also be droppable by
-    // the verifier's re-anchor checks — and it is, because truncation
-    // removes the watermark block's predecessors and changes accumulators.
-    (void)VerificationState::Remove(env_, verification_state_path_);  // see above
-  }
 }
 
 void LedgerDatabase::NoteDurableDigest(const DatabaseDigest& digest) {
@@ -1152,29 +1125,8 @@ std::optional<DatabaseDigest> LedgerDatabase::latest_durable_digest() const {
   return latest_durable_digest_;
 }
 
-void LedgerDatabase::RecordIncrementalVerification(
-    bool fell_back, uint64_t blocks_reverified, uint64_t blocks_skipped,
-    uint64_t row_versions_skipped) {
-  m_verify_incremental_runs_->Add();
-  if (fell_back) m_verify_fallbacks_->Add();
-  m_blocks_reverified_->Add(blocks_reverified);
-  m_blocks_skipped_->Add(blocks_skipped);
-  m_row_versions_skipped_->Add(row_versions_skipped);
-}
-
 std::vector<TruncationRecord> LedgerDatabase::GetTruncationRecords() {
-  std::vector<TruncationRecord> out;
-  CatalogEntry* sys = FindTableById(kSysTruncationsTableId);
-  if (sys == nullptr) return out;
-  for (BTree::Iterator it = sys->main->Scan(); it.Valid(); it.Next()) {
-    TruncationRecord rec;
-    rec.truncated_below_block =
-        static_cast<uint64_t>(it.value()[0].AsInt64());
-    rec.min_txn_id = static_cast<uint64_t>(it.value()[1].AsInt64());
-    rec.max_txn_id = static_cast<uint64_t>(it.value()[2].AsInt64());
-    out.push_back(rec);
-  }
-  return out;
+  return OpenMaintenanceView().truncations();
 }
 
 Status LedgerDatabase::RecordTruncation(const TruncationRecord& record) {
@@ -1196,16 +1148,15 @@ Status LedgerDatabase::RecordTruncation(const TruncationRecord& record) {
   return Commit(*txn);
 }
 
-Status LedgerDatabase::ApplyTruncation(uint64_t below_block) {
-  // The deletes bypass transactional locking, so writers are quiesced.
-  QuiesceGuard guard(this);
+Status LedgerDatabase::ApplyTruncation(const MaintenanceView& view,
+                                       uint64_t below_block) {
   auto range = ledger_->CollectTxnsBelow(below_block);
   if (!range.ok()) return range.status();
   if (range->txn_ids.empty()) return Status::OK();  // already applied
   std::set<uint64_t> truncated(range->txn_ids.begin(), range->txn_ids.end());
   // History rows retired by truncated transactions ("easy to truncate
   // because no other data elements reference it", §5.2).
-  for (CatalogEntry* entry : AllTables()) {
+  for (CatalogEntry* entry : view.tables()) {
     if (entry->history == nullptr) continue;
     std::vector<KeyTuple> doomed;
     for (BTree::Iterator it = entry->history->Scan(); it.Valid(); it.Next()) {
@@ -1218,7 +1169,16 @@ Status LedgerDatabase::ApplyTruncation(uint64_t below_block) {
       SL_RETURN_IF_ERROR(entry->history->Delete(key));
   }
   SL_RETURN_IF_ERROR(ledger_->TruncateBelow(below_block));
-  ClearVerificationState();
+  // A truncation changes which references are exempt, so the watermark no
+  // longer attests what it claims. Removing its file is best-effort: a
+  // leftover one is CRC-valid but fails the verifier's re-anchor, because
+  // the watermark block's predecessors are gone and the accumulators moved.
+  {
+    MutexLock lock(&verify_mu_);
+    verification_state_.reset();
+  }
+  if (!verification_state_path_.empty())
+    (void)VerificationState::Remove(env_, verification_state_path_);  // see above
   return Status::OK();
 }
 
@@ -1238,8 +1198,8 @@ Status LedgerDatabase::Checkpoint() {
 }
 
 Status LedgerDatabase::CheckpointImpl() {
-  QuiesceGuard guard(this);
-  // Quiescing only drains user transactions; digest generation still runs
+  MaintenanceView view = OpenMaintenanceView();
+  // The view only drains user transactions; digest generation still runs
   // concurrently and appends block-close records under commit_mu_. Hold
   // commit_mu_ across the snapshot/WAL-reset so the checkpoint and the WAL
   // cannot disagree about which blocks closed.
@@ -1256,16 +1216,8 @@ Status LedgerDatabase::CheckpointImpl() {
     if (!synced.ok()) return synced;
   }
 
-  std::vector<const TableStore*> stores;
-  stores.push_back(ledger_txns_store_.get());
-  stores.push_back(ledger_blocks_store_.get());
-  {
-    ReaderMutexLock catalog_lock(&catalog_mu_);
-    for (const auto& [id, entry] : catalog_) {
-      stores.push_back(entry->main.get());
-      if (entry->history) stores.push_back(entry->history.get());
-    }
-  }
+  const std::vector<TableStore*> listed = view.stores();
+  const std::vector<const TableStore*> stores(listed.begin(), listed.end());
   std::vector<uint8_t> meta = EncodeCatalogMeta();
   SL_RETURN_IF_ERROR(
       WriteCheckpoint(checkpoint_path_, Slice(meta), stores, env_));
@@ -1278,19 +1230,52 @@ Status LedgerDatabase::CheckpointImpl() {
   return Status::OK();
 }
 
-// ---- Quiescing ----
+// ---- Maintenance view ----
 
-LedgerDatabase::QuiesceGuard::QuiesceGuard(LedgerDatabase* db) : db_(db) {
-  MutexLock lock(&db_->txn_mu_);
-  while (db_->quiescing_) db_->txn_cv_.Wait(&db_->txn_mu_);
-  db_->quiescing_ = true;
-  while (!db_->active_txns_.empty()) db_->txn_cv_.Wait(&db_->txn_mu_);
+MaintenanceView LedgerDatabase::OpenMaintenanceView() {
+  return MaintenanceView(this);
 }
 
-LedgerDatabase::QuiesceGuard::~QuiesceGuard() {
+MaintenanceView::MaintenanceView(LedgerDatabase* db) : db_(db) {
+  {
+    MutexLock lock(&db_->txn_mu_);
+    while (db_->quiescing_) db_->txn_cv_.Wait(&db_->txn_mu_);
+    db_->quiescing_ = true;
+    while (!db_->active_txns_.empty()) db_->txn_cv_.Wait(&db_->txn_mu_);
+  }
+  // Every DDL is a transaction, so the catalog stays as listed here.
+  tables_ = db_->AllTables();
+}
+
+MaintenanceView::~MaintenanceView() {
   MutexLock lock(&db_->txn_mu_);
   db_->quiescing_ = false;
   db_->txn_cv_.SignalAll();
+}
+
+std::vector<TableStore*> MaintenanceView::stores() const {
+  std::vector<TableStore*> out = {db_->ledger_txns_store_.get(),
+                                  db_->ledger_blocks_store_.get()};
+  for (CatalogEntry* entry : tables_) {
+    out.push_back(entry->main.get());
+    if (entry->history != nullptr) out.push_back(entry->history.get());
+  }
+  return out;
+}
+
+std::vector<TruncationRecord> MaintenanceView::truncations() const {
+  std::vector<TruncationRecord> out;
+  CatalogEntry* sys = db_->FindTableById(kSysTruncationsTableId);
+  if (sys == nullptr) return out;
+  for (BTree::Iterator it = sys->main->Scan(); it.Valid(); it.Next()) {
+    TruncationRecord rec;
+    rec.truncated_below_block =
+        static_cast<uint64_t>(it.value()[0].AsInt64());
+    rec.min_txn_id = static_cast<uint64_t>(it.value()[1].AsInt64());
+    rec.max_txn_id = static_cast<uint64_t>(it.value()[2].AsInt64());
+    out.push_back(rec);
+  }
+  return out;
 }
 
 }  // namespace sqlledger

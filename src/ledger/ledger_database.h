@@ -9,10 +9,10 @@
 // IX+X for writes), scans take a table S lock, DDL takes table X — so
 // transactions touching different rows of the same table run concurrently.
 // Commits serialize through the WAL append and the Database Ledger's slot
-// assignment. Checkpoints, verification and ledger truncation quiesce the
-// database (wait for active transactions to drain, block new ones),
-// mirroring the paper's advice to run verification on an idle replica
-// (§4.2).
+// assignment. Checkpoints, verification and ledger truncation read the
+// database through a MaintenanceView, which drains active transactions and
+// blocks new ones while it lives, mirroring the paper's advice to run
+// verification on an idle replica (§4.2).
 
 #ifndef SQLLEDGER_LEDGER_LEDGER_DATABASE_H_
 #define SQLLEDGER_LEDGER_LEDGER_DATABASE_H_
@@ -43,6 +43,7 @@
 
 namespace sqlledger {
 
+class MaintenanceView;
 class SimulatedGeoReplica;
 
 struct LedgerDatabaseOptions {
@@ -236,9 +237,12 @@ class LedgerDatabase {
 
   // ---- Durability ----
 
-  /// Quiesces, snapshots all tables (the ledger system tables included) +
-  /// catalog, and resets the WAL (paper §3.3.2).
+  /// Snapshots every store of a MaintenanceView (the ledger system tables
+  /// included) + catalog, and resets the WAL (paper §3.3.2).
   Status Checkpoint();
+
+  /// A view of the current state for a maintenance job (see below).
+  MaintenanceView OpenMaintenanceView();
 
   // ---- Introspection (used by the verifier, receipts, truncation, tests
   // and benchmarks) ----
@@ -258,9 +262,9 @@ class LedgerDatabase {
 
   // ---- Observability (DESIGN.md §13) ----
 
-  /// The database-wide metric registry, the one stats surface: subsystems
-  /// (WAL, lock manager, digest pipeline, verifier) record through
-  /// pointers resolved from it at construction time.
+  /// The database-wide metric registry, the one stats surface: the WAL,
+  /// lock manager and digest pipeline record through pointers resolved
+  /// from it at construction time, the verifier through names per run.
   MetricRegistry* metrics() const { return metrics_.get(); }
   /// The bounded in-memory trace ring (Chrome trace-event export).
   Tracer* tracer() const { return tracer_.get(); }
@@ -269,7 +273,7 @@ class LedgerDatabase {
     return metrics_->Snapshot();
   }
 
-  /// Truncation records, newest watermark last (paper §5.2).
+  /// Truncation records, newest watermark last (paper §5.2), on a view.
   std::vector<TruncationRecord> GetTruncationRecords();
   /// Appends a truncation record (called by TruncateLedger).
   Status RecordTruncation(const TruncationRecord& record);
@@ -283,31 +287,11 @@ class LedgerDatabase {
   /// checkpoint (atomic temp+rename). The state must belong to this
   /// database and incarnation.
   Status StoreVerificationState(const VerificationState& state);
-  /// Drops the cached watermark and removes the on-disk state file.
-  /// Called by ApplyTruncation: a truncation changes which transaction
-  /// references are exempt, so the old watermark no longer attests what it
-  /// claims. Best-effort on the file removal.
-  void ClearVerificationState();
   /// Called by the digest pipeline when a digest is acknowledged durable in
   /// the external store; incremental verification anchors to it.
   void NoteDurableDigest(const DatabaseDigest& digest);
   /// Latest digest known durable in the external store, if any.
   std::optional<DatabaseDigest> latest_durable_digest() const;
-  /// Accumulates one VerifyLedgerIncremental run into the verify.* counters.
-  void RecordIncrementalVerification(bool fell_back, uint64_t blocks_reverified,
-                                     uint64_t blocks_skipped,
-                                     uint64_t row_versions_skipped);
-
-  /// Waits for active transactions to finish and blocks new ones while the
-  /// returned guard lives. Used by checkpoint, verification and truncation.
-  class QuiesceGuard {
-   public:
-    explicit QuiesceGuard(LedgerDatabase* db);
-    ~QuiesceGuard();
-
-   private:
-    LedgerDatabase* db_;
-  };
 
   /// Direct store access for tamper-simulation in tests/benches (the
   /// storage-level attacker of §2.5.2). Never used by library code paths.
@@ -402,13 +386,14 @@ class LedgerDatabase {
   Status RecordTableMetadata(Transaction* txn, const CatalogEntry& entry);
   Status RecordColumnMetadata(Transaction* txn, uint32_t table_id,
                               const ColumnDef& col);
-  /// Under one quiesce, deletes the history rows retired by transactions in
+  /// Through `view`, deletes the history rows retired by transactions in
   /// blocks below `below_block`, then those blocks and entries, and clears
-  /// the watermark; idempotent. Run by TruncateLedger after its audit row
-  /// commits and by recovery for the newest recorded truncation.
-  Status ApplyTruncation(uint64_t below_block);
+  /// the verifier watermark; idempotent. Run by TruncateLedger after its
+  /// audit row commits and by recovery for the newest recorded truncation.
+  Status ApplyTruncation(const MaintenanceView& view, uint64_t below_block);
   friend Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
                                const std::vector<DatabaseDigest>& digests);
+  friend class MaintenanceView;
 
   LedgerDatabaseOptions options_;
   Env* env_ = nullptr;  // resolved from options_.env (never null after ctor)
@@ -437,12 +422,6 @@ class LedgerDatabase {
   Histogram* m_recovery_replay_micros_ = nullptr;
   // ^ recovery.wal_replay_micros
   Counter* m_recovery_runs_ = nullptr;        // recovery.runs_total
-  Counter* m_verify_incremental_runs_ = nullptr;  // verify.incremental_total
-  Counter* m_verify_fallbacks_ = nullptr;         // verify.fallbacks_total
-  Counter* m_blocks_reverified_ = nullptr;   // verify.blocks_reverified_total
-  Counter* m_blocks_skipped_ = nullptr;      // verify.blocks_skipped_total
-  Counter* m_row_versions_skipped_ = nullptr;
-  // ^ verify.row_versions_skipped_total
   // The geo gate's metrics, resolved only with a geo_replica, so that a
   // database without one exports none of them.
   Gauge* m_replica_lag_ = nullptr;         // digest.replica_lag_micros
@@ -505,7 +484,7 @@ class LedgerDatabase {
   // into the database.
   std::unique_ptr<DigestUploadPipeline> digest_pipeline_;
 
-  // Transaction registry + quiescing.
+  // Transaction registry + the MaintenanceView's quiesce flag.
   mutable Mutex txn_mu_;
   CondVar txn_cv_;
   std::map<uint64_t, std::unique_ptr<Transaction>> active_txns_
@@ -524,6 +503,31 @@ class LedgerDatabase {
   std::optional<DatabaseDigest> latest_durable_digest_ GUARDED_BY(verify_mu_);
   // Incremental-verification counters live in the registry
   // (verify.incremental_total, verify.fallbacks_total, verify.*_total).
+};
+
+/// The one consistent state that checkpoint, verification and truncation
+/// read (paper §3.4, §5.2): it drains active transactions and Begin waits
+/// while it lives, so its holder is the only writer and may scan its stores
+/// unlatched (DESIGN.md §8). Opening one while holding one, or an active
+/// transaction, waits forever.
+class MaintenanceView {
+ public:
+  ~MaintenanceView();
+  MaintenanceView(const MaintenanceView&) = delete;
+  MaintenanceView& operator=(const MaintenanceView&) = delete;
+  LedgerDatabase* db() const { return db_; }
+  /// Every catalog entry, id-ordered, dropped and system tables included.
+  const std::vector<CatalogEntry*>& tables() const { return tables_; }
+  /// The Database Ledger's two stores, then each entry's main and history.
+  std::vector<TableStore*> stores() const;
+  /// The recorded truncations, newest watermark last (paper §5.2).
+  std::vector<TruncationRecord> truncations() const;
+
+ private:
+  friend class LedgerDatabase;
+  explicit MaintenanceView(LedgerDatabase* db);
+  LedgerDatabase* const db_;
+  std::vector<CatalogEntry*> tables_;
 };
 
 }  // namespace sqlledger

@@ -8,8 +8,8 @@ namespace sqlledger {
 
 namespace {
 // The user rows of `t`'s main store whose current version a truncated
-// transaction wrote. The caller excludes writers: a quiesce or the
-// table's X lock, which also keeps `t`'s plan current.
+// transaction wrote. The caller excludes writers: a MaintenanceView or
+// the table's X lock, which also keeps `t`'s plan current.
 std::vector<Row> AnchoredRows(const LedgerTableRef& t,
                               const std::set<uint64_t>& truncated) {
   const TablePlan& plan = *t.plan;
@@ -36,33 +36,40 @@ Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
   if (below_block >= ledger->open_block_id())
     return Status::InvalidArgument("cannot truncate the open block or beyond");
 
-  // 1. Refuse to truncate a database that does not verify (§5.2: "first
-  // trigger the verification process to guarantee that any current data is
-  // consistent").
-  auto report = VerifyLedger(db, digests);
-  if (!report.ok()) return report.status();
-  if (!report->ok())
-    return Status::IntegrityViolation(
-        "pre-truncation verification failed: " + report->Summary());
-
-  auto range = ledger->CollectTxnsBelow(below_block);
-  if (!range.ok()) return range.status();
-  if (range->txn_ids.empty()) return Status::OK();  // nothing to truncate
-  std::set<uint64_t> truncated(range->txn_ids.begin(), range->txn_ids.end());
-
-  // 2. Dummy-update live rows still anchored in blocks being truncated so
-  // their digests move into fresh transactions. A quiesced pass finds the
-  // tables that hold such rows; each is then scanned again under its X
-  // lock, and the dummy updates start from that scan. Rows found before
-  // the lock would be stale: an update committed in between would be
-  // overwritten by the pre-image (DESIGN.md §8).
-  // An append-only user table with such rows refuses the truncation; the
-  // tables ahead of it in id order are still re-homed, which is harmless.
+  // Steps 1 and 2 read one view, so the tables re-homed are picked from the
+  // state verified. It closes before the dummy updates: Begin waits on it.
+  TruncationRecord record;
+  record.truncated_below_block = below_block;
+  std::set<uint64_t> truncated;
   std::vector<CatalogEntry*> anchored_tables;
   Status refused;
   {
-    LedgerDatabase::QuiesceGuard guard(db);
-    for (CatalogEntry* entry : db->AllTables()) {
+    MaintenanceView view = db->OpenMaintenanceView();
+    // 1. Refuse to truncate a database that does not verify (§5.2: "first
+    // trigger the verification process to guarantee that any current data
+    // is consistent").
+    auto report = VerifyLedger(view, digests);
+    if (!report.ok()) return report.status();
+    if (!report->ok())
+      return Status::IntegrityViolation(
+          "pre-truncation verification failed: " + report->Summary());
+
+    auto range = ledger->CollectTxnsBelow(below_block);
+    if (!range.ok()) return range.status();
+    if (range->txn_ids.empty()) return Status::OK();  // nothing to truncate
+    truncated.insert(range->txn_ids.begin(), range->txn_ids.end());
+    record.min_txn_id = range->min_txn_id;
+    record.max_txn_id = range->max_txn_id;
+
+    // 2. Dummy-update live rows still anchored in blocks being truncated
+    // so their digests move into fresh transactions. The view finds the
+    // tables that hold such rows; each is then scanned again under its X
+    // lock, and the dummy updates start from that scan. Rows found before
+    // the lock would be stale: an update committed in between would be
+    // overwritten by the pre-image (DESIGN.md §8).
+    // An append-only user table with such rows refuses the truncation; the
+    // tables ahead of it in id order are still re-homed, which is harmless.
+    for (CatalogEntry* entry : view.tables()) {
       if (entry->kind == TableKind::kRegular ||
           AnchoredRows(entry->ref, truncated).empty())
         continue;
@@ -103,14 +110,10 @@ Status TruncateLedger(LedgerDatabase* db, uint64_t below_block,
 
   // 4. Audit the truncation through the ledger itself. The committed row is
   // the truncation's one durability point: recovery applies the newest one.
-  TruncationRecord record;
-  record.truncated_below_block = below_block;
-  record.min_txn_id = range->min_txn_id;
-  record.max_txn_id = range->max_txn_id;
   SL_RETURN_IF_ERROR(db->RecordTruncation(record));
 
   // 5. Delete what the row names, through the function recovery runs.
-  return db->ApplyTruncation(below_block);
+  return db->ApplyTruncation(db->OpenMaintenanceView(), below_block);
 }
 
 }  // namespace sqlledger

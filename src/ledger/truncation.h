@@ -4,7 +4,7 @@
 //      inconsistent database);
 //   2. dummy-update every live ledger-table row whose digest still lives in
 //      a block about to be truncated, moving its protection into fresh
-//      transactions and blocks;
+//      transactions and blocks, in tables picked on step 1's view;
 //   3. generate a digest (closes the block holding the dummy updates);
 //   4. record the truncation in the append-only sys_ledger_truncations
 //      table so the operation is itself audited, and so the verifier can

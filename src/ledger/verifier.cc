@@ -22,7 +22,7 @@ struct VersionLeaf {
 
 /// One row version discovered by the collection scans. Rows are borrowed
 /// from the B-trees — stable for the whole verification because the
-/// database is quiesced — so the scan itself stays cheap and the expensive
+/// MaintenanceView excludes writers — so the scan stays cheap and the
 /// leaf hashing is deferred to the parallel hashing phase.
 struct VersionItem {
   const Row* row = nullptr;
@@ -129,9 +129,7 @@ std::string VerificationReport::Summary() const {
 
 namespace {
 
-/// The verification body. Runs under the caller's QuiesceGuard
-/// (QuiesceGuard is not re-entrant, and the incremental path may need two
-/// passes under ONE quiesce).
+/// The verification body, over the state `view` holds.
 ///
 /// `state` != nullptr requests an incremental run: transaction entries and
 /// row versions belonging to blocks <= state->last_verified_block are not
@@ -143,15 +141,16 @@ namespace {
 /// `out_state` != nullptr asks for a refreshed watermark: filled (marked by
 /// a non-empty database_id) only when the run is clean and digest-covered.
 Result<VerificationReport> VerifyLedgerCore(
-    LedgerDatabase* db, const std::vector<DatabaseDigest>& digests,
+    const MaintenanceView& view, const std::vector<DatabaseDigest>& digests,
     const VerificationOptions& options, const VerificationState* state,
     VerificationState* out_state) {
+  LedgerDatabase* db = view.db();
   DatabaseLedger* ledger = db->database_ledger();
   if (ledger == nullptr)
     return Status::NotSupported("ledger is disabled for this database");
 
   VerificationReport report;
-  std::vector<TruncationRecord> truncations = db->GetTruncationRecords();
+  std::vector<TruncationRecord> truncations = view.truncations();
 
   // Phase timers (DESIGN.md §13): re-anchor (snapshot + block hashing +
   // watermark check), tree hashing (row-version collection through group
@@ -450,13 +449,13 @@ Result<VerificationReport> VerifyLedgerCore(
   }
 
   // ---- Invariants 4 & 5 per ledger table. All state read below is
-  // immutable while the database is quiesced, so the phases fan out freely:
+  // immutable while the view lives, so the phases fan out freely:
   // store scans per task, leaf hashing in chunks, per-transaction root
   // recomputation per group, index/view checks per table. ----
   std::set<std::string> table_filter(options.tables.begin(),
                                      options.tables.end());
   std::vector<CatalogEntry*> tables_to_check;
-  for (CatalogEntry* entry : db->AllTables()) {
+  for (CatalogEntry* entry : view.tables()) {
     if (entry->kind == TableKind::kRegular) continue;
     if (!table_filter.empty() && !table_filter.count(entry->name)) continue;
     tables_to_check.push_back(entry);
@@ -752,13 +751,17 @@ Result<VerificationReport> VerifyLedger(
     const VerificationOptions& options) {
   if (db->database_ledger() == nullptr)
     return Status::NotSupported("ledger is disabled for this database");
+  return VerifyLedger(db->OpenMaintenanceView(), digests, options);
+}
 
+Result<VerificationReport> VerifyLedger(
+    const MaintenanceView& view, const std::vector<DatabaseDigest>& digests,
+    const VerificationOptions& options) {
+  LedgerDatabase* db = view.db();
   const int64_t start = db->metrics()->NowMicros();
-  Result<VerificationReport> report = [&]() -> Result<VerificationReport> {
-    LedgerDatabase::QuiesceGuard guard(db);
-    return VerifyLedgerCore(db, digests, options, /*state=*/nullptr,
-                            /*out_state=*/nullptr);
-  }();
+  Result<VerificationReport> report =
+      VerifyLedgerCore(view, digests, options, /*state=*/nullptr,
+                       /*out_state=*/nullptr);
   const int64_t end = db->metrics()->NowMicros();
   db->metrics()->GetHistogram("verify.full_micros")
       ->Record(static_cast<uint64_t>(std::max<int64_t>(0, end - start)));
@@ -775,10 +778,9 @@ Result<VerificationReport> VerifyLedgerIncremental(
 
   const int64_t inc_start = db->metrics()->NowMicros();
 
-  // ONE quiesce covers the incremental pass and, if re-anchoring fails,
-  // the full fallback pass — QuiesceGuard is not re-entrant and the two
-  // passes must see identical data for the fallback report to be exact.
-  LedgerDatabase::QuiesceGuard guard(db);
+  // The incremental pass and the full fallback read one view, so the
+  // fallback's report is exactly VerifyLedger's.
+  MaintenanceView view = db->OpenMaintenanceView();
 
   // Union in the anchors this database already trusts: the digest the
   // watermark was anchored to, and the latest digest known durable in the
@@ -804,30 +806,25 @@ Result<VerificationReport> VerifyLedgerIncremental(
 
   VerificationState refreshed;
   auto report =
-      VerifyLedgerCore(db, all_digests, options,
+      VerifyLedgerCore(view, all_digests, options,
                        state.has_value() ? &*state : nullptr, &refreshed);
   if (!report.ok()) return report.status();
-  report->incremental = true;
-  if (state.has_value()) {
-    report->watermark_block = state->last_verified_block;
-    if (!report->fallback_reason.empty()) {
-      // Re-anchoring failed (or a prefix inconsistency surfaced): discard
-      // the partial pass and run the full verification under the same
-      // quiesce, so the violation set is exactly VerifyLedger's.
-      std::string reason = report->fallback_reason;
-      db->tracer()->RecordInstant("verify.fallback", "verify", "reason",
-                                  reason);
-      refreshed = VerificationState{};
-      auto full = VerifyLedgerCore(db, all_digests, options,
-                                   /*state=*/nullptr, &refreshed);
-      if (!full.ok()) return full.status();
-      *report = std::move(*full);
-      report->incremental = true;
-      report->fell_back_to_full = true;
-      report->fallback_reason = reason;
-      report->watermark_block = state->last_verified_block;
-    }
+  if (!report->fallback_reason.empty()) {
+    // Re-anchoring failed (or a prefix inconsistency surfaced): discard the
+    // partial pass and run the full verification on the same view, so the
+    // violation set is exactly VerifyLedger's.
+    std::string reason = report->fallback_reason;
+    db->tracer()->RecordInstant("verify.fallback", "verify", "reason", reason);
+    refreshed = VerificationState{};
+    auto full = VerifyLedgerCore(view, all_digests, options,
+                                 /*state=*/nullptr, &refreshed);
+    if (!full.ok()) return full.status();
+    *report = std::move(*full);
+    report->fell_back_to_full = true;
+    report->fallback_reason = reason;
   }
+  report->incremental = true;
+  if (state.has_value()) report->watermark_block = state->last_verified_block;
 
   // Persist the refreshed watermark — only for clean, unfiltered runs
   // (a table-filtered pass attests nothing about the other tables). The
@@ -837,12 +834,18 @@ Result<VerificationReport> VerifyLedgerIncremental(
       !refreshed.database_id.empty()) {
     (void)db->StoreVerificationState(refreshed);  // best-effort, see above
   }
-  db->RecordIncrementalVerification(report->fell_back_to_full,
-                                    report->blocks_reverified,
-                                    report->blocks_skipped,
-                                    report->row_versions_skipped);
-  const int64_t inc_end = db->metrics()->NowMicros();
-  db->metrics()->GetHistogram("verify.incremental_micros")
+  MetricRegistry* metrics = db->metrics();
+  metrics->GetCounter("verify.incremental_total")->Add();
+  if (report->fell_back_to_full)
+    metrics->GetCounter("verify.fallbacks_total")->Add();
+  metrics->GetCounter("verify.blocks_reverified_total")
+      ->Add(report->blocks_reverified);
+  metrics->GetCounter("verify.blocks_skipped_total")
+      ->Add(report->blocks_skipped);
+  metrics->GetCounter("verify.row_versions_skipped_total")
+      ->Add(report->row_versions_skipped);
+  const int64_t inc_end = metrics->NowMicros();
+  metrics->GetHistogram("verify.incremental_micros")
       ->Record(
           static_cast<uint64_t>(std::max<int64_t>(0, inc_end - inc_start)));
   db->tracer()->RecordComplete("verify.incremental", "verify", inc_start,

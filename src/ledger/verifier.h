@@ -87,12 +87,17 @@ struct VerificationReport {
   std::string Summary() const;
 };
 
-/// Runs full verification. The database is quiesced for the duration.
-/// Returns the report; an error Status only for operational failures
-/// (ledger disabled, storage errors) — tampering is reported via
-/// report.violations, not via Status.
+/// Runs full verification on a MaintenanceView of its own. Returns the
+/// report; an error Status only for operational failures (ledger disabled,
+/// storage errors) — tampering is reported via report.violations, not via
+/// Status.
 Result<VerificationReport> VerifyLedger(
     LedgerDatabase* db, const std::vector<DatabaseDigest>& digests,
+    const VerificationOptions& options = {});
+
+/// Full verification of `view`, for a job that goes on reading it.
+Result<VerificationReport> VerifyLedger(
+    const MaintenanceView& view, const std::vector<DatabaseDigest>& digests,
     const VerificationOptions& options = {});
 
 /// Incremental verification (DESIGN.md §11): resumes from the database's
@@ -105,7 +110,7 @@ Result<VerificationReport> VerifyLedger(
 /// count+fingerprint over the prefix's transaction entries (full content)
 /// plus per-table count+fingerprint accumulators over its row-version
 /// structure. Any re-anchor failure, prefix inconsistency or accumulator
-/// mismatch falls back to a full verification under the same quiesce, so
+/// mismatch falls back to a full verification on the same view, so
 /// the returned violation set is identical to VerifyLedger's for every such
 /// case. The database's latest durable digest (from the upload pipeline) is
 /// unioned into `digests` as an anchor. On a clean, unfiltered run the

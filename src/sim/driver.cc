@@ -1055,7 +1055,15 @@ void SimDriver::DoReceipt(size_t i, const SimOp& op) {
                 std::to_string(pick.block_id));
     return;
   }
-  if (!VerifyTransactionReceipt(*r, db_->signer())) {
+  // The offline check reads the receipt as it is exchanged: its JSON.
+  auto exchanged = TransactionReceipt::FromJson(r->ToJson());
+  if (!exchanged.ok()) {
+    Fail(i, "receipt for txn " + std::to_string(pick.txn_id) +
+                " does not parse back from its JSON: " +
+                exchanged.status().message());
+    return;
+  }
+  if (!VerifyTransactionReceipt(*exchanged, db_->signer())) {
     Fail(i, "receipt for txn " + std::to_string(pick.txn_id) +
                 " failed offline verification");
     return;
@@ -1732,6 +1740,21 @@ void SimDriver::FullAudit(size_t i) {
                 " groups for " + std::to_string(grouped) +
                 " grouped txns (largest " + std::to_string(largest) + ")");
     return;
+  }
+  // Every store's clustered tree and index trees hold their structural
+  // invariants (mutable_clustered is read only here).
+  {
+    MaintenanceView view = db_->OpenMaintenanceView();
+    for (TableStore* store : view.stores()) {
+      Status st = store->mutable_clustered()->CheckInvariants();
+      for (const auto& idx : store->indexes())
+        if (st.ok()) st = idx->tree.CheckInvariants();
+      if (!st.ok()) {
+        Fail(i, "audit B-tree of store " + std::to_string(store->table_id()) +
+                    ": " + st.message());
+        return;
+      }
+    }
   }
   // Incremental-verification watermark vs the model's full recomputation:
   // whatever block the persisted state claims to have verified must hash,

@@ -11,7 +11,7 @@
 // different rows may run concurrently under row-level transaction locks.
 // The iterator-returning Scan/Seek and pointer-returning Get are unlatched:
 // callers must exclude writers for their duration (a table-level S lock, a
-// database quiesce, or single-threaded context).
+// MaintenanceView, or single-threaded context).
 
 #ifndef SQLLEDGER_STORAGE_TABLE_STORE_H_
 #define SQLLEDGER_STORAGE_TABLE_STORE_H_
@@ -83,7 +83,7 @@ class TableStore {
 
   /// Point lookup by primary key; pointer valid until next mutation.
   /// Unlatched BY CONTRACT (class comment): callers exclude writers via a
-  /// table S lock, a quiesce, or single-threaded context, which the
+  /// table S lock, a MaintenanceView, or single-threaded context, which the
   /// analysis cannot see — hence the annotation escape.
   const Row* Get(const KeyTuple& key) const NO_THREAD_SAFETY_ANALYSIS;
 
@@ -118,8 +118,8 @@ class TableStore {
                      const std::vector<size_t>& ordinals, bool unique);
   Status DropIndex(const std::string& index_name);
   /// Unlatched BY CONTRACT like Scan: the returned reference outlives any
-  /// latch; used by the verifier under quiesce and by DDL under a table X
-  /// lock.
+  /// latch; used by the verifier on a MaintenanceView and by DDL under a
+  /// table X lock.
   const std::vector<std::unique_ptr<SecondaryIndex>>& indexes() const
       NO_THREAD_SAFETY_ANALYSIS {
     return indexes_;

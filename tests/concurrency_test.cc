@@ -1,5 +1,5 @@
-// Concurrency tests: parallel committers, lock-conflict aborts, quiescing,
-// and verification consistency under concurrent load.
+// Concurrency tests: parallel committers, lock-conflict aborts, maintenance
+// views, and verification consistency under concurrent load.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include <set>
 #include <thread>
 
+#include "ledger/truncation.h"
 #include "ledger/verifier.h"
 #include "sql/session.h"
 #include "test_util.h"
@@ -429,6 +430,184 @@ TEST_F(ConcurrencyTest, ReadersShareLocks) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(ok_reads.load(), 8 * 50);
+}
+
+// GetTruncationRecords reads sys_ledger_truncations through a view of its
+// own, so a reader looping beside two truncations never scans the table
+// while RecordTruncation inserts into it: it sees whole records, in cutoff
+// order, and never fewer than it saw before.
+TEST(MaintenanceViewTest, TruncationRecordsReadBesideTwoTruncations) {
+  auto db = OpenTestDb(/*block_size=*/4);
+  ASSERT_TRUE(
+      db->CreateTable("accounts", AccountSchema(), TableKind::kUpdateable)
+          .ok());
+  auto traffic = [&](int from, int to) {
+    for (int i = from; i < to; i++) {
+      auto txn = db->Begin("app");
+      ASSERT_TRUE(txn.ok());
+      ASSERT_TRUE(
+          db->Insert(*txn, "accounts", {VS("a" + std::to_string(i)), VB(i)})
+              .ok());
+      ASSERT_TRUE(db->Commit(*txn).ok());
+    }
+  };
+  traffic(0, 12);
+  std::atomic<bool> stop{false};
+  std::atomic<int> reads{0};
+  std::atomic<int> bad{0};
+  std::thread reader([&] {
+    size_t seen = 0;
+    while (!stop.load()) {
+      std::vector<TruncationRecord> records = db->GetTruncationRecords();
+      if (records.size() < seen) bad++;
+      for (size_t k = 1; k < records.size(); k++)
+        if (records[k].truncated_below_block <=
+            records[k - 1].truncated_below_block)
+          bad++;
+      seen = records.size();
+      reads++;
+    }
+  });
+  // Each truncation starts once the reader has read, so the two overlap.
+  auto await_read = [&] {
+    const int from = reads.load();
+    for (int spin = 0; reads.load() == from && spin < 1000000; spin++)
+      std::this_thread::yield();
+  };
+  Status first, second;
+  await_read();
+  auto digest = db->GenerateDigest();
+  if (digest.ok()) first = TruncateLedger(db.get(), 2, {*digest});
+  traffic(12, 20);
+  auto digest2 = db->GenerateDigest();
+  await_read();
+  if (digest2.ok())
+    second = TruncateLedger(db.get(), digest2->block_id, {*digest2});
+  stop = true;
+  reader.join();
+  ASSERT_TRUE(digest.ok() && digest2.ok());
+  ASSERT_TRUE(first.ok()) << first.ToString();
+  ASSERT_TRUE(second.ok()) << second.ToString();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(db->GetTruncationRecords().size(), 2u);
+}
+
+// Every row of every store, read through a view.
+std::map<uint32_t, std::vector<Row>> AllStoreRows(LedgerDatabase* db) {
+  std::map<uint32_t, std::vector<Row>> out;
+  MaintenanceView view = db->OpenMaintenanceView();
+  for (TableStore* store : view.stores()) {
+    std::vector<Row>& rows = out[store->table_id()];
+    for (BTree::Iterator it = store->Scan(); it.Valid(); it.Next())
+      rows.push_back(it.value());
+  }
+  return out;
+}
+
+// Four sessions write while another thread checkpoints, verifies
+// incrementally and truncates once, each job on a MaintenanceView of its
+// own. Every job succeeds with a clean report, and a reopen holds exactly
+// the rows of every store, ledger and history stores included, that the
+// database held when it closed.
+class MaintenanceBesideWritersTest : public TempDirTest {};
+
+TEST_F(MaintenanceBesideWritersTest, ReportsCleanAndReopenMatches) {
+  constexpr int kWriters = 4;
+  constexpr int kRows = 40;
+  constexpr int kRounds = 12;
+  LedgerDatabaseOptions options;
+  options.data_dir = Path("db");
+  options.database_id = "maintdb";
+  options.block_size = 8;
+  options.lock_timeout = std::chrono::milliseconds(2000);
+  auto opened = LedgerDatabase::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<LedgerDatabase> db = std::move(*opened);
+  for (int w = 0; w < kWriters; w++)
+    ASSERT_TRUE(db->CreateTable("w" + std::to_string(w), SimpleUserSchema(),
+                                TableKind::kUpdateable)
+                    .ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> commits{0};
+  std::atomic<int> unexpected{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; w++) {
+    writers.emplace_back([&, w] {
+      const std::string table = "w" + std::to_string(w);
+      for (int64_t n = 0; !stop.load(); n++) {
+        auto txn = db->Begin("writer");
+        if (!txn.ok()) {
+          unexpected++;
+          return;
+        }
+        const Row row = {VB(n % kRows), VS("v" + std::to_string(n))};
+        Status st = n < kRows ? db->Insert(*txn, table, row)
+                              : db->Update(*txn, table, row);
+        if (st.ok()) {
+          st = db->Commit(*txn);
+        } else {
+          db->Abort(*txn);
+        }
+        if (st.ok()) {
+          commits++;
+        } else if (!st.IsAborted()) {  // a lock timeout aborts
+          unexpected++;
+        }
+      }
+    });
+  }
+  int failures = 0;
+  auto check = [&](bool ok, const std::string& what) {
+    if (!ok) {
+      failures++;
+      ADD_FAILURE() << what;
+    }
+  };
+  for (int round = 0; round < kRounds && failures == 0; round++) {
+    // Let the writers get going, so each job runs beside them.
+    const int seen = commits.load();
+    for (int spin = 0; commits.load() < seen + 20 && spin < 1000000; spin++)
+      std::this_thread::yield();
+    Status st = db->Checkpoint();
+    check(st.ok(), "checkpoint: " + st.ToString());
+    auto digest = db->GenerateDigest();
+    check(digest.ok(), "digest: " + digest.status().ToString());
+    if (!digest.ok()) break;
+    auto report = VerifyLedgerIncremental(db.get(), {*digest});
+    check(report.ok() && report->ok(),
+          report.ok() ? report->Summary() : report.status().ToString());
+    if (round == kRounds / 2) {
+      st = TruncateLedger(db.get(), digest->block_id, {*digest});
+      check(st.ok(), "truncation: " + st.ToString());
+      check(db->GetTruncationRecords().size() == 1, "no truncation record");
+    }
+  }
+  stop = true;
+  for (std::thread& t : writers) t.join();
+  ASSERT_EQ(failures, 0);
+  EXPECT_EQ(unexpected.load(), 0);
+
+  auto digest = db->GenerateDigest();
+  ASSERT_TRUE(digest.ok());
+  const std::map<uint32_t, std::vector<Row>> before = AllStoreRows(db.get());
+  db.reset();
+  opened = LedgerDatabase::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  db = std::move(*opened);
+  const std::map<uint32_t, std::vector<Row>> after = AllStoreRows(db.get());
+  ASSERT_EQ(after.size(), before.size());
+  for (const auto& [id, rows] : before) {
+    auto it = after.find(id);
+    ASSERT_NE(it, after.end()) << "store " << id;
+    ASSERT_EQ(it->second.size(), rows.size()) << "store " << id;
+    for (size_t k = 0; k < rows.size(); k++)
+      EXPECT_TRUE(it->second[k] == rows[k]) << "store " << id << " row " << k;
+  }
+  auto report = VerifyLedger(db.get(), {*digest});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->Summary();
 }
 
 }  // namespace
